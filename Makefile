@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-sim node-smoke overlay-smoke serve-smoke rolling-restart chaos-soak async-soak cover bench bench-sim bench-serve bench-compare scale-bench fuzz fuzz-short prop graph-prop check examples experiments clean
+.PHONY: all build test race race-sim race-cpu bench-module node-smoke overlay-smoke serve-smoke rolling-restart chaos-soak async-soak cover bench bench-sim bench-serve bench-compare scale-bench fuzz fuzz-short prop graph-prop check examples experiments clean
 
 all: build test race-sim node-smoke overlay-smoke serve-smoke chaos-soak rolling-restart
 
@@ -24,6 +24,17 @@ race:
 # which serve-smoke covers from the outside.
 race-sim:
 	$(GO) test -race -short ./internal/sim/... ./internal/transport/... ./internal/session/...
+
+# Scheduler-width sweep of the async and serving suites. Every PR before the
+# 2-core host was verified at GOMAXPROCS=1 only, which is how the pre-open
+# buffer wedge in the async session path shipped.
+race-cpu:
+	$(GO) test -count=1 -cpu 1,2,4 -run 'Async|Serve' ./internal/session ./internal/transport
+
+# The benchmark is a nested module that root `go test ./...` does not reach;
+# vet and test it here so an internal/ API change cannot break it unseen.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Multi-process smoke: spawn real cmd/node processes on loopback ports (an
 # honest 3-node path cluster, then a 7-party splitvote deployment with the
@@ -176,10 +187,11 @@ graph-prop:
 	$(GO) test -race -count=1 -run Graph ./internal/check/ ./internal/session/
 	$(GO) run ./cmd/check -budget 175 -seeds 1-3 -space graph
 
-# Tier-1-adjacent gate: build + vet + tests, a quick serve-bench cell (the
-# serving layer under real closed-loop load, oracle-checked), then the
-# property (tree and graph), short fuzz and async-soak passes.
-check: build test bench-serve-smoke prop graph-prop fuzz-short async-soak
+# Tier-1-adjacent gate: build + vet + tests, the GOMAXPROCS sweep, the
+# nested benchmark module, a quick serve-bench cell (the serving layer under
+# real closed-loop load, oracle-checked), then the property (tree and
+# graph), short fuzz and async-soak passes.
+check: build test race-cpu bench-module bench-serve-smoke prop graph-prop fuzz-short async-soak
 
 # One fast serve-bench cell as a smoke: small cluster, short window; fails
 # on any oracle mismatch or client error.

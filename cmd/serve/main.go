@@ -11,11 +11,7 @@
 //
 //	serve -id 0 -peers peers.txt -client 127.0.0.1:7000
 //
-// Clients then submit to any daemon via internal/session.DialClient. The
-// pre-binary JSON protocol is still served when every daemon runs with
-// -json-api (clients use DialJSONClient):
-//
-//	serve -id 0 -peers peers.txt -json-api
+// Clients then submit to any daemon via internal/session.DialClient.
 //
 // The -cluster mode is a self-contained smoke test: it starts the whole
 // deployment in-process on loopback, drives -sessions concurrent sessions
@@ -106,7 +102,6 @@ func main() {
 		drainTO    = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain budget")
 		shards     = flag.Int("shards", 0, "engine-pool width (0 = one per core, capped at 16)")
 		flushOcc   = flag.Int("flush-occupancy", 0, "frames that cut a coalescing flush short (0 = default 32)")
-		jsonAPI    = flag.Bool("json-api", false, "serve the legacy length-prefixed JSON client API instead of the binary protocol")
 		journalDir = flag.String("journal-dir", "", "enable the write-ahead session journal under this directory (per-daemon subdirs)")
 		journalLvl = flag.String("journal-level", "full", "journal capture level: full (replayable frames) or sealed (admissions+seals only, lower overhead)")
 		metricsAt  = flag.String("metrics", "", "serve /metrics and /healthz on this address (e.g. 127.0.0.1:9090)")
@@ -148,7 +143,7 @@ func main() {
 		FlushInterval: *flushEvery, MaxBatchBytes: *batchBytes,
 		DefaultTTL: *defaultTTL, SetupTimeout: *setupTO,
 		RoundTimeout: *roundTO, DrainTimeout: *drainTO,
-		Shards: *shards, FlushOccupancy: *flushOcc, JSONClientAPI: *jsonAPI,
+		Shards: *shards, FlushOccupancy: *flushOcc,
 		JournalDir: *journalDir, JournalLevel: jlevel,
 		Stats: &metrics.ServeStats{}, JournalStats: &journal.Stats{},
 		OverlaySpec: *overlayAt, OverlayStats: &metrics.OverlayStats{},
@@ -396,11 +391,7 @@ func runSmoke(ctx context.Context, n, sessions int, spaceSpec, treeSpec string, 
 				mu.Unlock()
 			}
 			s := specFor(i)
-			dial := session.DialClient
-			if opts.JSONClientAPI {
-				dial = session.DialJSONClient
-			}
-			cl, err := dial(c.ClientAddr(i%n), opts.SetupTimeout)
+			cl, err := session.DialClient(c.ClientAddr(i%n), opts.SetupTimeout)
 			if err != nil {
 				fail("dial: %v", err)
 				return

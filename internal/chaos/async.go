@@ -5,6 +5,7 @@ import (
 
 	"treeaa/internal/async"
 	"treeaa/internal/cli"
+	"treeaa/internal/driver"
 	"treeaa/internal/experiments"
 	"treeaa/internal/metrics"
 	"treeaa/internal/sim"
@@ -107,7 +108,7 @@ func RunAsync(spec AsyncRunSpec) (*AsyncReport, error) {
 	}
 	inputs := cli.SpreadInputs(tr, spec.N)
 
-	machines := make([]transport.AsyncMachine, spec.N)
+	machines := make([]driver.EventMachine, spec.N)
 	for i := range machines {
 		p, err := async.NewPipeline(tr, spec.N, spec.T, async.PartyID(i), inputs[i])
 		if err != nil {

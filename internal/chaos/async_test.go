@@ -7,6 +7,7 @@ import (
 
 	"treeaa/internal/async"
 	"treeaa/internal/cli"
+	"treeaa/internal/driver"
 	"treeaa/internal/sim"
 	"treeaa/internal/transport"
 	"treeaa/internal/tree"
@@ -87,8 +88,8 @@ func TestAsyncQuietTCPMatchesInProcess(t *testing.T) {
 		const n = 4
 		inputs := cli.SpreadInputs(tr, n)
 
-		build := func() ([]transport.AsyncMachine, int) {
-			ms := make([]transport.AsyncMachine, n)
+		build := func() ([]driver.EventMachine, int) {
+			ms := make([]driver.EventMachine, n)
 			budget := 0
 			for i := range ms {
 				p, err := async.NewPipeline(tr, n, 0, async.PartyID(i), inputs[i])

@@ -2,15 +2,13 @@ package overlay
 
 import (
 	"bufio"
-	"crypto/rand"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
+	"treeaa/internal/driver"
 	"treeaa/internal/sim"
 	"treeaa/internal/transport"
 )
@@ -86,7 +84,7 @@ func Cluster(cfg sim.Config, machines []sim.Machine, opts Options) (*sim.Result,
 		listeners[p] = ln
 		addrs[p] = ln.Addr().String()
 	}
-	session := newSession()
+	session := transport.NewSession()
 
 	// Seat every party's first incarnation before any goroutine runs: the
 	// accept hosts route inbound hellos through the holders, and with one
@@ -145,12 +143,20 @@ func Cluster(cfg sim.Config, machines []sim.Machine, opts Options) (*sim.Result,
 	if len(errs) > 0 {
 		return nil, errors.Join(errs...)
 	}
-	return merge(cfg, nodes)
+	parties := make([]*driver.Result, len(nodes))
+	for i, out := range nodes {
+		parties[i] = out.res
+	}
+	res, err := driver.Merge(cfg.Trace, nil, parties, nil)
+	if err != nil {
+		return nil, fmt.Errorf("overlay: %w", err)
+	}
+	return res, nil
 }
 
 type outcome struct {
 	id  sim.PartyID
-	res *nodeResult
+	res *driver.Result
 	err error
 }
 
@@ -175,7 +181,7 @@ func (h *holder) get() *node {
 // recovers entirely through the handshake replay; only its last
 // incarnation's accounting reaches the merge, mirroring what the engine
 // counts for a party that was "always up".
-func supervise(nd *node, hold *holder) (*nodeResult, error) {
+func supervise(nd *node, hold *holder) (*driver.Result, error) {
 	for {
 		res, err := nd.run()
 		if err == nil {
@@ -252,63 +258,3 @@ func (h *host) handshake(conn net.Conn) {
 }
 
 func (h *host) close() { h.ln.Close() }
-
-// newSession draws a random session id; hellos carrying another session are
-// rejected, so two clusters on one machine can never cross-connect even if
-// ports are recycled between runs.
-func newSession() uint64 {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// A fixed session only weakens stray-connection detection, not
-		// correctness.
-		return 0x7472656561610002
-	}
-	return binary.BigEndian.Uint64(b[:])
-}
-
-// merge folds the per-party results into the sim.Result the engine would
-// have produced, checking that every party observed the same termination
-// round — they must, since all decide from the same release bitmaps, so a
-// mismatch is an overlay bug, not a protocol property.
-func merge(cfg sim.Config, nodes []outcome) (*sim.Result, error) {
-	res := &sim.Result{
-		Outputs:   make(map[sim.PartyID]any, len(nodes)),
-		Corrupted: make(map[sim.PartyID]bool),
-	}
-	term := 0
-	for _, out := range nodes {
-		if term == 0 {
-			term = out.res.termRound
-		} else if out.res.termRound != term {
-			return nil, fmt.Errorf("overlay: party %d terminated at round %d, others at %d",
-				out.id, out.res.termRound, term)
-		}
-	}
-	res.Rounds = term
-
-	msgs := make([]int, term+1)
-	bytes := make([]int, term+1)
-	doneAt := make(map[int][]sim.PartyID)
-	for _, out := range nodes {
-		for i := 0; i < term && i < len(out.res.msgs); i++ {
-			msgs[i+1] += out.res.msgs[i]
-			bytes[i+1] += out.res.bytes[i]
-		}
-		res.Outputs[out.id] = out.res.output
-		doneAt[out.res.doneRound] = append(doneAt[out.res.doneRound], out.id)
-	}
-	for r := 1; r <= term; r++ {
-		res.Messages += msgs[r]
-		res.Bytes += bytes[r]
-	}
-	if cfg.Trace != nil {
-		for r := 1; r <= term; r++ {
-			newlyDone := doneAt[r]
-			sort.Slice(newlyDone, func(i, j int) bool { return newlyDone[i] < newlyDone[j] })
-			cfg.Trace.Rounds = append(cfg.Trace.Rounds, sim.TraceRound{
-				Round: r, Messages: msgs[r], Bytes: bytes[r], NewlyDone: newlyDone,
-			})
-		}
-	}
-	return res, nil
-}

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"treeaa/internal/driver"
 	"treeaa/internal/sim"
 	"treeaa/internal/transport"
 	"treeaa/internal/wire"
@@ -53,62 +54,11 @@ type upState struct {
 	sentArr, sentDone int
 }
 
-// nodeResult is one party's share of a sim.Result, mirroring the mesh
-// transport's per-node accounting exactly.
-type nodeResult struct {
-	id        sim.PartyID
-	output    any
-	done      bool
-	doneRound int
-	termRound int
-	msgs      []int
-	bytes     []int
-}
-
-// mailbox is the per-round, per-sender message store; inbox reconstructs
-// the engine's delivery order (ascending sender, emission order within).
-type mailbox struct {
-	n    int
-	mail map[int]map[sim.PartyID][]sim.Message
-}
-
-func newMailbox(n int) *mailbox {
-	return &mailbox{n: n, mail: make(map[int]map[sim.PartyID][]sim.Message)}
-}
-
-func (s *mailbox) add(m sim.Message) {
-	box := s.mail[m.Round]
-	if box == nil {
-		box = make(map[sim.PartyID][]sim.Message, s.n)
-		s.mail[m.Round] = box
-	}
-	box[m.From] = append(box[m.From], m)
-}
-
-func (s *mailbox) inbox(r int) []sim.Message {
-	box := s.mail[r]
-	if len(box) == 0 {
-		return nil
-	}
-	total := 0
-	for _, ms := range box {
-		total += len(ms)
-	}
-	out := make([]sim.Message, 0, total)
-	for p := sim.PartyID(0); int(p) < s.n; p++ {
-		out = append(out, box[p]...)
-	}
-	return out
-}
-
-func (s *mailbox) drop(r int) { delete(s.mail, r) }
-
 // node runs one party over the tree overlay.
 type node struct {
 	id         sim.PartyID
 	n          int
 	lay        Layout
-	machine    sim.Machine
 	maxRounds  int
 	crashRound int
 	session    uint64
@@ -126,18 +76,16 @@ type node struct {
 	sendSeq  uint64
 	have     []uint64
 	retained [][]retFrame
-	st       *mailbox
+	rd       *driver.Round
 	ups      map[int]*upState
 	downs    map[int]bitset
 	lastDown int
-
-	res nodeResult
 }
 
 func newNode(id sim.PartyID, lay Layout, machine sim.Machine, maxRounds int,
 	session uint64, addrs []string, opts Options) *node {
-	return &node{
-		id: id, n: lay.N, lay: lay, machine: machine, maxRounds: maxRounds,
+	nd := &node{
+		id: id, n: lay.N, lay: lay, maxRounds: maxRounds,
 		session: session, addrs: addrs, opts: opts,
 		events:   make(chan levent, 8*lay.N+64),
 		quit:     make(chan struct{}),
@@ -145,11 +93,13 @@ func newNode(id sim.PartyID, lay Layout, machine sim.Machine, maxRounds int,
 		parentID: lay.Parent(id),
 		have:     make([]uint64, lay.N),
 		retained: make([][]retFrame, lay.N),
-		st:       newMailbox(lay.N),
 		ups:      make(map[int]*upState),
 		downs:    make(map[int]bitset),
-		res:      nodeResult{id: id},
 	}
+	// Unbounded window: replay-on-connect hands a reborn party every round
+	// it missed at once.
+	nd.rd = driver.NewRound(id, lay.N, maxRounds, 0, machine, nd)
+	return nd
 }
 
 func (nd *node) enqueue(ev levent) {
@@ -186,91 +136,77 @@ func (nd *node) hasDown(r int) bool {
 // The release for round r is the root's down frame, which link FIFO
 // guarantees arrives behind every round-r envelope — so the round-r mailbox
 // is complete at the barrier, exactly the mesh transport's invariant.
-func (nd *node) run() (*nodeResult, error) {
+func (nd *node) run() (*driver.Result, error) {
 	defer nd.shutdown(false)
 	if nd.parentID >= 0 {
 		if err := nd.connectParent(time.Now().Add(nd.opts.SetupTimeout)); err != nil {
 			return nil, fmt.Errorf("overlay: party %d joining: %w", nd.id, err)
 		}
 	}
-	for r := 1; r <= nd.maxRounds; r++ {
+	for {
 		roundStart := time.Now()
-		out := nd.machine.Step(r, nd.st.inbox(r-1))
-		nd.st.drop(r - 1)
-		if !nd.res.done {
-			if v, ok := nd.machine.Output(); ok {
-				nd.res.output, nd.res.done, nd.res.doneRound = v, true, r
-			}
+		finished, err := nd.rd.Advance()
+		if err != nil {
+			return nil, fmt.Errorf("overlay: %w", err)
 		}
-		if err := nd.floodRound(r, out); err != nil {
-			return nil, err
+		if finished {
+			nd.shutdown(true)
+			return nd.rd.Result(), nil
 		}
-		if r == nd.crashRound {
-			// Injected crash: die mid-round, relays out (possibly partially
-			// flushed), the barrier report never sent. The subtree re-homes;
-			// the supervisor restarts us.
-			nd.crash()
-			return nil, fmt.Errorf("%w: party %d at round %d", errCrashed, nd.id, r)
-		}
-		nd.markSelf(r)
+		nd.prune()
+		r := nd.rd.Round()
 		if err := nd.awaitDown(r); err != nil {
 			return nil, err
 		}
 		nd.opts.Stats.AddRoundLatency(time.Since(roundStart))
-		if nd.res.done && nd.downs[r].full(nd.n) {
-			nd.res.termRound = r
-			nd.shutdown(true)
-			return &nd.res, nil
-		}
-		nd.prune()
+		nd.rd.Release(nd.downs[r].full(nd.n))
 	}
-	return nil, fmt.Errorf("%w: party %d after %d rounds", sim.ErrNotDone, nd.id, nd.maxRounds)
 }
 
-// floodRound encodes the machine's round-r sends, counts them exactly as
-// the engine does (per recipient, at send), self-delivers, and floods one
-// relay envelope per emitted message along every live link.
-func (nd *node) floodRound(r int, out []sim.Message) error {
-	roundMsgs, roundBytes := 0, 0
-	for _, raw := range out {
-		if raw.To != sim.Broadcast && (raw.To < 0 || int(raw.To) >= nd.n) {
-			return fmt.Errorf("overlay: party %d: recipient %d out of range [0, %d)", nd.id, raw.To, nd.n)
-		}
-		body, err := wire.Encode(raw.Payload)
-		if err != nil {
-			return fmt.Errorf("overlay: party %d round %d: %w", nd.id, r, err)
-		}
-		first, last := raw.To, raw.To
-		if raw.To == sim.Broadcast {
-			first, last = 0, sim.PartyID(nd.n-1)
-		}
-		for to := first; to <= last; to++ {
-			roundMsgs++
-			roundBytes += len(body)
-			if to == nd.id {
-				nd.st.add(sim.Message{From: nd.id, To: to, Round: r, Payload: raw.Payload})
-			}
-		}
-		if raw.To != nd.id {
-			// At least one remote recipient: originate an envelope. A pure
-			// self-send never touches the wire, as in the mesh.
-			nd.sendSeq++
-			env, err := wire.Encode(wire.RelayMsg{Origin: nd.id, Dest: raw.To,
-				Seq: nd.sendSeq, Round: r, Body: body})
-			if err != nil {
-				return fmt.Errorf("overlay: party %d round %d: %w", nd.id, r, err)
-			}
-			nd.have[nd.id] = nd.sendSeq
-			nd.retained[nd.id] = append(nd.retained[nd.id], retFrame{seq: nd.sendSeq, round: r, env: env})
-			for _, l := range nd.links {
-				l.send(env)
-				nd.opts.Stats.Relayed.Add(1)
-				nd.opts.Stats.RelayBytes.Add(int64(len(env)))
-			}
-		}
+// Emit floods one relay envelope per emitted message along every live link.
+// A pure self-send never touches the wire, as in the mesh.
+func (nd *node) Emit(round int, to sim.PartyID, payload any) error {
+	if to == nd.id {
+		return nil
 	}
-	nd.res.msgs = append(nd.res.msgs, roundMsgs)
-	nd.res.bytes = append(nd.res.bytes, roundBytes)
+	body, err := wire.Encode(payload)
+	if err != nil {
+		return err
+	}
+	nd.sendSeq++
+	env, err := wire.Encode(wire.RelayMsg{Origin: nd.id, Dest: to,
+		Seq: nd.sendSeq, Round: round, Body: body})
+	if err != nil {
+		return err
+	}
+	nd.have[nd.id] = nd.sendSeq
+	nd.retained[nd.id] = append(nd.retained[nd.id], retFrame{seq: nd.sendSeq, round: round, env: env})
+	for _, l := range nd.links {
+		l.send(env)
+		nd.opts.Stats.Relayed.Add(1)
+		nd.opts.Stats.RelayBytes.Add(int64(len(env)))
+	}
+	return nil
+}
+
+// EndRound records this node's own barrier contribution for round r and
+// propagates it. The bit is set only after every round-r envelope is queued,
+// so on every link the bit travels behind the frames it vouches for — the
+// FIFO invariant the root's release depends on.
+func (nd *node) EndRound(r int, done bool) error {
+	if r == nd.crashRound {
+		// Injected crash: die mid-round, relays out (possibly partially
+		// flushed), the barrier report never sent. The subtree re-homes;
+		// the supervisor restarts us.
+		nd.crash()
+		return fmt.Errorf("%w: party %d at round %d", errCrashed, nd.id, r)
+	}
+	u := nd.up(r)
+	u.arrived.set(nd.id)
+	if done {
+		u.done.set(nd.id)
+	}
+	nd.propagate(r)
 	return nil
 }
 
@@ -281,19 +217,6 @@ func (nd *node) up(r int) *upState {
 		nd.ups[r] = u
 	}
 	return u
-}
-
-// markSelf records this node's own barrier contribution for round r and
-// propagates it. The bit is set only after floodRound queued every round-r
-// envelope, so on every link the bit travels behind the frames it vouches
-// for — the FIFO invariant the root's release depends on.
-func (nd *node) markSelf(r int) {
-	u := nd.up(r)
-	u.arrived.set(nd.id)
-	if nd.res.done {
-		u.done.set(nd.id)
-	}
-	nd.propagate(r)
 }
 
 func (nd *node) propagate(r int) {
@@ -442,7 +365,9 @@ func (nd *node) onRelay(l *link, m wire.RelayMsg, raw []byte) error {
 		if err != nil {
 			return fmt.Errorf("overlay: party %d: relay body from origin %d: %w", nd.id, o, err)
 		}
-		nd.st.add(sim.Message{From: o, To: nd.id, Round: m.Round, Payload: pay})
+		if err := nd.rd.File(sim.Message{From: o, To: nd.id, Round: m.Round, Payload: pay}); err != nil {
+			return fmt.Errorf("overlay: party %d: %w", nd.id, err)
+		}
 	}
 	for _, l2 := range nd.links {
 		if l2 != l {

@@ -76,14 +76,14 @@ func RunProcess(cfg ProcessConfig) (*transport.ProcessResult, error) {
 		h := newHost(cfg.ID, ln, lay, cfg.Session, opts, hold)
 		go h.loop()
 		defer h.close()
-		defer watchCancel(cfg.Ctx, func() {
+		defer transport.WatchCancel(cfg.Ctx, func() {
 			h.close()
 			if nd := hold.get(); nd != nil {
 				nd.shutdown(false)
 			}
 		})()
 	} else {
-		defer watchCancel(cfg.Ctx, func() {
+		defer transport.WatchCancel(cfg.Ctx, func() {
 			if nd := hold.get(); nd != nil {
 				nd.shutdown(false)
 			}
@@ -94,31 +94,5 @@ func RunProcess(cfg ProcessConfig) (*transport.ProcessResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &transport.ProcessResult{Output: res.output, DoneRound: res.doneRound,
-		Rounds: res.termRound, Messages: sum(res.msgs), Bytes: sum(res.bytes)}, nil
-}
-
-// watchCancel runs stop when ctx is cancelled; the returned release func
-// retires the watcher when the seat finishes first. A nil ctx is a no-op.
-func watchCancel(ctx context.Context, stop func()) func() {
-	if ctx == nil {
-		return func() {}
-	}
-	done := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			stop()
-		case <-done:
-		}
-	}()
-	return func() { close(done) }
-}
-
-func sum(xs []int) int {
-	total := 0
-	for _, x := range xs {
-		total += x
-	}
-	return total
+	return transport.NewProcessResult(res), nil
 }

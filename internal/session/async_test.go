@@ -1,6 +1,7 @@
 package session
 
 import (
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -170,5 +171,64 @@ func TestAsyncOptionsRejected(t *testing.T) {
 		if !strings.Contains(err.Error(), "async mode") {
 			t.Errorf("%s rejection %q does not explain the async conflict", name, err)
 		}
+	}
+}
+
+// heldBackLink delays every write on the from→to peer link only, so to's
+// SessionOpen (and everything else from) lands long after the other
+// daemons' traffic for the same session.
+func heldBackLink(from, to sim.PartyID, delay time.Duration) func(_, _ sim.PartyID, conn net.Conn) net.Conn {
+	slow := slowLinks(delay)
+	return func(f, t sim.PartyID, conn net.Conn) net.Conn {
+		if f == from && t == to {
+			return slow(f, t, conn)
+		}
+		return conn
+	}
+}
+
+// TestAsyncLateOpenDecides pins the GOMAXPROCS=2 wedge deterministically:
+// with t=1 the three seats that hold the open run the whole protocol among
+// themselves before the held-back fourth seat's open lands, so hundreds of
+// frames (282 on this spec) precede it — far past the lock-step "one round
+// per link" bound of QueueDepth/4 = 16 that used to tombstone the session
+// and seat an engine with a hole in its input. Async pre-open buffering is
+// bounded by the shard-wide budget only, and the session decides.
+func TestAsyncLateOpenDecides(t *testing.T) {
+	opts := asyncOptions()
+	opts.QueueDepth = 64
+	opts.RoundTimeout = 3 * time.Second // a wedge fails fast instead of idling 20s
+	opts.WrapConn = heldBackLink(0, 3, 200*time.Millisecond)
+	c := startTestCluster(t, 4, opts)
+	spec := Spec{Tree: "spider:3:4", T: 1}
+	resp := submitAndWait(t, c, 0, spec)
+	if !resp.Decided() {
+		t.Fatalf("late-open async session: state %s (%s)", resp.State, resp.Err)
+	}
+	got, err := resp.SimResult()
+	if err != nil {
+		t.Fatal(err)
+	}
+	judgeAsyncResult(t, spec, 4, got, "late open")
+}
+
+// TestPreOpenOverflowFailsLoudly is the lock-step twin: when the per-session
+// pre-open bound (QueueDepth/4 = 1 frame here) is genuinely exceeded — surely
+// on the held-back daemon 3, possibly on a faster one too — the late open
+// fails the session at once with the typed reason and abort
+// gossip, instead of seating an engine that waits out its round timeout on
+// frames that were dropped.
+func TestPreOpenOverflowFailsLoudly(t *testing.T) {
+	opts := Options{QueueDepth: 4, SetupTimeout: 10 * time.Second,
+		RoundTimeout: 20 * time.Second, DrainTimeout: 5 * time.Second}
+	opts.WrapConn = heldBackLink(0, 3, 200*time.Millisecond)
+	c := startTestCluster(t, 4, opts)
+	start := time.Now()
+	resp := submitAndWait(t, c, 0, Spec{Tree: "path:8"})
+	if resp.Decided() || !strings.Contains(resp.Err, reasonPreOpenOverflow) {
+		t.Fatalf("state %s (%q), want a failure naming %q", resp.State, resp.Err, reasonPreOpenOverflow)
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Errorf("overflow surfaced after %v — it must not wait for a round timeout", took)
 	}
 }

@@ -4,31 +4,25 @@ import (
 	"bufio"
 	"fmt"
 	"net"
-	"strconv"
 	"sync"
 	"time"
 
 	"treeaa/internal/sim"
 	"treeaa/internal/transport"
-	"treeaa/internal/tree"
 	"treeaa/internal/wire"
 )
 
-// Client speaks the client API to one daemon — the binary wire protocol by
-// default, the legacy JSON protocol when dialed with DialJSONClient. It is
-// safe for concurrent use; requests on one client serialize over its
-// connection, so load generators open one client per worker.
+// Client speaks the binary client API to one daemon. It is safe for
+// concurrent use; requests on one client serialize over its connection, so
+// load generators open one client per worker.
 type Client struct {
-	json bool
-
 	mu   sync.Mutex
 	conn net.Conn
 	br   *bufio.Reader
 	wbuf []byte
 }
 
-// DialClient connects to a daemon's client API address, speaking the binary
-// protocol (the daemon's default).
+// DialClient connects to a daemon's client API address.
 func DialClient(addr string, timeout time.Duration) (*Client, error) {
 	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
@@ -37,35 +31,26 @@ func DialClient(addr string, timeout time.Duration) (*Client, error) {
 	return &Client{conn: conn, br: bufio.NewReader(conn)}, nil
 }
 
-// DialJSONClient connects speaking the legacy length-prefixed JSON
-// protocol; the daemon must run with Options.JSONClientAPI.
-func DialJSONClient(addr string, timeout time.Duration) (*Client, error) {
-	c, err := DialClient(addr, timeout)
-	if err != nil {
-		return nil, err
-	}
-	c.json = true
-	return c, nil
+// Response answers one client API call.
+type Response struct {
+	OK    bool
+	Err   string
+	SID   uint64
+	State string // a State name; empty on a request-level error
+	// Terminal decided sessions only: the assembled Result fields.
+	Outputs   []wire.OutputPair
+	Rounds    int
+	Messages  int
+	Bytes     int
+	LatencyNS int64
 }
 
-func (c *Client) do(req Request) (*Response, error) {
+// do sends one request payload and reads its ClientOutcome. what names the
+// call for the error a rejected request is reported as.
+func (c *Client) do(what string, req any) (*Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.json {
-		if err := writeJSON(c.conn, req); err != nil {
-			return nil, err
-		}
-		var resp Response
-		if err := readJSON(c.br, &resp); err != nil {
-			return nil, err
-		}
-		return &resp, nil
-	}
-	payload, err := clientPayload(req)
-	if err != nil {
-		return nil, err
-	}
-	body, err := wire.Encode(payload)
+	body, err := wire.Encode(req)
 	if err != nil {
 		return nil, err
 	}
@@ -85,84 +70,40 @@ func (c *Client) do(req Request) (*Response, error) {
 	if !ok {
 		return nil, fmt.Errorf("session: unexpected %T from daemon", decoded)
 	}
-	return responseFromOutcome(out), nil
-}
-
-func (c *Client) Close() error { return c.conn.Close() }
-
-// clientPayload maps one Request onto its wire payload.
-func clientPayload(req Request) (any, error) {
-	switch req.Op {
-	case "submit":
-		ttl := req.TTLMS
-		if ttl < 0 {
-			ttl = 0
-		}
-		return wire.ClientSubmit{SID: req.SID, Tree: req.Tree, Seed: req.Seed, T: req.T,
-			Inputs: req.Inputs, TTLMillis: uint64(ttl), Wait: req.Wait}, nil
-	case "wait":
-		return wire.ClientWait{SID: req.SID}, nil
-	case "status":
-		return wire.ClientStatus{SID: req.SID}, nil
+	if !out.OK {
+		return nil, fmt.Errorf("session: %s: %s", what, out.Err)
 	}
-	return nil, fmt.Errorf("session: unknown op %q", req.Op)
-}
-
-// responseFromOutcome is the inverse of the server's outcomeFrame.
-func responseFromOutcome(out wire.ClientOutcome) *Response {
-	resp := &Response{OK: out.OK, Err: out.Err, SID: out.SID,
-		LatencyNS: out.LatencyNS, Rounds: out.Rounds,
-		Messages: out.Msgs, Bytes: out.Bytes}
+	resp := &Response{OK: true, Err: out.Err, SID: out.SID, LatencyNS: out.LatencyNS,
+		Rounds: out.Rounds, Messages: out.Msgs, Bytes: out.Bytes, Outputs: out.Outputs}
 	if out.State != wire.ClientStateNone {
 		resp.State = State(out.State).String()
 	}
-	if len(out.Outputs) > 0 {
-		resp.Outputs = make(map[string]int, len(out.Outputs))
-		for _, p := range out.Outputs {
-			resp.Outputs[strconv.Itoa(int(p.Party))] = int(p.V)
-		}
-	}
-	return resp
+	return resp, nil
 }
+
+func (c *Client) Close() error { return c.conn.Close() }
 
 // Submit offers a session. sid 0 auto-assigns. With wait the call blocks
 // until the terminal Outcome; without it the response carries the assigned
 // sid immediately. A rejection (capacity, duplicate, bad spec) is returned
 // as an error.
 func (c *Client) Submit(spec Spec, sid uint64, wait bool) (*Response, error) {
-	resp, err := c.do(Request{Op: "submit", SID: sid, Tree: spec.Tree, Seed: spec.Seed,
-		T: spec.T, Inputs: spec.Inputs, TTLMS: spec.TTL.Milliseconds(), Wait: wait})
-	if err != nil {
-		return nil, err
+	ttl := spec.TTL.Milliseconds()
+	if ttl < 0 {
+		ttl = 0
 	}
-	if !resp.OK {
-		return nil, fmt.Errorf("session: submit rejected: %s", resp.Err)
-	}
-	return resp, nil
+	return c.do("submit rejected", wire.ClientSubmit{SID: sid, Tree: spec.Tree, Seed: spec.Seed,
+		T: spec.T, Inputs: spec.Inputs, TTLMillis: uint64(ttl), Wait: wait})
 }
 
 // Status queries a session's current lifecycle view.
 func (c *Client) Status(sid uint64) (*Response, error) {
-	resp, err := c.do(Request{Op: "status", SID: sid})
-	if err != nil {
-		return nil, err
-	}
-	if !resp.OK {
-		return nil, fmt.Errorf("session: status: %s", resp.Err)
-	}
-	return resp, nil
+	return c.do("status", wire.ClientStatus{SID: sid})
 }
 
 // Wait blocks until the session reaches a terminal state.
 func (c *Client) Wait(sid uint64) (*Response, error) {
-	resp, err := c.do(Request{Op: "wait", SID: sid})
-	if err != nil {
-		return nil, err
-	}
-	if !resp.OK {
-		return nil, fmt.Errorf("session: wait: %s", resp.Err)
-	}
-	return resp, nil
+	return c.do("wait", wire.ClientWait{SID: sid})
 }
 
 // Decided reports whether the response is a decided terminal outcome.
@@ -181,12 +122,8 @@ func (r *Response) SimResult() (*sim.Result, error) {
 		Outputs:   make(map[sim.PartyID]any, len(r.Outputs)),
 		Corrupted: make(map[sim.PartyID]bool),
 	}
-	for p, v := range r.Outputs {
-		id, err := strconv.Atoi(p)
-		if err != nil {
-			return nil, fmt.Errorf("session: bad party key %q", p)
-		}
-		res.Outputs[sim.PartyID(id)] = tree.VertexID(v)
+	for _, p := range r.Outputs {
+		res.Outputs[p.Party] = p.V
 	}
 	return res, nil
 }

@@ -47,10 +47,12 @@ type Options struct {
 	// control knob. Submissions and peer opens beyond it are rejected.
 	MaxSessions int
 	// QueueDepth scales the pending-frame buffers for sessions whose open
-	// has not arrived yet: QueueDepth/4 frames per session, 16×QueueDepth
-	// per shard. Frames beyond the bound drop (the setup timeout then fails
-	// the session); admitted sessions' queues are unbounded and drained by
-	// their shard worker.
+	// has not arrived yet: 16×QueueDepth frames per shard, and in lock-step
+	// mode QueueDepth/4 per session (async seats can see a whole protocol run
+	// ahead of their open, so only the shard bound applies). A session that
+	// hits a bound fails with "pre-open buffer overflow" when its open lands;
+	// admitted sessions' queues are unbounded and drained by their shard
+	// worker.
 	QueueDepth int
 	// Shards is the engine-pool width: sessions hash to shards by id, one
 	// worker goroutine per shard. Defaults to min(GOMAXPROCS, 16).
@@ -64,9 +66,6 @@ type Options struct {
 	// MaxBatchBytes kicks the flusher early when a link's outbox reaches
 	// this size, bounding batch memory under load.
 	MaxBatchBytes int
-	// JSONClientAPI serves the legacy length-prefixed JSON client protocol
-	// instead of the binary wire protocol (see DialJSONClient).
-	JSONClientAPI bool
 	// DefaultTTL is the session deadline applied when a spec's TTL is zero;
 	// it also sets how long terminal sessions linger for status queries.
 	DefaultTTL time.Duration

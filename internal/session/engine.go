@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"treeaa/internal/async"
+	"treeaa/internal/driver"
 	"treeaa/internal/sim"
 	"treeaa/internal/tree"
 	"treeaa/internal/wire"
@@ -20,62 +21,37 @@ type rawEvent struct {
 	body []byte
 }
 
-// mslot is one slot of the engine's four-round ring mailbox. The lock-step
-// protocol bounds the live round window: while the engine awaits barrier r,
-// inbound frames can only carry rounds r or r+1 (a peer needs our eor(r) to
-// pass barrier r, and link FIFO delivers every round-r' message before
-// eor(r')), and slot r-1 is still being consumed by Step(r) — three live
-// rounds, so four slots indexed round&3 always leave the incoming slot
-// clean. Anything outside the window is a protocol violation that fails the
-// session. Slots are allocated once per engine and len-reset between rounds,
-// the arena discipline of internal/sim's engine.
-type mslot struct {
-	byParty [][]sim.Message // index: sender; emission order within a sender
-	eorSeen []bool
-	eorDone []bool
-	eors    int // peers whose eor arrived
-	dones   int // of those, how many reported done
-}
+// roundWindow is how many rounds of a session may hold traffic at once.
+// While the engine awaits barrier r, inbound frames can only carry rounds r
+// or r+1: a peer needs our eor(r) to pass barrier r, and link FIFO delivers
+// every round-r' message before eor(r'). The mux guarantees it, so anything
+// outside is a protocol violation that fails the session.
+const roundWindow = 2
 
-// engine is one daemon's seat of one session as a state machine stepped by
-// its shard's worker — replacing the goroutine-per-session model (channel
-// queue, per-round timer, blocking barrier select) that dominated the serve
-// profile. All fields below the header are worker-owned: only the owning
-// shard's single worker goroutine touches them, so stepping takes no locks
-// and, with the slot ring and scratch buffers, no steady-state allocations.
+// engine is one daemon's seat of one session: the adapter between the mux
+// and a passive protocol driver, stepped by its shard's worker. It owns the
+// SessionMsg/SessionEOR framing, the mute-replay of a restored seat and the
+// watchdog deadline; rounds, mailboxes, accounting and termination live in
+// internal/driver. All fields below the header are worker-owned: only the
+// owning shard's single worker goroutine touches them, so stepping takes no
+// locks and, with the driver's recycled slots and the scratch buffer, no
+// steady-state allocations.
 type engine struct {
 	s  *session
 	m  *Manager
 	sh *shard
 
-	// Worker-owned round state.
-	machine         sim.Machine
-	started         bool
-	round           int // barrier round currently awaited; 0 = not begun
-	maxRounds       int
-	n               int
-	output          any
-	done            bool
-	doneRound       int
-	msgs            int
-	bytes           int
-	barrierDeadline time.Time
-	slots           [4]mslot
-	inboxScratch    []sim.Message
-	frameScratch    []byte
-
-	// Async-mode state (Options.Async). The seat hosts an event-driven
-	// asyncSeat instead of a lock-step sim.Machine: every inbound SessionMsg
-	// is delivered to it on arrival, SessionEOR{Done: true} is a peer's
-	// one-shot decision announcement, and round stays pinned at 1 — it only
-	// arms the shard's watchdog, whose deadline is refreshed on every apply
-	// so it bounds total silence (an idle timeout), never a round.
-	aseat     asyncSeat
-	abudget   int             // delivery flood guard, aseat.DeliveryBudget()
-	adelivers int             // deliveries consumed so far
-	aself     []async.Message // self-addressed traffic, delivered FIFO
-	adoneSeen []bool
-	adones    int
+	// Worker-owned protocol state. Once begun exactly one driver is set: rd
+	// steps a lock-step sim.Machine; ev (Options.Async) delivers every
+	// inbound SessionMsg to an async.Pipeline on arrival, with
+	// SessionEOR{Done: true} as a peer's one-shot decision announcement.
+	rd *driver.Round
+	ev *driver.Event
+	// watchdog is the deadline the shard sweep enforces: the awaited round's
+	// barrier budget, or in async mode — pushed out by every arrival — a
+	// bound on total silence, never on a round.
+	watchdog     time.Time
+	frameScratch []byte
 
 	// Replay state: journaled inbound frames a restarted daemon re-steps the
 	// engine from before any live traffic. While mute is set the engine's
@@ -92,36 +68,19 @@ type engine struct {
 }
 
 func newEngine(m *Manager, sh *shard, s *session) *engine {
-	e := &engine{s: s, m: m, sh: sh, n: m.d.n, maxRounds: s.ps.maxRounds}
-	for i := range e.slots {
-		e.slots[i].byParty = make([][]sim.Message, e.n)
-		e.slots[i].eorSeen = make([]bool, e.n)
-		e.slots[i].eorDone = make([]bool, e.n)
-	}
-	return e
+	return &engine{s: s, m: m, sh: sh}
 }
 
-func (e *engine) slot(r int) *mslot { return &e.slots[r&3] }
-
-func (e *engine) dropSlot(r int) {
-	sl := e.slot(r)
-	for p := range sl.byParty {
-		sl.byParty[p] = sl.byParty[p][:0]
-	}
-	for p := range sl.eorSeen {
-		sl.eorSeen[p] = false
-		sl.eorDone[p] = false
-	}
-	sl.eors, sl.dones = 0, 0
+// fail fails the session cluster-wide on a seat-level error.
+func (e *engine) fail(err error) bool {
+	e.m.fail(e.s, StateFailed, fmt.Sprintf("daemon %d: %v", e.m.d.id, err), true)
+	return false
 }
-
-// inWindow validates an inbound frame's round against the live window.
-func (e *engine) inWindow(r int) bool { return r >= e.round && r <= e.round+1 }
 
 // run is the engine's whole turn: begin if fresh, apply the queued frames,
-// then advance through any barriers they completed. It returns false when
-// the seat is finished (decided, failed, or the session went terminal
-// elsewhere) and the shard should retire the engine.
+// then cross any barriers they completed. It returns false when the seat is
+// finished (decided, failed, or the session went terminal elsewhere) and
+// the shard should retire the engine.
 func (e *engine) run(evs []rawEvent) bool {
 	if e.s.terminal.Load() {
 		return false
@@ -144,390 +103,150 @@ func (e *engine) run(evs []rawEvent) bool {
 }
 
 func (e *engine) runEvents(evs []rawEvent) bool {
-	if !e.started && !e.begin() {
+	if e.rd == nil && e.ev == nil && !e.begin() {
 		return false
 	}
 	for _, ev := range evs {
-		if !e.apply(ev) {
-			return false
+		if err := e.apply(ev); err != nil {
+			return e.fail(err)
 		}
 	}
-	if e.aseat != nil {
-		return e.asyncProgress()
+	if e.ev != nil {
+		if !e.ev.Finished() {
+			return true
+		}
+		return e.finish(e.ev.Output(), 1, 1, e.ev.Tally())
 	}
-	return e.advance()
+	finished, err := e.rd.Advance()
+	if err != nil {
+		return e.fail(err)
+	}
+	if !finished {
+		return true // barrier still open; wait for more frames
+	}
+	res := e.rd.Result()
+	return e.finish(res.Output, res.DoneRound, res.TermRound, res.Total())
 }
 
-// begin creates the machine and steps round 1. The origin broadcasts
-// SessionOpen before registering the engine, so our round-1 frames follow
-// the open on every link FIFO.
+// begin creates the machine and its driver and ships the opening traffic
+// (round 1, or the async pipeline's initial broadcasts). The origin
+// broadcasts SessionOpen before registering the engine, so these frames
+// follow the open on every link FIFO.
 func (e *engine) begin() bool {
-	e.started = true
-	d := e.m.d
+	d, ps := e.m.d, &e.s.ps
 	if d.opts.Async {
-		return e.beginAsync()
+		seat, err := async.NewPipeline(ps.space.Tree, d.n, ps.spec.T, async.PartyID(d.id), ps.inputs[d.id])
+		if err != nil {
+			return e.fail(err)
+		}
+		if !e.m.setRunning(e.s) {
+			return false // evicted before the first step
+		}
+		e.ev = driver.NewEvent(d.id, d.n, seat, e)
+		e.watchdog = time.Now().Add(d.opts.RoundTimeout)
+		if err := e.ev.Start(); err != nil {
+			return e.fail(err)
+		}
+		return true
 	}
-	machine, _, err := e.s.ps.space.NewMachine(d.n, e.s.ps.spec.T, d.id, e.s.ps.inputs[d.id])
+	machine, _, err := ps.space.NewMachine(d.n, ps.spec.T, d.id, ps.inputs[d.id])
 	if err != nil {
-		e.m.fail(e.s, StateFailed, fmt.Sprintf("daemon %d: %v", d.id, err), true)
-		return false
+		return e.fail(err)
 	}
 	if !e.m.setRunning(e.s) {
-		return false // evicted before the first step
+		return false
 	}
-	e.machine = machine
-	return e.stepRound(1)
+	e.rd = driver.NewRound(d.id, d.n, ps.maxRounds, roundWindow, machine, e)
+	return true // runEvents' Advance steps round 1
 }
 
-// apply decodes and files one raw frame. Round-window violations and
-// duplicate EORs fail the session: the mesh is trusted, so they are bugs,
-// not noise.
-func (e *engine) apply(ev rawEvent) bool {
+// apply decodes one raw frame and hands it to the driver. Window
+// violations, duplicate marks and foreign payloads fail the session: the
+// mesh is trusted, so they are bugs, not noise.
+func (e *engine) apply(ev rawEvent) error {
 	payload, err := wire.Decode(ev.body)
 	if err != nil {
-		e.m.fail(e.s, StateFailed,
-			fmt.Sprintf("daemon %d: frame from daemon %d: %v", e.m.d.id, ev.from, err), true)
-		return false
+		return fmt.Errorf("frame from daemon %d: %v", ev.from, err)
 	}
-	if e.aseat != nil {
-		return e.applyAsync(ev.from, payload)
+	if e.ev != nil {
+		e.watchdog = time.Now().Add(e.m.d.opts.RoundTimeout)
 	}
 	switch p := payload.(type) {
 	case wire.SessionMsg:
-		if !e.inWindow(p.Round) {
-			e.m.fail(e.s, StateFailed, fmt.Sprintf(
-				"daemon %d: round %d message from daemon %d outside window [%d, %d]",
-				e.m.d.id, p.Round, ev.from, e.round, e.round+1), true)
-			return false
+		if e.ev != nil {
+			return e.ev.Deliver(ev.from, p.Payload)
 		}
-		sl := e.slot(p.Round)
-		sl.byParty[ev.from] = append(sl.byParty[ev.from],
-			sim.Message{From: ev.from, To: e.m.d.id, Round: p.Round, Payload: p.Payload})
+		return e.rd.File(sim.Message{From: ev.from, To: e.m.d.id, Round: p.Round, Payload: p.Payload})
 	case wire.SessionEOR:
-		if !e.inWindow(p.Round) {
-			e.m.fail(e.s, StateFailed, fmt.Sprintf(
-				"daemon %d: eor(%d) from daemon %d outside window [%d, %d]",
-				e.m.d.id, p.Round, ev.from, e.round, e.round+1), true)
-			return false
+		if e.ev != nil {
+			return e.ev.PeerDone(ev.from, p.Done)
 		}
-		sl := e.slot(p.Round)
-		if sl.eorSeen[ev.from] {
-			e.m.fail(e.s, StateFailed,
-				fmt.Sprintf("daemon %d: duplicate eor(%d) from party %d", e.m.d.id, p.Round, ev.from), true)
-			return false
-		}
-		sl.eorSeen[ev.from] = true
-		sl.eors++
-		if p.Done {
-			sl.eorDone[ev.from] = true
-			sl.dones++
-		}
-	default:
-		e.m.fail(e.s, StateFailed,
-			fmt.Sprintf("daemon %d: unexpected %T in session stream", e.m.d.id, payload), true)
-		return false
+		return e.rd.EOR(p.Round, ev.from, p.Done)
 	}
-	return true
+	return fmt.Errorf("unexpected %T in session stream", payload)
 }
 
-// advance crosses every barrier the mailbox has completed: terminate when
-// this seat and all peers are done, otherwise step the next round. One
-// delivery batch can carry the engine across several rounds.
-func (e *engine) advance() bool {
-	for {
-		sl := e.slot(e.round)
-		if sl.eors < e.n-1 {
-			return true // barrier still open; wait for more frames
-		}
-		if e.done && sl.dones == e.n-1 {
-			v, ok := e.output.(tree.VertexID)
-			if !ok {
-				e.m.fail(e.s, StateFailed,
-					fmt.Sprintf("daemon %d: non-vertex output %T", e.m.d.id, e.output), true)
-				return false
-			}
-			e.m.finishSeat(e.s, wire.SessionDecide{
-				SID: e.s.sid, Party: e.m.d.id, V: v,
-				DoneRound: e.doneRound, TermRound: e.round, Msgs: e.msgs, Bytes: e.bytes,
-			}, e.mute)
-			return false // seat complete; engine retires
-		}
-		if e.round+1 > e.maxRounds {
-			e.m.fail(e.s, StateFailed,
-				fmt.Sprintf("daemon %d: not done after %d rounds", e.m.d.id, e.maxRounds), true)
-			return false
-		}
-		if !e.stepRound(e.round + 1) {
-			return false
-		}
-	}
-}
-
-// stepRound runs Step(r) on the previous round's inbox and ships the
-// outputs. Message and byte accounting matches sim.Run exactly — counted at
-// send, self-delivery included, sized as the leaf payload's canonical
-// encoding (the session envelope is serving overhead, not protocol cost).
-// Encoding reuses frameScratch: the mux outbox copies every enqueued frame,
-// so the per-message allocation of the old engine is gone.
-func (e *engine) stepRound(r int) bool {
+// Emit frames one protocol message as a SessionMsg and queues it on the mux
+// for its remote recipients. Encoding reuses frameScratch: the mux outbox
+// copies every enqueued frame. In async mode the round field carries the
+// pipeline's EnvelopeRound — progress for observers, never waited on.
+func (e *engine) Emit(round int, to sim.PartyID, payload any) error {
 	d := e.m.d
-	inbox := e.inboxScratch[:0]
-	if r > 1 {
-		prev := e.slot(r - 1)
-		for p := 0; p < e.n; p++ {
-			inbox = append(inbox, prev.byParty[p]...)
-		}
+	if e.mute || to == d.id {
+		return nil
 	}
-	out := e.machine.Step(r, inbox)
-	e.inboxScratch = inbox
-	if r > 1 {
-		e.dropSlot(r - 1)
-	}
-	if !e.done {
-		if v, ok := e.machine.Output(); ok {
-			e.output, e.done, e.doneRound = v, true, r
-		}
-	}
-
-	cur := e.slot(r)
-	for _, raw := range out {
-		if raw.To != sim.Broadcast && (raw.To < 0 || int(raw.To) >= e.n) {
-			e.m.fail(e.s, StateFailed,
-				fmt.Sprintf("daemon %d round %d: recipient %d out of range", d.id, r, raw.To), true)
-			return false
-		}
-		frame, err := appendSessionFrame(e.frameScratch[:0],
-			wire.SessionMsg{SID: e.s.sid, Round: r, Payload: raw.Payload})
-		if err != nil {
-			e.m.fail(e.s, StateFailed, fmt.Sprintf("daemon %d round %d: %v", d.id, r, err), true)
-			return false
-		}
-		e.frameScratch = frame
-		size := sim.PayloadSize(raw.Payload)
-		first, last := raw.To, raw.To
-		if raw.To == sim.Broadcast {
-			first, last = 0, sim.PartyID(e.n-1)
-		}
-		for to := first; to <= last; to++ {
-			e.msgs++
-			e.bytes += size
-			if to == d.id {
-				cur.byParty[d.id] = append(cur.byParty[d.id],
-					sim.Message{From: d.id, To: to, Round: r, Payload: raw.Payload})
-			} else if !e.mute {
-				d.mux.enqueue(to, frame)
-			}
-		}
-	}
-
-	eor, err := appendSessionFrame(e.frameScratch[:0],
-		wire.SessionEOR{SID: e.s.sid, Round: r, Done: e.done})
+	frame, err := appendSessionFrame(e.frameScratch[:0],
+		wire.SessionMsg{SID: e.s.sid, Round: round, Payload: payload})
 	if err != nil {
-		e.m.fail(e.s, StateFailed, fmt.Sprintf("daemon %d round %d: %v", d.id, r, err), true)
-		return false
+		return err
+	}
+	e.frameScratch = frame
+	if to == sim.Broadcast {
+		d.mux.broadcast(frame)
+	} else {
+		d.mux.enqueue(to, frame)
+	}
+	return nil
+}
+
+// EndRound broadcasts the SessionEOR that is this seat's share of the
+// round's barrier and arms the watchdog for it.
+func (e *engine) EndRound(round int, done bool) error {
+	d := e.m.d
+	e.watchdog = time.Now().Add(d.opts.RoundTimeout)
+	if e.mute {
+		return nil
+	}
+	eor, err := appendSessionFrame(e.frameScratch[:0],
+		wire.SessionEOR{SID: e.s.sid, Round: round, Done: done})
+	if err != nil {
+		return err
 	}
 	e.frameScratch = eor
-	if !e.mute {
-		d.mux.broadcast(eor)
-	}
-
-	e.round = r
-	e.barrierDeadline = time.Now().Add(d.opts.RoundTimeout)
-	return true
+	d.mux.broadcast(eor)
+	return nil
 }
 
-// asyncSeat is the event-driven machine an async-mode engine hosts;
-// *async.Pipeline satisfies it (the same contract as transport.AsyncMachine,
-// restated here so the session layer does not depend on the transport
-// driver for an interface).
-type asyncSeat interface {
-	Init() []async.Message
-	Deliver(m async.Message) []async.Message
-	Output() (any, bool)
-	EnvelopeRound(payload any) int
-	DeliveryBudget() int
-}
-
-// beginAsync creates the event-driven seat and ships its opening
-// broadcasts. There is no round 1 to step and round never advances: it is
-// pinned at 1 purely to arm the shard's watchdog, whose deadline every
-// apply pushes out — RoundTimeout bounds total silence, not a barrier.
-func (e *engine) beginAsync() bool {
-	d := e.m.d
-	seat, err := async.NewPipeline(e.s.ps.space.Tree, d.n, e.s.ps.spec.T,
-		async.PartyID(d.id), e.s.ps.inputs[d.id])
-	if err != nil {
-		e.m.fail(e.s, StateFailed, fmt.Sprintf("daemon %d: %v", d.id, err), true)
-		return false
-	}
-	if !e.m.setRunning(e.s) {
-		return false // evicted before the first step
-	}
-	e.aseat = seat
-	e.abudget = seat.DeliveryBudget()
-	e.adoneSeen = make([]bool, e.n)
-	e.round = 1
-	e.barrierDeadline = time.Now().Add(d.opts.RoundTimeout)
-	return e.shipAsync(seat.Init()) && e.drainSelf()
-}
-
-// applyAsync handles one decoded frame in async mode: protocol payloads are
-// delivered to the seat immediately — there is no round window, arbitrarily
-// old and new iterations are both legal — and a SessionEOR is a peer's
-// one-shot done announcement. Every arrival feeds the watchdog.
-func (e *engine) applyAsync(from sim.PartyID, payload any) bool {
-	e.barrierDeadline = time.Now().Add(e.m.d.opts.RoundTimeout)
-	switch p := payload.(type) {
-	case wire.SessionMsg:
-		q, ok := async.FromWire(p.Payload)
-		if !ok {
-			e.m.fail(e.s, StateFailed, fmt.Sprintf(
-				"daemon %d: non-async payload %T from daemon %d (peer running -mode sync?)",
-				e.m.d.id, p.Payload, from), true)
-			return false
-		}
-		return e.deliverAsync(async.Message{
-			From: async.PartyID(from), To: async.PartyID(e.m.d.id), Payload: q,
-		}) && e.drainSelf()
-	case wire.SessionEOR:
-		// Async seats send exactly one EOR, their decision announcement.
-		if !p.Done {
-			e.m.fail(e.s, StateFailed, fmt.Sprintf(
-				"daemon %d: non-done eor from daemon %d in async mode", e.m.d.id, from), true)
-			return false
-		}
-		if e.adoneSeen[from] {
-			e.m.fail(e.s, StateFailed,
-				fmt.Sprintf("daemon %d: duplicate done from party %d", e.m.d.id, from), true)
-			return false
-		}
-		e.adoneSeen[from] = true
-		e.adones++
-	default:
-		e.m.fail(e.s, StateFailed,
-			fmt.Sprintf("daemon %d: unexpected %T in session stream", e.m.d.id, payload), true)
-		return false
-	}
-	return true
-}
-
-// deliverAsync hands one message to the seat and ships whatever it emits.
-// The delivery budget is the flood guard the round cap can no longer be.
-func (e *engine) deliverAsync(msg async.Message) bool {
-	e.adelivers++
-	if e.adelivers > e.abudget {
-		e.m.fail(e.s, StateFailed, fmt.Sprintf(
-			"daemon %d: async delivery budget %d exceeded", e.m.d.id, e.abudget), true)
-		return false
-	}
-	return e.shipAsync(e.aseat.Deliver(msg))
-}
-
-// drainSelf delivers queued self-addressed traffic FIFO. Local causality
-// runs ahead of the network, exactly as in the transport driver: a
-// self-delivery may emit further self-sends, which join the back of the
-// queue rather than recursing.
-func (e *engine) drainSelf() bool {
-	for len(e.aself) > 0 {
-		msg := e.aself[0]
-		e.aself = e.aself[1:]
-		if !e.deliverAsync(msg) {
-			return false
-		}
-	}
-	return true
-}
-
-// shipAsync encodes and routes one batch of seat output: self-copies join
-// the local queue, remote copies ride SessionMsg frames on the mux.
-// Counting matches the transport driver — per recipient at send, self
-// included, sized as the leaf payload's canonical encoding. The frame's
-// round field carries the seat's EnvelopeRound, asynchronous progress for
-// observers, never waited on.
-func (e *engine) shipAsync(out []async.Message) bool {
-	d := e.m.d
-	for _, raw := range out {
-		if raw.To != async.Broadcast && (raw.To < 0 || int(raw.To) >= e.n) {
-			e.m.fail(e.s, StateFailed,
-				fmt.Sprintf("daemon %d: async recipient %d out of range", d.id, raw.To), true)
-			return false
-		}
-		wp, err := async.ToWire(raw.Payload)
-		if err != nil {
-			e.m.fail(e.s, StateFailed, fmt.Sprintf("daemon %d: %v", d.id, err), true)
-			return false
-		}
-		frame, err := appendSessionFrame(e.frameScratch[:0], wire.SessionMsg{
-			SID: e.s.sid, Round: e.aseat.EnvelopeRound(raw.Payload), Payload: wp})
-		if err != nil {
-			e.m.fail(e.s, StateFailed, fmt.Sprintf("daemon %d: %v", d.id, err), true)
-			return false
-		}
-		e.frameScratch = frame
-		size := sim.PayloadSize(wp)
-		first, last := raw.To, raw.To
-		if raw.To == async.Broadcast {
-			first, last = 0, async.PartyID(e.n-1)
-		}
-		for to := first; to <= last; to++ {
-			e.msgs++
-			e.bytes += size
-			if int(to) == int(d.id) {
-				e.aself = append(e.aself, async.Message{
-					From: async.PartyID(d.id), To: to, Payload: raw.Payload})
-			} else {
-				d.mux.enqueue(sim.PartyID(to), frame)
-			}
-		}
-	}
-	return true
-}
-
-// asyncProgress runs after every event batch: announce our decision the
-// moment the seat has one, then finish once we are decided and every peer
-// has announced. DoneRound and TermRound are the constant 1 — there is no
-// round to report, and the constant keeps the origin's uniform
-// termination-round check meaningful (a mixed-mode fleet cannot slip
-// through: the cluster hash already keeps it from pairing).
-func (e *engine) asyncProgress() bool {
-	if !e.done {
-		if v, ok := e.aseat.Output(); ok {
-			e.output, e.done, e.doneRound = v, true, 1
-			if !e.announceAsync() {
-				return false
-			}
-		}
-	}
-	if e.done && e.adones == e.n-1 {
-		v, ok := e.output.(tree.VertexID)
-		if !ok {
-			e.m.fail(e.s, StateFailed,
-				fmt.Sprintf("daemon %d: non-vertex output %T", e.m.d.id, e.output), true)
-			return false
-		}
-		e.m.finishSeat(e.s, wire.SessionDecide{
-			SID: e.s.sid, Party: e.m.d.id, V: v,
-			DoneRound: 1, TermRound: 1, Msgs: e.msgs, Bytes: e.bytes,
-		}, e.mute)
-		return false // seat complete; engine retires
-	}
-	return true
-}
-
-// announceAsync broadcasts this seat's one-and-only SessionEOR, the done
+// Announce broadcasts an async seat's one-and-only SessionEOR, the done
 // announcement. Decided peers keep amplifying RBC traffic for the rest, so
-// unlike the sync engine there is nothing to purge — the mux flusher ships
-// frames in enqueue order regardless.
-func (e *engine) announceAsync() bool {
-	eor, err := appendSessionFrame(e.frameScratch[:0],
-		wire.SessionEOR{SID: e.s.sid, Round: 1, Done: true})
-	if err != nil {
-		e.m.fail(e.s, StateFailed, fmt.Sprintf("daemon %d: %v", e.m.d.id, err), true)
-		return false
+// there is nothing to purge — the mux ships frames in enqueue order.
+func (e *engine) Announce() error { return e.EndRound(1, true) }
+
+// finish reports the seat's terminal record and retires the engine. Async
+// seats report the constant round 1 — there is no round to report, and the
+// constant keeps the origin's uniform termination-round check meaningful (a
+// mixed-mode fleet cannot slip through: the cluster hash already keeps it
+// from pairing).
+func (e *engine) finish(output any, doneRound, termRound int, sent driver.Tally) bool {
+	v, ok := output.(tree.VertexID)
+	if !ok {
+		return e.fail(fmt.Errorf("non-vertex output %T", output))
 	}
-	e.frameScratch = eor
-	e.m.d.mux.broadcast(eor)
-	return true
+	e.m.finishSeat(e.s, wire.SessionDecide{
+		SID: e.s.sid, Party: e.m.d.id, V: v,
+		DoneRound: doneRound, TermRound: termRound, Msgs: sent.Msgs, Bytes: sent.Bytes,
+	}, e.mute)
+	return false // seat complete
 }
 
 // setRunning moves Pending → Running; false means the session already went

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"treeaa/internal/metrics"
 	"treeaa/internal/sim"
 	"treeaa/internal/transport"
 	"treeaa/internal/wire"
@@ -218,41 +217,5 @@ func TestBinaryFrameMatchesTransportFraming(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("appendSessionFrame(%T) = %x, want %x", p, got, want)
 		}
-	}
-}
-
-// TestJSONClientAPICompat pins the legacy protocol: a daemon running with
-// JSONClientAPI serves the original length-prefixed JSON request loop, and
-// DialJSONClient speaks it, end to end with a real decided session.
-func TestJSONClientAPICompat(t *testing.T) {
-	stats := &metrics.ServeStats{}
-	c := startTestCluster(t, 3, Options{JSONClientAPI: true, Stats: stats})
-	cl, err := DialJSONClient(c.ClientAddr(1), 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	spec := Spec{Tree: "kary:2:3", Seed: 11, TTL: time.Minute}
-	resp, err := cl.Submit(spec, 0, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Decided() {
-		t.Fatalf("session ended %s (%s), want decided", resp.State, resp.Err)
-	}
-	got, err := resp.SimResult()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Oracle(3, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("JSON-served result diverges from oracle:\n got %+v\nwant %+v", got, want)
-	}
-	// The binary-only byte counter must stay untouched on the JSON path.
-	if n := stats.ClientBytes.Load(); n != 0 {
-		t.Fatalf("ClientBytes = %d on the JSON protocol, want 0", n)
 	}
 }

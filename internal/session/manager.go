@@ -189,19 +189,7 @@ func (m *Manager) admitLocked(sid uint64, origin sim.PartyID, ps parsedSpec) (*s
 		return nil, fmt.Errorf("session: async mode does not support graph spaces")
 	}
 	now := time.Now()
-	s := &session{
-		sid:      sid,
-		origin:   origin,
-		ps:       ps,
-		state:    StatePending,
-		admitted: now,
-		deadline: now.Add(ps.deadline),
-		decides:  make(map[sim.PartyID]wire.SessionDecide, m.d.n),
-	}
-	s.eng = newEngine(m, m.shardOf(sid), s)
-	m.table[sid] = s
-	heap.Push(&m.expiry, deadlineEntry{at: s.deadline.UnixNano(), sid: sid})
-	m.inflight++
+	s := m.trackLocked(sid, origin, ps, now, now.Add(ps.deadline))
 	m.stats().Admitted.Add(1)
 	// Write-ahead: the admission hits the journal before any frame of this
 	// session can (the open broadcast happens after this returns), so replay
@@ -217,6 +205,19 @@ func (m *Manager) admitLocked(sid uint64, origin sim.PartyID, ps parsedSpec) (*s
 	}
 	m.logSession(s, "session admitted")
 	return s, nil
+}
+
+// trackLocked enters a pending session, with its (not yet registered) engine,
+// into the table and the expiry heap.
+func (m *Manager) trackLocked(sid uint64, origin sim.PartyID, ps parsedSpec, admitted, deadline time.Time) *session {
+	s := &session{sid: sid, origin: origin, ps: ps, state: StatePending,
+		admitted: admitted, deadline: deadline,
+		decides: make(map[sim.PartyID]wire.SessionDecide, m.d.n)}
+	s.eng = newEngine(m, m.shardOf(sid), s)
+	m.table[sid] = s
+	heap.Push(&m.expiry, deadlineEntry{at: deadline.UnixNano(), sid: sid})
+	m.inflight++
+	return s
 }
 
 // logSession emits one structured per-session log line, if configured.

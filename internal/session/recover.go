@@ -40,6 +40,11 @@ func (m *Manager) recoverJournal(dir string, jopts journal.Options) error {
 	m.mu.Lock()
 	m.jw = jw
 	m.replaying = false
+	// Appends are group-committed, so the previous incarnation may have
+	// announced sessions whose admission record never reached the disk, and
+	// the peers still hold those ids. Skip far past anything one sync
+	// interval can admit, or the next local submits are refused as duplicates.
+	m.nextSeq += 1 << 20
 	// Sessions that reached a terminal state during replay (an abort or the
 	// final decide was journaled, but the crash beat the seal) get their seal
 	// now, so the next restart restores them directly.
@@ -80,19 +85,7 @@ func (m *Manager) restoreOpen(open wire.JournalOpen) {
 	if _, dup := m.table[open.SID]; dup {
 		return
 	}
-	s := &session{
-		sid:      open.SID,
-		origin:   open.Origin,
-		ps:       ps,
-		state:    StatePending,
-		admitted: time.Now(),
-		deadline: time.Unix(0, open.DeadlineUnixNano),
-		decides:  make(map[sim.PartyID]wire.SessionDecide, m.d.n),
-	}
-	s.eng = newEngine(m, m.shardOf(s.sid), s)
-	m.table[s.sid] = s
-	heap.Push(&m.expiry, deadlineEntry{at: s.deadline.UnixNano(), sid: s.sid})
-	m.inflight++
+	s := m.trackLocked(open.SID, open.Origin, ps, time.Now(), time.Unix(0, open.DeadlineUnixNano))
 	// Locally-submitted sessions keep the id sequence moving past them so
 	// post-restart submits cannot collide with restored ids.
 	if seq := open.SID & (1<<48 - 1); open.Origin == m.d.id && seq >= m.nextSeq {

@@ -2,16 +2,11 @@ package session
 
 import (
 	"bufio"
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"sort"
-	"strconv"
 	"time"
 
-	"treeaa/internal/sim"
 	"treeaa/internal/transport"
 	"treeaa/internal/tree"
 	"treeaa/internal/wire"
@@ -30,40 +25,10 @@ import (
 //
 // OK reports request-level success (the daemon processed the op); a session
 // that failed or expired still answers OK with the failure in State/Err.
-//
-// The legacy protocol — uvarint(len)-prefixed JSON of Request/Response, the
-// same three ops — is still served when Options.JSONClientAPI is set, and
-// spoken by DialJSONClient.
 
 // maxClientRequest bounds one request frame; specs are tiny, so anything
 // bigger is a confused or hostile client.
 const maxClientRequest = 1 << 20
-
-// Request is one client API call.
-type Request struct {
-	Op     string `json:"op"`
-	SID    uint64 `json:"sid,omitempty"`
-	Tree   string `json:"tree,omitempty"`
-	Seed   int64  `json:"seed,omitempty"`
-	T      int    `json:"t,omitempty"`
-	Inputs string `json:"inputs,omitempty"`
-	TTLMS  int64  `json:"ttl_ms,omitempty"`
-	Wait   bool   `json:"wait,omitempty"`
-}
-
-// Response answers one Request.
-type Response struct {
-	OK    bool   `json:"ok"`
-	Err   string `json:"err,omitempty"`
-	SID   uint64 `json:"sid,omitempty"`
-	State string `json:"state,omitempty"`
-	// Terminal decided sessions only: the assembled Result fields.
-	Outputs   map[string]int `json:"outputs,omitempty"`
-	Rounds    int            `json:"rounds,omitempty"`
-	Messages  int            `json:"messages,omitempty"`
-	Bytes     int            `json:"bytes,omitempty"`
-	LatencyNS int64          `json:"latency_ns,omitempty"`
-}
 
 func (d *Daemon) acceptClients() {
 	defer d.clientWG.Done()
@@ -92,32 +57,10 @@ func (d *Daemon) serveClient(conn net.Conn) {
 		case <-connDone:
 		}
 	}()
+	// Framed wire payloads in both directions. A frame that fails to decode
+	// tears the connection down (framing is lost); a well-formed frame of the
+	// wrong type answers with an error outcome and keeps the connection.
 	br := bufio.NewReader(conn)
-	if d.opts.JSONClientAPI {
-		d.serveJSONClient(conn, br)
-		return
-	}
-	d.serveBinaryClient(conn, br)
-}
-
-func (d *Daemon) serveJSONClient(conn net.Conn, br *bufio.Reader) {
-	for {
-		var req Request
-		if err := readJSON(br, &req); err != nil {
-			return
-		}
-		resp := d.handleRequest(req)
-		if err := writeJSON(conn, resp); err != nil {
-			return
-		}
-	}
-}
-
-// serveBinaryClient is the default request loop: framed wire payloads in
-// both directions. A frame that fails to decode tears the connection down
-// (framing is lost); a well-formed frame of the wrong type answers with an
-// error outcome and keeps the connection.
-func (d *Daemon) serveBinaryClient(conn net.Conn, br *bufio.Reader) {
 	for {
 		body, err := transport.ReadFrame(br)
 		if err != nil || len(body) > maxClientRequest {
@@ -127,13 +70,7 @@ func (d *Daemon) serveBinaryClient(conn net.Conn, br *bufio.Reader) {
 		if err != nil {
 			return
 		}
-		var resp Response
-		if req, ok := clientRequest(payload); ok {
-			resp = d.handleRequest(req)
-		} else {
-			resp = Response{Err: fmt.Sprintf("unexpected %T on client connection", payload)}
-		}
-		out, err := wire.Encode(outcomeFrame(resp))
+		out, err := wire.Encode(d.handleRequest(payload))
 		if err != nil {
 			return
 		}
@@ -145,133 +82,65 @@ func (d *Daemon) serveBinaryClient(conn net.Conn, br *bufio.Reader) {
 	}
 }
 
-// clientRequest maps a decoded client-plane payload onto the op Request the
-// shared handler consumes.
-func clientRequest(payload any) (Request, bool) {
-	switch p := payload.(type) {
+// requestError answers a request the daemon could not process; it carries
+// no session state.
+func requestError(msg string) wire.ClientOutcome {
+	return wire.ClientOutcome{State: wire.ClientStateNone, Err: msg}
+}
+
+func (d *Daemon) handleRequest(payload any) wire.ClientOutcome {
+	switch req := payload.(type) {
 	case wire.ClientSubmit:
-		return Request{Op: "submit", SID: p.SID, Tree: p.Tree, Seed: p.Seed, T: p.T,
-			Inputs: p.Inputs, TTLMS: int64(p.TTLMillis), Wait: p.Wait}, true
-	case wire.ClientWait:
-		return Request{Op: "wait", SID: p.SID}, true
-	case wire.ClientStatus:
-		return Request{Op: "status", SID: p.SID}, true
-	}
-	return Request{}, false
-}
-
-// stateByte maps a Response state string back onto the wire's State value;
-// request-level errors carry no state and map to ClientStateNone.
-func stateByte(s string) byte {
-	for st := StatePending; st <= StateExpired; st++ {
-		if st.String() == s {
-			return byte(st)
-		}
-	}
-	return wire.ClientStateNone
-}
-
-// outcomeFrame converts a Response into its wire form. Outputs sort by
-// party, which is also what the codec's canonical encoding requires.
-func outcomeFrame(resp Response) wire.ClientOutcome {
-	out := wire.ClientOutcome{OK: resp.OK, SID: resp.SID, State: stateByte(resp.State),
-		Err: resp.Err, LatencyNS: resp.LatencyNS,
-		Rounds: resp.Rounds, Msgs: resp.Messages, Bytes: resp.Bytes}
-	if len(resp.Outputs) > 0 {
-		pairs := make([]wire.OutputPair, 0, len(resp.Outputs))
-		for k, v := range resp.Outputs {
-			id, err := strconv.Atoi(k)
-			if err != nil {
-				continue
-			}
-			pairs = append(pairs, wire.OutputPair{Party: sim.PartyID(id), V: tree.VertexID(v)})
-		}
-		sort.Slice(pairs, func(i, j int) bool { return pairs[i].Party < pairs[j].Party })
-		out.Outputs = pairs
-	}
-	return out
-}
-
-func (d *Daemon) handleRequest(req Request) Response {
-	switch req.Op {
-	case "submit":
 		spec := Spec{Tree: req.Tree, Seed: req.Seed, T: req.T, Inputs: req.Inputs,
-			TTL: time.Duration(req.TTLMS) * time.Millisecond}
+			TTL: time.Duration(req.TTLMillis) * time.Millisecond}
 		sid, err := d.mgr.Submit(spec, req.SID)
 		if err != nil {
-			return Response{Err: err.Error()}
+			return requestError(err.Error())
 		}
 		if !req.Wait {
-			return Response{OK: true, SID: sid, State: StatePending.String()}
+			return wire.ClientOutcome{OK: true, SID: sid, State: byte(StatePending)}
 		}
 		return d.await(sid)
-	case "status":
+	case wire.ClientStatus:
 		out, ok := d.mgr.Status(req.SID)
 		if !ok {
-			return Response{Err: fmt.Sprintf("unknown session id %#x", req.SID)}
+			return requestError(fmt.Sprintf("unknown session id %#x", req.SID))
 		}
-		return outcomeResponse(out)
-	case "wait":
+		return clientOutcome(out)
+	case wire.ClientWait:
 		return d.await(req.SID)
-	default:
-		return Response{Err: fmt.Sprintf("unknown op %q", req.Op)}
 	}
+	return requestError(fmt.Sprintf("unexpected %T on client connection", payload))
 }
 
 // await blocks until the session's terminal Outcome. Bounded: every session
 // has a deadline, and the post-drain shutdown closes closedCh.
-func (d *Daemon) await(sid uint64) Response {
+func (d *Daemon) await(sid uint64) wire.ClientOutcome {
 	ch, err := d.mgr.Wait(sid)
 	if err != nil {
-		return Response{Err: err.Error()}
+		return requestError(err.Error())
 	}
 	select {
 	case out := <-ch:
-		return outcomeResponse(out)
+		return clientOutcome(out)
 	case <-d.closedCh:
-		return Response{Err: "daemon shutting down"}
+		return requestError("daemon shutting down")
 	}
 }
 
-func outcomeResponse(out Outcome) Response {
-	resp := Response{OK: true, SID: out.SID, State: out.State.String(),
+// clientOutcome converts a session Outcome into its wire form. Outputs sort
+// by party, which the codec's canonical encoding requires.
+func clientOutcome(out Outcome) wire.ClientOutcome {
+	co := wire.ClientOutcome{OK: true, SID: out.SID, State: byte(out.State),
 		Err: out.Err, LatencyNS: out.Latency.Nanoseconds()}
-	if out.Result != nil {
-		resp.Rounds = out.Result.Rounds
-		resp.Messages = out.Result.Messages
-		resp.Bytes = out.Result.Bytes
-		resp.Outputs = make(map[string]int, len(out.Result.Outputs))
-		for p, v := range out.Result.Outputs {
+	if r := out.Result; r != nil {
+		co.Rounds, co.Msgs, co.Bytes = r.Rounds, r.Messages, r.Bytes
+		for p, v := range r.Outputs {
 			if vid, ok := v.(tree.VertexID); ok {
-				resp.Outputs[strconv.Itoa(int(p))] = int(vid)
+				co.Outputs = append(co.Outputs, wire.OutputPair{Party: p, V: vid})
 			}
 		}
+		sort.Slice(co.Outputs, func(i, j int) bool { return co.Outputs[i].Party < co.Outputs[j].Party })
 	}
-	return resp
-}
-
-func writeJSON(w io.Writer, v any) error {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	buf := binary.AppendUvarint(make([]byte, 0, len(body)+4), uint64(len(body)))
-	buf = append(buf, body...)
-	_, err = w.Write(buf)
-	return err
-}
-
-func readJSON(br *bufio.Reader, v any) error {
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return err
-	}
-	if n > maxClientRequest {
-		return fmt.Errorf("session: request of %d bytes exceeds limit", n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(br, body); err != nil {
-		return err
-	}
-	return json.Unmarshal(body, v)
+	return co
 }

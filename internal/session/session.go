@@ -28,21 +28,27 @@
 // link's flush-size average says waits actually fill batches, and flushes
 // immediately on quiet links where waiting would just add latency.
 //
-// The engines replicate internal/transport's round loop exactly — encode
-// once per payload, count messages and bytes at send (self-delivery
-// included), end-of-round barrier, terminate when done and all peers done —
-// so each session's Result is byte-identical to sim.Run on the same spec.
-// The origin daemon (where the session was submitted) assembles that Result
-// from its own record plus each peer's SessionDecide.
+// An engine owns no protocol loop: it is an adapter over internal/driver,
+// the same passive Round (lock step) and Event (Options.Async) state
+// machines the mesh and overlay nodes adapt. The engine decodes SessionMsg /
+// SessionEOR into the driver, frames what the driver emits, and keeps the
+// watchdog deadline and the mute-replay of a restored seat; mailboxes,
+// accounting (counted at send, self-delivery included, the session envelope
+// excluded), barriers and termination are the driver's, which is why each
+// session's Result is byte-identical to sim.Run on the same spec. The mux's
+// per-link FIFO lets a peer lead by at most one round, so the engine fixes
+// the driver's window at 2 and anything outside fails the session. The
+// origin daemon (where the session was submitted) assembles the Result from
+// its own record plus each peer's SessionDecide.
 //
-// With Options.Async the engines instead replicate transport's event-driven
-// async driver: every inbound SessionMsg is delivered to an async.Pipeline
-// on arrival, a seat broadcasts one SessionEOR{Done} as its decision
-// announcement, and the seat finishes once it has decided and heard done
-// from every peer. There are no barriers and no round timeouts (RoundTimeout
-// becomes an idle watchdog), and decided Results are judged by the paper's
-// properties — validity and 1-agreement — rather than oracle byte-identity,
-// because an asynchronous decision legitimately depends on delivery order.
+// With Options.Async every inbound SessionMsg is delivered to an
+// async.Pipeline on arrival, a seat broadcasts one SessionEOR{Done} as its
+// decision announcement, and the seat finishes once it has decided and heard
+// done from every peer. There are no barriers and no round timeouts
+// (RoundTimeout becomes an idle watchdog), and decided Results are judged by
+// the paper's properties — validity and 1-agreement — rather than oracle
+// byte-identity, because an asynchronous decision legitimately depends on
+// delivery order.
 package session
 
 import (

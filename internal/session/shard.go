@@ -36,12 +36,20 @@ type shard struct {
 }
 
 // pendingBuf buffers raw frames for a session whose open has not arrived
-// yet (the open travels origin→peer while round-1 data arrives over every
-// link). Bounded per session and per shard; overflow drops the session id.
+// yet (the open travels origin→peer while data arrives over every link).
+// Bounded per session and per shard. A buffer that hits a bound drops its
+// frames and stays behind as an overflow marker, so the open — whenever it
+// lands — fails the session instead of seating an engine with a hole in its
+// input.
 type pendingBuf struct {
-	since time.Time
-	evs   []rawEvent
+	since    time.Time
+	evs      []rawEvent
+	overflow bool
 }
+
+// reasonPreOpenOverflow is the failure reason of a session whose pre-open
+// buffer overflowed on some daemon.
+const reasonPreOpenOverflow = "pre-open buffer overflow"
 
 func newShard(m *Manager) *shard {
 	return &shard{
@@ -56,9 +64,17 @@ func newShard(m *Manager) *shard {
 }
 
 // pendingPerSession bounds the frames buffered for one not-yet-opened
-// session: at most one round of traffic can precede the open on any link,
-// so a deep buffer only ever holds garbage.
-func (sh *shard) pendingPerSession() int { return sh.m.d.opts.QueueDepth / 4 }
+// session. In lock step at most one round of traffic can precede the open on
+// any link, so a deep buffer only ever holds garbage. Async mode has no such
+// invariant — the n−t seats that hold the open can run the whole protocol
+// before the last seat's open lands — so there only the shard-wide bound
+// applies.
+func (sh *shard) pendingPerSession() int {
+	if sh.m.d.opts.Async {
+		return sh.pendingTotal()
+	}
+	return sh.m.d.opts.QueueDepth / 4
+}
 
 func (sh *shard) pendingTotal() int { return 16 * sh.m.d.opts.QueueDepth }
 
@@ -84,17 +100,15 @@ func (sh *shard) deliver(from sim.PartyID, sid uint64, body []byte) {
 func (sh *shard) bufferPendingLocked(sid uint64, ev rawEvent) {
 	pb := sh.pending[sid]
 	if pb == nil {
-		if sh.pendingN >= sh.pendingTotal() {
-			return // shard-wide pressure: drop, the open will time the session out
-		}
 		pb = &pendingBuf{since: time.Now()}
 		sh.pending[sid] = pb
 	}
-	if len(pb.evs) >= sh.pendingPerSession() {
-		// A session this chatty before its open is broken; drop it wholesale.
+	if pb.overflow {
+		return
+	}
+	if len(pb.evs) >= sh.pendingPerSession() || sh.pendingN >= sh.pendingTotal() {
 		sh.pendingN -= len(pb.evs)
-		delete(sh.pending, sid)
-		sh.tombstone[sid] = time.Now()
+		pb.evs, pb.overflow = nil, true
 		return
 	}
 	pb.evs = append(pb.evs, ev)
@@ -116,17 +130,24 @@ func (sh *shard) enqueueDirtyLocked(eng *engine) {
 // register adds an admitted session's engine and queues it for its first
 // step, absorbing any frames that outran the admission in arrival order. A
 // session that went terminal before registration (eviction or a peer's
-// rejection racing the admit) is buried instead.
+// rejection racing the admit) is buried instead, and one whose pre-open
+// buffer overflowed here is failed cluster-wide: its seat would have
+// silently lost frames.
 func (sh *shard) register(eng *engine) {
 	sh.mu.Lock()
-	if eng.s.terminal.Load() {
+	pb := sh.pending[eng.s.sid]
+	if eng.s.terminal.Load() || (pb != nil && pb.overflow) {
 		eng.gone = true
 		sh.buryLocked(eng.s.sid)
 		sh.mu.Unlock()
+		if pb != nil && pb.overflow {
+			sh.m.fail(eng.s, StateFailed,
+				fmt.Sprintf("daemon %d: %s", sh.m.d.id, reasonPreOpenOverflow), true)
+		}
 		return
 	}
 	sh.engines[eng.s.sid] = eng
-	if pb := sh.pending[eng.s.sid]; pb != nil {
+	if pb != nil {
 		delete(sh.pending, eng.s.sid)
 		sh.pendingN -= len(pb.evs)
 		eng.in = append(eng.in, pb.evs...)
@@ -248,7 +269,7 @@ func (sh *shard) sweep(now time.Time) {
 	var victims []*engine
 	sh.mu.Lock()
 	for _, eng := range sh.engines {
-		if eng.s.terminal.Load() || (eng.round > 0 && now.After(eng.barrierDeadline)) {
+		if eng.s.terminal.Load() || (!eng.watchdog.IsZero() && now.After(eng.watchdog)) {
 			victims = append(victims, eng)
 		}
 	}
@@ -268,11 +289,11 @@ func (sh *shard) sweep(now time.Time) {
 	sh.mu.Unlock()
 	for _, eng := range victims {
 		if !eng.s.terminal.Load() {
-			reason := fmt.Sprintf("daemon %d: round %d barrier timed out after %v",
-				sh.m.d.id, eng.round, sh.m.d.opts.RoundTimeout)
-			if sh.m.d.opts.Async {
-				reason = fmt.Sprintf("daemon %d: async seat idle for %v while undecided (wedged run)",
-					sh.m.d.id, sh.m.d.opts.RoundTimeout)
+			reason := fmt.Sprintf("daemon %d: async seat idle for %v while undecided (wedged run)",
+				sh.m.d.id, sh.m.d.opts.RoundTimeout)
+			if eng.rd != nil {
+				reason = fmt.Sprintf("daemon %d: round %d barrier timed out after %v",
+					sh.m.d.id, eng.rd.Round(), sh.m.d.opts.RoundTimeout)
 			}
 			sh.m.fail(eng.s, StateFailed, reason, true)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"treeaa/internal/driver"
 	"treeaa/internal/sim"
 	"treeaa/internal/wire"
 )
@@ -24,13 +25,6 @@ type hostConfig struct {
 	ep        *endpoint
 }
 
-// hostResult is the corrupted side's share of a sim.Result.
-type hostResult struct {
-	termRound int
-	msgs      []int // adversary messages per executed round, counted at send
-	bytes     []int
-}
-
 // runAdversaryHost mirrors the engine's adversary path round by round:
 // wait until the observer holds all honest round-r traffic (mirrors are
 // complete once each honest eor(r) arrives) and every corrupted inbox for
@@ -39,7 +33,7 @@ type hostResult struct {
 // messages through the corrupted parties' authenticated links. Corrupted
 // parties always flag done in their barriers, so honest termination is
 // untouched by the adversary's presence.
-func runAdversaryHost(cfg hostConfig) (*hostResult, error) {
+func runAdversaryHost(cfg hostConfig) (*driver.Result, error) {
 	e := cfg.ep
 	if err := e.start(); err != nil {
 		return nil, err
@@ -65,13 +59,14 @@ func runAdversaryHost(cfg hostConfig) (*hostResult, error) {
 		cfg:      cfg,
 		observer: observer,
 		honest:   honest,
-		states:   make(map[sim.PartyID]*roundState, len(cfg.corrupted)),
+		states:   make(map[sim.PartyID]*driver.Mailbox, len(cfg.corrupted)),
 		mirrors:  make(map[int]map[sim.PartyID][]sim.Message),
+		fail:     make(map[sim.PartyID]error),
 	}
 	for _, c := range cfg.corrupted {
-		h.states[c] = newRoundState(cfg.n)
+		h.states[c] = driver.NewMailbox(cfg.n, 0)
 	}
-	res := &hostResult{}
+	res := &driver.Result{ID: observer}
 	corruptInbox := make(map[sim.PartyID][]sim.Message, len(cfg.corrupted))
 
 	for r := 1; r <= cfg.maxRounds; r++ {
@@ -87,7 +82,7 @@ func runAdversaryHost(cfg hostConfig) (*hostResult, error) {
 			honestOut = append(honestOut, h.mirrors[r][p]...)
 		}
 		for _, c := range cfg.corrupted {
-			corruptInbox[c] = h.states[c].inbox(r - 1)
+			corruptInbox[c] = h.states[c].Inbox(r-1, corruptInbox[c][:0])
 		}
 
 		msgs, more := cfg.adv.Step(r, honestOut, corruptInbox)
@@ -96,36 +91,33 @@ func runAdversaryHost(cfg hostConfig) (*hostResult, error) {
 				"adaptive corruption cannot retract messages already on the wire — use the in-process transport", more, r)
 		}
 
-		roundMsgs, roundBytes := 0, 0
+		var sent driver.Tally
 		for _, raw := range msgs {
 			if !isCorrupted[raw.From] {
 				return nil, fmt.Errorf("%w: message from party %d at round %d", sim.ErrForgedSender, raw.From, r)
 			}
-			if raw.To != sim.Broadcast && (raw.To < 0 || int(raw.To) >= cfg.n) {
-				return nil, fmt.Errorf("transport: adversary recipient %d out of range [0, %d)", raw.To, cfg.n)
+			first, last, err := sent.Charge(cfg.n, raw.To, raw.Payload)
+			if err != nil {
+				return nil, fmt.Errorf("transport: adversary %w", err)
 			}
 			body, err := wire.Encode(raw.Payload)
 			if err != nil {
 				return nil, fmt.Errorf("transport: adversary round %d: %w", r, err)
 			}
-			first, last := raw.To, raw.To
-			if raw.To == sim.Broadcast {
-				first, last = 0, sim.PartyID(cfg.n-1)
-			}
 			for to := first; to <= last; to++ {
-				roundMsgs++
-				roundBytes += len(body)
 				if isCorrupted[to] {
 					// Intra-host delivery: corrupted parties share the
 					// process, so their pairwise links never leave it.
-					h.states[to].addMail(sim.Message{From: raw.From, To: to, Round: r, Payload: raw.Payload})
+					err = h.states[to].File(sim.Message{From: raw.From, To: to, Round: r, Payload: raw.Payload})
+					if err != nil {
+						return nil, fmt.Errorf("transport: adversary host: %w", err)
+					}
 				} else {
 					e.send(raw.From, to, r, encodeMsg(frameMsg, r, to, body))
 				}
 			}
 		}
-		res.msgs = append(res.msgs, roundMsgs)
-		res.bytes = append(res.bytes, roundBytes)
+		res.PerRound = append(res.PerRound, sent)
 
 		eor := encodeEOR(r, true)
 		for _, c := range cfg.corrupted {
@@ -139,11 +131,11 @@ func runAdversaryHost(cfg hostConfig) (*hostResult, error) {
 			}
 		}
 		for _, c := range cfg.corrupted {
-			h.states[c].drop(r - 1)
+			h.states[c].Retire(r - 1)
 		}
 
-		if h.states[observer].peersDone(r, honest) {
-			res.termRound = r
+		if _, dones := h.states[observer].Barrier(r); dones == len(honest) {
+			res.TermRound = r
 			e.shutdown(true)
 			return res, nil
 		}
@@ -156,8 +148,16 @@ type hostState struct {
 	cfg      hostConfig
 	observer sim.PartyID
 	honest   []sim.PartyID
-	states   map[sim.PartyID]*roundState           // per corrupted party
+	states   map[sim.PartyID]*driver.Mailbox       // per corrupted party
 	mirrors  map[int]map[sim.PartyID][]sim.Message // round → honest sender → expanded traffic
+	fail     map[sim.PartyID]error                 // first connection failure per peer
+}
+
+// barrierDone reports whether corrupted party c holds eor(r) from every
+// honest party — the only senders of barrier frames a co-hosted party has.
+func (h *hostState) barrierDone(c sim.PartyID, r int) bool {
+	eors, _ := h.states[c].Barrier(r)
+	return eors == len(h.honest)
 }
 
 // ready reports whether the adversary can step round r: the observer holds
@@ -165,14 +165,14 @@ type hostState struct {
 // every corrupted inbox for round r-1 is complete (eor(r-1) from every
 // honest peer; intra-host deliveries are synchronous and need no barrier).
 func (h *hostState) ready(r int) bool {
-	if !h.states[h.observer].barrierDone(r, h.honest) {
+	if !h.barrierDone(h.observer, r) {
 		return false
 	}
 	if r == 1 {
 		return true
 	}
 	for _, c := range h.cfg.corrupted {
-		if !h.states[c].barrierDone(r-1, h.honest) {
+		if !h.barrierDone(c, r-1) {
 			return false
 		}
 	}
@@ -187,10 +187,13 @@ func (h *hostState) await(r int) error {
 		select {
 		case ev := <-e.events:
 			if err := h.handle(ev); err != nil {
-				return err
+				return fmt.Errorf("transport: adversary host: %w", err)
 			}
-			if err := h.states[h.observer].checkStalled(r, h.honest); err != nil {
-				return fmt.Errorf("transport: adversary host waiting on round %d: %w", r, err)
+			// Only a failed peer that still owes the observer eor(r) stalls us.
+			for _, p := range h.honest {
+				if err := h.fail[p]; err != nil && !h.states[h.observer].HasEOR(r, p) {
+					return fmt.Errorf("transport: adversary host waiting on round %d: %w", r, err)
+				}
 			}
 		case <-timeout.C:
 			return fmt.Errorf("transport: adversary host: round %d barrier timed out after %v", r, e.opts.RoundTimeout)
@@ -203,20 +206,17 @@ func (h *hostState) await(r int) error {
 
 func (h *hostState) handle(ev event) error {
 	if ev.err != nil {
-		for _, st := range h.states {
-			if _, seen := st.fail[ev.from]; !seen {
-				st.fail[ev.from] = ev.err
-			}
+		if _, seen := h.fail[ev.from]; !seen {
+			h.fail[ev.from] = ev.err
 		}
 		return nil
 	}
 	switch ev.f.typ {
 	case frameMsg:
-		h.states[ev.owner].addMail(sim.Message{From: ev.from, To: ev.owner, Round: ev.f.round, Payload: ev.f.payload})
-		return nil
+		return h.states[ev.owner].File(sim.Message{From: ev.from, To: ev.owner, Round: ev.f.round, Payload: ev.f.payload})
 	case frameMirror:
 		if ev.owner != h.observer {
-			return fmt.Errorf("transport: mirror frame addressed to party %d, observer is %d", ev.owner, h.observer)
+			return fmt.Errorf("mirror frame addressed to party %d, observer is %d", ev.owner, h.observer)
 		}
 		box := h.mirrors[ev.f.round]
 		if box == nil {
@@ -226,8 +226,8 @@ func (h *hostState) handle(ev event) error {
 		box[ev.from] = append(box[ev.from], sim.Message{From: ev.from, To: ev.f.to, Round: ev.f.round, Payload: ev.f.payload})
 		return nil
 	case frameEOR:
-		return h.states[ev.owner].addEOR(ev.f.round, ev.from, ev.f.done)
+		return h.states[ev.owner].EOR(ev.f.round, ev.from, ev.f.done)
 	default:
-		return fmt.Errorf("transport: unexpected frame type 0x%02x from party %d", ev.f.typ, ev.from)
+		return fmt.Errorf("unexpected frame type 0x%02x from party %d", ev.f.typ, ev.from)
 	}
 }

@@ -36,25 +36,10 @@ import (
 	"net"
 	"time"
 
-	"treeaa/internal/async"
+	"treeaa/internal/driver"
 	"treeaa/internal/sim"
 	"treeaa/internal/wire"
 )
-
-// AsyncMachine is the event-driven protocol machine the async driver runs;
-// *async.Pipeline satisfies it. Beyond the async.Machine triple it must
-// price its own flood budget and map payloads to envelope rounds.
-type AsyncMachine interface {
-	Init() []async.Message
-	Deliver(m async.Message) []async.Message
-	Output() (any, bool)
-	// EnvelopeRound maps an outgoing payload to the frame envelope's round
-	// field (≥ 1) — asynchronous progress for chaos windows, never waited on.
-	EnvelopeRound(payload any) int
-	// DeliveryBudget bounds the deliveries this party will consume; the
-	// driver fails the run when it is exceeded (flood guard).
-	DeliveryBudget() int
-}
 
 // AsyncResult is one async execution's summary.
 type AsyncResult struct {
@@ -64,162 +49,104 @@ type AsyncResult struct {
 	Bytes      int
 }
 
-// asyncNodeConfig drives one party of an asynchronous deployment.
-type asyncNodeConfig struct {
-	id      sim.PartyID
-	n       int
-	machine AsyncMachine
-	ep      *endpoint
+// add folds one finished party into the summary.
+func (r *AsyncResult) add(id sim.PartyID, ev *driver.Event) {
+	r.Outputs[id] = ev.Output()
+	r.Deliveries += ev.Deliveries()
+	r.Messages += ev.Tally().Msgs
+	r.Bytes += ev.Tally().Bytes
 }
 
-// asyncNodeResult is one party's share of an AsyncResult.
-type asyncNodeResult struct {
-	id         sim.PartyID
-	output     any
-	deliveries int
-	msgs       int
-	bytes      int
+// asyncNode adapts a driver.Event to the full mesh: frameMsg framing for
+// protocol traffic, frameAsyncDone for the done announcement, an idle timer
+// in place of the round timeout, and send-queue purging toward peers that
+// announced (they discard protocol traffic anyway).
+type asyncNode struct {
+	id sim.PartyID
+	n  int
+	ep *endpoint
+	ev *driver.Event
+}
+
+// Emit encodes the wire payload once and sends an envelope per remote
+// recipient that has not announced done.
+func (nd *asyncNode) Emit(round int, to sim.PartyID, payload any) error {
+	body, err := wire.Encode(payload)
+	if err != nil {
+		return err
+	}
+	first, last := driver.Span(nd.n, to)
+	for to := first; to <= last; to++ {
+		if to != nd.id && !nd.ev.IsPeerDone(to) {
+			nd.ep.send(nd.id, to, round, encodeMsg(frameMsg, round, to, body))
+		}
+	}
+	return nil
+}
+
+// Announce broadcasts this party's decision. Peers that already announced
+// discard protocol traffic, so their queues are purged first — the done
+// frame must not wait out a chaos-delayed backlog they will throw away.
+func (nd *asyncNode) Announce() error {
+	done := encodeAsyncDone()
+	for p := sim.PartyID(0); int(p) < nd.n; p++ {
+		if p == nd.id {
+			continue
+		}
+		if nd.ev.IsPeerDone(p) {
+			nd.ep.purgeSender(nd.id, p)
+		}
+		nd.ep.send(nd.id, p, 1, done)
+	}
+	return nil
 }
 
 // runAsyncNode executes one party event-wise: deliver whatever arrives,
 // send whatever the machine emits, announce the decision, keep amplifying
 // until every peer has announced too.
-func runAsyncNode(cfg asyncNodeConfig) (*asyncNodeResult, error) {
-	e := cfg.ep
+func runAsyncNode(id sim.PartyID, n int, machine driver.EventMachine, e *endpoint) (*driver.Event, error) {
 	if err := e.start(); err != nil {
 		return nil, err
 	}
 	defer e.shutdown(false)
 
-	m := cfg.machine
-	res := &asyncNodeResult{id: cfg.id}
-	budget := m.DeliveryBudget()
-	var selfq []async.Message // self-addressed traffic, delivered FIFO
-	peersDone := make(map[sim.PartyID]bool, cfg.n-1)
-	announced := false
-	decided := false
-
-	// dispatch encodes and routes one batch of machine output: self-sends
-	// join the local queue, remote sends get one shared wire body per
-	// payload and an envelope per recipient, exactly like the sync path.
-	dispatch := func(out []async.Message) error {
-		for _, raw := range out {
-			if raw.To != async.Broadcast && (raw.To < 0 || int(raw.To) >= cfg.n) {
-				return fmt.Errorf("transport: party %d: async recipient %d out of range [0, %d)", cfg.id, raw.To, cfg.n)
-			}
-			wp, err := async.ToWire(raw.Payload)
-			if err != nil {
-				return fmt.Errorf("transport: party %d: %w", cfg.id, err)
-			}
-			body, err := wire.Encode(wp)
-			if err != nil {
-				return fmt.Errorf("transport: party %d: %w", cfg.id, err)
-			}
-			round := m.EnvelopeRound(raw.Payload)
-			first, last := raw.To, raw.To
-			if raw.To == async.Broadcast {
-				first, last = 0, async.PartyID(cfg.n-1)
-			}
-			for to := first; to <= last; to++ {
-				res.msgs++
-				res.bytes += len(body)
-				if sim.PartyID(to) == cfg.id {
-					selfq = append(selfq, async.Message{From: async.PartyID(cfg.id), To: to, Payload: raw.Payload})
-					continue
-				}
-				if !peersDone[sim.PartyID(to)] {
-					e.send(cfg.id, sim.PartyID(to), round, encodeMsg(frameMsg, round, sim.PartyID(to), body))
-				}
-			}
-		}
-		return nil
-	}
-	// announce broadcasts this party's decision. Peers that already
-	// announced discard protocol traffic, so their queues are purged first —
-	// the done frame must not wait out a chaos-delayed backlog they will
-	// throw away.
-	announce := func() {
-		announced = true
-		done := encodeAsyncDone()
-		for p := sim.PartyID(0); int(p) < cfg.n; p++ {
-			if p == cfg.id {
-				continue
-			}
-			if peersDone[p] {
-				e.purgeSender(cfg.id, p)
-			}
-			e.send(cfg.id, p, 1, done)
-		}
-	}
-
-	if err := dispatch(m.Init()); err != nil {
-		return nil, err
+	nd := &asyncNode{id: id, n: n, ep: e}
+	nd.ev = driver.NewEvent(id, n, machine, nd)
+	if err := nd.ev.Start(); err != nil {
+		return nil, fmt.Errorf("transport: %w", err)
 	}
 	idle := time.NewTimer(e.opts.RoundTimeout)
 	defer idle.Stop()
-	for {
-		// Local causality first: self-deliveries cost no network and may
-		// decide the machine before any remote frame arrives.
-		for len(selfq) > 0 {
-			msg := selfq[0]
-			selfq = selfq[1:]
-			res.deliveries++
-			if res.deliveries > budget {
-				return nil, fmt.Errorf("transport: party %d: async delivery budget %d exceeded", cfg.id, budget)
-			}
-			if err := dispatch(m.Deliver(msg)); err != nil {
-				return nil, err
-			}
-		}
-		if !decided {
-			if v, ok := m.Output(); ok {
-				res.output, decided = v, true
-				announce()
-			}
-		}
-		if decided && len(peersDone) == cfg.n-1 {
-			e.shutdown(true) // flush the queued done frames before the FIN
-			return res, nil
-		}
-
+	for !nd.ev.Finished() {
 		select {
 		case ev := <-e.events:
 			if ev.err != nil {
-				if peersDone[ev.from] {
+				if nd.ev.IsPeerDone(ev.from) {
 					continue // teardown: a decided peer exited and cut the link
 				}
-				return nil, fmt.Errorf("transport: party %d: %w", cfg.id, ev.err)
+				return nil, fmt.Errorf("transport: party %d: %w", id, ev.err)
 			}
 			switch ev.f.typ {
 			case frameMsg:
-				payload, ok := async.FromWire(ev.f.payload)
-				if !ok {
-					return nil, fmt.Errorf("transport: party %d: non-async payload %T from party %d "+
-						"(peer running -mode sync?)", cfg.id, ev.f.payload, ev.from)
-				}
-				res.deliveries++
-				if res.deliveries > budget {
-					return nil, fmt.Errorf("transport: party %d: async delivery budget %d exceeded", cfg.id, budget)
-				}
-				if err := dispatch(m.Deliver(async.Message{
-					From: async.PartyID(ev.from), To: async.PartyID(cfg.id), Payload: payload,
-				})); err != nil {
-					return nil, err
+				if err := nd.ev.Deliver(ev.from, ev.f.payload); err != nil {
+					return nil, fmt.Errorf("transport: %w", err)
 				}
 			case frameAsyncDone:
-				if !peersDone[ev.from] {
-					peersDone[ev.from] = true
+				// Our own purge-and-resend below makes duplicate announcements
+				// benign on this substrate; only the first one counts.
+				if !nd.ev.IsPeerDone(ev.from) {
+					_ = nd.ev.PeerDone(ev.from, true) // a first announcement saying done cannot fail
 					// Everything queued to a decided peer is discard-bound —
 					// except our own pending done announcement, so re-enqueue
-					// it after the purge (duplicates are idempotent).
-					e.purgeSender(cfg.id, ev.from)
-					if announced {
-						e.send(cfg.id, ev.from, 1, encodeAsyncDone())
+					// it after the purge.
+					e.purgeSender(id, ev.from)
+					if nd.ev.Decided() {
+						e.send(id, ev.from, 1, encodeAsyncDone())
 					}
 				}
 			default:
 				return nil, fmt.Errorf("transport: party %d: unexpected frame type 0x%02x from party %d in async mode",
-					cfg.id, ev.f.typ, ev.from)
+					id, ev.f.typ, ev.from)
 			}
 			if !idle.Stop() {
 				<-idle.C
@@ -228,11 +155,13 @@ func runAsyncNode(cfg asyncNodeConfig) (*asyncNodeResult, error) {
 		case <-idle.C:
 			return nil, fmt.Errorf("transport: party %d: async mode idle for %v with %d/%d peers done "+
 				"(wedged run: a peer died or the network stopped delivering)",
-				cfg.id, e.opts.RoundTimeout, len(peersDone), cfg.n-1)
+				id, e.opts.RoundTimeout, nd.ev.PeersDone(), n-1)
 		case <-e.quit:
-			return nil, fmt.Errorf("transport: party %d: endpoint closed while undecided", cfg.id)
+			return nil, fmt.Errorf("transport: party %d: endpoint closed while undecided", id)
 		}
 	}
+	e.shutdown(true) // flush the queued done frames before the FIN
+	return nd.ev, nil
 }
 
 // purgeSender drains every frame queued on the (from → to) link that the
@@ -263,7 +192,7 @@ func (e *endpoint) purgeSender(from, to sim.PartyID) int {
 // LocalCluster. All parties are honest (see the package comment on why the
 // driver hosts no adversary); faults come from the chaos injector in opts
 // and from real scheduling nondeterminism.
-func AsyncLocalCluster(n int, machines []AsyncMachine, opts Options) (*AsyncResult, error) {
+func AsyncLocalCluster(n int, machines []driver.EventMachine, opts Options) (*AsyncResult, error) {
 	if n <= 0 || len(machines) != n {
 		return nil, fmt.Errorf("transport: %d async machines for n = %d", len(machines), n)
 	}
@@ -277,20 +206,11 @@ func AsyncLocalCluster(n int, machines []AsyncMachine, opts Options) (*AsyncResu
 	}
 	opts = opts.withDefaults()
 
-	listeners := make([]net.Listener, n)
-	addrs := make([]string, n)
-	for p := 0; p < n; p++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			for _, l := range listeners[:p] {
-				l.Close()
-			}
-			return nil, fmt.Errorf("transport: binding party %d: %w", p, err)
-		}
-		listeners[p] = ln
-		addrs[p] = ln.Addr().String()
+	listeners, addrs, err := bindLoopback(n)
+	if err != nil {
+		return nil, err
 	}
-	session := newSession()
+	session := NewSession()
 
 	endpoints := make([]*endpoint, n)
 	outcomes := make(chan asyncOutcome, n)
@@ -298,17 +218,17 @@ func AsyncLocalCluster(n int, machines []AsyncMachine, opts Options) (*AsyncResu
 		ep := newEndpoint([]sim.PartyID{p}, n, addrs, session,
 			map[sim.PartyID]net.Listener{p: listeners[p]}, opts)
 		endpoints[p] = ep
-		cfg := asyncNodeConfig{id: p, n: n, machine: machines[p], ep: ep}
 		go func() {
-			res, err := runAsyncNode(cfg)
-			outcomes <- asyncOutcome{id: cfg.id, res: res, err: err}
+			res, err := runAsyncNode(p, n, machines[p], ep)
+			outcomes <- asyncOutcome{id: p, res: res, err: err}
 		}()
 	}
-	defer func() {
+	abortAll := func() {
 		for _, ep := range endpoints {
 			ep.shutdown(false)
 		}
-	}()
+	}
+	defer abortAll()
 
 	out := &AsyncResult{Outputs: make(map[sim.PartyID]any, n)}
 	var errs []error
@@ -316,13 +236,10 @@ func AsyncLocalCluster(n int, machines []AsyncMachine, opts Options) (*AsyncResu
 		o := <-outcomes
 		if o.err != nil {
 			errs = append(errs, o.err)
-			abort(endpoints)
+			abortAll()
 			continue
 		}
-		out.Outputs[o.id] = o.res.output
-		out.Deliveries += o.res.deliveries
-		out.Messages += o.res.msgs
-		out.Bytes += o.res.bytes
+		out.add(o.id, o.res)
 	}
 	if len(errs) > 0 {
 		return nil, errors.Join(errs...)
@@ -332,7 +249,7 @@ func AsyncLocalCluster(n int, machines []AsyncMachine, opts Options) (*AsyncResu
 
 type asyncOutcome struct {
 	id  sim.PartyID
-	res *asyncNodeResult
+	res *driver.Event
 	err error
 }
 
@@ -342,7 +259,7 @@ type AsyncProcessConfig struct {
 	ID      sim.PartyID
 	N       int
 	Addrs   []string
-	Machine AsyncMachine
+	Machine driver.EventMachine
 	// Session must be identical across all processes; DeriveSession folds
 	// the mode string in so a sync and an async fleet can never mix.
 	Session uint64
@@ -374,17 +291,14 @@ func RunAsyncProcess(cfg AsyncProcessConfig) (*AsyncResult, error) {
 	ep := newEndpoint([]sim.PartyID{cfg.ID}, cfg.N, cfg.Addrs, cfg.Session,
 		map[sim.PartyID]net.Listener{cfg.ID: ln}, opts)
 	defer ep.shutdown(false)
-	defer watchCancel(cfg.Ctx, func() { ep.shutdown(false) })()
-	res, err := runAsyncNode(asyncNodeConfig{id: cfg.ID, n: cfg.N, machine: cfg.Machine, ep: ep})
+	defer WatchCancel(cfg.Ctx, func() { ep.shutdown(false) })()
+	res, err := runAsyncNode(cfg.ID, cfg.N, cfg.Machine, ep)
 	if err != nil {
 		return nil, err
 	}
-	return &AsyncResult{
-		Outputs:    map[sim.PartyID]any{cfg.ID: res.output},
-		Deliveries: res.deliveries,
-		Messages:   res.msgs,
-		Bytes:      res.bytes,
-	}, nil
+	out := &AsyncResult{Outputs: make(map[sim.PartyID]any, 1)}
+	out.add(cfg.ID, res)
+	return out, nil
 }
 
 // checkAsyncOptions rejects option combinations that only make sense for

@@ -8,6 +8,7 @@ import (
 	"net"
 	"sort"
 
+	"treeaa/internal/driver"
 	"treeaa/internal/sim"
 )
 
@@ -66,56 +67,35 @@ func LocalCluster(cfg sim.Config, machines []sim.Machine, opts Options) (*sim.Re
 		observer = corrupted[0]
 	}
 
-	// Bind every party's listener first: addresses must be known before any
-	// endpoint dials, and a bind failure should abort before goroutines
-	// exist.
-	listeners := make([]net.Listener, cfg.N)
-	addrs := make([]string, cfg.N)
-	for p := 0; p < cfg.N; p++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			for _, l := range listeners[:p] {
-				l.Close()
-			}
-			return nil, fmt.Errorf("transport: binding party %d: %w", p, err)
-		}
-		listeners[p] = ln
-		addrs[p] = ln.Addr().String()
+	listeners, addrs, err := bindLoopback(cfg.N)
+	if err != nil {
+		return nil, err
 	}
-	session := newSession()
+	session := NewSession()
 
-	endpoints := make([]*endpoint, 0, cfg.N)
-	var hosts []*acceptHost
+	// stops tears every seat down: on exit, and as soon as one seat fails, so
+	// parties blocked on the failed peer's barrier return promptly instead of
+	// riding out RoundTimeout.
+	var stops []func()
+	abortAll := func() {
+		for _, stop := range stops {
+			stop()
+		}
+	}
+	defer abortAll()
 	nodeCh := make(chan nodeOutcome, cfg.N)
 	launched := 0
 	for p := sim.PartyID(0); int(p) < cfg.N; p++ {
 		if isCorrupted[p] {
 			continue
 		}
-		nc := nodeConfig{id: p, n: cfg.N, maxRounds: cfg.MaxRounds,
-			observer: observer, machine: machines[p]}
-		if crashRound, supervised := opts.CrashPlan[p]; supervised {
-			// The listener must outlive the party's first incarnation, so
-			// it belongs to an acceptHost rather than the endpoint.
-			host := newAcceptHost(p, listeners[p])
-			hosts = append(hosts, host)
-			ep := newEndpoint([]sim.PartyID{p}, cfg.N, addrs, session, nil, opts)
-			host.swap(ep)
-			nc.ep, nc.crashRound = ep, crashRound
-			go func() {
-				res, err := superviseNode(nc, host, opts)
-				nodeCh <- nodeOutcome{id: nc.id, res: res, err: err}
-			}()
-		} else {
-			ep := newEndpoint([]sim.PartyID{p}, cfg.N, addrs, session,
-				map[sim.PartyID]net.Listener{p: listeners[p]}, opts)
-			endpoints = append(endpoints, ep)
-			nc.ep = ep
-			go func() {
-				res, err := runNode(nc)
-				nodeCh <- nodeOutcome{id: nc.id, res: res, err: err}
-			}()
-		}
+		run, stop := honestSeat(nodeConfig{id: p, n: cfg.N, maxRounds: cfg.MaxRounds,
+			observer: observer, machine: machines[p]}, listeners[p], addrs, session, opts)
+		stops = append(stops, stop)
+		go func() {
+			res, err := run()
+			nodeCh <- nodeOutcome{id: p, res: res, err: err}
+		}()
 		launched++
 	}
 	var hostCh chan hostOutcome
@@ -125,7 +105,7 @@ func LocalCluster(cfg sim.Config, machines []sim.Machine, opts Options) (*sim.Re
 			hostLns[c] = listeners[c]
 		}
 		ep := newEndpoint(corrupted, cfg.N, addrs, session, hostLns, opts)
-		endpoints = append(endpoints, ep)
+		stops = append(stops, func() { ep.shutdown(false) })
 		hc := hostConfig{corrupted: corrupted, n: cfg.N, maxRounds: cfg.MaxRounds,
 			adv: cfg.Adversary, ep: ep}
 		hostCh = make(chan hostOutcome, 1)
@@ -134,18 +114,6 @@ func LocalCluster(cfg sim.Config, machines []sim.Machine, opts Options) (*sim.Re
 			hostCh <- hostOutcome{res: res, err: err}
 		}()
 	}
-	// From here every listener is owned by an endpoint (or an acceptHost)
-	// and every endpoint is shut down on exit, which also unblocks any
-	// party stuck on a failing peer. Supervised endpoints clean themselves
-	// up inside runNode; only their accept hosts need closing here.
-	defer func() {
-		for _, ep := range endpoints {
-			ep.shutdown(false)
-		}
-		for _, h := range hosts {
-			h.close()
-		}
-	}()
 
 	var (
 		nodes []nodeOutcome
@@ -156,7 +124,7 @@ func LocalCluster(cfg sim.Config, machines []sim.Machine, opts Options) (*sim.Re
 		nodes = append(nodes, out)
 		if out.err != nil {
 			errs = append(errs, out.err)
-			abort(endpoints)
+			abortAll()
 		}
 	}
 	var host hostOutcome
@@ -169,26 +137,48 @@ func LocalCluster(cfg sim.Config, machines []sim.Machine, opts Options) (*sim.Re
 	if len(errs) > 0 {
 		return nil, errors.Join(errs...)
 	}
-	return mergeResults(cfg, corrupted, nodes, host.res)
+	parties := make([]*driver.Result, len(nodes))
+	for i, out := range nodes {
+		parties[i] = out.res
+	}
+	res, err := driver.Merge(cfg.Trace, corrupted, parties, host.res)
+	if err != nil {
+		return nil, fmt.Errorf("transport: %w", err)
+	}
+	return res, nil
 }
 
 type nodeOutcome struct {
 	id  sim.PartyID
-	res *nodeResult
+	res *driver.Result
 	err error
 }
 
 type hostOutcome struct {
-	res *hostResult
+	res *driver.Result
 	err error
 }
 
-// abort tears every endpoint down so parties blocked on a failed peer's
-// barrier return promptly instead of riding out RoundTimeout.
-func abort(endpoints []*endpoint) {
-	for _, ep := range endpoints {
-		ep.shutdown(false)
+// honestSeat prepares one honest party on its bound listener and returns the
+// function that runs it to completion and the one that tears it down. A
+// party the crash plan names runs under superviseNode, and its listener goes
+// to an acceptHost so it outlives the first incarnation — peers redial the
+// same address mid-run.
+func honestSeat(nc nodeConfig, ln net.Listener, addrs []string, session uint64,
+	opts Options) (run func() (*driver.Result, error), stop func()) {
+	crashRound, supervised := opts.CrashPlan[nc.id]
+	if !supervised {
+		nc.ep = newEndpoint([]sim.PartyID{nc.id}, nc.n, addrs, session,
+			map[sim.PartyID]net.Listener{nc.id: ln}, opts)
+		return func() (*driver.Result, error) { return runNode(nc) },
+			func() { nc.ep.shutdown(false) }
 	}
+	host := newAcceptHost(nc.id, ln)
+	first := newEndpoint([]sim.PartyID{nc.id}, nc.n, addrs, session, nil, opts)
+	host.swap(first)
+	nc.ep, nc.crashRound = first, crashRound
+	return func() (*driver.Result, error) { return superviseNode(nc, host, opts) },
+		func() { host.close(); first.shutdown(false) }
 }
 
 // initialCorruptions validates and normalizes the adversary's initial set:
@@ -221,10 +211,30 @@ func initialCorruptions(cfg sim.Config) ([]sim.PartyID, error) {
 	return out, nil
 }
 
-// newSession draws a random session id; hellos carrying another session are
+// bindLoopback binds one loopback listener per party. Every listener is bound
+// before any endpoint exists: addresses must be known before anyone dials,
+// and a bind failure should abort before goroutines exist.
+func bindLoopback(n int) ([]net.Listener, []string, error) {
+	listeners := make([]net.Listener, n)
+	addrs := make([]string, n)
+	for p := range listeners {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			for _, l := range listeners[:p] {
+				l.Close()
+			}
+			return nil, nil, fmt.Errorf("transport: binding party %d: %w", p, err)
+		}
+		listeners[p] = ln
+		addrs[p] = ln.Addr().String()
+	}
+	return listeners, addrs, nil
+}
+
+// NewSession draws a random session id; hellos carrying another session are
 // rejected, so two clusters on one machine can never cross-connect even if
 // ports are recycled between runs.
-func newSession() uint64 {
+func NewSession() uint64 {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		// crypto/rand failing is effectively fatal elsewhere too; a fixed
@@ -232,64 +242,4 @@ func newSession() uint64 {
 		return 0x7472656561610001
 	}
 	return binary.BigEndian.Uint64(b[:])
-}
-
-// mergeResults folds the per-party results into the sim.Result the engine
-// would have produced, checking on the way that every party observed the
-// same termination round — they must, since all decide from the same done
-// flags, so a mismatch is a transport bug, not a protocol property.
-func mergeResults(cfg sim.Config, corrupted []sim.PartyID, nodes []nodeOutcome, host *hostResult) (*sim.Result, error) {
-	res := &sim.Result{
-		Outputs:   make(map[sim.PartyID]any, len(nodes)),
-		Corrupted: make(map[sim.PartyID]bool, len(corrupted)),
-	}
-	for _, c := range corrupted {
-		res.Corrupted[c] = true
-	}
-	term := 0
-	for _, out := range nodes {
-		if term == 0 {
-			term = out.res.termRound
-		} else if out.res.termRound != term {
-			return nil, fmt.Errorf("transport: party %d terminated at round %d, others at %d",
-				out.id, out.res.termRound, term)
-		}
-	}
-	if host != nil && host.termRound != term {
-		return nil, fmt.Errorf("transport: adversary host terminated at round %d, parties at %d",
-			host.termRound, term)
-	}
-	res.Rounds = term
-
-	msgs := make([]int, term+1)
-	bytes := make([]int, term+1)
-	doneAt := make(map[int][]sim.PartyID)
-	for _, out := range nodes {
-		for i := 0; i < term && i < len(out.res.msgs); i++ {
-			msgs[i+1] += out.res.msgs[i]
-			bytes[i+1] += out.res.bytes[i]
-		}
-		res.Outputs[out.id] = out.res.output
-		doneAt[out.res.doneRound] = append(doneAt[out.res.doneRound], out.id)
-	}
-	if host != nil {
-		for i := 0; i < term && i < len(host.msgs); i++ {
-			msgs[i+1] += host.msgs[i]
-			bytes[i+1] += host.bytes[i]
-		}
-	}
-	for r := 1; r <= term; r++ {
-		res.Messages += msgs[r]
-		res.Bytes += bytes[r]
-	}
-	if cfg.Trace != nil {
-		for r := 1; r <= term; r++ {
-			newlyDone := doneAt[r]
-			sort.Slice(newlyDone, func(i, j int) bool { return newlyDone[i] < newlyDone[j] })
-			cfg.Trace.Rounds = append(cfg.Trace.Rounds, sim.TraceRound{
-				Round: r, Messages: msgs[r], Bytes: bytes[r], NewlyDone: newlyDone,
-			})
-		}
-	}
-	return res, nil
 }

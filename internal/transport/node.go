@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"treeaa/internal/driver"
 	"treeaa/internal/sim"
 	"treeaa/internal/wire"
 )
@@ -27,151 +28,135 @@ type nodeConfig struct {
 	crashRound int
 }
 
-// nodeResult is one honest party's share of a sim.Result.
-type nodeResult struct {
-	id        sim.PartyID
-	output    any
-	done      bool
-	doneRound int   // round the machine terminated in (0 if never)
-	termRound int   // round the whole execution stopped in
-	msgs      []int // per executed round, counted at send like the engine
-	bytes     []int
+// meshNode adapts a driver.Round to the full mesh: frameMsg/frameMirror
+// framing, an eor frame to each of the n-1 peers as the barrier signal, and
+// the per-peer connection failures a stalled barrier is blamed on.
+type meshNode struct {
+	nodeConfig
+	rd    *driver.Round
+	peers []sim.PartyID
+	fail  map[sim.PartyID]error // first connection failure per peer
 }
 
-// runNode executes one honest machine in lock step with its peers:
-//
-//	step → send (msg + mirror frames) → eor(r, done) → barrier → decide
-//
-// The barrier is complete when eor(r) has arrived from all n-1 peers; the
-// per-connection FIFO guarantees the round-r mailbox is then complete too.
-// The execution terminates in the first round whose barrier shows every
-// party done — corrupted parties always flag done, so the rule reduces to
-// sim's "all honest machines produced output".
-func runNode(cfg nodeConfig) (*nodeResult, error) {
+// runNode executes one honest machine in lock step with its peers. The
+// window is unbounded: a crash-restarted party (RetainAll resume) is handed
+// its peers' whole frame history at once.
+func runNode(cfg nodeConfig) (*driver.Result, error) {
 	e := cfg.ep
 	if err := e.start(); err != nil {
 		return nil, err
 	}
 	defer e.shutdown(false)
 
-	st := newRoundState(cfg.n)
-	peers := make([]sim.PartyID, 0, cfg.n-1)
+	nd := &meshNode{nodeConfig: cfg, fail: make(map[sim.PartyID]error)}
+	nd.rd = driver.NewRound(cfg.id, cfg.n, cfg.maxRounds, 0, cfg.machine, nd)
 	for p := sim.PartyID(0); int(p) < cfg.n; p++ {
 		if p != cfg.id {
-			peers = append(peers, p)
+			nd.peers = append(nd.peers, p)
 		}
 	}
-	res := &nodeResult{id: cfg.id}
-	m := cfg.machine
-
-	for r := 1; r <= cfg.maxRounds; r++ {
+	for {
 		roundStart := time.Now()
-		out := m.Step(r, st.inbox(r-1))
-		st.drop(r - 1)
-		if !res.done {
-			if v, ok := m.Output(); ok {
-				res.output, res.done, res.doneRound = v, true, r
-			}
+		finished, err := nd.rd.Advance()
+		if err != nil {
+			return nil, fmt.Errorf("transport: %w", err)
 		}
-
-		roundMsgs, roundBytes := 0, 0
-		for _, raw := range out {
-			if raw.To != sim.Broadcast && (raw.To < 0 || int(raw.To) >= cfg.n) {
-				return nil, fmt.Errorf("transport: party %d: recipient %d out of range [0, %d)", cfg.id, raw.To, cfg.n)
-			}
-			body, err := wire.Encode(raw.Payload)
-			if err != nil {
-				return nil, fmt.Errorf("transport: party %d round %d: %w", cfg.id, r, err)
-			}
-			first, last := raw.To, raw.To
-			if raw.To == sim.Broadcast {
-				first, last = 0, sim.PartyID(cfg.n-1)
-			}
-			for to := first; to <= last; to++ {
-				roundMsgs++
-				roundBytes += len(body)
-				if to == cfg.id {
-					st.addMail(sim.Message{From: cfg.id, To: to, Round: r, Payload: raw.Payload})
-				} else {
-					e.send(cfg.id, to, r, encodeMsg(frameMsg, r, to, body))
-				}
-				if cfg.observer >= 0 {
-					e.send(cfg.id, cfg.observer, r, encodeMsg(frameMirror, r, to, body))
-				}
-			}
+		if finished {
+			e.shutdown(true)
+			return nd.rd.Result(), nil
 		}
-		res.msgs = append(res.msgs, roundMsgs)
-		res.bytes = append(res.bytes, roundBytes)
-
-		if r == cfg.crashRound {
-			// Injected crash: die mid-round, protocol sends out (possibly
-			// partially flushed) but the eor barrier never sent. Peers stall
-			// at their round-r barriers until the supervisor restarts us.
-			e.crash()
-			return nil, fmt.Errorf("%w: party %d at round %d", errCrashed, cfg.id, r)
-		}
-
-		eor := encodeEOR(r, res.done)
-		for _, p := range peers {
-			e.send(cfg.id, p, r, eor)
-		}
-		if err := awaitBarrier(e, st, cfg.id, r, peers); err != nil {
+		if err := nd.awaitBarrier(); err != nil {
 			return nil, err
 		}
 		if c := e.opts.Chaos; c != nil {
 			c.AddRoundLatency(time.Since(roundStart))
 		}
-		if res.done && st.peersDone(r, peers) {
-			res.termRound = r
-			e.shutdown(true)
-			return res, nil
-		}
 	}
-	return nil, fmt.Errorf("%w: party %d after %d rounds", sim.ErrNotDone, cfg.id, cfg.maxRounds)
 }
 
-// awaitBarrier consumes events until eor(r) has arrived from every peer,
-// filing message frames into their rounds as they pass by. Mirror frames
-// are rejected — only the adversary host's observer accepts them.
-func awaitBarrier(e *endpoint, st *roundState, self sim.PartyID, r int, peers []sim.PartyID) error {
-	timeout := time.NewTimer(e.opts.RoundTimeout)
-	defer timeout.Stop()
-	for !st.barrierDone(r, peers) {
-		select {
-		case ev := <-e.events:
-			if err := handleNodeEvent(st, ev); err != nil {
-				return fmt.Errorf("party %d: %w", self, err)
-			}
-			if err := st.checkStalled(r, peers); err != nil {
-				return fmt.Errorf("transport: party %d waiting on round %d: %w", self, r, err)
-			}
-		case <-timeout.C:
-			return fmt.Errorf("transport: party %d: round %d barrier timed out after %v", self, r, e.opts.RoundTimeout)
-		case <-e.quit:
-			// Shutdown (deployment abort or context cancellation) while
-			// blocked: exit promptly instead of riding out the round timeout.
-			return fmt.Errorf("transport: party %d: endpoint closed while waiting on round %d", self, r)
+// Emit encodes the payload once and sends one msg frame per remote
+// recipient, plus one mirror frame per recipient (self included) when a
+// rushing observer is configured.
+func (nd *meshNode) Emit(round int, to sim.PartyID, payload any) error {
+	body, err := wire.Encode(payload)
+	if err != nil {
+		return err
+	}
+	first, last := driver.Span(nd.n, to)
+	for to := first; to <= last; to++ {
+		if to != nd.id {
+			nd.ep.send(nd.id, to, round, encodeMsg(frameMsg, round, to, body))
+		}
+		if nd.observer >= 0 {
+			nd.ep.send(nd.id, nd.observer, round, encodeMsg(frameMirror, round, to, body))
 		}
 	}
 	return nil
 }
 
-func handleNodeEvent(st *roundState, ev event) error {
+func (nd *meshNode) EndRound(round int, done bool) error {
+	if round == nd.crashRound {
+		// Injected crash: die mid-round, protocol sends out (possibly
+		// partially flushed) but the eor barrier never sent. Peers stall
+		// at their round-r barriers until the supervisor restarts us.
+		nd.ep.crash()
+		return fmt.Errorf("%w: party %d at round %d", errCrashed, nd.id, round)
+	}
+	eor := encodeEOR(round, done)
+	for _, p := range nd.peers {
+		nd.ep.send(nd.id, p, round, eor)
+	}
+	return nil
+}
+
+// awaitBarrier consumes events until eor(r) has arrived from every peer,
+// filing message frames into their rounds as they pass by. Mirror frames
+// are rejected — only the adversary host's observer accepts them.
+func (nd *meshNode) awaitBarrier() error {
+	e, r := nd.ep, nd.rd.Round()
+	timeout := time.NewTimer(e.opts.RoundTimeout)
+	defer timeout.Stop()
+	for !nd.rd.Ready() {
+		select {
+		case ev := <-e.events:
+			if err := nd.handle(ev); err != nil {
+				return fmt.Errorf("transport: party %d: %w", nd.id, err)
+			}
+			// A failed peer that still owes eor(r) stalls the barrier for good.
+			// Failures of peers that already delivered it are benign — a
+			// terminated peer closes its connections while slower parties are
+			// still deciding.
+			for _, p := range nd.peers {
+				if err := nd.fail[p]; err != nil && !nd.rd.HasEOR(p) {
+					return fmt.Errorf("transport: party %d waiting on round %d: %w", nd.id, r, err)
+				}
+			}
+		case <-timeout.C:
+			return fmt.Errorf("transport: party %d: round %d barrier timed out after %v", nd.id, r, e.opts.RoundTimeout)
+		case <-e.quit:
+			// Shutdown (deployment abort or context cancellation) while
+			// blocked: exit promptly instead of riding out the round timeout.
+			return fmt.Errorf("transport: party %d: endpoint closed while waiting on round %d", nd.id, r)
+		}
+	}
+	return nil
+}
+
+func (nd *meshNode) handle(ev event) error {
 	if ev.err != nil {
-		if _, seen := st.fail[ev.from]; !seen {
-			st.fail[ev.from] = ev.err
+		if _, seen := nd.fail[ev.from]; !seen {
+			nd.fail[ev.from] = ev.err
 		}
 		return nil
 	}
 	switch ev.f.typ {
 	case frameMsg:
-		st.addMail(sim.Message{From: ev.from, To: ev.owner, Round: ev.f.round, Payload: ev.f.payload})
-		return nil
+		return nd.rd.File(sim.Message{From: ev.from, To: ev.owner, Round: ev.f.round, Payload: ev.f.payload})
 	case frameEOR:
-		return st.addEOR(ev.f.round, ev.from, ev.f.done)
+		return nd.rd.EOR(ev.f.round, ev.from, ev.f.done)
 	case frameMirror:
-		return fmt.Errorf("transport: unexpected mirror frame from party %d (not an observer)", ev.from)
+		return fmt.Errorf("unexpected mirror frame from party %d (not an observer)", ev.from)
 	default:
-		return fmt.Errorf("transport: unexpected frame type 0x%02x from party %d", ev.f.typ, ev.from)
+		return fmt.Errorf("unexpected frame type 0x%02x from party %d", ev.f.typ, ev.from)
 	}
 }

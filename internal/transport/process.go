@@ -7,6 +7,7 @@ import (
 	"net"
 	"sort"
 
+	"treeaa/internal/driver"
 	"treeaa/internal/sim"
 )
 
@@ -59,6 +60,14 @@ type ProcessResult struct {
 	Bytes    int
 }
 
+// NewProcessResult reports one seat's driver result (the host seat's has no
+// output) in the exported per-process form.
+func NewProcessResult(res *driver.Result) *ProcessResult {
+	total := res.Total()
+	return &ProcessResult{Output: res.Output, DoneRound: res.DoneRound,
+		Rounds: res.TermRound, Messages: total.Msgs, Bytes: total.Bytes}
+}
+
 // DeriveSession hashes deployment parameters into a session id, so
 // processes launched with the same peers file and flags agree on it without
 // coordination, and anything else is rejected at the handshake.
@@ -106,40 +115,23 @@ func RunProcess(cfg ProcessConfig) (*ProcessResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("transport: party %d listening on %s: %w", cfg.ID, cfg.Addrs[cfg.ID], err)
 		}
-		nc := nodeConfig{id: cfg.ID, n: cfg.N, maxRounds: cfg.MaxRounds,
-			observer: observer, machine: cfg.Machine}
-		if crashRound, supervised := opts.CrashPlan[cfg.ID]; supervised {
-			// Crash-restart within the process: the seat dies and rejoins
-			// without giving up its listen address (real deployments would
-			// respawn the binary; the supervisor emulates that in-process,
-			// keeping the peers-file address stable).
-			if opts.Restart == nil {
-				return nil, fmt.Errorf("transport: crash plan requires Options.Restart to rebuild machines")
-			}
-			host := newAcceptHost(cfg.ID, ln)
-			defer host.close()
-			ep := newEndpoint([]sim.PartyID{cfg.ID}, cfg.N, cfg.Addrs, cfg.Session, nil, opts)
-			host.swap(ep)
-			nc.ep, nc.crashRound = ep, crashRound
-			defer watchCancel(cfg.Ctx, func() { host.close(); ep.shutdown(false) })()
-			res, err := superviseNode(nc, host, opts)
-			if err != nil {
-				return nil, err
-			}
-			return &ProcessResult{Output: res.output, DoneRound: res.doneRound,
-				Rounds: res.termRound, Messages: sum(res.msgs), Bytes: sum(res.bytes)}, nil
+		// A crash plan naming this seat restarts it within the process: the
+		// seat dies and rejoins without giving up its listen address (real
+		// deployments would respawn the binary; the supervisor emulates that,
+		// keeping the peers-file address stable).
+		if _, supervised := opts.CrashPlan[cfg.ID]; supervised && opts.Restart == nil {
+			ln.Close()
+			return nil, fmt.Errorf("transport: crash plan requires Options.Restart to rebuild machines")
 		}
-		ep := newEndpoint([]sim.PartyID{cfg.ID}, cfg.N, cfg.Addrs, cfg.Session,
-			map[sim.PartyID]net.Listener{cfg.ID: ln}, opts)
-		defer ep.shutdown(false)
-		nc.ep = ep
-		defer watchCancel(cfg.Ctx, func() { ep.shutdown(false) })()
-		res, err := runNode(nc)
+		run, stop := honestSeat(nodeConfig{id: cfg.ID, n: cfg.N, maxRounds: cfg.MaxRounds,
+			observer: observer, machine: cfg.Machine}, ln, cfg.Addrs, cfg.Session, opts)
+		defer stop()
+		defer WatchCancel(cfg.Ctx, stop)()
+		res, err := run()
 		if err != nil {
 			return nil, err
 		}
-		return &ProcessResult{Output: res.output, DoneRound: res.doneRound,
-			Rounds: res.termRound, Messages: sum(res.msgs), Bytes: sum(res.bytes)}, nil
+		return NewProcessResult(res), nil
 	}
 
 	if cfg.ID != observer {
@@ -162,18 +154,18 @@ func RunProcess(cfg ProcessConfig) (*ProcessResult, error) {
 	}
 	ep := newEndpoint(corrupted, cfg.N, cfg.Addrs, cfg.Session, listeners, cfg.Opts)
 	defer ep.shutdown(false)
-	defer watchCancel(cfg.Ctx, func() { ep.shutdown(false) })()
+	defer WatchCancel(cfg.Ctx, func() { ep.shutdown(false) })()
 	res, err := runAdversaryHost(hostConfig{corrupted: corrupted, n: cfg.N,
 		maxRounds: cfg.MaxRounds, adv: cfg.Adversary, ep: ep})
 	if err != nil {
 		return nil, err
 	}
-	return &ProcessResult{Rounds: res.termRound, Messages: sum(res.msgs), Bytes: sum(res.bytes)}, nil
+	return NewProcessResult(res), nil
 }
 
-// watchCancel runs stop when ctx is cancelled; the returned release func
+// WatchCancel runs stop when ctx is cancelled; the returned release func
 // retires the watcher when the seat finishes first. A nil ctx is a no-op.
-func watchCancel(ctx context.Context, stop func()) func() {
+func WatchCancel(ctx context.Context, stop func()) func() {
 	if ctx == nil {
 		return func() {}
 	}
@@ -186,12 +178,4 @@ func watchCancel(ctx context.Context, stop func()) func() {
 		}
 	}()
 	return func() { close(done) }
-}
-
-func sum(xs []int) int {
-	total := 0
-	for _, x := range xs {
-		total += x
-	}
-	return total
 }

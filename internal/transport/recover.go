@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"treeaa/internal/driver"
 	"treeaa/internal/sim"
 )
 
@@ -195,7 +196,7 @@ func (h *acceptHost) close() { h.ln.Close() }
 // its deterministic machine from round 1, and suppresses regenerated
 // frames its peers already hold — so the merged Result is byte-identical
 // to an execution that never crashed.
-func superviseNode(cfg nodeConfig, host *acceptHost, opts Options) (*nodeResult, error) {
+func superviseNode(cfg nodeConfig, host *acceptHost, opts Options) (*driver.Result, error) {
 	res, err := runNode(cfg)
 	for errors.Is(err, errCrashed) {
 		if c := opts.Chaos; c != nil {

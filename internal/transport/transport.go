@@ -6,6 +6,13 @@
 // daemon). The contract is strict: for any configuration both substrates
 // accept, they produce byte-for-byte identical Results — the TCP transport
 // is the engine's semantics made distributed, not a reinterpretation.
+//
+// The round loop and the event loop are not here: runNode and runAsyncNode
+// are adapters over internal/driver's Round and Event. This package owns
+// what travels and how — frame types, the authenticated mesh, per-peer
+// sender goroutines, eor frames as the barrier signal, the round / idle
+// timers, reconnect-resend and crash-restart recovery — and the adversary
+// host, which co-hosts the corrupted seats on one driver.Mailbox each.
 package transport
 
 import (
