@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-sim race-cpu bench-module node-smoke overlay-smoke serve-smoke rolling-restart chaos-soak async-soak cover bench bench-sim bench-serve bench-compare scale-bench fuzz fuzz-short prop graph-prop check examples experiments clean
+.PHONY: all build test race race-sim race-cpu bench-module node-smoke overlay-smoke serve-smoke rolling-restart chaos-soak async-soak cover bench bench-compare bench-serve-smoke fuzz fuzz-short prop graph-prop check examples experiments clean
 
 all: build test race-sim node-smoke overlay-smoke serve-smoke chaos-soak rolling-restart
 
@@ -48,11 +48,13 @@ node-smoke:
 # Tree-overlay smoke: the same multi-process cmd/node deployments routed
 # over a communication tree instead of the full mesh (leaves hold one
 # connection), then a run with a mid-protocol sub-leader crash that must
-# fail over and still agree.
+# fail over and still agree, then a block-graph fleet (TreeAA on the
+# block-cut tree) over the same relay fabric.
 overlay-smoke:
 	$(GO) run ./cmd/node -cluster 7 -tree path:16 -overlay tree:2
 	$(GO) run ./cmd/node -cluster 9 -t 2 -tree spider:3:3 -overlay tree:3 \
 		-chaos 'crash:p1@r2'
+	$(GO) run ./cmd/node -cluster 4 -t 1 -space graph:cliquechain:3:4 -overlay tree:2
 
 # Serving-layer smoke: a 3-daemon loopback deployment hosting 100 concurrent
 # sessions multiplexed over the shared links; exits non-zero if any session
@@ -64,13 +66,12 @@ serve-smoke:
 	$(GO) run ./cmd/serve -cluster 3 -sessions 100 -tree spider:3:3
 	@set -e; \
 	$(GO) run ./cmd/serve -cluster 3 -sessions 100 -tree spider:3:3 \
-		-journal-dir "$$(mktemp -d)" -metrics 127.0.0.1:9309 -overlay tree:2 -linger 8s & pid=$$!; \
+		-journal-dir "$$(mktemp -d)" -metrics 127.0.0.1:9309 -linger 8s & pid=$$!; \
 	ok=0; for i in $$(seq 1 60); do \
 		if curl -sf http://127.0.0.1:9309/healthz 2>/dev/null | grep -q ok; then ok=1; break; fi; \
 		sleep 0.25; done; \
 	if [ $$ok -ne 1 ]; then echo "serve-smoke: /healthz never became ready" >&2; kill $$pid 2>/dev/null; exit 1; fi; \
-	for fam in treeaa_sessions_decided_total treeaa_journal_appends_total \
-			treeaa_overlay_relayed_total treeaa_overlay_failovers_total treeaa_overlay_branching; do \
+	for fam in treeaa_sessions_decided_total treeaa_journal_appends_total; do \
 		if ! curl -sf http://127.0.0.1:9309/metrics | grep -q "^$$fam"; then \
 			echo "serve-smoke: /metrics missing $$fam" >&2; kill $$pid 2>/dev/null; exit 1; fi; done; \
 	wait $$pid; \
@@ -100,50 +101,40 @@ chaos-soak:
 # the chaos latency battery whose headline cell (lat:200ms±150ms on one
 # party's links) aborts the synchronous round barrier but decides
 # asynchronously with validity + 1-agreement — then a multi-process cmd/node
-# async fleet under a real latency plan, plus an async serving smoke. Exits
-# non-zero on any validity/epsilon-agreement violation.
+# async fleet under a real latency plan, plus async serving smokes, each on
+# a tree and on a block graph. Exits non-zero on any
+# validity/epsilon-agreement violation.
 async-soak:
 	$(GO) test -race -count=1 -run Async ./internal/async/... ./internal/chaos/... \
 		./internal/session/... ./internal/transport/... ./internal/check/ ./internal/wire/
 	$(GO) run ./cmd/node -cluster 4 -tree star:6 -mode async -chaos 'lat:20ms±15ms@p2'
+	$(GO) run ./cmd/node -cluster 4 -t 1 -space graph:cliquechain:3:4 -mode async
 	$(GO) run ./cmd/serve -cluster 3 -mode async -sessions 50 -tree spider:3:3
+	$(GO) run ./cmd/serve -cluster 3 -mode async -sessions 50 -space graph:cliquechain:3:4
 
 cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -20
 
+# Every number this repository quotes comes from bench/ (a nested module
+# built and run by bench/run.sh; workloads, metrics and bounds in
+# bench/README.md). `bench` is the full run: every workload, untraced and
+# traced, written to bench/out/result.json.
 bench:
-	$(GO) test -bench=. -benchmem ./...
+	bash bench/run.sh
 
-# Engine microbenchmarks (the BenchmarkSimRound family); `go run
-# ./cmd/bench-rounds -json > BENCH_sim.json` snapshots the same cases.
-bench-sim:
-	$(GO) test -run xxx -bench SimRound -benchmem .
-
-# Serving-layer closed-loop load bench: sweeps a worker grid against a
-# 4-daemon loopback cluster — journal off, then on — and snapshots
-# sessions/sec + latency percentiles as BENCH_service.json (the E-serve
-# and E-durable tables' source).
-bench-serve:
-	$(GO) run ./cmd/serve-bench -json -journal-dir auto > BENCH_service.json
-	@cat BENCH_service.json
-
-# Mesh-vs-tree scaling sweep: drives the crash-fault AA workload over the
-# full TCP mesh (n = 16, 64) and the tree overlay (n = 128, 256, 512) on
-# loopback, every run oracle-checked, and snapshots conns/node, frames,
-# bytes and round latency as BENCH_scale.json (the E-scale table's source).
-scale-bench:
-	$(GO) run ./cmd/scale-bench -json > BENCH_scale.json
-	@cat BENCH_scale.json
-
-# Serving-layer perf regression gate: rerun the bench grid and fail if any
-# cell drops below 80% of the committed BENCH_service.json sessions/sec,
-# then rerun the scaling sweep and fail any row whose physical frames/round
-# exceeds 1.25x its committed BENCH_scale.json value.
-# (Machine-sensitive — run on hardware comparable to the committed rows.)
+# Perf regression gate: three fresh untraced passes per workload judged
+# against the committed bench/baseline.json by each end-to-end metric's
+# bound; a `regressed` verdict exits non-zero.
+# (Machine-sensitive — run on hardware comparable to the baseline's env.)
 bench-compare:
-	$(GO) run ./cmd/serve-bench -json -journal-dir auto -compare BENCH_service.json > /dev/null
-	$(GO) run ./cmd/scale-bench -json -compare BENCH_scale.json > /dev/null
+	bash bench/run.sh -repeat 3 -o .bench_build/compare.json
+	bash bench/run.sh -compare bench/baseline.json .bench_build/compare.json
+
+# One short serve-closed pass as a smoke: the serving layer under real
+# closed-loop load, every session oracle-checked (correct=true or exit 1).
+bench-serve-smoke:
+	bash bench/run.sh --workload serve-closed --seed 1 --seconds 2 --trace 0
 
 # Short fuzz pass over every fuzz target (tree parsing, Prüfer codec,
 # Euler-list invariants, hull/safe-area cross-checks, wire decoding).
@@ -180,24 +171,18 @@ prop:
 # then 525 generated graph-only cells — cycles, cliques, clique chains,
 # cacti, random block graphs × the full clause pool — each checked for
 # geodesic-hull validity, the graph agreement guarantee, per-block hull
-# non-expansion and block-cut-tree prefix agreement. Violations shrink to a
-# one-line repro (block pruning, cycle shortening) replayable with -repro.
+# non-expansion and block-cut-tree prefix agreement, every fourth compatible
+# cell also under the four adversarial async schedulers. Violations shrink to
+# a one-line repro (block pruning, cycle shortening) replayable with -repro.
 graph-prop:
 	$(GO) test -race -count=1 ./internal/graph/
 	$(GO) test -race -count=1 -run Graph ./internal/check/ ./internal/session/
-	$(GO) run ./cmd/check -budget 175 -seeds 1-3 -space graph
+	$(GO) run ./cmd/check -budget 175 -seeds 1-3 -space graph -async-every 4
 
 # Tier-1-adjacent gate: build + vet + tests, the GOMAXPROCS sweep, the
-# nested benchmark module, a quick serve-bench cell (the serving layer under
-# real closed-loop load, oracle-checked), then the property (tree and
-# graph), short fuzz and async-soak passes.
+# nested benchmark module, the bench serve smoke, then the property (tree
+# and graph), short fuzz and async-soak passes.
 check: build test race-cpu bench-module bench-serve-smoke prop graph-prop fuzz-short async-soak
-
-# One fast serve-bench cell as a smoke: small cluster, short window; fails
-# on any oracle mismatch or client error.
-.PHONY: bench-serve-smoke
-bench-serve-smoke:
-	$(GO) run ./cmd/serve-bench -cluster 3 -workers 16 -duration 2s
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -21,7 +21,6 @@ import (
 	"treeaa/internal/lowerbound"
 	"treeaa/internal/realaa"
 	"treeaa/internal/sim"
-	"treeaa/internal/simbench"
 	"treeaa/internal/tree"
 )
 
@@ -412,17 +411,6 @@ func BenchmarkE7ExactAASigning(b *testing.B) {
 		if !keys.Verify(0, "bench", 0, 5, sig) {
 			b.Fatal("verify failed")
 		}
-	}
-}
-
-// BenchmarkSimRound runs the sim-engine microbenchmark family from
-// internal/simbench: sequential/concurrent/adversary round loops and the
-// RunBatch parallel sweep runner. The same cases back `bench-rounds -json`
-// (BENCH_sim.json), so CI-number comparisons and the committed snapshot
-// measure identical workloads.
-func BenchmarkSimRound(b *testing.B) {
-	for _, c := range simbench.Cases() {
-		b.Run(c.Name, c.Bench)
 	}
 }
 

@@ -3,10 +3,7 @@
 // counts, and prints them next to the theory curves (Theorem 4 and the
 // Theorem 2 lower bound) as a table, a CSV (with -csv) and an ASCII figure.
 // With -async it appends the E5c asynchronous-depth table and with -exact
-// the E5b Dolev–Strong comparison. With -json it instead runs the
-// BenchmarkSimRound engine microbenchmark family (internal/simbench) and
-// emits the measurements as JSON on stdout — the format committed as
-// BENCH_sim.json.
+// the E5b Dolev–Strong comparison.
 package main
 
 import (
@@ -18,7 +15,6 @@ import (
 
 	"treeaa/internal/experiments"
 	"treeaa/internal/metrics"
-	"treeaa/internal/simbench"
 	"treeaa/internal/tree"
 )
 
@@ -31,16 +27,8 @@ func main() {
 		sizes     = flag.String("sizes", "64,256,1024,4096", "comma-separated vertex counts")
 		withAsync = flag.Bool("async", false, "append the E5c asynchronous-depth table")
 		withExact = flag.Bool("exact", false, "append the E5b Dolev–Strong comparison")
-		jsonBench = flag.Bool("json", false, "run the sim-engine microbenchmarks and emit JSON (BENCH_sim.json format)")
 	)
 	flag.Parse()
-	if *jsonBench {
-		if err := simbench.RunJSON(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "bench-rounds:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if err := run(*nFlag, *tFlag, *family, *sizes, *csv, *withAsync, *withExact); err != nil {
 		fmt.Fprintln(os.Stderr, "bench-rounds:", err)
 		os.Exit(1)

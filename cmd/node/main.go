@@ -37,9 +37,10 @@
 // -space graph:<spec> swaps the input space for a block graph (see
 // internal/graph): the seats run TreeAA on the graph's block-cut tree and
 // decode locally, and the cluster checks geodesic-hull validity plus the
-// graph's agreement guarantee. Graph spaces run sync full-mesh only.
+// graph's agreement guarantee. Every mode and fabric takes either space.
 //
 //	node -cluster 4 -t 1 -space graph:cliquechain:3:4 -adversary splitvote
+//	node -cluster 4 -t 1 -space graph:cliquechain:3:4 -overlay tree:2
 package main
 
 import (
@@ -58,10 +59,8 @@ import (
 	"time"
 
 	"treeaa/internal/adversary"
-	"treeaa/internal/async"
 	"treeaa/internal/chaos"
 	"treeaa/internal/cli"
-	"treeaa/internal/core"
 	"treeaa/internal/metrics"
 	"treeaa/internal/overlay"
 	"treeaa/internal/sim"
@@ -75,7 +74,7 @@ func main() {
 		peersFile   = flag.String("peers", "", "peers file: one host:port per line, line i = party i")
 		tFlag       = flag.Int("t", 0, "Byzantine budget (corrupted set is the highest t ids)")
 		treeSpec    = flag.String("tree", "path:40", "input space tree spec (as in cmd/treeaa)")
-		spaceSpec   = flag.String("space", "", `input space override: "graph:"-prefixed graph spec (wins over -tree); sync full-mesh only`)
+		spaceSpec   = flag.String("space", "", `input space override: "graph:"-prefixed graph spec (wins over -tree)`)
 		inputSpec   = flag.String("inputs", "", "comma-separated input vertex labels (default: spread)")
 		advName     = flag.String("adversary", "none", strings.Join(cli.AdversaryNames(), "|"))
 		mode        = flag.String("mode", "sync", "execution mode: sync (lock-step rounds) or async (event-driven, honest fleets only)")
@@ -153,19 +152,19 @@ func runSeat(ctx context.Context, id int, peersFile string, t int, spaceSpec, tr
 		}
 	}
 	if mode == "async" {
-		if err := checkAsyncFlags(sp, advName, overlaySpec, plan); err != nil {
+		if err := checkAsyncFlags(advName, overlaySpec, plan); err != nil {
 			return err
 		}
-		return runAsyncSeat(ctx, id, addrs, t, sp.Tree, treeSpec, inputSpec, inputs, seed,
+		return runAsyncSeat(ctx, id, addrs, t, sp, inputSpec, inputs, seed,
 			plan, chaosSpec, setupTO, roundTO)
 	}
 	if overlaySpec != "" {
-		if sp.IsGraph() {
-			return fmt.Errorf("-overlay: the tree overlay relays TreeAA rounds only; graph " +
-				"spaces run on the full mesh — drop -overlay or drop -space")
+		branching, err := checkOverlayFlags(advName, overlaySpec, plan)
+		if err != nil {
+			return err
 		}
-		return runOverlaySeat(ctx, id, addrs, t, sp.Tree, treeSpec, inputSpec, advName, inputs, seed,
-			plan, chaosSpec, overlaySpec, setupTO, roundTO)
+		return runOverlaySeat(ctx, id, addrs, t, sp, inputSpec, inputs, seed,
+			plan, chaosSpec, overlaySpec, branching, setupTO, roundTO)
 	}
 
 	stats := &metrics.WireStats{}
@@ -229,14 +228,8 @@ func runSeat(ctx context.Context, id int, peersFile string, t int, spaceSpec, tr
 // each with the reason: adversary hosting needs the rushing adversary's
 // round-global view, the overlay relays round-batched traffic, and drop or
 // crash chaos requires the round-indexed recovery paths — all three are
-// artifacts of the lock-step schedule async mode abolishes. Graph spaces
-// are refused too: the async pipeline runs TreeAA directly on a tree and
-// has no seam for the block-cut decode.
-func checkAsyncFlags(sp *cli.Space, advName, overlaySpec string, plan *chaos.Plan) error {
-	if sp.IsGraph() {
-		return fmt.Errorf("-mode async: async mode does not support graph spaces — " +
-			"drop -space or use -mode sync")
-	}
+// artifacts of the lock-step schedule async mode abolishes.
+func checkAsyncFlags(advName, overlaySpec string, plan *chaos.Plan) error {
 	if advName != "none" {
 		return fmt.Errorf("-mode async: async fleets are honest-only (the rushing adversary " +
 			"is defined against lock-step rounds); Byzantine async behaviour is exercised " +
@@ -249,14 +242,31 @@ func checkAsyncFlags(sp *cli.Space, advName, overlaySpec string, plan *chaos.Pla
 	return chaos.RestrictAsync(plan)
 }
 
+// checkOverlayFlags parses the -overlay spec and rejects what the relay
+// fabric cannot host: the fleet is honest by construction, and the only
+// chaos it carries is the crash clause, injected through the overlay's own
+// seat supervisor.
+func checkOverlayFlags(advName, overlaySpec string, plan *chaos.Plan) (branching int, err error) {
+	if branching, err = overlay.ParseSpec(overlaySpec); err != nil {
+		return 0, err
+	}
+	if advName != "none" {
+		return 0, fmt.Errorf("-overlay: the tree overlay runs honest fleets only; a rushing " +
+			"adversary needs the full mesh's global view — drop -adversary or drop -overlay")
+	}
+	return branching, plan.Restrict("-overlay",
+		"the overlay's connections are internal relay hops, not the party-to-party links "+
+			"link-level clauses name — only crash:pP@rR applies", chaos.ClauseCrash)
+}
+
 // runAsyncSeat runs one honest party of an asynchronous deployment: no
 // rounds, no barriers — the seat dispatches whatever arrives, announces its
 // decision, and exits once every peer has announced too.
-func runAsyncSeat(ctx context.Context, id int, addrs []string, t int, tr *tree.Tree,
-	treeSpec, inputSpec string, inputs []tree.VertexID, seed int64,
+func runAsyncSeat(ctx context.Context, id int, addrs []string, t int, sp *cli.Space,
+	inputSpec string, inputs []tree.VertexID, seed int64,
 	plan *chaos.Plan, chaosSpec string, setupTO, roundTO time.Duration) error {
 	n := len(addrs)
-	m, err := async.NewPipeline(tr, n, t, async.PartyID(id), inputs[id])
+	m, _, err := sp.NewAsyncMachine(n, t, sim.PartyID(id), inputs[id])
 	if err != nil {
 		return err
 	}
@@ -269,13 +279,13 @@ func runAsyncSeat(ctx context.Context, id int, addrs []string, t int, tr *tree.T
 	pcfg := transport.AsyncProcessConfig{
 		Ctx: ctx,
 		ID:  sim.PartyID(id), N: n, Addrs: addrs, Machine: m,
-		Session: transport.DeriveSession(append([]string{"async", treeSpec, inputSpec,
+		Session: transport.DeriveSession(append([]string{"async", sp.Spec, inputSpec,
 			fmt.Sprint(n), fmt.Sprint(t), fmt.Sprint(seed),
 			chaosSpec, setupTO.String(), roundTO.String()}, addrs...)...),
 		Opts: opts,
 	}
-	fmt.Printf("node %d: party (async), n=%d t=%d tree=%s, listening on %s\n",
-		id, n, t, treeSpec, addrs[id])
+	fmt.Printf("node %d: party (async), n=%d t=%d space=%s, listening on %s\n",
+		id, n, t, sp.Spec, addrs[id])
 	res, err := transport.RunAsyncProcess(pcfg)
 	if err != nil {
 		return err
@@ -287,38 +297,23 @@ func runAsyncSeat(ctx context.Context, id int, addrs []string, t int, tr *tree.T
 		fmt.Printf("node %d: chaos: %s\n", id, chaosStats)
 	}
 	v := res.Outputs[sim.PartyID(id)].(tree.VertexID)
-	fmt.Printf("node %d: output %s\n", id, tr.Label(v))
-	fmt.Printf("RESULT id=%d role=party output=%s deliveries=%d\n", id, tr.Label(v), res.Deliveries)
+	fmt.Printf("node %d: output %s\n", id, sp.Label(v))
+	fmt.Printf("RESULT id=%d role=party output=%s deliveries=%d\n", id, sp.Label(v), res.Deliveries)
 	return nil
 }
 
 // runOverlaySeat runs one honest party over the tree overlay: interior
 // seats (root, sub-leaders) listen and relay, leaves only dial their
-// parent. The fleet is honest by construction — the overlay refuses
-// adversaries — and the only chaos the relay fabric can host is the crash
-// clause, injected through the overlay's own seat supervisor.
-func runOverlaySeat(ctx context.Context, id int, addrs []string, t int, tr *tree.Tree,
-	treeSpec, inputSpec, advName string, inputs []tree.VertexID, seed int64,
-	plan *chaos.Plan, chaosSpec, overlaySpec string, setupTO, roundTO time.Duration) error {
-	if advName != "none" {
-		return fmt.Errorf("-overlay: the tree overlay runs honest fleets only; a rushing " +
-			"adversary needs the full mesh's global view — drop -adversary or drop -overlay")
-	}
-	if err := plan.Restrict("-overlay",
-		"the overlay's connections are internal relay hops, not the party-to-party links "+
-			"link-level clauses name — only crash:pP@rR applies", chaos.ClauseCrash); err != nil {
-		return err
-	}
-	branching, err := overlay.ParseSpec(overlaySpec)
-	if err != nil {
-		return err
-	}
+// parent; checkOverlayFlags has vetted the flags.
+func runOverlaySeat(ctx context.Context, id int, addrs []string, t int, sp *cli.Space,
+	inputSpec string, inputs []tree.VertexID, seed int64,
+	plan *chaos.Plan, chaosSpec, overlaySpec string, branching int, setupTO, roundTO time.Duration) error {
 	n := len(addrs)
 	lay, err := overlay.NewLayout(n, branching)
 	if err != nil {
 		return err
 	}
-	m, err := core.NewMachine(core.Config{Tree: tr, N: n, T: t, ID: sim.PartyID(id), Input: inputs[id]})
+	m, _, err := sp.NewMachine(n, t, sim.PartyID(id), inputs[id])
 	if err != nil {
 		return err
 	}
@@ -330,15 +325,16 @@ func runOverlaySeat(ctx context.Context, id int, addrs []string, t int, tr *tree
 	ocfg := overlay.ProcessConfig{
 		Ctx: ctx,
 		ID:  sim.PartyID(id), N: n, Addrs: addrs,
-		Machine: m, MaxRounds: core.Rounds(tr) + 2,
-		Session: transport.DeriveSession(append([]string{"overlay", overlaySpec, treeSpec, inputSpec,
+		Machine: m, MaxRounds: sp.Rounds() + 2,
+		Session: transport.DeriveSession(append([]string{"overlay", overlaySpec, sp.Spec, inputSpec,
 			fmt.Sprint(n), fmt.Sprint(t), fmt.Sprint(seed),
 			chaosSpec, setupTO.String(), roundTO.String()}, addrs...)...),
 		Opts: overlay.Options{
 			Branching: branching, SetupTimeout: setupTO, RoundTimeout: roundTO,
 			Stats: ostats, Wire: wires, CrashPlan: plan.Crashes,
 			Restart: func(p sim.PartyID) (sim.Machine, error) {
-				return core.NewMachine(core.Config{Tree: tr, N: n, T: t, ID: p, Input: inputs[p]})
+				m, _, err := sp.NewMachine(n, t, p, inputs[p])
+				return m, err
 			},
 		},
 	}
@@ -349,8 +345,8 @@ func runOverlaySeat(ctx context.Context, id int, addrs []string, t int, tr *tree
 	case lay.IsSubleader(sim.PartyID(id)):
 		position = "sub-leader"
 	}
-	fmt.Printf("node %d: party (%s of tree:%d overlay), n=%d t=%d tree=%s, listening on %s\n",
-		id, position, lay.Branching, n, t, treeSpec, addrs[id])
+	fmt.Printf("node %d: party (%s of tree:%d overlay), n=%d t=%d space=%s, listening on %s\n",
+		id, position, lay.Branching, n, t, sp.Spec, addrs[id])
 	res, err := overlay.RunProcess(ocfg)
 	if err != nil {
 		return err
@@ -360,8 +356,8 @@ func runOverlaySeat(ctx context.Context, id int, addrs []string, t int, tr *tree
 	fmt.Printf("node %d: wire: %s\n", id, wires)
 	fmt.Printf("node %d: overlay: %s\n", id, ostats)
 	v := res.Output.(tree.VertexID)
-	fmt.Printf("node %d: output %s (done round %d)\n", id, tr.Label(v), res.DoneRound)
-	fmt.Printf("RESULT id=%d role=party output=%s rounds=%d\n", id, tr.Label(v), res.Rounds)
+	fmt.Printf("node %d: output %s (done round %d)\n", id, sp.Label(v), res.DoneRound)
+	fmt.Printf("RESULT id=%d role=party output=%s rounds=%d\n", id, sp.Label(v), res.Rounds)
 	return nil
 }
 
@@ -376,19 +372,6 @@ func runCluster(ctx context.Context, n, t int, spaceSpec, treeSpec, inputSpec, a
 	if err != nil {
 		return err
 	}
-	if overlaySpec != "" {
-		// Fail fast before spawning children; each seat re-validates.
-		if _, err := overlay.ParseSpec(overlaySpec); err != nil {
-			return err
-		}
-		if advName != "none" {
-			return fmt.Errorf("-overlay: the tree overlay runs honest fleets only — drop -adversary or drop -overlay")
-		}
-		if sp.IsGraph() {
-			return fmt.Errorf("-overlay: the tree overlay relays TreeAA rounds only; graph " +
-				"spaces run on the full mesh — drop -overlay or drop -space")
-		}
-	}
 	inputs, err := sp.ParseInputs(inputSpec, n)
 	if err != nil {
 		return err
@@ -397,20 +380,18 @@ func runCluster(ctx context.Context, n, t int, spaceSpec, treeSpec, inputSpec, a
 	if err != nil {
 		return err
 	}
-	// Fail fast on a bad chaos plan before spawning n children (each child
-	// re-validates against its own flags anyway).
+	// Fail fast on a bad chaos plan or flag combination before spawning n
+	// children (each child re-validates against its own flags anyway).
 	if plan, err := chaos.Parse(chaosSpec); err != nil {
 		return err
 	} else if err := plan.Validate(n); err != nil {
 		return err
 	} else if mode == "async" {
-		if err := checkAsyncFlags(sp, advName, overlaySpec, plan); err != nil {
+		if err := checkAsyncFlags(advName, overlaySpec, plan); err != nil {
 			return err
 		}
 	} else if overlaySpec != "" {
-		if err := plan.Restrict("-overlay",
-			"the overlay's connections are internal relay hops, not the party-to-party links "+
-				"link-level clauses name — only crash:pP@rR applies", chaos.ClauseCrash); err != nil {
+		if _, err := checkOverlayFlags(advName, overlaySpec, plan); err != nil {
 			return err
 		}
 	}

@@ -26,9 +26,9 @@
 // silence). The mode joins the cluster identity hash, so every daemon of a
 // deployment must agree on it. Asynchronous decisions depend on delivery
 // order, so the async smoke judges validity and 1-agreement instead of
-// oracle byte-identity; -journal-dir, -overlay and -rolling are refused,
-// their recovery and relay machinery being built on the lock-step rounds
-// async mode abolishes:
+// oracle byte-identity; -journal-dir and -rolling are refused, their
+// recovery machinery being built on the lock-step rounds async mode
+// abolishes:
 //
 //	serve -cluster 3 -mode async -sessions 100 -tree spider:3:3
 //
@@ -71,11 +71,9 @@ import (
 	"time"
 
 	"treeaa/internal/cli"
-	"treeaa/internal/experiments"
 	"treeaa/internal/journal"
 	"treeaa/internal/metrics"
 	"treeaa/internal/obs"
-	"treeaa/internal/overlay"
 	"treeaa/internal/session"
 	"treeaa/internal/sim"
 	"treeaa/internal/tree"
@@ -94,18 +92,13 @@ func main() {
 		seed       = flag.Int64("seed", 1, "cluster mode: tree-spec seed")
 		maxSess    = flag.Int("max-sessions", 1024, "admission control: max in-flight sessions per daemon")
 		queueDepth = flag.Int("queue-depth", 256, "per-session inbound queue bound (backpressure)")
-		flushEvery = flag.Duration("flush-interval", 200*time.Microsecond, "mux batching flush tick")
-		batchBytes = flag.Int("max-batch-bytes", 64<<10, "flush early when a link's outbox reaches this size")
 		defaultTTL = flag.Duration("ttl", 30*time.Second, "default session deadline")
 		setupTO    = flag.Duration("setup-timeout", 10*time.Second, "mesh construction budget")
 		roundTO    = flag.Duration("round-timeout", 60*time.Second, "per-round barrier budget")
 		drainTO    = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain budget")
-		shards     = flag.Int("shards", 0, "engine-pool width (0 = one per core, capped at 16)")
-		flushOcc   = flag.Int("flush-occupancy", 0, "frames that cut a coalescing flush short (0 = default 32)")
 		journalDir = flag.String("journal-dir", "", "enable the write-ahead session journal under this directory (per-daemon subdirs)")
 		journalLvl = flag.String("journal-level", "full", "journal capture level: full (replayable frames) or sealed (admissions+seals only, lower overhead)")
 		metricsAt  = flag.String("metrics", "", "serve /metrics and /healthz on this address (e.g. 127.0.0.1:9090)")
-		overlayAt  = flag.String("overlay", "", "communication-tree fabric spec (tree or tree:<branching>): joins the cluster hash and exports the overlay metric families")
 		sessionLog = flag.String("session-log", "", "write per-session JSON lifecycle logs to this file ('-' = stderr)")
 		linger     = flag.Duration("linger", 0, "cluster mode: keep the cluster and metrics endpoint up this long after the smoke")
 		rolling    = flag.Bool("rolling", false, "cluster mode: rolling-restart smoke — restart each daemon in turn under load")
@@ -127,26 +120,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "serve:", err)
 		os.Exit(1)
 	}
-	if err := checkMode(*mode, *journalDir, *overlayAt, *rolling); err != nil {
+	if err := checkMode(*mode, *rolling); err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)
 		os.Exit(1)
-	}
-	if *overlayAt != "" {
-		if _, err := overlay.ParseSpec(*overlayAt); err != nil {
-			fmt.Fprintln(os.Stderr, "serve:", err)
-			os.Exit(1)
-		}
 	}
 
 	opts := session.Options{
 		MaxSessions: *maxSess, QueueDepth: *queueDepth,
-		FlushInterval: *flushEvery, MaxBatchBytes: *batchBytes,
 		DefaultTTL: *defaultTTL, SetupTimeout: *setupTO,
 		RoundTimeout: *roundTO, DrainTimeout: *drainTO,
-		Shards: *shards, FlushOccupancy: *flushOcc,
 		JournalDir: *journalDir, JournalLevel: jlevel,
 		Stats: &metrics.ServeStats{}, JournalStats: &journal.Stats{},
-		OverlaySpec: *overlayAt, OverlayStats: &metrics.OverlayStats{},
 		Async: *mode == "async",
 	}
 	var logClose func() error
@@ -171,23 +155,16 @@ func main() {
 	}
 }
 
-// checkMode validates -mode and refuses the flag combinations whose
-// machinery is built on the lock-step round structure async mode abolishes.
-func checkMode(mode, journalDir, overlaySpec string, rolling bool) error {
+// checkMode validates -mode. Async mode's own conflict — the journal — is
+// refused by session.NewDaemon; -rolling is refused here because it would
+// switch the journal on by itself.
+func checkMode(mode string, rolling bool) error {
 	switch mode {
 	case "sync":
 		return nil
 	case "async":
 	default:
 		return fmt.Errorf("unknown -mode %q (want sync or async)", mode)
-	}
-	if journalDir != "" {
-		return fmt.Errorf("-mode async: the journal's muted replay re-steps engines through " +
-			"lock-step rounds, which async mode does not have — drop -journal-dir or use -mode sync")
-	}
-	if overlaySpec != "" {
-		return fmt.Errorf("-mode async: the tree overlay relays round-batched traffic between " +
-			"eor barriers, which async mode does not have — drop -overlay or use -mode sync")
 	}
 	if rolling {
 		return fmt.Errorf("-mode async: the rolling-restart smoke needs the journal, " +
@@ -212,9 +189,8 @@ func sessionLogger(path string) (*slog.Logger, func() error, error) {
 }
 
 // serveObs binds the observability endpoint, if requested. ready is the
-// /healthz probe, n the deployment's daemon count (it shapes the overlay
-// gauges); the returned closer is a no-op when -metrics is unset.
-func serveObs(addr string, id, n int, opts session.Options, ready func() error) (func(), error) {
+// /healthz probe; the returned closer is a no-op when -metrics is unset.
+func serveObs(addr string, id int, opts session.Options, ready func() error) (func(), error) {
 	if addr == "" {
 		return func() {}, nil
 	}
@@ -222,26 +198,12 @@ func serveObs(addr string, id, n int, opts session.Options, ready func() error) 
 	if opts.JournalDir == "" {
 		jstats = nil // no journal, no treeaa_journal_* families
 	}
-	oopts := obs.Options{
+	srv, err := obs.Serve(addr, obs.Options{
 		DaemonID: id,
 		Serve:    opts.Stats,
 		Journal:  jstats,
 		Ready:    ready,
-	}
-	if opts.OverlaySpec != "" {
-		branching, err := overlay.ParseSpec(opts.OverlaySpec)
-		if err != nil {
-			return nil, err
-		}
-		lay, err := overlay.NewLayout(n, branching)
-		if err != nil {
-			return nil, fmt.Errorf("-overlay: %w", err)
-		}
-		oopts.Overlay = opts.OverlayStats
-		oopts.OverlayDepth = lay.Depth()
-		oopts.OverlayBranching = lay.Branching
-	}
-	srv, err := obs.Serve(addr, oopts)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -262,7 +224,7 @@ func runSeat(ctx context.Context, id int, peersFile, clientAddr, metricsAt strin
 	if err != nil {
 		return err
 	}
-	closeObs, err := serveObs(metricsAt, id, len(addrs), opts, d.Health)
+	closeObs, err := serveObs(metricsAt, id, opts, d.Health)
 	if err != nil {
 		return err
 	}
@@ -305,9 +267,6 @@ func runSmoke(ctx context.Context, n, sessions int, spaceSpec, treeSpec string, 
 	if err != nil {
 		return err
 	}
-	if opts.Async && sp.IsGraph() {
-		return fmt.Errorf("-mode async does not support graph spaces — drop -space or use -mode sync")
-	}
 	specFor := func(i int) session.Spec {
 		return session.Spec{Tree: sp.Spec, Seed: seed, T: t,
 			Inputs: sp.RotateInputs(n, i), TTL: 2 * time.Minute}
@@ -315,7 +274,7 @@ func runSmoke(ctx context.Context, n, sessions int, spaceSpec, treeSpec string, 
 	// Sync sessions are pinned to the sequential oracle byte for byte. Async
 	// decisions depend on delivery order, so there is no reference schedule:
 	// those sessions are judged by the paper's properties instead — validity
-	// (outputs inside the input hull) and 1-agreement.
+	// (outputs inside the input hull) and the space's agreement guarantee.
 	oracles := make(map[string]*sim.Result)
 	if !opts.Async {
 		for i := 0; i < sp.NumVertices() && i < sessions; i++ {
@@ -334,21 +293,27 @@ func runSmoke(ctx context.Context, n, sessions int, spaceSpec, treeSpec string, 
 			}
 			return ""
 		}
-		tr := sp.Tree // async is tree-only, rejected above for graphs
-		inputs, err := cli.ParseInputs(tr, s.Inputs, n)
+		inputs, err := sp.ParseInputs(s.Inputs, n)
 		if err != nil {
 			return err.Error()
 		}
-		outputs := make(map[sim.PartyID]tree.VertexID, len(got.Outputs))
+		outs := make([]tree.VertexID, 0, len(got.Outputs))
 		for p, raw := range got.Outputs {
 			v, ok := raw.(tree.VertexID)
 			if !ok {
 				return fmt.Sprintf("party %d output is %T, not a vertex", p, raw)
 			}
-			outputs[p] = v
+			outs = append(outs, v)
 		}
-		if maxDist, valid := experiments.Judge(tr, inputs, nil, outputs); !valid || maxDist > 1 {
-			return fmt.Sprintf("PROPERTY VIOLATION: valid=%v maxDist=%d", valid, maxDist)
+		for i, v := range outs {
+			if !sp.InHull(inputs, v) {
+				return fmt.Sprintf("PROPERTY VIOLATION: output %s outside the input hull", sp.Label(v))
+			}
+			for _, u := range outs[i+1:] {
+				if !sp.AgreementOK(u, v) {
+					return fmt.Sprintf("PROPERTY VIOLATION: outputs %s and %s disagree", sp.Label(u), sp.Label(v))
+				}
+			}
 		}
 		return ""
 	}
@@ -361,7 +326,7 @@ func runSmoke(ctx context.Context, n, sessions int, spaceSpec, treeSpec string, 
 		return err
 	}
 	defer c.Stop()
-	closeObs, err := serveObs(metricsAt, 0, n, opts, clusterHealth(c, n))
+	closeObs, err := serveObs(metricsAt, 0, opts, clusterHealth(c, n))
 	if err != nil {
 		return err
 	}
@@ -496,7 +461,7 @@ func runRolling(ctx context.Context, n, workers int, spaceSpec, treeSpec string,
 		return err
 	}
 	defer c.Stop()
-	closeObs, err := serveObs(metricsAt, 0, n, opts, clusterHealth(c, n))
+	closeObs, err := serveObs(metricsAt, 0, opts, clusterHealth(c, n))
 	if err != nil {
 		return err
 	}

@@ -2,10 +2,13 @@ package treeaa
 
 // Runtime smoke tests for the cmd/ binaries (skipped with -short): every
 // tool must run its default experiment to completion and print its key
-// sections.
+// sections. The doc-rot test keeps the prose pointing at binaries and make
+// targets that exist.
 
 import (
+	"os"
 	"os/exec"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -56,6 +59,16 @@ func TestCommandsRun(t *testing.T) {
 			wants: []string{"chaos:", "1 crashes", "1-agreement: true"},
 		},
 		{
+			name:  "node graph fleet over the tree overlay",
+			args:  []string{"run", "./cmd/node", "-cluster", "4", "-t", "1", "-space", "graph:cliquechain:3:4", "-overlay", "tree:2"},
+			wants: []string{"overlay:", "1-agreement: true"},
+		},
+		{
+			name:  "node async graph fleet",
+			args:  []string{"run", "./cmd/node", "-cluster", "4", "-t", "1", "-space", "graph:cliquechain:3:4", "-mode", "async"},
+			wants: []string{"party (async)", "1-agreement: true"},
+		},
+		{
 			name: "chaos soak tiny matrix",
 			args: []string{"run", "./cmd/chaos", "-seeds", "1", "-plans", "lat:200µs±200µs;drop:p0-p2@r2",
 				"-adversaries", "none", "-trees", "path:12"},
@@ -104,5 +117,38 @@ func TestCommandsRun(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDocsNameExistingCommands is the doc-rot gate: every cmd/<name> binary
+// and every `make <target>` the documentation, the verify skill or the
+// Makefile's own recipes name must exist.
+func TestDocsNameExistingCommands(t *testing.T) {
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := make(map[string]bool)
+	for _, m := range regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`).FindAllSubmatch(mk, -1) {
+		targets[string(m[1])] = true
+	}
+	cmdRe := regexp.MustCompile(`\bcmd/([a-z][a-z0-9-]*)`)
+	// In backticks, or alone on a code-block line (a trailing # comment aside).
+	makeRe := regexp.MustCompile("(?m)`make ([a-z][a-z0-9-]*)|^\\s*make ([a-z][a-z0-9-]*)\\s*(?:#.*)?$")
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md", "Makefile"} {
+		body, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range cmdRe.FindAllSubmatch(body, -1) {
+			if st, err := os.Stat("cmd/" + string(m[1])); err != nil || !st.IsDir() {
+				t.Errorf("%s names cmd/%s, which does not exist", doc, m[1])
+			}
+		}
+		for _, m := range makeRe.FindAllSubmatch(body, -1) {
+			if target := string(m[1]) + string(m[2]); !targets[target] {
+				t.Errorf("%s names `make %s`, which is not a Makefile target", doc, target)
+			}
+		}
 	}
 }

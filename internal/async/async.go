@@ -140,12 +140,25 @@ func Run(cfg Config, machines []Machine) (*Result, error) {
 			pending = append(pending, m)
 		}
 	}
-	for p, m := range machines {
-		enqueue(PartyID(p), m.Init())
-	}
-
 	res := &Result{Outputs: make(map[PartyID]any)}
 	decided := make(map[PartyID]bool)
+	// note records p's output the first time it reports one.
+	note := func(p PartyID) {
+		if decided[p] {
+			return
+		}
+		if v, ok := machines[p].Output(); ok {
+			decided[p] = true
+			res.Outputs[p] = v
+			if required[p] && depth[p] > res.Depth {
+				res.Depth = depth[p]
+			}
+		}
+	}
+	for p, m := range machines {
+		enqueue(PartyID(p), m.Init())
+		note(PartyID(p)) // a trivial input space decides without traffic
+	}
 	allDecided := func() bool {
 		for p := range required {
 			if !decided[p] {
@@ -166,15 +179,7 @@ func Run(cfg Config, machines []Machine) (*Result, error) {
 			depth[m.To] = m.depth
 		}
 		enqueue(m.To, machines[m.To].Deliver(m))
-		if !decided[m.To] {
-			if v, ok := machines[m.To].Output(); ok {
-				decided[m.To] = true
-				res.Outputs[m.To] = v
-				if required[m.To] && depth[m.To] > res.Depth {
-					res.Depth = depth[m.To]
-				}
-			}
-		}
+		note(m.To)
 		if allDecided() {
 			return res, nil
 		}

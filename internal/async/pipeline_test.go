@@ -4,11 +4,21 @@ import (
 	"math/rand"
 	"testing"
 
-	"treeaa/internal/cli"
 	"treeaa/internal/core"
 	"treeaa/internal/sim"
 	"treeaa/internal/tree"
 )
+
+// spreadInputs places n inputs evenly across the vertex id range (the
+// cli.SpreadInputs placement; cli imports this package, so tests here build
+// their trees and inputs directly).
+func spreadInputs(tr *tree.Tree, n int) []tree.VertexID {
+	inputs := make([]tree.VertexID, n)
+	for i := range inputs {
+		inputs[i] = tree.VertexID(i * (tr.NumVertices() - 1) / (n - 1))
+	}
+	return inputs
+}
 
 func pipelineFleet(t *testing.T, tr *tree.Tree, n, tc int, inputs []tree.VertexID) ([]Machine, int) {
 	t.Helper()
@@ -32,12 +42,10 @@ func pipelineFleet(t *testing.T, tr *tree.Tree, n, tc int, inputs []tree.VertexI
 // and 1-agreement on every tree shape under every scheduler.
 func TestPipelineShapes(t *testing.T) {
 	n, tc := 4, 1
-	for _, shape := range []string{"path:8", "star:6", "spider:3:3"} {
-		tr, err := cli.ParseTreeSpec(shape, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inputs := cli.SpreadInputs(tr, n)
+	for shape, tr := range map[string]*tree.Tree{
+		"path:8": tree.NewPath(8), "star:6": tree.NewStar(6), "spider:3:3": tree.NewSpider(3, 3),
+	} {
+		inputs := spreadInputs(tr, n)
 		for name, sched := range map[string]Scheduler{
 			"fifo":   FIFO{},
 			"lifo":   LIFO{},
@@ -78,6 +86,11 @@ func TestPipelineTrivialTree(t *testing.T) {
 	if budget <= 0 {
 		t.Error("trivial pipeline has no delivery budget slack")
 	}
+	// The runtime reports decisions made without any delivery.
+	res, err := Run(Config{N: 4, MaxDeliveries: budget}, ms)
+	if err != nil || len(res.Outputs) != 4 || res.Deliveries != 0 {
+		t.Errorf("Run on a trivial tree: %d outputs after %d deliveries, err %v", len(res.Outputs), res.Deliveries, err)
+	}
 }
 
 // TestAsyncMatchesSyncOnQuietNet is the differential anchor: with no
@@ -91,13 +104,11 @@ func TestPipelineTrivialTree(t *testing.T) {
 // still covered property-wise by TestPipelineShapes).
 func TestAsyncMatchesSyncOnQuietNet(t *testing.T) {
 	n := 4
-	for _, shape := range []string{"star:6", "spider:3:3", "caterpillar:4:2"} {
+	for shape, tr := range map[string]*tree.Tree{
+		"star:6": tree.NewStar(6), "spider:3:3": tree.NewSpider(3, 3), "caterpillar:4:2": tree.NewCaterpillar(4, 2),
+	} {
 		for seed := int64(1); seed <= 5; seed++ {
-			tr, err := cli.ParseTreeSpec(shape, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			inputs := cli.SpreadInputs(tr, n)
+			inputs := spreadInputs(tr, n)
 
 			syncMachines := make([]sim.Machine, n)
 			for i := range syncMachines {

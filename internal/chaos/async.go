@@ -3,10 +3,8 @@ package chaos
 import (
 	"time"
 
-	"treeaa/internal/async"
 	"treeaa/internal/cli"
 	"treeaa/internal/driver"
-	"treeaa/internal/experiments"
 	"treeaa/internal/metrics"
 	"treeaa/internal/sim"
 	"treeaa/internal/transport"
@@ -37,7 +35,7 @@ func RestrictAsync(plan *Plan) error {
 // machines is exercised in-process by internal/check, where the scheduler
 // is the adversary.
 type AsyncRunSpec struct {
-	Tree string // cli tree spec, e.g. "path:16"
+	Tree string // cli space spec: a tree ("path:16") or a "graph:"-prefixed block graph
 	N, T int
 	Seed int64
 	Plan string // chaos spec (Parse, then RestrictAsync), "" = no chaos
@@ -102,19 +100,17 @@ func RunAsync(spec AsyncRunSpec) (*AsyncReport, error) {
 	if err := RestrictAsync(plan); err != nil {
 		return nil, err
 	}
-	tr, err := cli.ParseTreeSpec(spec.Tree, spec.Seed)
+	sp, err := cli.ParseSpaceSpec(spec.Tree, spec.Seed)
 	if err != nil {
 		return nil, err
 	}
-	inputs := cli.SpreadInputs(tr, spec.N)
+	inputs := sp.SpreadInputs(spec.N)
 
 	machines := make([]driver.EventMachine, spec.N)
 	for i := range machines {
-		p, err := async.NewPipeline(tr, spec.N, spec.T, async.PartyID(i), inputs[i])
-		if err != nil {
+		if machines[i], _, err = sp.NewAsyncMachine(spec.N, spec.T, sim.PartyID(i), inputs[i]); err != nil {
 			return nil, err
 		}
-		machines[i] = p
 	}
 
 	stats := &metrics.ChaosStats{}
@@ -136,15 +132,21 @@ func RunAsync(spec AsyncRunSpec) (*AsyncReport, error) {
 	}
 	rep.Deliveries, rep.Messages, rep.Bytes = got.Deliveries, got.Messages, got.Bytes
 
-	outputs := make(map[sim.PartyID]tree.VertexID, len(got.Outputs))
-	for p, out := range got.Outputs {
+	outs := make([]tree.VertexID, 0, len(got.Outputs))
+	for _, out := range got.Outputs {
 		v, ok := out.(tree.VertexID)
 		if !ok {
 			rep.Err = "party output is not a vertex"
 			return rep, nil
 		}
-		outputs[p] = v
+		outs = append(outs, v)
 	}
-	rep.MaxDist, rep.Valid = experiments.Judge(tr, inputs, nil, outputs)
+	rep.Valid = true
+	for i, v := range outs {
+		rep.Valid = rep.Valid && sp.InHull(inputs, v)
+		for _, u := range outs[i+1:] {
+			rep.MaxDist = max(rep.MaxDist, sp.Dist(u, v))
+		}
+	}
 	return rep, nil
 }

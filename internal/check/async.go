@@ -16,12 +16,12 @@ import (
 // asynchronous decision legitimately depends on delivery order — so the
 // invariants carry the whole correctness story: every honest party decides
 // within the delivery budget, outputs lie in the honest input hull and
-// pairwise within distance 1, decoded root paths agree up to one trailing
-// edge (Lemma 4), each phase's final AA values are within its epsilon, and
-// the honest-value interval never expands across AA iterations. Each cell
-// runs under every adversarial scheduler (fifo, lifo, random, starve), and
-// everything randomized derives from the cell seed, so a violating spec
-// replays deterministically.
+// pairwise uphold the space's agreement guarantee, decoded root paths agree
+// up to one trailing edge (Lemma 4), each phase's final AA values are
+// within its epsilon, and the honest-value interval never expands across AA
+// iterations. Each cell runs under every adversarial scheduler (fifo, lifo,
+// random, starve), and everything randomized derives from the cell seed, so
+// a violating spec replays deterministically.
 
 // AsyncOptions tunes one async cell run.
 type AsyncOptions struct {
@@ -45,15 +45,11 @@ type AsyncCellResult struct {
 }
 
 // AsyncCompatible reports whether the cell translates to the asynchronous
-// model. Graph cells do not (the async pipeline has no block-cut decode
-// seam); omission filtering and the delivery-seam tamperers (mutate, evil)
+// model. Omission filtering and the delivery-seam tamperers (mutate, evil)
 // are round-seam constructions with no async counterpart; every Byzantine
 // clause maps — silent and crash to machines that stop participating,
 // everything else to a well-formed RBC flood.
 func AsyncCompatible(c *Cell) bool {
-	if c.Space != "" {
-		return false // the async pipeline runs TreeAA directly on a tree
-	}
 	for _, cl := range c.Clauses {
 		switch cl.Name {
 		case "omit", "mutate", "evil":
@@ -142,15 +138,6 @@ func (cr *compiled) runAsyncOnce(name string, sched async.Scheduler, budget int)
 		add("async-termination", "honest parties undecided within %d deliveries: %v", budget, runErr)
 	}
 
-	// Validity: honest outputs lie in the honest inputs' convex hull.
-	honestIn := make([]tree.VertexID, 0, len(honest))
-	for _, p := range honest {
-		honestIn = append(honestIn, cr.inputs[p])
-	}
-	hull := make(map[tree.VertexID]bool)
-	for _, v := range cr.tr.ConvexHull(honestIn) {
-		hull[v] = true
-	}
 	outputs := make(map[sim.PartyID]tree.VertexID)
 	for _, p := range honest {
 		raw, ok := res.Outputs[async.PartyID(p)]
@@ -163,25 +150,8 @@ func (cr *compiled) runAsyncOnce(name string, sched async.Scheduler, budget int)
 			continue
 		}
 		outputs[p] = v
-		if !hull[v] {
-			add("async-validity", "party %d output %s outside honest hull %v",
-				p, cr.tr.Label(v), cr.tr.Labels(cr.tr.ConvexHull(honestIn)))
-		}
 	}
-
-	// 1-Agreement: honest outputs pairwise within distance 1.
-	for i, p := range honest {
-		for _, q := range honest[i+1:] {
-			vp, okP := outputs[p]
-			vq, okQ := outputs[q]
-			if okP && okQ {
-				if d := cr.tr.Dist(vp, vq); d > 1 {
-					add("async-agreement", "parties %d and %d output %s and %s at distance %d",
-						p, q, cr.tr.Label(vp), cr.tr.Label(vq), d)
-				}
-			}
-		}
-	}
+	cr.judgeOutputs(honest, outputs, "async-", add)
 
 	out = append(out, cr.checkAsyncPaths(name, honest, pipes)...)
 	out = append(out, cr.checkAsyncHull(name, honest, pipes)...)
@@ -299,9 +269,10 @@ func (cr *compiled) checkAsyncHull(name string, honest []sim.PartyID, pipes map[
 	return out
 }
 
-// asyncMachines builds fresh machines for one run: honest parties get
-// pipelines; Byzantine ids get behaviors mapped from the cell's clauses,
-// assigned round-robin. The returned budget is the honest pipelines'
+// asyncMachines builds fresh machines for one run: honest parties get the
+// space's async machine (pipes holds its pipeline on the protocol tree);
+// Byzantine ids get behaviors mapped from the cell's clauses, assigned
+// round-robin. The returned budget is the honest pipelines'
 // delivery budget plus slack for the flood machines' bounded spam.
 func (cr *compiled) asyncMachines() ([]async.Machine, map[sim.PartyID]*async.Pipeline, int, error) {
 	n := cr.cell.N
@@ -314,11 +285,11 @@ func (cr *compiled) asyncMachines() ([]async.Machine, map[sim.PartyID]*async.Pip
 	for i := 0; i < n; i++ {
 		p := sim.PartyID(i)
 		if !cr.corrupt[p] {
-			pipe, err := async.NewPipeline(cr.tr, n, cr.cell.T, async.PartyID(i), cr.inputs[i])
+			m, pipe, err := cr.space.NewAsyncMachine(n, cr.cell.T, p, cr.inputs[i])
 			if err != nil {
 				return nil, nil, 0, err
 			}
-			machines[i], pipes[p] = pipe, pipe
+			machines[i], pipes[p] = m, pipe
 			budget = max(budget, pipe.DeliveryBudget())
 			continue
 		}
@@ -326,11 +297,11 @@ func (cr *compiled) asyncMachines() ([]async.Machine, map[sim.PartyID]*async.Pip
 		case "silent":
 			machines[i] = asyncSilent{}
 		case "crash":
-			pipe, err := async.NewPipeline(cr.tr, n, cr.cell.T, async.PartyID(i), cr.inputs[i])
+			m, _, err := cr.space.NewAsyncMachine(n, cr.cell.T, p, cr.inputs[i])
 			if err != nil {
 				return nil, nil, 0, err
 			}
-			machines[i] = &asyncCrash{inner: pipe, left: 1 + rng.Intn(2*n*n)}
+			machines[i] = &asyncCrash{inner: m, left: 1 + rng.Intn(2*n*n)}
 		default: // every value-injecting clause floods
 			machines[i] = &asyncFlood{
 				id: async.PartyID(i), n: n,

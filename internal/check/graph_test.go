@@ -118,17 +118,16 @@ func TestGraphTCPDifferential(t *testing.T) {
 }
 
 // TestGeneratedGraphCellsAreClean anchors the generator's graph arm: bounded
-// random exploration of graph-only cells finds no violations, every cell is
-// a graph cell, round-trips through its spec line, and is async-incompatible.
+// random exploration of graph-only cells finds no violations — lock-step,
+// and under every adversarial async scheduler for the compatible ones — and
+// every cell is a graph cell that round-trips through its spec line.
 func TestGeneratedGraphCellsAreClean(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
+	asyncRan := 0
 	for i := 0; i < 15; i++ {
 		c := GenerateIn(rng, "graph")
 		if !strings.HasPrefix(c.Space, "graph:") || c.TreeSpec != "" {
 			t.Fatalf("cell %d is not a pure graph cell: %s", i, c)
-		}
-		if AsyncCompatible(c) {
-			t.Errorf("graph cell %s reported async-compatible", c)
 		}
 		c2, err := Parse(c.String())
 		if err != nil {
@@ -144,6 +143,20 @@ func TestGeneratedGraphCellsAreClean(t *testing.T) {
 		for _, v := range res.Violations {
 			t.Errorf("cell %d: %s", i, v)
 		}
+		if !AsyncCompatible(c) {
+			continue
+		}
+		ares, err := RunAsyncCell(c, AsyncOptions{})
+		if err != nil {
+			t.Fatalf("async cell %d (%s): %v", i, c, err)
+		}
+		for _, v := range ares.Violations {
+			t.Errorf("async cell %d: %s", i, v)
+		}
+		asyncRan++
+	}
+	if asyncRan == 0 {
+		t.Error("no generated graph cell ran async")
 	}
 	// The tree-only filter must never emit a graph cell.
 	for i := 0; i < 10; i++ {

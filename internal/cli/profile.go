@@ -9,9 +9,8 @@ import (
 	"runtime/trace"
 )
 
-// Profile carries the standard profiling flag values shared by the serving
-// commands (cmd/serve, cmd/serve-bench). Register the flags before
-// flag.Parse, then bracket the measured region with Start/stop:
+// Profile carries the standard profiling flag values of cmd/serve. Register
+// the flags before flag.Parse, then bracket the measured region with Start/stop:
 //
 //	var prof cli.Profile
 //	prof.RegisterFlags()

@@ -16,7 +16,9 @@ import (
 	"fmt"
 	"strings"
 
+	"treeaa/internal/async"
 	"treeaa/internal/core"
+	"treeaa/internal/driver"
 	"treeaa/internal/graph"
 	"treeaa/internal/sim"
 	"treeaa/internal/tree"
@@ -175,6 +177,46 @@ func (s *Space) NewMachine(n, t int, id sim.PartyID, input tree.VertexID) (sim.M
 		return nil, nil, err
 	}
 	return m, m, nil
+}
+
+// NewAsyncMachine builds one party's asynchronous machine for this space:
+// the event-driven pipeline on the protocol tree. Like NewMachine it
+// returns the machine to drive and the underlying pipeline — the probe
+// surface checkers read; for trees they are the same object, for graphs the
+// pipeline starts from η(input) and the machine decodes the agreed
+// block-cut tree node at output time.
+func (s *Space) NewAsyncMachine(n, t int, id sim.PartyID, input tree.VertexID) (driver.EventMachine, *async.Pipeline, error) {
+	if !s.IsGraph() {
+		p, err := async.NewPipeline(s.Tree, n, t, async.PartyID(id), input)
+		if err != nil {
+			return nil, nil, err
+		}
+		return p, p, nil
+	}
+	if !s.Graph.Valid(input) {
+		return nil, nil, fmt.Errorf("%w: input %d", graph.ErrUnknownVertex, int(input))
+	}
+	p, err := async.NewPipeline(s.Graph.BlockCutTree(), n, t, async.PartyID(id), s.Graph.Eta(input))
+	if err != nil {
+		return nil, nil, err
+	}
+	return graphAsync{Pipeline: p, g: s.Graph, input: input}, p, nil
+}
+
+// graphAsync is the asynchronous block-graph machine: the pipeline on the
+// block-cut tree with the communication-free decode applied to its output.
+type graphAsync struct {
+	*async.Pipeline
+	g     *graph.Graph
+	input tree.VertexID
+}
+
+func (m graphAsync) Output() (any, bool) {
+	raw, done := m.Pipeline.Output()
+	if !done {
+		return nil, false
+	}
+	return m.g.Decode(m.input, raw.(tree.VertexID)), true
 }
 
 // BuildAdversary constructs the named adversary against this space's

@@ -93,7 +93,7 @@ func (m *Machine) Output() (any, bool) {
 	if !done {
 		return nil, false
 	}
-	return m.Decode(raw.(tree.VertexID)), true
+	return m.g.Decode(m.input, raw.(tree.VertexID)), true
 }
 
 // Core exposes the inner TreeAA machine on the block-cut tree — the probe
@@ -101,27 +101,30 @@ func (m *Machine) Output() (any, bool) {
 // per-phase hull non-expansion, PathsFinder prefix agreement) read.
 func (m *Machine) Core() *core.Machine { return m.inner }
 
-// Decode maps an agreed block-cut tree node to this party's output vertex.
-func (m *Machine) Decode(node tree.VertexID) tree.VertexID {
-	if c, ok := m.g.NodeCut(node); ok {
+// Decode maps an agreed block-cut tree node to the output vertex of the
+// party whose input vertex is input — the communication-free last step of
+// the block-graph protocol, shared by every runtime that runs TreeAA on the
+// block-cut tree (the lock-step Machine above, the asynchronous pipeline).
+func (g *Graph) Decode(input, node tree.VertexID) tree.VertexID {
+	if c, ok := g.NodeCut(node); ok {
 		return c
 	}
-	bi, ok := m.g.NodeBlock(node)
+	bi, ok := g.NodeBlock(node)
 	if !ok {
 		panic(fmt.Sprintf("graph: node %d is neither block nor cut", int(node)))
 	}
-	b := m.g.Blocks()[bi]
+	b := g.Blocks()[bi]
 	for _, v := range b.Vertices {
-		if v == m.input {
-			return m.input
+		if v == input {
+			return input
 		}
 	}
 	// Gate: the block's cut vertex toward the party's own input. The input
 	// is outside the block here, so the block-cut tree path from η(input)
 	// to the block node has at least one edge, and the node before the
 	// block node is a cut node of the block.
-	path := m.g.BlockCutTree().Path(m.g.Eta(m.input), node)
-	gate, ok := m.g.NodeCut(path[len(path)-2])
+	path := g.BlockCutTree().Path(g.Eta(input), node)
+	gate, ok := g.NodeCut(path[len(path)-2])
 	if !ok {
 		panic(fmt.Sprintf("graph: block node %d adjacent to non-cut node", int(node)))
 	}

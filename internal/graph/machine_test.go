@@ -210,10 +210,6 @@ func TestMachineSingleBlock(t *testing.T) {
 // TestDecode pins the three decode cases on a concrete chain.
 func TestDecode(t *testing.T) {
 	g := graph.NewCliqueChain(3, 3) // triangles {0,1,2},{2,3,4},{4,5,6}; cuts 2 and 4
-	m, err := graph.NewMachine(graph.Config{Graph: g, N: 4, T: 1, ID: 0, Input: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
 	bc := g.BlockCutTree()
 	nodeOf := func(label string) tree.VertexID {
 		v, err := bc.VertexByLabel(label)
@@ -223,20 +219,20 @@ func TestDecode(t *testing.T) {
 		return v
 	}
 	// Cut node: the cut vertex itself.
-	if got := m.Decode(g.Eta(2)); got != 2 {
+	if got := g.Decode(0, g.Eta(2)); got != 2 {
 		t.Fatalf("decode(cut 2) = %d", int(got))
 	}
 	// Own block: the party's own input.
-	if got := m.Decode(nodeOf("b0")); got != 0 {
+	if got := g.Decode(0, nodeOf("b0")); got != 0 {
 		t.Fatalf("decode(own block) = %d", int(got))
 	}
 	// Far block: the gate cut vertex toward the input. Blocks sort by vertex
 	// list, so b0 = {0,1,2}, b1 = {2,3,4}, b2 = {4,5,6}; from input 0 the
 	// gate of b2 is cut vertex 4 and the gate of b1 is cut vertex 2.
-	if got := m.Decode(nodeOf("b2")); got != 4 {
+	if got := g.Decode(0, nodeOf("b2")); got != 4 {
 		t.Fatalf("decode(far block b2) = %d, want gate 4", int(got))
 	}
-	if got := m.Decode(nodeOf("b1")); got != 2 {
+	if got := g.Decode(0, nodeOf("b1")); got != 2 {
 		t.Fatalf("decode(mid block b1) = %d, want gate 2", int(got))
 	}
 }

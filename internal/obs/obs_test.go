@@ -32,14 +32,8 @@ func TestMetricsExposition(t *testing.T) {
 	jstats.Depth.Add(4)
 	chaos := &metrics.ChaosStats{}
 	chaos.Delays.Add(9)
-	overlay := &metrics.OverlayStats{}
-	overlay.Relayed.Add(120)
-	overlay.Failovers.Add(1)
-	overlay.EORDown.Add(11)
-	overlay.TrackConns(17)
 
-	h := Handler(Options{DaemonID: 3, Serve: serve, Journal: jstats, Chaos: chaos,
-		Overlay: overlay, OverlayDepth: 3, OverlayBranching: 16})
+	h := Handler(Options{DaemonID: 3, Serve: serve, Journal: jstats, Chaos: chaos})
 	code, body := scrape(t, h, "/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("/metrics: %d", code)
@@ -52,12 +46,6 @@ func TestMetricsExposition(t *testing.T) {
 		`treeaa_journal_appends_total{daemon="3"} 42`,
 		`treeaa_journal_depth{daemon="3"} 4`,
 		`treeaa_chaos_faults_total{daemon="3",kind="delay"} 9`,
-		`treeaa_overlay_relayed_total{daemon="3"} 120`,
-		`treeaa_overlay_failovers_total{daemon="3"} 1`,
-		`treeaa_overlay_eor_total{daemon="3",dir="down"} 11`,
-		`treeaa_overlay_peak_conns{daemon="3"} 17`,
-		`treeaa_overlay_depth{daemon="3"} 3`,
-		`treeaa_overlay_branching{daemon="3"} 16`,
 		`treeaa_session_latency_seconds{daemon="3",quantile="0.5"} 0.01`,
 		"# TYPE treeaa_sessions_decided_total counter",
 		"# HELP treeaa_journal_depth Records appended but not yet durable.",
@@ -80,9 +68,6 @@ func TestMetricsOmitsUnwiredFamilies(t *testing.T) {
 	}
 	if strings.Contains(body, "treeaa_chaos_") {
 		t.Error("chaos family exported without chaos stats")
-	}
-	if strings.Contains(body, "treeaa_overlay_") {
-		t.Error("overlay family exported without overlay stats")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"treeaa/internal/cli"
 	"treeaa/internal/core"
 	"treeaa/internal/crashaa"
 	"treeaa/internal/metrics"
@@ -38,36 +39,55 @@ func spreadInputs(tr *tree.Tree, n, seed int) []tree.VertexID {
 }
 
 // TestTreeMatchesSim is the overlay's correctness anchor: across branching
-// factors on the paper's path:40 topology, a relayed execution must
+// factors on the paper's path:40 topology and on a block graph (TreeAA on
+// the block-cut tree plus the local decode), a relayed execution must
 // reproduce the sequential engine's Result — outputs, rounds, message and
 // byte counts, per-round trace — exactly. The branching sweep covers the
 // degenerate star (every party a sub-leader... of none), a deep skinny tree
 // and the balanced automatic shape.
 func TestTreeMatchesSim(t *testing.T) {
-	tr := tree.NewPath(40)
 	const n = 7
-	for _, branching := range []int{0, 1, 2, 6} {
-		inputs := spreadInputs(tr, n, branching+1)
-
-		var simTrace sim.Trace
-		simCfg := sim.Config{N: n, MaxCorrupt: 2, MaxRounds: core.Rounds(tr) + 2, Trace: &simTrace}
-		want, err := sim.Run(simCfg, buildMachines(t, tr, n, 2, inputs))
+	for _, spec := range []string{"path:40", "graph:cliquechain:3:4"} {
+		sp, err := cli.ParseSpaceSpec(spec, 1)
 		if err != nil {
-			t.Fatalf("branching %d: sim.Run: %v", branching, err)
+			t.Fatal(err)
 		}
+		// Machines hold state, so each driver gets a fresh set.
+		machines := func(inputs []tree.VertexID) []sim.Machine {
+			ms := make([]sim.Machine, n)
+			for i := range ms {
+				if ms[i], _, err = sp.NewMachine(n, 2, sim.PartyID(i), inputs[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return ms
+		}
+		for _, branching := range []int{0, 1, 2, 6} {
+			inputs, err := sp.ParseInputs(sp.RotateInputs(n, branching+1), n)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-		var treeTrace sim.Trace
-		treeCfg := sim.Config{N: n, MaxCorrupt: 2, MaxRounds: core.Rounds(tr) + 2, Trace: &treeTrace}
-		got, err := Cluster(treeCfg, buildMachines(t, tr, n, 2, inputs), Options{Branching: branching})
-		if err != nil {
-			t.Fatalf("branching %d: Cluster: %v", branching, err)
-		}
+			var simTrace sim.Trace
+			simCfg := sim.Config{N: n, MaxCorrupt: 2, MaxRounds: sp.Rounds() + 2, Trace: &simTrace}
+			want, err := sim.Run(simCfg, machines(inputs))
+			if err != nil {
+				t.Fatalf("%s branching %d: sim.Run: %v", spec, branching, err)
+			}
 
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("branching %d: results diverge\ntree: %+v\n sim: %+v", branching, got, want)
-		}
-		if !reflect.DeepEqual(treeTrace, simTrace) {
-			t.Errorf("branching %d: traces diverge\ntree: %+v\n sim: %+v", branching, treeTrace, simTrace)
+			var treeTrace sim.Trace
+			treeCfg := sim.Config{N: n, MaxCorrupt: 2, MaxRounds: sp.Rounds() + 2, Trace: &treeTrace}
+			got, err := Cluster(treeCfg, machines(inputs), Options{Branching: branching})
+			if err != nil {
+				t.Fatalf("%s branching %d: Cluster: %v", spec, branching, err)
+			}
+
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s branching %d: results diverge\ntree: %+v\n sim: %+v", spec, branching, got, want)
+			}
+			if !reflect.DeepEqual(treeTrace, simTrace) {
+				t.Errorf("%s branching %d: traces diverge\ntree: %+v\n sim: %+v", spec, branching, treeTrace, simTrace)
+			}
 		}
 	}
 }
@@ -94,9 +114,9 @@ func crashMachines(t *testing.T, n, iters int) []sim.Machine {
 // and the per-conn goroutine stacks), while the tree holds every node at
 // O(branching) links. Completion, result equality and the per-node peak
 // connection count are the assertions; the messages-per-round comparison
-// against the mesh lives in cmd/scale-bench where both are measured. The
-// workload is crashaa's one broadcast per round — big-n with the full
-// TreeAA machine is a protocol cost, not an overlay property.
+// against the mesh lives in bench/ (the mesh-fleet and overlay-fleet
+// workloads). The workload is crashaa's one broadcast per round — big-n
+// with the full TreeAA machine is a protocol cost, not an overlay property.
 func TestTreeScale256(t *testing.T) {
 	if testing.Short() {
 		t.Skip("n = 256 cluster in -short mode")

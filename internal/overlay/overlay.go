@@ -66,8 +66,8 @@ type Options struct {
 	// failovers, peak connection counts, round latency).
 	Stats *metrics.OverlayStats
 	// Wire, when non-nil, receives physical frame and byte counts, the same
-	// accounting the mesh transport reports — the number BENCH_scale.json
-	// compares across substrates.
+	// accounting the mesh transport reports — the number bench/ compares
+	// across substrates (mesh-fleet vs overlay-fleet).
 	Wire *metrics.WireStats
 
 	// RetainAll keeps every relay envelope and release frame for the whole

@@ -6,7 +6,6 @@ import (
 	"log/slog"
 	"net"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"sync"
 	"time"
@@ -17,8 +16,6 @@ import (
 	"treeaa/internal/transport"
 )
 
-// Options tunes one serving daemon. The zero value is usable: withDefaults
-// fills every field.
 // JournalLevel selects the journal's capture policy — see Options.
 type JournalLevel int
 
@@ -42,6 +39,8 @@ func ParseJournalLevel(s string) (JournalLevel, error) {
 	return 0, fmt.Errorf("session: unknown journal level %q (want full or sealed)", s)
 }
 
+// Options tunes one serving daemon. The zero value is usable: withDefaults
+// fills every field.
 type Options struct {
 	// MaxSessions caps non-terminal sessions on this daemon — the admission
 	// control knob. Submissions and peer opens beyond it are rejected.
@@ -54,18 +53,6 @@ type Options struct {
 	// admitted sessions' queues are unbounded and drained by their shard
 	// worker.
 	QueueDepth int
-	// Shards is the engine-pool width: sessions hash to shards by id, one
-	// worker goroutine per shard. Defaults to min(GOMAXPROCS, 16).
-	Shards int
-	// FlushInterval is the longest a queued outbound frame waits for its
-	// link's coalesced write once the adaptive flusher decides to batch.
-	FlushInterval time.Duration
-	// FlushOccupancy cuts a coalescing wait short once this many frames are
-	// queued on a link.
-	FlushOccupancy int
-	// MaxBatchBytes kicks the flusher early when a link's outbox reaches
-	// this size, bounding batch memory under load.
-	MaxBatchBytes int
 	// DefaultTTL is the session deadline applied when a spec's TTL is zero;
 	// it also sets how long terminal sessions linger for status queries.
 	DefaultTTL time.Duration
@@ -83,9 +70,9 @@ type Options struct {
 	// on arrival, with no end-of-round barriers and no round timeouts. The
 	// mode is a deployment property — it joins the cluster hash, so a sync
 	// and an async daemon refuse to pair. Async daemons host honest seats
-	// only and reject the journal and the overlay fabric (both are built on
-	// the lock-step round structure async mode abolishes); NewDaemon refuses
-	// those combinations up front.
+	// only and reject the journal (its muted replay is built on the
+	// lock-step round structure async mode abolishes); NewDaemon refuses
+	// that combination up front.
 	Async bool
 
 	// JournalDir enables the write-ahead session journal: each daemon
@@ -93,9 +80,8 @@ type Options struct {
 	// restoring sealed outcomes and re-stepping live sessions. Empty
 	// disables durability (the pre-journal behavior).
 	JournalDir string
-	// JournalSegmentBytes and JournalSyncInterval tune the journal writer;
-	// zero values take the journal package defaults (8 MiB, 2ms).
-	JournalSegmentBytes int
+	// JournalSyncInterval is the journal writer's group-commit interval;
+	// zero takes the journal package default (2ms).
 	JournalSyncInterval time.Duration
 	// JournalStats receives the journal's counters; nil allocates privately.
 	JournalStats *journal.Stats
@@ -115,16 +101,6 @@ type Options struct {
 
 	// Stats receives the daemon's counters; shared across daemons in tests.
 	Stats *metrics.ServeStats
-	// OverlaySpec, when set ("tree" or "tree:<branching>"), names the
-	// communication-tree fabric this deployment is configured for. It joins
-	// the cluster hash — daemons disagreeing on the fabric refuse to pair —
-	// and selects the overlay metric families on the /metrics endpoint.
-	// Validation is the CLI's job (overlay.ParseSpec); the manager treats
-	// the spec as an opaque identity component.
-	OverlaySpec string
-	// OverlayStats receives the relay fabric's counters when OverlaySpec is
-	// set, for the observability endpoint to export.
-	OverlayStats *metrics.OverlayStats
 	// WrapConn, when set, wraps every peer connection on the writing side —
 	// the chaos injection seam, same contract as transport.Options.WrapConn.
 	WrapConn func(from, to sim.PartyID, conn net.Conn) net.Conn
@@ -138,24 +114,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 256
-	}
-	if o.Shards <= 0 {
-		o.Shards = runtime.GOMAXPROCS(0)
-		if o.Shards > 16 {
-			o.Shards = 16
-		}
-		if o.Shards < 1 {
-			o.Shards = 1
-		}
-	}
-	if o.FlushInterval <= 0 {
-		o.FlushInterval = 200 * time.Microsecond
-	}
-	if o.FlushOccupancy <= 0 {
-		o.FlushOccupancy = 32
-	}
-	if o.MaxBatchBytes <= 0 {
-		o.MaxBatchBytes = 64 << 10
 	}
 	if o.DefaultTTL <= 0 {
 		o.DefaultTTL = 30 * time.Second
@@ -223,15 +181,9 @@ func NewDaemon(id int, peerAddrs []string, clientAddr string, opts Options) (*Da
 	if id < 0 || id >= n {
 		return nil, fmt.Errorf("session: daemon id %d out of range [0, %d)", id, n)
 	}
-	if opts.Async {
-		if opts.JournalDir != "" {
-			return nil, fmt.Errorf("session: the journal's muted replay re-steps engines through " +
-				"lock-step rounds, which async mode does not have — drop -journal-dir or use -mode sync")
-		}
-		if opts.OverlaySpec != "" {
-			return nil, fmt.Errorf("session: the tree overlay relays round-batched traffic between " +
-				"eor barriers, which async mode does not have — drop -overlay or use -mode sync")
-		}
+	if opts.Async && opts.JournalDir != "" {
+		return nil, fmt.Errorf("session: the journal's muted replay re-steps engines through " +
+			"lock-step rounds, which async mode does not have — drop -journal-dir or use -mode sync")
 	}
 	return &Daemon{
 		id:        sim.PartyID(id),
@@ -265,7 +217,7 @@ func (d *Daemon) Run(ctx context.Context) error {
 	}
 	d.clientLn = clientLn
 
-	cluster := clusterHash(d.peerAddrs, d.opts.OverlaySpec, d.opts.Async)
+	cluster := clusterHash(d.peerAddrs, d.opts.Async)
 	d.mgr = newManager(d)
 	// Journal recovery runs before the mux exists: the session table is
 	// rebuilt from disk in isolation, then the mesh comes up and the restored
@@ -275,7 +227,6 @@ func (d *Daemon) Run(ctx context.Context) error {
 	if d.opts.JournalDir != "" {
 		dir := filepath.Join(d.opts.JournalDir, fmt.Sprintf("daemon-%d", d.id))
 		jopts := journal.Options{
-			SegmentBytes: d.opts.JournalSegmentBytes,
 			SyncInterval: d.opts.JournalSyncInterval,
 			Stats:        d.opts.JournalStats,
 		}
@@ -374,15 +325,15 @@ func (d *Daemon) Manager() *Manager { return d.mgr }
 func (d *Daemon) Stats() *metrics.ServeStats { return d.opts.Stats }
 
 // clusterHash pins the deployment identity the mux hello checks: same
-// daemon set, same order, same overlay fabric, same execution mode — or
-// the handshake fails. Folding the mode in means a sync and an async
-// daemon can never exchange a single session frame.
-func clusterHash(addrs []string, overlaySpec string, async bool) uint64 {
+// daemon set, same order, same execution mode — or the handshake fails.
+// Folding the mode in means a sync and an async daemon can never exchange a
+// single session frame.
+func clusterHash(addrs []string, async bool) uint64 {
 	mode := "sync"
 	if async {
 		mode = "async"
 	}
-	parts := append([]string{"serve", mode, overlaySpec, strconv.Itoa(len(addrs))}, addrs...)
+	parts := append([]string{"serve", mode, strconv.Itoa(len(addrs))}, addrs...)
 	return transport.DeriveSession(parts...)
 }
 

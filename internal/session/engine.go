@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"treeaa/internal/async"
 	"treeaa/internal/driver"
 	"treeaa/internal/sim"
 	"treeaa/internal/tree"
@@ -135,7 +134,7 @@ func (e *engine) runEvents(evs []rawEvent) bool {
 func (e *engine) begin() bool {
 	d, ps := e.m.d, &e.s.ps
 	if d.opts.Async {
-		seat, err := async.NewPipeline(ps.space.Tree, d.n, ps.spec.T, async.PartyID(d.id), ps.inputs[d.id])
+		seat, _, err := ps.space.NewAsyncMachine(d.n, ps.spec.T, d.id, ps.inputs[d.id])
 		if err != nil {
 			return e.fail(err)
 		}

@@ -73,7 +73,7 @@ func TestServeGraphMatchesSim(t *testing.T) {
 }
 
 // TestGraphSpecRejections pins admission-time rejections: malformed graph
-// specs, bad graph input labels, and graph sessions on async daemons.
+// specs and bad graph input labels.
 func TestGraphSpecRejections(t *testing.T) {
 	t.Parallel()
 	if _, err := parseSpec(Spec{Tree: "graph:nope:4"}, 4, time.Minute); err == nil {
@@ -84,16 +84,5 @@ func TestGraphSpecRejections(t *testing.T) {
 	}
 	if _, err := parseSpec(Spec{Tree: "graph:cycle:9", Inputs: "v1,v3,v5,v7"}, 4, time.Minute); err != nil {
 		t.Fatalf("valid graph labels rejected: %v", err)
-	}
-
-	c := startTestCluster(t, 4, Options{Async: true})
-	cl, err := DialClient(c.ClientAddr(0), 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	resp, err := cl.Submit(Spec{Tree: "graph:cliquechain:3:3"}, 0, true)
-	if err == nil && resp.OK {
-		t.Fatal("async daemon accepted a graph session")
 	}
 }

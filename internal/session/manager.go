@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -97,7 +98,8 @@ func newManager(d *Daemon) *Manager {
 	if sweep < 5*time.Millisecond {
 		sweep = 5 * time.Millisecond
 	}
-	m.shards = make([]*shard, d.opts.Shards)
+	// One engine-pool worker per core, capped at 16.
+	m.shards = make([]*shard, min(runtime.GOMAXPROCS(0), 16))
 	for i := range m.shards {
 		m.shards[i] = newShard(m)
 		go m.shards[i].worker(sweep)
@@ -184,9 +186,6 @@ func (m *Manager) admitLocked(sid uint64, origin sim.PartyID, ps parsedSpec) (*s
 	if m.inflight >= m.d.opts.MaxSessions {
 		m.stats().RejectedCapacity.Add(1)
 		return nil, fmt.Errorf("session: daemon %d at capacity (%d in flight)", m.d.id, m.inflight)
-	}
-	if m.d.opts.Async && ps.space.IsGraph() {
-		return nil, fmt.Errorf("session: async mode does not support graph spaces")
 	}
 	now := time.Now()
 	s := m.trackLocked(sid, origin, ps, now, now.Add(ps.deadline))

@@ -358,7 +358,7 @@ func (m *mux) enqueue(to sim.PartyID, frame []byte) {
 	first := l.frames == 0
 	l.pending = append(l.pending, frame...)
 	l.frames++
-	ready := batchReady(l.frames, len(l.pending), m.opts.FlushOccupancy, m.opts.MaxBatchBytes)
+	ready := batchReady(l.frames, len(l.pending), flushOccupancy, maxBatchBytes)
 	l.mu.Unlock()
 	if ready {
 		select {
@@ -389,11 +389,23 @@ func (m *mux) broadcast(frame []byte) {
 // below the occupancy target) the first queued frame flushes immediately —
 // batching would only add latency no batch will ever repay, and immediate
 // flushes still batch whatever piled up during the previous write. On a
-// busy link the flusher holds the first frame up to FlushInterval, cutting
+// busy link the flusher holds the first frame up to flushInterval, cutting
 // the batch short the moment occupancy (frames or bytes) crosses the
 // threshold. The loop is self-correcting: a coalescing wait that times out
 // with a thin batch drags the EWMA back under the target and the link
 // returns to immediate flushing.
+
+const (
+	// flushInterval is the longest a queued outbound frame waits for its
+	// link's coalesced write once the flusher decides to batch.
+	flushInterval = 200 * time.Microsecond
+	// flushOccupancy cuts a coalescing wait short once this many frames are
+	// queued on a link.
+	flushOccupancy = 32
+	// maxBatchBytes kicks the flusher early when a link's outbox reaches
+	// this size, bounding batch memory under load.
+	maxBatchBytes = 64 << 10
+)
 
 // shouldCoalesce reports whether the recent frames-per-flush average makes
 // waiting for a fuller batch worthwhile: only when history says a wait
@@ -427,7 +439,7 @@ func batchReady(frames, bytes, occupancy, maxBytes int) bool {
 func (m *mux) flushLoop(l *peerLink, gen int, genQuit chan struct{}, conn net.Conn) {
 	defer m.wg.Done()
 	defer m.flushWG.Done()
-	timer := time.NewTimer(m.opts.FlushInterval)
+	timer := time.NewTimer(flushInterval)
 	if !timer.Stop() {
 		<-timer.C
 	}
@@ -436,9 +448,9 @@ func (m *mux) flushLoop(l *peerLink, gen int, genQuit chan struct{}, conn net.Co
 	for {
 		select {
 		case <-l.kick:
-			if shouldCoalesce(ewma, m.opts.FlushOccupancy) {
-				// Busy link: hold for a fuller batch, up to FlushInterval.
-				timer.Reset(m.opts.FlushInterval)
+			if shouldCoalesce(ewma, flushOccupancy) {
+				// Busy link: hold for a fuller batch, up to flushInterval.
+				timer.Reset(flushInterval)
 				select {
 				case <-l.kickFull:
 					if !timer.Stop() {

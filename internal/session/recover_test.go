@@ -39,83 +39,91 @@ func pollUntil(t *testing.T, d time.Duration, what string, fn func() error) {
 // TestKillRestartDecidedSurvive pins the journal's hard durability line: a
 // session whose decide was acked to a client survives kill -9 with a
 // byte-identical Result after restart, and the restarted daemon keeps
-// admitting fresh sessions without id collisions.
+// admitting fresh sessions without id collisions. The contract is the same
+// at both journal levels: JournalSealed only gives up reconstructing
+// sessions that were still running, and none are here.
 func TestKillRestartDecidedSurvive(t *testing.T) {
-	const victim = 1
-	c := startTestCluster(t, 4, durableOpts(t))
+	for name, level := range map[string]JournalLevel{"full": JournalFull, "sealed": JournalSealed} {
+		t.Run(name, func(t *testing.T) {
+			const victim = 1
+			opts := durableOpts(t)
+			opts.JournalLevel = level
+			c := startTestCluster(t, 4, opts)
 
-	specs := []Spec{
-		{Tree: "path:8"},
-		{Tree: "star:9"},
-		{Tree: "spider:3:4"},
-		{Tree: "random:12", Seed: 7},
-		{Tree: "caterpillar:4:2"},
-		{Tree: "figure3"},
-	}
-	type decided struct {
-		sid  uint64
-		want *sim.Result
-	}
-	var acked []decided
-	for _, spec := range specs {
-		want, err := Oracle(4, spec)
-		if err != nil {
-			t.Fatalf("oracle %q: %v", spec.Tree, err)
-		}
-		resp := submitAndWait(t, c, victim, spec)
-		got, err := resp.SimResult()
-		if err != nil {
-			t.Fatalf("pre-kill result %q: %v", spec.Tree, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("pre-kill result diverges for %q", spec.Tree)
-		}
-		acked = append(acked, decided{sid: resp.SID, want: want})
-	}
+			specs := []Spec{
+				{Tree: "path:8"},
+				{Tree: "star:9"},
+				{Tree: "spider:3:4"},
+				{Tree: "random:12", Seed: 7},
+				{Tree: "caterpillar:4:2"},
+				{Tree: "figure3"},
+			}
+			type decided struct {
+				sid  uint64
+				want *sim.Result
+			}
+			var acked []decided
+			for _, spec := range specs {
+				want, err := Oracle(4, spec)
+				if err != nil {
+					t.Fatalf("oracle %q: %v", spec.Tree, err)
+				}
+				resp := submitAndWait(t, c, victim, spec)
+				got, err := resp.SimResult()
+				if err != nil {
+					t.Fatalf("pre-kill result %q: %v", spec.Tree, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("pre-kill result diverges for %q", spec.Tree)
+				}
+				acked = append(acked, decided{sid: resp.SID, want: want})
+			}
 
-	if err := c.Kill(victim); err != nil {
-		t.Fatalf("kill: %v", err)
-	}
-	if err := c.Start(victim); err != nil {
-		t.Fatalf("restart: %v", err)
-	}
+			if err := c.Kill(victim); err != nil {
+				t.Fatalf("kill: %v", err)
+			}
+			if err := c.Start(victim); err != nil {
+				t.Fatalf("restart: %v", err)
+			}
 
-	if got := c.Daemon(victim).Stats().RestoredTerminal.Load(); got < int64(len(acked)) {
-		t.Fatalf("restored %d sealed sessions, want >= %d", got, len(acked))
-	}
+			if got := c.Daemon(victim).Stats().RestoredTerminal.Load(); got < int64(len(acked)) {
+				t.Fatalf("restored %d sealed sessions, want >= %d", got, len(acked))
+			}
 
-	cl, err := DialClient(c.ClientAddr(victim), 5*time.Second)
-	if err != nil {
-		t.Fatalf("dial restarted daemon: %v", err)
-	}
-	defer cl.Close()
-	for _, d := range acked {
-		resp, err := cl.Status(d.sid)
-		if err != nil {
-			t.Fatalf("status %#x after restart: %v", d.sid, err)
-		}
-		got, err := resp.SimResult()
-		if err != nil {
-			t.Fatalf("session %#x lost its decided outcome: %v", d.sid, err)
-		}
-		if !reflect.DeepEqual(got, d.want) {
-			t.Fatalf("session %#x result diverges after restart:\n got %+v\nwant %+v",
-				d.sid, got, d.want)
-		}
-	}
+			cl, err := DialClient(c.ClientAddr(victim), 5*time.Second)
+			if err != nil {
+				t.Fatalf("dial restarted daemon: %v", err)
+			}
+			defer cl.Close()
+			for _, d := range acked {
+				resp, err := cl.Status(d.sid)
+				if err != nil {
+					t.Fatalf("status %#x after restart: %v", d.sid, err)
+				}
+				got, err := resp.SimResult()
+				if err != nil {
+					t.Fatalf("session %#x lost its decided outcome: %v", d.sid, err)
+				}
+				if !reflect.DeepEqual(got, d.want) {
+					t.Fatalf("session %#x result diverges after restart:\n got %+v\nwant %+v",
+						d.sid, got, d.want)
+				}
+			}
 
-	// The restored id range must not collide with fresh admissions.
-	pollUntil(t, 10*time.Second, "post-restart admission", func() error {
-		return allHealthy(c)
-	})
-	for i := 0; i < 3; i++ {
-		resp, err := cl.Submit(Spec{Tree: "path:8"}, 0, true)
-		if err != nil {
-			t.Fatalf("fresh submit %d after restart: %v", i, err)
-		}
-		if !resp.Decided() {
-			t.Fatalf("fresh session %d after restart: state %s (%s)", i, resp.State, resp.Err)
-		}
+			// The restored id range must not collide with fresh admissions.
+			pollUntil(t, 10*time.Second, "post-restart admission", func() error {
+				return allHealthy(c)
+			})
+			for i := 0; i < 3; i++ {
+				resp, err := cl.Submit(Spec{Tree: "path:8"}, 0, true)
+				if err != nil {
+					t.Fatalf("fresh submit %d after restart: %v", i, err)
+				}
+				if !resp.Decided() {
+					t.Fatalf("fresh session %d after restart: state %s (%s)", i, resp.State, resp.Err)
+				}
+			}
+		})
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // shard is one worker of the engine pool. Sessions hash to shards by id
-// (sid mod Shards); each shard owns its sessions' engines, their pending
+// (sid mod the shard count); each shard owns its sessions' engines, their pending
 // buffers (frames that outran the SessionOpen) and their tombstones, and
 // steps ready engines from a run queue on one dedicated worker goroutine.
 // The data plane — deliver, from the link readers — takes only this shard's
