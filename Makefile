@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-sim race-cpu bench-module node-smoke overlay-smoke serve-smoke rolling-restart chaos-soak async-soak cover bench bench-compare bench-serve-smoke fuzz fuzz-short prop graph-prop check examples experiments clean
+.PHONY: all build test loc race race-sim race-cpu bench-module node-smoke overlay-smoke serve-smoke rolling-restart chaos-soak async-soak cover bench bench-compare bench-serve-smoke fuzz fuzz-short prop graph-prop check examples experiments clean
 
 all: build test race-sim node-smoke overlay-smoke serve-smoke chaos-soak rolling-restart
 
@@ -14,6 +14,14 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The headline number of every simplicity PR: non-test Go lines outside
+# bench/, then the same count per package directory.
+LOC_FILES = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*'
+loc:
+	@printf '%7d total\n' "$$($(LOC_FILES) | xargs cat | wc -l)"
+	@$(LOC_FILES) -exec dirname {} \; | sort -u | while read d; do \
+		printf '%7d %s\n' "$$(find $$d -maxdepth 1 -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)" "$$d"; done
 
 race:
 	$(GO) test -race ./...
@@ -27,9 +35,12 @@ race-sim:
 
 # Scheduler-width sweep of the async and serving suites. Every PR before the
 # 2-core host was verified at GOMAXPROCS=1 only, which is how the pre-open
-# buffer wedge in the async session path shipped.
+# buffer wedge in the async session path shipped. The recovery suites (kill,
+# graceful restart, mid-flight, the journal crash-point enumeration) sweep
+# the same widths under the race detector.
 race-cpu:
 	$(GO) test -count=1 -cpu 1,2,4 -run 'Async|Serve' ./internal/session ./internal/transport
+	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Restart|CrashPoints|Recover' ./internal/session ./internal/chaos
 
 # The benchmark is a nested module that root `go test ./...` does not reach;
 # vet and test it here so an internal/ API change cannot break it unseen.
@@ -79,9 +90,12 @@ serve-smoke:
 
 # Rolling-restart durability smoke: a journaled 4-daemon loopback cluster
 # under continuous closed-loop load, each daemon restarted in turn; fails
-# on any oracle mismatch or a restart the mesh fails to absorb.
+# on any oracle mismatch or a restart the mesh fails to absorb. The async
+# run has no oracle: every decided session is judged for validity and
+# agreement instead.
 rolling-restart:
 	$(GO) run ./cmd/serve -cluster 4 -rolling -sessions 16 -tree spider:3:3
+	$(GO) run ./cmd/serve -cluster 4 -rolling -mode async -sessions 16
 
 # Chaos safety soak (~30s): the race-instrumented chaos/transport suites
 # (reconnect-resend, crash-restart byte-identity, golden fault schedules),
@@ -102,8 +116,8 @@ chaos-soak:
 # party's links) aborts the synchronous round barrier but decides
 # asynchronously with validity + 1-agreement — then a multi-process cmd/node
 # async fleet under a real latency plan, plus async serving smokes, each on
-# a tree and on a block graph. Exits non-zero on any
-# validity/epsilon-agreement violation.
+# a tree and on a block graph, and one with the journal on. Exits non-zero
+# on any validity/epsilon-agreement violation.
 async-soak:
 	$(GO) test -race -count=1 -run Async ./internal/async/... ./internal/chaos/... \
 		./internal/session/... ./internal/transport/... ./internal/check/ ./internal/wire/
@@ -111,6 +125,7 @@ async-soak:
 	$(GO) run ./cmd/node -cluster 4 -t 1 -space graph:cliquechain:3:4 -mode async
 	$(GO) run ./cmd/serve -cluster 3 -mode async -sessions 50 -tree spider:3:3
 	$(GO) run ./cmd/serve -cluster 3 -mode async -sessions 50 -space graph:cliquechain:3:4
+	$(GO) run ./cmd/serve -cluster 3 -mode async -sessions 50 -tree spider:3:3 -journal-dir "$$(mktemp -d)"
 
 cover:
 	$(GO) test -coverprofile=cover.out ./...

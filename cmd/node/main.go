@@ -482,17 +482,7 @@ func runCluster(ctx context.Context, n, t int, spaceSpec, treeSpec, inputSpec, a
 	// Validity: outputs lie in the input-space hull of honest inputs.
 	// Agreement: distance <= 1 on trees and block graphs, a shared block on
 	// graphs with cycle blocks.
-	var honestIn []tree.VertexID
-	for i := 0; i < n; i++ {
-		if !corruptSet[sim.PartyID(i)] {
-			honestIn = append(honestIn, inputs[i])
-		}
-	}
-	hull := make(map[tree.VertexID]bool)
-	for _, v := range sp.ConvexHull(honestIn) {
-		hull[v] = true
-	}
-	var outs []tree.VertexID
+	vertices := make(map[sim.PartyID]tree.VertexID, len(outputs))
 	ok := true
 	for i := 0; i < n; i++ {
 		if corruptSet[sim.PartyID(i)] {
@@ -508,32 +498,19 @@ func runCluster(ctx context.Context, n, t int, spaceSpec, treeSpec, inputSpec, a
 		if err != nil {
 			return fmt.Errorf("party %d reported unknown vertex %q", i, label)
 		}
-		if !hull[v] {
-			fmt.Printf("cluster: party %d output %s outside the honest hull\n", i, label)
-			ok = false
-		}
-		outs = append(outs, v)
+		vertices[sim.PartyID(i)] = v
 	}
-	maxDist, agree := 0, true
-	for i := range outs {
-		for j := i + 1; j < len(outs); j++ {
-			if d := sp.Dist(outs[i], outs[j]); d > maxDist {
-				maxDist = d
-			}
-			if !sp.AgreementOK(outs[i], outs[j]) {
-				agree = false
-			}
-		}
+	maxDist, validity, agreement := sp.Judge(inputs, corruptSet, vertices)
+	for _, v := range append(validity, agreement...) {
+		fmt.Println("cluster:", v)
 	}
+	guarantee := "1-agreement"
 	if sp.IsGraph() && !sp.Graph.IsBlockGraph() {
-		fmt.Printf("cluster: n=%d t=%d adversary=%s, max pairwise output distance %d (per-block agreement: %v)\n",
-			n, t, advName, maxDist, agree)
-	} else {
-		agree = agree && maxDist <= 1
-		fmt.Printf("cluster: n=%d t=%d adversary=%s, max pairwise output distance %d (1-agreement: %v)\n",
-			n, t, advName, maxDist, maxDist <= 1)
+		guarantee = "per-block agreement"
 	}
-	if !ok || !agree {
+	fmt.Printf("cluster: n=%d t=%d adversary=%s, max pairwise output distance %d (%s: %v)\n",
+		n, t, advName, maxDist, guarantee, len(agreement) == 0)
+	if !ok || len(validity)+len(agreement) > 0 {
 		return fmt.Errorf("AA properties violated")
 	}
 	return nil

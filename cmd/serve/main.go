@@ -25,28 +25,23 @@
 // no round timeouts (-round-timeout becomes an idle watchdog bounding total
 // silence). The mode joins the cluster identity hash, so every daemon of a
 // deployment must agree on it. Asynchronous decisions depend on delivery
-// order, so the async smoke judges validity and 1-agreement instead of
-// oracle byte-identity; -journal-dir and -rolling are refused, their
-// recovery machinery being built on the lock-step rounds async mode
-// abolishes:
+// order, so the async smokes judge validity and 1-agreement instead of
+// oracle byte-identity:
 //
 //	serve -cluster 3 -mode async -sessions 100 -tree spider:3:3
 //
 // Durability: -journal-dir enables the write-ahead session journal. Each
-// daemon journals admissions, inbound frames and outcome seals to
-// <dir>/daemon-<id>, and on restart replays the log — sealed sessions
-// restore their decided Results byte-identically, live ones re-step their
-// engines deterministically. -journal-level picks the tradeoff: "full"
-// (default) logs every frame for deterministic replay of live sessions;
-// "sealed" logs only admissions and seals — the same durable-ack contract
-// for decided sessions at a fraction of the write volume (EXPERIMENTS.md
-// E-durable). Observability: -metrics ADDR serves /metrics
-// (Prometheus text) and /healthz; -session-log writes one JSON line per
-// session lifecycle event.
+// daemon journals admissions and outcome seals to <dir>/daemon-<id>, and on
+// restart rebuilds its session table from the log — sealed sessions restore
+// their decided Results byte-identically, sessions admitted but never
+// sealed restore as failed (resubmit them). Observability: -metrics ADDR
+// serves /metrics (Prometheus text) and /healthz; -session-log writes one
+// JSON line per session lifecycle event.
 //
 // The -rolling mode is the durability smoke: a journaled loopback cluster
 // under continuous load while every daemon is gracefully restarted in
-// turn; any oracle mismatch or lost decided session exits nonzero:
+// turn; any decided session that fails its check (oracle byte-identity, or
+// validity and agreement with -mode async) exits nonzero:
 //
 //	serve -cluster 4 -rolling -sessions 64 -tree spider:3:3
 //
@@ -60,6 +55,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"math"
 	"net"
 	"os"
 	"os/signal"
@@ -97,7 +93,6 @@ func main() {
 		roundTO    = flag.Duration("round-timeout", 60*time.Second, "per-round barrier budget")
 		drainTO    = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain budget")
 		journalDir = flag.String("journal-dir", "", "enable the write-ahead session journal under this directory (per-daemon subdirs)")
-		journalLvl = flag.String("journal-level", "full", "journal capture level: full (replayable frames) or sealed (admissions+seals only, lower overhead)")
 		metricsAt  = flag.String("metrics", "", "serve /metrics and /healthz on this address (e.g. 127.0.0.1:9090)")
 		sessionLog = flag.String("session-log", "", "write per-session JSON lifecycle logs to this file ('-' = stderr)")
 		linger     = flag.Duration("linger", 0, "cluster mode: keep the cluster and metrics endpoint up this long after the smoke")
@@ -115,13 +110,8 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	jlevel, err := session.ParseJournalLevel(*journalLvl)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "serve:", err)
-		os.Exit(1)
-	}
-	if err := checkMode(*mode, *rolling); err != nil {
-		fmt.Fprintln(os.Stderr, "serve:", err)
+	if *mode != "sync" && *mode != "async" {
+		fmt.Fprintf(os.Stderr, "serve: unknown -mode %q (want sync or async)\n", *mode)
 		os.Exit(1)
 	}
 
@@ -129,8 +119,8 @@ func main() {
 		MaxSessions: *maxSess, QueueDepth: *queueDepth,
 		DefaultTTL: *defaultTTL, SetupTimeout: *setupTO,
 		RoundTimeout: *roundTO, DrainTimeout: *drainTO,
-		JournalDir: *journalDir, JournalLevel: jlevel,
-		Stats: &metrics.ServeStats{}, JournalStats: &journal.Stats{},
+		JournalDir: *journalDir,
+		Stats:      &metrics.ServeStats{}, JournalStats: &journal.Stats{},
 		Async: *mode == "async",
 	}
 	var logClose func() error
@@ -153,24 +143,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "serve:", err)
 		os.Exit(1)
 	}
-}
-
-// checkMode validates -mode. Async mode's own conflict — the journal — is
-// refused by session.NewDaemon; -rolling is refused here because it would
-// switch the journal on by itself.
-func checkMode(mode string, rolling bool) error {
-	switch mode {
-	case "sync":
-		return nil
-	case "async":
-	default:
-		return fmt.Errorf("unknown -mode %q (want sync or async)", mode)
-	}
-	if rolling {
-		return fmt.Errorf("-mode async: the rolling-restart smoke needs the journal, " +
-			"which async mode rejects — use -mode sync")
-	}
-	return nil
 }
 
 // sessionLogger builds the per-session structured logger for -session-log.
@@ -255,67 +227,85 @@ func clusterHealth(c *session.Cluster, n int) func() error {
 	}
 }
 
+// workload is the session mix both cluster smokes drive — one spec, its
+// inputs rotated per session — and the check they apply to every decided
+// Result. Sync sessions are pinned to the sequential oracle byte for byte.
+// Async decisions depend on delivery order, so there is no reference
+// schedule: those sessions are judged by the paper's properties instead —
+// validity (outputs inside the input hull) and the space's agreement
+// guarantee.
+type workload struct {
+	sp      *cli.Space
+	n, t    int
+	seed    int64
+	oracles map[string]*sim.Result // sync only: the oracle per rotation, keyed by Inputs
+}
+
+// newWorkload parses the space and, for a sync cluster, computes the oracle
+// of each of the first rotations input rotations (they repeat after
+// NumVertices).
+func newWorkload(spaceSpec, treeSpec string, seed int64, n, t, rotations int, async bool) (*workload, error) {
+	sp, err := cli.ParseSpace(spaceSpec, treeSpec, seed)
+	if err != nil {
+		return nil, err
+	}
+	w := &workload{sp: sp, n: n, t: t, seed: seed}
+	if async {
+		return w, nil
+	}
+	w.oracles = make(map[string]*sim.Result)
+	for i := 0; i < sp.NumVertices() && i < rotations; i++ {
+		s := w.spec(i)
+		if w.oracles[s.Inputs], err = session.Oracle(n, s); err != nil {
+			return nil, fmt.Errorf("oracle %d: %w", i, err)
+		}
+	}
+	return w, nil
+}
+
+func (w *workload) spec(i int) session.Spec {
+	return session.Spec{Tree: w.sp.Spec, Seed: w.seed, T: w.t,
+		Inputs: w.sp.RotateInputs(w.n, i), TTL: 2 * time.Minute}
+}
+
+// verify returns why a decided Result fails the workload's check, or "".
+func (w *workload) verify(s session.Spec, got *sim.Result) string {
+	if w.oracles != nil {
+		if !reflect.DeepEqual(got, w.oracles[s.Inputs]) {
+			return "ORACLE MISMATCH: served Result diverges from sim.Run"
+		}
+		return ""
+	}
+	inputs, err := w.sp.ParseInputs(s.Inputs, w.n)
+	if err != nil {
+		return err.Error()
+	}
+	outputs := make(map[sim.PartyID]tree.VertexID, len(got.Outputs))
+	for p, raw := range got.Outputs {
+		v, ok := raw.(tree.VertexID)
+		if !ok {
+			return fmt.Sprintf("party %d output is %T, not a vertex", p, raw)
+		}
+		outputs[p] = v
+	}
+	_, validity, agreement := w.sp.Judge(inputs, nil, outputs)
+	if violations := append(validity, agreement...); len(violations) > 0 {
+		return "PROPERTY VIOLATION: " + violations[0]
+	}
+	return ""
+}
+
 // runSmoke starts n daemons in-process, drives sessions concurrent sessions
-// through their client APIs, and verifies every Result against the
-// sequential oracle. Any mismatch or failed session exits nonzero.
+// through their client APIs, and verifies every Result. Any failed check or
+// failed session exits nonzero.
 func runSmoke(ctx context.Context, n, sessions int, spaceSpec, treeSpec string, t int, seed int64,
 	metricsAt string, linger time.Duration, opts session.Options) error {
 	if sessions < 1 {
 		return fmt.Errorf("-sessions must be ≥ 1")
 	}
-	sp, err := cli.ParseSpace(spaceSpec, treeSpec, seed)
+	w, err := newWorkload(spaceSpec, treeSpec, seed, n, t, sessions, opts.Async)
 	if err != nil {
 		return err
-	}
-	specFor := func(i int) session.Spec {
-		return session.Spec{Tree: sp.Spec, Seed: seed, T: t,
-			Inputs: sp.RotateInputs(n, i), TTL: 2 * time.Minute}
-	}
-	// Sync sessions are pinned to the sequential oracle byte for byte. Async
-	// decisions depend on delivery order, so there is no reference schedule:
-	// those sessions are judged by the paper's properties instead — validity
-	// (outputs inside the input hull) and the space's agreement guarantee.
-	oracles := make(map[string]*sim.Result)
-	if !opts.Async {
-		for i := 0; i < sp.NumVertices() && i < sessions; i++ {
-			s := specFor(i)
-			want, err := session.Oracle(n, s)
-			if err != nil {
-				return fmt.Errorf("oracle %d: %w", i, err)
-			}
-			oracles[s.Inputs] = want
-		}
-	}
-	verify := func(s session.Spec, got *sim.Result) string {
-		if !opts.Async {
-			if !reflect.DeepEqual(got, oracles[s.Inputs]) {
-				return "ORACLE MISMATCH: served Result diverges from sim.Run"
-			}
-			return ""
-		}
-		inputs, err := sp.ParseInputs(s.Inputs, n)
-		if err != nil {
-			return err.Error()
-		}
-		outs := make([]tree.VertexID, 0, len(got.Outputs))
-		for p, raw := range got.Outputs {
-			v, ok := raw.(tree.VertexID)
-			if !ok {
-				return fmt.Sprintf("party %d output is %T, not a vertex", p, raw)
-			}
-			outs = append(outs, v)
-		}
-		for i, v := range outs {
-			if !sp.InHull(inputs, v) {
-				return fmt.Sprintf("PROPERTY VIOLATION: output %s outside the input hull", sp.Label(v))
-			}
-			for _, u := range outs[i+1:] {
-				if !sp.AgreementOK(u, v) {
-					return fmt.Sprintf("PROPERTY VIOLATION: outputs %s and %s disagree", sp.Label(u), sp.Label(v))
-				}
-			}
-		}
-		return ""
 	}
 
 	if opts.MaxSessions < sessions+n {
@@ -336,7 +326,7 @@ func runSmoke(ctx context.Context, n, sessions int, spaceSpec, treeSpec string, 
 		clusterMode, check = "async", "valid and 1-agreeing"
 	}
 	fmt.Printf("serve: %d-daemon %s loopback cluster up, driving %d concurrent sessions of %s\n",
-		n, clusterMode, sessions, sp.Spec)
+		n, clusterMode, sessions, w.sp.Spec)
 
 	start := time.Now()
 	var (
@@ -355,7 +345,7 @@ func runSmoke(ctx context.Context, n, sessions int, spaceSpec, treeSpec string, 
 				failures = append(failures, fmt.Sprintf("session %d: ", i)+fmt.Sprintf(format, args...))
 				mu.Unlock()
 			}
-			s := specFor(i)
+			s := w.spec(i)
 			cl, err := session.DialClient(c.ClientAddr(i%n), opts.SetupTimeout)
 			if err != nil {
 				fail("dial: %v", err)
@@ -372,7 +362,7 @@ func runSmoke(ctx context.Context, n, sessions int, spaceSpec, treeSpec string, 
 				fail("%v", err)
 				return
 			}
-			if msg := verify(s, got); msg != "" {
+			if msg := w.verify(s, got); msg != "" {
 				fail("%s", msg)
 				return
 			}
@@ -415,8 +405,8 @@ func runSmoke(ctx context.Context, n, sessions int, spaceSpec, treeSpec string, 
 // under continuous closed-loop load while each daemon is gracefully
 // restarted in turn. Workers retry transient window errors (dials and
 // rejections while a seat is down or the mesh degraded); the hard failures
-// are an oracle mismatch on any decided session or a cluster that stops
-// making progress.
+// are a decided session that fails the workload's check or a cluster that
+// stops making progress.
 func runRolling(ctx context.Context, n, workers int, spaceSpec, treeSpec string, t int, seed int64,
 	metricsAt string, opts session.Options) error {
 	if n < 2 {
@@ -436,22 +426,9 @@ func runRolling(ctx context.Context, n, workers int, spaceSpec, treeSpec string,
 		defer os.RemoveAll(dir)
 		opts.JournalDir = dir
 	}
-	sp, err := cli.ParseSpace(spaceSpec, treeSpec, seed)
+	w, err := newWorkload(spaceSpec, treeSpec, seed, n, t, math.MaxInt, opts.Async)
 	if err != nil {
 		return err
-	}
-	specFor := func(i int) session.Spec {
-		return session.Spec{Tree: sp.Spec, Seed: seed, T: t,
-			Inputs: sp.RotateInputs(n, i), TTL: 2 * time.Minute}
-	}
-	oracles := make(map[string]*sim.Result)
-	for i := 0; i < sp.NumVertices(); i++ {
-		s := specFor(i)
-		want, err := session.Oracle(n, s)
-		if err != nil {
-			return fmt.Errorf("oracle %d: %w", i, err)
-		}
-		oracles[s.Inputs] = want
 	}
 	if opts.MaxSessions < workers*2+n {
 		opts.MaxSessions = workers*2 + n
@@ -477,16 +454,16 @@ func runRolling(ctx context.Context, n, workers int, spaceSpec, treeSpec string,
 		firstBad   string
 	)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
+	for k := 0; k < workers; k++ {
+		k := k
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := w; !stop.Load(); i += workers {
-				s := specFor(i)
+			for i := k; !stop.Load(); i += workers {
+				s := w.spec(i)
 				// Redial every iteration: the target's client port moves
 				// across restarts, and a drained daemon resets old conns.
-				cl, err := session.DialClient(c.ClientAddr(w%n), 2*time.Second)
+				cl, err := session.DialClient(c.ClientAddr(k%n), 2*time.Second)
 				if err != nil {
 					retried.Add(1)
 					time.Sleep(50 * time.Millisecond)
@@ -506,11 +483,11 @@ func runRolling(ctx context.Context, n, workers int, spaceSpec, treeSpec string,
 					retried.Add(1) // failed/expired in the window: retryable
 					continue
 				}
-				if !reflect.DeepEqual(got, oracles[s.Inputs]) {
+				if msg := w.verify(s, got); msg != "" {
 					mismatches.Add(1)
 					mu.Lock()
 					if firstBad == "" {
-						firstBad = fmt.Sprintf("worker %d session %d: decided Result diverges from oracle", w, i)
+						firstBad = fmt.Sprintf("worker %d session %d: %s", k, i, msg)
 					}
 					mu.Unlock()
 					return

@@ -157,6 +157,7 @@ func run(n, t int, spaceSpec, treeSpec, inputSpec, advName string, seed int64, q
 	fmt.Printf("honest hull: {%s}\n", strings.Join(sp.Labels(hull), ", "))
 	ok := true
 	var outs []tree.VertexID
+	outputs := make(map[sim.PartyID]tree.VertexID, n)
 	for p := sim.PartyID(0); int(p) < n; p++ {
 		raw, have := res.Outputs[p]
 		switch {
@@ -170,28 +171,19 @@ func run(n, t int, spaceSpec, treeSpec, inputSpec, advName string, seed int64, q
 			}
 			fmt.Printf("  p%-2d output %-8s valid=%v\n", p, sp.Label(v), valid)
 			outs = append(outs, v)
+			outputs[p] = v
 		default:
 			ok = false
 			fmt.Printf("  p%-2d NO OUTPUT\n", p)
 		}
 	}
-	maxDist, agree := 0, true
-	for i := range outs {
-		for j := i + 1; j < len(outs); j++ {
-			if dd := sp.Dist(outs[i], outs[j]); dd > maxDist {
-				maxDist = dd
-			}
-			if !sp.AgreementOK(outs[i], outs[j]) {
-				agree = false
-			}
-		}
-	}
+	maxDist, _, agreement := sp.Judge(inputs, corrupt, outputs)
+	agree := len(agreement) == 0
+	guarantee := "1-agreement"
 	if sp.IsGraph() && !sp.Graph.IsBlockGraph() {
-		fmt.Printf("max pairwise output distance: %d (per-block agreement: %v)\n", maxDist, agree)
-	} else {
-		fmt.Printf("max pairwise output distance: %d (1-agreement: %v)\n", maxDist, maxDist <= 1)
-		agree = agree && maxDist <= 1
+		guarantee = "per-block agreement"
 	}
+	fmt.Printf("max pairwise output distance: %d (%s: %v)\n", maxDist, guarantee, agree)
 	if dotFile != "" {
 		if err := writeDOT(dotFile, sp, inputs, corrupt, hullSet, outs); err != nil {
 			return err

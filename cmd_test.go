@@ -69,6 +69,11 @@ func TestCommandsRun(t *testing.T) {
 			wants: []string{"party (async)", "1-agreement: true"},
 		},
 		{
+			name:  "serve async rolling restart",
+			args:  []string{"run", "./cmd/serve", "-cluster", "3", "-rolling", "-mode", "async", "-sessions", "4", "-tree", "star:6"},
+			wants: []string{"over 3 journaled daemons", "0 mismatches"},
+		},
+		{
 			name: "chaos soak tiny matrix",
 			args: []string{"run", "./cmd/chaos", "-seeds", "1", "-plans", "lat:200µs±200µs;drop:p0-p2@r2",
 				"-adversaries", "none", "-trees", "path:12"},

@@ -132,21 +132,17 @@ func RunAsync(spec AsyncRunSpec) (*AsyncReport, error) {
 	}
 	rep.Deliveries, rep.Messages, rep.Bytes = got.Deliveries, got.Messages, got.Bytes
 
-	outs := make([]tree.VertexID, 0, len(got.Outputs))
-	for _, out := range got.Outputs {
+	outputs := make(map[sim.PartyID]tree.VertexID, len(got.Outputs))
+	for p, out := range got.Outputs {
 		v, ok := out.(tree.VertexID)
 		if !ok {
 			rep.Err = "party output is not a vertex"
 			return rep, nil
 		}
-		outs = append(outs, v)
+		outputs[p] = v
 	}
-	rep.Valid = true
-	for i, v := range outs {
-		rep.Valid = rep.Valid && sp.InHull(inputs, v)
-		for _, u := range outs[i+1:] {
-			rep.MaxDist = max(rep.MaxDist, sp.Dist(u, v))
-		}
-	}
+	var validity []string
+	rep.MaxDist, validity, _ = sp.Judge(inputs, nil, outputs)
+	rep.Valid = len(validity) == 0
 	return rep, nil
 }

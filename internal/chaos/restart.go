@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"treeaa/internal/cli"
-	"treeaa/internal/journal"
 	"treeaa/internal/metrics"
 	"treeaa/internal/session"
 	"treeaa/internal/sim"
@@ -51,9 +50,7 @@ type KillRestartReport struct {
 	MidKillLost       int `json:"mid_kill_lost"` // unacked opens in the unsynced tail (allowed)
 	FreshDecided      int `json:"fresh_decided"`
 
-	RestoredLive   int64 `json:"restored_live"`
 	RestoredSealed int64 `json:"restored_sealed"`
-	Replayed       int64 `json:"replayed"`
 
 	Err string `json:"err,omitempty"`
 }
@@ -120,7 +117,6 @@ func RunServeKillRestart(spec KillRestartSpec) (*KillRestartReport, error) {
 		return want, nil
 	}
 
-	jstats := &journal.Stats{}
 	serveStats := &metrics.ServeStats{}
 	cluster, err := session.StartCluster(spec.N, session.Options{
 		MaxSessions:         spec.Decided + spec.MidKill + spec.Fresh + spec.N,
@@ -130,7 +126,6 @@ func RunServeKillRestart(spec KillRestartSpec) (*KillRestartReport, error) {
 		Stats:               serveStats,
 		JournalDir:          dir,
 		JournalSyncInterval: time.Millisecond,
-		JournalStats:        jstats,
 	})
 	if err != nil {
 		return nil, err
@@ -201,9 +196,7 @@ func RunServeKillRestart(spec KillRestartSpec) (*KillRestartReport, error) {
 	if err := waitHealthy(cluster, spec.N, spec.SetupTimeout); err != nil {
 		return nil, err
 	}
-	rep.RestoredLive = serveStats.Restored.Load()
 	rep.RestoredSealed = serveStats.RestoredTerminal.Load()
-	rep.Replayed = jstats.Replayed.Load()
 
 	// The contract check: zero lost decided sessions, byte-identical results.
 	cl, err := session.DialClient(cluster.ClientAddr(spec.Victim), spec.SetupTimeout)

@@ -39,9 +39,6 @@ func TestServeKillRestart(t *testing.T) {
 		t.Errorf("restored %d sealed sessions, want >= %d — recovery not exercised",
 			rep.RestoredSealed, rep.DecidedBeforeKill)
 	}
-	if rep.Replayed == 0 {
-		t.Error("journal replayed 0 records — the kill path did not journal")
-	}
 	if rep.MidKillTerminal+rep.MidKillLost == 0 {
 		t.Error("no mid-kill session observed at all — wave 2 did not run")
 	}

@@ -151,7 +151,7 @@ func (cr *compiled) runAsyncOnce(name string, sched async.Scheduler, budget int)
 		}
 		outputs[p] = v
 	}
-	cr.judgeOutputs(honest, outputs, "async-", add)
+	cr.judgeOutputs(outputs, "async-", add)
 
 	out = append(out, cr.checkAsyncPaths(name, honest, pipes)...)
 	out = append(out, cr.checkAsyncHull(name, honest, pipes)...)

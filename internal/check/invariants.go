@@ -50,46 +50,19 @@ func (cr *compiled) honestParties() []sim.PartyID {
 // and asynchronous runs, reported as prefix+"validity" and
 // prefix+"agreement". Parties missing from outputs are skipped (termination
 // is the caller's to report).
-func (cr *compiled) judgeOutputs(honest []sim.PartyID, outputs map[sim.PartyID]tree.VertexID,
+func (cr *compiled) judgeOutputs(outputs map[sim.PartyID]tree.VertexID,
 	prefix string, add func(invariant, format string, args ...any)) {
-	// Validity: honest outputs lie in the honest inputs' convex hull — the
-	// tree hull for tree cells, the geodesic hull for graph cells.
-	honestIn := make([]tree.VertexID, 0, len(honest))
-	for _, p := range honest {
-		honestIn = append(honestIn, cr.inputs[p])
+	// Validity: the tree hull for tree cells, the geodesic hull for graph
+	// cells. Agreement: distance 1 on trees and block graphs; graphs with
+	// cycle blocks relax to a shared block (adjacent block-cut-tree decisions
+	// decode into one biconnected component), per the Alistarh–Ellen–Rybicki
+	// cycle impossibility.
+	_, validity, agreement := cr.space.Judge(cr.inputs, cr.corrupt, outputs)
+	for _, v := range validity {
+		add(prefix+"validity", "%s", v)
 	}
-	hull := make(map[tree.VertexID]bool)
-	for _, v := range cr.space.ConvexHull(honestIn) {
-		hull[v] = true
-	}
-	for _, p := range honest {
-		if v, ok := outputs[p]; ok && !hull[v] {
-			add(prefix+"validity", "party %d output %s outside honest hull %v",
-				p, cr.space.Label(v), cr.space.Labels(cr.space.ConvexHull(honestIn)))
-		}
-	}
-
-	// Agreement: honest outputs pairwise within geodesic distance 1 on trees
-	// and block graphs; graphs with cycle blocks relax to a shared block
-	// (adjacent block-cut-tree decisions decode into one biconnected
-	// component), per the Alistarh–Ellen–Rybicki cycle impossibility.
-	strict := !cr.space.IsGraph() || cr.space.Graph.IsBlockGraph()
-	for i, p := range honest {
-		for _, q := range honest[i+1:] {
-			vp, okP := outputs[p]
-			vq, okQ := outputs[q]
-			if !okP || !okQ {
-				continue
-			}
-			switch {
-			case !cr.space.AgreementOK(vp, vq):
-				add(prefix+"agreement", "parties %d and %d output %s and %s (distance %d, no shared block)",
-					p, q, cr.space.Label(vp), cr.space.Label(vq), cr.space.Dist(vp, vq))
-			case strict && cr.space.Dist(vp, vq) > 1:
-				add(prefix+"agreement", "parties %d and %d output %s and %s at distance %d",
-					p, q, cr.space.Label(vp), cr.space.Label(vq), cr.space.Dist(vp, vq))
-			}
-		}
+	for _, v := range agreement {
+		add(prefix+"agreement", "%s", v)
 	}
 }
 
@@ -129,7 +102,7 @@ func (cr *compiled) evaluate(res *sim.Result, runErr error, cores []*core.Machin
 			outputs[p] = v.(tree.VertexID)
 		}
 	}
-	cr.judgeOutputs(honest, outputs, "", add)
+	cr.judgeOutputs(outputs, "", add)
 
 	out = append(out, cr.checkPaths(honest, cores)...)
 	out = append(out, cr.checkHull(honest, cores)...)

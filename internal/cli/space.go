@@ -156,6 +156,57 @@ func (s *Space) AgreementOK(u, v tree.VertexID) bool {
 	return s.Tree.Dist(u, v) <= 1
 }
 
+// Judge evaluates Definition 2 over the honest parties' outputs, the one
+// verdict every driver and checker reports. validity lists the outputs
+// outside the honest inputs' hull; agreement lists the output pairs that
+// break AgreementOK or, on trees and block graphs (where the guarantee is
+// strict 1-agreement), lie further than distance 1 apart; maxDist is the
+// largest pairwise output distance. Corrupted parties' inputs and outputs
+// are ignored, and a party missing from outputs is skipped — termination is
+// the caller's to report.
+func (s *Space) Judge(inputs []tree.VertexID, corrupted map[sim.PartyID]bool,
+	outputs map[sim.PartyID]tree.VertexID) (maxDist int, validity, agreement []string) {
+	var honestIn []tree.VertexID
+	var parties []sim.PartyID
+	for i, v := range inputs {
+		p := sim.PartyID(i)
+		if corrupted[p] {
+			continue
+		}
+		honestIn = append(honestIn, v)
+		if _, ok := outputs[p]; ok {
+			parties = append(parties, p)
+		}
+	}
+	hull := s.ConvexHull(honestIn)
+	inHull := make(map[tree.VertexID]bool, len(hull))
+	for _, v := range hull {
+		inHull[v] = true
+	}
+	strict := !s.IsGraph() || s.Graph.IsBlockGraph()
+	for i, p := range parties {
+		vp := outputs[p]
+		if !inHull[vp] {
+			validity = append(validity, fmt.Sprintf("party %d output %s outside honest hull %v",
+				p, s.Label(vp), s.Labels(hull)))
+		}
+		for _, q := range parties[i+1:] {
+			vq := outputs[q]
+			d := s.Dist(vp, vq)
+			maxDist = max(maxDist, d)
+			switch {
+			case strict && d > 1:
+				agreement = append(agreement, fmt.Sprintf("parties %d and %d output %s and %s at distance %d",
+					p, q, s.Label(vp), s.Label(vq), d))
+			case !s.AgreementOK(vp, vq):
+				agreement = append(agreement, fmt.Sprintf("parties %d and %d output %s and %s (distance %d, no shared block)",
+					p, q, s.Label(vp), s.Label(vq), d))
+			}
+		}
+	}
+	return maxDist, validity, agreement
+}
+
 // Rounds returns the honest round budget of the space's protocol.
 func (s *Space) Rounds() int { return core.Rounds(s.ProtocolTree()) }
 

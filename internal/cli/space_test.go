@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"treeaa/internal/sim"
 	"treeaa/internal/tree"
 )
 
@@ -113,5 +114,53 @@ func TestSpaceGraphSemantics(t *testing.T) {
 	}
 	if any(tm) != any(tcm) {
 		t.Fatal("tree space sim machine is not the core machine")
+	}
+}
+
+// TestSpaceJudge pins the one verdict every driver reports: hull validity
+// over honest inputs, strict 1-agreement on trees and block graphs, the
+// shared-block relaxation on cycle blocks, and corrupted or silent parties
+// left out of both.
+func TestSpaceJudge(t *testing.T) {
+	path, err := ParseSpaceSpec("path:8", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := []tree.VertexID{2, 4, 7, 0}
+	corrupt := map[sim.PartyID]bool{2: true, 3: true}
+	// Honest hull is {2,3,4}; party 2's output and both corrupted inputs are
+	// ignored, a party without an output is skipped.
+	maxDist, validity, agreement := path.Judge(inputs, corrupt,
+		map[sim.PartyID]tree.VertexID{0: 3, 2: 7})
+	if maxDist != 0 || len(validity)+len(agreement) != 0 {
+		t.Fatalf("clean run judged (%d, %v, %v)", maxDist, validity, agreement)
+	}
+	maxDist, validity, agreement = path.Judge(inputs, corrupt,
+		map[sim.PartyID]tree.VertexID{0: 2, 1: 5})
+	if maxDist != 3 || len(validity) != 1 || len(agreement) != 1 {
+		t.Fatalf("output outside the hull at distance 3 judged (%d, %v, %v)", maxDist, validity, agreement)
+	}
+
+	// Block graph: the same block is distance 1; across two blocks is not.
+	chain, err := ParseSpaceSpec("graph:cliquechain:3:3", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := []tree.VertexID{0, 1, 6}
+	if d, v, a := chain.Judge(all, nil, map[sim.PartyID]tree.VertexID{0: 0, 1: 1}); d != 1 || len(v)+len(a) != 0 {
+		t.Fatalf("same-block outputs judged (%d, %v, %v)", d, v, a)
+	}
+	if _, _, a := chain.Judge(all, nil, map[sim.PartyID]tree.VertexID{0: 0, 1: 6}); len(a) != 1 {
+		t.Fatalf("chain endpoints judged agreeing: %v", a)
+	}
+
+	// A cycle block relaxes agreement to the shared block, whatever the
+	// distance inside it.
+	cycle, err := ParseSpaceSpec("graph:cycle:6", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, v, a := cycle.Judge([]tree.VertexID{0, 3}, nil, map[sim.PartyID]tree.VertexID{0: 0, 1: 3}); d != 3 || len(v)+len(a) != 0 {
+		t.Fatalf("antipodal outputs of one cycle block judged (%d, %v, %v)", d, v, a)
 	}
 }

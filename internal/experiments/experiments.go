@@ -14,6 +14,7 @@ import (
 	"treeaa/internal/adversary"
 	"treeaa/internal/async"
 	"treeaa/internal/baseline"
+	"treeaa/internal/cli"
 	"treeaa/internal/core"
 	"treeaa/internal/exactaa"
 	"treeaa/internal/lowerbound"
@@ -450,33 +451,6 @@ func E8MessageComplexity(tr *tree.Tree, ns []int) (*metrics.Table, error) {
 // Judge evaluates Definition 2 over honest outputs: the maximum pairwise
 // output distance and whether every output lies in the honest hull.
 func Judge(tr *tree.Tree, inputs []tree.VertexID, corrupt map[sim.PartyID]bool, outputs map[sim.PartyID]tree.VertexID) (maxDist int, allValid bool) {
-	var honestIn []tree.VertexID
-	for i, v := range inputs {
-		if !corrupt[sim.PartyID(i)] {
-			honestIn = append(honestIn, v)
-		}
-	}
-	hull := make(map[tree.VertexID]bool)
-	for _, v := range tr.ConvexHull(honestIn) {
-		hull[v] = true
-	}
-	allValid = true
-	var outs []tree.VertexID
-	for p, v := range outputs {
-		if corrupt[p] {
-			continue
-		}
-		if !hull[v] {
-			allValid = false
-		}
-		outs = append(outs, v)
-	}
-	for i := range outs {
-		for j := i + 1; j < len(outs); j++ {
-			if d := tr.Dist(outs[i], outs[j]); d > maxDist {
-				maxDist = d
-			}
-		}
-	}
-	return maxDist, allValid
+	maxDist, validity, _ := (&cli.Space{Tree: tr}).Judge(inputs, corrupt, outputs)
+	return maxDist, len(validity) == 0
 }

@@ -1,8 +1,8 @@
 // Package journal is the serving layer's write-ahead session journal:
-// append-only segment files of CRC-framed wire records that let a daemon
-// restart re-admit every non-terminal session and deterministically re-step
-// its engines from the logged inputs (internal/session owns the replay
-// semantics; this package owns durability).
+// append-only segment files of CRC-framed wire records that let a restarted
+// daemon rebuild its session table — every acked-decided outcome included
+// (internal/session owns the replay semantics; this package owns
+// durability).
 //
 // # On-disk format
 //
@@ -21,13 +21,13 @@
 // # Fsync policy
 //
 // Appends never touch the filesystem: they encode into an in-memory batch
-// buffer under the writer lock (pure memcpy — the inbound-frame hot path is
+// buffer under the writer lock (pure memcpy — the session hot path is
 // never stalled behind storage latency). A background syncer swaps the
 // batch out and does all file I/O — write, fsync, segment rotation — with
 // the lock released, one pass per SyncInterval plus an immediate pass per
 // Commit (group commit, the same batching philosophy as the serving mux's
-// flush tick). Append is fire-and-forget (inbound frames are re-creatable
-// noise until a session decides); Commit returns a ticket channel that
+// flush tick). Append is fire-and-forget (nothing acks on admissions or
+// non-origin seals); Commit returns a ticket channel that
 // closes once the record — and, because the log is ordered, everything
 // appended before it — is durable. The serving layer acks a decided
 // session to its client only after the seal's ticket resolves, so
@@ -43,10 +43,11 @@
 // Replay streams every record in order. A broken record (bad CRC, bad
 // framing, truncation) in the *last* segment with no valid record after it
 // is a torn tail — the expected shape of a crash mid-append — and replay
-// stops cleanly, reporting Truncated. A broken record followed by a valid
-// one, or any broken record in a non-final segment, is real corruption and
-// replay fails with ErrCorrupt: recovering past silently dropped records
-// would violate the durability contract.
+// stops cleanly, counting it in Stats.ReplaySkips; the Open that follows
+// cuts it off before starting the next segment. A broken record followed by
+// a valid one, or any broken record in a non-final segment, is real
+// corruption and replay fails with ErrCorrupt: recovering past silently
+// dropped records would violate the durability contract.
 package journal
 
 import (
@@ -103,7 +104,7 @@ type Options struct {
 	// SyncInterval is the background sync cadence: the longest a
 	// fire-and-forget Append waits for durability. Commits do not wait for
 	// it — each Commit kicks an immediate group-commit pass — so this only
-	// bounds the loss window for records nothing is acking (inbound frames,
+	// bounds the loss window for records nothing is acking (admissions,
 	// non-origin seals), and a generous default keeps the fsync rate paid
 	// for them near zero. Default 100ms.
 	SyncInterval time.Duration
@@ -159,7 +160,10 @@ type Writer struct {
 
 // Open creates (or reuses) the journal directory and starts a fresh segment
 // after any existing ones. Call Replay first: Open's new segment makes the
-// prior tail immutable.
+// prior tail immutable. A torn tail on the newest existing segment is cut
+// off here — that segment is about to become non-final, where a broken
+// record reads as corruption on every later replay — and damage Replay would
+// refuse is refused here too.
 func Open(opts Options) (*Writer, error) {
 	opts = opts.withDefaults()
 	if opts.Dir == "" {
@@ -174,7 +178,17 @@ func Open(opts Options) (*Writer, error) {
 	}
 	var seq int64 = 1
 	if len(segs) > 0 {
-		seq = segs[len(segs)-1].seq + 1
+		newest := segs[len(segs)-1]
+		seq = newest.seq + 1
+		torn, err := replaySegment(newest, true, &Stats{}, func(any) error { return nil })
+		if err != nil {
+			return nil, err
+		}
+		if torn >= 0 {
+			if err := os.Truncate(newest.path, torn); err != nil {
+				return nil, fmt.Errorf("journal: cutting torn tail: %w", err)
+			}
+		}
 	}
 	w := &Writer{
 		opts:  opts,

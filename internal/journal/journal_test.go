@@ -545,3 +545,62 @@ func TestGoldenCorpus(t *testing.T) {
 		}
 	}
 }
+
+// TestTornTailSurvivesSecondRestart: a crash mid-append leaves a broken
+// record at the end of the final segment. The restart that tolerates it
+// opens a new segment, which makes the torn one non-final — where a broken
+// record is corruption. Replay therefore cuts the torn tail off, and the
+// restart after that replays both segments cleanly.
+func TestTornTailSurvivesSecondRestart(t *testing.T) {
+	dir := t.TempDir()
+	recs := testRecords(6)
+	w, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := w.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Tear the last record: drop the preallocated padding and half its body.
+	seg := segPath(dir, 1)
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := len(bytes.TrimRight(data, "\x00"))
+	if err := os.WriteFile(seg, data[:end-3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	stats := &Stats{}
+	first := replayAll(t, dir, stats)
+	if len(first) != len(recs)-1 || stats.ReplaySkips.Load() != 1 {
+		t.Fatalf("first restart replayed %d records with %d skips, want %d and 1",
+			len(first), stats.ReplaySkips.Load(), len(recs)-1)
+	}
+	w, err = Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(recs[len(recs)-1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	second := replayAll(t, dir, stats)
+	if len(second) != len(recs) || stats.ReplaySkips.Load() != 0 {
+		t.Fatalf("second restart replayed %d records with %d skips, want all %d and none",
+			len(second), stats.ReplaySkips.Load(), len(recs))
+	}
+	for i := range recs {
+		if !bytes.Equal(mustEncode(second[i]), mustEncode(recs[i])) {
+			t.Fatalf("record %d: got %#v want %#v", i, second[i], recs[i])
+		}
+	}
+}

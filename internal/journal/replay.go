@@ -42,7 +42,7 @@ func Replay(dir string, stats *Stats, fn func(payload any) error) error {
 	}
 	for i, seg := range segs {
 		last := i == len(segs)-1
-		if err := replaySegment(seg, last, stats, fn); err != nil {
+		if _, err := replaySegment(seg, last, stats, fn); err != nil {
 			return err
 		}
 		stats.ReplayedSegs.Add(1)
@@ -51,19 +51,23 @@ func Replay(dir string, stats *Stats, fn func(payload any) error) error {
 }
 
 // replaySegment decodes one segment. A broken record is tolerated only as a
-// torn tail: on the final segment, with no fully-valid record after it.
-func replaySegment(seg segment, last bool, stats *Stats, fn func(payload any) error) error {
+// torn tail: on the final segment, with no fully-valid record after it. torn
+// is then the offset the tail starts at — the end of the last valid record —
+// and -1 otherwise.
+func replaySegment(seg segment, last bool, stats *Stats, fn func(payload any) error) (torn int64, err error) {
 	f, err := os.Open(seg.path)
 	if err != nil {
-		return fmt.Errorf("journal: %w", err)
+		return -1, fmt.Errorf("journal: %w", err)
 	}
 	defer f.Close()
 	br := bufio.NewReaderSize(f, 64<<10)
 	var body []byte
+	good := int64(0) // end offset of the last valid record
+	var lenBuf [binary.MaxVarintLen64]byte
 	for rec := 0; ; rec++ {
 		payload, resumable, err := readRecord(br, &body)
 		if err == io.EOF {
-			return nil
+			return -1, nil
 		}
 		if err != nil {
 			if err == errPadding {
@@ -72,36 +76,37 @@ func replaySegment(seg segment, last bool, stats *Stats, fn func(payload any) er
 				// means a record was zeroed out under us.
 				nonzero, serr := skipZeros(br)
 				if serr != nil {
-					return fmt.Errorf("journal: %s: %v", seg.path, serr)
+					return -1, fmt.Errorf("journal: %s: %v", seg.path, serr)
 				}
 				if !nonzero {
-					return nil
+					return -1, nil
 				}
 				if !last || validRecordFollows(br, &body) {
-					return fmt.Errorf("%w: %s record %d: data follows zero padding",
+					return -1, fmt.Errorf("%w: %s record %d: data follows zero padding",
 						ErrCorrupt, seg.path, rec)
 				}
 				stats.ReplaySkips.Add(1)
-				return nil
+				return good, nil
 			}
 			if !last {
-				return fmt.Errorf("%w: %s record %d: %v", ErrCorrupt, seg.path, rec, err)
+				return -1, fmt.Errorf("%w: %s record %d: %v", ErrCorrupt, seg.path, rec, err)
 			}
 			// Final segment: a crash mid-append explains a broken record only
 			// if nothing valid was appended after it. When the stream position
 			// past the broken record is still well-defined, scan forward — a
 			// later valid record proves this is damage, not a torn tail.
 			if resumable && validRecordFollows(br, &body) {
-				return fmt.Errorf("%w: %s record %d (valid records follow): %v",
+				return -1, fmt.Errorf("%w: %s record %d (valid records follow): %v",
 					ErrCorrupt, seg.path, rec, err)
 			}
 			stats.ReplaySkips.Add(1)
-			return nil
+			return good, nil
 		}
 		if err := fn(payload); err != nil {
-			return err
+			return -1, err
 		}
 		stats.Replayed.Add(1)
+		good += int64(binary.PutUvarint(lenBuf[:], uint64(len(body)))) + 4 + int64(len(body))
 	}
 }
 
@@ -146,7 +151,8 @@ func validRecordFollows(br *bufio.Reader, body *[]byte) bool {
 // a clean segment end; every other error means the record is broken. The
 // resumable result reports whether the full record was consumed despite the
 // error, leaving the stream positioned at the next record — false for
-// truncation and unparseable framing, where no next position exists.
+// truncation and unparseable framing, where no next position exists. A
+// valid record leaves *body holding exactly its bytes.
 func readRecord(br *bufio.Reader, body *[]byte) (payload any, resumable bool, err error) {
 	sz, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -169,6 +175,7 @@ func readRecord(br *bufio.Reader, body *[]byte) (payload any, resumable bool, er
 		*body = make([]byte, sz)
 	}
 	b := (*body)[:sz]
+	*body = b
 	if _, err := io.ReadFull(br, b); err != nil {
 		return nil, false, fmt.Errorf("body: %v", err)
 	}

@@ -22,7 +22,6 @@ type ServeStats struct {
 	Failed            atomic.Int64
 	Expired           atomic.Int64 // deadline evictions (a subset of terminal failures)
 
-	Restored         atomic.Int64 // non-terminal sessions re-admitted from the journal
 	RestoredTerminal atomic.Int64 // sealed sessions rebuilt from the journal
 	LinkDowns        atomic.Int64 // peer link failures observed
 	LinkRedials      atomic.Int64 // peer links restored by the redial loop

@@ -67,8 +67,7 @@ func (o Options) collect() []sample {
 		add("treeaa_sessions_expired_total", "Deadline evictions (subset of failures).", "counter", float64(s.Expired.Load()))
 		add("treeaa_sessions_rejected_total", "Rejected submissions by reason.", "counter", float64(s.RejectedCapacity.Load()), `reason="capacity"`)
 		add("treeaa_sessions_rejected_total", "", "", float64(s.RejectedDuplicate.Load()), `reason="duplicate"`)
-		add("treeaa_sessions_restored_total", "Journal-restored sessions by kind.", "counter", float64(s.Restored.Load()), `kind="live"`)
-		add("treeaa_sessions_restored_total", "", "", float64(s.RestoredTerminal.Load()), `kind="sealed"`)
+		add("treeaa_sessions_restored_total", "Sessions restored from a journal seal.", "counter", float64(s.RestoredTerminal.Load()), `kind="sealed"`)
 		add("treeaa_peer_link_downs_total", "Peer mesh link failures observed.", "counter", float64(s.LinkDowns.Load()))
 		add("treeaa_peer_link_redials_total", "Peer links re-established by the redial loop.", "counter", float64(s.LinkRedials.Load()))
 		add("treeaa_mux_batches_total", "Coalesced peer-link writes (one conn.Write each).", "counter", float64(s.Batches.Load()))

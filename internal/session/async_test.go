@@ -33,26 +33,20 @@ func judgeAsyncResult(t *testing.T, spec Spec, n int, got *sim.Result, ctx strin
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs := make([]tree.VertexID, 0, len(got.Outputs))
+	outputs := make(map[sim.PartyID]tree.VertexID, len(got.Outputs))
 	for p, raw := range got.Outputs {
 		v, ok := raw.(tree.VertexID)
 		if !ok {
 			t.Fatalf("%s: party %d output is %T, not a vertex", ctx, p, raw)
 		}
-		outs = append(outs, v)
+		outputs[p] = v
 	}
-	if len(outs) != n {
-		t.Fatalf("%s: %d outputs for %d parties", ctx, len(outs), n)
+	if len(outputs) != n {
+		t.Fatalf("%s: %d outputs for %d parties", ctx, len(outputs), n)
 	}
-	for i, v := range outs {
-		if !sp.InHull(inputs, v) {
-			t.Errorf("%s: async output %s outside the input hull", ctx, sp.Label(v))
-		}
-		for _, u := range outs[i+1:] {
-			if !sp.AgreementOK(u, v) {
-				t.Errorf("%s: async outputs %s and %s disagree", ctx, sp.Label(u), sp.Label(v))
-			}
-		}
+	_, validity, agreement := sp.Judge(inputs, nil, outputs)
+	for _, v := range append(validity, agreement...) {
+		t.Errorf("%s: async %s", ctx, v)
 	}
 }
 
@@ -157,24 +151,6 @@ func TestAsyncServeQuietMatchesInProcess(t *testing.T) {
 		g, ok := got.Outputs[sim.PartyID(p)].(tree.VertexID)
 		if !ok || g != w {
 			t.Errorf("party %d decided %v when served, %v in-process", p, got.Outputs[sim.PartyID(p)], w)
-		}
-	}
-}
-
-// TestAsyncOptionsRejected: the journal is built on lock-step rounds, so an
-// async daemon refuses it at construction with an error naming the
-// conflict.
-func TestAsyncOptionsRejected(t *testing.T) {
-	addrs := []string{"127.0.0.1:1", "127.0.0.1:2"}
-	for name, opts := range map[string]Options{
-		"journal": {Async: true, JournalDir: t.TempDir()},
-	} {
-		_, err := NewDaemon(0, addrs, "127.0.0.1:0", opts)
-		if err == nil {
-			t.Fatalf("NewDaemon accepted async + %s", name)
-		}
-		if !strings.Contains(err.Error(), "async mode") {
-			t.Errorf("%s rejection %q does not explain the async conflict", name, err)
 		}
 	}
 }

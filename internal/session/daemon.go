@@ -16,29 +16,6 @@ import (
 	"treeaa/internal/transport"
 )
 
-// JournalLevel selects the journal's capture policy — see Options.
-type JournalLevel int
-
-const (
-	// JournalFull captures admissions, every inbound session frame, and
-	// terminal seals: full deterministic replay.
-	JournalFull JournalLevel = iota
-	// JournalSealed captures admissions and terminal seals only: the
-	// durable-decided contract at a fraction of the write volume.
-	JournalSealed
-)
-
-// ParseJournalLevel maps the CLI spelling ("full", "sealed") to a level.
-func ParseJournalLevel(s string) (JournalLevel, error) {
-	switch s {
-	case "", "full":
-		return JournalFull, nil
-	case "sealed":
-		return JournalSealed, nil
-	}
-	return 0, fmt.Errorf("session: unknown journal level %q (want full or sealed)", s)
-}
-
 // Options tunes one serving daemon. The zero value is usable: withDefaults
 // fills every field.
 type Options struct {
@@ -70,30 +47,20 @@ type Options struct {
 	// on arrival, with no end-of-round barriers and no round timeouts. The
 	// mode is a deployment property — it joins the cluster hash, so a sync
 	// and an async daemon refuse to pair. Async daemons host honest seats
-	// only and reject the journal (its muted replay is built on the
-	// lock-step round structure async mode abolishes); NewDaemon refuses
-	// that combination up front.
+	// only.
 	Async bool
 
 	// JournalDir enables the write-ahead session journal: each daemon
-	// journals to <JournalDir>/daemon-<id> and replays it on startup,
-	// restoring sealed outcomes and re-stepping live sessions. Empty
-	// disables durability (the pre-journal behavior).
+	// journals admissions and terminal seals to <JournalDir>/daemon-<id> and
+	// rebuilds its session table from them on startup — sealed sessions
+	// restore their outcome, admitted-but-unsealed ones restore as failed.
+	// Empty disables durability.
 	JournalDir string
 	// JournalSyncInterval is the journal writer's group-commit interval;
-	// zero takes the journal package default (2ms).
+	// zero takes the journal package default (100ms).
 	JournalSyncInterval time.Duration
 	// JournalStats receives the journal's counters; nil allocates privately.
 	JournalStats *journal.Stats
-	// JournalLevel picks what the journal captures. JournalFull (default)
-	// also write-ahead-logs every inbound session frame, so replay can
-	// re-step engines to their exact pre-crash state — sessions that
-	// reached decided but whose seal never synced are recovered, not lost.
-	// JournalSealed logs only admissions and terminal seals: the durable
-	// contract ("acked decided survives kill -9") is identical, running
-	// sessions just cannot be reconstructed, and the write volume — and
-	// with it the serving overhead — drops by an order of magnitude.
-	JournalLevel JournalLevel
 
 	// SessionLog, when set, receives one structured log line per session
 	// lifecycle event (admitted, restored, terminal), keyed by session id.
@@ -181,10 +148,6 @@ func NewDaemon(id int, peerAddrs []string, clientAddr string, opts Options) (*Da
 	if id < 0 || id >= n {
 		return nil, fmt.Errorf("session: daemon id %d out of range [0, %d)", id, n)
 	}
-	if opts.Async && opts.JournalDir != "" {
-		return nil, fmt.Errorf("session: the journal's muted replay re-steps engines through " +
-			"lock-step rounds, which async mode does not have — drop -journal-dir or use -mode sync")
-	}
 	return &Daemon{
 		id:        sim.PartyID(id),
 		n:         n,
@@ -220,10 +183,7 @@ func (d *Daemon) Run(ctx context.Context) error {
 	cluster := clusterHash(d.peerAddrs, d.opts.Async)
 	d.mgr = newManager(d)
 	// Journal recovery runs before the mux exists: the session table is
-	// rebuilt from disk in isolation, then the mesh comes up and the restored
-	// engines re-step on the shard workers. Live frames arriving between mux
-	// start and registration wait in the shards' pending buffers and are
-	// absorbed in arrival order right behind the replayed ones.
+	// rebuilt from disk in isolation, then the mesh comes up.
 	if d.opts.JournalDir != "" {
 		dir := filepath.Join(d.opts.JournalDir, fmt.Sprintf("daemon-%d", d.id))
 		jopts := journal.Options{
@@ -248,7 +208,6 @@ func (d *Daemon) Run(ctx context.Context) error {
 		}
 		return err
 	}
-	d.mgr.registerRestored()
 	go d.mgr.evictLoop()
 	d.clientWG.Add(1)
 	go d.acceptClients()

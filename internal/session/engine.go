@@ -29,8 +29,8 @@ const roundWindow = 2
 
 // engine is one daemon's seat of one session: the adapter between the mux
 // and a passive protocol driver, stepped by its shard's worker. It owns the
-// SessionMsg/SessionEOR framing, the mute-replay of a restored seat and the
-// watchdog deadline; rounds, mailboxes, accounting and termination live in
+// SessionMsg/SessionEOR framing and the watchdog deadline; rounds,
+// mailboxes, accounting and termination live in
 // internal/driver. All fields below the header are worker-owned: only the
 // owning shard's single worker goroutine touches them, so stepping takes no
 // locks and, with the driver's recycled slots and the scratch buffer, no
@@ -51,13 +51,6 @@ type engine struct {
 	// bound on total silence, never on a round.
 	watchdog     time.Time
 	frameScratch []byte
-
-	// Replay state: journaled inbound frames a restarted daemon re-steps the
-	// engine from before any live traffic. While mute is set the engine's
-	// outbound sends are suppressed — peers received them in the previous
-	// incarnation, and duplicates would trip their duplicate-EOR checks.
-	replay []rawEvent
-	mute   bool
 
 	// Queue state, guarded by shard.mu.
 	in      []rawEvent
@@ -84,24 +77,6 @@ func (e *engine) run(evs []rawEvent) bool {
 	if e.s.terminal.Load() {
 		return false
 	}
-	// A restored engine first re-steps through its journaled inputs, muted:
-	// deterministic machines over identical inputs reproduce the pre-crash
-	// state byte for byte, without re-sending what peers already hold. Live
-	// frames that raced in before registration are processed after, unmuted.
-	if len(e.replay) > 0 {
-		rep := e.replay
-		e.replay = nil
-		e.mute = true
-		ok := e.runEvents(rep)
-		e.mute = false
-		if !ok {
-			return false
-		}
-	}
-	return e.runEvents(evs)
-}
-
-func (e *engine) runEvents(evs []rawEvent) bool {
 	if e.rd == nil && e.ev == nil && !e.begin() {
 		return false
 	}
@@ -156,7 +131,7 @@ func (e *engine) begin() bool {
 		return false
 	}
 	e.rd = driver.NewRound(d.id, d.n, ps.maxRounds, roundWindow, machine, e)
-	return true // runEvents' Advance steps round 1
+	return true // run's Advance steps round 1
 }
 
 // apply decodes one raw frame and hands it to the driver. Window
@@ -191,7 +166,7 @@ func (e *engine) apply(ev rawEvent) error {
 // pipeline's EnvelopeRound — progress for observers, never waited on.
 func (e *engine) Emit(round int, to sim.PartyID, payload any) error {
 	d := e.m.d
-	if e.mute || to == d.id {
+	if to == d.id {
 		return nil
 	}
 	frame, err := appendSessionFrame(e.frameScratch[:0],
@@ -213,9 +188,6 @@ func (e *engine) Emit(round int, to sim.PartyID, payload any) error {
 func (e *engine) EndRound(round int, done bool) error {
 	d := e.m.d
 	e.watchdog = time.Now().Add(d.opts.RoundTimeout)
-	if e.mute {
-		return nil
-	}
 	eor, err := appendSessionFrame(e.frameScratch[:0],
 		wire.SessionEOR{SID: e.s.sid, Round: round, Done: done})
 	if err != nil {
@@ -244,7 +216,7 @@ func (e *engine) finish(output any, doneRound, termRound int, sent driver.Tally)
 	e.m.finishSeat(e.s, wire.SessionDecide{
 		SID: e.s.sid, Party: e.m.d.id, V: v,
 		DoneRound: doneRound, TermRound: termRound, Msgs: sent.Msgs, Bytes: sent.Bytes,
-	}, e.mute)
+	})
 	return false // seat complete
 }
 
@@ -263,19 +235,14 @@ func (m *Manager) setRunning(s *session) bool {
 // finishSeat reports this seat's terminal record. On the origin it feeds the
 // assembly directly (the session stays Running until all n records are in);
 // on a peer it ships the SessionDecide to the origin and marks the local
-// session Decided — the origin owns the authoritative Outcome. A muted
-// (replaying) seat re-derives its local state without re-sending the decide:
-// the origin heard it in the previous incarnation or has already failed the
-// session its own way.
-func (m *Manager) finishSeat(s *session, dec wire.SessionDecide, mute bool) {
+// session Decided — the origin owns the authoritative Outcome.
+func (m *Manager) finishSeat(s *session, dec wire.SessionDecide) {
 	if s.origin == m.d.id {
 		m.handleDecide(m.d.id, dec)
 		return
 	}
-	if !mute {
-		if frame, err := sessionFrame(dec); err == nil {
-			m.d.mux.enqueue(s.origin, frame)
-		}
+	if frame, err := sessionFrame(dec); err == nil {
+		m.d.mux.enqueue(s.origin, frame)
 	}
 	m.mu.Lock()
 	m.terminalLocked(s, StateDecided, "")

@@ -109,12 +109,15 @@ func startTestMeshes(t *testing.T, n int, opts Options,
 		addrs[i] = ln.Addr().String()
 	}
 	muxes := make([]*mux, n)
+	// Set before the first mux closes: a peer hanging up at teardown reaches
+	// the still-open muxes as a link failure.
+	var closing atomic.Bool
 	for i := range muxes {
 		me := sim.PartyID(i)
 		muxes[i] = newMux(me, n, addrs, 1, opts,
 			func(from sim.PartyID, body []byte) error { handler(me, from, body); return nil },
 			func(peer sim.PartyID, err error) {
-				if !muxes[me].closed() {
+				if !closing.Load() {
 					t.Errorf("link %d-%d down: %v", me, peer, err)
 				}
 			},
@@ -133,6 +136,7 @@ func startTestMeshes(t *testing.T, n int, opts Options,
 		}
 	}
 	t.Cleanup(func() {
+		closing.Store(true)
 		for _, m := range muxes {
 			m.close()
 		}

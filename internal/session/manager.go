@@ -27,7 +27,7 @@ type session struct {
 	sid    uint64
 	origin sim.PartyID // daemon the session was submitted to
 	ps     parsedSpec
-	eng    *engine // this daemon's seat; owned by shardOf(sid)
+	eng    *engine // this daemon's seat; owned by shardOf(sid). nil on journal-restored sessions
 
 	state    State
 	reason   string
@@ -68,13 +68,9 @@ type Manager struct {
 	// so a peer restart degrades the daemon instead of poisoning it forever.
 	degraded map[sim.PartyID]error
 
-	// Durability plumbing. jw is nil on journal-less daemons. replaying is
-	// true only during journal replay, before the mux exists: journal writes
-	// are suppressed (replay must not re-journal itself) and restored engines
-	// collect in restored until registerRestored runs them.
-	jw        *journal.Writer
-	replaying bool
-	restored  []*engine
+	// jw is nil on journal-less daemons, and during journal replay (the
+	// writer opens once the table is rebuilt, so replay never re-journals).
+	jw *journal.Writer
 
 	evictQuit chan struct{}
 	evictDone chan struct{}
@@ -188,13 +184,18 @@ func (m *Manager) admitLocked(sid uint64, origin sim.PartyID, ps parsedSpec) (*s
 		return nil, fmt.Errorf("session: daemon %d at capacity (%d in flight)", m.d.id, m.inflight)
 	}
 	now := time.Now()
-	s := m.trackLocked(sid, origin, ps, now, now.Add(ps.deadline))
+	s := &session{sid: sid, origin: origin, ps: ps, state: StatePending,
+		admitted: now, deadline: now.Add(ps.deadline),
+		decides: make(map[sim.PartyID]wire.SessionDecide, m.d.n)}
+	s.eng = newEngine(m, m.shardOf(sid), s)
+	m.table[sid] = s
+	heap.Push(&m.expiry, deadlineEntry{at: s.deadline.UnixNano(), sid: sid})
+	m.inflight++
 	m.stats().Admitted.Add(1)
-	// Write-ahead: the admission hits the journal before any frame of this
-	// session can (the open broadcast happens after this returns), so replay
-	// always sees the open first. The absolute deadline is journaled so a
-	// restart does not restart the TTL clock.
-	if m.jw != nil && !m.replaying {
+	// Write-ahead: the admission hits the journal before the session's seal
+	// can. The absolute deadline is journaled so a restored entry lingers no
+	// longer than the original would have.
+	if m.jw != nil {
 		m.jw.Append(wire.JournalOpen{
 			SID: sid, Origin: origin, Tree: ps.spec.Tree, Seed: ps.spec.Seed,
 			T: ps.spec.T, Inputs: ps.spec.Inputs,
@@ -204,19 +205,6 @@ func (m *Manager) admitLocked(sid uint64, origin sim.PartyID, ps parsedSpec) (*s
 	}
 	m.logSession(s, "session admitted")
 	return s, nil
-}
-
-// trackLocked enters a pending session, with its (not yet registered) engine,
-// into the table and the expiry heap.
-func (m *Manager) trackLocked(sid uint64, origin sim.PartyID, ps parsedSpec, admitted, deadline time.Time) *session {
-	s := &session{sid: sid, origin: origin, ps: ps, state: StatePending,
-		admitted: admitted, deadline: deadline,
-		decides: make(map[sim.PartyID]wire.SessionDecide, m.d.n)}
-	s.eng = newEngine(m, m.shardOf(sid), s)
-	m.table[sid] = s
-	heap.Push(&m.expiry, deadlineEntry{at: deadline.UnixNano(), sid: sid})
-	m.inflight++
-	return s
 }
 
 // logSession emits one structured per-session log line, if configured.
@@ -240,7 +228,6 @@ func (m *Manager) handleRaw(from sim.PartyID, body []byte) error {
 	}
 	switch typ {
 	case wire.TypeSessionMsg, wire.TypeSessionEOR:
-		m.journalFrame(from, body)
 		m.shardOf(sid).deliver(from, sid, body)
 		return nil
 	}
@@ -250,33 +237,19 @@ func (m *Manager) handleRaw(from sim.PartyID, body []byte) error {
 	}
 	switch p := payload.(type) {
 	case wire.SessionOpen:
-		// Not journaled as a frame: admission writes a JournalOpen carrying
-		// the resolved absolute deadline, which replay re-admits from.
 		m.openRemote(from, p)
 	case wire.SessionOpenGraph:
 		// Re-prefix the graph spec into the canonical Spec form and reuse
-		// the tree open path — journaling, replay, and the engine all key
-		// off the prefixed spec string.
+		// the tree open path — the journal and the engine both key off the
+		// prefixed spec string.
 		m.openRemote(from, wire.SessionOpen{SID: p.SID, Tree: cli.GraphPrefix + p.Graph,
 			Seed: p.Seed, T: p.T, Inputs: p.Inputs, TTLMillis: p.TTLMillis})
 	case wire.SessionAbort:
-		m.journalFrame(from, body)
 		m.handleAbort(p)
 	case wire.SessionDecide:
-		m.journalFrame(from, body)
 		m.handleDecide(from, p)
 	}
 	return nil
-}
-
-// journalFrame write-ahead-logs one inbound session-plane frame so replay
-// can re-step the engines from the exact inputs they saw. Runs on the link
-// reader goroutines; the journal serializes internally.
-func (m *Manager) journalFrame(from sim.PartyID, body []byte) {
-	if m.jw == nil || m.replaying || m.d.opts.JournalLevel == JournalSealed {
-		return
-	}
-	m.jw.Append(wire.JournalFrame{From: from, Body: body})
 }
 
 // openRemote admits (or rejects) a session announced by a peer daemon. A
@@ -439,9 +412,9 @@ func (m *Manager) terminalLocked(s *session, st State, reason string) {
 // commit — waiters are released only once the seal is fsynced, making "the
 // client saw decided" a durable fact — while non-origin seals, failures
 // and expiries append without a ticket (no client ack is gated on them;
-// after a crash they are re-derived by replay or re-derived as failures).
+// one lost to a crash is restored as a failure).
 func (m *Manager) sealLocked(s *session) {
-	if m.jw == nil || m.replaying || s.sealed {
+	if m.jw == nil || s.sealed {
 		return
 	}
 	s.sealed = true
@@ -510,20 +483,12 @@ func (m *Manager) fail(s *session, st State, reason string, broadcast bool) {
 }
 
 func (m *Manager) broadcastAbort(sid uint64, reason string) {
-	// No mux during journal replay: the cluster already heard these aborts in
-	// the previous incarnation, or will fail the sessions by its own timeouts.
-	if m.d.mux == nil {
-		return
-	}
 	if frame, err := sessionFrame(wire.SessionAbort{SID: sid, Reason: reason}); err == nil {
 		m.d.mux.broadcast(frame)
 	}
 }
 
 func (m *Manager) abortTo(peer sim.PartyID, sid uint64, reason string) {
-	if m.d.mux == nil {
-		return
-	}
 	if frame, err := sessionFrame(wire.SessionAbort{SID: sid, Reason: reason}); err == nil {
 		m.d.mux.enqueue(peer, frame)
 	}
@@ -599,15 +564,12 @@ func (m *Manager) degradedLocked() error {
 	return nil
 }
 
-// Health reports daemon readiness: nil once replay is complete, every peer
-// link is up, and the daemon is accepting work. The obs /healthz endpoint
-// surfaces the error text.
+// Health reports daemon readiness: nil while every peer link is up and the
+// daemon is accepting work. The obs /healthz endpoint surfaces the error
+// text.
 func (m *Manager) Health() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.replaying {
-		return errors.New("replaying journal")
-	}
 	if err := m.degradedLocked(); err != nil {
 		return err
 	}

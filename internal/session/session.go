@@ -32,7 +32,7 @@
 // the same passive Round (lock step) and Event (Options.Async) state
 // machines the mesh and overlay nodes adapt. The engine decodes SessionMsg /
 // SessionEOR into the driver, frames what the driver emits, and keeps the
-// watchdog deadline and the mute-replay of a restored seat; mailboxes,
+// watchdog deadline; mailboxes,
 // accounting (counted at send, self-delivery included, the session envelope
 // excluded), barriers and termination are the driver's, which is why each
 // session's Result is byte-identical to sim.Run on the same spec. The mux's

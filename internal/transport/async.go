@@ -117,12 +117,27 @@ func runAsyncNode(id sim.PartyID, n int, machine driver.EventMachine, e *endpoin
 	}
 	idle := time.NewTimer(e.opts.RoundTimeout)
 	defer idle.Stop()
+	// writeFail holds each peer's first write-side link failure. It proves
+	// nothing by itself: a peer that decided, heard everyone and hung up
+	// resets our writes while its done frame is still in flight on the other
+	// connection. Only the read side failing — behind every frame the peer
+	// sent — shows it died undecided; the held failure is then the cause.
+	writeFail := make([]error, n)
 	for !nd.ev.Finished() {
 		select {
 		case ev := <-e.events:
 			if ev.err != nil {
 				if nd.ev.IsPeerDone(ev.from) {
 					continue // teardown: a decided peer exited and cut the link
+				}
+				if ev.writeSide {
+					if writeFail[ev.from] == nil {
+						writeFail[ev.from] = ev.err
+					}
+					continue
+				}
+				if cause := writeFail[ev.from]; cause != nil {
+					ev.err = cause
 				}
 				return nil, fmt.Errorf("transport: party %d: %w", id, ev.err)
 			}
@@ -153,9 +168,15 @@ func runAsyncNode(id sim.PartyID, n int, machine driver.EventMachine, e *endpoin
 			}
 			idle.Reset(e.opts.RoundTimeout)
 		case <-idle.C:
-			return nil, fmt.Errorf("transport: party %d: async mode idle for %v with %d/%d peers done "+
+			err := fmt.Errorf("transport: party %d: async mode idle for %v with %d/%d peers done "+
 				"(wedged run: a peer died or the network stopped delivering)",
 				id, e.opts.RoundTimeout, nd.ev.PeersDone(), n-1)
+			for p, cause := range writeFail {
+				if cause != nil && !nd.ev.IsPeerDone(sim.PartyID(p)) {
+					return nil, fmt.Errorf("%w: %w", err, cause)
+				}
+			}
+			return nil, err
 		case <-e.quit:
 			return nil, fmt.Errorf("transport: party %d: endpoint closed while undecided", id)
 		}

@@ -104,6 +104,11 @@ type event struct {
 	from  sim.PartyID // authenticated sender (fixed by the hello)
 	f     frame
 	err   error
+	// writeSide marks err as a failure of the owner→from connection. The
+	// from→owner connection is a different socket, so — unlike a read-side
+	// failure, which trails every frame the peer sent — it is unordered
+	// against the frames still arriving from that peer.
+	writeSide bool
 }
 
 // outFrame is one frame queued on a sender: the encoded bytes plus the
@@ -563,7 +568,7 @@ func (s *sender) ackedNow() uint64 {
 // linkFailed reports an unrecoverable write-side failure; the round loop
 // sees it via checkStalled or, at worst, the barrier timeout.
 func (s *sender) linkFailed(err error) {
-	s.e.emit(event{owner: s.from, from: s.to, err: err})
+	s.e.emit(event{owner: s.from, from: s.to, err: err, writeSide: true})
 }
 
 func (s *sender) write(b []byte) error {

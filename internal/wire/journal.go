@@ -1,9 +1,10 @@
 package wire
 
 // Journal record payloads for the serving layer's write-ahead session
-// journal (internal/journal). A daemon appends these to its on-disk log so
-// a restart can re-admit every non-terminal session and deterministically
-// re-step its engine from the logged inputs. Three types:
+// journal (internal/journal). A daemon appends an open and a seal per
+// session to its on-disk log so a restart can rebuild its session table;
+// JournalFrame is the per-frame record older builds also wrote, still
+// decoded so their journals replay. Three types:
 //
 //	JournalOpen  0x11  a session was admitted on this daemon:
 //	                   uvarint(sid) | u32(origin) | tree spec | seed(8,
@@ -71,8 +72,9 @@ func (m JournalOpen) Size() int {
 
 // JournalFrame records one inbound session-plane frame verbatim: the wire
 // body exactly as the link reader received it, attributed to its
-// authenticated peer. Recovery replays these bodies through the same
-// handler path the mux feeds, so a restored engine re-steps byte-identically.
+// authenticated peer. The serving layer no longer writes or consumes it;
+// the codec stays for journals that hold it and for the bench's replay of
+// the old append pattern.
 type JournalFrame struct {
 	From sim.PartyID
 	Body []byte // a complete encoded session-plane frame (0x08–0x0C)
