@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test loc race race-sim race-cpu bench-module node-smoke overlay-smoke serve-smoke rolling-restart chaos-soak async-soak cover bench bench-compare bench-serve-smoke fuzz fuzz-short prop graph-prop check examples experiments clean
+.PHONY: all build test loc surface race race-sim race-cpu bench-module node-smoke overlay-smoke serve-smoke rolling-restart chaos-soak async-soak cover bench bench-compare bench-serve-smoke fuzz fuzz-short prop graph-prop check examples experiments clean
 
 all: build test race-sim node-smoke overlay-smoke serve-smoke chaos-soak rolling-restart
 
@@ -22,6 +22,18 @@ loc:
 	@printf '%7d total\n' "$$($(LOC_FILES) | xargs cat | wc -l)"
 	@$(LOC_FILES) -exec dirname {} \; | sort -u | while read d; do \
 		printf '%7d %s\n' "$$(find $$d -maxdepth 1 -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)" "$$d"; done
+
+# The other numbers simplicity PRs quote: flags per binary (lines of -h
+# output naming a flag), exported identifiers per package (go doc -short:
+# consts, vars, funcs, types — not methods), and the field counts of the
+# three option structs.
+surface:
+	@for d in cmd/*/; do \
+		printf '%7d flags  %s\n' "$$($(GO) run ./$$d -h 2>&1 | grep -c '^  -')" "$$d"; done
+	@$(GO) list ./... | grep -v /cmd/ | grep -v /examples/ | while read p; do \
+		printf '%7d exported  %s\n' "$$($(GO) doc -short $$p 2>/dev/null | grep -c .)" "$$p"; done
+	@for t in session.Options transport.Options overlay.Options; do \
+		printf '%7d fields  %s\n' "$$($(GO) doc ./internal/$${t%%.*} $${t#*.} | grep -cE '^	[A-Z][A-Za-z]* ')" "$$t"; done
 
 race:
 	$(GO) test -race ./...
@@ -106,6 +118,7 @@ rolling-restart:
 chaos-soak:
 	$(GO) test -race -count=1 ./internal/chaos/... ./internal/transport/...
 	$(GO) run ./cmd/chaos -seeds 1-2 -trees path:16
+	$(GO) run ./cmd/chaos -seeds 1 -trees graph:cliquechain:3:4
 	$(GO) run ./cmd/node -cluster 4 -t 1 -tree path:16 -adversary splitvote \
 		-chaos 'lat:500µs±500µs,crash:p1@r2'
 
@@ -116,12 +129,14 @@ chaos-soak:
 # party's links) aborts the synchronous round barrier but decides
 # asynchronously with validity + 1-agreement — then a multi-process cmd/node
 # async fleet under a real latency plan, plus async serving smokes, each on
-# a tree and on a block graph, and one with the journal on. Exits non-zero
-# on any validity/epsilon-agreement violation.
+# a tree and on a block graph, and one with the journal on — and a fleet whose
+# dropped connection the seq/ack resume repairs underneath the event loop.
+# Exits non-zero on any validity/epsilon-agreement violation.
 async-soak:
 	$(GO) test -race -count=1 -run Async ./internal/async/... ./internal/chaos/... \
 		./internal/session/... ./internal/transport/... ./internal/check/ ./internal/wire/
 	$(GO) run ./cmd/node -cluster 4 -tree star:6 -mode async -chaos 'lat:20ms±15ms@p2'
+	$(GO) run ./cmd/node -cluster 4 -tree path:16 -mode async -chaos 'drop:p0-p2@r2'
 	$(GO) run ./cmd/node -cluster 4 -t 1 -space graph:cliquechain:3:4 -mode async
 	$(GO) run ./cmd/serve -cluster 3 -mode async -sessions 50 -tree spider:3:3
 	$(GO) run ./cmd/serve -cluster 3 -mode async -sessions 50 -space graph:cliquechain:3:4

@@ -29,10 +29,19 @@
 // asynchronous pipeline: no EOR barriers, no round timeouts — every seat
 // dispatches on arrival and decides when its RBC/witness thresholds fill.
 // Async fleets are honest-only (Byzantine async behaviour is exercised
-// in-process by cmd/check) and accept only delay-style chaos (lat, stall,
-// partition); drop and crash clauses are refused with an explanation.
+// in-process by cmd/check) and take every chaos clause but crash: a dropped
+// connection is repaired by the same seq/ack resume as in sync mode, but a
+// restarted seat would have no round history to replay.
 //
 //	node -cluster 4 -tree star:6 -mode async -chaos 'lat:200ms±150ms@p2'
+//	node -cluster 4 -mode async -chaos 'drop:p0-p2@r2'
+//
+// -overlay tree[:b] routes the same seats over a three-level communication
+// tree instead of the full mesh. Which combinations a fabric cannot host —
+// an adversary or async seats over the overlay, an adversary beside async
+// seats on the mesh — is decided, and explained, by the library function
+// that lacks the capability (transport.RunProcess, overlay.RunProcess), not
+// here; this command only gates chaos clauses.
 //
 // -space graph:<spec> swaps the input space for a block graph (see
 // internal/graph): the seats run TreeAA on the graph's block-cut tree and
@@ -151,213 +160,125 @@ func runSeat(ctx context.Context, id int, peersFile string, t int, spaceSpec, tr
 			return fmt.Errorf("chaos plan crashes party %d, which the adversary corrupts", p)
 		}
 	}
-	if mode == "async" {
-		if err := checkAsyncFlags(advName, overlaySpec, plan); err != nil {
-			return err
-		}
-		return runAsyncSeat(ctx, id, addrs, t, sp, inputSpec, inputs, seed,
-			plan, chaosSpec, setupTO, roundTO)
-	}
-	if overlaySpec != "" {
-		branching, err := checkOverlayFlags(advName, overlaySpec, plan)
-		if err != nil {
-			return err
-		}
-		return runOverlaySeat(ctx, id, addrs, t, sp, inputSpec, inputs, seed,
-			plan, chaosSpec, overlaySpec, branching, setupTO, roundTO)
+	if err := checkChaosFlags(mode, overlaySpec, plan); err != nil {
+		return err
 	}
 
-	stats := &metrics.WireStats{}
-	chaosStats := &metrics.ChaosStats{}
-	opts := transport.Options{Stats: stats, SetupTimeout: setupTO, RoundTimeout: roundTO}
-	opts = chaos.NewInjector(plan, seed, chaosStats).Apply(opts)
-	// The chaos spec and timeouts join the session hash: a deployment where
-	// seats disagree on the fault plan fails the handshake instead of
-	// producing a half-faulted mesh.
-	// The canonical space spec (sp.Spec equals treeSpec for tree spaces, so
-	// tree deployments keep their session identity) leads the hash: a fleet
-	// mixing tree and graph seats fails the handshake.
-	pcfg := transport.ProcessConfig{
+	// Everything the seats must agree on joins the session hash — mode and
+	// fabric first — so a deployment whose seats disagree on any of it (a
+	// sync seat in an async fleet, mesh beside tree, two branching factors,
+	// two fault plans) fails the handshake instead of wedging half-meshed.
+	seat := transport.Seat{
 		Ctx: ctx,
 		ID:  sim.PartyID(id), N: n, Addrs: addrs,
 		Corrupted: corrupted, MaxRounds: sp.Rounds() + 2,
-		Session: transport.DeriveSession(append([]string{sp.Spec, inputSpec, advName,
-			fmt.Sprint(n), fmt.Sprint(t), fmt.Sprint(seed),
-			chaosSpec, setupTO.String(), roundTO.String()}, addrs...)...),
-		Opts: opts,
+		Session: sessionID(mode, overlaySpec, sp.Spec, inputSpec, advName, n, t, seed,
+			chaosSpec, setupTO, roundTO, addrs),
+	}
+	newMachine := func(p sim.PartyID) (sim.Machine, error) {
+		m, _, err := sp.NewMachine(n, t, p, inputs[p])
+		return m, err
 	}
 	role := "party"
-	if corruptSet[sim.PartyID(id)] {
-		role = "adversary-host"
-		pcfg.Adversary = adv
-	} else {
-		m, _, err := sp.NewMachine(n, t, sim.PartyID(id), inputs[id])
-		if err != nil {
-			return err
-		}
-		pcfg.Machine = m
-		pcfg.Opts.Restart = func(p sim.PartyID) (sim.Machine, error) {
-			m, _, err := sp.NewMachine(n, t, p, inputs[p])
-			return m, err
-		}
+	switch {
+	case mode == "async":
+		// No rounds, no barriers: the seat dispatches whatever arrives,
+		// announces its decision, and exits once every peer has too.
+		seat.Event, _, err = sp.NewAsyncMachine(n, t, seat.ID, inputs[id])
+	case corruptSet[seat.ID]:
+		role, seat.Adversary = "adversary", adv
+	default:
+		seat.Machine, err = newMachine(seat.ID)
 	}
-
-	fmt.Printf("node %d: %s, n=%d t=%d space=%s adversary=%s, listening on %s\n",
-		id, role, n, t, sp.Spec, advName, addrs[id])
-	res, err := transport.RunProcess(pcfg)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("node %d: execution %d rounds, sent %d protocol msgs / %d bytes\n",
-		id, res.Rounds, res.Messages, res.Bytes)
-	fmt.Printf("node %d: wire: %s\n", id, stats)
-	if !plan.Empty() {
-		fmt.Printf("node %d: chaos: %s\n", id, chaosStats)
+
+	fabric := "mesh"
+	if overlaySpec != "" {
+		fabric = overlaySpec + " overlay"
 	}
-	if role == "party" {
-		v := res.Output.(tree.VertexID)
-		fmt.Printf("node %d: output %s (done round %d)\n", id, sp.Label(v), res.DoneRound)
-		fmt.Printf("RESULT id=%d role=party output=%s rounds=%d\n", id, sp.Label(v), res.Rounds)
+	fmt.Printf("node %d: %s (%s) over the %s, n=%d t=%d space=%s adversary=%s, listening on %s\n",
+		id, role, mode, fabric, n, t, sp.Spec, advName, addrs[id])
+	// The library refuses what a fabric cannot host (an adversary or an
+	// event machine over the overlay, an event machine beside an adversary
+	// on the mesh); nothing here second-guesses it.
+	wires := &metrics.WireStats{}
+	var (
+		res         *transport.ProcessResult
+		fabricStats fmt.Stringer
+	)
+	if overlaySpec != "" {
+		branching, perr := overlay.ParseSpec(overlaySpec)
+		if perr != nil {
+			return perr
+		}
+		ostats := &metrics.OverlayStats{}
+		fabricStats = ostats
+		// Interior seats (root, sub-leaders) listen and relay; leaves only
+		// dial their parent. Crashes are injected by the overlay's own seat
+		// supervisor.
+		res, err = overlay.RunProcess(seat, overlay.Options{
+			Branching: branching, SetupTimeout: setupTO, RoundTimeout: roundTO,
+			Stats: ostats, Wire: wires, CrashPlan: plan.Crashes, Restart: newMachine,
+		})
 	} else {
-		fmt.Printf("RESULT id=%d role=adversary rounds=%d\n", id, res.Rounds)
+		chaosStats := &metrics.ChaosStats{}
+		fabricStats = chaosStats
+		opts := chaos.NewInjector(plan, seed, chaosStats).Apply(transport.Options{
+			Stats: wires, SetupTimeout: setupTO, RoundTimeout: roundTO})
+		if seat.Machine != nil {
+			opts.Restart = newMachine
+		}
+		res, err = transport.RunProcess(seat, opts)
 	}
+	if err != nil {
+		return err
+	}
+
+	fmt.Printf("node %d: execution %d rounds / %d deliveries, sent %d protocol msgs / %d bytes\n",
+		id, res.Rounds, res.Deliveries, res.Messages, res.Bytes)
+	fmt.Printf("node %d: wire: %s\n", id, wires)
+	if overlaySpec != "" {
+		fmt.Printf("node %d: overlay: %s\n", id, fabricStats)
+	} else if !plan.Empty() {
+		fmt.Printf("node %d: chaos: %s\n", id, fabricStats)
+	}
+	output := "-"
+	if v, ok := res.Output.(tree.VertexID); ok {
+		output = sp.Label(v)
+	}
+	fmt.Printf(resultLine+"\n", id, role, output, res.Rounds, res.Deliveries)
 	return nil
 }
 
-// checkAsyncFlags rejects the flag combinations -mode async cannot honor,
-// each with the reason: adversary hosting needs the rushing adversary's
-// round-global view, the overlay relays round-batched traffic, and drop or
-// crash chaos requires the round-indexed recovery paths — all three are
-// artifacts of the lock-step schedule async mode abolishes.
-func checkAsyncFlags(advName, overlaySpec string, plan *chaos.Plan) error {
-	if advName != "none" {
-		return fmt.Errorf("-mode async: async fleets are honest-only (the rushing adversary " +
-			"is defined against lock-step rounds); Byzantine async behaviour is exercised " +
-			"in-process by cmd/check — drop -adversary or use -mode sync")
+// resultLine is what every seat prints last and runCluster parses; the
+// adversary host has no output ("-").
+const resultLine = "RESULT id=%d role=%s output=%s rounds=%d deliveries=%d"
+
+// sessionID derives the deployment's session id from every flag the seats
+// must share.
+func sessionID(mode, overlaySpec, spaceSpec, inputSpec, advName string, n, t int, seed int64,
+	chaosSpec string, setupTO, roundTO time.Duration, addrs []string) uint64 {
+	return transport.DeriveSession(append([]string{mode, overlaySpec, spaceSpec, inputSpec, advName,
+		fmt.Sprint(n), fmt.Sprint(t), fmt.Sprint(seed),
+		chaosSpec, setupTO.String(), roundTO.String()}, addrs...)...)
+}
+
+// checkChaosFlags gates the chaos plan by what the chosen mode and fabric
+// can inject. Event-driven seats take everything but crash (a restarted
+// seat has no round history to replay). The overlay's connections are
+// internal relay hops, not the party-to-party links link-level clauses
+// name, so over it only crash applies, through its own seat supervisor.
+func checkChaosFlags(mode, overlaySpec string, plan *chaos.Plan) error {
+	if mode == "async" {
+		return chaos.RestrictAsync(plan)
 	}
 	if overlaySpec != "" {
-		return fmt.Errorf("-mode async: the tree overlay relays round-batched traffic between " +
-			"eor barriers, which async mode does not have — drop -overlay or use -mode sync")
+		return plan.Restrict("-overlay",
+			"the overlay's connections are internal relay hops, not the party-to-party links "+
+				"link-level clauses name — only crash:pP@rR applies", chaos.ClauseCrash)
 	}
-	return chaos.RestrictAsync(plan)
-}
-
-// checkOverlayFlags parses the -overlay spec and rejects what the relay
-// fabric cannot host: the fleet is honest by construction, and the only
-// chaos it carries is the crash clause, injected through the overlay's own
-// seat supervisor.
-func checkOverlayFlags(advName, overlaySpec string, plan *chaos.Plan) (branching int, err error) {
-	if branching, err = overlay.ParseSpec(overlaySpec); err != nil {
-		return 0, err
-	}
-	if advName != "none" {
-		return 0, fmt.Errorf("-overlay: the tree overlay runs honest fleets only; a rushing " +
-			"adversary needs the full mesh's global view — drop -adversary or drop -overlay")
-	}
-	return branching, plan.Restrict("-overlay",
-		"the overlay's connections are internal relay hops, not the party-to-party links "+
-			"link-level clauses name — only crash:pP@rR applies", chaos.ClauseCrash)
-}
-
-// runAsyncSeat runs one honest party of an asynchronous deployment: no
-// rounds, no barriers — the seat dispatches whatever arrives, announces its
-// decision, and exits once every peer has announced too.
-func runAsyncSeat(ctx context.Context, id int, addrs []string, t int, sp *cli.Space,
-	inputSpec string, inputs []tree.VertexID, seed int64,
-	plan *chaos.Plan, chaosSpec string, setupTO, roundTO time.Duration) error {
-	n := len(addrs)
-	m, _, err := sp.NewAsyncMachine(n, t, sim.PartyID(id), inputs[id])
-	if err != nil {
-		return err
-	}
-	stats := &metrics.WireStats{}
-	chaosStats := &metrics.ChaosStats{}
-	opts := transport.Options{Stats: stats, SetupTimeout: setupTO, RoundTimeout: roundTO}
-	opts = chaos.NewInjector(plan, seed, chaosStats).Apply(opts)
-	// The mode leads the session hash: a deployment mixing sync and async
-	// seats fails the handshake instead of wedging on missing barriers.
-	pcfg := transport.AsyncProcessConfig{
-		Ctx: ctx,
-		ID:  sim.PartyID(id), N: n, Addrs: addrs, Machine: m,
-		Session: transport.DeriveSession(append([]string{"async", sp.Spec, inputSpec,
-			fmt.Sprint(n), fmt.Sprint(t), fmt.Sprint(seed),
-			chaosSpec, setupTO.String(), roundTO.String()}, addrs...)...),
-		Opts: opts,
-	}
-	fmt.Printf("node %d: party (async), n=%d t=%d space=%s, listening on %s\n",
-		id, n, t, sp.Spec, addrs[id])
-	res, err := transport.RunAsyncProcess(pcfg)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("node %d: execution %d deliveries, sent %d protocol msgs / %d bytes\n",
-		id, res.Deliveries, res.Messages, res.Bytes)
-	fmt.Printf("node %d: wire: %s\n", id, stats)
-	if !plan.Empty() {
-		fmt.Printf("node %d: chaos: %s\n", id, chaosStats)
-	}
-	v := res.Outputs[sim.PartyID(id)].(tree.VertexID)
-	fmt.Printf("node %d: output %s\n", id, sp.Label(v))
-	fmt.Printf("RESULT id=%d role=party output=%s deliveries=%d\n", id, sp.Label(v), res.Deliveries)
-	return nil
-}
-
-// runOverlaySeat runs one honest party over the tree overlay: interior
-// seats (root, sub-leaders) listen and relay, leaves only dial their
-// parent; checkOverlayFlags has vetted the flags.
-func runOverlaySeat(ctx context.Context, id int, addrs []string, t int, sp *cli.Space,
-	inputSpec string, inputs []tree.VertexID, seed int64,
-	plan *chaos.Plan, chaosSpec, overlaySpec string, branching int, setupTO, roundTO time.Duration) error {
-	n := len(addrs)
-	lay, err := overlay.NewLayout(n, branching)
-	if err != nil {
-		return err
-	}
-	m, _, err := sp.NewMachine(n, t, sim.PartyID(id), inputs[id])
-	if err != nil {
-		return err
-	}
-
-	wires := &metrics.WireStats{}
-	ostats := &metrics.OverlayStats{}
-	// The overlay spec joins the session hash: a fleet mixing mesh and tree
-	// seats — or two branching factors — refuses to pair at the handshake.
-	ocfg := overlay.ProcessConfig{
-		Ctx: ctx,
-		ID:  sim.PartyID(id), N: n, Addrs: addrs,
-		Machine: m, MaxRounds: sp.Rounds() + 2,
-		Session: transport.DeriveSession(append([]string{"overlay", overlaySpec, sp.Spec, inputSpec,
-			fmt.Sprint(n), fmt.Sprint(t), fmt.Sprint(seed),
-			chaosSpec, setupTO.String(), roundTO.String()}, addrs...)...),
-		Opts: overlay.Options{
-			Branching: branching, SetupTimeout: setupTO, RoundTimeout: roundTO,
-			Stats: ostats, Wire: wires, CrashPlan: plan.Crashes,
-			Restart: func(p sim.PartyID) (sim.Machine, error) {
-				m, _, err := sp.NewMachine(n, t, p, inputs[p])
-				return m, err
-			},
-		},
-	}
-	position := "leaf"
-	switch {
-	case sim.PartyID(id) == overlay.Root:
-		position = "root"
-	case lay.IsSubleader(sim.PartyID(id)):
-		position = "sub-leader"
-	}
-	fmt.Printf("node %d: party (%s of tree:%d overlay), n=%d t=%d space=%s, listening on %s\n",
-		id, position, lay.Branching, n, t, sp.Spec, addrs[id])
-	res, err := overlay.RunProcess(ocfg)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("node %d: execution %d rounds, sent %d protocol msgs / %d bytes\n",
-		id, res.Rounds, res.Messages, res.Bytes)
-	fmt.Printf("node %d: wire: %s\n", id, wires)
-	fmt.Printf("node %d: overlay: %s\n", id, ostats)
-	v := res.Output.(tree.VertexID)
-	fmt.Printf("node %d: output %s (done round %d)\n", id, sp.Label(v), res.DoneRound)
-	fmt.Printf("RESULT id=%d role=party output=%s rounds=%d\n", id, sp.Label(v), res.Rounds)
 	return nil
 }
 
@@ -386,14 +307,8 @@ func runCluster(ctx context.Context, n, t int, spaceSpec, treeSpec, inputSpec, a
 		return err
 	} else if err := plan.Validate(n); err != nil {
 		return err
-	} else if mode == "async" {
-		if err := checkAsyncFlags(advName, overlaySpec, plan); err != nil {
-			return err
-		}
-	} else if overlaySpec != "" {
-		if _, err := checkOverlayFlags(advName, overlaySpec, plan); err != nil {
-			return err
-		}
+	} else if err := checkChaosFlags(mode, overlaySpec, plan); err != nil {
+		return err
 	}
 
 	// Reserve one loopback port per party, then release them for the
@@ -461,12 +376,10 @@ func runCluster(ctx context.Context, n, t int, spaceSpec, treeSpec, inputSpec, a
 			defer mu.Unlock()
 			for _, line := range strings.Split(strings.TrimRight(string(out), "\n"), "\n") {
 				fmt.Printf("  [%d] %s\n", seat, line)
-				var id, work int
-				var label string
-				if _, e := fmt.Sscanf(line, "RESULT id=%d role=party output=%s rounds=%d", &id, &label, &work); e == nil {
-					outputs[id] = strings.Fields(label)[0]
-				} else if _, e := fmt.Sscanf(line, "RESULT id=%d role=party output=%s deliveries=%d", &id, &label, &work); e == nil {
-					outputs[id] = strings.Fields(label)[0]
+				var id, rounds, deliveries int
+				var role, label string
+				if _, e := fmt.Sscanf(line, resultLine, &id, &role, &label, &rounds, &deliveries); e == nil && role == "party" {
+					outputs[id] = label
 				}
 			}
 			if err != nil {

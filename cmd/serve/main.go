@@ -59,7 +59,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -71,8 +70,6 @@ import (
 	"treeaa/internal/metrics"
 	"treeaa/internal/obs"
 	"treeaa/internal/session"
-	"treeaa/internal/sim"
-	"treeaa/internal/tree"
 )
 
 func main() {
@@ -87,7 +84,7 @@ func main() {
 		tFlag      = flag.Int("t", 0, "cluster mode: corruption budget of the driven sessions")
 		seed       = flag.Int64("seed", 1, "cluster mode: tree-spec seed")
 		maxSess    = flag.Int("max-sessions", 1024, "admission control: max in-flight sessions per daemon")
-		queueDepth = flag.Int("queue-depth", 256, "per-session inbound queue bound (backpressure)")
+		queueDepth = flag.Int("queue-depth", 256, "pre-open frame buffers, for sessions whose open has not arrived yet: 16x this per shard, and a quarter of it per lock-step session (admitted sessions' queues are unbounded)")
 		defaultTTL = flag.Duration("ttl", 30*time.Second, "default session deadline")
 		setupTO    = flag.Duration("setup-timeout", 10*time.Second, "mesh construction budget")
 		roundTO    = flag.Duration("round-timeout", 60*time.Second, "per-round barrier budget")
@@ -227,73 +224,8 @@ func clusterHealth(c *session.Cluster, n int) func() error {
 	}
 }
 
-// workload is the session mix both cluster smokes drive — one spec, its
-// inputs rotated per session — and the check they apply to every decided
-// Result. Sync sessions are pinned to the sequential oracle byte for byte.
-// Async decisions depend on delivery order, so there is no reference
-// schedule: those sessions are judged by the paper's properties instead —
-// validity (outputs inside the input hull) and the space's agreement
-// guarantee.
-type workload struct {
-	sp      *cli.Space
-	n, t    int
-	seed    int64
-	oracles map[string]*sim.Result // sync only: the oracle per rotation, keyed by Inputs
-}
-
-// newWorkload parses the space and, for a sync cluster, computes the oracle
-// of each of the first rotations input rotations (they repeat after
-// NumVertices).
-func newWorkload(spaceSpec, treeSpec string, seed int64, n, t, rotations int, async bool) (*workload, error) {
-	sp, err := cli.ParseSpace(spaceSpec, treeSpec, seed)
-	if err != nil {
-		return nil, err
-	}
-	w := &workload{sp: sp, n: n, t: t, seed: seed}
-	if async {
-		return w, nil
-	}
-	w.oracles = make(map[string]*sim.Result)
-	for i := 0; i < sp.NumVertices() && i < rotations; i++ {
-		s := w.spec(i)
-		if w.oracles[s.Inputs], err = session.Oracle(n, s); err != nil {
-			return nil, fmt.Errorf("oracle %d: %w", i, err)
-		}
-	}
-	return w, nil
-}
-
-func (w *workload) spec(i int) session.Spec {
-	return session.Spec{Tree: w.sp.Spec, Seed: w.seed, T: w.t,
-		Inputs: w.sp.RotateInputs(w.n, i), TTL: 2 * time.Minute}
-}
-
-// verify returns why a decided Result fails the workload's check, or "".
-func (w *workload) verify(s session.Spec, got *sim.Result) string {
-	if w.oracles != nil {
-		if !reflect.DeepEqual(got, w.oracles[s.Inputs]) {
-			return "ORACLE MISMATCH: served Result diverges from sim.Run"
-		}
-		return ""
-	}
-	inputs, err := w.sp.ParseInputs(s.Inputs, w.n)
-	if err != nil {
-		return err.Error()
-	}
-	outputs := make(map[sim.PartyID]tree.VertexID, len(got.Outputs))
-	for p, raw := range got.Outputs {
-		v, ok := raw.(tree.VertexID)
-		if !ok {
-			return fmt.Sprintf("party %d output is %T, not a vertex", p, raw)
-		}
-		outputs[p] = v
-	}
-	_, validity, agreement := w.sp.Judge(inputs, nil, outputs)
-	if violations := append(validity, agreement...); len(violations) > 0 {
-		return "PROPERTY VIOLATION: " + violations[0]
-	}
-	return ""
-}
+// sessionTTL is the deadline of every session the cluster smokes drive.
+const sessionTTL = 2 * time.Minute
 
 // runSmoke starts n daemons in-process, drives sessions concurrent sessions
 // through their client APIs, and verifies every Result. Any failed check or
@@ -303,7 +235,11 @@ func runSmoke(ctx context.Context, n, sessions int, spaceSpec, treeSpec string, 
 	if sessions < 1 {
 		return fmt.Errorf("-sessions must be ≥ 1")
 	}
-	w, err := newWorkload(spaceSpec, treeSpec, seed, n, t, sessions, opts.Async)
+	sp, err := cli.ParseSpace(spaceSpec, treeSpec, seed)
+	if err != nil {
+		return err
+	}
+	w, err := session.NewWorkload(sp, seed, n, t, sessionTTL, sessions, opts.Async)
 	if err != nil {
 		return err
 	}
@@ -326,7 +262,7 @@ func runSmoke(ctx context.Context, n, sessions int, spaceSpec, treeSpec string, 
 		clusterMode, check = "async", "valid and 1-agreeing"
 	}
 	fmt.Printf("serve: %d-daemon %s loopback cluster up, driving %d concurrent sessions of %s\n",
-		n, clusterMode, sessions, w.sp.Spec)
+		n, clusterMode, sessions, sp.Spec)
 
 	start := time.Now()
 	var (
@@ -345,7 +281,7 @@ func runSmoke(ctx context.Context, n, sessions int, spaceSpec, treeSpec string, 
 				failures = append(failures, fmt.Sprintf("session %d: ", i)+fmt.Sprintf(format, args...))
 				mu.Unlock()
 			}
-			s := w.spec(i)
+			s := w.Spec(i)
 			cl, err := session.DialClient(c.ClientAddr(i%n), opts.SetupTimeout)
 			if err != nil {
 				fail("dial: %v", err)
@@ -362,7 +298,7 @@ func runSmoke(ctx context.Context, n, sessions int, spaceSpec, treeSpec string, 
 				fail("%v", err)
 				return
 			}
-			if msg := w.verify(s, got); msg != "" {
+			if msg := w.Verify(s, got); msg != "" {
 				fail("%s", msg)
 				return
 			}
@@ -426,7 +362,11 @@ func runRolling(ctx context.Context, n, workers int, spaceSpec, treeSpec string,
 		defer os.RemoveAll(dir)
 		opts.JournalDir = dir
 	}
-	w, err := newWorkload(spaceSpec, treeSpec, seed, n, t, math.MaxInt, opts.Async)
+	sp, err := cli.ParseSpace(spaceSpec, treeSpec, seed)
+	if err != nil {
+		return err
+	}
+	w, err := session.NewWorkload(sp, seed, n, t, sessionTTL, math.MaxInt, opts.Async)
 	if err != nil {
 		return err
 	}
@@ -460,7 +400,7 @@ func runRolling(ctx context.Context, n, workers int, spaceSpec, treeSpec string,
 		go func() {
 			defer wg.Done()
 			for i := k; !stop.Load(); i += workers {
-				s := w.spec(i)
+				s := w.Spec(i)
 				// Redial every iteration: the target's client port moves
 				// across restarts, and a drained daemon resets old conns.
 				cl, err := session.DialClient(c.ClientAddr(k%n), 2*time.Second)
@@ -483,7 +423,7 @@ func runRolling(ctx context.Context, n, workers int, spaceSpec, treeSpec string,
 					retried.Add(1) // failed/expired in the window: retryable
 					continue
 				}
-				if msg := w.verify(s, got); msg != "" {
+				if msg := w.Verify(s, got); msg != "" {
 					mismatches.Add(1)
 					mu.Lock()
 					if firstBad == "" {

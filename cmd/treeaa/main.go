@@ -8,6 +8,11 @@
 //	treeaa -n 7 -t 2 -tree path:40 -adversary splitvote -seed 1
 //	treeaa -tree @map.txt -inputs v3,v6,v5,v8 -n 4 -t 1
 //	treeaa -n 4 -t 1 -space graph:cliquechain:3:4
+//	treeaa -n 4 -t 0 -tree path:8 -transport tree:2
+//
+// -transport picks where the messages travel: mem (sim.Run, in process),
+// tcp (transport.LocalCluster, a loopback mesh) or tree[:b]
+// (overlay.Cluster, a loopback relay tree with b sub-leaders).
 //
 // Tree specs: path:K, star:K, spider:LEGS:LEN, caterpillar:SPINE:LEGS,
 // kary:K:DEPTH, random:K, figure3, or @FILE with "a - b" edge lines.
@@ -23,6 +28,7 @@ import (
 	"strings"
 
 	"treeaa/internal/cli"
+	"treeaa/internal/overlay"
 	"treeaa/internal/sim"
 	"treeaa/internal/transport"
 	"treeaa/internal/tree"
@@ -30,24 +36,19 @@ import (
 
 func main() {
 	var (
-		nFlag      = flag.Int("n", 7, "number of parties")
-		tFlag      = flag.Int("t", 2, "Byzantine budget (t < n/3)")
-		treeSpec   = flag.String("tree", "path:40", "input space tree spec (see -help)")
-		spaceSpec  = flag.String("space", "", `input space override: "graph:"-prefixed graph spec (wins over -tree)`)
-		inputSpec  = flag.String("inputs", "", "comma-separated input vertex labels (default: spread across the space)")
-		advName    = flag.String("adversary", "none", strings.Join(cli.AdversaryNames(), "|"))
-		seed       = flag.Int64("seed", 1, "seed for random trees/graphs / noise adversaries")
-		quiet      = flag.Bool("q", false, "suppress the space drawing and round trace")
-		transName  = flag.String("transport", "mem", strings.Join(transport.Names(), "|"))
-		concurrent = flag.Bool("concurrent", false, "alias for -transport mem-concurrent")
-		dotFile    = flag.String("dot", "", "write a Graphviz DOT visualization of the execution to this file")
+		nFlag     = flag.Int("n", 7, "number of parties")
+		tFlag     = flag.Int("t", 2, "Byzantine budget (t < n/3)")
+		treeSpec  = flag.String("tree", "path:40", "input space tree spec (see -help)")
+		spaceSpec = flag.String("space", "", `input space override: "graph:"-prefixed graph spec (wins over -tree)`)
+		inputSpec = flag.String("inputs", "", "comma-separated input vertex labels (default: spread across the space)")
+		advName   = flag.String("adversary", "none", strings.Join(cli.AdversaryNames(), "|"))
+		seed      = flag.Int64("seed", 1, "seed for random trees/graphs / noise adversaries")
+		quiet     = flag.Bool("q", false, "suppress the space drawing and round trace")
+		transName = flag.String("transport", "mem", "mem|tcp|tree[:branching]")
+		dotFile   = flag.String("dot", "", "write a Graphviz DOT visualization of the execution to this file")
 	)
 	flag.Parse()
-	name := *transName
-	if *concurrent && name == "mem" {
-		name = "mem-concurrent"
-	}
-	if err := run(*nFlag, *tFlag, *spaceSpec, *treeSpec, *inputSpec, *advName, *seed, *quiet, name, *dotFile); err != nil {
+	if err := run(*nFlag, *tFlag, *spaceSpec, *treeSpec, *inputSpec, *advName, *seed, *quiet, *transName, *dotFile); err != nil {
 		fmt.Fprintln(os.Stderr, "treeaa:", err)
 		os.Exit(1)
 	}
@@ -66,9 +67,24 @@ func run(n, t int, spaceSpec, treeSpec, inputSpec, advName string, seed int64, q
 	if err != nil {
 		return err
 	}
-	driver, err := transport.New(transName)
-	if err != nil {
-		return err
+	var runOn func(sim.Config, []sim.Machine) (*sim.Result, error)
+	switch {
+	case transName == "mem":
+		runOn = sim.Run
+	case transName == "tcp":
+		runOn = func(cfg sim.Config, ms []sim.Machine) (*sim.Result, error) {
+			return transport.LocalCluster(cfg, ms, transport.Options{})
+		}
+	case strings.HasPrefix(transName, "tree"):
+		branching, err := overlay.ParseSpec(transName)
+		if err != nil {
+			return err
+		}
+		runOn = func(cfg sim.Config, ms []sim.Machine) (*sim.Result, error) {
+			return overlay.Cluster(cfg, ms, overlay.Options{Branching: branching})
+		}
+	default:
+		return fmt.Errorf("unknown transport %q (have mem, tcp, tree[:branching])", transName)
 	}
 
 	if sp.IsGraph() {
@@ -125,7 +141,7 @@ func run(n, t int, spaceSpec, treeSpec, inputSpec, advName string, seed int64, q
 		N: n, MaxCorrupt: t, MaxRounds: sp.Rounds() + 2,
 		Adversary: adv, Trace: &trace,
 	}
-	res, err := driver.Run(simCfg, machines)
+	res, err := runOn(simCfg, machines)
 	if err != nil {
 		return err
 	}

@@ -28,11 +28,6 @@ func TestCommandsRun(t *testing.T) {
 			wants: []string{"1-agreement: true", "honest hull"},
 		},
 		{
-			name:  "treeaa splitvote concurrent",
-			args:  []string{"run", "./cmd/treeaa", "-tree", "spider:3:6", "-n", "7", "-t", "2", "-adversary", "splitvote", "-concurrent", "-q"},
-			wants: []string{"1-agreement: true"},
-		},
-		{
 			name:  "treeaa halfburn on a path (shortcut phase)",
 			args:  []string{"run", "./cmd/treeaa", "-tree", "path:30", "-n", "7", "-t", "2", "-adversary", "halfburn", "-q"},
 			wants: []string{"1-agreement: true"},
@@ -40,6 +35,11 @@ func TestCommandsRun(t *testing.T) {
 		{
 			name:  "treeaa over tcp transport",
 			args:  []string{"run", "./cmd/treeaa", "-tree", "path:24", "-n", "4", "-t", "1", "-adversary", "splitvote", "-transport", "tcp", "-q"},
+			wants: []string{"1-agreement: true"},
+		},
+		{
+			name:  "treeaa over the tree overlay",
+			args:  []string{"run", "./cmd/treeaa", "-tree", "path:24", "-n", "7", "-t", "2", "-transport", "tree:2", "-q"},
 			wants: []string{"1-agreement: true"},
 		},
 		{

@@ -11,17 +11,18 @@ import (
 	"treeaa/internal/tree"
 )
 
-// AsyncClauses is the fault surface of the event-driven driver: faults that
-// delay traffic without destroying it. Latency, stalls and partition holds
-// are sleeps on the write path — an asynchronous protocol must tolerate any
-// finite delay, so these are exactly the faults worth soaking it under.
-// Drops and crashes are excluded because their recovery paths (reconnect
-// with resume, crash-restart with history replay) are built on the
-// lock-step round structure async mode abolishes.
-var AsyncClauses = []ClauseKind{ClauseLatency, ClauseStall, ClausePartition}
+// AsyncClauses is the fault surface of the event-driven driver. Latency,
+// stalls and partition holds are sleeps on the write path — an asynchronous
+// protocol must tolerate any finite delay, so these are exactly the faults
+// worth soaking it under. A dropped connection is repaired underneath the
+// protocol by the transport's seq/ack resume, which knows nothing of rounds.
+// Only crashes are excluded: crash-restart recovery re-steps a fresh machine
+// through its peers' replayed round history, and an event-driven seat has no
+// rounds to replay.
+var AsyncClauses = []ClauseKind{ClauseLatency, ClauseStall, ClauseDrop, ClausePartition}
 
-const asyncRestrictReason = "drop and crash recovery replay lock-step rounds, " +
-	"which the event-driven driver does not have — those clauses require -mode sync"
+const asyncRestrictReason = "crash recovery re-steps a restarted seat through replayed lock-step " +
+	"rounds, which the event-driven driver does not have — crash clauses require -mode sync"
 
 // RestrictAsync gates a plan for -mode async, naming the offending clause
 // family when the plan reaches outside AsyncClauses.
@@ -30,7 +31,7 @@ func RestrictAsync(plan *Plan) error {
 }
 
 // AsyncRunSpec is one asynchronous soak cell: a TreeAA configuration, a
-// delay-only chaos plan and a seed to materialize it with. Every seat runs
+// crash-free chaos plan and a seed to materialize it with. Every seat runs
 // the honest async pipeline — Byzantine behaviour against the async
 // machines is exercised in-process by internal/check, where the scheduler
 // is the adversary.
@@ -69,11 +70,14 @@ type AsyncReport struct {
 	Valid   bool `json:"valid"`
 	MaxDist int  `json:"max_dist"`
 
-	// Injected faults. Drops/crashes cannot appear: RestrictAsync refuses
-	// the plan before anything runs.
+	// Injected faults and the resume reconnects that repaired the drops.
+	// Crashes cannot appear: RestrictAsync refuses the plan before anything
+	// runs.
 	Delays     int64 `json:"delays"`
 	Stalls     int64 `json:"stalls"`
+	Drops      int64 `json:"drops"`
 	Partitions int64 `json:"partitions"`
+	Reconnects int64 `json:"reconnects"`
 
 	Err string `json:"err,omitempty"`
 }
@@ -115,8 +119,8 @@ func RunAsync(spec AsyncRunSpec) (*AsyncReport, error) {
 
 	stats := &metrics.ChaosStats{}
 	// Apply is safe here: RestrictAsync already refused every plan for which
-	// it would arm reconnects or a crash plan, both rejected by the async
-	// cluster's own option check.
+	// it would arm a crash plan, which the async cluster's own option check
+	// rejects.
 	opts := NewInjector(plan, spec.Seed, stats).Apply(transport.Options{
 		SetupTimeout: spec.SetupTimeout,
 		RoundTimeout: spec.IdleTimeout,
@@ -125,7 +129,9 @@ func RunAsync(spec AsyncRunSpec) (*AsyncReport, error) {
 
 	rep.Delays = stats.Delays.Load()
 	rep.Stalls = stats.Stalls.Load()
+	rep.Drops = stats.Drops.Load()
 	rep.Partitions = stats.Partitions.Load()
+	rep.Reconnects = stats.Reconnects.Load()
 	if err != nil {
 		rep.Err = err.Error()
 		return rep, nil

@@ -52,22 +52,37 @@ func TestAsyncSoakSmallLatency(t *testing.T) {
 	}
 }
 
-// TestAsyncSoakRejectsDestructivePlans: drop and crash clauses are refused
-// up front with an error naming the mode and the offending clause family —
-// their recovery machinery is built on round barriers async mode abolishes.
-func TestAsyncSoakRejectsDestructivePlans(t *testing.T) {
-	for clause, spec := range map[string]string{
-		"drop":  "drop:p0-p2@r2",
-		"crash": "crash:p1@r2",
-	} {
-		_, err := RunAsync(asyncSpec("path:16", spec))
-		if err == nil {
-			t.Fatalf("RunAsync accepted the %s clause", clause)
-		}
-		for _, want := range []string{"-mode async", clause} {
-			if !strings.Contains(err.Error(), want) {
-				t.Errorf("%s rejection %q does not name %q", clause, err, want)
+// TestAsyncSoakDrop: a dropped connection is repaired underneath the
+// event-driven driver by the same seq/ack resume as in sync mode — nothing
+// in it is keyed on rounds — so the run decides valid and 1-agreeing with
+// the drop injected and the link reconnected, on a tree and on a block
+// graph.
+func TestAsyncSoakDrop(t *testing.T) {
+	for _, space := range []string{"path:16", "graph:cliquechain:3:4"} {
+		for _, plan := range []string{"drop:p0-p2@r2", "drop:p2@r3"} {
+			rep, err := RunAsync(asyncSpec(space, plan))
+			if err != nil {
+				t.Fatal(err)
 			}
+			mustPassAsync(t, rep)
+			if rep.Drops < 1 || rep.Reconnects < 1 {
+				t.Errorf("%s under %s: %d drops, %d reconnects, want ≥ 1 of each", space, plan, rep.Drops, rep.Reconnects)
+			}
+		}
+	}
+}
+
+// TestAsyncSoakRejectsDestructivePlans: the crash clause is refused up front
+// with an error naming the mode and the clause family — a restarted
+// event-driven seat has no round history to replay.
+func TestAsyncSoakRejectsDestructivePlans(t *testing.T) {
+	_, err := RunAsync(asyncSpec("path:16", "crash:p1@r2"))
+	if err == nil {
+		t.Fatal("RunAsync accepted the crash clause")
+	}
+	for _, want := range []string{"-mode async", "crash"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("crash rejection %q does not name %q", err, want)
 		}
 	}
 	if _, err := RunAsync(asyncSpec("path:16", "jam:5ms")); err == nil {
@@ -81,12 +96,12 @@ func TestAsyncSoakRejectsDestructivePlans(t *testing.T) {
 // independent, so the network cannot change the decision.
 func TestAsyncQuietTCPMatchesInProcess(t *testing.T) {
 	for _, shape := range []string{"star:6", "spider:3:3"} {
-		tr, err := cli.ParseTreeSpec(shape, 1)
+		sp, err := cli.ParseSpaceSpec(shape, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		const n = 4
-		inputs := cli.SpreadInputs(tr, n)
+		tr, inputs := sp.Tree, sp.SpreadInputs(n)
 
 		build := func() ([]driver.EventMachine, int) {
 			ms := make([]driver.EventMachine, n)

@@ -23,9 +23,6 @@ import (
 // counts, outputs, rounds and traces all enter the comparison.
 func TestOverlayInteriorCrash(t *testing.T) {
 	plan := MustParse("crash:p1@r2,crash:p7@r3")
-	if !plan.CrashOnly() {
-		t.Fatal("crash-only plan misclassified")
-	}
 	if plan.Empty() || !plan.NeedsReconnect() {
 		t.Fatal("crash plan misclassified as empty or connection-preserving")
 	}
@@ -83,8 +80,9 @@ func TestOverlayInteriorCrash(t *testing.T) {
 	t.Logf("interior crash under %q: %s", plan.Spec, stats.String())
 }
 
-// TestOverlayRejectsLinkFaults pins the crash-only gate the CLI relies on:
-// a plan with any link-level clause cannot ride the overlay.
+// TestOverlayRejectsLinkFaults pins the crash-only gate cmd/node -overlay
+// applies (Restrict to ClauseCrash): a plan with any link-level clause
+// cannot ride the overlay.
 func TestOverlayRejectsLinkFaults(t *testing.T) {
 	for spec, crashOnly := range map[string]bool{
 		"":                          true,
@@ -95,8 +93,9 @@ func TestOverlayRejectsLinkFaults(t *testing.T) {
 		"partition:{0-1|2-3}@r2":    false,
 		"crash:p1@r2,lat:1ms±500µs": false,
 	} {
-		if got := MustParse(spec).CrashOnly(); got != crashOnly {
-			t.Errorf("CrashOnly(%q) = %v, want %v", spec, got, crashOnly)
+		err := MustParse(spec).Restrict("-overlay", "relay hops are not party links", ClauseCrash)
+		if (err == nil) != crashOnly {
+			t.Errorf("Restrict(%q) to crash clauses = %v, want accepted = %v", spec, err, crashOnly)
 		}
 	}
 }

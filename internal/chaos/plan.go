@@ -425,16 +425,6 @@ func (p *Plan) Restrict(mode, reason string, allowed ...ClauseKind) error {
 	return nil
 }
 
-// CrashOnly reports whether crashes are the only faults in the plan — the
-// predicate behind the tree overlay's Restrict gate, kept for callers that
-// only classify. The overlay injects crashes through its own seat
-// supervisor but exposes no seam for link-level faults: its connections are
-// overlay-internal relay hops, not the party-to-party links the injector's
-// clauses name.
-func (p *Plan) CrashOnly() bool {
-	return p.Restrict("", "", ClauseCrash) == nil
-}
-
 // parseParty decodes "p3" (the p is mandatory — it keeps parties and rounds
 // visually distinct inside a clause).
 func parseParty(s string) (sim.PartyID, error) {

@@ -3,14 +3,12 @@ package chaos
 import (
 	"fmt"
 	"os"
-	"reflect"
 	"sync"
 	"time"
 
 	"treeaa/internal/cli"
 	"treeaa/internal/metrics"
 	"treeaa/internal/session"
-	"treeaa/internal/sim"
 )
 
 // KillRestartSpec is one durability soak cell: a journaled daemon cluster,
@@ -86,7 +84,12 @@ func RunServeKillRestart(spec KillRestartSpec) (*KillRestartReport, error) {
 	if spec.Decided < 1 {
 		return nil, fmt.Errorf("chaos: kill-restart needs at least 1 decided-wave session")
 	}
-	tr, err := cli.ParseTreeSpec(spec.Tree, spec.Seed)
+	sp, err := cli.ParseSpaceSpec(spec.Tree, spec.Seed)
+	if err != nil {
+		return nil, err
+	}
+	w, err := session.NewWorkload(sp, spec.Seed, spec.N, spec.T, spec.TTL,
+		max(spec.Decided, spec.Fresh), false)
 	if err != nil {
 		return nil, err
 	}
@@ -97,24 +100,6 @@ func RunServeKillRestart(spec KillRestartSpec) (*KillRestartReport, error) {
 			return nil, err
 		}
 		defer os.RemoveAll(dir)
-	}
-
-	specFor := func(i int) session.Spec {
-		return session.Spec{Tree: spec.Tree, Seed: spec.Seed, T: spec.T,
-			Inputs: cli.RotateInputs(tr, spec.N, i), TTL: spec.TTL}
-	}
-	oracles := make(map[string]*sim.Result)
-	oracleFor := func(i int) (*sim.Result, error) {
-		s := specFor(i)
-		if want, ok := oracles[s.Inputs]; ok {
-			return want, nil
-		}
-		want, err := session.Oracle(spec.N, s)
-		if err != nil {
-			return nil, err
-		}
-		oracles[s.Inputs] = want
-		return want, nil
 	}
 
 	serveStats := &metrics.ServeStats{}
@@ -135,19 +120,16 @@ func RunServeKillRestart(spec KillRestartSpec) (*KillRestartReport, error) {
 	// Wave 1: decided and acked before the kill. These carry the contract.
 	type ackedSession struct {
 		sid  uint64
-		want *sim.Result
+		spec session.Spec
 	}
 	var acked []ackedSession
 	for i := 0; i < spec.Decided; i++ {
-		want, err := oracleFor(i)
-		if err != nil {
-			return nil, err
-		}
 		cl, err := session.DialClient(cluster.ClientAddr(spec.Victim), spec.SetupTimeout)
 		if err != nil {
 			return nil, fmt.Errorf("chaos: wave-1 dial: %w", err)
 		}
-		resp, err := cl.Submit(specFor(i), 0, true)
+		s := w.Spec(i)
+		resp, err := cl.Submit(s, 0, true)
 		cl.Close()
 		if err != nil {
 			return nil, fmt.Errorf("chaos: wave-1 session %d: %w", i, err)
@@ -156,11 +138,11 @@ func RunServeKillRestart(spec KillRestartSpec) (*KillRestartReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("chaos: wave-1 session %d: %w", i, err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			rep.Err = fmt.Sprintf("wave-1 session %d diverged from oracle before any fault", i)
+		if msg := w.Verify(s, got); msg != "" {
+			rep.Err = fmt.Sprintf("wave-1 session %d before any fault: %s", i, msg)
 			return rep, nil
 		}
-		acked = append(acked, ackedSession{sid: resp.SID, want: want})
+		acked = append(acked, ackedSession{sid: resp.SID, spec: s})
 	}
 	rep.DecidedBeforeKill = len(acked)
 
@@ -172,7 +154,7 @@ func RunServeKillRestart(spec KillRestartSpec) (*KillRestartReport, error) {
 			return nil, fmt.Errorf("chaos: wave-2 dial: %w", err)
 		}
 		for i := 0; i < spec.MidKill; i++ {
-			resp, err := cl.Submit(specFor(spec.Decided+i), 0, false)
+			resp, err := cl.Submit(w.Spec(spec.Decided+i), 0, false)
 			if err != nil {
 				break // admission may close mid-wave once the kill lands; fine
 			}
@@ -220,10 +202,10 @@ func RunServeKillRestart(spec KillRestartSpec) (*KillRestartReport, error) {
 			continue
 		}
 		rep.SurvivedRestart++
-		if reflect.DeepEqual(got, a.want) {
+		if msg := w.Verify(a.spec, got); msg == "" {
 			rep.OracleMatches++
 		} else if rep.Err == "" {
-			rep.Err = fmt.Sprintf("decided session %d result diverges after restart", i)
+			rep.Err = fmt.Sprintf("decided session %d after restart: %s", i, msg)
 		}
 	}
 
@@ -261,21 +243,18 @@ func RunServeKillRestart(spec KillRestartSpec) (*KillRestartReport, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			want, err := oracleFor(i)
-			if err != nil {
-				return
-			}
 			cl, err := session.DialClient(cluster.ClientAddr(i%spec.N), spec.SetupTimeout)
 			if err != nil {
 				return
 			}
 			defer cl.Close()
-			resp, err := cl.Submit(specFor(i), 0, true)
+			s := w.Spec(i)
+			resp, err := cl.Submit(s, 0, true)
 			if err != nil {
 				return
 			}
 			got, err := resp.SimResult()
-			if err != nil || !reflect.DeepEqual(got, want) {
+			if err != nil || w.Verify(s, got) != "" {
 				return
 			}
 			mu.Lock()

@@ -14,33 +14,35 @@ func TestServeKillRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak")
 	}
-	rep, err := RunServeKillRestart(KillRestartSpec{
-		Tree:         "spider:3:3",
-		N:            4,
-		Seed:         7,
-		Victim:       1,
-		Decided:      6,
-		MidKill:      4,
-		Fresh:        6,
-		JournalDir:   t.TempDir(),
-		TTL:          30 * time.Second,
-		SetupTimeout: 10 * time.Second,
-		RoundTimeout: 60 * time.Second,
-	})
-	if err != nil {
-		t.Fatalf("RunServeKillRestart: %v", err)
-	}
-	if !rep.Passed() {
-		t.Fatalf("durability contract violated: survived %d/%d, oracle %d/%d, err %q",
-			rep.SurvivedRestart, rep.DecidedBeforeKill,
-			rep.OracleMatches, rep.DecidedBeforeKill, rep.Err)
-	}
-	if rep.RestoredSealed < int64(rep.DecidedBeforeKill) {
-		t.Errorf("restored %d sealed sessions, want >= %d — recovery not exercised",
-			rep.RestoredSealed, rep.DecidedBeforeKill)
-	}
-	if rep.MidKillTerminal+rep.MidKillLost == 0 {
-		t.Error("no mid-kill session observed at all — wave 2 did not run")
+	for _, space := range []string{"spider:3:3", "graph:cliquechain:3:4"} {
+		rep, err := RunServeKillRestart(KillRestartSpec{
+			Tree:         space,
+			N:            4,
+			Seed:         7,
+			Victim:       1,
+			Decided:      6,
+			MidKill:      4,
+			Fresh:        6,
+			JournalDir:   t.TempDir(),
+			TTL:          30 * time.Second,
+			SetupTimeout: 10 * time.Second,
+			RoundTimeout: 60 * time.Second,
+		})
+		if err != nil {
+			t.Fatalf("%s: RunServeKillRestart: %v", space, err)
+		}
+		if !rep.Passed() {
+			t.Fatalf("%s: durability contract violated: survived %d/%d, oracle %d/%d, err %q",
+				space, rep.SurvivedRestart, rep.DecidedBeforeKill,
+				rep.OracleMatches, rep.DecidedBeforeKill, rep.Err)
+		}
+		if rep.RestoredSealed < int64(rep.DecidedBeforeKill) {
+			t.Errorf("%s: restored %d sealed sessions, want >= %d — recovery not exercised",
+				space, rep.RestoredSealed, rep.DecidedBeforeKill)
+		}
+		if rep.MidKillTerminal+rep.MidKillLost == 0 {
+			t.Errorf("%s: no mid-kill session observed at all — wave 2 did not run", space)
+		}
 	}
 }
 

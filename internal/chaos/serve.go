@@ -2,20 +2,18 @@ package chaos
 
 import (
 	"fmt"
-	"reflect"
 	"sync"
 	"time"
 
 	"treeaa/internal/cli"
 	"treeaa/internal/metrics"
 	"treeaa/internal/session"
-	"treeaa/internal/sim"
 )
 
 // ServeSpec is one serving-layer soak cell: a daemon deployment, a batch of
 // concurrent sessions, and a chaos plan injected under the mux links.
 type ServeSpec struct {
-	Tree     string // cli tree spec shared by every session
+	Tree     string // cli space spec shared by every session (a tree, or "graph:"-prefixed)
 	N, T     int
 	Seed     int64
 	Plan     string // chaos spec; delay-only clauses (see RunServe)
@@ -84,25 +82,13 @@ func RunServe(spec ServeSpec) (*ServeReport, error) {
 	if spec.Sessions < 1 {
 		return nil, fmt.Errorf("chaos: serve soak needs at least 1 session, got %d", spec.Sessions)
 	}
-	tr, err := cli.ParseTreeSpec(spec.Tree, spec.Seed)
+	sp, err := cli.ParseSpaceSpec(spec.Tree, spec.Seed)
 	if err != nil {
 		return nil, err
 	}
-
-	// One oracle per distinct input rotation (they repeat with period
-	// NumVertices), computed before any daemon spins up.
-	specFor := func(i int) session.Spec {
-		return session.Spec{Tree: spec.Tree, Seed: spec.Seed, T: spec.T,
-			Inputs: cli.RotateInputs(tr, spec.N, i), TTL: spec.TTL}
-	}
-	oracles := make(map[string]*sim.Result)
-	for i := 0; i < tr.NumVertices() && i < spec.Sessions; i++ {
-		s := specFor(i)
-		want, err := session.Oracle(spec.N, s)
-		if err != nil {
-			return nil, fmt.Errorf("chaos: serve oracle %d: %w", i, err)
-		}
-		oracles[s.Inputs] = want
+	w, err := session.NewWorkload(sp, spec.Seed, spec.N, spec.T, spec.TTL, spec.Sessions, false)
+	if err != nil {
+		return nil, err
 	}
 
 	chaosStats := &metrics.ChaosStats{}
@@ -138,7 +124,7 @@ func RunServe(spec ServeSpec) (*ServeReport, error) {
 				}
 				mu.Unlock()
 			}
-			s := specFor(i)
+			s := w.Spec(i)
 			cl, err := session.DialClient(cluster.ClientAddr(i%spec.N), spec.SetupTimeout)
 			if err != nil {
 				fail("dial: %v", err)
@@ -157,10 +143,10 @@ func RunServe(spec ServeSpec) (*ServeReport, error) {
 			}
 			mu.Lock()
 			rep.Decided++
-			if reflect.DeepEqual(got, oracles[s.Inputs]) {
+			if msg := w.Verify(s, got); msg == "" {
 				rep.OracleMatches++
 			} else if firstEr == "" {
-				firstEr = fmt.Sprintf("session %d: result diverges from oracle", i)
+				firstEr = fmt.Sprintf("session %d: %s", i, msg)
 			}
 			mu.Unlock()
 		}()

@@ -29,24 +29,26 @@ func TestServeSoakUnderChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak")
 	}
-	rep, err := RunServe(ServeSpec{
-		Tree:     "spider:3:3",
-		N:        4,
-		Seed:     7,
-		Sessions: 32,
-		Plan:     "lat:1ms±1ms,stall:p1@r2-3:10ms,partition:{0-1|2-3}@r4-5:20ms",
-		TTL:      2 * time.Minute,
-		SetupTimeout: 10 * time.Second,
-		RoundTimeout: 60 * time.Second,
-	})
-	if err != nil {
-		t.Fatalf("RunServe: %v", err)
-	}
-	if !rep.Passed() {
-		t.Fatalf("soak failed: decided %d/%d, oracle matches %d/%d, err %q",
-			rep.Decided, rep.Sessions, rep.OracleMatches, rep.Sessions, rep.Err)
-	}
-	if rep.Delays == 0 {
-		t.Error("latency plan injected no delays — chaos not reaching the mux links")
+	for _, space := range []string{"spider:3:3", "graph:cliquechain:3:4"} {
+		rep, err := RunServe(ServeSpec{
+			Tree:         space,
+			N:            4,
+			Seed:         7,
+			Sessions:     32,
+			Plan:         "lat:1ms±1ms,stall:p1@r2-3:10ms,partition:{0-1|2-3}@r4-5:20ms",
+			TTL:          2 * time.Minute,
+			SetupTimeout: 10 * time.Second,
+			RoundTimeout: 60 * time.Second,
+		})
+		if err != nil {
+			t.Fatalf("%s: RunServe: %v", space, err)
+		}
+		if !rep.Passed() {
+			t.Fatalf("%s: soak failed: decided %d/%d, oracle matches %d/%d, err %q",
+				space, rep.Decided, rep.Sessions, rep.OracleMatches, rep.Sessions, rep.Err)
+		}
+		if rep.Delays == 0 {
+			t.Errorf("%s: latency plan injected no delays — chaos not reaching the mux links", space)
+		}
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"treeaa/internal/cli"
-	"treeaa/internal/core"
-	"treeaa/internal/experiments"
 	"treeaa/internal/metrics"
 	"treeaa/internal/sim"
 	"treeaa/internal/transport"
@@ -17,7 +15,7 @@ import (
 // RunSpec is one soak cell: a protocol configuration, a chaos plan and a
 // seed to materialize it with.
 type RunSpec struct {
-	Tree      string // cli tree spec, e.g. "path:40"
+	Tree      string // cli space spec: a tree ("path:40") or a "graph:"-prefixed block graph
 	N, T      int
 	Seed      int64
 	Plan      string // chaos spec (Parse), "" = no chaos
@@ -86,12 +84,12 @@ func Run(spec RunSpec) (*Report, error) {
 	if err := plan.Validate(spec.N); err != nil {
 		return nil, err
 	}
-	tr, err := cli.ParseTreeSpec(spec.Tree, spec.Seed)
+	sp, err := cli.ParseSpaceSpec(spec.Tree, spec.Seed)
 	if err != nil {
 		return nil, err
 	}
-	inputs := cli.SpreadInputs(tr, spec.N)
-	_, corrupt, err := cli.BuildAdversary(spec.Adversary, tr, spec.N, spec.T, spec.Seed)
+	inputs := sp.SpreadInputs(spec.N)
+	_, corrupt, err := sp.BuildAdversary(spec.Adversary, spec.N, spec.T, spec.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -101,11 +99,14 @@ func Run(spec RunSpec) (*Report, error) {
 		}
 	}
 
+	machine := func(p sim.PartyID) (sim.Machine, error) {
+		m, _, err := sp.NewMachine(spec.N, spec.T, p, inputs[p])
+		return m, err
+	}
 	machines := func() ([]sim.Machine, error) {
 		ms := make([]sim.Machine, spec.N)
 		for i := range ms {
-			m, err := core.NewMachine(core.Config{Tree: tr, N: spec.N, T: spec.T,
-				ID: sim.PartyID(i), Input: inputs[i]})
+			m, err := machine(sim.PartyID(i))
 			if err != nil {
 				return nil, err
 			}
@@ -114,12 +115,12 @@ func Run(spec RunSpec) (*Report, error) {
 		return ms, nil
 	}
 	cfg := func() (sim.Config, error) {
-		adv, _, err := cli.BuildAdversary(spec.Adversary, tr, spec.N, spec.T, spec.Seed)
+		adv, _, err := sp.BuildAdversary(spec.Adversary, spec.N, spec.T, spec.Seed)
 		if err != nil {
 			return sim.Config{}, err
 		}
 		return sim.Config{N: spec.N, MaxCorrupt: spec.T,
-			MaxRounds: core.Rounds(tr) + 2, Adversary: adv}, nil
+			MaxRounds: sp.Rounds() + 2, Adversary: adv}, nil
 	}
 
 	// The oracle: the same execution on the sequential engine, untouched by
@@ -144,10 +145,7 @@ func Run(spec RunSpec) (*Report, error) {
 		RoundTimeout: spec.RoundTimeout,
 	})
 	if len(plan.Crashes) > 0 {
-		opts.Restart = func(p sim.PartyID) (sim.Machine, error) {
-			return core.NewMachine(core.Config{Tree: tr, N: spec.N, T: spec.T,
-				ID: p, Input: inputs[p]})
-		}
+		opts.Restart = machine
 	}
 	chaosCfg, err := cfg()
 	if err != nil {
@@ -186,7 +184,9 @@ func Run(spec RunSpec) (*Report, error) {
 		}
 		outputs[p] = v
 	}
-	rep.MaxDist, rep.Valid = experiments.Judge(tr, inputs, corrupt, outputs)
+	var validity []string
+	rep.MaxDist, validity, _ = sp.Judge(inputs, corrupt, outputs)
+	rep.Valid = len(validity) == 0
 	return rep, nil
 }
 

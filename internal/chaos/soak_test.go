@@ -63,19 +63,23 @@ func TestSoakLatencyOracle(t *testing.T) {
 // yields the oracle's Result — the transport resends the lost frames and
 // the restarted party rejoins from its peers' history.
 func TestSoakDropCrash(t *testing.T) {
-	rep, err := Run(soakSpec("drop:p0-p2@r2,crash:p1@r2", "splitvote"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustPass(t, rep)
-	if rep.Drops != 1 || rep.Crashes != 1 {
-		t.Errorf("Drops = %d, Crashes = %d; want 1 and 1", rep.Drops, rep.Crashes)
-	}
-	if rep.Reconnects < 2 {
-		t.Errorf("Reconnects = %d, want ≥ 2 (dropped link + restarted party's peers)", rep.Reconnects)
-	}
-	if rep.FramesResent == 0 || rep.FramesSkip == 0 {
-		t.Errorf("FramesResent = %d, FramesSkip = %d; want both > 0", rep.FramesResent, rep.FramesSkip)
+	for _, space := range []string{"path:16", "graph:cliquechain:3:4"} {
+		spec := soakSpec("drop:p0-p2@r2,crash:p1@r2", "splitvote")
+		spec.Tree = space
+		rep, err := Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustPass(t, rep)
+		if rep.Drops != 1 || rep.Crashes != 1 {
+			t.Errorf("%s: Drops = %d, Crashes = %d; want 1 and 1", space, rep.Drops, rep.Crashes)
+		}
+		if rep.Reconnects < 2 {
+			t.Errorf("%s: Reconnects = %d, want ≥ 2 (dropped link + restarted party's peers)", space, rep.Reconnects)
+		}
+		if rep.FramesResent == 0 || rep.FramesSkip == 0 {
+			t.Errorf("%s: FramesResent = %d, FramesSkip = %d; want both > 0", space, rep.FramesResent, rep.FramesSkip)
+		}
 	}
 }
 

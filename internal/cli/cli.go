@@ -102,67 +102,16 @@ func ParseTreeSpec(spec string, seed int64) (*tree.Tree, error) {
 	}
 }
 
-// SpreadInputs places n inputs roughly evenly across the vertex ID range.
-func SpreadInputs(tr *tree.Tree, n int) []tree.VertexID {
-	inputs := make([]tree.VertexID, n)
-	denom := n - 1
-	if denom < 1 {
-		denom = 1
-	}
-	for i := range inputs {
-		inputs[i] = tree.VertexID(i * (tr.NumVertices() - 1) / denom)
-	}
-	return inputs
-}
-
-// ParseInputs resolves a comma-separated list of vertex labels to inputs,
-// or spreads them across the tree when the spec is empty.
-func ParseInputs(tr *tree.Tree, spec string, n int) ([]tree.VertexID, error) {
-	if spec == "" {
-		return SpreadInputs(tr, n), nil
-	}
-	parts := strings.Split(spec, ",")
-	if len(parts) != n {
-		return nil, fmt.Errorf("got %d inputs for n = %d", len(parts), n)
-	}
-	inputs := make([]tree.VertexID, n)
-	for i, label := range parts {
-		v, err := tr.VertexByLabel(strings.TrimSpace(label))
-		if err != nil {
-			return nil, err
-		}
-		inputs[i] = v
-	}
-	return inputs, nil
-}
-
-// RotateInputs renders the spread input placement rotated by shift vertex
-// positions, as a comma-separated label list ParseInputs accepts. The
-// serving-layer drivers use it to give concurrent sessions distinct but
-// deterministic inputs from one knob.
-func RotateInputs(tr *tree.Tree, n, shift int) string {
-	labels := make([]string, n)
-	denom := n - 1
-	if denom < 1 {
-		denom = 1
-	}
-	v := tr.NumVertices()
-	for i := range labels {
-		labels[i] = tr.Label(tree.VertexID((i*(v-1)/denom + shift) % v))
-	}
-	return strings.Join(labels, ",")
-}
-
 // AdversaryNames lists the -adversary flag values for help text.
 func AdversaryNames() []string {
 	return []string{"none", "silent", "crash", "equivocator", "splitvote", "halfburn", "noise"}
 }
 
-// BuildAdversary constructs the named adversary over the canonical
+// buildAdversary constructs the named adversary over the canonical
 // corrupted set FirstParties(n, t), phase-composed for TreeAA's gradecast
 // tags where the strategy is tag-scoped. It returns the adversary (nil for
 // "none" or t = 0) and the corrupted-party map.
-func BuildAdversary(name string, tr *tree.Tree, n, t int, seed int64) (sim.Adversary, map[sim.PartyID]bool, error) {
+func buildAdversary(name string, tr *tree.Tree, n, t int, seed int64) (sim.Adversary, map[sim.PartyID]bool, error) {
 	if name == "none" || t == 0 {
 		return nil, map[sim.PartyID]bool{}, nil
 	}

@@ -79,16 +79,16 @@ func TestParseTreeSpecFile(t *testing.T) {
 }
 
 func TestSpreadInputs(t *testing.T) {
-	tr, err := ParseTreeSpec("path:10", 1)
+	sp, err := ParseSpaceSpec("path:10", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := SpreadInputs(tr, 4)
+	in := sp.SpreadInputs(4)
 	if len(in) != 4 || in[0] != 0 || in[3] != 9 {
 		t.Errorf("SpreadInputs = %v", in)
 	}
 	// Single party: no division by zero.
-	if in := SpreadInputs(tr, 1); len(in) != 1 || in[0] != 0 {
+	if in := sp.SpreadInputs(1); len(in) != 1 || in[0] != 0 {
 		t.Errorf("SpreadInputs(1) = %v", in)
 	}
 }

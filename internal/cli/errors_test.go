@@ -12,7 +12,7 @@ import (
 // references them. These tables pin them.
 
 func TestParseInputsErrors(t *testing.T) {
-	tr, err := ParseTreeSpec("path:5", 1)
+	sp, err := ParseSpaceSpec("path:5", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestParseInputsErrors(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ParseInputs(tr, tc.spec, tc.n)
+			_, err := sp.ParseInputs(tc.spec, tc.n)
 			if err == nil {
 				t.Fatalf("ParseInputs(%q, %d) succeeded, want error", tc.spec, tc.n)
 			}
@@ -41,14 +41,14 @@ func TestParseInputsErrors(t *testing.T) {
 	}
 
 	t.Run("unknown label wraps sentinel", func(t *testing.T) {
-		_, err := ParseInputs(tr, "v1,v2,v3,nope", 4)
+		_, err := sp.ParseInputs("v1,v2,v3,nope", 4)
 		if !errors.Is(err, tree.ErrUnknownVertex) {
 			t.Errorf("error %v does not wrap tree.ErrUnknownVertex", err)
 		}
 	})
 
 	t.Run("labels are trimmed", func(t *testing.T) {
-		inputs, err := ParseInputs(tr, " v1 , v2 ,v3, v4 ", 4)
+		inputs, err := sp.ParseInputs(" v1 , v2 ,v3, v4 ", 4)
 		if err != nil {
 			t.Fatalf("whitespace around labels rejected: %v", err)
 		}
@@ -75,27 +75,27 @@ func TestBuildAdversaryErrors(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, err := BuildAdversary(tc.adv, tr, 4, 1, 1)
+			_, _, err := buildAdversary(tc.adv, tr, 4, 1, 1)
 			if err == nil {
-				t.Fatalf("BuildAdversary(%q) succeeded, want error", tc.adv)
+				t.Fatalf("buildAdversary(%q) succeeded, want error", tc.adv)
 			}
 			if err.Error() != tc.wantErr {
-				t.Errorf("BuildAdversary(%q) error = %q, want %q", tc.adv, err, tc.wantErr)
+				t.Errorf("buildAdversary(%q) error = %q, want %q", tc.adv, err, tc.wantErr)
 			}
 		})
 	}
 
 	t.Run("t=0 short-circuits before name check", func(t *testing.T) {
-		adv, corrupt, err := BuildAdversary("bogus", tr, 4, 0, 1)
+		adv, corrupt, err := buildAdversary("bogus", tr, 4, 0, 1)
 		if err != nil || adv != nil || len(corrupt) != 0 {
-			t.Errorf("BuildAdversary(bogus, t=0) = (%v, %v, %v), want (nil, empty, nil)", adv, corrupt, err)
+			t.Errorf("buildAdversary(bogus, t=0) = (%v, %v, %v), want (nil, empty, nil)", adv, corrupt, err)
 		}
 	})
 
 	t.Run("every advertised name builds", func(t *testing.T) {
 		for _, name := range AdversaryNames() {
-			if _, _, err := BuildAdversary(name, tr, 7, 2, 1); err != nil {
-				t.Errorf("BuildAdversary(%q): %v", name, err)
+			if _, _, err := buildAdversary(name, tr, 7, 2, 1); err != nil {
+				t.Errorf("buildAdversary(%q): %v", name, err)
 			}
 		}
 	})

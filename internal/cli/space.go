@@ -274,11 +274,11 @@ func (m graphAsync) Output() (any, bool) {
 // protocol tree (phase tags and round budgets follow the block-cut tree
 // for graph spaces).
 func (s *Space) BuildAdversary(name string, n, t int, seed int64) (sim.Adversary, map[sim.PartyID]bool, error) {
-	return BuildAdversary(name, s.ProtocolTree(), n, t, seed)
+	return buildAdversary(name, s.ProtocolTree(), n, t, seed)
 }
 
 // SpreadInputs places n inputs roughly evenly across the input-space
-// vertex ID range, like SpreadInputs does for trees.
+// vertex ID range.
 func (s *Space) SpreadInputs(n int) []tree.VertexID {
 	inputs := make([]tree.VertexID, n)
 	denom := n - 1
@@ -313,7 +313,9 @@ func (s *Space) ParseInputs(spec string, n int) ([]tree.VertexID, error) {
 }
 
 // RotateInputs renders the spread placement rotated by shift vertex
-// positions as a comma-separated label list, like RotateInputs for trees.
+// positions as a comma-separated label list ParseInputs accepts. The
+// serving-layer drivers use it to give concurrent sessions distinct but
+// deterministic inputs from one knob.
 func (s *Space) RotateInputs(n, shift int) string {
 	labels := make([]string, n)
 	denom := n - 1

@@ -2,6 +2,7 @@ package cli
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"treeaa/internal/sim"
@@ -53,16 +54,47 @@ func TestParseSpaceFlagPair(t *testing.T) {
 	}
 }
 
+// The tree helpers the Space dispatchers replaced, kept as the reference
+// TestSpaceInputsMatchTreeHelpers proves them against.
+
+// spreadInputs places n inputs roughly evenly across the vertex ID range.
+func spreadInputs(tr *tree.Tree, n int) []tree.VertexID {
+	inputs := make([]tree.VertexID, n)
+	denom := n - 1
+	if denom < 1 {
+		denom = 1
+	}
+	for i := range inputs {
+		inputs[i] = tree.VertexID(i * (tr.NumVertices() - 1) / denom)
+	}
+	return inputs
+}
+
+// rotateInputs renders the spread input placement rotated by shift vertex
+// positions, as a comma-separated label list.
+func rotateInputs(tr *tree.Tree, n, shift int) string {
+	labels := make([]string, n)
+	denom := n - 1
+	if denom < 1 {
+		denom = 1
+	}
+	v := tr.NumVertices()
+	for i := range labels {
+		labels[i] = tr.Label(tree.VertexID((i*(v-1)/denom + shift) % v))
+	}
+	return strings.Join(labels, ",")
+}
+
 func TestSpaceInputsMatchTreeHelpers(t *testing.T) {
 	sp, err := ParseSpaceSpec("caterpillar:4:2", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range []int{1, 4, 7} {
-		if got, want := sp.SpreadInputs(n), SpreadInputs(sp.Tree, n); !reflect.DeepEqual(got, want) {
+		if got, want := sp.SpreadInputs(n), spreadInputs(sp.Tree, n); !reflect.DeepEqual(got, want) {
 			t.Fatalf("n=%d: SpreadInputs %v vs tree helper %v", n, got, want)
 		}
-		if got, want := sp.RotateInputs(n, 3), RotateInputs(sp.Tree, n, 3); got != want {
+		if got, want := sp.RotateInputs(n, 3), rotateInputs(sp.Tree, n, 3); got != want {
 			t.Fatalf("n=%d: RotateInputs %q vs tree helper %q", n, got, want)
 		}
 	}

@@ -405,7 +405,7 @@ func E6Matrix(tr *tree.Tree, n, t int, seed int64) ([]E6Row, error) {
 		if err != nil {
 			return fmt.Errorf("experiments: %s: %w", s.name, err)
 		}
-		maxDist, valid := Judge(tr, inputs, corrupt, res.Outputs)
+		maxDist, valid := judge(tr, inputs, corrupt, res.Outputs)
 		rows[i] = E6Row{
 			Adversary: s.name, Rounds: res.Rounds, Messages: res.Messages,
 			Bytes: res.Bytes, MaxDist: maxDist, Valid: valid,
@@ -448,9 +448,9 @@ func E8MessageComplexity(tr *tree.Tree, ns []int) (*metrics.Table, error) {
 	return tab, nil
 }
 
-// Judge evaluates Definition 2 over honest outputs: the maximum pairwise
+// judge evaluates Definition 2 over honest outputs: the maximum pairwise
 // output distance and whether every output lies in the honest hull.
-func Judge(tr *tree.Tree, inputs []tree.VertexID, corrupt map[sim.PartyID]bool, outputs map[sim.PartyID]tree.VertexID) (maxDist int, allValid bool) {
+func judge(tr *tree.Tree, inputs []tree.VertexID, corrupt map[sim.PartyID]bool, outputs map[sim.PartyID]tree.VertexID) (maxDist int, allValid bool) {
 	maxDist, validity, _ := (&cli.Space{Tree: tr}).Judge(inputs, corrupt, outputs)
 	return maxDist, len(validity) == 0
 }

@@ -151,12 +151,12 @@ func TestJudge(t *testing.T) {
 		1: tr.MustVertex("v3"),
 		2: tr.MustVertex("v8"), // corrupted: ignored
 	}
-	maxDist, valid := Judge(tr, inputs, corrupt, outputs)
+	maxDist, valid := judge(tr, inputs, corrupt, outputs)
 	if !valid || maxDist != 1 {
 		t.Errorf("Judge = (%d, %v), want (1, true)", maxDist, valid)
 	}
 	outputs[1] = tr.MustVertex("v7") // outside hull {v2,v3,v5}... v7 invalid
-	if _, valid := Judge(tr, inputs, corrupt, outputs); valid {
+	if _, valid := judge(tr, inputs, corrupt, outputs); valid {
 		t.Error("invalid output not flagged")
 	}
 }

@@ -19,7 +19,7 @@ import (
 	"treeaa/internal/tree"
 )
 
-// spreadGraphInputs mirrors cli.SpreadInputs over a graph's vertex range.
+// spreadGraphInputs mirrors cli.Space.SpreadInputs over a graph's vertex range.
 func spreadGraphInputs(g *graph.Graph, n int) []tree.VertexID {
 	inputs := make([]tree.VertexID, n)
 	denom := n - 1
@@ -136,7 +136,7 @@ func TestMachineByzantine(t *testing.T) {
 		for _, advName := range cli.AdversaryNames() {
 			for seed := int64(1); seed <= 3; seed++ {
 				n, tt := 4, 1
-				adv, _, err := cli.BuildAdversary(advName, g.BlockCutTree(), n, tt, seed)
+				adv, _, err := (&cli.Space{Graph: g}).BuildAdversary(advName, n, tt, seed)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -162,7 +162,7 @@ func TestMachineDriverEquivalence(t *testing.T) {
 		n, tt := 5, 1
 		inputs := spreadGraphInputs(g, n)
 		mk := func() []sim.Machine { return graphMachines(t, g, n, tt, inputs) }
-		adv, _, err := cli.BuildAdversary("equivocator", g.BlockCutTree(), n, tt, 7)
+		adv, _, err := (&cli.Space{Graph: g}).BuildAdversary("equivocator", n, tt, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +171,7 @@ func TestMachineDriverEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s sequential: %v", spec, err)
 		}
-		adv2, _, err := cli.BuildAdversary("equivocator", g.BlockCutTree(), n, tt, 7)
+		adv2, _, err := (&cli.Space{Graph: g}).BuildAdversary("equivocator", n, tt, 7)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,12 +22,9 @@ import (
 // exactly as the engine counts), independent of how many physical relay
 // hops the overlay spent; the physical side lands in Options.Wire/Stats.
 //
-// Adversaries are rejected outright: a rushing observer must see every
-// honest round-r message before choosing its own, and only the mesh (or the
-// in-process engine) grants that global view — a tree would have to route
-// all traffic through the observer's position. Per-party rate limits and
-// tamper hooks need a global arbiter and are rejected for the same reason
-// as in the tcp transport.
+// Adversaries are rejected outright (errAdversary). Per-party rate limits
+// and tamper hooks need a global arbiter and are rejected for the same
+// reason as in the tcp transport.
 func Cluster(cfg sim.Config, machines []sim.Machine, opts Options) (*sim.Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -36,8 +33,7 @@ func Cluster(cfg sim.Config, machines []sim.Machine, opts Options) (*sim.Result,
 		return nil, fmt.Errorf("sim: %d machines for N = %d", len(machines), cfg.N)
 	}
 	if cfg.Adversary != nil {
-		return nil, fmt.Errorf("overlay: a rushing adversary observes all honest traffic before sending; " +
-			"only the full mesh grants that view — use the tcp transport or the in-process engine")
+		return nil, errAdversary
 	}
 	if cfg.MaxMessagesPerParty != 0 {
 		return nil, fmt.Errorf("overlay: MaxMessagesPerParty requires a global rate arbiter; " +
@@ -91,61 +87,23 @@ func Cluster(cfg sim.Config, machines []sim.Machine, opts Options) (*sim.Result,
 	// core scheduling hundreds of goroutines a leaf can easily dial before
 	// its parent's supervisor ever ran — an unseated holder would bounce
 	// the join.
-	holders := make([]*holder, cfg.N)
+	runs := make([]func() (*driver.Result, error), cfg.N)
+	stops := make([]func(), cfg.N)
 	for p := sim.PartyID(0); int(p) < cfg.N; p++ {
 		hold := &holder{}
-		holders[p] = hold
 		nd := newNode(p, lay, machines[p], cfg.MaxRounds, session, addrs, opts)
 		nd.crashRound = opts.CrashPlan[p]
 		hold.set(nd)
-	}
-	var hosts []*host
-	outCh := make(chan outcome, cfg.N)
-	for p := sim.PartyID(0); int(p) < cfg.N; p++ {
+		runs[p] = func() (*driver.Result, error) { return supervise(nd, hold) }
+		stops[p] = hold.shutdown
 		if ln, ok := listeners[p]; ok {
-			h := newHost(p, ln, lay, session, opts, holders[p])
-			hosts = append(hosts, h)
-			go h.loop()
-		}
-		go func(p sim.PartyID) {
-			res, err := supervise(holders[p].get(), holders[p])
-			outCh <- outcome{id: p, res: res, err: err}
-		}(p)
-	}
-	defer func() {
-		for _, h := range hosts {
-			h.close()
-		}
-		for _, hold := range holders {
-			if nd := hold.get(); nd != nil {
-				nd.shutdown(false)
-			}
-		}
-	}()
-
-	var (
-		nodes []outcome
-		errs  []error
-	)
-	for i := 0; i < cfg.N; i++ {
-		out := <-outCh
-		nodes = append(nodes, out)
-		if out.err != nil {
-			errs = append(errs, out.err)
-			// Unblock peers stuck on the failed party's barrier bits.
-			for _, hold := range holders {
-				if nd := hold.get(); nd != nil {
-					nd.shutdown(false)
-				}
-			}
+			host := transport.NewAcceptHost(ln, hold.accept)
+			stops[p] = func() { host.Close(); hold.shutdown() }
 		}
 	}
-	if len(errs) > 0 {
-		return nil, errors.Join(errs...)
-	}
-	parties := make([]*driver.Result, len(nodes))
-	for i, out := range nodes {
-		parties[i] = out.res
+	parties, err := transport.RunAll(runs, stops)
+	if err != nil {
+		return nil, err
 	}
 	res, err := driver.Merge(cfg.Trace, nil, parties, nil)
 	if err != nil {
@@ -154,14 +112,9 @@ func Cluster(cfg sim.Config, machines []sim.Machine, opts Options) (*sim.Result,
 	return res, nil
 }
 
-type outcome struct {
-	id  sim.PartyID
-	res *driver.Result
-	err error
-}
-
-// holder tracks a party's current node incarnation so the cluster can abort
-// it and the accept host can route inbound handshakes to it.
+// holder tracks a party's current node incarnation: the cluster aborts it
+// through the holder, and an interior party's AcceptHost hands it inbound
+// connections.
 type holder struct {
 	mu sync.Mutex
 	nd *node
@@ -173,6 +126,47 @@ func (h *holder) get() *node {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.nd
+}
+
+// shutdown aborts the current incarnation, unblocking it (and peers stuck
+// on its barrier bits) promptly.
+func (h *holder) shutdown() { h.get().shutdown(false) }
+
+// accept is the AcceptHost handler of an interior seat: it validates the
+// inbound hello off the main loop and hands a good one to whichever node
+// holds the seat once the hello is in. A dead seat (crashed, restarting)
+// just closes the connection — the dialer's retry loop carries the child
+// until the restarted node is back.
+func (h *holder) accept(conn net.Conn) { go h.handshake(conn) }
+
+func (h *holder) handshake(conn net.Conn) {
+	seat := h.get() // session, layout and options are the same in every incarnation
+	conn.SetReadDeadline(time.Now().Add(seat.opts.SetupTimeout))
+	br := bufio.NewReaderSize(conn, 64<<10)
+	body, err := transport.ReadFrame(br)
+	if err != nil {
+		conn.Close()
+		return
+	}
+	seat.opts.Wire.AddRecv(len(body))
+	hel, err := parseHello(body)
+	if err != nil {
+		conn.Close()
+		return
+	}
+	if hel.session != seat.session || hel.to != seat.id || hel.n != seat.lay.N ||
+		hel.branch != seat.lay.Branching || hel.from == seat.id ||
+		hel.from < 0 || int(hel.from) >= seat.lay.N {
+		conn.Close()
+		return
+	}
+	conn.SetReadDeadline(time.Time{})
+	nd := h.get()
+	if nd.closed() {
+		conn.Close()
+		return
+	}
+	nd.enqueue(levent{hs: &inbound{conn: conn, br: br, h: hel}})
 }
 
 // supervise runs one party from its pre-seated first incarnation,
@@ -198,63 +192,3 @@ func supervise(nd *node, hold *holder) (*driver.Result, error) {
 		hold.set(nd)
 	}
 }
-
-// host owns an interior party's listener across incarnations: it validates
-// inbound hellos off the main loop and hands good ones to whichever node
-// currently holds the seat. A dead seat (crashed, restarting) just closes
-// the connection — the dialer's retry loop carries the child until the
-// restarted node is back.
-type host struct {
-	owner   sim.PartyID
-	ln      net.Listener
-	lay     Layout
-	session uint64
-	opts    Options
-	hold    *holder
-}
-
-func newHost(owner sim.PartyID, ln net.Listener, lay Layout, session uint64,
-	opts Options, hold *holder) *host {
-	return &host{owner: owner, ln: ln, lay: lay, session: session, opts: opts, hold: hold}
-}
-
-func (h *host) loop() {
-	for {
-		conn, err := h.ln.Accept()
-		if err != nil {
-			return
-		}
-		go h.handshake(conn)
-	}
-}
-
-func (h *host) handshake(conn net.Conn) {
-	conn.SetReadDeadline(time.Now().Add(h.opts.SetupTimeout))
-	br := bufio.NewReaderSize(conn, 64<<10)
-	body, err := transport.ReadFrame(br)
-	if err != nil {
-		conn.Close()
-		return
-	}
-	h.opts.Wire.AddRecv(len(body))
-	hel, err := parseHello(body)
-	if err != nil {
-		conn.Close()
-		return
-	}
-	if hel.session != h.session || hel.to != h.owner || hel.n != h.lay.N ||
-		hel.branch != h.lay.Branching || hel.from == h.owner ||
-		hel.from < 0 || int(hel.from) >= h.lay.N {
-		conn.Close()
-		return
-	}
-	conn.SetReadDeadline(time.Time{})
-	nd := h.hold.get()
-	if nd == nil || nd.closed() {
-		conn.Close()
-		return
-	}
-	nd.enqueue(levent{hs: &inbound{conn: conn, br: br, h: hel}})
-}
-
-func (h *host) close() { h.ln.Close() }

@@ -194,9 +194,8 @@ func (stubAdversary) Step(int, []sim.Message, map[sim.PartyID][]sim.Message) ([]
 	return nil, nil
 }
 
-// TestParseSpecAndRegistry pins the -overlay/-transport spec grammar and
-// the tree's registration in the transport registry.
-func TestParseSpecAndRegistry(t *testing.T) {
+// TestParseSpec pins the -overlay / -transport tree[:b] spec grammar.
+func TestParseSpec(t *testing.T) {
 	if b, err := ParseSpec("tree"); err != nil || b != 0 {
 		t.Errorf("ParseSpec(tree) = %d, %v", b, err)
 	}
@@ -208,24 +207,56 @@ func TestParseSpecAndRegistry(t *testing.T) {
 			t.Errorf("ParseSpec(%q) accepted", bad)
 		}
 	}
+}
 
-	tt, err := transport.New("tree:4")
+// TestRunProcessRefusals: the two roles the relay fabric cannot host — an
+// adversary (the host seat, or an honest seat of a fleet that has one) and
+// an event machine — are refused by RunProcess itself, with the same error
+// Cluster gives, and a seat without exactly one role by Seat.Validate. Every
+// case fails before anything listens: the addresses are not bindable.
+func TestRunProcessRefusals(t *testing.T) {
+	const n = 4
+	sp, err := cli.ParseSpaceSpec("path:8", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tt.Name() != "tree:4" {
-		t.Errorf("Name = %q", tt.Name())
+	machine, _, err := sp.NewMachine(n, 1, 0, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := tt.(Tree); !ok {
-		t.Errorf("transport.New(tree:4) = %T", tt)
+	event, _, err := sp.NewAsyncMachine(n, 1, 0, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	found := false
-	for _, name := range transport.Names() {
-		if name == "tree" {
-			found = true
+	adv, _, err := sp.BuildAdversary("splitvote", n, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := transport.Seat{ID: 0, N: n, Addrs: []string{"!", "!", "!", "!"}, MaxRounds: 5}
+	for _, tc := range []struct {
+		name string
+		edit func(*transport.Seat)
+		want string
+	}{
+		{"adversary host", func(s *transport.Seat) {
+			s.ID, s.Adversary, s.Corrupted = 3, adv, []sim.PartyID{3}
+		}, errAdversary.Error()},
+		{"honest seat beside an adversary", func(s *transport.Seat) {
+			s.Machine, s.Corrupted = machine, []sim.PartyID{3}
+		}, errAdversary.Error()},
+		{"event machine", func(s *transport.Seat) { s.Event = event }, errEventMachine.Error()},
+		{"no role", func(s *transport.Seat) {}, "0 roles set"},
+		{"two roles", func(s *transport.Seat) { s.Machine, s.Event = machine, event }, "2 roles set"},
+	} {
+		seat := base
+		tc.edit(&seat)
+		_, err := RunProcess(seat, Options{})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
 		}
 	}
-	if !found {
-		t.Errorf("tree missing from transport.Names() = %v", transport.Names())
+	cfg := sim.Config{N: n, MaxCorrupt: 1, MaxRounds: 5, Adversary: adv}
+	if _, err := Cluster(cfg, make([]sim.Machine, n), Options{}); err != errAdversary {
+		t.Errorf("Cluster with an adversary: err = %v, want errAdversary", err)
 	}
 }

@@ -112,11 +112,12 @@ func TestAsyncServeSlowLinks(t *testing.T) {
 func TestAsyncServeQuietMatchesInProcess(t *testing.T) {
 	const n = 3
 	spec := Spec{Tree: "star:6"}
-	tr, err := cli.ParseTreeSpec(spec.Tree, spec.Seed)
+	sp, err := cli.ParseSpaceSpec(spec.Tree, spec.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inputs, err := cli.ParseInputs(tr, spec.Inputs, n)
+	tr := sp.Tree
+	inputs, err := sp.ParseInputs(spec.Inputs, n)
 	if err != nil {
 		t.Fatal(err)
 	}

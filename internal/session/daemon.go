@@ -193,7 +193,7 @@ func (d *Daemon) Run(ctx context.Context) error {
 		if err := d.mgr.recoverJournal(dir, jopts); err != nil {
 			peerLn.Close()
 			clientLn.Close()
-			d.mgr.stop()
+			d.mgr.stopShards()
 			return fmt.Errorf("session: daemon %d journal recovery: %w", d.id, err)
 		}
 	}
@@ -202,7 +202,7 @@ func (d *Daemon) Run(ctx context.Context) error {
 	if err := d.mux.start(peerLn); err != nil {
 		clientLn.Close()
 		d.mux.close()
-		d.mgr.stop()
+		d.mgr.stopShards()
 		if jw := d.mgr.jw; jw != nil {
 			jw.Close()
 		}
@@ -402,7 +402,7 @@ func (c *Cluster) waitReady(i int, deadline time.Time) error {
 		}
 		return err
 	case <-timer.C:
-		return fmt.Errorf("session: daemon %d not ready within %v", i, time.Until(deadline))
+		return fmt.Errorf("session: daemon %d not ready within the %v setup budget", i, c.opts.withDefaults().SetupTimeout)
 	}
 }
 

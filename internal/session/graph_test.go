@@ -1,10 +1,9 @@
 package session
 
 // Graph-space serving tests: a "graph:"-prefixed Spec.Tree rides the
-// SessionOpenGraph wire payload between daemons, every seat rebuilds the
-// same graph machine, and the served Result is byte-identical to sim.Run
-// on the same spec (the Oracle). Async daemons reject graph sessions at
-// admission.
+// SessionOpen wire payload verbatim between daemons, every seat rebuilds
+// the same graph machine, and the served Result is byte-identical to
+// sim.Run on the same spec (the Oracle).
 
 import (
 	"fmt"

@@ -10,9 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"strings"
-
-	"treeaa/internal/cli"
 	"treeaa/internal/journal"
 	"treeaa/internal/metrics"
 	"treeaa/internal/sim"
@@ -149,21 +146,10 @@ func (m *Manager) Submit(spec Spec, sid uint64) (uint64, error) {
 	}
 	m.mu.Unlock()
 
-	// Graph-space sessions announce over their own wire payload; the graph
-	// spec travels without the "graph:" routing prefix (the tag is the
-	// routing) and is re-prefixed on receipt.
-	var openPayload any = wire.SessionOpen{
+	open, ferr := sessionFrame(wire.SessionOpen{
 		SID: sid, Tree: spec.Tree, Seed: spec.Seed, T: spec.T, Inputs: spec.Inputs,
 		TTLMillis: uint64(ps.deadline / time.Millisecond),
-	}
-	if ps.space.IsGraph() {
-		openPayload = wire.SessionOpenGraph{
-			SID: sid, Graph: strings.TrimPrefix(spec.Tree, cli.GraphPrefix),
-			Seed: spec.Seed, T: spec.T, Inputs: spec.Inputs,
-			TTLMillis: uint64(ps.deadline / time.Millisecond),
-		}
-	}
-	open, ferr := sessionFrame(openPayload)
+	})
 	if ferr != nil {
 		m.fail(s, StateFailed, fmt.Sprintf("encoding open: %v", ferr), false)
 		return 0, ferr
@@ -238,12 +224,6 @@ func (m *Manager) handleRaw(from sim.PartyID, body []byte) error {
 	switch p := payload.(type) {
 	case wire.SessionOpen:
 		m.openRemote(from, p)
-	case wire.SessionOpenGraph:
-		// Re-prefix the graph spec into the canonical Spec form and reuse
-		// the tree open path — the journal and the engine both key off the
-		// prefixed spec string.
-		m.openRemote(from, wire.SessionOpen{SID: p.SID, Tree: cli.GraphPrefix + p.Graph,
-			Seed: p.Seed, T: p.T, Inputs: p.Inputs, TTLMillis: p.TTLMillis})
 	case wire.SessionAbort:
 		m.handleAbort(p)
 	case wire.SessionDecide:
@@ -709,6 +689,12 @@ func (m *Manager) drain(timeout time.Duration) {
 func (m *Manager) stop() {
 	close(m.evictQuit)
 	<-m.evictDone
+	m.stopShards()
+}
+
+// stopShards is all the teardown a daemon that failed before it became
+// ready needs: its evict loop never started, so stop would wait forever.
+func (m *Manager) stopShards() {
 	for _, sh := range m.shards {
 		sh.stop()
 	}

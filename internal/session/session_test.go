@@ -1,9 +1,11 @@
 package session
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -115,12 +117,12 @@ func TestManySessionsConcurrent(t *testing.T) {
 	stats := &metrics.ServeStats{}
 	c := startTestCluster(t, n, Options{MaxSessions: sessions + 8, Stats: stats})
 
-	tr, err := cli.ParseTreeSpec("spider:3:3", 0)
+	tr, err := cli.ParseSpaceSpec("spider:3:3", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	specFor := func(i int) Spec {
-		return Spec{Tree: "spider:3:3", Inputs: cli.RotateInputs(tr, n, i), TTL: 2 * time.Minute}
+		return Spec{Tree: "spider:3:3", Inputs: tr.RotateInputs(n, i), TTL: 2 * time.Minute}
 	}
 	// Distinct input rotations repeat with period NumVertices; oracles are
 	// computed once per rotation, not per session.
@@ -361,5 +363,27 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("wait did not return after drain")
+	}
+}
+
+// TestStartClusterReportsSetupBudget: a daemon that is still meshing when
+// the setup deadline passes is reported against the budget it was given —
+// not against time.Until(deadline) read after the timer fired, which is a
+// negative duration — and the daemons whose setup then fails tear down
+// instead of waiting on an evict loop that never started.
+func TestStartClusterReportsSetupBudget(t *testing.T) {
+	const budget = 50 * time.Millisecond
+	_, err := StartCluster(2, Options{
+		SetupTimeout: budget,
+		Dialer: func(addr string, deadline time.Time) (net.Conn, error) {
+			time.Sleep(time.Until(deadline) + 100*time.Millisecond) // outlast the deadline
+			return nil, errors.New("peer unreachable")
+		},
+	})
+	if err == nil {
+		t.Fatal("cluster came up without peer links")
+	}
+	if want := "not ready within the 50ms setup budget"; !strings.Contains(err.Error(), want) {
+		t.Errorf("err = %q, want it to contain %q", err, want)
 	}
 }

@@ -113,7 +113,7 @@ func runAdversaryHost(cfg hostConfig) (*driver.Result, error) {
 						return nil, fmt.Errorf("transport: adversary host: %w", err)
 					}
 				} else {
-					e.send(raw.From, to, r, encodeMsg(frameMsg, r, to, body))
+					e.send(raw.From, to, encodeMsg(frameMsg, r, to, body))
 				}
 			}
 		}
@@ -122,7 +122,7 @@ func runAdversaryHost(cfg hostConfig) (*driver.Result, error) {
 		eor := encodeEOR(r, true)
 		for _, c := range cfg.corrupted {
 			for _, p := range honest {
-				e.send(c, p, r, eor)
+				e.send(c, p, eor)
 			}
 		}
 		for r2 := range h.mirrors {

@@ -30,8 +30,6 @@ package transport
 // adversary.
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"net"
 	"time"
@@ -47,14 +45,6 @@ type AsyncResult struct {
 	Deliveries int // messages delivered to machines (self-deliveries included)
 	Messages   int // point-to-point protocol sends, counted at send
 	Bytes      int
-}
-
-// add folds one finished party into the summary.
-func (r *AsyncResult) add(id sim.PartyID, ev *driver.Event) {
-	r.Outputs[id] = ev.Output()
-	r.Deliveries += ev.Deliveries()
-	r.Messages += ev.Tally().Msgs
-	r.Bytes += ev.Tally().Bytes
 }
 
 // asyncNode adapts a driver.Event to the full mesh: frameMsg framing for
@@ -78,7 +68,7 @@ func (nd *asyncNode) Emit(round int, to sim.PartyID, payload any) error {
 	first, last := driver.Span(nd.n, to)
 	for to := first; to <= last; to++ {
 		if to != nd.id && !nd.ev.IsPeerDone(to) {
-			nd.ep.send(nd.id, to, round, encodeMsg(frameMsg, round, to, body))
+			nd.ep.send(nd.id, to, encodeMsg(frameMsg, round, to, body))
 		}
 	}
 	return nil
@@ -96,7 +86,7 @@ func (nd *asyncNode) Announce() error {
 		if nd.ev.IsPeerDone(p) {
 			nd.ep.purgeSender(nd.id, p)
 		}
-		nd.ep.send(nd.id, p, 1, done)
+		nd.ep.send(nd.id, p, done)
 	}
 	return nil
 }
@@ -156,7 +146,7 @@ func runAsyncNode(id sim.PartyID, n int, machine driver.EventMachine, e *endpoin
 					// it after the purge.
 					e.purgeSender(id, ev.from)
 					if nd.ev.Decided() {
-						e.send(id, ev.from, 1, encodeAsyncDone())
+						e.send(id, ev.from, encodeAsyncDone())
 					}
 				}
 			default:
@@ -233,105 +223,44 @@ func AsyncLocalCluster(n int, machines []driver.EventMachine, opts Options) (*As
 	}
 	session := NewSession()
 
-	endpoints := make([]*endpoint, n)
-	outcomes := make(chan asyncOutcome, n)
+	runs := make([]func() (*driver.Event, error), n)
+	stops := make([]func(), n)
 	for p := sim.PartyID(0); int(p) < n; p++ {
-		ep := newEndpoint([]sim.PartyID{p}, n, addrs, session,
-			map[sim.PartyID]net.Listener{p: listeners[p]}, opts)
-		endpoints[p] = ep
-		go func() {
-			res, err := runAsyncNode(p, n, machines[p], ep)
-			outcomes <- asyncOutcome{id: p, res: res, err: err}
-		}()
+		runs[p], stops[p] = asyncSeat(p, n, machines[p], listeners[p], addrs, session, opts)
 	}
-	abortAll := func() {
-		for _, ep := range endpoints {
-			ep.shutdown(false)
-		}
+	events, err := RunAll(runs, stops)
+	if err != nil {
+		return nil, err
 	}
-	defer abortAll()
-
 	out := &AsyncResult{Outputs: make(map[sim.PartyID]any, n)}
-	var errs []error
-	for i := 0; i < n; i++ {
-		o := <-outcomes
-		if o.err != nil {
-			errs = append(errs, o.err)
-			abortAll()
-			continue
-		}
-		out.add(o.id, o.res)
-	}
-	if len(errs) > 0 {
-		return nil, errors.Join(errs...)
+	for p, ev := range events {
+		out.Outputs[sim.PartyID(p)] = ev.Output()
+		out.Deliveries += ev.Deliveries()
+		out.Messages += ev.Tally().Msgs
+		out.Bytes += ev.Tally().Bytes
 	}
 	return out, nil
 }
 
-type asyncOutcome struct {
-	id  sim.PartyID
-	res *driver.Event
-	err error
+// asyncSeat prepares one event-driven party behind an AcceptHost on its
+// bound listener and returns the function that runs it to completion and the
+// one that tears it down.
+func asyncSeat(id sim.PartyID, n int, machine driver.EventMachine, ln net.Listener, addrs []string,
+	session uint64, opts Options) (run func() (*driver.Event, error), stop func()) {
+	ep := newEndpoint([]sim.PartyID{id}, n, addrs, session, opts)
+	host := NewAcceptHost(ln, ep.accept(id))
+	return func() (*driver.Event, error) { return runAsyncNode(id, n, machine, ep) },
+		func() { host.Close(); ep.shutdown(false) }
 }
 
-// AsyncProcessConfig describes one process's seat of a multi-process
-// asynchronous deployment (cmd/node -mode async). All seats are honest.
-type AsyncProcessConfig struct {
-	ID      sim.PartyID
-	N       int
-	Addrs   []string
-	Machine driver.EventMachine
-	// Session must be identical across all processes; DeriveSession folds
-	// the mode string in so a sync and an async fleet can never mix.
-	Session uint64
-	Opts    Options
-	// Ctx, when non-nil, cancels the seat as in ProcessConfig.
-	Ctx context.Context
-}
-
-// RunAsyncProcess executes one asynchronous seat and blocks until the
-// deployment terminates or fails.
-func RunAsyncProcess(cfg AsyncProcessConfig) (*AsyncResult, error) {
-	if cfg.N <= 0 || len(cfg.Addrs) != cfg.N {
-		return nil, fmt.Errorf("transport: %d addresses for n = %d", len(cfg.Addrs), cfg.N)
-	}
-	if cfg.ID < 0 || int(cfg.ID) >= cfg.N {
-		return nil, fmt.Errorf("transport: party id %d out of range [0, %d)", cfg.ID, cfg.N)
-	}
-	if cfg.Machine == nil {
-		return nil, fmt.Errorf("transport: async party %d needs a machine", cfg.ID)
-	}
-	if err := checkAsyncOptions(cfg.Opts); err != nil {
-		return nil, err
-	}
-	opts := cfg.Opts.withDefaults()
-	ln, err := net.Listen("tcp", cfg.Addrs[cfg.ID])
-	if err != nil {
-		return nil, fmt.Errorf("transport: party %d listening on %s: %w", cfg.ID, cfg.Addrs[cfg.ID], err)
-	}
-	ep := newEndpoint([]sim.PartyID{cfg.ID}, cfg.N, cfg.Addrs, cfg.Session,
-		map[sim.PartyID]net.Listener{cfg.ID: ln}, opts)
-	defer ep.shutdown(false)
-	defer WatchCancel(cfg.Ctx, func() { ep.shutdown(false) })()
-	res, err := runAsyncNode(cfg.ID, cfg.N, cfg.Machine, ep)
-	if err != nil {
-		return nil, err
-	}
-	out := &AsyncResult{Outputs: make(map[sim.PartyID]any, 1)}
-	out.add(cfg.ID, res)
-	return out, nil
-}
-
-// checkAsyncOptions rejects option combinations that only make sense for
-// the lock-step round structure.
+// checkAsyncOptions rejects the one recovery path built on the lock-step
+// round structure. Reconnect is not: seq/ack resume replays whatever the peer
+// has not acknowledged, rounds or no rounds.
 func checkAsyncOptions(opts Options) error {
 	if len(opts.CrashPlan) > 0 || opts.Restart != nil {
-		return fmt.Errorf("transport: crash-restart recovery replays rounds, which async mode does not have; " +
-			"crash clauses require -mode sync")
-	}
-	if opts.Reconnect || opts.RetainAll {
-		return fmt.Errorf("transport: the reconnect/resume path prunes its resend buffers at eor barriers, " +
-			"which async mode does not have; drop clauses require -mode sync")
+		return fmt.Errorf("transport: crash-restart recovery re-steps a fresh machine through its peers' " +
+			"replayed round history, which an event-driven seat does not have; " +
+			"crash clauses require lock-step machines")
 	}
 	return nil
 }

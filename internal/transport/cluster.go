@@ -73,112 +73,115 @@ func LocalCluster(cfg sim.Config, machines []sim.Machine, opts Options) (*sim.Re
 	}
 	session := NewSession()
 
-	// stops tears every seat down: on exit, and as soon as one seat fails, so
-	// parties blocked on the failed peer's barrier return promptly instead of
-	// riding out RoundTimeout.
-	var stops []func()
-	abortAll := func() {
-		for _, stop := range stops {
-			stop()
-		}
-	}
-	defer abortAll()
-	nodeCh := make(chan nodeOutcome, cfg.N)
-	launched := 0
+	var (
+		runs  []func() (*driver.Result, error)
+		stops []func()
+	)
 	for p := sim.PartyID(0); int(p) < cfg.N; p++ {
 		if isCorrupted[p] {
 			continue
 		}
 		run, stop := honestSeat(nodeConfig{id: p, n: cfg.N, maxRounds: cfg.MaxRounds,
 			observer: observer, machine: machines[p]}, listeners[p], addrs, session, opts)
-		stops = append(stops, stop)
-		go func() {
-			res, err := run()
-			nodeCh <- nodeOutcome{id: p, res: res, err: err}
-		}()
-		launched++
+		runs, stops = append(runs, run), append(stops, stop)
 	}
-	var hostCh chan hostOutcome
+	honest := len(runs)
 	if len(corrupted) > 0 {
-		hostLns := make(map[sim.PartyID]net.Listener, len(corrupted))
-		for _, c := range corrupted {
-			hostLns[c] = listeners[c]
+		hostLns := make([]net.Listener, len(corrupted))
+		for i, c := range corrupted {
+			hostLns[i] = listeners[c]
 		}
-		ep := newEndpoint(corrupted, cfg.N, addrs, session, hostLns, opts)
-		stops = append(stops, func() { ep.shutdown(false) })
-		hc := hostConfig{corrupted: corrupted, n: cfg.N, maxRounds: cfg.MaxRounds,
-			adv: cfg.Adversary, ep: ep}
-		hostCh = make(chan hostOutcome, 1)
-		go func() {
-			res, err := runAdversaryHost(hc)
-			hostCh <- hostOutcome{res: res, err: err}
-		}()
+		run, stop := hostSeat(hostConfig{corrupted: corrupted, n: cfg.N, maxRounds: cfg.MaxRounds,
+			adv: cfg.Adversary}, hostLns, addrs, session, opts)
+		runs, stops = append(runs, run), append(stops, stop)
 	}
-
-	var (
-		nodes []nodeOutcome
-		errs  []error
-	)
-	for i := 0; i < launched; i++ {
-		out := <-nodeCh
-		nodes = append(nodes, out)
-		if out.err != nil {
-			errs = append(errs, out.err)
-			abortAll()
-		}
+	results, err := RunAll(runs, stops)
+	if err != nil {
+		return nil, err
 	}
-	var host hostOutcome
-	if hostCh != nil {
-		host = <-hostCh
-		if host.err != nil {
-			errs = append(errs, host.err)
-		}
+	var host *driver.Result
+	if len(corrupted) > 0 {
+		host = results[honest]
 	}
-	if len(errs) > 0 {
-		return nil, errors.Join(errs...)
-	}
-	parties := make([]*driver.Result, len(nodes))
-	for i, out := range nodes {
-		parties[i] = out.res
-	}
-	res, err := driver.Merge(cfg.Trace, corrupted, parties, host.res)
+	res, err := driver.Merge(cfg.Trace, corrupted, results[:honest], host)
 	if err != nil {
 		return nil, fmt.Errorf("transport: %w", err)
 	}
 	return res, nil
 }
 
-type nodeOutcome struct {
-	id  sim.PartyID
-	res *driver.Result
-	err error
+// RunAll is the launch/collect loop of every in-process cluster
+// (LocalCluster, AsyncLocalCluster, overlay.Cluster): it runs every seat
+// concurrently and returns their results in seat order. As soon as one seat
+// fails, every stop runs, so parties blocked on the failed peer's barrier
+// return promptly instead of riding out RoundTimeout; the stops run again on
+// return (they are idempotent teardowns), and every failure is joined into
+// the returned error.
+func RunAll[T any](runs []func() (T, error), stops []func()) ([]T, error) {
+	abortAll := func() {
+		for _, stop := range stops {
+			stop()
+		}
+	}
+	defer abortAll()
+	type outcome struct {
+		seat int
+		res  T
+		err  error
+	}
+	outcomes := make(chan outcome, len(runs))
+	for i, run := range runs {
+		go func() {
+			res, err := run()
+			outcomes <- outcome{seat: i, res: res, err: err}
+		}()
+	}
+	results := make([]T, len(runs))
+	var errs []error
+	for range runs {
+		out := <-outcomes
+		results[out.seat] = out.res
+		if out.err != nil {
+			errs = append(errs, out.err)
+			abortAll()
+		}
+	}
+	if len(errs) > 0 {
+		return nil, errors.Join(errs...)
+	}
+	return results, nil
 }
 
-type hostOutcome struct {
-	res *driver.Result
-	err error
-}
-
-// honestSeat prepares one honest party on its bound listener and returns the
-// function that runs it to completion and the one that tears it down. A
-// party the crash plan names runs under superviseNode, and its listener goes
-// to an acceptHost so it outlives the first incarnation — peers redial the
-// same address mid-run.
+// honestSeat prepares one honest lock-step party behind an AcceptHost on its
+// bound listener and returns the function that runs it to completion and the
+// one that tears it down. A party the crash plan names dies in that round
+// and superviseNode reseats its next incarnation at the same address.
 func honestSeat(nc nodeConfig, ln net.Listener, addrs []string, session uint64,
 	opts Options) (run func() (*driver.Result, error), stop func()) {
-	crashRound, supervised := opts.CrashPlan[nc.id]
-	if !supervised {
-		nc.ep = newEndpoint([]sim.PartyID{nc.id}, nc.n, addrs, session,
-			map[sim.PartyID]net.Listener{nc.id: ln}, opts)
-		return func() (*driver.Result, error) { return runNode(nc) },
-			func() { nc.ep.shutdown(false) }
-	}
-	host := newAcceptHost(nc.id, ln)
-	first := newEndpoint([]sim.PartyID{nc.id}, nc.n, addrs, session, nil, opts)
-	host.swap(first)
-	nc.ep, nc.crashRound = first, crashRound
+	first := newEndpoint([]sim.PartyID{nc.id}, nc.n, addrs, session, opts)
+	host := NewAcceptHost(ln, first.accept(nc.id))
+	nc.ep, nc.crashRound = first, opts.CrashPlan[nc.id]
 	return func() (*driver.Result, error) { return superviseNode(nc, host, opts) },
-		func() { host.close(); first.shutdown(false) }
+		func() { host.Close(); first.shutdown(false) }
+}
+
+// hostSeat prepares the adversary host: one endpoint holding every corrupted
+// party, each behind an AcceptHost on its own listener (lns[i] is
+// hc.corrupted[i]'s).
+func hostSeat(hc hostConfig, lns []net.Listener, addrs []string, session uint64,
+	opts Options) (run func() (*driver.Result, error), stop func()) {
+	hc.ep = newEndpoint(hc.corrupted, hc.n, addrs, session, opts)
+	hosts := make([]*AcceptHost, len(lns))
+	for i, ln := range lns {
+		hosts[i] = NewAcceptHost(ln, hc.ep.accept(hc.corrupted[i]))
+	}
+	return func() (*driver.Result, error) { return runAdversaryHost(hc) },
+		func() {
+			for _, h := range hosts {
+				h.Close()
+			}
+			hc.ep.shutdown(false)
+		}
 }
 
 // initialCorruptions validates and normalizes the adversary's initial set:

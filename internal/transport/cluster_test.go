@@ -112,45 +112,6 @@ func TestClusterMatchesSimNoAdversary(t *testing.T) {
 	}
 }
 
-// TestTransportRegistry pins the flag-name → implementation mapping.
-func TestTransportRegistry(t *testing.T) {
-	for _, name := range Names() {
-		tr, err := New(name)
-		if err != nil {
-			t.Fatalf("New(%q): %v", name, err)
-		}
-		if tr.Name() != name {
-			t.Errorf("New(%q).Name() = %q", name, tr.Name())
-		}
-	}
-	if _, err := New("carrier-pigeon"); err == nil {
-		t.Error("New accepted an unknown transport")
-	}
-}
-
-// TestMemTransportMatchesSim: the Mem transport is sim.Run behind the
-// interface, nothing more.
-func TestMemTransportMatchesSim(t *testing.T) {
-	tr := tree.NewPath(12)
-	const n, tc = 4, 1
-	inputs := spreadInputs(tr, n, 1)
-	cfgOf := func() sim.Config {
-		return sim.Config{N: n, MaxCorrupt: tc, MaxRounds: core.Rounds(tr) + 2,
-			Adversary: splitVote(tr, n, tc)}
-	}
-	want, err := sim.Run(cfgOf(), buildMachines(t, tr, n, tc, inputs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Mem{}.Run(cfgOf(), buildMachines(t, tr, n, tc, inputs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Mem result diverges from sim.Run\n mem: %+v\n sim: %+v", got, want)
-	}
-}
-
 // TestClusterRejectsUndistributableFeatures: the three engine features with
 // no distributed counterpart fail fast with explanatory errors.
 func TestClusterRejectsUndistributableFeatures(t *testing.T) {

@@ -45,12 +45,10 @@ type Options struct {
 	// hello, learns from the peer's hello-ack how many frames were
 	// delivered, and replays the rest from its resend buffer. Read-side
 	// link failures become non-fatal (the dialing side repairs the link; a
-	// genuinely dead peer surfaces as a barrier timeout).
+	// genuinely dead peer surfaces as a barrier timeout). The resend buffer
+	// is kept for the whole run — a party retains just what it sent, and a
+	// crash-restarted peer rejoins by replaying that full history.
 	Reconnect bool
-	// RetainAll keeps every frame ever sent in the resend buffers instead
-	// of pruning them at the EOR barrier. Required for crash recovery: a
-	// restarted party rejoins by replaying its peers' full frame history.
-	RetainAll bool
 	// Chaos, when non-nil, receives recovery counters (reconnects, resent
 	// and suppressed frames) and per-round latency samples.
 	Chaos *metrics.ChaosStats
@@ -61,8 +59,7 @@ type Options struct {
 	// supervisor restarts it with a fresh machine from Restart. The
 	// restarted party replays its peers' resend buffers to rebuild every
 	// inbox, re-steps its deterministic machine from round 1, and suppresses
-	// the regenerated frames its peers already hold. Implies Reconnect and
-	// RetainAll.
+	// the regenerated frames its peers already hold. Implies Reconnect.
 	CrashPlan map[sim.PartyID]int
 	// Restart builds a fresh machine for a crash-restarted party; required
 	// when CrashPlan is non-empty.
@@ -84,7 +81,6 @@ func (o Options) withDefaults() Options {
 	}
 	if len(o.CrashPlan) > 0 {
 		o.Reconnect = true
-		o.RetainAll = true
 	}
 	return o
 }
@@ -111,18 +107,10 @@ type event struct {
 	writeSide bool
 }
 
-// outFrame is one frame queued on a sender: the encoded bytes plus the
-// round they belong to, which keys the resend buffer's EOR-barrier pruning.
-type outFrame struct {
-	round int
-	b     []byte
-}
-
 // bufFrame is one unacknowledged frame in a sender's resend buffer.
 type bufFrame struct {
-	seq   uint64
-	round int
-	b     []byte
+	seq uint64
+	b   []byte
 }
 
 // sender owns the write side of one ordered pair (from → to): a queue and a
@@ -134,7 +122,7 @@ type bufFrame struct {
 type sender struct {
 	e        *endpoint
 	from, to sim.PartyID
-	ch       chan outFrame
+	ch       chan []byte   // encoded frames, in emission order
 	redial   chan net.Conn // sentinel → writeLoop, carrying the dead conn
 	done     chan struct{}
 
@@ -181,8 +169,7 @@ type endpoint struct {
 	drainOnce sync.Once
 	draining  atomic.Bool
 
-	listeners map[sim.PartyID]net.Listener
-	senders   map[sim.PartyID]map[sim.PartyID]*sender // [local from][remote to]
+	senders map[sim.PartyID]map[sim.PartyID]*sender // [local from][remote to]
 
 	mu          sync.Mutex
 	conns       []net.Conn
@@ -193,12 +180,10 @@ type endpoint struct {
 }
 
 // newEndpoint prepares (but does not start) an endpoint for the given local
-// parties. listeners must hold a bound listener per local id; the endpoint
-// takes ownership and closes them. A supervised (crash-restartable) party
-// passes no listeners and is fed accepted connections by an acceptHost
-// instead.
-func newEndpoint(ids []sim.PartyID, n int, addrs []string, session uint64,
-	listeners map[sim.PartyID]net.Listener, opts Options) *endpoint {
+// parties. It owns no listener: each local party's AcceptHost feeds it
+// inbound connections through accept, so a listen address outlives the
+// endpoint incarnations of a crash-restarted party.
+func newEndpoint(ids []sim.PartyID, n int, addrs []string, session uint64, opts Options) *endpoint {
 	e := &endpoint{
 		n:           n,
 		ids:         ids,
@@ -208,7 +193,6 @@ func newEndpoint(ids []sim.PartyID, n int, addrs []string, session uint64,
 		opts:        opts.withDefaults(),
 		events:      make(chan event, 64*n+256),
 		quit:        make(chan struct{}),
-		listeners:   listeners,
 		senders:     make(map[sim.PartyID]map[sim.PartyID]*sender, len(ids)),
 		inbound:     make(map[sim.PartyID]map[sim.PartyID]*linkState, len(ids)),
 		inboundDone: make(chan struct{}),
@@ -232,22 +216,19 @@ func newEndpoint(ids []sim.PartyID, n int, addrs []string, session uint64,
 				continue
 			}
 			e.senders[id][to] = &sender{e: e, from: id, to: to,
-				ch: make(chan outFrame, 256), redial: make(chan net.Conn, 1), done: make(chan struct{})}
+				ch: make(chan []byte, 256), redial: make(chan net.Conn, 1), done: make(chan struct{})}
 		}
 	}
 	return e
 }
 
-// start builds the endpoint's side of the mesh: accept loops for inbound
-// handshakes, dials (with retry) for every outgoing ordered pair, then a
-// barrier until every expected inbound connection has identified itself.
+// start builds the endpoint's side of the mesh: dials (with retry) for
+// every outgoing ordered pair, then a barrier until every expected inbound
+// connection has identified itself.
 // start must run concurrently across endpoints — each one's dials are
 // another's inbound handshakes.
 func (e *endpoint) start() error {
 	deadline := time.Now().Add(e.opts.SetupTimeout)
-	for id, ln := range e.listeners {
-		go e.acceptLoop(id, ln)
-	}
 	for _, from := range e.ids {
 		for to := sim.PartyID(0); int(to) < e.n; to++ {
 			if e.local[to] {
@@ -316,11 +297,14 @@ func (e *endpoint) closed() bool {
 	}
 }
 
-func (e *endpoint) acceptLoop(owner sim.PartyID, ln net.Listener) {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed by Close
+// accept is the AcceptHost handler seating this endpoint at owner's listen
+// address. A closed endpoint (finished, or crashed and not yet replaced)
+// refuses; the dialer's backoff retries.
+func (e *endpoint) accept(owner sim.PartyID) func(net.Conn) {
+	return func(conn net.Conn) {
+		if e.closed() {
+			conn.Close()
+			return
 		}
 		e.track(conn)
 		go e.handshakeIn(owner, conn)
@@ -441,11 +425,6 @@ func (e *endpoint) readLoop(owner, from sim.PartyID, conn net.Conn, br *bufio.Re
 			return // superseded by a resume handshake; the new conn replays
 		}
 		ls.rcvd++
-		if e.opts.Reconnect && !e.opts.RetainAll && f.typ == frameEOR {
-			// eor(r) proves the peer finished its round-(r-1) barrier, which
-			// needed every round-≤(r-1) frame of ours: ack them implicitly.
-			e.pruneSender(owner, from, f.round-1)
-		}
 		e.emit(event{owner: owner, from: from, f: f})
 		ls.mu.Unlock()
 	}
@@ -461,24 +440,6 @@ func (e *endpoint) linkDown(owner, from sim.PartyID, err error) {
 		return
 	}
 	e.emit(event{owner: owner, from: from, err: err})
-}
-
-// pruneSender drops resend-buffer frames of rounds ≤ upto on the reverse
-// link (owner → from): the peer provably received them.
-func (e *endpoint) pruneSender(owner, from sim.PartyID, upto int) {
-	s := e.senders[owner][from]
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	i := 0
-	for i < len(s.buf) && s.buf[i].round <= upto {
-		i++
-	}
-	if i > 0 {
-		s.buf = append(s.buf[:0:0], s.buf[i:]...)
-	}
-	s.mu.Unlock()
 }
 
 func (e *endpoint) emit(ev event) {
@@ -498,14 +459,14 @@ func (e *endpoint) writeLoop(s *sender) {
 	failed := false
 	for {
 		select {
-		case f, ok := <-s.ch:
+		case b, ok := <-s.ch:
 			if !ok {
 				return
 			}
 			if failed {
 				continue
 			}
-			if !s.deliver(f) {
+			if !s.deliver(b) {
 				failed = true
 			}
 		case c := <-s.redial:
@@ -530,7 +491,7 @@ func (e *endpoint) writeLoop(s *sender) {
 // deliver pushes one frame through the link: assign its sequence number,
 // suppress it if the peer already holds it (crash-restart replay), buffer
 // it for resend, write it, and on failure run the reconnect path.
-func (s *sender) deliver(f outFrame) bool {
+func (s *sender) deliver(b []byte) bool {
 	e := s.e
 	s.seq++
 	if e.opts.Reconnect {
@@ -543,10 +504,10 @@ func (s *sender) deliver(f outFrame) bool {
 			return true
 		}
 		s.mu.Lock()
-		s.buf = append(s.buf, bufFrame{seq: s.seq, round: f.round, b: f.b})
+		s.buf = append(s.buf, bufFrame{seq: s.seq, b: b})
 		s.mu.Unlock()
 	}
-	if err := s.write(f.b); err == nil {
+	if err := s.write(b); err == nil {
 		return true
 	} else if !e.opts.Reconnect || e.draining.Load() {
 		s.linkFailed(fmt.Errorf("transport: link %d→%d: %w", s.from, s.to, err))
@@ -580,37 +541,21 @@ func (s *sender) write(b []byte) error {
 	return nil
 }
 
-// send enqueues an encoded frame of the given round on the (from → to)
-// link. Only the round loop calls it, so enqueues never race with
-// shutdown's channel close.
-func (e *endpoint) send(from, to sim.PartyID, round int, b []byte) {
+// send enqueues an encoded frame on the (from → to) link. Only the round
+// loop calls it, so enqueues never race with shutdown's channel close.
+func (e *endpoint) send(from, to sim.PartyID, b []byte) {
 	select {
-	case e.senders[from][to].ch <- outFrame{round: round, b: b}:
+	case e.senders[from][to].ch <- b:
 	case <-e.quit:
 	}
-}
-
-// crash kills the endpoint the way a process death would: connections cut
-// mid-stream, nothing flushed, no goodbye. Listeners are untouched — a
-// supervised party's listener belongs to its acceptHost and must survive
-// the restart.
-func (e *endpoint) crash() {
-	e.closeOnce.Do(func() {
-		close(e.quit)
-		e.mu.Lock()
-		conns := e.conns
-		e.conns = nil
-		e.mu.Unlock()
-		for _, c := range conns {
-			c.Close()
-		}
-	})
 }
 
 // shutdown ends the endpoint. When graceful, queued frames are flushed
 // first (each writer drains its closed queue before its connection dies),
 // which is how a terminating party guarantees its final eor reaches every
-// peer before the FIN does.
+// peer before the FIN does. Otherwise it dies the way a process would:
+// connections cut mid-stream, nothing flushed, no goodbye. The listen
+// address is the party's AcceptHost's and outlives the endpoint either way.
 func (e *endpoint) shutdown(graceful bool) {
 	if graceful {
 		e.drainOnce.Do(func() {
@@ -633,9 +578,6 @@ func (e *endpoint) shutdown(graceful bool) {
 	}
 	e.closeOnce.Do(func() {
 		close(e.quit)
-		for _, ln := range e.listeners {
-			ln.Close()
-		}
 		e.mu.Lock()
 		conns := e.conns
 		e.conns = nil

@@ -369,17 +369,15 @@ func FrameInfo(b []byte) (round int, control bool, ok bool) {
 }
 
 // muxSessionInfo classifies one wire session body: SessionMsg and
-// SessionEOR carry a round (after the session id); SessionOpen (tree or
-// graph), SessionAbort and SessionDecide are session-control traffic with
-// no round.
+// SessionEOR carry a round (after the session id); SessionOpen,
+// SessionAbort and SessionDecide are session-control traffic with no round.
 func muxSessionInfo(b []byte) (round int, control bool, ok bool) {
 	if len(b) < 2 || b[0] != wire.Version {
 		return 0, false, false
 	}
 	typ := b[1]
 	switch typ {
-	case wire.TypeSessionOpen, wire.TypeSessionAbort, wire.TypeSessionDecide,
-		wire.TypeSessionOpenGraph:
+	case wire.TypeSessionOpen, wire.TypeSessionAbort, wire.TypeSessionDecide:
 		return 0, true, true
 	case wire.TypeSessionMsg, wire.TypeSessionEOR:
 		_, rest, err := wire.ConsumeUvarint(b[2:]) // session id

@@ -39,8 +39,8 @@ type meshNode struct {
 }
 
 // runNode executes one honest machine in lock step with its peers. The
-// window is unbounded: a crash-restarted party (RetainAll resume) is handed
-// its peers' whole frame history at once.
+// window is unbounded: a crash-restarted party is handed its peers' whole
+// frame history at once.
 func runNode(cfg nodeConfig) (*driver.Result, error) {
 	e := cfg.ep
 	if err := e.start(); err != nil {
@@ -85,10 +85,10 @@ func (nd *meshNode) Emit(round int, to sim.PartyID, payload any) error {
 	first, last := driver.Span(nd.n, to)
 	for to := first; to <= last; to++ {
 		if to != nd.id {
-			nd.ep.send(nd.id, to, round, encodeMsg(frameMsg, round, to, body))
+			nd.ep.send(nd.id, to, encodeMsg(frameMsg, round, to, body))
 		}
 		if nd.observer >= 0 {
-			nd.ep.send(nd.id, nd.observer, round, encodeMsg(frameMirror, round, to, body))
+			nd.ep.send(nd.id, nd.observer, encodeMsg(frameMirror, round, to, body))
 		}
 	}
 	return nil
@@ -99,12 +99,12 @@ func (nd *meshNode) EndRound(round int, done bool) error {
 		// Injected crash: die mid-round, protocol sends out (possibly
 		// partially flushed) but the eor barrier never sent. Peers stall
 		// at their round-r barriers until the supervisor restarts us.
-		nd.ep.crash()
+		nd.ep.shutdown(false)
 		return fmt.Errorf("%w: party %d at round %d", errCrashed, nd.id, round)
 	}
 	eor := encodeEOR(round, done)
 	for _, p := range nd.peers {
-		nd.ep.send(nd.id, p, round, eor)
+		nd.ep.send(nd.id, p, eor)
 	}
 	return nil
 }

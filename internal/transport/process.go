@@ -11,48 +11,16 @@ import (
 	"treeaa/internal/sim"
 )
 
-// ProcessConfig describes one process's seat in a multi-process deployment
-// (the cmd/node daemon). Unlike LocalCluster, which owns every seat,
-// RunProcess runs exactly one: an honest party stepping its machine, or the
-// adversary host seat, which co-hosts the *entire* corrupted set — the
-// model's adversary is a single rushing, coordinated entity, so its parties
-// cannot be split across processes.
-type ProcessConfig struct {
-	// ID is this process's party. An honest id runs Machine; the lowest
-	// corrupted id (the observer) runs the adversary host; any other
-	// corrupted id is an error — that seat lives inside the host process.
-	ID sim.PartyID
-	// N is the total number of parties; Addrs has one listen address per
-	// party id, shared verbatim by every process.
-	N     int
-	Addrs []string
-	// Corrupted is the statically corrupted set; empty means all honest.
-	Corrupted []sim.PartyID
-	// Adversary drives the corrupted set; required iff ID is the observer.
-	Adversary sim.Adversary
-	// Machine is the honest party's protocol machine; required iff ID is
-	// honest.
-	Machine   sim.Machine
-	MaxRounds int
-	// Session must be identical across all processes of one deployment;
-	// DeriveSession computes one from the shared parameters.
-	Session uint64
-	Opts    Options
-	// Ctx, when non-nil, cancels the seat: on Done the endpoint shuts down,
-	// which unblocks the round loop's barrier wait and closes the accept and
-	// read loops, so a SIGINT'd daemon exits promptly without leaking
-	// goroutines. In-flight frames already queued to peers are flushed by
-	// the normal shutdown path.
-	Ctx context.Context
-}
-
 // ProcessResult is one process's share of the execution.
 type ProcessResult struct {
-	// Output and DoneRound are set for honest seats only.
+	// Output is set for honest seats only, DoneRound for lock-step ones.
 	Output    any
 	DoneRound int
-	// Rounds is the execution's termination round (identical across seats).
-	Rounds int
+	// Rounds is a lock-step execution's termination round (identical across
+	// seats); Deliveries is what an event seat has instead — the messages
+	// delivered to its machine, self-deliveries included.
+	Rounds     int
+	Deliveries int
 	// Messages and Bytes count this seat's sends (all corrupted parties'
 	// sends, for the host seat); summing across seats gives the engine's
 	// Result.Messages and Result.Bytes.
@@ -80,87 +48,105 @@ func DeriveSession(parts ...string) uint64 {
 	return h.Sum64()
 }
 
-// RunProcess executes this process's seat and blocks until the deployment
-// terminates or fails.
-func RunProcess(cfg ProcessConfig) (*ProcessResult, error) {
-	if cfg.N <= 0 || len(cfg.Addrs) != cfg.N {
-		return nil, fmt.Errorf("transport: %d addresses for n = %d", len(cfg.Addrs), cfg.N)
+// RunProcess executes this process's seat over the full mesh and blocks
+// until the deployment terminates or fails. The one role the mesh cannot
+// host is an event machine in a deployment with an adversary: the rushing
+// adversary is defined against lock-step rounds.
+func RunProcess(seat Seat, opts Options) (*ProcessResult, error) {
+	if err := seat.Validate(); err != nil {
+		return nil, fmt.Errorf("transport: %w", err)
 	}
-	if cfg.MaxRounds <= 0 {
-		return nil, fmt.Errorf("transport: MaxRounds = %d, want > 0", cfg.MaxRounds)
-	}
-	if cfg.ID < 0 || int(cfg.ID) >= cfg.N {
-		return nil, fmt.Errorf("transport: party id %d out of range [0, %d)", cfg.ID, cfg.N)
-	}
-	corrupted := append([]sim.PartyID(nil), cfg.Corrupted...)
+	corrupted := append([]sim.PartyID(nil), seat.Corrupted...)
 	sort.Slice(corrupted, func(i, j int) bool { return corrupted[i] < corrupted[j] })
-	isCorrupted := make(map[sim.PartyID]bool, len(corrupted))
-	for _, c := range corrupted {
-		if c < 0 || int(c) >= cfg.N {
-			return nil, fmt.Errorf("transport: corrupted party %d out of range [0, %d)", c, cfg.N)
-		}
-		isCorrupted[c] = true
-	}
 	observer := sim.PartyID(-1)
 	if len(corrupted) > 0 {
 		observer = corrupted[0]
 	}
+	opts = opts.withDefaults()
 
-	if !isCorrupted[cfg.ID] {
-		if cfg.Machine == nil {
-			return nil, fmt.Errorf("transport: honest party %d needs a machine", cfg.ID)
+	if seat.Event != nil {
+		if len(corrupted) > 0 {
+			return nil, fmt.Errorf("transport: event-driven seats run honest fleets only: the rushing " +
+				"adversary needs a global view between send and delivery, which is defined against " +
+				"lock-step rounds — drop the adversary or run lock-step machines")
 		}
-		opts := cfg.Opts.withDefaults()
-		ln, err := net.Listen("tcp", cfg.Addrs[cfg.ID])
+		if err := checkAsyncOptions(opts); err != nil {
+			return nil, err
+		}
+		ln, err := listen(seat, seat.ID)
 		if err != nil {
-			return nil, fmt.Errorf("transport: party %d listening on %s: %w", cfg.ID, cfg.Addrs[cfg.ID], err)
+			return nil, err
+		}
+		run, stop := asyncSeat(seat.ID, seat.N, seat.Event, ln, seat.Addrs, seat.Session, opts)
+		defer stop()
+		defer WatchCancel(seat.Ctx, stop)()
+		ev, err := run()
+		if err != nil {
+			return nil, err
+		}
+		return &ProcessResult{Output: ev.Output(), Deliveries: ev.Deliveries(),
+			Messages: ev.Tally().Msgs, Bytes: ev.Tally().Bytes}, nil
+	}
+
+	var (
+		run  func() (*driver.Result, error)
+		stop func()
+	)
+	if seat.Machine != nil {
+		for _, c := range corrupted {
+			if c == seat.ID {
+				return nil, fmt.Errorf("transport: corrupted party %d is co-hosted by the adversary host "+
+					"(party %d); do not launch a separate process for it", seat.ID, observer)
+			}
 		}
 		// A crash plan naming this seat restarts it within the process: the
 		// seat dies and rejoins without giving up its listen address (real
 		// deployments would respawn the binary; the supervisor emulates that,
 		// keeping the peers-file address stable).
-		if _, supervised := opts.CrashPlan[cfg.ID]; supervised && opts.Restart == nil {
-			ln.Close()
+		if _, supervised := opts.CrashPlan[seat.ID]; supervised && opts.Restart == nil {
 			return nil, fmt.Errorf("transport: crash plan requires Options.Restart to rebuild machines")
 		}
-		run, stop := honestSeat(nodeConfig{id: cfg.ID, n: cfg.N, maxRounds: cfg.MaxRounds,
-			observer: observer, machine: cfg.Machine}, ln, cfg.Addrs, cfg.Session, opts)
-		defer stop()
-		defer WatchCancel(cfg.Ctx, stop)()
-		res, err := run()
+		ln, err := listen(seat, seat.ID)
 		if err != nil {
 			return nil, err
 		}
-		return NewProcessResult(res), nil
-	}
-
-	if cfg.ID != observer {
-		return nil, fmt.Errorf("transport: corrupted party %d is co-hosted by the adversary host "+
-			"(party %d); do not launch a separate process for it", cfg.ID, observer)
-	}
-	if cfg.Adversary == nil {
-		return nil, fmt.Errorf("transport: adversary host seat %d needs an adversary", cfg.ID)
-	}
-	listeners := make(map[sim.PartyID]net.Listener, len(corrupted))
-	for _, c := range corrupted {
-		ln, err := net.Listen("tcp", cfg.Addrs[c])
-		if err != nil {
-			for _, l := range listeners {
-				l.Close()
-			}
-			return nil, fmt.Errorf("transport: adversary host listening for party %d on %s: %w", c, cfg.Addrs[c], err)
+		run, stop = honestSeat(nodeConfig{id: seat.ID, n: seat.N, maxRounds: seat.MaxRounds,
+			observer: observer, machine: seat.Machine}, ln, seat.Addrs, seat.Session, opts)
+	} else {
+		if seat.ID != observer {
+			return nil, fmt.Errorf("transport: the adversary host sits at the lowest corrupted id "+
+				"(party %d), not at party %d", observer, seat.ID)
 		}
-		listeners[c] = ln
+		lns := make([]net.Listener, len(corrupted))
+		for i, c := range corrupted {
+			ln, err := listen(seat, c)
+			if err != nil {
+				for _, l := range lns[:i] {
+					l.Close()
+				}
+				return nil, err
+			}
+			lns[i] = ln
+		}
+		run, stop = hostSeat(hostConfig{corrupted: corrupted, n: seat.N, maxRounds: seat.MaxRounds,
+			adv: seat.Adversary}, lns, seat.Addrs, seat.Session, opts)
 	}
-	ep := newEndpoint(corrupted, cfg.N, cfg.Addrs, cfg.Session, listeners, cfg.Opts)
-	defer ep.shutdown(false)
-	defer WatchCancel(cfg.Ctx, func() { ep.shutdown(false) })()
-	res, err := runAdversaryHost(hostConfig{corrupted: corrupted, n: cfg.N,
-		maxRounds: cfg.MaxRounds, adv: cfg.Adversary, ep: ep})
+	defer stop()
+	defer WatchCancel(seat.Ctx, stop)()
+	res, err := run()
 	if err != nil {
 		return nil, err
 	}
 	return NewProcessResult(res), nil
+}
+
+// listen binds party p's peers-file address for this seat.
+func listen(seat Seat, p sim.PartyID) (net.Listener, error) {
+	ln, err := net.Listen("tcp", seat.Addrs[p])
+	if err != nil {
+		return nil, fmt.Errorf("transport: seat %d listening for party %d on %s: %w", seat.ID, p, seat.Addrs[p], err)
+	}
+	return ln, nil
 }
 
 // WatchCancel runs stop when ctx is cancelled; the returned release func

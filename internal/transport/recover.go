@@ -12,12 +12,12 @@ import (
 	"treeaa/internal/sim"
 )
 
-// This file is the transport's recovery layer, used only when
-// Options.Reconnect is set (the chaos subsystem's territory): sentinels
-// that detect a dead connection promptly, the dial-with-resume handshake
-// that replays unacknowledged frames, and the crash-restart supervision
-// that lets an honest party die mid-round and rejoin from its peers'
-// resend buffers.
+// This file is the transport's recovery layer: the AcceptHost every seat
+// listens behind, and — used only when Options.Reconnect is set (the chaos
+// subsystem's territory) — sentinels that detect a dead connection
+// promptly, the dial-with-resume handshake that replays unacknowledged
+// frames, and the crash-restart supervision that lets an honest party die
+// mid-round and rejoin from its peers' resend buffers.
 
 // errCrashed is the internal signal a supervised node returns when its
 // CrashPlan round fires; superviseNode catches it and restarts the party.
@@ -142,51 +142,50 @@ func readHelloAck(conn net.Conn, deadline time.Time, stats interface{ AddRecv(in
 	return parseHelloAck(body)
 }
 
-// acceptHost owns one party's listener across endpoint incarnations.
-// Crash-restarting a party must not release its listen address — peers
-// redial it mid-run — so the listener lives here and accepted connections
-// are routed to whichever endpoint currently holds the seat.
-type acceptHost struct {
-	owner sim.PartyID
-	ln    net.Listener
+// AcceptHost owns one seat's listener across incarnations: the listen
+// address must outlive a crash-restarted party — peers redial it mid-run —
+// so the listener lives here, and every accepted connection is handed to
+// whichever incarnation currently holds the seat. The mesh endpoints and
+// the tree overlay's interior nodes both sit behind one.
+type AcceptHost struct {
+	ln net.Listener
 
-	mu sync.Mutex
-	ep *endpoint
+	mu     sync.Mutex
+	handle func(net.Conn)
 }
 
-func newAcceptHost(owner sim.PartyID, ln net.Listener) *acceptHost {
-	h := &acceptHost{owner: owner, ln: ln}
+// NewAcceptHost starts accepting on ln for the seat's first holder. handle
+// takes ownership of each connection and must not block; a holder that is
+// gone closes it, and the dialer's backoff retries until the next one is
+// seated.
+func NewAcceptHost(ln net.Listener, handle func(net.Conn)) *AcceptHost {
+	h := &AcceptHost{ln: ln, handle: handle}
 	go h.loop()
 	return h
 }
 
-// swap installs the endpoint that accepted connections should reach.
-func (h *acceptHost) swap(ep *endpoint) {
+// Seat installs the handler of the seat's next incarnation.
+func (h *AcceptHost) Seat(handle func(net.Conn)) {
 	h.mu.Lock()
-	h.ep = ep
+	h.handle = handle
 	h.mu.Unlock()
 }
 
-func (h *acceptHost) loop() {
+func (h *AcceptHost) loop() {
 	for {
 		conn, err := h.ln.Accept()
 		if err != nil {
 			return // listener closed
 		}
 		h.mu.Lock()
-		ep := h.ep
+		handle := h.handle
 		h.mu.Unlock()
-		if ep == nil || ep.closed() {
-			// Between crash and restart: refuse, the dialer's backoff retries.
-			conn.Close()
-			continue
-		}
-		ep.track(conn)
-		go ep.handshakeIn(h.owner, conn)
+		handle(conn)
 	}
 }
 
-func (h *acceptHost) close() { h.ln.Close() }
+// Close releases the listen address; the accept loop exits.
+func (h *AcceptHost) Close() { h.ln.Close() }
 
 // superviseNode runs one honest party with crash-restart supervision: when
 // the node's CrashPlan round fires it dies abruptly (connections cut
@@ -196,7 +195,7 @@ func (h *acceptHost) close() { h.ln.Close() }
 // its deterministic machine from round 1, and suppresses regenerated
 // frames its peers already hold — so the merged Result is byte-identical
 // to an execution that never crashed.
-func superviseNode(cfg nodeConfig, host *acceptHost, opts Options) (*driver.Result, error) {
+func superviseNode(cfg nodeConfig, host *AcceptHost, opts Options) (*driver.Result, error) {
 	res, err := runNode(cfg)
 	for errors.Is(err, errCrashed) {
 		if c := opts.Chaos; c != nil {
@@ -207,9 +206,9 @@ func superviseNode(cfg nodeConfig, host *acceptHost, opts Options) (*driver.Resu
 			return nil, fmt.Errorf("transport: restarting party %d: %w", cfg.id, rerr)
 		}
 		prev := cfg.ep
-		ep := newEndpoint([]sim.PartyID{cfg.id}, prev.n, prev.addrs, prev.session, nil, opts)
+		ep := newEndpoint([]sim.PartyID{cfg.id}, prev.n, prev.addrs, prev.session, opts)
 		ep.resumed = true
-		host.swap(ep)
+		host.Seat(ep.accept(cfg.id))
 		cfg.machine = m
 		cfg.ep = ep
 		cfg.crashRound = 0 // one crash per plan entry; the restart runs clean

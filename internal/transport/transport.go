@@ -1,11 +1,12 @@
-// Package transport runs the paper's protocol machines over interchangeable
-// substrates. The sim package defines what a round *is*; this package
-// decides where the messages travel: through the in-process zero-allocation
-// engine (Mem), or encoded with internal/wire and framed onto real TCP
-// sockets between endpoint processes (TCP, LocalCluster, and the cmd/node
-// daemon). The contract is strict: for any configuration both substrates
-// accept, they produce byte-for-byte identical Results — the TCP transport
-// is the engine's semantics made distributed, not a reinterpretation.
+// Package transport runs the paper's protocol machines as a real networked
+// system. The sim package defines what a round *is*; this package puts the
+// messages on the wire: encoded with internal/wire and framed onto TCP
+// sockets between endpoints — every party of a loopback fleet in one
+// process (LocalCluster, AsyncLocalCluster) or one Seat per process
+// (RunProcess, the cmd/node daemon). The contract is strict: for any
+// configuration sim.Run and LocalCluster both accept, they produce
+// byte-for-byte identical Results — the TCP transport is the engine's
+// semantics made distributed, not a reinterpretation.
 //
 // The round loop and the event loop are not here: runNode and runAsyncNode
 // are adapters over internal/driver's Round and Event. This package owns
@@ -16,119 +17,73 @@
 package transport
 
 import (
+	"context"
 	"fmt"
-	"sort"
-	"strings"
-	"sync"
 
+	"treeaa/internal/driver"
 	"treeaa/internal/sim"
 )
 
-// Transport executes machines under a sim configuration on some substrate.
-type Transport interface {
-	// Name is the identifier used by the -transport command-line flags.
-	Name() string
-	// Run executes the machines and reports the merged result. It follows
-	// sim.Run's error contract (invalid configs, adversary overreach,
-	// ErrNotDone at MaxRounds) plus substrate-specific failures.
-	Run(cfg sim.Config, machines []sim.Machine) (*sim.Result, error)
+// Seat describes one process's seat in a one-shot multi-process deployment
+// (the cmd/node daemon): who it is, and the one thing it runs. It is the
+// input of RunProcess here (full mesh) and of overlay.RunProcess (tree
+// fabric); each fabric refuses, in its RunProcess, the roles it cannot
+// host.
+type Seat struct {
+	// Ctx, when non-nil, cancels the seat: on Done the seat's connections
+	// and listeners shut down, which unblocks barrier waits and read loops,
+	// so a SIGINT'd daemon exits promptly without leaking goroutines.
+	Ctx context.Context
+	// ID is this process's party.
+	ID sim.PartyID
+	// N is the total number of parties; Addrs has one listen address per
+	// party id, shared verbatim by every process.
+	N     int
+	Addrs []string
+	// Session must be identical across all processes of one deployment;
+	// DeriveSession computes one from the shared parameters, and anything
+	// else is rejected at the handshake.
+	Session uint64
+	// Corrupted is the deployment's statically corrupted set; empty means
+	// all honest. Every seat carries it: honest lock-step seats mirror their
+	// traffic to its lowest id (the observer), where the adversary host —
+	// co-hosting the *entire* set, because the model's adversary is a single
+	// rushing, coordinated entity — is seated.
+	Corrupted []sim.PartyID
+	// MaxRounds bounds a lock-step execution (Machine and Adversary seats).
+	MaxRounds int
+
+	// Exactly one role is set: an honest lock-step party, an honest
+	// event-driven party, or the adversary host.
+	Machine   sim.Machine
+	Event     driver.EventMachine
+	Adversary sim.Adversary
 }
 
-// Mem is the in-process substrate: sim.Run's sequential lock-step driver,
-// or the round-barrier goroutine driver when Concurrent is set. It adds
-// nothing on top — the zero-allocation engine path is untouched.
-type Mem struct {
-	Concurrent bool
-}
-
-// Name implements Transport.
-func (m Mem) Name() string {
-	if m.Concurrent {
-		return "mem-concurrent"
+// Validate checks the seat's identity and that it carries exactly one role.
+func (s Seat) Validate() error {
+	if s.N <= 0 || len(s.Addrs) != s.N {
+		return fmt.Errorf("seat: %d addresses for n = %d", len(s.Addrs), s.N)
 	}
-	return "mem"
-}
-
-// Run implements Transport.
-func (m Mem) Run(cfg sim.Config, machines []sim.Machine) (*sim.Result, error) {
-	if m.Concurrent {
-		return sim.RunConcurrent(cfg, machines)
+	if s.ID < 0 || int(s.ID) >= s.N {
+		return fmt.Errorf("seat: party id %d out of range [0, %d)", s.ID, s.N)
 	}
-	return sim.Run(cfg, machines)
-}
-
-// TCP is the loopback-cluster substrate: every party a networked endpoint,
-// every message a wire-encoded frame on a real socket.
-type TCP struct {
-	Opts Options
-}
-
-// Name implements Transport.
-func (t TCP) Name() string { return "tcp" }
-
-// Run implements Transport.
-func (t TCP) Run(cfg sim.Config, machines []sim.Machine) (*sim.Result, error) {
-	return LocalCluster(cfg, machines, t.Opts)
-}
-
-// registry holds externally provided substrates (internal/overlay's tree,
-// for one), keyed by the spec's name — everything before the first ':'.
-// Registration happens in package init functions, guarded anyway so a
-// late Register during tests stays safe.
-var (
-	registryMu sync.Mutex
-	registry   = make(map[string]func(spec string) (Transport, error))
-)
-
-// Register installs a transport factory under a spec name. New hands the
-// factory the full flag value, so a registered substrate can carry
-// parameters after a colon ("tree:16"). Registering a built-in name or the
-// same name twice panics — both are wiring bugs, not runtime conditions.
-func Register(name string, factory func(spec string) (Transport, error)) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	switch name {
-	case "mem", "mem-concurrent", "tcp":
-		panic(fmt.Sprintf("transport: Register(%q) shadows a built-in", name))
+	roles := 0
+	for _, set := range []bool{s.Machine != nil, s.Event != nil, s.Adversary != nil} {
+		if set {
+			roles++
+		}
 	}
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("transport: Register(%q) called twice", name))
+	if roles != 1 {
+		return fmt.Errorf("seat %d: %d roles set, want exactly one of Machine, Event, Adversary", s.ID, roles)
 	}
-	registry[name] = factory
-}
-
-// Names lists the selectable transports for flag help text.
-func Names() []string {
-	out := []string{"mem", "mem-concurrent", "tcp"}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	for name := range registry {
-		out = append(out, name)
+	if s.Event == nil && s.MaxRounds <= 0 {
+		return fmt.Errorf("seat %d: MaxRounds = %d, want > 0", s.ID, s.MaxRounds)
 	}
-	sort.Strings(out[3:])
-	return out
-}
-
-// New resolves a -transport flag value: a built-in name, or a registered
-// substrate's spec (its name, optionally followed by ':' and parameters).
-func New(name string) (Transport, error) {
-	switch name {
-	case "mem":
-		return Mem{}, nil
-	case "mem-concurrent":
-		return Mem{Concurrent: true}, nil
-	case "tcp":
-		return TCP{}, nil
+	for _, c := range s.Corrupted {
+		if c < 0 || int(c) >= s.N {
+			return fmt.Errorf("seat %d: corrupted party %d out of range [0, %d)", s.ID, c, s.N)
+		}
 	}
-	prefix := name
-	if i := strings.IndexByte(name, ':'); i >= 0 {
-		prefix = name[:i]
-	}
-	registryMu.Lock()
-	factory := registry[prefix]
-	registryMu.Unlock()
-	if factory != nil {
-		return factory(name)
-	}
-	return nil, fmt.Errorf("unknown transport %q (have %s)", name, strings.Join(Names(), ", "))
+	return nil
 }

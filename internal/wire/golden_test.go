@@ -1,7 +1,7 @@
 package wire
 
-// Golden wire frames: one committed .bin per payload type pins the byte
-// format. Any codec change — even one that still round-trips — fails this
+// Golden wire frames: a committed .bin per payload type (two for
+// SessionOpen: a tree and a graph space) pins the byte format. Any codec change — even one that still round-trips — fails this
 // test, so format drift has to be reviewed and shipped deliberately with a
 // Version bump:
 //
@@ -64,7 +64,9 @@ func goldenPayloads() map[string]any {
 		"session_eor": SessionEOR{SID: 1<<48 | 42, Round: 7, Done: true},
 		"session_open": SessionOpen{SID: 2<<48 | 1, Tree: "path:16", Seed: -7,
 			T: 2, Inputs: "0,5,10,15", TTLMillis: 30_000},
-		"session_open_graph": SessionOpenGraph{SID: 2<<48 | 2, Graph: "cliquechain:3:4",
+		// A graph-space session's open: there is no graph-specific frame, the
+		// "graph:"-prefixed spec rides SessionOpen.Tree verbatim.
+		"session_open_graphspace": SessionOpen{SID: 2<<48 | 2, Tree: "graph:cliquechain:3:4",
 			Seed: -7, T: 2, Inputs: "v01,v04,v07,v10", TTLMillis: 30_000},
 		"session_abort": SessionAbort{SID: 2<<48 | 1, Reason: "deadline exceeded"},
 		"session_decide": SessionDecide{SID: 1<<48 | 42, Party: 3, V: 12,

@@ -10,7 +10,7 @@ package wire
 //	SessionEOR    0x09  per-session end-of-round barrier:
 //	                    uvarint(sid) | uvarint(round) | flags(1) (bit 0: done)
 //	SessionOpen   0x0A  origin announces a new session to its peers:
-//	                    uvarint(sid) | tree spec | seed(8, big-endian two's
+//	                    uvarint(sid) | space spec | seed(8, big-endian two's
 //	                    complement) | uvarint(t) | input spec | uvarint(ttl ms)
 //	SessionAbort  0x0B  terminal failure broadcast (admission rejection,
 //	                    deadline eviction, engine error):
@@ -78,8 +78,8 @@ func (m SessionEOR) Size() int {
 // the full spec a seat needs to build its machine deterministically.
 type SessionOpen struct {
 	SID       uint64
-	Tree      string // cli.ParseTreeSpec input, e.g. "path:16" or "random:20"
-	Seed      int64  // tree-spec seed (random shapes); fixed 8-byte encoding
+	Tree      string // cli.ParseSpaceSpec input, verbatim: "path:16", or "graph:cliquechain:3:4"
+	Seed      int64  // space-spec seed (random shapes); fixed 8-byte encoding
 	T         int    // corruption budget the machines are built with
 	Inputs    string // cli.ParseInputs spec; "" means spread placement
 	TTLMillis uint64 // session deadline; 0 means the server default
@@ -135,7 +135,6 @@ func appendSessionHeader(dst []byte, typ byte, sid uint64, round int) ([]byte, e
 func appendSessionMsg(dst []byte, m SessionMsg) ([]byte, error) {
 	switch m.Payload.(type) {
 	case SessionMsg, SessionEOR, SessionOpen, SessionAbort, SessionDecide,
-		SessionOpenGraph,
 		ClientSubmit, ClientWait, ClientStatus, ClientOutcome,
 		JournalOpen, JournalFrame, JournalSeal, RelayMsg, OverlayEOR:
 		return nil, fmt.Errorf("wire: session payloads do not nest (%T)", m.Payload)
@@ -232,9 +231,9 @@ func decodeSessionMsg(b []byte) (any, []byte, error) {
 	// whole remaining buffer and rejects nested session types itself (they
 	// would re-enter this switch; the explicit check keeps the error crisp).
 	// Client-plane frames (0x0D–0x10), journal records (0x11–0x13) and
-	// overlay envelopes (0x14–0x15) and the graph session open (0x18) are
-	// likewise barred from peer links (async leaves 0x16–0x17 may nest).
-	if len(b) >= 2 && (b[1] >= TypeSessionMsg && b[1] <= TypeOverlayEOR || b[1] == TypeSessionOpenGraph) {
+	// overlay envelopes (0x14–0x15) are likewise barred from peer links
+	// (async leaves 0x16–0x17 may nest).
+	if len(b) >= 2 && b[1] >= TypeSessionMsg && b[1] <= TypeOverlayEOR {
 		return nil, nil, malformed("session payloads do not nest")
 	}
 	payload, err := Decode(b)

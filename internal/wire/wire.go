@@ -151,8 +151,6 @@ func Append(dst []byte, payload any) ([]byte, error) {
 		return appendAsyncValue(dst, m)
 	case AsyncReport:
 		return appendAsyncReport(dst, m)
-	case SessionOpenGraph:
-		return appendSessionOpenGraph(dst, m)
 	default:
 		return nil, fmt.Errorf("%w: %T", ErrUnknownPayload, payload)
 	}
@@ -172,7 +170,7 @@ func EncodedSize(payload any) (int, error) {
 		SessionMsg, SessionEOR, SessionOpen, SessionAbort, SessionDecide,
 		ClientSubmit, ClientWait, ClientStatus, ClientOutcome,
 		JournalOpen, JournalFrame, JournalSeal, RelayMsg, OverlayEOR,
-		AsyncValue, AsyncReport, SessionOpenGraph:
+		AsyncValue, AsyncReport:
 		return s.Size(), nil
 	}
 	return 0, fmt.Errorf("%w: %T", ErrUnknownPayload, payload)
@@ -238,8 +236,6 @@ func Decode(b []byte) (any, error) {
 		payload, rest, err = decodeAsyncValue(rest)
 	case TypeAsyncReport:
 		payload, rest, err = decodeAsyncReport(rest)
-	case TypeSessionOpenGraph:
-		payload, rest, err = decodeSessionOpenGraph(rest)
 	default:
 		return nil, malformed("unknown type 0x%02x", typ)
 	}

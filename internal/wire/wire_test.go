@@ -48,8 +48,7 @@ func samplePayloads() []any {
 		SessionEOR{SID: math.MaxUint64, Round: 12, Done: true},
 		SessionOpen{SID: 9, Tree: "path:16", Seed: -3, T: 2, Inputs: "0,5,10,15", TTLMillis: 30_000},
 		SessionOpen{SID: 1, Tree: "random:20", Seed: 1 << 40, T: 0, Inputs: "", TTLMillis: 0},
-		SessionOpenGraph{SID: 9, Graph: "cycle:9", Seed: -3, T: 2, Inputs: "v1,v3,v5,v7", TTLMillis: 30_000},
-		SessionOpenGraph{SID: 1, Graph: "randomblock:20", Seed: 1 << 40, T: 0, Inputs: "", TTLMillis: 0},
+		SessionOpen{SID: 9, Tree: "graph:cycle:9", Seed: -3, T: 2, Inputs: "v1,v3,v5,v7", TTLMillis: 30_000},
 		SessionAbort{SID: 77, Reason: "session capacity reached"},
 		SessionAbort{SID: 0, Reason: ""},
 		SessionDecide{SID: 5, Party: 3, V: 12, DoneRound: 4, TermRound: 5, Msgs: 1234, Bytes: 1 << 20},
@@ -269,8 +268,6 @@ func TestEncodeRejectsInvalid(t *testing.T) {
 		SessionMsg{SID: 1, Round: 1, Payload: nil},
 		SessionEOR{SID: 1, Round: -1},
 		SessionOpen{SID: 1, Tree: "path:4", T: -1},
-		SessionOpenGraph{SID: 1, Graph: "cycle:4", T: -1},
-		SessionMsg{SID: 1, Round: 1, Payload: SessionOpenGraph{SID: 1, Graph: "cycle:4"}}, // no nesting
 		SessionDecide{SID: 1, Party: -1, DoneRound: 1, TermRound: 1},
 		SessionDecide{SID: 1, Party: 0, DoneRound: 0, TermRound: 1},
 		SessionDecide{SID: 1, Party: 0, DoneRound: 1, TermRound: 1, Msgs: -1},
