@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test loc surface race race-sim race-cpu bench-module node-smoke overlay-smoke serve-smoke rolling-restart chaos-soak async-soak cover bench bench-compare bench-serve-smoke fuzz fuzz-short prop graph-prop check examples experiments clean
+.PHONY: all build test loc surface race race-sim race-cpu bench-module node-smoke overlay-smoke serve-smoke rolling-restart chaos-soak async-soak cover bench bench-compare bench-serve-smoke bench-kernel-smoke fuzz fuzz-short prop graph-prop check examples experiments clean
 
 all: build test race-sim node-smoke overlay-smoke serve-smoke chaos-soak rolling-restart
 
@@ -166,6 +166,13 @@ bench-compare:
 bench-serve-smoke:
 	bash bench/run.sh --workload serve-closed --seed 1 --seconds 2 --trace 0
 
+# One short kernel-batch pass as a smoke: the four in-process tree/graph
+# cells on spaces held across operations (the compiled tree tables' home
+# workload), every output checked for hull validity and agreement
+# (correct=true or exit 1).
+bench-kernel-smoke:
+	bash bench/run.sh --workload kernel-batch --seed 1 --seconds 2 --trace 0
+
 # Short fuzz pass over every fuzz target (tree parsing, Prüfer codec,
 # Euler-list invariants, hull/safe-area cross-checks, wire decoding).
 fuzz:
@@ -210,9 +217,9 @@ graph-prop:
 	$(GO) run ./cmd/check -budget 175 -seeds 1-3 -space graph -async-every 4
 
 # Tier-1-adjacent gate: build + vet + tests, the GOMAXPROCS sweep, the
-# nested benchmark module, the bench serve smoke, then the property (tree
-# and graph), short fuzz and async-soak passes.
-check: build test race-cpu bench-module bench-serve-smoke prop graph-prop fuzz-short async-soak
+# nested benchmark module, the bench serve and kernel smokes, then the
+# property (tree and graph), short fuzz and async-soak passes.
+check: build test race-cpu bench-module bench-serve-smoke bench-kernel-smoke prop graph-prop fuzz-short async-soak
 
 examples:
 	$(GO) run ./examples/quickstart

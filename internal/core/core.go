@@ -170,9 +170,8 @@ func NewMachine(cfg Config) (*Machine, error) {
 		return m, nil
 	}
 	if cfg.Tree.IsPath() {
-		_, a, b := cfg.Tree.Diameter()
 		sc, err := pathaa.NewMachine(pathaa.Config{
-			Tree: cfg.Tree, Path: cfg.Tree.Path(a, b),
+			Tree: cfg.Tree, Path: cfg.Tree.DiameterPath(),
 			N: cfg.N, T: cfg.T, ID: cfg.ID,
 			Input: cfg.Input, Tag: TagPathShortcut,
 		})

@@ -30,8 +30,9 @@
 package gradecast
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"treeaa/internal/sim"
 )
@@ -230,29 +231,33 @@ func flatten(m map[sim.PartyID]Vec) []Vec {
 // buffers for the lifetime of the execution. The zero value is ready to
 // use. A Tally must not be shared between machines or used concurrently.
 type Tally struct {
-	sends   map[sim.PartyID]float64
+	sends   Vec
 	vecs    []Vec
 	counts  []valCount
 	cursors []int
 }
 
-// CollectSends is the package-level CollectSends collecting into a reused
-// map: the result is valid only until the next CollectSends call.
-func (ta *Tally) CollectSends(inbox []sim.Message, tag string, iter int) map[sim.PartyID]float64 {
-	if ta.sends == nil {
-		ta.sends = make(map[sim.PartyID]float64)
-	}
-	clear(ta.sends)
+// CollectSendVec extracts the phase-1 values under (tag, iter) straight into
+// the echo payload they become: a freshly allocated Vec in ascending leader
+// order, nil when empty. The inbox must be sorted by sender (the order the
+// sim delivers), so the entries arrive already sorted and a leader's repeat
+// sends are consecutive; as in CollectSends, its first value wins.
+func (ta *Tally) CollectSendVec(inbox []sim.Message, tag string, iter int) Vec {
+	ta.sends = ta.sends[:0]
 	for _, m := range inbox {
 		p, ok := m.Payload.(SendMsg)
 		if !ok || p.Tag != tag || p.Iter != iter {
 			continue
 		}
-		if _, dup := ta.sends[m.From]; !dup {
-			ta.sends[m.From] = p.Val
+		if k := len(ta.sends); k > 0 && ta.sends[k-1].ID == m.From {
+			continue
 		}
+		ta.sends = append(ta.sends, VecEntry{ID: m.From, Val: p.Val})
 	}
-	return ta.sends
+	if len(ta.sends) == 0 {
+		return nil
+	}
+	return slices.Clone(ta.sends)
 }
 
 // CollectEchoes returns the deduplicated phase-2 echo vectors, one per
@@ -407,7 +412,7 @@ func CopyVals(vals map[sim.PartyID]float64) Vec {
 	for k, v := range vals {
 		out = append(out, VecEntry{ID: k, Val: v})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b VecEntry) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 

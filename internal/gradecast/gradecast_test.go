@@ -3,6 +3,7 @@ package gradecast
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -222,6 +223,31 @@ func TestCollectHelpersFilterTagAndIter(t *testing.T) {
 	}
 	if votes := CollectVotes(inbox, "a", 1); len(votes) != 0 {
 		t.Errorf("CollectVotes = %v, want empty", votes)
+	}
+}
+
+// TestCollectSendVecMatchesMapPath: on a sender-sorted inbox the Tally's
+// direct echo vector is the vector the map path builds (CollectSends then
+// CopyVals) — same entries, same order, first value per sender, nil when
+// empty — and stays so when the Tally is reused.
+func TestCollectSendVecMatchesMapPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	var ta Tally
+	for trial := 0; trial < 200; trial++ {
+		var inbox []sim.Message
+		for from := 0; from < 8; from++ {
+			for k := rng.Intn(3); k > 0; k-- { // 0, 1 or 2 sends per sender
+				inbox = append(inbox, sim.Message{From: sim.PartyID(from),
+					Payload: SendMsg{Tag: []string{"a", "b"}[rng.Intn(2)], Iter: 1 + rng.Intn(2), Val: float64(rng.Intn(5))}})
+			}
+			if rng.Intn(4) == 0 {
+				inbox = append(inbox, sim.Message{From: sim.PartyID(from), Payload: EchoMsg{Tag: "a", Iter: 1}})
+			}
+		}
+		got, want := ta.CollectSendVec(inbox, "a", 1), CopyVals(CollectSends(inbox, "a", 1))
+		if (got == nil) != (want == nil) || !slices.Equal(got, want) {
+			t.Fatalf("trial %d: CollectSendVec = %v, map path %v", trial, got, want)
+		}
 	}
 }
 

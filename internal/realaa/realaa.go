@@ -155,10 +155,10 @@ type Machine struct {
 	val float64
 	// suspected accumulates every leader this party has graded < 2 (on
 	// either the value or the suspicion-set instance).
-	suspected map[sim.PartyID]bool
+	suspected []bool
 	// excluded holds leaders globally convicted (>= t+1 suspicion sets name
 	// them); their values are discarded in all subsequent iterations.
-	excluded map[sim.PartyID]bool
+	excluded []bool
 
 	accTags []string  // precomputed per-word suspicion-instance tags
 	history []float64 // value after each completed iteration
@@ -183,6 +183,10 @@ var _ sim.Machine = (*Machine)(nil)
 // ceil(N/52) parallel gradecast instances (one per word).
 const maskWordBits = 52
 
+// maskLimit is 2^maskWordBits: a received mask word at or above it names
+// parties outside the word and is discarded.
+const maskLimit = 1 << maskWordBits
+
 // maskWords returns the number of suspicion-mask words for n parties.
 func maskWords(n int) int { return (n + maskWordBits - 1) / maskWordBits }
 
@@ -205,8 +209,8 @@ func NewMachine(cfg Config) (*Machine, error) {
 	}
 	return &Machine{
 		cfg: cfg, val: cfg.Input,
-		suspected:  make(map[sim.PartyID]bool),
-		excluded:   make(map[sim.PartyID]bool),
+		suspected:  make([]bool, cfg.N),
+		excluded:   make([]bool, cfg.N),
 		accTags:    tags,
 		accGrades:  make([][]gradecast.Result, words),
 		suspCounts: make([]int, cfg.N),
@@ -219,8 +223,8 @@ func NewMachine(cfg Config) (*Machine, error) {
 func (m *Machine) suspicionMask(w int) float64 {
 	var mask uint64
 	base := w * maskWordBits
-	for p := range m.suspected {
-		if bit := int(p) - base; bit >= 0 && bit < maskWordBits {
+	for bit := 0; bit < maskWordBits && base+bit < m.cfg.N; bit++ {
+		if m.suspected[base+bit] {
 			mask |= 1 << uint(bit)
 		}
 	}
@@ -239,20 +243,19 @@ func (m *Machine) History() []float64 {
 
 // Ignored returns the set of leaders this party has globally excluded
 // (convicted by >= t+1 suspicion sets).
-func (m *Machine) Ignored() map[sim.PartyID]bool {
-	out := make(map[sim.PartyID]bool, len(m.excluded))
-	for k := range m.excluded {
-		out[k] = true
-	}
-	return out
-}
+func (m *Machine) Ignored() map[sim.PartyID]bool { return partySet(m.excluded) }
 
 // Suspected returns this party's cumulative local suspicion set (leaders it
 // has graded < 2 itself, convicted or not).
-func (m *Machine) Suspected() map[sim.PartyID]bool {
-	out := make(map[sim.PartyID]bool, len(m.suspected))
-	for k := range m.suspected {
-		out[k] = true
+func (m *Machine) Suspected() map[sim.PartyID]bool { return partySet(m.suspected) }
+
+// partySet renders a per-party flag vector as the set of flagged parties.
+func partySet(flags []bool) map[sim.PartyID]bool {
+	out := make(map[sim.PartyID]bool)
+	for p, set := range flags {
+		if set {
+			out[sim.PartyID(p)] = true
+		}
 	}
 	return out
 }
@@ -288,11 +291,9 @@ func (m *Machine) Step(r int, inbox []sim.Message) []sim.Message {
 		if iter > m.cfg.Iterations {
 			return nil
 		}
-		sends := m.tally.CollectSends(inbox, m.cfg.Tag, iter)
-		out := append(m.out[:0], sim.Message{To: sim.Broadcast, Payload: gradecast.EchoMsg{Tag: m.cfg.Tag, Iter: iter, Vals: gradecast.CopyVals(sends)}})
+		out := append(m.out[:0], sim.Message{To: sim.Broadcast, Payload: gradecast.EchoMsg{Tag: m.cfg.Tag, Iter: iter, Vals: m.tally.CollectSendVec(inbox, m.cfg.Tag, iter)}})
 		for _, tag := range m.accTags {
-			sends := m.tally.CollectSends(inbox, tag, iter)
-			out = append(out, sim.Message{To: sim.Broadcast, Payload: gradecast.EchoMsg{Tag: tag, Iter: iter, Vals: gradecast.CopyVals(sends)}})
+			out = append(out, sim.Message{To: sim.Broadcast, Payload: gradecast.EchoMsg{Tag: tag, Iter: iter, Vals: m.tally.CollectSendVec(inbox, tag, iter)}})
 		}
 		m.out = out
 		return out
@@ -333,11 +334,11 @@ func (m *Machine) finishIteration(iter int, inbox []sim.Message) {
 	for w := range m.accTags {
 		base := w * maskWordBits
 		for sender := 0; sender < m.cfg.N; sender++ {
-			if m.excluded[sim.PartyID(sender)] {
+			if m.excluded[sender] {
 				continue
 			}
 			g := m.accGrades[w][sender]
-			if g.Grade < gradecast.GradeLow || g.Val < 0 || g.Val != math.Trunc(g.Val) || g.Val >= math.Exp2(maskWordBits) {
+			if g.Grade < gradecast.GradeLow || g.Val < 0 || g.Val != math.Trunc(g.Val) || g.Val >= maskLimit {
 				continue
 			}
 			mask := uint64(g.Val)
@@ -350,7 +351,7 @@ func (m *Machine) finishIteration(iter int, inbox []sim.Message) {
 	}
 	for leader, c := range counts {
 		if c >= m.cfg.T+1 {
-			m.excluded[sim.PartyID(leader)] = true
+			m.excluded[leader] = true
 		}
 	}
 
@@ -358,7 +359,7 @@ func (m *Machine) finishIteration(iter int, inbox []sim.Message) {
 	// iteration even if this party suspects the leader — local suspicion
 	// alone must not cause inclusion asymmetry (see the type comment).
 	accepted := m.accepted[:0]
-	for leader := sim.PartyID(0); int(leader) < m.cfg.N; leader++ {
+	for leader := 0; leader < m.cfg.N; leader++ {
 		g := m.grades[leader]
 		if !m.excluded[leader] && g.Grade >= gradecast.GradeLow {
 			accepted = append(accepted, g.Val)

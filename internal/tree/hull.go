@@ -5,9 +5,9 @@ package tree
 // w ∈ ⟨S⟩ iff w lies on P(u, v) for some u, v ∈ S. The result is returned in
 // ascending VertexID order. An empty S yields an empty hull.
 //
-// The computation roots the tree at an arbitrary vertex, counts S-vertices in
-// each subtree, and includes v iff the S-vertices do not all lie strictly in
-// one component of T − v (or v ∈ S). This is O(|V|).
+// The computation takes the rooting of the compiled form, counts S-vertices
+// in each subtree, and includes v iff the S-vertices do not all lie strictly
+// in one component of T − v (or v ∈ S). This is O(|V|).
 func (t *Tree) ConvexHull(s []VertexID) []VertexID {
 	if len(s) == 0 {
 		return nil
@@ -27,16 +27,8 @@ func (t *Tree) ConvexHull(s []VertexID) []VertexID {
 			}
 		}
 	}
-	order := t.bfsOrder(0)
-	parent := make([]VertexID, t.NumVertices())
-	parent[0] = None
-	for _, v := range order {
-		for _, w := range t.adj[v] {
-			if w != parent[v] {
-				parent[w] = v
-			}
-		}
-	}
+	r := t.compiled()
+	order, parent := r.order, r.list.parent
 	// cnt[v] = number of S-vertices in the subtree rooted at v (root 0).
 	cnt := make([]int, t.NumVertices())
 	for i := len(order) - 1; i >= 0; i-- {
@@ -78,11 +70,17 @@ func (t *Tree) ConvexHull(s []VertexID) []VertexID {
 	return hull
 }
 
-// InHull reports whether v lies in ⟨S⟩. It is a convenience wrapper around
-// ConvexHull for single queries.
+// InHull reports whether v lies in ⟨S⟩ without materializing the hull: ⟨S⟩ is
+// the union of the paths P(s₀, sᵢ), so v ∈ ⟨S⟩ iff some sᵢ has
+// d(s₀, v) + d(v, sᵢ) = d(s₀, sᵢ). O(|S|), no allocation.
 func (t *Tree) InHull(s []VertexID, v VertexID) bool {
-	for _, w := range t.ConvexHull(s) {
-		if w == v {
+	if len(s) == 0 {
+		return false
+	}
+	l := t.compiled().list
+	d0 := l.dist(s[0], v)
+	for _, si := range s {
+		if d0+l.dist(v, si) == l.dist(s[0], si) {
 			return true
 		}
 	}
@@ -114,16 +112,8 @@ func (t *Tree) SafeArea(m []VertexID, f int) []VertexID {
 		weight[v]++
 	}
 	total := len(m)
-	order := t.bfsOrder(0)
-	parent := make([]VertexID, t.NumVertices())
-	parent[0] = None
-	for _, v := range order {
-		for _, w := range t.adj[v] {
-			if w != parent[v] {
-				parent[w] = v
-			}
-		}
-	}
+	r := t.compiled()
+	order, parent := r.order, r.list.parent
 	cnt := make([]int, t.NumVertices()) // multiset weight within subtree of v
 	for i := len(order) - 1; i >= 0; i-- {
 		v := order[i]

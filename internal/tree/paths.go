@@ -1,8 +1,13 @@
 package tree
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
-// DistancesFrom returns d(src, v) for every vertex v, computed by BFS.
+// DistancesFrom returns d(src, v) for every vertex v, computed by BFS. It is
+// the one O(|V|) distance query left: use it when the whole vector is wanted,
+// and Dist for single pairs.
 func (t *Tree) DistancesFrom(src VertexID) []int {
 	dist := make([]int, t.NumVertices())
 	for i := range dist {
@@ -23,67 +28,28 @@ func (t *Tree) DistancesFrom(src VertexID) []int {
 	return dist
 }
 
-// Dist returns the length of the unique path P(u, v).
-func (t *Tree) Dist(u, v VertexID) int {
-	if u == v {
-		return 0
-	}
-	return t.DistancesFrom(u)[v]
-}
+// Dist returns the length of the unique path P(u, v):
+// depth(u) + depth(v) − 2·depth(lca(u, v)) in the compiled form. O(1).
+func (t *Tree) Dist(u, v VertexID) int { return t.compiled().list.dist(u, v) }
 
 // Path returns the unique path P(u, v) as the vertex sequence (u, ..., v),
-// inclusive of both endpoints.
-func (t *Tree) Path(u, v VertexID) []VertexID {
-	if u == v {
-		return []VertexID{u}
-	}
-	// BFS from v recording parents, then walk from u toward v.
-	parent := make([]VertexID, t.NumVertices())
-	for i := range parent {
-		parent[i] = None
-	}
-	parent[v] = v
-	queue := []VertexID{v}
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		if x == u {
-			break
-		}
-		for _, w := range t.adj[x] {
-			if parent[w] == None {
-				parent[w] = x
-				queue = append(queue, w)
-			}
-		}
-	}
-	path := []VertexID{u}
-	for x := u; x != v; {
-		x = parent[x]
-		path = append(path, x)
-	}
-	return path
-}
+// inclusive of both endpoints: both ends climb their parent pointers to
+// lca(u, v). O(|path|), allocating only the returned slice.
+func (t *Tree) Path(u, v VertexID) []VertexID { return t.compiled().list.path(u, v) }
 
 // Diameter returns D(T), the length of the longest path, together with the
-// endpoints of one such path. It uses the classic double-BFS: the farthest
-// vertex from any start is one endpoint of a diameter.
+// endpoints of one such path: endA is the lowest-id vertex farthest from
+// vertex 0 and endB the lowest-id vertex farthest from endA (the classic
+// double-BFS rule; the Section 4 canonical path, hence the traffic, depends
+// on exactly these endpoints). O(1) from the compiled form.
 func (t *Tree) Diameter() (d int, endA, endB VertexID) {
-	endA = farthest(t.DistancesFrom(0))
-	distA := t.DistancesFrom(endA)
-	endB = farthest(distA)
-	return distA[endB], endA, endB
+	r := t.compiled()
+	return len(r.diamPath) - 1, r.diamPath[0], r.diamPath[len(r.diamPath)-1]
 }
 
-func farthest(dist []int) VertexID {
-	best := VertexID(0)
-	for v, d := range dist {
-		if d > dist[best] {
-			best = VertexID(v)
-		}
-	}
-	return best
-}
+// DiameterPath returns P(endA, endB) for the endpoints Diameter reports.
+// The returned slice is shared; callers must not modify it.
+func (t *Tree) DiameterPath() []VertexID { return t.compiled().diamPath }
 
 // Eccentricity returns max_v d(u, v).
 func (t *Tree) Eccentricity(u VertexID) int {
@@ -100,8 +66,7 @@ func (t *Tree) Eccentricity(u VertexID) int {
 // centers; the one with the lower VertexID is returned). It is located as
 // the midpoint of a diameter path.
 func (t *Tree) Center() VertexID {
-	_, a, b := t.Diameter()
-	p := t.Path(a, b)
+	p := t.DiameterPath()
 	c1 := p[(len(p)-1)/2]
 	c2 := p[len(p)/2]
 	if c2 < c1 {
@@ -111,32 +76,31 @@ func (t *Tree) Center() VertexID {
 }
 
 // IsPath reports whether the whole tree is a simple path (every vertex has
-// degree at most 2).
-func (t *Tree) IsPath() bool {
-	for v := VertexID(0); int(v) < t.NumVertices(); v++ {
-		if t.Degree(v) > 2 {
-			return false
-		}
-	}
-	return true
-}
+// degree at most 2). O(1) from the compiled form.
+func (t *Tree) IsPath() bool { return t.compiled().isPath }
 
 // ValidatePath checks that p is a well-formed simple path in t: non-empty,
-// consecutive vertices adjacent, and no repeated vertex.
+// consecutive vertices adjacent, and no repeated vertex. In a tree a walk
+// over adjacent vertices that never steps straight back (p[i] != p[i-2])
+// cannot revisit a vertex, so the check is O(|p|) with no per-call set.
 func (t *Tree) ValidatePath(p []VertexID) error {
 	if len(p) == 0 {
 		return fmt.Errorf("tree: empty path")
 	}
-	seen := make(map[VertexID]bool, len(p))
 	for i, v := range p {
 		if !t.Valid(v) {
 			return fmt.Errorf("%w: id %d", ErrUnknownVertex, int(v))
 		}
-		if seen[v] {
+		if i == 0 {
+			continue
+		}
+		// A repeat that arrives by a non-adjacent hop is still named as a
+		// repeat; the scan runs on that failure path only.
+		adjacent := t.Adjacent(p[i-1], v)
+		if (i >= 2 && v == p[i-2]) || (!adjacent && slices.Contains(p[:i], v)) {
 			return fmt.Errorf("tree: path repeats vertex %s", t.Label(v))
 		}
-		seen[v] = true
-		if i > 0 && !t.Adjacent(p[i-1], v) {
+		if !adjacent {
 			return fmt.Errorf("tree: path vertices %s and %s are not adjacent", t.Label(p[i-1]), t.Label(v))
 		}
 	}
@@ -163,60 +127,24 @@ func (t *Tree) Adjacent(u, v VertexID) bool {
 
 // ProjectOntoPath returns proj_P(v): the vertex of path p closest to v
 // (Section 5 of the paper). The projection is unique in a tree. The path is
-// given as a vertex sequence; the returned value is the index into p of the
+// given as a vertex sequence — p must be the simple path P(p[0], p[len-1])
+// (ValidatePath) — and the returned value is the index into p of the
 // projection, together with the vertex itself.
+//
+// With a = p[0] and b = p[len-1], the projection is the vertex where the
+// three pairwise paths among a, b and v meet: the deepest of lca(a, b),
+// lca(a, v) and lca(b, v). Its index is d(a, proj). O(1), no allocation.
 func (t *Tree) ProjectOntoPath(p []VertexID, v VertexID) (idx int, proj VertexID) {
-	pos := make(map[VertexID]int, len(p))
-	for i, u := range p {
-		pos[u] = i
+	if len(p) == 0 {
+		return -1, None
 	}
-	if i, ok := pos[v]; ok {
-		return i, v
-	}
-	// Walk from v outward (BFS); the first path vertex reached is the
-	// projection, since the unique v-to-path walk enters P exactly once
-	// (Lemma 1's argument).
-	visited := make([]bool, t.NumVertices())
-	visited[v] = true
-	queue := []VertexID{v}
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		if i, ok := pos[x]; ok {
-			return i, x
-		}
-		for _, w := range t.adj[x] {
-			if !visited[w] {
-				visited[w] = true
-				queue = append(queue, w)
-			}
+	l := t.compiled().list
+	a, b := p[0], p[len(p)-1]
+	proj = l.LCA(a, b)
+	for _, c := range [2]VertexID{l.LCA(a, v), l.LCA(b, v)} {
+		if l.vdepth[c] > l.vdepth[proj] {
+			proj = c
 		}
 	}
-	return -1, None // unreachable in a connected tree
-}
-
-// ProjectAllOntoPath returns, for every vertex v of the tree, the index into
-// p of proj_P(v). It runs a single multi-source BFS from the path, so it is
-// O(|V|) regardless of |p|.
-func (t *Tree) ProjectAllOntoPath(p []VertexID) []int {
-	proj := make([]int, t.NumVertices())
-	for i := range proj {
-		proj[i] = -1
-	}
-	queue := make([]VertexID, 0, len(p))
-	for i, u := range p {
-		proj[u] = i
-		queue = append(queue, u)
-	}
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		for _, w := range t.adj[x] {
-			if proj[w] < 0 {
-				proj[w] = proj[x]
-				queue = append(queue, w)
-			}
-		}
-	}
-	return proj
+	return l.dist(a, proj), proj
 }

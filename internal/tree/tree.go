@@ -6,6 +6,20 @@
 // DFS child order, Euler-list construction) is derived from lexicographic
 // label order, matching the paper's conventions, so that independent parties
 // computing over the same tree obtain byte-identical structures.
+//
+// Everything PathsFinder and the projection phase compute locally — the
+// Euler list of ListConstruction(T, Root()), its LCA index, D(T), "is T a
+// path", root paths and projections — is a function of the public tree and
+// never of the party, so a Tree compiles it once (see Tree) and answers
+// from it:
+//
+//	Diameter, DiameterPath, IsPath, Dist, ProjectOntoPath,
+//	ListConstruction(t, t.Root())                          O(1), no allocation
+//	Path, EulerList.PathFromRoot, Center                   O(|path|)
+//	InHull(S, v)                                           O(|S|)
+//	ValidatePath(p)                                        O(|p|)
+//	ConvexHull, SafeArea, DistancesFrom, Eccentricity      O(|V|)
+//	ListConstruction at any other root                     O(|V| log |V|)
 package tree
 
 import (
@@ -24,10 +38,24 @@ const None VertexID = -1
 
 // Tree is an immutable labeled tree. The zero value is not useful; construct
 // trees with a Builder, a generator, or a parser.
+//
+// A Tree carries its rooted form — parent and depth arrays of the DFS from
+// Root(), the Euler list with its occurrence index and sparse LCA table, the
+// diameter path and the IsPath bit. It is built once, by the first query
+// that needs it (not by Builder.Build: parsing a spec to render it, stream
+// it or shrink it never queries, and pays nothing), and is from then on
+// shared read-only by every party, goroutine and protocol phase holding the
+// Tree; a Tree is safe for concurrent use, first use included. The first
+// query costs O(|V| log |V|); see the package comment for the rest.
+//
+// The lazily built state sits behind a pointer, so copying a Tree value
+// (UnmarshalJSON does) shares it. Compare trees with Equal, never
+// reflect.DeepEqual, which would see one tree queried and the other not.
 type Tree struct {
 	labels []string
 	index  map[string]VertexID
 	adj    [][]VertexID // sorted by VertexID (== label order)
+	rooted *rooted      // allocated by Build, filled on first use
 }
 
 // Common construction and lookup errors.
@@ -172,7 +200,7 @@ func (b *Builder) Build() (*Tree, error) {
 		adj[u] = append(adj[u], v)
 		adj[v] = append(adj[v], u)
 	}
-	t := &Tree{labels: labels, index: index, adj: adj}
+	t := &Tree{labels: labels, index: index, adj: adj, rooted: new(rooted)}
 	for _, ns := range t.adj {
 		sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
 	}
