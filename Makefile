@@ -11,6 +11,8 @@ all: build test race-sim node-smoke overlay-smoke serve-smoke chaos-soak rolling
 build:
 	$(GO) build ./...
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l . is not empty:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -174,13 +176,15 @@ bench-kernel-smoke:
 	bash bench/run.sh --workload kernel-batch --seed 1 --seconds 2 --trace 0
 
 # Short fuzz pass over every fuzz target (tree parsing, Prüfer codec,
-# Euler-list invariants, hull/safe-area cross-checks, wire decoding).
+# Euler-list invariants, hull/safe-area cross-checks, wire decoding, the
+# gradecast tally against its merge oracle).
 fuzz:
 	$(GO) test -run FuzzDecode -fuzz FuzzDecode -fuzztime 30s ./internal/wire/
 	$(GO) test -run FuzzParse -fuzz FuzzParse -fuzztime 30s ./internal/tree/
 	$(GO) test -run FuzzPruefer -fuzz FuzzPruefer -fuzztime 30s ./internal/tree/
 	$(GO) test -run FuzzEulerList -fuzz FuzzEulerList -fuzztime 30s ./internal/tree/
 	$(GO) test -run FuzzConvexHullSafeArea -fuzz FuzzConvexHullSafeArea -fuzztime 30s ./internal/tree/
+	$(GO) test -run FuzzTally -fuzz FuzzTally -fuzztime 30s ./internal/gradecast/
 
 # Quick fuzz pass: the same targets as `fuzz` at 10s each, for use as a
 # pre-commit gate. FuzzDecode starts from the committed corpus under
@@ -192,6 +196,7 @@ fuzz-short:
 	$(GO) test -run FuzzPruefer -fuzz FuzzPruefer -fuzztime 10s ./internal/tree/
 	$(GO) test -run FuzzEulerList -fuzz FuzzEulerList -fuzztime 10s ./internal/tree/
 	$(GO) test -run FuzzConvexHullSafeArea -fuzz FuzzConvexHullSafeArea -fuzztime 10s ./internal/tree/
+	$(GO) test -run FuzzTally -fuzz FuzzTally -fuzztime 10s ./internal/gradecast/
 
 # Property-based protocol checking (deterministic): a bounded random
 # exploration of (tree, inputs, adversary) cells with per-round invariant

@@ -44,9 +44,9 @@ func TestGeneratedSpecsRoundTrip(t *testing.T) {
 func TestParseErrors(t *testing.T) {
 	for _, spec := range []string{
 		"",
-		"s=1",                                   // missing fields
-		"s=1;tree=path:5;n=4;t=1",               // missing in
-		"s=1;tree=path:5;n=4;t=1;in=0.x",        // bad vertex
+		"s=1",                            // missing fields
+		"s=1;tree=path:5;n=4;t=1",        // missing in
+		"s=1;tree=path:5;n=4;t=1;in=0.x", // bad vertex
 		"s=1;tree=path:5;n=4;t=1;in=spread;adv=splitvote(per)",  // malformed arg
 		"s=1;tree=path:5;n=4;t=1;in=spread;adv=splitvote(per=1", // unbalanced
 		"s=1;tree=path:5;n=4;t=1;in=spread;bogus=3",             // unknown field
@@ -60,13 +60,13 @@ func TestParseErrors(t *testing.T) {
 
 func TestCompileErrors(t *testing.T) {
 	for _, spec := range []string{
-		"s=1;tree=path:5;n=4;t=2;in=spread",                  // 3t >= n
-		"s=1;tree=nope:5;n=4;t=1;in=spread",                  // bad tree
-		"s=1;tree=path:5;n=4;t=1;in=0.1;adv=silent",          // wrong input count
-		"s=1;tree=path:5;n=4;t=1;in=0.1.2.9;adv=silent",      // vertex outside tree
-		"s=1;tree=path:5;n=4;t=0;in=spread;adv=silent",       // clauses need t > 0
-		"s=1;tree=path:5;n=4;t=1;in=spread;adv=silent+omit",  // t too small to mix
-		"s=1;tree=path:5;n=4;t=1;in=spread;adv=bogus",        // unknown clause
+		"s=1;tree=path:5;n=4;t=2;in=spread",                       // 3t >= n
+		"s=1;tree=nope:5;n=4;t=1;in=spread",                       // bad tree
+		"s=1;tree=path:5;n=4;t=1;in=0.1;adv=silent",               // wrong input count
+		"s=1;tree=path:5;n=4;t=1;in=0.1.2.9;adv=silent",           // vertex outside tree
+		"s=1;tree=path:5;n=4;t=0;in=spread;adv=silent",            // clauses need t > 0
+		"s=1;tree=path:5;n=4;t=1;in=spread;adv=silent+omit",       // t too small to mix
+		"s=1;tree=path:5;n=4;t=1;in=spread;adv=bogus",             // unknown clause
 		"s=1;tree=path:5;n=4;t=1;in=spread;adv=crash(rounds=1.2)", // rounds/ids mismatch
 	} {
 		c, err := Parse(spec)
@@ -81,14 +81,14 @@ func TestCompileErrors(t *testing.T) {
 
 func TestIsSuspicionTag(t *testing.T) {
 	for tag, want := range map[string]bool{
-		"treeaa/pf/acc":    true,
-		"treeaa/pf/acc2":   true,
-		"treeaa/proj/acc":  true,
-		"treeaa/pf":        false,
-		"treeaa/proj":      false,
-		"treeaa/path":      false,
-		"acc":              false,
-		"x/accord":         false,
+		"treeaa/pf/acc":   true,
+		"treeaa/pf/acc2":  true,
+		"treeaa/proj/acc": true,
+		"treeaa/pf":       false,
+		"treeaa/proj":     false,
+		"treeaa/path":     false,
+		"acc":             false,
+		"x/accord":        false,
 	} {
 		if got := isSuspicionTag(tag); got != want {
 			t.Errorf("isSuspicionTag(%q) = %v, want %v", tag, got, want)

@@ -33,26 +33,37 @@ func newMachines(t testing.TB, tr *tree.Tree, n, tc int) []sim.Machine {
 // machine costs the same few small objects on 4,096 vertices as on 64.
 // Before the tables moved onto the Tree the 16 machines of this execution
 // allocated ≈ 18 MB (a list and a sparse table each, plus the BFS queues).
+// The same holds on a path-shaped space, where the Section 4 shortcut numbers
+// positions along the Tree's own canonical diameter path: 16 private
+// oriented copies of it were 512 KiB.
 func TestNewMachineAllocatesNothingPerVertex(t *testing.T) {
 	const n, tc = 16, 5
-	bytesFor := func(size int) uint64 {
-		tr := tree.NewRandom(size, rand.New(rand.NewSource(1)))
-		Rounds(tr) // first use compiles the tree
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		machines := newMachines(t, tr, n, tc)
-		runtime.ReadMemStats(&after)
-		runtime.KeepAlive(machines)
-		return after.TotalAlloc - before.TotalAlloc
+	random := func(size int) *tree.Tree { return tree.NewRandom(size, rand.New(rand.NewSource(1))) }
+	for _, shape := range []struct {
+		name string
+		mk   func(size int) *tree.Tree
+	}{{"random", random}, {"path", tree.NewPath}} {
+		small, large := machineBytes(t, shape.mk(64), n, tc), machineBytes(t, shape.mk(4096), n, tc)
+		// Under a byte per vertex per machine: a single per-vertex array in
+		// any of the 16 machines (32 KiB as []int) would not fit. The
+		// 64-vertex figure is the same ≈ 1 KiB per machine.
+		if large >= 16*4096 || large > 2*small {
+			t.Errorf("%s: 16 machines allocate %d bytes on 4096 vertices and %d on 64: something still scales with |V|", shape.name, large, small)
+		}
 	}
-	// Under a byte per vertex per machine: a single per-vertex array in any
-	// of the 16 machines (32 KiB as []int) would not fit. The 64-vertex
-	// figure is the same ≈ 1 KiB per machine.
-	small, large := bytesFor(64), bytesFor(4096)
-	if large >= 16*4096 || large > 2*small {
-		t.Errorf("16 machines allocate %d bytes on 4096 vertices and %d on 64: something still scales with |V|", large, small)
-	}
+}
+
+// machineBytes is what building one execution's n machines on an already
+// compiled tr allocates.
+func machineBytes(t *testing.T, tr *tree.Tree, n, tc int) uint64 {
+	Rounds(tr) // first use compiles the tree
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	machines := newMachines(t, tr, n, tc)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(machines)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 // TestFirstUseUnderContention: 8 goroutines build their machine on a tree

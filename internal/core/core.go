@@ -170,9 +170,8 @@ func NewMachine(cfg Config) (*Machine, error) {
 		return m, nil
 	}
 	if cfg.Tree.IsPath() {
-		sc, err := pathaa.NewMachine(pathaa.Config{
-			Tree: cfg.Tree, Path: cfg.Tree.DiameterPath(),
-			N: cfg.N, T: cfg.T, ID: cfg.ID,
+		sc, err := pathaa.NewSpanning(pathaa.Config{
+			Tree: cfg.Tree, N: cfg.N, T: cfg.T, ID: cfg.ID,
 			Input: cfg.Input, Tag: TagPathShortcut,
 		})
 		if err != nil {

@@ -24,9 +24,11 @@
 // 3k+3 (vote); grades are computed from the vote messages delivered in the
 // following round.
 //
-// The functions here are pure per-round transition helpers; the realaa
-// package composes them into a sim.Machine. Keeping them pure makes the
-// soundness properties directly property-testable.
+// A Tally holds the per-round transitions — collect a round's inbox, read
+// the echo, vote or grade vectors off the counts — with no protocol state of
+// its own beyond the current round's, which keeps the soundness properties
+// directly property-testable; the realaa package composes it into a
+// sim.Machine.
 package gradecast
 
 import (
@@ -135,269 +137,224 @@ type Result struct {
 	Grade Grade
 }
 
-// CollectSends extracts, from a round inbox, the phase-1 value sent by each
-// leader under (tag, iter). If a Byzantine leader sends several values to
-// the same recipient, the first is taken (any fixed deterministic rule
-// works; honest leaders send exactly one).
-func CollectSends(inbox []sim.Message, tag string, iter int) map[sim.PartyID]float64 {
-	got := make(map[sim.PartyID]float64)
-	for _, m := range inbox {
-		p, ok := m.Payload.(SendMsg)
-		if !ok || p.Tag != tag || p.Iter != iter {
-			continue
-		}
-		if _, dup := got[m.From]; !dup {
-			got[m.From] = p.Val
-		}
-	}
-	return got
-}
-
-// CollectEchoes extracts phase-2 echo vectors keyed by echoing party.
-func CollectEchoes(inbox []sim.Message, tag string, iter int) map[sim.PartyID]Vec {
-	return collectVectors(inbox, tag, iter, false)
-}
-
-// CollectVotes extracts phase-3 vote vectors keyed by voting party.
-func CollectVotes(inbox []sim.Message, tag string, iter int) map[sim.PartyID]Vec {
-	return collectVectors(inbox, tag, iter, true)
-}
-
-func collectVectors(inbox []sim.Message, tag string, iter int, votes bool) map[sim.PartyID]Vec {
-	got := make(map[sim.PartyID]Vec)
-	for _, m := range inbox {
-		var vals Vec
-		var mTag string
-		var mIter int
-		if votes {
-			p, ok := m.Payload.(VoteMsg)
-			if !ok {
-				continue
-			}
-			vals, mTag, mIter = p.Vals, p.Tag, p.Iter
-		} else {
-			p, ok := m.Payload.(EchoMsg)
-			if !ok {
-				continue
-			}
-			vals, mTag, mIter = p.Vals, p.Tag, p.Iter
-		}
-		if mTag != tag || mIter != iter {
-			continue
-		}
-		if _, dup := got[m.From]; !dup {
-			got[m.From] = vals
-		}
-	}
-	return got
-}
-
-// ComputeVotes derives this party's phase-3 vote vector from the echo
-// vectors received: for each leader, if some value was echoed by at least
-// n-t parties, vote for it; otherwise vote ⊥ (leader omitted).
-func ComputeVotes(n, t int, echoes map[sim.PartyID]Vec) Vec {
-	var ta Tally
-	return ta.ComputeVotes(n, t, flatten(echoes))
-}
-
-// ComputeGrades derives the final (value, grade) per leader from the vote
-// vectors received: grade 2 for ≥ n-t matching votes, grade 1 for ≥ t+1,
-// grade 0 (and no value) otherwise.
-func ComputeGrades(n, t int, votes map[sim.PartyID]Vec) map[sim.PartyID]Result {
-	var ta Tally
-	grades := ta.ComputeGrades(nil, n, t, flatten(votes))
-	out := make(map[sim.PartyID]Result, n)
-	for leader, g := range grades {
-		out[sim.PartyID(leader)] = g
-	}
-	return out
-}
-
-// flatten materializes a received-vector map as a slice for the
-// slice-based tallies underneath the map-based entry points above.
-func flatten(m map[sim.PartyID]Vec) []Vec {
-	vecs := make([]Vec, 0, len(m))
-	for _, vec := range m {
-		vecs = append(vecs, vec)
-	}
-	return vecs
-}
-
-// Tally holds one party's reusable buffers for the per-round collect and
-// tally helpers. The map-based package functions above allocate their
-// intermediate state per call, which dominated the allocation profile of a
-// RealAA execution (every party runs every helper every round, for every
-// suspicion-mask word); a Machine embeds a Tally instead and reuses the
-// buffers for the lifetime of the execution. The zero value is ready to
-// use. A Tally must not be shared between machines or used concurrently.
+// Tally is one party's reusable state for the parallel gradecast instances
+// of one execution, told apart by tag: a RealAA machine runs its value
+// instance and its suspicion-mask instances side by side and tallies all of
+// them from one pass over each round's inbox. Every party tallies n vectors
+// of n entries per instance twice per iteration, so this is the protocol's
+// inner loop; the buffers live as long as the execution. A Tally must not be
+// shared between machines or used concurrently.
+//
+// The inbox handed to the Collect methods must be sorted by sender (the
+// order the sim delivers): a sender's repeat messages under one tag are then
+// consecutive and only its first counts (any fixed deterministic rule works;
+// honest parties send exactly one).
 type Tally struct {
-	sends   Vec
-	vecs    []Vec
-	counts  []valCount
-	cursors []int
+	n, t int
+	inst []instance
 }
 
-// CollectSendVec extracts the phase-1 values under (tag, iter) straight into
-// the echo payload they become: a freshly allocated Vec in ascending leader
-// order, nil when empty. The inbox must be sorted by sender (the order the
-// sim delivers), so the entries arrive already sorted and a leader's repeat
-// sends are consecutive; as in CollectSends, its first value wins.
-func (ta *Tally) CollectSendVec(inbox []sim.Message, tag string, iter int) Vec {
-	ta.sends = ta.sends[:0]
-	for _, m := range inbox {
-		p, ok := m.Payload.(SendMsg)
-		if !ok || p.Tag != tag || p.Iter != iter {
-			continue
-		}
-		if k := len(ta.sends); k > 0 && ta.sends[k-1].ID == m.From {
-			continue
-		}
-		ta.sends = append(ta.sends, VecEntry{ID: m.From, Val: p.Val})
+// instance is the tally of one tag.
+type instance struct {
+	tag string
+	// last is the sender of the latest message counted, valid once seen.
+	last sim.PartyID
+	seen bool
+	// sends is the phase-1 scratch: (leader, value) in inbox order.
+	sends Vec
+	// cells is the echo/vote tally. cells[:n] holds, per leader, the first
+	// value attributed to it and how many vectors agree; a further distinct
+	// value for a leader — only equivocation produces one — is appended past
+	// n and chained from the leader's cell through next, in first-seen order.
+	cells []valCount
+}
+
+// valCount is one distinct-value frequency for one leader. next is the index
+// in the cell slice of the leader's next distinct value, 0 for none (index 0
+// is a leader's head cell and never a successor).
+type valCount struct {
+	val   float64
+	count int32
+	next  int32
+}
+
+// NewTally returns the tally for n parties, fault budget t and the given
+// instance tags.
+func NewTally(n, t int, tags ...string) *Tally {
+	ta := &Tally{n: n, t: t, inst: make([]instance, len(tags))}
+	for i, tag := range tags {
+		ta.inst[i] = instance{tag: tag, cells: make([]valCount, n)}
 	}
-	if len(ta.sends) == 0 {
+	return ta
+}
+
+// reset empties every instance ahead of a round's pass.
+func (ta *Tally) reset() {
+	for i := range ta.inst {
+		in := &ta.inst[i]
+		in.seen = false
+		in.sends = in.sends[:0]
+		in.cells = in.cells[:ta.n]
+		clear(in.cells)
+	}
+}
+
+// admit returns the instance a message from sender under tag counts toward,
+// or nil when the tag is not one of the tally's or the sender already has a
+// message counted there.
+func (ta *Tally) admit(from sim.PartyID, tag string) *instance {
+	for i := range ta.inst {
+		in := &ta.inst[i]
+		if in.tag != tag {
+			continue
+		}
+		if in.seen && in.last == from {
+			return nil
+		}
+		in.last, in.seen = from, true
+		return in
+	}
+	return nil
+}
+
+// CollectSends reads the phase-1 values of iteration iter out of the inbox;
+// SendVec then returns each instance's echo payload.
+func (ta *Tally) CollectSends(inbox []sim.Message, iter int) {
+	ta.reset()
+	for _, m := range inbox {
+		if p, ok := m.Payload.(SendMsg); ok && p.Iter == iter {
+			if in := ta.admit(m.From, p.Tag); in != nil {
+				in.sends = append(in.sends, VecEntry{ID: m.From, Val: p.Val})
+			}
+		}
+	}
+}
+
+// SendVec returns the values collected for instance i as the echo payload
+// they become: a freshly allocated Vec in ascending leader order (the inbox
+// order), nil when empty.
+func (ta *Tally) SendVec(i int) Vec {
+	if len(ta.inst[i].sends) == 0 {
 		return nil
 	}
-	return slices.Clone(ta.sends)
+	return slices.Clone(ta.inst[i].sends)
 }
 
-// CollectEchoes returns the deduplicated phase-2 echo vectors, one per
-// echoing party, in inbox order. The inbox must be sorted by sender (the
-// order the sim delivers): deduplication relies on each sender's messages
-// being consecutive. The slice is reused by the next Collect call.
-func (ta *Tally) CollectEchoes(inbox []sim.Message, tag string, iter int) []Vec {
-	return ta.collect(inbox, tag, iter, false)
-}
-
-// CollectVotes is CollectEchoes for the phase-3 vote vectors.
-func (ta *Tally) CollectVotes(inbox []sim.Message, tag string, iter int) []Vec {
-	return ta.collect(inbox, tag, iter, true)
-}
-
-func (ta *Tally) collect(inbox []sim.Message, tag string, iter int, votes bool) []Vec {
-	ta.vecs = ta.vecs[:0]
-	var last sim.PartyID
-	have := false
+// CollectEchoes tallies the phase-2 echo vectors of iteration iter; Votes
+// then reads each instance's vote vector off the counts.
+func (ta *Tally) CollectEchoes(inbox []sim.Message, iter int) {
+	ta.reset()
 	for _, m := range inbox {
-		var vals Vec
-		if votes {
-			p, ok := m.Payload.(VoteMsg)
-			if !ok || p.Tag != tag || p.Iter != iter {
-				continue
+		if p, ok := m.Payload.(EchoMsg); ok && p.Iter == iter {
+			if in := ta.admit(m.From, p.Tag); in != nil {
+				in.count(p.Vals, ta.n)
 			}
-			vals = p.Vals
-		} else {
-			p, ok := m.Payload.(EchoMsg)
-			if !ok || p.Tag != tag || p.Iter != iter {
-				continue
-			}
-			vals = p.Vals
 		}
-		if have && m.From == last {
+	}
+}
+
+// CollectVotes tallies the phase-3 vote vectors of iteration iter; Grades
+// then reads each instance's results off the counts.
+func (ta *Tally) CollectVotes(inbox []sim.Message, iter int) {
+	ta.reset()
+	for _, m := range inbox {
+		if p, ok := m.Payload.(VoteMsg); ok && p.Iter == iter {
+			if in := ta.admit(m.From, p.Tag); in != nil {
+				in.count(p.Vals, ta.n)
+			}
+		}
+	}
+}
+
+// count streams one received vector into the per-leader cells, front to
+// back, once. A Vec off the wire is strictly ascending with every id below n
+// (wire.Decode rejects anything else), but a Byzantine party in the same
+// process can hand over any slice, so the pass fixes what a malformed one
+// contributes: an entry counts only if its id is strictly greater than
+// every earlier id of the vector, and the first id >= n ends the vector.
+// That is exactly what merging the vector against the ascending leader
+// sequence with a forward-only cursor yields — the cursor passes an entry
+// for good once the leader exceeds its id, and never passes an id no leader
+// reaches — so no vector, however built, counts twice for one leader.
+func (in *instance) count(vec Vec, n int) {
+	cells := in.cells
+	prev := sim.PartyID(-1)
+	for _, e := range vec {
+		if int(e.ID) >= n {
+			break
+		}
+		if e.ID <= prev {
 			continue
 		}
-		last, have = m.From, true
-		ta.vecs = append(ta.vecs, vals)
+		prev = e.ID
+		if c := &cells[e.ID]; c.count == 0 {
+			c.val, c.count = e.Val, 1
+		} else if c.val == e.Val {
+			c.count++
+		} else {
+			cells = spill(cells, int32(e.ID), e.Val)
+		}
 	}
-	return ta.vecs
+	in.cells = cells
 }
 
-// ComputeVotes is the package-level ComputeVotes over an
-// already-collected vector slice. The returned Vec is freshly allocated —
-// it becomes a wire payload — but the counting scratch is reused.
-func (ta *Tally) ComputeVotes(n, t int, vecs []Vec) Vec {
-	var votes Vec
-	ta.resetCursors(len(vecs))
-	for leader := sim.PartyID(0); int(leader) < n; leader++ {
-		ta.counts = ta.counts[:0]
-		for i, vec := range vecs {
-			if v, ok := ta.advance(vec, i, leader); ok {
-				ta.counts = bump(ta.counts, v)
-			}
+// spill counts v for a leader whose head cell holds a different value: it
+// walks the leader's chain and bumps v's cell or appends a new one at the
+// tail. NaN never equals itself, so each NaN occurrence stays a distinct
+// cell of count 1 — the behavior a float64-keyed map gives — and can never
+// reach a t+1 quorum.
+func spill(cells []valCount, at int32, v float64) []valCount {
+	for cells[at].next != 0 {
+		at = cells[at].next
+		if cells[at].val == v {
+			cells[at].count++
+			return cells
 		}
-		if v, c, ok := argmax(ta.counts); ok && c >= n-t {
+	}
+	cells[at].next = int32(len(cells))
+	return append(cells, valCount{val: v, count: 1})
+}
+
+// Votes derives this party's phase-3 vote vector for instance i from the
+// echoes tallied: for each leader, if some value was echoed by at least n-t
+// parties, vote for it; otherwise vote ⊥ (leader omitted). The returned Vec
+// is freshly allocated — it becomes a wire payload.
+func (ta *Tally) Votes(i int) Vec {
+	var votes Vec
+	cells := ta.inst[i].cells
+	for leader := 0; leader < ta.n; leader++ {
+		if v, c := argmax(cells, leader); c >= ta.n-ta.t {
 			if votes == nil {
-				votes = make(Vec, 0, n)
+				votes = make(Vec, 0, ta.n)
 			}
-			votes = append(votes, VecEntry{ID: leader, Val: v})
+			votes = append(votes, VecEntry{ID: sim.PartyID(leader), Val: v})
 		}
 	}
 	return votes
 }
 
-// ComputeGrades is the package-level ComputeGrades over an
-// already-collected vector slice, writing the per-leader results into dst
-// (grown as needed) indexed by leader. It returns dst with length n.
-func (ta *Tally) ComputeGrades(dst []Result, n, t int, vecs []Vec) []Result {
-	if cap(dst) < n {
-		dst = make([]Result, n)
+// Grades derives the final (value, grade) per leader for instance i from the
+// votes tallied: grade 2 for ≥ n-t matching votes, grade 1 for ≥ t+1, grade
+// 0 (and no value) otherwise. The results are written into dst (grown as
+// needed) indexed by leader; it returns dst with length n.
+func (ta *Tally) Grades(i int, dst []Result) []Result {
+	if cap(dst) < ta.n {
+		dst = make([]Result, ta.n)
 	}
-	dst = dst[:n]
-	ta.resetCursors(len(vecs))
-	for leader := sim.PartyID(0); int(leader) < n; leader++ {
-		ta.counts = ta.counts[:0]
-		for i, vec := range vecs {
-			if v, ok := ta.advance(vec, i, leader); ok {
-				ta.counts = bump(ta.counts, v)
-			}
-		}
-		v, c, ok := argmax(ta.counts)
+	dst = dst[:ta.n]
+	cells := ta.inst[i].cells
+	for leader := range dst {
+		v, c := argmax(cells, leader)
 		switch {
-		case ok && c >= n-t:
+		case c >= ta.n-ta.t:
 			dst[leader] = Result{Val: v, Grade: GradeHigh}
-		case ok && c >= t+1:
+		case c >= ta.t+1:
 			dst[leader] = Result{Val: v, Grade: GradeLow}
 		default:
 			dst[leader] = Result{Grade: GradeNone}
 		}
 	}
 	return dst
-}
-
-// resetCursors prepares one merge cursor per collected vector: leaders are
-// scanned in ascending order and every Vec is sorted the same way, so each
-// vector is consumed by a single forward pass instead of n map lookups.
-func (ta *Tally) resetCursors(nvecs int) {
-	if cap(ta.cursors) < nvecs {
-		ta.cursors = make([]int, nvecs)
-	}
-	ta.cursors = ta.cursors[:nvecs]
-	clear(ta.cursors)
-}
-
-// advance moves vector i's cursor past entries below leader and reports the
-// value vecs[i] attributes to leader, if any.
-func (ta *Tally) advance(vec Vec, i int, leader sim.PartyID) (float64, bool) {
-	c := ta.cursors[i]
-	for c < len(vec) && vec[c].ID < leader {
-		c++
-	}
-	if c < len(vec) && vec[c].ID == leader {
-		ta.cursors[i] = c + 1
-		return vec[c].Val, true
-	}
-	ta.cursors[i] = c
-	return 0, false
-}
-
-// valCount is one distinct-value frequency. Honest executions see a single
-// distinct value per leader, so a linear scan over a tiny slice beats a
-// map.
-type valCount struct {
-	val   float64
-	count int
-}
-
-// bump increments v's frequency. NaN never equals itself, so each NaN
-// occurrence stays a distinct entry of count 1 — the same behavior a
-// float64-keyed map gives — and can therefore never reach a t+1 quorum.
-func bump(counts []valCount, v float64) []valCount {
-	for i := range counts {
-		if counts[i].val == v {
-			counts[i].count++
-			return counts
-		}
-	}
-	return append(counts, valCount{val: v, count: 1})
 }
 
 // CopyVals materializes a working map as a sorted Vec payload. Message
@@ -416,16 +373,20 @@ func CopyVals(vals map[sim.PartyID]float64) Vec {
 	return out
 }
 
-// argmax returns the most frequent value, breaking count ties toward the
-// smallest value (NaN ordered below every number, matching sort.Float64s)
-// so that every party resolves adversarial ties identically.
-func argmax(counts []valCount) (val float64, count int, ok bool) {
-	for _, c := range counts {
-		if !ok || c.count > count || (c.count == count && lessFloat(c.val, val)) {
-			val, count, ok = c.val, c.count, true
+// argmax returns the most frequent value among leader's cells and its count
+// (0 when no vector named the leader), breaking count ties toward the
+// smallest value (NaN ordered below every number, matching sort.Float64s) so
+// that every party resolves adversarial ties identically.
+func argmax(cells []valCount, leader int) (val float64, count int) {
+	c := cells[leader]
+	val, count = c.val, int(c.count)
+	for c.next != 0 {
+		c = cells[c.next]
+		if int(c.count) > count || (int(c.count) == count && lessFloat(c.val, val)) {
+			val, count = c.val, int(c.count)
 		}
 	}
-	return val, count, ok
+	return val, count
 }
 
 // lessFloat orders float64s with NaN below everything, the order

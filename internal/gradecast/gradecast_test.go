@@ -10,7 +10,7 @@ import (
 	"treeaa/internal/sim"
 )
 
-func runGradecast(t *testing.T, n, tCorrupt int, vals []float64, adv sim.Adversary) map[sim.PartyID]map[sim.PartyID]Result {
+func runGradecast(t *testing.T, n, tCorrupt int, vals []float64, adv sim.Adversary) map[sim.PartyID][]Result {
 	t.Helper()
 	machines := make([]sim.Machine, n)
 	for i := 0; i < n; i++ {
@@ -20,9 +20,9 @@ func runGradecast(t *testing.T, n, tCorrupt int, vals []float64, adv sim.Adversa
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make(map[sim.PartyID]map[sim.PartyID]Result)
+	out := make(map[sim.PartyID][]Result)
 	for p, v := range res.Outputs {
-		out[p] = v.(map[sim.PartyID]Result)
+		out[p] = v.([]Result)
 	}
 	return out
 }
@@ -101,7 +101,7 @@ func TestEquivocatingLeaderDetected(t *testing.T) {
 // checkGradecastProperties asserts gradecast soundness for one leader across
 // all honest outputs: grade-2 implies everyone grade>=1 with same value, and
 // all grade>=1 values agree.
-func checkGradecastProperties(t *testing.T, n int, out map[sim.PartyID]map[sim.PartyID]Result, leader sim.PartyID) {
+func checkGradecastProperties(t *testing.T, n int, out map[sim.PartyID][]Result, leader sim.PartyID) {
 	t.Helper()
 	var withVal []Result
 	maxGrade := GradeNone
@@ -205,61 +205,112 @@ func TestRandomizedAdversaryPreservesProperties(t *testing.T) {
 	}
 }
 
+// echoInbox wraps vecs as the sender-sorted inbox of phase-2 messages they
+// arrive in, vecs[i] from party i; voteInbox is the phase-3 form.
+func echoInbox(tag string, vecs []Vec) []sim.Message {
+	inbox := make([]sim.Message, len(vecs))
+	for i, vec := range vecs {
+		inbox[i] = sim.Message{From: sim.PartyID(i), Payload: EchoMsg{Tag: tag, Iter: 1, Vals: vec}}
+	}
+	return inbox
+}
+
+func voteInbox(tag string, vecs []Vec) []sim.Message {
+	inbox := make([]sim.Message, len(vecs))
+	for i, vec := range vecs {
+		inbox[i] = sim.Message{From: sim.PartyID(i), Payload: VoteMsg{Tag: tag, Iter: 1, Vals: vec}}
+	}
+	return inbox
+}
+
+// tallyVotes and tallyGrades run one single-instance tally over vecs.
+func tallyVotes(n, t int, vecs []Vec) Vec {
+	ta := NewTally(n, t, "a")
+	ta.CollectEchoes(echoInbox("a", vecs), 1)
+	return ta.Votes(0)
+}
+
+func tallyGrades(n, t int, vecs []Vec) []Result {
+	ta := NewTally(n, t, "a")
+	ta.CollectVotes(voteInbox("a", vecs), 1)
+	return ta.Grades(0, nil)
+}
+
 func TestCollectHelpersFilterTagAndIter(t *testing.T) {
 	inbox := []sim.Message{
 		{From: 0, Payload: SendMsg{Tag: "a", Iter: 1, Val: 5}},
+		{From: 0, Payload: SendMsg{Tag: "a", Iter: 1, Val: 99}}, // duplicate: first wins
 		{From: 1, Payload: SendMsg{Tag: "b", Iter: 1, Val: 6}},  // wrong tag
 		{From: 2, Payload: SendMsg{Tag: "a", Iter: 2, Val: 7}},  // wrong iter
-		{From: 0, Payload: SendMsg{Tag: "a", Iter: 1, Val: 99}}, // duplicate: first wins
 		{From: 3, Payload: EchoMsg{Tag: "a", Iter: 1, Vals: Vec{{ID: 0, Val: 5}}}},
+		{From: 3, Payload: EchoMsg{Tag: "a", Iter: 1, Vals: Vec{{ID: 1, Val: 5}}}}, // duplicate
+		{From: 3, Payload: EchoMsg{Tag: "a", Iter: 2, Vals: Vec{{ID: 2, Val: 5}}}}, // wrong iter
+		{From: 3, Payload: EchoMsg{Tag: "b", Iter: 1, Vals: Vec{{ID: 3, Val: 5}}}}, // wrong tag
 	}
-	got := CollectSends(inbox, "a", 1)
-	if len(got) != 1 || got[0] != 5 {
-		t.Errorf("CollectSends = %v, want {0:5}", got)
+	ta := NewTally(4, 1, "a")
+	ta.CollectSends(inbox, 1)
+	if got := ta.SendVec(0); !slices.Equal(got, Vec{{ID: 0, Val: 5}}) {
+		t.Errorf("SendVec = %v, want {0:5}", got)
 	}
-	echoes := CollectEchoes(inbox, "a", 1)
-	if v, ok := echoes[3].Get(0); len(echoes) != 1 || !ok || v != 5 {
-		t.Errorf("CollectEchoes = %v", echoes)
+	ta.CollectEchoes(inbox, 1)
+	if got, want := ta.inst[0].cells, []valCount{{val: 5, count: 1}, {}, {}, {}}; !slices.Equal(got, want) {
+		t.Errorf("echo cells = %v, want %v", got, want)
 	}
-	if votes := CollectVotes(inbox, "a", 1); len(votes) != 0 {
-		t.Errorf("CollectVotes = %v, want empty", votes)
+	ta.CollectVotes(inbox, 1)
+	if got := ta.inst[0].cells; !slices.Equal(got, make([]valCount, 4)) {
+		t.Errorf("vote cells = %v, want all empty", got)
+	}
+	if got := ta.SendVec(0); got != nil {
+		t.Errorf("SendVec after a vote pass = %v, want nil", got)
 	}
 }
 
-// TestCollectSendVecMatchesMapPath: on a sender-sorted inbox the Tally's
-// direct echo vector is the vector the map path builds (CollectSends then
-// CopyVals) — same entries, same order, first value per sender, nil when
-// empty — and stays so when the Tally is reused.
+// TestCollectSendVecMatchesMapPath: on a sender-sorted inbox carrying two
+// instances, one pass gives each instance the echo vector a map of first
+// values per sender gives (CopyVals of it) — same entries, same order, nil
+// when empty — and stays so when the Tally is reused.
 func TestCollectSendVecMatchesMapPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	var ta Tally
+	tags := []string{"a", "b"}
+	ta := NewTally(8, 2, tags...)
 	for trial := 0; trial < 200; trial++ {
 		var inbox []sim.Message
 		for from := 0; from < 8; from++ {
 			for k := rng.Intn(3); k > 0; k-- { // 0, 1 or 2 sends per sender
 				inbox = append(inbox, sim.Message{From: sim.PartyID(from),
-					Payload: SendMsg{Tag: []string{"a", "b"}[rng.Intn(2)], Iter: 1 + rng.Intn(2), Val: float64(rng.Intn(5))}})
+					Payload: SendMsg{Tag: tags[rng.Intn(2)], Iter: 1 + rng.Intn(2), Val: float64(rng.Intn(5))}})
 			}
 			if rng.Intn(4) == 0 {
 				inbox = append(inbox, sim.Message{From: sim.PartyID(from), Payload: EchoMsg{Tag: "a", Iter: 1}})
 			}
 		}
-		got, want := ta.CollectSendVec(inbox, "a", 1), CopyVals(CollectSends(inbox, "a", 1))
-		if (got == nil) != (want == nil) || !slices.Equal(got, want) {
-			t.Fatalf("trial %d: CollectSendVec = %v, map path %v", trial, got, want)
+		ta.CollectSends(inbox, 1)
+		for i, tag := range tags {
+			first := map[sim.PartyID]float64{}
+			for _, m := range inbox {
+				if p, ok := m.Payload.(SendMsg); ok && p.Tag == tag && p.Iter == 1 {
+					if _, dup := first[m.From]; !dup {
+						first[m.From] = p.Val
+					}
+				}
+			}
+			got, want := ta.SendVec(i), CopyVals(first)
+			if (got == nil) != (want == nil) || !slices.Equal(got, want) {
+				t.Fatalf("trial %d tag %s: SendVec = %v, map path %v", trial, tag, got, want)
+			}
 		}
 	}
 }
 
 func TestComputeVotesThreshold(t *testing.T) {
 	n, tc := 4, 1
-	echoes := map[sim.PartyID]Vec{
-		0: {{ID: 0, Val: 5}, {ID: 1, Val: 7}},
-		1: {{ID: 0, Val: 5}, {ID: 1, Val: 8}},
-		2: {{ID: 0, Val: 5}},
-		3: {{ID: 0, Val: 6}},
+	echoes := []Vec{
+		{{ID: 0, Val: 5}, {ID: 1, Val: 7}},
+		{{ID: 0, Val: 5}, {ID: 1, Val: 8}},
+		{{ID: 0, Val: 5}},
+		{{ID: 0, Val: 6}},
 	}
-	votes := ComputeVotes(n, tc, echoes)
+	votes := tallyVotes(n, tc, echoes)
 	if v, ok := votes.Get(0); !ok || v != 5 {
 		t.Errorf("votes[0] = %v,%v, want 5 (3 >= n-t echoes)", v, ok)
 	}
@@ -270,10 +321,10 @@ func TestComputeVotesThreshold(t *testing.T) {
 
 func TestComputeGradesThresholds(t *testing.T) {
 	n, tc := 7, 2
-	mkVotes := func(count int, val float64) map[sim.PartyID]Vec {
-		votes := map[sim.PartyID]Vec{}
-		for i := 0; i < count; i++ {
-			votes[sim.PartyID(i)] = Vec{{ID: 0, Val: val}}
+	mkVotes := func(count int, val float64) []Vec {
+		votes := make([]Vec, count)
+		for i := range votes {
+			votes[i] = Vec{{ID: 0, Val: val}}
 		}
 		return votes
 	}
@@ -288,24 +339,66 @@ func TestComputeGradesThresholds(t *testing.T) {
 		{0, GradeNone},
 	}
 	for _, tc2 := range tests {
-		grades := ComputeGrades(n, tc, mkVotes(tc2.votes, 7))
+		grades := tallyGrades(n, tc, mkVotes(tc2.votes, 7))
 		if g := grades[0].Grade; g != tc2.want {
 			t.Errorf("%d votes: grade = %v, want %v", tc2.votes, g, tc2.want)
 		}
 	}
 }
 
+// TestDuplicateLeaderCountsOnce: a vote vector naming one leader n times —
+// wire.Decode rejects it, but sim.Config.Tamper and the in-process
+// adversaries can hand one over — is one vote for that leader, not n, so t
+// such voters cannot lift a value nobody honest voted for to grade 1.
+func TestDuplicateLeaderCountsOnce(t *testing.T) {
+	n, tc := 7, 2
+	stuffed := make(Vec, n)
+	for i := range stuffed {
+		stuffed[i] = VecEntry{ID: 3, Val: 66}
+	}
+	votes := make([]Vec, n)
+	for p := n - tc; p < n; p++ {
+		votes[p] = stuffed
+	}
+	if g := tallyGrades(n, tc, votes)[3]; g.Grade != GradeNone {
+		t.Errorf("leader 3 graded (%v, %v) on %d stuffed vectors, want grade 0", g.Val, g.Grade, tc)
+	}
+	ta := NewTally(n, tc, "a")
+	ta.CollectVotes(voteInbox("a", votes), 1)
+	if c := ta.inst[0].cells[3]; c.count != int32(tc) || c.next != 0 {
+		t.Errorf("leader 3 cell = %+v, want count %d: one per stuffed vector", c, tc)
+	}
+	// The echo side is the same pass: no vote for the stuffed value.
+	if got := tallyVotes(n, tc, votes); got != nil {
+		t.Errorf("votes = %v, want none", got)
+	}
+	// Out-of-order repeats and a descending tail count nothing either: only
+	// ids above every earlier id of the vector do.
+	zigzag := Vec{{ID: 3, Val: 66}, {ID: 1, Val: 66}, {ID: 3, Val: 66}, {ID: 2, Val: 66}, {ID: 5, Val: 66}, {ID: 5, Val: 66}}
+	ta.CollectVotes(voteInbox("a", []Vec{zigzag}), 1)
+	for leader, c := range ta.inst[0].cells {
+		want := int32(0)
+		if leader == 3 || leader == 5 {
+			want = 1
+		}
+		if c.count != want {
+			t.Errorf("zigzag: leader %d counted %d times, want %d", leader, c.count, want)
+		}
+	}
+}
+
 func TestArgmaxDeterministicTieBreak(t *testing.T) {
-	v, c, ok := argmax([]valCount{{3, 2}, {1, 2}, {2, 1}})
-	if !ok || v != 1 || c != 2 {
-		t.Errorf("argmax = (%v,%d,%v), want (1,2,true)", v, c, ok)
+	nan := math.NaN()
+	v, c := argmax([]valCount{{3, 2, 1}, {1, 2, 2}, {2, 1, 0}}, 0)
+	if v != 1 || c != 2 {
+		t.Errorf("argmax = (%v,%d), want (1,2)", v, c)
 	}
-	v, c, ok = argmax([]valCount{{2, 3}, {math.NaN(), 3}, {1, 3}})
-	if !ok || !math.IsNaN(v) || c != 3 {
-		t.Errorf("argmax with NaN = (%v,%d,%v), want (NaN,3,true)", v, c, ok)
+	v, c = argmax([]valCount{{2, 3, 1}, {nan, 3, 2}, {1, 3, 0}}, 0)
+	if !math.IsNaN(v) || c != 3 {
+		t.Errorf("argmax with NaN = (%v,%d), want (NaN,3)", v, c)
 	}
-	if _, _, ok := argmax(nil); ok {
-		t.Error("argmax(nil) should report !ok")
+	if _, c := argmax(make([]valCount, 1), 0); c != 0 {
+		t.Error("argmax over an empty cell should report count 0")
 	}
 }
 
@@ -333,19 +426,19 @@ func TestQuickVoteGradeSoundness(t *testing.T) {
 		// Honest votes: either all vote honestVal or all abstain (honest
 		// voters are consistent by construction of ComputeVotes).
 		allVote := raw&1 == 0
-		votes := map[sim.PartyID]Vec{}
+		votes := make([]Vec, n)
 		for p := 0; p < n-tc; p++ {
 			if allVote {
-				votes[sim.PartyID(p)] = Vec{{ID: leader, Val: honestVal}}
+				votes[p] = Vec{{ID: leader, Val: honestVal}}
 			} else {
-				votes[sim.PartyID(p)] = Vec{}
+				votes[p] = Vec{}
 			}
 		}
 		// Byzantine votes: arbitrary values.
 		for p := n - tc; p < n; p++ {
-			votes[sim.PartyID(p)] = Vec{{ID: leader, Val: float64(rng.Intn(5))}}
+			votes[p] = Vec{{ID: leader, Val: float64(rng.Intn(5))}}
 		}
-		g := ComputeGrades(n, tc, votes)[leader]
+		g := tallyGrades(n, tc, votes)[leader]
 		if allVote {
 			// n-t honest votes for honestVal: grade 2 with that value.
 			return g.Grade == GradeHigh && g.Val == honestVal
@@ -364,11 +457,11 @@ func TestQuickEchoThreshold(t *testing.T) {
 		n := 4 + int(raw%7)
 		tc := (n - 1) / 3
 		count := int(raw>>8) % (n + 1)
-		echoes := map[sim.PartyID]Vec{}
-		for p := 0; p < count; p++ {
-			echoes[sim.PartyID(p)] = Vec{{ID: 0, Val: 42}}
+		echoes := make([]Vec, count)
+		for p := range echoes {
+			echoes[p] = Vec{{ID: 0, Val: 42}}
 		}
-		votes := ComputeVotes(n, tc, echoes)
+		votes := tallyVotes(n, tc, echoes)
 		v, ok := votes.Get(0)
 		if count >= n-tc {
 			return ok && v == 42

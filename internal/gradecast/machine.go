@@ -9,21 +9,19 @@ import "treeaa/internal/sim"
 //
 // The zero value is not useful; construct with NewMachine.
 type Machine struct {
-	n, t int
-	id   sim.PartyID
-	tag  string
-	val  float64
-
-	received map[sim.PartyID]float64
-	out      map[sim.PartyID]Result
-	done     bool
+	id    sim.PartyID
+	tag   string
+	val   float64
+	tally *Tally
+	out   []Result
+	done  bool
 }
 
 var _ sim.Machine = (*Machine)(nil)
 
 // NewMachine returns a gradecast machine for party id with the given input.
 func NewMachine(n, t int, id sim.PartyID, tag string, val float64) *Machine {
-	return &Machine{n: n, t: t, id: id, tag: tag, val: val}
+	return &Machine{id: id, tag: tag, val: val, tally: NewTally(n, t, tag)}
 }
 
 // Step implements sim.Machine: round 1 sends, round 2 echoes, round 3 votes,
@@ -33,20 +31,20 @@ func (m *Machine) Step(r int, inbox []sim.Message) []sim.Message {
 	case 1:
 		return []sim.Message{{To: sim.Broadcast, Payload: SendMsg{Tag: m.tag, Iter: 1, Val: m.val}}}
 	case 2:
-		m.received = CollectSends(inbox, m.tag, 1)
-		return []sim.Message{{To: sim.Broadcast, Payload: EchoMsg{Tag: m.tag, Iter: 1, Vals: CopyVals(m.received)}}}
+		m.tally.CollectSends(inbox, 1)
+		return []sim.Message{{To: sim.Broadcast, Payload: EchoMsg{Tag: m.tag, Iter: 1, Vals: m.tally.SendVec(0)}}}
 	case 3:
-		echoes := CollectEchoes(inbox, m.tag, 1)
-		return []sim.Message{{To: sim.Broadcast, Payload: VoteMsg{Tag: m.tag, Iter: 1, Vals: ComputeVotes(m.n, m.t, echoes)}}}
+		m.tally.CollectEchoes(inbox, 1)
+		return []sim.Message{{To: sim.Broadcast, Payload: VoteMsg{Tag: m.tag, Iter: 1, Vals: m.tally.Votes(0)}}}
 	case 4:
-		votes := CollectVotes(inbox, m.tag, 1)
-		m.out = ComputeGrades(m.n, m.t, votes)
+		m.tally.CollectVotes(inbox, 1)
+		m.out = m.tally.Grades(0, nil)
 		m.done = true
 	}
 	return nil
 }
 
-// Output implements sim.Machine; the value is a map[sim.PartyID]Result.
+// Output implements sim.Machine; the value is a []Result indexed by leader.
 func (m *Machine) Output() (any, bool) {
 	if !m.done {
 		return nil, false

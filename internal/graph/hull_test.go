@@ -30,8 +30,8 @@ func TestIntervalCycle(t *testing.T) {
 		u, v int
 		want []tree.VertexID
 	}{
-		{c4, 0, 1, vids(0, 1)},          // adjacent: the edge
-		{c4, 0, 2, vids(0, 1, 2, 3)},    // antipodal on C4: two geodesics
+		{c4, 0, 1, vids(0, 1)},                   // adjacent: the edge
+		{c4, 0, 2, vids(0, 1, 2, 3)},             // antipodal on C4: two geodesics
 		{graph.NewCycle(5), 0, 2, vids(0, 1, 2)}, // odd cycle: unique geodesic
 	} {
 		got := tc.g.Interval(tree.VertexID(tc.u), tree.VertexID(tc.v))

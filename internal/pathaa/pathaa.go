@@ -80,6 +80,31 @@ func NewMachine(cfg Config) (*Machine, error) {
 	if err := cfg.Tree.ValidatePath(cfg.Path); err != nil {
 		return nil, fmt.Errorf("pathaa: invalid path: %w", err)
 	}
+	// Section 4's convention: all parties number positions from the
+	// lexicographically lower endpoint, so independently derived paths
+	// agree regardless of traversal direction.
+	cfg.Path = CanonicalOrient(cfg.Tree, cfg.Path)
+	return newMachine(cfg)
+}
+
+// NewSpanning builds the pure Section 4 machine for an input space that is
+// itself a path: cfg.Path is not consulted, the machine numbers positions
+// along Tree.CanonicalDiameterPath() — the Tree's own slice, shared
+// read-only by all n parties, so a machine costs nothing per vertex.
+func NewSpanning(cfg Config) (*Machine, error) {
+	if cfg.Tree == nil {
+		return nil, fmt.Errorf("pathaa: nil tree")
+	}
+	if !cfg.Tree.IsPath() {
+		return nil, fmt.Errorf("pathaa: input space is not a path")
+	}
+	cfg.Path = cfg.Tree.CanonicalDiameterPath()
+	return newMachine(cfg)
+}
+
+// newMachine builds the machine on a valid, canonically oriented cfg.Path,
+// which it keeps without copying.
+func newMachine(cfg Config) (*Machine, error) {
 	if !cfg.Tree.Valid(cfg.Input) {
 		return nil, fmt.Errorf("pathaa: invalid input vertex %d", int(cfg.Input))
 	}
@@ -89,10 +114,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 	if cfg.StartRound == 0 {
 		cfg.StartRound = 1
 	}
-	// Section 4's convention: all parties number positions from the
-	// lexicographically lower endpoint, so independently derived paths
-	// agree regardless of traversal direction.
-	cfg.Path = CanonicalOrient(cfg.Tree, cfg.Path)
 	idx, _ := cfg.Tree.ProjectOntoPath(cfg.Path, cfg.Input)
 	real, err := realaa.NewMachine(realaa.Config{
 		N: cfg.N, T: cfg.T, ID: cfg.ID, Tag: cfg.Tag,

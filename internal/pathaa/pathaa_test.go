@@ -2,6 +2,7 @@ package pathaa
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"treeaa/internal/adversary"
@@ -275,5 +276,43 @@ func TestCanonicalOrientMakesIndependentPartiesAgree(t *testing.T) {
 				t.Fatalf("trial %d: orientations disagree at %d", trial, i)
 			}
 		}
+	}
+}
+
+// TestNewSpanningMatchesNewMachine: on a path-shaped tree the shared
+// canonical diameter path is the path NewMachine derives from either
+// traversal of it — same numbering, same RealAA input — and the machine
+// holds the Tree's slice itself rather than a copy.
+func TestNewSpanningMatchesNewMachine(t *testing.T) {
+	for _, k := range []int{2, 5, 12, 33} { // "v10" < "v2": endpoint ids vary with k
+		tr := tree.NewPath(k)
+		for _, in := range []tree.VertexID{0, tree.VertexID(k / 2), tree.VertexID(k - 1)} {
+			cfg := Config{Tree: tr, N: 4, T: 1, ID: 1, Input: in}
+			got, err := NewSpanning(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Path = tr.DiameterPath()
+			want, err := NewMachine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got.cfg.Path, want.cfg.Path) || got.real.Value() != want.real.Value() {
+				t.Errorf("k=%d input %d: spanning (%v, %v), explicit (%v, %v)", k, in,
+					got.cfg.Path, got.real.Value(), want.cfg.Path, want.real.Value())
+			}
+			if &got.cfg.Path[0] != &tr.CanonicalDiameterPath()[0] {
+				t.Errorf("k=%d: NewSpanning copied the path", k)
+			}
+		}
+	}
+	if _, err := NewSpanning(Config{N: 4, T: 1}); err == nil {
+		t.Error("nil tree: want error")
+	}
+	if _, err := NewSpanning(Config{Tree: tree.NewSpider(3, 2), N: 4, T: 1}); err == nil {
+		t.Error("spider: want error, the input space is not a path")
+	}
+	if _, err := NewSpanning(Config{Tree: tree.NewPath(5), N: 4, T: 1, Input: 99}); err == nil {
+		t.Error("invalid input vertex: want error")
 	}
 }

@@ -1,7 +1,9 @@
 package realaa
 
 import (
+	"maps"
 	"math"
+	"slices"
 	"testing"
 
 	"treeaa/internal/gradecast"
@@ -21,8 +23,8 @@ func TestMaskWords(t *testing.T) {
 	if err != nil {
 		t.Fatalf("N = 64 rejected: %v", err)
 	}
-	if want := []string{"real/acc", "real/acc1"}; len(m.accTags) != 2 || m.accTags[0] != want[0] || m.accTags[1] != want[1] {
-		t.Errorf("accTags = %v, want %v", m.accTags, want)
+	if want := []string{"real", "real/acc", "real/acc1"}; !slices.Equal(m.tags, want) {
+		t.Errorf("tags = %v, want %v", m.tags, want)
 	}
 }
 
@@ -168,6 +170,46 @@ func TestAccSilenceConvicts(t *testing.T) {
 			t.Errorf("party %d did not convict acc-silent byzantines: %v", i, ign)
 		}
 	}
+}
+
+// TestTwoWordConvictions: with n = 60 the suspicion set spans two mask
+// words. Acc-silent parties on both sides of the word boundary are convicted
+// by every honest party and nobody else is — including when a third
+// Byzantine party gradecasts a second word with all 52 bits set, 44 of them
+// naming parties past N.
+func TestTwoWordConvictions(t *testing.T) {
+	n, tc := 60, 19
+	inputs := make([]float64, n)
+	for i := range inputs {
+		inputs[i] = float64(i * 100 / (n - 1))
+	}
+	silent := []sim.PartyID{3, 51, 52, 59}
+	adv := &wordForger{valueOnlyAdversary{ids: append([]sim.PartyID{30}, silent...), tag: "real"}}
+	machines := runAccTest(t, n, tc, inputs, adv)
+	want := map[sim.PartyID]bool{3: true, 51: true, 52: true, 59: true}
+	for i, m := range machines {
+		if want[sim.PartyID(i)] || i == 30 {
+			continue
+		}
+		if got := m.Ignored(); !maps.Equal(got, want) {
+			t.Errorf("party %d convicted %v, want %v", i, got, want)
+		}
+	}
+}
+
+// wordForger is a valueOnlyAdversary whose first party also gradecasts
+// suspicion masks, consistently: nobody in word 0, everybody in word 1.
+type wordForger struct{ valueOnlyAdversary }
+
+func (a *wordForger) Step(r int, honestOut []sim.Message, inboxes map[sim.PartyID][]sim.Message) ([]sim.Message, []sim.PartyID) {
+	msgs, _ := a.valueOnlyAdversary.Step(r, honestOut, inboxes)
+	if msgs != nil {
+		iter := (r-1)/3 + 1
+		msgs = append(msgs,
+			sim.Message{From: a.ids[0], To: sim.Broadcast, Payload: gradecast.SendMsg{Tag: a.tag + "/acc", Iter: iter, Val: 0}},
+			sim.Message{From: a.ids[0], To: sim.Broadcast, Payload: gradecast.SendMsg{Tag: a.tag + "/acc1", Iter: iter, Val: maskLimit - 1}})
+	}
+	return msgs, nil
 }
 
 // valueOnlyAdversary broadcasts honest-looking values but never a suspicion

@@ -23,6 +23,7 @@ package realaa
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"treeaa/internal/gradecast"
@@ -160,14 +161,16 @@ type Machine struct {
 	// them); their values are discarded in all subsequent iterations.
 	excluded []bool
 
-	accTags []string  // precomputed per-word suspicion-instance tags
+	// tags names the parallel gradecast instances in tally order: the value
+	// instance, then one suspicion-mask instance per word.
+	tags    []string
 	history []float64 // value after each completed iteration
 	decided int       // first iteration with trimmed spread <= Eps; 0 = not yet
 	done    bool
 
 	// Per-round scratch, reused across the whole execution so that a round
-	// costs only the allocations the wire demands (outgoing payload maps).
-	tally      gradecast.Tally
+	// costs only the allocations the wire demands (outgoing payload vectors).
+	tally      *gradecast.Tally
 	out        []sim.Message
 	grades     []gradecast.Result   // value-instance grades, indexed by leader
 	accGrades  [][]gradecast.Result // suspicion-instance grades, per word
@@ -197,21 +200,18 @@ func NewMachine(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	words := maskWords(cfg.N)
-	tags := make([]string, words)
-	for w := range tags {
-		// Word 0 keeps the historical "/acc" tag so single-word executions
-		// (N <= 52) are wire-compatible with earlier traffic and tests.
-		if w == 0 {
-			tags[w] = cfg.Tag + "/acc"
-		} else {
-			tags[w] = fmt.Sprintf("%s/acc%d", cfg.Tag, w)
-		}
+	// Word 0 keeps the historical "/acc" tag so single-word executions
+	// (N <= 52) are wire-compatible with earlier traffic and tests.
+	tags := append(make([]string, 0, 1+words), cfg.Tag, cfg.Tag+"/acc")
+	for w := 1; w < words; w++ {
+		tags = append(tags, fmt.Sprintf("%s/acc%d", cfg.Tag, w))
 	}
 	return &Machine{
 		cfg: cfg, val: cfg.Input,
 		suspected:  make([]bool, cfg.N),
 		excluded:   make([]bool, cfg.N),
-		accTags:    tags,
+		tags:       tags,
+		tally:      gradecast.NewTally(cfg.N, cfg.T, tags...),
 		accGrades:  make([][]gradecast.Result, words),
 		suspCounts: make([]int, cfg.N),
 		accepted:   make([]float64, 0, cfg.N),
@@ -282,7 +282,7 @@ func (m *Machine) Step(r int, inbox []sim.Message) []sim.Message {
 			return nil
 		}
 		out := append(m.out[:0], sim.Message{To: sim.Broadcast, Payload: gradecast.SendMsg{Tag: m.cfg.Tag, Iter: iter, Val: m.val}})
-		for w, tag := range m.accTags {
+		for w, tag := range m.tags[1:] {
 			out = append(out, sim.Message{To: sim.Broadcast, Payload: gradecast.SendMsg{Tag: tag, Iter: iter, Val: m.suspicionMask(w)}})
 		}
 		m.out = out
@@ -291,9 +291,10 @@ func (m *Machine) Step(r int, inbox []sim.Message) []sim.Message {
 		if iter > m.cfg.Iterations {
 			return nil
 		}
-		out := append(m.out[:0], sim.Message{To: sim.Broadcast, Payload: gradecast.EchoMsg{Tag: m.cfg.Tag, Iter: iter, Vals: m.tally.CollectSendVec(inbox, m.cfg.Tag, iter)}})
-		for _, tag := range m.accTags {
-			out = append(out, sim.Message{To: sim.Broadcast, Payload: gradecast.EchoMsg{Tag: tag, Iter: iter, Vals: m.tally.CollectSendVec(inbox, tag, iter)}})
+		m.tally.CollectSends(inbox, iter)
+		out := m.out[:0]
+		for i, tag := range m.tags {
+			out = append(out, sim.Message{To: sim.Broadcast, Payload: gradecast.EchoMsg{Tag: tag, Iter: iter, Vals: m.tally.SendVec(i)}})
 		}
 		m.out = out
 		return out
@@ -301,11 +302,10 @@ func (m *Machine) Step(r int, inbox []sim.Message) []sim.Message {
 		if iter > m.cfg.Iterations {
 			return nil
 		}
-		echoes := m.tally.CollectEchoes(inbox, m.cfg.Tag, iter)
-		out := append(m.out[:0], sim.Message{To: sim.Broadcast, Payload: gradecast.VoteMsg{Tag: m.cfg.Tag, Iter: iter, Vals: m.tally.ComputeVotes(m.cfg.N, m.cfg.T, echoes)}})
-		for _, tag := range m.accTags {
-			accEchoes := m.tally.CollectEchoes(inbox, tag, iter)
-			out = append(out, sim.Message{To: sim.Broadcast, Payload: gradecast.VoteMsg{Tag: tag, Iter: iter, Vals: m.tally.ComputeVotes(m.cfg.N, m.cfg.T, accEchoes)}})
+		m.tally.CollectEchoes(inbox, iter)
+		out := m.out[:0]
+		for i, tag := range m.tags {
+			out = append(out, sim.Message{To: sim.Broadcast, Payload: gradecast.VoteMsg{Tag: tag, Iter: iter, Vals: m.tally.Votes(i)}})
 		}
 		m.out = out
 		return out
@@ -317,9 +317,10 @@ func (m *Machine) Step(r int, inbox []sim.Message) []sim.Message {
 // exclusion set from the suspicion-set counts, and applies the trimmed
 // midpoint update.
 func (m *Machine) finishIteration(iter int, inbox []sim.Message) {
-	m.grades = m.tally.ComputeGrades(m.grades, m.cfg.N, m.cfg.T, m.tally.CollectVotes(inbox, m.cfg.Tag, iter))
-	for w, tag := range m.accTags {
-		m.accGrades[w] = m.tally.ComputeGrades(m.accGrades[w], m.cfg.N, m.cfg.T, m.tally.CollectVotes(inbox, tag, iter))
+	m.tally.CollectVotes(inbox, iter)
+	m.grades = m.tally.Grades(0, m.grades)
+	for w := range m.accGrades {
+		m.accGrades[w] = m.tally.Grades(1+w, m.accGrades[w])
 	}
 
 	// Count, over the currently included suspicion sets, how many distinct
@@ -331,7 +332,7 @@ func (m *Machine) finishIteration(iter int, inbox []sim.Message) {
 	for i := range counts {
 		counts[i] = 0
 	}
-	for w := range m.accTags {
+	for w := range m.accGrades {
 		base := w * maskWordBits
 		for sender := 0; sender < m.cfg.N; sender++ {
 			if m.excluded[sender] {
@@ -341,11 +342,12 @@ func (m *Machine) finishIteration(iter int, inbox []sim.Message) {
 			if g.Grade < gradecast.GradeLow || g.Val < 0 || g.Val != math.Trunc(g.Val) || g.Val >= maskLimit {
 				continue
 			}
-			mask := uint64(g.Val)
-			for bit := 0; bit < maskWordBits && base+bit < m.cfg.N; bit++ {
-				if mask&(1<<uint(bit)) != 0 {
-					counts[base+bit]++
+			for mask := uint64(g.Val); mask != 0; mask &= mask - 1 {
+				leader := base + bits.TrailingZeros64(mask)
+				if leader >= m.cfg.N {
+					break // a forged mask naming parties past N; bits ascend
 				}
+				counts[leader]++
 			}
 		}
 	}

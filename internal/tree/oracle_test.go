@@ -139,6 +139,10 @@ func checkAgainstBFS(t *testing.T, name string, tr *Tree, rng *rand.Rand) {
 	if got, want := tr.DiameterPath(), bfsPath(tr, a, b); !slices.Equal(got, want) {
 		t.Fatalf("%s: DiameterPath = %v, want %v", name, tr.Labels(got), tr.Labels(want))
 	}
+	wantCanon := bfsPath(tr, min(a, b), max(a, b)) // VertexID order is label order
+	if got := tr.CanonicalDiameterPath(); !slices.Equal(got, wantCanon) || tr.Label(got[0]) > tr.Label(got[len(got)-1]) {
+		t.Fatalf("%s: CanonicalDiameterPath = %v, want %v", name, tr.Labels(got), tr.Labels(wantCanon))
+	}
 	wantIsPath := true
 	for v := 0; v < n; v++ {
 		wantIsPath = wantIsPath && tr.Degree(VertexID(v)) <= 2

@@ -51,6 +51,13 @@ func (t *Tree) Diameter() (d int, endA, endB VertexID) {
 // The returned slice is shared; callers must not modify it.
 func (t *Tree) DiameterPath() []VertexID { return t.compiled().diamPath }
 
+// CanonicalDiameterPath returns DiameterPath oriented per the paper's
+// Section 4 convention: v_1 is the endpoint with the lexicographically lower
+// label. On a path-shaped tree this is the whole input space in the one
+// numbering every party must share. The returned slice is shared; callers
+// must not modify it.
+func (t *Tree) CanonicalDiameterPath() []VertexID { return t.compiled().canonPath }
+
 // Eccentricity returns max_v d(u, v).
 func (t *Tree) Eccentricity(u VertexID) int {
 	e := 0

@@ -15,9 +15,11 @@ type rooted struct {
 	// parent); hull and safe-area passes sweep it backwards to fold
 	// subtrees into their parents.
 	order []VertexID
-	// diamPath is P(endA, endB) for the double-BFS endpoints (see Diameter).
-	diamPath []VertexID
-	isPath   bool
+	// diamPath is P(endA, endB) for the double-BFS endpoints (see Diameter);
+	// canonPath is the same path from its lower-label endpoint, Section 4's
+	// v_1 (diamPath itself when endA is that endpoint).
+	diamPath, canonPath []VertexID
+	isPath              bool
 }
 
 // compiled returns t's rooted form, building it on first use. Concurrent
@@ -49,6 +51,10 @@ func (r *rooted) build(t *Tree) {
 	endA := farthest(l.vdepth)
 	endB := farthest(t.DistancesFrom(endA))
 	r.diamPath = l.path(endA, endB)
+	r.canonPath = r.diamPath
+	if endA > endB { // VertexID order is label order
+		r.canonPath = l.path(endB, endA)
+	}
 }
 
 // farthest returns the lowest-id vertex at maximum distance.

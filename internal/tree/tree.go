@@ -13,8 +13,8 @@
 // never of the party, so a Tree compiles it once (see Tree) and answers
 // from it:
 //
-//	Diameter, DiameterPath, IsPath, Dist, ProjectOntoPath,
-//	ListConstruction(t, t.Root())                          O(1), no allocation
+//	Diameter, DiameterPath, CanonicalDiameterPath, IsPath,
+//	Dist, ProjectOntoPath, ListConstruction(t, t.Root())   O(1), no allocation
 //	Path, EulerList.PathFromRoot, Center                   O(|path|)
 //	InHull(S, v)                                           O(|S|)
 //	ValidatePath(p)                                        O(|p|)
@@ -41,12 +41,12 @@ const None VertexID = -1
 //
 // A Tree carries its rooted form — parent and depth arrays of the DFS from
 // Root(), the Euler list with its occurrence index and sparse LCA table, the
-// diameter path and the IsPath bit. It is built once, by the first query
-// that needs it (not by Builder.Build: parsing a spec to render it, stream
-// it or shrink it never queries, and pays nothing), and is from then on
-// shared read-only by every party, goroutine and protocol phase holding the
-// Tree; a Tree is safe for concurrent use, first use included. The first
-// query costs O(|V| log |V|); see the package comment for the rest.
+// diameter path in both orientations and the IsPath bit. It is built once,
+// by the first query that needs it (not by Builder.Build: parsing a spec to
+// render it, stream it or shrink it never queries, and pays nothing), and is
+// from then on shared read-only by every party, goroutine and protocol phase
+// holding the Tree; a Tree is safe for concurrent use, first use included.
+// The first query costs O(|V| log |V|); see the package comment for the rest.
 //
 // The lazily built state sits behind a pointer, so copying a Tree value
 // (UnmarshalJSON does) shares it. Compare trees with Equal, never
