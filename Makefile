@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test loc surface race race-sim race-cpu bench-module node-smoke overlay-smoke serve-smoke rolling-restart chaos-soak async-soak cover bench bench-compare bench-serve-smoke bench-kernel-smoke fuzz fuzz-short prop graph-prop check examples experiments clean
+.PHONY: all build test loc surface race race-sim race-cpu bench-module node-smoke overlay-smoke serve-smoke rolling-restart chaos-soak async-soak cover bench bench-compare bench-serve-smoke bench-kernel-smoke bench-async-smoke fuzz fuzz-short prop graph-prop check examples experiments clean
 
 all: build test race-sim node-smoke overlay-smoke serve-smoke chaos-soak rolling-restart
 
@@ -175,6 +175,12 @@ bench-serve-smoke:
 bench-kernel-smoke:
 	bash bench/run.sh --workload kernel-batch --seed 1 --seconds 2 --trace 0
 
+# One short async-sim pass as a smoke: async.Run of n=16 pipelines on path:64
+# under the seeded random scheduler, every output checked for hull validity
+# and 1-agreement (correct=true or exit 1).
+bench-async-smoke:
+	bash bench/run.sh --workload async-sim --seed 1 --seconds 2 --trace 0
+
 # Short fuzz pass over every fuzz target (tree parsing, Prüfer codec,
 # Euler-list invariants, hull/safe-area cross-checks, wire decoding, the
 # gradecast tally against its merge oracle).
@@ -222,9 +228,9 @@ graph-prop:
 	$(GO) run ./cmd/check -budget 175 -seeds 1-3 -space graph -async-every 4
 
 # Tier-1-adjacent gate: build + vet + tests, the GOMAXPROCS sweep, the
-# nested benchmark module, the bench serve and kernel smokes, then the
+# nested benchmark module, the bench serve, kernel and async smokes, then the
 # property (tree and graph), short fuzz and async-soak passes.
-check: build test race-cpu bench-module bench-serve-smoke bench-kernel-smoke prop graph-prop fuzz-short async-soak
+check: build test race-cpu bench-module bench-serve-smoke bench-kernel-smoke bench-async-smoke prop graph-prop fuzz-short async-soak
 
 examples:
 	$(GO) run ./examples/quickstart

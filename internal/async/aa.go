@@ -1,10 +1,8 @@
 package async
 
 import (
-	"fmt"
+	"slices"
 	"sort"
-	"strconv"
-	"strings"
 
 	"treeaa/internal/tree"
 )
@@ -25,150 +23,182 @@ import (
 // contained in both unions — so any two honest unions share at least n-t
 // values, which is what the trimmed update rules need to contract.
 //
-// Values are RBC'd under tag "v/<k>", reports under "r/<k>" with the named
-// senders encoded canonically ("0,3,5").
+// Run on its own (NewRealAA, NewTreeAA) the machine's payloads are Step[V]
+// values; a Pipeline drives two of them through start and handle and speaks
+// their steps as wire payloads.
 type AAMachine[V comparable] struct {
-	n, t  int
-	me    PartyID
-	iters int
+	n, t int
+	me   PartyID
 	// update maps the multiset of collected values to the next value.
 	update func([]V) V
 
 	val     V
-	valRBC  *RBC[V]
-	repRBC  *RBC[string]
-	iter    int
-	vals    map[int]map[PartyID]V      // iteration -> src -> delivered value
-	reports map[int]map[PartyID]string // iteration -> reporter -> named set
-	sent    map[int]bool               // report sent for iteration?
+	rbc     *RBC[V]
+	iter    int            // the current iteration; past len(iters) once decided
+	iters   []iteration[V] // iters[k-1] is iteration k
 	history []V
-	done    bool
+	out     []Step[V] // what handle returns, reused across calls
+}
+
+// iteration is what one party has collected for one iteration; its slices
+// are indexed by party id and allocated when the iteration is first used.
+type iteration[V comparable] struct {
+	vals     []V
+	have     []bool // vals[p] has been RBC-delivered
+	nvals    int
+	reports  []report
+	accepted int  // delivered reports whose named senders are all in have
+	sent     bool // our own report went out
+}
+
+// report is one reporter's RBC-delivered witness report.
+type report struct {
+	delivered bool
+	senders   []PartyID
+	missing   int // named senders whose value is not delivered yet
 }
 
 // NewAAMachine builds the skeleton. iters is the fixed iteration budget;
 // update is the domain-specific contraction rule.
 func NewAAMachine[V comparable](n, t int, me PartyID, input V, iters int, update func([]V) V) *AAMachine[V] {
 	return &AAMachine[V]{
-		n: n, t: t, me: me, iters: iters, update: update,
-		val:     input,
-		valRBC:  NewRBC[V](n, t, me),
-		repRBC:  NewRBC[string](n, t, me),
-		iter:    1,
-		vals:    make(map[int]map[PartyID]V),
-		reports: make(map[int]map[PartyID]string),
-		sent:    make(map[int]bool),
+		n: n, t: t, me: me, update: update,
+		val:   input,
+		rbc:   NewRBC[V](n, t, iters),
+		iter:  1,
+		iters: make([]iteration[V], iters),
 	}
 }
 
 // Init implements Machine.
-func (m *AAMachine[V]) Init() []Message {
-	if m.iters == 0 {
-		m.done = true
+func (m *AAMachine[V]) Init() []Message { return broadcastSteps(m.start()) }
+
+// Deliver implements Machine. Payloads other than Step[V] are ignored.
+func (m *AAMachine[V]) Deliver(msg Message) []Message {
+	s, ok := msg.Payload.(Step[V])
+	if !ok {
 		return nil
 	}
-	return m.valRBC.Broadcast(valTag(1), m.val)
+	return broadcastSteps(m.handle(msg.From, s))
 }
 
-// Deliver implements Machine.
-func (m *AAMachine[V]) Deliver(msg Message) []Message {
+func broadcastSteps[V comparable](steps []Step[V]) []Message {
 	var out []Message
-	o1, valDeliveries := m.valRBC.Handle(msg)
-	out = append(out, o1...)
-	for _, d := range valDeliveries {
-		k, ok := parseTag(d.Tag, "v/")
-		if !ok {
-			continue
-		}
-		if m.vals[k] == nil {
-			m.vals[k] = make(map[PartyID]V)
-		}
-		m.vals[k][d.Src] = d.Val
+	for _, s := range steps {
+		out = append(out, Message{To: Broadcast, Payload: s})
 	}
-	o2, repDeliveries := m.repRBC.Handle(msg)
-	out = append(out, o2...)
-	for _, d := range repDeliveries {
-		k, ok := parseTag(d.Tag, "r/")
-		if !ok {
-			continue
-		}
-		if m.reports[k] == nil {
-			m.reports[k] = make(map[PartyID]string)
-		}
-		m.reports[k][d.Src] = d.Val
-	}
-	out = append(out, m.progress()...)
 	return out
+}
+
+// start returns the machine's opening step: the broadcast of its input.
+func (m *AAMachine[V]) start() []Step[V] {
+	if m.iter > len(m.iters) {
+		return nil
+	}
+	return []Step[V]{{Kind: KindInit, Iter: 1, Src: m.me, Val: m.val}}
+}
+
+// handle processes one step received from party from and returns the steps
+// this party must now broadcast, valid until the next call.
+func (m *AAMachine[V]) handle(from PartyID, s Step[V]) []Step[V] {
+	m.out = m.out[:0]
+	reply, delivered := m.rbc.Handle(from, s)
+	if reply != 0 {
+		s.Kind = reply
+		m.out = append(m.out, s)
+	}
+	if delivered {
+		m.record(s)
+	}
+	m.progress()
+	return m.out
+}
+
+// at returns iteration k's state.
+func (m *AAMachine[V]) at(k int) *iteration[V] {
+	it := &m.iters[k-1]
+	if it.vals == nil {
+		it.vals, it.have, it.reports = make([]V, m.n), make([]bool, m.n), make([]report, m.n)
+	}
+	return it
+}
+
+// record files an RBC delivery (at most one per instance) and keeps every
+// report's count of still-undelivered senders current.
+func (m *AAMachine[V]) record(s Step[V]) {
+	it := m.at(s.Iter)
+	if s.Report {
+		r := &it.reports[s.Src]
+		r.delivered, r.senders = true, s.Senders
+		for _, p := range s.Senders {
+			if !it.have[p] {
+				r.missing++
+			}
+		}
+		if r.missing == 0 {
+			it.accepted++
+		}
+		return
+	}
+	it.vals[s.Src], it.have[s.Src] = s.Val, true
+	it.nvals++
+	for i := range it.reports {
+		if r := &it.reports[i]; r.missing > 0 {
+			if _, named := slices.BinarySearch(r.senders, s.Src); named {
+				if r.missing--; r.missing == 0 {
+					it.accepted++
+				}
+			}
+		}
+	}
 }
 
 // progress advances the iteration state machine as far as the collected
 // deliveries allow (multiple iterations can complete on one delivery when
 // the scheduler batched this party's traffic).
-func (m *AAMachine[V]) progress() []Message {
-	var out []Message
-	for !m.done {
-		k := m.iter
-		// Step 2: send the report once n-t iteration-k values arrived.
-		if !m.sent[k] && len(m.vals[k]) >= m.n-m.t {
-			m.sent[k] = true
-			out = append(out, m.repRBC.Broadcast(repTag(k), encodeSet(m.vals[k]))...)
+func (m *AAMachine[V]) progress() {
+	for m.iter <= len(m.iters) {
+		it := m.at(m.iter)
+		// Step 2: send the report once n-t iteration values arrived.
+		if !it.sent && it.nvals >= m.n-m.t {
+			it.sent = true
+			var senders []PartyID
+			for p, ok := range it.have {
+				if ok {
+					senders = append(senders, PartyID(p))
+				}
+			}
+			m.out = append(m.out, Step[V]{Report: true, Kind: KindInit, Iter: m.iter, Src: m.me, Senders: senders})
 		}
-		// Steps 3-4: count accepted reports.
-		accepted := m.acceptedSenders(k)
-		if accepted == nil {
-			return out
+		// Steps 3-4: update from the union of every accepted report.
+		if it.accepted < m.n-m.t {
+			return
+		}
+		named := make([]bool, m.n)
+		for _, r := range it.reports {
+			if r.delivered && r.missing == 0 {
+				for _, p := range r.senders {
+					named[p] = true
+				}
+			}
 		}
 		var union []V
-		for src := range accepted {
-			union = append(union, m.vals[k][src])
+		for p, ok := range named {
+			if ok {
+				union = append(union, it.vals[p])
+			}
 		}
 		m.val = m.update(union)
 		m.history = append(m.history, m.val)
-		m.iter++
-		if m.iter > m.iters {
-			m.done = true
-			return out
-		}
-		out = append(out, m.valRBC.Broadcast(valTag(m.iter), m.val)...)
-	}
-	return out
-}
-
-// acceptedSenders returns the union of senders named by n-t accepted
-// reports for iteration k, or nil if fewer than n-t reports are acceptable
-// yet. A report is acceptable when every sender it names has been locally
-// delivered for iteration k.
-func (m *AAMachine[V]) acceptedSenders(k int) map[PartyID]bool {
-	acceptable := 0
-	union := make(map[PartyID]bool)
-	for _, enc := range m.reports[k] {
-		ids, err := decodeSet(enc)
-		if err != nil {
-			continue // malformed Byzantine report: never acceptable
-		}
-		all := true
-		for _, src := range ids {
-			if _, ok := m.vals[k][src]; !ok {
-				all = false
-				break
-			}
-		}
-		if !all {
-			continue
-		}
-		acceptable++
-		for _, src := range ids {
-			union[src] = true
+		if m.iter++; m.iter <= len(m.iters) {
+			m.out = append(m.out, Step[V]{Kind: KindInit, Iter: m.iter, Src: m.me, Val: m.val})
 		}
 	}
-	if acceptable < m.n-m.t {
-		return nil
-	}
-	return union
 }
 
 // Output implements Machine.
 func (m *AAMachine[V]) Output() (any, bool) {
-	if !m.done {
+	if m.iter <= len(m.iters) {
 		return nil, false
 	}
 	return m.val, true
@@ -176,54 +206,7 @@ func (m *AAMachine[V]) Output() (any, bool) {
 
 // History returns the value after each completed iteration (a copy).
 func (m *AAMachine[V]) History() []V {
-	out := make([]V, len(m.history))
-	copy(out, m.history)
-	return out
-}
-
-func valTag(k int) string { return "v/" + strconv.Itoa(k) }
-func repTag(k int) string { return "r/" + strconv.Itoa(k) }
-
-func parseTag(tag, prefix string) (int, bool) {
-	if !strings.HasPrefix(tag, prefix) {
-		return 0, false
-	}
-	k, err := strconv.Atoi(tag[len(prefix):])
-	if err != nil || k < 1 {
-		return 0, false
-	}
-	return k, true
-}
-
-// encodeSet canonically encodes the key set of a delivery map ("0,2,5").
-func encodeSet[V comparable](vals map[PartyID]V) string {
-	ids := make([]int, 0, len(vals))
-	for src := range vals {
-		ids = append(ids, int(src))
-	}
-	sort.Ints(ids)
-	parts := make([]string, len(ids))
-	for i, id := range ids {
-		parts[i] = strconv.Itoa(id)
-	}
-	return strings.Join(parts, ",")
-}
-
-// decodeSet parses an encoded sender set, rejecting malformed input.
-func decodeSet(enc string) ([]PartyID, error) {
-	if enc == "" {
-		return nil, nil
-	}
-	parts := strings.Split(enc, ",")
-	out := make([]PartyID, 0, len(parts))
-	for _, p := range parts {
-		id, err := strconv.Atoi(p)
-		if err != nil || id < 0 {
-			return nil, fmt.Errorf("async: bad report entry %q", p)
-		}
-		out = append(out, PartyID(id))
-	}
-	return out, nil
+	return append([]V{}, m.history...)
 }
 
 // NewRealAA returns an asynchronous AA machine on real values: the update

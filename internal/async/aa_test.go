@@ -22,8 +22,8 @@ func (m *byzFlood) Init() []Message {
 	var out []Message
 	// Equivocate the iteration-1 value broadcast.
 	for to := 0; to < m.n; to++ {
-		out = append(out, Message{To: PartyID(to), Payload: RBCMsg[float64]{
-			Tag: valTag(1), Kind: KindInit, Src: m.id, Val: float64(m.rng.Intn(3) * 1000),
+		out = append(out, Message{To: PartyID(to), Payload: Step[float64]{
+			Kind: KindInit, Iter: 1, Src: m.id, Val: float64(m.rng.Intn(3) * 1000),
 		}})
 	}
 	return out
@@ -37,17 +37,17 @@ func (m *byzFlood) Deliver(Message) []Message {
 	var out []Message
 	switch m.rng.Intn(4) {
 	case 0:
-		out = append(out, Message{To: PartyID(m.rng.Intn(m.n)), Payload: RBCMsg[float64]{
-			Tag: valTag(1 + m.rng.Intn(3)), Kind: Kind(1 + m.rng.Intn(3)),
+		out = append(out, Message{To: PartyID(m.rng.Intn(m.n)), Payload: Step[float64]{
+			Kind: byte(1 + m.rng.Intn(3)), Iter: 1 + m.rng.Intn(3),
 			Src: m.id, Val: float64(m.rng.Intn(2000) - 500),
 		}})
 	case 1:
-		out = append(out, Message{To: Broadcast, Payload: RBCMsg[string]{
-			Tag: repTag(1 + m.rng.Intn(3)), Kind: KindInit, Src: m.id, Val: "0,1,zz",
+		out = append(out, Message{To: Broadcast, Payload: Step[float64]{
+			Report: true, Kind: KindInit, Iter: 1 + m.rng.Intn(3), Src: m.id, Senders: []PartyID{1, 0, PartyID(m.n)},
 		}})
 	case 2:
-		out = append(out, Message{To: Broadcast, Payload: RBCMsg[string]{
-			Tag: repTag(1), Kind: KindInit, Src: m.id, Val: "0",
+		out = append(out, Message{To: Broadcast, Payload: Step[float64]{
+			Report: true, Kind: KindInit, Iter: 1, Src: m.id, Senders: []PartyID{0},
 		}})
 	}
 	return out
@@ -201,8 +201,8 @@ type byzTreeFlood struct {
 func (m *byzTreeFlood) Init() []Message {
 	var out []Message
 	for to := 0; to < m.n; to++ {
-		out = append(out, Message{To: PartyID(to), Payload: RBCMsg[tree.VertexID]{
-			Tag: valTag(1), Kind: KindInit, Src: m.id,
+		out = append(out, Message{To: PartyID(to), Payload: Step[tree.VertexID]{
+			Kind: KindInit, Iter: 1, Src: m.id,
 			Val: tree.VertexID(m.rng.Intn(m.tr.NumVertices())),
 		}})
 	}
@@ -216,8 +216,8 @@ func (m *byzTreeFlood) Deliver(msg Message) []Message {
 		return nil
 	}
 	k := 1 + m.rng.Intn(4)
-	return []Message{{To: PartyID(m.rng.Intn(m.n)), Payload: RBCMsg[tree.VertexID]{
-		Tag: valTag(k), Kind: KindInit, Src: m.id,
+	return []Message{{To: PartyID(m.rng.Intn(m.n)), Payload: Step[tree.VertexID]{
+		Kind: KindInit, Iter: k, Src: m.id,
 		Val: tree.VertexID(m.rng.Intn(m.tr.NumVertices())),
 	}}}
 }
@@ -288,37 +288,5 @@ func TestHalvingAndTreeIterations(t *testing.T) {
 	}
 	if got := TreeIterations(16); got != 6 {
 		t.Errorf("TreeIterations(16) = %d, want 6", got)
-	}
-}
-
-func TestEncodeDecodeSet(t *testing.T) {
-	vals := map[PartyID]float64{3: 1, 0: 2, 7: 3}
-	enc := encodeSet(vals)
-	if enc != "0,3,7" {
-		t.Errorf("encodeSet = %q", enc)
-	}
-	ids, err := decodeSet(enc)
-	if err != nil || len(ids) != 3 || ids[0] != 0 || ids[2] != 7 {
-		t.Errorf("decodeSet = %v, %v", ids, err)
-	}
-	if _, err := decodeSet("1,x"); err == nil {
-		t.Error("malformed set accepted")
-	}
-	if _, err := decodeSet("-1"); err == nil {
-		t.Error("negative id accepted")
-	}
-	if ids, err := decodeSet(""); err != nil || len(ids) != 0 {
-		t.Errorf("empty set: %v, %v", ids, err)
-	}
-}
-
-func TestParseTag(t *testing.T) {
-	if k, ok := parseTag("v/3", "v/"); !ok || k != 3 {
-		t.Errorf("parseTag(v/3) = %d, %v", k, ok)
-	}
-	for _, bad := range []string{"v/", "v/0", "v/x", "r/3"} {
-		if _, ok := parseTag(bad, "v/"); ok {
-			t.Errorf("parseTag(%q) accepted", bad)
-		}
 	}
 }

@@ -7,10 +7,14 @@
 // — lives in this model and achieves O(log D(T)) asynchronous rounds, which
 // "remains the state of the art in the asynchronous model". This package
 // implements that world: Bracha reliable broadcast (rbc.go), the witness
-// technique for collecting (n-t)-overlapping value sets (witness.go inside
-// aa.go), asynchronous Approximate Agreement on reals, and the NR-style
-// asynchronous AA on trees — so the repository covers both sides of the
-// paper's related-work comparison.
+// technique for collecting (n-t)-overlapping value sets, asynchronous
+// Approximate Agreement on reals and the NR-style asynchronous AA on trees
+// (aa.go), and the asynchronous TreeAA pipeline (pipeline.go) — so the
+// repository covers both sides of the paper's related-work comparison.
+//
+// Every protocol message is one Bracha step (Step) of an RBC instance named
+// by integers — value or report, iteration, broadcaster — so a party's state
+// is slices indexed by them, bounded by the iteration budget it was built with.
 //
 // Time in the asynchronous model is measured in causal depth ("async
 // rounds"): each message carries depth = 1 + the maximum depth its sender
@@ -23,13 +27,15 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+
+	"treeaa/internal/sim"
 )
 
 // PartyID identifies one of the n parties, in [0, n).
-type PartyID int
+type PartyID = sim.PartyID
 
 // Broadcast is a destination wildcard expanded by the runtime.
-const Broadcast PartyID = -1
+const Broadcast = sim.Broadcast
 
 // Message is a single authenticated point-to-point message. From is stamped
 // by the runtime; Byzantine parties cannot forge origins.
@@ -111,13 +117,7 @@ func Run(cfg Config, machines []Machine) (*Result, error) {
 	if sched == nil {
 		sched = FIFO{}
 	}
-	required := cfg.Honest
-	if required == nil {
-		required = make(map[PartyID]bool, cfg.N)
-		for p := 0; p < cfg.N; p++ {
-			required[PartyID(p)] = true
-		}
-	}
+	required := func(p PartyID) bool { return cfg.Honest == nil || cfg.Honest[p] }
 
 	depth := make([]int, cfg.N) // causal depth consumed per party
 	var pending []Message
@@ -141,31 +141,26 @@ func Run(cfg Config, machines []Machine) (*Result, error) {
 		}
 	}
 	res := &Result{Outputs: make(map[PartyID]any)}
-	decided := make(map[PartyID]bool)
+	waiting := 0 // required parties still undecided
 	// note records p's output the first time it reports one.
 	note := func(p PartyID) {
-		if decided[p] {
+		if _, decided := res.Outputs[p]; decided {
 			return
 		}
 		if v, ok := machines[p].Output(); ok {
-			decided[p] = true
 			res.Outputs[p] = v
-			if required[p] && depth[p] > res.Depth {
-				res.Depth = depth[p]
+			if required(p) {
+				waiting--
+				res.Depth = max(res.Depth, depth[p])
 			}
 		}
 	}
 	for p, m := range machines {
+		if required(PartyID(p)) {
+			waiting++
+		}
 		enqueue(PartyID(p), m.Init())
 		note(PartyID(p)) // a trivial input space decides without traffic
-	}
-	allDecided := func() bool {
-		for p := range required {
-			if !decided[p] {
-				return false
-			}
-		}
-		return true
 	}
 	for len(pending) > 0 && res.Deliveries < cfg.MaxDeliveries {
 		idx := sched.Next(pending)
@@ -173,18 +168,26 @@ func Run(cfg Config, machines []Machine) (*Result, error) {
 			return nil, fmt.Errorf("async: scheduler returned invalid index %d", idx)
 		}
 		m := pending[idx]
-		pending = append(pending[:idx], pending[idx+1:]...) // keep order: FIFO/LIFO semantics depend on it
+		// Close the gap from the shorter side; either way the survivors keep
+		// their order, which every scheduler's semantics depend on.
+		if idx < len(pending)/2 {
+			copy(pending[1:idx+1], pending[:idx])
+			pending[0] = Message{}
+			pending = pending[1:]
+		} else {
+			pending = append(pending[:idx], pending[idx+1:]...)
+		}
 		res.Deliveries++
 		if m.depth > depth[m.To] {
 			depth[m.To] = m.depth
 		}
 		enqueue(m.To, machines[m.To].Deliver(m))
 		note(m.To)
-		if allDecided() {
+		if waiting == 0 {
 			return res, nil
 		}
 	}
-	if allDecided() {
+	if waiting == 0 {
 		return res, nil
 	}
 	return res, fmt.Errorf("%w: after %d deliveries (pending %d)", ErrNotDecided, res.Deliveries, len(pending))

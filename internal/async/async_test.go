@@ -110,20 +110,36 @@ type rbcParty struct {
 
 func (m *rbcParty) Init() []Message {
 	if m.lead {
-		return m.rbc.Broadcast("x", m.val)
+		return []Message{{To: Broadcast, Payload: Step[float64]{Kind: KindInit, Iter: 1, Src: m.id, Val: m.val}}}
 	}
 	return nil
 }
 
 func (m *rbcParty) Deliver(msg Message) []Message {
-	out, deliveries := m.rbc.Handle(msg)
-	for _, d := range deliveries {
-		m.got[d.Src] = d.Val
+	out, s, delivered := rbcStep(m.rbc, msg)
+	if delivered {
+		m.got[s.Src] = s.Val
 	}
 	if len(m.got) >= m.needs {
 		m.done = true
 	}
 	return out
+}
+
+// rbcStep feeds one message to an RBC component and renders its reply as
+// the broadcast a machine would send.
+func rbcStep(r *RBC[float64], msg Message) (out []Message, s Step[float64], delivered bool) {
+	s, ok := msg.Payload.(Step[float64])
+	if !ok {
+		return nil, s, false
+	}
+	reply, delivered := r.Handle(msg.From, s)
+	if reply != 0 {
+		re := s
+		re.Kind = reply
+		out = []Message{{To: Broadcast, Payload: re}}
+	}
+	return out, s, delivered
 }
 
 func (m *rbcParty) Output() (any, bool) {
@@ -141,7 +157,7 @@ func rbcParties(n, t, leaders, needs int, vals []float64) []Machine {
 	ms := make([]Machine, n)
 	for i := 0; i < n; i++ {
 		ms[i] = &rbcParty{
-			id: PartyID(i), rbc: NewRBC[float64](n, t, PartyID(i)),
+			id: PartyID(i), rbc: NewRBC[float64](n, t, 1),
 			val: vals[i], lead: i < leaders, got: map[PartyID]float64{}, needs: needs,
 		}
 	}
@@ -183,14 +199,14 @@ func (m *equivocatingRBCLeader) Init() []Message {
 		if to >= m.n/2 {
 			v = 2.0
 		}
-		out = append(out, Message{To: PartyID(to), Payload: RBCMsg[float64]{Tag: "x", Kind: KindInit, Src: m.id, Val: v}})
+		out = append(out, Message{To: PartyID(to), Payload: Step[float64]{Kind: KindInit, Iter: 1, Src: m.id, Val: v}})
 	}
 	return out
 }
 
 func (m *equivocatingRBCLeader) Deliver(msg Message) []Message {
 	// Participate honestly as echoer so honest broadcasts complete.
-	out, _ := m.rbc.Handle(msg)
+	out, _, _ := rbcStep(m.rbc, msg)
 	return out
 }
 
@@ -201,7 +217,7 @@ func TestRBCConsistencyUnderEquivocation(t *testing.T) {
 	vals := []float64{7, 8, 9, 99}
 	for seed := int64(0); seed < 20; seed++ {
 		ms := rbcParties(n, tc, 3, 3, vals) // parties 0-2 honest leaders; wait for 3 deliveries
-		ms[3] = &equivocatingRBCLeader{id: 3, n: n, rbc: NewRBC[float64](n, tc, 3)}
+		ms[3] = &equivocatingRBCLeader{id: 3, n: n, rbc: NewRBC[float64](n, tc, 1)}
 		res, err := Run(Config{
 			N: n, MaxDeliveries: 10000,
 			Honest:    map[PartyID]bool{0: true, 1: true, 2: true},
@@ -232,27 +248,26 @@ func TestRBCConsistencyUnderEquivocation(t *testing.T) {
 func TestRBCNoForgedInit(t *testing.T) {
 	// A Byzantine party relaying an INIT with Src != From must be ignored.
 	n, tc := 4, 1
-	r := NewRBC[float64](n, tc, 0)
-	out, dels := r.Handle(Message{From: 2, Payload: RBCMsg[float64]{Tag: "x", Kind: KindInit, Src: 1, Val: 5}})
-	if len(out) != 0 || len(dels) != 0 {
+	r := NewRBC[float64](n, tc, 1)
+	init := Step[float64]{Kind: KindInit, Iter: 1, Src: 1, Val: 5}
+	if reply, delivered := r.Handle(2, init); reply != 0 || delivered {
 		t.Error("forged INIT processed")
 	}
 	// Genuine INIT passes.
-	out, _ = r.Handle(Message{From: 1, Payload: RBCMsg[float64]{Tag: "x", Kind: KindInit, Src: 1, Val: 5}})
-	if len(out) != 1 {
+	if reply, _ := r.Handle(1, init); reply != KindEcho {
 		t.Error("genuine INIT not echoed")
 	}
 }
 
 func TestRBCDuplicateVotesIgnored(t *testing.T) {
 	n, tc := 4, 1
-	r := NewRBC[float64](n, tc, 0)
+	r := NewRBC[float64](n, tc, 1)
+	echo := Step[float64]{Kind: KindEcho, Iter: 1, Src: 1, Val: 5}
 	for i := 0; i < 5; i++ {
-		r.Handle(Message{From: 2, Payload: RBCMsg[float64]{Tag: "x", Kind: KindEcho, Src: 1, Val: 5}})
+		r.Handle(2, echo)
 	}
 	// One echoer, even repeated, is far below n-t: no ready sent.
-	out, _ := r.Handle(Message{From: 2, Payload: RBCMsg[float64]{Tag: "x", Kind: KindEcho, Src: 1, Val: 5}})
-	if len(out) != 0 {
+	if reply, _ := r.Handle(2, echo); reply != 0 {
 		t.Error("duplicate echoes amplified")
 	}
 }
@@ -267,7 +282,7 @@ func TestRBCTotality(t *testing.T) {
 		// Parties wait for all four deliveries but we stop at drain; the
 		// required set is empty so Run ends when pending drains.
 		ms := rbcParties(n, tc, 3, 99 /* never "done" */, vals)
-		ms[3] = &equivocatingRBCLeader{id: 3, n: n, rbc: NewRBC[float64](n, tc, 3)}
+		ms[3] = &equivocatingRBCLeader{id: 3, n: n, rbc: NewRBC[float64](n, tc, 1)}
 		res, err := Run(Config{
 			N: n, MaxDeliveries: 100000,
 			Honest:    map[PartyID]bool{}, // run to drain

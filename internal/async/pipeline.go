@@ -32,18 +32,14 @@ import (
 	"treeaa/internal/core"
 	"treeaa/internal/pathsfinder"
 	"treeaa/internal/tree"
+	"treeaa/internal/wire"
 )
 
-// Phase tags namespacing the two chained AAMachine instances' RBC traffic.
+// The phase byte every pipeline payload carries, as the wire names it: which
+// of the two chained AAMachine instances the step belongs to.
 const (
-	prefixPathsFinder = "pf."
-	prefixProjection  = "pj."
-)
-
-// Pipeline phase identifiers, aligned with wire.AsyncPhase*.
-const (
-	PhasePathsFinder byte = 1
-	PhaseProjection  byte = 2
+	PhasePathsFinder = wire.AsyncPhasePathsFinder
+	PhaseProjection  = wire.AsyncPhaseProjection
 )
 
 // Pipeline is one party's asynchronous TreeAA execution.
@@ -54,8 +50,7 @@ type Pipeline struct {
 	input tree.VertexID
 	list  *tree.EulerList
 
-	pfIters   int
-	projIters int
+	pfIters, projIters int
 
 	phase1 *AAMachine[float64]
 	path   []tree.VertexID
@@ -96,17 +91,16 @@ func NewPipeline(tr *tree.Tree, n, t int, me PartyID, input tree.VertexID) (*Pip
 		p.out, p.done = input, true
 		return p, nil
 	}
-	list, err := tree.ListConstruction(tr, tr.Root())
-	if err != nil {
+	var err error
+	if p.list, err = tree.ListConstruction(tr, tr.Root()); err != nil {
 		return nil, fmt.Errorf("async: %w", err)
 	}
-	p.list = list
 	// The same iteration budgets as the synchronous phases, in asynchronous
 	// halving iterations: indices span [1, |L|] with |L| <= 2|V|, positions
 	// span [1, d+1] with range d.
 	p.pfIters = HalvingIterations(float64(2*tr.NumVertices()), 1)
 	p.projIters = HalvingIterations(float64(d), 1)
-	p.phase1 = NewRealAA(n, t, me, float64(list.FirstIndex(input)), p.pfIters)
+	p.phase1 = NewRealAA(n, t, me, float64(p.list.FirstIndex(input)), p.pfIters)
 	return p, nil
 }
 
@@ -115,33 +109,65 @@ func (p *Pipeline) Init() []Message {
 	if p.done {
 		return nil
 	}
-	return prefixTags(prefixPathsFinder, p.phase1.Init())
+	return broadcastWire(PhasePathsFinder, p.phase1.start(), nil)
 }
 
-// Deliver implements Machine. Messages route to the phase their tag prefix
-// names; anything else (Byzantine garbage) is ignored.
+// broadcastWire appends one broadcast per step to out, stamped with its
+// phase: the pipeline's payloads are wire.AsyncValue and wire.AsyncReport
+// themselves, so a networked driver ships and delivers them unconverted.
+func broadcastWire(phase byte, steps []Step[float64], out []Message) []Message {
+	for _, s := range steps {
+		out = append(out, Message{To: Broadcast, Payload: wirePayload(phase, s)})
+	}
+	return out
+}
+
+func wirePayload(phase byte, s Step[float64]) any {
+	if s.Report {
+		return wire.AsyncReport{Phase: phase, Kind: s.Kind, Iter: s.Iter, Src: s.Src, Senders: s.Senders}
+	}
+	return wire.AsyncValue{Phase: phase, Kind: s.Kind, Iter: s.Iter, Src: s.Src, Val: s.Val}
+}
+
+// wireStep is wirePayload's inverse; ok is false for any other payload.
+func wireStep(payload any) (phase byte, s Step[float64], ok bool) {
+	switch q := payload.(type) {
+	case wire.AsyncValue:
+		return q.Phase, Step[float64]{Kind: q.Kind, Iter: q.Iter, Src: q.Src, Val: q.Val}, true
+	case wire.AsyncReport:
+		return q.Phase, Step[float64]{Report: true, Kind: q.Kind, Iter: q.Iter, Src: q.Src, Senders: q.Senders}, true
+	}
+	return 0, s, false
+}
+
+// Deliver implements Machine. Steps route to the phase they name; anything
+// else (Byzantine garbage) is ignored.
 func (p *Pipeline) Deliver(m Message) []Message {
-	phase, inner, ok := stripTag(m)
+	phase, s, ok := wireStep(m.Payload)
 	if !ok || p.phase1 == nil {
 		return nil
 	}
-	var out []Message
-	switch phase {
-	case PhasePathsFinder:
-		// Phase 1 keeps echoing after it decides — peers may still need the
-		// amplification — so deliveries route unconditionally.
-		out = prefixTags(prefixPathsFinder, p.phase1.Deliver(inner))
+	// Phase 1 keeps echoing after it decides — peers may still need the
+	// amplification — so its deliveries route unconditionally.
+	aa := p.phase1
+	if phase == PhaseProjection {
 		if p.phase2 == nil {
-			if j, decided := p.phase1.Output(); decided {
-				out = append(out, p.startProjection(j.(float64))...)
+			// Buffer only what phase 2 could act on: a step it would drop
+			// must not cost memory either.
+			if s.valid(p.n, p.projIters, m.From) {
+				p.buf2 = append(p.buf2, m)
 			}
+			return nil
 		}
-	case PhaseProjection:
-		if p.phase2 == nil {
-			p.buf2 = append(p.buf2, inner)
-			return out
+		aa = p.phase2
+	} else if phase != PhasePathsFinder {
+		return nil
+	}
+	out := broadcastWire(phase, aa.handle(m.From, s), nil)
+	if p.phase2 == nil {
+		if j, decided := p.phase1.Output(); decided {
+			out = p.startProjection(j.(float64), out)
 		}
-		out = append(out, prefixTags(prefixProjection, p.phase2.Deliver(inner))...)
 	}
 	if !p.done && p.phase2 != nil {
 		if j, decided := p.phase2.Output(); decided {
@@ -154,8 +180,8 @@ func (p *Pipeline) Deliver(m Message) []Message {
 
 // startProjection decodes phase 1's index agreement into this party's root
 // path, builds phase 2 on the projected position, and replays any buffered
-// projection traffic through it.
-func (p *Pipeline) startProjection(j float64) []Message {
+// projection traffic through it, appending what that emits to out.
+func (p *Pipeline) startProjection(j float64, out []Message) []Message {
 	idx := pathsfinder.ClampIndex(p.list, j)
 	path, err := p.list.PathFromRoot(idx)
 	if err != nil {
@@ -166,11 +192,11 @@ func (p *Pipeline) startProjection(j float64) []Message {
 	p.path = path
 	pos, _ := p.tr.ProjectOntoPath(path, p.input)
 	p.phase2 = NewRealAA(p.n, p.t, p.me, float64(pos+1), p.projIters)
-	out := prefixTags(prefixProjection, p.phase2.Init())
+	out = broadcastWire(PhaseProjection, p.phase2.start(), out)
 	buffered := p.buf2
 	p.buf2 = nil
 	for _, m := range buffered {
-		out = append(out, prefixTags(prefixProjection, p.phase2.Deliver(m))...)
+		out = append(out, p.Deliver(m)...)
 	}
 	return out
 }
@@ -213,11 +239,7 @@ func (p *Pipeline) Iterations() (pathsFinder, projection int) {
 // per iteration exactly. The extra half absorbs duplicate-suppressed
 // traffic that still costs a delivery.
 func (p *Pipeline) DeliveryBudget() int {
-	iters := p.pfIters + p.projIters
-	if iters == 0 {
-		return 64
-	}
-	return 3*p.n*p.n*iters*(2*p.n+1) + 64
+	return 3*p.n*p.n*(p.pfIters+p.projIters)*(2*p.n+1) + 64
 }
 
 // EnvelopeRound maps a pipeline payload to a monotone progress index — the
@@ -226,80 +248,12 @@ func (p *Pipeline) DeliveryBudget() int {
 // round-windowed chaos clauses key onto asynchronous progress. Unknown
 // payloads map to 1.
 func (p *Pipeline) EnvelopeRound(payload any) int {
-	phase, tag := payloadTag(payload)
-	if phase == 0 {
+	phase, s, ok := wireStep(payload)
+	if !ok {
 		return 1
 	}
-	k, ok := parseTag(tag, "v/")
-	if !ok {
-		if k, ok = parseTag(tag, "r/"); !ok {
-			return 1
-		}
-	}
 	if phase == PhaseProjection {
-		k += p.pfIters
+		return s.Iter + p.pfIters
 	}
-	return k
-}
-
-// ---- tag namespacing
-
-// prefixTags namespaces outgoing RBC payload tags with the phase prefix,
-// so the two AAMachine instances' concurrent broadcasts cannot collide.
-func prefixTags(prefix string, msgs []Message) []Message {
-	for i := range msgs {
-		switch q := msgs[i].Payload.(type) {
-		case RBCMsg[float64]:
-			q.Tag = prefix + q.Tag
-			msgs[i].Payload = q
-		case RBCMsg[string]:
-			q.Tag = prefix + q.Tag
-			msgs[i].Payload = q
-		}
-	}
-	return msgs
-}
-
-// stripTag classifies an incoming message by phase prefix and returns it
-// with the inner (unprefixed) tag restored.
-func stripTag(m Message) (phase byte, inner Message, ok bool) {
-	switch q := m.Payload.(type) {
-	case RBCMsg[float64]:
-		phase, q.Tag, ok = splitPhase(q.Tag)
-		m.Payload = q
-	case RBCMsg[string]:
-		phase, q.Tag, ok = splitPhase(q.Tag)
-		m.Payload = q
-	default:
-		return 0, m, false
-	}
-	return phase, m, ok
-}
-
-func splitPhase(tag string) (byte, string, bool) {
-	if len(tag) > len(prefixPathsFinder) && tag[:len(prefixPathsFinder)] == prefixPathsFinder {
-		return PhasePathsFinder, tag[len(prefixPathsFinder):], true
-	}
-	if len(tag) > len(prefixProjection) && tag[:len(prefixProjection)] == prefixProjection {
-		return PhaseProjection, tag[len(prefixProjection):], true
-	}
-	return 0, tag, false
-}
-
-// payloadTag extracts the phase and inner tag of a pipeline payload.
-func payloadTag(payload any) (byte, string) {
-	var tag string
-	switch q := payload.(type) {
-	case RBCMsg[float64]:
-		tag = q.Tag
-	case RBCMsg[string]:
-		tag = q.Tag
-	default:
-		return 0, ""
-	}
-	phase, inner, ok := splitPhase(tag)
-	if !ok {
-		return 0, ""
-	}
-	return phase, inner
+	return s.Iter
 }

@@ -2,11 +2,13 @@ package async
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"treeaa/internal/core"
 	"treeaa/internal/sim"
 	"treeaa/internal/tree"
+	"treeaa/internal/wire"
 )
 
 // spreadInputs places n inputs evenly across the vertex id range (the
@@ -144,36 +146,61 @@ func TestAsyncMatchesSyncOnQuietNet(t *testing.T) {
 	}
 }
 
-// TestPipelineWireRoundTrip: every payload the pipeline emits survives the
-// ToWire/FromWire conversion with its phase and tag intact, and foreign
-// payloads are refused.
-func TestPipelineWireRoundTrip(t *testing.T) {
-	payloads := []any{
-		RBCMsg[float64]{Tag: "pf.v/3", Kind: KindEcho, Src: 2, Val: 4.5},
-		RBCMsg[float64]{Tag: "pj.v/1", Kind: KindInit, Src: 0, Val: 1},
-		RBCMsg[string]{Tag: "pf.r/2", Kind: KindReady, Src: 3, Val: "0,1,3"},
-		RBCMsg[string]{Tag: "pj.r/7", Kind: KindInit, Src: 1, Val: ""},
-	}
-	for _, p := range payloads {
-		w, err := ToWire(p)
+// wireLoop is a pipeline whose every outgoing payload crosses the wire codec
+// before the runtime sees it, as a networked fleet's traffic does.
+type wireLoop struct {
+	*Pipeline
+	t *testing.T
+}
+
+func (m wireLoop) Init() []Message { return m.loop(m.Pipeline.Init()) }
+
+func (m wireLoop) Deliver(msg Message) []Message { return m.loop(m.Pipeline.Deliver(msg)) }
+
+func (m wireLoop) loop(msgs []Message) []Message {
+	pf, pj := m.Iterations()
+	for i := range msgs {
+		b, err := wire.Encode(msgs[i].Payload)
 		if err != nil {
-			t.Fatalf("ToWire(%+v): %v", p, err)
+			m.t.Fatalf("pipeline emitted %+v, which the codec refuses: %v", msgs[i].Payload, err)
 		}
-		back, ok := FromWire(w)
-		if !ok {
-			t.Fatalf("FromWire rejected %+v", w)
+		back, err := wire.Decode(b)
+		if err != nil || !reflect.DeepEqual(back, msgs[i].Payload) {
+			m.t.Fatalf("round trip: %+v -> %+v, %v", msgs[i].Payload, back, err)
 		}
-		if back != p {
-			t.Errorf("round trip: %+v -> %+v", p, back)
+		if r := m.EnvelopeRound(back); r < 1 || r > pf+pj {
+			m.t.Fatalf("EnvelopeRound(%+v) = %d, outside [1, %d]", back, r, pf+pj)
 		}
+		msgs[i].Payload = back
 	}
-	if _, err := ToWire(RBCMsg[float64]{Tag: "v/3", Kind: KindEcho, Src: 2, Val: 4.5}); err == nil {
-		t.Error("ToWire accepted a tag without a phase prefix")
+	return msgs
+}
+
+// TestPipelineWireRoundTrip: every payload a pipeline emits is a wire
+// payload that survives the codec bit for bit, a fleet fed only decoded
+// copies still decides correctly, and foreign payloads are ignored.
+func TestPipelineWireRoundTrip(t *testing.T) {
+	tr := tree.NewSpider(3, 3)
+	n, tc := 4, 1
+	inputs := spreadInputs(tr, n)
+	ms, budget := pipelineFleet(t, tr, n, tc, inputs)
+	for i, m := range ms {
+		ms[i] = wireLoop{m.(*Pipeline), t}
 	}
-	if _, err := ToWire(RBCMsg[string]{Tag: "pf.r/2", Kind: KindInit, Src: 3, Val: "3,1"}); err == nil {
-		t.Error("ToWire accepted a non-canonical sender set")
+	res, err := Run(Config{N: n, MaxDeliveries: budget, Scheduler: Random{Rng: rand.New(rand.NewSource(3))}}, ms)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ToWire("stray"); err == nil {
-		t.Error("ToWire accepted a foreign payload")
+	checkAsyncTreeAA(t, tr, inputs, []PartyID{0, 1, 2, 3}, res.Outputs, "wire loop")
+
+	p := ms[0].(wireLoop).Pipeline
+	for _, stray := range []any{"stray", Step[float64]{Kind: KindInit, Iter: 1, Src: 1, Val: 4.5},
+		wire.AsyncValue{Phase: 3, Kind: KindInit, Iter: 1, Src: 1, Val: 4.5}} {
+		if out := p.Deliver(Message{From: 1, Payload: stray}); len(out) != 0 {
+			t.Errorf("pipeline answered foreign payload %+v with %v", stray, out)
+		}
+		if r := p.EnvelopeRound(stray); r != 1 {
+			t.Errorf("EnvelopeRound(%+v) = %d, want 1", stray, r)
+		}
 	}
 }

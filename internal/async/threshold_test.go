@@ -7,51 +7,47 @@ import "testing"
 // message fewer than the threshold first and asserts silence.
 
 func TestRBCEchoThresholdExact(t *testing.T) {
-	r := NewRBC[float64](4, 1, 0)
+	r := NewRBC[float64](4, 1, 1)
+	echo := Step[float64]{Kind: KindEcho, Iter: 1, Src: 1, Val: 5}
 	for _, from := range []PartyID{1, 2} { // n-t-1 = 2 echoes: below threshold
-		out, dels := r.Handle(Message{From: from, Payload: RBCMsg[float64]{Tag: "x", Kind: KindEcho, Src: 1, Val: 5}})
-		if len(out) != 0 || len(dels) != 0 {
+		if reply, delivered := r.Handle(from, echo); reply != 0 || delivered {
 			t.Fatalf("ready sent after %d echoes, threshold is n-t=3", from)
 		}
 	}
-	out, dels := r.Handle(Message{From: 3, Payload: RBCMsg[float64]{Tag: "x", Kind: KindEcho, Src: 1, Val: 5}})
-	if len(dels) != 0 {
+	reply, delivered := r.Handle(3, echo)
+	if delivered {
 		t.Fatal("echoes alone delivered")
 	}
-	if len(out) != 1 {
-		t.Fatalf("got %d messages at the n-t echo, want the ready broadcast", len(out))
-	}
-	p := out[0].Payload.(RBCMsg[float64])
-	if p.Kind != KindReady || out[0].To != Broadcast || p.Val != 5 {
-		t.Fatalf("n-t echoes produced %+v, want broadcast ready for 5", p)
+	if reply != KindReady {
+		t.Fatalf("n-t echoes produced reply %d, want the ready broadcast", reply)
 	}
 }
 
 func TestRBCReadyThresholdsExact(t *testing.T) {
-	r := NewRBC[float64](4, 1, 0)
+	r := NewRBC[float64](4, 1, 1)
+	ready := Step[float64]{Kind: KindReady, Iter: 1, Src: 2, Val: 7}
 	// t readies: no amplification yet.
-	out, dels := r.Handle(Message{From: 1, Payload: RBCMsg[float64]{Tag: "x", Kind: KindReady, Src: 2, Val: 7}})
-	if len(out) != 0 || len(dels) != 0 {
+	if reply, delivered := r.Handle(1, ready); reply != 0 || delivered {
 		t.Fatal("single ready amplified, threshold is t+1=2")
 	}
 	// t+1 readies: amplify, but 2t+1 not reached — no delivery.
-	out, dels = r.Handle(Message{From: 2, Payload: RBCMsg[float64]{Tag: "x", Kind: KindReady, Src: 2, Val: 7}})
-	if len(dels) != 0 {
+	reply, delivered := r.Handle(2, ready)
+	if delivered {
 		t.Fatal("delivered at t+1 readies, threshold is 2t+1=3")
 	}
-	if len(out) != 1 || out[0].Payload.(RBCMsg[float64]).Kind != KindReady {
-		t.Fatalf("t+1 readies produced %v, want our own ready", out)
+	if reply != KindReady {
+		t.Fatalf("t+1 readies produced reply %d, want our own ready", reply)
 	}
 	// 2t+1 readies: deliver exactly once, no further traffic.
-	out, dels = r.Handle(Message{From: 3, Payload: RBCMsg[float64]{Tag: "x", Kind: KindReady, Src: 2, Val: 7}})
-	if len(out) != 0 {
-		t.Fatalf("delivery round sent %v, want nothing", out)
+	reply, delivered = r.Handle(3, ready)
+	if reply != 0 {
+		t.Fatalf("delivery step sent reply %d, want nothing", reply)
 	}
-	if len(dels) != 1 || dels[0].Val != 7 || dels[0].Src != 2 {
-		t.Fatalf("deliveries = %v, want value 7 from src 2", dels)
+	if !delivered {
+		t.Fatal("2t+1 readies for value 7 from src 2 did not deliver")
 	}
 	// A fourth ready must not re-deliver.
-	if _, dels = r.Handle(Message{From: 0, Payload: RBCMsg[float64]{Tag: "x", Kind: KindReady, Src: 2, Val: 7}}); len(dels) != 0 {
+	if _, delivered = r.Handle(0, ready); delivered {
 		t.Fatal("re-delivered past 2t+1")
 	}
 }
@@ -72,14 +68,14 @@ func TestAADecidesWithMinimumMessages(t *testing.T) {
 	var script []step
 	for src, val := range map[PartyID]float64{0: 1, 1: 2, 2: 3} {
 		for _, from := range []PartyID{1, 2, 3} {
-			script = append(script, step{Message{From: from, Payload: RBCMsg[float64]{
-				Tag: valTag(1), Kind: KindReady, Src: src, Val: val}}})
+			script = append(script, step{Message{From: from, Payload: Step[float64]{
+				Kind: KindReady, Iter: 1, Src: src, Val: val}}})
 		}
 	}
 	for _, rep := range []PartyID{0, 1, 2} {
 		for _, from := range []PartyID{1, 2, 3} {
-			script = append(script, step{Message{From: from, Payload: RBCMsg[string]{
-				Tag: repTag(1), Kind: KindReady, Src: rep, Val: "0,1,2"}}})
+			script = append(script, step{Message{From: from, Payload: Step[float64]{
+				Report: true, Kind: KindReady, Iter: 1, Src: rep, Senders: []PartyID{0, 1, 2}}}})
 		}
 	}
 	for i, s := range script {

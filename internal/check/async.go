@@ -8,6 +8,7 @@ import (
 	"treeaa/internal/async"
 	"treeaa/internal/sim"
 	"treeaa/internal/tree"
+	"treeaa/internal/wire"
 )
 
 // This file is the checker's asynchronous half: the same cell specs, run
@@ -74,7 +75,7 @@ func asyncSchedulers(c *Cell) []struct {
 		{"fifo", async.FIFO{}},
 		{"lifo", async.LIFO{}},
 		{"random", async.Random{Rng: rand.New(rand.NewSource(c.Seed ^ 0x61737963))}},
-		{"starve", async.Starve{Victims: map[async.PartyID]bool{async.PartyID(c.N - 1): true}}},
+		{"starve", async.Starve{Victims: map[sim.PartyID]bool{sim.PartyID(c.N - 1): true}}},
 	}
 }
 
@@ -121,9 +122,9 @@ func (cr *compiled) runAsyncOnce(name string, sched async.Scheduler, budget int)
 		budget = derived
 	}
 	honest := cr.honestParties()
-	honestSet := make(map[async.PartyID]bool, len(honest))
+	honestSet := make(map[sim.PartyID]bool, len(honest))
 	for _, p := range honest {
-		honestSet[async.PartyID(p)] = true
+		honestSet[p] = true
 	}
 	res, runErr := async.Run(async.Config{
 		N: cr.cell.N, Honest: honestSet, Scheduler: sched, MaxDeliveries: budget,
@@ -140,7 +141,7 @@ func (cr *compiled) runAsyncOnce(name string, sched async.Scheduler, budget int)
 
 	outputs := make(map[sim.PartyID]tree.VertexID)
 	for _, p := range honest {
-		raw, ok := res.Outputs[async.PartyID(p)]
+		raw, ok := res.Outputs[p]
 		if !ok {
 			continue // async-termination already reported
 		}
@@ -304,7 +305,7 @@ func (cr *compiled) asyncMachines() ([]async.Machine, map[sim.PartyID]*async.Pip
 			machines[i] = &asyncCrash{inner: m, left: 1 + rng.Intn(2*n*n)}
 		default: // every value-injecting clause floods
 			machines[i] = &asyncFlood{
-				id: async.PartyID(i), n: n,
+				id: p, n: n,
 				rng:    rand.New(rand.NewSource(cr.cell.Seed + int64(1000*i))),
 				budget: asyncFloodBudget,
 				maxVal: float64(2 * cr.tr.NumVertices()),
@@ -372,12 +373,13 @@ func (m *asyncCrash) Deliver(msg async.Message) []async.Message {
 func (m *asyncCrash) Output() (any, bool) { return nil, true }
 
 // asyncFlood is the generic value-injecting behavior: equivocating phase-1
-// value broadcasts at Init, then a bounded stream of well-formed RBC spam —
-// junk values under both phase prefixes, malformed and under-filled witness
-// reports — mirroring the model-sound traffic a Byzantine sender can put on
-// its authenticated links.
+// value broadcasts at Init, then a bounded stream of RBC spam — junk values
+// in both phases, witness reports that are under-filled or whose sender
+// sets are unsorted, duplicated or out of range (the checks a receiver runs
+// before it stores anything) — mirroring the model-sound traffic a Byzantine
+// sender can put on its authenticated links.
 type asyncFlood struct {
-	id     async.PartyID
+	id     sim.PartyID
 	n      int
 	rng    *rand.Rand
 	budget int
@@ -387,8 +389,8 @@ type asyncFlood struct {
 func (m *asyncFlood) Init() []async.Message {
 	out := make([]async.Message, 0, m.n)
 	for to := 0; to < m.n; to++ {
-		out = append(out, async.Message{To: async.PartyID(to), Payload: async.RBCMsg[float64]{
-			Tag: "pf.v/1", Kind: async.KindInit, Src: m.id, Val: m.rng.Float64() * m.maxVal,
+		out = append(out, async.Message{To: sim.PartyID(to), Payload: wire.AsyncValue{
+			Phase: async.PhasePathsFinder, Kind: async.KindInit, Iter: 1, Src: m.id, Val: m.rng.Float64() * m.maxVal,
 		}})
 	}
 	return out
@@ -399,22 +401,22 @@ func (m *asyncFlood) Deliver(async.Message) []async.Message {
 		return nil
 	}
 	m.budget--
-	phase := [2]string{"pf.", "pj."}[m.rng.Intn(2)]
+	phase := byte(1 + m.rng.Intn(2))
 	k := 1 + m.rng.Intn(4)
 	switch m.rng.Intn(3) {
 	case 0: // equivocating / out-of-range value traffic
-		return []async.Message{{To: async.PartyID(m.rng.Intn(m.n)), Payload: async.RBCMsg[float64]{
-			Tag:  fmt.Sprintf("%sv/%d", phase, k),
-			Kind: async.Kind(1 + m.rng.Intn(3)), Src: m.id,
+		return []async.Message{{To: sim.PartyID(m.rng.Intn(m.n)), Payload: wire.AsyncValue{
+			Phase: phase, Kind: byte(1 + m.rng.Intn(3)), Iter: k, Src: m.id,
 			Val: m.rng.Float64()*3*m.maxVal - m.maxVal,
 		}}}
 	case 1: // malformed witness report
-		return []async.Message{{To: async.Broadcast, Payload: async.RBCMsg[string]{
-			Tag: fmt.Sprintf("%sr/%d", phase, k), Kind: async.KindInit, Src: m.id, Val: "0,1,zz",
+		bad := [][]sim.PartyID{{1, 0}, {0, 0, 1}, {0, 1, sim.PartyID(m.n)}}[m.rng.Intn(3)]
+		return []async.Message{{To: async.Broadcast, Payload: wire.AsyncReport{
+			Phase: phase, Kind: async.KindInit, Iter: k, Src: m.id, Senders: bad,
 		}}}
 	default: // under-filled but well-formed witness report
-		return []async.Message{{To: async.Broadcast, Payload: async.RBCMsg[string]{
-			Tag: fmt.Sprintf("%sr/%d", phase, k), Kind: async.KindInit, Src: m.id, Val: "0",
+		return []async.Message{{To: async.Broadcast, Payload: wire.AsyncReport{
+			Phase: phase, Kind: async.KindInit, Iter: k, Src: m.id, Senders: []sim.PartyID{0},
 		}}}
 	}
 }

@@ -238,7 +238,7 @@ func (s *Space) NewMachine(n, t int, id sim.PartyID, input tree.VertexID) (sim.M
 // block-cut tree node at output time.
 func (s *Space) NewAsyncMachine(n, t int, id sim.PartyID, input tree.VertexID) (driver.EventMachine, *async.Pipeline, error) {
 	if !s.IsGraph() {
-		p, err := async.NewPipeline(s.Tree, n, t, async.PartyID(id), input)
+		p, err := async.NewPipeline(s.Tree, n, t, id, input)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -247,7 +247,7 @@ func (s *Space) NewAsyncMachine(n, t int, id sim.PartyID, input tree.VertexID) (
 	if !s.Graph.Valid(input) {
 		return nil, nil, fmt.Errorf("%w: input %d", graph.ErrUnknownVertex, int(input))
 	}
-	p, err := async.NewPipeline(s.Graph.BlockCutTree(), n, t, async.PartyID(id), s.Graph.Eta(input))
+	p, err := async.NewPipeline(s.Graph.BlockCutTree(), n, t, id, s.Graph.Eta(input))
 	if err != nil {
 		return nil, nil, err
 	}

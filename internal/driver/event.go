@@ -5,6 +5,7 @@ import (
 
 	"treeaa/internal/async"
 	"treeaa/internal/sim"
+	"treeaa/internal/wire"
 )
 
 // EventMachine is the event-driven protocol machine an Event runs;
@@ -24,8 +25,8 @@ type EventMachine interface {
 
 // EventSink receives what an Event emits.
 type EventSink interface {
-	// Emit ships one protocol message, already converted to its wire payload,
-	// to its remote recipients; same contract as Sink.Emit.
+	// Emit ships one protocol message — the machine's payloads are wire
+	// payloads — to its remote recipients; same contract as Sink.Emit.
 	Emit(round int, to sim.PartyID, payload any) error
 	// Announce broadcasts this party's one-and-only done announcement.
 	Announce() error
@@ -71,12 +72,13 @@ func (e *Event) Start() error {
 // Deliver hands the machine one arrived wire payload from a peer. Any round
 // is legal: arbitrarily old and new iterations both arrive in this model.
 func (e *Event) Deliver(from sim.PartyID, payload any) error {
-	q, ok := async.FromWire(payload)
-	if !ok {
+	switch payload.(type) {
+	case wire.AsyncValue, wire.AsyncReport:
+	default:
 		return fmt.Errorf("party %d: non-async payload %T from party %d (peer running -mode sync?)",
 			e.id, payload, from)
 	}
-	if err := e.deliver(async.Message{From: async.PartyID(from), To: async.PartyID(e.id), Payload: q}); err != nil {
+	if err := e.deliver(async.Message{From: from, To: e.id, Payload: payload}); err != nil {
 		return err
 	}
 	return e.settle()
@@ -149,19 +151,14 @@ func (e *Event) settle() error {
 
 func (e *Event) dispatch(out []async.Message) error {
 	for _, m := range out {
-		wp, err := async.ToWire(m.Payload)
-		if err != nil {
-			return fmt.Errorf("party %d: %w", e.id, err)
-		}
-		to := sim.PartyID(m.To)
-		first, last, err := e.tally.Charge(e.n, to, wp)
+		first, last, err := e.tally.Charge(e.n, m.To, m.Payload)
 		if err != nil {
 			return fmt.Errorf("party %d: async %w", e.id, err)
 		}
 		if first <= e.id && e.id <= last {
-			e.selfq = append(e.selfq, async.Message{From: async.PartyID(e.id), To: async.PartyID(e.id), Payload: m.Payload})
+			e.selfq = append(e.selfq, async.Message{From: e.id, To: e.id, Payload: m.Payload})
 		}
-		if err := e.sink.Emit(e.machine.EnvelopeRound(m.Payload), to, wp); err != nil {
+		if err := e.sink.Emit(e.machine.EnvelopeRound(m.Payload), m.To, m.Payload); err != nil {
 			return fmt.Errorf("party %d: %w", e.id, err)
 		}
 	}

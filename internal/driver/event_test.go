@@ -10,10 +10,10 @@ import (
 	"treeaa/internal/wire"
 )
 
-// value builds a pipeline-shaped payload (ToWire needs a phase-prefixed
-// v/<k> tag) whose Val identifies it in the delivery log.
-func value(k int, val float64) async.RBCMsg[float64] {
-	return async.RBCMsg[float64]{Kind: async.KindInit, Tag: "pf.v/" + itoa(k), Val: val}
+// value builds a pipeline payload whose Val identifies it in the delivery
+// log.
+func value(k int, val float64) wire.AsyncValue {
+	return wire.AsyncValue{Phase: async.PhasePathsFinder, Kind: async.KindInit, Iter: k, Val: val}
 }
 
 // scriptEvent answers each delivery from a script keyed by the delivered
@@ -30,7 +30,7 @@ type scriptEvent struct {
 func (m *scriptEvent) Init() []async.Message { return m.init }
 
 func (m *scriptEvent) Deliver(msg async.Message) []async.Message {
-	v := msg.Payload.(async.RBCMsg[float64]).Val
+	v := msg.Payload.(wire.AsyncValue).Val
 	m.log = append(m.log, v)
 	return m.onDeliver[v]
 }
@@ -43,7 +43,7 @@ func (m *scriptEvent) Output() (any, bool) {
 }
 
 func (m *scriptEvent) EnvelopeRound(payload any) int {
-	return int(payload.(async.RBCMsg[float64]).Val)
+	return int(payload.(wire.AsyncValue).Val)
 }
 
 func (m *scriptEvent) DeliveryBudget() int { return m.budget }
@@ -94,7 +94,7 @@ func TestEventSelfQueueFIFO(t *testing.T) {
 	}
 	// A remote arrival and the self-send it triggers are both consumed
 	// before Deliver returns; the fifth delivery decides and announces once.
-	if err := ev.Deliver(0, wire.AsyncValue{Phase: async.PhasePathsFinder, Kind: byte(async.KindInit), Iter: 1, Val: 7}); err != nil {
+	if err := ev.Deliver(0, value(1, 7)); err != nil {
 		t.Fatal(err)
 	}
 	if want := []float64{1, 2, 3, 7, 8}; !reflect.DeepEqual(m.log, want) {
@@ -110,7 +110,7 @@ func TestEventSelfQueueFIFO(t *testing.T) {
 	if got := ev.Tally().Msgs; got != 7 {
 		t.Errorf("Msgs = %d, want 7", got)
 	}
-	if err := ev.Deliver(0, wire.AsyncValue{Phase: async.PhasePathsFinder, Kind: byte(async.KindInit), Iter: 1, Val: 5}); err != nil {
+	if err := ev.Deliver(0, value(1, 5)); err != nil {
 		t.Fatal(err)
 	}
 	if sink.announced != 1 {
@@ -121,7 +121,7 @@ func TestEventSelfQueueFIFO(t *testing.T) {
 // TestEventErrors: the flood guard, the announcement rules, foreign payloads
 // and bad recipients all fail loudly.
 func TestEventErrors(t *testing.T) {
-	arrival := wire.AsyncValue{Phase: async.PhasePathsFinder, Kind: byte(async.KindInit), Iter: 1, Val: 4}
+	arrival := value(1, 4)
 	cases := []struct {
 		name string
 		m    *scriptEvent
@@ -176,7 +176,7 @@ func TestEventFinished(t *testing.T) {
 	if ev.Finished() || ev.PeersDone() != 2 || !ev.IsPeerDone(1) {
 		t.Fatalf("finished=%v peersDone=%d before deciding", ev.Finished(), ev.PeersDone())
 	}
-	if err := ev.Deliver(1, wire.AsyncValue{Phase: async.PhasePathsFinder, Kind: byte(async.KindInit), Iter: 1, Val: 1}); err != nil {
+	if err := ev.Deliver(1, value(1, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if !ev.Finished() {

@@ -25,8 +25,9 @@ package wire
 //
 // There is deliberately no iteration-window validation beyond iter >= 1:
 // asynchrony means arbitrarily old and arbitrarily new iterations are both
-// legal on a link at any time. Flood protection lives in the driver's
-// delivery budget, not the codec.
+// legal on a link at any time, and the codec does not know a session's
+// iteration budget. The receiving machine does, and drops what lies outside
+// it before storing anything; the driver's delivery budget bounds the rest.
 
 import (
 	"fmt"
@@ -41,13 +42,13 @@ const (
 	TypeAsyncReport byte = 0x17
 )
 
-// Pipeline phases an async frame can belong to.
+// Pipeline phases an async frame can belong to (async.Phase* alias these).
 const (
 	AsyncPhasePathsFinder byte = 1
 	AsyncPhaseProjection  byte = 2
 )
 
-// Bracha RBC steps (mirroring async.KindInit/KindEcho/KindReady).
+// Bracha RBC steps (async.KindInit/KindEcho/KindReady alias these).
 const (
 	AsyncKindInit  byte = 1
 	AsyncKindEcho  byte = 2

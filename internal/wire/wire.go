@@ -34,8 +34,9 @@
 // so exact byte accounting costs the hot simulation path nothing.
 //
 // The asynchronous mode's RBC and witness-report payloads (async.go in this
-// package, types 0x16–0x17) ride the same codec: internal/async's in-process
-// Message values convert to and from them at the transport boundary.
+// package, types 0x16–0x17) ride the same codec: they are the payloads
+// internal/async's Pipeline speaks in process, so nothing converts at the
+// transport boundary.
 package wire
 
 import (
