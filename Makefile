@@ -40,9 +40,11 @@ surface:
 race:
 	$(GO) test -race ./...
 
-# The sim engine's sequential/concurrent equivalence, the TCP transport's
-# sim-equivalence, and the serving layer's per-session oracle identity must
-# hold under the race detector; -short skips the 500-session load test,
+# The sim engine's sequential/concurrent equivalence (and both drivers'
+# identity with the expand-everything oracle in internal/sim/oracle_test.go,
+# which is what reads one shared broadcast lane from n goroutines), the TCP
+# transport's sim-equivalence, and the serving layer's per-session oracle
+# identity must hold under the race detector; -short skips the 500-session load test,
 # which serve-smoke covers from the outside.
 race-sim:
 	$(GO) test -race -short ./internal/sim/... ./internal/transport/... ./internal/session/...

@@ -15,6 +15,7 @@ import (
 	"treeaa/internal/adversary"
 	"treeaa/internal/async"
 	"treeaa/internal/baseline"
+	"treeaa/internal/cli"
 	"treeaa/internal/core"
 	"treeaa/internal/crashaa"
 	"treeaa/internal/exactaa"
@@ -518,6 +519,66 @@ func BenchmarkTreeAAEndToEnd(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkKernelCells runs the four cells of the layered benchmark's
+// `kernel-batch` workload (bench/kernel.go) one sub-benchmark each — spaces
+// parsed once, inputs rotated through a fixed pool — so a kernel change can
+// be sized per cell with `go test -bench KernelCells -cpuprofile`.
+func BenchmarkKernelCells(b *testing.B) {
+	cells := []struct {
+		space, adversary string
+		n, t             int
+	}{
+		{"path:1024", "splitvote", 16, 5},
+		{"random:4096", "", 16, 5},
+		{"path:2048", "splitvote", 32, 10},
+		{"graph:cliquechain:8:6", "", 16, 5},
+	}
+	const pool = 64
+	for _, c := range cells {
+		name := fmt.Sprintf("%s/n=%d", c.space, c.n)
+		if c.adversary != "" {
+			name += "/" + c.adversary
+		}
+		b.Run(name, func(b *testing.B) {
+			sp, err := cli.ParseSpaceSpec(c.space, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(1))
+			inputs := make([][]tree.VertexID, pool)
+			for i := range inputs {
+				if inputs[i], err = sp.ParseInputs(sp.RotateInputs(c.n, rng.Intn(sp.NumVertices())), c.n); err != nil {
+					b.Fatal(err)
+				}
+			}
+			machines := make([]sim.Machine, c.n)
+			var rounds, msgs int
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cfg := sim.Config{N: c.n, MaxCorrupt: c.t, MaxRounds: sp.Rounds() + 2}
+				for p := range machines {
+					if machines[p], _, err = sp.NewMachine(c.n, c.t, sim.PartyID(p), inputs[i%pool][p]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if c.adversary != "" {
+					if cfg.Adversary, _, err = sp.BuildAdversary(c.adversary, c.n, c.t, 1); err != nil {
+						b.Fatal(err)
+					}
+				}
+				res, err := sim.Run(cfg, machines)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rounds, msgs = res.Rounds, res.Messages
+			}
+			b.ReportMetric(float64(rounds), "rounds")
+			b.ReportMetric(float64(msgs), "msgs")
 		})
 	}
 }

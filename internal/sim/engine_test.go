@@ -73,29 +73,87 @@ func (m *reuseMachine) Step(r int, inbox []Message) []Message {
 func (m *reuseMachine) Output() (any, bool) { return nil, m.done }
 
 // TestRunSteadyStateAllocs is the allocation regression guard for the
-// arena-style engine: once the mailboxes and scratch buffers have grown to
-// their steady-state sizes, extra rounds of a fixed traffic pattern must
-// not allocate. It measures whole executions at two round counts and
-// bounds the per-round difference.
+// arena-style engine: once the lanes, mailboxes and scratch buffers have
+// grown to their steady-state sizes, extra rounds of a fixed traffic pattern
+// must not allocate. It measures whole executions at two round counts and
+// bounds the per-round difference — honest (party 0 merges the lane with its
+// unicast mail, everyone else reads the lane), and beside corrupted senders
+// that unicast to every party (the adversary's view is rebuilt and all n
+// merge buffers are refilled every round).
 func TestRunSteadyStateAllocs(t *testing.T) {
 	const n, short, long = 8, 32, 96
-	runRounds := func(rounds int) func() {
-		return func() {
-			machines := make([]Machine, n)
-			for i := range machines {
-				machines[i] = &reuseMachine{rounds: rounds}
-			}
-			if _, err := Run(Config{N: n, MaxRounds: rounds + 2}, machines); err != nil {
-				t.Fatal(err)
+	for _, adversary := range []bool{false, true} {
+		runRounds := func(rounds int) func() {
+			return func() {
+				machines := make([]Machine, n)
+				for i := range machines {
+					machines[i] = &reuseMachine{rounds: rounds}
+				}
+				cfg := Config{N: n, MaxRounds: rounds + 2}
+				if adversary {
+					cfg.MaxCorrupt = 2
+					cfg.Adversary = &splitSender{n: n, t: 2}
+				}
+				if _, err := Run(cfg, machines); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
+		allocsShort := testing.AllocsPerRun(10, runRounds(short))
+		allocsLong := testing.AllocsPerRun(10, runRounds(long))
+		perRound := (allocsLong - allocsShort) / float64(long-short)
+		if perRound > 0.5 {
+			t.Errorf("adversary=%v: steady-state allocations: %.2f per round (short=%v, long=%v), want ~0",
+				adversary, perRound, allocsShort, allocsLong)
+		}
 	}
-	allocsShort := testing.AllocsPerRun(10, runRounds(short))
-	allocsLong := testing.AllocsPerRun(10, runRounds(long))
-	perRound := (allocsLong - allocsShort) / float64(long-short)
-	if perRound > 0.5 {
-		t.Errorf("steady-state allocations: %.2f per round (short=%v, long=%v), want ~0",
-			perRound, allocsShort, allocsLong)
+}
+
+// TestBroadcastInboxesShareOneArray pins what the lane buys: after an
+// all-broadcast round every party reads the same backing array, and after a
+// round with one unicast only its recipient reads a private merge.
+func TestBroadcastInboxesShareOneArray(t *testing.T) {
+	const n = 5
+	first := make([][3]*Message, n) // &inbox[0] per party in rounds 2, 3, 4
+	lens := make([][3]int, n)
+	machines := make([]Machine, n)
+	for i := range machines {
+		id := PartyID(i)
+		done := false
+		machines[i] = &funcMachine{
+			step: func(r int, inbox []Message) []Message {
+				if r >= 2 && r <= 4 {
+					first[id][r-2], lens[id][r-2] = &inbox[0], len(inbox)
+				}
+				if r == 4 {
+					done = true
+					return nil
+				}
+				out := []Message{{To: Broadcast, Payload: intPayload(r)}}
+				if r == 2 && id == 1 {
+					out = append(out, Message{To: 3, Payload: intPayload(99)})
+				}
+				return out
+			},
+			output: func() (any, bool) { return nil, done },
+		}
+	}
+	if _, err := Run(Config{N: n, MaxRounds: 5}, machines); err != nil {
+		t.Fatal(err)
+	}
+	for p := 1; p < n; p++ {
+		for k, round := range []int{2, 4} { // inboxes of the all-broadcast rounds 1 and 3
+			if first[p][2*k] != first[0][2*k] {
+				t.Errorf("round %d: party %d reads a copy of the lane, want party 0's array", round, p)
+			}
+		}
+		// Round 3 delivers round 2's traffic: n broadcasts, plus 1→3.
+		if shared := first[p][1] == first[0][1]; shared != (p != 3) {
+			t.Errorf("round 3: party %d shares party 0's array = %v, want %v", p, shared, p != 3)
+		}
+	}
+	if lens[3][1] != n+1 || lens[0][1] != n {
+		t.Errorf("round 3 inbox sizes: party 3 %d, party 0 %d, want %d and %d", lens[3][1], lens[0][1], n+1, n)
 	}
 }
 

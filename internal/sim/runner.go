@@ -31,7 +31,7 @@ func run(cfg Config, machines []Machine, step stepper) (*Result, error) {
 	}
 	e := newEngine(cfg)
 	corrupted := make(map[PartyID]bool)
-	omissionCount := 0
+	omissionCount := 0 // omission parties not (yet) Byzantine
 	var filter OutboxFilter
 	if cfg.Adversary != nil {
 		for _, p := range cfg.Adversary.Initial() {
@@ -62,7 +62,7 @@ func run(cfg Config, machines []Machine, step stepper) (*Result, error) {
 	res := &Result{Outputs: make(map[PartyID]any), Corrupted: corrupted}
 	done := make([]bool, cfg.N)
 	// corruptInbox is rebuilt (not reallocated) each round for the
-	// adversary; like the mailboxes it references, it is only valid for the
+	// adversary; like the inboxes it references, it is only valid for the
 	// duration of Adversary.Step.
 	var corruptInbox map[PartyID][]Message
 	if cfg.Adversary != nil {
@@ -70,150 +70,72 @@ func run(cfg Config, machines []Machine, step stepper) (*Result, error) {
 	}
 
 	for r := 1; r <= cfg.MaxRounds; r++ {
-		// Deliver round r-1's traffic: each mailbox sorted by sender.
-		for p := range e.cur {
-			e.sortMailbox(e.cur[p])
-		}
-
+		e.open() // deliver round r-1's traffic
 		e.refreshHonest()
-		step(r, e.honest, machines, e.cur, e.raw)
+		step(r, e.honest, machines, e.inboxes, e.raw)
 
-		roundMsgs, roundBytes := 0, 0
-		if cfg.Adversary == nil {
-			// Fast path: the network stamps origin and round and expands
-			// broadcasts straight into the recipient mailboxes — no
-			// intermediate concatenated slice exists.
-			for _, p := range e.honest {
-				for _, m := range e.raw[p] {
-					m.From, m.Round = p, r
-					if m.To == Broadcast {
-						for to := 0; to < e.n; to++ {
-							mm := m
-							mm.To = PartyID(to)
-							if e.tamperDeliver(cfg.Tamper, r, &mm) {
-								roundMsgs++
-								roundBytes += payloadSize(mm.Payload)
-							}
-						}
-						continue
-					}
-					if err := e.checkParty(m.To, "recipient"); err != nil {
-						return nil, err
-					}
-					if e.tamperDeliver(cfg.Tamper, r, &m) {
-						roundMsgs++
-						roundBytes += payloadSize(m.Payload)
-					}
-				}
+		// The rushing adversary moves after seeing the round's honest
+		// traffic; this block only builds that view and applies the
+		// corruptions it answers with — delivery is the one loop below.
+		var advOut []Message
+		var more []PartyID
+		if cfg.Adversary != nil {
+			if err := e.view(r, filter); err != nil {
+				return nil, err
 			}
-		} else {
-			// Rushing-adversary path: the expanded honest traffic must be
-			// materialized (the adversary observes it before choosing its
-			// own, and adaptive corruption may retract slices of it), so it
-			// is collected into a flat buffer reused across rounds.
-			// Omission-faulty parties' expanded sends pass through the
-			// adversary's filter.
-			e.honestOut = e.honestOut[:0]
-			for _, p := range e.honest {
-				start := len(e.honestOut)
-				for _, m := range e.raw[p] {
-					m.From, m.Round = p, r
-					if m.To == Broadcast {
-						for to := 0; to < e.n; to++ {
-							mm := m
-							mm.To = PartyID(to)
-							e.honestOut = append(e.honestOut, mm)
-						}
-						continue
-					}
-					if err := e.checkParty(m.To, "recipient"); err != nil {
-						return nil, err
-					}
-					e.honestOut = append(e.honestOut, m)
-				}
-				if filter != nil && e.omission[p] {
-					msgs := filter.FilterOutbox(r, p, e.honestOut[start:])
-					for i := range msgs {
-						if msgs[i].From != p {
-							return nil, fmt.Errorf("%w: omission filter forged sender %d", ErrForgedSender, msgs[i].From)
-						}
-						if err := e.checkParty(msgs[i].To, "recipient"); err != nil {
-							return nil, err
-						}
-					}
-					// msgs is a subset of (or aliases) the just-appended
-					// window, so this copy moves entries left, never right.
-					e.honestOut = append(e.honestOut[:start], msgs...)
-				}
-			}
-
 			clear(corruptInbox)
 			for p := range corrupted {
-				corruptInbox[p] = e.cur[p]
+				corruptInbox[p] = e.inboxes[p]
 			}
-			msgs, more := cfg.Adversary.Step(r, e.honestOut, corruptInbox)
+			advOut, more = cfg.Adversary.Step(r, e.honestOut, corruptInbox)
 			for _, p := range more {
 				if err := e.checkParty(p, "corrupted party"); err != nil {
 					return nil, err
 				}
+				if e.omission[p] { // Byzantine subsumes omission: count it once
+					e.omission[p] = false
+					omissionCount--
+				}
 				corrupted[p] = true
 				e.corrupted[p] = true
 			}
-			if len(corrupted) > cfg.MaxCorrupt {
-				return nil, fmt.Errorf("%w: %d corruptions at round %d, budget %d", ErrBudgetExceeded, len(corrupted), r, cfg.MaxCorrupt)
+			if len(corrupted)+omissionCount > cfg.MaxCorrupt {
+				return nil, fmt.Errorf("%w: %d corruptions at round %d, budget %d",
+					ErrBudgetExceeded, len(corrupted)+omissionCount, r, cfg.MaxCorrupt)
 			}
-			// Adaptive corruption retracts the just-produced messages of
-			// newly corrupted parties.
-			if len(more) > 0 {
-				kept := e.honestOut[:0]
-				for _, m := range e.honestOut {
-					if !e.corrupted[m.From] {
-						kept = append(kept, m)
-					}
-				}
-				e.honestOut = kept
-			}
-			for _, m := range msgs {
+			for _, m := range advOut {
 				if !corrupted[m.From] {
 					return nil, fmt.Errorf("%w: message from party %d at round %d", ErrForgedSender, m.From, r)
 				}
 			}
-			e.advOut = e.advOut[:0]
-			for _, m := range msgs {
-				m.Round = r
-				if m.To == Broadcast {
-					for to := 0; to < e.n; to++ {
-						mm := m
-						mm.To = PartyID(to)
-						e.advOut = append(e.advOut, mm)
-					}
-					continue
-				}
-				if err := e.checkParty(m.To, "recipient"); err != nil {
+		}
+
+		// Honest outboxes first, then the adversary's, sharing one
+		// rate-limit ledger. Skipping a party corrupted this round is the
+		// retraction of its just-produced messages.
+		e.msgs, e.bytes = 0, 0
+		for _, p := range e.honest {
+			if e.corrupted[p] {
+				continue
+			}
+			for _, m := range e.raw[p] {
+				m.From, m.Round = p, r
+				if err := e.route(m); err != nil {
 					return nil, err
 				}
-				e.advOut = append(e.advOut, m)
-			}
-			// Route both streams without concatenating them: honest traffic
-			// first, then the adversary's, sharing one rate-limit ledger.
-			for _, m := range e.honestOut {
-				if e.tamperDeliver(cfg.Tamper, r, &m) {
-					roundMsgs++
-					roundBytes += payloadSize(m.Payload)
-				}
-			}
-			for _, m := range e.advOut {
-				if e.tamperDeliver(cfg.Tamper, r, &m) {
-					roundMsgs++
-					roundBytes += payloadSize(m.Payload)
-				}
-			}
-			if len(more) > 0 {
-				e.refreshHonest()
 			}
 		}
-		res.Messages += roundMsgs
-		res.Bytes += roundBytes
+		for _, m := range advOut {
+			m.Round = r
+			if err := e.route(m); err != nil {
+				return nil, err
+			}
+		}
+		if len(more) > 0 {
+			e.refreshHonest()
+		}
+		res.Messages += e.msgs
+		res.Bytes += e.bytes
 		res.Rounds = r
 
 		var newlyDone []PartyID
@@ -232,7 +154,7 @@ func run(cfg Config, machines []Machine, step stepper) (*Result, error) {
 		}
 		if cfg.Trace != nil {
 			cfg.Trace.Rounds = append(cfg.Trace.Rounds, TraceRound{
-				Round: r, Messages: roundMsgs, Bytes: roundBytes, NewlyDone: newlyDone,
+				Round: r, Messages: e.msgs, Bytes: e.bytes, NewlyDone: newlyDone,
 			})
 		}
 		if allDone {

@@ -29,7 +29,7 @@ const Broadcast PartyID = -1
 // channels: the adversary cannot forge origins.
 type Message struct {
 	From    PartyID
-	To      PartyID // may be Broadcast when produced; expanded on delivery
+	To      PartyID // the recipient, or Broadcast — when produced and when delivered alike
 	Round   int     // round in which the message was sent
 	Payload any
 }
@@ -67,11 +67,14 @@ func UvarintLen(x uint64) int {
 // Machine is a deterministic, synchronous protocol state machine for one
 // party. The driver calls Step once per round r = 1, 2, ...; inbox holds the
 // messages sent to this party in round r-1 (sorted by sender). Step returns
-// the messages this party sends in round r. Machines must not retain inbox
-// slices and must not share mutable state with other machines. The driver
-// finishes with the returned slice before the next Step call, so a machine
-// may reuse a single outbox buffer across rounds (message *payloads* are
-// shared with recipients and must still be immutable once returned).
+// the messages this party sends in round r. The inbox is read-only as well
+// as not to be retained: a round's broadcasts are delivered once, in one
+// array every party's inbox shares, so a delivered message's To is this
+// party or Broadcast. Machines must not share mutable state with other
+// machines. The driver finishes with the returned slice before the next Step
+// call, so a machine may reuse a single outbox buffer across rounds (message
+// *payloads* are shared with recipients and must still be immutable once
+// returned).
 type Machine interface {
 	// Step advances the machine to round r and returns its outgoing messages.
 	Step(r int, inbox []Message) []Message
@@ -96,9 +99,11 @@ type Adversary interface {
 	// together with any new corruptions. honestOut is the round-r traffic of
 	// currently honest parties; corruptInbox holds the messages delivered
 	// this round to each corrupted party. Both views are backed by buffers
-	// the driver reuses across rounds: an adversary may read them freely
-	// during the call but must not retain or mutate them (copy message
-	// values out instead, as the built-in strategies do).
+	// the driver reuses across rounds — and a corrupted party's inbox, like
+	// a Machine's, may be the array the honest parties are reading (To is
+	// the party or Broadcast): an adversary may read them freely during the
+	// call but must not retain or mutate them (copy message values out
+	// instead, as the built-in strategies do).
 	Step(r int, honestOut []Message, corruptInbox map[PartyID][]Message) (out []Message, corruptMore []PartyID)
 }
 

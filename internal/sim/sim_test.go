@@ -400,6 +400,45 @@ func TestOmissionCountsTowardBudget(t *testing.T) {
 	}
 }
 
+// promoter is an OutboxFilter whose omission party is 1 (it drops nothing)
+// and that adaptively corrupts `more` at round 2.
+type promoter struct{ more []PartyID }
+
+func (a *promoter) Initial() []PartyID { return nil }
+func (a *promoter) Step(r int, _ []Message, _ map[PartyID][]Message) ([]Message, []PartyID) {
+	if r == 2 {
+		return nil, a.more
+	}
+	return nil, nil
+}
+func (a *promoter) OmissionParties() []PartyID { return []PartyID{1} }
+func (a *promoter) FilterOutbox(_ int, _ PartyID, msgs []Message) []Message {
+	return msgs
+}
+
+// TestAdaptiveCorruptionCountsOmissionParties pins that the per-round budget
+// check counts corrupted ∪ omission, like the initial one: with an omission
+// party on the books, adaptive corruption has one slot fewer — and promoting
+// the omission party itself to Byzantine uses no new slot.
+func TestAdaptiveCorruptionCountsOmissionParties(t *testing.T) {
+	cfg := func(more ...PartyID) Config {
+		return Config{N: 4, MaxRounds: 6, MaxCorrupt: 1, Adversary: &promoter{more: more}}
+	}
+	if _, err := Run(cfg(2), maxMachines([]int{1, 2, 3, 4}, 2)); !errors.Is(err, ErrBudgetExceeded) {
+		t.Errorf("omission party 1 + adaptive corruption of 2 with budget 1: err = %v, want ErrBudgetExceeded", err)
+	}
+	res, err := Run(cfg(1), maxMachines([]int{1, 2, 3, 4}, 2))
+	if err != nil {
+		t.Fatalf("promoting the omission party to Byzantine stays within budget: %v", err)
+	}
+	if !res.Corrupted[1] || len(res.Corrupted) != 1 {
+		t.Errorf("corrupted = %v, want {1}", res.Corrupted)
+	}
+	if _, ok := res.Outputs[1]; ok {
+		t.Error("promoted party should have no recorded output")
+	}
+}
+
 func TestOmissionByzantineOverlapRejected(t *testing.T) {
 	ms := maxMachines([]int{1, 2, 3}, 1)
 	if _, err := Run(Config{N: 3, MaxRounds: 4, MaxCorrupt: 2, Adversary: &omitAll{both: true}}, ms); err == nil {
