@@ -211,9 +211,13 @@ fuzz-short:
 # evaluation, plus the fixed differential matrix under the race detector.
 # Async-compatible cells additionally run through the event-driven runtime
 # under every adversarial scheduler (-async-every). Any violation prints a
-# shrunk one-line repro spec and fails the target.
+# shrunk one-line repro spec and fails the target. Every generated cell with
+# t <= 1 is also held to the one-fault collapse (all honest decisions equal);
+# the second line runs that lemma's exactness tests, the open Finding F-B
+# and the schedule pinned by t under the race detector.
 prop:
 	$(GO) test -race -count=1 -run 'Differential|Async' ./internal/check/
+	$(GO) test -race -count=1 -run 'OneFault|FindingFB|ScheduleByT' ./internal/realaa ./internal/adversary ./internal/core
 	$(GO) run ./cmd/check -budget 100 -seeds 1-3 -async-every 4
 
 # Block-graph property gate: the graph machine/decomposition suites under the

@@ -54,11 +54,11 @@ func BenchmarkE1RealAARounds(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					rounds = 3*realaa.Iterations(d, 1) + 1
+					rounds = 3*realaa.Iterations(t, d, 1) + 1
 					_ = outputs
 				}
 				b.ReportMetric(float64(rounds), "rounds")
-				b.ReportMetric(float64(realaa.Rounds(d, 1)), "theoryR_RealAA")
+				b.ReportMetric(float64(realaa.Rounds(t, d, 1)), "theoryR_RealAA")
 			})
 		}
 	}
@@ -74,7 +74,7 @@ func BenchmarkE1RealAABatch(b *testing.B) {
 	ds := []float64{10, 100, 1e4, 1e6}
 	cfgs := make([]sim.Config, len(ds))
 	for i, d := range ds {
-		cfgs[i] = sim.Config{N: n, MaxCorrupt: t, MaxRounds: 3*realaa.Iterations(d, 1) + 2}
+		cfgs[i] = sim.Config{N: n, MaxCorrupt: t, MaxRounds: 3*realaa.Iterations(t, d, 1) + 2}
 	}
 	machinesFor := func(i int) []sim.Machine {
 		d := ds[i]
@@ -86,7 +86,7 @@ func BenchmarkE1RealAABatch(b *testing.B) {
 		for p := 0; p < n; p++ {
 			m, err := realaa.NewMachine(realaa.Config{
 				N: n, T: t, ID: sim.PartyID(p), Tag: "real", StartRound: 1,
-				Input: inputs[p], Iterations: realaa.Iterations(d, 1),
+				Input: inputs[p], Iterations: realaa.Iterations(t, d, 1),
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -116,7 +116,7 @@ func BenchmarkE1ConvergenceUnderSplitVote(b *testing.B) {
 				// splitter by coincidence of trimmed windows.
 				inputs[i] = float64((i*37 + 13) % 101)
 			}
-			iters := realaa.Iterations(100, 1)
+			iters := realaa.Iterations(t, 100, 1)
 			var divergent int
 			for i := 0; i < b.N; i++ {
 				ids := adversary.FirstParties(n, t)
@@ -219,7 +219,7 @@ func BenchmarkE4DetectVsNoDetect(b *testing.B) {
 			}
 			conv = measured(histories, 3)
 		}
-		b.ReportMetric(float64(3*realaa.Iterations(d, 1)+1), "budget_rounds")
+		b.ReportMetric(float64(3*realaa.Iterations(t, d, 1)+1), "budget_rounds")
 		b.ReportMetric(conv, "measured_rounds")
 	})
 	b.Run("DLPSW", func(b *testing.B) {

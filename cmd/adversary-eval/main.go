@@ -1,4 +1,4 @@
-// Command adversary-eval regenerates experiments E1, E4 and E6: it runs the
+// Command adversary-eval regenerates experiments E1, E1b, E4 and E6: it runs the
 // real-valued protocols (RealAA with gradecast detection, DLPSW without)
 // and full TreeAA under every adversary strategy, reporting correctness
 // (validity + agreement), measured convergence, and the detection ablation.
@@ -35,6 +35,7 @@ func run(n, t int, d float64, spec string, seed int64, csv bool) error {
 		return err
 	}
 	e1Tab := experiments.E1Table(e1rows)
+	e1bTab := experiments.E1bRoundsByT([]int{0, 1, 2, 5}, []float64{10, 1e2, 1e4, 1e6})
 
 	ablation, err := experiments.E4DetectAblation(n, t, d)
 	if err != nil {
@@ -57,6 +58,10 @@ func run(n, t int, d float64, spec string, seed int64, csv bool) error {
 			return err
 		}
 		fmt.Println()
+		if err := e1bTab.WriteCSV(os.Stdout); err != nil {
+			return err
+		}
+		fmt.Println()
 		if err := realTab.WriteCSV(os.Stdout); err != nil {
 			return err
 		}
@@ -65,6 +70,10 @@ func run(n, t int, d float64, spec string, seed int64, csv bool) error {
 	}
 	fmt.Printf("E1 — RealAA fixed schedule vs Theorem 3 formula: n=%d t=%d eps=1\n\n", n, t)
 	fmt.Print(e1Tab.String())
+	fmt.Println()
+	fmt.Println("E1b — RealAA schedule rounds by fault budget t (t <= 1: one-fault collapse; t >= 2: Theorem 3 + margin)")
+	fmt.Println()
+	fmt.Print(e1bTab.String())
 	fmt.Println()
 	fmt.Printf("E4 — detection ablation on real values: n=%d t=%d D=%g eps=1\n", n, t, d)
 	fmt.Println("(budget = fixed worst-case rounds; measured = rounds until honest range <= eps under attack)")

@@ -20,8 +20,8 @@ import (
 
 func main() {
 	var (
-		nFlag     = flag.Int("n", 4, "number of parties")
-		tFlag     = flag.Int("t", 1, "Byzantine budget")
+		nFlag     = flag.Int("n", 7, "number of parties")
+		tFlag     = flag.Int("t", 2, "Byzantine budget (the Theorem 4 shape needs t >= 2: rounds are constant below)")
 		csv       = flag.Bool("csv", false, "emit CSV instead of an aligned table")
 		family    = flag.String("family", "all", "path|caterpillar|spider|kary|random|all")
 		sizes     = flag.String("sizes", "64,256,1024,4096", "comma-separated vertex counts")

@@ -28,6 +28,7 @@ import (
 	"strings"
 
 	"treeaa/internal/cli"
+	"treeaa/internal/core"
 	"treeaa/internal/overlay"
 	"treeaa/internal/sim"
 	"treeaa/internal/transport"
@@ -87,15 +88,16 @@ func run(n, t int, spaceSpec, treeSpec, inputSpec, advName string, seed int64, q
 		return fmt.Errorf("unknown transport %q (have mem, tcp, tree[:branching])", transName)
 	}
 
+	budget := core.Rounds(sp.ProtocolTree(), t)
 	if sp.IsGraph() {
 		g := sp.Graph
 		fmt.Printf("GraphAA: n=%d t=%d |V|=%d |E|=%d blocks=%d D=%d blockcut=%d nodes budget=%d rounds blockgraph=%v\n",
 			n, t, g.NumVertices(), g.NumEdges(), len(g.Blocks()), g.Diameter(),
-			g.BlockCutTree().NumVertices(), sp.Rounds(), g.IsBlockGraph())
+			g.BlockCutTree().NumVertices(), budget, g.IsBlockGraph())
 	} else {
 		d, _, _ := sp.Tree.Diameter()
 		fmt.Printf("TreeAA: n=%d t=%d |V|=%d D=%d budget=%d rounds\n",
-			n, t, sp.NumVertices(), d, sp.Rounds())
+			n, t, sp.NumVertices(), d, budget)
 	}
 	if !quiet {
 		fmt.Println()

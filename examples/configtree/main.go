@@ -51,7 +51,7 @@ func main() {
 	adv := &adversary.Compose{Strategies: []sim.Adversary{
 		&adversary.GradecastEquivocator{IDs: ids, N: n, Tag: core.TagPathsFinder, Lo: -50, Hi: 500},
 		&adversary.RandomNoise{IDs: ids, N: n, Tag: core.TagProjection,
-			StartRound: core.PathsFinderRounds(releases) + 1, Seed: 7, MaxVal: 40},
+			StartRound: core.PathsFinderRounds(releases, t) + 1, Seed: 7, MaxVal: 40},
 	}}
 
 	res, err := core.Run(releases, n, t, inputs, adv)

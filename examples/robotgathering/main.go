@@ -50,7 +50,7 @@ func main() {
 	adv := &adversary.Compose{Strategies: []sim.Adversary{
 		&adversary.SplitVote{IDs: ids, N: n, T: t, Tag: core.TagPathsFinder, PerIteration: 1},
 		&adversary.SplitVote{IDs: ids, N: n, T: t, Tag: core.TagProjection,
-			StartRound: core.PathsFinderRounds(warehouse) + 1, PerIteration: 1},
+			StartRound: core.PathsFinderRounds(warehouse, t) + 1, PerIteration: 1},
 	}}
 
 	res, err := core.Run(warehouse, n, t, inputs, adv)

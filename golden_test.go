@@ -36,7 +36,7 @@ func TestGoldenExecution(t *testing.T) {
 	adv := &adversary.Compose{Strategies: []sim.Adversary{
 		&adversary.SplitVote{IDs: ids, N: n, T: tc, Tag: core.TagPathsFinder, PerIteration: 1},
 		&adversary.RandomNoise{IDs: ids, N: n, Tag: core.TagProjection,
-			StartRound: core.PathsFinderRounds(tr) + 1, Seed: 7, MaxVal: 16},
+			StartRound: core.PathsFinderRounds(tr, tc) + 1, Seed: 7, MaxVal: 16},
 	}}
 	machines := make([]sim.Machine, n)
 	for i := 0; i < n; i++ {
@@ -48,7 +48,7 @@ func TestGoldenExecution(t *testing.T) {
 	}
 	var trace sim.Trace
 	res, err := sim.Run(sim.Config{
-		N: n, MaxCorrupt: tc, MaxRounds: core.Rounds(tr) + 2,
+		N: n, MaxCorrupt: tc, MaxRounds: core.Rounds(tr, tc) + 2,
 		Adversary: adv, Trace: &trace,
 	}, machines)
 	if err != nil {

@@ -81,19 +81,19 @@ func treeAAStrategies() []strategyFactory {
 		}},
 		{"equivocator-all-phases", func(tr *tree.Tree, n, t int, _ int64) sim.Adversary {
 			ids := adversary.FirstParties(n, t)
-			return composePhases(tr, func(p core.PhaseTag, _ int) sim.Adversary {
+			return composePhases(tr, t, func(p core.PhaseTag, _ int) sim.Adversary {
 				return &adversary.GradecastEquivocator{IDs: ids, N: n, Tag: p.Tag, StartRound: p.StartRound, Lo: -99, Hi: 9e5}
 			})
 		}},
 		{"splitvote-all-phases", func(tr *tree.Tree, n, t int, _ int64) sim.Adversary {
 			ids := adversary.FirstParties(n, t)
-			return composePhases(tr, func(p core.PhaseTag, _ int) sim.Adversary {
+			return composePhases(tr, t, func(p core.PhaseTag, _ int) sim.Adversary {
 				return &adversary.SplitVote{IDs: ids, N: n, T: t, Tag: p.Tag, StartRound: p.StartRound, PerIteration: 1}
 			})
 		}},
 		{"halfburn-all-phases", func(tr *tree.Tree, n, t int, _ int64) sim.Adversary {
 			ids := adversary.FirstParties(n, t)
-			return composePhases(tr, func(p core.PhaseTag, _ int) sim.Adversary {
+			return composePhases(tr, t, func(p core.PhaseTag, _ int) sim.Adversary {
 				return &adversary.HalfBurn{IDs: ids, N: n, T: t, Tag: p.Tag, StartRound: p.StartRound}
 			})
 		}},
@@ -102,7 +102,7 @@ func treeAAStrategies() []strategyFactory {
 		}},
 		{"noise", func(tr *tree.Tree, n, t int, seed int64) sim.Adversary {
 			ids := adversary.FirstParties(n, t)
-			return composePhases(tr, func(p core.PhaseTag, k int) sim.Adversary {
+			return composePhases(tr, t, func(p core.PhaseTag, k int) sim.Adversary {
 				return &adversary.RandomNoise{IDs: ids, N: n, Tag: p.Tag, StartRound: p.StartRound, Seed: seed + int64(1000*k), MaxVal: 2 * tr.NumVertices()}
 			})
 		}},
@@ -110,9 +110,9 @@ func treeAAStrategies() []strategyFactory {
 }
 
 // composePhases builds one sub-strategy per active protocol phase.
-func composePhases(tr *tree.Tree, mk func(p core.PhaseTag, k int) sim.Adversary) sim.Adversary {
+func composePhases(tr *tree.Tree, t int, mk func(p core.PhaseTag, k int) sim.Adversary) sim.Adversary {
 	var parts []sim.Adversary
-	for k, p := range core.PhaseTags(tr) {
+	for k, p := range core.PhaseTags(tr, t) {
 		parts = append(parts, mk(p, k))
 	}
 	return &adversary.Compose{Strategies: parts}
@@ -150,7 +150,7 @@ func TestIntegrationTreeAAMatrix(t *testing.T) {
 						t.Fatal(err)
 					}
 					assertAA(t, tr, inputs, corrupt, res.Outputs, name)
-					if budget := core.Rounds(tr) + 2; res.Rounds > budget {
+					if budget := core.Rounds(tr, tc) + 2; res.Rounds > budget {
 						t.Errorf("%s: %d rounds exceeds budget %d", name, res.Rounds, budget)
 					}
 				})
@@ -198,7 +198,7 @@ func TestIntegrationConcurrentDriverMatrix(t *testing.T) {
 				}
 				machines[i] = m
 			}
-			res, err := sim.RunConcurrent(sim.Config{N: n, MaxCorrupt: tc, MaxRounds: core.Rounds(tr) + 2}, machines)
+			res, err := sim.RunConcurrent(sim.Config{N: n, MaxCorrupt: tc, MaxRounds: core.Rounds(tr, tc) + 2}, machines)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -274,7 +274,7 @@ func TestIntegrationLargeScale(t *testing.T) {
 	adv := &adversary.Compose{Strategies: []sim.Adversary{
 		&adversary.SplitVote{IDs: adversary.FirstParties(n, tc), N: n, T: tc, Tag: core.TagPathsFinder, PerIteration: 2},
 		&adversary.SplitVote{IDs: adversary.FirstParties(n, tc), N: n, T: tc, Tag: core.TagProjection,
-			StartRound: core.PathsFinderRounds(tr) + 1, PerIteration: 2},
+			StartRound: core.PathsFinderRounds(tr, tc) + 1, PerIteration: 2},
 	}}
 	res, err := core.Run(tr, n, tc, inputs, adv)
 	if err != nil {
@@ -324,7 +324,7 @@ func TestIntegrationLargeHalfBurn(t *testing.T) {
 	for _, id := range ids {
 		corrupt[id] = true
 	}
-	adv := composePhases(tr, func(p core.PhaseTag, _ int) sim.Adversary {
+	adv := composePhases(tr, tc, func(p core.PhaseTag, _ int) sim.Adversary {
 		return &adversary.HalfBurn{IDs: ids, N: n, T: tc, Tag: p.Tag, StartRound: p.StartRound}
 	})
 	res, err := core.Run(tr, n, tc, inputs, adv)

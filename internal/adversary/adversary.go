@@ -17,6 +17,9 @@
 //   - HalfBurn: SplitVote's seed plus sustained grade-2/grade-1 half-burns
 //     — the attack that defeated naive local blacklisting and motivated the
 //     global-exclusion repair (EXPERIMENTS.md, Finding F-A).
+//   - ExclusionSplit: splits a suspicion mask so that the exclusion set
+//     itself diverges — the open Finding F-B against that repair for t >= 2.
+//     Not reachable through Build.
 //
 // Strategies are protocol-aware where useful: the gradecast-level attackers
 // craft well-formed gradecast payloads (including the parallel suspicion

@@ -65,7 +65,7 @@ func TestSilentPreservesAA(t *testing.T) {
 	n, tc := 7, 2
 	inputs := []float64{0, 100, 50, 25, 75, 0, 0}
 	ids := FirstParties(n, tc)
-	machines := runRealAA(t, n, tc, inputs, realaa.Iterations(100, 1), &Silent{IDs: ids})
+	machines := runRealAA(t, n, tc, inputs, realaa.Iterations(tc, 100, 1), &Silent{IDs: ids})
 	corrupt := corruptSet(ids)
 	if r := honestValueRange(machines, corrupt, len(machines[0].History())-1); r > 1 {
 		t.Errorf("final honest range = %v, want <= 1", r)
@@ -76,7 +76,7 @@ func TestCrashAtAdaptive(t *testing.T) {
 	n, tc := 7, 2
 	inputs := []float64{0, 100, 50, 25, 75, 60, 40}
 	adv := &CrashAt{IDs: []sim.PartyID{5, 6}, Rounds: []int{2, 4}}
-	machines := runRealAA(t, n, tc, inputs, realaa.Iterations(100, 1), adv)
+	machines := runRealAA(t, n, tc, inputs, realaa.Iterations(tc, 100, 1), adv)
 	corrupt := corruptSet([]sim.PartyID{5, 6})
 	if r := honestValueRange(machines, corrupt, len(machines[0].History())-1); r > 1 {
 		t.Errorf("final honest range = %v, want <= 1", r)
@@ -88,7 +88,7 @@ func TestGradecastEquivocatorBurnedAfterOneIteration(t *testing.T) {
 	inputs := []float64{0, 100, 50, 25, 75, 0, 0}
 	ids := FirstParties(n, tc)
 	adv := &GradecastEquivocator{IDs: ids, N: n, Tag: "real", Lo: -1e6, Hi: 1e6}
-	machines := runRealAA(t, n, tc, inputs, realaa.Iterations(100, 1), adv)
+	machines := runRealAA(t, n, tc, inputs, realaa.Iterations(tc, 100, 1), adv)
 	corrupt := corruptSet(ids)
 	// Detection: every honest party blacklists both equivocators after
 	// iteration 1.
@@ -113,7 +113,7 @@ func TestSplitVoteCreatesDivergence(t *testing.T) {
 	inputs := []float64{0, 100, 50, 25, 75, 0, 0}
 	ids := FirstParties(n, tc)
 	adv := &SplitVote{IDs: ids, N: n, T: tc, Tag: "real", PerIteration: 2}
-	iters := realaa.Iterations(100, 1)
+	iters := realaa.Iterations(tc, 100, 1)
 	machines := runRealAA(t, n, tc, inputs, iters, adv)
 	corrupt := corruptSet(ids)
 	// Without an adversary RealAA converges exactly in one iteration; the
@@ -146,7 +146,7 @@ func TestSplitVoteSpreadBudget(t *testing.T) {
 	inputs := []float64{0, 100, 50, 25, 75, 60, 40, 0, 0, 0}
 	ids := FirstParties(n, tc)
 	adv := &SplitVote{IDs: ids, N: n, T: tc, Tag: "real", PerIteration: 1}
-	iters := realaa.Iterations(100, 1)
+	iters := realaa.Iterations(tc, 100, 1)
 	machines := runRealAA(t, n, tc, inputs, iters, adv)
 	corrupt := corruptSet(ids)
 	divergent := 0
@@ -223,7 +223,7 @@ func TestRandomNoisePreservesAA(t *testing.T) {
 	ids := FirstParties(n, tc)
 	for seed := int64(0); seed < 10; seed++ {
 		adv := &RandomNoise{IDs: ids, N: n, Tag: "real", Seed: seed}
-		machines := runRealAA(t, n, tc, inputs, realaa.Iterations(100, 1), adv)
+		machines := runRealAA(t, n, tc, inputs, realaa.Iterations(tc, 100, 1), adv)
 		corrupt := corruptSet(ids)
 		if r := honestValueRange(machines, corrupt, len(machines[0].History())-1); r > 1 {
 			t.Errorf("seed %d: final honest range = %v, want <= 1", seed, r)
@@ -249,7 +249,7 @@ func TestCompose(t *testing.T) {
 	if got := adv.Initial(); len(got) != 2 {
 		t.Fatalf("Initial = %v, want two parties", got)
 	}
-	machines := runRealAA(t, n, tc, inputs, realaa.Iterations(100, 1), adv)
+	machines := runRealAA(t, n, tc, inputs, realaa.Iterations(tc, 100, 1), adv)
 	corrupt := corruptSet([]sim.PartyID{5, 6})
 	if r := honestValueRange(machines, corrupt, len(machines[0].History())-1); r > 1 {
 		t.Errorf("final honest range = %v, want <= 1", r)

@@ -95,7 +95,7 @@ func TestComposeOmission(t *testing.T) {
 	}
 
 	inputs := []float64{0, 100, 50, 25, 75, 60, 0}
-	machines := runRealAA(t, n, tc, inputs, realaa.Iterations(100, 1), adv)
+	machines := runRealAA(t, n, tc, inputs, realaa.Iterations(tc, 100, 1), adv)
 	corrupt := corruptSet([]sim.PartyID{5, 6}) // omission party carries no guarantees
 	if r := honestValueRange(machines, corrupt, len(machines[0].History())-1); r > 1 {
 		t.Errorf("final honest range = %v, want <= 1", r)

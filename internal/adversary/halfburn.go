@@ -1,7 +1,6 @@
 package adversary
 
 import (
-	"math"
 	"sort"
 
 	"treeaa/internal/gradecast"
@@ -100,48 +99,25 @@ func (a *HalfBurn) Step(r int, honestOut []sim.Message, _ map[sim.PartyID][]sim.
 
 // honestMin reads the minimum honest send-phase value for iter (rushing).
 func (a *HalfBurn) honestMin(honestOut []sim.Message, iter int) (float64, bool) {
-	lo, ok := math.Inf(1), false
-	seen := make(map[sim.PartyID]bool)
-	for _, m := range honestOut {
-		if p, pok := m.Payload.(gradecast.SendMsg); pok && p.Tag == a.Tag && p.Iter == iter && !seen[m.From] {
-			seen[m.From] = true
-			lo = math.Min(lo, p.Val)
-			ok = true
-		}
+	vals := honestSends(honestOut, a.Tag, iter)
+	if len(vals) == 0 {
+		return 0, false
 	}
-	return lo, ok
+	return vals[sortedByValue(vals)[0]], true
 }
 
 // stage fixes the value, booster, receivers and group A from the live
 // honest traffic and emits the iteration-1 sends of both split kinds.
 func (a *HalfBurn) stage(honestOut []sim.Message) []sim.Message {
-	vals := make(map[sim.PartyID]float64)
-	for _, m := range honestOut {
-		if p, ok := m.Payload.(gradecast.SendMsg); ok && p.Tag == a.Tag && p.Iter == 1 {
-			if _, seen := vals[m.From]; !seen {
-				vals[m.From] = p.Val
-			}
-		}
-	}
+	vals := honestSends(honestOut, a.Tag, 1)
 	if len(vals) == 0 {
 		return nil
 	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	var honest []sim.PartyID
-	for p, v := range vals {
-		honest = append(honest, p)
-		lo = math.Min(lo, v)
-		hi = math.Max(hi, v)
-	}
+	honest := sortedByValue(vals)
+	lo, hi := vals[honest[0]], vals[honest[len(honest)-1]]
 	if hi == lo {
 		return nil // nothing to stretch
 	}
-	sort.Slice(honest, func(i, j int) bool {
-		if vals[honest[i]] != vals[honest[j]] {
-			return vals[honest[i]] < vals[honest[j]]
-		}
-		return honest[i] < honest[j]
-	})
 	recv := a.N - 2*a.T
 	if recv > len(honest) {
 		recv = len(honest)

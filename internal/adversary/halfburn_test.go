@@ -30,7 +30,7 @@ func TestHalfBurnSustainsDivergenceButConverges(t *testing.T) {
 			ids := FirstParties(cfg.n, cfg.t)
 			corrupt := corruptSet(ids)
 			adv := &HalfBurn{IDs: ids, N: cfg.n, T: cfg.t, Tag: "real"}
-			iters := realaa.Iterations(cfg.d, 1)
+			iters := realaa.Iterations(cfg.t, cfg.d, 1)
 			machines := runRealAA(t, cfg.n, cfg.t, inputs, iters, adv)
 			histories := make(map[sim.PartyID][]float64)
 			for i, m := range machines {

@@ -14,7 +14,7 @@ func TestReplayDoesNotBreakAA(t *testing.T) {
 	corrupt := corruptSet(ids)
 	for _, delay := range []int{1, 3, 6} {
 		adv := &Replay{IDs: ids, Delay: delay}
-		machines := runRealAA(t, n, tc, inputs, realaa.Iterations(100, 1), adv)
+		machines := runRealAA(t, n, tc, inputs, realaa.Iterations(tc, 100, 1), adv)
 		if r := honestValueRange(machines, corrupt, len(machines[0].History())-1); r > 1 {
 			t.Errorf("delay %d: final honest range = %v, want <= 1", delay, r)
 		}
@@ -39,7 +39,7 @@ func TestFrameHonestCannotBlacklistHonestLeaders(t *testing.T) {
 	ids := FirstParties(n, tc)
 	corrupt := corruptSet(ids)
 	adv := &FrameHonest{IDs: ids, N: n, Tag: "real", Fake: 12345}
-	machines := runRealAA(t, n, tc, inputs, realaa.Iterations(100, 1), adv)
+	machines := runRealAA(t, n, tc, inputs, realaa.Iterations(tc, 100, 1), adv)
 	for i, m := range machines {
 		if corrupt[sim.PartyID(i)] {
 			continue

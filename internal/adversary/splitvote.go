@@ -105,14 +105,7 @@ func (a *SplitVote) honestParties() []sim.PartyID {
 func (a *SplitVote) sendPhase(iter int, honestOut []sim.Message) []sim.Message {
 	a.pending = nil
 	// Rushing: read the live honest values for this iteration.
-	vals := make(map[sim.PartyID]float64)
-	for _, m := range honestOut {
-		if p, ok := m.Payload.(gradecast.SendMsg); ok && p.Tag == a.Tag && p.Iter == iter {
-			if _, seen := vals[m.From]; !seen {
-				vals[m.From] = p.Val
-			}
-		}
-	}
+	vals := honestSends(honestOut, a.Tag, iter)
 	if len(vals) == 0 {
 		return nil
 	}

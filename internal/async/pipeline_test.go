@@ -121,7 +121,7 @@ func TestAsyncMatchesSyncOnQuietNet(t *testing.T) {
 				}
 				syncMachines[i] = m
 			}
-			want, err := sim.Run(sim.Config{N: n, MaxRounds: core.Rounds(tr) + 2}, syncMachines)
+			want, err := sim.Run(sim.Config{N: n, MaxRounds: core.Rounds(tr, 0) + 2}, syncMachines)
 			if err != nil {
 				t.Fatalf("%s seed %d: sync oracle: %v", shape, seed, err)
 			}

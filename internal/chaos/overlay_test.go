@@ -46,7 +46,7 @@ func TestOverlayInteriorCrash(t *testing.T) {
 		return ms
 	}
 
-	cfg := sim.Config{N: n, MaxCorrupt: tcorrupt, MaxRounds: core.Rounds(tr) + 2}
+	cfg := sim.Config{N: n, MaxCorrupt: tcorrupt, MaxRounds: core.Rounds(tr, tcorrupt) + 2}
 	want, err := sim.Run(cfg, machines())
 	if err != nil {
 		t.Fatal(err)

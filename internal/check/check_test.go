@@ -5,6 +5,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"treeaa/internal/core"
+	"treeaa/internal/sim"
 )
 
 func TestSpecRoundTrip(t *testing.T) {
@@ -236,4 +239,50 @@ func parseInt(s string) (int, error) {
 		n = n*10 + int(r-'0')
 	}
 	return n, nil
+}
+
+// TestCollapseInvariantBites: checkCollapse must flag a t <= 1 execution
+// whose honest decisions are 1-close but not equal (what the t >= 2 guarantee
+// alone would allow), stay silent on the real run, on t >= 2 and on trivial
+// spaces. The disagreeing decision is borrowed from a second run of the same
+// cell shape with every input moved to the far end of the path.
+func TestCollapseInvariantBites(t *testing.T) {
+	run := func(spec string) (*compiled, []*core.Machine) {
+		t.Helper()
+		cr, err := compile(MustParse(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := cr.config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms, cores, _, err := cr.machines(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sim.Run(cfg, ms); err != nil {
+			t.Fatal(err)
+		}
+		return cr, cores
+	}
+	cr, cores := run("s=1;tree=path:8;n=4;t=1;in=0.1.0.1;adv=splitvote(per=1)")
+	honest := cr.honestParties()
+	if got := cr.checkCollapse(honest, cores); len(got) != 0 {
+		t.Fatalf("clean t = 1 run flagged: %v", got)
+	}
+	_, other := run("s=1;tree=path:8;n=4;t=1;in=1.2.1.2;adv=splitvote(per=1)")
+	mixed := append([]*core.Machine{other[0]}, cores[1:]...)
+	got := cr.checkCollapse(honest, mixed)
+	if len(got) == 0 || got[0].Invariant != "collapse" {
+		t.Fatalf("disagreeing honest decisions not flagged: %v", got)
+	}
+	cr.cell.T = 2
+	if got := cr.checkCollapse(honest, mixed); len(got) != 0 {
+		t.Errorf("t = 2 is not bound by the collapse: %v", got)
+	}
+	trivial, tcores := run("s=1;tree=path:2;n=4;t=1;in=0.1.0.1")
+	if got := trivial.checkCollapse(trivial.honestParties(), tcores); len(got) != 0 {
+		t.Errorf("trivial space flagged: %v", got)
+	}
 }

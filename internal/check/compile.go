@@ -138,7 +138,7 @@ func compile(c *Cell) (*compiled, error) {
 func (cr *compiled) adversary() (sim.Adversary, error) {
 	var parts []sim.Adversary
 	hasFilter := false
-	phases := core.PhaseTags(cr.tr)
+	phases := core.PhaseTags(cr.tr, cr.cell.T)
 	for k, cl := range cr.cell.Clauses {
 		if isTamperClause(cl.Name) {
 			continue
@@ -337,6 +337,11 @@ func (cr *compiled) machines(probe bool) (ms []sim.Machine, cores []*core.Machin
 	return ms, cores, probes, nil
 }
 
+// budget is the cell's round budget: the schedule of its own fault budget
+// (not the ceiling over all t) plus the two processing rounds, so a t <= 1
+// cell that overran the collapsed schedule is a violation.
+func (cr *compiled) budget() int { return core.Rounds(cr.tr, cr.cell.T) + 2 }
+
 // config assembles the sim.Config for one run with fresh adversary and
 // tamper instances.
 func (cr *compiled) config() (sim.Config, error) {
@@ -346,7 +351,7 @@ func (cr *compiled) config() (sim.Config, error) {
 	}
 	return sim.Config{
 		N: cr.cell.N, MaxCorrupt: cr.cell.T,
-		MaxRounds: core.Rounds(cr.tr) + 2,
+		MaxRounds: cr.budget(),
 		Adversary: adv, Tamper: cr.tamper(),
 	}, nil
 }

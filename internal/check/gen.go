@@ -80,7 +80,7 @@ func generate(rng *rand.Rand, space string) *Cell {
 	}
 	perm := rng.Perm(len(byzPool))
 	for _, pi := range perm[:nByz] {
-		c.Clauses = append(c.Clauses, genByzClause(rng, byzPool[pi], tr, byzIDCount))
+		c.Clauses = append(c.Clauses, genByzClause(rng, byzPool[pi], tr, c.T, byzIDCount))
 	}
 	if hasOmit {
 		c.Clauses = append(c.Clauses, Clause{Name: "omit", Args: map[string]string{
@@ -134,11 +134,11 @@ func genGraphSpec(rng *rand.Rand) string {
 	}
 }
 
-func genByzClause(rng *rand.Rand, name string, tr *tree.Tree, byzIDCount int) Clause {
+func genByzClause(rng *rand.Rand, name string, tr *tree.Tree, t, byzIDCount int) Clause {
 	cl := Clause{Name: name, Args: map[string]string{}}
 	switch name {
 	case "crash":
-		maxRound := core.Rounds(tr) + 1
+		maxRound := core.Rounds(tr, t) + 1
 		rounds := make([]string, byzIDCount)
 		for i := range rounds {
 			rounds[i] = strconv.Itoa(1 + rng.Intn(maxRound))

@@ -17,7 +17,7 @@ type Violation struct {
 	// Cell is the violating cell's one-line spec.
 	Cell string `json:"cell"`
 	// Invariant names the broken property: termination, rounds, validity,
-	// agreement, hull, suspicion, exclusion, paths, differential-concurrent,
+	// agreement, collapse, hull, suspicion, exclusion, paths, differential-concurrent,
 	// differential-tcp, engine.
 	Invariant string `json:"invariant"`
 	// Detail is a human-readable explanation.
@@ -77,7 +77,7 @@ func (cr *compiled) evaluate(res *sim.Result, runErr error, cores []*core.Machin
 	}
 	if runErr != nil {
 		if errors.Is(runErr, sim.ErrNotDone) {
-			add("termination", "honest machines not done within %d rounds", core.Rounds(cr.tr)+2)
+			add("termination", "honest machines not done within %d rounds", cr.budget())
 		} else {
 			add("engine", "execution failed: %v", runErr)
 		}
@@ -86,13 +86,13 @@ func (cr *compiled) evaluate(res *sim.Result, runErr error, cores []*core.Machin
 	honest := cr.honestParties()
 
 	// Termination and the round budget: every honest party outputs, within
-	// R_TreeAA = R_RealAA(2|V|,1) + R_RealAA(D,1) (+2 processing rounds).
+	// core.Rounds at the cell's own t (+2 processing rounds).
 	for _, p := range honest {
 		if _, ok := res.Outputs[p]; !ok {
 			add("termination", "honest party %d produced no output", p)
 		}
 	}
-	if budget := core.Rounds(cr.tr) + 2; res.Rounds > budget {
+	if budget := cr.budget(); res.Rounds > budget {
 		add("rounds", "execution used %d rounds, budget %d", res.Rounds, budget)
 	}
 
@@ -104,9 +104,38 @@ func (cr *compiled) evaluate(res *sim.Result, runErr error, cores []*core.Machin
 	}
 	cr.judgeOutputs(outputs, "", add)
 
+	out = append(out, cr.checkCollapse(honest, cores)...)
 	out = append(out, cr.checkPaths(honest, cores)...)
 	out = append(out, cr.checkHull(honest, cores)...)
 	out = append(out, cr.checkDetection(honest, probes)...)
+	return out
+}
+
+// checkCollapse asserts the one-fault collapse (DESIGN §3): with t <= 1 both
+// RealAA phases end in exact agreement, so every honest TreeAA output is the
+// same protocol-tree vertex. It reads the core machines, so graph cells are
+// judged on the block-cut tree node — the local decode may legitimately pick
+// different vertices of one clique. Trivial spaces (D <= 1, zero rounds) run
+// no RealAA: every party keeps its own input.
+func (cr *compiled) checkCollapse(honest []sim.PartyID, cores []*core.Machine) []Violation {
+	if cr.cell.T > 1 || core.Rounds(cr.tr, cr.cell.T) == 0 {
+		return nil
+	}
+	var out []Violation
+	first, firstOwner := tree.VertexID(0), sim.PartyID(-1)
+	for _, p := range honest {
+		v, done := cores[p].Output()
+		if !done {
+			continue // termination violation already reported
+		}
+		if firstOwner < 0 {
+			first, firstOwner = v.(tree.VertexID), p
+		} else if v.(tree.VertexID) != first {
+			out = append(out, Violation{Cell: cr.cell.String(), Invariant: "collapse",
+				Detail: fmt.Sprintf("t = %d but parties %d and %d decide protocol-tree vertices %s and %s (want exact agreement)",
+					cr.cell.T, firstOwner, p, cr.tr.Label(first), cr.tr.Label(v.(tree.VertexID)))})
+		}
+	}
 	return out
 }
 

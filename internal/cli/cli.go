@@ -120,7 +120,7 @@ func buildAdversary(name string, tr *tree.Tree, n, t int, seed int64) (sim.Adver
 	for _, id := range ids {
 		corrupt[id] = true
 	}
-	phases := core.PhaseTags(tr)
+	phases := core.PhaseTags(tr, t)
 	perPhase := func(strategy string, mk func(p core.PhaseTag, k int) adversary.Params) (sim.Adversary, error) {
 		var parts []sim.Adversary
 		for k, p := range phases {
@@ -142,7 +142,7 @@ func buildAdversary(name string, tr *tree.Tree, n, t int, seed int64) (sim.Adver
 		rounds := make([]int, len(ids))
 		rng := rand.New(rand.NewSource(seed))
 		for i := range rounds {
-			rounds[i] = 1 + rng.Intn(core.Rounds(tr)+1)
+			rounds[i] = 1 + rng.Intn(core.Rounds(tr, t)+1)
 		}
 		crash := base
 		crash.Rounds = rounds

@@ -207,8 +207,15 @@ func (s *Space) Judge(inputs []tree.VertexID, corrupted map[sim.PartyID]bool,
 	return maxDist, validity, agreement
 }
 
-// Rounds returns the honest round budget of the space's protocol.
-func (s *Space) Rounds() int { return core.Rounds(s.ProtocolTree()) }
+// uncappedT is a fault budget on the Theorem 3 schedule: core.Rounds is the
+// same for every t >= 2 and never longer below.
+const uncappedT = 2
+
+// Rounds returns a ceiling on the honest round budget of the space's
+// protocol over every fault budget t — the schedule of t >= 2. It is for
+// MaxRounds and timeout budgets only: an execution with t <= 1 finishes in
+// core.Rounds(s.ProtocolTree(), t) rounds, well inside it.
+func (s *Space) Rounds() int { return core.Rounds(s.ProtocolTree(), uncappedT) }
 
 // NewMachine builds one party's machine for this space. It returns the
 // sim.Machine to drive and the underlying core machine on the protocol

@@ -56,7 +56,7 @@ func TestNewMachineAllocatesNothingPerVertex(t *testing.T) {
 // machineBytes is what building one execution's n machines on an already
 // compiled tr allocates.
 func machineBytes(t *testing.T, tr *tree.Tree, n, tc int) uint64 {
-	Rounds(tr) // first use compiles the tree
+	Rounds(tr, tc) // first use compiles the tree
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -109,7 +109,7 @@ func TestRunBatchSharesOneTree(t *testing.T) {
 	shared, reference := mk(), mk()
 	cfgs := make([]sim.Config, execs)
 	for i := range cfgs {
-		cfgs[i] = sim.Config{N: n, MaxCorrupt: tc, MaxRounds: Rounds(reference) + 2}
+		cfgs[i] = sim.Config{N: n, MaxCorrupt: tc, MaxRounds: Rounds(reference, tc) + 2}
 	}
 	got, err := sim.RunBatch(cfgs, func(int) []sim.Machine { return newMachines(t, shared, n, tc) })
 	if err != nil {

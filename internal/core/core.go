@@ -20,6 +20,9 @@
 // Total round complexity: R_RealAA(2|V|, 1) + R_RealAA(D(T), 1) =
 // O(log|V(T)| / log log|V(T)|), which Section 3's adaptation of Fekete's
 // bound shows is asymptotically optimal for D(T) ∈ |V(T)|^Θ(1), t ∈ Θ(n).
+// That is the schedule for t >= 2. With a fault budget t <= 1 each RealAA
+// phase ends in exact agreement after t+1 iterations (realaa.Iterations), so
+// TreeAA runs 6(t+1) rounds on any tree and all honest outputs are equal.
 package core
 
 import (
@@ -52,20 +55,20 @@ type PhaseTag struct {
 	StartRound int
 }
 
-// PhaseTags returns the phases TreeAA actually runs on t, for adversary
-// targeting: the Section 4 shortcut phase for path input spaces, or
-// PathsFinder followed by the projection phase otherwise. Trivial trees
-// (D <= 1) have no phases.
-func PhaseTags(t *tree.Tree) []PhaseTag {
-	if trivial(t) {
+// PhaseTags returns the phases TreeAA actually runs on tr under fault
+// budget t, for adversary targeting: the Section 4 shortcut phase for path
+// input spaces, or PathsFinder followed by the projection phase otherwise.
+// Trivial trees (D <= 1) have no phases.
+func PhaseTags(tr *tree.Tree, t int) []PhaseTag {
+	if trivial(tr) {
 		return nil
 	}
-	if t.IsPath() {
+	if tr.IsPath() {
 		return []PhaseTag{{Tag: TagPathShortcut, StartRound: 1}}
 	}
 	return []PhaseTag{
 		{Tag: TagPathsFinder, StartRound: 1},
-		{Tag: TagProjection, StartRound: PathsFinderRounds(t) + 1},
+		{Tag: TagProjection, StartRound: PathsFinderRounds(tr, t) + 1},
 	}
 }
 
@@ -101,29 +104,31 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// PathsFinderRounds returns R_PathsFinder for the tree: the round at whose
-// end every honest party holds its path, and after which the projection
-// phase starts simultaneously.
-func PathsFinderRounds(t *tree.Tree) int { return pathsfinder.Rounds(t) }
+// PathsFinderRounds returns R_PathsFinder for the tree under fault budget
+// t: the round at whose end every honest party holds its path, and after
+// which the projection phase starts simultaneously.
+func PathsFinderRounds(tr *tree.Tree, t int) int { return pathsfinder.Rounds(tr, t) }
 
 // ProjectionRounds returns the round budget of the projection-phase
-// RealAA(1): honest positions are D(T)-close.
-func ProjectionRounds(t *tree.Tree) int {
-	d, _, _ := t.Diameter()
-	return realaa.Rounds(float64(d), 1)
+// RealAA(1) under fault budget t: honest positions are D(T)-close.
+func ProjectionRounds(tr *tree.Tree, t int) int {
+	d, _, _ := tr.Diameter()
+	return realaa.Rounds(t, float64(d), 1)
 }
 
-// Rounds returns TreeAA's total communication-round budget for the tree.
-// Path input spaces use the Section 4 shortcut (a single RealAA(1) on
-// positions); all other trees pay both phases.
-func Rounds(t *tree.Tree) int {
-	if trivial(t) {
+// Rounds returns TreeAA's total communication-round budget for the tree
+// under fault budget t (see realaa.Iterations for how t enters: t+1
+// iterations per phase when t <= 1, the Theorem 3 schedule otherwise). Path
+// input spaces use the Section 4 shortcut (a single RealAA(1) on positions);
+// all other trees pay both phases.
+func Rounds(tr *tree.Tree, t int) int {
+	if trivial(tr) {
 		return 0
 	}
-	if t.IsPath() {
-		return pathaa.Rounds(t.NumVertices())
+	if tr.IsPath() {
+		return pathaa.Rounds(tr.NumVertices(), t)
 	}
-	return PathsFinderRounds(t) + ProjectionRounds(t)
+	return PathsFinderRounds(tr, t) + ProjectionRounds(tr, t)
 }
 
 // trivial reports whether the input space makes AA trivial (D(T) <= 1:
@@ -163,7 +168,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Machine{cfg: cfg, pfRounds: PathsFinderRounds(cfg.Tree)}
+	m := &Machine{cfg: cfg, pfRounds: PathsFinderRounds(cfg.Tree, cfg.T)}
 	if trivial(cfg.Tree) {
 		// Line 0, Section 2: output the input immediately.
 		m.out, m.done = cfg.Input, true
@@ -262,7 +267,7 @@ func (m *Machine) newProjection() (*realaa.Machine, error) {
 	d, _, _ := m.cfg.Tree.Diameter()
 	return realaa.NewMachine(realaa.Config{
 		N: m.cfg.N, T: m.cfg.T, ID: m.cfg.ID, Tag: TagProjection,
-		Iterations: realaa.Iterations(float64(d), 1),
+		Iterations: realaa.Iterations(m.cfg.T, float64(d), 1),
 		StartRound: m.pfRounds + 1,
 		Input:      float64(idx + 1), // 1-based position on the path
 	})
@@ -334,7 +339,7 @@ func Run(t *tree.Tree, n, tc int, inputs []tree.VertexID, adv sim.Adversary) (*R
 		}
 		machines[i] = m
 	}
-	res, err := sim.Run(sim.Config{N: n, MaxCorrupt: tc, MaxRounds: Rounds(t) + 2, Adversary: adv}, machines)
+	res, err := sim.Run(sim.Config{N: n, MaxCorrupt: tc, MaxRounds: Rounds(t, tc) + 2, Adversary: adv}, machines)
 	if err != nil {
 		return nil, err
 	}

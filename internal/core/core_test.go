@@ -66,8 +66,8 @@ func TestTreeAAHonestFigure3(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkTreeAA(t, tr, inputs, nil, res.Outputs)
-	if res.Rounds > Rounds(tr)+2 {
-		t.Errorf("used %d rounds, budget %d", res.Rounds, Rounds(tr))
+	if res.Rounds > Rounds(tr, 1)+2 {
+		t.Errorf("used %d rounds, budget %d", res.Rounds, Rounds(tr, 1))
 	}
 }
 
@@ -149,7 +149,7 @@ func TestTreeAAUnderEquivocatorsBothPhases(t *testing.T) {
 	corrupt := map[sim.PartyID]bool{ids[0]: true, ids[1]: true}
 	adv := &adversary.Compose{Strategies: []sim.Adversary{
 		&adversary.GradecastEquivocator{IDs: ids[:1], N: n, Tag: TagPathsFinder, Lo: -50, Hi: 500},
-		&adversary.GradecastEquivocator{IDs: ids[1:], N: n, Tag: TagProjection, StartRound: PathsFinderRounds(tr) + 1, Lo: -50, Hi: 500},
+		&adversary.GradecastEquivocator{IDs: ids[1:], N: n, Tag: TagProjection, StartRound: PathsFinderRounds(tr, tc) + 1, Lo: -50, Hi: 500},
 	}}
 	res, err := Run(tr, n, tc, inputs, adv)
 	if err != nil {
@@ -172,7 +172,7 @@ func TestTreeAAUnderSplitVoteBothPhases(t *testing.T) {
 	}
 	adv := &adversary.Compose{Strategies: []sim.Adversary{
 		&adversary.SplitVote{IDs: ids, N: n, T: tc, Tag: TagPathsFinder, PerIteration: 1},
-		&adversary.SplitVote{IDs: ids, N: n, T: tc, Tag: TagProjection, StartRound: PathsFinderRounds(tr) + 1, PerIteration: 1},
+		&adversary.SplitVote{IDs: ids, N: n, T: tc, Tag: TagProjection, StartRound: PathsFinderRounds(tr, tc) + 1, PerIteration: 1},
 	}}
 	res, err := Run(tr, n, tc, inputs, adv)
 	if err != nil {
@@ -292,7 +292,7 @@ func TestTreeAARandomizedMatrix(t *testing.T) {
 		}
 		adv := &adversary.Compose{Strategies: []sim.Adversary{
 			&adversary.RandomNoise{IDs: ids, N: n, Tag: TagPathsFinder, Seed: int64(trial), MaxVal: 2 * tr.NumVertices()},
-			&adversary.RandomNoise{IDs: ids, N: n, Tag: TagProjection, StartRound: PathsFinderRounds(tr) + 1, Seed: int64(trial) + 1000, MaxVal: 2 * tr.NumVertices()},
+			&adversary.RandomNoise{IDs: ids, N: n, Tag: TagProjection, StartRound: PathsFinderRounds(tr, tc) + 1, Seed: int64(trial) + 1000, MaxVal: 2 * tr.NumVertices()},
 		}}
 		res, err := Run(tr, n, tc, inputs, adv)
 		if err != nil {
@@ -363,26 +363,30 @@ func TestRunInputMismatch(t *testing.T) {
 func TestRoundsBudgets(t *testing.T) {
 	// Non-path trees pay both phases.
 	tr := tree.NewSpider(3, 30)
-	if got := Rounds(tr); got != PathsFinderRounds(tr)+ProjectionRounds(tr) {
-		t.Errorf("Rounds = %d, want sum of phases", got)
+	for _, tc := range []int{0, 1, 2, 4} {
+		if got := Rounds(tr, tc); got != PathsFinderRounds(tr, tc)+ProjectionRounds(tr, tc) {
+			t.Errorf("t=%d: Rounds = %d, want sum of phases", tc, got)
+		}
 	}
 	// Path input spaces use the Section 4 shortcut: cheaper than the
 	// two-phase budget.
 	p := tree.NewPath(100)
-	if got := Rounds(p); got >= PathsFinderRounds(p)+ProjectionRounds(p) {
-		t.Errorf("path shortcut not applied: %d rounds", got)
-	}
-	if Rounds(tree.NewPath(2)) != 0 {
-		t.Error("trivial tree should need 0 rounds")
-	}
-	if got := len(PhaseTags(p)); got != 1 {
-		t.Errorf("path phases = %d, want 1", got)
-	}
-	if got := len(PhaseTags(tr)); got != 2 {
-		t.Errorf("tree phases = %d, want 2", got)
-	}
-	if got := len(PhaseTags(tree.NewPath(2))); got != 0 {
-		t.Errorf("trivial phases = %d, want 0", got)
+	for _, tc := range []int{0, 1, 2} {
+		if got := Rounds(p, tc); got >= PathsFinderRounds(p, tc)+ProjectionRounds(p, tc) {
+			t.Errorf("t=%d: path shortcut not applied: %d rounds", tc, got)
+		}
+		if Rounds(tree.NewPath(2), tc) != 0 {
+			t.Errorf("t=%d: trivial tree should need 0 rounds", tc)
+		}
+		if got := len(PhaseTags(p, tc)); got != 1 {
+			t.Errorf("t=%d: path phases = %d, want 1", tc, got)
+		}
+		if got := PhaseTags(tr, tc); len(got) != 2 || got[1].StartRound != PathsFinderRounds(tr, tc)+1 {
+			t.Errorf("t=%d: tree phases = %v, want 2 with the projection phase after PathsFinder", tc, got)
+		}
+		if got := len(PhaseTags(tree.NewPath(2), tc)); got != 0 {
+			t.Errorf("t=%d: trivial phases = %d, want 0", tc, got)
+		}
 	}
 }
 
@@ -403,7 +407,7 @@ func TestSequentialConcurrentEquivalence(t *testing.T) {
 		}
 		return ms
 	}
-	cfg := sim.Config{N: n, MaxCorrupt: tc, MaxRounds: Rounds(tr) + 2}
+	cfg := sim.Config{N: n, MaxCorrupt: tc, MaxRounds: Rounds(tr, tc) + 2}
 	seq, err := sim.Run(cfg, build())
 	if err != nil {
 		t.Fatal(err)
@@ -439,7 +443,7 @@ func TestMachinePathAccessor(t *testing.T) {
 	if got := typed[0].Path(); len(got) != 0 {
 		t.Errorf("Path before PathsFinder completes = %v, want empty", got)
 	}
-	if _, err := sim.Run(sim.Config{N: n, MaxCorrupt: tc, MaxRounds: Rounds(tr) + 2}, machines); err != nil {
+	if _, err := sim.Run(sim.Config{N: n, MaxCorrupt: tc, MaxRounds: Rounds(tr, tc) + 2}, machines); err != nil {
 		t.Fatal(err)
 	}
 	for i, m := range typed {
@@ -474,7 +478,7 @@ func TestFigure5FallbackIsDefensiveInDepth(t *testing.T) {
 		adv := &adversary.Compose{Strategies: []sim.Adversary{
 			&adversary.SplitVote{IDs: ids, N: n, T: tc, Tag: TagPathsFinder, PerIteration: 1},
 			&adversary.RandomNoise{IDs: ids, N: n, Tag: TagProjection,
-				StartRound: PathsFinderRounds(tr) + 1, Seed: seed, MaxVal: 80},
+				StartRound: PathsFinderRounds(tr, tc) + 1, Seed: seed, MaxVal: 80},
 		}}
 		machines := make([]sim.Machine, n)
 		typed := make([]*Machine, n)
@@ -486,7 +490,7 @@ func TestFigure5FallbackIsDefensiveInDepth(t *testing.T) {
 			machines[i] = m
 			typed[i] = m
 		}
-		if _, err := sim.Run(sim.Config{N: n, MaxCorrupt: tc, MaxRounds: Rounds(tr) + 2, Adversary: adv}, machines); err != nil {
+		if _, err := sim.Run(sim.Config{N: n, MaxCorrupt: tc, MaxRounds: Rounds(tr, tc) + 2, Adversary: adv}, machines); err != nil {
 			t.Fatal(err)
 		}
 		var first []tree.VertexID

@@ -28,13 +28,16 @@ func ExampleRun() {
 	// Output: [v6 v6 v6 v6]
 }
 
-// ExampleRounds shows the protocol's fixed round budget growing
-// sublogarithmically in |V| (Theorem 4).
+// ExampleRounds shows the protocol's fixed round budget: constant in |V|
+// while the fault budget is at most 1 (the one-fault collapse), growing
+// sublogarithmically in |V| from t = 2 on (Theorem 4).
 func ExampleRounds() {
 	for _, size := range []int{64, 1024} {
-		fmt.Printf("|V|=%d: %d rounds\n", size, core.Rounds(tree.NewPath(size)))
+		tr := tree.NewPath(size)
+		fmt.Printf("|V|=%d: %d / %d / %d rounds at t = 0 / 1 / 2\n", size,
+			core.Rounds(tr, 0), core.Rounds(tr, 1), core.Rounds(tr, 2))
 	}
 	// Output:
-	// |V|=64: 24 rounds
-	// |V|=1024: 27 rounds
+	// |V|=64: 3 / 6 / 24 rounds at t = 0 / 1 / 2
+	// |V|=1024: 3 / 6 / 27 rounds at t = 0 / 1 / 2
 }

@@ -349,7 +349,7 @@ func TestRoundsMatchSim(t *testing.T) {
 		}
 		return ms
 	}
-	maxRounds := core.Rounds(tr) + 2
+	maxRounds := core.Rounds(tr, 1) + 2
 	var wantTrace sim.Trace
 	want, err := sim.Run(sim.Config{N: n, MaxCorrupt: 1, MaxRounds: maxRounds, Trace: &wantTrace}, build())
 	if err != nil {

@@ -74,7 +74,7 @@ func DefaultFamilies() []Family {
 type E1Row struct {
 	D              float64
 	ScheduleRounds int // 3·Iterations + 1 (incl. final processing)
-	FormulaRounds  int // R_RealAA(D, 1) as implemented (with the F-A margin)
+	FormulaRounds  int // realaa.Rounds(t, D, 1): t+1 iterations for t <= 1, else Theorem 3 + margin
 	FinalRange     float64
 	Valid          bool
 }
@@ -99,8 +99,8 @@ func E1RoundsSweep(n, t int, diameters []float64) ([]E1Row, error) {
 		}
 		rows[i] = E1Row{
 			D:              d,
-			ScheduleRounds: 3*realaa.Iterations(d, 1) + 1,
-			FormulaRounds:  realaa.Rounds(d, 1),
+			ScheduleRounds: 3*realaa.Iterations(t, d, 1) + 1,
+			FormulaRounds:  realaa.Rounds(t, d, 1),
 			FinalRange:     hi - lo,
 			Valid:          lo >= -1e-9 && hi <= d+1e-9,
 		}
@@ -117,6 +117,26 @@ func E1Table(rows []E1Row) *metrics.Table {
 	tab := metrics.NewTable("D", "schedule_rounds", "formula_rounds", "final_range", "valid")
 	for _, r := range rows {
 		tab.AddRow(r.D, r.ScheduleRounds, r.FormulaRounds, r.FinalRange, r.Valid)
+	}
+	return tab
+}
+
+// E1bRoundsByT renders RealAA's communication-round schedule against the
+// fault budget (experiment E1b): rows are t, columns D/eps. t <= 1 is the
+// one-fault collapse (3(t+1) rounds whatever the diameter); every t >= 2
+// shares the Theorem 3 schedule.
+func E1bRoundsByT(ts []int, ratios []float64) *metrics.Table {
+	header := []string{"t"}
+	for _, r := range ratios {
+		header = append(header, fmt.Sprintf("D/eps=%g", r))
+	}
+	tab := metrics.NewTable(header...)
+	for _, t := range ts {
+		row := []any{t}
+		for _, r := range ratios {
+			row = append(row, realaa.Rounds(t, r, 1))
+		}
+		tab.AddRow(row...)
 	}
 	return tab
 }
@@ -277,7 +297,7 @@ func E4DetectAblation(n, t int, d float64) ([]E4Row, error) {
 		}
 		roundsPerIter, budget := 1, realaa.DLPSWIterations(d, 1)+1
 		if v.detect {
-			roundsPerIter, budget = 3, 3*realaa.Iterations(d, 1)+1
+			roundsPerIter, budget = 3, 3*realaa.Iterations(t, d, 1)+1
 		}
 		lo, hi := math.Inf(1), math.Inf(-1)
 		for _, out := range outputs {
@@ -368,7 +388,7 @@ func E6Matrix(tr *tree.Tree, n, t int, seed int64) ([]E6Row, error) {
 	for _, id := range ids {
 		corrupt[id] = true
 	}
-	phases := core.PhaseTags(tr)
+	phases := core.PhaseTags(tr, t)
 	perPhase := func(mk func(p core.PhaseTag, k int) sim.Adversary) sim.Adversary {
 		var parts []sim.Adversary
 		for k, p := range phases {

@@ -12,9 +12,11 @@ import (
 
 // TestE2NormalizedCurvesFlat is the E2/E5 shape regression: TreeAA rounds
 // normalized by log2V/log2log2V and baseline rounds normalized by log2D
-// must stay within a narrow band across families and sizes.
+// must stay within a narrow band across families and sizes. It runs at
+// (n=7, t=2): with t <= 1 the schedule is constant in |V| (the one-fault
+// collapse), so there is no Theorem 4 shape to test.
 func TestE2NormalizedCurvesFlat(t *testing.T) {
-	rows, err := E2RoundsSweep(DefaultFamilies(), []int{64, 256, 1024}, 4, 1)
+	rows, err := E2RoundsSweep(DefaultFamilies(), []int{64, 256, 1024}, 7, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,5 +206,28 @@ func TestE1SweepMatchesFormula(t *testing.T) {
 	}
 	if E1Table(rows).Len() != 3 {
 		t.Error("table size mismatch")
+	}
+}
+
+// TestE1bRoundsByT: the schedule table is constant in D/eps for t <= 1
+// (3(t+1) rounds) and identical across every t >= 2.
+func TestE1bRoundsByT(t *testing.T) {
+	out := E1bRoundsByT([]int{0, 1, 2, 5}, []float64{10, 1e2, 1e4, 1e6}).String()
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if len(lines) != 6 {
+		t.Fatalf("table has %d lines, want header, rule and 4 rows:\n%s", len(lines), out)
+	}
+	rows := make([][]string, 4)
+	for i := range rows {
+		rows[i] = strings.Fields(lines[2+i])
+	}
+	if got := strings.Join(rows[0], " "); got != "0 3 3 3 3" {
+		t.Errorf("t=0 row = %q", got)
+	}
+	if got := strings.Join(rows[1], " "); got != "1 6 6 6 6" {
+		t.Errorf("t=1 row = %q", got)
+	}
+	if got, want := strings.Join(rows[3][1:], " "), strings.Join(rows[2][1:], " "); got != want || rows[2][1] == "6" {
+		t.Errorf("t=5 row %q differs from t=2 row %q (or t=2 collapsed)", got, want)
 	}
 }

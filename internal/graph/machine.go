@@ -139,10 +139,10 @@ func (g *Graph) AgreementOK(u, v tree.VertexID) bool {
 	return u == v || g.Adjacent(u, v) || g.InSameBlock(u, v)
 }
 
-// Rounds returns the honest round budget of the graph machine: TreeAA's
-// budget on the block-cut tree.
-func Rounds(g *Graph) int { return core.Rounds(g.BlockCutTree()) }
+// Rounds returns the honest round budget of the graph machine under fault
+// budget t: TreeAA's budget on the block-cut tree.
+func Rounds(g *Graph, t int) int { return core.Rounds(g.BlockCutTree(), t) }
 
 // PhaseTags returns the adversary-targeting phase schedule of the graph
-// machine: TreeAA's phases on the block-cut tree.
-func PhaseTags(g *Graph) []core.PhaseTag { return core.PhaseTags(g.BlockCutTree()) }
+// machine under fault budget t: TreeAA's phases on the block-cut tree.
+func PhaseTags(g *Graph, t int) []core.PhaseTag { return core.PhaseTags(g.BlockCutTree(), t) }

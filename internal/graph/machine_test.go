@@ -118,14 +118,15 @@ func TestMachineHonest(t *testing.T) {
 	for spec, g := range testSpecs(t) {
 		for _, n := range []int{4, 7} {
 			inputs := spreadGraphInputs(g, n)
-			res, err := sim.Run(sim.Config{N: n, MaxCorrupt: 0, MaxRounds: graph.Rounds(g) + 2},
-				graphMachines(t, g, n, (n-1)/3, inputs))
+			tt := (n - 1) / 3
+			res, err := sim.Run(sim.Config{N: n, MaxCorrupt: 0, MaxRounds: graph.Rounds(g, tt) + 2},
+				graphMachines(t, g, n, tt, inputs))
 			if err != nil {
 				t.Fatalf("%s n=%d: %v", spec, n, err)
 			}
 			checkGraphResult(t, g, res, inputs, fmt.Sprintf("%s n=%d", spec, n))
-			if res.Rounds > graph.Rounds(g)+1 {
-				t.Fatalf("%s n=%d: %d rounds for budget %d", spec, n, res.Rounds, graph.Rounds(g))
+			if res.Rounds > graph.Rounds(g, tt)+1 {
+				t.Fatalf("%s n=%d: %d rounds for budget %d", spec, n, res.Rounds, graph.Rounds(g, tt))
 			}
 		}
 	}
@@ -143,7 +144,7 @@ func TestMachineByzantine(t *testing.T) {
 				inputs := spreadGraphInputs(g, n)
 				desc := fmt.Sprintf("%s adversary=%s seed=%d", spec, advName, seed)
 				res, err := sim.Run(
-					sim.Config{N: n, MaxCorrupt: tt, Adversary: adv, MaxRounds: graph.Rounds(g) + 2},
+					sim.Config{N: n, MaxCorrupt: tt, Adversary: adv, MaxRounds: graph.Rounds(g, tt) + 2},
 					graphMachines(t, g, n, tt, inputs))
 				if err != nil {
 					t.Fatalf("%s: %v", desc, err)
@@ -166,7 +167,7 @@ func TestMachineDriverEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := sim.Config{N: n, MaxCorrupt: tt, Adversary: adv, MaxRounds: graph.Rounds(g) + 2}
+		cfg := sim.Config{N: n, MaxCorrupt: tt, Adversary: adv, MaxRounds: graph.Rounds(g, tt) + 2}
 		seq, err := sim.Run(cfg, mk())
 		if err != nil {
 			t.Fatalf("%s sequential: %v", spec, err)
@@ -195,7 +196,7 @@ func TestMachineSingleBlock(t *testing.T) {
 	g := graph.NewClique(6)
 	n := 4
 	inputs := spreadGraphInputs(g, n)
-	res, err := sim.Run(sim.Config{N: n, MaxCorrupt: 1, MaxRounds: graph.Rounds(g) + 2},
+	res, err := sim.Run(sim.Config{N: n, MaxCorrupt: 1, MaxRounds: graph.Rounds(g, 1) + 2},
 		graphMachines(t, g, n, 1, inputs))
 	if err != nil {
 		t.Fatal(err)

@@ -162,7 +162,7 @@ func TestTreeRejections(t *testing.T) {
 	tr := tree.NewPath(8)
 	const n = 4
 	inputs := spreadInputs(tr, n, 1)
-	base := sim.Config{N: n, MaxCorrupt: 1, MaxRounds: core.Rounds(tr) + 2}
+	base := sim.Config{N: n, MaxCorrupt: 1, MaxRounds: core.Rounds(tr, 1) + 2}
 
 	cases := []struct {
 		name string

@@ -20,14 +20,14 @@ func crashRun(t *testing.T, plan map[sim.PartyID]int) *metrics.OverlayStats {
 	const n, branching = 12, 3
 	inputs := spreadInputs(tr, n, 4)
 
-	simCfg := sim.Config{N: n, MaxCorrupt: 3, MaxRounds: core.Rounds(tr) + 2}
+	simCfg := sim.Config{N: n, MaxCorrupt: 3, MaxRounds: core.Rounds(tr, 3) + 2}
 	want, err := sim.Run(simCfg, buildMachines(t, tr, n, 3, inputs))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var stats metrics.OverlayStats
-	treeCfg := sim.Config{N: n, MaxCorrupt: 3, MaxRounds: core.Rounds(tr) + 2}
+	treeCfg := sim.Config{N: n, MaxCorrupt: 3, MaxRounds: core.Rounds(tr, 3) + 2}
 	got, err := Cluster(treeCfg, buildMachines(t, tr, n, 3, inputs), Options{
 		Branching: branching,
 		Stats:     &stats,

@@ -52,8 +52,8 @@ type Machine struct {
 var _ sim.Machine = (*Machine)(nil)
 
 // Rounds returns the fixed communication-round budget of the protocol for a
-// path of k vertices: RealAA(1) on inputs within [1, k].
-func Rounds(k int) int { return realaa.Rounds(float64(k-1), 1) }
+// path of k vertices under fault budget t: RealAA(1) on inputs within [1, k].
+func Rounds(k, t int) int { return realaa.Rounds(t, float64(k-1), 1) }
 
 // CanonicalOrient returns the path oriented per the paper's Section 4
 // convention: v_1 is the endpoint with the lexicographically lower label.
@@ -117,7 +117,7 @@ func newMachine(cfg Config) (*Machine, error) {
 	idx, _ := cfg.Tree.ProjectOntoPath(cfg.Path, cfg.Input)
 	real, err := realaa.NewMachine(realaa.Config{
 		N: cfg.N, T: cfg.T, ID: cfg.ID, Tag: cfg.Tag,
-		Iterations: realaa.Iterations(float64(len(cfg.Path)-1), 1),
+		Iterations: realaa.Iterations(cfg.T, float64(len(cfg.Path)-1), 1),
 		StartRound: cfg.StartRound,
 		Input:      float64(idx + 1), // paper's 1-based position
 	})
@@ -186,7 +186,7 @@ func Run(t *tree.Tree, path []tree.VertexID, n, tc int, inputs []tree.VertexID, 
 		}
 		machines[i] = m
 	}
-	res, err := sim.Run(sim.Config{N: n, MaxCorrupt: tc, MaxRounds: Rounds(len(path)) + 2, Adversary: adv}, machines)
+	res, err := sim.Run(sim.Config{N: n, MaxCorrupt: tc, MaxRounds: Rounds(len(path), tc) + 2, Adversary: adv}, machines)
 	if err != nil {
 		return nil, err
 	}

@@ -226,11 +226,16 @@ func TestRunInputMismatch(t *testing.T) {
 }
 
 func TestRoundsBudget(t *testing.T) {
-	if Rounds(1) != 0 {
-		t.Errorf("Rounds(1) = %d, want 0", Rounds(1))
+	for _, tc := range []int{0, 1, 2} {
+		if Rounds(1, tc) != 0 {
+			t.Errorf("Rounds(1, %d) = %d, want 0", tc, Rounds(1, tc))
+		}
 	}
-	if Rounds(100) <= 0 {
-		t.Errorf("Rounds(100) = %d, want > 0", Rounds(100))
+	if Rounds(100, 0) != 3 || Rounds(100, 1) != 6 {
+		t.Errorf("Rounds(100, t) = %d, %d at t = 0, 1; want 3, 6", Rounds(100, 0), Rounds(100, 1))
+	}
+	if Rounds(100, 2) <= 6 {
+		t.Errorf("Rounds(100, 2) = %d, want the Theorem 3 schedule (> 6)", Rounds(100, 2))
 	}
 }
 

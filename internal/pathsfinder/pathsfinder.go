@@ -24,16 +24,14 @@ import (
 	"treeaa/internal/tree"
 )
 
-// Rounds returns R_PathsFinder for a tree with list length |L|: the paper
+// Rounds returns R_PathsFinder for tree tr under fault budget t: the paper
 // uses R_RealAA(2·|V(T)|, 1); the list indices span [1, |L|] with
 // |L| <= 2|V|, so this budget is always sufficient.
-func Rounds(t *tree.Tree) int {
-	return realaa.Rounds(float64(2*t.NumVertices()), 1)
-}
+func Rounds(tr *tree.Tree, t int) int { return 3 * Iterations(tr, t) }
 
 // Iterations is Rounds expressed in 3-round RealAA iterations.
-func Iterations(t *tree.Tree) int {
-	return realaa.Iterations(float64(2*t.NumVertices()), 1)
+func Iterations(tr *tree.Tree, t int) int {
+	return realaa.Iterations(t, float64(2*tr.NumVertices()), 1)
 }
 
 // Config parameterizes a Machine.
@@ -86,7 +84,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 	}
 	real, err := realaa.NewMachine(realaa.Config{
 		N: cfg.N, T: cfg.T, ID: cfg.ID, Tag: cfg.Tag,
-		Iterations: Iterations(cfg.Tree),
+		Iterations: Iterations(cfg.Tree, cfg.T),
 		StartRound: cfg.StartRound,
 		Input:      float64(list.FirstIndex(cfg.Input)),
 	})
@@ -161,7 +159,7 @@ func Run(t *tree.Tree, root tree.VertexID, n, tc int, inputs []tree.VertexID, ad
 		}
 		machines[i] = m
 	}
-	res, err := sim.Run(sim.Config{N: n, MaxCorrupt: tc, MaxRounds: Rounds(t) + 2, Adversary: adv}, machines)
+	res, err := sim.Run(sim.Config{N: n, MaxCorrupt: tc, MaxRounds: Rounds(t, tc) + 2, Adversary: adv}, machines)
 	if err != nil {
 		return nil, err
 	}

@@ -160,11 +160,17 @@ func TestPathsFinderRandom(t *testing.T) {
 
 func TestPathsFinderRoundBudget(t *testing.T) {
 	tr := tree.NewPath(50)
-	if Rounds(tr) != 3*Iterations(tr) {
-		t.Errorf("Rounds = %d, want 3*Iterations = %d", Rounds(tr), 3*Iterations(tr))
+	for _, tc := range []int{0, 1, 2, 5} {
+		if Rounds(tr, tc) != 3*Iterations(tr, tc) {
+			t.Errorf("t=%d: Rounds = %d, want 3*Iterations = %d", tc, Rounds(tr, tc), 3*Iterations(tr, tc))
+		}
+		if Iterations(tr, tc) <= 0 {
+			t.Errorf("t=%d: Iterations = %d, want > 0", tc, Iterations(tr, tc))
+		}
 	}
-	if Iterations(tr) <= 0 {
-		t.Errorf("Iterations = %d, want > 0", Iterations(tr))
+	if Iterations(tr, 0) != 1 || Iterations(tr, 1) != 2 || Iterations(tr, 2) != Iterations(tr, 5) {
+		t.Errorf("Iterations by t = %d, %d, %d, %d; want 1, 2, then constant",
+			Iterations(tr, 0), Iterations(tr, 1), Iterations(tr, 2), Iterations(tr, 5))
 	}
 }
 

@@ -139,7 +139,7 @@ func TestForgedMasksNeverConvictHonest(t *testing.T) {
 
 func runAccTest(t *testing.T, n, tc int, inputs []float64, adv sim.Adversary) []*Machine {
 	t.Helper()
-	iters := Iterations(100, 1)
+	iters := Iterations(tc, 100, 1)
 	machines := make([]sim.Machine, n)
 	typed := make([]*Machine, n)
 	for i := 0; i < n; i++ {

@@ -133,7 +133,7 @@ func RunReal(n, t int, inputs []float64, d, eps float64, detect bool, adv sim.Ad
 	for i := 0; i < n; i++ {
 		cfg := Config{N: n, T: t, ID: sim.PartyID(i), Tag: "real", StartRound: 1, Input: inputs[i]}
 		if detect {
-			cfg.Iterations = Iterations(d, eps)
+			cfg.Iterations = Iterations(t, d, eps)
 			mach, err := NewMachine(cfg)
 			if err != nil {
 				return nil, nil, err

@@ -17,7 +17,9 @@
 //
 // Round complexity (Theorem 3 of the paper): RealAA(eps) on D-close inputs
 // terminates within R_RealAA(D, eps) = ceil(7·log2(D/eps)/log2log2(D/eps))
-// rounds; Iterations and Rounds compute the fixed schedules used here.
+// rounds; Iterations and Rounds compute the fixed schedules used here, as a
+// function of the fault budget: with t <= 1 the protocol collapses to exact
+// agreement in t+1 iterations, whatever D/eps.
 package realaa
 
 import (
@@ -31,20 +33,37 @@ import (
 )
 
 // Iterations returns the fixed iteration budget guaranteeing eps-agreement
-// for D-close honest inputs under t < n/3 faults: the smallest R of the form
-// ceil((20/9)·log2(δ)/log2log2(δ)), δ = D/eps, following the proof of
-// Theorem 3 (which shows R^R >= δ suffices since the per-iteration product
-// factor is at most 1/R^R) — plus a +2 margin because the threshold-based
-// global exclusion (see Machine) convicts a splitting leader one iteration
-// after its split, so each Byzantine party can fund up to two divergent
-// iterations instead of one. δ ≤ 1 needs no communication and yields 0.
-func Iterations(d, eps float64) int {
+// for D-close honest inputs under a fault budget of t < n/3. δ = D/eps ≤ 1
+// needs no communication and yields 0.
+//
+// t ≤ 1: t+1 iterations, after which the honest values are not merely
+// eps-close but equal (the one-fault collapse, DESIGN §3). With t = 0 every
+// party accepts the same n values in iteration 1. With t = 1 nobody can be
+// excluded in iteration 1 (one mask cannot reach t+1 accusations), so honest
+// accepted multisets differ there only by a grade-≥1-vs-0 split of the
+// corrupt leader's value — which is grade < 2 at every honest party, so all
+// n−1 ≥ t+1 honest masks name it in iteration 2 and it is excluded everywhere
+// before acceptance: iteration 2's multiset is the n−1 honest values at every
+// honest party. If iteration 1 was symmetric the values are already equal,
+// and equal honest values stay equal under trim-t.
+//
+// t ≥ 2: the smallest R of the form ceil((20/9)·log2(δ)/log2log2(δ)),
+// following the proof of Theorem 3 (which shows R^R >= δ suffices since the
+// per-iteration product factor is at most 1/R^R), plus a +2 margin for the
+// one-iteration lag of the threshold-based global exclusion (see Machine).
+// The margin is empirical, not proven: Finding F-B (EXPERIMENTS) is a
+// two-party strategy that keeps the honest range halving — and no faster —
+// for the whole schedule, so this count is deliberately not capped by t.
+func Iterations(t int, d, eps float64) int {
 	if eps <= 0 {
 		panic("realaa: eps must be positive")
 	}
 	ratio := d / eps
 	if ratio <= 1 {
 		return 0
+	}
+	if t <= 1 {
+		return t + 1
 	}
 	l := math.Log2(ratio)
 	ll := math.Log2(l)
@@ -58,9 +77,10 @@ func Iterations(d, eps float64) int {
 	return r + 2
 }
 
-// Rounds returns R_RealAA(D, eps), the communication-round budget of
-// Theorem 3: three rounds per iteration.
-func Rounds(d, eps float64) int { return 3 * Iterations(d, eps) }
+// Rounds returns the communication-round budget of RealAA(eps) on D-close
+// inputs under fault budget t: three rounds per iteration (for t ≥ 2,
+// Theorem 3's R_RealAA(D, eps) plus the exclusion-lag margin).
+func Rounds(t int, d, eps float64) int { return 3 * Iterations(t, d, eps) }
 
 // ClosestInt is the paper's closestInt: for z <= j < z+1 it returns z when
 // j - z < (z+1) - j and z+1 otherwise (round half up).
@@ -75,7 +95,7 @@ type Config struct {
 	ID sim.PartyID
 	// Tag disambiguates concurrent executions sharing the network.
 	Tag string
-	// Iterations is the fixed schedule length; use Iterations(D, eps).
+	// Iterations is the fixed schedule length; use Iterations(T, D, eps).
 	Iterations int
 	// StartRound is the global round at which the execution begins
 	// (1 for standalone runs; PathsFinder's budget + 1 inside TreeAA).
@@ -144,13 +164,21 @@ func (c *Config) Validate() error {
 //     1-vs-0-split leader (suspected by every honest party) is excluded
 //     everywhere within one iteration.
 //
-// Every inclusion asymmetry now requires a fresh grade-1-vs-0 split (of a
-// value or of a suspicion set), each of which makes every honest party
-// suspect the splitting leader, so each Byzantine party funds at most two
-// divergent iterations (its split iteration plus the one-iteration
-// blacklist lag): the Σtᵢ <= O(t) budget structure of the paper's analysis
-// is restored, at the cost of one extra parallel gradecast per iteration
-// and a +2 iteration margin in the schedule.
+// Every *new* inclusion asymmetry now requires a fresh grade-1-vs-0 split
+// (of a value or of a suspicion set), each of which makes every honest party
+// suspect the splitting leader and convicts it one iteration later; the
+// schedule carries a +2 iteration margin for that lag, and the repair costs
+// one extra parallel gradecast per iteration.
+//
+// What the repair guarantees depends on t. With t <= 1 it is airtight: no
+// asymmetry outlives its creator, and the honest values are equal after t+1
+// iterations (the one-fault collapse, see Iterations). For t >= 2 the
+// once-believed bound "each Byzantine party funds at most two divergent
+// iterations" is false — a split of a *suspicion mask* can leave a second
+// Byzantine leader excluded at some honest parties and included at the rest
+// for good, with no further split to detect (adversary.ExclusionSplit,
+// Finding F-B in EXPERIMENTS, open). Against every strategy the generator of
+// internal/check draws, the Theorem 3 schedule still ends inside eps.
 type Machine struct {
 	cfg Config
 	val float64

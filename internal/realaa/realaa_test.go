@@ -69,7 +69,7 @@ func TestIterationsFormula(t *testing.T) {
 		{1e6, 1}, {1e6, 0.001}, {16, 0.5},
 	}
 	for _, tc := range tests {
-		r := Iterations(tc.d, tc.eps)
+		r := Iterations(2, tc.d, tc.eps)
 		ratio := tc.d / tc.eps
 		if ratio <= 1 {
 			if r != 0 {
@@ -86,8 +86,10 @@ func TestIterationsFormula(t *testing.T) {
 				tc.d, tc.eps, r, math.Pow(float64(r), float64(r)), ratio)
 		}
 	}
-	if got, want := Rounds(100, 1), 3*Iterations(100, 1); got != want {
-		t.Errorf("Rounds = %d, want %d", got, want)
+	for _, tc := range []int{0, 1, 2, 5} {
+		if got, want := Rounds(tc, 100, 1), 3*Iterations(tc, 100, 1); got != want {
+			t.Errorf("t=%d: Rounds = %d, want %d", tc, got, want)
+		}
 	}
 }
 
@@ -97,7 +99,7 @@ func TestIterationsPanicsOnBadEps(t *testing.T) {
 			t.Error("want panic for eps <= 0")
 		}
 	}()
-	Iterations(1, 0)
+	Iterations(1, 1, 0)
 }
 
 func TestClosestInt(t *testing.T) {
@@ -239,7 +241,7 @@ func TestRealAAIgnoresDetectedEquivocator(t *testing.T) {
 	inputs := []float64{0, 100, 50, 0}
 	adv := &equivocator{ids: []sim.PartyID{3}, n: n, tag: "real", lo: -500, hi: 500, once: true}
 	machines := make([]sim.Machine, n)
-	iters := Iterations(100, 1)
+	iters := Iterations(tc, 100, 1)
 	for i := 0; i < n; i++ {
 		m, err := NewMachine(Config{N: n, T: tc, ID: sim.PartyID(i), Tag: "real", Iterations: iters, StartRound: 1, Input: inputs[i]})
 		if err != nil {
@@ -426,7 +428,7 @@ func TestConfigValidate(t *testing.T) {
 func TestDecidedIterationsConsecutive(t *testing.T) {
 	n, tc := 7, 2
 	inputs := []float64{0, 100, 50, 25, 75, 0, 0}
-	iters := Iterations(100, 1)
+	iters := Iterations(tc, 100, 1)
 	advs := map[string]sim.Adversary{
 		"none":        nil,
 		"equivocator": &equivocator{ids: []sim.PartyID{5, 6}, n: n, tag: "real", lo: -1000, hi: 1000},

@@ -35,10 +35,16 @@ const roundWindow = 2
 // owning shard's single worker goroutine touches them, so stepping takes no
 // locks and, with the driver's recycled slots and the scratch buffer, no
 // steady-state allocations.
+//
+// The session's table entry points here for as long as it lingers (its TTL
+// plus the grace, minutes), so the shard empties a retired engine (release):
+// only this header outlives the seat's run.
 type engine struct {
 	s  *session
 	m  *Manager
 	sh *shard
+
+	ps parsedSpec // what begin builds the machine from; worker-owned once admitted
 
 	// Worker-owned protocol state. Once begun exactly one driver is set: rd
 	// steps a lock-step sim.Machine; ev (Options.Async) delivers every
@@ -59,8 +65,21 @@ type engine struct {
 	gone    bool // removed from the shard; stale wakes are no-ops
 }
 
-func newEngine(m *Manager, sh *shard, s *session) *engine {
-	return &engine{s: s, m: m, sh: sh}
+func newEngine(m *Manager, sh *shard, s *session, ps parsedSpec) *engine {
+	return &engine{s: s, m: m, sh: sh, ps: ps}
+}
+
+// release drops everything the seat's run held — the parsed space, the
+// machine and its mailboxes, queued frames, the encode buffer. Left in place
+// it would all stay live heap until the session is reaped: some 9 KB a seat,
+// which at a thousand sessions a second fills the collector's budget within
+// the minute and the service slows as it runs. Called by the shard's worker
+// with shard.mu held, once the engine is gone.
+func (e *engine) release() {
+	e.ps = parsedSpec{}
+	e.rd, e.ev = nil, nil
+	e.frameScratch = nil
+	e.in, e.inSpare = nil, nil
 }
 
 // fail fails the session cluster-wide on a seat-level error.
@@ -107,7 +126,7 @@ func (e *engine) run(evs []rawEvent) bool {
 // broadcasts SessionOpen before registering the engine, so these frames
 // follow the open on every link FIFO.
 func (e *engine) begin() bool {
-	d, ps := e.m.d, &e.s.ps
+	d, ps := e.m.d, &e.ps
 	if d.opts.Async {
 		seat, _, err := ps.space.NewAsyncMachine(d.n, ps.spec.T, d.id, ps.inputs[d.id])
 		if err != nil {

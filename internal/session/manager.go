@@ -23,8 +23,7 @@ import (
 type session struct {
 	sid    uint64
 	origin sim.PartyID // daemon the session was submitted to
-	ps     parsedSpec
-	eng    *engine // this daemon's seat; owned by shardOf(sid). nil on journal-restored sessions
+	eng    *engine     // this daemon's seat; owned by shardOf(sid). nil on journal-restored sessions
 
 	state    State
 	reason   string
@@ -170,10 +169,10 @@ func (m *Manager) admitLocked(sid uint64, origin sim.PartyID, ps parsedSpec) (*s
 		return nil, fmt.Errorf("session: daemon %d at capacity (%d in flight)", m.d.id, m.inflight)
 	}
 	now := time.Now()
-	s := &session{sid: sid, origin: origin, ps: ps, state: StatePending,
+	s := &session{sid: sid, origin: origin, state: StatePending,
 		admitted: now, deadline: now.Add(ps.deadline),
 		decides: make(map[sim.PartyID]wire.SessionDecide, m.d.n)}
-	s.eng = newEngine(m, m.shardOf(sid), s)
+	s.eng = newEngine(m, m.shardOf(sid), s, ps)
 	m.table[sid] = s
 	heap.Push(&m.expiry, deadlineEntry{at: s.deadline.UnixNano(), sid: sid})
 	m.inflight++
@@ -363,6 +362,7 @@ func (m *Manager) terminalLocked(s *session, st State, reason string) {
 	s.state = st
 	s.reason = reason
 	s.latency = time.Since(s.admitted)
+	s.decides = nil // assembled or moot; the entry lingers long after this
 	m.inflight--
 	s.terminal.Store(true)
 	heap.Push(&m.reap, deadlineEntry{

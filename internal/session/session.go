@@ -156,7 +156,7 @@ func parseSpec(spec Spec, n int, defaultTTL time.Duration) (parsedSpec, error) {
 		spec:      spec,
 		space:     space,
 		inputs:    inputs,
-		maxRounds: space.Rounds() + 2, // the repo-wide honest round budget
+		maxRounds: space.Rounds() + 2, // a ceiling over every t; the schedule itself follows spec.T
 		deadline:  ttl,
 	}, nil
 }

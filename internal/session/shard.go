@@ -28,7 +28,13 @@ type shard struct {
 	dirtySpare []*engine
 	pending    map[uint64]*pendingBuf
 	pendingN   int
-	tombstone  map[uint64]time.Time
+	// Tombstones live in two generations so that collecting them never
+	// scans them: an id is buried into tombs, sweep turns tombs into
+	// oldTombs once it is linger old and drops the previous oldTombs whole.
+	// An id therefore stays dead for at least linger and at most twice that.
+	tombs      map[uint64]struct{}
+	oldTombs   map[uint64]struct{}
+	tombsSince time.Time // when tombs became the young generation
 
 	kick chan struct{} // capacity 1: the dirty list became non-empty
 	quit chan struct{}
@@ -53,13 +59,14 @@ const reasonPreOpenOverflow = "pre-open buffer overflow"
 
 func newShard(m *Manager) *shard {
 	return &shard{
-		m:         m,
-		engines:   make(map[uint64]*engine),
-		pending:   make(map[uint64]*pendingBuf),
-		tombstone: make(map[uint64]time.Time),
-		kick:      make(chan struct{}, 1),
-		quit:      make(chan struct{}),
-		done:      make(chan struct{}),
+		m:          m,
+		engines:    make(map[uint64]*engine),
+		pending:    make(map[uint64]*pendingBuf),
+		tombs:      make(map[uint64]struct{}),
+		tombsSince: time.Now(),
+		kick:       make(chan struct{}, 1),
+		quit:       make(chan struct{}),
+		done:       make(chan struct{}),
 	}
 }
 
@@ -86,7 +93,7 @@ func (sh *shard) deliver(from sim.PartyID, sid uint64, body []byte) {
 	sh.mu.Lock()
 	eng := sh.engines[sid]
 	if eng == nil {
-		if _, dead := sh.tombstone[sid]; !dead {
+		if !sh.deadLocked(sid) {
 			sh.bufferPendingLocked(sid, rawEvent{from: from, body: body})
 		}
 		sh.mu.Unlock()
@@ -173,7 +180,7 @@ func (sh *shard) bury(sid uint64) {
 }
 
 func (sh *shard) buryLocked(sid uint64) {
-	sh.tombstone[sid] = time.Now()
+	sh.tombs[sid] = struct{}{}
 	if pb := sh.pending[sid]; pb != nil {
 		sh.pendingN -= len(pb.evs)
 		delete(sh.pending, sid)
@@ -184,17 +191,28 @@ func (sh *shard) buryLocked(sid uint64) {
 // client-chosen session ids).
 func (sh *shard) dead(sid uint64) bool {
 	sh.mu.Lock()
-	_, ok := sh.tombstone[sid]
+	ok := sh.deadLocked(sid)
 	sh.mu.Unlock()
 	return ok
 }
 
-// remove retires an engine: out of the run queue's reach, id tombstoned.
+func (sh *shard) deadLocked(sid uint64) bool {
+	if _, ok := sh.tombs[sid]; ok {
+		return true
+	}
+	_, ok := sh.oldTombs[sid]
+	return ok
+}
+
+// remove retires an engine: out of the run queue's reach, id tombstoned, its
+// run state released. Only the worker calls it (run, sweep), which is what
+// lets it touch the engine's worker-owned fields.
 func (sh *shard) remove(eng *engine) {
 	sh.mu.Lock()
 	eng.gone = true
 	delete(sh.engines, eng.s.sid)
-	sh.tombstone[eng.s.sid] = time.Now()
+	sh.buryLocked(eng.s.sid)
+	eng.release()
 	sh.mu.Unlock()
 }
 
@@ -262,9 +280,9 @@ func (sh *shard) run(eng *engine) {
 	}
 }
 
-// sweep enforces barrier deadlines and collects stale pending buffers and
-// old tombstones. Engine round state is worker-owned, and sweep runs on the
-// worker, so the deadline reads need no lock.
+// sweep enforces barrier deadlines, collects stale pending buffers and
+// rotates the tombstone generations. Engine round state is worker-owned, and
+// sweep runs on the worker, so the deadline reads need no lock.
 func (sh *shard) sweep(now time.Time) {
 	var victims []*engine
 	sh.mu.Lock()
@@ -275,16 +293,11 @@ func (sh *shard) sweep(now time.Time) {
 	}
 	for sid, pb := range sh.pending {
 		if now.Sub(pb.since) > sh.m.d.opts.SetupTimeout {
-			sh.pendingN -= len(pb.evs)
-			delete(sh.pending, sid)
-			sh.tombstone[sid] = now
+			sh.buryLocked(sid)
 		}
 	}
-	linger := 2 * sh.m.d.opts.DefaultTTL
-	for sid, t := range sh.tombstone {
-		if now.Sub(t) > linger {
-			delete(sh.tombstone, sid)
-		}
+	if linger := 2 * sh.m.d.opts.DefaultTTL; now.Sub(sh.tombsSince) >= linger {
+		sh.oldTombs, sh.tombs, sh.tombsSince = sh.tombs, make(map[uint64]struct{}), now
 	}
 	sh.mu.Unlock()
 	for _, eng := range victims {

@@ -31,7 +31,7 @@ func buildMachines(t *testing.T, tr *tree.Tree, n, tcorrupt int, inputs []tree.V
 func splitVote(tr *tree.Tree, n, tcorrupt int) sim.Adversary {
 	ids := adversary.FirstParties(n, tcorrupt)
 	var parts []sim.Adversary
-	for _, p := range core.PhaseTags(tr) {
+	for _, p := range core.PhaseTags(tr, tcorrupt) {
 		parts = append(parts, &adversary.SplitVote{
 			IDs: ids, N: n, T: tcorrupt, Tag: p.Tag, StartRound: p.StartRound, PerIteration: 1,
 		})
@@ -60,7 +60,7 @@ func TestClusterMatchesSimSplitVote(t *testing.T) {
 		inputs := spreadInputs(tr, n, seed)
 
 		var simTrace sim.Trace
-		simCfg := sim.Config{N: n, MaxCorrupt: tc, MaxRounds: core.Rounds(tr) + 2,
+		simCfg := sim.Config{N: n, MaxCorrupt: tc, MaxRounds: core.Rounds(tr, tc) + 2,
 			Adversary: splitVote(tr, n, tc), Trace: &simTrace}
 		want, err := sim.Run(simCfg, buildMachines(t, tr, n, tc, inputs))
 		if err != nil {
@@ -68,7 +68,7 @@ func TestClusterMatchesSimSplitVote(t *testing.T) {
 		}
 
 		var tcpTrace sim.Trace
-		tcpCfg := sim.Config{N: n, MaxCorrupt: tc, MaxRounds: core.Rounds(tr) + 2,
+		tcpCfg := sim.Config{N: n, MaxCorrupt: tc, MaxRounds: core.Rounds(tr, tc) + 2,
 			Adversary: splitVote(tr, n, tc), Trace: &tcpTrace}
 		got, err := LocalCluster(tcpCfg, buildMachines(t, tr, n, tc, inputs), Options{})
 		if err != nil {
@@ -92,14 +92,14 @@ func TestClusterMatchesSimNoAdversary(t *testing.T) {
 	inputs := spreadInputs(tr, n, 2)
 
 	var simTrace sim.Trace
-	simCfg := sim.Config{N: n, MaxCorrupt: 1, MaxRounds: core.Rounds(tr) + 2, Trace: &simTrace}
+	simCfg := sim.Config{N: n, MaxCorrupt: 1, MaxRounds: core.Rounds(tr, 1) + 2, Trace: &simTrace}
 	want, err := sim.Run(simCfg, buildMachines(t, tr, n, 1, inputs))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var tcpTrace sim.Trace
-	tcpCfg := sim.Config{N: n, MaxCorrupt: 1, MaxRounds: core.Rounds(tr) + 2, Trace: &tcpTrace}
+	tcpCfg := sim.Config{N: n, MaxCorrupt: 1, MaxRounds: core.Rounds(tr, 1) + 2, Trace: &tcpTrace}
 	got, err := LocalCluster(tcpCfg, buildMachines(t, tr, n, 1, inputs), Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +118,7 @@ func TestClusterRejectsUndistributableFeatures(t *testing.T) {
 	tr := tree.NewPath(8)
 	const n = 4
 	inputs := spreadInputs(tr, n, 1)
-	base := sim.Config{N: n, MaxCorrupt: 1, MaxRounds: core.Rounds(tr) + 2}
+	base := sim.Config{N: n, MaxCorrupt: 1, MaxRounds: core.Rounds(tr, 1) + 2}
 
 	rateLimited := base
 	rateLimited.MaxMessagesPerParty = 10

@@ -38,7 +38,7 @@ func TestClusterReconnectResend(t *testing.T) {
 	const n, tc = 5, 1
 	inputs := spreadInputs(tr, n, 3)
 
-	simCfg := sim.Config{N: n, MaxCorrupt: tc, MaxRounds: core.Rounds(tr) + 2,
+	simCfg := sim.Config{N: n, MaxCorrupt: tc, MaxRounds: core.Rounds(tr, tc) + 2,
 		Adversary: splitVote(tr, n, tc)}
 	want, err := sim.Run(simCfg, buildMachines(t, tr, n, tc, inputs))
 	if err != nil {
@@ -52,7 +52,7 @@ func TestClusterReconnectResend(t *testing.T) {
 	var killed atomic.Bool
 	var remaining atomic.Int64
 	remaining.Store(7)
-	tcpCfg := sim.Config{N: n, MaxCorrupt: tc, MaxRounds: core.Rounds(tr) + 2,
+	tcpCfg := sim.Config{N: n, MaxCorrupt: tc, MaxRounds: core.Rounds(tr, tc) + 2,
 		Adversary: splitVote(tr, n, tc)}
 	got, err := LocalCluster(tcpCfg, buildMachines(t, tr, n, tc, inputs), Options{
 		Reconnect: true,
@@ -88,7 +88,7 @@ func TestClusterCrashRestart(t *testing.T) {
 	const n, tc = 5, 1
 	inputs := spreadInputs(tr, n, 2)
 	mkCfg := func(trace *sim.Trace) sim.Config {
-		return sim.Config{N: n, MaxCorrupt: tc, MaxRounds: core.Rounds(tr) + 2,
+		return sim.Config{N: n, MaxCorrupt: tc, MaxRounds: core.Rounds(tr, tc) + 2,
 			Adversary: splitVote(tr, n, tc), Trace: trace}
 	}
 
@@ -138,7 +138,7 @@ func TestClusterCrashPlanValidation(t *testing.T) {
 	restart := func(p sim.PartyID) (sim.Machine, error) {
 		return core.NewMachine(core.Config{Tree: tr, N: n, T: tc, ID: p, Input: inputs[p]})
 	}
-	base := sim.Config{N: n, MaxCorrupt: tc, MaxRounds: core.Rounds(tr) + 2,
+	base := sim.Config{N: n, MaxCorrupt: tc, MaxRounds: core.Rounds(tr, tc) + 2,
 		Adversary: splitVote(tr, n, tc)}
 
 	// splitVote corrupts the last tc parties, so party 3 is the corrupted one.

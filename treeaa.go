@@ -87,9 +87,12 @@ func RunBaseline(tr *Tree, n, t int, inputs []VertexID, adv Adversary) (map[Part
 	return out, err
 }
 
-// Rounds returns TreeAA's communication-round budget for tr: the paper's
-// R_RealAA(2|V|,1) + R_RealAA(D(T),1) = O(log|V|/loglog|V|).
-func Rounds(tr *Tree) int { return core.Rounds(tr) }
+// Rounds returns TreeAA's communication-round budget for tr under fault
+// budget t. For t >= 2 it is the paper's R_RealAA(2|V|,1) + R_RealAA(D(T),1)
+// = O(log|V|/loglog|V|); with t <= 1 each RealAA phase collapses to exact
+// agreement in t+1 three-round iterations, so the budget is 6(t+1) rounds
+// whatever the tree (3(t+1) on a path input space, 0 when D(T) <= 1).
+func Rounds(tr *Tree, t int) int { return core.Rounds(tr, t) }
 
 // LowerBoundRounds returns the smallest R for which Fekete's adapted bound
 // permits 1-Agreement on a diameter-d input space with n parties and t

@@ -57,13 +57,17 @@ func TestFacadeGeneratorsAndBounds(t *testing.T) {
 		t.Error("random size")
 	}
 	tr := NewPathTree(1000)
-	ub := Rounds(tr)
+	ub := Rounds(tr, 3)
 	lb := LowerBoundRounds(999, 10, 3)
 	if lb <= 0 || ub <= 0 {
 		t.Fatalf("bounds: lb=%d ub=%d", lb, ub)
 	}
 	if ub < lb {
 		t.Errorf("protocol budget %d below the lower bound %d", ub, lb)
+	}
+	// The collapsed t <= 1 schedule must respect the lower bound too.
+	if ub, lb := Rounds(tr, 1), LowerBoundRounds(999, 4, 1); ub != 6 || ub < lb {
+		t.Errorf("t=1: protocol budget %d (want 6), lower bound %d", ub, lb)
 	}
 }
 
