@@ -53,10 +53,15 @@ race-sim:
 # 2-core host was verified at GOMAXPROCS=1 only, which is how the pre-open
 # buffer wedge in the async session path shipped. The recovery suites (kill,
 # graceful restart, mid-flight, the journal crash-point enumeration) sweep
-# the same widths under the race detector.
+# the same widths under the race detector, and so do the three mechanisms of
+# the serving data path — who drains a shard, the write that never blocks
+# (with both slow-peer tests), the final barrier's elision — with the frame
+# they carry and the space cache.
 race-cpu:
 	$(GO) test -count=1 -cpu 1,2,4 -run 'Async|Serve' ./internal/session ./internal/transport
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Restart|CrashPoints|Recover' ./internal/session ./internal/chaos
+	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Drainer|TryWrite|SlowPeer|SessionRound|FinalRound|SpaceCache' \
+		./internal/session ./internal/driver ./internal/wire
 
 # The benchmark is a nested module that root `go test ./...` does not reach;
 # vet and test it here so an internal/ API change cannot break it unseen.
@@ -88,7 +93,8 @@ overlay-smoke:
 # fails to decide or any Result diverges from the sequential sim.Run oracle.
 # The second run turns on the journal and the observability endpoint and
 # asserts /healthz and /metrics from the outside with curl while the
-# cluster lingers.
+# cluster lingers — among the families the two that say who did the work:
+# writes and engine turns, inline against deferred.
 serve-smoke:
 	$(GO) run ./cmd/serve -cluster 3 -sessions 100 -tree spider:3:3
 	@set -e; \
@@ -98,7 +104,8 @@ serve-smoke:
 		if curl -sf http://127.0.0.1:9309/healthz 2>/dev/null | grep -q ok; then ok=1; break; fi; \
 		sleep 0.25; done; \
 	if [ $$ok -ne 1 ]; then echo "serve-smoke: /healthz never became ready" >&2; kill $$pid 2>/dev/null; exit 1; fi; \
-	for fam in treeaa_sessions_decided_total treeaa_journal_appends_total; do \
+	for fam in treeaa_sessions_decided_total treeaa_journal_appends_total \
+		treeaa_mux_writes_total treeaa_engine_turns_total; do \
 		if ! curl -sf http://127.0.0.1:9309/metrics | grep -q "^$$fam"; then \
 			echo "serve-smoke: /metrics missing $$fam" >&2; kill $$pid 2>/dev/null; exit 1; fi; done; \
 	wait $$pid; \

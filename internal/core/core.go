@@ -220,6 +220,11 @@ func (m *Machine) ProjectionMachine() *realaa.Machine { return m.proj }
 // treat it as read-only.
 func (m *Machine) ShortcutMachine() *pathaa.Machine { return m.shortcut }
 
+// FinalRound returns the round of the machine's processing step, one past
+// its last communication round: the step that produces the output and sends
+// nothing (driver.FinalRounder).
+func (m *Machine) FinalRound() int { return Rounds(m.cfg.Tree, m.cfg.T) + 1 }
+
 // Step implements sim.Machine.
 func (m *Machine) Step(r int, inbox []sim.Message) []sim.Message {
 	if m.done {

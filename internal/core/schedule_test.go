@@ -59,6 +59,14 @@ func TestScheduleByT(t *testing.T) {
 		if got := core.Rounds(sp.Tree, c.t) + 1; got != c.rounds {
 			t.Errorf("%s t=%d: core.Rounds+1 = %d, want %d", c.space, c.t, got, c.rounds)
 		}
+		// The round a machine advertises as its last is the one sim.Run stops in.
+		m, _, err := sp.NewMachine(c.n, c.t, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.(interface{ FinalRound() int }).FinalRound(); got != c.rounds {
+			t.Errorf("%s t=%d: FinalRound = %d, want %d", c.space, c.t, got, c.rounds)
+		}
 		for _, adversary := range []string{"", "splitvote"} {
 			if got := runSpace(t, c.space, adversary, c.n, c.t).Rounds; got != c.rounds {
 				t.Errorf("%s n=%d t=%d %q: ran %d rounds, want %d", c.space, c.n, c.t, adversary, got, c.rounds)
@@ -79,6 +87,15 @@ func TestScheduleByT(t *testing.T) {
 		{"path:2048", "splitvote", 32, 10, 31, 43688, 8965320},
 		{"graph:cliquechain:8:6", "", 16, 5, 22, 10752, 1594880},
 	} {
+		sp, err := cli.ParseSpaceSpec(c.space, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m, _, err := sp.NewMachine(c.n, c.t, 0, 0); err != nil {
+			t.Fatal(err)
+		} else if got := m.(interface{ FinalRound() int }).FinalRound(); got != c.rounds {
+			t.Errorf("%s t=%d: FinalRound = %d, want %d", c.space, c.t, got, c.rounds)
+		}
 		res := runSpace(t, c.space, c.adversary, c.n, c.t)
 		if got := [3]int{res.Rounds, res.Messages, res.Bytes}; got != [3]int{c.rounds, c.msgs, c.payload} {
 			t.Errorf("%s n=%d t=%d %q: rounds/messages/bytes = %v, want %v (what the t-free schedule ran)",

@@ -20,6 +20,13 @@ type Sink interface {
 	EndRound(round int, done bool) error
 }
 
+// FinalRounder is the optional interface of a machine on a fixed schedule:
+// FinalRound is the round of its processing step, in which it produces its
+// output and sends nothing. core.Machine and graph.Machine implement it.
+type FinalRounder interface {
+	FinalRound() int
+}
+
 // Result is one party's share of a sim.Result.
 type Result struct {
 	ID        sim.PartyID
@@ -51,6 +58,10 @@ func (r *Result) Total() Tally {
 // The execution terminates in the first round whose barrier shows every
 // party done, the rule that reduces to sim's "all honest machines produced
 // output"; a machine still running after maxRounds fails with sim.ErrNotDone.
+//
+// An adapter whose parties are all honest may ElideFinalBarrier: the
+// schedule's last round then ends at its step instead of at a barrier that
+// could only confirm what the schedule already settles.
 type Round struct {
 	id        sim.PartyID
 	n         int
@@ -62,6 +73,7 @@ type Round struct {
 
 	cur                    int // last stepped round; its barrier is awaited
 	released, releasedDone bool
+	final                  int // the machine's FinalRound once ElideFinalBarrier opted in; else 0
 	res                    Result
 }
 
@@ -71,6 +83,18 @@ type Round struct {
 func NewRound(id sim.PartyID, n, maxRounds, window int, machine sim.Machine, sink Sink) *Round {
 	return &Round{id: id, n: n, maxRounds: maxRounds, machine: machine, sink: sink,
 		box: Mailbox{n: n, window: window, base: 1}, res: Result{ID: id}}
+}
+
+// ElideFinalBarrier lets the party finish at the step of its machine's
+// FinalRound, without EndRound and without awaiting marks, provided that
+// step leaves it done and sends nothing. Sound only where every party runs
+// the same schedule honestly — each then finishes that round on its own, and
+// TermRound is the round sim.Run stops in — so it is the adapter's choice,
+// made in its code; a machine that is no FinalRounder is unaffected.
+func (r *Round) ElideFinalBarrier() {
+	if f, ok := r.machine.(FinalRounder); ok {
+		r.final = f.FinalRound()
+	}
 }
 
 // File stores one arrived message; m.Round is its sending round.
@@ -115,6 +139,9 @@ func (r *Round) barrier() (complete, allDone bool) {
 // carry a party across several rounds.
 func (r *Round) Advance() (finished bool, err error) {
 	for {
+		if r.res.TermRound > 0 {
+			return true, nil
+		}
 		if r.cur > 0 {
 			complete, allDone := r.barrier()
 			if !complete {
@@ -161,6 +188,10 @@ func (r *Round) step(round int) error {
 		}
 	}
 	r.res.PerRound = append(r.res.PerRound, t)
+	if round == r.final && r.res.Done && len(out) == 0 {
+		r.res.TermRound = round
+		return nil
+	}
 	return r.sink.EndRound(round, r.res.Done)
 }
 

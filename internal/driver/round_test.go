@@ -279,6 +279,61 @@ func TestRoundTermination(t *testing.T) {
 	})
 }
 
+// finalMachine is a scriptMachine that advertises its schedule's last round.
+type finalMachine struct {
+	scriptMachine
+	final int
+}
+
+func (m *finalMachine) FinalRound() int { return m.final }
+
+// TestFinalRoundElision: an adapter that opted in finishes at the step of
+// the machine's FinalRound — no EndRound, no marks awaited, TermRound that
+// round — but only if that step left the machine done and silent; without
+// the opt-in, or for a machine that advertises nothing, the last round ends
+// at its barrier as ever.
+func TestFinalRoundElision(t *testing.T) {
+	const n = 3
+	talk := map[int][]sim.Message{1: {{To: sim.Broadcast, Payload: note{"x"}}}}
+	cases := []struct {
+		name     string
+		machine  sim.Machine
+		optIn    bool
+		wantEORs []string
+		elided   bool
+	}{
+		{"done and silent", &finalMachine{scriptMachine{script: talk, doneAt: 2}, 2}, true, []string{"r1:open"}, true},
+		{"not opted in", &finalMachine{scriptMachine{script: talk, doneAt: 2}, 2}, false, []string{"r1:open", "r2:done"}, false},
+		{"no FinalRound", &scriptMachine{script: talk, doneAt: 2}, true, []string{"r1:open", "r2:done"}, false},
+		{"still talking", &finalMachine{scriptMachine{script: map[int][]sim.Message{2: talk[1]}, doneAt: 2}, 2}, true,
+			[]string{"r1:open", "r2:done"}, false},
+		{"not done", &finalMachine{scriptMachine{doneAt: 3}, 2}, true, []string{"r1:open", "r2:open"}, false},
+		{"done early", &finalMachine{scriptMachine{doneAt: 1}, 2}, true, []string{"r1:done"}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sink := &recSink{}
+			rd := NewRound(0, n, 10, 2, tc.machine, sink)
+			if tc.optIn {
+				rd.ElideFinalBarrier()
+			}
+			mustAdvance(t, rd, false)
+			rd.EOR(1, 1, false)
+			rd.EOR(1, 2, false)
+			mustAdvance(t, rd, tc.elided)
+			if !reflect.DeepEqual(sink.eors, tc.wantEORs) {
+				t.Errorf("ended rounds %v, want %v", sink.eors, tc.wantEORs)
+			}
+			if res := rd.Result(); tc.elided && (res.TermRound != 2 || len(res.PerRound) != 2) {
+				t.Errorf("result %+v, want terminated at round 2 with two tallies", res)
+			}
+			if tc.elided {
+				mustAdvance(t, rd, true) // and it stays finished
+			}
+		})
+	}
+}
+
 // TestRoundSendErrors: a recipient outside [0, n) and a failing sink both
 // fail the step, naming party and round.
 func TestRoundSendErrors(t *testing.T) {
@@ -335,6 +390,14 @@ func (s *loopSink) EndRound(round int, done bool) error {
 // reproduce sim.Run — result and per-round trace — for real TreeAA machines,
 // under the tightest window a lock-step substrate permits.
 func TestRoundsMatchSim(t *testing.T) {
+	for _, elide := range []bool{false, true} {
+		roundsMatchSim(t, elide)
+	}
+}
+
+// roundsMatchSim runs the comparison; with elide every party skips the
+// final barrier, which must change neither the result nor the trace.
+func roundsMatchSim(t *testing.T, elide bool) {
 	tr := tree.NewPath(24)
 	const n = 5
 	build := func() []sim.Machine {
@@ -359,6 +422,9 @@ func TestRoundsMatchSim(t *testing.T) {
 	rounds := make([]*Round, n)
 	for i, m := range build() {
 		rounds[i] = NewRound(sim.PartyID(i), n, maxRounds, 2, m, &loopSink{self: sim.PartyID(i), peers: rounds})
+		if elide {
+			rounds[i].ElideFinalBarrier()
+		}
 	}
 	for running := n; running > 0; {
 		running = 0

@@ -9,8 +9,11 @@ import (
 
 // ServeStats counts one serving daemon's session and batching work: the
 // admission funnel (submitted → admitted → decided/failed/expired, with the
-// two rejection reasons split out), and the mux flusher's coalescing (one
-// Batch per conn.Write, covering BatchFrames session frames). The counters
+// two rejection reasons split out), the mux's batched writes (one Batch per
+// write to a peer socket, covering BatchFrames session frames), and who did
+// the work: a write or an engine turn is inline when the goroutine that
+// caused it made it, deferred when it was handed to a link's flusher or a
+// shard's own goroutine. A rising deferred share is back-pressure. The counters
 // are atomic and the latency sample is mutex-guarded, so one ServeStats may
 // be shared by a daemon's manager, engines and peer links.
 type ServeStats struct {
@@ -26,10 +29,14 @@ type ServeStats struct {
 	LinkDowns        atomic.Int64 // peer link failures observed
 	LinkRedials      atomic.Int64 // peer links restored by the redial loop
 
-	Batches          atomic.Int64 // flushes: exactly one conn.Write each
+	Batches          atomic.Int64 // writes to peer sockets: BatchesInline + BatchesDeferred
 	BatchFrames      atomic.Int64 // session frames carried inside those writes
 	BatchBytes       atomic.Int64
 	BatchesCoalesced atomic.Int64 // flushes cut by the occupancy threshold, not the deadline
+	BatchesInline    atomic.Int64 // non-blocking writes by the goroutine that stepped the engines
+	BatchesDeferred  atomic.Int64 // blocking writes by a link's flusher
+	TurnsInline      atomic.Int64 // engine turns run by the goroutine that delivered their input
+	TurnsDeferred    atomic.Int64 // engine turns run by a shard's own goroutine
 	ClientBytes      atomic.Int64 // client-API bytes written (binary protocol only)
 
 	mu      sync.Mutex
@@ -66,10 +73,13 @@ func (s *ServeStats) String() string {
 	return fmt.Sprintf("sessions %d submitted / %d admitted / %d decided / %d failed (%d expired); "+
 		"rejected %d capacity + %d duplicate; "+
 		"%d batches carrying %d frames (%.1f frames/batch, %d bytes, %d occupancy-cut); "+
+		"writes %d inline + %d deferred; engine turns %d inline + %d deferred; "+
 		"%d client bytes; session latency p50 %v p99 %v",
 		s.Submitted.Load(), s.Admitted.Load(), s.Decided.Load(), s.Failed.Load(), s.Expired.Load(),
 		s.RejectedCapacity.Load(), s.RejectedDuplicate.Load(),
 		s.Batches.Load(), s.BatchFrames.Load(), s.BatchOccupancy(), s.BatchBytes.Load(),
-		s.BatchesCoalesced.Load(), s.ClientBytes.Load(),
+		s.BatchesCoalesced.Load(),
+		s.BatchesInline.Load(), s.BatchesDeferred.Load(), s.TurnsInline.Load(), s.TurnsDeferred.Load(),
+		s.ClientBytes.Load(),
 		time.Duration(lat.P50), time.Duration(lat.P99))
 }

@@ -70,9 +70,13 @@ func (o Options) collect() []sample {
 		add("treeaa_sessions_restored_total", "Sessions restored from a journal seal.", "counter", float64(s.RestoredTerminal.Load()), `kind="sealed"`)
 		add("treeaa_peer_link_downs_total", "Peer mesh link failures observed.", "counter", float64(s.LinkDowns.Load()))
 		add("treeaa_peer_link_redials_total", "Peer links re-established by the redial loop.", "counter", float64(s.LinkRedials.Load()))
-		add("treeaa_mux_batches_total", "Coalesced peer-link writes (one conn.Write each).", "counter", float64(s.Batches.Load()))
-		add("treeaa_mux_batch_frames_total", "Session frames carried inside coalesced writes.", "counter", float64(s.BatchFrames.Load()))
-		add("treeaa_mux_batch_bytes_total", "Bytes written by the peer-link flusher.", "counter", float64(s.BatchBytes.Load()))
+		add("treeaa_mux_batches_total", "Batched peer-link writes (one write each).", "counter", float64(s.Batches.Load()))
+		add("treeaa_mux_batch_frames_total", "Session frames carried inside batched writes.", "counter", float64(s.BatchFrames.Load()))
+		add("treeaa_mux_batch_bytes_total", "Bytes written to peer links.", "counter", float64(s.BatchBytes.Load()))
+		add("treeaa_mux_writes_total", "Peer-link writes by who made them: inline by the goroutine that stepped the engines, deferred to the link's flusher (back-pressure).", "counter", float64(s.BatchesInline.Load()), `by="inline"`)
+		add("treeaa_mux_writes_total", "", "", float64(s.BatchesDeferred.Load()), `by="deferred"`)
+		add("treeaa_engine_turns_total", "Engine turns by who ran them: inline by the goroutine that delivered their input, deferred to the shard's own goroutine.", "counter", float64(s.TurnsInline.Load()), `by="inline"`)
+		add("treeaa_engine_turns_total", "", "", float64(s.TurnsDeferred.Load()), `by="deferred"`)
 		add("treeaa_client_bytes_total", "Client-API bytes written (binary protocol).", "counter", float64(s.ClientBytes.Load()))
 		lat := s.SessionLatency()
 		add("treeaa_session_latency_seconds", "Admission-to-terminal session latency quantiles.", "gauge", lat.P50/1e9, `quantile="0.5"`)

@@ -27,8 +27,8 @@ type Options struct {
 	// mode QueueDepth/4 per session (async seats can see a whole protocol run
 	// ahead of their open, so only the shard bound applies). A session that
 	// hits a bound fails with "pre-open buffer overflow" when its open lands;
-	// admitted sessions' queues are unbounded and drained by their shard
-	// worker.
+	// admitted sessions' queues are unbounded and drained by whoever fills
+	// them.
 	QueueDepth int
 	// DefaultTTL is the session deadline applied when a spec's TTL is zero;
 	// it also sets how long terminal sessions linger for status queries.

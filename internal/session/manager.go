@@ -19,7 +19,7 @@ import (
 
 // session is one tracked session on this daemon. Mutable fields are guarded
 // by Manager.mu; terminal is the lock-free mirror of state.Terminal() the
-// shard workers poll, set exactly once at the terminal transition.
+// shard drainers poll, set exactly once at the terminal transition.
 type session struct {
 	sid    uint64
 	origin sim.PartyID // daemon the session was submitted to
@@ -45,8 +45,9 @@ type session struct {
 // Manager owns a daemon's session table: admission control, lifecycle
 // transitions, deadline eviction, and origin-side Result assembly. The
 // per-frame data plane does not come through here — link readers hand raw
-// frames straight to the owning shard (handleRaw), so Manager.mu is a
-// control-plane lock, taken per session transition, not per frame.
+// frames straight to the owning shard (handleRaw) and step its engines
+// there, so Manager.mu is a control-plane lock, taken per session
+// transition, not per frame.
 type Manager struct {
 	d      *Daemon
 	shards []*shard
@@ -90,7 +91,7 @@ func newManager(d *Daemon) *Manager {
 	if sweep < 5*time.Millisecond {
 		sweep = 5 * time.Millisecond
 	}
-	// One engine-pool worker per core, capped at 16.
+	// One engine-pool shard per core, capped at 16.
 	m.shards = make([]*shard, min(runtime.GOMAXPROCS(0), 16))
 	for i := range m.shards {
 		m.shards[i] = newShard(m)
@@ -154,9 +155,11 @@ func (m *Manager) Submit(spec Spec, sid uint64) (uint64, error) {
 		return 0, ferr
 	}
 	// The open precedes every round-1 frame on each link FIFO, because the
-	// engine starts only after the broadcast is queued.
-	m.d.mux.broadcast(open)
+	// engine starts only after the open is in the outboxes. register steps
+	// round 1 right here, and one write per peer carries both.
+	m.d.mux.stageAll(open)
 	s.eng.sh.register(s.eng)
+	m.d.mux.flushDry()
 	return sid, nil
 }
 
@@ -201,20 +204,23 @@ func (m *Manager) logSession(s *session, msg string) {
 }
 
 // handleRaw is the mux handler: every inbound wire body, still encoded,
-// attributed to its authenticated peer. Data-plane frames (SessionMsg,
-// SessionEOR) route zero-copy to the owning shard on the session id peeked
-// from the header — no decode, no global lock, no re-buffering on the link
-// reader. Control frames are rare; they decode here and take Manager.mu. A
-// non-nil error fails the link (the mesh is trusted; garbage is fatal).
+// attributed to its authenticated peer. The data-plane frame, SessionRound,
+// goes to the owning shard on the session id peeked from the header — no
+// global lock — and the shard steps the engine on this goroutine if the
+// frame gave it work. Control frames are rare; they decode here and take
+// Manager.mu. A non-nil error fails the link (the mesh is trusted; garbage
+// is fatal), and the frames SessionRound replaced are garbage.
 func (m *Manager) handleRaw(from sim.PartyID, body []byte) error {
 	typ, sid, err := wire.PeekSession(body)
 	if err != nil {
 		return err
 	}
 	switch typ {
-	case wire.TypeSessionMsg, wire.TypeSessionEOR:
+	case wire.TypeSessionRound:
 		m.shardOf(sid).deliver(from, sid, body)
 		return nil
+	case wire.TypeSessionMsg, wire.TypeSessionEOR:
+		return fmt.Errorf("session: retired frame type 0x%02x from daemon %d", typ, from)
 	}
 	payload, err := wire.Decode(body)
 	if err != nil {

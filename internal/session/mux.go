@@ -29,14 +29,26 @@ import (
 // dead incarnation unwind without disturbing the new one. The session
 // layer hears onDown/onUp transitions and degrades admission rather than
 // the whole daemon.
-const muxVersion byte = 1
+//
+// Version 2 carries each session round as one wire.SessionRound frame;
+// version 1 spoke SessionMsg and SessionEOR, which a version-2 daemon
+// refuses, so the hello keeps a mixed fleet from pairing at all.
+const muxVersion byte = 2
 
 var muxMagic = [4]byte{'T', 'A', 'A', 'S'}
 
 // mux owns a daemon's peer links: the mesh handshake, one reader per link
-// (demultiplexing into the handler), one flusher per link (coalescing
-// every session's outbound frames into batched writes), and the redial
+// (demultiplexing into the handler), one flusher per link, and the redial
 // loop that restores links the peer's restart tore down.
+//
+// Outbound frames collect in per-link outboxes and leave in batched writes.
+// The common write is made by whoever ran the engines that filled the
+// outboxes, the moment it has no more input to run them on (flushDry): one
+// non-blocking write per link, so everything stepped since the last read —
+// often several sessions' rounds — shares it. The flusher is the only
+// goroutine that ever blocks on a socket: it takes what a try-write could
+// not place, every link whose connection hides its descriptor, and frames
+// enqueued outside any engine turn.
 type mux struct {
 	id      sim.PartyID
 	n       int
@@ -46,17 +58,20 @@ type mux struct {
 	stats   *metrics.ServeStats
 
 	// handler receives every inbound wire body, still encoded, attributed to
-	// its authenticated peer. It runs on the link's reader goroutine and is
-	// expected to route data-plane frames without decoding them (zero-copy:
-	// transport.ReadFrame allocates a fresh slice per frame, so the handler
-	// may retain body). A non-nil error fails the link.
+	// its authenticated peer. It runs on the link's reader goroutine and may
+	// do everything the frame causes short of blocking on a socket: decode
+	// it, step the engine it completes a barrier for, stage that engine's
+	// sends. The reader calls flushDry once its buffered input is used up, so
+	// what several frames of one read staged goes out together. The handler
+	// may retain body (the read arena hands out a fresh slice per frame). A
+	// non-nil error fails the link.
 	handler func(from sim.PartyID, body []byte) error
 	// onDown reports a dead link (read or write failure after setup).
 	onDown func(peer sim.PartyID, err error)
 	// onUp reports a link restored after a failure (and the initial mesh).
 	onUp func(peer sim.PartyID)
 
-	peers map[sim.PartyID]*peerLink
+	peers []*peerLink // by daemon id; nil at the mux's own
 	ln    net.Listener
 
 	quit      chan struct{}
@@ -69,7 +84,8 @@ type mux struct {
 }
 
 // peerLink is one duplex daemon-pair link: the current connection (one
-// generation at a time), and the outbox the flusher drains.
+// generation at a time), the outbox, and the writer lock that orders the two
+// kinds of writer the socket has.
 type peerLink struct {
 	m    *mux
 	peer sim.PartyID
@@ -79,6 +95,7 @@ type peerLink struct {
 
 	mu        sync.Mutex
 	conn      net.Conn
+	sock      *sockWriter // nil when conn hides its descriptor: flusher writes only
 	br        *bufio.Reader
 	gen       int           // incremented per registered connection
 	up        bool          // current generation is live
@@ -88,8 +105,19 @@ type peerLink struct {
 	pending  []byte // concatenated encoded frames awaiting one batched write
 	spare    []byte // last flushed batch, recycled to avoid regrowing pending
 	frames   int
-	kick     chan struct{} // capacity 1: outbox went non-empty
+	kick     chan struct{} // capacity 1: the flusher has something to write
 	kickFull chan struct{} // capacity 1: outbox reached the flush threshold
+
+	// wmu is held across every write to the socket. The flusher takes it
+	// with Lock and may sit in a blocked write under it; a try-write takes it
+	// with TryLock — it must, because RawConn.Write takes the descriptor's
+	// own write lock and would park behind that blocked write.
+	wmu sync.Mutex
+	// tail is what a try-write of generation tailGen could not place. It is
+	// owed to the socket before anything newer, so while it stands the link
+	// belongs to the flusher. Guarded by wmu.
+	tail    []byte
+	tailGen int
 }
 
 func newMux(id sim.PartyID, n int, addrs []string, cluster uint64, opts Options,
@@ -98,7 +126,7 @@ func newMux(id sim.PartyID, n int, addrs []string, cluster uint64, opts Options,
 	m := &mux{
 		id: id, n: n, addrs: addrs, cluster: cluster, opts: opts,
 		stats: opts.Stats, handler: handler, onDown: onDown, onUp: onUp,
-		peers: make(map[sim.PartyID]*peerLink, n-1),
+		peers: make([]*peerLink, n),
 		quit:  make(chan struct{}),
 	}
 	for p := sim.PartyID(0); int(p) < n; p++ {
@@ -130,6 +158,9 @@ func (m *mux) start(ln net.Listener) error {
 		}
 	}
 	for p, l := range m.peers {
+		if l == nil {
+			continue
+		}
 		select {
 		case <-l.ready:
 		case <-m.quit:
@@ -250,7 +281,7 @@ func (m *mux) register(peer sim.PartyID, conn net.Conn, br *bufio.Reader, replac
 		}
 		l.markDownLocked()
 	}
-	l.conn, l.br = conn, br
+	l.conn, l.br, l.sock = conn, br, newSockWriter(conn)
 	l.gen++
 	l.up = true
 	l.genQuit = make(chan struct{})
@@ -340,16 +371,12 @@ func (m *mux) redialLoop(l *peerLink) {
 	}
 }
 
-// enqueue appends one encoded frame to the peer's outbox. It never blocks:
-// the flusher owns the socket, and backpressure is applied per link by the
-// flusher's write, never across links. The frame bytes are copied, so
-// callers may reuse their encode buffers. Frames for a down link are
-// dropped — the session layer has already failed the affected sessions.
-func (m *mux) enqueue(to sim.PartyID, frame []byte) {
-	l := m.peers[to]
-	if l == nil {
-		return
-	}
+// put appends one encoded frame to the outbox, copying it, so callers may
+// reuse their encode buffers. It never blocks. An outbox that reaches a flush
+// threshold goes to the flusher; so does, with wake set, one that was empty.
+// Frames for a down link are dropped — the session layer has already failed
+// the affected sessions.
+func (l *peerLink) put(frame []byte, wake bool) {
 	l.mu.Lock()
 	if !l.up {
 		l.mu.Unlock()
@@ -361,25 +388,139 @@ func (m *mux) enqueue(to sim.PartyID, frame []byte) {
 	ready := batchReady(l.frames, len(l.pending), flushOccupancy, maxBatchBytes)
 	l.mu.Unlock()
 	if ready {
-		select {
-		case l.kickFull <- struct{}{}:
-		default:
-		}
-	} else if first {
-		select {
-		case l.kick <- struct{}{}:
-		default:
-		}
+		l.wakeFlusher(true)
+	} else if first && wake {
+		l.wakeFlusher(false)
+	}
+}
+
+func (l *peerLink) wakeFlusher(full bool) {
+	ch := l.kick
+	if full {
+		ch = l.kickFull
+	}
+	select {
+	case ch <- struct{}{}:
+	default:
+	}
+}
+
+// enqueue queues one frame for the peer and leaves writing it to the link's
+// flusher: the call for frames that no engine turn produced (aborts,
+// rejections), safe on any goroutine.
+func (m *mux) enqueue(to sim.PartyID, frame []byte) {
+	if l := m.peers[to]; l != nil {
+		l.put(frame, true)
+	}
+}
+
+// stage queues one frame for the peer without waking anybody: the call of a
+// goroutine that is stepping engines and will flushDry when it is through.
+func (m *mux) stage(to sim.PartyID, frame []byte) {
+	if l := m.peers[to]; l != nil {
+		l.put(frame, false)
 	}
 }
 
 // broadcast enqueues the frame on every peer link.
 func (m *mux) broadcast(frame []byte) {
-	for p := sim.PartyID(0); int(p) < m.n; p++ {
-		if p != m.id {
-			m.enqueue(p, frame)
+	for _, l := range m.peers {
+		if l != nil {
+			l.put(frame, true)
 		}
 	}
+}
+
+// stageAll stages the frame on every peer link.
+func (m *mux) stageAll(frame []byte) {
+	for _, l := range m.peers {
+		if l != nil {
+			l.put(frame, false)
+		}
+	}
+}
+
+// flushDry writes every non-empty outbox from the calling goroutine, one
+// write per link, and never waits for a socket. It is called where input
+// ran dry — by a link reader whose buffer is used up, by any other goroutine
+// at the end of a drain that stepped engines — and not at the end of each
+// engine turn: two sessions' rounds that arrived in one read are both
+// stepped before either is written, which is the cross-session batching the
+// flusher used to provide (writing per turn measured 157 writes a session
+// against 91, and a fifth more latency).
+func (m *mux) flushDry() {
+	for _, l := range m.peers {
+		if l != nil {
+			l.tryFlush()
+		}
+	}
+}
+
+// tryFlush writes the outbox with one non-blocking write if the link is
+// free for it, and hands it to the flusher otherwise: a connection without a
+// descriptor, a writer already at work, an unwritten tail outstanding, or a
+// socket that took only part of the batch.
+func (l *peerLink) tryFlush() {
+	l.mu.Lock()
+	staged, sock := l.frames > 0, l.sock
+	l.mu.Unlock()
+	if !staged {
+		return
+	}
+	if sock == nil || !l.wmu.TryLock() {
+		l.wakeFlusher(false)
+		return
+	}
+	// The writer lock is held from before the outbox is taken until its
+	// bytes are with the socket or in the tail: writes leave in taking order.
+	l.mu.Lock()
+	gen := l.gen
+	owed := l.frames > 0
+	if !owed || l.sock != sock || (len(l.tail) > 0 && l.tailGen == gen) {
+		// Written by somebody else meanwhile — or a new connection's, or
+		// behind a tail: then it is the flusher's.
+		l.mu.Unlock()
+		l.wmu.Unlock()
+		if owed {
+			l.wakeFlusher(false)
+		}
+		return
+	}
+	batch, frames := l.takeLocked()
+	l.mu.Unlock()
+	l.countTaken(frames, len(batch))
+	n := sock.write(batch)
+	if s := l.m.stats; s != nil && n > 0 {
+		s.Batches.Add(1)
+		s.BatchesInline.Add(1)
+	}
+	if n == len(batch) {
+		l.recycle(batch)
+	} else {
+		l.tail, l.tailGen = batch[n:], gen
+	}
+	l.wmu.Unlock()
+	if n < len(batch) {
+		l.wakeFlusher(false)
+	}
+}
+
+// countTaken counts a batch's frames and bytes when it is taken for its
+// write — before the write, so that by the time a frame can have had any
+// effect at its receiver it has been counted.
+func (l *peerLink) countTaken(frames, bytes int) {
+	if s := l.m.stats; s != nil && frames > 0 {
+		s.BatchFrames.Add(int64(frames))
+		s.BatchBytes.Add(int64(bytes))
+	}
+}
+
+// takeLocked swaps the outbox for the recycled spare. Caller holds l.mu.
+func (l *peerLink) takeLocked() (batch []byte, frames int) {
+	batch, frames = l.pending, l.frames
+	l.pending, l.frames = l.spare[:0], 0
+	l.spare = nil
+	return batch, frames
 }
 
 // Adaptive flush policy, as pure functions so the table tests can pin the
@@ -430,9 +571,10 @@ func batchReady(frames, bytes, occupancy, maxBytes int) bool {
 }
 
 // flushLoop coalesces a link's outbox into one conn.Write per wakeup,
-// pacing itself by the adaptive policy above. kick wakes it when the outbox
-// goes non-empty; kickFull cuts a coalescing wait short the moment the
-// occupancy threshold is hit. Stale kicks (the frames they announced were
+// pacing itself by the adaptive policy above. kick wakes it when there is
+// something for it to write — an enqueue into an empty outbox, a try-write
+// that could not finish the job; kickFull cuts a coalescing wait short the
+// moment the occupancy threshold is hit. Stale kicks (the frames they announced were
 // already flushed) cost one no-op flush and are otherwise harmless, so the
 // loop never tries to drain them. One flusher runs per link generation;
 // genQuit retires it when the generation dies.
@@ -495,32 +637,46 @@ func (m *mux) flushLoop(l *peerLink, gen int, genQuit chan struct{}, conn net.Co
 	}
 }
 
-// flush writes the outbox in one syscall and reports how many frames it
-// carried. The flushed buffer is recycled as the next pending buffer, so a
-// steady-state link reuses two batch buffers forever. A stale generation's
-// flush is a silent no-op: the outbox now belongs to the replacement.
+// flush is the flusher's blocking write: first the tail a try-write left,
+// then the outbox, and it reports how many outbox frames it carried. The
+// flushed buffer is recycled as the next pending buffer, so a steady-state
+// link reuses two batch buffers forever. A stale generation's flush is a
+// silent no-op: the outbox now belongs to the replacement.
 func (l *peerLink) flush(gen int, conn net.Conn) (n int, stale bool, err error) {
+	l.wmu.Lock()
+	defer l.wmu.Unlock()
 	l.mu.Lock()
 	if l.gen != gen {
 		l.mu.Unlock()
 		return 0, true, nil
 	}
-	batch, frames := l.pending, l.frames
-	l.pending, l.frames = l.spare[:0], 0
-	l.spare = nil
+	batch, frames := l.takeLocked()
 	l.mu.Unlock()
-	if frames == 0 {
+	l.countTaken(frames, len(batch))
+	tail := l.tail
+	if l.tailGen != gen {
+		tail = nil // a dead generation's: its sessions have been failed
+	}
+	l.tail = nil
+	if len(tail) == 0 && frames == 0 {
 		l.recycle(batch)
 		return 0, false, nil
 	}
 	conn.SetWriteDeadline(time.Now().Add(l.m.opts.RoundTimeout))
-	if _, err := conn.Write(batch); err != nil {
-		return 0, false, err
-	}
-	if s := l.m.stats; s != nil {
-		s.Batches.Add(1)
-		s.BatchFrames.Add(int64(frames))
-		s.BatchBytes.Add(int64(len(batch)))
+	// Cleared again, or the try-writes that follow would find it expired.
+	defer conn.SetWriteDeadline(time.Time{})
+	s := l.m.stats
+	for _, b := range [2][]byte{tail, batch} {
+		if len(b) == 0 {
+			continue
+		}
+		if _, err := conn.Write(b); err != nil {
+			return 0, false, err
+		}
+		if s != nil {
+			s.Batches.Add(1)
+			s.BatchesDeferred.Add(1)
+		}
 	}
 	l.recycle(batch)
 	return frames, false, nil
@@ -555,12 +711,14 @@ func (m *mux) readLoop(l *peerLink, gen int, br *bufio.Reader) {
 			fail(fmt.Errorf("session: link %d→%d: unexpected frame type 0x%02x", l.peer, m.id, body[0]))
 			return
 		}
-		// The wire body is handed over still encoded; the handler routes it
-		// to the owning shard by the peeked session id and the shard's worker
-		// decodes it there, off this link's critical path.
 		if err := m.handler(l.peer, body[1:]); err != nil {
 			fail(fmt.Errorf("session: link %d→%d: %w", l.peer, m.id, err))
 			return
+		}
+		// The next read goes to the socket: write what the frames of this one
+		// staged before waiting on it.
+		if br.Buffered() == 0 {
+			m.flushDry()
 		}
 	}
 }
@@ -620,8 +778,8 @@ func (m *mux) closeConns() {
 // appendSessionFrame appends one mux session frame — the length-prefixed
 // FrameMuxSession envelope around the payload's wire encoding — to dst and
 // returns the extended slice, byte-identical to transport.AppendFrame over
-// the assembled body but without the intermediate body allocation. enqueue
-// copies, so callers (the engines' hot path) reuse one scratch buffer.
+// the assembled body but without the intermediate body allocation. The
+// outbox copies, so callers (the engines' hot path) reuse one scratch buffer.
 func appendSessionFrame(dst []byte, payload any) ([]byte, error) {
 	sz, err := wire.EncodedSize(payload)
 	if err != nil {

@@ -8,47 +8,52 @@
 //
 // # Architecture
 //
-//	client ──TCP──▶ server.go ──▶ Manager ──▶ shard pool (engines as state
-//	                                 ▲              │ machines, one worker
-//	                                 │ inbound      │ goroutine per shard)
+//	client ──TCP──▶ server.go ──▶ Manager ──▶ shards (engines as state
+//	                                 ▲            machines, stepped by the
+//	                                 │ inbound    goroutine that fed them)
 //	                                 │              ▼ outbound frames
-//	                              mux.go ◀──── per-peer outbox + flusher
-//	                                 │
+//	                              mux.go ◀──── per-peer outbox, written where
+//	                                 │         input ran dry; flusher behind
 //	                           peer daemons
 //
 // Every frame on a peer link is a transport-framed wire session payload
-// (wire.SessionMsg / SessionEOR / SessionOpen / SessionAbort /
-// SessionDecide) carrying its session id, so one link interleaves every
-// session's rounds. Engines are passive state machines packed onto a small
-// pool of shard workers (sessions hash to shards by id); link readers peek
-// the session id from the still-encoded frame and hand the raw bytes to the
-// owning shard with no decode, no copy, and no global lock on the data
-// path. The flusher coalesces all sessions' outbound frames into one
-// batched conn.Write per peer, adapting per link: it batches only while the
-// link's flush-size average says waits actually fill batches, and flushes
-// immediately on quiet links where waiting would just add latency.
+// carrying its session id, so one link interleaves every session's rounds:
+// wire.SessionRound for the data plane — everything a seat sends a peer in
+// one round, with its end-of-round mark — and SessionOpen / SessionAbort /
+// SessionDecide for the lifecycle. A lock-step round costs one frame per
+// link and no goroutine hand-off: the link reader peeks the session id,
+// queues the still-encoded frame on the owning shard (sessions hash to
+// shards by id) and, unless somebody is draining that shard already, steps
+// the engine itself — decode, barrier, machine step, the next round's frames
+// staged in the per-peer outboxes. When its buffered input is used up it
+// writes every outbox with one non-blocking write each, so all that one read
+// brought in — often several sessions' rounds — shares the writes going out.
+// Nothing on that path can wait for a socket: what a write could not place,
+// and every link whose connection hides its descriptor, falls to the link's
+// flusher, which batches by the adaptive policy it always had.
 //
 // An engine owns no protocol loop: it is an adapter over internal/driver,
 // the same passive Round (lock step) and Event (Options.Async) state
-// machines the mesh and overlay nodes adapt. The engine decodes SessionMsg /
-// SessionEOR into the driver, frames what the driver emits, and keeps the
-// watchdog deadline; mailboxes,
-// accounting (counted at send, self-delivery included, the session envelope
-// excluded), barriers and termination are the driver's, which is why each
-// session's Result is byte-identical to sim.Run on the same spec. The mux's
-// per-link FIFO lets a peer lead by at most one round, so the engine fixes
-// the driver's window at 2 and anything outside fails the session. The
-// origin daemon (where the session was submitted) assembles the Result from
-// its own record plus each peer's SessionDecide.
+// machines the mesh and overlay nodes adapt. The engine streams SessionRound
+// frames into the driver, frames what the driver emits, and keeps the
+// watchdog deadline; mailboxes, accounting (counted at send, self-delivery
+// included, the session envelope excluded), barriers and termination are the
+// driver's, which is why each session's Result is byte-identical to sim.Run
+// on the same spec. The mux's per-link FIFO lets a peer lead by at most one
+// round, so the engine fixes the driver's window at 2 and anything outside
+// fails the session; and because every seat is honest and on one schedule,
+// the schedule's last, message-free round ends at its step rather than at a
+// barrier. The origin daemon (where the session was submitted) assembles the
+// Result from its own record plus each peer's SessionDecide.
 //
-// With Options.Async every inbound SessionMsg is delivered to an
-// async.Pipeline on arrival, a seat broadcasts one SessionEOR{Done} as its
-// decision announcement, and the seat finishes once it has decided and heard
-// done from every peer. There are no barriers and no round timeouts
-// (RoundTimeout becomes an idle watchdog), and decided Results are judged by
-// the paper's properties — validity and 1-agreement — rather than oracle
-// byte-identity, because an asynchronous decision legitimately depends on
-// delivery order.
+// With Options.Async every message travels as a SessionRound of one and is
+// delivered to an async.Pipeline on arrival, a seat broadcasts one empty
+// done-marked SessionRound as its decision announcement, and the seat
+// finishes once it has decided and heard done from every peer. There are no
+// barriers and no round timeouts (RoundTimeout becomes an idle watchdog), and
+// decided Results are judged by the paper's properties — validity and
+// 1-agreement — rather than oracle byte-identity, because an asynchronous
+// decision legitimately depends on delivery order.
 package session
 
 import (
@@ -134,7 +139,7 @@ func parseSpec(spec Spec, n int, defaultTTL time.Duration) (parsedSpec, error) {
 	if spec.TTL < 0 {
 		return parsedSpec{}, fmt.Errorf("session: negative ttl %v", spec.TTL)
 	}
-	space, err := cli.ParseSpaceSpec(spec.Tree, spec.Seed)
+	space, err := spaces.parse(spec.Tree, spec.Seed)
 	if err != nil {
 		return parsedSpec{}, fmt.Errorf("session: space spec: %w", err)
 	}

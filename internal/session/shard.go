@@ -8,26 +8,41 @@ import (
 	"treeaa/internal/sim"
 )
 
-// shard is one worker of the engine pool. Sessions hash to shards by id
-// (sid mod the shard count); each shard owns its sessions' engines, their pending
-// buffers (frames that outran the SessionOpen) and their tombstones, and
-// steps ready engines from a run queue on one dedicated worker goroutine.
-// The data plane — deliver, from the link readers — takes only this shard's
-// mutex, never the manager's: per-frame contention on the global session
-// table was a top serve-profile cost of the goroutine-per-session model.
+// shard is one slice of the engine pool. Sessions hash to shards by id
+// (sid mod the shard count); each shard owns its sessions' engines, their
+// pending buffers (frames that outran the SessionOpen) and their tombstones,
+// and a run queue of engines with work.
 //
-// Lock order: Manager.mu before shard.mu, never the reverse. The worker
-// holds shard.mu only to swap queues; engine stepping runs unlocked and may
+// Whoever gives an engine work steps it: deliver (a link reader) and
+// register (a link reader, or the client goroutine of a Submit) drain the
+// run queue on their own goroutine, so the frame that completes a barrier is
+// decoded, the round stepped and its sends staged without a hand-off. One
+// goroutine drains at a time — the draining flag, under shard.mu — and a
+// caller that finds it set leaves its work to the drainer, which re-reads the
+// queue under the same lock before it clears the flag, so no wake-up is lost
+// and an engine's run state has one owner at any moment (drainer-owned).
+// The shard's own goroutine is the sweeper, and the drainer for wake: a
+// terminal transition holds Manager.mu, and an engine turn may need it.
+//
+// The data plane takes only this shard's mutex, never the manager's:
+// per-frame contention on the global session table was a top serve-profile
+// cost of the goroutine-per-session model.
+//
+// Lock order: Manager.mu before shard.mu, never the reverse. A drainer holds
+// shard.mu only around the queue; engine stepping runs unlocked and may
 // call into the manager (fail, finishSeat), which takes Manager.mu.
 type shard struct {
 	m *Manager
+	// step runs one engine turn; (*engine).run outside tests.
+	step func(*engine, []rawEvent) bool
 
-	mu         sync.Mutex
-	engines    map[uint64]*engine
-	dirty      []*engine // engines with queued work, deduplicated via engine.queued
-	dirtySpare []*engine
-	pending    map[uint64]*pendingBuf
-	pendingN   int
+	mu       sync.Mutex
+	engines  map[uint64]*engine
+	dirty    []*engine // engines with queued work, deduplicated via engine.queued
+	head     int       // dirty[head:] is still to run; the drainer advances it
+	draining bool      // a goroutine is running the queue and will see additions
+	pending  map[uint64]*pendingBuf
+	pendingN int
 	// Tombstones live in two generations so that collecting them never
 	// scans them: an id is buried into tombs, sweep turns tombs into
 	// oldTombs once it is linger old and drops the previous oldTombs whole.
@@ -36,7 +51,7 @@ type shard struct {
 	oldTombs   map[uint64]struct{}
 	tombsSince time.Time // when tombs became the young generation
 
-	kick chan struct{} // capacity 1: the dirty list became non-empty
+	kick chan struct{} // capacity 1: wake queued an engine and nobody is draining
 	quit chan struct{}
 	done chan struct{}
 }
@@ -60,6 +75,7 @@ const reasonPreOpenOverflow = "pre-open buffer overflow"
 func newShard(m *Manager) *shard {
 	return &shard{
 		m:          m,
+		step:       (*engine).run,
 		engines:    make(map[uint64]*engine),
 		pending:    make(map[uint64]*pendingBuf),
 		tombs:      make(map[uint64]struct{}),
@@ -71,11 +87,11 @@ func newShard(m *Manager) *shard {
 }
 
 // pendingPerSession bounds the frames buffered for one not-yet-opened
-// session. In lock step at most one round of traffic can precede the open on
-// any link, so a deep buffer only ever holds garbage. Async mode has no such
-// invariant — the n−t seats that hold the open can run the whole protocol
-// before the last seat's open lands — so there only the shard-wide bound
-// applies.
+// session. In lock step at most one frame — a peer's first round — can
+// precede the open on any link, so a deep buffer only ever holds garbage.
+// Async mode has no such invariant — the n−t seats that hold the open can
+// run the whole protocol before the last seat's open lands — so there only
+// the shard-wide bound applies.
 func (sh *shard) pendingPerSession() int {
 	if sh.m.d.opts.Async {
 		return sh.pendingTotal()
@@ -85,10 +101,11 @@ func (sh *shard) pendingPerSession() int {
 
 func (sh *shard) pendingTotal() int { return 16 * sh.m.d.opts.QueueDepth }
 
-// deliver hands one raw in-session frame to the owning engine's queue and
-// marks the engine ready. Unknown ids buffer (the open may still be in
-// flight); tombstoned ids drop silently — late frames after eviction are
-// expected, not errors.
+// deliver hands one raw in-session frame to the owning engine and runs the
+// engine, on the calling link reader, unless another goroutine is draining
+// the shard already. Unknown ids buffer (the open may still be in flight);
+// tombstoned ids drop silently — late frames after eviction are expected,
+// not errors.
 func (sh *shard) deliver(from sim.PartyID, sid uint64, body []byte) {
 	sh.mu.Lock()
 	eng := sh.engines[sid]
@@ -101,7 +118,7 @@ func (sh *shard) deliver(from sim.PartyID, sid uint64, body []byte) {
 	}
 	eng.in = append(eng.in, rawEvent{from: from, body: body})
 	sh.enqueueDirtyLocked(eng)
-	sh.mu.Unlock()
+	sh.drainLocked(true)
 }
 
 func (sh *shard) bufferPendingLocked(sid uint64, ev rawEvent) {
@@ -128,14 +145,12 @@ func (sh *shard) enqueueDirtyLocked(eng *engine) {
 	}
 	eng.queued = true
 	sh.dirty = append(sh.dirty, eng)
-	select {
-	case sh.kick <- struct{}{}:
-	default:
-	}
 }
 
-// register adds an admitted session's engine and queues it for its first
-// step, absorbing any frames that outran the admission in arrival order. A
+// register adds an admitted session's engine and runs its first step on the
+// calling goroutine (unless the shard is being drained already), absorbing
+// any frames that outran the admission in arrival order. A caller that is not
+// a link reader owes the mux a flushDry afterwards. A
 // session that went terminal before registration (eviction or a peer's
 // rejection racing the admit) is buried instead, and one whose pre-open
 // buffer overflowed here is failed cluster-wide: its seat would have
@@ -160,16 +175,25 @@ func (sh *shard) register(eng *engine) {
 		eng.in = append(eng.in, pb.evs...)
 	}
 	sh.enqueueDirtyLocked(eng)
-	sh.mu.Unlock()
+	sh.drainLocked(true)
 }
 
 // wake queues the engine for a prompt run — the terminal transition calls
 // this so an externally failed or evicted engine retires without waiting
-// for the sweep.
+// for the sweep. Its caller holds Manager.mu, which an engine turn may take,
+// so wake never drains: the queue goes to whoever is draining, or else to
+// the shard's goroutine.
 func (sh *shard) wake(eng *engine) {
 	sh.mu.Lock()
 	sh.enqueueDirtyLocked(eng)
+	idle := !sh.draining && sh.head < len(sh.dirty)
 	sh.mu.Unlock()
+	if idle {
+		select {
+		case sh.kick <- struct{}{}:
+		default:
+		}
+	}
 }
 
 // bury tombstones a session id so late frames drop instead of buffering.
@@ -204,20 +228,19 @@ func (sh *shard) deadLocked(sid uint64) bool {
 	return ok
 }
 
-// remove retires an engine: out of the run queue's reach, id tombstoned, its
-// run state released. Only the worker calls it (run, sweep), which is what
-// lets it touch the engine's worker-owned fields.
-func (sh *shard) remove(eng *engine) {
-	sh.mu.Lock()
+// removeLocked retires an engine: out of the run queue's reach, id
+// tombstoned, its run state released. Only the drainer calls it, which is
+// what lets it touch the engine's drainer-owned fields.
+func (sh *shard) removeLocked(eng *engine) {
 	eng.gone = true
 	delete(sh.engines, eng.s.sid)
 	sh.buryLocked(eng.s.sid)
 	eng.release()
-	sh.mu.Unlock()
 }
 
-// worker is the shard's loop: drain the run queue on every kick, and sweep
-// (barrier timeouts, pending and tombstone GC) on a coarse tick.
+// worker is the shard's own goroutine: it drains when wake asks it to, and
+// on a coarse tick it sweeps (barrier timeouts, pending and tombstone GC)
+// and retires what the sweep found.
 func (sh *shard) worker(sweepEvery time.Duration) {
 	defer close(sh.done)
 	ticker := time.NewTicker(sweepEvery)
@@ -227,68 +250,87 @@ func (sh *shard) worker(sweepEvery time.Duration) {
 		case <-sh.quit:
 			return
 		case <-sh.kick:
-			sh.drain()
+			sh.drainDeferred()
 		case <-ticker.C:
-			sh.drain()
 			sh.sweep(time.Now())
+			sh.drainDeferred()
 		}
 	}
 }
 
-// drain runs every dirty engine until the queue stays empty. The swap keeps
-// shard.mu out of the stepping path, and the spare list makes the steady
-// state allocation-free.
-func (sh *shard) drain() {
-	for {
-		sh.mu.Lock()
-		if len(sh.dirty) == 0 {
-			sh.mu.Unlock()
-			return
-		}
-		batch := sh.dirty
-		sh.dirty = sh.dirtySpare[:0]
-		sh.mu.Unlock()
-		for i, eng := range batch {
-			sh.run(eng)
-			batch[i] = nil
-		}
-		sh.dirtySpare = batch[:0]
-	}
-}
-
-// run gives one engine its turn: swap its queue out under the lock, step it
-// unlocked, retire it if the seat finished. The in/inSpare double buffer
-// mirrors the mux outbox — no per-turn allocation.
-func (sh *shard) run(eng *engine) {
+// drainDeferred is a drain by the shard's goroutine, which — unlike a link
+// reader — has no dry point of its own to write at, so it writes here. A
+// drain that ran nothing touches nothing: the first ticks fire before the
+// daemon has a mux.
+func (sh *shard) drainDeferred() {
 	sh.mu.Lock()
-	if eng.gone {
-		sh.mu.Unlock()
-		return
+	if sh.drainLocked(false) > 0 {
+		sh.m.d.mux.flushDry()
 	}
-	evs := eng.in
-	eng.in = eng.inSpare
-	eng.inSpare = evs[:0]
-	eng.queued = false
-	sh.mu.Unlock()
+}
 
-	alive := eng.run(evs)
-	for i := range evs {
-		evs[i] = rawEvent{} // release the frame bytes for GC
+// drainLocked runs queued engines until the queue is empty, unless another
+// goroutine is doing so already, and returns how many turns it ran. Called
+// with shard.mu held, it returns with it released; the lock is dropped
+// around each turn. An engine's queue is swapped out for its turn and back
+// in after — the in/inSpare double buffer mirrors the mux outbox, no
+// per-turn allocation — and a seat that finished is retired on the spot.
+func (sh *shard) drainLocked(inline bool) (turns int) {
+	if sh.draining {
+		sh.mu.Unlock()
+		return 0
 	}
-	if !alive {
-		sh.remove(eng)
+	sh.draining = true
+	for sh.head < len(sh.dirty) {
+		eng := sh.dirty[sh.head]
+		sh.dirty[sh.head] = nil
+		sh.head++
+		if eng.gone {
+			continue
+		}
+		evs := eng.in
+		eng.in, eng.inSpare = eng.inSpare, nil
+		eng.queued = false
+		sh.mu.Unlock()
+
+		alive := sh.step(eng, evs)
+		clear(evs) // release the frame bytes for GC
+		turns++
+
+		sh.mu.Lock()
+		if alive {
+			eng.inSpare = evs[:0]
+		} else {
+			sh.removeLocked(eng)
+		}
 	}
+	sh.dirty, sh.head = sh.dirty[:0], 0
+	sh.draining = false
+	sh.mu.Unlock()
+	if s := sh.m.stats(); s != nil && turns > 0 {
+		if inline {
+			s.TurnsInline.Add(int64(turns))
+		} else {
+			s.TurnsDeferred.Add(int64(turns))
+		}
+	}
+	return turns
 }
 
 // sweep enforces barrier deadlines, collects stale pending buffers and
-// rotates the tombstone generations. Engine round state is worker-owned, and
-// sweep runs on the worker, so the deadline reads need no lock.
+// rotates the tombstone generations. It runs beside whoever is draining, so
+// it reads an engine's deadline atomically and retires nothing itself: a
+// timed-out seat is failed, which queues its engine, and the next turn of
+// any terminal engine ends with the drainer removing it.
 func (sh *shard) sweep(now time.Time) {
-	var victims []*engine
+	var late, ended []*engine
+	nowNS := now.UnixNano()
 	sh.mu.Lock()
 	for _, eng := range sh.engines {
-		if eng.s.terminal.Load() || (!eng.watchdog.IsZero() && now.After(eng.watchdog)) {
-			victims = append(victims, eng)
+		if eng.s.terminal.Load() {
+			ended = append(ended, eng)
+		} else if at := eng.watchdog.Load(); at != 0 && nowNS > at {
+			late = append(late, eng)
 		}
 	}
 	for sid, pb := range sh.pending {
@@ -300,17 +342,18 @@ func (sh *shard) sweep(now time.Time) {
 		sh.oldTombs, sh.tombs, sh.tombsSince = sh.tombs, make(map[uint64]struct{}), now
 	}
 	sh.mu.Unlock()
-	for _, eng := range victims {
-		if !eng.s.terminal.Load() {
-			reason := fmt.Sprintf("daemon %d: async seat idle for %v while undecided (wedged run)",
-				sh.m.d.id, sh.m.d.opts.RoundTimeout)
-			if eng.rd != nil {
-				reason = fmt.Sprintf("daemon %d: round %d barrier timed out after %v",
-					sh.m.d.id, eng.rd.Round(), sh.m.d.opts.RoundTimeout)
-			}
-			sh.m.fail(eng.s, StateFailed, reason, true)
+	opts := &sh.m.d.opts
+	for _, eng := range late {
+		reason := fmt.Sprintf("daemon %d: round %d barrier timed out after %v",
+			sh.m.d.id, eng.awaited.Load(), opts.RoundTimeout)
+		if opts.Async {
+			reason = fmt.Sprintf("daemon %d: async seat idle for %v while undecided (wedged run)",
+				sh.m.d.id, opts.RoundTimeout)
 		}
-		sh.remove(eng)
+		sh.m.fail(eng.s, StateFailed, reason, true) // wakes the engine
+	}
+	for _, eng := range ended {
+		sh.wake(eng)
 	}
 }
 

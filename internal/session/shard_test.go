@@ -2,9 +2,144 @@ package session
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"treeaa/internal/sim"
 )
+
+// testShard is a shard on a bare manager whose daemon has the given mux
+// (possibly none) and no listeners.
+func testShard(m *mux) *shard {
+	opts := Options{DefaultTTL: 30 * time.Second, SetupTimeout: time.Second, QueueDepth: 64}.withDefaults()
+	return newShard(&Manager{d: &Daemon{opts: opts, mux: m}})
+}
+
+// TestDrainerExclusivity: many goroutines deliver to one shard at once, and
+// a few more wake its engines the way a terminal transition does. Whoever
+// delivers drains, unless somebody is draining already — so every event
+// must be applied exactly once, no two engine turns may ever overlap (the
+// turns' unsynchronised counters are the race detector's probe for that),
+// and when the last deliverer has returned nothing may be left queued.
+func TestDrainerExclusivity(t *testing.T) {
+	const (
+		engines    = 8
+		deliverers = 16
+		each       = 400
+	)
+	sh := testShard(&mux{}) // the shard goroutine flushes a mux after its turns
+	var (
+		inside   atomic.Int32
+		overlaps atomic.Int32
+		applied  = make(map[*engine]int)      // drainer-owned, like an engine's run state
+		seen     = make(map[*engine][][2]int) // (deliverer, its sequence number)
+	)
+	sh.step = func(e *engine, evs []rawEvent) bool {
+		if inside.Add(1) != 1 {
+			overlaps.Add(1)
+		}
+		applied[e] += len(evs)
+		for _, ev := range evs {
+			seen[e] = append(seen[e], [2]int{int(ev.from), int(ev.body[0])<<8 | int(ev.body[1])})
+		}
+		runtime.Gosched() // hold the turn open across a scheduling point
+		inside.Add(-1)
+		return true
+	}
+	engs := make([]*engine, engines)
+	for i := range engs {
+		engs[i] = newEngine(sh.m, sh, &session{sid: uint64(i)}, parsedSpec{})
+		sh.engines[uint64(i)] = engs[i]
+	}
+	go sh.worker(time.Hour)
+	defer sh.stop()
+
+	var wg sync.WaitGroup
+	for g := 0; g < deliverers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				sh.deliver(sim.PartyID(g), uint64((g+i)%engines), []byte{byte(i >> 8), byte(i)})
+			}
+		}(g)
+	}
+	var wakers sync.WaitGroup
+	for _, eng := range engs[:2] {
+		wakers.Add(1)
+		go func(eng *engine) {
+			defer wakers.Done()
+			for i := 0; i < each; i++ {
+				sh.wake(eng)
+				runtime.Gosched()
+			}
+		}(eng)
+	}
+	wg.Wait()
+
+	// Deliveries are drained by a deliverer, so they are all applied now; a
+	// wake's empty turn may still be on its way to the shard goroutine.
+	wakers.Wait()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		sh.mu.Lock()
+		idle := !sh.draining && len(sh.dirty) == 0
+		sh.mu.Unlock()
+		if idle || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.draining || len(sh.dirty) != 0 || sh.head != 0 {
+		t.Fatalf("shard not quiescent: draining=%v, %d queued from %d", sh.draining, len(sh.dirty), sh.head)
+	}
+	if n := overlaps.Load(); n != 0 {
+		t.Errorf("%d engine turns overlapped another", n)
+	}
+	total := 0
+	for _, eng := range engs {
+		if eng.queued || len(eng.in) != 0 {
+			t.Errorf("engine %d left dirty: queued=%v, %d events unread", eng.s.sid, eng.queued, len(eng.in))
+		}
+		total += applied[eng]
+		// Per sender, a link's frames reach the engine in arrival order.
+		last, count := make(map[int]int), make(map[int]int)
+		for _, ev := range seen[eng] {
+			if prev, ok := last[ev[0]]; ok && ev[1] <= prev {
+				t.Errorf("engine %d saw deliverer %d's event %d after its %d", eng.s.sid, ev[0], ev[1], prev)
+			}
+			last[ev[0]] = ev[1]
+			count[ev[0]]++
+		}
+		for from, n := range count {
+			if n != each/engines {
+				t.Errorf("engine %d saw %d events from deliverer %d, want %d", eng.s.sid, n, from, each/engines)
+			}
+		}
+	}
+	if total != deliverers*each {
+		t.Errorf("applied %d events, delivered %d", total, deliverers*each)
+	}
+}
+
+// TestDrainerIdleTickLeavesMuxAlone: the shard goroutines start with the
+// manager, and their first ticks fire while the daemon is still replaying
+// its journal, before it has a mux. A tick that ran no engine must not
+// reach for one.
+func TestDrainerIdleTickLeavesMuxAlone(t *testing.T) {
+	sh := testShard(nil)
+	sh.step = func(*engine, []rawEvent) bool { t.Error("an idle shard ran a turn"); return false }
+	sh.sweep(time.Now())
+	sh.drainDeferred()
+	sh.bury(7)
+	sh.deliver(0, 7, []byte{1}) // dropped: nothing to run either
+	sh.drainDeferred()
+}
 
 // TestTombstoneGenerations drives one shard's sweep with a fake clock: a
 // buried id stays dead for at least linger (2·DefaultTTL) whenever it was
@@ -14,7 +149,7 @@ func TestTombstoneGenerations(t *testing.T) {
 	ttl := 30 * time.Second
 	linger := 2 * ttl
 	base := time.Unix(1_000_000, 0)
-	sh := newShard(&Manager{d: &Daemon{opts: Options{DefaultTTL: ttl, SetupTimeout: time.Second, QueueDepth: 64}}})
+	sh := testShard(nil)
 	sh.tombsSince = base
 	tick := 50 * time.Millisecond
 

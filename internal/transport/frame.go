@@ -52,7 +52,7 @@ const (
 	// layer's session mux (internal/session), which shares this package's
 	// length-prefixed stream format so FrameInfo can classify its traffic
 	// too. A mux session frame wraps one wire session body
-	// (wire.SessionMsg/EOR/Open/Abort/Decide); a mux hello opens a duplex
+	// (wire.SessionRound/Open/Abort/Decide); a mux hello opens a duplex
 	// daemon-pair link. Distinct tags are required because wire.Version
 	// (0x01) collides with frameHello as a first body byte.
 	FrameMuxSession byte = 0x06
@@ -368,8 +368,9 @@ func FrameInfo(b []byte) (round int, control bool, ok bool) {
 	}
 }
 
-// muxSessionInfo classifies one wire session body: SessionMsg and
-// SessionEOR carry a round (after the session id); SessionOpen,
+// muxSessionInfo classifies one wire session body: SessionRound — the frame
+// the serving mux carries its rounds in — and the SessionMsg and SessionEOR
+// it replaced carry a round (after the session id); SessionOpen,
 // SessionAbort and SessionDecide are session-control traffic with no round.
 func muxSessionInfo(b []byte) (round int, control bool, ok bool) {
 	if len(b) < 2 || b[0] != wire.Version {
@@ -379,7 +380,7 @@ func muxSessionInfo(b []byte) (round int, control bool, ok bool) {
 	switch typ {
 	case wire.TypeSessionOpen, wire.TypeSessionAbort, wire.TypeSessionDecide:
 		return 0, true, true
-	case wire.TypeSessionMsg, wire.TypeSessionEOR:
+	case wire.TypeSessionRound, wire.TypeSessionMsg, wire.TypeSessionEOR:
 		_, rest, err := wire.ConsumeUvarint(b[2:]) // session id
 		if err != nil {
 			return 0, false, false

@@ -42,6 +42,8 @@ func TestFrameInfoClassifiesFrames(t *testing.T) {
 		{"muxHello", AppendFrame(nil, []byte{FrameMuxHello, 'T', 'A', 'A', 'S'}), 0, true},
 		{"sessionMsg", muxFrame(t, wire.SessionMsg{SID: 1<<48 | 9, Round: 4, Payload: payload}), 4, false},
 		{"sessionEOR", muxFrame(t, wire.SessionEOR{SID: 3, Round: 7, Done: true}), 7, false},
+		{"sessionRound", muxFrame(t, wire.SessionRound{SID: 1<<48 | 9, Round: 11, Payloads: []any{payload}}), 11, false},
+		{"sessionRoundBare", muxFrame(t, wire.SessionRound{SID: 3, Round: 300, Done: true}), 300, false},
 		{"sessionOpen", muxFrame(t, wire.SessionOpen{SID: 3, Tree: "path:8", TTLMillis: 500}), 0, true},
 		{"sessionAbort", muxFrame(t, wire.SessionAbort{SID: 3, Reason: "x"}), 0, true},
 		{"sessionDecide", muxFrame(t, wire.SessionDecide{SID: 3, Party: 1, V: 2,

@@ -312,10 +312,9 @@ func decodeClientOutcome(b []byte) (any, []byte, error) {
 }
 
 // PeekSession reads the type tag and session id of an encoded session-plane
-// frame (0x08–0x0C) without decoding its
-// payload — the serving mux's zero-copy routing primitive: data frames are
-// handed to the owning engine's shard as raw bytes and decoded there, off
-// the link reader.
+// frame (0x08–0x0C, 0x18) without decoding its payload — the serving mux's
+// routing primitive: a data frame goes to the owning engine's shard as raw
+// bytes and is decoded there, once, by whoever steps the engine.
 func PeekSession(b []byte) (typ byte, sid uint64, err error) {
 	if len(b) < 3 {
 		return 0, 0, malformed("body shorter than session header")
@@ -324,7 +323,7 @@ func PeekSession(b []byte) (typ byte, sid uint64, err error) {
 		return 0, 0, malformed("version %d, want %d", b[0], Version)
 	}
 	typ = b[1]
-	if typ < TypeSessionMsg || typ > TypeSessionDecide {
+	if (typ < TypeSessionMsg || typ > TypeSessionDecide) && typ != TypeSessionRound {
 		return 0, 0, malformed("unknown session type 0x%02x", typ)
 	}
 	sid, _, err = ConsumeUvarint(b[2:])

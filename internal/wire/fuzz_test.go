@@ -39,6 +39,14 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{Version})
 	f.Add([]byte{Version, TypeGradecastEcho, 0x00, 0x00, 0xFF})
+	// SessionRound's own rejections: a nested session frame, a trailing byte,
+	// a count the buffer cannot hold and a non-minimal leaf length.
+	leaf := mustEncode(SessionEOR{SID: 7, Round: 3})
+	f.Add(sessionRoundBody(0, 1, sessionRoundBody(0x01, 0)))
+	f.Add(sessionRoundBody(0, 1, leaf))
+	f.Add(append(sessionRoundBody(0x01, 0), 0x00))
+	f.Add(sessionRoundBody(0, 9))
+	f.Add(append(append(sessionRoundBody(0, 1), 0x80|byte(len(leaf)), 0x00), leaf...))
 
 	// The committed corpus (testdata/wire/corpus/*.bin) holds inputs earlier
 	// fuzzing runs found interesting — near-valid frames probing length

@@ -62,6 +62,11 @@ func goldenPayloads() map[string]any {
 		"session_msg": SessionMsg{SID: 1<<48 | 42, Round: 3,
 			Payload: gradecast.SendMsg{Tag: "treeaa/pf", Iter: 3, Val: 17.5}},
 		"session_eor": SessionEOR{SID: 1<<48 | 42, Round: 7, Done: true},
+		// One lock-step round to one peer: a send, a vote and the mark.
+		"session_round": SessionRound{SID: 1<<48 | 42, Round: 300, Done: true, Payloads: []any{
+			gradecast.SendMsg{Tag: "treeaa/pf", Iter: 3, Val: 17.5},
+			gradecast.VoteMsg{Tag: "treeaa/pf", Iter: 2, Vals: gradecast.Vec{{ID: 1, Val: 0}, {ID: 6, Val: math.Pi}}},
+		}},
 		"session_open": SessionOpen{SID: 2<<48 | 1, Tree: "path:16", Seed: -7,
 			T: 2, Inputs: "0,5,10,15", TTLMillis: 30_000},
 		// A graph-space session's open: there is no graph-specific frame, the

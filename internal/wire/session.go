@@ -2,9 +2,13 @@ package wire
 
 // Session-scoped payloads for the serving layer (internal/session): a daemon
 // hosts many concurrent TreeAA sessions over one set of peer links, so every
-// frame it puts on a link carries the session id it belongs to. The five
-// types are
+// frame it puts on a link carries the session id it belongs to. The types
+// are
 //
+//	SessionRound  0x18  everything a seat sends one peer in one engine turn,
+//	                    with its end-of-round mark:
+//	                    uvarint(sid) | uvarint(round) | flags(1) (bit 0: done)
+//	                    | uvarint(k) | k × (uvarint(len) | leaf body)
 //	SessionMsg    0x08  one protocol message inside a session:
 //	                    uvarint(sid) | uvarint(round) | nested leaf body
 //	SessionEOR    0x09  per-session end-of-round barrier:
@@ -20,11 +24,17 @@ package wire
 //	                    uvarint(done round) | uvarint(term round) |
 //	                    uvarint(msgs) | uvarint(bytes)
 //
-// SessionMsg nests exactly one leaf protocol payload (the seven types this
-// codec already speaks); session payloads never nest inside each other, and
-// both Append and Decode reject the attempt. All five types keep the
-// package's canonicality contract — Encode(Decode(b)) == b and an exact
-// Sizer — so the golden-frame and fuzz harnesses cover them unchanged.
+// SessionRound is the one data-plane frame of the serving mux: a lock-step
+// seat ships one per peer per round, an async seat one per message (k = 1)
+// and one empty done-marked frame as its decision announcement. SessionMsg
+// and SessionEOR are the three-frames-a-round shape it replaced; no daemon
+// emits or accepts them, and they stay exported for the benchmark's frozen
+// wire replay alone. A leaf is one of the protocol payloads (the seven
+// synchronous types, the two async ones): session, client, journal and
+// overlay payloads never nest, and both Append and Decode reject the
+// attempt. All types keep the package's canonicality contract —
+// Encode(Decode(b)) == b and an exact Sizer — so the golden-frame and fuzz
+// harnesses cover them unchanged.
 
 import (
 	"encoding/binary"
@@ -42,6 +52,8 @@ const (
 	TypeSessionOpen   byte = 0x0A
 	TypeSessionAbort  byte = 0x0B
 	TypeSessionDecide byte = 0x0C
+	// TypeSessionRound continues after the async tags 0x16–0x17.
+	TypeSessionRound byte = 0x18
 )
 
 // maxCount bounds the message/byte counters in a SessionDecide: they must
@@ -72,6 +84,27 @@ type SessionEOR struct {
 
 func (m SessionEOR) Size() int {
 	return 2 + sim.UvarintLen(m.SID) + sim.UvarintLen(uint64(m.Round)) + 1
+}
+
+// SessionRound carries everything a seat sends one peer in one engine turn
+// of round Round — k leaf payloads in emission order — together with the
+// seat's end-of-round mark (Done: its machine has terminated). Receivers
+// stream it with ReadSessionRound; Decode materialises Payloads.
+type SessionRound struct {
+	SID      uint64
+	Round    int
+	Done     bool
+	Payloads []any
+}
+
+func (m SessionRound) Size() int {
+	sz := 2 + sim.UvarintLen(m.SID) + sim.UvarintLen(uint64(m.Round)) + 1 +
+		sim.UvarintLen(uint64(len(m.Payloads)))
+	for _, p := range m.Payloads {
+		n := sim.PayloadSize(p)
+		sz += sim.UvarintLen(uint64(n)) + n
+	}
+	return sz
 }
 
 // SessionOpen announces a new session from its origin daemon to every peer:
@@ -132,12 +165,58 @@ func appendSessionHeader(dst []byte, typ byte, sid uint64, round int) ([]byte, e
 	return AppendUvarint(dst, uint64(round)), nil
 }
 
-func appendSessionMsg(dst []byte, m SessionMsg) ([]byte, error) {
-	switch m.Payload.(type) {
-	case SessionMsg, SessionEOR, SessionOpen, SessionAbort, SessionDecide,
+// checkLeaf rejects the payloads that may not ride inside a session frame.
+func checkLeaf(payload any) error {
+	switch payload.(type) {
+	case SessionMsg, SessionEOR, SessionOpen, SessionAbort, SessionDecide, SessionRound,
 		ClientSubmit, ClientWait, ClientStatus, ClientOutcome,
 		JournalOpen, JournalFrame, JournalSeal, RelayMsg, OverlayEOR:
-		return nil, fmt.Errorf("wire: session payloads do not nest (%T)", m.Payload)
+		return fmt.Errorf("wire: session payloads do not nest (%T)", payload)
+	}
+	return nil
+}
+
+// leafTag is checkLeaf on an encoded body's type tag. Client-plane frames
+// (0x0D–0x10), journal records (0x11–0x13) and overlay envelopes
+// (0x14–0x15) are barred from peer links like the session types themselves;
+// the async leaves 0x16–0x17 may nest.
+func leafTag(typ byte) bool {
+	return (typ < TypeSessionMsg || typ > TypeOverlayEOR) && typ != TypeSessionRound
+}
+
+func appendSessionRound(dst []byte, m SessionRound) ([]byte, error) {
+	if len(m.Payloads) > maxLen {
+		return nil, fmt.Errorf("wire: session round of %d payloads exceeds limit", len(m.Payloads))
+	}
+	dst, err := appendSessionHeader(dst, TypeSessionRound, m.SID, m.Round)
+	if err != nil {
+		return nil, err
+	}
+	var flags byte
+	if m.Done {
+		flags |= 0x01
+	}
+	dst = append(dst, flags)
+	dst = AppendUvarint(dst, uint64(len(m.Payloads)))
+	for _, p := range m.Payloads {
+		if err := checkLeaf(p); err != nil {
+			return nil, err
+		}
+		sz, err := EncodedSize(p)
+		if err != nil {
+			return nil, err
+		}
+		dst = AppendUvarint(dst, uint64(sz))
+		if dst, err = Append(dst, p); err != nil {
+			return nil, err
+		}
+	}
+	return dst, nil
+}
+
+func appendSessionMsg(dst []byte, m SessionMsg) ([]byte, error) {
+	if err := checkLeaf(m.Payload); err != nil {
+		return nil, err
 	}
 	dst, err := appendSessionHeader(dst, TypeSessionMsg, m.SID, m.Round)
 	if err != nil {
@@ -218,6 +297,104 @@ func consumeSessionRound(b []byte) (int, []byte, error) {
 	return int(r), rest, nil
 }
 
+// SessionRoundReader streams one encoded SessionRound: the header fields are
+// read by ReadSessionRound, the leaves come one Next at a time, so a receiver
+// files k messages and the mark in one pass without a []any in between.
+type SessionRoundReader struct {
+	SID   uint64
+	Round int
+	Done  bool
+
+	left int    // leaves not yet read
+	rest []byte // their encodings
+}
+
+// ReadSessionRound parses the header of a complete SessionRound body
+// (version and type bytes included) and returns the reader over its leaves.
+func ReadSessionRound(b []byte) (SessionRoundReader, error) {
+	if len(b) < 2 || b[0] != Version || b[1] != TypeSessionRound {
+		return SessionRoundReader{}, malformed("not a session round")
+	}
+	return readSessionRound(b[2:])
+}
+
+func readSessionRound(b []byte) (r SessionRoundReader, err error) {
+	if r.SID, b, err = ConsumeUvarint(b); err != nil {
+		return r, err
+	}
+	if r.Round, b, err = consumeSessionRound(b); err != nil {
+		return r, err
+	}
+	if len(b) < 1 {
+		return r, malformed("truncated session round")
+	}
+	flags := b[0]
+	if flags&^byte(0x01) != 0 {
+		return r, malformed("unknown session round flags %#x", flags)
+	}
+	r.Done = flags&0x01 != 0
+	k, b, err := ConsumeUvarint(b[1:])
+	if err != nil {
+		return r, err
+	}
+	// A leaf costs at least its length byte and a two-byte header.
+	if k > maxLen || k*3 > uint64(len(b)) {
+		return r, malformed("session round count %d exceeds buffer", k)
+	}
+	r.left, r.rest = int(k), b
+	return r, nil
+}
+
+// Len returns how many leaves Next has yet to return.
+func (r *SessionRoundReader) Len() int { return r.left }
+
+// Next decodes the next leaf. ok is false once all k have been returned and
+// the frame ended with them; bytes past the last leaf are an error.
+func (r *SessionRoundReader) Next() (payload any, ok bool, err error) {
+	if r.left == 0 {
+		if len(r.rest) != 0 {
+			return nil, false, malformed("%d trailing bytes", len(r.rest))
+		}
+		return nil, false, nil
+	}
+	n, b, err := ConsumeUvarint(r.rest)
+	if err != nil {
+		return nil, false, err
+	}
+	if n > uint64(len(b)) {
+		return nil, false, malformed("leaf length %d exceeds buffer", n)
+	}
+	if n >= 2 && !leafTag(b[1]) {
+		return nil, false, malformed("session payloads do not nest")
+	}
+	if payload, err = Decode(b[:n]); err != nil {
+		return nil, false, err
+	}
+	r.left, r.rest = r.left-1, b[n:]
+	return payload, true, nil
+}
+
+func decodeSessionRound(b []byte) (any, []byte, error) {
+	r, err := readSessionRound(b)
+	if err != nil {
+		return nil, nil, err
+	}
+	m := SessionRound{SID: r.SID, Round: r.Round, Done: r.Done}
+	if r.left > 0 {
+		m.Payloads = make([]any, 0, r.left)
+	}
+	for {
+		p, ok, err := r.Next()
+		if err != nil {
+			return nil, nil, err
+		}
+		if !ok {
+			return m, nil, nil
+		}
+		m.Payloads = append(m.Payloads, p)
+	}
+}
+
 func decodeSessionMsg(b []byte) (any, []byte, error) {
 	sid, b, err := ConsumeUvarint(b)
 	if err != nil {
@@ -230,10 +407,7 @@ func decodeSessionMsg(b []byte) (any, []byte, error) {
 	// The nested body must be a complete leaf frame: Decode consumes the
 	// whole remaining buffer and rejects nested session types itself (they
 	// would re-enter this switch; the explicit check keeps the error crisp).
-	// Client-plane frames (0x0D–0x10), journal records (0x11–0x13) and
-	// overlay envelopes (0x14–0x15) are likewise barred from peer links
-	// (async leaves 0x16–0x17 may nest).
-	if len(b) >= 2 && b[1] >= TypeSessionMsg && b[1] <= TypeOverlayEOR {
+	if len(b) >= 2 && !leafTag(b[1]) {
 		return nil, nil, malformed("session payloads do not nest")
 	}
 	payload, err := Decode(b)

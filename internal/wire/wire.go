@@ -130,6 +130,8 @@ func Append(dst []byte, payload any) ([]byte, error) {
 		return appendSessionAbort(dst, m)
 	case SessionDecide:
 		return appendSessionDecide(dst, m)
+	case SessionRound:
+		return appendSessionRound(dst, m)
 	case ClientSubmit:
 		return appendClientSubmit(dst, m)
 	case ClientWait:
@@ -168,7 +170,7 @@ func EncodedSize(payload any) (int, error) {
 	switch payload.(type) {
 	case gradecast.SendMsg, gradecast.EchoMsg, gradecast.VoteMsg,
 		realaa.DLPSWMsg, crashaa.ValueMsg, baseline.VertexMsg, exactaa.ChainMsg,
-		SessionMsg, SessionEOR, SessionOpen, SessionAbort, SessionDecide,
+		SessionMsg, SessionEOR, SessionOpen, SessionAbort, SessionDecide, SessionRound,
 		ClientSubmit, ClientWait, ClientStatus, ClientOutcome,
 		JournalOpen, JournalFrame, JournalSeal, RelayMsg, OverlayEOR,
 		AsyncValue, AsyncReport:
@@ -217,6 +219,8 @@ func Decode(b []byte) (any, error) {
 		payload, rest, err = decodeSessionAbort(rest)
 	case TypeSessionDecide:
 		payload, rest, err = decodeSessionDecide(rest)
+	case TypeSessionRound:
+		payload, rest, err = decodeSessionRound(rest)
 	case TypeClientSubmit:
 		payload, rest, err = decodeClientSubmit(rest)
 	case TypeClientWait, TypeClientStatus:

@@ -46,6 +46,15 @@ func samplePayloads() []any {
 			Payload: baseline.VertexMsg{Tag: "baseline", Iter: 5, V: 39}},
 		SessionEOR{SID: 0, Round: 1, Done: false},
 		SessionEOR{SID: math.MaxUint64, Round: 12, Done: true},
+		SessionRound{SID: 1, Round: 1}, // a silent round's bare mark
+		SessionRound{SID: math.MaxUint64, Round: 12, Done: true},
+		SessionRound{SID: 1<<48 | 7, Round: 300, Payloads: []any{
+			gradecast.SendMsg{Tag: "treeaa/pf", Iter: 3, Val: 17.5},
+			gradecast.EchoMsg{Tag: "treeaa/pf", Iter: 3, Vals: gradecast.Vec{{ID: 0, Val: 1}, {ID: 2, Val: -2}}},
+			baseline.VertexMsg{Tag: "baseline", Iter: 5, V: 39},
+		}},
+		SessionRound{SID: 9, Round: 2, Payloads: []any{ // an async seat's k = 1
+			AsyncValue{Phase: AsyncPhasePathsFinder, Kind: AsyncKindEcho, Iter: 3, Src: 5, Val: 17.5}}},
 		SessionOpen{SID: 9, Tree: "path:16", Seed: -3, T: 2, Inputs: "0,5,10,15", TTLMillis: 30_000},
 		SessionOpen{SID: 1, Tree: "random:20", Seed: 1 << 40, T: 0, Inputs: "", TTLMillis: 0},
 		SessionOpen{SID: 9, Tree: "graph:cycle:9", Seed: -3, T: 2, Inputs: "v1,v3,v5,v7", TTLMillis: 30_000},
@@ -267,6 +276,15 @@ func TestEncodeRejectsInvalid(t *testing.T) {
 		SessionMsg{SID: 1, Round: 1, Payload: SessionAbort{SID: 1}}, // no nesting
 		SessionMsg{SID: 1, Round: 1, Payload: nil},
 		SessionEOR{SID: 1, Round: -1},
+		SessionRound{SID: 1, Round: 0},
+		SessionRound{SID: 1, Round: 1, Payloads: []any{nil}},
+		SessionRound{SID: 1, Round: 1, Payloads: []any{SessionRound{SID: 1, Round: 1}}},        // no nesting
+		SessionRound{SID: 1, Round: 1, Payloads: []any{SessionEOR{SID: 1, Round: 1}}},          // no nesting
+		SessionRound{SID: 1, Round: 1, Payloads: []any{ClientWait{SID: 1}}},                    // no client nesting
+		SessionRound{SID: 1, Round: 1, Payloads: []any{JournalSeal{SID: 1, State: 2}}},         // no journal nesting
+		SessionRound{SID: 1, Round: 1, Payloads: []any{OverlayEOR{Round: 1}}},                  // no overlay nesting
+		SessionRound{SID: 1, Round: 1, Payloads: []any{gradecast.SendMsg{Tag: "t", Iter: -1}}}, // bad leaf
+		SessionMsg{SID: 1, Round: 1, Payload: SessionRound{SID: 1, Round: 1}},                  // no nesting
 		SessionOpen{SID: 1, Tree: "path:4", T: -1},
 		SessionDecide{SID: 1, Party: -1, DoneRound: 1, TermRound: 1},
 		SessionDecide{SID: 1, Party: 0, DoneRound: 0, TermRound: 1},
@@ -329,5 +347,102 @@ func TestPayloadSizeAgreement(t *testing.T) {
 		if got := sim.PayloadSize(p); got != len(enc) {
 			t.Errorf("%T: sim.PayloadSize = %d, wire length = %d", p, got, len(enc))
 		}
+	}
+}
+
+// sessionRoundBody assembles a SessionRound body by hand, so the rejection
+// cases below can break one field at a time: count is written as given, and
+// each leaf is length-prefixed with its true length.
+func sessionRoundBody(flags byte, count uint64, leaves ...[]byte) []byte {
+	b := []byte{Version, TypeSessionRound, 0x07, 0x03, flags} // sid 7, round 3
+	b = AppendUvarint(b, count)
+	for _, l := range leaves {
+		b = AppendUvarint(b, uint64(len(l)))
+		b = append(b, l...)
+	}
+	return b
+}
+
+// TestSessionRoundRejectsMalformed: the frame-level violations a
+// SessionRound can carry beyond those of its leaves.
+func TestSessionRoundRejectsMalformed(t *testing.T) {
+	leaf := mustEncode(gradecast.SendMsg{Tag: "t", Iter: 1, Val: 2})
+	if _, err := Decode(sessionRoundBody(0x01, 2, leaf, leaf)); err != nil {
+		t.Fatalf("the well-formed template is rejected: %v", err)
+	}
+	nonMinimalLen := sessionRoundBody(0, 1)
+	nonMinimalLen = append(nonMinimalLen, 0x80|byte(len(leaf)), 0x00)
+	nonMinimalLen = append(nonMinimalLen, leaf...)
+	cases := map[string][]byte{
+		"unknown flags":        sessionRoundBody(0x02, 0),
+		"round zero":           {Version, TypeSessionRound, 0x07, 0x00, 0x00, 0x00},
+		"truncated header":     {Version, TypeSessionRound, 0x07, 0x03},
+		"count exceeds buffer": sessionRoundBody(0, 2, leaf),
+		"huge count":           append(sessionRoundBody(0, 0)[:5], 0xFF, 0xFF, 0xFF, 0xFF, 0x07),
+		"trailing byte":        append(sessionRoundBody(0, 1, leaf), 0x00),
+		"trailing after none":  append(sessionRoundBody(0x01, 0), 0x00),
+		"leaf length overruns": append(sessionRoundBody(0, 1), byte(len(leaf)+1)),
+		"leaf length short":    sessionRoundBody(0, 1, leaf[:len(leaf)-1]),
+		"non-minimal length":   nonMinimalLen,
+		"empty leaf":           sessionRoundBody(0, 1, nil),
+		"nested session round": sessionRoundBody(0, 1, sessionRoundBody(0, 0)),
+		"nested session eor":   sessionRoundBody(0, 1, mustEncode(SessionEOR{SID: 7, Round: 3})),
+		"nested client frame":  sessionRoundBody(0, 1, mustEncode(ClientWait{SID: 7})),
+		"nested journal":       sessionRoundBody(0, 1, mustEncode(JournalSeal{SID: 7, State: 2})),
+		"nested overlay eor":   sessionRoundBody(0, 1, mustEncode(OverlayEOR{Round: 1, Down: true})),
+		"unknown leaf type":    sessionRoundBody(0, 1, []byte{Version, 0x7F}),
+	}
+	for name, b := range cases {
+		if p, err := Decode(b); err == nil {
+			t.Errorf("%s: Decode accepted %x as %#v", name, b, p)
+		}
+		if r, err := ReadSessionRound(b); err == nil {
+			for ok := true; ok && err == nil; {
+				_, ok, err = r.Next()
+			}
+			if err == nil {
+				t.Errorf("%s: the streaming reader accepted %x", name, b)
+			}
+		}
+	}
+}
+
+// TestSessionRoundReaderMatchesDecode: streaming a frame yields the header
+// and the leaves Decode materialises, in order, and PeekSession routes it.
+func TestSessionRoundReaderMatchesDecode(t *testing.T) {
+	for _, p := range samplePayloads() {
+		want, ok := p.(SessionRound)
+		if !ok {
+			continue
+		}
+		enc := mustEncode(want)
+		if typ, sid, err := PeekSession(enc); err != nil || typ != TypeSessionRound || sid != want.SID {
+			t.Errorf("PeekSession = (%#x, %d, %v), want (%#x, %d)", typ, sid, err, TypeSessionRound, want.SID)
+		}
+		r, err := ReadSessionRound(enc)
+		if err != nil {
+			t.Fatalf("ReadSessionRound(%#v): %v", want, err)
+		}
+		if r.SID != want.SID || r.Round != want.Round || r.Done != want.Done || r.Len() != len(want.Payloads) {
+			t.Errorf("header = (%d, %d, %v, %d leaves), want %#v", r.SID, r.Round, r.Done, r.Len(), want)
+		}
+		for i := 0; ; i++ {
+			got, ok, err := r.Next()
+			if err != nil {
+				t.Fatalf("leaf %d of %#v: %v", i, want, err)
+			}
+			if !ok {
+				if i != len(want.Payloads) {
+					t.Errorf("reader ended after %d of %d leaves", i, len(want.Payloads))
+				}
+				break
+			}
+			if i >= len(want.Payloads) || !equalPayload(want.Payloads[i], got) {
+				t.Errorf("leaf %d = %#v, want the %d-th of %#v", i, got, i, want.Payloads)
+			}
+		}
+	}
+	if _, err := ReadSessionRound(mustEncode(SessionEOR{SID: 1, Round: 1})); err == nil {
+		t.Error("ReadSessionRound accepted a SessionEOR body")
 	}
 }
