@@ -54,13 +54,14 @@ race-sim:
 # buffer wedge in the async session path shipped. The recovery suites (kill,
 # graceful restart, mid-flight, the journal crash-point enumeration) sweep
 # the same widths under the race detector, and so do the three mechanisms of
-# the serving data path — who drains a shard, the write that never blocks
-# (with both slow-peer tests), the final barrier's elision — with the frame
-# they carry and the space cache.
+# the serving data path — who drains a shard (and the timekeeper that does
+# when nobody else will), the write that never blocks (with both slow-peer
+# tests), the final barrier's elision — with the frame they carry and the
+# space cache.
 race-cpu:
 	$(GO) test -count=1 -cpu 1,2,4 -run 'Async|Serve' ./internal/session ./internal/transport
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Restart|CrashPoints|Recover' ./internal/session ./internal/chaos
-	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Drainer|TryWrite|SlowPeer|SessionRound|FinalRound|SpaceCache' \
+	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Drainer|Timekeeper|Background|TryWrite|SlowPeer|SessionRound|FinalRound|SpaceCache' \
 		./internal/session ./internal/driver ./internal/wire
 
 # The benchmark is a nested module that root `go test ./...` does not reach;
@@ -75,7 +76,7 @@ bench-module:
 node-smoke:
 	$(GO) run ./cmd/node -cluster 3 -tree path:16
 	$(GO) run ./cmd/node -cluster 7 -t 2 -tree path:40 -adversary splitvote
-	$(GO) run ./cmd/node -cluster 4 -t 1 -space graph:cliquechain:3:4 -adversary splitvote
+	$(GO) run ./cmd/node -cluster 4 -t 1 -tree graph:cliquechain:3:4 -adversary splitvote
 
 # Tree-overlay smoke: the same multi-process cmd/node deployments routed
 # over a communication tree instead of the full mesh (leaves hold one
@@ -86,7 +87,7 @@ overlay-smoke:
 	$(GO) run ./cmd/node -cluster 7 -tree path:16 -overlay tree:2
 	$(GO) run ./cmd/node -cluster 9 -t 2 -tree spider:3:3 -overlay tree:3 \
 		-chaos 'crash:p1@r2'
-	$(GO) run ./cmd/node -cluster 4 -t 1 -space graph:cliquechain:3:4 -overlay tree:2
+	$(GO) run ./cmd/node -cluster 4 -t 1 -tree graph:cliquechain:3:4 -overlay tree:2
 
 # Serving-layer smoke: a 3-daemon loopback deployment hosting 100 concurrent
 # sessions multiplexed over the shared links; exits non-zero if any session
@@ -148,9 +149,9 @@ async-soak:
 		./internal/session/... ./internal/transport/... ./internal/check/ ./internal/wire/
 	$(GO) run ./cmd/node -cluster 4 -tree star:6 -mode async -chaos 'lat:20ms±15ms@p2'
 	$(GO) run ./cmd/node -cluster 4 -tree path:16 -mode async -chaos 'drop:p0-p2@r2'
-	$(GO) run ./cmd/node -cluster 4 -t 1 -space graph:cliquechain:3:4 -mode async
+	$(GO) run ./cmd/node -cluster 4 -t 1 -tree graph:cliquechain:3:4 -mode async
 	$(GO) run ./cmd/serve -cluster 3 -mode async -sessions 50 -tree spider:3:3
-	$(GO) run ./cmd/serve -cluster 3 -mode async -sessions 50 -space graph:cliquechain:3:4
+	$(GO) run ./cmd/serve -cluster 3 -mode async -sessions 50 -tree graph:cliquechain:3:4
 	$(GO) run ./cmd/serve -cluster 3 -mode async -sessions 50 -tree spider:3:3 -journal-dir "$$(mktemp -d)"
 
 cover:

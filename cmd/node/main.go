@@ -82,8 +82,7 @@ func main() {
 		id          = flag.Int("id", -1, "this process's party id (line number in -peers)")
 		peersFile   = flag.String("peers", "", "peers file: one host:port per line, line i = party i")
 		tFlag       = flag.Int("t", 0, "Byzantine budget (corrupted set is the highest t ids)")
-		treeSpec    = flag.String("tree", "path:40", "input space tree spec (as in cmd/treeaa)")
-		spaceSpec   = flag.String("space", "", `input space override: "graph:"-prefixed graph spec (wins over -tree)`)
+		treeSpec    = flag.String("tree", "path:40", `input space spec (as in cmd/treeaa): a tree, or a "graph:"-prefixed block graph`)
 		inputSpec   = flag.String("inputs", "", "comma-separated input vertex labels (default: spread)")
 		advName     = flag.String("adversary", "none", strings.Join(cli.AdversaryNames(), "|"))
 		mode        = flag.String("mode", "sync", "execution mode: sync (lock-step rounds) or async (event-driven, honest fleets only)")
@@ -104,9 +103,9 @@ func main() {
 	if *mode != "sync" && *mode != "async" {
 		err = fmt.Errorf("-mode %q: want sync or async", *mode)
 	} else if *cluster > 0 {
-		err = runCluster(ctx, *cluster, *tFlag, *spaceSpec, *treeSpec, *inputSpec, *advName, *mode, *seed, *chaosSpec, *overlaySpec, *setupTO, *roundTO)
+		err = runCluster(ctx, *cluster, *tFlag, *treeSpec, *inputSpec, *advName, *mode, *seed, *chaosSpec, *overlaySpec, *setupTO, *roundTO)
 	} else {
-		err = runSeat(ctx, *id, *peersFile, *tFlag, *spaceSpec, *treeSpec, *inputSpec, *advName, *mode, *seed, *chaosSpec, *overlaySpec, *setupTO, *roundTO)
+		err = runSeat(ctx, *id, *peersFile, *tFlag, *treeSpec, *inputSpec, *advName, *mode, *seed, *chaosSpec, *overlaySpec, *setupTO, *roundTO)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "node:", err)
@@ -115,7 +114,7 @@ func main() {
 }
 
 // runSeat runs one party (or the adversary host seat) of a deployment.
-func runSeat(ctx context.Context, id int, peersFile string, t int, spaceSpec, treeSpec, inputSpec, advName, mode string, seed int64,
+func runSeat(ctx context.Context, id int, peersFile string, t int, treeSpec, inputSpec, advName, mode string, seed int64,
 	chaosSpec, overlaySpec string, setupTO, roundTO time.Duration) error {
 	if peersFile == "" {
 		return fmt.Errorf("-peers is required (or use -cluster)")
@@ -132,7 +131,7 @@ func runSeat(ctx context.Context, id int, peersFile string, t int, spaceSpec, tr
 		return fmt.Errorf("the crash adversary corrupts adaptively; messages on the wire cannot " +
 			"be retracted — use cmd/treeaa's in-process transport for it")
 	}
-	sp, err := cli.ParseSpace(spaceSpec, treeSpec, seed)
+	sp, err := cli.ParseSpaceSpec(treeSpec, seed)
 	if err != nil {
 		return err
 	}
@@ -284,12 +283,12 @@ func checkChaosFlags(mode, overlaySpec string, plan *chaos.Plan) error {
 
 // runCluster spawns a whole deployment of this binary on loopback ports and
 // checks the protocol's guarantees across the collected outputs.
-func runCluster(ctx context.Context, n, t int, spaceSpec, treeSpec, inputSpec, advName, mode string, seed int64,
+func runCluster(ctx context.Context, n, t int, treeSpec, inputSpec, advName, mode string, seed int64,
 	chaosSpec, overlaySpec string, setupTO, roundTO time.Duration) error {
 	if t < 0 || (t > 0 && n <= 3*t) {
 		return fmt.Errorf("need n > 3t, got n=%d t=%d", n, t)
 	}
-	sp, err := cli.ParseSpace(spaceSpec, treeSpec, seed)
+	sp, err := cli.ParseSpaceSpec(treeSpec, seed)
 	if err != nil {
 		return err
 	}
@@ -363,7 +362,7 @@ func runCluster(ctx context.Context, n, t int, spaceSpec, treeSpec, inputSpec, a
 		go func(seat int) {
 			defer wg.Done()
 			cmd := exec.CommandContext(ctx, self, "-id", fmt.Sprint(seat), "-peers", peersFile,
-				"-t", fmt.Sprint(t), "-space", spaceSpec, "-tree", treeSpec, "-inputs", inputSpec,
+				"-t", fmt.Sprint(t), "-tree", treeSpec, "-inputs", inputSpec,
 				"-adversary", advName, "-mode", mode, "-seed", fmt.Sprint(seed),
 				"-chaos", chaosSpec, "-overlay", overlaySpec,
 				"-setup-timeout", setupTO.String(), "-round-timeout", roundTO.String())

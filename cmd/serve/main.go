@@ -1,10 +1,10 @@
 // Command serve runs one daemon of an agreement-as-a-service deployment: it
 // joins the daemon mesh (one duplex TCP link per daemon pair, shared by
 // every session), accepts client sessions over a framed binary wire API,
-// and steps this seat's engine for each admitted session on a sharded
-// worker pool. Many sessions run concurrently, multiplexed and batched over
-// the same links; each decided session's Result is byte-identical to the
-// sequential sim.Run on the same spec.
+// and steps this seat's engine for each admitted session on the goroutine
+// that delivered its input. Many sessions run concurrently, multiplexed and
+// batched over the same links; each decided session's Result is
+// byte-identical to the sequential sim.Run on the same spec.
 //
 // A deployment is one process per seat; the peers file has one "host:port"
 // per line, line i = daemon i's peer listen address:
@@ -79,12 +79,10 @@ func main() {
 		clientAddr = flag.String("client", "127.0.0.1:0", "client API listen address")
 		cluster    = flag.Int("cluster", 0, "run an n-daemon loopback deployment in-process (smoke mode)")
 		sessions   = flag.Int("sessions", 100, "cluster mode: concurrent sessions to drive")
-		treeSpec   = flag.String("tree", "spider:3:3", "cluster mode: tree spec for the driven sessions")
-		spaceSpec  = flag.String("space", "", `cluster mode: "graph:"-prefixed graph spec for the driven sessions (wins over -tree)`)
+		treeSpec   = flag.String("tree", "spider:3:3", `cluster mode: space spec of the driven sessions, a tree or a "graph:"-prefixed block graph`)
 		tFlag      = flag.Int("t", 0, "cluster mode: corruption budget of the driven sessions")
 		seed       = flag.Int64("seed", 1, "cluster mode: tree-spec seed")
 		maxSess    = flag.Int("max-sessions", 1024, "admission control: max in-flight sessions per daemon")
-		queueDepth = flag.Int("queue-depth", 256, "pre-open frame buffers, for sessions whose open has not arrived yet: 16x this per shard, and a quarter of it per lock-step session (admitted sessions' queues are unbounded)")
 		defaultTTL = flag.Duration("ttl", 30*time.Second, "default session deadline")
 		setupTO    = flag.Duration("setup-timeout", 10*time.Second, "mesh construction budget")
 		roundTO    = flag.Duration("round-timeout", 60*time.Second, "per-round barrier budget")
@@ -113,8 +111,8 @@ func main() {
 	}
 
 	opts := session.Options{
-		MaxSessions: *maxSess, QueueDepth: *queueDepth,
-		DefaultTTL: *defaultTTL, SetupTimeout: *setupTO,
+		MaxSessions: *maxSess,
+		DefaultTTL:  *defaultTTL, SetupTimeout: *setupTO,
 		RoundTimeout: *roundTO, DrainTimeout: *drainTO,
 		JournalDir: *journalDir,
 		Stats:      &metrics.ServeStats{}, JournalStats: &journal.Stats{},
@@ -125,9 +123,9 @@ func main() {
 	if err == nil {
 		switch {
 		case *rolling:
-			err = runRolling(ctx, *cluster, *sessions, *spaceSpec, *treeSpec, *tFlag, *seed, *metricsAt, opts)
+			err = runRolling(ctx, *cluster, *sessions, *treeSpec, *tFlag, *seed, *metricsAt, opts)
 		case *cluster > 0:
-			err = runSmoke(ctx, *cluster, *sessions, *spaceSpec, *treeSpec, *tFlag, *seed, *metricsAt, *linger, opts)
+			err = runSmoke(ctx, *cluster, *sessions, *treeSpec, *tFlag, *seed, *metricsAt, *linger, opts)
 		default:
 			err = runSeat(ctx, *id, *peersFile, *clientAddr, *metricsAt, opts)
 		}
@@ -230,12 +228,12 @@ const sessionTTL = 2 * time.Minute
 // runSmoke starts n daemons in-process, drives sessions concurrent sessions
 // through their client APIs, and verifies every Result. Any failed check or
 // failed session exits nonzero.
-func runSmoke(ctx context.Context, n, sessions int, spaceSpec, treeSpec string, t int, seed int64,
+func runSmoke(ctx context.Context, n, sessions int, treeSpec string, t int, seed int64,
 	metricsAt string, linger time.Duration, opts session.Options) error {
 	if sessions < 1 {
 		return fmt.Errorf("-sessions must be ≥ 1")
 	}
-	sp, err := cli.ParseSpace(spaceSpec, treeSpec, seed)
+	sp, err := cli.ParseSpaceSpec(treeSpec, seed)
 	if err != nil {
 		return err
 	}
@@ -265,52 +263,14 @@ func runSmoke(ctx context.Context, n, sessions int, spaceSpec, treeSpec string, 
 		n, clusterMode, sessions, sp.Spec)
 
 	start := time.Now()
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		failures []string
-		decided  int
-	)
-	for i := 0; i < sessions; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fail := func(format string, args ...any) {
-				mu.Lock()
-				failures = append(failures, fmt.Sprintf("session %d: ", i)+fmt.Sprintf(format, args...))
-				mu.Unlock()
-			}
-			s := w.Spec(i)
-			cl, err := session.DialClient(c.ClientAddr(i%n), opts.SetupTimeout)
-			if err != nil {
-				fail("dial: %v", err)
-				return
-			}
-			defer cl.Close()
-			resp, err := cl.Submit(s, 0, true)
-			if err != nil {
-				fail("submit: %v", err)
-				return
-			}
-			got, err := resp.SimResult()
-			if err != nil {
-				fail("%v", err)
-				return
-			}
-			if msg := w.Verify(s, got); msg != "" {
-				fail("%s", msg)
-				return
-			}
-			mu.Lock()
-			decided++
-			mu.Unlock()
-		}()
-	}
-	waitCh := make(chan struct{})
-	go func() { wg.Wait(); close(waitCh) }()
+	var failures []string
+	driven := make(chan struct{})
+	go func() {
+		defer close(driven)
+		_, failures = w.Drive(func(i int) string { return c.ClientAddr(i % n) }, sessions, opts.SetupTimeout)
+	}()
 	select {
-	case <-waitCh:
+	case <-driven:
 	case <-ctx.Done():
 		return fmt.Errorf("interrupted")
 	}
@@ -319,8 +279,9 @@ func runSmoke(ctx context.Context, n, sessions int, spaceSpec, treeSpec string, 
 	for _, f := range failures {
 		fmt.Fprintln(os.Stderr, "serve:", f)
 	}
+	passed := sessions - len(failures)
 	fmt.Printf("serve: %d/%d sessions decided %s in %v (%.0f sessions/sec)\n",
-		decided, sessions, check, elapsed.Round(time.Millisecond), float64(decided)/elapsed.Seconds())
+		passed, sessions, check, elapsed.Round(time.Millisecond), float64(passed)/elapsed.Seconds())
 	// The Stats object is shared across the in-process daemons, so one line
 	// carries the whole deployment's funnel and batching counters.
 	fmt.Printf("serve: cluster totals: %s\n", c.Daemons[0].Stats())
@@ -343,7 +304,7 @@ func runSmoke(ctx context.Context, n, sessions int, spaceSpec, treeSpec string, 
 // rejections while a seat is down or the mesh degraded); the hard failures
 // are a decided session that fails the workload's check or a cluster that
 // stops making progress.
-func runRolling(ctx context.Context, n, workers int, spaceSpec, treeSpec string, t int, seed int64,
+func runRolling(ctx context.Context, n, workers int, treeSpec string, t int, seed int64,
 	metricsAt string, opts session.Options) error {
 	if n < 2 {
 		return fmt.Errorf("-rolling needs -cluster ≥ 2, got %d", n)
@@ -362,7 +323,7 @@ func runRolling(ctx context.Context, n, workers int, spaceSpec, treeSpec string,
 		defer os.RemoveAll(dir)
 		opts.JournalDir = dir
 	}
-	sp, err := cli.ParseSpace(spaceSpec, treeSpec, seed)
+	sp, err := cli.ParseSpaceSpec(treeSpec, seed)
 	if err != nil {
 		return err
 	}

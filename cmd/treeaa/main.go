@@ -7,7 +7,7 @@
 //
 //	treeaa -n 7 -t 2 -tree path:40 -adversary splitvote -seed 1
 //	treeaa -tree @map.txt -inputs v3,v6,v5,v8 -n 4 -t 1
-//	treeaa -n 4 -t 1 -space graph:cliquechain:3:4
+//	treeaa -n 4 -t 1 -tree graph:cliquechain:3:4
 //	treeaa -n 4 -t 0 -tree path:8 -transport tree:2
 //
 // -transport picks where the messages travel: mem (sim.Run, in process),
@@ -16,7 +16,7 @@
 //
 // Tree specs: path:K, star:K, spider:LEGS:LEN, caterpillar:SPINE:LEGS,
 // kary:K:DEPTH, random:K, figure3, or @FILE with "a - b" edge lines.
-// Graph specs (-space): graph:cycle:K, graph:clique:K, graph:cliquechain:B:S,
+// Graph specs: graph:cycle:K, graph:clique:K, graph:cliquechain:B:S,
 // graph:cactus:B:L, graph:randomblock:K, graph:@FILE.
 package main
 
@@ -39,8 +39,7 @@ func main() {
 	var (
 		nFlag     = flag.Int("n", 7, "number of parties")
 		tFlag     = flag.Int("t", 2, "Byzantine budget (t < n/3)")
-		treeSpec  = flag.String("tree", "path:40", "input space tree spec (see -help)")
-		spaceSpec = flag.String("space", "", `input space override: "graph:"-prefixed graph spec (wins over -tree)`)
+		treeSpec  = flag.String("tree", "path:40", `input space spec: a tree, or a "graph:"-prefixed block graph (see the package doc)`)
 		inputSpec = flag.String("inputs", "", "comma-separated input vertex labels (default: spread across the space)")
 		advName   = flag.String("adversary", "none", strings.Join(cli.AdversaryNames(), "|"))
 		seed      = flag.Int64("seed", 1, "seed for random trees/graphs / noise adversaries")
@@ -49,14 +48,14 @@ func main() {
 		dotFile   = flag.String("dot", "", "write a Graphviz DOT visualization of the execution to this file")
 	)
 	flag.Parse()
-	if err := run(*nFlag, *tFlag, *spaceSpec, *treeSpec, *inputSpec, *advName, *seed, *quiet, *transName, *dotFile); err != nil {
+	if err := run(*nFlag, *tFlag, *treeSpec, *inputSpec, *advName, *seed, *quiet, *transName, *dotFile); err != nil {
 		fmt.Fprintln(os.Stderr, "treeaa:", err)
 		os.Exit(1)
 	}
 }
 
-func run(n, t int, spaceSpec, treeSpec, inputSpec, advName string, seed int64, quiet bool, transName, dotFile string) error {
-	sp, err := cli.ParseSpace(spaceSpec, treeSpec, seed)
+func run(n, t int, treeSpec, inputSpec, advName string, seed int64, quiet bool, transName, dotFile string) error {
+	sp, err := cli.ParseSpaceSpec(treeSpec, seed)
 	if err != nil {
 		return err
 	}

@@ -60,12 +60,12 @@ func TestCommandsRun(t *testing.T) {
 		},
 		{
 			name:  "node graph fleet over the tree overlay",
-			args:  []string{"run", "./cmd/node", "-cluster", "4", "-t", "1", "-space", "graph:cliquechain:3:4", "-overlay", "tree:2"},
+			args:  []string{"run", "./cmd/node", "-cluster", "4", "-t", "1", "-tree", "graph:cliquechain:3:4", "-overlay", "tree:2"},
 			wants: []string{"overlay:", "1-agreement: true"},
 		},
 		{
 			name:  "node async graph fleet",
-			args:  []string{"run", "./cmd/node", "-cluster", "4", "-t", "1", "-space", "graph:cliquechain:3:4", "-mode", "async"},
+			args:  []string{"run", "./cmd/node", "-cluster", "4", "-t", "1", "-tree", "graph:cliquechain:3:4", "-mode", "async"},
 			wants: []string{"party (async)", "1-agreement: true"},
 		},
 		{

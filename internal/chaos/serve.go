@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"treeaa/internal/cli"
@@ -107,53 +106,12 @@ func RunServe(spec ServeSpec) (*ServeReport, error) {
 	}
 	defer cluster.Stop()
 
-	var (
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		firstEr string
-	)
-	for i := 0; i < spec.Sessions; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fail := func(format string, args ...any) {
-				mu.Lock()
-				if firstEr == "" {
-					firstEr = fmt.Sprintf("session %d: ", i) + fmt.Sprintf(format, args...)
-				}
-				mu.Unlock()
-			}
-			s := w.Spec(i)
-			cl, err := session.DialClient(cluster.ClientAddr(i%spec.N), spec.SetupTimeout)
-			if err != nil {
-				fail("dial: %v", err)
-				return
-			}
-			defer cl.Close()
-			resp, err := cl.Submit(s, 0, true)
-			if err != nil {
-				fail("submit: %v", err)
-				return
-			}
-			got, err := resp.SimResult()
-			if err != nil {
-				fail("%v", err)
-				return
-			}
-			mu.Lock()
-			rep.Decided++
-			if msg := w.Verify(s, got); msg == "" {
-				rep.OracleMatches++
-			} else if firstEr == "" {
-				firstEr = fmt.Sprintf("session %d: %s", i, msg)
-			}
-			mu.Unlock()
-		}()
+	decided, failures := w.Drive(func(i int) string { return cluster.ClientAddr(i % spec.N) },
+		spec.Sessions, spec.SetupTimeout)
+	rep.Decided, rep.OracleMatches = decided, spec.Sessions-len(failures)
+	if len(failures) > 0 {
+		rep.Err = failures[0]
 	}
-	wg.Wait()
-
-	rep.Err = firstEr
 	rep.Delays = chaosStats.Delays.Load()
 	rep.Stalls = chaosStats.Stalls.Load()
 	rep.Partitions = chaosStats.Partitions.Load()

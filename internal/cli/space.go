@@ -27,8 +27,7 @@ import (
 // GraphPrefix marks a spec string as a graph-space spec.
 const GraphPrefix = "graph:"
 
-// Space is one parsed input space. Use ParseSpaceSpec or ParseSpace to
-// construct it.
+// Space is one parsed input space. Use ParseSpaceSpec to construct it.
 type Space struct {
 	// Spec is the canonical spec string this space was parsed from (with
 	// the "graph:" prefix for graph spaces).
@@ -52,19 +51,6 @@ func ParseSpaceSpec(spec string, seed int64) (*Space, error) {
 		return nil, err
 	}
 	return &Space{Spec: spec, Tree: tr}, nil
-}
-
-// ParseSpace resolves the -space / -tree flag pair of the binaries: an
-// empty spaceFlag selects the tree spec (full backward compatibility), a
-// non-empty one must be a "graph:"-prefixed spec and wins over treeFlag.
-func ParseSpace(spaceFlag, treeFlag string, seed int64) (*Space, error) {
-	if spaceFlag == "" {
-		return ParseSpaceSpec(treeFlag, seed)
-	}
-	if !strings.HasPrefix(spaceFlag, GraphPrefix) {
-		return nil, fmt.Errorf("-space %q: want %q prefix (trees stay on -tree)", spaceFlag, GraphPrefix)
-	}
-	return ParseSpaceSpec(spaceFlag, seed)
 }
 
 // IsGraph reports whether this is a graph space.

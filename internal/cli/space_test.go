@@ -38,19 +38,16 @@ func TestParseSpaceSpec(t *testing.T) {
 	if _, err := ParseSpaceSpec("nope:3", 1); err == nil {
 		t.Fatal("bad tree spec accepted")
 	}
-}
-
-func TestParseSpaceFlagPair(t *testing.T) {
-	sp, err := ParseSpace("", "star:5", 1)
-	if err != nil || sp.IsGraph() {
-		t.Fatalf("empty -space: %+v, %v", sp, err)
+	// The prefix alone picks the kind: the same family name is a tree
+	// without it only if the tree parser knows it.
+	if sp, err := ParseSpaceSpec("star:5", 1); err != nil || sp.IsGraph() {
+		t.Fatalf("star:5 = %+v, %v; want a tree", sp, err)
 	}
-	gp, err := ParseSpace("graph:cycle:6", "star:5", 1)
-	if err != nil || !gp.IsGraph() {
-		t.Fatalf("-space graph: %+v, %v", gp, err)
+	if gp, err := ParseSpaceSpec("graph:cycle:6", 1); err != nil || !gp.IsGraph() {
+		t.Fatalf("graph:cycle:6 = %+v, %v; want a graph", gp, err)
 	}
-	if _, err := ParseSpace("cycle:6", "star:5", 1); err == nil {
-		t.Fatal("-space without graph: prefix accepted")
+	if _, err := ParseSpaceSpec("cycle:6", 1); err == nil {
+		t.Fatal("graph family without the graph: prefix accepted as a tree")
 	}
 }
 

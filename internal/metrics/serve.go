@@ -12,8 +12,8 @@ import (
 // two rejection reasons split out), the mux's batched writes (one Batch per
 // write to a peer socket, covering BatchFrames session frames), and who did
 // the work: a write or an engine turn is inline when the goroutine that
-// caused it made it, deferred when it was handed to a link's flusher or a
-// shard's own goroutine. A rising deferred share is back-pressure. The counters
+// caused it made it, deferred when it was handed to a link's flusher or the
+// daemon's timekeeper. A rising deferred share is back-pressure. The counters
 // are atomic and the latency sample is mutex-guarded, so one ServeStats may
 // be shared by a daemon's manager, engines and peer links.
 type ServeStats struct {
@@ -29,15 +29,14 @@ type ServeStats struct {
 	LinkDowns        atomic.Int64 // peer link failures observed
 	LinkRedials      atomic.Int64 // peer links restored by the redial loop
 
-	Batches          atomic.Int64 // writes to peer sockets: BatchesInline + BatchesDeferred
-	BatchFrames      atomic.Int64 // session frames carried inside those writes
-	BatchBytes       atomic.Int64
-	BatchesCoalesced atomic.Int64 // flushes cut by the occupancy threshold, not the deadline
-	BatchesInline    atomic.Int64 // non-blocking writes by the goroutine that stepped the engines
-	BatchesDeferred  atomic.Int64 // blocking writes by a link's flusher
-	TurnsInline      atomic.Int64 // engine turns run by the goroutine that delivered their input
-	TurnsDeferred    atomic.Int64 // engine turns run by a shard's own goroutine
-	ClientBytes      atomic.Int64 // client-API bytes written (binary protocol only)
+	Batches         atomic.Int64 // writes to peer sockets: BatchesInline + BatchesDeferred
+	BatchFrames     atomic.Int64 // session frames carried inside those writes
+	BatchBytes      atomic.Int64
+	BatchesInline   atomic.Int64 // non-blocking writes by the goroutine that stepped the engines
+	BatchesDeferred atomic.Int64 // blocking writes by a link's flusher
+	TurnsInline     atomic.Int64 // engine turns run by the goroutine that delivered their input
+	TurnsDeferred   atomic.Int64 // engine turns run by the daemon's timekeeper
+	ClientBytes     atomic.Int64 // client-API bytes written (binary protocol only)
 
 	mu      sync.Mutex
 	sessLat []float64 // nanoseconds from admission to terminal state
@@ -72,13 +71,12 @@ func (s *ServeStats) String() string {
 	lat := s.SessionLatency()
 	return fmt.Sprintf("sessions %d submitted / %d admitted / %d decided / %d failed (%d expired); "+
 		"rejected %d capacity + %d duplicate; "+
-		"%d batches carrying %d frames (%.1f frames/batch, %d bytes, %d occupancy-cut); "+
+		"%d batches carrying %d frames (%.1f frames/batch, %d bytes); "+
 		"writes %d inline + %d deferred; engine turns %d inline + %d deferred; "+
 		"%d client bytes; session latency p50 %v p99 %v",
 		s.Submitted.Load(), s.Admitted.Load(), s.Decided.Load(), s.Failed.Load(), s.Expired.Load(),
 		s.RejectedCapacity.Load(), s.RejectedDuplicate.Load(),
 		s.Batches.Load(), s.BatchFrames.Load(), s.BatchOccupancy(), s.BatchBytes.Load(),
-		s.BatchesCoalesced.Load(),
 		s.BatchesInline.Load(), s.BatchesDeferred.Load(), s.TurnsInline.Load(), s.TurnsDeferred.Load(),
 		s.ClientBytes.Load(),
 		time.Duration(lat.P50), time.Duration(lat.P99))

@@ -75,7 +75,7 @@ func (o Options) collect() []sample {
 		add("treeaa_mux_batch_bytes_total", "Bytes written to peer links.", "counter", float64(s.BatchBytes.Load()))
 		add("treeaa_mux_writes_total", "Peer-link writes by who made them: inline by the goroutine that stepped the engines, deferred to the link's flusher (back-pressure).", "counter", float64(s.BatchesInline.Load()), `by="inline"`)
 		add("treeaa_mux_writes_total", "", "", float64(s.BatchesDeferred.Load()), `by="deferred"`)
-		add("treeaa_engine_turns_total", "Engine turns by who ran them: inline by the goroutine that delivered their input, deferred to the shard's own goroutine.", "counter", float64(s.TurnsInline.Load()), `by="inline"`)
+		add("treeaa_engine_turns_total", "Engine turns by who ran them: inline by the goroutine that delivered their input, deferred to the daemon's timekeeper.", "counter", float64(s.TurnsInline.Load()), `by="inline"`)
 		add("treeaa_engine_turns_total", "", "", float64(s.TurnsDeferred.Load()), `by="deferred"`)
 		add("treeaa_client_bytes_total", "Client-API bytes written (binary protocol).", "counter", float64(s.ClientBytes.Load()))
 		lat := s.SessionLatency()

@@ -635,10 +635,10 @@ func (nd *node) rehome(cause error) error {
 
 // prune releases history the barrier has retired: anything at least two
 // releases behind can no longer be needed by any re-homing peer (a stalled
-// peer is at most one barrier behind the fleet). RetainAll (crash plans)
-// keeps everything for full restart replay.
+// peer is at most one barrier behind the fleet). A crash plan keeps
+// everything for full restart replay.
 func (nd *node) prune() {
-	if nd.opts.RetainAll {
+	if len(nd.opts.CrashPlan) > 0 {
 		return
 	}
 	keep := nd.lastDown - 2

@@ -70,17 +70,14 @@ type Options struct {
 	// across substrates (mesh-fleet vs overlay-fleet).
 	Wire *metrics.WireStats
 
-	// RetainAll keeps every relay envelope and release frame for the whole
-	// run instead of pruning behind the barrier. Required for crash
-	// recovery, where a restarted node replays the full history; implied by
-	// a non-empty CrashPlan.
-	RetainAll bool
 	// CrashPlan schedules honest-party crash injection: party → round. The
 	// party dies abruptly in that round — after its protocol sends, before
 	// its barrier report — and is restarted with a fresh machine from
 	// Restart. Its former children re-home; the restarted node rejoins its
 	// deterministic parent with zero watermarks, replays history, and
-	// re-steps from round 1.
+	// re-steps from round 1 — so under a crash plan every node keeps every
+	// relay envelope and release frame for the whole run instead of pruning
+	// behind the barrier.
 	CrashPlan map[sim.PartyID]int
 	// Restart builds a fresh machine for a crash-restarted party; required
 	// when CrashPlan is non-empty.
@@ -102,9 +99,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Wire == nil {
 		o.Wire = &metrics.WireStats{}
-	}
-	if len(o.CrashPlan) > 0 {
-		o.RetainAll = true
 	}
 	return o
 }

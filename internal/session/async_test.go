@@ -172,16 +172,16 @@ func heldBackLink(from, to sim.PartyID, delay time.Duration) func(_, _ sim.Party
 // TestAsyncLateOpenDecides pins the GOMAXPROCS=2 wedge deterministically:
 // with t=1 the three seats that hold the open run the whole protocol among
 // themselves before the held-back fourth seat's open lands, so hundreds of
-// frames (282 on this spec) precede it — far past the lock-step "one round
-// per link" bound of QueueDepth/4 = 16 that used to tombstone the session
-// and seat an engine with a hole in its input. Async pre-open buffering is
-// bounded by the shard-wide budget only, and the session decides.
+// frames (282 on this spec) precede it — far past the lock-step "one frame
+// per link" bound that used to tombstone the session and seat an engine with
+// a hole in its input. Async pre-open buffering is bounded by the shard-wide
+// budget only (here a quarter of the real one), and the session decides.
 func TestAsyncLateOpenDecides(t *testing.T) {
 	opts := asyncOptions()
-	opts.QueueDepth = 64
 	opts.RoundTimeout = 3 * time.Second // a wedge fails fast instead of idling 20s
 	opts.WrapConn = heldBackLink(0, 3, 200*time.Millisecond)
 	c := startTestCluster(t, 4, opts)
+	shrinkPreOpen(c, 1024, 1024)
 	spec := Spec{Tree: "spider:3:4", T: 1}
 	resp := submitAndWait(t, c, 0, spec)
 	if !resp.Decided() {
@@ -194,17 +194,31 @@ func TestAsyncLateOpenDecides(t *testing.T) {
 	judgeAsyncResult(t, spec, 4, got, "late open")
 }
 
+// shrinkPreOpen lowers the pre-open bounds of every shard in the cluster: the
+// real ones (a frame per link, 4096 a shard) are exactly what honest lock-step
+// traffic cannot exceed.
+func shrinkPreOpen(c *Cluster, perSession, perShard int) {
+	for _, d := range c.Daemons {
+		for _, sh := range d.mgr.shards {
+			sh.mu.Lock()
+			sh.pendingPer, sh.pendingMax = perSession, perShard
+			sh.mu.Unlock()
+		}
+	}
+}
+
 // TestPreOpenOverflowFailsLoudly is the lock-step twin: when the per-session
-// pre-open bound (QueueDepth/4 = 1 frame here) is genuinely exceeded — surely
+// pre-open bound (shrunk to 1 frame here) is genuinely exceeded — surely
 // on the held-back daemon 3, possibly on a faster one too — the late open
 // fails the session at once with the typed reason and abort
 // gossip, instead of seating an engine that waits out its round timeout on
 // frames that were dropped.
 func TestPreOpenOverflowFailsLoudly(t *testing.T) {
-	opts := Options{QueueDepth: 4, SetupTimeout: 10 * time.Second,
+	opts := Options{SetupTimeout: 10 * time.Second,
 		RoundTimeout: 20 * time.Second, DrainTimeout: 5 * time.Second}
 	opts.WrapConn = heldBackLink(0, 3, 200*time.Millisecond)
 	c := startTestCluster(t, 4, opts)
+	shrinkPreOpen(c, 1, 64)
 	start := time.Now()
 	resp := submitAndWait(t, c, 0, Spec{Tree: "path:8"})
 	if resp.Decided() || !strings.Contains(resp.Err, reasonPreOpenOverflow) {

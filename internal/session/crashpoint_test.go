@@ -37,9 +37,8 @@ func journalRecords(t *testing.T, data []byte) (ends []int, payloads []any) {
 }
 
 // recoverBare runs journal recovery on a Manager with no daemon around it —
-// no mux, no listeners, no evict loop — and returns it with the writer open.
-// done closes the writer (syncing the seals recovery appended) and stops
-// the shard workers.
+// no mux, no listeners — and returns it with the writer open. done closes
+// the writer (syncing the seals recovery appended) and stops the timekeeper.
 func recoverBare(t *testing.T, id, n int, dir string) (m *Manager, done func()) {
 	t.Helper()
 	m = newManager(&Daemon{id: sim.PartyID(id), n: n, opts: Options{}.withDefaults()})
@@ -50,9 +49,7 @@ func recoverBare(t *testing.T, id, n int, dir string) (m *Manager, done func()) 
 		if err := m.jw.Close(); err != nil {
 			t.Fatalf("daemon %d: closing recovered journal: %v", id, err)
 		}
-		for _, sh := range m.shards {
-			sh.stop()
-		}
+		m.stop()
 	}
 }
 

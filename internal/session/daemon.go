@@ -22,14 +22,6 @@ type Options struct {
 	// MaxSessions caps non-terminal sessions on this daemon — the admission
 	// control knob. Submissions and peer opens beyond it are rejected.
 	MaxSessions int
-	// QueueDepth scales the pending-frame buffers for sessions whose open
-	// has not arrived yet: 16×QueueDepth frames per shard, and in lock-step
-	// mode QueueDepth/4 per session (async seats can see a whole protocol run
-	// ahead of their open, so only the shard bound applies). A session that
-	// hits a bound fails with "pre-open buffer overflow" when its open lands;
-	// admitted sessions' queues are unbounded and drained by whoever fills
-	// them.
-	QueueDepth int
 	// DefaultTTL is the session deadline applied when a spec's TTL is zero;
 	// it also sets how long terminal sessions linger for status queries.
 	DefaultTTL time.Duration
@@ -78,9 +70,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxSessions <= 0 {
 		o.MaxSessions = 1024
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 256
 	}
 	if o.DefaultTTL <= 0 {
 		o.DefaultTTL = 30 * time.Second
@@ -193,7 +182,7 @@ func (d *Daemon) Run(ctx context.Context) error {
 		if err := d.mgr.recoverJournal(dir, jopts); err != nil {
 			peerLn.Close()
 			clientLn.Close()
-			d.mgr.stopShards()
+			d.mgr.stop()
 			return fmt.Errorf("session: daemon %d journal recovery: %w", d.id, err)
 		}
 	}
@@ -202,13 +191,12 @@ func (d *Daemon) Run(ctx context.Context) error {
 	if err := d.mux.start(peerLn); err != nil {
 		clientLn.Close()
 		d.mux.close()
-		d.mgr.stopShards()
+		d.mgr.stop()
 		if jw := d.mgr.jw; jw != nil {
 			jw.Close()
 		}
 		return err
 	}
-	go d.mgr.evictLoop()
 	d.clientWG.Add(1)
 	go d.acceptClients()
 	close(d.ready)

@@ -16,58 +16,19 @@ import (
 	"treeaa/internal/wire"
 )
 
-// TestFlushPolicyTable pins the adaptive flusher's decisions as pure
-// functions: when it coalesces, how the frames-per-flush average evolves,
-// and what cuts a waiting batch short.
+// TestFlushPolicyTable pins, as a pure function, what hands an outbox to
+// the flusher before its stager has run dry.
 func TestFlushPolicyTable(t *testing.T) {
-	coalesce := []struct {
-		ewma      float64
-		occupancy int
-		want      bool
-	}{
-		{0, 32, false},    // cold link: flush immediately, batching buys nothing
-		{1, 32, false},    // single-frame flushes: still latency-bound
-		{22, 32, false},   // bursty but under target: waits would burn the interval
-		{31.9, 32, false}, // just under the target
-		{32, 32, true},    // waits tend to fill the batch: hold for fuller ones
-		{600, 32, true},   // saturated link
-		{4, 4, true},      // target scales with FlushOccupancy
-	}
-	for _, c := range coalesce {
-		if got := shouldCoalesce(c.ewma, c.occupancy); got != c.want {
-			t.Errorf("shouldCoalesce(%v, %d) = %v, want %v", c.ewma, c.occupancy, got, c.want)
-		}
-	}
-
-	ewma := []struct {
-		prev   float64
-		frames int
-		want   float64
-	}{
-		{0, 0, 0},  // empty flush carries no signal
-		{5, 0, 5},  // ditto: average unchanged
-		{5, -1, 5}, // defensive: nonsense counts ignored
-		{0, 8, 8},  // first sample seeds the average
-		{4, 8, 5},  // 0.75*4 + 0.25*8
-		{8, 4, 7},  // decays toward quiet
-		{2, 2, 2},  // steady state is a fixed point
-	}
-	for _, c := range ewma {
-		if got := updateEWMA(c.prev, c.frames); got != c.want {
-			t.Errorf("updateEWMA(%v, %d) = %v, want %v", c.prev, c.frames, got, c.want)
-		}
-	}
-
 	ready := []struct {
 		frames, bytes, occupancy, maxBytes int
 		want                               bool
 	}{
-		{1, 100, 32, 1 << 16, false},       // one small frame: wait
+		{1, 100, 32, 1 << 16, false},       // one small frame: its stager's to write
 		{31, 1000, 32, 1 << 16, false},     // just under the occupancy cut
 		{32, 1000, 32, 1 << 16, true},      // occupancy threshold
 		{5, 1 << 16, 32, 1 << 16, true},    // byte cap trumps occupancy
 		{5, 1<<16 - 1, 32, 1 << 16, false}, // just under the byte cap
-		{1, 0, 1, 1 << 16, true},           // occupancy 1 disables coalescing
+		{1, 0, 1, 1 << 16, true},           // occupancy 1: every frame is the flusher's
 	}
 	for _, c := range ready {
 		if got := batchReady(c.frames, c.bytes, c.occupancy, c.maxBytes); got != c.want {
@@ -341,7 +302,7 @@ func TestSlowPeerDoesNotStallEngineTurns(t *testing.T) {
 	}.withDefaults()
 	d := &Daemon{id: 0, n: 3, opts: opts}
 	d.mgr = newManager(d)
-	t.Cleanup(d.mgr.stopShards)
+	t.Cleanup(d.mgr.stop)
 
 	var healthy atomic.Int64
 	muxes := startTestMeshes(t, 3, opts, func(me, from sim.PartyID, body []byte) {

@@ -69,34 +69,37 @@ type Manager struct {
 	// writer opens once the table is rebuilt, so replay never re-journals).
 	jw *journal.Writer
 
-	evictQuit chan struct{}
-	evictDone chan struct{}
+	// The timekeeper's: its wake-up, its stop, and when it last swept.
+	kick       chan struct{} // capacity 1: wake queued an engine and nobody is draining
+	quit       chan struct{}
+	done       chan struct{}
+	sweepEvery time.Duration
+	swept      time.Time
 }
 
+// evictEvery is how often the timekeeper looks at the deadline heaps.
+const evictEvery = 10 * time.Millisecond
+
+// newManager also starts the timekeeper; stop ends it.
 func newManager(d *Daemon) *Manager {
 	m := &Manager{
-		d:         d,
-		table:     make(map[uint64]*session),
-		nextSeq:   1,
-		degraded:  make(map[sim.PartyID]error),
-		evictQuit: make(chan struct{}),
-		evictDone: make(chan struct{}),
-	}
-	// The sweep only enforces coarse timeouts (barrier deadlines, pending
-	// GC); keep it well under the round timeout without burning cycles.
-	sweep := d.opts.RoundTimeout / 8
-	if sweep > 50*time.Millisecond {
-		sweep = 50 * time.Millisecond
-	}
-	if sweep < 5*time.Millisecond {
-		sweep = 5 * time.Millisecond
+		d:        d,
+		table:    make(map[uint64]*session),
+		nextSeq:  1,
+		degraded: make(map[sim.PartyID]error),
+		kick:     make(chan struct{}, 1),
+		quit:     make(chan struct{}),
+		done:     make(chan struct{}),
+		// The sweep only enforces coarse timeouts (barrier deadlines, pending
+		// GC); keep it well under the round timeout without burning cycles.
+		sweepEvery: min(max(d.opts.RoundTimeout/8, 5*time.Millisecond), 50*time.Millisecond),
 	}
 	// One engine-pool shard per core, capped at 16.
 	m.shards = make([]*shard, min(runtime.GOMAXPROCS(0), 16))
 	for i := range m.shards {
 		m.shards[i] = newShard(m)
-		go m.shards[i].worker(sweep)
 	}
+	go m.timekeeper()
 	return m
 }
 
@@ -591,28 +594,54 @@ func (h *deadlineHeap) Pop() any {
 	return e
 }
 
-// evictLoop enforces deadlines: non-terminal sessions past their deadline
+// timekeeper is the daemon's one background goroutine: everything that
+// happens because time passed, or because wake found nobody draining,
+// happens on it. It starts with the manager, so its first passes run while
+// the daemon is still replaying its journal, before it has a mux.
+func (m *Manager) timekeeper() {
+	defer close(m.done)
+	ticker := time.NewTicker(min(evictEvery, m.sweepEvery))
+	defer ticker.Stop()
+	for {
+		select {
+		case <-m.quit:
+			return
+		case <-m.kick:
+		case <-ticker.C:
+		}
+		m.pass(time.Now())
+	}
+}
+
+// pass evicts what is due, sweeps every shard once the sweep interval has
+// elapsed, then retires what either found and whatever wake queued. Unlike a
+// link reader the timekeeper has no dry point of its own to write at, so it
+// writes here; a pass that ran no engine turn touches no mux.
+func (m *Manager) pass(now time.Time) {
+	m.evictTick(now)
+	if now.Sub(m.swept) >= m.sweepEvery {
+		m.swept = now
+		for _, sh := range m.shards {
+			sh.sweep(now)
+		}
+	}
+	turns := 0
+	for _, sh := range m.shards {
+		sh.mu.Lock()
+		turns += sh.drainLocked(false)
+	}
+	if turns > 0 {
+		m.d.mux.flushDry()
+	}
+}
+
+// evictTick enforces deadlines: non-terminal sessions past their deadline
 // are expired (and the abort broadcast, so every seat stops paying for
 // them); terminal sessions linger for status queries until the same
 // deadline plus a grace period, then leave a tombstone on their shard.
 // Both actions pop deadline-ordered heaps, so a tick costs the sessions
 // actually due, not a scan of the whole table (which holds every lingering
 // terminal session and grew with throughput).
-func (m *Manager) evictLoop() {
-	defer close(m.evictDone)
-	const tick = 10 * time.Millisecond
-	ticker := time.NewTicker(tick)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-m.evictQuit:
-			return
-		case <-ticker.C:
-		}
-		m.evictTick(time.Now())
-	}
-}
-
 func (m *Manager) evictTick(now time.Time) {
 	type abort struct {
 		sid    uint64
@@ -693,17 +722,8 @@ func (m *Manager) drain(timeout time.Duration) {
 }
 
 func (m *Manager) stop() {
-	close(m.evictQuit)
-	<-m.evictDone
-	m.stopShards()
-}
-
-// stopShards is all the teardown a daemon that failed before it became
-// ready needs: its evict loop never started, so stop would wait forever.
-func (m *Manager) stopShards() {
-	for _, sh := range m.shards {
-		sh.stop()
-	}
+	close(m.quit)
+	<-m.done
 }
 
 func (m *Manager) stats() *metrics.ServeStats { return m.d.opts.Stats }

@@ -102,11 +102,10 @@ type peerLink struct {
 	genQuit   chan struct{} // closed when the current generation dies
 	redialing bool          // a redial goroutine is already running
 
-	pending  []byte // concatenated encoded frames awaiting one batched write
-	spare    []byte // last flushed batch, recycled to avoid regrowing pending
-	frames   int
-	kick     chan struct{} // capacity 1: the flusher has something to write
-	kickFull chan struct{} // capacity 1: outbox reached the flush threshold
+	pending []byte // concatenated encoded frames awaiting one batched write
+	spare   []byte // last flushed batch, recycled to avoid regrowing pending
+	frames  int
+	kick    chan struct{} // capacity 1: the flusher has something to write
 
 	// wmu is held across every write to the socket. The flusher takes it
 	// with Lock and may sit in a blocked write under it; a try-write takes it
@@ -134,7 +133,7 @@ func newMux(id sim.PartyID, n int, addrs []string, cluster uint64, opts Options,
 			continue
 		}
 		m.peers[p] = &peerLink{m: m, peer: p, ready: make(chan struct{}),
-			kick: make(chan struct{}, 1), kickFull: make(chan struct{}, 1)}
+			kick: make(chan struct{}, 1)}
 	}
 	return m
 }
@@ -387,20 +386,14 @@ func (l *peerLink) put(frame []byte, wake bool) {
 	l.frames++
 	ready := batchReady(l.frames, len(l.pending), flushOccupancy, maxBatchBytes)
 	l.mu.Unlock()
-	if ready {
-		l.wakeFlusher(true)
-	} else if first && wake {
-		l.wakeFlusher(false)
+	if ready || (first && wake) {
+		l.wakeFlusher()
 	}
 }
 
-func (l *peerLink) wakeFlusher(full bool) {
-	ch := l.kick
-	if full {
-		ch = l.kickFull
-	}
+func (l *peerLink) wakeFlusher() {
 	select {
-	case ch <- struct{}{}:
+	case l.kick <- struct{}{}:
 	default:
 	}
 }
@@ -468,7 +461,7 @@ func (l *peerLink) tryFlush() {
 		return
 	}
 	if sock == nil || !l.wmu.TryLock() {
-		l.wakeFlusher(false)
+		l.wakeFlusher()
 		return
 	}
 	// The writer lock is held from before the outbox is taken until its
@@ -482,7 +475,7 @@ func (l *peerLink) tryFlush() {
 		l.mu.Unlock()
 		l.wmu.Unlock()
 		if owed {
-			l.wakeFlusher(false)
+			l.wakeFlusher()
 		}
 		return
 	}
@@ -501,7 +494,7 @@ func (l *peerLink) tryFlush() {
 	}
 	l.wmu.Unlock()
 	if n < len(batch) {
-		l.wakeFlusher(false)
+		l.wakeFlusher()
 	}
 }
 
@@ -523,132 +516,67 @@ func (l *peerLink) takeLocked() (batch []byte, frames int) {
 	return batch, frames
 }
 
-// Adaptive flush policy, as pure functions so the table tests can pin the
-// decisions without a cluster.
-//
-// The flusher tracks an EWMA of frames-per-flush. On a quiet link (EWMA
-// below the occupancy target) the first queued frame flushes immediately —
-// batching would only add latency no batch will ever repay, and immediate
-// flushes still batch whatever piled up during the previous write. On a
-// busy link the flusher holds the first frame up to flushInterval, cutting
-// the batch short the moment occupancy (frames or bytes) crosses the
-// threshold. The loop is self-correcting: a coalescing wait that times out
-// with a thin batch drags the EWMA back under the target and the link
-// returns to immediate flushing.
-
 const (
-	// flushInterval is the longest a queued outbound frame waits for its
-	// link's coalesced write once the flusher decides to batch.
-	flushInterval = 200 * time.Microsecond
-	// flushOccupancy cuts a coalescing wait short once this many frames are
-	// queued on a link.
+	// flushOccupancy hands an outbox to the flusher once this many frames are
+	// staged on a link, without waiting for its stager to run dry: under load
+	// the flusher is a second core doing writes.
 	flushOccupancy = 32
-	// maxBatchBytes kicks the flusher early when a link's outbox reaches
-	// this size, bounding batch memory under load.
+	// maxBatchBytes does the same once a link's outbox reaches this size,
+	// bounding batch memory under load.
 	maxBatchBytes = 64 << 10
 )
 
-// shouldCoalesce reports whether the recent frames-per-flush average makes
-// waiting for a fuller batch worthwhile: only when history says a wait
-// tends to fill the occupancy target rather than burn the interval.
-func shouldCoalesce(ewma float64, occupancy int) bool { return ewma >= float64(occupancy) }
-
-// updateEWMA folds one flush's frame count into the running average
-// (quarter-weight on the new sample; empty flushes carry no signal).
-func updateEWMA(prev float64, frames int) float64 {
-	if frames <= 0 {
-		return prev
-	}
-	if prev == 0 {
-		return float64(frames)
-	}
-	return 0.75*prev + 0.25*float64(frames)
-}
-
-// batchReady reports whether the outbox has hit either flush threshold.
+// batchReady reports whether the outbox has hit either flush threshold; a
+// pure function so the table test can pin the decision without a cluster.
 func batchReady(frames, bytes, occupancy, maxBytes int) bool {
 	return frames >= occupancy || bytes >= maxBytes
 }
 
-// flushLoop coalesces a link's outbox into one conn.Write per wakeup,
-// pacing itself by the adaptive policy above. kick wakes it when there is
-// something for it to write — an enqueue into an empty outbox, a try-write
-// that could not finish the job; kickFull cuts a coalescing wait short the
-// moment the occupancy threshold is hit. Stale kicks (the frames they announced were
-// already flushed) cost one no-op flush and are otherwise harmless, so the
-// loop never tries to drain them. One flusher runs per link generation;
-// genQuit retires it when the generation dies.
+// flushLoop is the link's fallback writer: it waits for a kick — an enqueue
+// into an empty outbox, an outbox at a flush threshold, a try-write that
+// could not finish the job — and writes whatever is owed, blocking if it
+// must. Stale kicks (the frames they announced were already written) cost
+// one no-op flush and are otherwise harmless, so the loop never tries to
+// drain them. One flusher runs per link generation; genQuit retires it when
+// the generation dies.
 func (m *mux) flushLoop(l *peerLink, gen int, genQuit chan struct{}, conn net.Conn) {
 	defer m.wg.Done()
 	defer m.flushWG.Done()
-	timer := time.NewTimer(flushInterval)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	defer timer.Stop()
-	var ewma float64
 	for {
 		select {
 		case <-l.kick:
-			if shouldCoalesce(ewma, flushOccupancy) {
-				// Busy link: hold for a fuller batch, up to flushInterval.
-				timer.Reset(flushInterval)
-				select {
-				case <-l.kickFull:
-					if !timer.Stop() {
-						<-timer.C
-					}
-					if s := m.stats; s != nil {
-						s.BatchesCoalesced.Add(1)
-					}
-				case <-timer.C:
-				case <-genQuit:
-					return
-				case <-m.quit:
-					l.flush(gen, conn)
-					return
-				}
-			}
-		case <-l.kickFull:
-			if s := m.stats; s != nil {
-				s.BatchesCoalesced.Add(1)
-			}
 		case <-genQuit:
 			return
 		case <-m.quit:
 			l.flush(gen, conn) // best-effort final drain so queued decides reach peers
 			return
 		}
-		n, stale, err := l.flush(gen, conn)
+		stale, err := l.flush(gen, conn)
 		if stale {
-			// A replacement generation owns the outbox now; hand it any kick
+			// A replacement generation owns the outbox now; hand it the kick
 			// this loop consumed so its flusher wakes, then retire.
-			select {
-			case l.kick <- struct{}{}:
-			default:
-			}
+			l.wakeFlusher()
 			return
 		}
 		if err != nil {
 			m.linkFailed(l, gen, fmt.Errorf("session: link %d→%d: %w", m.id, l.peer, err))
 			return
 		}
-		ewma = updateEWMA(ewma, n)
 	}
 }
 
 // flush is the flusher's blocking write: first the tail a try-write left,
-// then the outbox, and it reports how many outbox frames it carried. The
-// flushed buffer is recycled as the next pending buffer, so a steady-state
-// link reuses two batch buffers forever. A stale generation's flush is a
-// silent no-op: the outbox now belongs to the replacement.
-func (l *peerLink) flush(gen int, conn net.Conn) (n int, stale bool, err error) {
+// then the outbox. The flushed buffer is recycled as the next pending
+// buffer, so a steady-state link reuses two batch buffers forever. A stale
+// generation's flush is a silent no-op: the outbox now belongs to the
+// replacement.
+func (l *peerLink) flush(gen int, conn net.Conn) (stale bool, err error) {
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
 	l.mu.Lock()
 	if l.gen != gen {
 		l.mu.Unlock()
-		return 0, true, nil
+		return true, nil
 	}
 	batch, frames := l.takeLocked()
 	l.mu.Unlock()
@@ -660,7 +588,7 @@ func (l *peerLink) flush(gen int, conn net.Conn) (n int, stale bool, err error) 
 	l.tail = nil
 	if len(tail) == 0 && frames == 0 {
 		l.recycle(batch)
-		return 0, false, nil
+		return false, nil
 	}
 	conn.SetWriteDeadline(time.Now().Add(l.m.opts.RoundTimeout))
 	// Cleared again, or the try-writes that follow would find it expired.
@@ -671,7 +599,7 @@ func (l *peerLink) flush(gen int, conn net.Conn) (n int, stale bool, err error) 
 			continue
 		}
 		if _, err := conn.Write(b); err != nil {
-			return 0, false, err
+			return false, err
 		}
 		if s != nil {
 			s.Batches.Add(1)
@@ -679,7 +607,7 @@ func (l *peerLink) flush(gen int, conn net.Conn) (n int, stale bool, err error) 
 		}
 	}
 	l.recycle(batch)
-	return frames, false, nil
+	return false, nil
 }
 
 func (l *peerLink) recycle(batch []byte) {

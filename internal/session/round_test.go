@@ -142,7 +142,7 @@ func TestSessionRoundIsTheOnlyDataFrame(t *testing.T) {
 	}
 
 	m := newManager(&Daemon{opts: Options{}.withDefaults()})
-	defer m.stopShards()
+	defer m.stop()
 	for _, retired := range []any{
 		wire.SessionEOR{SID: 1, Round: 1},
 		wire.SessionMsg{SID: 1, Round: 1, Payload: wire.AsyncValue{Phase: 1, Kind: 1, Iter: 1}},

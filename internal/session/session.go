@@ -30,7 +30,10 @@
 // brought in — often several sessions' rounds — shares the writes going out.
 // Nothing on that path can wait for a socket: what a write could not place,
 // and every link whose connection hides its descriptor, falls to the link's
-// flusher, which batches by the adaptive policy it always had.
+// flusher. Besides the links' readers and flushers a daemon runs one
+// goroutine, the manager's timekeeper: deadline eviction, the shards' sweep
+// (barrier timeouts, pre-open and tombstone GC) and the turn of an engine
+// that a terminal transition woke while nobody was draining its shard.
 //
 // An engine owns no protocol loop: it is an adapter over internal/driver,
 // the same passive Round (lock step) and Event (Options.Async) state

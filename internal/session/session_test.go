@@ -30,8 +30,7 @@ func startTestCluster(t *testing.T, n int, opts Options) *Cluster {
 }
 
 // slowConn delays every peer-link write by a fixed amount — the test lever
-// for stretching round trips (the flusher's first-frame kick makes
-// FlushInterval a latency bound, not a floor).
+// for stretching round trips.
 type slowConn struct {
 	net.Conn
 	delay time.Duration
@@ -370,7 +369,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 // the setup deadline passes is reported against the budget it was given —
 // not against time.Until(deadline) read after the timer fired, which is a
 // negative duration — and the daemons whose setup then fails tear down
-// instead of waiting on an evict loop that never started.
+// (their one Manager.stop returns).
 func TestStartClusterReportsSetupBudget(t *testing.T) {
 	const budget = 50 * time.Millisecond
 	_, err := StartCluster(2, Options{

@@ -21,8 +21,9 @@ import (
 // caller that finds it set leaves its work to the drainer, which re-reads the
 // queue under the same lock before it clears the flag, so no wake-up is lost
 // and an engine's run state has one owner at any moment (drainer-owned).
-// The shard's own goroutine is the sweeper, and the drainer for wake: a
-// terminal transition holds Manager.mu, and an engine turn may need it.
+// A shard has no goroutine of its own: the manager's timekeeper sweeps it,
+// and drains it for wake — a terminal transition holds Manager.mu, and an
+// engine turn may need it.
 //
 // The data plane takes only this shard's mutex, never the manager's:
 // per-frame contention on the global session table was a top serve-profile
@@ -43,6 +44,13 @@ type shard struct {
 	draining bool      // a goroutine is running the queue and will see additions
 	pending  map[uint64]*pendingBuf
 	pendingN int
+	// pendingPer bounds the frames buffered for one not-yet-opened session.
+	// In lock step at most one frame — a peer's first round — can precede the
+	// open on any link, so a deeper buffer only ever holds garbage. Async mode
+	// has no such invariant — the n−t seats that hold the open can run the
+	// whole protocol before the last seat's open lands — so there only the
+	// shard-wide bound, pendingMax, applies.
+	pendingPer, pendingMax int
 	// Tombstones live in two generations so that collecting them never
 	// scans them: an id is buried into tombs, sweep turns tombs into
 	// oldTombs once it is linger old and drops the previous oldTombs whole.
@@ -50,10 +58,6 @@ type shard struct {
 	tombs      map[uint64]struct{}
 	oldTombs   map[uint64]struct{}
 	tombsSince time.Time // when tombs became the young generation
-
-	kick chan struct{} // capacity 1: wake queued an engine and nobody is draining
-	quit chan struct{}
-	done chan struct{}
 }
 
 // pendingBuf buffers raw frames for a session whose open has not arrived
@@ -72,34 +76,25 @@ type pendingBuf struct {
 // buffer overflowed on some daemon.
 const reasonPreOpenOverflow = "pre-open buffer overflow"
 
+// pendingPerShard bounds the pre-open frames one shard buffers in all.
+const pendingPerShard = 16 * 256
+
 func newShard(m *Manager) *shard {
+	perSession := m.d.n - 1 // a frame per link
+	if m.d.opts.Async {
+		perSession = pendingPerShard
+	}
 	return &shard{
 		m:          m,
 		step:       (*engine).run,
 		engines:    make(map[uint64]*engine),
 		pending:    make(map[uint64]*pendingBuf),
+		pendingPer: perSession,
+		pendingMax: pendingPerShard,
 		tombs:      make(map[uint64]struct{}),
 		tombsSince: time.Now(),
-		kick:       make(chan struct{}, 1),
-		quit:       make(chan struct{}),
-		done:       make(chan struct{}),
 	}
 }
-
-// pendingPerSession bounds the frames buffered for one not-yet-opened
-// session. In lock step at most one frame — a peer's first round — can
-// precede the open on any link, so a deep buffer only ever holds garbage.
-// Async mode has no such invariant — the n−t seats that hold the open can
-// run the whole protocol before the last seat's open lands — so there only
-// the shard-wide bound applies.
-func (sh *shard) pendingPerSession() int {
-	if sh.m.d.opts.Async {
-		return sh.pendingTotal()
-	}
-	return sh.m.d.opts.QueueDepth / 4
-}
-
-func (sh *shard) pendingTotal() int { return 16 * sh.m.d.opts.QueueDepth }
 
 // deliver hands one raw in-session frame to the owning engine and runs the
 // engine, on the calling link reader, unless another goroutine is draining
@@ -130,7 +125,7 @@ func (sh *shard) bufferPendingLocked(sid uint64, ev rawEvent) {
 	if pb.overflow {
 		return
 	}
-	if len(pb.evs) >= sh.pendingPerSession() || sh.pendingN >= sh.pendingTotal() {
+	if len(pb.evs) >= sh.pendingPer || sh.pendingN >= sh.pendingMax {
 		sh.pendingN -= len(pb.evs)
 		pb.evs, pb.overflow = nil, true
 		return
@@ -182,7 +177,7 @@ func (sh *shard) register(eng *engine) {
 // this so an externally failed or evicted engine retires without waiting
 // for the sweep. Its caller holds Manager.mu, which an engine turn may take,
 // so wake never drains: the queue goes to whoever is draining, or else to
-// the shard's goroutine.
+// the timekeeper.
 func (sh *shard) wake(eng *engine) {
 	sh.mu.Lock()
 	sh.enqueueDirtyLocked(eng)
@@ -190,7 +185,7 @@ func (sh *shard) wake(eng *engine) {
 	sh.mu.Unlock()
 	if idle {
 		select {
-		case sh.kick <- struct{}{}:
+		case sh.m.kick <- struct{}{}:
 		default:
 		}
 	}
@@ -236,37 +231,6 @@ func (sh *shard) removeLocked(eng *engine) {
 	delete(sh.engines, eng.s.sid)
 	sh.buryLocked(eng.s.sid)
 	eng.release()
-}
-
-// worker is the shard's own goroutine: it drains when wake asks it to, and
-// on a coarse tick it sweeps (barrier timeouts, pending and tombstone GC)
-// and retires what the sweep found.
-func (sh *shard) worker(sweepEvery time.Duration) {
-	defer close(sh.done)
-	ticker := time.NewTicker(sweepEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-sh.quit:
-			return
-		case <-sh.kick:
-			sh.drainDeferred()
-		case <-ticker.C:
-			sh.sweep(time.Now())
-			sh.drainDeferred()
-		}
-	}
-}
-
-// drainDeferred is a drain by the shard's goroutine, which — unlike a link
-// reader — has no dry point of its own to write at, so it writes here. A
-// drain that ran nothing touches nothing: the first ticks fire before the
-// daemon has a mux.
-func (sh *shard) drainDeferred() {
-	sh.mu.Lock()
-	if sh.drainLocked(false) > 0 {
-		sh.m.d.mux.flushDry()
-	}
 }
 
 // drainLocked runs queued engines until the queue is empty, unless another
@@ -355,9 +319,4 @@ func (sh *shard) sweep(now time.Time) {
 	for _, eng := range ended {
 		sh.wake(eng)
 	}
-}
-
-func (sh *shard) stop() {
-	close(sh.quit)
-	<-sh.done
 }

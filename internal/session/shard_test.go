@@ -3,19 +3,26 @@ package session
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"treeaa/internal/metrics"
 	"treeaa/internal/sim"
+	"treeaa/internal/wire"
 )
 
-// testShard is a shard on a bare manager whose daemon has the given mux
-// (possibly none) and no listeners.
+// testShard is the one shard of a bare manager whose daemon has the given
+// mux (possibly none) and no listeners. The manager's timekeeper is not
+// running: a test starts it, or makes its passes by hand.
 func testShard(m *mux) *shard {
-	opts := Options{DefaultTTL: 30 * time.Second, SetupTimeout: time.Second, QueueDepth: 64}.withDefaults()
-	return newShard(&Manager{d: &Daemon{opts: opts, mux: m}})
+	opts := Options{DefaultTTL: 30 * time.Second, SetupTimeout: time.Second}.withDefaults()
+	mgr := &Manager{d: &Daemon{n: 4, opts: opts, mux: m}, sweepEvery: time.Hour,
+		kick: make(chan struct{}, 1), quit: make(chan struct{}), done: make(chan struct{})}
+	mgr.shards = []*shard{newShard(mgr)}
+	return mgr.shards[0]
 }
 
 // TestDrainerExclusivity: many goroutines deliver to one shard at once, and
@@ -30,7 +37,7 @@ func TestDrainerExclusivity(t *testing.T) {
 		deliverers = 16
 		each       = 400
 	)
-	sh := testShard(&mux{}) // the shard goroutine flushes a mux after its turns
+	sh := testShard(&mux{}) // the timekeeper flushes a mux after its turns
 	var (
 		inside   atomic.Int32
 		overlaps atomic.Int32
@@ -54,8 +61,8 @@ func TestDrainerExclusivity(t *testing.T) {
 		engs[i] = newEngine(sh.m, sh, &session{sid: uint64(i)}, parsedSpec{})
 		sh.engines[uint64(i)] = engs[i]
 	}
-	go sh.worker(time.Hour)
-	defer sh.stop()
+	go sh.m.timekeeper()
+	defer sh.m.stop()
 
 	var wg sync.WaitGroup
 	for g := 0; g < deliverers; g++ {
@@ -81,7 +88,7 @@ func TestDrainerExclusivity(t *testing.T) {
 	wg.Wait()
 
 	// Deliveries are drained by a deliverer, so they are all applied now; a
-	// wake's empty turn may still be on its way to the shard goroutine.
+	// wake's empty turn may still be on its way to the timekeeper.
 	wakers.Wait()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -127,18 +134,153 @@ func TestDrainerExclusivity(t *testing.T) {
 	}
 }
 
-// TestDrainerIdleTickLeavesMuxAlone: the shard goroutines start with the
-// manager, and their first ticks fire while the daemon is still replaying
-// its journal, before it has a mux. A tick that ran no engine must not
-// reach for one.
+// TestDrainerIdleTickLeavesMuxAlone: the timekeeper starts with the manager,
+// and its first ticks fire while the daemon is still replaying its journal,
+// before it has a mux. A pass that ran no engine must not reach for one.
 func TestDrainerIdleTickLeavesMuxAlone(t *testing.T) {
 	sh := testShard(nil)
 	sh.step = func(*engine, []rawEvent) bool { t.Error("an idle shard ran a turn"); return false }
-	sh.sweep(time.Now())
-	sh.drainDeferred()
+	sh.m.pass(time.Now())
 	sh.bury(7)
 	sh.deliver(0, 7, []byte{1}) // dropped: nothing to run either
-	sh.drainDeferred()
+	sh.m.pass(time.Now())
+}
+
+// TestTimekeeperOnePass hands the timekeeper's pass a clock reading of the
+// test's choosing, over a real two-daemon mesh. One pass must do everything
+// time and wake leave to it: expire the session past its deadline, fail the
+// seat past its barrier deadline, retire both engines (each queued by the
+// wake of its terminal transition), give a third engine that only wake has
+// queued its first turn — and write the round that turn staged, itself.
+func TestTimekeeperOnePass(t *testing.T) {
+	type frame struct {
+		typ byte
+		sid uint64
+	}
+	var (
+		mu   sync.Mutex
+		seen []frame
+	)
+	stats := &metrics.ServeStats{}
+	opts := Options{Stats: stats}.withDefaults()
+	muxes := startTestMeshes(t, 2, opts, func(me, from sim.PartyID, body []byte) {
+		if me != 1 {
+			return
+		}
+		typ, sid, err := wire.PeekSession(body)
+		if err != nil {
+			t.Errorf("peer read a bad frame: %v", err)
+		}
+		mu.Lock()
+		seen = append(seen, frame{typ, sid})
+		mu.Unlock()
+	})
+	d := &Daemon{id: 0, n: 2, opts: opts, mux: muxes[0]}
+	m := newManager(d)
+	m.stop() // every pass below is the test's
+
+	admit := func(sid uint64, ttl time.Duration) *session {
+		ps, err := parseSpec(Spec{Tree: "path:4", TTL: ttl}, d.n, opts.DefaultTTL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		s, err := m.admitLocked(sid, d.id, ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh := s.eng.sh
+		sh.mu.Lock()
+		sh.engines[sid] = s.eng
+		sh.mu.Unlock()
+		return s
+	}
+	overdue := admit(1, time.Second)
+	stuck := admit(2, time.Hour)
+	stuck.eng.watchdog.Store(time.Now().UnixNano())
+	stuck.eng.awaited.Store(3)
+	fresh := admit(3, time.Hour)
+	fresh.eng.sh.wake(fresh.eng)
+	// The aborts of the other two are enqueued, which wakes the link's
+	// flusher; fresh's round is only staged. Its turn waits until the flusher
+	// has taken the aborts, so the round cannot ride with them: it leaves
+	// because the pass writes after its turns, or not at all.
+	link, run := muxes[0].peers[1], fresh.eng.sh.step
+	fresh.eng.sh.step = func(e *engine, evs []rawEvent) bool {
+		for deadline := time.Now().Add(5 * time.Second); e == fresh.eng && time.Now().Before(deadline); time.Sleep(100 * time.Microsecond) {
+			link.mu.Lock()
+			staged := link.frames
+			link.mu.Unlock()
+			if staged == 0 {
+				break
+			}
+		}
+		return run(e, evs)
+	}
+
+	m.pass(time.Now().Add(2 * time.Second))
+
+	for _, c := range []struct {
+		s      *session
+		state  State
+		reason string
+	}{
+		{overdue, StateExpired, "deadline exceeded"},
+		{stuck, StateFailed, "round 3 barrier timed out"},
+		{fresh, StateRunning, ""},
+	} {
+		out, _ := m.Status(c.s.sid)
+		if out.State != c.state || !strings.Contains(out.Err, c.reason) {
+			t.Errorf("session %d after the pass: %s (%q), want %s (%q)", c.s.sid, out.State, out.Err, c.state, c.reason)
+		}
+		sh := c.s.eng.sh
+		sh.mu.Lock()
+		_, seated := sh.engines[c.s.sid]
+		if retired := c.state.Terminal(); c.s.eng.gone != retired || seated == retired || c.s.eng.queued {
+			t.Errorf("session %d after the pass: engine gone=%v seated=%v queued=%v, want retired=%v and nothing queued",
+				c.s.sid, c.s.eng.gone, seated, c.s.eng.queued, retired)
+		}
+		sh.mu.Unlock()
+	}
+	if turns := stats.TurnsDeferred.Load(); turns != 3 {
+		t.Errorf("%d deferred turns, want one per engine", turns)
+	}
+	want := []frame{{wire.TypeSessionAbort, 1}, {wire.TypeSessionAbort, 2}, {wire.TypeSessionRound, 3}}
+	pollUntil(t, 5*time.Second, "the pass's frames at the peer", func() error {
+		mu.Lock()
+		defer mu.Unlock()
+		got := make(map[frame]int)
+		for _, f := range seen {
+			got[f]++
+		}
+		for _, f := range want {
+			if got[f] != 1 {
+				return fmt.Errorf("frame type %#x for session %d arrived %d times; all frames: %v", f.typ, f.sid, got[f], seen)
+			}
+		}
+		if len(seen) != len(want) {
+			return fmt.Errorf("peer received %v, want only %v", seen, want)
+		}
+		return nil
+	})
+}
+
+// TestDaemonBackgroundGoroutines: an idle cluster's goroutine dump holds one
+// timekeeper per daemon, and no shard has a goroutine of its own.
+func TestDaemonBackgroundGoroutines(t *testing.T) {
+	const n = 4
+	startTestCluster(t, n, Options{})
+	buf := make([]byte, 1<<20)
+	dump := string(buf[:runtime.Stack(buf, true)])
+	if got := strings.Count(dump, "(*Manager).timekeeper("); got != n {
+		t.Errorf("%d timekeeper goroutines in an idle %d-daemon cluster, want one per daemon", got, n)
+	}
+	for _, gone := range []string{"shard).worker", "evictLoop"} {
+		if strings.Contains(dump, gone) {
+			t.Errorf("goroutine dump has a frame containing %q:\n%s", gone, dump)
+		}
+	}
 }
 
 // TestTombstoneGenerations drives one shard's sweep with a fake clock: a

@@ -3,6 +3,7 @@ package session
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"time"
 
 	"treeaa/internal/cli"
@@ -50,6 +51,55 @@ func NewWorkload(sp *cli.Space, seed int64, n, t int, ttl time.Duration, rotatio
 func (w *Workload) Spec(i int) Spec {
 	return Spec{Tree: w.sp.Spec, Seed: w.seed, T: w.t,
 		Inputs: w.sp.RotateInputs(w.n, i), TTL: w.ttl}
+}
+
+// Drive runs the first sessions sessions of the mix at once, each on its own
+// client dialed at addr(i), submitted and awaited. decided counts those that
+// reached a decided Result; failures holds one line, in completion order, for
+// every session that did not both decide and pass Verify.
+func (w *Workload) Drive(addr func(i int) string, sessions int, dialTimeout time.Duration) (decided int, failures []string) {
+	var (
+		wg sync.WaitGroup
+		mu sync.Mutex
+	)
+	for i := 0; i < sessions; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			s := w.Spec(i)
+			var msg string
+			got, err := driveOne(addr(i), s, dialTimeout)
+			if err != nil {
+				msg = err.Error()
+			} else {
+				msg = w.Verify(s, got)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if err == nil {
+				decided++
+			}
+			if msg != "" {
+				failures = append(failures, fmt.Sprintf("session %d: %s", i, msg))
+			}
+		}(i)
+	}
+	wg.Wait()
+	return decided, failures
+}
+
+// driveOne submits one session over a fresh client and waits it out.
+func driveOne(addr string, s Spec, dialTimeout time.Duration) (*sim.Result, error) {
+	cl, err := DialClient(addr, dialTimeout)
+	if err != nil {
+		return nil, fmt.Errorf("dial: %w", err)
+	}
+	defer cl.Close()
+	resp, err := cl.Submit(s, 0, true)
+	if err != nil {
+		return nil, fmt.Errorf("submit: %w", err)
+	}
+	return resp.SimResult()
 }
 
 // Verify returns why a decided Result fails the workload's check, or "".
