@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test loc surface race race-sim race-cpu bench-module node-smoke overlay-smoke serve-smoke rolling-restart chaos-soak async-soak cover bench bench-compare bench-serve-smoke bench-kernel-smoke bench-async-smoke fuzz fuzz-short prop graph-prop check examples experiments clean
+.PHONY: all build test loc surface race race-sim race-cpu bench-module node-smoke overlay-smoke serve-smoke rolling-restart chaos-soak async-soak cover bench bench-compare bench-serve-smoke bench-kernel-smoke bench-async-smoke bench-mesh-smoke fuzz fuzz-short prop graph-prop check examples experiments clean
 
 all: build test race-sim node-smoke overlay-smoke serve-smoke chaos-soak rolling-restart
 
@@ -52,16 +52,18 @@ race-sim:
 # Scheduler-width sweep of the async and serving suites. Every PR before the
 # 2-core host was verified at GOMAXPROCS=1 only, which is how the pre-open
 # buffer wedge in the async session path shipped. The recovery suites (kill,
-# graceful restart, mid-flight, the journal crash-point enumeration) sweep
-# the same widths under the race detector, and so do the three mechanisms of
-# the serving data path — who drains a shard (and the timekeeper that does
-# when nobody else will), the write that never blocks (with both slow-peer
-# tests), the final barrier's elision — with the frame they carry and the
-# space cache.
+# graceful restart, mid-flight, the journal crash-point enumeration, the
+# mesh's crash-restart and its mirror ordering) sweep the same widths under
+# the race detector, and so do the three mechanisms of the serving data path
+# — who drains a shard (and the timekeeper that does when nobody else will),
+# the write that never blocks (with both slow-peer tests), the final
+# barrier's elision — with the round frame they carry (the driver's framer,
+# its Apply and the cross-fabric identity), the mux's connection set, the
+# client request bound and the space cache.
 race-cpu:
 	$(GO) test -count=1 -cpu 1,2,4 -run 'Async|Serve' ./internal/session ./internal/transport
-	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Restart|CrashPoints|Recover' ./internal/session ./internal/chaos
-	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Drainer|Timekeeper|Background|TryWrite|SlowPeer|SessionRound|FinalRound|SpaceCache' \
+	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Restart|CrashPoints|Recover|ObserverMirrors' ./internal/session ./internal/chaos ./internal/transport
+	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Drainer|Timekeeper|Background|TryWrite|SlowPeer|SessionRound|FinalRound|SpaceCache|MuxTracks|ClientRequestBounded|RoundFrame|Framer|EventApply|FuzzApplyRound' \
 		./internal/session ./internal/driver ./internal/wire
 
 # The benchmark is a nested module that root `go test ./...` does not reach;
@@ -191,6 +193,12 @@ bench-kernel-smoke:
 bench-async-smoke:
 	bash bench/run.sh --workload async-sim --seed 1 --seconds 2 --trace 0
 
+# One short mesh-fleet pass as a smoke: transport.LocalCluster runs of n=16 on
+# path:1024 back to back, every Result compared with the sim.Run oracle
+# (correct=true or exit 1) — the one outside driver that does so under load.
+bench-mesh-smoke:
+	bash bench/run.sh --workload mesh-fleet --seed 1 --seconds 2 --trace 0
+
 # Short fuzz pass over every fuzz target (tree parsing, Prüfer codec,
 # Euler-list invariants, hull/safe-area cross-checks, wire decoding, the
 # gradecast tally against its merge oracle).
@@ -242,9 +250,9 @@ graph-prop:
 	$(GO) run ./cmd/check -budget 175 -seeds 1-3 -space graph -async-every 4
 
 # Tier-1-adjacent gate: build + vet + tests, the GOMAXPROCS sweep, the
-# nested benchmark module, the bench serve, kernel and async smokes, then the
-# property (tree and graph), short fuzz and async-soak passes.
-check: build test race-cpu bench-module bench-serve-smoke bench-kernel-smoke bench-async-smoke prop graph-prop fuzz-short async-soak
+# nested benchmark module, the bench serve, kernel, async and mesh smokes, then
+# the property (tree and graph), short fuzz and async-soak passes.
+check: build test race-cpu bench-module bench-serve-smoke bench-kernel-smoke bench-async-smoke bench-mesh-smoke prop graph-prop fuzz-short async-soak
 
 examples:
 	$(GO) run ./examples/quickstart

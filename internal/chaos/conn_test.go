@@ -9,11 +9,13 @@ import (
 	"treeaa/internal/metrics"
 )
 
-// eorFrame hand-builds a minimal end-of-round frame (the framing layout is
-// pinned by internal/transport's own tests; chaos only needs *a* valid
-// round-carrying frame to steer its windows).
+// eorFrame hand-builds a minimal round frame, an open mark and no messages
+// (the layout is pinned by internal/wire's and internal/transport's own
+// tests; chaos only needs *a* valid round-carrying frame to steer its
+// windows).
 func eorFrame(round byte) []byte {
-	return []byte{3, 0x04, round, 0x00} // len=3 | eor | round | flags
+	// len=7 | session envelope | wire version | SessionRound | sid | round | flags | k
+	return []byte{7, 0x06, 0x01, 0x18, 0x00, round, 0x00, 0x00}
 }
 
 // helloFrame hand-builds a minimal control frame (type hello).

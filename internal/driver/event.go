@@ -25,9 +25,10 @@ type EventMachine interface {
 
 // EventSink receives what an Event emits.
 type EventSink interface {
-	// Emit ships one protocol message — the machine's payloads are wire
-	// payloads — to its remote recipients; same contract as Sink.Emit.
-	Emit(round int, to sim.PartyID, payload any) error
+	// Send ships one protocol message — the machine's payloads are wire
+	// payloads — to its remote recipients, at once; otherwise Sink.Emit's
+	// contract.
+	Send(round int, to sim.PartyID, payload any) error
 	// Announce broadcasts this party's one-and-only done announcement.
 	Announce() error
 }
@@ -158,7 +159,7 @@ func (e *Event) dispatch(out []async.Message) error {
 		if first <= e.id && e.id <= last {
 			e.selfq = append(e.selfq, async.Message{From: e.id, To: e.id, Payload: m.Payload})
 		}
-		if err := e.sink.Emit(e.machine.EnvelopeRound(m.Payload), m.To, m.Payload); err != nil {
+		if err := e.sink.Send(e.machine.EnvelopeRound(m.Payload), m.To, m.Payload); err != nil {
 			return fmt.Errorf("party %d: %w", e.id, err)
 		}
 	}

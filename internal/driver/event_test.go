@@ -53,9 +53,9 @@ type recEventSink struct {
 	announced int
 }
 
-func (s *recEventSink) Emit(round int, to sim.PartyID, payload any) error {
+func (s *recEventSink) Send(round int, to sim.PartyID, payload any) error {
 	if _, ok := payload.(wire.AsyncValue); !ok {
-		panic("Emit handed a non-wire payload")
+		panic("Send handed a non-wire payload")
 	}
 	s.emits = append(s.emits, "r"+itoa(round)+"→"+itoa(int(to)))
 	return nil

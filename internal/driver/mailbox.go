@@ -4,12 +4,15 @@
 // Round runs one party of the paper's lock-step model: file what arrives,
 // step when the round's barrier is complete, emit what the machine sends.
 // Event runs one party of the asynchronous model: deliver an arrival, emit,
-// decide. Neither owns a goroutine, a socket, a timer or a frame format —
-// adapters (transport's mesh node, overlay's tree node, session's engine)
-// feed them decoded arrivals and receive sends through a Sink, and keep only
-// what is theirs: framing, the barrier signal, timers, replay and crash
-// injection. sim.Run and async.Run remain the reference oracles the
-// adapters' results are compared against.
+// decide. Neither owns a goroutine, a socket or a timer — adapters
+// (transport's mesh node, overlay's tree node, session's engine) feed them
+// arrivals and receive sends through a Sink, and keep only what is theirs:
+// the link, the barrier wait, timers, replay and crash injection. On a full
+// mesh the frame is the driver's too (frame.go): Framer is the Sink that
+// writes a round as one wire.SessionRound per link and Apply streams one
+// back in; the overlay, a relay tree, keeps a Sink of its own. sim.Run and
+// async.Run remain the reference oracles the adapters' results are compared
+// against.
 package driver
 
 import (

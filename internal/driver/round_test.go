@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"treeaa/internal/core"
+	"treeaa/internal/gradecast"
 	"treeaa/internal/sim"
 	"treeaa/internal/tree"
 )
@@ -475,29 +476,47 @@ func (nopSink) Emit(int, sim.PartyID, any) error { return nil }
 func (nopSink) EndRound(int, bool) error         { return nil }
 
 // TestRoundSteadyStateAllocFree: once the window's slots exist, filing a
-// round of traffic and crossing its barrier recycles them — the property the
-// session engine's zero-allocation stepping rests on.
+// round of traffic and crossing its barrier recycles them, and framing what
+// the round sent — encoding included, one frame for everybody or one per
+// peer — reuses the framer's buffers: the property the session engine's
+// zero-allocation stepping rests on.
 func TestRoundSteadyStateAllocFree(t *testing.T) {
 	const n = 4
-	payload := any(note{"steady"})
-	m := &echoMachine{out: []sim.Message{{To: sim.Broadcast, Payload: payload}}}
-	rd := NewRound(0, n, 1<<30, 2, m, nopSink{})
-	round := func() {
-		r := rd.Round()
-		for p := sim.PartyID(1); p < n; p++ {
-			rd.File(sim.Message{From: p, Round: r, Payload: payload})
-			rd.File(sim.Message{From: p, Round: r + 1, Payload: payload}) // a peer one round ahead
-			rd.EOR(r, p, false)
+	payload := any(gradecast.SendMsg{Tag: "treeaa/pf", Iter: 1, Val: 3})
+	frames := 0
+	framed := NewFramer(0, n, 7, func(sim.PartyID, []byte) { frames++ })
+	for _, tc := range []struct {
+		name   string
+		sink   Sink
+		out    []sim.Message
+		frames int // per round
+	}{
+		{"unframed", nopSink{}, []sim.Message{{To: sim.Broadcast, Payload: payload}}, 0},
+		{"broadcast", framed, []sim.Message{{To: sim.Broadcast, Payload: payload}}, 1},
+		{"unicast", framed, []sim.Message{{To: sim.Broadcast, Payload: payload}, {To: 2, Payload: payload}}, n - 1},
+	} {
+		rd := NewRound(0, n, 1<<30, 2, &echoMachine{out: tc.out}, tc.sink)
+		round := func() {
+			r := rd.Round()
+			for p := sim.PartyID(1); p < n; p++ {
+				rd.File(sim.Message{From: p, Round: r, Payload: payload})
+				rd.File(sim.Message{From: p, Round: r + 1, Payload: payload}) // a peer one round ahead
+				rd.EOR(r, p, false)
+			}
+			if _, err := rd.Advance(); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if _, err := rd.Advance(); err != nil {
-			t.Fatal(err)
+		mustAdvance(t, rd, false)
+		for i := 0; i < 8; i++ {
+			round() // warm up: slots, per-sender slices, inbox scratch, frame buffers
 		}
-	}
-	mustAdvance(t, rd, false)
-	for i := 0; i < 8; i++ {
-		round() // warm up: slots, per-sender slices, inbox scratch
-	}
-	if allocs := testing.AllocsPerRun(200, round); allocs != 0 {
-		t.Errorf("%v allocations per steady-state round, want 0", allocs)
+		frames = 0
+		if allocs := testing.AllocsPerRun(200, round); allocs != 0 {
+			t.Errorf("%s: %v allocations per steady-state round, want 0", tc.name, allocs)
+		}
+		if frames != 201*tc.frames {
+			t.Errorf("%s: %d frames over 201 rounds, want %d", tc.name, frames, 201*tc.frames)
+		}
 	}
 }

@@ -143,7 +143,7 @@ func (h *holder) handshake(conn net.Conn) {
 	seat := h.get() // session, layout and options are the same in every incarnation
 	conn.SetReadDeadline(time.Now().Add(seat.opts.SetupTimeout))
 	br := bufio.NewReaderSize(conn, 64<<10)
-	body, err := transport.ReadFrame(br)
+	body, err := transport.ReadFrame(br, transport.MaxFrameSize)
 	if err != nil {
 		conn.Close()
 		return

@@ -107,7 +107,7 @@ func (l *link) startReader() {
 	go func() {
 		for {
 			l.conn.SetReadDeadline(time.Now().Add(l.nd.opts.RoundTimeout))
-			body, err := transport.ReadFrame(l.br)
+			body, err := transport.ReadFrame(l.br, transport.MaxFrameSize)
 			if err != nil {
 				l.nd.enqueue(levent{l: l, err: fmt.Errorf("overlay: link %d↔%d read: %w", l.nd.id, l.peer, err)})
 				return

@@ -552,7 +552,7 @@ func (nd *node) joinParent(deadline time.Time) error {
 	conn.SetWriteDeadline(time.Time{})
 	br := bufio.NewReaderSize(conn, 64<<10)
 	conn.SetReadDeadline(deadline)
-	ab, err := transport.ReadFrame(br)
+	ab, err := transport.ReadFrame(br, transport.MaxFrameSize)
 	if err != nil {
 		conn.Close()
 		return fmt.Errorf("reading ack from parent %d: %w", nd.parentID, err)

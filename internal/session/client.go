@@ -58,7 +58,7 @@ func (c *Client) do(what string, req any) (*Response, error) {
 	if _, err := c.conn.Write(c.wbuf); err != nil {
 		return nil, err
 	}
-	respBody, err := transport.ReadFrame(c.br)
+	respBody, err := transport.ReadFrame(c.br, transport.MaxFrameSize)
 	if err != nil {
 		return nil, err
 	}

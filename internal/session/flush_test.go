@@ -345,7 +345,7 @@ func TestSlowPeerDoesNotStallEngineTurns(t *testing.T) {
 	release()
 }
 
-// TestBinaryFrameMatchesTransportFraming pins appendSessionFrame to the
+// TestBinaryFrameMatchesTransportFraming pins sessionFrame to the
 // byte format transport.AppendFrame produces — the zero-allocation path
 // must not drift from the generic one.
 func TestBinaryFrameMatchesTransportFraming(t *testing.T) {
@@ -359,7 +359,7 @@ func TestBinaryFrameMatchesTransportFraming(t *testing.T) {
 		wire.SessionDecide{SID: 7, Party: 2, V: 5, DoneRound: 3, TermRound: 4, Msgs: 12, Bytes: 96},
 	}
 	for _, p := range payloads {
-		got, err := appendSessionFrame(nil, p)
+		got, err := sessionFrame(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,7 +369,7 @@ func TestBinaryFrameMatchesTransportFraming(t *testing.T) {
 		}
 		want := transport.AppendFrame(nil, append([]byte{transport.FrameMuxSession}, body...))
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("appendSessionFrame(%T) = %x, want %x", p, got, want)
+			t.Fatalf("sessionFrame(%T) = %x, want %x", p, got, want)
 		}
 	}
 }

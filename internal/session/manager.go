@@ -160,7 +160,7 @@ func (m *Manager) Submit(spec Spec, sid uint64) (uint64, error) {
 	// The open precedes every round-1 frame on each link FIFO, because the
 	// engine starts only after the open is in the outboxes. register steps
 	// round 1 right here, and one write per peer carries both.
-	m.d.mux.stageAll(open)
+	m.d.mux.stage(sim.Broadcast, open)
 	s.eng.sh.register(s.eng)
 	m.d.mux.flushDry()
 	return sid, nil
@@ -473,7 +473,7 @@ func (m *Manager) fail(s *session, st State, reason string, broadcast bool) {
 
 func (m *Manager) broadcastAbort(sid uint64, reason string) {
 	if frame, err := sessionFrame(wire.SessionAbort{SID: sid, Reason: reason}); err == nil {
-		m.d.mux.broadcast(frame)
+		m.d.mux.enqueue(sim.Broadcast, frame)
 	}
 }
 

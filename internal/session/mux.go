@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"treeaa/internal/driver"
 	"treeaa/internal/metrics"
 	"treeaa/internal/sim"
 	"treeaa/internal/transport"
@@ -79,8 +80,11 @@ type mux struct {
 	wg        sync.WaitGroup
 	flushWG   sync.WaitGroup // the flushers alone, so close can await their final drain
 
+	// conns is every connection the mux has open — a handshake in flight or a
+	// link's current generation — so shutdown can close them all. A
+	// connection leaves the set where it is closed.
 	mu    sync.Mutex
-	conns []net.Conn
+	conns map[net.Conn]struct{}
 }
 
 // peerLink is one duplex daemon-pair link: the current connection (one
@@ -127,6 +131,7 @@ func newMux(id sim.PartyID, n int, addrs []string, cluster uint64, opts Options,
 		stats: opts.Stats, handler: handler, onDown: onDown, onUp: onUp,
 		peers: make([]*peerLink, n),
 		quit:  make(chan struct{}),
+		conns: make(map[net.Conn]struct{}),
 	}
 	for p := sim.PartyID(0); int(p) < n; p++ {
 		if p == id {
@@ -182,12 +187,12 @@ func (m *mux) dial(p sim.PartyID, deadline time.Time) error {
 	hb := encodeMuxHello(m.id, p, m.n, m.cluster)
 	conn.SetWriteDeadline(deadline)
 	if _, err := conn.Write(hb); err != nil {
-		conn.Close()
+		m.drop(conn)
 		return fmt.Errorf("session: daemon %d handshake to daemon %d: %w", m.id, p, err)
 	}
 	conn.SetWriteDeadline(time.Time{})
 	if err := m.register(p, conn, bufio.NewReaderSize(conn, 64<<10), false); err != nil {
-		conn.Close()
+		m.drop(conn)
 		return err
 	}
 	return nil
@@ -203,9 +208,25 @@ func (m *mux) wrap(peer sim.PartyID, conn net.Conn) net.Conn {
 	return m.opts.WrapConn(m.id, peer, conn)
 }
 
+// track adds a connection to the open set. After shutdown took the set there
+// is nobody left to close it, so it is closed here.
 func (m *mux) track(conn net.Conn) {
 	m.mu.Lock()
-	m.conns = append(m.conns, conn)
+	open := m.conns != nil
+	if open {
+		m.conns[conn] = struct{}{}
+	}
+	m.mu.Unlock()
+	if !open {
+		conn.Close()
+	}
+}
+
+// drop closes a connection and takes it out of the open set.
+func (m *mux) drop(conn net.Conn) {
+	conn.Close()
+	m.mu.Lock()
+	delete(m.conns, conn)
 	m.mu.Unlock()
 }
 
@@ -231,9 +252,9 @@ func (m *mux) handshakeIn(conn net.Conn) {
 	defer m.wg.Done()
 	conn.SetReadDeadline(time.Now().Add(m.opts.SetupTimeout))
 	br := bufio.NewReaderSize(conn, 64<<10)
-	body, err := transport.ReadFrame(br)
+	body, err := transport.ReadFrame(br, transport.MaxFrameSize)
 	if err != nil {
-		conn.Close()
+		m.drop(conn)
 		return
 	}
 	from, to, n, cluster, err := parseMuxHello(body)
@@ -249,17 +270,21 @@ func (m *mux) handshakeIn(conn net.Conn) {
 		err = fmt.Errorf("cluster %#x, want %#x", cluster, m.cluster)
 	}
 	if err != nil {
-		conn.Close()
+		m.drop(conn)
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
 	// Re-wrap happens on our side too: the acceptor faults its own writes.
-	wrapped := m.wrap(from, conn)
-	if wrapped != conn {
+	// The wrapper is what the link holds and closes, so it is what is tracked.
+	if wrapped := m.wrap(from, conn); wrapped != conn {
+		m.mu.Lock()
+		delete(m.conns, conn)
+		m.mu.Unlock()
 		m.track(wrapped)
+		conn = wrapped
 	}
-	if err := m.register(from, wrapped, br, true); err != nil {
-		conn.Close()
+	if err := m.register(from, conn, br, true); err != nil {
+		m.drop(conn)
 	}
 }
 
@@ -310,7 +335,7 @@ func (l *peerLink) markDownLocked() {
 	}
 	l.up = false
 	close(l.genQuit)
-	l.conn.Close()
+	l.m.drop(l.conn)
 	l.pending, l.frames = l.pending[:0], 0
 }
 
@@ -398,37 +423,21 @@ func (l *peerLink) wakeFlusher() {
 	}
 }
 
-// enqueue queues one frame for the peer and leaves writing it to the link's
-// flusher: the call for frames that no engine turn produced (aborts,
-// rejections), safe on any goroutine.
-func (m *mux) enqueue(to sim.PartyID, frame []byte) {
-	if l := m.peers[to]; l != nil {
-		l.put(frame, true)
-	}
-}
+// enqueue queues one frame for the peer — or, with sim.Broadcast, for every
+// peer — and leaves writing it to the link's flusher: the call for frames
+// that no engine turn produced (aborts, rejections), safe on any goroutine.
+func (m *mux) enqueue(to sim.PartyID, frame []byte) { m.put(to, frame, true) }
 
-// stage queues one frame for the peer without waking anybody: the call of a
-// goroutine that is stepping engines and will flushDry when it is through.
-func (m *mux) stage(to sim.PartyID, frame []byte) {
-	if l := m.peers[to]; l != nil {
-		l.put(frame, false)
-	}
-}
+// stage queues one frame like enqueue, without waking anybody: the call of a
+// goroutine that is stepping engines and will flushDry when it is through,
+// and the send of every engine's driver.Framer.
+func (m *mux) stage(to sim.PartyID, frame []byte) { m.put(to, frame, false) }
 
-// broadcast enqueues the frame on every peer link.
-func (m *mux) broadcast(frame []byte) {
-	for _, l := range m.peers {
+func (m *mux) put(to sim.PartyID, frame []byte, wake bool) {
+	first, last := driver.Span(m.n, to)
+	for _, l := range m.peers[first : last+1] {
 		if l != nil {
-			l.put(frame, true)
-		}
-	}
-}
-
-// stageAll stages the frame on every peer link.
-func (m *mux) stageAll(frame []byte) {
-	for _, l := range m.peers {
-		if l != nil {
-			l.put(frame, false)
+			l.put(frame, wake)
 		}
 	}
 }
@@ -698,31 +707,23 @@ func (m *mux) closeConns() {
 	conns := m.conns
 	m.conns = nil
 	m.mu.Unlock()
-	for _, c := range conns {
+	for c := range conns {
 		c.Close()
 	}
 }
 
-// appendSessionFrame appends one mux session frame — the length-prefixed
-// FrameMuxSession envelope around the payload's wire encoding — to dst and
-// returns the extended slice, byte-identical to transport.AppendFrame over
-// the assembled body but without the intermediate body allocation. The
-// outbox copies, so callers (the engines' hot path) reuse one scratch buffer.
-func appendSessionFrame(dst []byte, payload any) ([]byte, error) {
+// sessionFrame builds one mux session frame — the length-prefixed
+// FrameMuxSession envelope around the payload's wire encoding,
+// byte-identical to transport.AppendFrame over the assembled body — ready
+// for enqueue. The returned slice is immutable by convention: broadcasts
+// share it across links. (A round's frame is the driver's, not built here.)
+func sessionFrame(payload any) ([]byte, error) {
 	sz, err := wire.EncodedSize(payload)
 	if err != nil {
 		return nil, err
 	}
-	dst = wire.AppendUvarint(dst, uint64(sz+1))
-	dst = append(dst, transport.FrameMuxSession)
-	return wire.Append(dst, payload)
-}
-
-// sessionFrame is appendSessionFrame into a fresh slice: one frame, ready
-// for enqueue. The returned slice is immutable by convention — broadcasts
-// share it across links.
-func sessionFrame(payload any) ([]byte, error) {
-	return appendSessionFrame(nil, payload)
+	dst := wire.AppendUvarint(make([]byte, 0, sz+4), uint64(sz+1))
+	return wire.Append(append(dst, transport.FrameMuxSession), payload)
 }
 
 func encodeMuxHello(from, to sim.PartyID, n int, cluster uint64) []byte {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"treeaa/internal/core"
+	"treeaa/internal/driver"
 	"treeaa/internal/metrics"
 	"treeaa/internal/sim"
 	"treeaa/internal/transport"
@@ -160,7 +161,7 @@ func TestSessionRoundIsTheOnlyDataFrame(t *testing.T) {
 // TestSessionRoundPerPeerFrames: a round that is not all broadcasts goes out
 // as one frame per peer, each holding what that peer is sent — the
 // broadcasts and its own unicasts, in emission order — and the seat's mark;
-// the engine's buffers are empty for the next round. (TreeAA only
+// the next round's frames hold nothing of this one's. (TreeAA only
 // broadcasts, so no served session walks this path.)
 func TestSessionRoundPerPeerFrames(t *testing.T) {
 	const self, n = 1, 4
@@ -170,16 +171,15 @@ func TestSessionRoundPerPeerFrames(t *testing.T) {
 			l.up = true // no socket: staged frames just collect
 		}
 	}
-	d := &Daemon{id: self, n: n, opts: m.opts, mux: m}
-	e := newEngine(&Manager{d: d}, nil, &session{sid: 77}, parsedSpec{})
+	fr := driver.NewFramer(self, n, 77, m.stage) // what engine.begin builds
 	note := func(i int) any { return wire.AsyncValue{Phase: 1, Kind: 1, Iter: i + 1} }
 	for round := 3; round <= 4; round++ {
 		for i, to := range []sim.PartyID{sim.Broadcast, 0, self, 3, sim.Broadcast, 0} {
-			if err := e.Emit(round, to, note(i)); err != nil {
+			if err := fr.Emit(round, to, note(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := e.EndRound(round, round == 4); err != nil {
+		if err := fr.EndRound(round, round == 4); err != nil {
 			t.Fatal(err)
 		}
 		for peer, want := range map[sim.PartyID][]int{0: {0, 1, 4, 5}, 2: {0, 4}, 3: {0, 3, 4}} {
@@ -203,9 +203,6 @@ func TestSessionRoundPerPeerFrames(t *testing.T) {
 			if !reflect.DeepEqual(got, wantFrame) {
 				t.Errorf("round %d to peer %d:\n got %+v\nwant %+v", round, peer, got, wantFrame)
 			}
-		}
-		if len(e.out) != 0 || len(e.outTo) != 0 || e.unicast {
-			t.Errorf("round %d left %d payloads buffered (unicast=%v)", round, len(e.out), e.unicast)
 		}
 	}
 }

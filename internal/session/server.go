@@ -62,8 +62,8 @@ func (d *Daemon) serveClient(conn net.Conn) {
 	// wrong type answers with an error outcome and keeps the connection.
 	br := bufio.NewReader(conn)
 	for {
-		body, err := transport.ReadFrame(br)
-		if err != nil || len(body) > maxClientRequest {
+		body, err := transport.ReadFrame(br, maxClientRequest)
+		if err != nil {
 			return
 		}
 		payload, err := wire.Decode(body)

@@ -37,17 +37,18 @@
 //
 // An engine owns no protocol loop: it is an adapter over internal/driver,
 // the same passive Round (lock step) and Event (Options.Async) state
-// machines the mesh and overlay nodes adapt. The engine streams SessionRound
-// frames into the driver, frames what the driver emits, and keeps the
-// watchdog deadline; mailboxes, accounting (counted at send, self-delivery
-// included, the session envelope excluded), barriers and termination are the
-// driver's, which is why each session's Result is byte-identical to sim.Run
-// on the same spec. The mux's per-link FIFO lets a peer lead by at most one
-// round, so the engine fixes the driver's window at 2 and anything outside
-// fails the session; and because every seat is honest and on one schedule,
-// the schedule's last, message-free round ends at its step rather than at a
-// barrier. The origin daemon (where the session was submitted) assembles the
-// Result from its own record plus each peer's SessionDecide.
+// machines the mesh and overlay nodes adapt. The engine hands the driver the
+// SessionRound frames its shard queued and the mux's outboxes as the place
+// to stage its own, and keeps the watchdog deadline; the frame, mailboxes,
+// accounting (counted at send, self-delivery included, the session envelope
+// excluded), barriers and termination are the driver's, which is why each
+// session's Result is byte-identical to sim.Run on the same spec. The mux's
+// per-link FIFO lets a peer lead by at most one round, so the engine fixes
+// the driver's window at 2 and anything outside fails the session; and
+// because every seat is honest and on one schedule, the schedule's last,
+// message-free round ends at its step rather than at a barrier. The origin
+// daemon (where the session was submitted) assembles the Result from its own
+// record plus each peer's SessionDecide.
 //
 // With Options.Async every message travels as a SessionRound of one and is
 // delivered to an async.Pipeline on arrival, a seat broadcasts one empty

@@ -359,11 +359,11 @@ func TestRetiredSeatReleasesRunState(t *testing.T) {
 			e := s.eng
 			e.sh.mu.Lock()
 			defer e.sh.mu.Unlock()
-			return fmt.Sprintf("gone=%v decides=%v rd=%v ev=%v space=%v inputs=%v in=%v inSpare=%v scratch=%v",
+			return fmt.Sprintf("gone=%v decides=%v rd=%v ev=%v space=%v inputs=%v in=%v inSpare=%v",
 				e.gone, decides, e.rd != nil, e.ev != nil, e.ps.space != nil, e.ps.inputs != nil,
-				e.in != nil, e.inSpare != nil, e.frameScratch != nil)
+				e.in != nil, e.inSpare != nil)
 		}
-		const want = "gone=true decides=false rd=false ev=false space=false inputs=false in=false inSpare=false scratch=false"
+		const want = "gone=true decides=false rd=false ev=false space=false inputs=false in=false inSpare=false"
 		// A peer's seat retires a moment after it ships its decide.
 		deadline := time.Now().Add(2 * time.Second)
 		for held() != want && time.Now().Before(deadline) {

@@ -6,7 +6,6 @@ import (
 
 	"treeaa/internal/driver"
 	"treeaa/internal/sim"
-	"treeaa/internal/wire"
 )
 
 // hostConfig drives all corrupted parties — and the adversary controlling
@@ -27,11 +26,12 @@ type hostConfig struct {
 
 // runAdversaryHost mirrors the engine's adversary path round by round:
 // wait until the observer holds all honest round-r traffic (mirrors are
-// complete once each honest eor(r) arrives) and every corrupted inbox for
-// round r-1 is complete, rebuild honestOut and corruptInbox exactly as the
-// engine lays them out, run one Adversary.Step, and route the returned
-// messages through the corrupted parties' authenticated links. Corrupted
-// parties always flag done in their barriers, so honest termination is
+// complete once each honest party's round-r frame arrives) and every
+// corrupted inbox for round r-1 is complete, rebuild honestOut and
+// corruptInbox exactly as the engine lays them out, run one Adversary.Step,
+// and route the returned messages through the corrupted parties'
+// authenticated links, a round frame per link like anybody's. Corrupted
+// parties always flag done in their frames, so honest termination is
 // untouched by the adversary's presence.
 func runAdversaryHost(cfg hostConfig) (*driver.Result, error) {
 	e := cfg.ep
@@ -63,8 +63,12 @@ func runAdversaryHost(cfg hostConfig) (*driver.Result, error) {
 		mirrors:  make(map[int]map[sim.PartyID][]sim.Message),
 		fail:     make(map[sim.PartyID]error),
 	}
+	framers := make(map[sim.PartyID]*driver.Framer, len(cfg.corrupted))
 	for _, c := range cfg.corrupted {
 		h.states[c] = driver.NewMailbox(cfg.n, 0)
+		framers[c] = driver.NewFramer(c, cfg.n, 0, func(to sim.PartyID, frame []byte) {
+			e.ship(c, to, frame, nil) // honest recipients only: the rest are local
+		})
 	}
 	res := &driver.Result{ID: observer}
 	corruptInbox := make(map[sim.PartyID][]sim.Message, len(cfg.corrupted))
@@ -100,10 +104,6 @@ func runAdversaryHost(cfg hostConfig) (*driver.Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("transport: adversary %w", err)
 			}
-			body, err := wire.Encode(raw.Payload)
-			if err != nil {
-				return nil, fmt.Errorf("transport: adversary round %d: %w", r, err)
-			}
 			for to := first; to <= last; to++ {
 				if isCorrupted[to] {
 					// Intra-host delivery: corrupted parties share the
@@ -112,17 +112,17 @@ func runAdversaryHost(cfg hostConfig) (*driver.Result, error) {
 					if err != nil {
 						return nil, fmt.Errorf("transport: adversary host: %w", err)
 					}
-				} else {
-					e.send(raw.From, to, encodeMsg(frameMsg, r, to, body))
 				}
+			}
+			if raw.To == sim.Broadcast || !isCorrupted[raw.To] {
+				_ = framers[raw.From].Emit(r, raw.To, raw.Payload) // buffers; EndRound reports what cannot be framed
 			}
 		}
 		res.PerRound = append(res.PerRound, sent)
 
-		eor := encodeEOR(r, true)
 		for _, c := range cfg.corrupted {
-			for _, p := range honest {
-				e.send(c, p, eor)
+			if err := framers[c].EndRound(r, true); err != nil {
+				return nil, fmt.Errorf("transport: adversary round %d: %w", r, err)
 			}
 		}
 		for r2 := range h.mirrors {
@@ -153,17 +153,18 @@ type hostState struct {
 	fail     map[sim.PartyID]error                 // first connection failure per peer
 }
 
-// barrierDone reports whether corrupted party c holds eor(r) from every
-// honest party — the only senders of barrier frames a co-hosted party has.
+// barrierDone reports whether corrupted party c holds round r's frame from
+// every honest party — the only senders of frames a co-hosted party has.
 func (h *hostState) barrierDone(c sim.PartyID, r int) bool {
 	eors, _ := h.states[c].Barrier(r)
 	return eors == len(h.honest)
 }
 
 // ready reports whether the adversary can step round r: the observer holds
-// eor(r) from every honest party (so round r's mirrors are complete) and
-// every corrupted inbox for round r-1 is complete (eor(r-1) from every
-// honest peer; intra-host deliveries are synchronous and need no barrier).
+// round r's frame from every honest party (so round r's mirrors, which
+// precede it on the link, are complete) and every corrupted inbox for round
+// r-1 is complete (round r-1's frame from every honest peer; intra-host
+// deliveries are synchronous and need no barrier).
 func (h *hostState) ready(r int) bool {
 	if !h.barrierDone(h.observer, r) {
 		return false
@@ -189,7 +190,7 @@ func (h *hostState) await(r int) error {
 			if err := h.handle(ev); err != nil {
 				return fmt.Errorf("transport: adversary host: %w", err)
 			}
-			// Only a failed peer that still owes the observer eor(r) stalls us.
+			// Only a failed peer that still owes the observer round r stalls us.
 			for _, p := range h.honest {
 				if err := h.fail[p]; err != nil && !h.states[h.observer].HasEOR(r, p) {
 					return fmt.Errorf("transport: adversary host waiting on round %d: %w", r, err)
@@ -211,23 +212,25 @@ func (h *hostState) handle(ev event) error {
 		}
 		return nil
 	}
-	switch ev.f.typ {
-	case frameMsg:
-		return h.states[ev.owner].File(sim.Message{From: ev.from, To: ev.owner, Round: ev.f.round, Payload: ev.f.payload})
+	switch ev.body[0] {
+	case FrameMuxSession:
+		return h.states[ev.owner].Apply(ev.from, ev.owner, ev.body[1:])
 	case frameMirror:
 		if ev.owner != h.observer {
 			return fmt.Errorf("mirror frame addressed to party %d, observer is %d", ev.owner, h.observer)
 		}
-		box := h.mirrors[ev.f.round]
+		m, err := parseMirror(ev.from, ev.body)
+		if err != nil {
+			return err
+		}
+		box := h.mirrors[m.Round]
 		if box == nil {
 			box = make(map[sim.PartyID][]sim.Message, len(h.honest))
-			h.mirrors[ev.f.round] = box
+			h.mirrors[m.Round] = box
 		}
-		box[ev.from] = append(box[ev.from], sim.Message{From: ev.from, To: ev.f.to, Round: ev.f.round, Payload: ev.f.payload})
+		box[ev.from] = append(box[ev.from], m)
 		return nil
-	case frameEOR:
-		return h.states[ev.owner].EOR(ev.f.round, ev.from, ev.f.done)
 	default:
-		return fmt.Errorf("unexpected frame type 0x%02x from party %d", ev.f.typ, ev.from)
+		return fmt.Errorf("unexpected frame type 0x%02x from party %d", ev.body[0], ev.from)
 	}
 }

@@ -2,24 +2,24 @@ package transport
 
 // Asynchronous mode: an event-driven driver over the same TCP substrate.
 //
-// Where runNode steps a sim.Machine in lock-step rounds fenced by eor
-// barriers, runAsyncNode dispatches an async.Machine on every message
-// *arrival*: there are no rounds, no barriers and no round timeouts. Frames
-// still ride the frameMsg envelope — its round field carries the machine's
-// EnvelopeRound (the AA iteration the payload belongs to), which is what
-// round-windowed chaos clauses key on — but nothing ever waits for a
+// Where runNode steps a sim.Machine in lock-step rounds fenced by barriers,
+// runAsyncNode dispatches an async.Machine on every message *arrival*: there
+// are no rounds, no barriers and no round timeouts. Frames are still the
+// driver's round frames, one message each — the round field carries the
+// machine's EnvelopeRound (the AA iteration the payload belongs to), which
+// is what round-windowed chaos clauses key on — but nothing ever waits for a
 // round's mailbox to be complete. The only timeout is an *idle* timeout
 // (Options.RoundTimeout reused): a party that hears nothing at all for
 // that long while undecided concludes the run is wedged, which the
 // asynchronous model says cannot happen on a live network, however slow.
 //
 // Termination has no shared round either. Each party announces its own
-// decision with a frameAsyncDone control frame and keeps serving RBC
-// echo/ready amplification for its still-undecided peers; it exits once it
-// has decided *and* heard done from every peer. Because async-done is a
-// control frame, chaos latency lets it pass — and since a decided peer
-// discards protocol traffic anyway, the driver purges the send queue of any
-// peer that has announced done, so a latency-chaos soak drains in one
+// decision with an empty done-marked frame and keeps serving RBC echo/ready
+// amplification for its still-undecided peers; it exits once it has decided
+// *and* heard done from every peer. Because FrameInfo classifies the
+// announcement as control, chaos latency lets it pass — and since a decided
+// peer discards protocol traffic anyway, the node purges the send queue of
+// any peer that has announced done, so a latency-chaos soak drains in one
 // frame's delay instead of replaying the whole delayed backlog.
 //
 // The driver runs honest parties only. The model's rushing adversary is a
@@ -36,7 +36,6 @@ import (
 
 	"treeaa/internal/driver"
 	"treeaa/internal/sim"
-	"treeaa/internal/wire"
 )
 
 // AsyncResult is one async execution's summary.
@@ -47,62 +46,24 @@ type AsyncResult struct {
 	Bytes      int
 }
 
-// asyncNode adapts a driver.Event to the full mesh: frameMsg framing for
-// protocol traffic, frameAsyncDone for the done announcement, an idle timer
-// in place of the round timeout, and send-queue purging toward peers that
-// announced (they discard protocol traffic anyway).
-type asyncNode struct {
-	id sim.PartyID
-	n  int
-	ep *endpoint
-	ev *driver.Event
-}
-
-// Emit encodes the wire payload once and sends an envelope per remote
-// recipient that has not announced done.
-func (nd *asyncNode) Emit(round int, to sim.PartyID, payload any) error {
-	body, err := wire.Encode(payload)
-	if err != nil {
-		return err
-	}
-	first, last := driver.Span(nd.n, to)
-	for to := first; to <= last; to++ {
-		if to != nd.id && !nd.ev.IsPeerDone(to) {
-			nd.ep.send(nd.id, to, encodeMsg(frameMsg, round, to, body))
-		}
-	}
-	return nil
-}
-
-// Announce broadcasts this party's decision. Peers that already announced
-// discard protocol traffic, so their queues are purged first — the done
-// frame must not wait out a chaos-delayed backlog they will throw away.
-func (nd *asyncNode) Announce() error {
-	done := encodeAsyncDone()
-	for p := sim.PartyID(0); int(p) < nd.n; p++ {
-		if p == nd.id {
-			continue
-		}
-		if nd.ev.IsPeerDone(p) {
-			nd.ep.purgeSender(nd.id, p)
-		}
-		nd.ep.send(nd.id, p, done)
-	}
-	return nil
-}
-
 // runAsyncNode executes one party event-wise: deliver whatever arrives,
 // send whatever the machine emits, announce the decision, keep amplifying
-// until every peer has announced too.
+// until every peer has announced too. It adapts a driver.Event to the full
+// mesh with an idle timer in place of the round timeout, and with nothing but
+// the announcement toward peers that have announced (they discard protocol
+// traffic anyway).
 func runAsyncNode(id sim.PartyID, n int, machine driver.EventMachine, e *endpoint) (*driver.Event, error) {
 	if err := e.start(); err != nil {
 		return nil, err
 	}
 	defer e.shutdown(false)
 
-	nd := &asyncNode{id: id, n: n, ep: e}
-	nd.ev = driver.NewEvent(id, n, machine, nd)
-	if err := nd.ev.Start(); err != nil {
+	var drv *driver.Event
+	drv = driver.NewEvent(id, n, machine, driver.NewFramer(id, n, 0, func(to sim.PartyID, frame []byte) {
+		_, announce, _ := FrameInfo(frame)
+		e.ship(id, to, frame, func(p sim.PartyID) bool { return announce || !drv.IsPeerDone(p) })
+	}))
+	if err := drv.Start(); err != nil {
 		return nil, fmt.Errorf("transport: %w", err)
 	}
 	idle := time.NewTimer(e.opts.RoundTimeout)
@@ -113,11 +74,11 @@ func runAsyncNode(id sim.PartyID, n int, machine driver.EventMachine, e *endpoin
 	// connection. Only the read side failing — behind every frame the peer
 	// sent — shows it died undecided; the held failure is then the cause.
 	writeFail := make([]error, n)
-	for !nd.ev.Finished() {
+	for !drv.Finished() {
 		select {
 		case ev := <-e.events:
 			if ev.err != nil {
-				if nd.ev.IsPeerDone(ev.from) {
+				if drv.IsPeerDone(ev.from) {
 					continue // teardown: a decided peer exited and cut the link
 				}
 				if ev.writeSide {
@@ -131,27 +92,18 @@ func runAsyncNode(id sim.PartyID, n int, machine driver.EventMachine, e *endpoin
 				}
 				return nil, fmt.Errorf("transport: party %d: %w", id, ev.err)
 			}
-			switch ev.f.typ {
-			case frameMsg:
-				if err := nd.ev.Deliver(ev.from, ev.f.payload); err != nil {
-					return nil, fmt.Errorf("transport: %w", err)
-				}
-			case frameAsyncDone:
-				// Our own purge-and-resend below makes duplicate announcements
-				// benign on this substrate; only the first one counts.
-				if !nd.ev.IsPeerDone(ev.from) {
-					_ = nd.ev.PeerDone(ev.from, true) // a first announcement saying done cannot fail
-					// Everything queued to a decided peer is discard-bound —
-					// except our own pending done announcement, so re-enqueue
-					// it after the purge.
-					e.purgeSender(id, ev.from)
-					if nd.ev.Decided() {
-						e.send(id, ev.from, encodeAsyncDone())
-					}
-				}
-			default:
+			if ev.body[0] != FrameMuxSession {
 				return nil, fmt.Errorf("transport: party %d: unexpected frame type 0x%02x from party %d in async mode",
-					id, ev.f.typ, ev.from)
+					id, ev.body[0], ev.from)
+			}
+			heard := drv.IsPeerDone(ev.from)
+			if err := drv.Apply(ev.from, ev.body[1:]); err != nil {
+				return nil, fmt.Errorf("transport: %w", err)
+			}
+			if !heard && drv.IsPeerDone(ev.from) {
+				// Everything queued to a decided peer is discard-bound, except
+				// our own announcement.
+				e.purgeSender(id, ev.from)
 			}
 			if !idle.Stop() {
 				<-idle.C
@@ -160,9 +112,9 @@ func runAsyncNode(id sim.PartyID, n int, machine driver.EventMachine, e *endpoin
 		case <-idle.C:
 			err := fmt.Errorf("transport: party %d: async mode idle for %v with %d/%d peers done "+
 				"(wedged run: a peer died or the network stopped delivering)",
-				id, e.opts.RoundTimeout, nd.ev.PeersDone(), n-1)
+				id, e.opts.RoundTimeout, drv.PeersDone(), n-1)
 			for p, cause := range writeFail {
-				if cause != nil && !nd.ev.IsPeerDone(sim.PartyID(p)) {
+				if cause != nil && !drv.IsPeerDone(sim.PartyID(p)) {
 					return nil, fmt.Errorf("%w: %w", err, cause)
 				}
 			}
@@ -171,30 +123,35 @@ func runAsyncNode(id sim.PartyID, n int, machine driver.EventMachine, e *endpoin
 			return nil, fmt.Errorf("transport: party %d: endpoint closed while undecided", id)
 		}
 	}
-	e.shutdown(true) // flush the queued done frames before the FIN
-	return nd.ev, nil
+	e.shutdown(true) // flush the queued announcements before the FIN
+	return drv, nil
 }
 
-// purgeSender drains every frame queued on the (from → to) link that the
-// write loop has not yet picked up. Only safe when the peer provably
-// discards them (it announced done); at most one already-dequeued frame can
-// still suffer its chaos delay ahead of whatever is enqueued next.
-func (e *endpoint) purgeSender(from, to sim.PartyID) int {
+// purgeSender drains the protocol frames queued on the (from → to) link
+// that the write loop has not yet picked up; an announcement among them goes
+// back on the queue. Only safe when the peer provably discards them (it
+// announced done); at most one already-dequeued frame can still suffer its
+// chaos delay ahead of whatever is enqueued next. Called by the node loop,
+// the queue's one producer.
+func (e *endpoint) purgeSender(from, to sim.PartyID) {
 	s := e.senders[from][to]
-	if s == nil {
-		return 0
-	}
-	purged := 0
+	var keep [][]byte
 	for {
 		select {
-		case _, ok := <-s.ch:
+		case b, ok := <-s.ch:
 			if !ok {
-				return purged
+				return
 			}
-			purged++
+			if _, control, _ := FrameInfo(b); control {
+				keep = append(keep, b)
+			}
+			continue
 		default:
-			return purged
 		}
+		break
+	}
+	for _, b := range keep {
+		e.send(from, to, b)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 	"treeaa/internal/wire"
 )
 
-// doneConn intercepts the one write that carries a frameAsyncDone.
+// doneConn intercepts the one write that carries the decision announcement.
 type doneConn struct {
 	net.Conn
 	onDone func(write func() (int, error)) (int, error)
@@ -21,7 +21,8 @@ type doneConn struct {
 
 func (c doneConn) Write(b []byte) (int, error) {
 	write := func() (int, error) { return c.Conn.Write(b) }
-	if n, rest, err := wire.ConsumeUvarint(b); err == nil && n == 1 && rest[0] == frameAsyncDone {
+	_, rest, _ := wire.ConsumeUvarint(b)
+	if _, control, _ := FrameInfo(b); control && rest[0] == FrameMuxSession {
 		return c.onDone(write)
 	}
 	return write()

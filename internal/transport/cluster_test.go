@@ -2,13 +2,17 @@ package transport
 
 import (
 	"errors"
+	"fmt"
+	"net"
 	"reflect"
+	"sync"
 	"testing"
 
 	"treeaa/internal/adversary"
 	"treeaa/internal/core"
 	"treeaa/internal/sim"
 	"treeaa/internal/tree"
+	"treeaa/internal/wire"
 )
 
 // buildMachines constructs the n TreeAA machines for one run. Machines hold
@@ -81,6 +85,64 @@ func TestClusterMatchesSimSplitVote(t *testing.T) {
 		if !reflect.DeepEqual(tcpTrace, simTrace) {
 			t.Errorf("seed %d: traces diverge\n tcp: %+v\n sim: %+v", seed, tcpTrace, simTrace)
 		}
+	}
+}
+
+// frameTap reports every frame written on one link: its envelope tag and the
+// round FrameInfo reads off it. The node loops write one frame per call.
+type frameTap struct {
+	net.Conn
+	seen func(tag byte, round int)
+}
+
+func (c *frameTap) Write(b []byte) (int, error) {
+	if _, rest, err := wire.ConsumeUvarint(b); err == nil && rest[0] != frameHello {
+		round, _, _ := FrameInfo(b)
+		c.seen(rest[0], round)
+	}
+	return c.Conn.Write(b)
+}
+
+// TestObserverMirrorsPrecedeRoundFrame: on every honest → observer link the
+// mirror frames of round r come before the round-r frame, the one that
+// carries the mark the adversary host steps round r on — so a complete
+// barrier at the observer means complete mirrors.
+func TestObserverMirrorsPrecedeRoundFrame(t *testing.T) {
+	tr := tree.NewPath(16)
+	const n, tc = 4, 1
+	adv := splitVote(tr, n, tc)
+	observer := adv.Initial()[0]
+	var mu sync.Mutex
+	var bad []string
+	mirrors := 0
+	cfg := sim.Config{N: n, MaxCorrupt: tc, MaxRounds: core.Rounds(tr, tc) + 2, Adversary: adv}
+	_, err := LocalCluster(cfg, buildMachines(t, tr, n, tc, spreadInputs(tr, n, 1)), Options{
+		WrapConn: func(from, to sim.PartyID, conn net.Conn) net.Conn {
+			if to != observer {
+				return conn
+			}
+			marked := 0 // the last round whose frame went out on this link
+			return &frameTap{conn, func(tag byte, round int) {
+				mu.Lock()
+				defer mu.Unlock()
+				switch {
+				case tag == frameMirror && round == marked+1:
+					mirrors++
+				case tag == FrameMuxSession && round == marked+1:
+					marked = round
+				default:
+					bad = append(bad, fmt.Sprintf("link %d→%d: frame %#x of round %d after the mark of round %d", from, to, tag, round, marked))
+				}
+			}}
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, msg := range bad {
+		t.Error(msg)
+	}
+	if mirrors == 0 {
+		t.Error("no mirror frame reached the observer")
 	}
 }
 

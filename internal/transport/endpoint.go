@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"treeaa/internal/driver"
 	"treeaa/internal/metrics"
 	"treeaa/internal/sim"
 )
@@ -25,7 +26,7 @@ type Options struct {
 	// the budget for repairing a dropped connection when Reconnect is set.
 	RoundTimeout time.Duration
 	// Stats, when non-nil, receives transport-level frame and byte counts
-	// (protocol payloads plus hello/mirror/eor overhead).
+	// (round frames plus hello/mirror overhead).
 	Stats *metrics.WireStats
 
 	// Dialer establishes outgoing connections; nil means DialRetry
@@ -54,12 +55,13 @@ type Options struct {
 	Chaos *metrics.ChaosStats
 
 	// CrashPlan schedules honest-party crash injection: party → round. When
-	// the party reaches that round it dies abruptly mid-round — after its
-	// protocol sends, before its end-of-round barrier — and the cluster
-	// supervisor restarts it with a fresh machine from Restart. The
-	// restarted party replays its peers' resend buffers to rebuild every
-	// inbox, re-steps its deterministic machine from round 1, and suppresses
-	// the regenerated frames its peers already hold. Implies Reconnect.
+	// the party reaches that round it dies abruptly in its send loop — the
+	// round's frame out to the lower half of its peers, by ascending id, and
+	// to nobody else — and the cluster supervisor restarts it with a fresh
+	// machine from Restart. The restarted party replays its peers' resend
+	// buffers to rebuild every inbox, re-steps its deterministic machine from
+	// round 1, and suppresses the regenerated frames its peers already hold.
+	// Implies Reconnect.
 	CrashPlan map[sim.PartyID]int
 	// Restart builds a fresh machine for a crash-restarted party; required
 	// when CrashPlan is non-empty.
@@ -93,12 +95,13 @@ func (o Options) wrap(from, to sim.PartyID, conn net.Conn) net.Conn {
 	return o.WrapConn(from, to, conn)
 }
 
-// event is one item of an endpoint's merged receive stream: a parsed frame
+// event is one item of an endpoint's merged receive stream: a frame, still
+// encoded (the node loop hands a round to its driver as it came),
 // attributed to its authenticated sender, or a connection-level failure.
 type event struct {
 	owner sim.PartyID // local party the frame was addressed to
 	from  sim.PartyID // authenticated sender (fixed by the hello)
-	f     frame
+	body  []byte      // the frame: type tag, then its fields
 	err   error
 	// writeSide marks err as a failure of the owner→from connection. The
 	// from→owner connection is a different socket, so — unlike a read-side
@@ -321,7 +324,7 @@ func (e *endpoint) accept(owner sim.PartyID) func(net.Conn) {
 func (e *endpoint) handshakeIn(owner sim.PartyID, conn net.Conn) {
 	conn.SetReadDeadline(time.Now().Add(e.opts.SetupTimeout))
 	br := bufio.NewReaderSize(conn, 64<<10)
-	body, err := readFrame(br)
+	body, err := ReadFrame(br, MaxFrameSize)
 	if err != nil {
 		conn.Close()
 		return
@@ -401,31 +404,26 @@ func (e *endpoint) fail(err error) {
 }
 
 // readLoop turns one authenticated connection into events. It exits on any
-// read or parse error, or when a resume handshake supersedes its
+// read error, or when a resume handshake supersedes its
 // connection. Counting a frame and emitting it happen under the link lock,
 // so the resume ack can never under-report and a stale loop can never emit
 // behind a replacement's replay.
 func (e *endpoint) readLoop(owner, from sim.PartyID, conn net.Conn, br *bufio.Reader, ls *linkState, gen int) {
 	for {
 		conn.SetReadDeadline(time.Now().Add(e.opts.RoundTimeout))
-		body, err := readFrame(br)
+		body, err := ReadFrame(br, MaxFrameSize)
 		if err != nil {
 			e.linkDown(owner, from, fmt.Errorf("transport: link %d→%d: %w", from, owner, err))
 			return
 		}
 		e.opts.Stats.AddRecv(len(body))
-		f, err := parseFrame(body)
-		if err != nil {
-			e.linkDown(owner, from, fmt.Errorf("transport: link %d→%d: %w", from, owner, err))
-			return
-		}
 		ls.mu.Lock()
 		if ls.gen != gen {
 			ls.mu.Unlock()
 			return // superseded by a resume handshake; the new conn replays
 		}
 		ls.rcvd++
-		e.emit(event{owner: owner, from: from, f: f})
+		e.emit(event{owner: owner, from: from, body: body})
 		ls.mu.Unlock()
 	}
 }
@@ -550,10 +548,25 @@ func (e *endpoint) send(from, to sim.PartyID, b []byte) {
 	}
 }
 
+// ship is a driver.Framer's send for local party from: the frame goes to
+// remote party to, or with sim.Broadcast to every remote party, keep (when
+// non-nil) permitting. The framer reuses its buffer and a sender keeps what
+// it is handed for resends, so the frame is copied here, once for all its
+// recipients.
+func (e *endpoint) ship(from, to sim.PartyID, frame []byte, keep func(sim.PartyID) bool) {
+	frame = append([]byte(nil), frame...)
+	first, last := driver.Span(e.n, to)
+	for p := first; p <= last; p++ {
+		if !e.local[p] && (keep == nil || keep(p)) {
+			e.send(from, p, frame)
+		}
+	}
+}
+
 // shutdown ends the endpoint. When graceful, queued frames are flushed
 // first (each writer drains its closed queue before its connection dies),
-// which is how a terminating party guarantees its final eor reaches every
-// peer before the FIN does. Otherwise it dies the way a process would:
+// which is how a terminating party guarantees its final round frame reaches
+// every peer before the FIN does. Otherwise it dies the way a process would:
 // connections cut mid-stream, nothing flushed, no goodbye. The listen
 // address is the party's AcceptHost's and outlives the endpoint either way.
 func (e *endpoint) shutdown(graceful bool) {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 
+	"treeaa/internal/driver"
 	"treeaa/internal/sim"
 	"treeaa/internal/wire"
 )
@@ -15,25 +16,22 @@ import (
 //
 //	uvarint(length) | type(1) | fields...
 //
-// and the first frame of every connection must be a hello. The payload
-// bodies inside msg and mirror frames are internal/wire encodings, so the
-// transport adds exactly one type byte, a round number and an explicit
-// recipient on top of the canonical codec.
+// and the first frame of every connection must be a hello.
 //
 //	hello:  magic(4) | transport version(1) | uvarint(session) |
 //	        u32(from) | u32(to) | u32(n) | flags(1)   (bit 0: resume)
 //	ack:    uvarint(frames received on this link)
-//	msg:    uvarint(round) | u32(to) | wire body
 //	mirror: uvarint(round) | u32(real recipient) | wire body
-//	eor:    uvarint(round) | flags(1)        (bit 0: sender's machine is done)
+//	round:  wire.SessionRound body (FrameMuxSession envelope)
 //
 // The hello emulates the model's authenticated links: a connection speaks
 // for exactly one ordered pair (from, to) within one session, and the
 // receiver attributes every subsequent frame on it to that sender. The
-// end-of-round (eor) frame is the synchronization barrier of the lock-step
-// round structure: a party that holds eor(r) from every peer knows its
-// round-r inbox is complete, because each connection delivers its frames in
-// order and eor(r) is the last frame a peer emits for round r.
+// round frame is internal/driver's: everything the sender has for this peer
+// in one round, and its end-of-round mark. It is the synchronization barrier
+// of the lock-step round structure — a party that holds round r's frame from
+// every peer knows its round-r inbox is complete — and the same frame the
+// serving mux carries, so this package neither builds nor decodes it.
 //
 // A hello with the resume flag re-establishes a link whose connection died
 // (version 2 of the framing, added with the chaos subsystem): the receiver
@@ -43,40 +41,31 @@ import (
 // ever travels "backwards" on a connection.
 const (
 	frameHello    byte = 0x01
-	frameMsg      byte = 0x02
 	frameMirror   byte = 0x03
-	frameEOR      byte = 0x04
 	frameHelloAck byte = 0x05
 
-	// FrameMuxSession and FrameMuxHello are the envelope tags of the serving
-	// layer's session mux (internal/session), which shares this package's
-	// length-prefixed stream format so FrameInfo can classify its traffic
-	// too. A mux session frame wraps one wire session body
-	// (wire.SessionRound/Open/Abort/Decide); a mux hello opens a duplex
-	// daemon-pair link. Distinct tags are required because wire.Version
-	// (0x01) collides with frameHello as a first body byte.
+	// FrameMuxSession is the envelope tag of a wire session body: a
+	// wire.SessionRound on every mesh link, this package's and the serving
+	// mux's (internal/session), and on the mux also SessionOpen, SessionAbort
+	// and SessionDecide. FrameMuxHello opens a duplex daemon-pair link of the
+	// mux, which shares this package's length-prefixed stream format so
+	// FrameInfo can classify its traffic too. Distinct tags are required
+	// because wire.Version (0x01) collides with frameHello as a first body
+	// byte.
 	FrameMuxSession byte = 0x06
 	FrameMuxHello   byte = 0x07
 
-	// frameAsyncDone is the asynchronous mode's termination announcement: the
-	// sender's machine has decided. It replaces the eor barrier's done flag —
-	// async mode has no rounds to end — and it is a *control* frame for
-	// FrameInfo, so chaos latency windows (which key on rounds) let it pass:
-	// a decided party's announcement must not queue behind delayed protocol
-	// backlog that its already-decided peers will discard anyway.
-	frameAsyncDone byte = 0x08
-
 	// transportVersion is independent of wire.Version: framing and payload
 	// codec can evolve separately. Version 2 added the hello flags byte and
-	// the hello-ack frame for the reconnect path.
-	transportVersion byte = 2
+	// the hello-ack frame for the reconnect path; version 3 carries a round
+	// as one round frame where version 2 spoke a msg frame per message, an
+	// eor and an async-done (tags 0x02, 0x04, 0x08, now refused), so the
+	// hello keeps a mixed fleet from pairing at all.
+	transportVersion byte = 3
 
-	// maxFrameSize bounds a frame body; a malformed length prefix can never
-	// force a large allocation.
-	maxFrameSize = 1 << 24
-
-	// eorDoneFlag marks the sending party's machine as terminated.
-	eorDoneFlag byte = 0x01
+	// MaxFrameSize bounds a frame body on a peer link; a malformed length
+	// prefix can never force a larger allocation.
+	MaxFrameSize = 1 << 24
 
 	// helloResumeFlag marks a hello as re-establishing an existing link.
 	helloResumeFlag byte = 0x01
@@ -86,15 +75,6 @@ const (
 // detector (a stray client speaking another protocol fails immediately).
 var helloMagic = [4]byte{'T', 'A', 'A', '1'}
 
-// frame is one parsed non-hello frame.
-type frame struct {
-	typ     byte
-	round   int
-	to      sim.PartyID // msg: recipient (the owner); mirror: real recipient
-	done    bool        // eor only
-	payload any         // msg/mirror: decoded wire payload
-}
-
 // hello is the parsed first frame of a connection.
 type hello struct {
 	session  uint64
@@ -103,23 +83,34 @@ type hello struct {
 	resume   bool
 }
 
-// appendFrame wraps body (type byte included) with its length prefix.
-func appendFrame(dst, body []byte) []byte {
+// AppendFrame is the stream framing, this package's and the session mux's:
+// it appends uvarint(len(body)) | body to dst. The body's first byte must be
+// a frame type tag (the mux uses FrameMuxSession / FrameMuxHello).
+func AppendFrame(dst, body []byte) []byte {
 	dst = wire.AppendUvarint(dst, uint64(len(body)))
 	return append(dst, body...)
 }
 
-// AppendFrame exposes the stream framing to the session mux: it appends
-// uvarint(len(body)) | body to dst. The body's first byte must be a frame
-// type tag (the mux uses FrameMuxSession / FrameMuxHello).
-func AppendFrame(dst, body []byte) []byte {
-	return appendFrame(dst, body)
+// ReadFrame reads one length-prefixed frame body of at most max bytes from
+// the stream. The bound is checked before anything is allocated or read past
+// the prefix, so it is what a hostile length can cost the reader.
+func ReadFrame(br *bufio.Reader, max int) ([]byte, error) {
+	return readFrame(br, max, func(n int) []byte { return make([]byte, n) })
 }
 
-// ReadFrame reads one length-prefixed frame body from the stream; the
-// exported form feeds the session mux's link readers.
-func ReadFrame(br *bufio.Reader) ([]byte, error) {
-	return readFrame(br)
+func readFrame(br *bufio.Reader, max int, alloc func(int) []byte) ([]byte, error) {
+	n, err := binary.ReadUvarint(br)
+	if err != nil {
+		return nil, err
+	}
+	if n == 0 || n > uint64(max) {
+		return nil, fmt.Errorf("transport: frame of %d bytes out of range", n)
+	}
+	body := alloc(int(n))
+	if _, err := io.ReadFull(br, body); err != nil {
+		return nil, fmt.Errorf("transport: truncated frame: %w", err)
+	}
+	return body, nil
 }
 
 // ReadArena bump-allocates frame bodies out of large blocks, for readers
@@ -150,18 +141,7 @@ func (a *ReadArena) take(n int) []byte {
 
 // ReadFrameArena is ReadFrame with the body allocated from the arena.
 func ReadFrameArena(br *bufio.Reader, a *ReadArena) ([]byte, error) {
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 || n > maxFrameSize {
-		return nil, fmt.Errorf("transport: frame of %d bytes out of range", n)
-	}
-	body := a.take(int(n))
-	if _, err := io.ReadFull(br, body); err != nil {
-		return nil, fmt.Errorf("transport: truncated frame: %w", err)
-	}
-	return body, nil
+	return readFrame(br, MaxFrameSize, a.take)
 }
 
 func encodeHello(h hello) []byte {
@@ -178,7 +158,7 @@ func encodeHello(h hello) []byte {
 		flags |= helloResumeFlag
 	}
 	body = append(body, flags)
-	return appendFrame(nil, body)
+	return AppendFrame(nil, body)
 }
 
 // encodeHelloAck builds the receiver's answer to a resume hello: how many
@@ -188,7 +168,7 @@ func encodeHelloAck(rcvd uint64) []byte {
 	body := make([]byte, 0, 12)
 	body = append(body, frameHelloAck)
 	body = wire.AppendUvarint(body, rcvd)
-	return appendFrame(nil, body)
+	return AppendFrame(nil, body)
 }
 
 // parseHelloAck decodes a hello-ack frame body.
@@ -203,50 +183,15 @@ func parseHelloAck(body []byte) (uint64, error) {
 	return rcvd, nil
 }
 
-// encodeMsg builds a msg or mirror frame around an already-encoded wire
-// body. The body is shared by every recipient of a broadcast; only the
-// envelope differs.
-func encodeMsg(typ byte, round int, to sim.PartyID, body []byte) []byte {
+// encodeMirror builds a mirror frame around an already-encoded wire body,
+// shared by every recipient of a broadcast; only the envelope differs.
+func encodeMirror(round int, to sim.PartyID, body []byte) []byte {
 	env := make([]byte, 0, 16+len(body))
-	env = append(env, typ)
+	env = append(env, frameMirror)
 	env = wire.AppendUvarint(env, uint64(round))
 	env = wire.AppendU32(env, uint32(to))
 	env = append(env, body...)
-	return appendFrame(nil, env)
-}
-
-// encodeAsyncDone builds the async termination announcement; it has no body
-// beyond its type tag.
-func encodeAsyncDone() []byte {
-	return appendFrame(nil, []byte{frameAsyncDone})
-}
-
-func encodeEOR(round int, done bool) []byte {
-	env := make([]byte, 0, 8)
-	env = append(env, frameEOR)
-	env = wire.AppendUvarint(env, uint64(round))
-	var flags byte
-	if done {
-		flags |= eorDoneFlag
-	}
-	env = append(env, flags)
-	return appendFrame(nil, env)
-}
-
-// readFrame reads one length-prefixed frame body from the stream.
-func readFrame(br *bufio.Reader) ([]byte, error) {
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 || n > maxFrameSize {
-		return nil, fmt.Errorf("transport: frame of %d bytes out of range", n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(br, body); err != nil {
-		return nil, fmt.Errorf("transport: truncated frame: %w", err)
-	}
-	return body, nil
+	return AppendFrame(nil, env)
 }
 
 // parseHello validates a connection's opening frame.
@@ -287,65 +232,39 @@ func parseHello(body []byte) (hello, error) {
 		resume: flags&helloResumeFlag != 0}, nil
 }
 
-// parseFrame decodes a non-hello frame body, including its wire payload.
-func parseFrame(body []byte) (frame, error) {
-	var f frame
-	f.typ = body[0]
-	b := body[1:]
-	switch f.typ {
-	case frameMsg, frameMirror:
-		round, rest, err := consumeRound(b)
-		if err != nil {
-			return f, err
-		}
-		to, rest, err := consumePartyID(rest)
-		if err != nil {
-			return f, err
-		}
-		payload, err := wire.Decode(rest)
-		if err != nil {
-			return f, fmt.Errorf("transport: bad payload body: %w", err)
-		}
-		f.round, f.to, f.payload = round, to, payload
-		return f, nil
-	case frameEOR:
-		round, rest, err := consumeRound(b)
-		if err != nil {
-			return f, err
-		}
-		if len(rest) != 1 {
-			return f, fmt.Errorf("transport: malformed eor frame")
-		}
-		f.round, f.done = round, rest[0]&eorDoneFlag != 0
-		return f, nil
-	case frameAsyncDone:
-		if len(b) != 0 {
-			return f, fmt.Errorf("transport: malformed async-done frame")
-		}
-		f.done = true
-		return f, nil
-	case frameHello:
-		return f, fmt.Errorf("transport: unexpected second hello")
-	case frameHelloAck:
-		return f, fmt.Errorf("transport: unexpected hello-ack on the read side")
-	default:
-		return f, fmt.Errorf("transport: unknown frame type 0x%02x", f.typ)
+// parseMirror decodes a mirror frame body, wire payload included, into the
+// message it mirrors: what from sent its real recipient in that round.
+func parseMirror(from sim.PartyID, body []byte) (sim.Message, error) {
+	round, rest, err := consumeRound(body[1:])
+	if err != nil {
+		return sim.Message{}, err
 	}
+	to, rest, err := consumePartyID(rest)
+	if err != nil {
+		return sim.Message{}, err
+	}
+	payload, err := wire.Decode(rest)
+	if err != nil {
+		return sim.Message{}, fmt.Errorf("transport: bad payload body: %w", err)
+	}
+	return sim.Message{From: from, To: to, Round: round, Payload: payload}, nil
 }
 
 // FrameInfo peeks at an encoded frame buffer as the transport hands it to
-// conn.Write: the round it belongs to, and whether it is a control frame
-// (hello / hello-ack / async-done / session open-abort-decide) that
-// carries no round. It exists for the chaos injector, which wraps
-// connections at the net.Conn boundary and keys its fault windows on rounds
-// without re-implementing the framing.
+// conn.Write: the round it belongs to, and whether it is a control frame —
+// hello, hello-ack, session open-abort-decide, and an event-driven seat's
+// decision announcement (an empty done-marked round frame: chaos latency
+// windows, which key on rounds, let it pass, because a decided party's
+// announcement must not queue behind delayed protocol backlog that its
+// already-decided peers will discard anyway). It exists for the chaos
+// injector, which wraps connections at the net.Conn boundary and keys its
+// fault windows on rounds without re-implementing the framing.
 //
 // The buffer is classified by its *first* frame: the round engines write
 // one frame per call, and the session mux writes batches whose frames all
-// left one flush tick (so a window keyed on the head is as precise as a
-// batched link can be — rounds of different sessions interleave freely in a
-// batch anyway). ok is false when b does not start with a well-formed
-// frame.
+// left one flush (so a window keyed on the head is as precise as a batched
+// link can be — rounds of different sessions interleave freely in a batch
+// anyway). ok is false when b does not start with a well-formed frame.
 func FrameInfo(b []byte) (round int, control bool, ok bool) {
 	n, rest, err := wire.ConsumeUvarint(b)
 	if err != nil || uint64(len(rest)) < n || n == 0 {
@@ -353,14 +272,11 @@ func FrameInfo(b []byte) (round int, control bool, ok bool) {
 	}
 	body := rest[:n]
 	switch body[0] {
-	case frameHello, frameHelloAck, FrameMuxHello, frameAsyncDone:
+	case frameHello, frameHelloAck, FrameMuxHello:
 		return 0, true, true
-	case frameMsg, frameMirror, frameEOR:
+	case frameMirror:
 		r, _, err := consumeRound(body[1:])
-		if err != nil {
-			return 0, false, false
-		}
-		return r, false, true
+		return r, false, err == nil
 	case FrameMuxSession:
 		return muxSessionInfo(body[1:])
 	default:
@@ -368,28 +284,18 @@ func FrameInfo(b []byte) (round int, control bool, ok bool) {
 	}
 }
 
-// muxSessionInfo classifies one wire session body: SessionRound — the frame
-// the serving mux carries its rounds in — and the SessionMsg and SessionEOR
-// it replaced carry a round (after the session id); SessionOpen,
-// SessionAbort and SessionDecide are session-control traffic with no round.
+// muxSessionInfo classifies one wire session body: a SessionRound carries a
+// round; SessionOpen, SessionAbort and SessionDecide are session-control
+// traffic with none.
 func muxSessionInfo(b []byte) (round int, control bool, ok bool) {
 	if len(b) < 2 || b[0] != wire.Version {
 		return 0, false, false
 	}
-	typ := b[1]
-	switch typ {
+	switch b[1] {
 	case wire.TypeSessionOpen, wire.TypeSessionAbort, wire.TypeSessionDecide:
 		return 0, true, true
-	case wire.TypeSessionRound, wire.TypeSessionMsg, wire.TypeSessionEOR:
-		_, rest, err := wire.ConsumeUvarint(b[2:]) // session id
-		if err != nil {
-			return 0, false, false
-		}
-		r, _, err := consumeRound(rest)
-		if err != nil {
-			return 0, false, false
-		}
-		return r, false, true
+	case wire.TypeSessionRound:
+		return driver.PeekFrame(b)
 	default:
 		return 0, false, false
 	}

@@ -23,19 +23,22 @@ type nodeConfig struct {
 	machine  sim.Machine
 	ep       *endpoint
 	// crashRound, when > 0, injects a crash: the node dies abruptly in that
-	// round, after its protocol sends but before its barrier, and returns
+	// round, its frame out to the lower half of its peers only, and returns
 	// errCrashed for superviseNode to catch.
 	crashRound int
 }
 
-// meshNode adapts a driver.Round to the full mesh: frameMsg/frameMirror
-// framing, an eor frame to each of the n-1 peers as the barrier signal, and
-// the per-peer connection failures a stalled barrier is blamed on.
+// meshNode adapts a driver.Round to the full mesh. The round's frame is the
+// driver's; what is the mesh's is the mirror of every send to the rushing
+// observer, the injected crash, the barrier wait and the per-peer connection
+// failures a stalled barrier is blamed on.
 type meshNode struct {
 	nodeConfig
-	rd    *driver.Round
-	peers []sim.PartyID
-	fail  map[sim.PartyID]error // first connection failure per peer
+	rd       *driver.Round
+	fr       *driver.Framer
+	peers    []sim.PartyID         // ascending
+	crashing bool                  // the round being shipped is crashRound
+	fail     map[sim.PartyID]error // first connection failure per peer
 }
 
 // runNode executes one honest machine in lock step with its peers. The
@@ -49,6 +52,8 @@ func runNode(cfg nodeConfig) (*driver.Result, error) {
 	defer e.shutdown(false)
 
 	nd := &meshNode{nodeConfig: cfg, fail: make(map[sim.PartyID]error)}
+	// Session id 0: the hello scoped every link to this one execution.
+	nd.fr = driver.NewFramer(cfg.id, cfg.n, 0, nd.send)
 	nd.rd = driver.NewRound(cfg.id, cfg.n, cfg.maxRounds, 0, cfg.machine, nd)
 	for p := sim.PartyID(0); int(p) < cfg.n; p++ {
 		if p != cfg.id {
@@ -74,44 +79,50 @@ func runNode(cfg nodeConfig) (*driver.Result, error) {
 	}
 }
 
-// Emit encodes the payload once and sends one msg frame per remote
-// recipient, plus one mirror frame per recipient (self included) when a
-// rushing observer is configured.
+// Emit hands the message to the round's frame and, when a rushing observer
+// is configured, mirrors it there first — one mirror frame per recipient,
+// self included — so on the link to the observer a round's mirrors precede
+// the frame that carries its mark.
 func (nd *meshNode) Emit(round int, to sim.PartyID, payload any) error {
-	body, err := wire.Encode(payload)
-	if err != nil {
-		return err
-	}
-	first, last := driver.Span(nd.n, to)
-	for to := first; to <= last; to++ {
-		if to != nd.id {
-			nd.ep.send(nd.id, to, encodeMsg(frameMsg, round, to, body))
+	if nd.observer >= 0 {
+		body, err := wire.Encode(payload)
+		if err != nil {
+			return err
 		}
-		if nd.observer >= 0 {
-			nd.ep.send(nd.id, nd.observer, encodeMsg(frameMirror, round, to, body))
+		first, last := driver.Span(nd.n, to)
+		for to := first; to <= last; to++ {
+			nd.ep.send(nd.id, nd.observer, encodeMirror(round, to, body))
 		}
 	}
-	return nil
+	return nd.fr.Emit(round, to, payload)
 }
 
 func (nd *meshNode) EndRound(round int, done bool) error {
-	if round == nd.crashRound {
-		// Injected crash: die mid-round, protocol sends out (possibly
-		// partially flushed) but the eor barrier never sent. Peers stall
-		// at their round-r barriers until the supervisor restarts us.
+	nd.crashing = round == nd.crashRound
+	err := nd.fr.EndRound(round, done)
+	if nd.crashing {
+		// Injected crash: die in the send loop, the round's frame out
+		// (possibly unflushed) to some peers and not to the rest, who stall at
+		// their round-r barriers until the supervisor restarts us.
 		nd.ep.shutdown(false)
 		return fmt.Errorf("%w: party %d at round %d", errCrashed, nd.id, round)
 	}
-	eor := encodeEOR(round, done)
-	for _, p := range nd.peers {
-		nd.ep.send(nd.id, p, eor)
-	}
-	return nil
+	return err
 }
 
-// awaitBarrier consumes events until eor(r) has arrived from every peer,
-// filing message frames into their rounds as they pass by. Mirror frames
-// are rejected — only the adversary host's observer accepts them.
+// send puts a round's frame on its recipients' links — in the crash round,
+// on those of the lower half of the peers only.
+func (nd *meshNode) send(to sim.PartyID, frame []byte) {
+	var keep func(sim.PartyID) bool
+	if nd.crashing {
+		keep = func(p sim.PartyID) bool { return p < nd.peers[len(nd.peers)/2] }
+	}
+	nd.ep.ship(nd.id, to, frame, keep)
+}
+
+// awaitBarrier consumes events until round r's frame has arrived from every
+// peer, filing the frames of later rounds as they pass by. Anything but a
+// round frame is rejected — a mirror is the adversary host's observer's.
 func (nd *meshNode) awaitBarrier() error {
 	e, r := nd.ep, nd.rd.Round()
 	timeout := time.NewTimer(e.opts.RoundTimeout)
@@ -122,7 +133,7 @@ func (nd *meshNode) awaitBarrier() error {
 			if err := nd.handle(ev); err != nil {
 				return fmt.Errorf("transport: party %d: %w", nd.id, err)
 			}
-			// A failed peer that still owes eor(r) stalls the barrier for good.
+			// A failed peer that still owes round r stalls the barrier for good.
 			// Failures of peers that already delivered it are benign — a
 			// terminated peer closes its connections while slower parties are
 			// still deciding.
@@ -149,14 +160,8 @@ func (nd *meshNode) handle(ev event) error {
 		}
 		return nil
 	}
-	switch ev.f.typ {
-	case frameMsg:
-		return nd.rd.File(sim.Message{From: ev.from, To: ev.owner, Round: ev.f.round, Payload: ev.f.payload})
-	case frameEOR:
-		return nd.rd.EOR(ev.f.round, ev.from, ev.f.done)
-	case frameMirror:
-		return fmt.Errorf("unexpected mirror frame from party %d (not an observer)", ev.from)
-	default:
-		return fmt.Errorf("unexpected frame type 0x%02x from party %d", ev.f.typ, ev.from)
+	if ev.body[0] != FrameMuxSession {
+		return fmt.Errorf("unexpected frame type 0x%02x from party %d", ev.body[0], ev.from)
 	}
+	return nd.rd.Apply(ev.from, ev.body[1:])
 }

@@ -134,7 +134,7 @@ func (s *sender) replay(conn net.Conn, acked uint64) {
 func readHelloAck(conn net.Conn, deadline time.Time, stats interface{ AddRecv(int) }) (uint64, error) {
 	conn.SetReadDeadline(deadline)
 	defer conn.SetReadDeadline(time.Time{})
-	body, err := readFrame(bufio.NewReaderSize(conn, 64))
+	body, err := ReadFrame(bufio.NewReaderSize(conn, 64), MaxFrameSize)
 	if err != nil {
 		return 0, fmt.Errorf("reading hello-ack: %w", err)
 	}

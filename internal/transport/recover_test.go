@@ -78,11 +78,16 @@ func TestClusterReconnectResend(t *testing.T) {
 	}
 }
 
-// TestClusterCrashRestart kills an honest party mid-round and checks the
-// full recovery story: the supervisor restarts it with a fresh machine, the
-// party rebuilds its inboxes from its peers' replayed history, re-steps
-// deterministically, and the merged Result — outputs, rounds, counts, trace
-// — is byte-identical to an execution that never crashed.
+// TestClusterCrashRestart kills an honest party in its round-2 send loop —
+// the round's frame goes to the lower half of its peers and to nobody else —
+// and checks the full recovery story: the supervisor restarts it with a
+// fresh machine, the party rebuilds its inboxes from its peers' replayed
+// history, re-steps deterministically, suppresses what the served peers
+// already hold, and the merged Result — outputs, rounds, counts, trace — is
+// byte-identical to an execution that never crashed. The unserved half
+// receives round 2 exactly once, from the second incarnation: a duplicate
+// would fail the driver's one-mark-per-round check, a hole the oracle
+// comparison.
 func TestClusterCrashRestart(t *testing.T) {
 	tr := tree.NewPath(20)
 	const n, tc = 5, 1
@@ -100,15 +105,39 @@ func TestClusterCrashRestart(t *testing.T) {
 
 	var stats metrics.ChaosStats
 	var tcpTrace sim.Trace
+	var mu sync.Mutex
+	dials := make(map[sim.PartyID]int) // connections party 3 has opened, per peer
+	var served []sim.PartyID           // peers its first incarnation wrote round 2's frame to
 	got, err := LocalCluster(mkCfg(&tcpTrace), buildMachines(t, tr, n, tc, inputs), Options{
 		Chaos:     &stats,
 		CrashPlan: map[sim.PartyID]int{3: 2},
 		Restart: func(p sim.PartyID) (sim.Machine, error) {
 			return core.NewMachine(core.Config{Tree: tr, N: n, T: tc, ID: p, Input: inputs[p]})
 		},
+		WrapConn: func(from, to sim.PartyID, conn net.Conn) net.Conn {
+			if from != 3 {
+				return conn
+			}
+			mu.Lock()
+			first := dials[to] == 0
+			dials[to]++
+			mu.Unlock()
+			return &frameTap{conn, func(tag byte, round int) {
+				if first && tag == FrameMuxSession && round == 2 {
+					mu.Lock()
+					served = append(served, to)
+					mu.Unlock()
+				}
+			}}
+		},
 	})
 	if err != nil {
 		t.Fatalf("LocalCluster with crash plan: %v", err)
+	}
+	for _, p := range served { // party 3's peers are 0 1 | 2 4
+		if p >= 2 {
+			t.Errorf("the crashed incarnation wrote its round-2 frame to party %d, past the lower half of its peers", p)
+		}
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("results diverge after crash-restart\n tcp: %+v\n sim: %+v", got, want)

@@ -8,12 +8,16 @@
 // byte-for-byte identical Results — the TCP transport is the engine's
 // semantics made distributed, not a reinterpretation.
 //
-// The round loop and the event loop are not here: runNode and runAsyncNode
-// are adapters over internal/driver's Round and Event. This package owns
-// what travels and how — frame types, the authenticated mesh, per-peer
-// sender goroutines, eor frames as the barrier signal, the round / idle
-// timers, reconnect-resend and crash-restart recovery — and the adversary
-// host, which co-hosts the corrupted seats on one driver.Mailbox each.
+// The round loop and the event loop are not here, and neither is the frame a
+// round travels in: runNode and runAsyncNode are adapters over
+// internal/driver's Round and Event, which write and read one round frame
+// per link per round — the wire.SessionRound the serving mux carries too —
+// through driver.Framer and Apply. This package owns how frames travel — the
+// stream framing, the authenticated mesh and its hello, per-peer sender
+// goroutines, the barrier wait, the round / idle timers, reconnect-resend
+// and crash-restart recovery — plus the mirror frames that grant the rushing
+// adversary its view, and the adversary host, which co-hosts the corrupted
+// seats on one driver.Mailbox each.
 package transport
 
 import (

@@ -2,8 +2,8 @@ package wire
 
 // Session-scoped payloads for the serving layer (internal/session): a daemon
 // hosts many concurrent TreeAA sessions over one set of peer links, so every
-// frame it puts on a link carries the session id it belongs to. The types
-// are
+// frame it puts on a link carries the session id it belongs to (a one-shot
+// mesh link belongs to one execution and carries id 0). The types are
 //
 //	SessionRound  0x18  everything a seat sends one peer in one engine turn,
 //	                    with its end-of-round mark:
@@ -24,17 +24,17 @@ package wire
 //	                    uvarint(done round) | uvarint(term round) |
 //	                    uvarint(msgs) | uvarint(bytes)
 //
-// SessionRound is the one data-plane frame of the serving mux: a lock-step
-// seat ships one per peer per round, an async seat one per message (k = 1)
-// and one empty done-marked frame as its decision announcement. SessionMsg
-// and SessionEOR are the three-frames-a-round shape it replaced; no daemon
-// emits or accepts them, and they stay exported for the benchmark's frozen
-// wire replay alone. A leaf is one of the protocol payloads (the seven
-// synchronous types, the two async ones): session, client, journal and
-// overlay payloads never nest, and both Append and Decode reject the
-// attempt. All types keep the package's canonicality contract —
-// Encode(Decode(b)) == b and an exact Sizer — so the golden-frame and fuzz
-// harnesses cover them unchanged.
+// SessionRound is the one data-plane frame of every mesh link — the serving
+// mux's and the one-shot transport's; internal/driver writes and reads it: a
+// lock-step seat ships one per peer per round, an async seat one per message
+// (k = 1) and one empty done-marked frame as its decision announcement.
+// SessionMsg and SessionEOR, which it replaced on the mux, stay exported for
+// the benchmark's frozen wire replay alone: no daemon emits or accepts them.
+// A leaf is one of the protocol payloads (the seven synchronous types, the
+// two async ones): session, client, journal and overlay payloads never nest,
+// and both Append and Decode reject the attempt. All types keep the package's
+// canonicality contract — Encode(Decode(b)) == b and an exact Sizer — so the
+// golden-frame and fuzz harnesses cover them unchanged.
 
 import (
 	"encoding/binary"
@@ -184,7 +184,8 @@ func leafTag(typ byte) bool {
 	return (typ < TypeSessionMsg || typ > TypeOverlayEOR) && typ != TypeSessionRound
 }
 
-func appendSessionRound(dst []byte, m SessionRound) ([]byte, error) {
+// AppendSessionRound is Append without boxing the frame: m.Size() bytes.
+func AppendSessionRound(dst []byte, m SessionRound) ([]byte, error) {
 	if len(m.Payloads) > maxLen {
 		return nil, fmt.Errorf("wire: session round of %d payloads exceeds limit", len(m.Payloads))
 	}

@@ -131,7 +131,7 @@ func Append(dst []byte, payload any) ([]byte, error) {
 	case SessionDecide:
 		return appendSessionDecide(dst, m)
 	case SessionRound:
-		return appendSessionRound(dst, m)
+		return AppendSessionRound(dst, m)
 	case ClientSubmit:
 		return appendClientSubmit(dst, m)
 	case ClientWait:
