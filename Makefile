@@ -58,13 +58,15 @@ race-sim:
 # — who drains a shard (and the timekeeper that does when nobody else will),
 # the write that never blocks (with both slow-peer tests), the final
 # barrier's elision — with the round frame they carry (the driver's framer,
-# its Apply and the cross-fabric identity), the mux's connection set, the
-# client request bound and the space cache.
+# its Apply and the cross-fabric identity), the shared link's connection set
+# on both fabrics, its generation fence, one connection per pair and the
+# read-ordered link failure an async seat judges, the client request bound
+# and the space cache.
 race-cpu:
 	$(GO) test -count=1 -cpu 1,2,4 -run 'Async|Serve' ./internal/session ./internal/transport
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Restart|CrashPoints|Recover|ObserverMirrors' ./internal/session ./internal/chaos ./internal/transport
-	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Drainer|Timekeeper|Background|TryWrite|SlowPeer|SessionRound|FinalRound|SpaceCache|MuxTracks|ClientRequestBounded|RoundFrame|Framer|EventApply|FuzzApplyRound' \
-		./internal/session ./internal/driver ./internal/wire
+	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Drainer|Timekeeper|Background|TryWrite|SlowPeer|SessionRound|FinalRound|SpaceCache|MuxTracks|MeshTracks|GenerationFence|OneConnectionPerPair|AsyncWriteFailure|ClientRequestBounded|RoundFrame|Framer|EventApply|FuzzApplyRound' \
+		./internal/session ./internal/transport ./internal/driver ./internal/wire
 
 # The benchmark is a nested module that root `go test ./...` does not reach;
 # vet and test it here so an internal/ API change cannot break it unseen.
@@ -144,7 +146,8 @@ chaos-soak:
 # asynchronously with validity + 1-agreement — then a multi-process cmd/node
 # async fleet under a real latency plan, plus async serving smokes, each on
 # a tree and on a block graph, and one with the journal on — and a fleet whose
-# dropped connection the seq/ack resume repairs underneath the event loop.
+# dropped connection the count-exchange resume repairs underneath the event
+# loop.
 # Exits non-zero on any validity/epsilon-agreement violation.
 async-soak:
 	$(GO) test -race -count=1 -run Async ./internal/async/... ./internal/chaos/... \
@@ -250,9 +253,10 @@ graph-prop:
 	$(GO) run ./cmd/check -budget 175 -seeds 1-3 -space graph -async-every 4
 
 # Tier-1-adjacent gate: build + vet + tests, the GOMAXPROCS sweep, the
-# nested benchmark module, the bench serve, kernel, async and mesh smokes, then
-# the property (tree and graph), short fuzz and async-soak passes.
-check: build test race-cpu bench-module bench-serve-smoke bench-kernel-smoke bench-async-smoke bench-mesh-smoke prop graph-prop fuzz-short async-soak
+# nested benchmark module, the multi-process mesh (with the adversary host),
+# the bench serve, kernel, async and mesh smokes, then the property (tree and
+# graph), short fuzz and async-soak passes.
+check: build test race-cpu bench-module node-smoke bench-serve-smoke bench-kernel-smoke bench-async-smoke bench-mesh-smoke prop graph-prop fuzz-short async-soak
 
 examples:
 	$(GO) run ./examples/quickstart

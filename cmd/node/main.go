@@ -30,8 +30,8 @@
 // dispatches on arrival and decides when its RBC/witness thresholds fill.
 // Async fleets are honest-only (Byzantine async behaviour is exercised
 // in-process by cmd/check) and take every chaos clause but crash: a dropped
-// connection is repaired by the same seq/ack resume as in sync mode, but a
-// restarted seat would have no round history to replay.
+// connection is repaired by the same count-exchange resume as in sync mode,
+// but a restarted seat would have no round history to replay.
 //
 //	node -cluster 4 -tree star:6 -mode async -chaos 'lat:200ms±150ms@p2'
 //	node -cluster 4 -mode async -chaos 'drop:p0-p2@r2'
@@ -43,13 +43,13 @@
 // that lacks the capability (transport.RunProcess, overlay.RunProcess), not
 // here; this command only gates chaos clauses.
 //
-// -space graph:<spec> swaps the input space for a block graph (see
+// -tree graph:<spec> swaps the input space for a block graph (see
 // internal/graph): the seats run TreeAA on the graph's block-cut tree and
 // decode locally, and the cluster checks geodesic-hull validity plus the
 // graph's agreement guarantee. Every mode and fabric takes either space.
 //
-//	node -cluster 4 -t 1 -space graph:cliquechain:3:4 -adversary splitvote
-//	node -cluster 4 -t 1 -space graph:cliquechain:3:4 -overlay tree:2
+//	node -cluster 4 -t 1 -tree graph:cliquechain:3:4 -adversary splitvote
+//	node -cluster 4 -t 1 -tree graph:cliquechain:3:4 -overlay tree:2
 package main
 
 import (

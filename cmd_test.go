@@ -8,6 +8,7 @@ package treeaa
 import (
 	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -127,7 +128,8 @@ func TestCommandsRun(t *testing.T) {
 
 // TestDocsNameExistingCommands is the doc-rot gate: every cmd/<name> binary
 // and every `make <target>` the documentation, the verify skill or the
-// Makefile's own recipes name must exist.
+// Makefile's own recipes name must exist, and so must every flag a binary's
+// package-doc examples pass it.
 func TestDocsNameExistingCommands(t *testing.T) {
 	mk, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -153,6 +155,42 @@ func TestDocsNameExistingCommands(t *testing.T) {
 		for _, m := range makeRe.FindAllSubmatch(body, -1) {
 			if target := string(m[1]) + string(m[2]); !targets[target] {
 				t.Errorf("%s names `make %s`, which is not a Makefile target", doc, target)
+			}
+		}
+	}
+
+	bin := t.TempDir()
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/...").CombinedOutput(); err != nil {
+		t.Fatalf("go build ./cmd/...: %v\n%s", err, out)
+	}
+	mains, err := filepath.Glob("cmd/*/main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flagRe := regexp.MustCompile(`(?m)^  -([a-z][a-z0-9-]*)`)
+	for _, main := range mains {
+		name := filepath.Base(filepath.Dir(main))
+		src, err := os.ReadFile(main)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc, _, _ := strings.Cut(string(src), "\npackage main")
+		exampleRe := regexp.MustCompile(`(?m)^//\t` + regexp.QuoteMeta(name) + `( .*)?$`)
+		examples := exampleRe.FindAllString(doc, -1)
+		if len(examples) == 0 {
+			continue
+		}
+		help, _ := exec.Command(filepath.Join(bin, name), "-h").CombinedOutput()
+		flags := make(map[string]bool)
+		for _, m := range flagRe.FindAllStringSubmatch(string(help), -1) {
+			flags[m[1]] = true
+		}
+		for _, line := range examples {
+			line, _, _ = strings.Cut(line, " #")
+			for _, field := range strings.Fields(line) {
+				if f, ok := strings.CutPrefix(field, "-"); ok && !flags[f] {
+					t.Errorf("cmd/%s's package doc runs %q, but -%s is not one of its flags", name, line, f)
+				}
 			}
 		}
 	}

@@ -15,7 +15,8 @@ import (
 // stalls and partition holds are sleeps on the write path — an asynchronous
 // protocol must tolerate any finite delay, so these are exactly the faults
 // worth soaking it under. A dropped connection is repaired underneath the
-// protocol by the transport's seq/ack resume, which knows nothing of rounds.
+// protocol by the transport's count-exchange resume, which knows nothing of
+// rounds.
 // Only crashes are excluded: crash-restart recovery re-steps a fresh machine
 // through its peers' replayed round history, and an event-driven seat has no
 // rounds to replay.

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"errors"
 	"math/rand"
 	"net"
 	"sync"
@@ -12,21 +13,24 @@ import (
 )
 
 // Injector materializes a plan's network faults at the net.Conn boundary.
-// It plugs into transport.Options.WrapConn: every ordered link has exactly
-// one dialing side, so wrapping outgoing connections puts the injector on
-// the write path of all of the link's traffic — initial dials and
-// reconnect dials alike, with per-link fault state (PRNG stream, frame
-// counter, fired drops) surviving connection replacement.
+// It plugs into transport.Options.WrapConn (and session.Options.WrapConn):
+// each end of a duplex peer link wraps its own writes with itself as from,
+// so the injector sits on the write path of all of an ordered link's (from,
+// to) traffic whichever end dialed — initial links and reconnects alike,
+// with per-link fault state (PRNG stream, fired drops) surviving connection
+// replacement.
 //
-// Latency, stalls and partition holds are sleeps before the write: they
-// preserve per-connection FIFO order and lose nothing, which is why a run
-// that stays under the transport's timeout budget remains byte-identical
-// to the sim.Run oracle. A drop closes the connection instead, forcing the
-// transport through its reconnect-with-resume path.
+// Latency, stalls and partition holds are sleeps before a frame's write:
+// they preserve per-connection FIFO order and lose nothing, which is why a
+// run that stays under the transport's timeout budget remains
+// byte-identical to the sim.Run oracle. A drop closes the connection
+// instead — both directions of the pair, since they share it — forcing the
+// transport through its redial-and-resume path.
 type Injector struct {
 	plan  *Plan
 	seed  int64
 	stats *metrics.ChaosStats
+	sleep func(time.Duration) // every hold; a test records instead
 
 	mu    sync.Mutex
 	links map[linkKey]*linkChaos
@@ -62,7 +66,7 @@ func NewInjector(plan *Plan, seed int64, stats *metrics.ChaosStats) *Injector {
 	if stats == nil {
 		stats = &metrics.ChaosStats{}
 	}
-	in := &Injector{plan: plan, seed: seed, stats: stats,
+	in := &Injector{plan: plan, seed: seed, stats: stats, sleep: time.Sleep,
 		links: make(map[linkKey]*linkChaos)}
 	for _, part := range plan.Partitions {
 		in.parts = append(in.parts, &partitionGate{p: part})
@@ -101,25 +105,54 @@ func (in *Injector) Apply(opts transport.Options) transport.Options {
 	return opts
 }
 
-// chaosConn wraps one connection of a link. Only Write is intercepted: the
-// transport hands it exactly one encoded frame per call, and the frame's
-// round keys every fault window.
+// chaosConn wraps one end's connection of a link. Only Write is
+// intercepted. A link writes batches; each is walked frame by frame and
+// every frame written after its own faults, exactly as if it had been
+// written alone: its round keys its fault windows, its latency is its own
+// draw, and a drop closes the connection before it, the write returning the
+// bytes that went out ahead.
 type chaosConn struct {
 	net.Conn
 	link *linkChaos
 }
 
 func (c *chaosConn) Write(b []byte) (int, error) {
-	round, control, ok := transport.FrameInfo(b)
-	if !ok || control {
-		// Handshake frames (and anything unrecognizable) pass untouched:
-		// chaos windows are round-scoped, and delaying the hello would only
-		// shift setup time, not protocol traffic.
-		return c.Conn.Write(b)
+	sent := 0
+	for sent < len(b) {
+		round, control, size := transport.FrameInfo(b[sent:])
+		// Control frames pass untouched: chaos windows are round-scoped, and
+		// delaying the hello or a count would only shift setup time. So does
+		// anything unrecognizable.
+		if size == 0 {
+			size = len(b) - sent
+		} else if !control && c.link.hold(round) {
+			// Cut the connection under the frame: its write fails, and the
+			// transport's resume restores it over a fresh (re-wrapped)
+			// connection.
+			c.Conn.Close()
+		}
+		n, err := c.Conn.Write(b[sent : sent+size])
+		if sent += n; err != nil {
+			return sent, err
+		}
 	}
-	l := c.link
-	in := l.in
+	return sent, nil
+}
 
+// CloseWrite half-closes the wrapped connection, when it can: the link's
+// graceful close ends its own direction first.
+func (c *chaosConn) CloseWrite() error {
+	if cw, ok := c.Conn.(interface{ CloseWrite() error }); ok {
+		return cw.CloseWrite()
+	}
+	return errors.ErrUnsupported
+}
+
+// hold applies one frame's faults: its latency draw, then every stall
+// window and healing partition its round falls in, as sleeps; and reports
+// whether a drop clause fires on it.
+func (l *linkChaos) hold(round int) (drop bool) {
+	in := l.in
 	l.mu.Lock()
 	var delay time.Duration
 	for i := range in.plan.Latencies {
@@ -127,7 +160,6 @@ func (c *chaosConn) Write(b []byte) (int, error) {
 			delay += delayFor(lat, l.rng)
 		}
 	}
-	drop := false
 	for i, d := range in.plan.Drops {
 		if l.dropped[i] || d.From != l.from || d.Round != round {
 			continue
@@ -142,30 +174,26 @@ func (c *chaosConn) Write(b []byte) (int, error) {
 
 	if delay > 0 {
 		in.stats.Delays.Add(1)
-		time.Sleep(delay)
+		in.sleep(delay)
 	}
 	for _, s := range in.plan.Stalls {
 		if s.Party == l.from && s.FromRound <= round && round <= s.ToRound {
 			in.stats.Stalls.Add(1)
-			time.Sleep(s.Dur)
+			in.sleep(s.Dur)
 		}
 	}
 	for _, g := range in.parts {
 		if g.p.FromRound <= round && round <= g.p.ToRound && g.cuts(l.from, l.to) {
 			if hold := g.trigger(); hold > 0 {
 				in.stats.Partitions.Add(1)
-				time.Sleep(hold)
+				in.sleep(hold)
 			}
 		}
 	}
 	if drop {
-		// Cut the connection under the frame: the write below fails, the
-		// frame stays in the transport's resend buffer, and the reconnect
-		// path replays it over a fresh (re-wrapped) connection.
 		in.stats.Drops.Add(1)
-		c.Conn.Close()
 	}
-	return c.Conn.Write(b)
+	return drop
 }
 
 // cuts reports whether the ordered link crosses the partition's cut.

@@ -3,6 +3,8 @@ package chaos
 import (
 	"io"
 	"net"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,9 +20,10 @@ func eorFrame(round byte) []byte {
 	return []byte{7, 0x06, 0x01, 0x18, 0x00, round, 0x00, 0x00}
 }
 
-// helloFrame hand-builds a minimal control frame (type hello).
+// helloFrame hand-builds a minimal control frame (a hello's tag; the chaos
+// layer classifies, it does not parse).
 func helloFrame() []byte {
-	return []byte{1, 0x01} // len=1 | hello
+	return []byte{1, 0x07} // len=1 | hello
 }
 
 // drainedPipe returns a pipe whose far end is continuously drained, so
@@ -113,5 +116,62 @@ func TestConnPartitionHolds(t *testing.T) {
 	}
 	if held := time.Since(start); held > 20*time.Millisecond {
 		t.Errorf("same-side frame held %v, want immediate", held)
+	}
+}
+
+// TestConnDropWalksBatch: a link writes batches, and a drop clause keyed on
+// round 3 fires on round 3's frame even when round 2's leads the write —
+// exactly once, closing the connection before its frame, with the write
+// reporting the bytes that went out ahead of it.
+func TestConnDropWalksBatch(t *testing.T) {
+	stats := &metrics.ChaosStats{}
+	in := NewInjector(MustParse("drop:p0-p1@r3"), 1, stats)
+	conn := in.WrapConn(0, 1, drainedPipe(t))
+	batch := append(eorFrame(2), eorFrame(3)...)
+	n, err := conn.Write(batch)
+	if err == nil || n != len(eorFrame(2)) {
+		t.Fatalf("batch of rounds 2 and 3 under drop@r3: wrote %d bytes, err %v; want round 2's %d and an error",
+			n, err, len(eorFrame(2)))
+	}
+	conn = in.WrapConn(0, 1, drainedPipe(t))
+	if _, err := conn.Write(batch); err != nil {
+		t.Fatalf("the batch again, over the replacement: %v", err)
+	}
+	if got := stats.Drops.Load(); got != 1 {
+		t.Errorf("Drops = %d, want 1", got)
+	}
+}
+
+// TestConnLatencyPerFrame: over a batched link every frame sleeps its own
+// latency draw — the sequence Plan.Schedule renders for the link — and a
+// control frame inside the batch draws nothing.
+func TestConnLatencyPerFrame(t *testing.T) {
+	const spec, seed, frames = "lat:1ms±1ms", 7, 12
+	plan := MustParse(spec)
+	in := NewInjector(plan, seed, nil)
+	var slept []string
+	in.sleep = func(d time.Duration) { slept = append(slept, d.String()) }
+	var batch []byte
+	for r := 1; r <= frames; r++ {
+		batch = append(batch, eorFrame(byte(r))...)
+		if r == frames/2 {
+			batch = append(batch, helloFrame()...)
+		}
+	}
+	if _, err := in.WrapConn(0, 1, drainedPipe(t)).Write(batch); err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, line := range strings.Split(plan.Schedule(seed, 2, frames), "\n") {
+		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "link 0->1: "); ok {
+			for _, d := range strings.Fields(rest) {
+				if d != "0s" { // a zero draw sleeps nothing
+					want = append(want, d)
+				}
+			}
+		}
+	}
+	if len(want) == 0 || !reflect.DeepEqual(slept, want) {
+		t.Errorf("slept %v over a batch of %d frames, want the schedule's %v", slept, frames, want)
 	}
 }

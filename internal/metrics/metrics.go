@@ -65,7 +65,7 @@ type ChaosStats struct {
 	Crashes    atomic.Int64 // honest-process crashes injected
 
 	// Recovery work (recorded by internal/transport's reconnect path).
-	Reconnects   atomic.Int64 // successful dial-with-resume handshakes
+	Reconnects   atomic.Int64 // link generations after a party's first, each resumed by a count exchange
 	FramesSkip   atomic.Int64 // regenerated frames suppressed as already delivered
 	FramesResent atomic.Int64
 	BytesResent  atomic.Int64

@@ -1,7 +1,8 @@
 // Package overlay routes protocol traffic over a deterministic three-level
 // communication tree — root, sub-leaders, leaves — instead of the transport
-// package's full mesh. The mesh needs a duplex connection per party pair, so
-// past n ≈ 256 the file-descriptor budget, not the protocol, is the wall;
+// package's full mesh. The mesh needs a duplex connection per party pair —
+// n(n−1)/2 in all, n−1 at every party — so past n ≈ 256 the
+// file-descriptor budget, not the protocol, is the wall;
 // the tree keeps every node at O(branching) connections and replaces the
 // n·(n−1) per-round end-of-round barrier frames with ~2n aggregated ones.
 //

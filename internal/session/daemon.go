@@ -60,8 +60,9 @@ type Options struct {
 
 	// Stats receives the daemon's counters; shared across daemons in tests.
 	Stats *metrics.ServeStats
-	// WrapConn, when set, wraps every peer connection on the writing side —
-	// the chaos injection seam, same contract as transport.Options.WrapConn.
+	// WrapConn, when set, wraps every peer connection on both ends, each end
+	// with itself as the writer — the chaos injection seam, same contract as
+	// transport.Options.WrapConn.
 	WrapConn func(from, to sim.PartyID, conn net.Conn) net.Conn
 	// Dialer establishes peer connections; nil means transport.DialRetry.
 	Dialer func(addr string, deadline time.Time) (net.Conn, error)
@@ -105,7 +106,7 @@ type Daemon struct {
 	clientArg string
 	opts      Options
 
-	mux *mux
+	mux *transport.Mux
 	mgr *Manager
 
 	// peerLn, when set before Run, is the pre-bound peer listener (the
@@ -186,11 +187,23 @@ func (d *Daemon) Run(ctx context.Context) error {
 			return fmt.Errorf("session: daemon %d journal recovery: %w", d.id, err)
 		}
 	}
-	d.mux = newMux(d.id, d.n, d.peerAddrs, cluster, d.opts, d.mgr.handleRaw,
-		d.mgr.linkDown, d.mgr.linkUp)
-	if err := d.mux.start(peerLn); err != nil {
+	d.mux = transport.NewMux(transport.MuxConfig{
+		ID: d.id, Addrs: d.peerAddrs, Hash: cluster,
+		SetupTimeout: d.opts.SetupTimeout, RoundTimeout: d.opts.RoundTimeout,
+		Dialer: d.opts.Dialer, WrapConn: d.opts.WrapConn, Stats: d.opts.Stats, Redial: true,
+		Handler: func(from sim.PartyID, _ int, body []byte) error {
+			if body[0] != transport.FrameMuxSession {
+				return fmt.Errorf("unexpected frame type 0x%02x", body[0])
+			}
+			return d.mgr.handleRaw(from, body[1:])
+		},
+		OnDown: d.mgr.linkDown,
+		OnUp:   func(peer sim.PartyID, _ int) { d.mgr.linkUp(peer) },
+	})
+	defer transport.NewAcceptHost(peerLn, d.mux.Accept).Close()
+	if err := d.mux.Start(); err != nil {
 		clientLn.Close()
-		d.mux.close()
+		d.mux.Close()
 		d.mgr.stop()
 		if jw := d.mgr.jw; jw != nil {
 			jw.Close()
@@ -213,7 +226,7 @@ func (d *Daemon) Run(ctx context.Context) error {
 		d.mgr.drain(d.opts.DrainTimeout)
 		close(d.closedCh)
 		d.clientLn.Close()
-		d.mux.close()
+		d.mux.Close()
 		d.mgr.stop()
 		if jw := d.mgr.jw; jw != nil {
 			jw.Close()
@@ -227,7 +240,7 @@ func (d *Daemon) Run(ctx context.Context) error {
 		// tickets, so no client can observe an outcome the journal lost.
 		close(d.closedCh)
 		d.clientLn.Close()
-		d.mux.kill()
+		d.mux.Kill()
 		d.mgr.stop()
 		if jw := d.mgr.jw; jw != nil {
 			jw.Abandon()

@@ -148,10 +148,10 @@ func (e *engine) run(evs []rawEvent) bool {
 // follow the open on every link FIFO.
 func (e *engine) begin() bool {
 	d, ps := e.m.d, &e.ps
-	// Frames are staged: the outbox copies, this drainer's flushDry writes,
+	// Frames are staged: the outbox copies, this drainer's FlushDry writes,
 	// and frames leave in staging order — a decided async seat's peers keep
 	// amplifying for the rest, so there is nothing to purge.
-	fr := driver.NewFramer(d.id, d.n, e.s.sid, d.mux.stage)
+	fr := driver.NewFramer(d.id, d.n, e.s.sid, d.mux.Stage)
 	if d.opts.Async {
 		seat, _, err := ps.space.NewAsyncMachine(d.n, ps.spec.T, d.id, ps.inputs[d.id])
 		if err != nil {
@@ -221,7 +221,7 @@ func (m *Manager) finishSeat(s *session, dec wire.SessionDecide) {
 	}
 	// Staged, not enqueued: the seat's drainer is the caller.
 	if frame, err := sessionFrame(dec); err == nil {
-		m.d.mux.stage(s.origin, frame)
+		m.d.mux.Stage(s.origin, frame)
 	}
 	m.mu.Lock()
 	m.terminalLocked(s, StateDecided, "")

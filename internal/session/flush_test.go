@@ -16,31 +16,67 @@ import (
 	"treeaa/internal/wire"
 )
 
-// TestFlushPolicyTable pins, as a pure function, what hands an outbox to
-// the flusher before its stager has run dry.
-func TestFlushPolicyTable(t *testing.T) {
-	ready := []struct {
-		frames, bytes, occupancy, maxBytes int
-		want                               bool
-	}{
-		{1, 100, 32, 1 << 16, false},       // one small frame: its stager's to write
-		{31, 1000, 32, 1 << 16, false},     // just under the occupancy cut
-		{32, 1000, 32, 1 << 16, true},      // occupancy threshold
-		{5, 1 << 16, 32, 1 << 16, true},    // byte cap trumps occupancy
-		{5, 1<<16 - 1, 32, 1 << 16, false}, // just under the byte cap
-		{1, 0, 1, 1 << 16, true},           // occupancy 1: every frame is the flusher's
+// startTestMeshes brings up an n-daemon link mesh without daemons on top:
+// the handler records raw session bodies, and link failures flunk the test
+// unless the mesh is already closing.
+func startTestMeshes(t *testing.T, n int, opts Options,
+	handler func(me, from sim.PartyID, body []byte)) []*transport.Mux {
+	t.Helper()
+	opts = opts.withDefaults()
+	listeners := make([]net.Listener, n)
+	addrs := make([]string, n)
+	for i := range listeners {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		listeners[i] = ln
+		addrs[i] = ln.Addr().String()
 	}
-	for _, c := range ready {
-		if got := batchReady(c.frames, c.bytes, c.occupancy, c.maxBytes); got != c.want {
-			t.Errorf("batchReady(%d, %d, %d, %d) = %v, want %v",
-				c.frames, c.bytes, c.occupancy, c.maxBytes, got, c.want)
+	muxes := make([]*transport.Mux, n)
+	// Set before the first mux closes: a peer hanging up at teardown reaches
+	// the still-open muxes as a link failure.
+	var closing atomic.Bool
+	for i := range muxes {
+		me := sim.PartyID(i)
+		muxes[i] = transport.NewMux(transport.MuxConfig{
+			ID: me, Addrs: addrs, Hash: 1,
+			SetupTimeout: opts.SetupTimeout, RoundTimeout: opts.RoundTimeout,
+			Dialer: opts.Dialer, WrapConn: opts.WrapConn, Stats: opts.Stats,
+			Handler: func(from sim.PartyID, _ int, body []byte) error { handler(me, from, body[1:]); return nil },
+			OnDown: func(peer sim.PartyID, err error) {
+				if !closing.Load() {
+					t.Errorf("link %d-%d down: %v", me, peer, err)
+				}
+			},
+		})
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, n)
+	for i, m := range muxes {
+		host := transport.NewAcceptHost(listeners[i], m.Accept)
+		t.Cleanup(host.Close)
+		wg.Add(1)
+		go func(i int) { defer wg.Done(); errs[i] = muxes[i].Start() }(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("mux %d start: %v", i, err)
 		}
 	}
+	t.Cleanup(func() {
+		closing.Store(true)
+		for _, m := range muxes {
+			m.Close()
+		}
+	})
+	return muxes
 }
 
 // gateConn blocks every write after the first until the gate is released —
 // the test lever for a peer whose socket stopped draining after the mesh
-// handshake (the first write is the mux hello, which must pass for start to
+// handshake (the first write is the mux hello, which must pass for Start to
 // complete).
 type gateConn struct {
 	net.Conn
@@ -55,63 +91,10 @@ func (c gateConn) Write(b []byte) (int, error) {
 	return c.Conn.Write(b)
 }
 
-// startTestMeshes brings up an n-node mux mesh without daemons on top: the
-// handler records raw deliveries, and onDown failures flunk the test
-// unless the mesh is already closing.
-func startTestMeshes(t *testing.T, n int, opts Options,
-	handler func(me, from sim.PartyID, body []byte)) []*mux {
-	t.Helper()
-	opts = opts.withDefaults()
-	listeners := make([]net.Listener, n)
-	addrs := make([]string, n)
-	for i := range listeners {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		listeners[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	muxes := make([]*mux, n)
-	// Set before the first mux closes: a peer hanging up at teardown reaches
-	// the still-open muxes as a link failure.
-	var closing atomic.Bool
-	for i := range muxes {
-		me := sim.PartyID(i)
-		muxes[i] = newMux(me, n, addrs, 1, opts,
-			func(from sim.PartyID, body []byte) error { handler(me, from, body); return nil },
-			func(peer sim.PartyID, err error) {
-				if !closing.Load() {
-					t.Errorf("link %d-%d down: %v", me, peer, err)
-				}
-			},
-			func(peer sim.PartyID) {})
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := range muxes {
-		wg.Add(1)
-		go func(i int) { defer wg.Done(); errs[i] = muxes[i].start(listeners[i]) }(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("mux %d start: %v", i, err)
-		}
-	}
-	t.Cleanup(func() {
-		closing.Store(true)
-		for _, m := range muxes {
-			m.close()
-		}
-	})
-	return muxes
-}
-
 // TestSlowPeerDoesNotStallOtherLinks pins per-link isolation: a peer whose
 // socket stops draining backs its own outbox up, but frames to healthy
 // peers keep flowing — each link has its own flusher and its own buffers,
-// and enqueue never blocks on a stuck write.
+// and Enqueue never blocks on a stuck write.
 func TestSlowPeerDoesNotStallOtherLinks(t *testing.T) {
 	gate := make(chan struct{})
 	var gateOnce sync.Once
@@ -142,13 +125,13 @@ func TestSlowPeerDoesNotStallOtherLinks(t *testing.T) {
 	// Pile frames onto the gated link until its outbox is far beyond every
 	// flush threshold, with the flusher wedged in a blocked write.
 	for i := 0; i < 2000; i++ {
-		muxes[0].enqueue(2, frame)
+		muxes[0].Enqueue(2, frame)
 	}
 	// The healthy link must still deliver promptly.
 	const want = 50
 	start := time.Now()
 	for i := 0; i < want; i++ {
-		muxes[0].enqueue(1, frame)
+		muxes[0].Enqueue(1, frame)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for healthy.Load() < want && time.Now().Before(deadline) {
@@ -163,16 +146,34 @@ func TestSlowPeerDoesNotStallOtherLinks(t *testing.T) {
 	release() // un-wedge the gated flusher so close() can drain it
 }
 
-// smallSocketBuffers is a WrapConn that wraps nothing: it shrinks the kernel
-// buffers of the real TCP connection and hands it back, so a peer that stops
-// reading stalls its link after kilobytes, and the link keeps the descriptor
-// the try-write needs.
-func smallSocketBuffers(_, _ sim.PartyID, conn net.Conn) net.Conn {
-	if tc, ok := conn.(*net.TCPConn); ok {
+// watchedConn is a real TCP connection with small kernel buffers, so a peer
+// that stops reading stalls its link after kilobytes, and with its blocking
+// writes watched. It keeps the descriptor the try-write needs (the embedded
+// *net.TCPConn's), and the try-write goes to that descriptor directly: a
+// Write in progress past the handshake is the link's flusher, blocked.
+type watchedConn struct {
+	*net.TCPConn
+	writing atomic.Int32
+}
+
+func (c *watchedConn) Write(b []byte) (int, error) {
+	c.writing.Add(1)
+	defer c.writing.Add(-1)
+	return c.TCPConn.Write(b)
+}
+
+func watchSmallSockets(watched map[[2]sim.PartyID]*watchedConn) func(from, to sim.PartyID, conn net.Conn) net.Conn {
+	var mu sync.Mutex
+	return func(from, to sim.PartyID, conn net.Conn) net.Conn {
+		tc := conn.(*net.TCPConn)
 		tc.SetWriteBuffer(16 << 10)
 		tc.SetReadBuffer(16 << 10)
+		w := &watchedConn{TCPConn: tc}
+		mu.Lock()
+		watched[[2]sim.PartyID{from, to}] = w
+		mu.Unlock()
+		return w
 	}
-	return conn
 }
 
 // within runs f and fails the test if it has not returned in d: the shape
@@ -188,16 +189,14 @@ func within(t *testing.T, d time.Duration, what string, f func()) {
 	}
 }
 
-// flusherParked waits for the link's writer lock to be held. Called once the
-// try-writers are done, that is the flusher inside a write — which, toward a
-// peer that is not reading, it cannot leave.
-func flusherParked(l *peerLink) bool {
-	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
-		if !l.wmu.TryLock() {
+// flusherParked waits for a write to be in progress on the connection: once
+// the try-writers are done, that is the flusher inside a write — which,
+// toward a peer that is not reading, it cannot leave.
+func flusherParked(c *watchedConn) bool {
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if c.writing.Load() > 0 {
 			return true
 		}
-		l.wmu.Unlock()
-		time.Sleep(time.Millisecond)
 	}
 	return false
 }
@@ -217,10 +216,11 @@ func TestTryWriteNeverBlocks(t *testing.T) {
 	var got []uint64 // written by mux 1's one reader goroutine
 	arrived := make(chan struct{})
 	stats := &metrics.ServeStats{}
+	watched := make(map[[2]sim.PartyID]*watchedConn)
 	opts := Options{
 		RoundTimeout: 30 * time.Second, // the flusher's blocked write outlasts the stall
 		Stats:        stats,
-		WrapConn:     smallSocketBuffers,
+		WrapConn:     watchSmallSockets(watched),
 	}
 	muxes := startTestMeshes(t, 2, opts, func(me, from sim.PartyID, body []byte) {
 		if me != 1 {
@@ -235,10 +235,6 @@ func TestTryWriteNeverBlocks(t *testing.T) {
 			close(arrived)
 		}
 	})
-	link := muxes[0].peers[1]
-	if link.sock == nil {
-		t.Skip("no non-blocking socket write on this platform")
-	}
 
 	reason := strings.Repeat("x", 512)
 	within(t, 10*time.Second, "staging and flushing toward a reader that does not read", func() {
@@ -248,15 +244,15 @@ func TestTryWriteNeverBlocks(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			muxes[0].stage(1, frame)
+			muxes[0].Stage(1, frame)
 			if i%4 == 3 {
-				muxes[0].flushDry()
+				muxes[0].FlushDry()
 			}
 		}
 	})
 	// 200 KB were offered to a link that holds a third of it: the rest is
-	// with a flusher that sits in its write, holding the writer lock.
-	if parked := flusherParked(link); !parked || stats.BatchesInline.Load() == 0 {
+	// with a flusher that sits in its write.
+	if parked := flusherParked(watched[[2]sim.PartyID{0, 1}]); !parked || stats.BatchesInline.Load() == 0 {
 		t.Fatalf("link never backed up: flusher parked %v after %d inline writes", parked, stats.BatchesInline.Load())
 	}
 
@@ -295,10 +291,11 @@ func TestSlowPeerDoesNotStallEngineTurns(t *testing.T) {
 	release := func() { gateOnce.Do(func() { close(gate) }) }
 	defer release()
 
+	watched := make(map[[2]sim.PartyID]*watchedConn)
 	opts := Options{
 		RoundTimeout: 30 * time.Second,
 		MaxSessions:  sessions,
-		WrapConn:     smallSocketBuffers,
+		WrapConn:     watchSmallSockets(watched),
 	}.withDefaults()
 	d := &Daemon{id: 0, n: 3, opts: opts}
 	d.mgr = newManager(d)
@@ -316,9 +313,6 @@ func TestSlowPeerDoesNotStallEngineTurns(t *testing.T) {
 		}
 	})
 	d.mux = muxes[0]
-	if muxes[0].peers[2].sock == nil {
-		t.Skip("no non-blocking socket write on this platform")
-	}
 
 	start := time.Now()
 	within(t, 10*time.Second, "Submit beside a peer that does not read", func() {
@@ -329,7 +323,7 @@ func TestSlowPeerDoesNotStallEngineTurns(t *testing.T) {
 			}
 		}
 	})
-	if !flusherParked(muxes[0].peers[2]) {
+	if !flusherParked(watched[[2]sim.PartyID{0, 2}]) {
 		t.Fatalf("the link to peer 2 never backed up (%d sessions' frames fit its socket)", sessions)
 	}
 	deadline := time.Now().Add(5 * time.Second)

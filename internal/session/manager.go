@@ -13,6 +13,7 @@ import (
 	"treeaa/internal/journal"
 	"treeaa/internal/metrics"
 	"treeaa/internal/sim"
+	"treeaa/internal/transport"
 	"treeaa/internal/tree"
 	"treeaa/internal/wire"
 )
@@ -160,9 +161,9 @@ func (m *Manager) Submit(spec Spec, sid uint64) (uint64, error) {
 	// The open precedes every round-1 frame on each link FIFO, because the
 	// engine starts only after the open is in the outboxes. register steps
 	// round 1 right here, and one write per peer carries both.
-	m.d.mux.stage(sim.Broadcast, open)
+	m.d.mux.Stage(sim.Broadcast, open)
 	s.eng.sh.register(s.eng)
-	m.d.mux.flushDry()
+	m.d.mux.FlushDry()
 	return sid, nil
 }
 
@@ -473,13 +474,13 @@ func (m *Manager) fail(s *session, st State, reason string, broadcast bool) {
 
 func (m *Manager) broadcastAbort(sid uint64, reason string) {
 	if frame, err := sessionFrame(wire.SessionAbort{SID: sid, Reason: reason}); err == nil {
-		m.d.mux.enqueue(sim.Broadcast, frame)
+		m.d.mux.Enqueue(sim.Broadcast, frame)
 	}
 }
 
 func (m *Manager) abortTo(peer sim.PartyID, sid uint64, reason string) {
 	if frame, err := sessionFrame(wire.SessionAbort{SID: sid, Reason: reason}); err == nil {
-		m.d.mux.enqueue(peer, frame)
+		m.d.mux.Enqueue(peer, frame)
 	}
 }
 
@@ -631,7 +632,7 @@ func (m *Manager) pass(now time.Time) {
 		turns += sh.drainLocked(false)
 	}
 	if turns > 0 {
-		m.d.mux.flushDry()
+		m.d.mux.FlushDry()
 	}
 }
 
@@ -727,3 +728,17 @@ func (m *Manager) stop() {
 }
 
 func (m *Manager) stats() *metrics.ServeStats { return m.d.opts.Stats }
+
+// sessionFrame builds one session frame — the length-prefixed
+// FrameMuxSession envelope around the payload's wire encoding,
+// byte-identical to transport.AppendFrame over the assembled body — ready
+// for Enqueue. The returned slice is immutable by convention: broadcasts
+// share it across links. (A round's frame is the driver's, not built here.)
+func sessionFrame(payload any) ([]byte, error) {
+	sz, err := wire.EncodedSize(payload)
+	if err != nil {
+		return nil, err
+	}
+	dst := wire.AppendUvarint(make([]byte, 0, sz+4), uint64(sz+1))
+	return wire.Append(append(dst, transport.FrameMuxSession), payload)
+}

@@ -165,13 +165,8 @@ func TestSessionRoundIsTheOnlyDataFrame(t *testing.T) {
 // broadcasts, so no served session walks this path.)
 func TestSessionRoundPerPeerFrames(t *testing.T) {
 	const self, n = 1, 4
-	m := newMux(self, n, make([]string, n), 1, Options{}.withDefaults(), nil, nil, nil)
-	for _, l := range m.peers {
-		if l != nil {
-			l.up = true // no socket: staged frames just collect
-		}
-	}
-	fr := driver.NewFramer(self, n, 77, m.stage) // what engine.begin builds
+	send, out := stagedFrames(self, n)
+	fr := driver.NewFramer(self, n, 77, send) // what engine.begin builds
 	note := func(i int) any { return wire.AsyncValue{Phase: 1, Kind: 1, Iter: i + 1} }
 	for round := 3; round <= 4; round++ {
 		for i, to := range []sim.PartyID{sim.Broadcast, 0, self, 3, sim.Broadcast, 0} {
@@ -183,11 +178,11 @@ func TestSessionRoundPerPeerFrames(t *testing.T) {
 			t.Fatal(err)
 		}
 		for peer, want := range map[sim.PartyID][]int{0: {0, 1, 4, 5}, 2: {0, 4}, 3: {0, 3, 4}} {
-			l := m.peers[peer]
-			frame, frames := l.takeLocked()
-			if frames != 1 {
-				t.Fatalf("round %d: %d frames staged for peer %d, want 1", round, frames, peer)
+			if len(out[peer]) != 1 {
+				t.Fatalf("round %d: %d frames staged for peer %d, want 1", round, len(out[peer]), peer)
 			}
+			frame := out[peer][0]
+			out[peer] = nil
 			k, used := binary.Uvarint(frame)
 			if int(k) != len(frame)-used || frame[used] != transport.FrameMuxSession {
 				t.Fatalf("round %d peer %d: bad envelope %x", round, peer, frame)

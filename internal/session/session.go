@@ -12,7 +12,7 @@
 //	                                 ▲            machines, stepped by the
 //	                                 │ inbound    goroutine that fed them)
 //	                                 │              ▼ outbound frames
-//	                              mux.go ◀──── per-peer outbox, written where
+//	                       transport.Mux ◀──── per-peer outbox, written where
 //	                                 │         input ran dry; flusher behind
 //	                           peer daemons
 //

@@ -145,7 +145,7 @@ func (sh *shard) enqueueDirtyLocked(eng *engine) {
 // register adds an admitted session's engine and runs its first step on the
 // calling goroutine (unless the shard is being drained already), absorbing
 // any frames that outran the admission in arrival order. A caller that is not
-// a link reader owes the mux a flushDry afterwards. A
+// a link reader owes the mux a FlushDry afterwards. A
 // session that went terminal before registration (eviction or a peer's
 // rejection racing the admit) is buried instead, and one whose pre-open
 // buffer overflowed here is failed cluster-wide: its seat would have

@@ -11,13 +11,14 @@ import (
 
 	"treeaa/internal/metrics"
 	"treeaa/internal/sim"
+	"treeaa/internal/transport"
 	"treeaa/internal/wire"
 )
 
 // testShard is the one shard of a bare manager whose daemon has the given
 // mux (possibly none) and no listeners. The manager's timekeeper is not
 // running: a test starts it, or makes its passes by hand.
-func testShard(m *mux) *shard {
+func testShard(m *transport.Mux) *shard {
 	opts := Options{DefaultTTL: 30 * time.Second, SetupTimeout: time.Second}.withDefaults()
 	mgr := &Manager{d: &Daemon{n: 4, opts: opts, mux: m}, sweepEvery: time.Hour,
 		kick: make(chan struct{}, 1), quit: make(chan struct{}), done: make(chan struct{})}
@@ -37,7 +38,7 @@ func TestDrainerExclusivity(t *testing.T) {
 		deliverers = 16
 		each       = 400
 	)
-	sh := testShard(&mux{}) // the timekeeper flushes a mux after its turns
+	sh := testShard(&transport.Mux{}) // the timekeeper flushes a mux after its turns
 	var (
 		inside   atomic.Int32
 		overlaps atomic.Int32
@@ -203,16 +204,16 @@ func TestTimekeeperOnePass(t *testing.T) {
 	fresh := admit(3, time.Hour)
 	fresh.eng.sh.wake(fresh.eng)
 	// The aborts of the other two are enqueued, which wakes the link's
-	// flusher; fresh's round is only staged. Its turn waits until the flusher
-	// has taken the aborts, so the round cannot ride with them: it leaves
+	// flusher; fresh's round is only staged. Its turn waits until the peer
+	// has read the aborts, so the round cannot ride with them: it leaves
 	// because the pass writes after its turns, or not at all.
-	link, run := muxes[0].peers[1], fresh.eng.sh.step
+	run := fresh.eng.sh.step
 	fresh.eng.sh.step = func(e *engine, evs []rawEvent) bool {
 		for deadline := time.Now().Add(5 * time.Second); e == fresh.eng && time.Now().Before(deadline); time.Sleep(100 * time.Microsecond) {
-			link.mu.Lock()
-			staged := link.frames
-			link.mu.Unlock()
-			if staged == 0 {
+			mu.Lock()
+			aborts := len(seen)
+			mu.Unlock()
+			if aborts == 2 {
 				break
 			}
 		}

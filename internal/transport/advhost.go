@@ -13,7 +13,8 @@ import (
 // entity: rushing (it sees every honest round-r message before sending its
 // own) and coordinated (one Step speaks for all corrupted parties). Neither
 // power distributes, so the TCP substrate hosts the whole corrupted set on
-// one endpoint and reconstructs the global view from two sources: mirror
+// one endpoint — a link set per corrupted party, linked to the honest
+// parties only — and reconstructs the global view from two sources: mirror
 // frames (honest traffic, granted by the honest nodes to the observer) and
 // the corrupted parties' own inboxes.
 type hostConfig struct {
@@ -125,6 +126,7 @@ func runAdversaryHost(cfg hostConfig) (*driver.Result, error) {
 				return nil, fmt.Errorf("transport: adversary round %d: %w", r, err)
 			}
 		}
+		e.flush()
 		for r2 := range h.mirrors {
 			if r2 <= r {
 				delete(h.mirrors, r2)
@@ -136,7 +138,7 @@ func runAdversaryHost(cfg hostConfig) (*driver.Result, error) {
 
 		if _, dones := h.states[observer].Barrier(r); dones == len(honest) {
 			res.TermRound = r
-			e.shutdown(true)
+			e.finish()
 			return res, nil
 		}
 	}

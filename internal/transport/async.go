@@ -18,9 +18,9 @@ package transport
 // amplification for its still-undecided peers; it exits once it has decided
 // *and* heard done from every peer. Because FrameInfo classifies the
 // announcement as control, chaos latency lets it pass — and since a decided
-// peer discards protocol traffic anyway, the node purges the send queue of
-// any peer that has announced done, so a latency-chaos soak drains in one
-// frame's delay instead of replaying the whole delayed backlog.
+// peer discards protocol traffic anyway, the node drops what is still staged
+// for any peer that has announced done, so a latency-chaos soak drains in
+// one write's delay instead of replaying the whole delayed backlog.
 //
 // The driver runs honest parties only. The model's rushing adversary is a
 // synchronous-round concept (it needs a global view between send and
@@ -68,27 +68,18 @@ func runAsyncNode(id sim.PartyID, n int, machine driver.EventMachine, e *endpoin
 	}
 	idle := time.NewTimer(e.opts.RoundTimeout)
 	defer idle.Stop()
-	// writeFail holds each peer's first write-side link failure. It proves
-	// nothing by itself: a peer that decided, heard everyone and hung up
-	// resets our writes while its done frame is still in flight on the other
-	// connection. Only the read side failing — behind every frame the peer
-	// sent — shows it died undecided; the held failure is then the cause.
-	writeFail := make([]error, n)
 	for !drv.Finished() {
+		if len(e.events) == 0 {
+			e.flush() // input ran dry: write what the deliveries staged
+		}
 		select {
 		case ev := <-e.events:
 			if ev.err != nil {
+				// A link failure reaches us behind every frame the peer sent,
+				// its announcement included: a peer that announced and hung up
+				// is done; one that did not died undecided.
 				if drv.IsPeerDone(ev.from) {
-					continue // teardown: a decided peer exited and cut the link
-				}
-				if ev.writeSide {
-					if writeFail[ev.from] == nil {
-						writeFail[ev.from] = ev.err
-					}
 					continue
-				}
-				if cause := writeFail[ev.from]; cause != nil {
-					ev.err = cause
 				}
 				return nil, fmt.Errorf("transport: party %d: %w", id, ev.err)
 			}
@@ -101,58 +92,27 @@ func runAsyncNode(id sim.PartyID, n int, machine driver.EventMachine, e *endpoin
 				return nil, fmt.Errorf("transport: %w", err)
 			}
 			if !heard && drv.IsPeerDone(ev.from) {
-				// Everything queued to a decided peer is discard-bound, except
-				// our own announcement.
-				e.purgeSender(id, ev.from)
+				// Everything staged for a decided peer is discard-bound,
+				// except our own announcement.
+				e.links[id].discard(ev.from, func(frame []byte) bool {
+					_, control, _ := FrameInfo(frame)
+					return control
+				})
 			}
 			if !idle.Stop() {
 				<-idle.C
 			}
 			idle.Reset(e.opts.RoundTimeout)
 		case <-idle.C:
-			err := fmt.Errorf("transport: party %d: async mode idle for %v with %d/%d peers done "+
+			return nil, fmt.Errorf("transport: party %d: async mode idle for %v with %d/%d peers done "+
 				"(wedged run: a peer died or the network stopped delivering)",
 				id, e.opts.RoundTimeout, drv.PeersDone(), n-1)
-			for p, cause := range writeFail {
-				if cause != nil && !drv.IsPeerDone(sim.PartyID(p)) {
-					return nil, fmt.Errorf("%w: %w", err, cause)
-				}
-			}
-			return nil, err
 		case <-e.quit:
 			return nil, fmt.Errorf("transport: party %d: endpoint closed while undecided", id)
 		}
 	}
-	e.shutdown(true) // flush the queued announcements before the FIN
+	e.finish() // write the staged announcements before the FIN
 	return drv, nil
-}
-
-// purgeSender drains the protocol frames queued on the (from → to) link
-// that the write loop has not yet picked up; an announcement among them goes
-// back on the queue. Only safe when the peer provably discards them (it
-// announced done); at most one already-dequeued frame can still suffer its
-// chaos delay ahead of whatever is enqueued next. Called by the node loop,
-// the queue's one producer.
-func (e *endpoint) purgeSender(from, to sim.PartyID) {
-	s := e.senders[from][to]
-	var keep [][]byte
-	for {
-		select {
-		case b, ok := <-s.ch:
-			if !ok {
-				return
-			}
-			if _, control, _ := FrameInfo(b); control {
-				keep = append(keep, b)
-			}
-			continue
-		default:
-		}
-		break
-	}
-	for _, b := range keep {
-		e.send(from, to, b)
-	}
 }
 
 // AsyncLocalCluster executes one async machine per party as a real
@@ -211,8 +171,8 @@ func asyncSeat(id sim.PartyID, n int, machine driver.EventMachine, ln net.Listen
 }
 
 // checkAsyncOptions rejects the one recovery path built on the lock-step
-// round structure. Reconnect is not: seq/ack resume replays whatever the peer
-// has not acknowledged, rounds or no rounds.
+// round structure. Reconnect is not: the count exchange resends whatever the
+// peer has not received, rounds or no rounds.
 func checkAsyncOptions(opts Options) error {
 	if len(opts.CrashPlan) > 0 || opts.Restart != nil {
 		return fmt.Errorf("transport: crash-restart recovery re-steps a fresh machine through its peers' " +

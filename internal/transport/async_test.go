@@ -1,8 +1,8 @@
 package transport
 
 import (
-	"errors"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,63 +13,100 @@ import (
 	"treeaa/internal/wire"
 )
 
-// doneConn intercepts the one write that carries the decision announcement.
-type doneConn struct {
+// announceConn intercepts the writes of one end of a link that carry round
+// frames: act decides what the end does instead of writing, told whether
+// the write holds the end's decision announcement.
+type announceConn struct {
 	net.Conn
-	onDone func(write func() (int, error)) (int, error)
+	act func(c net.Conn, b []byte, announce bool) (int, error)
 }
 
-func (c doneConn) Write(b []byte) (int, error) {
-	write := func() (int, error) { return c.Conn.Write(b) }
-	_, rest, _ := wire.ConsumeUvarint(b)
-	if _, control, _ := FrameInfo(b); control && rest[0] == FrameMuxSession {
-		return c.onDone(write)
+func (c *announceConn) Write(b []byte) (int, error) {
+	rounds, announce := false, false
+	for rest := b; len(rest) > 0; {
+		_, control, size := FrameInfo(rest)
+		if size == 0 {
+			break
+		}
+		if _, body, _ := wire.ConsumeUvarint(rest); body[0] == FrameMuxSession {
+			rounds, announce = true, announce || control
+		}
+		rest = rest[size:]
 	}
-	return write()
+	if !rounds {
+		return c.Conn.Write(b)
+	}
+	return c.act(c.Conn, b, announce)
 }
 
-// TestAsyncWriteFailureBeforeDoneIsNotFatal pins the teardown race: a write
-// on 0→1 fails while party 1's done frame is still in flight on the 1→0
-// connection. The two are different sockets, so nothing orders the failure
-// after the announcement; party 0 must hold it, hear the done a few
-// milliseconds later, and finish — not declare party 1 dead.
+// TestAsyncWriteFailureBeforeDoneIsNotFatal pins what a link failure means to
+// an event-driven seat, now that both directions of a pair share one
+// socket: the failure reaches the seat behind every frame the peer sent,
+// even when a write of ours failed first. A peer that announced its decision
+// and hung up is done; a peer that dies undecided fails the seat with the
+// error its reader met.
+// The seats run side by side rather than in a cluster, whose first failure
+// would tear the other seat down before it could judge.
 func TestAsyncWriteFailureBeforeDoneIsNotFatal(t *testing.T) {
 	const n = 2
 	tr := tree.NewPath(8)
 	inputs := []tree.VertexID{0, 7}
-	machines := make([]driver.EventMachine, n)
-	for i := range machines {
-		p, err := async.NewPipeline(tr, n, 0, async.PartyID(i), inputs[i])
+	run := func(wrap func(from, to sim.PartyID, conn net.Conn) net.Conn) []error {
+		t.Helper()
+		listeners, addrs, err := bindLoopback(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		machines[i] = p
-	}
-	injected := errors.New("injected write failure")
-	got, err := AsyncLocalCluster(n, machines, Options{
-		SetupTimeout: 10 * time.Second, RoundTimeout: 10 * time.Second,
-		WrapConn: func(from, to sim.PartyID, conn net.Conn) net.Conn {
-			switch {
-			case from == 0 && to == 1:
-				// Party 0's announcement reaches party 1, but the write
-				// reports failure — what a reset racing the last bytes does.
-				return doneConn{conn, func(write func() (int, error)) (int, error) {
-					write()
-					return 0, injected
-				}}
-			case from == 1 && to == 0:
-				return doneConn{conn, func(write func() (int, error)) (int, error) {
-					time.Sleep(50 * time.Millisecond)
-					return write()
-				}}
+		session, errs, done := NewSession(), make([]error, n), make(chan int, n)
+		opts := Options{SetupTimeout: 10 * time.Second, RoundTimeout: 10 * time.Second, WrapConn: wrap}
+		for i := 0; i < n; i++ {
+			p, err := async.NewPipeline(tr, n, 0, async.PartyID(i), inputs[i])
+			if err != nil {
+				t.Fatal(err)
 			}
-			return conn
-		},
-	})
-	if err != nil {
-		t.Fatalf("write-side failure ahead of the peer's done frame killed the run: %v", err)
+			run, stop := asyncSeat(sim.PartyID(i), n, driver.EventMachine(p), listeners[i], addrs, session, opts)
+			defer stop()
+			go func(i int) { _, errs[i] = run(); done <- i }(i)
+		}
+		for range errs {
+			<-done
+		}
+		return errs
 	}
-	if len(got.Outputs) != n {
-		t.Fatalf("%d of %d parties decided", len(got.Outputs), n)
+
+	// Party 0's announcement reaches party 1, but the write reports failure —
+	// what a reset racing the last bytes does — while party 1's announcement
+	// is still 50ms away; party 1 then finishes and hangs up.
+	errs := run(func(from, to sim.PartyID, conn net.Conn) net.Conn {
+		return &announceConn{conn, func(c net.Conn, b []byte, announce bool) (int, error) {
+			switch {
+			case !announce:
+			case from == 0:
+				c.Write(b)
+				return 0, net.ErrClosed
+			default:
+				time.Sleep(50 * time.Millisecond)
+			}
+			return c.Write(b)
+		}}
+	})
+	for p, err := range errs {
+		if err != nil {
+			t.Errorf("announced-and-hung-up: party %d failed: %v", p, err)
+		}
+	}
+
+	// Party 1 dies at its first protocol frame, undecided.
+	errs = run(func(from, to sim.PartyID, conn net.Conn) net.Conn {
+		if from != 1 {
+			return conn
+		}
+		return &announceConn{conn, func(c net.Conn, b []byte, announce bool) (int, error) {
+			c.Close()
+			return 0, net.ErrClosed
+		}}
+	})
+	if err := errs[0]; err == nil || !strings.Contains(err.Error(), "link 1→0") {
+		t.Errorf("a peer that died undecided: party 0 ended with %v, want its read-side failure on link 1→0", err)
 	}
 }

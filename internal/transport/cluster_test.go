@@ -33,7 +33,11 @@ func buildMachines(t *testing.T, tr *tree.Tree, n, tcorrupt int, inputs []tree.V
 // splitVote composes the per-phase SplitVote strategies the way cmd/treeaa
 // does. Strategies hold per-iteration state, so each driver gets fresh ones.
 func splitVote(tr *tree.Tree, n, tcorrupt int) sim.Adversary {
-	ids := adversary.FirstParties(n, tcorrupt)
+	return splitVoteAt(tr, n, tcorrupt, adversary.FirstParties(n, tcorrupt)...)
+}
+
+// splitVoteAt is splitVote with the corrupted set of one's choosing.
+func splitVoteAt(tr *tree.Tree, n, tcorrupt int, ids ...sim.PartyID) sim.Adversary {
 	var parts []sim.Adversary
 	for _, p := range core.PhaseTags(tr, tcorrupt) {
 		parts = append(parts, &adversary.SplitVote{
@@ -88,17 +92,24 @@ func TestClusterMatchesSimSplitVote(t *testing.T) {
 	}
 }
 
-// frameTap reports every frame written on one link: its envelope tag and the
-// round FrameInfo reads off it. The node loops write one frame per call.
+// frameTap reports every data frame written on one end of a link — round
+// frames and mirrors, in write order — with its envelope tag and the round
+// FrameInfo reads off it. A link writes batches, so each write is walked.
 type frameTap struct {
 	net.Conn
 	seen func(tag byte, round int)
 }
 
 func (c *frameTap) Write(b []byte) (int, error) {
-	if _, rest, err := wire.ConsumeUvarint(b); err == nil && rest[0] != frameHello {
-		round, _, _ := FrameInfo(b)
-		c.seen(rest[0], round)
+	for rest := b; len(rest) > 0; {
+		round, control, size := FrameInfo(rest)
+		if size == 0 {
+			break
+		}
+		if _, body, _ := wire.ConsumeUvarint(rest); !control || body[0] == FrameMuxSession {
+			c.seen(body[0], round)
+		}
+		rest = rest[size:]
 	}
 	return c.Conn.Write(b)
 }

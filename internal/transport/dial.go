@@ -17,8 +17,8 @@ const (
 )
 
 // DialRetry dials addr with jittered, capped exponential backoff until the
-// deadline. It is the default Options.Dialer, and the session mux uses it
-// for its daemon-pair links.
+// deadline. It is the default dialer of both fabrics' links: Options.Dialer
+// here, session.Options.Dialer for the serving daemons.
 func DialRetry(addr string, deadline time.Time) (net.Conn, error) {
 	return retryDial(addr, deadline, retryConfig{
 		dial: func(addr string, timeout time.Duration) (net.Conn, error) {

@@ -1,11 +1,8 @@
 package transport
 
 import (
-	"bufio"
-	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"treeaa/internal/driver"
@@ -20,13 +17,13 @@ type Options struct {
 	// Default 10s.
 	SetupTimeout time.Duration
 	// RoundTimeout bounds how long a party waits for the traffic of one
-	// round (reads, writes and barrier waits). A peer that stalls longer is
-	// treated as failed. Default 60s — generous, because the lock-step
-	// barrier makes the slowest party set the pace for everyone. It is also
-	// the budget for repairing a dropped connection when Reconnect is set.
+	// round (barrier waits, and every blocking write). A peer that stalls
+	// longer is treated as failed. Default 60s — generous, because the
+	// lock-step barrier makes the slowest party set the pace for everyone.
+	// With Reconnect it is also what a peer that never comes back costs.
 	RoundTimeout time.Duration
 	// Stats, when non-nil, receives transport-level frame and byte counts
-	// (round frames plus hello/mirror overhead).
+	// (round frames plus mirror and count overhead).
 	Stats *metrics.WireStats
 
 	// Dialer establishes outgoing connections; nil means DialRetry
@@ -34,21 +31,20 @@ type Options struct {
 	// deadline). The chaos layer substitutes a dialer to delay or refuse
 	// connection establishment.
 	Dialer func(addr string, deadline time.Time) (net.Conn, error)
-	// WrapConn, when non-nil, wraps every *outgoing* connection of an
-	// ordered link (from → to) right after it is dialed — initial dials and
-	// reconnects alike. Every link has exactly one dialing side, so a write
-	// wrapper here observes all of the link's traffic; internal/chaos uses
-	// it to inject latency, stalls, partitions and drops at the net.Conn
-	// boundary.
+	// WrapConn, when non-nil, wraps every connection of the mesh on each of
+	// its two ends, right after it is dialed or its hello is accepted —
+	// initial links and reconnects alike — with that end as from: each end
+	// wraps its own writes, so a write wrapper on (from, to) observes all of
+	// from's traffic to to, whichever end dialed. internal/chaos uses it to
+	// inject latency, stalls, partitions and drops at the net.Conn boundary.
 	WrapConn func(from, to sim.PartyID, conn net.Conn) net.Conn
-	// Reconnect enables the recovery path: a sender whose connection dies
-	// redials with exponential backoff, identifies itself with a resume
-	// hello, learns from the peer's hello-ack how many frames were
-	// delivered, and replays the rest from its resend buffer. Read-side
-	// link failures become non-fatal (the dialing side repairs the link; a
-	// genuinely dead peer surfaces as a barrier timeout). The resend buffer
-	// is kept for the whole run — a party retains just what it sent, and a
-	// crash-restarted peer rejoins by replaying that full history.
+	// Reconnect enables the recovery path: the lower id of a pair redials a
+	// failed link with backoff, and on every link generation both ends send
+	// how many data frames they have received from the other and resend
+	// everything past the other's count. Link failures become non-fatal (a
+	// genuinely dead peer surfaces as a barrier timeout). A party retains
+	// every data frame it sent for the whole run — a crash-restarted peer
+	// rejoins by receiving that full history.
 	Reconnect bool
 	// Chaos, when non-nil, receives recovery counters (reconnects, resent
 	// and suppressed frames) and per-round latency samples.
@@ -58,10 +54,10 @@ type Options struct {
 	// the party reaches that round it dies abruptly in its send loop — the
 	// round's frame out to the lower half of its peers, by ascending id, and
 	// to nobody else — and the cluster supervisor restarts it with a fresh
-	// machine from Restart. The restarted party replays its peers' resend
-	// buffers to rebuild every inbox, re-steps its deterministic machine from
-	// round 1, and suppresses the regenerated frames its peers already hold.
-	// Implies Reconnect.
+	// machine from Restart. The restarted party receives its peers' history
+	// to rebuild every inbox, re-steps its deterministic machine from round
+	// 1, and suppresses the regenerated frames its peers' counts say they
+	// hold. Implies Reconnect.
 	CrashPlan map[sim.PartyID]int
 	// Restart builds a fresh machine for a crash-restarted party; required
 	// when CrashPlan is non-empty.
@@ -87,99 +83,63 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// wrap applies the WrapConn hook, when configured.
-func (o Options) wrap(from, to sim.PartyID, conn net.Conn) net.Conn {
-	if o.WrapConn == nil {
-		return conn
-	}
-	return o.WrapConn(from, to, conn)
-}
-
-// event is one item of an endpoint's merged receive stream: a frame, still
-// encoded (the node loop hands a round to its driver as it came),
-// attributed to its authenticated sender, or a connection-level failure.
+// event is one item of an endpoint's merged receive stream: a data frame,
+// still encoded (the node loop hands a round to its driver as it came),
+// attributed to its authenticated sender, or a link failure its reader met
+// behind every frame the peer sent.
 type event struct {
 	owner sim.PartyID // local party the frame was addressed to
 	from  sim.PartyID // authenticated sender (fixed by the hello)
 	body  []byte      // the frame: type tag, then its fields
 	err   error
-	// writeSide marks err as a failure of the owner→from connection. The
-	// from→owner connection is a different socket, so — unlike a read-side
-	// failure, which trails every frame the peer sent — it is unordered
-	// against the frames still arriving from that peer.
-	writeSide bool
 }
 
-// bufFrame is one unacknowledged frame in a sender's resend buffer.
-type bufFrame struct {
-	seq uint64
-	b   []byte
-}
+// pipe is the mesh's resume state of one (local party, peer) pair, on top of
+// whatever connection the link currently has. Data frames — rounds and
+// mirrors — are numbered in staging order on each side. On every link
+// generation both ends send a count frame first, carrying how many data
+// frames they have received; each holds its data until the other's count
+// arrives, then stages everything past it. That one rule resends what a
+// dropped connection lost and suppresses what a crash-restarted party
+// regenerates but its peer already holds.
+type pipe struct {
+	// rmu orders the receive side: the count a generation announces against
+	// the frames read on the generations before it.
+	rmu  sync.Mutex
+	rcvd uint64 // data frames handed to the node
 
-// sender owns the write side of one ordered pair (from → to): a queue and a
-// goroutine, so the round loop never blocks on TCP backpressure (the peer's
-// reader always drains, which is what makes the full mesh deadlock-free).
-// With Reconnect enabled it also owns the link's recovery state: a resend
-// buffer of unacknowledged frames, the count of frames the peer is known to
-// hold, and a sentinel goroutine that detects connection death promptly.
-type sender struct {
-	e        *endpoint
-	from, to sim.PartyID
-	ch       chan []byte   // encoded frames, in emission order
-	redial   chan net.Conn // sentinel → writeLoop, carrying the dead conn
-	done     chan struct{}
-
-	conn net.Conn // owned by start until writeLoop spawns, then by writeLoop
-	seq  uint64   // frames pushed through deliver, in emission order
-
-	mu    sync.Mutex
-	acked uint64     // frames the peer is known to have received
-	buf   []bufFrame // unacknowledged frames, ascending seq
-}
-
-// linkState is the receive-side bookkeeping of one inbound link
-// (remote from → local owner), surviving connection replacement: how many
-// frames have been received and processed (the resume hello-ack value), and
-// a generation counter that fences a superseded connection's read loop. The
-// mutex spans count-and-emit so that after a generation bump no stale frame
-// can slip into the event stream behind the replacement's replay.
-type linkState struct {
-	mu   sync.Mutex
-	gen  int
-	rcvd uint64
+	smu sync.Mutex
+	// gen is the link generation the pipe is attached to, written under both
+	// locks: frames read on older generations are fenced off, data is staged
+	// on this one only.
+	gen   int
+	open  bool   // the peer's count for gen has arrived: data flows
+	acked uint64 // that count: the peer holds data frames 1..acked
+	bye   bool   // a second count came on gen: the peer finished, holding acked
+	sent  uint64 // data frames staged, the last one's number
+	wrote uint64 // highest data frame the peer has held or been handed
+	base  uint64 // number of the frame before kept[0]
+	// kept holds copies of data frames from base+1 on: all of them under
+	// Reconnect, otherwise just those waiting for the first count.
+	kept [][]byte
 }
 
 // endpoint hosts one or more local parties on a shared event stream: one
 // party for an honest node, all corrupted parties for the adversary host.
-// It owns the full-mesh edges touching its parties — an outgoing connection
-// per (local, remote) ordered pair and an expected incoming connection per
-// (remote, local) pair. Pairs between two local parties stay in-process.
+// Each local party has its own link set (a Mux) to the remote parties;
+// pairs of local parties stay in-process.
 type endpoint struct {
 	n       int
 	ids     []sim.PartyID
-	local   map[sim.PartyID]bool
 	addrs   []string
 	session uint64
 	opts    Options
-	// resumed marks a crash-restarted endpoint: its initial dials carry the
-	// resume flag, so peers ack their receive counts and the endpoint can
-	// suppress regenerated frames they already hold.
-	resumed bool
+	links   map[sim.PartyID]*Mux    // per local party
+	pipes   map[sim.PartyID][]*pipe // [local owner][remote peer]
 
 	events    chan event
 	quit      chan struct{}
 	closeOnce sync.Once
-	drainOnce sync.Once
-	draining  atomic.Bool
-
-	senders map[sim.PartyID]map[sim.PartyID]*sender // [local from][remote to]
-
-	mu          sync.Mutex
-	conns       []net.Conn
-	inbound     map[sim.PartyID]map[sim.PartyID]*linkState // [local owner][remote from]
-	inboundLeft int
-	inboundDone chan struct{}
-	failed      error
 }
 
 // newEndpoint prepares (but does not start) an endpoint for the given local
@@ -188,415 +148,284 @@ type endpoint struct {
 // endpoint incarnations of a crash-restarted party.
 func newEndpoint(ids []sim.PartyID, n int, addrs []string, session uint64, opts Options) *endpoint {
 	e := &endpoint{
-		n:           n,
-		ids:         ids,
-		local:       make(map[sim.PartyID]bool, len(ids)),
-		addrs:       addrs,
-		session:     session,
-		opts:        opts.withDefaults(),
-		events:      make(chan event, 64*n+256),
-		quit:        make(chan struct{}),
-		senders:     make(map[sim.PartyID]map[sim.PartyID]*sender, len(ids)),
-		inbound:     make(map[sim.PartyID]map[sim.PartyID]*linkState, len(ids)),
-		inboundDone: make(chan struct{}),
+		n:       n,
+		ids:     ids,
+		addrs:   addrs,
+		session: session,
+		opts:    opts.withDefaults(),
+		links:   make(map[sim.PartyID]*Mux, len(ids)),
+		pipes:   make(map[sim.PartyID][]*pipe, len(ids)),
+		events:  make(chan event, 64*n+256),
+		quit:    make(chan struct{}),
 	}
 	for _, id := range ids {
-		e.local[id] = true
-	}
-	remotes := n - len(ids)
-	e.inboundLeft = remotes * len(ids)
-	if e.inboundLeft == 0 {
-		close(e.inboundDone)
-	}
-	// The sender and inbound maps are fully shaped here and never mutated
-	// again (only the structs they point to are), so accept-side read loops
-	// may consult them without locking while start() is still dialing.
-	for _, id := range ids {
-		e.senders[id] = make(map[sim.PartyID]*sender, remotes)
-		e.inbound[id] = make(map[sim.PartyID]*linkState, remotes)
-		for to := sim.PartyID(0); int(to) < n; to++ {
-			if e.local[to] {
-				continue
-			}
-			e.senders[id][to] = &sender{e: e, from: id, to: to,
-				ch: make(chan []byte, 256), redial: make(chan net.Conn, 1), done: make(chan struct{})}
+		m := NewMux(MuxConfig{
+			ID: id, Addrs: addrs, Hash: session,
+			SetupTimeout: e.opts.SetupTimeout, RoundTimeout: e.opts.RoundTimeout,
+			Dialer: e.opts.Dialer, WrapConn: e.opts.WrapConn, Redial: e.opts.Reconnect,
+			Handler: func(from sim.PartyID, gen int, body []byte) error { return e.receive(id, from, gen, body) },
+			OnDown:  func(peer sim.PartyID, err error) { e.down(id, peer, err) },
+			OnUp:    func(peer sim.PartyID, gen int) { e.up(id, peer, gen) },
+		})
+		pipes := make([]*pipe, n)
+		for p := range pipes {
+			pipes[p] = &pipe{}
 		}
+		for _, c := range ids {
+			m.peers[c], pipes[c] = nil, nil // co-hosted: no link
+		}
+		e.links[id], e.pipes[id] = m, pipes
 	}
 	return e
 }
 
-// start builds the endpoint's side of the mesh: dials (with retry) for
-// every outgoing ordered pair, then a barrier until every expected inbound
-// connection has identified itself.
-// start must run concurrently across endpoints — each one's dials are
-// another's inbound handshakes.
+// start brings every local party's links up: dials to higher ids, then a
+// barrier until every link is up. It must run concurrently across
+// endpoints — each one's dials are another's inbound handshakes.
 func (e *endpoint) start() error {
-	deadline := time.Now().Add(e.opts.SetupTimeout)
-	for _, from := range e.ids {
-		for to := sim.PartyID(0); int(to) < e.n; to++ {
-			if e.local[to] {
-				continue
-			}
-			conn, err := e.opts.Dialer(e.addrs[to], deadline)
-			if err != nil {
-				return fmt.Errorf("transport: party %d dialing party %d at %s: %w", from, to, e.addrs[to], err)
-			}
-			conn = e.opts.wrap(from, to, conn)
-			e.track(conn)
-			hb := encodeHello(hello{session: e.session, from: from, to: to, n: e.n, resume: e.resumed})
-			conn.SetWriteDeadline(deadline)
-			if _, err := conn.Write(hb); err != nil {
-				return fmt.Errorf("transport: party %d handshake to party %d: %w", from, to, err)
-			}
-			e.opts.Stats.AddSent(len(hb))
-			conn.SetWriteDeadline(time.Time{})
-			s := e.senders[from][to]
-			s.conn = conn
-			if e.resumed {
-				// The peer survived our crash: its ack tells us how many of
-				// the frames we are about to regenerate it already holds.
-				acked, err := readHelloAck(conn, deadline, e.opts.Stats)
-				if err != nil {
-					return fmt.Errorf("transport: party %d resuming to party %d: %w", from, to, err)
-				}
-				s.mu.Lock()
-				s.acked = acked
-				s.mu.Unlock()
-			}
-			if e.opts.Reconnect {
-				go s.sentinel(conn)
-			}
-			go e.writeLoop(s)
+	for _, id := range e.ids {
+		if err := e.links[id].Start(); err != nil {
+			return err
 		}
-	}
-	select {
-	case <-e.inboundDone:
-	case <-e.quit:
-		return fmt.Errorf("transport: endpoint closed during setup")
-	case <-time.After(time.Until(deadline)):
-		e.mu.Lock()
-		left, failed := e.inboundLeft, e.failed
-		e.mu.Unlock()
-		if failed != nil {
-			return failed
-		}
-		return fmt.Errorf("transport: setup timed out with %d peer connections outstanding", left)
 	}
 	return nil
-}
-
-func (e *endpoint) track(conn net.Conn) {
-	e.mu.Lock()
-	e.conns = append(e.conns, conn)
-	e.mu.Unlock()
-}
-
-func (e *endpoint) closed() bool {
-	select {
-	case <-e.quit:
-		return true
-	default:
-		return false
-	}
 }
 
 // accept is the AcceptHost handler seating this endpoint at owner's listen
 // address. A closed endpoint (finished, or crashed and not yet replaced)
 // refuses; the dialer's backoff retries.
 func (e *endpoint) accept(owner sim.PartyID) func(net.Conn) {
-	return func(conn net.Conn) {
-		if e.closed() {
-			conn.Close()
-			return
-		}
-		e.track(conn)
-		go e.handshakeIn(owner, conn)
-	}
+	return e.links[owner].Accept
 }
 
-// handshakeIn validates a connection's hello and, on success, registers it
-// as the unique authenticated link from its claimed sender and starts
-// reading frames. A resume hello may replace an existing link's dead
-// connection: the old read loop is fenced off by a generation bump, the
-// receive count is acknowledged back to the dialer, and reading continues
-// on the new connection. Anything invalid is dropped; the dialer notices
-// via the setup barrier (or its reconnect retry loop) on its own side.
-func (e *endpoint) handshakeIn(owner sim.PartyID, conn net.Conn) {
-	conn.SetReadDeadline(time.Now().Add(e.opts.SetupTimeout))
-	br := bufio.NewReaderSize(conn, 64<<10)
-	body, err := ReadFrame(br, MaxFrameSize)
-	if err != nil {
-		conn.Close()
-		return
+// up attaches the pipe to a new link generation, unless one of its frames
+// has already done so.
+func (e *endpoint) up(owner, peer sim.PartyID, gen int) {
+	p := e.pipes[owner][peer]
+	p.rmu.Lock()
+	if gen > p.gen {
+		e.attach(owner, peer, p, gen)
+	}
+	p.rmu.Unlock()
+}
+
+// attach moves the pipe to link generation gen: data waits for the peer's
+// count, and the count of what has been received so far — fixed here,
+// under rmu, so no frame of an older generation can still slip in behind
+// it — is the generation's first frame. Caller holds p.rmu.
+func (e *endpoint) attach(owner, peer sim.PartyID, p *pipe, gen int) {
+	p.smu.Lock()
+	defer p.smu.Unlock()
+	p.gen, p.open = gen, false
+	e.stage(owner, peer, gen, encodeCount(p.rcvd), true)
+}
+
+// receive is the link handler of local party owner.
+func (e *endpoint) receive(owner, from sim.PartyID, gen int, body []byte) error {
+	p := e.pipes[owner][from]
+	p.rmu.Lock()
+	defer p.rmu.Unlock()
+	if gen < p.gen {
+		return nil // read off a replaced connection: uncounted, so the peer resends it
+	}
+	if gen > p.gen {
+		e.attach(owner, from, p, gen)
 	}
 	e.opts.Stats.AddRecv(len(body))
-	h, err := parseHello(body)
-	if err != nil {
-		e.fail(fmt.Errorf("transport: party %d rejected inbound connection: %w", owner, err))
-		conn.Close()
-		return
-	}
-	switch {
-	case h.session != e.session:
-		err = fmt.Errorf("session %#x, want %#x", h.session, e.session)
-	case h.to != owner:
-		err = fmt.Errorf("addressed to party %d", h.to)
-	case h.n != e.n:
-		err = fmt.Errorf("peer configured for n = %d, want %d", h.n, e.n)
-	case int(h.from) >= e.n:
-		err = fmt.Errorf("sender %d out of range", h.from)
-	case e.local[h.from]:
-		err = fmt.Errorf("sender %d is local", h.from)
-	case h.resume && !e.opts.Reconnect:
-		err = fmt.Errorf("resume hello without reconnect support")
-	}
-	if err != nil {
-		e.fail(fmt.Errorf("transport: party %d rejected hello: %w", owner, err))
-		conn.Close()
-		return
-	}
-	e.mu.Lock()
-	ls := e.inbound[owner][h.from]
-	fresh := ls == nil
-	if fresh {
-		ls = &linkState{}
-		e.inbound[owner][h.from] = ls
-		e.inboundLeft--
-		if e.inboundLeft == 0 {
-			close(e.inboundDone)
-		}
-	}
-	e.mu.Unlock()
-	if !fresh && !h.resume {
-		e.fail(fmt.Errorf("transport: duplicate connection from party %d to party %d", h.from, owner))
-		conn.Close()
-		return
-	}
-	// Fence off any read loop still attached to the replaced connection,
-	// then tell the dialer exactly how many frames made it through before
-	// the link died, so its replay starts at the first missing one.
-	ls.mu.Lock()
-	ls.gen++
-	gen, rcvd := ls.gen, ls.rcvd
-	ls.mu.Unlock()
-	if h.resume {
-		ack := encodeHelloAck(rcvd)
-		conn.SetWriteDeadline(time.Now().Add(e.opts.SetupTimeout))
-		if _, err := conn.Write(ack); err != nil {
-			conn.Close()
-			return
-		}
-		e.opts.Stats.AddSent(len(ack))
-		conn.SetWriteDeadline(time.Time{})
-	}
-	conn.SetReadDeadline(time.Time{})
-	e.readLoop(owner, h.from, conn, br, ls, gen)
-}
-
-// fail records the first setup-phase failure so the barrier can report a
-// cause instead of a bare timeout.
-func (e *endpoint) fail(err error) {
-	e.mu.Lock()
-	if e.failed == nil {
-		e.failed = err
-	}
-	e.mu.Unlock()
-}
-
-// readLoop turns one authenticated connection into events. It exits on any
-// read error, or when a resume handshake supersedes its
-// connection. Counting a frame and emitting it happen under the link lock,
-// so the resume ack can never under-report and a stale loop can never emit
-// behind a replacement's replay.
-func (e *endpoint) readLoop(owner, from sim.PartyID, conn net.Conn, br *bufio.Reader, ls *linkState, gen int) {
-	for {
-		conn.SetReadDeadline(time.Now().Add(e.opts.RoundTimeout))
-		body, err := ReadFrame(br, MaxFrameSize)
+	if body[0] == frameCount {
+		acked, err := parseCount(body)
 		if err != nil {
-			e.linkDown(owner, from, fmt.Errorf("transport: link %d→%d: %w", from, owner, err))
-			return
+			return err
 		}
-		e.opts.Stats.AddRecv(len(body))
-		ls.mu.Lock()
-		if ls.gen != gen {
-			ls.mu.Unlock()
-			return // superseded by a resume handshake; the new conn replays
-		}
-		ls.rcvd++
-		e.emit(event{owner: owner, from: from, body: body})
-		ls.mu.Unlock()
+		e.resume(owner, from, p, acked)
+		return nil
 	}
-}
-
-// linkDown handles a read-side connection failure. Without Reconnect it is
-// surfaced as an event (checkStalled turns it into a prompt error when the
-// peer still owes a barrier). With Reconnect it is swallowed: repairing the
-// link is the dialing side's job, and a peer that never comes back is
-// caught by the round timeout.
-func (e *endpoint) linkDown(owner, from sim.PartyID, err error) {
-	if e.opts.Reconnect {
-		return
-	}
-	e.emit(event{owner: owner, from: from, err: err})
-}
-
-func (e *endpoint) emit(ev event) {
+	// Counted and handed on under rmu: the hand-off may wait for the node
+	// loop, but a replacement's count must not be fixed between the two.
+	p.rcvd++
 	select {
-	case e.events <- ev:
+	case e.events <- event{owner: owner, from: from, body: body}:
 	case <-e.quit:
 	}
-}
-
-// writeLoop drains a sender queue onto its connection. Frames are written
-// unbuffered — they are small and loopback-cheap, and skipping bufio means
-// a closed queue is fully flushed the moment the goroutine exits. On a
-// write error it reconnects (when enabled) or reports the link dead and
-// keeps draining so the round loop never blocks.
-func (e *endpoint) writeLoop(s *sender) {
-	defer close(s.done)
-	failed := false
-	for {
-		select {
-		case b, ok := <-s.ch:
-			if !ok {
-				return
-			}
-			if failed {
-				continue
-			}
-			if !s.deliver(b) {
-				failed = true
-			}
-		case c := <-s.redial:
-			// A sentinel noticed the connection die before the next write
-			// would have. Reconnect eagerly so the peer's missing frames
-			// (and ours) are replayed without waiting for traffic — unless
-			// the endpoint is draining, in which case the peer is
-			// terminating and the link is done.
-			if failed || c != s.conn || e.draining.Load() || e.closed() {
-				continue
-			}
-			if !s.reconnect() {
-				s.linkFailed(fmt.Errorf("transport: link %d→%d: reconnect failed", s.from, s.to))
-				failed = true
-			}
-		case <-e.quit:
-			return
-		}
-	}
-}
-
-// deliver pushes one frame through the link: assign its sequence number,
-// suppress it if the peer already holds it (crash-restart replay), buffer
-// it for resend, write it, and on failure run the reconnect path.
-func (s *sender) deliver(b []byte) bool {
-	e := s.e
-	s.seq++
-	if e.opts.Reconnect {
-		if s.seq <= s.ackedNow() {
-			// The peer received this frame from our pre-crash incarnation;
-			// the regenerated copy must not be delivered twice.
-			if e.opts.Chaos != nil {
-				e.opts.Chaos.FramesSkip.Add(1)
-			}
-			return true
-		}
-		s.mu.Lock()
-		s.buf = append(s.buf, bufFrame{seq: s.seq, b: b})
-		s.mu.Unlock()
-	}
-	if err := s.write(b); err == nil {
-		return true
-	} else if !e.opts.Reconnect || e.draining.Load() {
-		s.linkFailed(fmt.Errorf("transport: link %d→%d: %w", s.from, s.to, err))
-		return false
-	}
-	if !s.reconnect() {
-		s.linkFailed(fmt.Errorf("transport: link %d→%d: reconnect failed", s.from, s.to))
-		return false
-	}
-	return true
-}
-
-func (s *sender) ackedNow() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.acked
-}
-
-// linkFailed reports an unrecoverable write-side failure; the round loop
-// sees it via checkStalled or, at worst, the barrier timeout.
-func (s *sender) linkFailed(err error) {
-	s.e.emit(event{owner: s.from, from: s.to, err: err, writeSide: true})
-}
-
-func (s *sender) write(b []byte) error {
-	s.conn.SetWriteDeadline(time.Now().Add(s.e.opts.RoundTimeout))
-	if _, err := s.conn.Write(b); err != nil {
-		return err
-	}
-	s.e.opts.Stats.AddSent(len(b))
 	return nil
 }
 
-// send enqueues an encoded frame on the (from → to) link. Only the round
-// loop calls it, so enqueues never race with shutdown's channel close.
-func (e *endpoint) send(from, to sim.PartyID, b []byte) {
-	select {
-	case e.senders[from][to].ch <- b:
-	case <-e.quit:
+// resume opens the pipe's generation on the peer's count: kept frames the
+// peer holds are skipped, the rest are staged. A second count on an open
+// generation is the peer's goodbye (finish). Caller holds p.rmu.
+func (e *endpoint) resume(owner, peer sim.PartyID, p *pipe, acked uint64) {
+	p.smu.Lock()
+	defer p.smu.Unlock()
+	if p.open {
+		p.acked, p.bye = acked, true
+		return
 	}
+	p.acked, p.open = acked, true
+	c := e.opts.Chaos
+	if c != nil && p.gen > 1 {
+		c.Reconnects.Add(1)
+	}
+	if held := min(acked, p.sent); held > p.wrote {
+		// Frames of ours the peer holds that this incarnation never wrote:
+		// regenerated after a crash-restart.
+		if c != nil {
+			c.FramesSkip.Add(int64(held - p.wrote))
+		}
+		p.wrote = held
+	}
+	for i, f := range p.kept {
+		seq := p.base + uint64(i) + 1
+		if seq <= acked {
+			continue
+		}
+		if !e.stage(owner, peer, p.gen, f, false) {
+			break // replaced again: the next count resends the rest
+		}
+		if seq <= p.wrote && c != nil {
+			c.FramesResent.Add(1)
+			c.BytesResent.Add(int64(len(f)))
+		}
+		p.wrote = max(p.wrote, seq)
+	}
+	if !e.opts.Reconnect {
+		p.base, p.kept = p.sent, nil
+	}
+}
+
+// send stages one data frame for peer: numbered, kept for resends, held
+// until the peer's count has arrived, suppressed when that count says the
+// peer has it already. frame must not change afterwards.
+func (e *endpoint) send(owner, peer sim.PartyID, frame []byte) {
+	p := e.pipes[owner][peer]
+	p.smu.Lock()
+	defer p.smu.Unlock()
+	p.sent++
+	if e.opts.Reconnect || !p.open {
+		p.kept = append(p.kept, frame)
+	}
+	switch {
+	case !p.open:
+	case p.sent <= p.acked:
+		if c := e.opts.Chaos; c != nil {
+			c.FramesSkip.Add(1)
+		}
+		p.wrote = max(p.wrote, p.sent)
+	case e.stage(owner, peer, p.gen, frame, false):
+		p.wrote = p.sent
+	}
+}
+
+// stage puts one frame for peer on link generation gen of owner's links, and
+// counts it: a frame meant for one generation never leaves on its
+// replacement's connection.
+func (e *endpoint) stage(owner, peer sim.PartyID, gen int, frame []byte, wake bool) bool {
+	if !e.links[owner].peers[peer].put(frame, gen, wake) {
+		return false
+	}
+	e.opts.Stats.AddSent(len(frame))
+	return true
 }
 
 // ship is a driver.Framer's send for local party from: the frame goes to
 // remote party to, or with sim.Broadcast to every remote party, keep (when
-// non-nil) permitting. The framer reuses its buffer and a sender keeps what
-// it is handed for resends, so the frame is copied here, once for all its
-// recipients.
+// non-nil) permitting. The framer reuses its buffer and a pipe keeps what it
+// is handed, so the frame is copied here, once for all its recipients.
 func (e *endpoint) ship(from, to sim.PartyID, frame []byte, keep func(sim.PartyID) bool) {
 	frame = append([]byte(nil), frame...)
 	first, last := driver.Span(e.n, to)
 	for p := first; p <= last; p++ {
-		if !e.local[p] && (keep == nil || keep(p)) {
+		if e.pipes[from][p] != nil && (keep == nil || keep(p)) {
 			e.send(from, p, frame)
 		}
 	}
 }
 
-// shutdown ends the endpoint. When graceful, queued frames are flushed
-// first (each writer drains its closed queue before its connection dies),
-// which is how a terminating party guarantees its final round frame reaches
-// every peer before the FIN does. Otherwise it dies the way a process would:
+// flush writes what the node loop staged: its dry point, before it waits.
+func (e *endpoint) flush() {
+	for _, m := range e.links {
+		m.FlushDry()
+	}
+}
+
+// down reports a failed link to the node loop, after every frame its reader
+// took in. With Reconnect it is swallowed: the lower id redials, the count
+// exchange repairs the stream, and a peer that never comes back is caught
+// by the round timeout.
+func (e *endpoint) down(owner, peer sim.PartyID, err error) {
+	if e.opts.Reconnect {
+		return
+	}
+	select {
+	case e.events <- event{owner: owner, from: peer, err: err}:
+	case <-e.quit:
+	}
+}
+
+// finish ends the endpoint at the end of its run, gracefully. Under
+// Reconnect it first waits, at most RoundTimeout, until every pipe is
+// settled — and then says goodbye with a second count on every link, so a
+// peer that sees the link close next knows this side finished rather than
+// dropped.
+func (e *endpoint) finish() {
+	if e.opts.Reconnect {
+		for deadline := time.Now().Add(e.opts.RoundTimeout); !e.settled() && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		for owner, pipes := range e.pipes {
+			for peer, p := range pipes {
+				if p == nil {
+					continue
+				}
+				p.rmu.Lock()
+				e.stage(owner, sim.PartyID(peer), p.gen, encodeCount(p.rcvd), false)
+				p.rmu.Unlock()
+			}
+		}
+	}
+	e.shutdown(true)
+}
+
+// settled reports whether no peer can lack a frame for want of a link:
+// every pipe's link is up and resumed with all of the pipe's frames staged
+// on it — the final drain and the half-close deliver them — or its peer
+// said goodbye. A link that failed near the end is restored by its lower id
+// and resumed first.
+func (e *endpoint) settled() bool {
+	for owner, pipes := range e.pipes {
+		for peer, p := range pipes {
+			if p == nil {
+				continue
+			}
+			gen, up := linkState(e.links[owner].peers[peer])
+			p.smu.Lock()
+			ok := p.bye || (p.open && up && gen == p.gen && p.wrote == p.sent)
+			p.smu.Unlock()
+			if !ok {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// shutdown ends the endpoint. When graceful, staged frames are written
+// first (each link's flusher drains before its connection dies), which is
+// how a terminating party guarantees its final round frame reaches every
+// peer before the FIN does. Otherwise it dies the way a process would:
 // connections cut mid-stream, nothing flushed, no goodbye. The listen
 // address is the party's AcceptHost's and outlives the endpoint either way.
 func (e *endpoint) shutdown(graceful bool) {
-	if graceful {
-		e.drainOnce.Do(func() {
-			e.draining.Store(true)
-			for _, peers := range e.senders {
-				for _, s := range peers {
-					close(s.ch)
-				}
-			}
-			flushed := time.After(e.opts.RoundTimeout)
-			for _, peers := range e.senders {
-				for _, s := range peers {
-					select {
-					case <-s.done:
-					case <-flushed:
-					}
-				}
-			}
-		})
-	}
 	e.closeOnce.Do(func() {
-		close(e.quit)
-		e.mu.Lock()
-		conns := e.conns
-		e.conns = nil
-		e.mu.Unlock()
-		for _, c := range conns {
-			c.Close()
+		if graceful {
+			e.flush()
+		}
+		close(e.quit) // first: a handler waiting on the event stream lets its reader go
+		for _, m := range e.links {
+			if graceful {
+				m.Close()
+			} else {
+				m.Kill()
+			}
 		}
 	})
 }

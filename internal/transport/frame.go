@@ -16,76 +16,42 @@ import (
 //
 //	uvarint(length) | type(1) | fields...
 //
-// and the first frame of every connection must be a hello.
+// and the first frame of every connection is the mux hello (mux.go), which
+// authenticates the link: the receiver attributes every later frame on it
+// to the party that dialed, and the dialer every frame to the party it
+// dialed. After it, a mesh link carries
 //
-//	hello:  magic(4) | transport version(1) | uvarint(session) |
-//	        u32(from) | u32(to) | u32(n) | flags(1)   (bit 0: resume)
-//	ack:    uvarint(frames received on this link)
-//	mirror: uvarint(round) | u32(real recipient) | wire body
 //	round:  wire.SessionRound body (FrameMuxSession envelope)
+//	mirror: uvarint(round) | u32(real recipient) | wire body
+//	count:  uvarint(data frames received from the peer)
 //
-// The hello emulates the model's authenticated links: a connection speaks
-// for exactly one ordered pair (from, to) within one session, and the
-// receiver attributes every subsequent frame on it to that sender. The
-// round frame is internal/driver's: everything the sender has for this peer
-// in one round, and its end-of-round mark. It is the synchronization barrier
-// of the lock-step round structure — a party that holds round r's frame from
-// every peer knows its round-r inbox is complete — and the same frame the
-// serving mux carries, so this package neither builds nor decodes it.
-//
-// A hello with the resume flag re-establishes a link whose connection died
-// (version 2 of the framing, added with the chaos subsystem): the receiver
-// answers with a hello-ack carrying how many post-hello frames it has
-// received and processed on that link, and the dialer replays everything
-// after that point from its resend buffer. The ack is the only frame that
-// ever travels "backwards" on a connection.
+// The round frame is internal/driver's: everything the sender has for this
+// peer in one round, and its end-of-round mark. It is the synchronization
+// barrier of the lock-step round structure — a party that holds round r's
+// frame from every peer knows its round-r inbox is complete — and the same
+// frame the serving mux carries, so this package neither builds nor decodes
+// it. Rounds and mirrors are the mesh's data frames; the count is its resume
+// (endpoint.go), sent by both ends as the first frame of every link
+// generation.
 const (
-	frameHello    byte = 0x01
-	frameMirror   byte = 0x03
-	frameHelloAck byte = 0x05
+	frameMirror byte = 0x03
+	frameCount  byte = 0x05
 
 	// FrameMuxSession is the envelope tag of a wire session body: a
 	// wire.SessionRound on every mesh link, this package's and the serving
-	// mux's (internal/session), and on the mux also SessionOpen, SessionAbort
-	// and SessionDecide. FrameMuxHello opens a duplex daemon-pair link of the
-	// mux, which shares this package's length-prefixed stream format so
-	// FrameInfo can classify its traffic too. Distinct tags are required
-	// because wire.Version (0x01) collides with frameHello as a first body
-	// byte.
+	// daemon's (internal/session), and on a serving link also SessionOpen,
+	// SessionAbort and SessionDecide. FrameMuxHello opens every peer link.
 	FrameMuxSession byte = 0x06
 	FrameMuxHello   byte = 0x07
-
-	// transportVersion is independent of wire.Version: framing and payload
-	// codec can evolve separately. Version 2 added the hello flags byte and
-	// the hello-ack frame for the reconnect path; version 3 carries a round
-	// as one round frame where version 2 spoke a msg frame per message, an
-	// eor and an async-done (tags 0x02, 0x04, 0x08, now refused), so the
-	// hello keeps a mixed fleet from pairing at all.
-	transportVersion byte = 3
 
 	// MaxFrameSize bounds a frame body on a peer link; a malformed length
 	// prefix can never force a larger allocation.
 	MaxFrameSize = 1 << 24
-
-	// helloResumeFlag marks a hello as re-establishing an existing link.
-	helloResumeFlag byte = 0x01
 )
 
-// helloMagic opens every connection; it doubles as a cheap port-collision
-// detector (a stray client speaking another protocol fails immediately).
-var helloMagic = [4]byte{'T', 'A', 'A', '1'}
-
-// hello is the parsed first frame of a connection.
-type hello struct {
-	session  uint64
-	from, to sim.PartyID
-	n        int
-	resume   bool
-}
-
-// AppendFrame is the stream framing, this package's and the session mux's:
-// it appends uvarint(len(body)) | body to dst. The body's first byte must be
-// a frame type tag (the mux uses FrameMuxSession / FrameMuxHello).
+// AppendFrame is the stream framing of every peer link: it appends
+// uvarint(len(body)) | body to dst. The body's first byte must be a frame
+// type tag.
 func AppendFrame(dst, body []byte) []byte {
 	dst = wire.AppendUvarint(dst, uint64(len(body)))
 	return append(dst, body...)
@@ -114,7 +80,7 @@ func readFrame(br *bufio.Reader, max int, alloc func(int) []byte) ([]byte, error
 }
 
 // ReadArena bump-allocates frame bodies out of large blocks, for readers
-// whose frames are retained briefly (the session mux hands bodies to shard
+// whose frames are retained briefly (a serving link hands bodies to shard
 // workers that decode and drop them within a round). One make per ~64KB of
 // frames replaces one per frame — per-frame body allocation was a top
 // serve-profile cost. A block is reclaimed by the GC once every frame
@@ -144,41 +110,18 @@ func ReadFrameArena(br *bufio.Reader, a *ReadArena) ([]byte, error) {
 	return readFrame(br, MaxFrameSize, a.take)
 }
 
-func encodeHello(h hello) []byte {
-	body := make([]byte, 0, 24)
-	body = append(body, frameHello)
-	body = append(body, helloMagic[:]...)
-	body = append(body, transportVersion)
-	body = wire.AppendUvarint(body, h.session)
-	body = wire.AppendU32(body, uint32(h.from))
-	body = wire.AppendU32(body, uint32(h.to))
-	body = wire.AppendU32(body, uint32(h.n))
-	var flags byte
-	if h.resume {
-		flags |= helloResumeFlag
-	}
-	body = append(body, flags)
-	return AppendFrame(nil, body)
+// encodeCount builds a count frame: how many data frames this end has
+// received from the peer, so the peer's resume starts at the first one
+// missing.
+func encodeCount(rcvd uint64) []byte {
+	return AppendFrame(nil, wire.AppendUvarint([]byte{frameCount}, rcvd))
 }
 
-// encodeHelloAck builds the receiver's answer to a resume hello: how many
-// post-hello frames it holds on the link, so the dialer's replay starts at
-// the first missing frame.
-func encodeHelloAck(rcvd uint64) []byte {
-	body := make([]byte, 0, 12)
-	body = append(body, frameHelloAck)
-	body = wire.AppendUvarint(body, rcvd)
-	return AppendFrame(nil, body)
-}
-
-// parseHelloAck decodes a hello-ack frame body.
-func parseHelloAck(body []byte) (uint64, error) {
-	if len(body) < 1 || body[0] != frameHelloAck {
-		return 0, fmt.Errorf("transport: expected hello-ack frame")
-	}
+// parseCount decodes a count frame body.
+func parseCount(body []byte) (uint64, error) {
 	rcvd, rest, err := wire.ConsumeUvarint(body[1:])
 	if err != nil || len(rest) != 0 {
-		return 0, fmt.Errorf("transport: malformed hello-ack")
+		return 0, fmt.Errorf("transport: malformed count frame")
 	}
 	return rcvd, nil
 }
@@ -192,44 +135,6 @@ func encodeMirror(round int, to sim.PartyID, body []byte) []byte {
 	env = wire.AppendU32(env, uint32(to))
 	env = append(env, body...)
 	return AppendFrame(nil, env)
-}
-
-// parseHello validates a connection's opening frame.
-func parseHello(body []byte) (hello, error) {
-	var h hello
-	if len(body) < 1 || body[0] != frameHello {
-		return h, fmt.Errorf("transport: connection did not open with hello")
-	}
-	b := body[1:]
-	if len(b) < 5 || [4]byte(b[:4]) != helloMagic {
-		return h, fmt.Errorf("transport: bad hello magic")
-	}
-	if b[4] != transportVersion {
-		return h, fmt.Errorf("transport: peer speaks framing version %d, want %d", b[4], transportVersion)
-	}
-	b = b[5:]
-	session, b, err := wire.ConsumeUvarint(b)
-	if err != nil {
-		return h, fmt.Errorf("transport: bad hello session: %w", err)
-	}
-	from, b, err := consumePartyID(b)
-	if err != nil {
-		return h, fmt.Errorf("transport: bad hello sender: %w", err)
-	}
-	to, b, err := consumePartyID(b)
-	if err != nil {
-		return h, fmt.Errorf("transport: bad hello target: %w", err)
-	}
-	nv, b, err := wire.ConsumeU32(b)
-	if err != nil || len(b) != 1 {
-		return h, fmt.Errorf("transport: malformed hello tail")
-	}
-	flags := b[0]
-	if flags&^helloResumeFlag != 0 {
-		return h, fmt.Errorf("transport: unknown hello flags %#x", flags)
-	}
-	return hello{session: session, from: from, to: to, n: int(nv),
-		resume: flags&helloResumeFlag != 0}, nil
 }
 
 // parseMirror decodes a mirror frame body, wire payload included, into the
@@ -250,38 +155,40 @@ func parseMirror(from sim.PartyID, body []byte) (sim.Message, error) {
 	return sim.Message{From: from, To: to, Round: round, Payload: payload}, nil
 }
 
-// FrameInfo peeks at an encoded frame buffer as the transport hands it to
-// conn.Write: the round it belongs to, and whether it is a control frame —
-// hello, hello-ack, session open-abort-decide, and an event-driven seat's
+// FrameInfo peeks at the head frame of an encoded buffer as the link hands
+// it to conn.Write: the round it belongs to, whether it is a control frame —
+// the hello, a count, session open-abort-decide, and an event-driven seat's
 // decision announcement (an empty done-marked round frame: chaos latency
 // windows, which key on rounds, let it pass, because a decided party's
 // announcement must not queue behind delayed protocol backlog that its
-// already-decided peers will discard anyway). It exists for the chaos
-// injector, which wraps connections at the net.Conn boundary and keys its
-// fault windows on rounds without re-implementing the framing.
-//
-// The buffer is classified by its *first* frame: the round engines write
-// one frame per call, and the session mux writes batches whose frames all
-// left one flush (so a window keyed on the head is as precise as a batched
-// link can be — rounds of different sessions interleave freely in a batch
-// anyway). ok is false when b does not start with a well-formed frame.
-func FrameInfo(b []byte) (round int, control bool, ok bool) {
+// already-decided peers will discard anyway) — and its encoded size, length
+// prefix included, which is 0 when b does not start with a well-formed
+// frame. It exists for the chaos injector, which wraps connections at the
+// net.Conn boundary and keys its fault windows on rounds without
+// re-implementing the framing. A link writes batches, so a write is walked
+// frame by frame: b[size:] starts the next one.
+func FrameInfo(b []byte) (round int, control bool, size int) {
 	n, rest, err := wire.ConsumeUvarint(b)
 	if err != nil || uint64(len(rest)) < n || n == 0 {
-		return 0, false, false
+		return 0, false, 0
 	}
-	body := rest[:n]
-	switch body[0] {
-	case frameHello, frameHelloAck, FrameMuxHello:
-		return 0, true, true
+	size = len(b) - len(rest) + int(n)
+	ok := true
+	switch body := rest[:n]; body[0] {
+	case FrameMuxHello, frameCount:
+		control = true
 	case frameMirror:
-		r, _, err := consumeRound(body[1:])
-		return r, false, err == nil
+		round, _, err = consumeRound(body[1:])
+		ok = err == nil
 	case FrameMuxSession:
-		return muxSessionInfo(body[1:])
+		round, control, ok = muxSessionInfo(body[1:])
 	default:
-		return 0, false, false
+		ok = false
 	}
+	if !ok {
+		return 0, false, 0
+	}
+	return round, control, size
 }
 
 // muxSessionInfo classifies one wire session body: a SessionRound carries a

@@ -41,8 +41,8 @@ func TestFrameInfoClassifiesFrames(t *testing.T) {
 		control bool
 		ok      bool
 	}{
-		{"hello", encodeHello(hello{session: 7, from: 1, to: 2, n: 4}), 0, true, true},
-		{"helloAck", encodeHelloAck(12), 0, true, true},
+		{"hello", encodeMuxHello(1, 2, 4, 7), 0, true, true},
+		{"count", encodeCount(12), 0, true, true},
 		{"mirror", mirror, 6, false, true},
 		{"muxHello", AppendFrame(nil, []byte{FrameMuxHello, 'T', 'A', 'A', 'S'}), 0, true, true},
 		{"sessionRound", muxFrame(t, wire.SessionRound{SID: 1<<48 | 9, Round: 11, Payloads: []any{payload}}), 11, false, true},
@@ -64,8 +64,8 @@ func TestFrameInfoClassifiesFrames(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			round, control, ok := FrameInfo(tc.buf)
-			if round != tc.round || control != tc.control || ok != tc.ok {
+			round, control, size := FrameInfo(tc.buf)
+			if ok := size == len(tc.buf); round != tc.round || control != tc.control || ok != tc.ok || (!ok && size != 0) {
 				t.Fatalf("FrameInfo = (round %d, control %v, ok %v), want (round %d, control %v, ok %v)",
 					round, control, ok, tc.round, tc.control, tc.ok)
 			}
@@ -74,16 +74,30 @@ func TestFrameInfoClassifiesFrames(t *testing.T) {
 }
 
 // TestFrameInfoBatchUsesHead pins the batched-write rule: a buffer holding
-// several frames is classified by its first frame only.
+// several frames is classified by its head frame, whose size is where the
+// next frame starts — which is how the chaos injector walks a batch.
 func TestFrameInfoBatchUsesHead(t *testing.T) {
 	payload := gradecast.SendMsg{Tag: "treeaa/pf", Iter: 1, Val: 3}
-	batch := muxFrame(t, wire.SessionRound{SID: 1, Round: 3, Payloads: []any{payload}})
-	batch = append(batch, muxFrame(t, wire.SessionRound{SID: 1, Round: 8})...)
-	batch = append(batch, muxFrame(t, wire.SessionAbort{SID: 2, Reason: "y"})...)
-	round, control, ok := FrameInfo(batch)
-	if !ok || control || round != 3 {
-		t.Fatalf("FrameInfo(batch) = (round %d, control %v, ok %v), want head frame's (3, false, true)",
-			round, control, ok)
+	frames := [][]byte{
+		muxFrame(t, wire.SessionRound{SID: 1, Round: 3, Payloads: []any{payload}}),
+		muxFrame(t, wire.SessionRound{SID: 1, Round: 8}),
+		muxFrame(t, wire.SessionAbort{SID: 2, Reason: "y"}),
+	}
+	var batch []byte
+	for _, f := range frames {
+		batch = append(batch, f...)
+	}
+	want := []struct {
+		round   int
+		control bool
+	}{{3, false}, {8, false}, {0, true}}
+	for i, w := range want {
+		round, control, size := FrameInfo(batch)
+		if size != len(frames[i]) || control != w.control || round != w.round {
+			t.Fatalf("frame %d of the batch: FrameInfo = (round %d, control %v, size %d), want (%d, %v, %d)",
+				i, round, control, size, w.round, w.control, len(frames[i]))
+		}
+		batch = batch[size:]
 	}
 }
 
@@ -91,7 +105,7 @@ func TestFrameInfoBatchUsesHead(t *testing.T) {
 // panic, for truncated or alien buffers.
 func TestFrameInfoRejectsGarbage(t *testing.T) {
 	for _, buf := range [][]byte{nil, {0}, {5, 1, 2}, {1, 0xFF}, AppendFrame(nil, []byte{0x7F, 1, 2, 3})} {
-		if _, _, ok := FrameInfo(buf); ok {
+		if _, _, size := FrameInfo(buf); size != 0 {
 			t.Errorf("FrameInfo(%v) accepted garbage", buf)
 		}
 	}

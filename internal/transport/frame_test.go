@@ -20,78 +20,69 @@ func readOne(t *testing.T, stream []byte) []byte {
 	return body
 }
 
+// TestHelloRoundTrip: the one hello — the mux's — carries the pair, n and
+// the deployment hash (a serving cluster's, or a one-shot mesh's session id).
 func TestHelloRoundTrip(t *testing.T) {
-	want := hello{session: 0xDEADBEEF, from: 3, to: 5, n: 7}
-	got, err := parseHello(readOne(t, encodeHello(want)))
+	from, to, n, hash, err := parseMuxHello(readOne(t, encodeMuxHello(3, 5, 7, 0xDEADBEEF)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want {
-		t.Errorf("hello round trip: got %+v, want %+v", got, want)
+	if from != 3 || to != 5 || n != 7 || hash != 0xDEADBEEF {
+		t.Errorf("hello round trip: got (%d, %d, %d, %#x), want (3, 5, 7, 0xdeadbeef)", from, to, n, hash)
 	}
 }
 
-func TestHelloResumeRoundTrip(t *testing.T) {
-	want := hello{session: 0x1234, from: 2, to: 0, n: 4, resume: true}
-	got, err := parseHello(readOne(t, encodeHello(want)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("resume hello round trip: got %+v, want %+v", got, want)
-	}
-}
-
+// TestHelloRejections: a hello that is not exactly the mux's current one
+// never opens a link — among them the hello of a parent-version mesh peer,
+// which spoke its own (tag 0x01, magic TAA1, framing version 3, a resume
+// flag) and one simplex connection per ordered pair.
 func TestHelloRejections(t *testing.T) {
-	valid := readOne(t, encodeHello(hello{session: 1, from: 0, to: 1, n: 3}))
-	unknownFlags := append([]byte{}, valid...)
-	unknownFlags[len(unknownFlags)-1] = 0x80
+	valid := readOne(t, encodeMuxHello(0, 1, 3, 1))
+	version1 := append([]byte{}, valid...)
+	version1[5] = 1 // SessionMsg and SessionEOR
+	parentMesh := []byte{0x01, 'T', 'A', 'A', '1', 3, 0x01}
+	parentMesh = wire.AppendU32(wire.AppendU32(wire.AppendU32(parentMesh, 0), 1), 3)
+	parentMesh = append(parentMesh, 0x00)
 	cases := map[string][]byte{
-		"empty":         {},
-		"not hello":     {frameMirror, 1, 0},
-		"bad magic":     append([]byte{frameHello, 'X', 'X', 'X', 'X'}, valid[5:]...),
-		"bad version":   append([]byte{frameHello, 'T', 'A', 'A', '1', 99}, valid[6:]...),
-		"version 2":     append([]byte{frameHello, 'T', 'A', 'A', '1', 2}, valid[6:]...), // one frame per message, eor, async-done
-		"trailing":      append(append([]byte{}, valid...), 0),
-		"truncated":     valid[:len(valid)-2],
-		"no flags":      valid[:len(valid)-1],
-		"unknown flags": unknownFlags,
+		"empty":       {},
+		"not hello":   {frameMirror, 1, 0},
+		"bad magic":   append([]byte{FrameMuxHello, 'X', 'X', 'X', 'X'}, valid[5:]...),
+		"version 1":   version1,
+		"trailing":    append(append([]byte{}, valid...), 0),
+		"truncated":   valid[:len(valid)-2],
+		"parent mesh": parentMesh,
 	}
 	for name, b := range cases {
-		if _, err := parseHello(b); err == nil {
-			t.Errorf("%s: parseHello accepted %x", name, b)
+		if _, _, _, _, err := parseMuxHello(b); err == nil {
+			t.Errorf("%s: parseMuxHello accepted %x", name, b)
 		}
 	}
 }
 
-func TestHelloAckRoundTrip(t *testing.T) {
+// TestCountRoundTrip: the count a link generation opens with survives the
+// codec at every size, a malformed one is refused, and the node — which
+// sees data frames only — refuses it too.
+func TestCountRoundTrip(t *testing.T) {
 	for _, rcvd := range []uint64{0, 1, 127, 1 << 40} {
-		got, err := parseHelloAck(readOne(t, encodeHelloAck(rcvd)))
+		got, err := parseCount(readOne(t, encodeCount(rcvd)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != rcvd {
-			t.Errorf("hello-ack round trip: got %d, want %d", got, rcvd)
+			t.Errorf("count round trip: got %d, want %d", got, rcvd)
 		}
 	}
-}
-
-func TestHelloAckRejections(t *testing.T) {
-	valid := readOne(t, encodeHelloAck(42))
-	cases := map[string][]byte{
-		"empty":      {},
-		"wrong type": {frameMirror, 42},
-		"no count":   valid[:1],
-		"trailing":   append(append([]byte{}, valid...), 0),
-	}
-	for name, b := range cases {
-		if _, err := parseHelloAck(b); err == nil {
-			t.Errorf("%s: parseHelloAck accepted %x", name, b)
+	valid := readOne(t, encodeCount(42))
+	for name, b := range map[string][]byte{
+		"no count": valid[:1],
+		"trailing": append(append([]byte{}, valid...), 0),
+	} {
+		if _, err := parseCount(b); err == nil {
+			t.Errorf("%s: parseCount accepted %x", name, b)
 		}
 	}
-	// A hello-ack must never appear in the forward frame stream.
 	if err := (&meshNode{}).handle(event{from: 1, body: valid}); err == nil {
-		t.Error("a node accepted a hello-ack on the read side")
+		t.Error("a node accepted a count as data")
 	}
 }
 
@@ -115,8 +106,8 @@ func TestMsgFrameRoundTrip(t *testing.T) {
 
 // TestParseFrameRejections: a malformed mirror does not parse, and neither
 // an honest node nor the adversary host takes a frame that is not a round or
-// (the host) a mirror — a second hello, a stray hello-ack, an unknown tag or
-// one of the version-2 frames a round frame replaced.
+// (the host) a mirror — a second hello, a stray count, an unknown tag or
+// one of the frames a round frame replaced.
 func TestParseFrameRejections(t *testing.T) {
 	body, err := wire.Encode(gradecast.SendMsg{Tag: "t", Iter: 1, Val: 2})
 	if err != nil {
@@ -133,7 +124,8 @@ func TestParseFrameRejections(t *testing.T) {
 	}
 	for name, b := range map[string][]byte{
 		"unknown type":       {0x7F, 1},
-		"second hello":       {frameHello, 'T', 'A', 'A', '1'},
+		"second hello":       {FrameMuxHello, 'T', 'A', 'A', 'S'},
+		"count":              {frameCount, 0},
 		"retired msg":        append([]byte{0x02}, mirror[1:]...),
 		"retired eor":        {0x04, 0x01, 0x00},
 		"retired async-done": {0x08},

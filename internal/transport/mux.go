@@ -1,4 +1,4 @@
-package session
+package transport
 
 import (
 	"bufio"
@@ -10,26 +10,29 @@ import (
 	"treeaa/internal/driver"
 	"treeaa/internal/metrics"
 	"treeaa/internal/sim"
-	"treeaa/internal/transport"
 	"treeaa/internal/wire"
 )
 
-// The mux hello opens a daemon-pair link:
+// The mux hello opens a peer link:
 //
 //	FrameMuxHello | magic(4) | mux version(1) | u32(from) | u32(to) |
-//	u32(n) | u64(cluster hash, big-endian)
+//	u32(n) | u64(deployment hash, big-endian)
 //
-// One duplex connection serves each unordered daemon pair — the lower id
-// dials — so a 4-daemon cluster runs every session over 6 connections.
-// All subsequent frames in both directions are FrameMuxSession envelopes
-// around wire session bodies.
+// One duplex connection serves each unordered pair of parties — the lower id
+// dials — so a 4-daemon cluster runs every session over 6 connections and a
+// one-shot mesh of n parties runs over n(n−1)/2. The hash scopes the link to
+// one deployment: a serving cluster's hash (internal/session) or a one-shot
+// mesh's session id. Every later frame in either direction belongs to the
+// link's user: FrameMuxSession envelopes on a serving link, round, mirror
+// and count frames on the mesh.
 //
 // Links are generational: when one dies (peer crash, restart, network
 // fault) the lower-id side redials with backoff and the higher-id side
 // accepts a replacement, bumping the link generation so goroutines of the
-// dead incarnation unwind without disturbing the new one. The session
-// layer hears onDown/onUp transitions and degrades admission rather than
-// the whole daemon.
+// dead incarnation unwind without disturbing the new one. The user hears
+// OnDown/OnUp transitions and decides what a replacement means for the
+// frames that were in flight: the serving layer fails its sessions, the
+// mesh resumes with a count exchange.
 //
 // Version 2 carries each session round as one wire.SessionRound frame;
 // version 1 spoke SessionMsg and SessionEOR, which a version-2 daemon
@@ -38,42 +41,61 @@ const muxVersion byte = 2
 
 var muxMagic = [4]byte{'T', 'A', 'A', 'S'}
 
-// mux owns a daemon's peer links: the mesh handshake, one reader per link
-// (demultiplexing into the handler), one flusher per link, and the redial
-// loop that restores links the peer's restart tore down.
+// MuxConfig configures one party's link set.
+type MuxConfig struct {
+	ID    sim.PartyID
+	Addrs []string // one listen address per party, index = id
+	// Hash is the deployment identity the hellos of a link must agree on.
+	Hash         uint64
+	SetupTimeout time.Duration // mesh establishment
+	RoundTimeout time.Duration // write deadline of the flusher's blocking writes
+	Dialer       func(addr string, deadline time.Time) (net.Conn, error)
+	// WrapConn wraps every connection on both ends, each end with itself as
+	// the writer (from): each side of a duplex link faults its own outbound
+	// direction, so a chaos clause on (a, b) shapes a→b traffic no matter
+	// which end dialed.
+	WrapConn func(from, to sim.PartyID, conn net.Conn) net.Conn
+	Stats    *metrics.ServeStats // batch and link counters; nil counts nothing
+	// Redial makes the lower-id side restore a failed link; without it a link
+	// that went down stays down.
+	Redial bool
+
+	// Handler receives every inbound frame body (type tag first), still
+	// encoded, attributed to its authenticated peer and stamped with the link
+	// generation it was read on. It runs on the link's reader goroutine and
+	// may do everything the frame causes short of blocking on a socket:
+	// decode it, step what it completes, stage the resulting frames. The
+	// reader calls FlushDry once its buffered input is used up, so what
+	// several frames of one read staged goes out together. The handler may
+	// retain body (the read arena hands out a fresh slice per frame). A
+	// non-nil error fails the link.
+	Handler func(from sim.PartyID, gen int, body []byte) error
+	// OnDown reports a dead link, with the error its reader ended on.
+	OnDown func(peer sim.PartyID, err error)
+	// OnUp reports each generation of a link coming up, the first included.
+	OnUp func(peer sim.PartyID, gen int)
+}
+
+// Mux owns a party's peer links: the mesh handshake, one reader per link
+// (handing frames to the handler), one flusher per link, and the redial
+// loop that restores links the peer's restart tore down. It is the one peer
+// link of both fabrics outside the overlay: the serving daemon's and the
+// one-shot mesh's.
 //
 // Outbound frames collect in per-link outboxes and leave in batched writes.
-// The common write is made by whoever ran the engines that filled the
-// outboxes, the moment it has no more input to run them on (flushDry): one
-// non-blocking write per link, so everything stepped since the last read —
-// often several sessions' rounds — shares it. The flusher is the only
+// The common write is made by whoever ran the handlers or engines that filled
+// the outboxes, the moment it has no more input to run them on (FlushDry):
+// one non-blocking write per link, so everything stepped since the last read
+// — often several sessions' rounds — shares it. The flusher is the only
 // goroutine that ever blocks on a socket: it takes what a try-write could
 // not place, every link whose connection hides its descriptor, and frames
 // enqueued outside any engine turn.
-type mux struct {
-	id      sim.PartyID
-	n       int
-	addrs   []string
-	cluster uint64
-	opts    Options
-	stats   *metrics.ServeStats
+type Mux struct {
+	id  sim.PartyID
+	n   int
+	cfg MuxConfig
 
-	// handler receives every inbound wire body, still encoded, attributed to
-	// its authenticated peer. It runs on the link's reader goroutine and may
-	// do everything the frame causes short of blocking on a socket: decode
-	// it, step the engine it completes a barrier for, stage that engine's
-	// sends. The reader calls flushDry once its buffered input is used up, so
-	// what several frames of one read staged goes out together. The handler
-	// may retain body (the read arena hands out a fresh slice per frame). A
-	// non-nil error fails the link.
-	handler func(from sim.PartyID, body []byte) error
-	// onDown reports a dead link (read or write failure after setup).
-	onDown func(peer sim.PartyID, err error)
-	// onUp reports a link restored after a failure (and the initial mesh).
-	onUp func(peer sim.PartyID)
-
-	peers []*peerLink // by daemon id; nil at the mux's own
-	ln    net.Listener
+	peers []*peerLink // by party id; nil at the mux's own (and at co-hosted parties)
 
 	quit      chan struct{}
 	closeOnce sync.Once
@@ -82,29 +104,30 @@ type mux struct {
 
 	// conns is every connection the mux has open — a handshake in flight or a
 	// link's current generation — so shutdown can close them all. A
-	// connection leaves the set where it is closed.
+	// connection leaves the set where it is closed. mu also orders every
+	// goroutine start against shutdown closing quit.
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
 }
 
-// peerLink is one duplex daemon-pair link: the current connection (one
-// generation at a time), the outbox, and the writer lock that orders the two
-// kinds of writer the socket has.
+// peerLink is one duplex link: the current connection (one generation at a
+// time), the outbox, and the writer lock that orders the two kinds of writer
+// the socket has.
 type peerLink struct {
-	m    *mux
+	m    *Mux
 	peer sim.PartyID
 
 	ready     chan struct{} // closed when the link first comes up
 	readyOnce sync.Once
+	readDone  chan struct{} // closed when the current generation's reader exits
 
 	mu        sync.Mutex
 	conn      net.Conn
-	sock      *sockWriter // nil when conn hides its descriptor: flusher writes only
-	br        *bufio.Reader
+	sock      *sockWriter   // nil when conn hides its descriptor: flusher writes only
 	gen       int           // incremented per registered connection
 	up        bool          // current generation is live
 	genQuit   chan struct{} // closed when the current generation dies
-	redialing bool          // a redial goroutine is already running
+	redialing bool          // a redial goroutine is running (or shutdown ended it)
 
 	pending []byte // concatenated encoded frames awaiting one batched write
 	spare   []byte // last flushed batch, recycled to avoid regrowing pending
@@ -123,18 +146,17 @@ type peerLink struct {
 	tailGen int
 }
 
-func newMux(id sim.PartyID, n int, addrs []string, cluster uint64, opts Options,
-	handler func(from sim.PartyID, body []byte) error,
-	onDown func(peer sim.PartyID, err error), onUp func(peer sim.PartyID)) *mux {
-	m := &mux{
-		id: id, n: n, addrs: addrs, cluster: cluster, opts: opts,
-		stats: opts.Stats, handler: handler, onDown: onDown, onUp: onUp,
+// NewMux prepares (but does not start) the link set of cfg.ID.
+func NewMux(cfg MuxConfig) *Mux {
+	n := len(cfg.Addrs)
+	m := &Mux{
+		id: cfg.ID, n: n, cfg: cfg,
 		peers: make([]*peerLink, n),
 		quit:  make(chan struct{}),
 		conns: make(map[net.Conn]struct{}),
 	}
 	for p := sim.PartyID(0); int(p) < n; p++ {
-		if p == id {
+		if p == cfg.ID {
 			continue
 		}
 		m.peers[p] = &peerLink{m: m, peer: p, ready: make(chan struct{}),
@@ -143,21 +165,19 @@ func newMux(id sim.PartyID, n int, addrs []string, cluster uint64, opts Options,
 	return m
 }
 
-// start builds the mesh over the given bound listener: accept links from
-// lower-id peers, dial higher-id peers, then wait until every link is up.
-// On success the per-link readers and flushers are running. Lower-id peers
-// of a restarted daemon reach it by their own redial loops, so start
-// tolerates them arriving any time within SetupTimeout.
-func (m *mux) start(ln net.Listener) error {
-	m.ln = ln
-	deadline := time.Now().Add(m.opts.SetupTimeout)
-	m.wg.Add(1)
-	go m.acceptLoop(ln)
-	for p := sim.PartyID(0); int(p) < m.n; p++ {
-		if p <= m.id {
+// Start builds the mesh: dial higher-id peers, then wait until every link
+// is up — the links from lower-id peers arrive through Accept, fed by the
+// AcceptHost that owns the listen address. On success the per-link readers
+// and flushers are running. Lower-id peers of a restarted party reach it by
+// their own redial loops, so Start tolerates them arriving any time within
+// SetupTimeout.
+func (m *Mux) Start() error {
+	deadline := time.Now().Add(m.cfg.SetupTimeout)
+	for p, l := range m.peers {
+		if l == nil || sim.PartyID(p) < m.id {
 			continue
 		}
-		if err := m.dial(p, deadline); err != nil {
+		if err := m.dial(l.peer, deadline); err != nil {
 			return err
 		}
 	}
@@ -168,27 +188,27 @@ func (m *mux) start(ln net.Listener) error {
 		select {
 		case <-l.ready:
 		case <-m.quit:
-			return fmt.Errorf("session: daemon %d closed during setup", m.id)
+			return fmt.Errorf("transport: party %d closed during setup", m.id)
 		case <-time.After(time.Until(deadline)):
-			return fmt.Errorf("session: daemon %d: no link from daemon %d within %v", m.id, p, m.opts.SetupTimeout)
+			return fmt.Errorf("transport: party %d: no link from party %d within %v", m.id, p, m.cfg.SetupTimeout)
 		}
 	}
 	return nil
 }
 
 // dial connects to one higher-id peer and registers the link.
-func (m *mux) dial(p sim.PartyID, deadline time.Time) error {
-	conn, err := m.opts.Dialer(m.addrs[p], deadline)
+func (m *Mux) dial(p sim.PartyID, deadline time.Time) error {
+	conn, err := m.cfg.Dialer(m.cfg.Addrs[p], deadline)
 	if err != nil {
-		return fmt.Errorf("session: daemon %d dialing daemon %d at %s: %w", m.id, p, m.addrs[p], err)
+		return fmt.Errorf("transport: party %d dialing party %d at %s: %w", m.id, p, m.cfg.Addrs[p], err)
 	}
 	conn = m.wrap(p, conn)
 	m.track(conn)
-	hb := encodeMuxHello(m.id, p, m.n, m.cluster)
+	hb := encodeMuxHello(m.id, p, m.n, m.cfg.Hash)
 	conn.SetWriteDeadline(deadline)
 	if _, err := conn.Write(hb); err != nil {
 		m.drop(conn)
-		return fmt.Errorf("session: daemon %d handshake to daemon %d: %w", m.id, p, err)
+		return fmt.Errorf("transport: party %d handshake to party %d: %w", m.id, p, err)
 	}
 	conn.SetWriteDeadline(time.Time{})
 	if err := m.register(p, conn, bufio.NewReaderSize(conn, 64<<10), false); err != nil {
@@ -198,19 +218,16 @@ func (m *mux) dial(p sim.PartyID, deadline time.Time) error {
 	return nil
 }
 
-func (m *mux) wrap(peer sim.PartyID, conn net.Conn) net.Conn {
-	if m.opts.WrapConn == nil {
+func (m *Mux) wrap(peer sim.PartyID, conn net.Conn) net.Conn {
+	if m.cfg.WrapConn == nil {
 		return conn
 	}
-	// Both ends wrap with themselves as the writer: each side of the duplex
-	// link faults its own outbound direction, so a chaos latency clause on
-	// (a, b) shapes a→b traffic no matter which end dialed.
-	return m.opts.WrapConn(m.id, peer, conn)
+	return m.cfg.WrapConn(m.id, peer, conn)
 }
 
 // track adds a connection to the open set. After shutdown took the set there
 // is nobody left to close it, so it is closed here.
-func (m *mux) track(conn net.Conn) {
+func (m *Mux) track(conn net.Conn) {
 	m.mu.Lock()
 	open := m.conns != nil
 	if open {
@@ -223,23 +240,32 @@ func (m *mux) track(conn net.Conn) {
 }
 
 // drop closes a connection and takes it out of the open set.
-func (m *mux) drop(conn net.Conn) {
+func (m *Mux) drop(conn net.Conn) {
 	conn.Close()
 	m.mu.Lock()
 	delete(m.conns, conn)
 	m.mu.Unlock()
 }
 
-func (m *mux) acceptLoop(ln net.Listener) {
-	defer m.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed by close()
-		}
-		m.track(conn)
-		m.wg.Add(1)
-		go m.handshakeIn(conn)
+// spawn runs f on a goroutine the shutdown waits for, unless the shutdown
+// has begun.
+func (m *Mux) spawn(f func()) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed() {
+		return false
+	}
+	m.wg.Add(1)
+	go func() { defer m.wg.Done(); f() }()
+	return true
+}
+
+// Accept takes one inbound connection through the handshake: the handler
+// of the party's AcceptHost. It never blocks; a closed mux refuses.
+func (m *Mux) Accept(conn net.Conn) {
+	m.track(conn)
+	if !m.spawn(func() { m.handshakeIn(conn) }) {
+		m.drop(conn)
 	}
 }
 
@@ -248,26 +274,25 @@ func (m *mux) acceptLoop(ln net.Listener) {
 // is already up replaces it: the only legitimate source of this connection
 // is the peer itself, so a duplicate means the peer restarted while our
 // half of the old connection is still undead.
-func (m *mux) handshakeIn(conn net.Conn) {
-	defer m.wg.Done()
-	conn.SetReadDeadline(time.Now().Add(m.opts.SetupTimeout))
+func (m *Mux) handshakeIn(conn net.Conn) {
+	conn.SetReadDeadline(time.Now().Add(m.cfg.SetupTimeout))
 	br := bufio.NewReaderSize(conn, 64<<10)
-	body, err := transport.ReadFrame(br, transport.MaxFrameSize)
+	body, err := ReadFrame(br, MaxFrameSize)
 	if err != nil {
 		m.drop(conn)
 		return
 	}
-	from, to, n, cluster, err := parseMuxHello(body)
+	from, to, n, hash, err := parseMuxHello(body)
 	switch {
 	case err != nil:
 	case to != m.id:
-		err = fmt.Errorf("addressed to daemon %d", to)
-	case from >= m.id || from < 0:
-		err = fmt.Errorf("daemon %d must be dialed by this side", from)
+		err = fmt.Errorf("addressed to party %d", to)
+	case from >= m.id || from < 0 || m.peers[from] == nil:
+		err = fmt.Errorf("party %d must be dialed by this side", from)
 	case n != m.n:
 		err = fmt.Errorf("peer configured for n = %d, want %d", n, m.n)
-	case cluster != m.cluster:
-		err = fmt.Errorf("cluster %#x, want %#x", cluster, m.cluster)
+	case hash != m.cfg.Hash:
+		err = fmt.Errorf("deployment %#x, want %#x", hash, m.cfg.Hash)
 	}
 	if err != nil {
 		m.drop(conn)
@@ -292,36 +317,45 @@ func (m *mux) handshakeIn(conn net.Conn) {
 // its reader and flusher. With replace set, a live previous generation is
 // torn down first (peer-restart case); without it, a live link rejects the
 // duplicate.
-func (m *mux) register(peer sim.PartyID, conn net.Conn, br *bufio.Reader, replace bool) error {
-	if m.closed() {
-		return fmt.Errorf("session: daemon %d is closed", m.id)
-	}
+func (m *Mux) register(peer sim.PartyID, conn net.Conn, br *bufio.Reader, replace bool) error {
 	l := m.peers[peer]
 	l.mu.Lock()
-	if l.up {
-		if !replace {
-			l.mu.Unlock()
-			return fmt.Errorf("session: duplicate link from daemon %d", peer)
-		}
-		l.markDownLocked()
+	if l.up && !replace {
+		l.mu.Unlock()
+		return fmt.Errorf("transport: duplicate link from party %d", peer)
 	}
-	l.conn, l.br, l.sock = conn, br, newSockWriter(conn)
+	// The generation's goroutines start before shutdown closes quit, or not
+	// at all.
+	m.mu.Lock()
+	closed := m.closed()
+	if !closed {
+		m.wg.Add(2)
+		m.flushWG.Add(1)
+	}
+	m.mu.Unlock()
+	if closed {
+		l.mu.Unlock()
+		return fmt.Errorf("transport: party %d is closed", m.id)
+	}
+	l.markDownLocked()
+	l.conn, l.sock = conn, newSockWriter(conn)
 	l.gen++
 	l.up = true
-	l.genQuit = make(chan struct{})
-	// Frames queued for the dead incarnation are stale: the sessions they
-	// belonged to have been failed (or will resend via their own protocol
-	// rounds). Carrying them over would interleave two incarnations' traffic.
+	// A redial that brought this generation up is done: should the
+	// generation fail at once, its reader may start the next one.
+	l.redialing = false
+	l.genQuit, l.readDone = make(chan struct{}), make(chan struct{})
+	// Frames queued for the dead incarnation are stale: the user has heard
+	// the link go down and owns what becomes of them. Carrying them over
+	// would interleave two incarnations' traffic.
 	l.pending, l.frames = l.pending[:0], 0
-	gen, genQuit := l.gen, l.genQuit
+	gen, genQuit, readDone := l.gen, l.genQuit, l.readDone
 	l.mu.Unlock()
-	m.wg.Add(2)
-	m.flushWG.Add(1)
-	go m.readLoop(l, gen, br)
+	go m.readLoop(l, gen, br, readDone)
 	go m.flushLoop(l, gen, genQuit, conn)
 	l.readyOnce.Do(func() { close(l.ready) })
-	if m.onUp != nil && !m.closed() {
-		m.onUp(peer)
+	if m.cfg.OnUp != nil && !m.closed() {
+		m.cfg.OnUp(peer, gen)
 	}
 	return nil
 }
@@ -339,43 +373,49 @@ func (l *peerLink) markDownLocked() {
 	l.pending, l.frames = l.pending[:0], 0
 }
 
-// linkFailed handles a read or write failure on a specific generation. A
-// stale generation (already replaced or already failed) is ignored. The
-// lower-id side owns redialing, mirroring the initial mesh direction.
-func (m *mux) linkFailed(l *peerLink, gen int, err error) {
+// linkState reads a link's generation and whether it is up.
+func linkState(l *peerLink) (gen int, up bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.gen, l.up
+}
+
+// linkFailed handles the failure of a specific generation, as its reader
+// met it. A stale generation (already replaced or already failed) is
+// ignored. The lower-id side owns redialing, mirroring the initial mesh
+// direction.
+func (m *Mux) linkFailed(l *peerLink, gen int, err error) {
 	l.mu.Lock()
 	if l.gen != gen || !l.up {
 		l.mu.Unlock()
 		return
 	}
 	l.markDownLocked()
-	redial := l.peer > m.id && !l.redialing && !m.closed()
+	redial := m.cfg.Redial && l.peer > m.id && !l.redialing && !m.closed()
 	if redial {
 		l.redialing = true
 	}
 	l.mu.Unlock()
-	if !m.closed() && m.onDown != nil {
-		m.onDown(l.peer, err)
+	if !m.closed() && m.cfg.OnDown != nil {
+		m.cfg.OnDown(l.peer, err)
 	}
-	if s := m.stats; s != nil {
+	if s := m.cfg.Stats; s != nil {
 		s.LinkDowns.Add(1)
 	}
-	if redial {
-		m.wg.Add(1)
-		go m.redialLoop(l)
+	if redial && !m.spawn(func() { m.redialLoop(l) }) {
+		l.mu.Lock()
+		l.redialing = false
+		l.mu.Unlock()
 	}
 }
 
 // redialLoop restores a link to a higher-id peer with capped exponential
 // backoff, giving up only when the mux closes. A restarting peer rebinds
-// its listener late in recovery, so early attempts failing is the norm.
-func (m *mux) redialLoop(l *peerLink) {
-	defer m.wg.Done()
-	defer func() {
-		l.mu.Lock()
-		l.redialing = false
-		l.mu.Unlock()
-	}()
+// its listener late in recovery, so early attempts failing is the norm. The
+// loop is the retry: each pass gives its dial one backoff's worth of time,
+// so a shutdown never waits on a redial longer than that — a peer that is
+// gone for good (a one-shot party that finished) refuses until the end.
+func (m *Mux) redialLoop(l *peerLink) {
 	backoff := 25 * time.Millisecond
 	for {
 		select {
@@ -386,8 +426,8 @@ func (m *mux) redialLoop(l *peerLink) {
 		if backoff *= 2; backoff > time.Second {
 			backoff = time.Second
 		}
-		if err := m.dial(l.peer, time.Now().Add(m.opts.SetupTimeout)); err == nil {
-			if s := m.stats; s != nil {
+		if err := m.dial(l.peer, time.Now().Add(backoff)); err == nil {
+			if s := m.cfg.Stats; s != nil {
 				s.LinkRedials.Add(1)
 			}
 			return
@@ -398,13 +438,14 @@ func (m *mux) redialLoop(l *peerLink) {
 // put appends one encoded frame to the outbox, copying it, so callers may
 // reuse their encode buffers. It never blocks. An outbox that reaches a flush
 // threshold goes to the flusher; so does, with wake set, one that was empty.
-// Frames for a down link are dropped — the session layer has already failed
-// the affected sessions.
-func (l *peerLink) put(frame []byte, wake bool) {
+// Frames for a down link — or, with gen set, for a generation that is no
+// longer the link's — are dropped and reported so: the user has heard the
+// link go down.
+func (l *peerLink) put(frame []byte, gen int, wake bool) bool {
 	l.mu.Lock()
-	if !l.up {
+	if !l.up || (gen != 0 && gen != l.gen) {
 		l.mu.Unlock()
-		return
+		return false
 	}
 	first := l.frames == 0
 	l.pending = append(l.pending, frame...)
@@ -414,6 +455,7 @@ func (l *peerLink) put(frame []byte, wake bool) {
 	if ready || (first && wake) {
 		l.wakeFlusher()
 	}
+	return true
 }
 
 func (l *peerLink) wakeFlusher() {
@@ -423,26 +465,47 @@ func (l *peerLink) wakeFlusher() {
 	}
 }
 
-// enqueue queues one frame for the peer — or, with sim.Broadcast, for every
+// Enqueue queues one frame for the peer — or, with sim.Broadcast, for every
 // peer — and leaves writing it to the link's flusher: the call for frames
 // that no engine turn produced (aborts, rejections), safe on any goroutine.
-func (m *mux) enqueue(to sim.PartyID, frame []byte) { m.put(to, frame, true) }
+func (m *Mux) Enqueue(to sim.PartyID, frame []byte) { m.put(to, frame, true) }
 
-// stage queues one frame like enqueue, without waking anybody: the call of a
-// goroutine that is stepping engines and will flushDry when it is through,
+// Stage queues one frame like Enqueue, without waking anybody: the call of a
+// goroutine that is stepping engines and will FlushDry when it is through,
 // and the send of every engine's driver.Framer.
-func (m *mux) stage(to sim.PartyID, frame []byte) { m.put(to, frame, false) }
+func (m *Mux) Stage(to sim.PartyID, frame []byte) { m.put(to, frame, false) }
 
-func (m *mux) put(to sim.PartyID, frame []byte, wake bool) {
+func (m *Mux) put(to sim.PartyID, frame []byte, wake bool) {
 	first, last := driver.Span(m.n, to)
 	for _, l := range m.peers[first : last+1] {
 		if l != nil {
-			l.put(frame, wake)
+			l.put(frame, 0, wake)
 		}
 	}
 }
 
-// flushDry writes every non-empty outbox from the calling goroutine, one
+// discard drops the frames staged for peer that no write has taken yet,
+// except those keep accepts.
+func (m *Mux) discard(peer sim.PartyID, keep func(frame []byte) bool) {
+	l := m.peers[peer]
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	kept, frames := l.pending[:0], 0
+	for rest := l.pending; len(rest) > 0; {
+		_, _, size := FrameInfo(rest)
+		if size == 0 {
+			break // cannot happen: the outbox holds whole frames
+		}
+		if keep(rest[:size]) {
+			kept = append(kept, rest[:size]...) // never overtakes rest: kept is its prefix
+			frames++
+		}
+		rest = rest[size:]
+	}
+	l.pending, l.frames = kept, frames
+}
+
+// FlushDry writes every non-empty outbox from the calling goroutine, one
 // write per link, and never waits for a socket. It is called where input
 // ran dry — by a link reader whose buffer is used up, by any other goroutine
 // at the end of a drain that stepped engines — and not at the end of each
@@ -450,7 +513,7 @@ func (m *mux) put(to sim.PartyID, frame []byte, wake bool) {
 // stepped before either is written, which is the cross-session batching the
 // flusher used to provide (writing per turn measured 157 writes a session
 // against 91, and a fifth more latency).
-func (m *mux) flushDry() {
+func (m *Mux) FlushDry() {
 	for _, l := range m.peers {
 		if l != nil {
 			l.tryFlush()
@@ -492,7 +555,7 @@ func (l *peerLink) tryFlush() {
 	l.mu.Unlock()
 	l.countTaken(frames, len(batch))
 	n := sock.write(batch)
-	if s := l.m.stats; s != nil && n > 0 {
+	if s := l.m.cfg.Stats; s != nil && n > 0 {
 		s.Batches.Add(1)
 		s.BatchesInline.Add(1)
 	}
@@ -511,7 +574,7 @@ func (l *peerLink) tryFlush() {
 // write — before the write, so that by the time a frame can have had any
 // effect at its receiver it has been counted.
 func (l *peerLink) countTaken(frames, bytes int) {
-	if s := l.m.stats; s != nil && frames > 0 {
+	if s := l.m.cfg.Stats; s != nil && frames > 0 {
 		s.BatchFrames.Add(int64(frames))
 		s.BatchBytes.Add(int64(bytes))
 	}
@@ -533,6 +596,11 @@ const (
 	// maxBatchBytes does the same once a link's outbox reaches this size,
 	// bounding batch memory under load.
 	maxBatchBytes = 64 << 10
+	// readGrace is how long a link whose write failed stays up for its reader
+	// to take in what the peer sent before the failure (a peer that hung up
+	// after its last frame resets our next write) and meet the failure
+	// itself; a wedged peer that sends nothing ends it.
+	readGrace = time.Second
 )
 
 // batchReady reports whether the outbox has hit either flush threshold; a
@@ -547,8 +615,9 @@ func batchReady(frames, bytes, occupancy, maxBytes int) bool {
 // must. Stale kicks (the frames they announced were already written) cost
 // one no-op flush and are otherwise harmless, so the loop never tries to
 // drain them. One flusher runs per link generation; genQuit retires it when
-// the generation dies.
-func (m *mux) flushLoop(l *peerLink, gen int, genQuit chan struct{}, conn net.Conn) {
+// the generation dies, and a failed write ends it with the link left to its
+// reader, which fails it behind everything the peer managed to send.
+func (m *Mux) flushLoop(l *peerLink, gen int, genQuit chan struct{}, conn net.Conn) {
 	defer m.wg.Done()
 	defer m.flushWG.Done()
 	for {
@@ -568,7 +637,7 @@ func (m *mux) flushLoop(l *peerLink, gen int, genQuit chan struct{}, conn net.Co
 			return
 		}
 		if err != nil {
-			m.linkFailed(l, gen, fmt.Errorf("session: link %d→%d: %w", m.id, l.peer, err))
+			conn.SetReadDeadline(time.Now().Add(readGrace))
 			return
 		}
 	}
@@ -592,17 +661,17 @@ func (l *peerLink) flush(gen int, conn net.Conn) (stale bool, err error) {
 	l.countTaken(frames, len(batch))
 	tail := l.tail
 	if l.tailGen != gen {
-		tail = nil // a dead generation's: its sessions have been failed
+		tail = nil // a dead generation's: its user heard the link go down
 	}
 	l.tail = nil
 	if len(tail) == 0 && frames == 0 {
 		l.recycle(batch)
 		return false, nil
 	}
-	conn.SetWriteDeadline(time.Now().Add(l.m.opts.RoundTimeout))
+	conn.SetWriteDeadline(time.Now().Add(l.m.cfg.RoundTimeout))
 	// Cleared again, or the try-writes that follow would find it expired.
 	defer conn.SetWriteDeadline(time.Time{})
-	s := l.m.stats
+	s := l.m.cfg.Stats
 	for _, b := range [2][]byte{tail, batch} {
 		if len(b) == 0 {
 			continue
@@ -628,39 +697,35 @@ func (l *peerLink) recycle(batch []byte) {
 }
 
 // readLoop turns one link generation into handler calls. No read deadline:
-// an idle link is healthy (no sessions in flight), and per-session liveness
-// is the engines' round timeout.
-func (m *mux) readLoop(l *peerLink, gen int, br *bufio.Reader) {
+// an idle link is healthy, and liveness is the user's (round timeouts).
+func (m *Mux) readLoop(l *peerLink, gen int, br *bufio.Reader, done chan struct{}) {
 	defer m.wg.Done()
-	var arena transport.ReadArena
+	defer close(done)
+	var arena ReadArena
 	fail := func(err error) {
 		if !m.closed() {
 			m.linkFailed(l, gen, err)
 		}
 	}
 	for {
-		body, err := transport.ReadFrameArena(br, &arena)
+		body, err := ReadFrameArena(br, &arena)
 		if err != nil {
-			fail(fmt.Errorf("session: link %d→%d: %w", l.peer, m.id, err))
+			fail(fmt.Errorf("transport: link %d→%d: %w", l.peer, m.id, err))
 			return
 		}
-		if body[0] != transport.FrameMuxSession {
-			fail(fmt.Errorf("session: link %d→%d: unexpected frame type 0x%02x", l.peer, m.id, body[0]))
-			return
-		}
-		if err := m.handler(l.peer, body[1:]); err != nil {
-			fail(fmt.Errorf("session: link %d→%d: %w", l.peer, m.id, err))
+		if err := m.cfg.Handler(l.peer, gen, body); err != nil {
+			fail(fmt.Errorf("transport: link %d→%d: %w", l.peer, m.id, err))
 			return
 		}
 		// The next read goes to the socket: write what the frames of this one
 		// staged before waiting on it.
 		if br.Buffered() == 0 {
-			m.flushDry()
+			m.FlushDry()
 		}
 	}
 }
 
-func (m *mux) closed() bool {
+func (m *Mux) closed() bool {
 	select {
 	case <-m.quit:
 		return true
@@ -669,40 +734,73 @@ func (m *mux) closed() bool {
 	}
 }
 
-// close tears the mux down gracefully: final flushes are triggered by quit,
+// Close tears the mux down gracefully: final flushes are triggered by quit,
 // then the sockets die and every loop exits. Safe to call more than once.
-func (m *mux) close() { m.shutdown(false) }
+func (m *Mux) Close() { m.shutdown(false) }
 
-// kill tears the mux down abruptly — sockets first, no final flush — the
+// Kill tears the mux down abruptly — sockets first, no final flush — the
 // in-process stand-in for the process dying under kill -9. Peers observe
 // exactly what a crash gives them: connections reset mid-stream.
-func (m *mux) kill() { m.shutdown(true) }
+func (m *Mux) Kill() { m.shutdown(true) }
 
-func (m *mux) shutdown(abrupt bool) {
+func (m *Mux) shutdown(abrupt bool) {
 	m.closeOnce.Do(func() {
 		if abrupt {
 			// Sockets die before quit: flushers wake to dead connections and
 			// queued frames are lost, as they would be in a real crash.
 			m.closeConns()
-			close(m.quit)
+			m.closeQuit()
 		} else {
-			close(m.quit)
+			m.closeQuit()
 			// Wait for every flusher's final drain before the sockets close
 			// under them: decides queued by terminal engines must hit the wire,
 			// or a peer mid-assembly loses them and hangs until its drain
 			// deadline. The writes are bounded by the usual write deadline, so
 			// this cannot block shutdown indefinitely.
 			m.flushWG.Wait()
+			m.halfClose()
 			m.closeConns()
 		}
 	})
 	m.wg.Wait()
 }
 
-func (m *mux) closeConns() {
-	if m.ln != nil {
-		m.ln.Close()
+// halfClose ends this side of every live link after the final drain and
+// waits, at most readGrace, for each peer to end its side: closing a socket
+// with input still unread resets the connection, and a reset discards what
+// the final drain left in the kernel's send queue. Meanwhile the readers
+// take in whatever still arrives. A connection that cannot half-close is
+// closed as it is.
+func (m *Mux) halfClose() {
+	var readers []chan struct{}
+	for _, l := range m.peers {
+		if l == nil {
+			continue
+		}
+		l.mu.Lock()
+		conn, up, done := l.conn, l.up, l.readDone
+		l.mu.Unlock()
+		if cw, ok := conn.(interface{ CloseWrite() error }); up && ok && cw.CloseWrite() == nil {
+			readers = append(readers, done)
+		}
 	}
+	timeout := time.After(readGrace)
+	for _, done := range readers {
+		select {
+		case <-done:
+		case <-timeout:
+			return
+		}
+	}
+}
+
+func (m *Mux) closeQuit() {
+	m.mu.Lock()
+	close(m.quit)
+	m.mu.Unlock()
+}
+
+func (m *Mux) closeConns() {
 	m.mu.Lock()
 	conns := m.conns
 	m.conns = nil
@@ -712,39 +810,25 @@ func (m *mux) closeConns() {
 	}
 }
 
-// sessionFrame builds one mux session frame — the length-prefixed
-// FrameMuxSession envelope around the payload's wire encoding,
-// byte-identical to transport.AppendFrame over the assembled body — ready
-// for enqueue. The returned slice is immutable by convention: broadcasts
-// share it across links. (A round's frame is the driver's, not built here.)
-func sessionFrame(payload any) ([]byte, error) {
-	sz, err := wire.EncodedSize(payload)
-	if err != nil {
-		return nil, err
-	}
-	dst := wire.AppendUvarint(make([]byte, 0, sz+4), uint64(sz+1))
-	return wire.Append(append(dst, transport.FrameMuxSession), payload)
-}
-
-func encodeMuxHello(from, to sim.PartyID, n int, cluster uint64) []byte {
+func encodeMuxHello(from, to sim.PartyID, n int, hash uint64) []byte {
 	body := make([]byte, 0, 26)
-	body = append(body, transport.FrameMuxHello)
+	body = append(body, FrameMuxHello)
 	body = append(body, muxMagic[:]...)
 	body = append(body, muxVersion)
 	body = wire.AppendU32(body, uint32(from))
 	body = wire.AppendU32(body, uint32(to))
 	body = wire.AppendU32(body, uint32(n))
 	for shift := 56; shift >= 0; shift -= 8 {
-		body = append(body, byte(cluster>>shift))
+		body = append(body, byte(hash>>shift))
 	}
-	return transport.AppendFrame(nil, body)
+	return AppendFrame(nil, body)
 }
 
-func parseMuxHello(body []byte) (from, to sim.PartyID, n int, cluster uint64, err error) {
+func parseMuxHello(body []byte) (from, to sim.PartyID, n int, hash uint64, err error) {
 	fail := func(msg string) (sim.PartyID, sim.PartyID, int, uint64, error) {
-		return 0, 0, 0, 0, fmt.Errorf("session: bad mux hello: %s", msg)
+		return 0, 0, 0, 0, fmt.Errorf("transport: bad mux hello: %s", msg)
 	}
-	if len(body) < 1 || body[0] != transport.FrameMuxHello {
+	if len(body) < 1 || body[0] != FrameMuxHello {
 		return fail("not a mux hello")
 	}
 	b := body[1:]
@@ -765,7 +849,7 @@ func parseMuxHello(body []byte) (from, to sim.PartyID, n int, cluster uint64, er
 		return fail("id out of range")
 	}
 	for _, x := range b {
-		cluster = cluster<<8 | uint64(x)
+		hash = hash<<8 | uint64(x)
 	}
-	return sim.PartyID(f), sim.PartyID(t), int(nv), cluster, nil
+	return sim.PartyID(f), sim.PartyID(t), int(nv), hash, nil
 }

@@ -30,8 +30,9 @@ type nodeConfig struct {
 
 // meshNode adapts a driver.Round to the full mesh. The round's frame is the
 // driver's; what is the mesh's is the mirror of every send to the rushing
-// observer, the injected crash, the barrier wait and the per-peer connection
-// failures a stalled barrier is blamed on.
+// observer, the injected crash, the write at the dry point before the
+// barrier wait, the wait itself and the per-peer link failures a stalled
+// barrier is blamed on.
 type meshNode struct {
 	nodeConfig
 	rd       *driver.Round
@@ -67,9 +68,10 @@ func runNode(cfg nodeConfig) (*driver.Result, error) {
 			return nil, fmt.Errorf("transport: %w", err)
 		}
 		if finished {
-			e.shutdown(true)
+			e.finish()
 			return nd.rd.Result(), nil
 		}
+		e.flush()
 		if err := nd.awaitBarrier(); err != nil {
 			return nil, err
 		}
@@ -104,6 +106,7 @@ func (nd *meshNode) EndRound(round int, done bool) error {
 		// Injected crash: die in the send loop, the round's frame out
 		// (possibly unflushed) to some peers and not to the rest, who stall at
 		// their round-r barriers until the supervisor restarts us.
+		nd.ep.flush()
 		nd.ep.shutdown(false)
 		return fmt.Errorf("%w: party %d at round %d", errCrashed, nd.id, round)
 	}

@@ -12,6 +12,7 @@ import (
 	"treeaa/internal/metrics"
 	"treeaa/internal/sim"
 	"treeaa/internal/tree"
+	"treeaa/internal/wire"
 )
 
 // killConn cuts a connection after a fixed number of writes, emulating a
@@ -30,8 +31,8 @@ func (k killConn) Write(b []byte) (int, error) {
 }
 
 // TestClusterReconnectResend drops one link's connection mid-run and checks
-// that the reconnect + resume + replay path restores it transparently: the
-// Result stays byte-identical to the sequential engine's, and the chaos
+// that the redial + count exchange + resend path restores it transparently:
+// the Result stays byte-identical to the sequential engine's, and the chaos
 // counters show the repair actually happened.
 func TestClusterReconnectResend(t *testing.T) {
 	tr := tree.NewPath(20)
@@ -45,9 +46,9 @@ func TestClusterReconnectResend(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Kill the 1→2 link's first connection after its 7th write (past the
-	// hello, inside the round traffic). Reconnect dials are passed through
-	// untouched, so the link dies exactly once.
+	// Kill the 1–2 link's first connection at party 1's 7th write (past the
+	// hello and the count, inside the round traffic). Replacements are passed
+	// through untouched, so the link dies exactly once.
 	var stats metrics.ChaosStats
 	var killed atomic.Bool
 	var remaining atomic.Int64
@@ -81,81 +82,198 @@ func TestClusterReconnectResend(t *testing.T) {
 // TestClusterCrashRestart kills an honest party in its round-2 send loop —
 // the round's frame goes to the lower half of its peers and to nobody else —
 // and checks the full recovery story: the supervisor restarts it with a
-// fresh machine, the party rebuilds its inboxes from its peers' replayed
-// history, re-steps deterministically, suppresses what the served peers
+// fresh machine, the party rebuilds its inboxes from the history its peers
+// resend, re-steps deterministically, suppresses what the served peers
 // already hold, and the merged Result — outputs, rounds, counts, trace — is
 // byte-identical to an execution that never crashed. The unserved half
 // receives round 2 exactly once, from the second incarnation: a duplicate
 // would fail the driver's one-mark-per-round check, a hole the oracle
-// comparison.
+// comparison. The crashed party is a middle id beside the adversary host,
+// the lowest id, and the highest id — which dials nobody, so its restart is
+// reached only by its peers' redial loops.
 func TestClusterCrashRestart(t *testing.T) {
 	tr := tree.NewPath(20)
 	const n, tc = 5, 1
 	inputs := spreadInputs(tr, n, 2)
-	mkCfg := func(trace *sim.Trace) sim.Config {
-		return sim.Config{N: n, MaxCorrupt: tc, MaxRounds: core.Rounds(tr, tc) + 2,
-			Adversary: splitVote(tr, n, tc), Trace: trace}
-	}
+	for _, c := range []struct {
+		crash     sim.PartyID
+		corrupted sim.PartyID
+	}{{3, 4}, {0, 2}, {4, 2}} {
+		mkCfg := func(trace *sim.Trace) sim.Config {
+			return sim.Config{N: n, MaxCorrupt: tc, MaxRounds: core.Rounds(tr, tc) + 2,
+				Adversary: splitVoteAt(tr, n, tc, c.corrupted), Trace: trace}
+		}
+		var simTrace sim.Trace
+		want, err := sim.Run(mkCfg(&simTrace), buildMachines(t, tr, n, tc, inputs))
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	var simTrace sim.Trace
-	want, err := sim.Run(mkCfg(&simTrace), buildMachines(t, tr, n, tc, inputs))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var stats metrics.ChaosStats
-	var tcpTrace sim.Trace
-	var mu sync.Mutex
-	dials := make(map[sim.PartyID]int) // connections party 3 has opened, per peer
-	var served []sim.PartyID           // peers its first incarnation wrote round 2's frame to
-	got, err := LocalCluster(mkCfg(&tcpTrace), buildMachines(t, tr, n, tc, inputs), Options{
-		Chaos:     &stats,
-		CrashPlan: map[sim.PartyID]int{3: 2},
-		Restart: func(p sim.PartyID) (sim.Machine, error) {
-			return core.NewMachine(core.Config{Tree: tr, N: n, T: tc, ID: p, Input: inputs[p]})
-		},
-		WrapConn: func(from, to sim.PartyID, conn net.Conn) net.Conn {
-			if from != 3 {
-				return conn
-			}
-			mu.Lock()
-			first := dials[to] == 0
-			dials[to]++
-			mu.Unlock()
-			return &frameTap{conn, func(tag byte, round int) {
-				if first && tag == FrameMuxSession && round == 2 {
-					mu.Lock()
-					served = append(served, to)
-					mu.Unlock()
+		var stats metrics.ChaosStats
+		var tcpTrace sim.Trace
+		var mu sync.Mutex
+		wraps := make(map[sim.PartyID]int) // connections the crashing party has opened, per peer
+		var served []sim.PartyID           // peers its first incarnation wrote round 2's frame to
+		got, err := LocalCluster(mkCfg(&tcpTrace), buildMachines(t, tr, n, tc, inputs), Options{
+			Chaos:     &stats,
+			CrashPlan: map[sim.PartyID]int{c.crash: 2},
+			Restart: func(p sim.PartyID) (sim.Machine, error) {
+				return core.NewMachine(core.Config{Tree: tr, N: n, T: tc, ID: p, Input: inputs[p]})
+			},
+			WrapConn: func(from, to sim.PartyID, conn net.Conn) net.Conn {
+				if from != c.crash {
+					return conn
 				}
-			}}
+				mu.Lock()
+				first := wraps[to] == 0
+				wraps[to]++
+				mu.Unlock()
+				return &frameTap{conn, func(tag byte, round int) {
+					if first && tag == FrameMuxSession && round == 2 {
+						mu.Lock()
+						served = append(served, to)
+						mu.Unlock()
+					}
+				}}
+			},
+		})
+		if err != nil {
+			t.Fatalf("party %d crashing: LocalCluster with crash plan: %v", c.crash, err)
+		}
+		var peers []sim.PartyID
+		for p := sim.PartyID(0); p < n; p++ {
+			if p != c.crash {
+				peers = append(peers, p)
+			}
+		}
+		for _, p := range served {
+			if p >= peers[len(peers)/2] {
+				t.Errorf("the crashed incarnation of party %d wrote its round-2 frame to party %d, past the lower half of its peers", c.crash, p)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("party %d crashing: results diverge after crash-restart\n tcp: %+v\n sim: %+v", c.crash, got, want)
+		}
+		if !reflect.DeepEqual(tcpTrace, simTrace) {
+			t.Errorf("party %d crashing: traces diverge after crash-restart\n tcp: %+v\n sim: %+v", c.crash, tcpTrace, simTrace)
+		}
+		if got := stats.Crashes.Load(); got != 1 {
+			t.Errorf("party %d crashing: Crashes = %d, want 1", c.crash, got)
+		}
+		if stats.Reconnects.Load() < 1 {
+			t.Errorf("party %d crashing: Reconnects = %d, want ≥ 1 (peers must relink the restarted party)", c.crash, stats.Reconnects.Load())
+		}
+		if stats.FramesResent.Load() < 1 {
+			t.Errorf("party %d crashing: FramesResent = %d, want ≥ 1 (history resent to the fresh receiver)", c.crash, stats.FramesResent.Load())
+		}
+		if stats.FramesSkip.Load() < 1 {
+			t.Errorf("party %d crashing: FramesSkip = %d, want ≥ 1 (regenerated frames the peers already hold)", c.crash, stats.FramesSkip.Load())
+		}
+	}
+}
+
+// TestClusterOneConnectionPerPair: a mesh of n parties opens one duplex
+// connection per pair — the lower id dials — so every Dialer call is one
+// connection, n(n−1)/2 of them, where simplex links took n(n−1).
+func TestClusterOneConnectionPerPair(t *testing.T) {
+	tr := tree.NewPath(16)
+	const n, tc = 16, 5
+	var dials atomic.Int64
+	cfg := sim.Config{N: n, MaxCorrupt: tc, MaxRounds: core.Rounds(tr, tc) + 2}
+	_, err := LocalCluster(cfg, buildMachines(t, tr, n, tc, spreadInputs(tr, n, 1)), Options{
+		Dialer: func(addr string, deadline time.Time) (net.Conn, error) {
+			dials.Add(1)
+			return DialRetry(addr, deadline)
 		},
 	})
 	if err != nil {
-		t.Fatalf("LocalCluster with crash plan: %v", err)
+		t.Fatal(err)
 	}
-	for _, p := range served { // party 3's peers are 0 1 | 2 4
-		if p >= 2 {
-			t.Errorf("the crashed incarnation wrote its round-2 frame to party %d, past the lower half of its peers", p)
+	if got := dials.Load(); got != n*(n-1)/2 {
+		t.Errorf("%d connections for n = %d, want %d", got, n, n*(n-1)/2)
+	}
+}
+
+// startEndpoints runs the link setup of an n-party mesh of single-party
+// endpoints, each behind an AcceptHost, without a protocol on top.
+func startEndpoints(t *testing.T, n int, opts Options) []*endpoint {
+	t.Helper()
+	listeners, addrs, err := bindLoopback(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	session := NewSession()
+	eps := make([]*endpoint, n)
+	for i := range eps {
+		eps[i] = newEndpoint([]sim.PartyID{sim.PartyID(i)}, n, addrs, session, opts)
+		host := NewAcceptHost(listeners[i], eps[i].accept(sim.PartyID(i)))
+		t.Cleanup(func() { host.Close(); eps[i].shutdown(false) })
+	}
+	errs := make(chan error, n)
+	for _, e := range eps {
+		go func(e *endpoint) { errs <- e.start() }(e)
+	}
+	for range eps {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
 		}
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("results diverge after crash-restart\n tcp: %+v\n sim: %+v", got, want)
+	return eps
+}
+
+// TestMeshTracksOnlyLiveConns is TestMuxTracksOnlyLiveConns on the mesh,
+// under a reconnect drill: every forced drop is repaired by the lower id's
+// redial and a count exchange, and afterwards each endpoint still holds one
+// connection per link — not one per connection it ever dialed or accepted.
+func TestMeshTracksOnlyLiveConns(t *testing.T) {
+	const n, drops = 3, 20
+	eps := startEndpoints(t, n, Options{Reconnect: true})
+	for i := 0; i < drops; i++ {
+		forceReplacement(t, eps[0].links[0].peers[n-1], eps[n-1].links[n-1].peers[0])
 	}
-	if !reflect.DeepEqual(tcpTrace, simTrace) {
-		t.Errorf("traces diverge after crash-restart\n tcp: %+v\n sim: %+v", tcpTrace, simTrace)
+	for _, e := range eps {
+		m := e.links[e.ids[0]]
+		awaitTrue(t, "the replaced connections to leave the set", func() bool { return m.openConns() <= n-1 })
 	}
-	if c := stats.Crashes.Load(); c != 1 {
-		t.Errorf("Crashes = %d, want 1", c)
+	p := eps[0].pipes[0][n-1]
+	awaitTrue(t, "the last generation's count", func() bool {
+		p.smu.Lock()
+		defer p.smu.Unlock()
+		g, _ := linkState(eps[0].links[0].peers[n-1])
+		return p.open && p.gen == g
+	})
+}
+
+// TestLinkGenerationFence: a data frame read off a replaced connection never
+// reaches the node once a frame of the replacement has: it is dropped
+// uncounted, so the count the replacement opened with makes the peer resend
+// it, in order.
+func TestLinkGenerationFence(t *testing.T) {
+	e := newEndpoint([]sim.PartyID{0}, 2, []string{"!", "!"}, 1, Options{Reconnect: true})
+	data := func(round int) []byte {
+		return muxFrame(t, wire.SessionRound{Round: round})[1:]
 	}
-	if stats.Reconnects.Load() < 1 {
-		t.Errorf("Reconnects = %d, want ≥ 1 (peers must redial the restarted party)", stats.Reconnects.Load())
+	for _, step := range []struct {
+		gen  int
+		body []byte
+	}{
+		{1, data(1)},
+		{2, readOne(t, encodeCount(0))}, // the replacement's first frame
+		{1, data(2)},                    // the replaced reader, late
+		{2, data(2)},
+	} {
+		if err := e.receive(0, 1, step.gen, step.body); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if stats.FramesResent.Load() < 1 {
-		t.Errorf("FramesResent = %d, want ≥ 1 (history replay to the fresh receiver)", stats.FramesResent.Load())
+	var rounds []int
+	for len(e.events) > 0 {
+		ev := <-e.events
+		r, _, _ := FrameInfo(AppendFrame(nil, ev.body))
+		rounds = append(rounds, r)
 	}
-	if stats.FramesSkip.Load() < 1 {
-		t.Errorf("FramesSkip = %d, want ≥ 1 (regenerated frames the peers already hold)", stats.FramesSkip.Load())
+	if !reflect.DeepEqual(rounds, []int{1, 2}) || e.pipes[0][1].rcvd != 2 {
+		t.Errorf("the node got rounds %v (%d counted), want [1 2] with 2 counted", rounds, e.pipes[0][1].rcvd)
 	}
 }
 

@@ -13,9 +13,12 @@
 // internal/driver's Round and Event, which write and read one round frame
 // per link per round — the wire.SessionRound the serving mux carries too —
 // through driver.Framer and Apply. This package owns how frames travel — the
-// stream framing, the authenticated mesh and its hello, per-peer sender
-// goroutines, the barrier wait, the round / idle timers, reconnect-resend
-// and crash-restart recovery — plus the mirror frames that grant the rushing
+// stream framing and the one peer link outside the overlay (Mux: one duplex
+// connection per pair of parties, its hello, generations and the lower-id
+// redial, writes made where input runs dry), which the serving daemons of
+// internal/session run on too — and, for the one-shot mesh, the barrier
+// wait, the round / idle timers, the count-exchange resume and crash-restart
+// recovery on top of that link, the mirror frames that grant the rushing
 // adversary its view, and the adversary host, which co-hosts the corrupted
 // seats on one driver.Mailbox each.
 package transport
