@@ -119,6 +119,9 @@ func encodeCount(rcvd uint64) []byte {
 
 // parseCount decodes a count frame body.
 func parseCount(body []byte) (uint64, error) {
+	if len(body) == 0 || body[0] != frameCount {
+		return 0, fmt.Errorf("transport: not a count frame")
+	}
 	rcvd, rest, err := wire.ConsumeUvarint(body[1:])
 	if err != nil || len(rest) != 0 {
 		return 0, fmt.Errorf("transport: malformed count frame")

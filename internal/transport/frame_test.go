@@ -59,10 +59,13 @@ func TestHelloRejections(t *testing.T) {
 	}
 }
 
-// TestCountRoundTrip: the count a link generation opens with survives the
-// codec at every size, a malformed one is refused, and the node — which
-// sees data frames only — refuses it too.
-func TestCountRoundTrip(t *testing.T) {
+// The count frame is the hello-ack's successor: same tag (0x05), same
+// uvarint body, now sent by both ends of a link generation. The two tests
+// below keep the hello-ack's names.
+
+// TestHelloAckRoundTrip: the count a link generation opens with survives
+// the codec at every size.
+func TestHelloAckRoundTrip(t *testing.T) {
 	for _, rcvd := range []uint64{0, 1, 127, 1 << 40} {
 		got, err := parseCount(readOne(t, encodeCount(rcvd)))
 		if err != nil {
@@ -72,10 +75,17 @@ func TestCountRoundTrip(t *testing.T) {
 			t.Errorf("count round trip: got %d, want %d", got, rcvd)
 		}
 	}
+}
+
+// TestHelloAckRejections: a malformed count is refused, and the node —
+// which sees data frames only — refuses a valid one too.
+func TestHelloAckRejections(t *testing.T) {
 	valid := readOne(t, encodeCount(42))
 	for name, b := range map[string][]byte{
-		"no count": valid[:1],
-		"trailing": append(append([]byte{}, valid...), 0),
+		"empty":      {},
+		"wrong type": {frameMirror, 42},
+		"no count":   valid[:1],
+		"trailing":   append(append([]byte{}, valid...), 0),
 	} {
 		if _, err := parseCount(b); err == nil {
 			t.Errorf("%s: parseCount accepted %x", name, b)
