@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"errors"
 	"math/rand"
 	"net"
 	"sync"
@@ -106,11 +105,9 @@ func (in *Injector) Apply(opts transport.Options) transport.Options {
 }
 
 // chaosConn wraps one end's connection of a link. Only Write is
-// intercepted. A link writes batches; each is walked frame by frame and
-// every frame written after its own faults, exactly as if it had been
-// written alone: its round keys its fault windows, its latency is its own
-// draw, and a drop closes the connection before it, the write returning the
-// bytes that went out ahead.
+// intercepted: a link writes batches, and each frame of one is written after
+// its own faults, as if alone — its round keys its windows, its latency is
+// its own draw, and a drop cuts the connection under it.
 type chaosConn struct {
 	net.Conn
 	link *linkChaos
@@ -119,17 +116,13 @@ type chaosConn struct {
 func (c *chaosConn) Write(b []byte) (int, error) {
 	sent := 0
 	for sent < len(b) {
+		// Control frames (and anything unrecognizable) pass untouched: chaos
+		// windows are round-scoped.
 		round, control, size := transport.FrameInfo(b[sent:])
-		// Control frames pass untouched: chaos windows are round-scoped, and
-		// delaying the hello or a count would only shift setup time. So does
-		// anything unrecognizable.
 		if size == 0 {
 			size = len(b) - sent
 		} else if !control && c.link.hold(round) {
-			// Cut the connection under the frame: its write fails, and the
-			// transport's resume restores it over a fresh (re-wrapped)
-			// connection.
-			c.Conn.Close()
+			c.Conn.Close() // the write fails; the transport's resume restores the link
 		}
 		n, err := c.Conn.Write(b[sent : sent+size])
 		if sent += n; err != nil {
@@ -137,15 +130,6 @@ func (c *chaosConn) Write(b []byte) (int, error) {
 		}
 	}
 	return sent, nil
-}
-
-// CloseWrite half-closes the wrapped connection, when it can: the link's
-// graceful close ends its own direction first.
-func (c *chaosConn) CloseWrite() error {
-	if cw, ok := c.Conn.(interface{ CloseWrite() error }); ok {
-		return cw.CloseWrite()
-	}
-	return errors.ErrUnsupported
 }
 
 // hold applies one frame's faults: its latency draw, then every stall

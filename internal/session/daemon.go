@@ -200,9 +200,11 @@ func (d *Daemon) Run(ctx context.Context) error {
 		OnDown: d.mgr.linkDown,
 		OnUp:   func(peer sim.PartyID, _ int) { d.mgr.linkUp(peer) },
 	})
-	defer transport.NewAcceptHost(peerLn, d.mux.Accept).Close()
+	// The peer listener closes with the mux, before its teardown.
+	host := transport.NewAcceptHost(peerLn, d.mux.Accept)
 	if err := d.mux.Start(); err != nil {
 		clientLn.Close()
+		host.Close()
 		d.mux.Close()
 		d.mgr.stop()
 		if jw := d.mgr.jw; jw != nil {
@@ -226,6 +228,7 @@ func (d *Daemon) Run(ctx context.Context) error {
 		d.mgr.drain(d.opts.DrainTimeout)
 		close(d.closedCh)
 		d.clientLn.Close()
+		host.Close()
 		d.mux.Close()
 		d.mgr.stop()
 		if jw := d.mgr.jw; jw != nil {
@@ -240,6 +243,7 @@ func (d *Daemon) Run(ctx context.Context) error {
 		// tickets, so no client can observe an outcome the journal lost.
 		close(d.closedCh)
 		d.clientLn.Close()
+		host.Close()
 		d.mux.Kill()
 		d.mgr.stop()
 		if jw := d.mgr.jw; jw != nil {

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"fmt"
-	"time"
 
 	"treeaa/internal/driver"
 	"treeaa/internal/sim"
@@ -62,7 +61,6 @@ func runAdversaryHost(cfg hostConfig) (*driver.Result, error) {
 		honest:   honest,
 		states:   make(map[sim.PartyID]*driver.Mailbox, len(cfg.corrupted)),
 		mirrors:  make(map[int]map[sim.PartyID][]sim.Message),
-		fail:     make(map[sim.PartyID]error),
 	}
 	framers := make(map[sim.PartyID]*driver.Framer, len(cfg.corrupted))
 	for _, c := range cfg.corrupted {
@@ -75,7 +73,10 @@ func runAdversaryHost(cfg hostConfig) (*driver.Result, error) {
 	corruptInbox := make(map[sim.PartyID][]sim.Message, len(cfg.corrupted))
 
 	for r := 1; r <= cfg.maxRounds; r++ {
-		if err := h.await(r); err != nil {
+		// Only a failed peer that still owes the observer round r stalls us.
+		err := e.wait(fmt.Sprintf("adversary host waiting on round %d", r), false, func() bool { return h.ready(r) },
+			h.handle, func(p sim.PartyID) bool { return !h.states[observer].HasEOR(r, p) })
+		if err != nil {
 			return nil, err
 		}
 
@@ -126,7 +127,6 @@ func runAdversaryHost(cfg hostConfig) (*driver.Result, error) {
 				return nil, fmt.Errorf("transport: adversary round %d: %w", r, err)
 			}
 		}
-		e.flush()
 		for r2 := range h.mirrors {
 			if r2 <= r {
 				delete(h.mirrors, r2)
@@ -152,68 +152,25 @@ type hostState struct {
 	honest   []sim.PartyID
 	states   map[sim.PartyID]*driver.Mailbox       // per corrupted party
 	mirrors  map[int]map[sim.PartyID][]sim.Message // round → honest sender → expanded traffic
-	fail     map[sim.PartyID]error                 // first connection failure per peer
-}
-
-// barrierDone reports whether corrupted party c holds round r's frame from
-// every honest party — the only senders of frames a co-hosted party has.
-func (h *hostState) barrierDone(c sim.PartyID, r int) bool {
-	eors, _ := h.states[c].Barrier(r)
-	return eors == len(h.honest)
 }
 
 // ready reports whether the adversary can step round r: the observer holds
 // round r's frame from every honest party (so round r's mirrors, which
 // precede it on the link, are complete) and every corrupted inbox for round
-// r-1 is complete (round r-1's frame from every honest peer; intra-host
-// deliveries are synchronous and need no barrier).
+// r-1 is complete (round r-1's frame from every honest peer — the only
+// senders of frames a co-hosted party has; intra-host deliveries are
+// synchronous and need no barrier).
 func (h *hostState) ready(r int) bool {
-	if !h.barrierDone(h.observer, r) {
-		return false
-	}
-	if r == 1 {
-		return true
-	}
 	for _, c := range h.cfg.corrupted {
-		if !h.barrierDone(c, r-1) {
+		if eors, _ := h.states[c].Barrier(r - 1); r > 1 && eors != len(h.honest) {
 			return false
 		}
 	}
-	return true
-}
-
-func (h *hostState) await(r int) error {
-	e := h.cfg.ep
-	timeout := time.NewTimer(e.opts.RoundTimeout)
-	defer timeout.Stop()
-	for !h.ready(r) {
-		select {
-		case ev := <-e.events:
-			if err := h.handle(ev); err != nil {
-				return fmt.Errorf("transport: adversary host: %w", err)
-			}
-			// Only a failed peer that still owes the observer round r stalls us.
-			for _, p := range h.honest {
-				if err := h.fail[p]; err != nil && !h.states[h.observer].HasEOR(r, p) {
-					return fmt.Errorf("transport: adversary host waiting on round %d: %w", r, err)
-				}
-			}
-		case <-timeout.C:
-			return fmt.Errorf("transport: adversary host: round %d barrier timed out after %v", r, e.opts.RoundTimeout)
-		case <-e.quit:
-			return fmt.Errorf("transport: adversary host: endpoint closed while waiting on round %d", r)
-		}
-	}
-	return nil
+	eors, _ := h.states[h.observer].Barrier(r)
+	return eors == len(h.honest)
 }
 
 func (h *hostState) handle(ev event) error {
-	if ev.err != nil {
-		if _, seen := h.fail[ev.from]; !seen {
-			h.fail[ev.from] = ev.err
-		}
-		return nil
-	}
 	switch ev.body[0] {
 	case FrameMuxSession:
 		return h.states[ev.owner].Apply(ev.from, ev.owner, ev.body[1:])

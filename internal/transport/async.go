@@ -32,7 +32,6 @@ package transport
 import (
 	"fmt"
 	"net"
-	"time"
 
 	"treeaa/internal/driver"
 	"treeaa/internal/sim"
@@ -66,50 +65,26 @@ func runAsyncNode(id sim.PartyID, n int, machine driver.EventMachine, e *endpoin
 	if err := drv.Start(); err != nil {
 		return nil, fmt.Errorf("transport: %w", err)
 	}
-	idle := time.NewTimer(e.opts.RoundTimeout)
-	defer idle.Stop()
-	for !drv.Finished() {
-		if len(e.events) == 0 {
-			e.flush() // input ran dry: write what the deliveries staged
+	// A link failure reaches the loop behind every frame the peer sent, its
+	// announcement included: a peer that announced and hung up is done; one
+	// that did not died undecided.
+	err := e.wait(fmt.Sprintf("party %d undecided", id), true, drv.Finished, func(ev event) error {
+		if ev.body[0] != FrameMuxSession {
+			return fmt.Errorf("unexpected frame type 0x%02x from party %d in async mode", ev.body[0], ev.from)
 		}
-		select {
-		case ev := <-e.events:
-			if ev.err != nil {
-				// A link failure reaches us behind every frame the peer sent,
-				// its announcement included: a peer that announced and hung up
-				// is done; one that did not died undecided.
-				if drv.IsPeerDone(ev.from) {
-					continue
-				}
-				return nil, fmt.Errorf("transport: party %d: %w", id, ev.err)
-			}
-			if ev.body[0] != FrameMuxSession {
-				return nil, fmt.Errorf("transport: party %d: unexpected frame type 0x%02x from party %d in async mode",
-					id, ev.body[0], ev.from)
-			}
-			heard := drv.IsPeerDone(ev.from)
-			if err := drv.Apply(ev.from, ev.body[1:]); err != nil {
-				return nil, fmt.Errorf("transport: %w", err)
-			}
-			if !heard && drv.IsPeerDone(ev.from) {
-				// Everything staged for a decided peer is discard-bound,
-				// except our own announcement.
-				e.links[id].discard(ev.from, func(frame []byte) bool {
-					_, control, _ := FrameInfo(frame)
-					return control
-				})
-			}
-			if !idle.Stop() {
-				<-idle.C
-			}
-			idle.Reset(e.opts.RoundTimeout)
-		case <-idle.C:
-			return nil, fmt.Errorf("transport: party %d: async mode idle for %v with %d/%d peers done "+
-				"(wedged run: a peer died or the network stopped delivering)",
-				id, e.opts.RoundTimeout, drv.PeersDone(), n-1)
-		case <-e.quit:
-			return nil, fmt.Errorf("transport: party %d: endpoint closed while undecided", id)
+		heard := drv.IsPeerDone(ev.from)
+		if err := drv.Apply(ev.from, ev.body[1:]); err != nil {
+			return err
 		}
+		if !heard && drv.IsPeerDone(ev.from) {
+			e.discard(id, ev.from) // a decided peer needs nothing but our announcement
+		}
+		return nil
+	}, func(p sim.PartyID) bool { return !drv.IsPeerDone(p) })
+	if err != nil {
+		// An idle timeout means a wedged run: a peer died or the network
+		// stopped delivering.
+		return nil, fmt.Errorf("%w (%d/%d peers done)", err, drv.PeersDone(), n-1)
 	}
 	e.finish() // write the staged announcements before the FIN
 	return drv, nil
@@ -165,7 +140,7 @@ func AsyncLocalCluster(n int, machines []driver.EventMachine, opts Options) (*As
 func asyncSeat(id sim.PartyID, n int, machine driver.EventMachine, ln net.Listener, addrs []string,
 	session uint64, opts Options) (run func() (*driver.Event, error), stop func()) {
 	ep := newEndpoint([]sim.PartyID{id}, n, addrs, session, opts)
-	host := NewAcceptHost(ln, ep.accept(id))
+	host := NewAcceptHost(ln, ep.links[id].Accept)
 	return func() (*driver.Event, error) { return runAsyncNode(id, n, machine, ep) },
 		func() { host.Close(); ep.shutdown(false) }
 }

@@ -159,7 +159,7 @@ func RunAll[T any](runs []func() (T, error), stops []func()) ([]T, error) {
 func honestSeat(nc nodeConfig, ln net.Listener, addrs []string, session uint64,
 	opts Options) (run func() (*driver.Result, error), stop func()) {
 	first := newEndpoint([]sim.PartyID{nc.id}, nc.n, addrs, session, opts)
-	host := NewAcceptHost(ln, first.accept(nc.id))
+	host := NewAcceptHost(ln, first.links[nc.id].Accept)
 	nc.ep, nc.crashRound = first, opts.CrashPlan[nc.id]
 	return func() (*driver.Result, error) { return superviseNode(nc, host, opts) },
 		func() { host.Close(); first.shutdown(false) }
@@ -173,7 +173,7 @@ func hostSeat(hc hostConfig, lns []net.Listener, addrs []string, session uint64,
 	hc.ep = newEndpoint(hc.corrupted, hc.n, addrs, session, opts)
 	hosts := make([]*AcceptHost, len(lns))
 	for i, ln := range lns {
-		hosts[i] = NewAcceptHost(ln, hc.ep.accept(hc.corrupted[i]))
+		hosts[i] = NewAcceptHost(ln, hc.ep.links[hc.corrupted[i]].Accept)
 	}
 	return func() (*driver.Result, error) { return runAdversaryHost(hc) },
 		func() {

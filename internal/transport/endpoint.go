@@ -1,13 +1,17 @@
 package transport
 
 import (
+	"fmt"
 	"net"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"treeaa/internal/driver"
 	"treeaa/internal/metrics"
 	"treeaa/internal/sim"
+	"treeaa/internal/wire"
 )
 
 // Options tunes the TCP substrate. The zero value gets sane defaults.
@@ -85,8 +89,8 @@ func (o Options) withDefaults() Options {
 
 // event is one item of an endpoint's merged receive stream: a data frame,
 // still encoded (the node loop hands a round to its driver as it came),
-// attributed to its authenticated sender, or a link failure its reader met
-// behind every frame the peer sent.
+// attributed to its authenticated sender; a link failure its reader met
+// behind every frame the peer sent; or, with neither, the peer's bye.
 type event struct {
 	owner sim.PartyID // local party the frame was addressed to
 	from  sim.PartyID // authenticated sender (fixed by the hello)
@@ -115,13 +119,17 @@ type pipe struct {
 	gen   int
 	open  bool   // the peer's count for gen has arrived: data flows
 	acked uint64 // that count: the peer holds data frames 1..acked
-	bye   bool   // a second count came on gen: the peer finished, holding acked
+	fin   bool   // this side finished: a bye follows its data on every generation
 	sent  uint64 // data frames staged, the last one's number
 	wrote uint64 // highest data frame the peer has held or been handed
-	base  uint64 // number of the frame before kept[0]
-	// kept holds copies of data frames from base+1 on: all of them under
-	// Reconnect, otherwise just those waiting for the first count.
+	// kept holds copies of data frames, kept[i] frame i+1: all of them under
+	// Reconnect, otherwise just those waiting for the one count there is.
 	kept [][]byte
+
+	// done is set once the peer owes nothing and needs nothing more: it said
+	// bye, or, without Reconnect, its link failed. It is what finish waits
+	// for, and a peer that said bye is neither sent data nor redialed.
+	done atomic.Bool
 }
 
 // endpoint hosts one or more local parties on a shared event stream: one
@@ -138,14 +146,16 @@ type endpoint struct {
 	pipes   map[sim.PartyID][]*pipe // [local owner][remote peer]
 
 	events    chan event
+	failed    map[sim.PartyID]error // first link failure per peer, as the node loop met it
 	quit      chan struct{}
 	closeOnce sync.Once
 }
 
 // newEndpoint prepares (but does not start) an endpoint for the given local
-// parties. It owns no listener: each local party's AcceptHost feeds it
-// inbound connections through accept, so a listen address outlives the
-// endpoint incarnations of a crash-restarted party.
+// parties. It owns no listener: each local party's AcceptHost feeds its
+// links' Accept, so a listen address outlives the endpoint incarnations of a
+// crash-restarted party; a closed endpoint's links refuse, and the dialer's
+// backoff retries until the next incarnation is seated.
 func newEndpoint(ids []sim.PartyID, n int, addrs []string, session uint64, opts Options) *endpoint {
 	e := &endpoint{
 		n:       n,
@@ -156,21 +166,30 @@ func newEndpoint(ids []sim.PartyID, n int, addrs []string, session uint64, opts 
 		links:   make(map[sim.PartyID]*Mux, len(ids)),
 		pipes:   make(map[sim.PartyID][]*pipe, len(ids)),
 		events:  make(chan event, 64*n+256),
+		failed:  make(map[sim.PartyID]error),
 		quit:    make(chan struct{}),
 	}
 	for _, id := range ids {
-		m := NewMux(MuxConfig{
-			ID: id, Addrs: addrs, Hash: session,
-			SetupTimeout: e.opts.SetupTimeout, RoundTimeout: e.opts.RoundTimeout,
-			Dialer: e.opts.Dialer, WrapConn: e.opts.WrapConn, Redial: e.opts.Reconnect,
-			Handler: func(from sim.PartyID, gen int, body []byte) error { return e.receive(id, from, gen, body) },
-			OnDown:  func(peer sim.PartyID, err error) { e.down(id, peer, err) },
-			OnUp:    func(peer sim.PartyID, gen int) { e.up(id, peer, gen) },
-		})
 		pipes := make([]*pipe, n)
 		for p := range pipes {
 			pipes[p] = &pipe{}
 		}
+		m := NewMux(MuxConfig{
+			ID: id, Addrs: addrs, Hash: session,
+			SetupTimeout: e.opts.SetupTimeout, RoundTimeout: e.opts.RoundTimeout,
+			WrapConn: e.opts.WrapConn, Redial: e.opts.Reconnect, ReadOrdered: true,
+			// A peer that said bye is gone once its link closes: refused
+			// at once, a redial cannot outlast the shutdown by retrying.
+			Dialer: func(addr string, deadline time.Time) (net.Conn, error) {
+				if p := slices.Index(addrs, addr); p >= 0 && pipes[p] != nil && pipes[p].done.Load() {
+					return nil, fmt.Errorf("transport: party %d said bye", p)
+				}
+				return e.opts.Dialer(addr, deadline)
+			},
+			Handler: func(from sim.PartyID, gen int, body []byte) error { return e.receive(id, from, gen, body) },
+			OnDown:  func(peer sim.PartyID, err error) { e.down(id, peer, err) },
+			OnUp:    func(peer sim.PartyID, gen int) { e.receive(id, peer, gen, nil) },
+		})
 		for _, c := range ids {
 			m.peers[c], pipes[c] = nil, nil // co-hosted: no link
 		}
@@ -191,24 +210,6 @@ func (e *endpoint) start() error {
 	return nil
 }
 
-// accept is the AcceptHost handler seating this endpoint at owner's listen
-// address. A closed endpoint (finished, or crashed and not yet replaced)
-// refuses; the dialer's backoff retries.
-func (e *endpoint) accept(owner sim.PartyID) func(net.Conn) {
-	return e.links[owner].Accept
-}
-
-// up attaches the pipe to a new link generation, unless one of its frames
-// has already done so.
-func (e *endpoint) up(owner, peer sim.PartyID, gen int) {
-	p := e.pipes[owner][peer]
-	p.rmu.Lock()
-	if gen > p.gen {
-		e.attach(owner, peer, p, gen)
-	}
-	p.rmu.Unlock()
-}
-
 // attach moves the pipe to link generation gen: data waits for the peer's
 // count, and the count of what has been received so far — fixed here,
 // under rmu, so no frame of an older generation can still slip in behind
@@ -220,7 +221,8 @@ func (e *endpoint) attach(owner, peer sim.PartyID, p *pipe, gen int) {
 	e.stage(owner, peer, gen, encodeCount(p.rcvd), true)
 }
 
-// receive is the link handler of local party owner.
+// receive is the link handler of local party owner, and with a nil body
+// its link-up hook: a generation attaches at whichever comes first.
 func (e *endpoint) receive(owner, from sim.PartyID, gen int, body []byte) error {
 	p := e.pipes[owner][from]
 	p.rmu.Lock()
@@ -231,13 +233,19 @@ func (e *endpoint) receive(owner, from sim.PartyID, gen int, body []byte) error 
 	if gen > p.gen {
 		e.attach(owner, from, p, gen)
 	}
+	if body == nil {
+		return nil
+	}
 	e.opts.Stats.AddRecv(len(body))
-	if body[0] == frameCount {
+	switch body[0] {
+	case frameCount:
 		acked, err := parseCount(body)
 		if err != nil {
 			return err
 		}
-		e.resume(owner, from, p, acked)
+		return e.resume(owner, from, p, acked)
+	case frameBye:
+		e.settle(owner, from)
 		return nil
 	}
 	// Counted and handed on under rmu: the hand-off may wait for the node
@@ -251,14 +259,13 @@ func (e *endpoint) receive(owner, from sim.PartyID, gen int, body []byte) error 
 }
 
 // resume opens the pipe's generation on the peer's count: kept frames the
-// peer holds are skipped, the rest are staged. A second count on an open
-// generation is the peer's goodbye (finish). Caller holds p.rmu.
-func (e *endpoint) resume(owner, peer sim.PartyID, p *pipe, acked uint64) {
+// peer holds are skipped, the rest are staged, and a finished side's bye
+// follows them. Caller holds p.rmu.
+func (e *endpoint) resume(owner, peer sim.PartyID, p *pipe, acked uint64) error {
 	p.smu.Lock()
 	defer p.smu.Unlock()
 	if p.open {
-		p.acked, p.bye = acked, true
-		return
+		return fmt.Errorf("transport: a second count from party %d on one link generation", peer)
 	}
 	p.acked, p.open = acked, true
 	c := e.opts.Chaos
@@ -274,12 +281,12 @@ func (e *endpoint) resume(owner, peer sim.PartyID, p *pipe, acked uint64) {
 		p.wrote = held
 	}
 	for i, f := range p.kept {
-		seq := p.base + uint64(i) + 1
+		seq := uint64(i) + 1
 		if seq <= acked {
 			continue
 		}
 		if !e.stage(owner, peer, p.gen, f, false) {
-			break // replaced again: the next count resends the rest
+			return nil // replaced again: the next count resends the rest
 		}
 		if seq <= p.wrote && c != nil {
 			c.FramesResent.Add(1)
@@ -288,17 +295,25 @@ func (e *endpoint) resume(owner, peer sim.PartyID, p *pipe, acked uint64) {
 		p.wrote = max(p.wrote, seq)
 	}
 	if !e.opts.Reconnect {
-		p.base, p.kept = p.sent, nil
+		p.kept = nil
 	}
+	if p.fin {
+		e.stage(owner, peer, p.gen, byeFrame, false)
+	}
+	return nil
 }
 
 // send stages one data frame for peer: numbered, kept for resends, held
 // until the peer's count has arrived, suppressed when that count says the
-// peer has it already. frame must not change afterwards.
+// peer has it already — or dropped unnumbered, when the peer said bye and
+// needs nothing more. frame must not change afterwards.
 func (e *endpoint) send(owner, peer sim.PartyID, frame []byte) {
 	p := e.pipes[owner][peer]
 	p.smu.Lock()
 	defer p.smu.Unlock()
+	if p.done.Load() {
+		return
+	}
 	p.sent++
 	if e.opts.Reconnect || !p.open {
 		p.kept = append(p.kept, frame)
@@ -347,10 +362,61 @@ func (e *endpoint) flush() {
 	}
 }
 
+// wait runs the node loop's input until ready holds: it writes what is
+// staged whenever input runs dry and hands every frame to handle. It fails
+// on shutdown; on the timeout — RoundTimeout for the whole wait or, with
+// idle, of silence; and on the link failure of a peer that owes what the
+// wait is for. A failure of a peer that has delivered it is benign — a
+// finished peer closes its connections while slower parties are still
+// deciding — but is remembered for the waits after. what names the wait in
+// its errors.
+func (e *endpoint) wait(what string, idle bool, ready func() bool, handle func(event) error,
+	owes func(sim.PartyID) bool) error {
+	timeout := time.NewTimer(e.opts.RoundTimeout)
+	defer timeout.Stop()
+	for e.flush(); !ready(); {
+		if len(e.events) == 0 {
+			e.flush()
+		}
+		select {
+		case ev := <-e.events:
+			switch {
+			case ev.err != nil:
+				if e.failed[ev.from] == nil {
+					e.failed[ev.from] = ev.err
+				}
+			case ev.body != nil: // not a bye
+				if err := handle(ev); err != nil {
+					return fmt.Errorf("transport: %s: %w", what, err)
+				}
+			}
+			for p, err := range e.failed {
+				if owes(p) {
+					return fmt.Errorf("transport: %s: %w", what, err)
+				}
+			}
+			if idle {
+				if !timeout.Stop() {
+					<-timeout.C
+				}
+				timeout.Reset(e.opts.RoundTimeout)
+			}
+		case <-timeout.C:
+			return fmt.Errorf("transport: %s: timed out after %v", what, e.opts.RoundTimeout)
+		case <-e.quit:
+			// Shutdown (deployment abort or context cancellation) while
+			// blocked: exit promptly instead of riding out the timeout.
+			return fmt.Errorf("transport: %s: endpoint closed", what)
+		}
+	}
+	return nil
+}
+
 // down reports a failed link to the node loop, after every frame its reader
 // took in. With Reconnect it is swallowed: the lower id redials, the count
 // exchange repairs the stream, and a peer that never comes back is caught
-// by the round timeout.
+// by the round timeout. Without it the peer is settled: nothing more can
+// come from it.
 func (e *endpoint) down(owner, peer sim.PartyID, err error) {
 	if e.opts.Reconnect {
 		return
@@ -359,66 +425,106 @@ func (e *endpoint) down(owner, peer sim.PartyID, err error) {
 	case e.events <- event{owner: owner, from: peer, err: err}:
 	case <-e.quit:
 	}
+	e.settle(owner, peer)
 }
 
-// finish ends the endpoint at the end of its run, gracefully. Under
-// Reconnect it first waits, at most RoundTimeout, until every pipe is
-// settled — and then says goodbye with a second count on every link, so a
-// peer that sees the link close next knows this side finished rather than
-// dropped.
-func (e *endpoint) finish() {
-	if e.opts.Reconnect {
-		for deadline := time.Now().Add(e.opts.RoundTimeout); !e.settled() && time.Now().Before(deadline); {
-			time.Sleep(time.Millisecond)
-		}
-		for owner, pipes := range e.pipes {
-			for peer, p := range pipes {
-				if p == nil {
-					continue
-				}
-				p.rmu.Lock()
-				e.stage(owner, sim.PartyID(peer), p.gen, encodeCount(p.rcvd), false)
-				p.rmu.Unlock()
-			}
+// settle marks the pipe's peer done, once, and wakes the node loop.
+func (e *endpoint) settle(owner, peer sim.PartyID) {
+	if !e.pipes[owner][peer].done.Swap(true) {
+		select {
+		case e.events <- event{owner: owner, from: peer}:
+		case <-e.quit:
 		}
 	}
-	e.shutdown(true)
 }
 
-// settled reports whether no peer can lack a frame for want of a link:
-// every pipe's link is up and resumed with all of the pipe's frames staged
-// on it — the final drain and the half-close deliver them — or its peer
-// said goodbye. A link that failed near the end is restored by its lower id
-// and resumed first.
-func (e *endpoint) settled() bool {
+// discard drops the data frames staged for peer that no write has taken
+// yet, but for control ones (an announcement), and renumbers the rest: the
+// peer never saw the dropped ones, so its count keeps meaning our frames
+// 1..k. It is for a peer that needs nothing more from us but our
+// announcement: one that announced its decision.
+func (e *endpoint) discard(owner, peer sim.PartyID) {
+	p, l := e.pipes[owner][peer], e.links[owner].peers[peer]
+	p.smu.Lock()
+	defer p.smu.Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if p.gen != l.gen {
+		return // a newer generation's outbox, holding nothing of ours yet
+	}
+	// keep has one entry per data frame in the outbox: they are the last the
+	// pipe staged, wrote-len(keep)+1 .. wrote.
+	var keep []bool
+	out, frames := l.pending[:0], 0
+	for rest := l.pending; len(rest) > 0; {
+		_, control, size := FrameInfo(rest)
+		if _, body, _ := wire.ConsumeUvarint(rest); body[0] != frameCount && body[0] != frameBye {
+			keep = append(keep, control)
+		}
+		if control {
+			out = append(out, rest[:size]...) // a prefix of rest: never overtakes it
+			frames++
+		}
+		rest = rest[size:]
+	}
+	l.pending, l.frames = out, frames
+	if !e.opts.Reconnect {
+		return // one generation, one count: nothing is numbered against again
+	}
+	// The outbox held frames first+1 .. wrote.
+	first := int(p.wrote) - len(keep)
+	kept := p.kept[:first]
+	for i, k := range keep {
+		if k {
+			kept = append(kept, p.kept[first+i]) // never overtakes the read
+		}
+	}
+	cut := p.wrote - uint64(len(kept))
+	p.kept = append(kept, p.kept[p.wrote:]...)
+	p.sent, p.wrote = p.sent-cut, p.wrote-cut
+}
+
+// finish ends the endpoint at the end of its run: a bye behind everything
+// staged on every link, then a wait, at most RoundTimeout, for every peer's
+// bye, then a graceful shutdown. A peer that said bye holds all it needs and
+// writes nothing after it, so the close neither strands a peer nor resets a
+// connection with input unread; a link down meanwhile is restored, and
+// resumed with the bye last, while both ends wait.
+func (e *endpoint) finish() {
 	for owner, pipes := range e.pipes {
 		for peer, p := range pipes {
 			if p == nil {
 				continue
 			}
-			gen, up := linkState(e.links[owner].peers[peer])
 			p.smu.Lock()
-			ok := p.bye || (p.open && up && gen == p.gen && p.wrote == p.sent)
-			p.smu.Unlock()
-			if !ok {
-				return false
+			if p.fin = true; p.open {
+				e.stage(owner, sim.PartyID(peer), p.gen, byeFrame, false)
 			}
+			p.smu.Unlock()
 		}
 	}
-	return true
+	settled := func() bool {
+		for _, pipes := range e.pipes {
+			for _, p := range pipes {
+				if p != nil && !p.done.Load() {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	e.wait("finishing", false, settled, func(event) error { return nil }, func(sim.PartyID) bool { return false })
+	e.shutdown(true)
 }
 
 // shutdown ends the endpoint. When graceful, staged frames are written
-// first (each link's flusher drains before its connection dies), which is
-// how a terminating party guarantees its final round frame reaches every
-// peer before the FIN does. Otherwise it dies the way a process would:
+// first (each link's flusher drains the outbox before its connection dies),
+// which is how a terminating party guarantees its bye reaches every peer
+// before the FIN does. Otherwise it dies the way a process would:
 // connections cut mid-stream, nothing flushed, no goodbye. The listen
 // address is the party's AcceptHost's and outlives the endpoint either way.
 func (e *endpoint) shutdown(graceful bool) {
 	e.closeOnce.Do(func() {
-		if graceful {
-			e.flush()
-		}
 		close(e.quit) // first: a handler waiting on the event stream lets its reader go
 		for _, m := range e.links {
 			if graceful {

@@ -24,6 +24,7 @@ import (
 //	round:  wire.SessionRound body (FrameMuxSession envelope)
 //	mirror: uvarint(round) | u32(real recipient) | wire body
 //	count:  uvarint(data frames received from the peer)
+//	bye:    no fields
 //
 // The round frame is internal/driver's: everything the sender has for this
 // peer in one round, and its end-of-round mark. It is the synchronization
@@ -32,10 +33,12 @@ import (
 // frame the serving mux carries, so this package neither builds nor decodes
 // it. Rounds and mirrors are the mesh's data frames; the count is its resume
 // (endpoint.go), sent by both ends as the first frame of every link
-// generation.
+// generation, and the bye its end of run: the sender finished and needs
+// nothing more, and the bye is the last frame it writes on the link.
 const (
 	frameMirror byte = 0x03
 	frameCount  byte = 0x05
+	frameBye    byte = 0x09
 
 	// FrameMuxSession is the envelope tag of a wire session body: a
 	// wire.SessionRound on every mesh link, this package's and the serving
@@ -117,6 +120,8 @@ func encodeCount(rcvd uint64) []byte {
 	return AppendFrame(nil, wire.AppendUvarint([]byte{frameCount}, rcvd))
 }
 
+var byeFrame = AppendFrame(nil, []byte{frameBye})
+
 // parseCount decodes a count frame body.
 func parseCount(body []byte) (uint64, error) {
 	if len(body) == 0 || body[0] != frameCount {
@@ -147,21 +152,21 @@ func parseMirror(from sim.PartyID, body []byte) (sim.Message, error) {
 	if err != nil {
 		return sim.Message{}, err
 	}
-	to, rest, err := consumePartyID(rest)
-	if err != nil {
-		return sim.Message{}, err
+	to, rest, err := wire.ConsumeU32(rest)
+	if err != nil || to > wire.MaxIDValue {
+		return sim.Message{}, fmt.Errorf("transport: bad mirror recipient")
 	}
 	payload, err := wire.Decode(rest)
 	if err != nil {
 		return sim.Message{}, fmt.Errorf("transport: bad payload body: %w", err)
 	}
-	return sim.Message{From: from, To: to, Round: round, Payload: payload}, nil
+	return sim.Message{From: from, To: sim.PartyID(to), Round: round, Payload: payload}, nil
 }
 
 // FrameInfo peeks at the head frame of an encoded buffer as the link hands
 // it to conn.Write: the round it belongs to, whether it is a control frame —
-// the hello, a count, session open-abort-decide, and an event-driven seat's
-// decision announcement (an empty done-marked round frame: chaos latency
+// the hello, a count, a bye, session open-abort-decide, and an event-driven
+// seat's decision announcement (an empty done-marked round frame: chaos latency
 // windows, which key on rounds, let it pass, because a decided party's
 // announcement must not queue behind delayed protocol backlog that its
 // already-decided peers will discard anyway) — and its encoded size, length
@@ -178,7 +183,7 @@ func FrameInfo(b []byte) (round int, control bool, size int) {
 	size = len(b) - len(rest) + int(n)
 	ok := true
 	switch body := rest[:n]; body[0] {
-	case FrameMuxHello, frameCount:
+	case FrameMuxHello, frameCount, frameBye:
 		control = true
 	case frameMirror:
 		round, _, err = consumeRound(body[1:])
@@ -220,15 +225,4 @@ func consumeRound(b []byte) (int, []byte, error) {
 		return 0, nil, fmt.Errorf("transport: round %d out of range", r)
 	}
 	return int(r), rest, nil
-}
-
-func consumePartyID(b []byte) (sim.PartyID, []byte, error) {
-	x, rest, err := wire.ConsumeU32(b)
-	if err != nil {
-		return 0, nil, err
-	}
-	if x > wire.MaxIDValue {
-		return 0, nil, fmt.Errorf("transport: party id %d out of range", x)
-	}
-	return sim.PartyID(x), rest, nil
 }

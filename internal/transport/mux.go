@@ -59,6 +59,11 @@ type MuxConfig struct {
 	// Redial makes the lower-id side restore a failed link; without it a link
 	// that went down stays down.
 	Redial bool
+	// ReadOrdered makes a failed write leave the link to its reader, which
+	// fails it behind every frame the peer sent before it hung up; without it
+	// the write fails the link at once. The one-shot mesh needs it: a peer's
+	// last frames and its hang-up arrive on the socket our write failed on.
+	ReadOrdered bool
 
 	// Handler receives every inbound frame body (type tag first), still
 	// encoded, attributed to its authenticated peer and stamped with the link
@@ -70,7 +75,7 @@ type MuxConfig struct {
 	// retain body (the read arena hands out a fresh slice per frame). A
 	// non-nil error fails the link.
 	Handler func(from sim.PartyID, gen int, body []byte) error
-	// OnDown reports a dead link, with the error its reader ended on.
+	// OnDown reports a dead link (read or write failure after setup).
 	OnDown func(peer sim.PartyID, err error)
 	// OnUp reports each generation of a link coming up, the first included.
 	OnUp func(peer sim.PartyID, gen int)
@@ -119,7 +124,6 @@ type peerLink struct {
 
 	ready     chan struct{} // closed when the link first comes up
 	readyOnce sync.Once
-	readDone  chan struct{} // closed when the current generation's reader exits
 
 	mu        sync.Mutex
 	conn      net.Conn
@@ -127,7 +131,7 @@ type peerLink struct {
 	gen       int           // incremented per registered connection
 	up        bool          // current generation is live
 	genQuit   chan struct{} // closed when the current generation dies
-	redialing bool          // a redial goroutine is running (or shutdown ended it)
+	redialing bool          // a redial goroutine is already running
 
 	pending []byte // concatenated encoded frames awaiting one batched write
 	spare   []byte // last flushed batch, recycled to avoid regrowing pending
@@ -341,17 +345,14 @@ func (m *Mux) register(peer sim.PartyID, conn net.Conn, br *bufio.Reader, replac
 	l.conn, l.sock = conn, newSockWriter(conn)
 	l.gen++
 	l.up = true
-	// A redial that brought this generation up is done: should the
-	// generation fail at once, its reader may start the next one.
-	l.redialing = false
-	l.genQuit, l.readDone = make(chan struct{}), make(chan struct{})
+	l.genQuit = make(chan struct{})
 	// Frames queued for the dead incarnation are stale: the user has heard
 	// the link go down and owns what becomes of them. Carrying them over
 	// would interleave two incarnations' traffic.
 	l.pending, l.frames = l.pending[:0], 0
-	gen, genQuit, readDone := l.gen, l.genQuit, l.readDone
+	gen, genQuit := l.gen, l.genQuit
 	l.mu.Unlock()
-	go m.readLoop(l, gen, br, readDone)
+	go m.readLoop(l, gen, br)
 	go m.flushLoop(l, gen, genQuit, conn)
 	l.readyOnce.Do(func() { close(l.ready) })
 	if m.cfg.OnUp != nil && !m.closed() {
@@ -373,17 +374,9 @@ func (l *peerLink) markDownLocked() {
 	l.pending, l.frames = l.pending[:0], 0
 }
 
-// linkState reads a link's generation and whether it is up.
-func linkState(l *peerLink) (gen int, up bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.gen, l.up
-}
-
-// linkFailed handles the failure of a specific generation, as its reader
-// met it. A stale generation (already replaced or already failed) is
-// ignored. The lower-id side owns redialing, mirroring the initial mesh
-// direction.
+// linkFailed handles a read or write failure on a specific generation. A
+// stale generation (already replaced or already failed) is ignored. The
+// lower-id side owns redialing, mirroring the initial mesh direction.
 func (m *Mux) linkFailed(l *peerLink, gen int, err error) {
 	l.mu.Lock()
 	if l.gen != gen || !l.up {
@@ -402,20 +395,20 @@ func (m *Mux) linkFailed(l *peerLink, gen int, err error) {
 	if s := m.cfg.Stats; s != nil {
 		s.LinkDowns.Add(1)
 	}
-	if redial && !m.spawn(func() { m.redialLoop(l) }) {
-		l.mu.Lock()
-		l.redialing = false
-		l.mu.Unlock()
+	if redial {
+		m.spawn(func() { m.redialLoop(l) })
 	}
 }
 
 // redialLoop restores a link to a higher-id peer with capped exponential
 // backoff, giving up only when the mux closes. A restarting peer rebinds
-// its listener late in recovery, so early attempts failing is the norm. The
-// loop is the retry: each pass gives its dial one backoff's worth of time,
-// so a shutdown never waits on a redial longer than that — a peer that is
-// gone for good (a one-shot party that finished) refuses until the end.
+// its listener late in recovery, so early attempts failing is the norm.
 func (m *Mux) redialLoop(l *peerLink) {
+	defer func() {
+		l.mu.Lock()
+		l.redialing = false
+		l.mu.Unlock()
+	}()
 	backoff := 25 * time.Millisecond
 	for {
 		select {
@@ -426,7 +419,7 @@ func (m *Mux) redialLoop(l *peerLink) {
 		if backoff *= 2; backoff > time.Second {
 			backoff = time.Second
 		}
-		if err := m.dial(l.peer, time.Now().Add(backoff)); err == nil {
+		if err := m.dial(l.peer, time.Now().Add(m.cfg.SetupTimeout)); err == nil {
 			if s := m.cfg.Stats; s != nil {
 				s.LinkRedials.Add(1)
 			}
@@ -482,27 +475,6 @@ func (m *Mux) put(to sim.PartyID, frame []byte, wake bool) {
 			l.put(frame, 0, wake)
 		}
 	}
-}
-
-// discard drops the frames staged for peer that no write has taken yet,
-// except those keep accepts.
-func (m *Mux) discard(peer sim.PartyID, keep func(frame []byte) bool) {
-	l := m.peers[peer]
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	kept, frames := l.pending[:0], 0
-	for rest := l.pending; len(rest) > 0; {
-		_, _, size := FrameInfo(rest)
-		if size == 0 {
-			break // cannot happen: the outbox holds whole frames
-		}
-		if keep(rest[:size]) {
-			kept = append(kept, rest[:size]...) // never overtakes rest: kept is its prefix
-			frames++
-		}
-		rest = rest[size:]
-	}
-	l.pending, l.frames = kept, frames
 }
 
 // FlushDry writes every non-empty outbox from the calling goroutine, one
@@ -596,11 +568,6 @@ const (
 	// maxBatchBytes does the same once a link's outbox reaches this size,
 	// bounding batch memory under load.
 	maxBatchBytes = 64 << 10
-	// readGrace is how long a link whose write failed stays up for its reader
-	// to take in what the peer sent before the failure (a peer that hung up
-	// after its last frame resets our next write) and meet the failure
-	// itself; a wedged peer that sends nothing ends it.
-	readGrace = time.Second
 )
 
 // batchReady reports whether the outbox has hit either flush threshold; a
@@ -615,8 +582,7 @@ func batchReady(frames, bytes, occupancy, maxBytes int) bool {
 // must. Stale kicks (the frames they announced were already written) cost
 // one no-op flush and are otherwise harmless, so the loop never tries to
 // drain them. One flusher runs per link generation; genQuit retires it when
-// the generation dies, and a failed write ends it with the link left to its
-// reader, which fails it behind everything the peer managed to send.
+// the generation dies.
 func (m *Mux) flushLoop(l *peerLink, gen int, genQuit chan struct{}, conn net.Conn) {
 	defer m.wg.Done()
 	defer m.flushWG.Done()
@@ -637,7 +603,9 @@ func (m *Mux) flushLoop(l *peerLink, gen int, genQuit chan struct{}, conn net.Co
 			return
 		}
 		if err != nil {
-			conn.SetReadDeadline(time.Now().Add(readGrace))
+			if !m.cfg.ReadOrdered {
+				m.linkFailed(l, gen, fmt.Errorf("transport: link %d→%d: %w", m.id, l.peer, err))
+			}
 			return
 		}
 	}
@@ -698,9 +666,8 @@ func (l *peerLink) recycle(batch []byte) {
 
 // readLoop turns one link generation into handler calls. No read deadline:
 // an idle link is healthy, and liveness is the user's (round timeouts).
-func (m *Mux) readLoop(l *peerLink, gen int, br *bufio.Reader, done chan struct{}) {
+func (m *Mux) readLoop(l *peerLink, gen int, br *bufio.Reader) {
 	defer m.wg.Done()
-	defer close(done)
 	var arena ReadArena
 	fail := func(err error) {
 		if !m.closed() {
@@ -758,40 +725,10 @@ func (m *Mux) shutdown(abrupt bool) {
 			// deadline. The writes are bounded by the usual write deadline, so
 			// this cannot block shutdown indefinitely.
 			m.flushWG.Wait()
-			m.halfClose()
 			m.closeConns()
 		}
 	})
 	m.wg.Wait()
-}
-
-// halfClose ends this side of every live link after the final drain and
-// waits, at most readGrace, for each peer to end its side: closing a socket
-// with input still unread resets the connection, and a reset discards what
-// the final drain left in the kernel's send queue. Meanwhile the readers
-// take in whatever still arrives. A connection that cannot half-close is
-// closed as it is.
-func (m *Mux) halfClose() {
-	var readers []chan struct{}
-	for _, l := range m.peers {
-		if l == nil {
-			continue
-		}
-		l.mu.Lock()
-		conn, up, done := l.conn, l.up, l.readDone
-		l.mu.Unlock()
-		if cw, ok := conn.(interface{ CloseWrite() error }); up && ok && cw.CloseWrite() == nil {
-			readers = append(readers, done)
-		}
-	}
-	timeout := time.After(readGrace)
-	for _, done := range readers {
-		select {
-		case <-done:
-		case <-timeout:
-			return
-		}
-	}
 }
 
 func (m *Mux) closeQuit() {

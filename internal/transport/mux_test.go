@@ -74,6 +74,13 @@ func startTestMeshes(t *testing.T, n int, cfg MuxConfig,
 	return muxes
 }
 
+// state reads a link's generation and whether it is up.
+func (l *peerLink) state() (gen int, up bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.gen, l.up
+}
+
 func (m *Mux) openConns() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -94,14 +101,14 @@ func awaitTrue(t *testing.T, what string, ok func() bool) {
 // low to high and waits until both ends run a newer generation.
 func forceReplacement(t *testing.T, dialed, accepted *peerLink) {
 	t.Helper()
-	was, _ := linkState(accepted)
+	was, _ := accepted.state()
 	dialed.mu.Lock()
 	conn := dialed.conn
 	dialed.mu.Unlock()
 	conn.Close() // the dialing side's reader fails and redials
 	awaitTrue(t, "the link's replacement", func() bool {
-		g, up := linkState(accepted)
-		_, upLow := linkState(dialed)
+		g, up := accepted.state()
+		_, upLow := dialed.state()
 		return g > was && up && upLow
 	})
 }

@@ -31,15 +31,12 @@ type nodeConfig struct {
 // meshNode adapts a driver.Round to the full mesh. The round's frame is the
 // driver's; what is the mesh's is the mirror of every send to the rushing
 // observer, the injected crash, the write at the dry point before the
-// barrier wait, the wait itself and the per-peer link failures a stalled
-// barrier is blamed on.
+// barrier wait, and the wait itself.
 type meshNode struct {
 	nodeConfig
 	rd       *driver.Round
 	fr       *driver.Framer
-	peers    []sim.PartyID         // ascending
-	crashing bool                  // the round being shipped is crashRound
-	fail     map[sim.PartyID]error // first connection failure per peer
+	crashing bool // the round being shipped is crashRound
 }
 
 // runNode executes one honest machine in lock step with its peers. The
@@ -52,15 +49,10 @@ func runNode(cfg nodeConfig) (*driver.Result, error) {
 	}
 	defer e.shutdown(false)
 
-	nd := &meshNode{nodeConfig: cfg, fail: make(map[sim.PartyID]error)}
+	nd := &meshNode{nodeConfig: cfg}
 	// Session id 0: the hello scoped every link to this one execution.
 	nd.fr = driver.NewFramer(cfg.id, cfg.n, 0, nd.send)
 	nd.rd = driver.NewRound(cfg.id, cfg.n, cfg.maxRounds, 0, cfg.machine, nd)
-	for p := sim.PartyID(0); int(p) < cfg.n; p++ {
-		if p != cfg.id {
-			nd.peers = append(nd.peers, p)
-		}
-	}
 	for {
 		roundStart := time.Now()
 		finished, err := nd.rd.Advance()
@@ -71,8 +63,9 @@ func runNode(cfg nodeConfig) (*driver.Result, error) {
 			e.finish()
 			return nd.rd.Result(), nil
 		}
-		e.flush()
-		if err := nd.awaitBarrier(); err != nil {
+		err = e.wait(fmt.Sprintf("party %d waiting on round %d", cfg.id, nd.rd.Round()), false,
+			nd.rd.Ready, nd.handle, func(p sim.PartyID) bool { return !nd.rd.HasEOR(p) })
+		if err != nil {
 			return nil, err
 		}
 		if c := e.opts.Chaos; c != nil {
@@ -118,51 +111,20 @@ func (nd *meshNode) EndRound(round int, done bool) error {
 func (nd *meshNode) send(to sim.PartyID, frame []byte) {
 	var keep func(sim.PartyID) bool
 	if nd.crashing {
-		keep = func(p sim.PartyID) bool { return p < nd.peers[len(nd.peers)/2] }
+		// The lower half of the peers by ascending id: those below the
+		// (n−1)/2-th, counting from 0 and skipping our own id.
+		half := sim.PartyID((nd.n - 1) / 2)
+		if half >= nd.id {
+			half++
+		}
+		keep = func(p sim.PartyID) bool { return p < half }
 	}
 	nd.ep.ship(nd.id, to, frame, keep)
 }
 
-// awaitBarrier consumes events until round r's frame has arrived from every
-// peer, filing the frames of later rounds as they pass by. Anything but a
-// round frame is rejected — a mirror is the adversary host's observer's.
-func (nd *meshNode) awaitBarrier() error {
-	e, r := nd.ep, nd.rd.Round()
-	timeout := time.NewTimer(e.opts.RoundTimeout)
-	defer timeout.Stop()
-	for !nd.rd.Ready() {
-		select {
-		case ev := <-e.events:
-			if err := nd.handle(ev); err != nil {
-				return fmt.Errorf("transport: party %d: %w", nd.id, err)
-			}
-			// A failed peer that still owes round r stalls the barrier for good.
-			// Failures of peers that already delivered it are benign — a
-			// terminated peer closes its connections while slower parties are
-			// still deciding.
-			for _, p := range nd.peers {
-				if err := nd.fail[p]; err != nil && !nd.rd.HasEOR(p) {
-					return fmt.Errorf("transport: party %d waiting on round %d: %w", nd.id, r, err)
-				}
-			}
-		case <-timeout.C:
-			return fmt.Errorf("transport: party %d: round %d barrier timed out after %v", nd.id, r, e.opts.RoundTimeout)
-		case <-e.quit:
-			// Shutdown (deployment abort or context cancellation) while
-			// blocked: exit promptly instead of riding out the round timeout.
-			return fmt.Errorf("transport: party %d: endpoint closed while waiting on round %d", nd.id, r)
-		}
-	}
-	return nil
-}
-
+// handle files one event of the barrier wait: a round frame. Anything else
+// is rejected — a mirror is the adversary host's observer's.
 func (nd *meshNode) handle(ev event) error {
-	if ev.err != nil {
-		if _, seen := nd.fail[ev.from]; !seen {
-			nd.fail[ev.from] = ev.err
-		}
-		return nil
-	}
 	if ev.body[0] != FrameMuxSession {
 		return fmt.Errorf("unexpected frame type 0x%02x from party %d", ev.body[0], ev.from)
 	}

@@ -79,15 +79,16 @@ func superviseNode(cfg nodeConfig, host *AcceptHost, opts Options) (*driver.Resu
 		if c := opts.Chaos; c != nil {
 			c.Crashes.Add(1)
 		}
+		// Seated first: the peers' redials find the next incarnation, not
+		// the dead one's closed link set.
+		prev := cfg.ep
+		cfg.ep = newEndpoint([]sim.PartyID{cfg.id}, prev.n, prev.addrs, prev.session, opts)
+		host.Seat(cfg.ep.links[cfg.id].Accept)
 		m, rerr := opts.Restart(cfg.id)
 		if rerr != nil {
 			return nil, fmt.Errorf("transport: restarting party %d: %w", cfg.id, rerr)
 		}
-		prev := cfg.ep
-		ep := newEndpoint([]sim.PartyID{cfg.id}, prev.n, prev.addrs, prev.session, opts)
-		host.Seat(ep.accept(cfg.id))
 		cfg.machine = m
-		cfg.ep = ep
 		cfg.crashRound = 0 // one crash per plan entry; the restart runs clean
 		res, err = runNode(cfg)
 	}

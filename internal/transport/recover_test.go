@@ -206,7 +206,7 @@ func startEndpoints(t *testing.T, n int, opts Options) []*endpoint {
 	eps := make([]*endpoint, n)
 	for i := range eps {
 		eps[i] = newEndpoint([]sim.PartyID{sim.PartyID(i)}, n, addrs, session, opts)
-		host := NewAcceptHost(listeners[i], eps[i].accept(sim.PartyID(i)))
+		host := NewAcceptHost(listeners[i], eps[i].links[sim.PartyID(i)].Accept)
 		t.Cleanup(func() { host.Close(); eps[i].shutdown(false) })
 	}
 	errs := make(chan error, n)
@@ -239,7 +239,7 @@ func TestMeshTracksOnlyLiveConns(t *testing.T) {
 	awaitTrue(t, "the last generation's count", func() bool {
 		p.smu.Lock()
 		defer p.smu.Unlock()
-		g, _ := linkState(eps[0].links[0].peers[n-1])
+		g, _ := eps[0].links[0].peers[n-1].state()
 		return p.open && p.gen == g
 	})
 }
