@@ -115,8 +115,9 @@ func TestAsyncWriteFailureBeforeDoneIsNotFatal(t *testing.T) {
 	}
 }
 
-// TestDiscardKeepsCountExact: frames staged for a peer that announced, and
-// dropped before any write took them, leave the numbering too. Party 0 has
+// TestDiscardKeepsCountExact: frames staged for a peer that announced, held
+// up behind a write and dropped before any write took them, leave the
+// numbering too. Party 0 has
 // written frames 1–5 to party 2, discards four more, and its announcement
 // goes out as frame 6; when the link is replaced, party 2's count of 6 is
 // everything — nothing is resent, the announcement least of all, which
@@ -157,7 +158,9 @@ func TestDiscardKeepsCountExact(t *testing.T) {
 	for r := 6; r <= 9; r++ {
 		e.send(0, 2, data(r))
 	}
+	l.wmu.Lock() // a write in progress holds them up: a backlog
 	e.discard(0, 2)
+	l.wmu.Unlock()
 	e.send(0, 2, muxFrame(t, wire.SessionRound{Round: 9, Done: true}))
 	if got := written(); !reflect.DeepEqual(got, []string{"0x6/r9/true"}) {
 		t.Fatalf("after the discard the link wrote %v, want the announcement alone", got)

@@ -138,7 +138,6 @@ type pipe struct {
 // pairs of local parties stay in-process.
 type endpoint struct {
 	n       int
-	ids     []sim.PartyID
 	addrs   []string
 	session uint64
 	opts    Options
@@ -159,7 +158,6 @@ type endpoint struct {
 func newEndpoint(ids []sim.PartyID, n int, addrs []string, session uint64, opts Options) *endpoint {
 	e := &endpoint{
 		n:       n,
-		ids:     ids,
 		addrs:   addrs,
 		session: session,
 		opts:    opts.withDefaults(),
@@ -202,8 +200,8 @@ func newEndpoint(ids []sim.PartyID, n int, addrs []string, session uint64, opts 
 // barrier until every link is up. It must run concurrently across
 // endpoints — each one's dials are another's inbound handshakes.
 func (e *endpoint) start() error {
-	for _, id := range e.ids {
-		if err := e.links[id].Start(); err != nil {
+	for _, m := range e.links {
+		if err := m.Start(); err != nil {
 			return err
 		}
 	}
@@ -438,17 +436,20 @@ func (e *endpoint) settle(owner, peer sim.PartyID) {
 	}
 }
 
-// discard drops the data frames staged for peer that no write has taken
-// yet, but for control ones (an announcement), and renumbers the rest: the
-// peer never saw the dropped ones, so its count keeps meaning our frames
-// 1..k. It is for a peer that needs nothing more from us but our
-// announcement: one that announced its decision.
+// discard drops the backlog of data frames staged for a peer that
+// announced its decision — what waits behind a write in progress, bar
+// control frames (our announcement) — and renumbers the rest: the peer never
+// saw the dropped ones, so its count keeps meaning our frames 1..k.
 func (e *endpoint) discard(owner, peer sim.PartyID) {
 	p, l := e.pipes[owner][peer], e.links[owner].peers[peer]
 	p.smu.Lock()
 	defer p.smu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.wmu.TryLock() {
+		l.wmu.Unlock()
+		return // no write in progress: not a backlog
+	}
 	if p.gen != l.gen {
 		return // a newer generation's outbox, holding nothing of ours yet
 	}

@@ -231,8 +231,8 @@ func TestMeshTracksOnlyLiveConns(t *testing.T) {
 	for i := 0; i < drops; i++ {
 		forceReplacement(t, eps[0].links[0].peers[n-1], eps[n-1].links[n-1].peers[0])
 	}
-	for _, e := range eps {
-		m := e.links[e.ids[0]]
+	for i, e := range eps {
+		m := e.links[sim.PartyID(i)]
 		awaitTrue(t, "the replaced connections to leave the set", func() bool { return m.openConns() <= n-1 })
 	}
 	p := eps[0].pipes[0][n-1]
