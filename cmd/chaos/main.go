@@ -7,11 +7,15 @@
 //
 //	chaos                                # default matrix, aligned table
 //	chaos -n 7 -t 2 -seeds 1-5 -adversaries none,splitvote
+//	chaos -n 7 -t 2 -adversaries 'equivocator(hi=500,lo=-50),splitvote(per=2)+replay'
 //	chaos -plans 'lat:2ms±1ms;crash:p1@r2' -json
 //	chaos -schedule -plans 'lat:5ms±3ms' -seeds 7   # print the fault schedule
 //
 // Plans are separated by ';' (clauses inside a plan use ','); see
-// internal/chaos for the plan language. The exit status is non-zero if any
+// internal/chaos for the plan language. Adversaries are specs of the
+// adversary language (internal/cli), separated by the commas outside clause
+// parentheses. The TCP cluster refuses omission and adaptive crash clauses,
+// which then report as failed cells. The exit status is non-zero if any
 // cell fails a safety assertion.
 package main
 
@@ -34,7 +38,7 @@ func main() {
 		t        = flag.Int("t", 1, "Byzantine budget (corrupted set is the highest t ids)")
 		seeds    = flag.String("seeds", "1-3", "seeds: comma list and/or A-B ranges (e.g. 1,2,5-8)")
 		plans    = flag.String("plans", defaultPlans, "chaos plans, ';'-separated ('' = no chaos)")
-		advs     = flag.String("adversaries", "none,splitvote", "comma-separated adversary names")
+		advs     = flag.String("adversaries", "none,splitvote", "comma-separated adversary specs (see cmd/treeaa -adversary)")
 		jsonOut  = flag.Bool("json", false, "emit one JSON object per cell instead of a table")
 		schedule = flag.Bool("schedule", false, "print each plan's materialized fault schedule and exit")
 		frames   = flag.Int("schedule-frames", 4, "frames per link to materialize with -schedule")
@@ -82,7 +86,7 @@ func run(trees string, n, t int, seeds, plans, advs string, jsonOut, schedule bo
 	failures := 0
 	reports, err := chaos.Sweep(chaos.SweepConfig{
 		Trees: strings.Split(trees, ","), N: n, T: t,
-		Seeds: seedList, Plans: planList, Adversaries: strings.Split(advs, ","),
+		Seeds: seedList, Plans: planList, Adversaries: splitSpecs(advs),
 		SetupTimeout: setupTO, RoundTimeout: roundTO,
 		Progress: func(rep *chaos.Report) {
 			if !rep.Passed() {
@@ -104,6 +108,26 @@ func run(trees string, n, t int, seeds, plans, advs string, jsonOut, schedule bo
 		return fmt.Errorf("%d cells failed safety assertions", failures)
 	}
 	return nil
+}
+
+// splitSpecs splits a comma-separated list of adversary specs at the commas
+// outside clause parentheses: "none,omit(drop=250,halves=1)" is two specs.
+func splitSpecs(list string) []string {
+	var out []string
+	depth, start := 0, 0
+	for i, r := range list {
+		switch r {
+		case '(':
+			depth++
+		case ')':
+			depth--
+		case ',':
+			if depth == 0 {
+				out, start = append(out, list[start:i]), i+1
+			}
+		}
+	}
+	return append(out, list[start:])
 }
 
 // parseSeeds decodes "1,2,5-8" into [1 2 5 6 7 8].

@@ -9,7 +9,7 @@
 //	check -seeds 1-5 -budget 200           # 200 cells per seed
 //	check -space graph -budget 175         # block-graph cells only
 //	check -repro 's=1;tree=star:6;n=9;t=2;in=spread;adv=splitvote(per=1)'
-//	check -repro 's=1;space=graph:cliquechain:3:4;n=7;t=2;in=spread;adv=splitvote(per=1)'
+//	check -repro 's=1;tree=graph:cliquechain:3:4;n=7;t=2;in=spread;adv=splitvote(per=1)'
 //	check -inject-bad                      # demo: catch + shrink a known-bad adversary
 //	check -json -budget 50                 # one JSON object per cell
 //	check -async-every 1 -async-budget 0   # async battery on every compatible cell

@@ -17,6 +17,11 @@
 //
 //	node -cluster 3 -tree path:16
 //	node -cluster 7 -t 2 -tree path:40 -adversary splitvote
+//	node -cluster 7 -t 2 -tree path:40 -adversary 'splitvote(per=2)+noise'
+//
+// -adversary takes the adversary language of cmd/treeaa (DESIGN §9), minus
+// the two clauses a TCP fabric cannot host: crash (adaptive corruption) is
+// refused up front, omit (it needs a global arbiter) by the adversary host.
 //
 // A -chaos plan (see internal/chaos) injects seeded faults at every seat:
 // per-link latency and stalls, one-shot connection drops, healing
@@ -53,7 +58,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -84,7 +88,7 @@ func main() {
 		tFlag       = flag.Int("t", 0, "Byzantine budget (corrupted set is the highest t ids)")
 		treeSpec    = flag.String("tree", "path:40", `input space spec (as in cmd/treeaa): a tree, or a "graph:"-prefixed block graph`)
 		inputSpec   = flag.String("inputs", "", "comma-separated input vertex labels (default: spread)")
-		advName     = flag.String("adversary", "none", strings.Join(cli.AdversaryNames(), "|"))
+		advName     = flag.String("adversary", "none", "adversary spec: none, or name(key=value,...) clauses joined by '+' of "+strings.Join(cli.AdversaryNames(), "|"))
 		mode        = flag.String("mode", "sync", "execution mode: sync (lock-step rounds) or async (event-driven, honest fleets only)")
 		seed        = flag.Int64("seed", 1, "seed for random trees / noise adversaries / chaos")
 		cluster     = flag.Int("cluster", 0, "spawn an n-party loopback cluster of this binary and check agreement")
@@ -119,7 +123,7 @@ func runSeat(ctx context.Context, id int, peersFile string, t int, treeSpec, inp
 	if peersFile == "" {
 		return fmt.Errorf("-peers is required (or use -cluster)")
 	}
-	addrs, err := readPeers(peersFile)
+	addrs, err := cli.ReadPeers(peersFile)
 	if err != nil {
 		return err
 	}
@@ -127,9 +131,15 @@ func runSeat(ctx context.Context, id int, peersFile string, t int, treeSpec, inp
 	if id < 0 || id >= n {
 		return fmt.Errorf("-id %d out of range for %d peers", id, n)
 	}
-	if advName == "crash" {
-		return fmt.Errorf("the crash adversary corrupts adaptively; messages on the wire cannot " +
-			"be retracted — use cmd/treeaa's in-process transport for it")
+	clauses, err := cli.ParseAdversary(advName)
+	if err != nil {
+		return err
+	}
+	for _, cl := range clauses {
+		if cl.Name == "crash" {
+			return fmt.Errorf("the crash adversary corrupts adaptively; messages on the wire cannot " +
+				"be retracted — use cmd/treeaa's in-process transport for it")
+		}
 	}
 	sp, err := cli.ParseSpaceSpec(treeSpec, seed)
 	if err != nil {
@@ -426,33 +436,4 @@ func runCluster(ctx context.Context, n, t int, treeSpec, inputSpec, advName, mod
 		return fmt.Errorf("AA properties violated")
 	}
 	return nil
-}
-
-// readPeers parses a peers file: one host:port per line, ignoring blank
-// lines and #-comments; line i is party i's listen address.
-func readPeers(path string) ([]string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var addrs []string
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if _, _, err := net.SplitHostPort(line); err != nil {
-			return nil, fmt.Errorf("%s: bad peer address %q: %w", path, line, err)
-		}
-		addrs = append(addrs, line)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(addrs) < 2 {
-		return nil, fmt.Errorf("%s: need at least 2 peers, got %d", path, len(addrs))
-	}
-	return addrs, nil
 }

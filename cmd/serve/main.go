@@ -50,16 +50,13 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
 	"log/slog"
 	"math"
-	"net"
 	"os"
 	"os/signal"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -183,7 +180,7 @@ func runSeat(ctx context.Context, id int, peersFile, clientAddr, metricsAt strin
 	if peersFile == "" {
 		return fmt.Errorf("-peers is required (or use -cluster)")
 	}
-	addrs, err := readPeers(peersFile)
+	addrs, err := cli.ReadPeers(peersFile)
 	if err != nil {
 		return err
 	}
@@ -439,33 +436,4 @@ func runRolling(ctx context.Context, n, workers int, treeSpec string, t int, see
 		return fmt.Errorf("rolling restart: no session decided at all")
 	}
 	return nil
-}
-
-// readPeers parses a peers file: one host:port per line, ignoring blank
-// lines and #-comments; line i is daemon i's peer listen address.
-func readPeers(path string) ([]string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var addrs []string
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if _, _, err := net.SplitHostPort(line); err != nil {
-			return nil, fmt.Errorf("%s: bad peer address %q: %w", path, line, err)
-		}
-		addrs = append(addrs, line)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(addrs) < 2 {
-		return nil, fmt.Errorf("%s: need at least 2 peers, got %d", path, len(addrs))
-	}
-	return addrs, nil
 }

@@ -6,6 +6,7 @@
 // Usage:
 //
 //	treeaa -n 7 -t 2 -tree path:40 -adversary splitvote -seed 1
+//	treeaa -n 7 -t 2 -tree path:40 -adversary 'equivocator(hi=500)+omit(drop=250)'
 //	treeaa -tree @map.txt -inputs v3,v6,v5,v8 -n 4 -t 1
 //	treeaa -n 4 -t 1 -tree graph:cliquechain:3:4
 //	treeaa -n 4 -t 0 -tree path:8 -transport tree:2
@@ -13,6 +14,13 @@
 // -transport picks where the messages travel: mem (sim.Run, in process),
 // tcp (transport.LocalCluster, a loopback mesh) or tree[:b]
 // (overlay.Cluster, a loopback relay tree with b sub-leaders).
+//
+// -adversary takes the adversary language of internal/cli (DESIGN §9):
+// none, or clauses name(key=value,...) joined by '+' — silent, crash,
+// equivocator, splitvote, halfburn, noise, replay, frame, omit. A bare name
+// takes every default. The corrupted set is the highest t ids; omit beside
+// a Byzantine clause takes the lower t/2 of them. Only mem runs omit and
+// crash.
 //
 // Tree specs: path:K, star:K, spider:LEGS:LEN, caterpillar:SPINE:LEGS,
 // kary:K:DEPTH, random:K, figure3, or @FILE with "a - b" edge lines.
@@ -41,7 +49,7 @@ func main() {
 		tFlag     = flag.Int("t", 2, "Byzantine budget (t < n/3)")
 		treeSpec  = flag.String("tree", "path:40", `input space spec: a tree, or a "graph:"-prefixed block graph (see the package doc)`)
 		inputSpec = flag.String("inputs", "", "comma-separated input vertex labels (default: spread across the space)")
-		advName   = flag.String("adversary", "none", strings.Join(cli.AdversaryNames(), "|"))
+		advName   = flag.String("adversary", "none", "adversary spec: none, or name(key=value,...) clauses joined by '+' of "+strings.Join(cli.AdversaryNames(), "|"))
 		seed      = flag.Int64("seed", 1, "seed for random trees/graphs / noise adversaries")
 		quiet     = flag.Bool("q", false, "suppress the space drawing and round trace")
 		transName = flag.String("transport", "mem", "mem|tcp|tree[:branching]")

@@ -19,7 +19,10 @@
 //     global-exclusion repair (EXPERIMENTS.md, Finding F-A).
 //   - ExclusionSplit: splits a suspicion mask so that the exclusion set
 //     itself diverges — the open Finding F-B against that repair for t >= 2.
-//     Not reachable through Build.
+//     Not in the adversary language (internal/cli).
+//
+// Specs name strategies through internal/cli's adversary language, whose
+// one table maps each clause name to a literal of a type here.
 //
 // Strategies are protocol-aware where useful: the gradecast-level attackers
 // craft well-formed gradecast payloads (including the parallel suspicion

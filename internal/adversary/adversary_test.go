@@ -2,6 +2,7 @@ package adversary
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"treeaa/internal/realaa"
@@ -251,6 +252,37 @@ func TestCompose(t *testing.T) {
 	}
 	machines := runRealAA(t, n, tc, inputs, realaa.Iterations(tc, 100, 1), adv)
 	corrupt := corruptSet([]sim.PartyID{5, 6})
+	if r := honestValueRange(machines, corrupt, len(machines[0].History())-1); r > 1 {
+		t.Errorf("final honest range = %v, want <= 1", r)
+	}
+}
+
+// TestComposeOmission pins the OutboxFilter forwarding: a composed mix of a
+// Byzantine strategy and an omitter presents the omitter's parties and
+// scopes filtering to them, and the protocol still converges under the mix.
+func TestComposeOmission(t *testing.T) {
+	n, tc := 7, 2
+	adv := &ComposeOmission{Compose{Strategies: []sim.Adversary{
+		&GradecastEquivocator{IDs: []sim.PartyID{6}, N: n, Tag: "real", StartRound: 1, Lo: -10, Hi: 110},
+		&SendOmitter{IDs: []sim.PartyID{5}, N: n, Halves: true},
+	}}}
+
+	if got := adv.OmissionParties(); !reflect.DeepEqual(got, []sim.PartyID{5}) {
+		t.Fatalf("OmissionParties = %v, want [5]", got)
+	}
+	// Filtering another party's outbox is a no-op; party 5 loses its upper
+	// half.
+	msgs := []sim.Message{{From: 5, To: 1}, {From: 5, To: 6}}
+	if got := adv.FilterOutbox(1, 3, append([]sim.Message(nil), msgs...)); len(got) != 2 {
+		t.Errorf("FilterOutbox for non-omission party dropped messages: %v", got)
+	}
+	if got := adv.FilterOutbox(1, 5, append([]sim.Message(nil), msgs...)); len(got) != 1 || got[0].To != 1 {
+		t.Errorf("FilterOutbox(p5) = %v, want only the lower-half recipient", got)
+	}
+
+	inputs := []float64{0, 100, 50, 25, 75, 60, 0}
+	machines := runRealAA(t, n, tc, inputs, realaa.Iterations(tc, 100, 1), adv)
+	corrupt := corruptSet([]sim.PartyID{5, 6}) // omission party carries no guarantees
 	if r := honestValueRange(machines, corrupt, len(machines[0].History())-1); r > 1 {
 		t.Errorf("final honest range = %v, want <= 1", r)
 	}

@@ -1,103 +1,109 @@
-package adversary
+package adversary_test
 
 import (
 	"reflect"
 	"testing"
 
-	"treeaa/internal/realaa"
+	"treeaa/internal/adversary"
+	"treeaa/internal/cli"
+	"treeaa/internal/core"
 	"treeaa/internal/sim"
+	"treeaa/internal/tree"
 )
 
-// TestBuildCoversEveryName pins that the registry constructs every strategy
-// it advertises and that each instance satisfies the interfaces it claims.
+// TestBuildCoversEveryName pins that the adversary language's table builds
+// every strategy it names, that only the omission clause presents an
+// OutboxFilter, and that every name round-trips through Clause.String and
+// ParseAdversary.
 func TestBuildCoversEveryName(t *testing.T) {
-	ids := []sim.PartyID{5, 6}
-	p := Params{
-		IDs: ids, N: 7, T: 2, Tag: "real", StartRound: 1, Seed: 1,
-		PerIteration: 1, Delay: 3, Lo: -10, Hi: 110, MaxVal: 50,
-		Rounds: []int{2, 4}, Drop: 0.5, Fake: 7,
-	}
-	for _, name := range Names() {
-		adv, err := Build(name, p)
+	sp := &cli.Space{Tree: tree.NewPath(9)}
+	for _, name := range cli.AdversaryNames() {
+		adv, corrupt, err := sp.BuildAdversary(name, 7, 2, 1)
 		if err != nil {
-			t.Fatalf("Build(%q): %v", name, err)
+			t.Fatalf("BuildAdversary(%q): %v", name, err)
 		}
-		if adv == nil {
-			t.Fatalf("Build(%q) = nil", name)
+		if adv == nil || len(corrupt) != 2 {
+			t.Fatalf("BuildAdversary(%q) = (%v, %v)", name, adv, corrupt)
 		}
 		if _, isFilter := adv.(sim.OutboxFilter); isFilter != (name == "omit") {
-			t.Errorf("Build(%q): OutboxFilter = %v, want %v", name, isFilter, name == "omit")
+			t.Errorf("BuildAdversary(%q): OutboxFilter = %v, want %v", name, isFilter, name == "omit")
+		}
+		cl := cli.Clause{Name: name, Args: map[string]string{"x": "1"}}
+		got, err := cli.ParseAdversary(cl.String())
+		if err != nil || len(got) != 1 || !reflect.DeepEqual(got[0], cl) {
+			t.Errorf("ParseAdversary(%q) = %v, %v; want [%v]", cl.String(), got, err, cl)
 		}
 	}
-	if _, err := Build("bogus", p); err == nil {
-		t.Error("Build(bogus) succeeded, want error")
-	}
-	if _, err := Build("crash", Params{IDs: ids, Rounds: []int{1}}); err == nil {
-		t.Error("Build(crash) with mismatched rounds succeeded, want error")
+	if _, _, err := sp.BuildAdversary("crash(rounds=1)", 7, 2, 1); err == nil {
+		t.Error("crash with one round for two parties succeeded, want error")
 	}
 }
 
-// TestBuildMatchesLiterals pins that Build wires every knob through: a built
-// strategy equals the corresponding struct literal.
+// TestBuildMatchesLiterals pins that the table wires every argument
+// through: a compiled clause equals the struct literals it stands for, one
+// per TreeAA phase for the phase-scoped strategies.
 func TestBuildMatchesLiterals(t *testing.T) {
-	ids := []sim.PartyID{4, 5, 6}
-	p := Params{IDs: ids, N: 7, T: 2, Tag: "x", StartRound: 4, Seed: 9,
-		PerIteration: 2, Delay: 6, Lo: -1, Hi: 2, MaxVal: 33, Drop: 0.25, Halves: true, Fake: 3}
-	for _, tc := range []struct {
-		name string
-		want sim.Adversary
+	tr := tree.NewPath(9)
+	n, tc, seed := 7, 2, int64(9)
+	ids := adversary.FirstParties(n, tc)
+	phased := func(mk func(p core.PhaseTag, k int) sim.Adversary) []sim.Adversary {
+		var parts []sim.Adversary
+		for k, p := range core.PhaseTags(tr, tc) {
+			parts = append(parts, mk(p, k))
+		}
+		return parts
+	}
+	for _, c := range []struct {
+		spec string
+		want []sim.Adversary
 	}{
-		{"silent", &Silent{IDs: ids}},
-		{"equivocator", &GradecastEquivocator{IDs: ids, N: 7, Tag: "x", StartRound: 4, Lo: -1, Hi: 2}},
-		{"splitvote", &SplitVote{IDs: ids, N: 7, T: 2, Tag: "x", StartRound: 4, PerIteration: 2}},
-		{"halfburn", &HalfBurn{IDs: ids, N: 7, T: 2, Tag: "x", StartRound: 4}},
-		{"noise", &RandomNoise{IDs: ids, N: 7, Tag: "x", StartRound: 4, Seed: 9, MaxVal: 33}},
-		{"replay", &Replay{IDs: ids, Delay: 6}},
-		{"frame", &FrameHonest{IDs: ids, N: 7, Tag: "x", Fake: 3}},
-		{"omit", &SendOmitter{IDs: ids, N: 7, Drop: 0.25, Halves: true, Seed: 9}},
+		{"silent", []sim.Adversary{&adversary.Silent{IDs: ids}}},
+		{"crash(rounds=3.8)", []sim.Adversary{&adversary.CrashAt{IDs: ids, Rounds: []int{3, 8}}}},
+		{"equivocator(hi=2,lo=-1)", phased(func(p core.PhaseTag, _ int) sim.Adversary {
+			return &adversary.GradecastEquivocator{IDs: ids, N: n, Tag: p.Tag, StartRound: p.StartRound, Lo: -1, Hi: 2}
+		})},
+		{"equivocator", phased(func(p core.PhaseTag, _ int) sim.Adversary {
+			return &adversary.GradecastEquivocator{IDs: ids, N: n, Tag: p.Tag, StartRound: p.StartRound, Lo: -100, Hi: 1e6}
+		})},
+		{"splitvote(per=2)", phased(func(p core.PhaseTag, _ int) sim.Adversary {
+			return &adversary.SplitVote{IDs: ids, N: n, T: tc, Tag: p.Tag, StartRound: p.StartRound, PerIteration: 2}
+		})},
+		{"halfburn", phased(func(p core.PhaseTag, _ int) sim.Adversary {
+			return &adversary.HalfBurn{IDs: ids, N: n, T: tc, Tag: p.Tag, StartRound: p.StartRound}
+		})},
+		{"noise(maxval=33)", phased(func(p core.PhaseTag, k int) sim.Adversary {
+			return &adversary.RandomNoise{IDs: ids, N: n, Tag: p.Tag, StartRound: p.StartRound, Seed: seed + int64(1000*k), MaxVal: 33}
+		})},
+		{"replay(delay=6)", []sim.Adversary{&adversary.Replay{IDs: ids, Delay: 6}}},
+		{"frame(fake=3)", phased(func(p core.PhaseTag, _ int) sim.Adversary {
+			return &adversary.FrameHonest{IDs: ids, N: n, Tag: p.Tag, Fake: 3}
+		})},
 	} {
-		got, err := Build(tc.name, p)
+		got, _, err := (&cli.Space{Tree: tr}).BuildAdversary(c.spec, n, tc, seed)
 		if err != nil {
-			t.Fatalf("Build(%q): %v", tc.name, err)
+			t.Fatalf("BuildAdversary(%q): %v", c.spec, err)
 		}
-		if !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("Build(%q) = %#v, want %#v", tc.name, got, tc.want)
+		if want := (&adversary.Compose{Strategies: c.want}); !reflect.DeepEqual(got, want) {
+			t.Errorf("BuildAdversary(%q) = %#v, want %#v", c.spec, got, want)
 		}
 	}
-}
 
-// TestComposeOmission pins the OutboxFilter forwarding: a composed mix of a
-// Byzantine strategy and an omitter presents the omitter's parties and
-// scopes filtering to them, and the protocol still converges under the mix.
-func TestComposeOmission(t *testing.T) {
-	n, tc := 7, 2
-	byz, err := Build("equivocator", Params{IDs: []sim.PartyID{6}, N: n, Tag: "real", StartRound: 1, Lo: -10, Hi: 110})
+	// Omission beside a Byzantine clause: the lower t/2 ids omit, the rest
+	// are Byzantine, and the noise seed counts the clause's position.
+	got, corrupt, err := (&cli.Space{Tree: tr}).BuildAdversary("omit(drop=250,halves=1)+none+noise", n, tc, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	omit, err := Build("omit", Params{IDs: []sim.PartyID{5}, N: n, Halves: true})
-	if err != nil {
-		t.Fatal(err)
+	want := &adversary.ComposeOmission{Compose: adversary.Compose{Strategies: append(
+		[]sim.Adversary{&adversary.SendOmitter{IDs: ids[:1], N: n, Drop: 0.25, Halves: true, Seed: seed}},
+		phased(func(p core.PhaseTag, k int) sim.Adversary {
+			return &adversary.RandomNoise{IDs: ids[1:], N: n, Tag: p.Tag, StartRound: p.StartRound,
+				Seed: seed + int64(1000*k+37*2), MaxVal: 2 * tr.NumVertices()}
+		})...)}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("omit+none+noise = %#v, want %#v", got, want)
 	}
-	adv := &ComposeOmission{Compose{Strategies: []sim.Adversary{byz, omit}}}
-
-	if got := adv.OmissionParties(); !reflect.DeepEqual(got, []sim.PartyID{5}) {
-		t.Fatalf("OmissionParties = %v, want [5]", got)
-	}
-	// Filtering another party's outbox is a no-op; party 5 loses its upper
-	// half.
-	msgs := []sim.Message{{From: 5, To: 1}, {From: 5, To: 6}}
-	if got := adv.FilterOutbox(1, 3, append([]sim.Message(nil), msgs...)); len(got) != 2 {
-		t.Errorf("FilterOutbox for non-omission party dropped messages: %v", got)
-	}
-	if got := adv.FilterOutbox(1, 5, append([]sim.Message(nil), msgs...)); len(got) != 1 || got[0].To != 1 {
-		t.Errorf("FilterOutbox(p5) = %v, want only the lower-half recipient", got)
-	}
-
-	inputs := []float64{0, 100, 50, 25, 75, 60, 0}
-	machines := runRealAA(t, n, tc, inputs, realaa.Iterations(tc, 100, 1), adv)
-	corrupt := corruptSet([]sim.PartyID{5, 6}) // omission party carries no guarantees
-	if r := honestValueRange(machines, corrupt, len(machines[0].History())-1); r > 1 {
-		t.Errorf("final honest range = %v, want <= 1", r)
+	if len(corrupt) != 2 || !corrupt[ids[0]] || !corrupt[ids[1]] {
+		t.Errorf("omit+none+noise corrupts %v, want %v", corrupt, ids)
 	}
 }

@@ -19,7 +19,7 @@ type RunSpec struct {
 	N, T      int
 	Seed      int64
 	Plan      string // chaos spec (Parse), "" = no chaos
-	Adversary string // cli adversary name, "none" = honest run
+	Adversary string // cli adversary spec, "none" = honest run
 
 	SetupTimeout time.Duration
 	RoundTimeout time.Duration

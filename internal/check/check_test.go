@@ -210,15 +210,15 @@ func TestEvilShrinks(t *testing.T) {
 	if shrunk.N >= c.N {
 		t.Errorf("shrunk cell kept n = %d, want < %d", shrunk.N, c.N)
 	}
-	if !strings.HasPrefix(shrunk.TreeSpec, "star:") {
-		t.Fatalf("shrunk tree spec %q changed shape", shrunk.TreeSpec)
+	if !strings.HasPrefix(shrunk.Tree, "star:") {
+		t.Fatalf("shrunk tree spec %q changed shape", shrunk.Tree)
 	}
 	var k int
-	if _, err := sscanTreeArg(shrunk.TreeSpec, &k); err != nil {
+	if _, err := sscanTreeArg(shrunk.Tree, &k); err != nil {
 		t.Fatal(err)
 	}
 	if k >= 6 {
-		t.Errorf("shrunk tree %s not smaller than star:6", shrunk.TreeSpec)
+		t.Errorf("shrunk tree %s not smaller than star:6", shrunk.Tree)
 	}
 	t.Logf("shrunk: %s (%d runs)", shrunk, runs)
 }

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"strings"
 
-	"treeaa/internal/adversary"
 	"treeaa/internal/cli"
 	"treeaa/internal/core"
 	"treeaa/internal/gradecast"
@@ -16,8 +15,8 @@ import (
 	"treeaa/internal/wire"
 )
 
-// tamperClauses are the delivery-seam clauses, applied via sim.Config.Tamper
-// rather than the adversary interface.
+// isTamperClause reports the delivery-seam clauses, applied via
+// sim.Config.Tamper rather than the adversary language.
 func isTamperClause(name string) bool { return name == "mutate" || name == "evil" }
 
 // compiled is a cell materialized against concrete protocol objects. The
@@ -28,41 +27,30 @@ type compiled struct {
 	cell  *Cell
 	space *cli.Space
 	// tr is the protocol tree: the input space itself for tree cells, the
-	// graph's block-cut tree for graph cells. Round budgets, adversary phase
-	// schedules, PathsFinder paths and every core probe surface live here;
-	// input-space semantics (validity hulls, agreement distance) go through
-	// space instead.
+	// graph's block-cut tree for graph cells. Round budgets, PathsFinder
+	// paths and every core probe surface live here; input-space semantics
+	// (validity hulls, agreement distance) go through space instead.
 	tr     *tree.Tree
 	inputs []tree.VertexID
 
-	byzIDs  []sim.PartyID // Byzantine clauses' shared corrupted set
-	omitIDs []sim.PartyID // omission clause's set, disjoint from byzIDs
-	corrupt map[sim.PartyID]bool
+	// advSpec is the cell's adversary in the cli language: its clauses with
+	// every tamper clause replaced by "none", so each keeps its position.
+	advSpec  string
+	corrupt  map[sim.PartyID]bool // every faulty party, Byzantine and omission
+	byz      map[sim.PartyID]bool // the Byzantine share (mutate's senders)
+	adaptive bool                 // a crash clause corrupts mid-run
+	omission bool
 
-	adaptive   bool // a crash clause corrupts adaptively
 	hasEvil    bool
 	hasMutate  bool
 	evilVal    float64
 	mutateRate int // per-mille
 }
 
-// compile validates the cell and fixes its static facts. The corrupted-set
-// partition rule: the canonical tail FirstParties(n, t) goes entirely to the
-// Byzantine clauses, or entirely to the omission clause, or — when both are
-// present — the lower t/2 ids become omission-faulty and the rest Byzantine
-// (requiring t >= 2).
+// compile validates the cell and fixes its static facts; the corrupted set
+// and its omission/Byzantine split are the adversary language's.
 func compile(c *Cell) (*compiled, error) {
-	spec := c.TreeSpec
-	if c.Space != "" {
-		if c.TreeSpec != "" {
-			return nil, fmt.Errorf("check: cell sets both tree=%q and space=%q", c.TreeSpec, c.Space)
-		}
-		if !strings.HasPrefix(c.Space, cli.GraphPrefix) {
-			return nil, fmt.Errorf("check: space=%q: want %q prefix (trees go in tree=)", c.Space, cli.GraphPrefix)
-		}
-		spec = c.Space
-	}
-	space, err := cli.ParseSpaceSpec(spec, c.Seed)
+	space, err := cli.ParseSpaceSpec(c.Tree, c.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("check: %w", err)
 	}
@@ -72,7 +60,7 @@ func compile(c *Cell) (*compiled, error) {
 	if c.T < 0 || 3*c.T >= c.N {
 		return nil, fmt.Errorf("check: t = %d, want 0 <= 3t < n = %d", c.T, c.N)
 	}
-	cr := &compiled{cell: c, space: space, tr: space.ProtocolTree(), corrupt: map[sim.PartyID]bool{}}
+	cr := &compiled{cell: c, space: space, tr: space.ProtocolTree(), byz: map[sim.PartyID]bool{}}
 	if c.Inputs == nil {
 		cr.inputs = space.SpreadInputs(c.N)
 	} else {
@@ -81,53 +69,53 @@ func compile(c *Cell) (*compiled, error) {
 		}
 		for _, v := range c.Inputs {
 			if !space.Valid(v) {
-				return nil, fmt.Errorf("check: input vertex %d outside space %s", int(v), spec)
+				return nil, fmt.Errorf("check: input vertex %d outside space %s", int(v), c.Tree)
 			}
 		}
 		cr.inputs = c.Inputs
 	}
 
-	hasByz, hasOmit := false, false
-	for _, cl := range c.Clauses {
-		switch {
-		case cl.Name == "omit":
-			hasOmit = true
-		case cl.Name == "evil":
+	advs := make([]string, len(c.Clauses))
+	for i, cl := range c.Clauses {
+		advs[i] = "none"
+		switch cl.Name {
+		case "evil":
 			cr.hasEvil = true
 			val, err := cl.Int("val", 1000000)
 			if err != nil {
 				return nil, err
 			}
 			cr.evilVal = float64(val)
-		case cl.Name == "mutate":
+		case "mutate":
 			cr.hasMutate = true
 			if cr.mutateRate, err = cl.Int("rate", 200); err != nil {
 				return nil, err
 			}
-		case cl.Name == "crash":
-			hasByz, cr.adaptive = true, true
 		default:
-			hasByz = true
+			if c.T == 0 {
+				return nil, fmt.Errorf("check: adversary clauses with t = 0 (only evil/mutate may stand alone)")
+			}
+			advs[i] = cl.String()
+			cr.adaptive = cr.adaptive || cl.Name == "crash"
 		}
 	}
-	if (hasByz || hasOmit) && c.T == 0 {
-		return nil, fmt.Errorf("check: adversary clauses with t = 0 (only evil/mutate may stand alone)")
+	cr.advSpec = "none"
+	if len(advs) > 0 {
+		cr.advSpec = strings.Join(advs, "+")
 	}
-	ids := adversary.FirstParties(c.N, c.T)
-	switch {
-	case hasByz && hasOmit:
-		nOmit := c.T / 2
-		if nOmit == 0 {
-			return nil, fmt.Errorf("check: t = %d too small to mix omission and Byzantine clauses", c.T)
+	adv, corrupt, err := space.BuildAdversary(cr.advSpec, c.N, c.T, c.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("check: %w", err)
+	}
+	cr.corrupt = corrupt
+	for p := range corrupt {
+		cr.byz[p] = true
+	}
+	if f, ok := adv.(sim.OutboxFilter); ok {
+		cr.omission = true
+		for _, p := range f.OmissionParties() {
+			delete(cr.byz, p)
 		}
-		cr.omitIDs, cr.byzIDs = ids[:nOmit], ids[nOmit:]
-	case hasOmit:
-		cr.omitIDs = ids
-	case hasByz:
-		cr.byzIDs = ids
-	}
-	for _, id := range append(append([]sim.PartyID{}, cr.byzIDs...), cr.omitIDs...) {
-		cr.corrupt[id] = true
 	}
 	return cr, nil
 }
@@ -136,108 +124,8 @@ func compile(c *Cell) (*compiled, error) {
 // per-iteration state, so every driver needs its own). nil means no
 // adversary.
 func (cr *compiled) adversary() (sim.Adversary, error) {
-	var parts []sim.Adversary
-	hasFilter := false
-	phases := core.PhaseTags(cr.tr, cr.cell.T)
-	for k, cl := range cr.cell.Clauses {
-		if isTamperClause(cl.Name) {
-			continue
-		}
-		base := adversary.Params{IDs: cr.byzIDs, N: cr.cell.N, T: cr.cell.T, Seed: cr.cell.Seed}
-		switch cl.Name {
-		case "silent":
-			p, err := adversary.Build("silent", base)
-			if err != nil {
-				return nil, err
-			}
-			parts = append(parts, p)
-		case "replay":
-			delay, err := cl.Int("delay", 3)
-			if err != nil {
-				return nil, err
-			}
-			base.Delay = delay
-			p, err := adversary.Build("replay", base)
-			if err != nil {
-				return nil, err
-			}
-			parts = append(parts, p)
-		case "crash":
-			rounds, err := cl.IntList("rounds")
-			if err != nil {
-				return nil, err
-			}
-			base.Rounds = rounds
-			p, err := adversary.Build("crash", base)
-			if err != nil {
-				return nil, fmt.Errorf("check: %w", err)
-			}
-			parts = append(parts, p)
-		case "omit":
-			drop, err := cl.Int("drop", 500)
-			if err != nil {
-				return nil, err
-			}
-			halves, err := cl.Int("halves", 0)
-			if err != nil {
-				return nil, err
-			}
-			base.IDs = cr.omitIDs
-			base.Drop = float64(drop) / 1000
-			base.Halves = halves != 0
-			p, err := adversary.Build("omit", base)
-			if err != nil {
-				return nil, err
-			}
-			parts = append(parts, p)
-			hasFilter = true
-		case "equivocator", "splitvote", "halfburn", "noise", "frame":
-			for pi, phase := range phases {
-				pp := base
-				pp.Tag, pp.StartRound = phase.Tag, phase.StartRound
-				var err error
-				switch cl.Name {
-				case "equivocator":
-					if lo, e := cl.Int("lo", -100); e != nil {
-						err = e
-					} else {
-						pp.Lo = float64(lo)
-					}
-					if hi, e := cl.Int("hi", 1000); e != nil {
-						err = e
-					} else {
-						pp.Hi = float64(hi)
-					}
-				case "splitvote":
-					pp.PerIteration, err = cl.Int("per", 1)
-				case "noise":
-					pp.MaxVal, err = cl.Int("maxval", 2*cr.tr.NumVertices())
-					pp.Seed = cr.cell.Seed + int64(1000*pi+37*k)
-				case "frame":
-					var fake int
-					fake, err = cl.Int("fake", 7)
-					pp.Fake = float64(fake)
-				}
-				if err != nil {
-					return nil, err
-				}
-				p, err := adversary.Build(cl.Name, pp)
-				if err != nil {
-					return nil, err
-				}
-				parts = append(parts, p)
-			}
-		default:
-			return nil, fmt.Errorf("check: unknown clause %q", cl.Name)
-		}
-	}
-	if len(parts) == 0 {
-		return nil, nil
-	}
-	if hasFilter {
-		return &adversary.ComposeOmission{Compose: adversary.Compose{Strategies: parts}}, nil
-	}
-	return &adversary.Compose{Strategies: parts}, nil
+	adv, _, err := cr.space.BuildAdversary(cr.advSpec, cr.cell.N, cr.cell.T, cr.cell.Seed)
+	return adv, err
 }
 
 // tamper builds a fresh delivery-seam hook for one run, or nil. The mutate
@@ -256,11 +144,7 @@ func (cr *compiled) tamper() func(int, sim.Message) (sim.Message, bool) {
 	if !cr.hasEvil && !cr.hasMutate {
 		return nil
 	}
-	byz := make(map[sim.PartyID]bool, len(cr.byzIDs))
-	for _, id := range cr.byzIDs {
-		byz[id] = true
-	}
-	evilVal, rate := cr.evilVal, cr.mutateRate
+	byz, evilVal, rate := cr.byz, cr.evilVal, cr.mutateRate
 	hasEvil, hasMutate := cr.hasEvil, cr.hasMutate
 	seed := cr.cell.Seed ^ 0x6d757461
 	return func(r int, m sim.Message) (sim.Message, bool) {
@@ -361,8 +245,5 @@ func (cr *compiled) config() (sim.Config, error) {
 // corruption, and (when an adversary exists) at least one initial
 // corruption.
 func (cr *compiled) tcpCompatible() bool {
-	if cr.hasEvil || cr.hasMutate || len(cr.omitIDs) > 0 || cr.adaptive {
-		return false
-	}
-	return true
+	return !cr.hasEvil && !cr.hasMutate && !cr.omission && !cr.adaptive
 }

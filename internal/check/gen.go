@@ -40,17 +40,13 @@ func GenerateIn(rng *rand.Rand, space string) *Cell {
 func generate(rng *rand.Rand, space string) *Cell {
 	c := &Cell{Seed: rng.Int63n(1 << 31)}
 	if space == "graph" || (space == "" && rng.Intn(4) == 0) {
-		c.Space = cli.GraphPrefix + genGraphSpec(rng)
+		c.Tree = cli.GraphPrefix + genGraphSpec(rng)
 	} else {
-		c.TreeSpec = genTreeSpec(rng)
+		c.Tree = genTreeSpec(rng)
 	}
-	spec := c.TreeSpec
-	if c.Space != "" {
-		spec = c.Space
-	}
-	sp, err := cli.ParseSpaceSpec(spec, c.Seed)
+	sp, err := cli.ParseSpaceSpec(c.Tree, c.Seed)
 	if err != nil {
-		panic(fmt.Sprintf("check: generator produced bad space spec %q: %v", spec, err))
+		panic(fmt.Sprintf("check: generator produced bad space spec %q: %v", c.Tree, err))
 	}
 	// Clause arguments (crash schedules, noise/frame value ranges) are drawn
 	// against the protocol tree — the input space itself for trees, the
@@ -83,13 +79,13 @@ func generate(rng *rand.Rand, space string) *Cell {
 		c.Clauses = append(c.Clauses, genByzClause(rng, byzPool[pi], tr, c.T, byzIDCount))
 	}
 	if hasOmit {
-		c.Clauses = append(c.Clauses, Clause{Name: "omit", Args: map[string]string{
+		c.Clauses = append(c.Clauses, cli.Clause{Name: "omit", Args: map[string]string{
 			"drop":   strconv.Itoa(200 + rng.Intn(600)),
 			"halves": strconv.Itoa(rng.Intn(2)),
 		}})
 	}
 	if nByz > 0 && rng.Intn(4) == 0 {
-		c.Clauses = append(c.Clauses, Clause{Name: "mutate", Args: map[string]string{
+		c.Clauses = append(c.Clauses, cli.Clause{Name: "mutate", Args: map[string]string{
 			"rate": strconv.Itoa(50 + rng.Intn(400)),
 		}})
 	}
@@ -134,8 +130,8 @@ func genGraphSpec(rng *rand.Rand) string {
 	}
 }
 
-func genByzClause(rng *rand.Rand, name string, tr *tree.Tree, t, byzIDCount int) Clause {
-	cl := Clause{Name: name, Args: map[string]string{}}
+func genByzClause(rng *rand.Rand, name string, tr *tree.Tree, t, byzIDCount int) cli.Clause {
+	cl := cli.Clause{Name: name, Args: map[string]string{}}
 	switch name {
 	case "crash":
 		maxRound := core.Rounds(tr, t) + 1

@@ -38,12 +38,12 @@ func Shrink(c *Cell, opt Options, budget int) (*Cell, int) {
 }
 
 func (c *Cell) clone() *Cell {
-	out := &Cell{Seed: c.Seed, TreeSpec: c.TreeSpec, Space: c.Space, N: c.N, T: c.T}
+	out := &Cell{Seed: c.Seed, Tree: c.Tree, N: c.N, T: c.T}
 	if c.Inputs != nil {
 		out.Inputs = append([]tree.VertexID(nil), c.Inputs...)
 	}
 	for _, cl := range c.Clauses {
-		nc := Clause{Name: cl.Name}
+		nc := cli.Clause{Name: cl.Name}
 		if cl.Args != nil {
 			nc.Args = make(map[string]string, len(cl.Args))
 			for k, v := range cl.Args {
@@ -121,11 +121,7 @@ func candidates(c *Cell) []*Cell {
 	// Shrink spec numbers (halve, then decrement) — tree-spec sizes for tree
 	// cells, block counts / block sizes / cycle lengths for graph cells
 	// (cliquechain:3:4 prunes blocks, cycle:9 shortens the cycle).
-	spec, isGraph := c.TreeSpec, false
-	if c.Space != "" {
-		spec, isGraph = c.Space, true
-	}
-	parts := strings.Split(spec, ":")
+	parts := strings.Split(c.Tree, ":")
 	for i := 1; i < len(parts); i++ {
 		v, err := strconv.Atoi(parts[i])
 		if err != nil {
@@ -138,15 +134,11 @@ func candidates(c *Cell) []*Cell {
 			np := append([]string(nil), parts...)
 			np[i] = strconv.Itoa(nv)
 			cand := c.clone()
-			if isGraph {
-				cand.Space = strings.Join(np, ":")
-			} else {
-				cand.TreeSpec = strings.Join(np, ":")
-			}
+			cand.Tree = strings.Join(np, ":")
 			// Clamp explicit inputs into the smaller space so a violation
 			// that depends on the placement survives the shrink.
 			if cand.Inputs != nil {
-				sp, err := cli.ParseSpaceSpec(strings.Join(np, ":"), cand.Seed)
+				sp, err := cli.ParseSpaceSpec(cand.Tree, cand.Seed)
 				if err != nil {
 					continue
 				}

@@ -7,123 +7,53 @@
 // A cell spec is a single line in the spirit of the chaos plan language:
 //
 //	s=3;tree=caterpillar:4:2;n=7;t=2;in=spread;adv=splitvote(per=1)+noise(maxval=24)
-//	s=5;space=graph:cliquechain:3:4;n=7;t=2;in=spread;adv=equivocator(hi=1000,lo=-100)
+//	s=5;tree=graph:cliquechain:3:4;n=7;t=2;in=spread;adv=equivocator(hi=1000,lo=-100)
 //
-// Fields are semicolon-separated: the seed, the input space — exactly one of
-// tree= (cli.ParseTreeSpec syntax) or space= (a "graph:"-prefixed
-// internal/graph spec; the machines then run TreeAA on the block-cut tree
-// and decode locally) — the party count n, the fault budget t, the input
-// placement ("spread" or dot-separated vertex ids, one per party) and the
-// adversary as +-joined clauses name(key=value,...). Integer lists inside
-// clause args are dot-separated (crash rounds: rounds=2.5.9). Everything
-// randomized in a cell derives from the seed, so a spec reproduces its
-// execution exactly.
+// Fields are semicolon-separated: the seed, the input space tree= (the
+// -tree grammar of cli.ParseSpaceSpec: a tree, or a "graph:"-prefixed block
+// graph whose machines run TreeAA on the block-cut tree and decode locally),
+// the party count n, the fault budget t, the input placement ("spread" or
+// dot-separated vertex ids, one per party) and the adversary adv= in the
+// adversary language of internal/cli, plus two delivery-seam clauses of the
+// checker's own: "mutate" (byte-level payload mutation of the Byzantine
+// parties' traffic — model-sound) and "evil" (rewrites every party's
+// gradecast sends to a fixed value, honest senders included — deliberately
+// out of model; never generated, only injected to exercise the checker
+// itself). Everything randomized in a cell derives from the seed, so a spec
+// reproduces its execution exactly.
 package check
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
+	"treeaa/internal/cli"
 	"treeaa/internal/tree"
 )
-
-// Clause is one adversary component of a cell: a strategy name plus its
-// arguments. Recognized names are the adversary.Build registry (silent,
-// crash, equivocator, splitvote, halfburn, noise, replay, frame, omit) plus
-// the two delivery-seam tamperers: "mutate" (byte-level payload mutation of
-// corrupted senders' traffic — model-sound) and "evil" (rewrites every
-// party's gradecast sends to a fixed value, honest senders included —
-// deliberately out of model; never generated, only injected to exercise the
-// checker itself).
-type Clause struct {
-	Name string
-	Args map[string]string
-}
-
-// Int returns the named integer argument, or def when absent.
-func (cl Clause) Int(key string, def int) (int, error) {
-	s, ok := cl.Args[key]
-	if !ok {
-		return def, nil
-	}
-	v, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, fmt.Errorf("check: clause %s: arg %s=%q: want integer", cl.Name, key, s)
-	}
-	return v, nil
-}
-
-// IntList returns the named dot-separated integer list argument.
-func (cl Clause) IntList(key string) ([]int, error) {
-	s, ok := cl.Args[key]
-	if !ok {
-		return nil, nil
-	}
-	parts := strings.Split(s, ".")
-	out := make([]int, len(parts))
-	for i, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil {
-			return nil, fmt.Errorf("check: clause %s: arg %s=%q: want dot-separated integers", cl.Name, key, s)
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-// String renders the clause canonically (args sorted by key).
-func (cl Clause) String() string {
-	if len(cl.Args) == 0 {
-		return cl.Name
-	}
-	keys := make([]string, 0, len(cl.Args))
-	for k := range cl.Args {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString(cl.Name)
-	b.WriteByte('(')
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s=%s", k, cl.Args[k])
-	}
-	b.WriteByte(')')
-	return b.String()
-}
 
 // Cell is one point of the checker's search space.
 type Cell struct {
 	// Seed drives every randomized component (tree generation for
 	// random:K specs, input placement, noise and mutation PRNGs).
 	Seed int64
-	// TreeSpec is the input space in cli.ParseTreeSpec syntax. Exactly one
-	// of TreeSpec and Space is set.
-	TreeSpec string
-	// Space is a "graph:"-prefixed graph input space (cli.ParseSpaceSpec
-	// syntax); the protocol then runs on the graph's block-cut tree.
-	Space string
+	// Tree is the input space in cli.ParseSpaceSpec syntax: a tree, or a
+	// "graph:"-prefixed block graph.
+	Tree string
 	// N is the party count, T the fault budget (3T < N).
 	N, T int
 	// Inputs is the explicit input placement (one vertex per party);
 	// nil means cli.SpreadInputs.
 	Inputs []tree.VertexID
-	// Clauses compose the adversary; empty means no adversary.
-	Clauses []Clause
+	// Clauses compose the adversary and the delivery-seam tamperers; empty
+	// means neither.
+	Clauses []cli.Clause
 }
 
 // String renders the cell as its canonical one-line spec.
 func (c *Cell) String() string {
 	var b strings.Builder
-	if c.Space != "" {
-		fmt.Fprintf(&b, "s=%d;space=%s;n=%d;t=%d;in=", c.Seed, c.Space, c.N, c.T)
-	} else {
-		fmt.Fprintf(&b, "s=%d;tree=%s;n=%d;t=%d;in=", c.Seed, c.TreeSpec, c.N, c.T)
-	}
+	fmt.Fprintf(&b, "s=%d;tree=%s;n=%d;t=%d;in=", c.Seed, c.Tree, c.N, c.T)
 	if c.Inputs == nil {
 		b.WriteString("spread")
 	} else {
@@ -160,9 +90,7 @@ func Parse(spec string) (*Cell, error) {
 		case "s":
 			c.Seed, err = strconv.ParseInt(val, 10, 64)
 		case "tree":
-			c.TreeSpec = val
-		case "space":
-			c.Space = val
+			c.Tree = val
 		case "n":
 			c.N, err = strconv.Atoi(val)
 		case "t":
@@ -179,15 +107,8 @@ func Parse(spec string) (*Cell, error) {
 				}
 			}
 		case "adv":
-			if val == "none" {
-				break
-			}
-			for _, part := range strings.Split(val, "+") {
-				cl, cerr := parseClause(part)
-				if cerr != nil {
-					return nil, cerr
-				}
-				c.Clauses = append(c.Clauses, cl)
+			if val != "none" {
+				c.Clauses, err = cli.ParseAdversary(val)
 			}
 		default:
 			return nil, fmt.Errorf("check: unknown field %q", key)
@@ -196,8 +117,8 @@ func Parse(spec string) (*Cell, error) {
 			return nil, fmt.Errorf("check: field %q: %v", field, err)
 		}
 	}
-	if c.Seed < 0 || (c.TreeSpec == "") == (c.Space == "") || c.N < 0 || c.T < 0 || !sawIn {
-		return nil, fmt.Errorf("check: spec %q: want all of s, exactly one of tree/space, n, t, in", spec)
+	if c.Seed < 0 || c.Tree == "" || c.N < 0 || c.T < 0 || !sawIn {
+		return nil, fmt.Errorf("check: spec %q: want all of s, tree, n, t, in", spec)
 	}
 	return c, nil
 }
@@ -209,28 +130,4 @@ func MustParse(spec string) *Cell {
 		panic(err)
 	}
 	return c
-}
-
-func parseClause(s string) (Clause, error) {
-	name, rest, hasArgs := strings.Cut(s, "(")
-	cl := Clause{Name: name}
-	if !hasArgs {
-		return cl, nil
-	}
-	if !strings.HasSuffix(rest, ")") {
-		return cl, fmt.Errorf("check: clause %q: unbalanced parentheses", s)
-	}
-	cl.Args = map[string]string{}
-	body := strings.TrimSuffix(rest, ")")
-	if body == "" {
-		return cl, nil
-	}
-	for _, arg := range strings.Split(body, ",") {
-		k, v, found := strings.Cut(arg, "=")
-		if !found || k == "" || v == "" {
-			return cl, fmt.Errorf("check: clause %q: arg %q: want key=value", s, arg)
-		}
-		cl.Args[k] = v
-	}
-	return cl, nil
 }

@@ -1,18 +1,17 @@
-// Package cli holds small helpers shared by the cmd/ binaries: the tree
-// specification mini-language, input spreading and parsing, and adversary
-// construction from its flag name.
+// Package cli holds the spec languages shared by the cmd/ binaries and the
+// property checker: the tree and input-space grammar, input spreading and
+// parsing, the adversary language and its one compiler, and the peers file.
 package cli
 
 import (
+	"bufio"
 	"fmt"
 	"math/rand"
+	"net"
 	"os"
 	"strconv"
 	"strings"
 
-	"treeaa/internal/adversary"
-	"treeaa/internal/core"
-	"treeaa/internal/sim"
 	"treeaa/internal/tree"
 )
 
@@ -102,81 +101,31 @@ func ParseTreeSpec(spec string, seed int64) (*tree.Tree, error) {
 	}
 }
 
-// AdversaryNames lists the -adversary flag values for help text.
-func AdversaryNames() []string {
-	return []string{"none", "silent", "crash", "equivocator", "splitvote", "halfburn", "noise"}
-}
-
-// buildAdversary constructs the named adversary over the canonical
-// corrupted set FirstParties(n, t), phase-composed for TreeAA's gradecast
-// tags where the strategy is tag-scoped. It returns the adversary (nil for
-// "none" or t = 0) and the corrupted-party map.
-func buildAdversary(name string, tr *tree.Tree, n, t int, seed int64) (sim.Adversary, map[sim.PartyID]bool, error) {
-	if name == "none" || t == 0 {
-		return nil, map[sim.PartyID]bool{}, nil
-	}
-	ids := adversary.FirstParties(n, t)
-	corrupt := make(map[sim.PartyID]bool, len(ids))
-	for _, id := range ids {
-		corrupt[id] = true
-	}
-	phases := core.PhaseTags(tr, t)
-	perPhase := func(strategy string, mk func(p core.PhaseTag, k int) adversary.Params) (sim.Adversary, error) {
-		var parts []sim.Adversary
-		for k, p := range phases {
-			part, err := adversary.Build(strategy, mk(p, k))
-			if err != nil {
-				return nil, err
-			}
-			parts = append(parts, part)
-		}
-		return &adversary.Compose{Strategies: parts}, nil
-	}
-	base := adversary.Params{IDs: ids, N: n, T: t, Seed: seed}
-	var adv sim.Adversary
-	var err error
-	switch name {
-	case "silent":
-		adv, err = adversary.Build("silent", base)
-	case "crash":
-		rounds := make([]int, len(ids))
-		rng := rand.New(rand.NewSource(seed))
-		for i := range rounds {
-			rounds[i] = 1 + rng.Intn(core.Rounds(tr, t)+1)
-		}
-		crash := base
-		crash.Rounds = rounds
-		adv, err = adversary.Build("crash", crash)
-	case "equivocator":
-		adv, err = perPhase("equivocator", func(p core.PhaseTag, _ int) adversary.Params {
-			eq := base
-			eq.Tag, eq.StartRound, eq.Lo, eq.Hi = p.Tag, p.StartRound, -100, 1e6
-			return eq
-		})
-	case "splitvote":
-		adv, err = perPhase("splitvote", func(p core.PhaseTag, _ int) adversary.Params {
-			sv := base
-			sv.Tag, sv.StartRound, sv.PerIteration = p.Tag, p.StartRound, 1
-			return sv
-		})
-	case "halfburn":
-		adv, err = perPhase("halfburn", func(p core.PhaseTag, _ int) adversary.Params {
-			hb := base
-			hb.Tag, hb.StartRound = p.Tag, p.StartRound
-			return hb
-		})
-	case "noise":
-		adv, err = perPhase("noise", func(p core.PhaseTag, k int) adversary.Params {
-			no := base
-			no.Tag, no.StartRound = p.Tag, p.StartRound
-			no.Seed, no.MaxVal = seed+int64(1000*k), 2*tr.NumVertices()
-			return no
-		})
-	default:
-		return nil, nil, fmt.Errorf("unknown adversary %q", name)
-	}
+// ReadPeers parses a peers file: one host:port per line, ignoring blank
+// lines and #-comments; line i is party i's listen address.
+func ReadPeers(path string) ([]string, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return adv, corrupt, nil
+	defer f.Close()
+	var addrs []string
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		if _, _, err := net.SplitHostPort(line); err != nil {
+			return nil, fmt.Errorf("%s: bad peer address %q: %w", path, line, err)
+		}
+		addrs = append(addrs, line)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if len(addrs) < 2 {
+		return nil, fmt.Errorf("%s: need at least 2 peers, got %d", path, len(addrs))
+	}
+	return addrs, nil
 }

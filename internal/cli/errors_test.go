@@ -59,7 +59,7 @@ func TestParseInputsErrors(t *testing.T) {
 }
 
 func TestBuildAdversaryErrors(t *testing.T) {
-	tr, err := ParseTreeSpec("path:5", 1)
+	sp, err := ParseSpaceSpec("path:5", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,31 +71,37 @@ func TestBuildAdversaryErrors(t *testing.T) {
 		{"unknown name", "bogus", `unknown adversary "bogus"`},
 		{"typo", "equivocater", `unknown adversary "equivocater"`},
 		{"empty name", "", `unknown adversary ""`},
-		{"registry name not exposed", "replay", `unknown adversary "replay"`},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, err := buildAdversary(tc.adv, tr, 4, 1, 1)
+			_, _, err := sp.BuildAdversary(tc.adv, 4, 1, 1)
 			if err == nil {
-				t.Fatalf("buildAdversary(%q) succeeded, want error", tc.adv)
+				t.Fatalf("BuildAdversary(%q) succeeded, want error", tc.adv)
 			}
 			if err.Error() != tc.wantErr {
-				t.Errorf("buildAdversary(%q) error = %q, want %q", tc.adv, err, tc.wantErr)
+				t.Errorf("BuildAdversary(%q) error = %q, want %q", tc.adv, err, tc.wantErr)
 			}
 		})
 	}
 
+	t.Run("replay builds", func(t *testing.T) {
+		adv, corrupt, err := sp.BuildAdversary("replay", 4, 1, 1)
+		if err != nil || adv == nil || !corrupt[3] {
+			t.Errorf("BuildAdversary(replay) = (%v, %v, %v), want p3 replaying", adv, corrupt, err)
+		}
+	})
+
 	t.Run("t=0 short-circuits before name check", func(t *testing.T) {
-		adv, corrupt, err := buildAdversary("bogus", tr, 4, 0, 1)
+		adv, corrupt, err := sp.BuildAdversary("bogus", 4, 0, 1)
 		if err != nil || adv != nil || len(corrupt) != 0 {
-			t.Errorf("buildAdversary(bogus, t=0) = (%v, %v, %v), want (nil, empty, nil)", adv, corrupt, err)
+			t.Errorf("BuildAdversary(bogus, t=0) = (%v, %v, %v), want (nil, empty, nil)", adv, corrupt, err)
 		}
 	})
 
 	t.Run("every advertised name builds", func(t *testing.T) {
-		for _, name := range AdversaryNames() {
-			if _, _, err := buildAdversary(name, tr, 7, 2, 1); err != nil {
-				t.Errorf("buildAdversary(%q): %v", name, err)
+		for _, name := range append(AdversaryNames(), "none") {
+			if _, _, err := sp.BuildAdversary(name, 7, 2, 1); err != nil {
+				t.Errorf("BuildAdversary(%q): %v", name, err)
 			}
 		}
 	})

@@ -263,13 +263,6 @@ func (m graphAsync) Output() (any, bool) {
 	return m.g.Decode(m.input, raw.(tree.VertexID)), true
 }
 
-// BuildAdversary constructs the named adversary against this space's
-// protocol tree (phase tags and round budgets follow the block-cut tree
-// for graph spaces).
-func (s *Space) BuildAdversary(name string, n, t int, seed int64) (sim.Adversary, map[sim.PartyID]bool, error) {
-	return buildAdversary(name, s.ProtocolTree(), n, t, seed)
-}
-
 // SpreadInputs places n inputs roughly evenly across the input-space
 // vertex ID range.
 func (s *Space) SpreadInputs(n int) []tree.VertexID {

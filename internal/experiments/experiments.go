@@ -24,19 +24,6 @@ import (
 	"treeaa/internal/tree"
 )
 
-// SpreadInputs places n inputs evenly across the vertex range.
-func SpreadInputs(tr *tree.Tree, n int) []tree.VertexID {
-	denom := n - 1
-	if denom < 1 {
-		denom = 1
-	}
-	inputs := make([]tree.VertexID, n)
-	for i := range inputs {
-		inputs[i] = tree.VertexID(i * (tr.NumVertices() - 1) / denom)
-	}
-	return inputs
-}
-
 // pseudoSpread returns a deterministic non-symmetric spread of n values in
 // [0, d] (symmetric inputs can coincidentally neutralize splitters).
 func pseudoSpread(n int, d float64) []float64 {
@@ -176,7 +163,7 @@ func E2RoundsSweep(families []Family, sizes []int, n, t int) ([]E2Row, error) {
 			skip[i] = true
 			return nil
 		}
-		inputs := SpreadInputs(tr, n)
+		inputs := (&cli.Space{Tree: tr}).SpreadInputs(n)
 		res, err := core.Run(tr, n, t, inputs, nil)
 		if err != nil {
 			return fmt.Errorf("experiments: %s V=%d: %w", f.Name, size, err)
@@ -334,7 +321,7 @@ func E5cAsyncDepth(n, t int, diameters []int) (*metrics.Table, error) {
 	tab := metrics.NewTable("D", "iterations", "async_depth", "deliveries")
 	for _, d := range diameters {
 		tr := tree.NewPath(d + 1)
-		inputs := SpreadInputs(tr, n)
+		inputs := (&cli.Space{Tree: tr}).SpreadInputs(n)
 		iters := async.TreeIterations(d)
 		machines := make([]async.Machine, n)
 		for p := 0; p < n; p++ {
@@ -355,7 +342,7 @@ func E5bExactCost(tr *tree.Tree, ns []int) (*metrics.Table, error) {
 	tab := metrics.NewTable("n", "t", "dolevstrong_rounds", "treeaa_rounds")
 	for _, n := range ns {
 		t := (n - 1) / 3
-		inputs := SpreadInputs(tr, n)
+		inputs := (&cli.Space{Tree: tr}).SpreadInputs(n)
 		_, eres, err := exactaa.Run(tr, n, t, inputs, nil)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: exactaa n=%d: %w", n, err)
@@ -380,55 +367,32 @@ type E6Row struct {
 }
 
 // E6Matrix runs TreeAA under every strategy at the given corruption level
-// (experiments E1/E6).
+// (experiments E1/E6). Every row, the honest one included, is judged over
+// the same honest parties: all but FirstParties(n, t).
 func E6Matrix(tr *tree.Tree, n, t int, seed int64) ([]E6Row, error) {
-	inputs := SpreadInputs(tr, n)
-	ids := adversary.FirstParties(n, t)
-	corrupt := make(map[sim.PartyID]bool, len(ids))
-	for _, id := range ids {
+	sp := &cli.Space{Tree: tr}
+	inputs := sp.SpreadInputs(n)
+	corrupt := make(map[sim.PartyID]bool, t)
+	for _, id := range adversary.FirstParties(n, t) {
 		corrupt[id] = true
 	}
-	phases := core.PhaseTags(tr, t)
-	perPhase := func(mk func(p core.PhaseTag, k int) sim.Adversary) sim.Adversary {
-		var parts []sim.Adversary
-		for k, p := range phases {
-			parts = append(parts, mk(p, k))
-		}
-		return &adversary.Compose{Strategies: parts}
-	}
-	strategies := []struct {
-		name string
-		adv  sim.Adversary
-	}{
-		{"none", nil},
-		{"silent", &adversary.Silent{IDs: ids}},
-		{"equivocator", perPhase(func(p core.PhaseTag, _ int) sim.Adversary {
-			return &adversary.GradecastEquivocator{IDs: ids, N: n, Tag: p.Tag, StartRound: p.StartRound, Lo: -100, Hi: 1e6}
-		})},
-		{"splitvote", perPhase(func(p core.PhaseTag, _ int) sim.Adversary {
-			return &adversary.SplitVote{IDs: ids, N: n, T: t, Tag: p.Tag, StartRound: p.StartRound, PerIteration: 1}
-		})},
-		{"halfburn", perPhase(func(p core.PhaseTag, _ int) sim.Adversary {
-			return &adversary.HalfBurn{IDs: ids, N: n, T: t, Tag: p.Tag, StartRound: p.StartRound}
-		})},
-		{"replay", &adversary.Replay{IDs: ids, Delay: 3}},
-		{"noise", perPhase(func(p core.PhaseTag, k int) sim.Adversary {
-			return &adversary.RandomNoise{IDs: ids, N: n, Tag: p.Tag, StartRound: p.StartRound, Seed: seed + int64(1000*k), MaxVal: 2 * tr.NumVertices()}
-		})},
-	}
+	names := []string{"none", "silent", "equivocator", "splitvote", "halfburn", "replay", "noise"}
 	// The strategies run in parallel: each adversary value is used by
 	// exactly one execution, and the shared tree is immutable.
-	rows := make([]E6Row, len(strategies))
-	err := sim.ForEach(len(strategies), func(i int) error {
-		s := strategies[i]
-		res, err := core.Run(tr, n, t, inputs, s.adv)
+	rows := make([]E6Row, len(names))
+	err := sim.ForEach(len(names), func(i int) error {
+		adv, _, err := sp.BuildAdversary(names[i], n, t, seed)
 		if err != nil {
-			return fmt.Errorf("experiments: %s: %w", s.name, err)
+			return err
 		}
-		maxDist, valid := judge(tr, inputs, corrupt, res.Outputs)
+		res, err := core.Run(tr, n, t, inputs, adv)
+		if err != nil {
+			return fmt.Errorf("experiments: %s: %w", names[i], err)
+		}
+		maxDist, validity, _ := sp.Judge(inputs, corrupt, res.Outputs)
 		rows[i] = E6Row{
-			Adversary: s.name, Rounds: res.Rounds, Messages: res.Messages,
-			Bytes: res.Bytes, MaxDist: maxDist, Valid: valid,
+			Adversary: names[i], Rounds: res.Rounds, Messages: res.Messages,
+			Bytes: res.Bytes, MaxDist: maxDist, Valid: len(validity) == 0,
 		}
 		return nil
 	})
@@ -457,7 +421,7 @@ func E8MessageComplexity(tr *tree.Tree, ns []int) (*metrics.Table, error) {
 	tab := metrics.NewTable("n", "t", "rounds", "messages", "bytes", "msgs_per_round_n2")
 	for _, n := range ns {
 		t := (n - 1) / 3
-		inputs := SpreadInputs(tr, n)
+		inputs := (&cli.Space{Tree: tr}).SpreadInputs(n)
 		res, err := core.Run(tr, n, t, inputs, nil)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: n=%d: %w", n, err)
@@ -466,11 +430,4 @@ func E8MessageComplexity(tr *tree.Tree, ns []int) (*metrics.Table, error) {
 			float64(res.Messages)/float64(res.Rounds)/float64(n*n))
 	}
 	return tab, nil
-}
-
-// judge evaluates Definition 2 over honest outputs: the maximum pairwise
-// output distance and whether every output lies in the honest hull.
-func judge(tr *tree.Tree, inputs []tree.VertexID, corrupt map[sim.PartyID]bool, outputs map[sim.PartyID]tree.VertexID) (maxDist int, allValid bool) {
-	maxDist, validity, _ := (&cli.Space{Tree: tr}).Judge(inputs, corrupt, outputs)
-	return maxDist, len(validity) == 0
 }

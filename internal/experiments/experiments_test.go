@@ -5,8 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"treeaa/internal/cli"
 	"treeaa/internal/core"
-	"treeaa/internal/sim"
 	"treeaa/internal/tree"
 )
 
@@ -133,36 +133,6 @@ func TestE6MatrixAllOK(t *testing.T) {
 	}
 }
 
-func TestSpreadInputsBounds(t *testing.T) {
-	tr := tree.NewPath(10)
-	in := SpreadInputs(tr, 4)
-	if in[0] != 0 || in[3] != 9 {
-		t.Errorf("SpreadInputs = %v", in)
-	}
-	if got := SpreadInputs(tr, 1); got[0] != 0 {
-		t.Errorf("single input = %v", got)
-	}
-}
-
-func TestJudge(t *testing.T) {
-	tr := tree.Figure3Tree()
-	inputs := []tree.VertexID{tr.MustVertex("v3"), tr.MustVertex("v5"), tr.MustVertex("v8")}
-	corrupt := map[sim.PartyID]bool{2: true}
-	outputs := map[sim.PartyID]tree.VertexID{
-		0: tr.MustVertex("v2"),
-		1: tr.MustVertex("v3"),
-		2: tr.MustVertex("v8"), // corrupted: ignored
-	}
-	maxDist, valid := judge(tr, inputs, corrupt, outputs)
-	if !valid || maxDist != 1 {
-		t.Errorf("Judge = (%d, %v), want (1, true)", maxDist, valid)
-	}
-	outputs[1] = tr.MustVertex("v7") // outside hull {v2,v3,v5}... v7 invalid
-	if _, valid := judge(tr, inputs, corrupt, outputs); valid {
-		t.Error("invalid output not flagged")
-	}
-}
-
 // TestE8QuadraticMessages asserts the Θ(R·n²) message shape: messages per
 // round per n² stays within a tight constant band as n grows.
 func TestE8QuadraticMessages(t *testing.T) {
@@ -175,7 +145,7 @@ func TestE8QuadraticMessages(t *testing.T) {
 	}
 	// Recompute directly for the band check.
 	for _, n := range []int{4, 13} {
-		inputs := SpreadInputs(tree.NewPath(64), n)
+		inputs := (&cli.Space{Tree: tree.NewPath(64)}).SpreadInputs(n)
 		res, err := coreRun(tree.NewPath(64), n, (n-1)/3, inputs)
 		if err != nil {
 			t.Fatal(err)

@@ -52,10 +52,9 @@ func (w *WireStats) String() string {
 // ChaosStats counts what the chaos layer did to a run and what the
 // transport did to survive it: injected faults on one side (delays, stalls,
 // drops, partition holds), recovery work on the other (reconnects, resent
-// frames), plus a per-round latency sample for p50/p99 reporting. The
-// counters are atomic and the latency sample is mutex-guarded, so one
-// ChaosStats may be shared by every endpoint, sender and chaos conn of a
-// cluster.
+// frames), plus a per-round latency sample for p50/p99 reporting. Every
+// field is safe for concurrent use, so one ChaosStats may be shared by every
+// endpoint, sender and chaos conn of a cluster.
 type ChaosStats struct {
 	// Injected faults (recorded by internal/chaos at the net.Conn boundary).
 	Delays     atomic.Int64 // frames delayed by per-link latency/jitter
@@ -70,23 +69,14 @@ type ChaosStats struct {
 	FramesResent atomic.Int64
 	BytesResent  atomic.Int64
 
-	mu       sync.Mutex
-	roundLat []float64 // nanoseconds per completed round, across parties
+	roundLat sample // per completed round, across parties
 }
 
 // AddRoundLatency records one party's wall-clock duration for one round.
-func (c *ChaosStats) AddRoundLatency(d time.Duration) {
-	c.mu.Lock()
-	c.roundLat = append(c.roundLat, float64(d.Nanoseconds()))
-	c.mu.Unlock()
-}
+func (c *ChaosStats) AddRoundLatency(d time.Duration) { c.roundLat.add(d) }
 
 // RoundLatency summarizes the recorded per-round durations (nanoseconds).
-func (c *ChaosStats) RoundLatency() Summary {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return Summarize(c.roundLat)
-}
+func (c *ChaosStats) RoundLatency() Summary { return c.roundLat.summary() }
 
 // String renders the counters for logs and the cmd/chaos report.
 func (c *ChaosStats) String() string {
@@ -97,6 +87,39 @@ func (c *ChaosStats) String() string {
 		c.Delays.Load(), c.Stalls.Load(), c.Drops.Load(), c.Partitions.Load(), c.Crashes.Load(),
 		c.Reconnects.Load(), c.FramesResent.Load(), c.BytesResent.Load(), c.FramesSkip.Load(),
 		time.Duration(lat.P50), time.Duration(lat.P99))
+}
+
+// sampleCap bounds a sample: it keeps the most recent sampleCap durations.
+const sampleCap = 4096
+
+// sample is a bounded, mutex-guarded sample of durations, so a long-lived
+// daemon holds a fixed amount of memory and a summary costs a fixed sort,
+// however many durations it has seen. Up to sampleCap durations its summary
+// is Summarize over all of them; past that, over the most recent sampleCap.
+// The zero sample is empty and ready to use.
+type sample struct {
+	mu   sync.Mutex
+	ns   []float64 // nanoseconds; a ring once full
+	next int       // the oldest entry once full
+}
+
+// add records one duration.
+func (s *sample) add(d time.Duration) {
+	s.mu.Lock()
+	if len(s.ns) < sampleCap {
+		s.ns = append(s.ns, float64(d.Nanoseconds()))
+	} else {
+		s.ns[s.next] = float64(d.Nanoseconds())
+		s.next = (s.next + 1) % sampleCap
+	}
+	s.mu.Unlock()
+}
+
+// summary summarizes the retained durations (nanoseconds).
+func (s *sample) summary() Summary {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return Summarize(s.ns)
 }
 
 // Summary holds order statistics of a sample.

@@ -2,8 +2,10 @@ package metrics
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestSummarize(t *testing.T) {
@@ -178,6 +180,46 @@ func TestChaosStats(t *testing.T) {
 			t.Errorf("ChaosStats.String() missing %q: %s", want, s)
 		}
 	}
+}
+
+// TestLatencySampleBounded pins the bounded latency sample behind every
+// stats type: up to the cap its summary is Summarize over every duration,
+// past it the most recent cap durations; a million adds keep the heap flat.
+func TestLatencySampleBounded(t *testing.T) {
+	var s sample
+	var all []float64
+	for i := 0; i < sampleCap; i++ {
+		d := time.Duration((i*7919)%10007 + 1)
+		s.add(d)
+		all = append(all, float64(d))
+	}
+	if got, want := s.summary(), Summarize(all); got != want {
+		t.Fatalf("summary below the cap = %+v, want %+v", got, want)
+	}
+	for i := 0; i < 10; i++ {
+		s.add(time.Duration(1e9 + i))
+		all = append(all, float64(1e9+i))
+	}
+	if got, want := s.summary(), Summarize(all[len(all)-sampleCap:]); got != want {
+		t.Fatalf("summary past the cap = %+v, want the most recent %d: %+v", got, sampleCap, want)
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	var stats ServeStats
+	for i := 0; i < 1_000_000; i++ {
+		stats.AddSessionLatency(time.Duration(i))
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 4*8*sampleCap {
+		t.Errorf("10^6 session latencies grew the heap by %d bytes, want <= %d", grew, 4*8*sampleCap)
+	}
+	if n := stats.SessionLatency().N; n != sampleCap {
+		t.Errorf("retained %d latencies, want %d", n, sampleCap)
+	}
+	runtime.KeepAlive(&stats)
 }
 
 func TestRenderASCIIEmpty(t *testing.T) {

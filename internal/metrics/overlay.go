@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -27,9 +26,7 @@ type OverlayStats struct {
 	Batches      atomic.Int64 // physical writes (one flush each) across links
 
 	peakConns atomic.Int64
-
-	mu       sync.Mutex
-	roundLat []float64 // nanoseconds per completed round, across parties
+	roundLat  sample // per completed round, across parties
 }
 
 // TrackConns records a node's current link count, keeping the maximum.
@@ -46,18 +43,10 @@ func (o *OverlayStats) TrackConns(n int) {
 func (o *OverlayStats) PeakConns() int { return int(o.peakConns.Load()) }
 
 // AddRoundLatency records one party's wall-clock duration for one round.
-func (o *OverlayStats) AddRoundLatency(d time.Duration) {
-	o.mu.Lock()
-	o.roundLat = append(o.roundLat, float64(d.Nanoseconds()))
-	o.mu.Unlock()
-}
+func (o *OverlayStats) AddRoundLatency(d time.Duration) { o.roundLat.add(d) }
 
 // RoundLatency summarizes the recorded per-round durations (nanoseconds).
-func (o *OverlayStats) RoundLatency() Summary {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return Summarize(o.roundLat)
-}
+func (o *OverlayStats) RoundLatency() Summary { return o.roundLat.summary() }
 
 // String renders the counters for logs and the cmd/node summary line.
 func (o *OverlayStats) String() string {

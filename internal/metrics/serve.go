@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -13,9 +12,9 @@ import (
 // write to a peer socket, covering BatchFrames session frames), and who did
 // the work: a write or an engine turn is inline when the goroutine that
 // caused it made it, deferred when it was handed to a link's flusher or the
-// daemon's timekeeper. A rising deferred share is back-pressure. The counters
-// are atomic and the latency sample is mutex-guarded, so one ServeStats may
-// be shared by a daemon's manager, engines and peer links.
+// daemon's timekeeper. A rising deferred share is back-pressure. Every field
+// is safe for concurrent use, so one ServeStats may be shared by a daemon's
+// manager, engines and peer links.
 type ServeStats struct {
 	Submitted         atomic.Int64 // sessions offered (local submits + peer opens)
 	Admitted          atomic.Int64
@@ -38,23 +37,14 @@ type ServeStats struct {
 	TurnsDeferred   atomic.Int64 // engine turns run by the daemon's timekeeper
 	ClientBytes     atomic.Int64 // client-API bytes written (binary protocol only)
 
-	mu      sync.Mutex
-	sessLat []float64 // nanoseconds from admission to terminal state
+	sessLat sample // admission to terminal state
 }
 
 // AddSessionLatency records one session's admission-to-terminal duration.
-func (s *ServeStats) AddSessionLatency(d time.Duration) {
-	s.mu.Lock()
-	s.sessLat = append(s.sessLat, float64(d.Nanoseconds()))
-	s.mu.Unlock()
-}
+func (s *ServeStats) AddSessionLatency(d time.Duration) { s.sessLat.add(d) }
 
 // SessionLatency summarizes the recorded session durations (nanoseconds).
-func (s *ServeStats) SessionLatency() Summary {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return Summarize(s.sessLat)
-}
+func (s *ServeStats) SessionLatency() Summary { return s.sessLat.summary() }
 
 // BatchOccupancy returns the mean frames per flushed batch — the number
 // that shows whether the flush tick is actually coalescing sessions.

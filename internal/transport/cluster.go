@@ -29,17 +29,8 @@ func LocalCluster(cfg sim.Config, machines []sim.Machine, opts Options) (*sim.Re
 	if len(machines) != cfg.N {
 		return nil, fmt.Errorf("sim: %d machines for N = %d", len(machines), cfg.N)
 	}
-	if cfg.MaxMessagesPerParty != 0 {
-		return nil, fmt.Errorf("transport: MaxMessagesPerParty requires a global rate arbiter; " +
-			"the tcp transport has none — use the in-process transport")
-	}
-	if _, ok := cfg.Adversary.(sim.OutboxFilter); ok {
-		return nil, fmt.Errorf("transport: omission filtering intercepts sends after expansion; " +
-			"the tcp transport cannot — use the in-process transport")
-	}
-	if cfg.Tamper != nil {
-		return nil, fmt.Errorf("transport: the delivery-seam tamper hook requires a global arbiter " +
-			"between send and delivery; the tcp transport has none — use the in-process transport")
+	if err := distributable(cfg); err != nil {
+		return nil, err
 	}
 	opts = opts.withDefaults()
 
@@ -108,6 +99,27 @@ func LocalCluster(cfg sim.Config, machines []sim.Machine, opts Options) (*sim.Re
 		return nil, fmt.Errorf("transport: %w", err)
 	}
 	return res, nil
+}
+
+// distributable refuses the engine features that need a global arbiter
+// between send and delivery, which no TCP fabric has: per-party rate
+// limits, omission filtering (it intercepts sends after expansion) and the
+// delivery-seam tamper hook. LocalCluster checks the whole config,
+// RunProcess the adversary its host seat would run.
+func distributable(cfg sim.Config) error {
+	if cfg.MaxMessagesPerParty != 0 {
+		return fmt.Errorf("transport: MaxMessagesPerParty requires a global rate arbiter; " +
+			"the tcp transport has none — use the in-process transport")
+	}
+	if _, ok := cfg.Adversary.(sim.OutboxFilter); ok {
+		return fmt.Errorf("transport: omission filtering intercepts sends after expansion; " +
+			"the tcp transport cannot — use the in-process transport")
+	}
+	if cfg.Tamper != nil {
+		return fmt.Errorf("transport: the delivery-seam tamper hook requires a global arbiter " +
+			"between send and delivery; the tcp transport has none — use the in-process transport")
+	}
+	return nil
 }
 
 // RunAll is the launch/collect loop of every in-process cluster

@@ -4,16 +4,18 @@ import (
 	"strings"
 	"testing"
 
+	"treeaa/internal/adversary"
 	"treeaa/internal/async"
 	"treeaa/internal/sim"
 	"treeaa/internal/tree"
 )
 
 // TestRunProcessRefusals pins where a seat is refused: a seat that carries
-// no role or two is malformed for every fabric (Seat.Validate), and the one
-// role the mesh cannot host — an event machine in a deployment with an
-// adversary — is refused by RunProcess itself. Every case fails before
-// anything listens: the addresses are not bindable.
+// no role or two is malformed for every fabric (Seat.Validate), and the
+// roles the mesh cannot host — an event machine in a deployment with an
+// adversary, an adversary host whose adversary needs a global arbiter — are
+// refused by RunProcess itself. Every case fails before anything listens:
+// the addresses are not bindable.
 func TestRunProcessRefusals(t *testing.T) {
 	tr := tree.NewPath(8)
 	const n = 4
@@ -46,6 +48,9 @@ func TestRunProcessRefusals(t *testing.T) {
 		{"adversary host off the observer seat", seat(func(s *Seat) {
 			s.Adversary, s.ID, s.Corrupted = adv, 3, []sim.PartyID{2, 3}
 		}), "lowest corrupted id"},
+		{"adversary host with an omission filter", seat(func(s *Seat) {
+			s.Adversary, s.ID, s.Corrupted = &adversary.SendOmitter{IDs: []sim.PartyID{3}, N: n, Drop: 0.5}, 3, []sim.PartyID{3}
+		}), "omission filtering"},
 	} {
 		_, err := RunProcess(tc.seat, Options{})
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
