@@ -42,12 +42,14 @@ race:
 
 # The sim engine's sequential/concurrent equivalence (and both drivers'
 # identity with the expand-everything oracle in internal/sim/oracle_test.go,
-# which is what reads one shared broadcast lane from n goroutines), the TCP
+# which is what reads one shared broadcast lane from n goroutines), the
+# gradecast tally and RealAA (honest parties vote with one shared received
+# vector, which n goroutines must only read), the TCP
 # transport's sim-equivalence, and the serving layer's per-session oracle
 # identity must hold under the race detector; -short skips the 500-session load test,
 # which serve-smoke covers from the outside.
 race-sim:
-	$(GO) test -race -short ./internal/sim/... ./internal/transport/... ./internal/session/...
+	$(GO) test -race -short ./internal/sim/... ./internal/transport/... ./internal/session/... ./internal/gradecast/... ./internal/realaa/...
 
 # Scheduler-width sweep of the async and serving suites. Every PR before the
 # 2-core host was verified at GOMAXPROCS=1 only, which is how the pre-open
@@ -61,12 +63,14 @@ race-sim:
 # its Apply and the cross-fabric identity), the shared link's connection set
 # on both fabrics, its generation fence, one connection per pair and the
 # read-ordered link failure an async seat judges, the client request bound
-# and the space cache.
+# and the space cache; and TreeAA machines stepped concurrently, which share
+# one read-only vote vector per lane.
 race-cpu:
 	$(GO) test -count=1 -cpu 1,2,4 -run 'Async|Serve' ./internal/session ./internal/transport
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Restart|CrashPoints|Recover|ObserverMirrors' ./internal/session ./internal/chaos ./internal/transport
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Drainer|Timekeeper|Background|TryWrite|SlowPeer|SessionRound|FinalRound|SpaceCache|MuxTracks|MeshTracks|GenerationFence|OneConnectionPerPair|AsyncWriteFailure|DiscardKeeps|DropAfterDiscard|ClientRequestBounded|RoundFrame|Framer|EventApply|FuzzApplyRound' \
 		./internal/session ./internal/transport ./internal/driver ./internal/wire
+	$(GO) test -race -count=1 -cpu 1,2,4 -run 'SequentialConcurrent' ./internal/core
 
 # The benchmark is a nested module that root `go test ./...` does not reach;
 # vet and test it here so an internal/ API change cannot break it unseen.

@@ -40,8 +40,9 @@ import (
 //
 // X and S must be exactly the t corrupted parties (t = 2, or t = 1 with
 // X == S): they are also the echo/vote boosters that lift the staged counts
-// to the n-t and t+1 thresholds. The strategy is deliberately not registered
-// with Build, so no generated or flag-selected adversary reaches it.
+// to the n-t and t+1 thresholds. The strategy is deliberately not in the
+// strategy table of internal/cli (the adversary language's one compiler),
+// so no generated or flag-selected adversary reaches it.
 type ExclusionSplit struct {
 	X, S       sim.PartyID
 	N, T       int

@@ -237,9 +237,12 @@ func (m *Machine) Step(r int, inbox []sim.Message) []sim.Message {
 		}
 		return out
 	}
+	// Each phase's machine reuses its own outbox buffer, so its slice is
+	// returned as it is; only the hand-off round, in which both phases may
+	// speak, concatenates — into a capped copy that aliases neither buffer.
 	var out []sim.Message
 	if m.path == nil {
-		out = append(out, m.pf.Step(r, inbox)...)
+		out = m.pf.Step(r, inbox)
 		if v, ok := m.pf.Output(); ok {
 			// PathsFinder guarantees this happens by the end of round
 			// pfRounds; the projection phase starts at pfRounds+1 at every
@@ -257,10 +260,14 @@ func (m *Machine) Step(r int, inbox []sim.Message) []sim.Message {
 		}
 	}
 	if m.proj != nil && !m.done {
-		out = append(out, m.proj.Step(r, inbox)...)
+		projOut := m.proj.Step(r, inbox)
 		if j, ok := m.proj.Output(); ok {
 			m.decide(j.(float64))
 		}
+		if len(out) == 0 {
+			return projOut
+		}
+		out = append(out[:len(out):len(out)], projOut...)
 	}
 	return out
 }

@@ -28,13 +28,16 @@
 // the echo, vote or grade vectors off the counts — with no protocol state of
 // its own beyond the current round's, which keeps the soundness properties
 // directly property-testable; the realaa package composes it into a
-// sim.Machine.
+// sim.Machine. It counts a run of equal vectors once, weighted, and votes
+// with a received vector when the bytes match, so an honest round costs a
+// party O(n) per instance and allocates no vote vector (see Tally, Votes).
 package gradecast
 
 import (
 	"cmp"
 	"math"
 	"slices"
+	"unsafe"
 
 	"treeaa/internal/sim"
 )
@@ -80,7 +83,11 @@ type VecEntry struct {
 // sorts and decoding allocates one exact-size slice instead of a
 // map[PartyID]float64 per message — the decode-side map was ~34% of the
 // serve path's allocations. Construct with CopyVals (or append entries in
-// ascending id order); never mutate a Vec after it has been sent.
+// ascending id order); never mutate a Vec after it has been sent. A sent
+// Vec may be forwarded: Tally.Votes returns a received vector — possibly
+// one a corrupted party sent — as the honest party's own vote when the
+// bytes are equal, so whoever hands a Vec to the network, adversary
+// included, must leave it untouched after Step returns.
 type Vec []VecEntry
 
 // Get returns the value attributed to leader id, if any, by binary search
@@ -149,6 +156,17 @@ type Result struct {
 // order the sim delivers): a sender's repeat messages under one tag are then
 // consecutive and only its first counts (any fixed deterministic rule works;
 // honest parties send exactly one).
+//
+// Every honest party echoes the same vector and votes the same vector, so a
+// round's inbox is mostly one vector n times over. The pass therefore counts
+// a run of consecutive admitted vectors with equal bytes once, with weight
+// k: an entry adds k to its cell instead of 1. The read-off (highest count,
+// then smallest value, NaN lowest) does not depend on counting order, cells
+// still appear in first-seen order, and equal vectors pass the
+// strict-ascending rule alike, so the counts are exactly those of counting
+// every vector — except that a NaN entry, which equals nothing, still takes
+// one cell of count 1 per occurrence. A party's cost per instance is
+// O(n × distinct runs) instead of O(n²).
 type Tally struct {
 	n, t int
 	inst []instance
@@ -167,6 +185,13 @@ type instance struct {
 	// value for a leader — only equivocation produces one — is appended past
 	// n and chained from the leader's cell through next, in first-seen order.
 	cells []valCount
+	// run is the first vector of the run of equal vectors not yet counted,
+	// and runLen its length; heavy is the first vector of the longest run
+	// counted this pass (the earliest on a tie), heavyLen its length.
+	run, heavy       Vec
+	runLen, heavyLen int32
+	// votes is the scratch Votes builds in.
+	votes Vec
 }
 
 // valCount is one distinct-value frequency for one leader. next is the index
@@ -196,6 +221,8 @@ func (ta *Tally) reset() {
 		in.sends = in.sends[:0]
 		in.cells = in.cells[:ta.n]
 		clear(in.cells)
+		in.run, in.runLen = nil, 0
+		in.heavy, in.heavyLen = nil, 0
 	}
 }
 
@@ -247,10 +274,11 @@ func (ta *Tally) CollectEchoes(inbox []sim.Message, iter int) {
 	for _, m := range inbox {
 		if p, ok := m.Payload.(EchoMsg); ok && p.Iter == iter {
 			if in := ta.admit(m.From, p.Tag); in != nil {
-				in.count(p.Vals, ta.n)
+				in.add(p.Vals, ta.n)
 			}
 		}
 	}
+	ta.flush()
 }
 
 // CollectVotes tallies the phase-3 vote vectors of iteration iter; Grades
@@ -260,23 +288,57 @@ func (ta *Tally) CollectVotes(inbox []sim.Message, iter int) {
 	for _, m := range inbox {
 		if p, ok := m.Payload.(VoteMsg); ok && p.Iter == iter {
 			if in := ta.admit(m.From, p.Tag); in != nil {
-				in.count(p.Vals, ta.n)
+				in.add(p.Vals, ta.n)
 			}
 		}
 	}
+	ta.flush()
 }
 
-// count streams one received vector into the per-leader cells, front to
-// back, once. A Vec off the wire is strictly ascending with every id below n
-// (wire.Decode rejects anything else), but a Byzantine party in the same
-// process can hand over any slice, so the pass fixes what a malformed one
-// contributes: an entry counts only if its id is strictly greater than
-// every earlier id of the vector, and the first id >= n ends the vector.
-// That is exactly what merging the vector against the ascending leader
-// sequence with a forward-only cursor yields — the cursor passes an entry
-// for good once the leader exceeds its id, and never passes an id no leader
-// reaches — so no vector, however built, counts twice for one leader.
-func (in *instance) count(vec Vec, n int) {
+// flush counts every instance's pending run at the end of a pass.
+func (ta *Tally) flush() {
+	for i := range ta.inst {
+		ta.inst[i].flush(ta.n)
+	}
+}
+
+// add extends the pending run with vec when the bytes are equal, and
+// otherwise counts the run and starts a new one at vec.
+func (in *instance) add(vec Vec, n int) {
+	if in.runLen > 0 {
+		if sameVec(in.run, vec) {
+			in.runLen++
+			return
+		}
+		in.flush(n)
+	}
+	in.run, in.runLen = vec, 1
+}
+
+// flush counts the pending run, if any, with its length as weight.
+func (in *instance) flush(n int) {
+	if in.runLen == 0 {
+		return
+	}
+	in.count(in.run, n, in.runLen)
+	if in.runLen > in.heavyLen {
+		in.heavy, in.heavyLen = in.run, in.runLen
+	}
+	in.run, in.runLen = nil, 0
+}
+
+// count streams one received vector, standing for k equal ones, into the
+// per-leader cells, front to back, once. A Vec off the wire is strictly
+// ascending with every id below n (wire.Decode rejects anything else), but
+// a Byzantine party in the same process can hand over any slice, so the
+// pass fixes what a malformed one contributes: an entry counts only if its
+// id is strictly greater than every earlier id of the vector, and the first
+// id >= n ends the vector. That is exactly what merging the vector against
+// the ascending leader sequence with a forward-only cursor yields — the
+// cursor passes an entry for good once the leader exceeds its id, and never
+// passes an id no leader reaches — so no vector, however built, counts
+// twice for one leader.
+func (in *instance) count(vec Vec, n int, k int32) {
 	cells := in.cells
 	prev := sim.PartyID(-1)
 	for _, e := range vec {
@@ -287,50 +349,116 @@ func (in *instance) count(vec Vec, n int) {
 			continue
 		}
 		prev = e.ID
-		if c := &cells[e.ID]; c.count == 0 {
-			c.val, c.count = e.Val, 1
-		} else if c.val == e.Val {
-			c.count++
-		} else {
-			cells = spill(cells, int32(e.ID), e.Val)
+		switch c := &cells[e.ID]; {
+		case c.count != 0 && c.val == e.Val:
+			c.count += k
+		case k > 1 && e.Val != e.Val:
+			cells = countNaN(cells, e.ID, e.Val, k)
+		case c.count == 0:
+			c.val, c.count = e.Val, k
+		default:
+			cells = spill(cells, int32(e.ID), e.Val, k)
 		}
 	}
 	in.cells = cells
 }
 
-// spill counts v for a leader whose head cell holds a different value: it
-// walks the leader's chain and bumps v's cell or appends a new one at the
-// tail. NaN never equals itself, so each NaN occurrence stays a distinct
-// cell of count 1 — the behavior a float64-keyed map gives — and can never
-// reach a t+1 quorum.
-func spill(cells []valCount, at int32, v float64) []valCount {
+// spill adds k to the count of v for a leader whose head cell holds a
+// different value: it walks the leader's chain and bumps v's cell or
+// appends a new one at the tail.
+func spill(cells []valCount, at int32, v float64, k int32) []valCount {
 	for cells[at].next != 0 {
 		at = cells[at].next
 		if cells[at].val == v {
-			cells[at].count++
+			cells[at].count += k
 			return cells
 		}
 	}
 	cells[at].next = int32(len(cells))
-	return append(cells, valCount{val: v, count: 1})
+	return append(cells, valCount{val: v, count: k})
+}
+
+// countNaN counts k occurrences of the NaN v for leader id. NaN never
+// equals itself, so each occurrence stays a distinct cell of count 1 — the
+// behavior a float64-keyed map gives — and can never reach a t+1 quorum.
+// Only an adversary sends NaN; inlined, this loop makes count's hot loop
+// keep its registers on the stack, so it stays out of line.
+//
+//go:noinline
+func countNaN(cells []valCount, id sim.PartyID, v float64, k int32) []valCount {
+	for range k {
+		if c := &cells[id]; c.count == 0 {
+			c.val, c.count = v, 1
+		} else {
+			cells = spill(cells, int32(id), v, 1)
+		}
+	}
+	return cells
+}
+
+// packed reports whether a VecEntry is its two fields with no padding, so
+// that its bytes are exactly the id's and Float64bits of the value's.
+const packed = unsafe.Sizeof(VecEntry{}) == unsafe.Sizeof(sim.PartyID(0))+unsafe.Sizeof(float64(0))
+
+// sameVec reports whether a and b hold the same bytes: equal length, ids
+// and math.Float64bits of every value (so -0 and +0 differ and a NaN equals
+// a NaN of the same bits). It rejects cheaply, because most calls in a
+// round with an equivocator are between vectors that differ: shared backing
+// array, length, then the last entry, and only then the whole vector.
+func sameVec(a, b Vec) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	if len(a) == 0 || &a[0] == &b[0] {
+		return true
+	}
+	return sameEntry(a[len(a)-1], b[len(b)-1]) && sameBytes(a, b)
+}
+
+// sameBytes is sameVec's full compare of two vectors of equal length.
+func sameBytes(a, b Vec) bool {
+	if packed {
+		size := len(a) * int(unsafe.Sizeof(VecEntry{}))
+		return unsafe.String((*byte)(unsafe.Pointer(&a[0])), size) ==
+			unsafe.String((*byte)(unsafe.Pointer(&b[0])), size)
+	}
+	for i := range a {
+		if !sameEntry(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameEntry is sameVec for one entry.
+func sameEntry(a, b VecEntry) bool {
+	return a.ID == b.ID && math.Float64bits(a.Val) == math.Float64bits(b.Val)
 }
 
 // Votes derives this party's phase-3 vote vector for instance i from the
 // echoes tallied: for each leader, if some value was echoed by at least n-t
-// parties, vote for it; otherwise vote ⊥ (leader omitted). The returned Vec
-// is freshly allocated — it becomes a wire payload.
+// parties, vote for it; otherwise vote ⊥ (leader omitted). The vector is
+// built in scratch; when its bytes equal the first vector of the longest
+// run counted, Votes returns that received Vec itself (payloads are
+// immutable), so every party reading one broadcast lane votes with one
+// pointer and the next round's run check is a pointer compare. Otherwise it
+// returns a fresh copy, and nil when there is no vote.
 func (ta *Tally) Votes(i int) Vec {
-	var votes Vec
-	cells := ta.inst[i].cells
+	in := &ta.inst[i]
+	votes := slices.Grow(in.votes[:0], ta.n)
 	for leader := 0; leader < ta.n; leader++ {
-		if v, c := argmax(cells, leader); c >= ta.n-ta.t {
-			if votes == nil {
-				votes = make(Vec, 0, ta.n)
-			}
+		if v, c := argmax(in.cells, leader); c >= ta.n-ta.t {
 			votes = append(votes, VecEntry{ID: sim.PartyID(leader), Val: v})
 		}
 	}
-	return votes
+	in.votes = votes
+	switch {
+	case len(votes) == 0:
+		return nil
+	case sameVec(votes, in.heavy):
+		return in.heavy
+	}
+	return slices.Clone(votes)
 }
 
 // Grades derives the final (value, grade) per leader for instance i from the

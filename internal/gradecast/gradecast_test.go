@@ -472,3 +472,32 @@ func TestQuickEchoThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestHonestVotesAllocateNothing: when every echo vector carries the same
+// bytes — the honest round, each vector its own allocation as decoded or
+// cloned — the vote vector is the first received one, so an echo pass and
+// its read-off allocate nothing; with an equivocated column (the split
+// shape) the votes differ from every echo and cost their one allocation.
+func TestHonestVotesAllocateNothing(t *testing.T) {
+	n, tc := 16, 5
+	for _, tt := range []struct {
+		split  bool
+		allocs float64
+	}{{false, 0}, {true, 1}} {
+		vecs := benchVecs(n, tc, tt.split)
+		inbox := echoInbox("a", vecs)
+		ta := NewTally(n, tc, "a")
+		var votes Vec
+		pass := func() {
+			ta.CollectEchoes(inbox, 1)
+			votes = ta.Votes(0)
+		}
+		pass() // warm-up: the vote scratch
+		if got := testing.AllocsPerRun(100, pass); got != tt.allocs {
+			t.Errorf("split=%v: %v allocations per echo pass, want %v", tt.split, got, tt.allocs)
+		}
+		if aliased := &votes[0] == &vecs[0][0]; aliased == tt.split {
+			t.Errorf("split=%v: votes alias the first echo vector: %v", tt.split, aliased)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package gradecast
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"treeaa/internal/sim"
@@ -96,7 +97,9 @@ func sameFloat(a, b float64) bool {
 // fails on any difference.
 func checkAgainstMerge(t *testing.T, n, tc int, vecs []Vec) {
 	t.Helper()
-	got, want := tallyVotes(n, tc, vecs), mergeVotes(n, tc, vecs)
+	ta := NewTally(n, tc, "a")
+	ta.CollectEchoes(echoInbox("a", vecs), 1)
+	got, want := ta.Votes(0), mergeVotes(n, tc, vecs)
 	if len(got) != len(want) {
 		t.Fatalf("n=%d t=%d %v:\nvotes %v\nmerge %v", n, tc, vecs, got, want)
 	}
@@ -105,6 +108,7 @@ func checkAgainstMerge(t *testing.T, n, tc int, vecs []Vec) {
 			t.Fatalf("n=%d t=%d %v:\nvotes %v\nmerge %v", n, tc, vecs, got, want)
 		}
 	}
+	checkVoteVec(t, ta, got, vecs)
 	grades, wantGrades := tallyGrades(n, tc, vecs), mergeGrades(n, tc, vecs)
 	for leader := range wantGrades {
 		if g, w := grades[leader], wantGrades[leader]; g.Grade != w.Grade || !sameFloat(g.Val, w.Val) {
@@ -113,9 +117,43 @@ func checkAgainstMerge(t *testing.T, n, tc int, vecs []Vec) {
 	}
 }
 
+// checkVoteVec holds the vote vector Votes returned to what the counts say:
+// bit-identical to the vector built afresh from instance 0's cells, and
+// sharing memory with an input vector only when it is that whole vector
+// with the same bytes — never with the tally's scratch.
+func checkVoteVec(t *testing.T, ta *Tally, got Vec, vecs []Vec) {
+	t.Helper()
+	var fresh Vec
+	for leader := 0; leader < ta.n; leader++ {
+		if v, c := argmax(ta.inst[0].cells, leader); c >= ta.n-ta.t {
+			fresh = append(fresh, VecEntry{ID: sim.PartyID(leader), Val: v})
+		}
+	}
+	if (got == nil) != (fresh == nil) || len(got) != len(fresh) {
+		t.Fatalf("votes %v, built afresh %v", got, fresh)
+	}
+	for i := range got {
+		if !sameEntry(got[i], fresh[i]) {
+			t.Fatalf("votes %v, built afresh %v: entry %d differs in its bits", got, fresh, i)
+		}
+	}
+	if len(got) == 0 {
+		return
+	}
+	if &got[0] == &ta.inst[0].votes[0] {
+		t.Fatalf("votes %v alias the tally's scratch", got)
+	}
+	for _, vec := range vecs {
+		if len(vec) > 0 && &vec[0] == &got[0] && !sameVec(vec, fresh) {
+			t.Fatalf("votes %v alias input %v, whose bytes differ", got, vec)
+		}
+	}
+}
+
 // TestTallyMatchesMergeOracle: well-formed vectors — dense, sparse, empty
-// and nil, honest columns and equivocated ones — tally to exactly the votes
-// and grades of the cursor merge.
+// and nil, honest columns and equivocated ones, and runs of equal vectors,
+// aliased or copied — tally to exactly the votes and grades of the cursor
+// merge.
 func TestTallyMatchesMergeOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	for trial := 0; trial < 600; trial++ {
@@ -124,8 +162,18 @@ func TestTallyMatchesMergeOracle(t *testing.T) {
 		// Leaders below split are honest (one value everywhere); the rest
 		// equivocate over a small palette, so quorums form and break.
 		split := rng.Intn(n + 1)
+		// repeat is the chance a vector repeats its predecessor.
+		repeat := []float64{0, 0.5, 0.9}[rng.Intn(3)]
 		vecs := make([]Vec, rng.Intn(n+1))
 		for i := range vecs {
+			if i > 0 && rng.Float64() < repeat {
+				if rng.Intn(2) == 0 {
+					vecs[i] = vecs[i-1]
+				} else {
+					vecs[i] = slices.Clone(vecs[i-1])
+				}
+				continue
+			}
 			var keep float64 // chance each leader is present
 			switch rng.Intn(4) {
 			case 0:
@@ -161,14 +209,19 @@ var fuzzVals = [...]float64{0, math.Copysign(0, -1), 1, 2, math.NaN(), math.Inf(
 // FuzzTally feeds both tallies vectors no honest party builds — unsorted,
 // repeated, negative and out-of-range ids — and demands identical votes and
 // grades. data[0] and data[1] pick n and t; then each vector is a length
-// byte followed by (id, value) byte pairs.
+// byte followed by (id, value) byte pairs, except that a length byte of
+// 0xf0 or more repeats the previous vector: aliased when even, copied when
+// odd.
 func FuzzTally(f *testing.F) {
 	f.Add([]byte{3, 1, 4, 0, 2, 1, 2, 2, 2, 3, 2, 4, 0, 2, 1, 2, 2, 2, 3, 2})
-	f.Add([]byte{6, 2, 3, 5, 4, 5, 4, 5, 4, 2, 3, 0, 2, 0})       // one leader named three times
-	f.Add([]byte{9, 0, 5, 6, 1, 3, 1, 6, 1, 0, 1, 9, 1})          // descending tail, negative id
-	f.Add([]byte{4, 1, 3, 2, 4, 11, 4, 3, 4, 2, 2, 1, 3, 1})      // id >= n ends the vector; NaN, -0
-	f.Add([]byte{0, 0, 1, 2, 5})                                  // n = 1
-	f.Add([]byte{69, 23, 2, 71, 6, 72, 5, 3, 0, 0, 73, 0, 74, 0}) // n = 70
+	f.Add([]byte{6, 2, 3, 5, 4, 5, 4, 5, 4, 2, 3, 0, 2, 0})                   // one leader named three times
+	f.Add([]byte{9, 0, 5, 6, 1, 3, 1, 6, 1, 0, 1, 9, 1})                      // descending tail, negative id
+	f.Add([]byte{4, 1, 3, 2, 4, 11, 4, 3, 4, 2, 2, 1, 3, 1})                  // id >= n ends the vector; NaN, -0
+	f.Add([]byte{0, 0, 1, 2, 5})                                              // n = 1
+	f.Add([]byte{69, 23, 2, 71, 6, 72, 5, 3, 0, 0, 73, 0, 74, 0})             // n = 70
+	f.Add([]byte{6, 2, 3, 2, 4, 3, 4, 4, 4, 0xf0, 0xf1, 0xf0})                // NaN repeated, aliased and copied
+	f.Add([]byte{6, 2, 2, 2, 1, 3, 1, 0xf0, 0xf1, 2, 2, 0, 3, 0, 0xf0, 0xf1}) // a -0 run beside a +0 run
+	f.Add([]byte{9, 2, 4, 5, 2, 3, 2, 6, 2, 13, 2, 0xf0, 0xf1, 0xf0, 0xf1})   // descending and out-of-range ids, repeated
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -178,6 +231,15 @@ func FuzzTally(f *testing.F) {
 		data = data[2:]
 		var vecs []Vec
 		for len(data) > 0 {
+			if data[0] >= 0xf0 && len(vecs) > 0 {
+				prev := vecs[len(vecs)-1]
+				if data[0]%2 == 1 {
+					prev = slices.Clone(prev)
+				}
+				vecs = append(vecs, prev)
+				data = data[1:]
+				continue
+			}
 			k := min(int(data[0])%(n+3), (len(data)-1)/2)
 			vec := make(Vec, k)
 			for j := range vec {

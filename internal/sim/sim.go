@@ -73,8 +73,8 @@ func UvarintLen(x uint64) int {
 // party or Broadcast. Machines must not share mutable state with other
 // machines. The driver finishes with the returned slice before the next Step
 // call, so a machine may reuse a single outbox buffer across rounds (message
-// *payloads* are shared with recipients and must still be immutable once
-// returned).
+// *payloads* are shared with recipients — who may forward them as their
+// own — and must still be immutable once returned).
 type Machine interface {
 	// Step advances the machine to round r and returns its outgoing messages.
 	Step(r int, inbox []Message) []Message
@@ -103,7 +103,10 @@ type Adversary interface {
 	// a Machine's, may be the array the honest parties are reading (To is
 	// the party or Broadcast): an adversary may read them freely during the
 	// call but must not retain or mutate them (copy message values out
-	// instead, as the built-in strategies do).
+	// instead, as the built-in strategies do). The payloads the adversary
+	// returns are shared like an honest party's: honest parties may
+	// forward them (an honest gradecast vote vector can be a received
+	// vector), so a payload must never be mutated after Step returns.
 	Step(r int, honestOut []Message, corruptInbox map[PartyID][]Message) (out []Message, corruptMore []PartyID)
 }
 
