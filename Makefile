@@ -44,12 +44,13 @@ race:
 # identity with the expand-everything oracle in internal/sim/oracle_test.go,
 # which is what reads one shared broadcast lane from n goroutines), the
 # gradecast tally and RealAA (honest parties vote with one shared received
-# vector, which n goroutines must only read), the TCP
-# transport's sim-equivalence, and the serving layer's per-session oracle
+# vector, which n goroutines must only read), the adversary strategies and
+# crashaa's PartialCrash (they read the engine's reused view, a broadcast
+# once), the TCP transport's sim-equivalence, and the serving layer's per-session oracle
 # identity must hold under the race detector; -short skips the 500-session load test,
 # which serve-smoke covers from the outside.
 race-sim:
-	$(GO) test -race -short ./internal/sim/... ./internal/transport/... ./internal/session/... ./internal/gradecast/... ./internal/realaa/...
+	$(GO) test -race -short ./internal/sim/... ./internal/transport/... ./internal/session/... ./internal/gradecast/... ./internal/realaa/... ./internal/adversary/... ./internal/crashaa/...
 
 # Scheduler-width sweep of the async and serving suites. Every PR before the
 # 2-core host was verified at GOMAXPROCS=1 only, which is how the pre-open
@@ -84,6 +85,7 @@ bench-module:
 node-smoke:
 	$(GO) run ./cmd/node -cluster 3 -tree path:16
 	$(GO) run ./cmd/node -cluster 7 -t 2 -tree path:40 -adversary splitvote
+	$(GO) run ./cmd/node -cluster 7 -t 2 -tree path:40 -adversary 'replay(delay=3)'
 	$(GO) run ./cmd/node -cluster 4 -t 1 -tree graph:cliquechain:3:4 -adversary splitvote
 
 # Tree-overlay smoke: the same multi-process cmd/node deployments routed

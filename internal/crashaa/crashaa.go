@@ -131,9 +131,9 @@ func (m *Machine) Output() (any, bool) {
 // PartialCrash is the crash-model adversary: at round Rounds[k] it crashes
 // IDs[k] *partially* — the victim's retracted round broadcast (observed via
 // rushing before retraction) is re-delivered to only the recipients with
-// id < Cutoffs[k] — and keeps the victim silent afterwards. This realizes
-// the executions behind Fekete's crash-fault bound: each crash splits the
-// survivors' views in one entry.
+// id < Cutoffs[k] (at most n) — and keeps the victim silent afterwards. This
+// realizes the executions behind Fekete's crash-fault bound: each crash
+// splits the survivors' views in one entry.
 type PartialCrash struct {
 	IDs     []sim.PartyID
 	Rounds  []int
@@ -162,12 +162,17 @@ func (a *PartialCrash) Step(r int, honestOut []sim.Message, _ map[sim.PartyID][]
 		more = append(more, id)
 		// Re-deliver the victim's own (honest) round broadcast to the
 		// chosen prefix of recipients — a faithful partial send, never a
-		// fabricated value.
+		// fabricated value. The view holds a broadcast once; its prefix is
+		// recipients 0..cutoff-1.
 		for _, m := range honestOut {
 			if m.From != id {
 				continue
 			}
-			if int(m.To) < a.Cutoffs[k] {
+			if m.To == sim.Broadcast {
+				for to := 0; to < a.Cutoffs[k]; to++ {
+					msgs = append(msgs, sim.Message{From: id, To: sim.PartyID(to), Payload: m.Payload})
+				}
+			} else if int(m.To) < a.Cutoffs[k] {
 				msgs = append(msgs, sim.Message{From: id, To: m.To, Payload: m.Payload})
 			}
 		}

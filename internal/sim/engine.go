@@ -28,7 +28,7 @@ type engine struct {
 	raw [][]Message
 
 	honest    []PartyID // current honest parties, ascending
-	honestOut []Message // expanded honest traffic: the adversary's view
+	honestOut []Message // stamped honest traffic as sent: the adversary's view
 	sent      []int     // per-party delivered-message counts for the rate limit
 	direct    []bool    // sender has unicast mail out this round
 	counts    []int     // counting-sort histogram scratch
@@ -81,16 +81,24 @@ func (e *engine) refreshHonest() {
 }
 
 // view rebuilds honestOut, the round-r traffic of the honest parties as the
-// adversary is promised it: stamped and expanded per recipient, an omission
-// party's sends already through the adversary's filter. Such a party then
-// delivers exactly its surviving window, so raw[p] is pointed at it.
+// adversary is promised it: stamped, in ascending-sender emission order, one
+// entry per send — a broadcast keeps To == Broadcast. The exception is an
+// omission party: FilterOutbox is defined on expanded sends, so its outbox is
+// expanded per recipient and passed through the adversary's filter, and the
+// party then delivers exactly its surviving window, so raw[p] is pointed at
+// it.
 func (e *engine) view(r int, filter OutboxFilter) error {
 	e.honestOut = e.honestOut[:0]
 	for _, p := range e.honest {
 		start := len(e.honestOut)
+		omits := filter != nil && e.omission[p]
 		for _, m := range e.raw[p] {
 			m.From, m.Round = p, r
 			if m.To == Broadcast {
+				if !omits {
+					e.honestOut = append(e.honestOut, m)
+					continue
+				}
 				for to := 0; to < e.n; to++ {
 					m.To = PartyID(to)
 					e.honestOut = append(e.honestOut, m)
@@ -102,7 +110,7 @@ func (e *engine) view(r int, filter OutboxFilter) error {
 			}
 			e.honestOut = append(e.honestOut, m)
 		}
-		if filter != nil && e.omission[p] {
+		if omits {
 			msgs := filter.FilterOutbox(r, p, e.honestOut[start:])
 			for i := range msgs {
 				if msgs[i].From != p {

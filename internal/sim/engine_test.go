@@ -157,6 +157,59 @@ func TestBroadcastInboxesShareOneArray(t *testing.T) {
 	}
 }
 
+// viewRecorder corrupts party 3, makes party 2 omission-faulty with a filter
+// that keeps everything, and records the first honestOut it is handed.
+type viewRecorder struct {
+	view []Message
+}
+
+func (a *viewRecorder) Initial() []PartyID         { return []PartyID{3} }
+func (a *viewRecorder) OmissionParties() []PartyID { return []PartyID{2} }
+func (a *viewRecorder) FilterOutbox(_ int, _ PartyID, msgs []Message) []Message {
+	return msgs
+}
+func (a *viewRecorder) Step(r int, honestOut []Message, _ map[PartyID][]Message) ([]Message, []PartyID) {
+	if r == 1 {
+		a.view = append([]Message(nil), honestOut...)
+	}
+	return nil, nil
+}
+
+// TestAdversaryViewIsSendsAsSent pins the form of honestOut: one stamped
+// entry per honest send, by ascending sender in emission order, a broadcast
+// once with To == Broadcast — except an omission party's, which its filter
+// sees expanded per recipient and the view shows as the filter left it.
+func TestAdversaryViewIsSendsAsSent(t *testing.T) {
+	const n = 4
+	machines := make([]Machine, n)
+	for i := range machines {
+		done := false
+		machines[i] = &funcMachine{
+			step: func(r int, _ []Message) []Message {
+				done = r >= 2
+				return []Message{{To: Broadcast, Payload: intPayload(1)}, {To: 0, Payload: intPayload(2)}}
+			},
+			output: func() (any, bool) { return nil, done },
+		}
+	}
+	adv := &viewRecorder{}
+	if _, err := Run(Config{N: n, MaxCorrupt: 2, MaxRounds: 3, Adversary: adv}, machines); err != nil {
+		t.Fatal(err)
+	}
+	var want []Message
+	for _, from := range []PartyID{0, 1} {
+		want = append(want, Message{From: from, To: Broadcast, Round: 1, Payload: intPayload(1)},
+			Message{From: from, To: 0, Round: 1, Payload: intPayload(2)})
+	}
+	for to := PartyID(0); to < n; to++ {
+		want = append(want, Message{From: 2, To: to, Round: 1, Payload: intPayload(1)})
+	}
+	want = append(want, Message{From: 2, To: 0, Round: 1, Payload: intPayload(2)})
+	if !reflect.DeepEqual(adv.view, want) {
+		t.Errorf("round 1 view:\n got %v\nwant %v", adv.view, want)
+	}
+}
+
 // TestSortMailboxStable checks the counting sort directly: messages are
 // ordered by sender, and the relative order of one sender's messages is
 // preserved (the property the gradecast dedup rule relies on).

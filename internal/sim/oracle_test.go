@@ -315,7 +315,7 @@ type scriptAdversary struct {
 	omission []PartyID
 	adapt    map[int]PartyID
 	owned    []PartyID
-	views    [][]Message          // honestOut per round
+	views    [][]Message          // honestOut per round, expanded
 	inboxes  []map[PartyID][]seen // corruptInbox per round
 }
 
@@ -337,7 +337,7 @@ func (a *scriptAdversary) FilterOutbox(_ int, _ PartyID, msgs []Message) []Messa
 }
 
 func (a *scriptAdversary) Step(r int, honestOut []Message, corruptInbox map[PartyID][]Message) ([]Message, []PartyID) {
-	a.views = append(a.views, append([]Message(nil), honestOut...))
+	a.views = append(a.views, expandView(a.n, honestOut))
 	in := make(map[PartyID][]seen, len(corruptInbox))
 	for p, box := range corruptInbox {
 		in[p] = observe(box)
@@ -355,6 +355,25 @@ func (a *scriptAdversary) Step(r int, honestOut []Message, corruptInbox map[Part
 	}
 	a.rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
 	return out, more
+}
+
+// expandView copies an adversary's view with every broadcast expanded per
+// recipient in place — the oracle's form of the view. The engine hands each
+// broadcast over once; the oracle's view, already expanded, comes back
+// unchanged, so the two compare after the same expansion.
+func expandView(n int, view []Message) []Message {
+	out := make([]Message, 0, len(view))
+	for _, m := range view {
+		if m.To != Broadcast {
+			out = append(out, m)
+			continue
+		}
+		for to := 0; to < n; to++ {
+			m.To = PartyID(to)
+			out = append(out, m)
+		}
+	}
+	return out
 }
 
 // tamperLog is a seeded stateful delivery seam: it records every call,
@@ -438,7 +457,8 @@ func (c diffCase) run(t *testing.T, drive func(Config, []Machine) (*Result, erro
 // TestRunMatchesExpandEverythingOracle drives the lane engine, under both
 // drivers, and the oracle with the same seeded scripts and requires
 // identical executions: what every machine reads every round, both adversary
-// views, the tamper hook's call sequence, Result and Trace.
+// views (honestOut after expandView, since the engine hands a broadcast over
+// once), the tamper hook's call sequence, Result and Trace.
 func TestRunMatchesExpandEverythingOracle(t *testing.T) {
 	cases := 0
 	for _, n := range []int{4, 7} {

@@ -97,8 +97,12 @@ type Adversary interface {
 	Initial() []PartyID
 	// Step returns the messages the corrupted parties send in round r,
 	// together with any new corruptions. honestOut is the round-r traffic of
-	// currently honest parties; corruptInbox holds the messages delivered
-	// this round to each corrupted party. Both views are backed by buffers
+	// currently honest parties as it was sent: one stamped entry per send, by
+	// ascending sender and in each sender's emission order, a broadcast once
+	// with To == Broadcast (an omission party's sends are the exception: they
+	// appear expanded per recipient, as its filter left them). corruptInbox
+	// holds the messages delivered this round to each corrupted party. Both
+	// views are backed by buffers
 	// the driver reuses across rounds — and a corrupted party's inbox, like
 	// a Machine's, may be the array the honest parties are reading (To is
 	// the party or Broadcast): an adversary may read them freely during the
@@ -121,8 +125,10 @@ type OutboxFilter interface {
 	// OmissionParties returns the parties subject to send filtering. They
 	// are disjoint from Initial() (a Byzantine party subsumes omission).
 	OmissionParties() []PartyID
-	// FilterOutbox returns the subset of msgs (after broadcast expansion)
-	// that party p actually delivers in round r.
+	// FilterOutbox returns the subset of msgs that party p actually delivers
+	// in round r. Unlike the rest of honestOut, msgs is expanded per
+	// recipient: a broadcast arrives as its n copies, so a filter can drop
+	// any one of them.
 	FilterOutbox(r int, p PartyID, msgs []Message) []Message
 }
 

@@ -27,8 +27,9 @@ type hostConfig struct {
 // runAdversaryHost mirrors the engine's adversary path round by round:
 // wait until the observer holds all honest round-r traffic (mirrors are
 // complete once each honest party's round-r frame arrives) and every
-// corrupted inbox for round r-1 is complete, rebuild honestOut and
-// corruptInbox exactly as the engine lays them out, run one Adversary.Step,
+// corrupted inbox for round r-1 is complete, rebuild honestOut — each honest
+// send once, a broadcast with To == Broadcast — and corruptInbox exactly as
+// the engine lays them out, run one Adversary.Step,
 // and route the returned messages through the corrupted parties'
 // authenticated links, a round frame per link like anybody's. Corrupted
 // parties always flag done in their frames, so honest termination is
@@ -80,9 +81,9 @@ func runAdversaryHost(cfg hostConfig) (*driver.Result, error) {
 			return nil, err
 		}
 
-		// honestOut: expanded honest traffic concatenated by ascending
-		// sender, each sender's messages in emission order — the mirror
-		// stream preserves exactly the engine's honestOut layout.
+		// honestOut: honest sends as sent, concatenated by ascending
+		// sender, each sender's in emission order — one mirror per send,
+		// so the mirror stream is exactly the engine's honestOut layout.
 		var honestOut []sim.Message
 		for _, p := range honest {
 			honestOut = append(honestOut, h.mirrors[r][p]...)
@@ -151,7 +152,7 @@ type hostState struct {
 	observer sim.PartyID
 	honest   []sim.PartyID
 	states   map[sim.PartyID]*driver.Mailbox       // per corrupted party
-	mirrors  map[int]map[sim.PartyID][]sim.Message // round → honest sender → expanded traffic
+	mirrors  map[int]map[sim.PartyID][]sim.Message // round → honest sender → its sends, as sent
 }
 
 // ready reports whether the adversary can step round r: the observer holds

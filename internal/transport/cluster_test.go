@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"treeaa/internal/adversary"
+	"treeaa/internal/cli"
 	"treeaa/internal/core"
 	"treeaa/internal/sim"
 	"treeaa/internal/tree"
@@ -154,6 +156,95 @@ func TestObserverMirrorsPrecedeRoundFrame(t *testing.T) {
 	}
 	if mirrors == 0 {
 		t.Error("no mirror frame reached the observer")
+	}
+}
+
+// viewLog records, round by round, the honestOut its adversary is handed:
+// each entry's addressing and round, and its payload's wire bytes.
+type viewLog struct {
+	sim.Adversary
+	t     *testing.T
+	views [][]string
+}
+
+func (a *viewLog) Step(r int, honestOut []sim.Message, inbox map[sim.PartyID][]sim.Message) ([]sim.Message, []sim.PartyID) {
+	view := make([]string, len(honestOut))
+	for i, m := range honestOut {
+		body, err := wire.Encode(m.Payload)
+		if err != nil {
+			a.t.Error(err) // not Fatal: the host steps on its own goroutine
+		}
+		view[i] = fmt.Sprintf("%d→%d r%d %x", m.From, m.To, m.Round, body)
+	}
+	a.views = append(a.views, view)
+	return a.Adversary.Step(r, honestOut, inbox)
+}
+
+// TestAdversaryViewSameOnBothFabrics: the adversary host rebuilds from mirror
+// frames exactly the honestOut sim.Run hands the adversary — each honest send
+// once, a broadcast with To == Broadcast — and the honest parties send one
+// mirror per send, not one per recipient.
+func TestAdversaryViewSameOnBothFabrics(t *testing.T) {
+	tr := tree.NewPath(16)
+	const n, tc = 7, 2
+	sp := &cli.Space{Tree: tr}
+	for _, spec := range []string{"splitvote", "replay(delay=3)"} {
+		for seed := 1; seed <= 3; seed++ {
+			var logs [2]*viewLog
+			mirrors := 0
+			for i := range logs {
+				adv, _, err := sp.BuildAdversary(spec, n, tc, int64(seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				logs[i] = &viewLog{Adversary: adv, t: t}
+				cfg := sim.Config{N: n, MaxCorrupt: tc, MaxRounds: core.Rounds(tr, tc) + 2, Adversary: logs[i]}
+				machines := buildMachines(t, tr, n, tc, spreadInputs(tr, n, seed))
+				if i == 0 {
+					_, err = sim.Run(cfg, machines)
+				} else {
+					var mu sync.Mutex
+					observer := adv.Initial()[0]
+					_, err = LocalCluster(cfg, machines, Options{
+						WrapConn: func(_, to sim.PartyID, conn net.Conn) net.Conn {
+							if to != observer {
+								return conn
+							}
+							return &frameTap{conn, func(tag byte, _ int) {
+								if tag == frameMirror {
+									mu.Lock()
+									mirrors++
+									mu.Unlock()
+								}
+							}}
+						}})
+				}
+				if err != nil {
+					t.Fatalf("%s seed %d: %v", spec, seed, err)
+				}
+			}
+			if !reflect.DeepEqual(logs[1].views, logs[0].views) {
+				t.Errorf("%s seed %d: views diverge\n tcp: %v\n sim: %v", spec, seed, logs[1].views, logs[0].views)
+			}
+			sends, broadcasts := 0, 0
+			for r, view := range logs[0].views {
+				if len(view) > 2*(n-tc) { // a TreeAA round: a value and a suspicion-mask send per party
+					t.Errorf("%s seed %d: round %d view holds %d entries for %d honest parties", spec, seed, r+1, len(view), n-tc)
+				}
+				sends += len(view)
+				for _, m := range view {
+					if strings.Contains(m, fmt.Sprintf("→%d ", sim.Broadcast)) {
+						broadcasts++
+					}
+				}
+			}
+			if broadcasts == 0 || mirrors != sends {
+				t.Errorf("%s seed %d: %d mirror frames for %d honest sends (%d broadcasts), want one per send",
+					spec, seed, mirrors, sends, broadcasts)
+			}
+			t.Logf("%s seed %d: %d mirror frames over %d rounds for %d honest parties (%d expanded)",
+				spec, seed, mirrors, len(logs[0].views), n-tc, sends-broadcasts+n*broadcasts)
+		}
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 // dialed. After it, a mesh link carries
 //
 //	round:  wire.SessionRound body (FrameMuxSession envelope)
-//	mirror: uvarint(round) | u32(real recipient) | wire body
+//	mirror: uvarint(round) | u32(recipient, or mirrorBroadcast) | wire body
 //	count:  uvarint(data frames received from the peer)
 //	bye:    no fields
 //
@@ -39,6 +39,11 @@ const (
 	frameMirror byte = 0x03
 	frameCount  byte = 0x05
 	frameBye    byte = 0x09
+
+	// mirrorBroadcast is a mirror's recipient field for a broadcast: the
+	// observer is shown the send once, as the sender made it. Every other
+	// value above wire.MaxIDValue is refused.
+	mirrorBroadcast uint32 = math.MaxUint32
 
 	// FrameMuxSession is the envelope tag of a wire session body: a
 	// wire.SessionRound on every mesh link, this package's and the serving
@@ -134,33 +139,42 @@ func parseCount(body []byte) (uint64, error) {
 	return rcvd, nil
 }
 
-// encodeMirror builds a mirror frame around an already-encoded wire body,
-// shared by every recipient of a broadcast; only the envelope differs.
+// encodeMirror builds a mirror frame around an already-encoded wire body:
+// one send as its sender made it, to one recipient or to sim.Broadcast.
 func encodeMirror(round int, to sim.PartyID, body []byte) []byte {
+	rcpt := uint32(to)
+	if to == sim.Broadcast {
+		rcpt = mirrorBroadcast
+	}
 	env := make([]byte, 0, 16+len(body))
 	env = append(env, frameMirror)
 	env = wire.AppendUvarint(env, uint64(round))
-	env = wire.AppendU32(env, uint32(to))
+	env = wire.AppendU32(env, rcpt)
 	env = append(env, body...)
 	return AppendFrame(nil, env)
 }
 
 // parseMirror decodes a mirror frame body, wire payload included, into the
-// message it mirrors: what from sent its real recipient in that round.
+// message it mirrors: what from sent in that round, to one recipient or to
+// sim.Broadcast.
 func parseMirror(from sim.PartyID, body []byte) (sim.Message, error) {
 	round, rest, err := consumeRound(body[1:])
 	if err != nil {
 		return sim.Message{}, err
 	}
-	to, rest, err := wire.ConsumeU32(rest)
-	if err != nil || to > wire.MaxIDValue {
+	rcpt, rest, err := wire.ConsumeU32(rest)
+	if err != nil || (rcpt > wire.MaxIDValue && rcpt != mirrorBroadcast) {
 		return sim.Message{}, fmt.Errorf("transport: bad mirror recipient")
+	}
+	to := sim.PartyID(rcpt)
+	if rcpt == mirrorBroadcast {
+		to = sim.Broadcast
 	}
 	payload, err := wire.Decode(rest)
 	if err != nil {
 		return sim.Message{}, fmt.Errorf("transport: bad payload body: %w", err)
 	}
-	return sim.Message{From: from, To: sim.PartyID(to), Round: round, Payload: payload}, nil
+	return sim.Message{From: from, To: to, Round: round, Payload: payload}, nil
 }
 
 // FrameInfo peeks at the head frame of an encoded buffer as the link hands

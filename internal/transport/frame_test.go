@@ -97,7 +97,8 @@ func TestHelloAckRejections(t *testing.T) {
 }
 
 // TestMsgFrameRoundTrip: the per-message codec survives as the mirror
-// frame's alone.
+// frame's alone, for a unicast and for a broadcast, which is mirrored once
+// under the reserved recipient marker.
 func TestMsgFrameRoundTrip(t *testing.T) {
 	payload := gradecast.EchoMsg{Tag: "treeaa/pf", Iter: 3,
 		Vals: gradecast.Vec{{ID: 0, Val: 1.5}, {ID: 4, Val: -2}}}
@@ -105,12 +106,14 @@ func TestMsgFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := parseMirror(2, readOne(t, encodeMirror(9, 4, body)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := (sim.Message{From: 2, To: 4, Round: 9, Payload: payload}); !reflect.DeepEqual(got, want) {
-		t.Errorf("mirror round trip: got %+v, want %+v", got, want)
+	for _, to := range []sim.PartyID{4, sim.Broadcast} {
+		got, err := parseMirror(2, readOne(t, encodeMirror(9, to, body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (sim.Message{From: 2, To: to, Round: 9, Payload: payload}); !reflect.DeepEqual(got, want) {
+			t.Errorf("mirror round trip: got %+v, want %+v", got, want)
+		}
 	}
 }
 
@@ -127,6 +130,9 @@ func TestParseFrameRejections(t *testing.T) {
 	for name, b := range map[string][]byte{
 		"round zero":  mirror[:1+1], // truncate past the type byte
 		"bad payload": readOne(t, encodeMirror(1, 0, []byte{0xFF, 0xFF})),
+		// Above wire.MaxIDValue only the broadcast marker is a recipient.
+		"recipient past MaxIDValue": readOne(t, encodeMirror(1, wire.MaxIDValue+1, body)),
+		"recipient below marker":    readOne(t, encodeMirror(1, sim.PartyID(mirrorBroadcast-1), body)),
 	} {
 		if _, err := parseMirror(1, b); err == nil {
 			t.Errorf("%s: parseMirror accepted %x", name, b)

@@ -14,8 +14,8 @@ type nodeConfig struct {
 	id        sim.PartyID
 	n         int
 	maxRounds int
-	// observer, when ≥ 0, is the corrupted party every expanded send is
-	// mirrored to. It emulates the model's *rushing* adversary, which sees
+	// observer, when ≥ 0, is the corrupted party every send is mirrored
+	// to. It emulates the model's *rushing* adversary, which sees
 	// all honest round-r traffic before choosing its own: on a real network
 	// nobody gets that view for free, so the honest nodes grant it
 	// explicitly to the adversary host's observer party.
@@ -75,8 +75,8 @@ func runNode(cfg nodeConfig) (*driver.Result, error) {
 }
 
 // Emit hands the message to the round's frame and, when a rushing observer
-// is configured, mirrors it there first — one mirror frame per recipient,
-// self included — so on the link to the observer a round's mirrors precede
+// is configured, mirrors it there first — one mirror frame per send, a
+// broadcast once — so on the link to the observer a round's mirrors precede
 // the frame that carries its mark.
 func (nd *meshNode) Emit(round int, to sim.PartyID, payload any) error {
 	if nd.observer >= 0 {
@@ -84,10 +84,7 @@ func (nd *meshNode) Emit(round int, to sim.PartyID, payload any) error {
 		if err != nil {
 			return err
 		}
-		first, last := driver.Span(nd.n, to)
-		for to := first; to <= last; to++ {
-			nd.ep.send(nd.id, nd.observer, encodeMirror(round, to, body))
-		}
+		nd.ep.send(nd.id, nd.observer, encodeMirror(round, to, body))
 	}
 	return nd.fr.Emit(round, to, payload)
 }
