@@ -69,7 +69,7 @@ race-sim:
 race-cpu:
 	$(GO) test -count=1 -cpu 1,2,4 -run 'Async|Serve' ./internal/session ./internal/transport
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Restart|CrashPoints|Recover|ObserverMirrors' ./internal/session ./internal/chaos ./internal/transport
-	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Drainer|Timekeeper|Background|TryWrite|SlowPeer|SessionRound|FinalRound|SpaceCache|MuxTracks|MeshTracks|GenerationFence|OneConnectionPerPair|AsyncWriteFailure|DiscardKeeps|DropAfterDiscard|ClientRequestBounded|RoundFrame|Framer|EventApply|FuzzApplyRound' \
+	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Drainer|Timekeeper|Background|TryWrite|SlowPeer|SessionRound|FinalRound|SpaceCache|MuxTracks|MeshTracks|GenerationFence|OneConnectionPerPair|AsyncWriteFailure|DiscardKeeps|DropAfterDiscard|ClientRequestBounded|RoundFrame|Framer|EventApply|FuzzApplyRound|Omission' \
 		./internal/session ./internal/transport ./internal/driver ./internal/wire
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'SequentialConcurrent' ./internal/core
 
@@ -87,6 +87,8 @@ node-smoke:
 	$(GO) run ./cmd/node -cluster 7 -t 2 -tree path:40 -adversary splitvote
 	$(GO) run ./cmd/node -cluster 7 -t 2 -tree path:40 -adversary 'replay(delay=3)'
 	$(GO) run ./cmd/node -cluster 4 -t 1 -tree graph:cliquechain:3:4 -adversary splitvote
+	$(GO) run ./cmd/node -cluster 7 -t 2 -tree path:40 -adversary 'splitvote+omit(halves=1)'
+	$(GO) run ./cmd/node -cluster 4 -t 1 -tree path:16 -adversary 'omit(drop=300)'
 
 # Tree-overlay smoke: the same multi-process cmd/node deployments routed
 # over a communication tree instead of the full mesh (leaves hold one

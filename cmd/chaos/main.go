@@ -14,8 +14,8 @@
 // Plans are separated by ';' (clauses inside a plan use ','); see
 // internal/chaos for the plan language. Adversaries are specs of the
 // adversary language (internal/cli), separated by the commas outside clause
-// parentheses. The TCP cluster refuses omission and adaptive crash clauses,
-// which then report as failed cells. The exit status is non-zero if any
+// parentheses. The TCP cluster refuses the adaptive crash clause, which then
+// reports as a failed cell; omit runs in the omission party's own seat. The exit status is non-zero if any
 // cell fails a safety assertion.
 package main
 

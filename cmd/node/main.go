@@ -2,11 +2,13 @@
 // its TCP listen address, meshes with its peers, and steps the protocol in
 // lock-step rounds with every message wire-encoded onto sockets.
 //
-// A deployment is one process per honest party plus, when an adversary is
-// configured, one *adversary host* process seated at the lowest corrupted
-// id — it co-hosts all t corrupted parties, because the model's adversary
-// is a single rushing, coordinated entity that cannot be split. The peers
-// file has one "host:port" per line; line i is party i's listen address.
+// A deployment is one process per honest party plus, when the adversary has
+// Byzantine parties, one *adversary host* process seated at the lowest
+// Byzantine id — it co-hosts all of them, because the model's adversary is a
+// single rushing, coordinated entity that cannot be split. An omission party
+// (omit) is a process of its own: it runs its honest machine and drops its
+// own sends (sim.Omit). The peers file has one "host:port" per line; line i
+// is party i's listen address.
 //
 //	node -id 0 -peers peers.txt -t 2 -tree path:40 -adversary splitvote
 //	node -id 5 -peers peers.txt -t 2 -tree path:40 -adversary splitvote   # host seat (n=7)
@@ -18,10 +20,11 @@
 //	node -cluster 3 -tree path:16
 //	node -cluster 7 -t 2 -tree path:40 -adversary splitvote
 //	node -cluster 7 -t 2 -tree path:40 -adversary 'splitvote(per=2)+noise'
+//	node -cluster 7 -t 2 -tree path:40 -adversary 'splitvote+omit(halves=1)'
 //
 // -adversary takes the adversary language of cmd/treeaa (DESIGN §9), minus
-// the two clauses a TCP fabric cannot host: crash (adaptive corruption) is
-// refused up front, omit (it needs a global arbiter) by the adversary host.
+// crash: it corrupts adaptively, and messages on the wire cannot be
+// retracted. omit needs lock-step seats (no -mode async).
 //
 // A -chaos plan (see internal/chaos) injects seeded faults at every seat:
 // per-link latency and stalls, one-shot connection drops, healing
@@ -46,7 +49,9 @@
 // an adversary or async seats over the overlay, an adversary beside async
 // seats on the mesh — is decided, and explained, by the library function
 // that lacks the capability (transport.RunProcess, overlay.RunProcess), not
-// here; this command only gates chaos clauses.
+// here; this command only gates chaos clauses. A pure omit adversary has no
+// host seat — its omission seats are machines like any other — so it runs
+// over the overlay too.
 //
 // -tree graph:<spec> swaps the input space for a block graph (see
 // internal/graph): the seats run TreeAA on the graph's block-cut tree and
@@ -66,12 +71,12 @@ import (
 	"os/exec"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
 	"time"
 
-	"treeaa/internal/adversary"
 	"treeaa/internal/chaos"
 	"treeaa/internal/cli"
 	"treeaa/internal/metrics"
@@ -136,9 +141,13 @@ func runSeat(ctx context.Context, id int, peersFile string, t int, treeSpec, inp
 		return err
 	}
 	for _, cl := range clauses {
-		if cl.Name == "crash" {
+		switch {
+		case cl.Name == "crash":
 			return fmt.Errorf("the crash adversary corrupts adaptively; messages on the wire cannot " +
 				"be retracted — use cmd/treeaa's in-process transport for it")
+		case cl.Name == "omit" && mode == "async":
+			return fmt.Errorf("omit filters a lock-step machine's sends per round; async seats run " +
+				"honest fleets only — drop -mode async")
 		}
 	}
 	sp, err := cli.ParseSpaceSpec(treeSpec, seed)
@@ -149,13 +158,13 @@ func runSeat(ctx context.Context, id int, peersFile string, t int, treeSpec, inp
 	if err != nil {
 		return err
 	}
-	adv, corruptSet, err := sp.BuildAdversary(advName, n, t, seed)
+	adv, _, err := sp.BuildAdversary(advName, n, t, seed)
 	if err != nil {
 		return err
 	}
-	var corrupted []sim.PartyID
-	if adv != nil {
-		corrupted = adversary.FirstParties(n, t)
+	byz, omitters, err := sim.Faults(sim.Config{N: n, MaxCorrupt: t, Adversary: adv})
+	if err != nil {
+		return err
 	}
 	plan, err := chaos.Parse(chaosSpec)
 	if err != nil {
@@ -165,7 +174,7 @@ func runSeat(ctx context.Context, id int, peersFile string, t int, treeSpec, inp
 		return err
 	}
 	for p := range plan.Crashes {
-		if corruptSet[p] {
+		if slices.Contains(byz, p) {
 			return fmt.Errorf("chaos plan crashes party %d, which the adversary corrupts", p)
 		}
 	}
@@ -180,21 +189,28 @@ func runSeat(ctx context.Context, id int, peersFile string, t int, treeSpec, inp
 	seat := transport.Seat{
 		Ctx: ctx,
 		ID:  sim.PartyID(id), N: n, Addrs: addrs,
-		Corrupted: corrupted, MaxRounds: sp.Rounds() + 2,
+		Corrupted: byz, MaxRounds: sp.Rounds() + 2,
 		Session: sessionID(mode, overlaySpec, sp.Spec, inputSpec, advName, n, t, seed,
 			chaosSpec, setupTO, roundTO, addrs),
 	}
+	// An omission seat's machine — a restarted one too — drops its own sends.
 	newMachine := func(p sim.PartyID) (sim.Machine, error) {
 		m, _, err := sp.NewMachine(n, t, p, inputs[p])
+		if err == nil && slices.Contains(omitters, p) {
+			m = sim.Omit(adv.(sim.OutboxFilter), p, n, m)
+		}
 		return m, err
 	}
 	role := "party"
+	if slices.Contains(omitters, seat.ID) {
+		role = "omission"
+	}
 	switch {
 	case mode == "async":
 		// No rounds, no barriers: the seat dispatches whatever arrives,
 		// announces its decision, and exits once every peer has too.
 		seat.Event, _, err = sp.NewAsyncMachine(n, t, seat.ID, inputs[id])
-	case corruptSet[seat.ID]:
+	case slices.Contains(byz, seat.ID):
 		role, seat.Adversary = "adversary", adv
 	default:
 		seat.Machine, err = newMachine(seat.ID)
@@ -306,7 +322,11 @@ func runCluster(ctx context.Context, n, t int, treeSpec, inputSpec, advName, mod
 	if err != nil {
 		return err
 	}
-	_, corruptSet, err := sp.BuildAdversary(advName, n, t, seed)
+	adv, corruptSet, err := sp.BuildAdversary(advName, n, t, seed)
+	if err != nil {
+		return err
+	}
+	byz, _, err := sim.Faults(sim.Config{N: n, MaxCorrupt: t, Adversary: adv})
 	if err != nil {
 		return err
 	}
@@ -351,15 +371,13 @@ func runCluster(ctx context.Context, n, t int, treeSpec, inputSpec, advName, mod
 		ln.Close()
 	}
 
-	// One child per honest party, plus the adversary host seat.
+	// One child per party outside the Byzantine set (omission parties
+	// included), plus the adversary host seat at the lowest Byzantine id.
 	var seats []int
 	for i := 0; i < n; i++ {
-		if !corruptSet[sim.PartyID(i)] {
+		if p := sim.PartyID(i); !slices.Contains(byz, p) || p == byz[0] {
 			seats = append(seats, i)
 		}
-	}
-	if len(corruptSet) > 0 {
-		seats = append(seats, n-t) // observer = lowest corrupted id
 	}
 	outputs := make(map[int]string)
 	var (

@@ -19,8 +19,7 @@
 // none, or clauses name(key=value,...) joined by '+' — silent, crash,
 // equivocator, splitvote, halfburn, noise, replay, frame, omit. A bare name
 // takes every default. The corrupted set is the highest t ids; omit beside
-// a Byzantine clause takes the lower t/2 of them. Only mem runs omit and
-// crash.
+// a Byzantine clause takes the lower t/2 of them. Only mem runs crash.
 //
 // Tree specs: path:K, star:K, spider:LEGS:LEN, caterpillar:SPINE:LEGS,
 // kary:K:DEPTH, random:K, figure3, or @FILE with "a - b" edge lines.

@@ -39,6 +39,11 @@ func TestCommandsRun(t *testing.T) {
 			wants: []string{"1-agreement: true"},
 		},
 		{
+			name:  "treeaa omission over tcp transport",
+			args:  []string{"run", "./cmd/treeaa", "-tree", "path:24", "-n", "4", "-t", "1", "-adversary", "omit(drop=300)", "-transport", "tcp", "-q"},
+			wants: []string{"1-agreement: true"},
+		},
+		{
 			name:  "treeaa over the tree overlay",
 			args:  []string{"run", "./cmd/treeaa", "-tree", "path:24", "-n", "7", "-t", "2", "-transport", "tree:2", "-q"},
 			wants: []string{"1-agreement: true"},
@@ -52,6 +57,12 @@ func TestCommandsRun(t *testing.T) {
 			name:  "node cluster with adversary host",
 			args:  []string{"run", "./cmd/node", "-cluster", "7", "-t", "2", "-tree", "path:40", "-adversary", "splitvote"},
 			wants: []string{"role=adversary", "1-agreement: true"},
+		},
+		{
+			name: "node cluster with an omission seat beside the adversary host",
+			args: []string{"run", "./cmd/node", "-cluster", "7", "-t", "2", "-tree", "path:40",
+				"-adversary", "splitvote+omit(halves=1)"},
+			wants: []string{"role=omission", "role=adversary", "1-agreement: true"},
 		},
 		{
 			name: "node cluster under chaos",

@@ -16,6 +16,7 @@ import (
 	"treeaa/internal/core"
 	"treeaa/internal/exactaa"
 	"treeaa/internal/sim"
+	"treeaa/internal/transport"
 	"treeaa/internal/tree"
 )
 
@@ -287,7 +288,9 @@ func TestIntegrationLargeScale(t *testing.T) {
 
 // TestIntegrationTreeAAUnderOmission: Byzantine tolerance subsumes
 // send-omission, so TreeAA must satisfy AA with up to t omission-faulty
-// parties whose sends are dropped adversarially.
+// parties whose sends are dropped adversarially — in process, and on real
+// links, where each omission seat drops its own sends and the loopback
+// cluster must reproduce the engine's Result.
 func TestIntegrationTreeAAUnderOmission(t *testing.T) {
 	tr := tree.NewCaterpillar(12, 2)
 	n, tc := 7, 2
@@ -304,6 +307,28 @@ func TestIntegrationTreeAAUnderOmission(t *testing.T) {
 			t.Fatalf("%s: %v", mode, err)
 		}
 		assertAA(t, tr, inputs, faulty, res.Outputs, "omission/"+mode)
+
+		machines := make([]sim.Machine, n)
+		for i := range machines {
+			if machines[i], err = core.NewMachine(core.Config{Tree: tr, N: n, T: tc, ID: sim.PartyID(i), Input: inputs[i]}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cfg := sim.Config{N: n, MaxCorrupt: tc, MaxRounds: core.Rounds(tr, tc) + 2, Adversary: adv}
+		tcp, err := transport.LocalCluster(cfg, machines, transport.Options{})
+		if err != nil {
+			t.Fatalf("%s over tcp: %v", mode, err)
+		}
+		if tcp.Rounds != res.Rounds || tcp.Messages != res.Messages || tcp.Bytes != res.Bytes ||
+			len(tcp.Outputs) != len(res.Outputs) {
+			t.Errorf("%s: tcp %+v, sim %+v", mode, tcp, res)
+		}
+		for p, v := range res.Outputs {
+			if tcp.Outputs[p] != v {
+				t.Errorf("%s: party %d outputs %v over tcp, %v in process", mode, p, tcp.Outputs[p], v)
+			}
+		}
+		t.Logf("omission/%s: %d rounds, %d messages, %d bytes on both fabrics", mode, res.Rounds, res.Messages, res.Bytes)
 	}
 }
 

@@ -33,6 +33,7 @@ package adversary
 
 import (
 	"math/rand"
+	"slices"
 
 	"treeaa/internal/gradecast"
 	"treeaa/internal/realaa"
@@ -248,14 +249,16 @@ func (a *RandomNoise) Step(r int, _ []sim.Message, _ map[sim.PartyID][]sim.Messa
 	return msgs, nil
 }
 
-// Compose chains several strategies over disjoint corrupted sets: the
-// initial set is the union, and each round every strategy contributes its
-// messages and adaptive corruptions.
+// Compose chains several strategies over disjoint faulty sets: the initial
+// set is the union, each round every strategy contributes its messages and
+// adaptive corruptions, and the send-omission members (sim.OutboxFilter)
+// are forwarded, each scoped to its own omission parties. A Compose without
+// one has no omission parties and filters nothing.
 type Compose struct {
 	Strategies []sim.Adversary
 }
 
-var _ sim.Adversary = (*Compose)(nil)
+var _ sim.OutboxFilter = (*Compose)(nil)
 
 // Initial implements sim.Adversary.
 func (a *Compose) Initial() []sim.PartyID {
@@ -278,21 +281,9 @@ func (a *Compose) Step(r int, honestOut []sim.Message, inbox map[sim.PartyID][]s
 	return msgs, more
 }
 
-// ComposeOmission is Compose for strategy mixes that include send-omission
-// members: it forwards the sim.OutboxFilter extension to every member that
-// implements it, scoped to that member's own omission parties. It is a
-// distinct type (rather than methods on Compose) so that purely Byzantine
-// compositions do not present an OutboxFilter interface — the TCP transport
-// rejects omission configs, and must keep accepting filterless Composes.
-type ComposeOmission struct {
-	Compose
-}
-
-var _ sim.OutboxFilter = (*ComposeOmission)(nil)
-
 // OmissionParties implements sim.OutboxFilter: the union of the members'
 // omission sets.
-func (a *ComposeOmission) OmissionParties() []sim.PartyID {
+func (a *Compose) OmissionParties() []sim.PartyID {
 	var all []sim.PartyID
 	for _, s := range a.Strategies {
 		if f, ok := s.(sim.OutboxFilter); ok {
@@ -304,20 +295,9 @@ func (a *ComposeOmission) OmissionParties() []sim.PartyID {
 
 // FilterOutbox implements sim.OutboxFilter, delegating p's outbox to the
 // members that claim p.
-func (a *ComposeOmission) FilterOutbox(r int, p sim.PartyID, msgs []sim.Message) []sim.Message {
+func (a *Compose) FilterOutbox(r int, p sim.PartyID, msgs []sim.Message) []sim.Message {
 	for _, s := range a.Strategies {
-		f, ok := s.(sim.OutboxFilter)
-		if !ok {
-			continue
-		}
-		mine := false
-		for _, q := range f.OmissionParties() {
-			if q == p {
-				mine = true
-				break
-			}
-		}
-		if mine {
+		if f, ok := s.(sim.OutboxFilter); ok && slices.Contains(f.OmissionParties(), p) {
 			msgs = f.FilterOutbox(r, p, msgs)
 		}
 	}

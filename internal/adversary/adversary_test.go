@@ -257,15 +257,15 @@ func TestCompose(t *testing.T) {
 	}
 }
 
-// TestComposeOmission pins the OutboxFilter forwarding: a composed mix of a
-// Byzantine strategy and an omitter presents the omitter's parties and
+// TestComposeOmission pins Compose's OutboxFilter forwarding: a composed mix
+// of a Byzantine strategy and an omitter presents the omitter's parties and
 // scopes filtering to them, and the protocol still converges under the mix.
 func TestComposeOmission(t *testing.T) {
 	n, tc := 7, 2
-	adv := &ComposeOmission{Compose{Strategies: []sim.Adversary{
+	adv := &Compose{Strategies: []sim.Adversary{
 		&GradecastEquivocator{IDs: []sim.PartyID{6}, N: n, Tag: "real", StartRound: 1, Lo: -10, Hi: 110},
 		&SendOmitter{IDs: []sim.PartyID{5}, N: n, Halves: true},
-	}}}
+	}}
 
 	if got := adv.OmissionParties(); !reflect.DeepEqual(got, []sim.PartyID{5}) {
 		t.Fatalf("OmissionParties = %v, want [5]", got)
@@ -285,5 +285,28 @@ func TestComposeOmission(t *testing.T) {
 	corrupt := corruptSet([]sim.PartyID{5, 6}) // omission party carries no guarantees
 	if r := honestValueRange(machines, corrupt, len(machines[0].History())-1); r > 1 {
 		t.Errorf("final honest range = %v, want <= 1", r)
+	}
+}
+
+// TestSendOmitterIsPure pins the sim.OutboxFilter contract for the random
+// mode: a filter call depends on its arguments only, so calls from
+// concurrent seats, in any order and repeated after a crash-restart, agree.
+func TestSendOmitterIsPure(t *testing.T) {
+	n := 7
+	a := &SendOmitter{IDs: []sim.PartyID{5}, N: n, Drop: 0.5, Seed: 3}
+	outbox := func() []sim.Message {
+		var msgs []sim.Message
+		for to := 0; to < n; to++ {
+			msgs = append(msgs, sim.Message{From: 5, To: sim.PartyID(to), Round: 4})
+		}
+		return msgs
+	}
+	first := append([]sim.Message(nil), a.FilterOutbox(4, 5, outbox())...)
+	a.FilterOutbox(9, 5, outbox()) // another round in between changes nothing
+	if again := a.FilterOutbox(4, 5, outbox()); !reflect.DeepEqual(again, first) {
+		t.Errorf("round 4 filtered twice: %v, then %v", first, again)
+	}
+	if len(first) == 0 || len(first) == n {
+		t.Errorf("Drop 0.5 kept %d of %d sends", len(first), n)
 	}
 }

@@ -12,8 +12,8 @@ import (
 )
 
 // TestBuildCoversEveryName pins that the adversary language's table builds
-// every strategy it names, that only the omission clause presents an
-// OutboxFilter, and that every name round-trips through Clause.String and
+// every strategy it names, that only the omission clause names omission
+// parties, and that every name round-trips through Clause.String and
 // ParseAdversary.
 func TestBuildCoversEveryName(t *testing.T) {
 	sp := &cli.Space{Tree: tree.NewPath(9)}
@@ -25,8 +25,8 @@ func TestBuildCoversEveryName(t *testing.T) {
 		if adv == nil || len(corrupt) != 2 {
 			t.Fatalf("BuildAdversary(%q) = (%v, %v)", name, adv, corrupt)
 		}
-		if _, isFilter := adv.(sim.OutboxFilter); isFilter != (name == "omit") {
-			t.Errorf("BuildAdversary(%q): OutboxFilter = %v, want %v", name, isFilter, name == "omit")
+		if omits := len(adv.(sim.OutboxFilter).OmissionParties()) > 0; omits != (name == "omit") {
+			t.Errorf("BuildAdversary(%q): omission parties = %v, want %v", name, omits, name == "omit")
 		}
 		cl := cli.Clause{Name: name, Args: map[string]string{"x": "1"}}
 		got, err := cli.ParseAdversary(cl.String())
@@ -94,12 +94,12 @@ func TestBuildMatchesLiterals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := &adversary.ComposeOmission{Compose: adversary.Compose{Strategies: append(
+	want := &adversary.Compose{Strategies: append(
 		[]sim.Adversary{&adversary.SendOmitter{IDs: ids[:1], N: n, Drop: 0.25, Halves: true, Seed: seed}},
 		phased(func(p core.PhaseTag, k int) sim.Adversary {
 			return &adversary.RandomNoise{IDs: ids[1:], N: n, Tag: p.Tag, StartRound: p.StartRound,
 				Seed: seed + int64(1000*k+37*2), MaxVal: 2 * tr.NumVertices()}
-		})...)}}
+		})...)}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("omit+none+noise = %#v, want %#v", got, want)
 	}

@@ -1,7 +1,7 @@
 package adversary
 
 import (
-	"math/rand"
+	"math/rand/v2"
 
 	"treeaa/internal/sim"
 )
@@ -18,8 +18,6 @@ type SendOmitter struct {
 	Drop   float64
 	Halves bool
 	Seed   int64
-
-	rng *rand.Rand
 }
 
 var _ sim.OutboxFilter = (*SendOmitter)(nil)
@@ -35,20 +33,20 @@ func (a *SendOmitter) Step(int, []sim.Message, map[sim.PartyID][]sim.Message) ([
 // OmissionParties implements sim.OutboxFilter.
 func (a *SendOmitter) OmissionParties() []sim.PartyID { return a.IDs }
 
-// FilterOutbox implements sim.OutboxFilter.
-func (a *SendOmitter) FilterOutbox(_ int, _ sim.PartyID, msgs []sim.Message) []sim.Message {
-	if a.rng == nil {
-		a.rng = rand.New(rand.NewSource(a.Seed))
-	}
+// FilterOutbox implements sim.OutboxFilter. Each random drop is keyed on
+// the message — a PCG stream seeded by Seed and (round, sender, recipient,
+// position in the outbox) — never drawn from a shared stream, so the filter
+// is a pure function of its arguments, whichever seat calls it and however
+// often.
+func (a *SendOmitter) FilterOutbox(r int, p sim.PartyID, msgs []sim.Message) []sim.Message {
 	kept := msgs[:0]
-	for _, m := range msgs {
-		if a.Halves {
-			if int(m.To) < a.N/2 {
-				kept = append(kept, m)
-			}
-			continue
+	for i, m := range msgs {
+		keep := int(m.To) < a.N/2
+		if !a.Halves {
+			key := uint64(r)<<48 | uint64(p)<<32 | uint64(m.To)<<16 | uint64(i)
+			keep = float64(rand.NewPCG(uint64(a.Seed), key).Uint64()>>11)/(1<<53) >= a.Drop
 		}
-		if a.rng.Float64() >= a.Drop {
+		if keep {
 			kept = append(kept, m)
 		}
 	}

@@ -3,6 +3,7 @@ package chaos
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"time"
 
 	"treeaa/internal/cli"
@@ -89,12 +90,14 @@ func Run(spec RunSpec) (*Report, error) {
 		return nil, err
 	}
 	inputs := sp.SpreadInputs(spec.N)
-	_, corrupt, err := sp.BuildAdversary(spec.Adversary, spec.N, spec.T, spec.Seed)
+	adv, corrupt, err := sp.BuildAdversary(spec.Adversary, spec.N, spec.T, spec.Seed)
 	if err != nil {
 		return nil, err
 	}
+	// An omission party is an honest seat and may crash; a Byzantine one
+	// lives on the adversary host.
 	for c := range plan.Crashes {
-		if corrupt[c] {
+		if adv != nil && slices.Contains(adv.Initial(), c) {
 			return nil, fmt.Errorf("chaos: crash plan names party %d, which the %s adversary corrupts", c, spec.Adversary)
 		}
 	}

@@ -139,20 +139,27 @@ func TestDifferentialCells(t *testing.T) {
 	}
 }
 
-// TestTCPDifferential runs the TCP comparison on one compatible cell.
+// TestTCPDifferential runs the TCP comparison on compatible cells: a
+// Byzantine one, and omission beside a Byzantine clause (the omission seat
+// filters its own sends, beside the adversary host).
 func TestTCPDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tcp cluster in -short mode")
 	}
-	res, err := RunCell(MustParse("s=1;tree=path:8;n=4;t=1;in=spread;adv=splitvote(per=1)"), Options{TCP: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.TCPChecked {
-		t.Fatal("TCP differential did not run on a compatible cell")
-	}
-	for _, v := range res.Violations {
-		t.Errorf("%s", v)
+	for _, spec := range []string{
+		"s=1;tree=path:8;n=4;t=1;in=spread;adv=splitvote(per=1)",
+		"s=1;tree=path:16;n=7;t=2;in=spread;adv=omit(halves=1)+splitvote",
+	} {
+		res, err := RunCell(MustParse(spec), Options{TCP: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.TCPChecked {
+			t.Fatalf("TCP differential did not run on compatible cell %s", spec)
+		}
+		for _, v := range res.Violations {
+			t.Errorf("%s", v)
+		}
 	}
 }
 

@@ -39,7 +39,6 @@ type compiled struct {
 	corrupt  map[sim.PartyID]bool // every faulty party, Byzantine and omission
 	byz      map[sim.PartyID]bool // the Byzantine share (mutate's senders)
 	adaptive bool                 // a crash clause corrupts mid-run
-	omission bool
 
 	hasEvil    bool
 	hasMutate  bool
@@ -112,7 +111,6 @@ func compile(c *Cell) (*compiled, error) {
 		cr.byz[p] = true
 	}
 	if f, ok := adv.(sim.OutboxFilter); ok {
-		cr.omission = true
 		for _, p := range f.OmissionParties() {
 			delete(cr.byz, p)
 		}
@@ -241,9 +239,8 @@ func (cr *compiled) config() (sim.Config, error) {
 }
 
 // tcpCompatible reports whether the cell can run unchanged on the TCP
-// transport: no delivery-seam tamper, no omission filtering, no adaptive
-// corruption, and (when an adversary exists) at least one initial
-// corruption.
+// transport: no delivery-seam tamper and no adaptive corruption. Omission
+// cells run there too — each omission seat filters its own sends.
 func (cr *compiled) tcpCompatible() bool {
-	return !cr.hasEvil && !cr.hasMutate && !cr.omission && !cr.adaptive
+	return !cr.hasEvil && !cr.hasMutate && !cr.adaptive
 }

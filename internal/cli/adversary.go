@@ -259,11 +259,8 @@ func (s *Space) BuildAdversary(spec string, n, t int, seed int64) (sim.Adversary
 			corrupt[id] = true
 		}
 	}
-	switch {
-	case len(parts) == 0:
+	if len(parts) == 0 {
 		return nil, corrupt, nil
-	case hasOmit:
-		return &adversary.ComposeOmission{Compose: adversary.Compose{Strategies: parts}}, corrupt, nil
 	}
 	return &adversary.Compose{Strategies: parts}, corrupt, nil
 }

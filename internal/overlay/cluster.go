@@ -22,9 +22,9 @@ import (
 // exactly as the engine counts), independent of how many physical relay
 // hops the overlay spent; the physical side lands in Options.Wire/Stats.
 //
-// Adversaries are rejected outright (errAdversary). Per-party rate limits
-// and tamper hooks need a global arbiter and are rejected for the same
-// reason as in the tcp transport.
+// Adversaries are rejected outright (errAdversary). The tamper hook needs a
+// global arbiter and is rejected for the same reason as in the tcp
+// transport.
 func Cluster(cfg sim.Config, machines []sim.Machine, opts Options) (*sim.Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -34,10 +34,6 @@ func Cluster(cfg sim.Config, machines []sim.Machine, opts Options) (*sim.Result,
 	}
 	if cfg.Adversary != nil {
 		return nil, errAdversary
-	}
-	if cfg.MaxMessagesPerParty != 0 {
-		return nil, fmt.Errorf("overlay: MaxMessagesPerParty requires a global rate arbiter; " +
-			"the tree overlay has none — use the in-process transport")
 	}
 	if cfg.Tamper != nil {
 		return nil, fmt.Errorf("overlay: the delivery-seam tamper hook requires a global arbiter " +

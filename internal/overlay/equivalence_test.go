@@ -170,7 +170,6 @@ func TestTreeRejections(t *testing.T) {
 		want string
 	}{
 		{"adversary", func(c *sim.Config) { c.Adversary = stubAdversary{} }, "rushing adversary"},
-		{"rate limit", func(c *sim.Config) { c.MaxMessagesPerParty = 5 }, "MaxMessagesPerParty"},
 		{"tamper", func(c *sim.Config) {
 			c.Tamper = func(r int, m sim.Message) (sim.Message, bool) { return m, false }
 		}, "tamper"},

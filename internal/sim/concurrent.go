@@ -30,6 +30,7 @@ func RunConcurrent(cfg Config, machines []Machine) (*Result, error) {
 	// pad keeps neighboring slots from sharing a cache line, so concurrent
 	// workers writing their replies do not false-share.
 	type slot struct {
+		m     Machine
 		round int
 		inbox []Message
 		out   []Message
@@ -41,13 +42,13 @@ func RunConcurrent(cfg Config, machines []Machine) (*Result, error) {
 	for p := 0; p < cfg.N; p++ {
 		start[p] = make(chan struct{}, 1)
 		workers.Add(1)
-		go func(m Machine, s *slot, in <-chan struct{}) {
+		go func(s *slot, in <-chan struct{}) {
 			defer workers.Done()
 			for range in {
-				s.out = m.Step(s.round, s.inbox)
+				s.out = s.m.Step(s.round, s.inbox)
 				barrier.Done()
 			}
-		}(machines[p], &slots[p], start[p])
+		}(&slots[p], start[p])
 	}
 	defer func() {
 		for _, ch := range start {
@@ -56,10 +57,10 @@ func RunConcurrent(cfg Config, machines []Machine) (*Result, error) {
 		workers.Wait()
 	}()
 
-	step := func(r int, honest []PartyID, _ []Machine, inboxes, raw [][]Message) {
+	step := func(r int, honest []PartyID, machines []Machine, inboxes, raw [][]Message) {
 		barrier.Add(len(honest))
 		for _, p := range honest {
-			slots[p].round, slots[p].inbox = r, inboxes[p]
+			slots[p].m, slots[p].round, slots[p].inbox = machines[p], r, inboxes[p]
 			start[p] <- struct{}{}
 		}
 		barrier.Wait() // barrier: wait for every party

@@ -7,11 +7,10 @@ import "fmt"
 // per-party mailboxes hold unicasts only. Every slice is allocated once per
 // execution and len-reset between rounds, so a steady round (no newly
 // terminated parties, no trace) performs no heap allocations of its own:
-// lanes, mailboxes, merge buffers, outbox scratch, rate-limit counters and
-// the counting-sort scratch all retain their capacity across rounds.
+// lanes, mailboxes, merge buffers, outbox scratch and the counting-sort
+// scratch all retain their capacity across rounds.
 type engine struct {
 	n      int
-	limit  int                                // Config.MaxMessagesPerParty; 0 = no cap
 	tamper func(int, Message) (Message, bool) // Config.Tamper
 
 	// lane and cur hold the traffic delivered this round (sent last round):
@@ -29,7 +28,6 @@ type engine struct {
 
 	honest    []PartyID // current honest parties, ascending
 	honestOut []Message // stamped honest traffic as sent: the adversary's view
-	sent      []int     // per-party delivered-message counts for the rate limit
 	direct    []bool    // sender has unicast mail out this round
 	counts    []int     // counting-sort histogram scratch
 	sortBuf   []Message // counting-sort output scratch
@@ -37,14 +35,12 @@ type engine struct {
 	msgs, bytes int // delivered this round, after broadcast expansion
 
 	corrupted []bool // mirror of the Result.Corrupted map for hot-path checks
-	omission  []bool // omission-faulty parties (OutboxFilter)
 }
 
 func newEngine(cfg Config) *engine {
 	n := cfg.N
 	return &engine{
 		n:       n,
-		limit:   cfg.MaxMessagesPerParty,
 		tamper:  cfg.Tamper,
 		cur:     make([][]Message, n),
 		next:    make([][]Message, n),
@@ -53,11 +49,9 @@ func newEngine(cfg Config) *engine {
 		raw:     make([][]Message, n),
 
 		honest:    make([]PartyID, 0, n),
-		sent:      make([]int, n),
 		direct:    make([]bool, n),
 		counts:    make([]int, n),
 		corrupted: make([]bool, n),
-		omission:  make([]bool, n),
 	}
 }
 
@@ -82,48 +76,19 @@ func (e *engine) refreshHonest() {
 
 // view rebuilds honestOut, the round-r traffic of the honest parties as the
 // adversary is promised it: stamped, in ascending-sender emission order, one
-// entry per send — a broadcast keeps To == Broadcast. The exception is an
-// omission party: FilterOutbox is defined on expanded sends, so its outbox is
-// expanded per recipient and passed through the adversary's filter, and the
-// party then delivers exactly its surviving window, so raw[p] is pointed at
-// it.
-func (e *engine) view(r int, filter OutboxFilter) error {
+// entry per send — a broadcast keeps To == Broadcast. An omission party's
+// outbox is already its filtered unicasts (its machine runs under Omit).
+func (e *engine) view(r int) error {
 	e.honestOut = e.honestOut[:0]
 	for _, p := range e.honest {
-		start := len(e.honestOut)
-		omits := filter != nil && e.omission[p]
 		for _, m := range e.raw[p] {
 			m.From, m.Round = p, r
-			if m.To == Broadcast {
-				if !omits {
-					e.honestOut = append(e.honestOut, m)
-					continue
-				}
-				for to := 0; to < e.n; to++ {
-					m.To = PartyID(to)
-					e.honestOut = append(e.honestOut, m)
-				}
-				continue
-			}
-			if err := e.checkParty(m.To, "recipient"); err != nil {
-				return err
-			}
-			e.honestOut = append(e.honestOut, m)
-		}
-		if omits {
-			msgs := filter.FilterOutbox(r, p, e.honestOut[start:])
-			for i := range msgs {
-				if msgs[i].From != p {
-					return fmt.Errorf("%w: omission filter forged sender %d", ErrForgedSender, msgs[i].From)
-				}
-				if err := e.checkParty(msgs[i].To, "recipient"); err != nil {
+			if m.To != Broadcast {
+				if err := e.checkParty(m.To, "recipient"); err != nil {
 					return err
 				}
 			}
-			// msgs is a subset of (or aliases) the just-appended window,
-			// so this copy moves entries left, never right.
-			e.honestOut = append(e.honestOut[:start], msgs...)
-			e.raw[p] = e.honestOut[start:len(e.honestOut):len(e.honestOut)]
+			e.honestOut = append(e.honestOut, m)
 		}
 	}
 	return nil
@@ -132,11 +97,10 @@ func (e *engine) view(r int, filter OutboxFilter) error {
 // route sends one stamped message: a unicast is delivered; a broadcast
 // joins the shared lane, counted as its n copies, unless that would change
 // what some party reads or what the seam is promised — then it is expanded
-// per recipient, exactly as before the lane existed. The three cases: the
-// tamper hook sees every expanded message; under a rate limit the sender's
-// remaining budget must cover all n copies (else the tail drops copy by
-// copy); and a sender with unicast mail already out this round must keep its
-// emission order, which the lane-before-unicast merge would break.
+// per recipient, exactly as before the lane existed. The two cases: the
+// tamper hook sees every expanded message; and a sender with unicast mail
+// already out this round must keep its emission order, which the
+// lane-before-unicast merge would break.
 func (e *engine) route(m Message) error {
 	if m.To != Broadcast {
 		if err := e.checkParty(m.To, "recipient"); err != nil {
@@ -145,8 +109,7 @@ func (e *engine) route(m Message) error {
 		e.deliver(m)
 		return nil
 	}
-	if e.tamper == nil && !e.direct[m.From] && (e.limit == 0 || e.sent[m.From]+e.n <= e.limit) {
-		e.sent[m.From] += e.n
+	if e.tamper == nil && !e.direct[m.From] {
 		e.nextLane = append(e.nextLane, m)
 		e.msgs += e.n
 		e.bytes += e.n * payloadSize(m.Payload)
@@ -161,9 +124,8 @@ func (e *engine) route(m Message) error {
 
 // deliver appends m to its recipient's next-round mailbox, after the
 // optional delivery-seam hook (only the tampered payload is honored: the
-// seam cannot re-address traffic or forge origins) and the per-sender rate
-// limit (the tail of a flood is dropped). m must be expanded, stamped and
-// address-validated.
+// seam cannot re-address traffic or forge origins). m must be expanded,
+// stamped and address-validated.
 func (e *engine) deliver(m Message) {
 	if e.tamper != nil {
 		tm, keep := e.tamper(m.Round, m)
@@ -171,12 +133,6 @@ func (e *engine) deliver(m Message) {
 			return
 		}
 		m.Payload = tm.Payload
-	}
-	if e.limit > 0 {
-		if e.sent[m.From] >= e.limit {
-			return
-		}
-		e.sent[m.From]++
 	}
 	e.direct[m.From] = true
 	e.next[m.To] = append(e.next[m.To], m)
@@ -222,11 +178,11 @@ func (e *engine) open() {
 }
 
 // rotate makes this round's collected traffic the next round's inboxes and
-// recycles the consumed lane, mailboxes and rate-limit counters.
+// recycles the consumed lane and mailboxes.
 func (e *engine) rotate() {
 	for p := range e.cur {
 		e.cur[p] = e.cur[p][:0]
-		e.sent[p], e.direct[p] = 0, false
+		e.direct[p] = false
 	}
 	e.cur, e.next = e.next, e.cur
 	e.lane, e.nextLane = e.nextLane, e.lane[:0]

@@ -250,50 +250,6 @@ func TestSortMailboxStable(t *testing.T) {
 	}
 }
 
-// keepFirstFilter is an OutboxFilter that lets only the first k of an
-// omission party's expanded sends through each round.
-type keepFirstFilter struct {
-	id PartyID
-	k  int
-}
-
-func (f *keepFirstFilter) Initial() []PartyID { return nil }
-func (f *keepFirstFilter) Step(int, []Message, map[PartyID][]Message) ([]Message, []PartyID) {
-	return nil, nil
-}
-func (f *keepFirstFilter) OmissionParties() []PartyID { return []PartyID{f.id} }
-func (f *keepFirstFilter) FilterOutbox(_ int, _ PartyID, msgs []Message) []Message {
-	if len(msgs) > f.k {
-		return msgs[:f.k]
-	}
-	return msgs
-}
-
-// TestRateLimitAppliesAfterOmissionFilter pins the interaction of
-// MaxMessagesPerParty with OutboxFilter: the cap counts the messages that
-// survive the filter, not the ones the machine produced.
-func TestRateLimitAppliesAfterOmissionFilter(t *testing.T) {
-	// Party 1 broadcasts to 3 recipients each round; the filter keeps 2 of
-	// them, under the cap of 2. If the cap were charged before filtering,
-	// party 1's deliveries would be capped at 2 out of 3 *then* filtered,
-	// which this test cannot distinguish — so cap below the filter output:
-	// filter keeps 2, cap 1 → exactly 1 delivery per round from party 1.
-	ms := maxMachines([]int{1, 9, 2}, 2)
-	res, err := Run(Config{
-		N: 3, MaxRounds: 6, MaxCorrupt: 1,
-		MaxMessagesPerParty: 1,
-		Adversary:           &keepFirstFilter{id: 1, k: 2},
-	}, ms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every party (honest ones included) is capped at 1 per round: rounds
-	// 1-2 deliver 3 messages each, round 3 none. Total 6.
-	if res.Messages != 6 {
-		t.Errorf("messages = %d, want 6", res.Messages)
-	}
-}
-
 // turncoat corrupts party 1 mid-execution at round 2 and floods from it.
 type turncoat struct {
 	burst int
@@ -313,16 +269,13 @@ func (a *turncoat) Step(r int, _ []Message, _ map[PartyID][]Message) ([]Message,
 	return msgs, []PartyID{1}
 }
 
-// TestRetractedMessagesDoNotConsumeRateBudget pins the interaction of
-// adaptive corruption with MaxMessagesPerParty: when a party is corrupted
-// mid-round, its retracted honest sends must not count against the
-// sender's per-round cap — the adversary's replacement traffic gets the
-// full budget.
-func TestRetractedMessagesDoNotConsumeRateBudget(t *testing.T) {
-	// Round 2: party 1's honest broadcast (3 sends) is retracted; the
-	// adversary floods 10 directed messages from party 1. With a cap of 4,
-	// all 4 must come from the flood. If retraction failed to refund the
-	// budget, only 1 flood message would fit.
+// TestRetractedMessagesAreWithdrawn pins adaptive corruption's retraction:
+// when a party is corrupted mid-round, its just-produced honest sends are
+// withdrawn and only the adversary's replacement traffic is delivered.
+func TestRetractedMessagesAreWithdrawn(t *testing.T) {
+	// Round 2: party 1's honest broadcast is retracted; the adversary
+	// floods 10 directed messages from party 1. Party 0 must read exactly
+	// those 10 — an 11th would be the retracted broadcast.
 	receivedFromFlood := 0
 	machines := make([]Machine, 3)
 	for i := range machines {
@@ -346,21 +299,17 @@ func TestRetractedMessagesDoNotConsumeRateBudget(t *testing.T) {
 			output: func() (any, bool) { return nil, done },
 		}
 	}
-	_, err := Run(Config{
-		N: 3, MaxRounds: 8, MaxCorrupt: 1,
-		MaxMessagesPerParty: 4,
-		Adversary:           &turncoat{burst: 10},
-	}, machines)
+	_, err := Run(Config{N: 3, MaxRounds: 8, MaxCorrupt: 1, Adversary: &turncoat{burst: 10}}, machines)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if receivedFromFlood != 4 {
-		t.Errorf("party 0 received %d round-2 messages from party 1, want 4 (full cap for the adversary)", receivedFromFlood)
+	if receivedFromFlood != 10 {
+		t.Errorf("party 0 received %d round-2 messages from party 1, want the flood's 10 only", receivedFromFlood)
 	}
 }
 
 // scriptedAdversary replays a deterministic mixed workload: initial and
-// adaptive corruption, directed and broadcast sends, floods over the cap.
+// adaptive corruption, directed and broadcast sends, floods.
 type scriptedAdversary struct{ flipped bool }
 
 func (a *scriptedAdversary) Initial() []PartyID { return []PartyID{5} }
@@ -389,17 +338,13 @@ func (a *scriptedAdversary) Step(r int, honestOut []Message, _ map[PartyID][]Mes
 }
 
 // TestSequentialConcurrentEquivalenceWithAdversary extends the equivalence
-// guarantee to the adversary path: adaptive corruption, retraction,
-// directed/broadcast adversary traffic and rate limiting must all behave
-// identically under both drivers. Run under -race by the Makefile gate.
+// guarantee to the adversary path: adaptive corruption, retraction and
+// directed/broadcast adversary traffic must all behave identically under
+// both drivers. Run under -race by the Makefile gate.
 func TestSequentialConcurrentEquivalenceWithAdversary(t *testing.T) {
 	mk := func() []Machine { return maxMachines([]int{5, 12, 7, 3, 9, 11, 2, 8}, 4) }
 	cfg := func() Config {
-		return Config{
-			N: 8, MaxRounds: 12, MaxCorrupt: 2,
-			MaxMessagesPerParty: 9,
-			Adversary:           &scriptedAdversary{},
-		}
+		return Config{N: 8, MaxRounds: 12, MaxCorrupt: 2, Adversary: &scriptedAdversary{}}
 	}
 	seq, err := Run(cfg(), mk())
 	if err != nil {
@@ -446,7 +391,7 @@ func TestEquivalenceRandomizedTraffic(t *testing.T) {
 		}
 		return machines
 	}
-	cfg := Config{N: n, MaxRounds: rounds + 2, MaxMessagesPerParty: 3}
+	cfg := Config{N: n, MaxRounds: rounds + 2}
 	seq, err := Run(cfg, mk())
 	if err != nil {
 		t.Fatal(err)

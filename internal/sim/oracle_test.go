@@ -12,16 +12,17 @@ import (
 // lane, kept as the reference the differential test compares against: every
 // broadcast is copied into n mailboxes one Message at a time, the
 // adversary-free and adversary paths deliver separately, adaptive corruption
-// retracts by compacting the expanded honest traffic, and every mailbox is
-// stably sorted by sender at round start. Only the corruption-budget check
+// retracts by compacting the expanded honest traffic, an omission party's
+// expanded sends go through the filter inline (the reference the live
+// engine's Omit wrapper is held to), and every mailbox is stably sorted by
+// sender at round start. Only the corruption-budget check
 // follows the live engine (corrupted ∪ omission, every round), so the two
 // agree on which scripted runs are legal.
 
 type oracleEngine struct {
-	n, limit  int
+	n         int
 	tamper    func(int, Message) (Message, bool)
 	cur, next [][]Message
-	sent      []int
 	corrupted []bool
 	omission  []bool
 	msgs      int
@@ -62,7 +63,7 @@ func (e *oracleEngine) expand(dst []Message, m Message) ([]Message, error) {
 }
 
 // deliver is tamperDeliver + deliver of the parent engine: the seam first,
-// then the per-sender rate limit, then the recipient's mailbox.
+// then the recipient's mailbox.
 func (e *oracleEngine) deliver(r int, m Message) {
 	if e.tamper != nil {
 		tm, keep := e.tamper(r, m)
@@ -70,12 +71,6 @@ func (e *oracleEngine) deliver(r int, m Message) {
 			return
 		}
 		m.Payload = tm.Payload
-	}
-	if e.limit > 0 {
-		if e.sent[m.From] >= e.limit {
-			return
-		}
-		e.sent[m.From]++
 	}
 	e.next[m.To] = append(e.next[m.To], m)
 	e.msgs++
@@ -91,9 +86,9 @@ func oracleRun(cfg Config, machines []Machine) (*Result, error) {
 	}
 	n := cfg.N
 	e := &oracleEngine{
-		n: n, limit: cfg.MaxMessagesPerParty, tamper: cfg.Tamper,
+		n: n, tamper: cfg.Tamper,
 		cur: make([][]Message, n), next: make([][]Message, n),
-		sent: make([]int, n), corrupted: make([]bool, n), omission: make([]bool, n),
+		corrupted: make([]bool, n), omission: make([]bool, n),
 	}
 	corrupted := make(map[PartyID]bool)
 	omissionCount := 0
@@ -238,7 +233,6 @@ func oracleRun(cfg Config, machines []Machine) (*Result, error) {
 		}
 		for p := range e.cur {
 			e.cur[p] = e.cur[p][:0]
-			e.sent[p] = 0
 		}
 		e.cur, e.next = e.next, e.cur
 	}
@@ -310,6 +304,7 @@ func (m *scriptMachine) Output() (any, bool) { return len(m.log), m.done }
 // omission parties' sends, and logs both views it is handed.
 type scriptAdversary struct {
 	n        int
+	seed     int64
 	rng      *rand.Rand
 	initial  []PartyID
 	omission []PartyID
@@ -326,10 +321,18 @@ func (a *scriptAdversary) Initial() []PartyID {
 
 func (a *scriptAdversary) OmissionParties() []PartyID { return a.omission }
 
-func (a *scriptAdversary) FilterOutbox(_ int, _ PartyID, msgs []Message) []Message {
+// FilterOutbox drops about a third of the sends, each draw keyed on (seed,
+// round, sender, recipient, position): a pure function of its arguments, as
+// a filter run from every seat's own goroutine must be.
+func (a *scriptAdversary) FilterOutbox(r int, p PartyID, msgs []Message) []Message {
 	kept := msgs[:0]
-	for _, m := range msgs {
-		if a.rng.Intn(3) > 0 {
+	for i, m := range msgs {
+		h := uint64(a.seed)
+		for _, v := range []int{r, int(p), int(m.To), i} {
+			h = (h ^ uint64(v)) * 0x9e3779b97f4a7c15
+			h ^= h >> 29
+		}
+		if h%3 > 0 {
 			kept = append(kept, m)
 		}
 	}
@@ -405,7 +408,7 @@ type execution struct {
 
 type diffCase struct {
 	seed      int64
-	n, limit  int
+	n         int
 	adversary int // 0 none, 1 Byzantine + adaptive, 2 with an omission party it later promotes
 	tamper    bool
 }
@@ -414,7 +417,7 @@ func (c diffCase) run(t *testing.T, drive func(Config, []Machine) (*Result, erro
 	t.Helper()
 	const rounds = 7
 	var ex execution
-	cfg := Config{N: c.n, MaxRounds: rounds + 2, MaxMessagesPerParty: c.limit, Trace: &ex.Trace}
+	cfg := Config{N: c.n, MaxRounds: rounds + 2, Trace: &ex.Trace}
 	machines := make([]Machine, c.n)
 	scripts := make([]*scriptMachine, c.n)
 	for i := range machines {
@@ -424,7 +427,7 @@ func (c diffCase) run(t *testing.T, drive func(Config, []Machine) (*Result, erro
 	var adv *scriptAdversary
 	if c.adversary > 0 {
 		adv = &scriptAdversary{
-			n: c.n, rng: rand.New(rand.NewSource(c.seed*977 + 5)),
+			n: c.n, seed: c.seed, rng: rand.New(rand.NewSource(c.seed*977 + 5)),
 			initial: []PartyID{PartyID(c.n - 2)},
 			adapt:   map[int]PartyID{3: 0},
 		}
@@ -462,21 +465,19 @@ func (c diffCase) run(t *testing.T, drive func(Config, []Machine) (*Result, erro
 func TestRunMatchesExpandEverythingOracle(t *testing.T) {
 	cases := 0
 	for _, n := range []int{4, 7} {
-		for _, limit := range []int{0, n - 1, n, 2*n + 1} {
-			for adversary := 0; adversary <= 2; adversary++ {
-				for _, tamper := range []bool{false, true} {
-					for seed := int64(1); seed <= 6; seed++ {
-						c := diffCase{seed: seed, n: n, limit: limit, adversary: adversary, tamper: tamper}
-						want := c.run(t, oracleRun)
-						for name, drive := range map[string]func(Config, []Machine) (*Result, error){
-							"Run": Run, "RunConcurrent": RunConcurrent,
-						} {
-							if got := c.run(t, drive); !reflect.DeepEqual(got, want) {
-								t.Fatalf("%s diverges from the oracle on %+v:\n got %+v\nwant %+v", name, c, got, want)
-							}
+		for adversary := 0; adversary <= 2; adversary++ {
+			for _, tamper := range []bool{false, true} {
+				for seed := int64(1); seed <= 24; seed++ {
+					c := diffCase{seed: seed, n: n, adversary: adversary, tamper: tamper}
+					want := c.run(t, oracleRun)
+					for name, drive := range map[string]func(Config, []Machine) (*Result, error){
+						"Run": Run, "RunConcurrent": RunConcurrent,
+					} {
+						if got := c.run(t, drive); !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s diverges from the oracle on %+v:\n got %+v\nwant %+v", name, c, got, want)
 						}
-						cases++
 					}
+					cases++
 				}
 			}
 		}

@@ -1,10 +1,14 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Run executes machines under cfg with the sequential lock-step driver.
 // machines must have length cfg.N; entries at corrupted slots are ignored
-// once corrupted. Run returns an error when the configuration is invalid,
+// once corrupted, and an omission party's runs under Omit (in a copy of the
+// slice). Run returns an error when the configuration is invalid,
 // the adversary oversteps its powers, or honest machines fail to terminate
 // within cfg.MaxRounds.
 func Run(cfg Config, machines []Machine) (*Result, error) {
@@ -22,6 +26,36 @@ func stepSequential(r int, honest []PartyID, machines []Machine, inboxes, raw []
 	}
 }
 
+// Faults validates cfg.Adversary's fault sets and returns them, each
+// ascending and deduplicated: the initially corrupted parties and the
+// omission parties. Every id lies in [0, N), no party is both, and together
+// they fit MaxCorrupt. Run, RunConcurrent and the TCP fabrics seat an
+// execution from them.
+func Faults(cfg Config) (corrupted, omission []PartyID, err error) {
+	if cfg.Adversary == nil {
+		return nil, nil, nil
+	}
+	corrupted = slices.Clone(cfg.Adversary.Initial())
+	if f, ok := cfg.Adversary.(OutboxFilter); ok {
+		omission = slices.Clone(f.OmissionParties())
+	}
+	for i, p := range slices.Concat(corrupted, omission) {
+		switch {
+		case p < 0 || int(p) >= cfg.N:
+			return nil, nil, fmt.Errorf("sim: faulty party %d out of range [0, %d)", p, cfg.N)
+		case i >= len(corrupted) && slices.Contains(corrupted, p):
+			return nil, nil, fmt.Errorf("sim: party %d is both Byzantine and omission-faulty", p)
+		}
+	}
+	slices.Sort(corrupted)
+	slices.Sort(omission)
+	corrupted, omission = slices.Compact(corrupted), slices.Compact(omission)
+	if k := len(corrupted) + len(omission); k > cfg.MaxCorrupt {
+		return nil, nil, fmt.Errorf("%w: %d initial corruptions, budget %d", ErrBudgetExceeded, k, cfg.MaxCorrupt)
+	}
+	return corrupted, omission, nil
+}
+
 func run(cfg Config, machines []Machine, step stepper) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -29,35 +63,22 @@ func run(cfg Config, machines []Machine, step stepper) (*Result, error) {
 	if len(machines) != cfg.N {
 		return nil, fmt.Errorf("sim: %d machines for N = %d", len(machines), cfg.N)
 	}
+	byz, omission, err := Faults(cfg)
+	if err != nil {
+		return nil, err
+	}
 	e := newEngine(cfg)
 	corrupted := make(map[PartyID]bool)
-	omissionCount := 0 // omission parties not (yet) Byzantine
-	var filter OutboxFilter
-	if cfg.Adversary != nil {
-		for _, p := range cfg.Adversary.Initial() {
-			if err := e.checkParty(p, "corrupted party"); err != nil {
-				return nil, err
-			}
-			corrupted[p] = true
-			e.corrupted[p] = true
-		}
-		if f, ok := cfg.Adversary.(OutboxFilter); ok {
-			filter = f
-			for _, p := range f.OmissionParties() {
-				if err := e.checkParty(p, "omission party"); err != nil {
-					return nil, err
-				}
-				if corrupted[p] {
-					return nil, fmt.Errorf("sim: party %d is both Byzantine and omission-faulty", p)
-				}
-				e.omission[p] = true
-				omissionCount++
-			}
-		}
-		if len(corrupted)+omissionCount > cfg.MaxCorrupt {
-			return nil, fmt.Errorf("%w: %d initial corruptions, budget %d",
-				ErrBudgetExceeded, len(corrupted)+omissionCount, cfg.MaxCorrupt)
-		}
+	for _, p := range byz {
+		corrupted[p], e.corrupted[p] = true, true
+	}
+	var omitters []*omitter
+	if len(omission) > 0 {
+		machines = slices.Clone(machines)
+	}
+	for _, p := range omission {
+		o := &omitter{Machine: machines[p], f: cfg.Adversary.(OutboxFilter), p: p, n: cfg.N}
+		machines[p], omitters = o, append(omitters, o)
 	}
 	res := &Result{Outputs: make(map[PartyID]any), Corrupted: corrupted}
 	done := make([]bool, cfg.N)
@@ -73,6 +94,11 @@ func run(cfg Config, machines []Machine, step stepper) (*Result, error) {
 		e.open() // deliver round r-1's traffic
 		e.refreshHonest()
 		step(r, e.honest, machines, e.inboxes, e.raw)
+		for _, o := range omitters {
+			if o.err != nil {
+				return nil, o.err
+			}
+		}
 
 		// The rushing adversary moves after seeing the round's honest
 		// traffic; this block only builds that view and applies the
@@ -80,7 +106,7 @@ func run(cfg Config, machines []Machine, step stepper) (*Result, error) {
 		var advOut []Message
 		var more []PartyID
 		if cfg.Adversary != nil {
-			if err := e.view(r, filter); err != nil {
+			if err := e.view(r); err != nil {
 				return nil, err
 			}
 			clear(corruptInbox)
@@ -92,16 +118,14 @@ func run(cfg Config, machines []Machine, step stepper) (*Result, error) {
 				if err := e.checkParty(p, "corrupted party"); err != nil {
 					return nil, err
 				}
-				if e.omission[p] { // Byzantine subsumes omission: count it once
-					e.omission[p] = false
-					omissionCount--
-				}
+				// Byzantine subsumes omission: count the party once.
+				omission = slices.DeleteFunc(omission, func(q PartyID) bool { return q == p })
 				corrupted[p] = true
 				e.corrupted[p] = true
 			}
-			if len(corrupted)+omissionCount > cfg.MaxCorrupt {
+			if len(corrupted)+len(omission) > cfg.MaxCorrupt {
 				return nil, fmt.Errorf("%w: %d corruptions at round %d, budget %d",
-					ErrBudgetExceeded, len(corrupted)+omissionCount, r, cfg.MaxCorrupt)
+					ErrBudgetExceeded, len(corrupted)+len(omission), r, cfg.MaxCorrupt)
 			}
 			for _, m := range advOut {
 				if !corrupted[m.From] {
@@ -110,9 +134,9 @@ func run(cfg Config, machines []Machine, step stepper) (*Result, error) {
 			}
 		}
 
-		// Honest outboxes first, then the adversary's, sharing one
-		// rate-limit ledger. Skipping a party corrupted this round is the
-		// retraction of its just-produced messages.
+		// Honest outboxes first, then the adversary's. Skipping a party
+		// corrupted this round is the retraction of its just-produced
+		// messages.
 		e.msgs, e.bytes = 0, 0
 		for _, p := range e.honest {
 			if e.corrupted[p] {

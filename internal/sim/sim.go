@@ -99,8 +99,9 @@ type Adversary interface {
 	// together with any new corruptions. honestOut is the round-r traffic of
 	// currently honest parties as it was sent: one stamped entry per send, by
 	// ascending sender and in each sender's emission order, a broadcast once
-	// with To == Broadcast (an omission party's sends are the exception: they
-	// appear expanded per recipient, as its filter left them). corruptInbox
+	// with To == Broadcast (an omission party's sends are the exception: its
+	// seat sends them expanded per recipient, as its filter left them; see
+	// Omit). corruptInbox
 	// holds the messages delivered this round to each corrupted party. Both
 	// views are backed by buffers
 	// the driver reuses across rounds — and a corrupted party's inbox, like
@@ -119,16 +120,21 @@ type Adversary interface {
 // omission-faulty party follows the protocol (its machine keeps running and
 // it never lies) but the adversary may drop any subset of its outgoing
 // messages, every round, forever. Omission parties count toward
-// MaxCorrupt; their outputs are recorded but carry no guarantees.
+// MaxCorrupt; their outputs are recorded but carry no guarantees. Each
+// omission party filters its own sends, in its own seat (Omit).
 type OutboxFilter interface {
 	Adversary
 	// OmissionParties returns the parties subject to send filtering. They
 	// are disjoint from Initial() (a Byzantine party subsumes omission).
+	// An empty set leaves every party's sends alone.
 	OmissionParties() []PartyID
 	// FilterOutbox returns the subset of msgs that party p actually delivers
-	// in round r. Unlike the rest of honestOut, msgs is expanded per
-	// recipient: a broadcast arrives as its n copies, so a filter can drop
-	// any one of them.
+	// in round r. msgs is p's round-r outbox stamped and expanded per
+	// recipient — a broadcast arrives as its n copies, so a filter can drop
+	// any one of them — and the filter may compact it in place. The result
+	// must be a pure function of (r, p, msgs), safe to call concurrently:
+	// every seat filters its own sends from its own goroutine, and a
+	// crash-restarted seat filters its replayed rounds again.
 	FilterOutbox(r int, p PartyID, msgs []Message) []Message
 }
 
@@ -144,12 +150,6 @@ type Config struct {
 	// MaxRounds stops a runaway execution; required (protocols under test
 	// must know their round budgets).
 	MaxRounds int
-	// MaxMessagesPerParty caps how many point-to-point messages any single
-	// party (honest or corrupted) may have delivered per round, after
-	// broadcast expansion; excess messages are dropped deterministically
-	// (keeping the earliest). 0 means no cap. It models a per-link rate
-	// limit and stops a Byzantine flood from distorting accounting.
-	MaxMessagesPerParty int
 	// Tamper, when non-nil, is the engine's delivery seam: it observes
 	// every expanded, stamped message immediately before it is placed in
 	// its recipient's mailbox and may rewrite its payload (only the

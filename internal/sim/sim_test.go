@@ -312,41 +312,6 @@ func TestInboxSortedBySender(t *testing.T) {
 	}
 }
 
-// flooder sends a huge burst from its corrupted party every round.
-type flooder struct {
-	id    sim2PartyID
-	burst int
-}
-
-type sim2PartyID = PartyID
-
-func (f *flooder) Initial() []PartyID { return []PartyID{f.id} }
-func (f *flooder) Step(r int, _ []Message, _ map[PartyID][]Message) ([]Message, []PartyID) {
-	msgs := make([]Message, 0, f.burst)
-	for i := 0; i < f.burst; i++ {
-		msgs = append(msgs, Message{From: f.id, To: 0, Payload: intPayload(i)})
-	}
-	return msgs, nil
-}
-
-func TestMaxMessagesPerPartyCapsFloods(t *testing.T) {
-	ms := maxMachines([]int{1, 2, 3}, 2)
-	res, err := Run(Config{
-		N: 3, MaxRounds: 6, MaxCorrupt: 1,
-		MaxMessagesPerParty: 5,
-		Adversary:           &flooder{id: 2, burst: 10000},
-	}, ms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Honest: 2 parties × 3 broadcast recipients = 3 each (under the cap);
-	// flooder: 10000 capped to 5. Rounds 1-2: (3+3+5) = 11 each; round 3:
-	// honest machines are silent, flooder sends 5 more. Total 27.
-	if res.Messages != 27 {
-		t.Errorf("messages = %d, want 27 (cap enforced)", res.Messages)
-	}
-}
-
 func TestNoCapByDefault(t *testing.T) {
 	ms := maxMachines([]int{1, 2, 3}, 1)
 	res, err := Run(Config{N: 3, MaxRounds: 4}, ms)

@@ -6,7 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
+	"slices"
 
 	"treeaa/internal/driver"
 	"treeaa/internal/sim"
@@ -14,14 +14,14 @@ import (
 
 // LocalCluster executes machines under cfg as a real networked system: one
 // TCP endpoint per honest party plus one adversary host co-hosting the
-// corrupted set, all on 127.0.0.1 loopback ports. For any deterministic
-// configuration it accepts, its Result — outputs, rounds, message and byte
-// counts, trace — is byte-for-byte the Result of sim.Run on the same
-// inputs; the equivalence test in this package pins that against seeds and
-// adversaries. Three engine features cannot be distributed and are rejected
-// up front with an explanation: adaptive corruption (messages on the wire
-// cannot be retracted), omission filtering and per-party rate limits (both
-// require a global arbiter between send and delivery).
+// corrupted set, all on 127.0.0.1 loopback ports. An omission party is an
+// honest seat whose machine (a restarted one too) runs under sim.Omit. For
+// any deterministic configuration it accepts, its Result — outputs, rounds,
+// message and byte counts, trace — is byte-for-byte the Result of sim.Run on
+// the same inputs; the equivalence tests in this package pin that against
+// seeds and adversaries. Adaptive corruption (messages on the wire cannot be
+// retracted) and the tamper hook (distributable) are refused up front; so is
+// an adversary with no corrupted party to host it that would act.
 func LocalCluster(cfg sim.Config, machines []sim.Machine, opts Options) (*sim.Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -34,16 +34,36 @@ func LocalCluster(cfg sim.Config, machines []sim.Machine, opts Options) (*sim.Re
 	}
 	opts = opts.withDefaults()
 
-	corrupted, err := initialCorruptions(cfg)
+	corrupted, omission, err := sim.Faults(cfg)
 	if err != nil {
 		return nil, err
 	}
-	isCorrupted := make(map[sim.PartyID]bool, len(corrupted))
-	for _, c := range corrupted {
-		isCorrupted[c] = true
+	// No host seat steps an adversary without corrupted parties, so step it
+	// dry over the round budget (empty views) and refuse one that would act.
+	for r := 1; cfg.Adversary != nil && len(corrupted) == 0 && r <= cfg.MaxRounds; r++ {
+		if msgs, more := cfg.Adversary.Step(r, nil, nil); len(msgs)+len(more) > 0 {
+			return nil, fmt.Errorf("transport: adversary with no initially corrupted parties acts "+
+				"at round %d; a rushing observer needs a corrupted seat — use the in-process transport", r)
+		}
+	}
+	if len(omission) > 0 {
+		f := cfg.Adversary.(sim.OutboxFilter)
+		machines = slices.Clone(machines)
+		for _, p := range omission {
+			machines[p] = sim.Omit(f, p, cfg.N, machines[p])
+		}
+		if restart := opts.Restart; restart != nil {
+			opts.Restart = func(p sim.PartyID) (sim.Machine, error) {
+				m, err := restart(p)
+				if err == nil && slices.Contains(omission, p) {
+					m = sim.Omit(f, p, cfg.N, m)
+				}
+				return m, err
+			}
+		}
 	}
 	for p, r := range opts.CrashPlan {
-		if p < 0 || int(p) >= cfg.N || isCorrupted[p] {
+		if p < 0 || int(p) >= cfg.N || slices.Contains(corrupted, p) {
 			return nil, fmt.Errorf("transport: crash plan names party %d, which is not an honest party", p)
 		}
 		if r <= 0 {
@@ -69,7 +89,7 @@ func LocalCluster(cfg sim.Config, machines []sim.Machine, opts Options) (*sim.Re
 		stops []func()
 	)
 	for p := sim.PartyID(0); int(p) < cfg.N; p++ {
-		if isCorrupted[p] {
+		if slices.Contains(corrupted, p) {
 			continue
 		}
 		run, stop := honestSeat(nodeConfig{id: p, n: cfg.N, maxRounds: cfg.MaxRounds,
@@ -101,20 +121,11 @@ func LocalCluster(cfg sim.Config, machines []sim.Machine, opts Options) (*sim.Re
 	return res, nil
 }
 
-// distributable refuses the engine features that need a global arbiter
-// between send and delivery, which no TCP fabric has: per-party rate
-// limits, omission filtering (it intercepts sends after expansion) and the
-// delivery-seam tamper hook. LocalCluster checks the whole config,
-// RunProcess the adversary its host seat would run.
+// distributable refuses the one engine feature that needs a global arbiter
+// between send and delivery, which no TCP fabric has: the delivery-seam
+// tamper hook, which sees every expanded message in one global order.
+// (Send-omission needs none: each omission seat filters its own sends.)
 func distributable(cfg sim.Config) error {
-	if cfg.MaxMessagesPerParty != 0 {
-		return fmt.Errorf("transport: MaxMessagesPerParty requires a global rate arbiter; " +
-			"the tcp transport has none — use the in-process transport")
-	}
-	if _, ok := cfg.Adversary.(sim.OutboxFilter); ok {
-		return fmt.Errorf("transport: omission filtering intercepts sends after expansion; " +
-			"the tcp transport cannot — use the in-process transport")
-	}
 	if cfg.Tamper != nil {
 		return fmt.Errorf("transport: the delivery-seam tamper hook requires a global arbiter " +
 			"between send and delivery; the tcp transport has none — use the in-process transport")
@@ -194,36 +205,6 @@ func hostSeat(hc hostConfig, lns []net.Listener, addrs []string, session uint64,
 			}
 			hc.ep.shutdown(false)
 		}
-}
-
-// initialCorruptions validates and normalizes the adversary's initial set:
-// ascending, deduplicated (Compose repeats its strategies' shared ids, just
-// as the engine's corruption map absorbs duplicates), within budget.
-func initialCorruptions(cfg sim.Config) ([]sim.PartyID, error) {
-	if cfg.Adversary == nil {
-		return nil, nil
-	}
-	seen := make(map[sim.PartyID]bool)
-	var out []sim.PartyID
-	for _, p := range cfg.Adversary.Initial() {
-		if p < 0 || int(p) >= cfg.N {
-			return nil, fmt.Errorf("sim: corrupted party %d out of range [0, %d)", p, cfg.N)
-		}
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
-	}
-	if len(out) > cfg.MaxCorrupt {
-		return nil, fmt.Errorf("%w: %d initial corruptions, budget %d",
-			sim.ErrBudgetExceeded, len(out), cfg.MaxCorrupt)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("transport: adversary with no initially corrupted parties; " +
-			"a rushing observer needs a corrupted seat — use the in-process transport or Adversary = nil")
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
 }
 
 // bindLoopback binds one loopback listener per party. Every listener is bound

@@ -276,24 +276,35 @@ func TestClusterMatchesSimNoAdversary(t *testing.T) {
 	}
 }
 
-// TestClusterRejectsUndistributableFeatures: the three engine features with
-// no distributed counterpart fail fast with explanatory errors.
+// TestClusterRejectsUndistributableFeatures: the two engine features with
+// no distributed counterpart — adaptive corruption and the tamper hook —
+// and malformed fault sets fail fast with explanatory errors. Without an
+// initially corrupted party there is no host seat to step the adversary, so
+// crash is refused alone and beside omit.
 func TestClusterRejectsUndistributableFeatures(t *testing.T) {
 	tr := tree.NewPath(8)
 	const n = 4
 	inputs := spreadInputs(tr, n, 1)
 	base := sim.Config{N: n, MaxCorrupt: 1, MaxRounds: core.Rounds(tr, 1) + 2}
 
-	rateLimited := base
-	rateLimited.MaxMessagesPerParty = 10
-	if _, err := LocalCluster(rateLimited, buildMachines(t, tr, n, 1, inputs), Options{}); err == nil {
-		t.Error("accepted MaxMessagesPerParty")
+	omit := &adversary.SendOmitter{IDs: []sim.PartyID{2}, N: n}
+	for _, adv := range []sim.Adversary{
+		&adversary.CrashAt{IDs: []sim.PartyID{3}, Rounds: []int{2}},
+		&adversary.Compose{Strategies: []sim.Adversary{omit, &adversary.CrashAt{IDs: []sim.PartyID{3}, Rounds: []int{2}}}},
+	} {
+		adaptive := base
+		adaptive.Adversary = adv
+		if _, err := LocalCluster(adaptive, buildMachines(t, tr, n, 1, inputs), Options{}); err == nil ||
+			!strings.Contains(err.Error(), "no initially corrupted parties") {
+			t.Errorf("adaptive-only adversary %#v: err = %v", adv, err)
+		}
 	}
 
-	adaptive := base
-	adaptive.Adversary = &adversary.CrashAt{IDs: []sim.PartyID{3}, Rounds: []int{2}}
-	if _, err := LocalCluster(adaptive, buildMachines(t, tr, n, 1, inputs), Options{}); err == nil {
-		t.Error("accepted an adversary with no initial corruptions (adaptive-only)")
+	overlap := base
+	overlap.Adversary = &adversary.Compose{Strategies: []sim.Adversary{&adversary.Silent{IDs: []sim.PartyID{2}}, omit}}
+	if _, err := LocalCluster(overlap, buildMachines(t, tr, n, 1, inputs), Options{}); err == nil ||
+		!strings.Contains(err.Error(), "both Byzantine and omission-faulty") {
+		t.Errorf("overlapping Byzantine and omission sets: err = %v", err)
 	}
 
 	budget := base

@@ -49,16 +49,13 @@ func DeriveSession(parts ...string) uint64 {
 }
 
 // RunProcess executes this process's seat over the full mesh and blocks
-// until the deployment terminates or fails. The roles the mesh cannot host
-// are an event machine in a deployment with an adversary (the rushing
-// adversary is defined against lock-step rounds) and an adversary host
-// whose adversary needs a global arbiter (LocalCluster's refusals).
+// until the deployment terminates or fails. The role the mesh cannot host is
+// an event machine in a deployment with an adversary (the rushing adversary
+// is defined against lock-step rounds). An omission party is a Machine seat
+// whose machine the caller wraps in sim.Omit.
 func RunProcess(seat Seat, opts Options) (*ProcessResult, error) {
 	if err := seat.Validate(); err != nil {
 		return nil, fmt.Errorf("transport: %w", err)
-	}
-	if err := distributable(sim.Config{Adversary: seat.Adversary}); err != nil {
-		return nil, err
 	}
 	corrupted := append([]sim.PartyID(nil), seat.Corrupted...)
 	sort.Slice(corrupted, func(i, j int) bool { return corrupted[i] < corrupted[j] })
