@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test loc surface race race-sim race-cpu bench-module node-smoke overlay-smoke serve-smoke rolling-restart chaos-soak async-soak cover bench bench-compare bench-serve-smoke bench-kernel-smoke bench-async-smoke bench-mesh-smoke fuzz fuzz-short prop graph-prop check examples experiments clean
+.PHONY: all build test loc surface race race-sim race-cpu bench-module node-smoke overlay-smoke serve-smoke rolling-restart chaos-soak async-soak cover bench bench-compare bench-serve-smoke bench-kernel-smoke bench-go-smoke bench-async-smoke bench-mesh-smoke fuzz fuzz-short prop graph-prop check examples experiments clean
 
 all: build test race-sim node-smoke overlay-smoke serve-smoke chaos-soak rolling-restart
 
@@ -198,6 +198,12 @@ bench-serve-smoke:
 bench-kernel-smoke:
 	bash bench/run.sh --workload kernel-batch --seed 1 --seconds 2 --trace 0
 
+# One iteration of every Go sizing benchmark (the kernel cells, the tally,
+# the sim engine, the async pipeline, vector decoding): nothing else runs
+# them, so this keeps them building and running.
+bench-go-smoke:
+	$(GO) test -run '^$$' -bench 'KernelCells|Tally|RunBroadcast|PipelineRun|DecodeVector' -benchtime 1x ./...
+
 # One short async-sim pass as a smoke: async.Run of n=16 pipelines on path:64
 # under the seeded random scheduler, every output checked for hull validity
 # and 1-agreement (correct=true or exit 1).
@@ -264,7 +270,7 @@ graph-prop:
 # nested benchmark module, the multi-process mesh (with the adversary host),
 # the bench serve, kernel, async and mesh smokes, then the property (tree and
 # graph), short fuzz and async-soak passes.
-check: build test race-cpu bench-module node-smoke bench-serve-smoke bench-kernel-smoke bench-async-smoke bench-mesh-smoke prop graph-prop fuzz-short async-soak
+check: build test race-cpu bench-module node-smoke bench-serve-smoke bench-kernel-smoke bench-go-smoke bench-async-smoke bench-mesh-smoke prop graph-prop fuzz-short async-soak
 
 examples:
 	$(GO) run ./examples/quickstart

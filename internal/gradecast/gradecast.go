@@ -31,6 +31,10 @@
 // sim.Machine. It counts a run of equal vectors once, weighted, and votes
 // with a received vector when the bytes match, so an honest round costs a
 // party O(n) per instance and allocates no vote vector (see Tally, Votes).
+// The one thing it keeps across rounds is a memo, not state: the vector it
+// last voted, which it echoes again when the next iteration's values carry
+// the same bytes, so a settled iteration allocates no echo vector either
+// (see SendVec).
 package gradecast
 
 import (
@@ -167,6 +171,11 @@ type Result struct {
 // every vector — except that a NaN entry, which equals nothing, still takes
 // one cell of count 1 per occurrence. A party's cost per instance is
 // O(n × distinct runs) instead of O(n²).
+//
+// Once the values stop moving, iteration k+1's sends are iteration k's vote
+// over again, so SendVec returns the vector Votes last returned when the
+// bytes match. That memo outlives the round but is not protocol state:
+// dropping it changes which array carries the echo, never its bytes.
 type Tally struct {
 	n, t int
 	inst []instance
@@ -192,6 +201,9 @@ type instance struct {
 	runLen, heavyLen int32
 	// votes is the scratch Votes builds in.
 	votes Vec
+	// voted is the vector Votes last returned; unlike the fields above it
+	// survives reset, for SendVec to echo (see Tally).
+	voted Vec
 }
 
 // valCount is one distinct-value frequency for one leader. next is the index
@@ -204,11 +216,20 @@ type valCount struct {
 }
 
 // NewTally returns the tally for n parties, fault budget t and the given
-// instance tags.
+// instance tags. Every instance's cells, sends and vote scratch are carved
+// out of two slabs, each capped at n so that an append past it (a spilled
+// cell) moves to its own array instead of into a neighbour's.
 func NewTally(n, t int, tags ...string) *Tally {
 	ta := &Tally{n: n, t: t, inst: make([]instance, len(tags))}
+	cells := make([]valCount, n*len(tags))
+	entries := make(Vec, 2*n*len(tags))
 	for i, tag := range tags {
-		ta.inst[i] = instance{tag: tag, cells: make([]valCount, n)}
+		ta.inst[i] = instance{
+			tag:   tag,
+			cells: cells[i*n : (i+1)*n : (i+1)*n],
+			sends: entries[2*i*n : 2*i*n : (2*i+1)*n],
+			votes: entries[(2*i+1)*n : (2*i+1)*n : (2*i+2)*n],
+		}
 	}
 	return ta
 }
@@ -258,13 +279,20 @@ func (ta *Tally) CollectSends(inbox []sim.Message, iter int) {
 }
 
 // SendVec returns the values collected for instance i as the echo payload
-// they become: a freshly allocated Vec in ascending leader order (the inbox
-// order), nil when empty.
+// they become, in ascending leader order (the inbox order), nil when empty.
+// When the bytes equal the vector Votes(i) last returned — an iteration
+// whose values settled — it returns that Vec itself (payloads are
+// immutable), so every honest party reading one lane echoes one pointer and
+// the echo tally's run check is a pointer compare; otherwise a fresh copy.
 func (ta *Tally) SendVec(i int) Vec {
-	if len(ta.inst[i].sends) == 0 {
+	in := &ta.inst[i]
+	switch {
+	case len(in.sends) == 0:
 		return nil
+	case sameVec(in.sends, in.voted):
+		return in.voted
 	}
-	return slices.Clone(ta.inst[i].sends)
+	return slices.Clone(in.sends)
 }
 
 // CollectEchoes tallies the phase-2 echo vectors of iteration iter; Votes
@@ -442,10 +470,11 @@ func sameEntry(a, b VecEntry) bool {
 // run counted, Votes returns that received Vec itself (payloads are
 // immutable), so every party reading one broadcast lane votes with one
 // pointer and the next round's run check is a pointer compare. Otherwise it
-// returns a fresh copy, and nil when there is no vote.
+// returns a fresh copy, and nil when there is no vote. SendVec(i) echoes
+// the result again while the values it was built from do not change.
 func (ta *Tally) Votes(i int) Vec {
 	in := &ta.inst[i]
-	votes := slices.Grow(in.votes[:0], ta.n)
+	votes := in.votes[:0]
 	for leader := 0; leader < ta.n; leader++ {
 		if v, c := argmax(in.cells, leader); c >= ta.n-ta.t {
 			votes = append(votes, VecEntry{ID: sim.PartyID(leader), Val: v})
@@ -454,11 +483,13 @@ func (ta *Tally) Votes(i int) Vec {
 	in.votes = votes
 	switch {
 	case len(votes) == 0:
-		return nil
+		in.voted = nil
 	case sameVec(votes, in.heavy):
-		return in.heavy
+		in.voted = in.heavy
+	default:
+		in.voted = slices.Clone(votes)
 	}
-	return slices.Clone(votes)
+	return in.voted
 }
 
 // Grades derives the final (value, grade) per leader for instance i from the

@@ -215,6 +215,16 @@ func echoInbox(tag string, vecs []Vec) []sim.Message {
 	return inbox
 }
 
+// sendInbox is the phase-1 inbox in which each entry's leader sends its
+// value, in entry order.
+func sendInbox(tag string, iter int, vals Vec) []sim.Message {
+	inbox := make([]sim.Message, len(vals))
+	for i, e := range vals {
+		inbox[i] = sim.Message{From: e.ID, Payload: SendMsg{Tag: tag, Iter: iter, Val: e.Val}}
+	}
+	return inbox
+}
+
 func voteInbox(tag string, vecs []Vec) []sim.Message {
 	inbox := make([]sim.Message, len(vecs))
 	for i, vec := range vecs {
@@ -499,5 +509,60 @@ func TestHonestVotesAllocateNothing(t *testing.T) {
 		if aliased := &votes[0] == &vecs[0][0]; aliased == tt.split {
 			t.Errorf("split=%v: votes alias the first echo vector: %v", tt.split, aliased)
 		}
+	}
+}
+
+// TestSettledEchoIsTheVote: once an iteration's sends carry the bytes of
+// the vector the previous iteration voted — every value settled — the echo
+// is that voted Vec itself and the send pass allocates nothing. A moved
+// value, a +0 sent as -0 or a NaN with other payload bits is a fresh copy
+// of the sends.
+func TestSettledEchoIsTheVote(t *testing.T) {
+	n, tc := 16, 5
+	ta := NewTally(n, tc, "a")
+	ta.CollectEchoes(echoInbox("a", benchVecs(n, tc, false)), 1)
+	voted := ta.Votes(0)
+	settled := slices.Clone(voted)
+	var echo Vec
+	pass := func(inbox []sim.Message) {
+		ta.CollectSends(inbox, 2)
+		echo = ta.SendVec(0)
+	}
+	inbox := sendInbox("a", 2, settled)
+	if got := testing.AllocsPerRun(100, func() { pass(inbox) }); got != 0 {
+		t.Errorf("settled send pass: %v allocations, want 0", got)
+	}
+	if &echo[0] != &voted[0] {
+		t.Errorf("settled echo %v is not the voted vector", echo)
+	}
+	checkSendVec(t, ta, echo, voted, nil)
+
+	moved := slices.Clone(settled)
+	moved[3].Val++
+	negZero := slices.Clone(settled)
+	negZero[0].Val = math.Copysign(0, -1)
+	for name, sends := range map[string]Vec{"moved": moved, "-0": negZero} {
+		pass(sendInbox("a", 2, sends))
+		if &echo[0] == &voted[0] {
+			t.Errorf("%s: echo %v aliases the voted vector %v", name, echo, voted)
+		}
+		checkSendVec(t, ta, echo, voted, nil)
+	}
+
+	// A NaN reaches a quorum only when one vector is a quorum: n = 1.
+	nan1, nan2 := math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff8000000000002)
+	ta = NewTally(1, 0, "a")
+	ta.CollectEchoes(echoInbox("a", []Vec{{{ID: 0, Val: nan1}}}), 1)
+	voted = ta.Votes(0)
+	for _, tt := range []struct {
+		val   float64
+		alias bool
+	}{{nan1, true}, {nan2, false}} {
+		pass(sendInbox("a", 2, Vec{{ID: 0, Val: tt.val}}))
+		if aliased := &echo[0] == &voted[0]; aliased != tt.alias {
+			t.Errorf("NaN %#x voted, %#x sent: echo aliases the vote: %v, want %v",
+				math.Float64bits(nan1), math.Float64bits(tt.val), aliased, tt.alias)
+		}
+		checkSendVec(t, ta, echo, voted, nil)
 	}
 }

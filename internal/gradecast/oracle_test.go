@@ -109,6 +109,12 @@ func checkAgainstMerge(t *testing.T, n, tc int, vecs []Vec) {
 		}
 	}
 	checkVoteVec(t, ta, got, vecs)
+	// The next iteration's sends: the vote itself (a settled iteration),
+	// and the first vector's well-formed entries (values that moved).
+	for _, sends := range []Vec{got, wellFormed(n, vecs)} {
+		ta.CollectSends(sendInbox("a", 2, sends), 2)
+		checkSendVec(t, ta, ta.SendVec(0), got, vecs)
+	}
 	grades, wantGrades := tallyGrades(n, tc, vecs), mergeGrades(n, tc, vecs)
 	for leader := range wantGrades {
 		if g, w := grades[leader], wantGrades[leader]; g.Grade != w.Grade || !sameFloat(g.Val, w.Val) {
@@ -148,6 +154,61 @@ func checkVoteVec(t *testing.T, ta *Tally, got Vec, vecs []Vec) {
 			t.Fatalf("votes %v alias input %v, whose bytes differ", got, vec)
 		}
 	}
+}
+
+// checkSendVec holds an echo vector SendVec returned to the sends collected:
+// bit-identical to a fresh copy of them (nil when there are none), the
+// voted vector itself when the bytes equal it, and sharing memory with
+// nothing else — neither the tally's scratch nor an input vector.
+func checkSendVec(t *testing.T, ta *Tally, got, voted Vec, vecs []Vec) {
+	t.Helper()
+	sends := ta.inst[0].sends
+	want := slices.Clone(sends)
+	if len(got) != len(want) || (len(want) == 0 && got != nil) {
+		t.Fatalf("echo %v, sends %v", got, want)
+	}
+	for i := range got {
+		if !sameEntry(got[i], want[i]) {
+			t.Fatalf("echo %v, sends %v: entry %d differs in its bits", got, want, i)
+		}
+	}
+	if len(got) == 0 {
+		return
+	}
+	isVoted := len(voted) > 0 && &got[0] == &voted[0]
+	if sameVec(sends, voted) != isVoted {
+		t.Fatalf("echo %v, voted %v: echo is the voted vector: %v", got, voted, isVoted)
+	}
+	if isVoted {
+		return
+	}
+	if &got[0] == &sends[0] {
+		t.Fatalf("echo %v aliases the tally's scratch", got)
+	}
+	for _, vec := range vecs {
+		if len(vec) > 0 && &vec[0] == &got[0] {
+			t.Fatalf("echo %v aliases input %v", got, vec)
+		}
+	}
+}
+
+// wellFormed is what the tally counts of the first of vecs: its entries
+// with ids strictly ascending and below n, nil when there are none.
+func wellFormed(n int, vecs []Vec) Vec {
+	var out Vec
+	if len(vecs) == 0 {
+		return out
+	}
+	prev := sim.PartyID(-1)
+	for _, e := range vecs[0] {
+		if int(e.ID) >= n {
+			break
+		}
+		if e.ID > prev {
+			out, prev = append(out, e), e.ID
+		}
+	}
+	return out
 }
 
 // TestTallyMatchesMergeOracle: well-formed vectors — dense, sparse, empty

@@ -196,8 +196,12 @@ type Machine struct {
 	decided int       // first iteration with trimmed spread <= Eps; 0 = not yet
 	done    bool
 
-	// Per-round scratch, reused across the whole execution so that a round
-	// costs only the allocations the wire demands (outgoing payload vectors).
+	// Per-round scratch, allocated once by NewMachine at its final size —
+	// the flag sets share one slab, the grade vectors another, history
+	// holds every iteration — and reused across the whole execution, so
+	// that a round costs only the allocations the wire demands: the boxed
+	// payloads, plus an echo or vote vector only in an iteration whose
+	// values moved or were equivocated (see gradecast.Tally).
 	tally      *gradecast.Tally
 	out        []sim.Message
 	grades     []gradecast.Result   // value-instance grades, indexed by leader
@@ -234,15 +238,25 @@ func NewMachine(cfg Config) (*Machine, error) {
 	for w := 1; w < words; w++ {
 		tags = append(tags, fmt.Sprintf("%s/acc%d", cfg.Tag, w))
 	}
+	n := cfg.N
+	flags := make([]bool, 2*n)
+	results := make([]gradecast.Result, (1+words)*n)
+	accGrades := make([][]gradecast.Result, words)
+	for w := range accGrades {
+		accGrades[w] = results[(1+w)*n : (2+w)*n]
+	}
 	return &Machine{
 		cfg: cfg, val: cfg.Input,
-		suspected:  make([]bool, cfg.N),
-		excluded:   make([]bool, cfg.N),
+		suspected:  flags[:n],
+		excluded:   flags[n:],
 		tags:       tags,
-		tally:      gradecast.NewTally(cfg.N, cfg.T, tags...),
-		accGrades:  make([][]gradecast.Result, words),
-		suspCounts: make([]int, cfg.N),
-		accepted:   make([]float64, 0, cfg.N),
+		history:    make([]float64, 0, cfg.Iterations),
+		tally:      gradecast.NewTally(n, cfg.T, tags...),
+		out:        make([]sim.Message, 0, len(tags)),
+		grades:     results[:n],
+		accGrades:  accGrades,
+		suspCounts: make([]int, n),
+		accepted:   make([]float64, 0, n),
 	}, nil
 }
 

@@ -490,3 +490,37 @@ func TestDecidedIterationDisabledWithoutEps(t *testing.T) {
 		t.Errorf("DecidedIteration = %d without Eps, want 0", m0.DecidedIteration())
 	}
 }
+
+// TestSettledIterationAllocatesOnlyEnvelopes: once the honest values are
+// equal, an iteration costs each party the boxing of its send, echo and
+// vote payload per gradecast instance — 3 × (1 + mask words) — and nothing
+// else: the echo is the vector voted the iteration before, the vote the
+// echo every party read off the lane, and every buffer was made at its
+// final size. Whole executions at two schedule lengths are measured, the
+// way sim's TestRunSteadyStateAllocs bounds a round.
+func TestSettledIterationAllocatesOnlyEnvelopes(t *testing.T) {
+	const n, tc, short, long = 16, 5, 4, 12
+	run := func(iterations int) func() {
+		return func() {
+			machines := make([]sim.Machine, n)
+			for i := range machines {
+				m, err := NewMachine(Config{N: n, T: tc, ID: sim.PartyID(i), Tag: "real",
+					Iterations: iterations, StartRound: 1, Input: 42})
+				if err != nil {
+					t.Fatal(err)
+				}
+				machines[i] = m
+			}
+			if _, err := sim.Run(sim.Config{N: n, MaxCorrupt: tc, MaxRounds: 3*iterations + 2}, machines); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	allocsShort := testing.AllocsPerRun(10, run(short))
+	allocsLong := testing.AllocsPerRun(10, run(long))
+	perIteration := (allocsLong - allocsShort) / float64((long-short)*n)
+	if want := float64(3 * (1 + maskWords(n))); perIteration != want {
+		t.Errorf("%v allocations per party per settled iteration (short=%v, long=%v), want %v",
+			perIteration, allocsShort, allocsLong, want)
+	}
+}

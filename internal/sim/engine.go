@@ -8,7 +8,9 @@ import "fmt"
 // execution and len-reset between rounds, so a steady round (no newly
 // terminated parties, no trace) performs no heap allocations of its own:
 // lanes, mailboxes, merge buffers, outbox scratch and the counting-sort
-// scratch all retain their capacity across rounds.
+// scratch all retain their capacity across rounds. A party's merge buffer
+// is made the first time it reads a merge, at that round's lane plus
+// mailbox, rather than doubled up from nil.
 type engine struct {
 	n      int
 	tamper func(int, Message) (Message, bool) // Config.Tamper
@@ -157,6 +159,9 @@ func (e *engine) open() {
 		if len(e.lane) == 0 {
 			e.inboxes[p] = box
 			continue
+		}
+		if e.merged[p] == nil {
+			e.merged[p] = make([]Message, 0, len(e.lane)+len(box))
 		}
 		buf, i := e.merged[p][:0], 0
 		for j := 0; j < len(box); {
