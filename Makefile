@@ -56,7 +56,7 @@ race-sim:
 # 2-core host was verified at GOMAXPROCS=1 only, which is how the pre-open
 # buffer wedge in the async session path shipped. The recovery suites (kill,
 # graceful restart, mid-flight, the journal crash-point enumeration, the
-# mesh's crash-restart and its mirror ordering) sweep the same widths under
+# mesh's mirror ordering) sweep the same widths under
 # the race detector, and so do the three mechanisms of the serving data path
 # — who drains a shard (and the timekeeper that does when nobody else will),
 # the write that never blocks (with both slow-peer tests), the final
@@ -92,13 +92,14 @@ node-smoke:
 
 # Tree-overlay smoke: the same multi-process cmd/node deployments routed
 # over a communication tree instead of the full mesh (leaves hold one
-# connection), then a run with a mid-protocol sub-leader crash that must
-# fail over and still agree, then a block-graph fleet (TreeAA on the
-# block-cut tree) over the same relay fabric.
+# connection), then a run where two parties crash mid-protocol (stop, each
+# filtering its own sends) and the rest must still agree, then a
+# block-graph fleet (TreeAA on the block-cut tree) over the same relay
+# fabric.
 overlay-smoke:
 	$(GO) run ./cmd/node -cluster 7 -tree path:16 -overlay tree:2
 	$(GO) run ./cmd/node -cluster 9 -t 2 -tree spider:3:3 -overlay tree:3 \
-		-chaos 'crash:p1@r2'
+		-adversary 'stop(rounds=2.3)'
 	$(GO) run ./cmd/node -cluster 4 -t 1 -tree graph:cliquechain:3:4 -overlay tree:2
 
 # Serving-layer smoke: a 3-daemon loopback deployment hosting 100 concurrent
@@ -134,17 +135,19 @@ rolling-restart:
 	$(GO) run ./cmd/serve -cluster 4 -rolling -mode async -sessions 16
 
 # Chaos safety soak (~30s): the race-instrumented chaos/transport suites
-# (reconnect-resend, crash-restart byte-identity, golden fault schedules),
-# then a real fault sweep — seeds × {latency, stall, drop, crash,
-# partition, combined} plans × adversaries over the TCP substrate, every
-# cell checked for honest-hull validity, 1-agreement, and byte-identity
-# with the sequential sim.Run oracle. Exits non-zero on any violation.
+# (reconnect-resend, crash-fault byte-identity, golden fault schedules),
+# then a real fault sweep — seeds × {latency, stall, drop, partition,
+# combined} plans × adversaries over the TCP substrate, every cell checked
+# for honest-hull validity, 1-agreement, and byte-identity with the
+# sequential sim.Run oracle — and a multi-process fleet where a crashed
+# party (stop) sits beside the adversary host under link faults. Exits
+# non-zero on any violation.
 chaos-soak:
 	$(GO) test -race -count=1 ./internal/chaos/... ./internal/transport/...
 	$(GO) run ./cmd/chaos -seeds 1-2 -trees path:16
 	$(GO) run ./cmd/chaos -seeds 1 -trees graph:cliquechain:3:4
-	$(GO) run ./cmd/node -cluster 4 -t 1 -tree path:16 -adversary splitvote \
-		-chaos 'lat:500µs±500µs,crash:p1@r2'
+	$(GO) run ./cmd/node -cluster 7 -t 2 -tree path:16 -adversary 'splitvote+stop(rounds=2)' \
+		-chaos 'lat:500µs±500µs,drop:p0-p2@r2'
 
 # Asynchronous-mode soak: every async suite under the race detector — RBC
 # threshold boundaries, pipeline invariants, the event-driven transport

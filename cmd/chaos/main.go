@@ -3,19 +3,21 @@
 // asserts the protocol's safety properties after every run — outputs inside
 // the honest input hull, pairwise output distance ≤ 1, and a Result
 // byte-identical to the sequential sim.Run oracle (latency, stalls and
-// partitions are pure delays; drops and crashes are repaired losses).
+// partitions are pure delays; drops are repaired losses).
 //
 //	chaos                                # default matrix, aligned table
 //	chaos -n 7 -t 2 -seeds 1-5 -adversaries none,splitvote
 //	chaos -n 7 -t 2 -adversaries 'equivocator(hi=500,lo=-50),splitvote(per=2)+replay'
-//	chaos -plans 'lat:2ms±1ms;crash:p1@r2' -json
+//	chaos -plans 'lat:2ms±1ms;drop:p1@r2' -json
+//	chaos -n 7 -t 2 -adversaries 'splitvote+stop(rounds=2)'   # a crashed party
 //	chaos -schedule -plans 'lat:5ms±3ms' -seeds 7   # print the fault schedule
 //
 // Plans are separated by ';' (clauses inside a plan use ','); see
 // internal/chaos for the plan language. Adversaries are specs of the
 // adversary language (internal/cli), separated by the commas outside clause
 // parentheses. The TCP cluster refuses the adaptive crash clause, which then
-// reports as a failed cell; omit runs in the omission party's own seat. The exit status is non-zero if any
+// reports as a failed cell; omit and stop run in the omission party's own
+// seat. The exit status is non-zero if any
 // cell fails a safety assertion.
 package main
 
@@ -57,9 +59,8 @@ const defaultPlans = ";" +
 	"lat:1ms±1ms;" +
 	"stall:p1@r2-3:5ms;" +
 	"drop:p0-p2@r2;" +
-	"crash:p1@r2;" +
 	"partition:{0-1|2-3}@r2:40ms;" +
-	"lat:500µs±500µs,drop:p2@r3,crash:p1@r2"
+	"lat:500µs±500µs,drop:p2@r3"
 
 func run(trees string, n, t int, seeds, plans, advs string, jsonOut, schedule bool, frames int,
 	setupTO, roundTO time.Duration) error {

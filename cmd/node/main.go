@@ -6,9 +6,9 @@
 // Byzantine parties, one *adversary host* process seated at the lowest
 // Byzantine id — it co-hosts all of them, because the model's adversary is a
 // single rushing, coordinated entity that cannot be split. An omission party
-// (omit) is a process of its own: it runs its honest machine and drops its
-// own sends (sim.Omit). The peers file has one "host:port" per line; line i
-// is party i's listen address.
+// (omit, stop) is a process of its own: it runs its honest machine and drops
+// its own sends (sim.Omit). The peers file has one "host:port" per line;
+// line i is party i's listen address.
 //
 //	node -id 0 -peers peers.txt -t 2 -tree path:40 -adversary splitvote
 //	node -id 5 -peers peers.txt -t 2 -tree path:40 -adversary splitvote   # host seat (n=7)
@@ -24,22 +24,25 @@
 //
 // -adversary takes the adversary language of cmd/treeaa (DESIGN §9), minus
 // crash: it corrupts adaptively, and messages on the wire cannot be
-// retracted. omit needs lock-step seats (no -mode async).
+// retracted. A party that crashes is the stop clause, an omission party
+// whose seat stops sending partway through its round:
 //
-// A -chaos plan (see internal/chaos) injects seeded faults at every seat:
-// per-link latency and stalls, one-shot connection drops, healing
-// partitions, and honest crash-restarts. All seats must be launched with
-// the same plan — it is part of the session handshake.
+//	node -cluster 7 -t 2 -tree path:40 -adversary 'splitvote+stop(rounds=2)'
 //
-//	node -cluster 4 -tree path:16 -chaos 'lat:1ms±1ms,crash:p1@r2'
+// A -chaos plan (see internal/chaos) injects seeded link faults at every
+// seat: per-link latency and stalls, one-shot connection drops and healing
+// partitions. All seats must be launched with the same plan — it is part of
+// the session handshake.
+//
+//	node -cluster 4 -tree path:16 -chaos 'lat:1ms±1ms,drop:p0-p2@r2'
 //
 // -mode async replaces the lock-step rounds with the event-driven
 // asynchronous pipeline: no EOR barriers, no round timeouts — every seat
 // dispatches on arrival and decides when its RBC/witness thresholds fill.
 // Async fleets are honest-only (Byzantine async behaviour is exercised
-// in-process by cmd/check) and take every chaos clause but crash: a dropped
-// connection is repaired by the same count-exchange resume as in sync mode,
-// but a restarted seat would have no round history to replay.
+// in-process by cmd/check; an omission party filters a lock-step round) and
+// take every chaos clause: a dropped connection is repaired by the same
+// count-exchange resume as in sync mode.
 //
 //	node -cluster 4 -tree star:6 -mode async -chaos 'lat:200ms±150ms@p2'
 //	node -cluster 4 -mode async -chaos 'drop:p0-p2@r2'
@@ -98,7 +101,7 @@ func main() {
 		seed        = flag.Int64("seed", 1, "seed for random trees / noise adversaries / chaos")
 		cluster     = flag.Int("cluster", 0, "spawn an n-party loopback cluster of this binary and check agreement")
 		chaosSpec   = flag.String("chaos", "", "chaos plan (see internal/chaos); must match across all seats")
-		overlaySpec = flag.String("overlay", "", "route traffic over a communication tree instead of the full mesh (tree or tree:<branching>); crash-fault only")
+		overlaySpec = flag.String("overlay", "", "route traffic over a communication tree instead of the full mesh (tree or tree:<branching>); honest or omission fleets, no chaos")
 		setupTO     = flag.Duration("setup-timeout", 10*time.Second, "mesh construction budget")
 		roundTO     = flag.Duration("round-timeout", 30*time.Second, "per-round traffic budget (also the reconnect budget)")
 	)
@@ -141,13 +144,9 @@ func runSeat(ctx context.Context, id int, peersFile string, t int, treeSpec, inp
 		return err
 	}
 	for _, cl := range clauses {
-		switch {
-		case cl.Name == "crash":
+		if cl.Name == "crash" {
 			return fmt.Errorf("the crash adversary corrupts adaptively; messages on the wire cannot " +
-				"be retracted — use cmd/treeaa's in-process transport for it")
-		case cl.Name == "omit" && mode == "async":
-			return fmt.Errorf("omit filters a lock-step machine's sends per round; async seats run " +
-				"honest fleets only — drop -mode async")
+				"be retracted — use cmd/treeaa's in-process transport for it, or stop for a crash fault")
 		}
 	}
 	sp, err := cli.ParseSpaceSpec(treeSpec, seed)
@@ -173,12 +172,7 @@ func runSeat(ctx context.Context, id int, peersFile string, t int, treeSpec, inp
 	if err := plan.Validate(n); err != nil {
 		return err
 	}
-	for p := range plan.Crashes {
-		if slices.Contains(byz, p) {
-			return fmt.Errorf("chaos plan crashes party %d, which the adversary corrupts", p)
-		}
-	}
-	if err := checkChaosFlags(mode, overlaySpec, plan); err != nil {
+	if err := checkFlags(mode, overlaySpec, advName, omitters, plan); err != nil {
 		return err
 	}
 
@@ -193,18 +187,7 @@ func runSeat(ctx context.Context, id int, peersFile string, t int, treeSpec, inp
 		Session: sessionID(mode, overlaySpec, sp.Spec, inputSpec, advName, n, t, seed,
 			chaosSpec, setupTO, roundTO, addrs),
 	}
-	// An omission seat's machine — a restarted one too — drops its own sends.
-	newMachine := func(p sim.PartyID) (sim.Machine, error) {
-		m, _, err := sp.NewMachine(n, t, p, inputs[p])
-		if err == nil && slices.Contains(omitters, p) {
-			m = sim.Omit(adv.(sim.OutboxFilter), p, n, m)
-		}
-		return m, err
-	}
 	role := "party"
-	if slices.Contains(omitters, seat.ID) {
-		role = "omission"
-	}
 	switch {
 	case mode == "async":
 		// No rounds, no barriers: the seat dispatches whatever arrives,
@@ -213,7 +196,11 @@ func runSeat(ctx context.Context, id int, peersFile string, t int, treeSpec, inp
 	case slices.Contains(byz, seat.ID):
 		role, seat.Adversary = "adversary", adv
 	default:
-		seat.Machine, err = newMachine(seat.ID)
+		seat.Machine, _, err = sp.NewMachine(n, t, seat.ID, inputs[id])
+		if slices.Contains(omitters, seat.ID) {
+			// An omission seat's machine drops its own sends.
+			role, seat.Machine = "omission", sim.Omit(adv.(sim.OutboxFilter), seat.ID, n, seat.Machine)
+		}
 	}
 	if err != nil {
 		return err
@@ -241,21 +228,16 @@ func runSeat(ctx context.Context, id int, peersFile string, t int, treeSpec, inp
 		ostats := &metrics.OverlayStats{}
 		fabricStats = ostats
 		// Interior seats (root, sub-leaders) listen and relay; leaves only
-		// dial their parent. Crashes are injected by the overlay's own seat
-		// supervisor.
+		// dial their parent.
 		res, err = overlay.RunProcess(seat, overlay.Options{
 			Branching: branching, SetupTimeout: setupTO, RoundTimeout: roundTO,
-			Stats: ostats, Wire: wires, CrashPlan: plan.Crashes, Restart: newMachine,
+			Stats: ostats, Wire: wires,
 		})
 	} else {
 		chaosStats := &metrics.ChaosStats{}
 		fabricStats = chaosStats
-		opts := chaos.NewInjector(plan, seed, chaosStats).Apply(transport.Options{
-			Stats: wires, SetupTimeout: setupTO, RoundTimeout: roundTO})
-		if seat.Machine != nil {
-			opts.Restart = newMachine
-		}
-		res, err = transport.RunProcess(seat, opts)
+		res, err = transport.RunProcess(seat, chaos.NewInjector(plan, seed, chaosStats).Apply(transport.Options{
+			Stats: wires, SetupTimeout: setupTO, RoundTimeout: roundTO}))
 	}
 	if err != nil {
 		return err
@@ -290,21 +272,20 @@ func sessionID(mode, overlaySpec, spaceSpec, inputSpec, advName string, n, t int
 		chaosSpec, setupTO.String(), roundTO.String()}, addrs...)...)
 }
 
-// checkChaosFlags gates the chaos plan by what the chosen mode and fabric
-// can inject. Event-driven seats take everything but crash (a restarted
-// seat has no round history to replay). The overlay's connections are
-// internal relay hops, not the party-to-party links link-level clauses
-// name, so over it only crash applies, through its own seat supervisor.
-func checkChaosFlags(mode, overlaySpec string, plan *chaos.Plan) error {
-	if mode == "async" {
-		return chaos.RestrictAsync(plan)
+// checkFlags gates what the chosen mode and fabric can run. An async seat
+// hosts no omission party, whose filter acts on a lock-step round. The
+// overlay takes no chaos plan: its connections are internal relay hops, not
+// the party-to-party links every clause names.
+func checkFlags(mode, overlaySpec, advName string, omitters []sim.PartyID, plan *chaos.Plan) error {
+	if mode == "async" && len(omitters) > 0 {
+		return fmt.Errorf("adversary %q has omission parties, which filter a lock-step machine's sends "+
+			"per round; async seats run honest fleets only — drop -mode async", advName)
 	}
-	if overlaySpec != "" {
-		return plan.Restrict("-overlay",
-			"the overlay's connections are internal relay hops, not the party-to-party links "+
-				"link-level clauses name — only crash:pP@rR applies", chaos.ClauseCrash)
+	if overlaySpec == "" {
+		return nil
 	}
-	return nil
+	return plan.Refuse("-overlay",
+		"the overlay's connections are internal relay hops, not the party-to-party links its clauses name")
 }
 
 // runCluster spawns a whole deployment of this binary on loopback ports and
@@ -326,7 +307,7 @@ func runCluster(ctx context.Context, n, t int, treeSpec, inputSpec, advName, mod
 	if err != nil {
 		return err
 	}
-	byz, _, err := sim.Faults(sim.Config{N: n, MaxCorrupt: t, Adversary: adv})
+	byz, omitters, err := sim.Faults(sim.Config{N: n, MaxCorrupt: t, Adversary: adv})
 	if err != nil {
 		return err
 	}
@@ -336,7 +317,7 @@ func runCluster(ctx context.Context, n, t int, treeSpec, inputSpec, advName, mod
 		return err
 	} else if err := plan.Validate(n); err != nil {
 		return err
-	} else if err := checkChaosFlags(mode, overlaySpec, plan); err != nil {
+	} else if err := checkFlags(mode, overlaySpec, advName, omitters, plan); err != nil {
 		return err
 	}
 

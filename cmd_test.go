@@ -66,9 +66,9 @@ func TestCommandsRun(t *testing.T) {
 		},
 		{
 			name: "node cluster under chaos",
-			args: []string{"run", "./cmd/node", "-cluster", "4", "-t", "1", "-tree", "path:16",
-				"-adversary", "splitvote", "-chaos", "lat:200µs±200µs,crash:p1@r2"},
-			wants: []string{"chaos:", "1 crashes", "1-agreement: true"},
+			args: []string{"run", "./cmd/node", "-cluster", "7", "-t", "2", "-tree", "path:16",
+				"-adversary", "splitvote+stop(rounds=2)", "-chaos", "lat:200µs±200µs,drop:p0-p2@r2"},
+			wants: []string{"chaos:", "1 drops", "role=omission", "1-agreement: true"},
 		},
 		{
 			name:  "node graph fleet over the tree overlay",
@@ -98,8 +98,8 @@ func TestCommandsRun(t *testing.T) {
 		},
 		{
 			name:  "chaos schedule print",
-			args:  []string{"run", "./cmd/chaos", "-schedule", "-plans", "lat:1ms±1ms,crash:p1@r2", "-seeds", "7"},
-			wants: []string{"chaos plan", "seed 7", "crash p1 at round 2"},
+			args:  []string{"run", "./cmd/chaos", "-schedule", "-plans", "lat:1ms±1ms,drop:p0-p1@r2", "-seeds", "7"},
+			wants: []string{"chaos plan", "seed 7", "drop p0->p1 at round 2"},
 		},
 		{
 			name:  "bench-rounds",

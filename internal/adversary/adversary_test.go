@@ -289,24 +289,55 @@ func TestComposeOmission(t *testing.T) {
 }
 
 // TestSendOmitterIsPure pins the sim.OutboxFilter contract for the random
-// mode: a filter call depends on its arguments only, so calls from
-// concurrent seats, in any order and repeated after a crash-restart, agree.
+// omitter and for Stop: a filter call depends on its arguments only, so
+// calls from concurrent seats, in any order and repeated, agree. Stop keeps
+// everything before its round, exactly the lower half of the peers in it,
+// and nothing after.
 func TestSendOmitterIsPure(t *testing.T) {
 	n := 7
-	a := &SendOmitter{IDs: []sim.PartyID{5}, N: n, Drop: 0.5, Seed: 3}
-	outbox := func() []sim.Message {
+	outbox := func(from sim.PartyID) []sim.Message {
 		var msgs []sim.Message
 		for to := 0; to < n; to++ {
-			msgs = append(msgs, sim.Message{From: 5, To: sim.PartyID(to), Round: 4})
+			msgs = append(msgs, sim.Message{From: from, To: sim.PartyID(to), Round: 4})
 		}
 		return msgs
 	}
-	first := append([]sim.Message(nil), a.FilterOutbox(4, 5, outbox())...)
-	a.FilterOutbox(9, 5, outbox()) // another round in between changes nothing
-	if again := a.FilterOutbox(4, 5, outbox()); !reflect.DeepEqual(again, first) {
-		t.Errorf("round 4 filtered twice: %v, then %v", first, again)
+	recipients := func(msgs []sim.Message) []sim.PartyID {
+		var to []sim.PartyID
+		for _, m := range msgs {
+			to = append(to, m.To)
+		}
+		return to
 	}
-	if len(first) == 0 || len(first) == n {
-		t.Errorf("Drop 0.5 kept %d of %d sends", len(first), n)
+	for _, a := range []sim.OutboxFilter{
+		&SendOmitter{IDs: []sim.PartyID{5}, N: n, Drop: 0.5, Seed: 3},
+		&Stop{IDs: []sim.PartyID{5}, N: n, Rounds: []int{4}},
+	} {
+		first := append([]sim.Message(nil), a.FilterOutbox(4, 5, outbox(5))...)
+		a.FilterOutbox(9, 5, outbox(5)) // another round in between changes nothing
+		if again := a.FilterOutbox(4, 5, outbox(5)); !reflect.DeepEqual(again, first) {
+			t.Errorf("%T: round 4 filtered twice: %v, then %v", a, first, again)
+		}
+		if len(first) == 0 || len(first) == n {
+			t.Errorf("%T: kept %d of %d sends in round 4", a, len(first), n)
+		}
+	}
+
+	// Stop at round 4 with n = 7: the lower half of a party's six peers is
+	// three parties — 0, 1, 2, skipping the party itself.
+	for _, c := range []struct {
+		p    sim.PartyID
+		half []sim.PartyID
+	}{{0, []sim.PartyID{1, 2, 3}}, {2, []sim.PartyID{0, 1, 3}}, {3, []sim.PartyID{0, 1, 2}}, {6, []sim.PartyID{0, 1, 2}}} {
+		a := &Stop{IDs: []sim.PartyID{4, c.p}, N: n, Rounds: []int{9, 4}}
+		if got := recipients(a.FilterOutbox(3, c.p, outbox(c.p))); len(got) != n {
+			t.Errorf("party %d before its round: sends to %v, want all %d", c.p, got, n)
+		}
+		if got := recipients(a.FilterOutbox(4, c.p, outbox(c.p))); !reflect.DeepEqual(got, c.half) {
+			t.Errorf("party %d in its round: sends to %v, want %v", c.p, got, c.half)
+		}
+		if got := a.FilterOutbox(5, c.p, outbox(c.p)); len(got) != 0 {
+			t.Errorf("party %d after its round: sends to %v, want none", c.p, recipients(got))
+		}
 	}
 }

@@ -12,9 +12,9 @@ import (
 )
 
 // TestBuildCoversEveryName pins that the adversary language's table builds
-// every strategy it names, that only the omission clause names omission
-// parties, and that every name round-trips through Clause.String and
-// ParseAdversary.
+// every strategy it names, that only the omission clauses (omit, stop) name
+// omission parties, and that every name round-trips through Clause.String
+// and ParseAdversary.
 func TestBuildCoversEveryName(t *testing.T) {
 	sp := &cli.Space{Tree: tree.NewPath(9)}
 	for _, name := range cli.AdversaryNames() {
@@ -25,8 +25,9 @@ func TestBuildCoversEveryName(t *testing.T) {
 		if adv == nil || len(corrupt) != 2 {
 			t.Fatalf("BuildAdversary(%q) = (%v, %v)", name, adv, corrupt)
 		}
-		if omits := len(adv.(sim.OutboxFilter).OmissionParties()) > 0; omits != (name == "omit") {
-			t.Errorf("BuildAdversary(%q): omission parties = %v, want %v", name, omits, name == "omit")
+		wantOmits := name == "omit" || name == "stop"
+		if omits := len(adv.(sim.OutboxFilter).OmissionParties()) > 0; omits != wantOmits {
+			t.Errorf("BuildAdversary(%q): omission parties = %v, want %v", name, omits, wantOmits)
 		}
 		cl := cli.Clause{Name: name, Args: map[string]string{"x": "1"}}
 		got, err := cli.ParseAdversary(cl.String())
@@ -34,8 +35,10 @@ func TestBuildCoversEveryName(t *testing.T) {
 			t.Errorf("ParseAdversary(%q) = %v, %v; want [%v]", cl.String(), got, err, cl)
 		}
 	}
-	if _, _, err := sp.BuildAdversary("crash(rounds=1)", 7, 2, 1); err == nil {
-		t.Error("crash with one round for two parties succeeded, want error")
+	for _, spec := range []string{"crash(rounds=1)", "stop(rounds=1)"} {
+		if _, _, err := sp.BuildAdversary(spec, 7, 2, 1); err == nil {
+			t.Errorf("%s with one round for two parties succeeded, want error", spec)
+		}
 	}
 }
 
@@ -59,6 +62,7 @@ func TestBuildMatchesLiterals(t *testing.T) {
 	}{
 		{"silent", []sim.Adversary{&adversary.Silent{IDs: ids}}},
 		{"crash(rounds=3.8)", []sim.Adversary{&adversary.CrashAt{IDs: ids, Rounds: []int{3, 8}}}},
+		{"stop(rounds=3.8)", []sim.Adversary{&adversary.Stop{IDs: ids, N: n, Rounds: []int{3, 8}}}},
 		{"equivocator(hi=2,lo=-1)", phased(func(p core.PhaseTag, _ int) sim.Adversary {
 			return &adversary.GradecastEquivocator{IDs: ids, N: n, Tag: p.Tag, StartRound: p.StartRound, Lo: -1, Hi: 2}
 		})},

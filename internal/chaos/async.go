@@ -11,36 +11,19 @@ import (
 	"treeaa/internal/tree"
 )
 
-// AsyncClauses is the fault surface of the event-driven driver. Latency,
-// stalls and partition holds are sleeps on the write path — an asynchronous
-// protocol must tolerate any finite delay, so these are exactly the faults
-// worth soaking it under. A dropped connection is repaired underneath the
-// protocol by the transport's count-exchange resume, which knows nothing of
-// rounds.
-// Only crashes are excluded: crash-restart recovery re-steps a fresh machine
-// through its peers' replayed round history, and an event-driven seat has no
-// rounds to replay.
-var AsyncClauses = []ClauseKind{ClauseLatency, ClauseStall, ClauseDrop, ClausePartition}
-
-const asyncRestrictReason = "crash recovery re-steps a restarted seat through replayed lock-step " +
-	"rounds, which the event-driven driver does not have — crash clauses require -mode sync"
-
-// RestrictAsync gates a plan for -mode async, naming the offending clause
-// family when the plan reaches outside AsyncClauses.
-func RestrictAsync(plan *Plan) error {
-	return plan.Restrict("-mode async", asyncRestrictReason, AsyncClauses...)
-}
-
 // AsyncRunSpec is one asynchronous soak cell: a TreeAA configuration, a
-// crash-free chaos plan and a seed to materialize it with. Every seat runs
-// the honest async pipeline — Byzantine behaviour against the async
-// machines is exercised in-process by internal/check, where the scheduler
-// is the adversary.
+// chaos plan and a seed to materialize it with. Latency, stalls and
+// partition holds are sleeps on the write path — an asynchronous protocol
+// must tolerate any finite delay — and a dropped connection is repaired
+// underneath the protocol by the transport's count-exchange resume, which
+// knows nothing of rounds. Every seat runs the honest async pipeline —
+// Byzantine behaviour against the async machines is exercised in-process by
+// internal/check, where the scheduler is the adversary.
 type AsyncRunSpec struct {
 	Tree string // cli space spec: a tree ("path:16") or a "graph:"-prefixed block graph
 	N, T int
 	Seed int64
-	Plan string // chaos spec (Parse, then RestrictAsync), "" = no chaos
+	Plan string // chaos spec (Parse), "" = no chaos
 
 	SetupTimeout time.Duration
 	// IdleTimeout bounds the silence between consecutive arrivals at any
@@ -72,8 +55,6 @@ type AsyncReport struct {
 	MaxDist int  `json:"max_dist"`
 
 	// Injected faults and the resume reconnects that repaired the drops.
-	// Crashes cannot appear: RestrictAsync refuses the plan before anything
-	// runs.
 	Delays     int64 `json:"delays"`
 	Stalls     int64 `json:"stalls"`
 	Drops      int64 `json:"drops"`
@@ -88,7 +69,7 @@ func (r *AsyncReport) Passed() bool {
 	return r.Err == "" && r.Valid && r.MaxDist <= 1
 }
 
-// RunAsync executes one async soak cell: parse and gate the plan, build one
+// RunAsync executes one async soak cell: parse the plan, build one
 // honest pipeline per party, run them over real loopback TCP with the
 // injector on every link, then judge the decoded vertices. A configuration
 // error returns an error; a runtime failure (e.g. a plan that outlasts the
@@ -100,9 +81,6 @@ func RunAsync(spec AsyncRunSpec) (*AsyncReport, error) {
 		return nil, err
 	}
 	if err := plan.Validate(spec.N); err != nil {
-		return nil, err
-	}
-	if err := RestrictAsync(plan); err != nil {
 		return nil, err
 	}
 	sp, err := cli.ParseSpaceSpec(spec.Tree, spec.Seed)
@@ -119,9 +97,6 @@ func RunAsync(spec AsyncRunSpec) (*AsyncReport, error) {
 	}
 
 	stats := &metrics.ChaosStats{}
-	// Apply is safe here: RestrictAsync already refused every plan for which
-	// it would arm a crash plan, which the async cluster's own option check
-	// rejects.
 	opts := NewInjector(plan, spec.Seed, stats).Apply(transport.Options{
 		SetupTimeout: spec.SetupTimeout,
 		RoundTimeout: spec.IdleTimeout,

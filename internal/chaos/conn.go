@@ -89,17 +89,12 @@ func (in *Injector) WrapConn(from, to sim.PartyID, conn net.Conn) net.Conn {
 }
 
 // Apply installs the injector into transport options: the conn wrapper, the
-// stats sink, the crash plan, and the recovery mode the plan requires.
-// Options.Restart must be set by the caller when the plan crashes parties —
-// only it knows how to rebuild a machine.
+// stats sink, and the recovery mode the plan requires.
 func (in *Injector) Apply(opts transport.Options) transport.Options {
 	opts.WrapConn = in.WrapConn
 	opts.Chaos = in.stats
 	if in.plan.NeedsReconnect() {
 		opts.Reconnect = true
-	}
-	if len(in.plan.Crashes) > 0 {
-		opts.CrashPlan = in.plan.Crashes
 	}
 	return opts
 }

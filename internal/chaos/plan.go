@@ -9,10 +9,11 @@
 // synchronous protocol survives by specification: latency, stalls and
 // partitions are pure delays (per-connection FIFO order is preserved and no
 // frame is lost, so a run that stays under the transport's timeout budget
-// produces a Result byte-identical to the sequential sim.Run oracle), drops
-// and crashes destroy connections and processes but the transport's
-// reconnect-with-resume and crash-restart recovery restore every lost frame
-// exactly once. Everything randomized is drawn from PRNGs derived from
+// produces a Result byte-identical to the sequential sim.Run oracle), and
+// drops destroy connections but the transport's reconnect-with-resume
+// restores every lost frame exactly once. Every fault here is a link fault:
+// a party that crashes is a fault of the adversary language (its stop
+// clause), not of a chaos plan. Everything randomized is drawn from PRNGs derived from
 // (seed, link), so identical seeds and specs reproduce identical fault
 // schedules.
 package chaos
@@ -80,7 +81,6 @@ type Plan struct {
 	Latencies  []Latency
 	Stalls     []Stall
 	Drops      []Drop
-	Crashes    map[sim.PartyID]int // party → crash round (honest crash-restart)
 	Partitions []Partition
 }
 
@@ -91,15 +91,14 @@ type Plan struct {
 //	stall:pP@rA[-B][:DUR]        party P's sends stall DUR in rounds A..B
 //	drop:pA-pB@rR                cut the A→B connection at round R
 //	drop:pA@rR                   cut every outgoing connection of A at round R
-//	crash:pP@rR                  crash honest party P at round R (restarted)
 //	partition:{A-B|C-D}@rA[-B][:HEAL]  hold cross-cut frames until healed
 //
 // Durations use Go syntax (5ms, 1s). An empty spec parses to the empty
 // plan — a chaos run with nothing injected.
 //
-//	lat:5ms±3ms,stall:p3@r2-4,crash:p5@r3,partition:{0-2|3-7}@r6-7
+//	lat:5ms±3ms,stall:p3@r2-4,drop:p5@r3,partition:{0-2|3-7}@r6-7
 func Parse(spec string) (*Plan, error) {
-	p := &Plan{Spec: spec, Crashes: map[sim.PartyID]int{}}
+	p := &Plan{Spec: spec}
 	if strings.TrimSpace(spec) == "" {
 		p.Spec = ""
 		return p, nil
@@ -118,8 +117,6 @@ func Parse(spec string) (*Plan, error) {
 			err = p.parseStall(rest)
 		case "drop":
 			err = p.parseDrop(rest)
-		case "crash":
-			err = p.parseCrash(rest)
 		case "partition":
 			err = p.parsePartition(rest)
 		default:
@@ -230,29 +227,6 @@ func (p *Plan) parseDrop(rest string) error {
 	return nil
 }
 
-func (p *Plan) parseCrash(rest string) error {
-	target, window, found := strings.Cut(rest, "@")
-	if !found {
-		return fmt.Errorf("want pP@rR")
-	}
-	party, err := parseParty(target)
-	if err != nil {
-		return err
-	}
-	from, to, err := parseRounds(window)
-	if err != nil {
-		return err
-	}
-	if from != to {
-		return fmt.Errorf("a crash is one event, not a window: want @rR")
-	}
-	if _, dup := p.Crashes[party]; dup {
-		return fmt.Errorf("party %d already has a crash", party)
-	}
-	p.Crashes[party] = from
-	return nil
-}
-
 func (p *Plan) parsePartition(rest string) error {
 	rest, heal, err := optionalDur(rest, DefaultHeal)
 	if err != nil {
@@ -320,11 +294,6 @@ func (p *Plan) Validate(n int) error {
 			}
 		}
 	}
-	for c := range p.Crashes {
-		if err := check(c); err != nil {
-			return err
-		}
-	}
 	for _, part := range p.Partitions {
 		for _, id := range part.SideA {
 			if err := check(id); err != nil {
@@ -341,88 +310,40 @@ func (p *Plan) Validate(n int) error {
 }
 
 // Empty reports whether the plan injects nothing.
-func (p *Plan) Empty() bool {
-	return len(p.Kinds()) == 0
-}
+func (p *Plan) Empty() bool { return p.family() == "" }
 
 // NeedsReconnect reports whether the plan destroys connections, requiring
 // the transport's recovery path.
 func (p *Plan) NeedsReconnect() bool {
-	return len(p.Drops) > 0 || len(p.Crashes) > 0
+	return len(p.Drops) > 0
 }
 
-// ClauseKind identifies one fault family of the plan language. Execution
-// modes differ in which families they can inject — see Restrict.
-type ClauseKind int
-
-// The five clause families, in plan-language order.
-const (
-	ClauseLatency ClauseKind = iota
-	ClauseStall
-	ClauseDrop
-	ClauseCrash
-	ClausePartition
-)
-
-// String returns the clause's plan-language name.
-func (k ClauseKind) String() string {
-	switch k {
-	case ClauseLatency:
+// family names the plan's first clause family in plan-language order, or ""
+// for the empty plan.
+func (p *Plan) family() string {
+	switch {
+	case len(p.Latencies) > 0:
 		return "lat"
-	case ClauseStall:
+	case len(p.Stalls) > 0:
 		return "stall"
-	case ClauseDrop:
+	case len(p.Drops) > 0:
 		return "drop"
-	case ClauseCrash:
-		return "crash"
-	case ClausePartition:
+	case len(p.Partitions) > 0:
 		return "partition"
 	}
-	return fmt.Sprintf("ClauseKind(%d)", int(k))
+	return ""
 }
 
-// Kinds returns the fault families present in the plan, in plan-language
-// order.
-func (p *Plan) Kinds() []ClauseKind {
-	var kinds []ClauseKind
-	if len(p.Latencies) > 0 {
-		kinds = append(kinds, ClauseLatency)
+// Refuse is the refusal of an execution mode that can inject none of the
+// plan's faults: nil for the empty plan, otherwise an error naming mode (the
+// flag doing the rejecting, "-overlay"), the plan's first clause family and
+// reason — a chaos spec a mode cannot honor must fail loudly, never
+// silently inject less.
+func (p *Plan) Refuse(mode, reason string) error {
+	if p.Empty() {
+		return nil
 	}
-	if len(p.Stalls) > 0 {
-		kinds = append(kinds, ClauseStall)
-	}
-	if len(p.Drops) > 0 {
-		kinds = append(kinds, ClauseDrop)
-	}
-	if len(p.Crashes) > 0 {
-		kinds = append(kinds, ClauseCrash)
-	}
-	if len(p.Partitions) > 0 {
-		kinds = append(kinds, ClausePartition)
-	}
-	return kinds
-}
-
-// Restrict checks the plan against one execution mode's injectable fault
-// surface: mode names the flag combination doing the rejecting ("-overlay",
-// "-mode async"), allowed lists the clause families it supports, and reason
-// says why the rest cannot be injected there. The returned error names the
-// mode, the offending clause family and the reason — a chaos spec that a
-// mode cannot honor must fail loudly, never silently inject less.
-func (p *Plan) Restrict(mode, reason string, allowed ...ClauseKind) error {
-	for _, k := range p.Kinds() {
-		ok := false
-		for _, a := range allowed {
-			if a == k {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return fmt.Errorf("chaos: %s cannot inject the %s clauses of plan %q: %s", mode, k, p.Spec, reason)
-		}
-	}
-	return nil
+	return fmt.Errorf("chaos: %s cannot inject the %s clauses of plan %q: %s", mode, p.family(), p.Spec, reason)
 }
 
 // parseParty decodes "p3" (the p is mandatory — it keeps parties and rounds

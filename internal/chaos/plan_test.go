@@ -11,7 +11,7 @@ import (
 // TestParseFullSpec decodes the package's flagship example with every
 // clause type present.
 func TestParseFullSpec(t *testing.T) {
-	p, err := Parse("lat:5ms±3ms,stall:p3@r2-4,crash:p5@r3,partition:{0-2|3-7}@r6-7")
+	p, err := Parse("lat:5ms±3ms,stall:p3@r2-4,drop:p5@r3,partition:{0-2|3-7}@r6-7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,8 +21,8 @@ func TestParseFullSpec(t *testing.T) {
 	if want := []Stall{{Party: 3, FromRound: 2, ToRound: 4, Dur: DefaultStall}}; !reflect.DeepEqual(p.Stalls, want) {
 		t.Errorf("stalls = %+v, want %+v", p.Stalls, want)
 	}
-	if want := map[sim.PartyID]int{5: 3}; !reflect.DeepEqual(p.Crashes, want) {
-		t.Errorf("crashes = %+v, want %+v", p.Crashes, want)
+	if want := []Drop{{From: 5, To: AllLinks, Round: 3}}; !reflect.DeepEqual(p.Drops, want) {
+		t.Errorf("drops = %+v, want %+v", p.Drops, want)
 	}
 	want := []Partition{{SideA: []sim.PartyID{0, 1, 2}, SideB: []sim.PartyID{3, 4, 5, 6, 7},
 		FromRound: 6, ToRound: 7, Heal: DefaultHeal}}
@@ -67,7 +67,6 @@ func TestParseClauseVariants(t *testing.T) {
 			return reflect.DeepEqual(part.SideA, []sim.PartyID{4}) && part.ToRound == 2 &&
 				part.Heal == 80*time.Millisecond
 		}},
-		{"crash:p2@r1,crash:p3@r5", func(p *Plan) bool { return len(p.Crashes) == 2 && p.Crashes[3] == 5 }},
 	}
 	for _, c := range cases {
 		p, err := Parse(c.spec)
@@ -96,8 +95,7 @@ func TestParseRejections(t *testing.T) {
 		"stall:p1@r5-3",            // inverted window
 		"drop:p1-p1@r2",            // self link
 		"drop:p1-p2@r2-4",          // drop with a window
-		"crash:p1@r2-4",            // crash with a window
-		"crash:p1@r2,crash:p1@r3",  // duplicate crash
+		"crash:p1@r2",              // a crashed party is the adversary's stop clause
 		"partition:0-1|2-3@r2",     // missing braces
 		"partition:{0-3|2-5}@r2",   // overlapping sides
 		"partition:{0-1}@r2",       // one side
@@ -112,12 +110,12 @@ func TestParseRejections(t *testing.T) {
 }
 
 func TestPlanValidate(t *testing.T) {
-	for _, spec := range []string{"stall:p9@r1", "drop:p0-p9@r1", "crash:p9@r1", "partition:{0|9}@r1"} {
+	for _, spec := range []string{"stall:p9@r1", "drop:p0-p9@r1", "partition:{0|9}@r1"} {
 		if err := MustParse(spec).Validate(4); err == nil {
 			t.Errorf("Validate accepted %q for n = 4", spec)
 		}
 	}
-	if err := MustParse("stall:p3@r1,drop:p0-p1@r2,crash:p2@r1,partition:{0|1-3}@r1").Validate(4); err != nil {
+	if err := MustParse("stall:p3@r1,drop:p0-p1@r2,partition:{0|1-3}@r1").Validate(4); err != nil {
 		t.Errorf("Validate rejected an in-range plan: %v", err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"sort"
 	"strings"
 	"time"
 
@@ -41,7 +40,7 @@ func delayFor(l *Latency, rng *rand.Rand) time.Duration {
 
 // Schedule renders the plan's materialized fault schedule for one seed: the
 // concrete per-link delays of the first framesPerLink frames, and every
-// stall, drop, crash and partition with its resolved parameters. It is a
+// stall, drop and partition with its resolved parameters. It is a
 // pure function of (spec, seed, n) — the goldens under testdata/ pin that
 // identical seeds and specs reproduce identical schedules.
 func (p *Plan) Schedule(seed int64, n, framesPerLink int) string {
@@ -88,14 +87,6 @@ func (p *Plan) Schedule(seed int64, n, framesPerLink int) string {
 		} else {
 			fmt.Fprintf(&sb, "  drop p%d->p%d at round %d\n", d.From, d.To, d.Round)
 		}
-	}
-	crashed := make([]sim.PartyID, 0, len(p.Crashes))
-	for c := range p.Crashes {
-		crashed = append(crashed, c)
-	}
-	sort.Slice(crashed, func(i, j int) bool { return crashed[i] < crashed[j] })
-	for _, c := range crashed {
-		fmt.Fprintf(&sb, "  crash p%d at round %d\n", c, p.Crashes[c])
 	}
 	for _, part := range p.Partitions {
 		fmt.Fprintf(&sb, "  partition {%s | %s} rounds %d-%d heal %v\n",

@@ -9,7 +9,7 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-const goldenSpec = "lat:2ms±1ms,stall:p1@r2-3:10ms,drop:p0-p2@r2,crash:p3@r2,partition:{0-1|2-3}@r4-5:80ms"
+const goldenSpec = "lat:2ms±1ms,stall:p1@r2-3:10ms,drop:p0-p2@r2,partition:{0-1|2-3}@r4-5:80ms"
 
 // TestScheduleGolden pins the materialized fault schedule: identical seeds
 // and specs must reproduce identical schedules, across runs and across

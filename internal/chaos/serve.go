@@ -58,8 +58,8 @@ func (r *ServeReport) Passed() bool {
 // daemons, and each Result asserted DeepEqual to its sequential oracle.
 //
 // Only delay faults are accepted — latency, stalls, partitions — because
-// they preserve per-link FIFO order, which is all the mux assumes. Drop and
-// crash clauses are rejected up front: a dead link fails every in-flight
+// they preserve per-link FIFO order, which is all the mux assumes. Drop
+// clauses are rejected up front: a dead link fails every in-flight
 // session on the surviving side by design (the mux redials, but sessions do
 // not resume mid-round), so an in-band plan that destroys connections tests
 // the wrong contract. Daemon death is a first-class scenario with its own
@@ -75,8 +75,8 @@ func RunServe(spec ServeSpec) (*ServeReport, error) {
 	if err := plan.Validate(spec.N); err != nil {
 		return nil, err
 	}
-	if len(plan.Drops) > 0 || len(plan.Crashes) > 0 {
-		return nil, fmt.Errorf("chaos: serve soak accepts delay faults only (lat/stall/partition); plan %q drops connections or crashes daemons", spec.Plan)
+	if len(plan.Drops) > 0 {
+		return nil, fmt.Errorf("chaos: serve soak accepts delay faults only (lat/stall/partition); plan %q drops connections", spec.Plan)
 	}
 	if spec.Sessions < 1 {
 		return nil, fmt.Errorf("chaos: serve soak needs at least 1 session, got %d", spec.Sessions)

@@ -7,10 +7,10 @@ import (
 )
 
 // TestRunServeRejectsDestructivePlans pins the contract boundary: the mux
-// has no reconnect path, so drop and crash clauses must be refused before
-// any daemon starts.
+// has no reconnect path, so drop clauses must be refused before any daemon
+// starts.
 func TestRunServeRejectsDestructivePlans(t *testing.T) {
-	for _, plan := range []string{"drop:p0-p1@r2", "drop:p1@r3", "crash:p2@r2", "lat:1ms,crash:p1@r2"} {
+	for _, plan := range []string{"drop:p0-p1@r2", "drop:p1@r3", "lat:1ms,drop:p2@r2"} {
 		_, err := RunServe(ServeSpec{Tree: "path:8", N: 4, Sessions: 1, Plan: plan,
 			TTL: time.Minute, SetupTimeout: 5 * time.Second, RoundTimeout: 10 * time.Second})
 		if err == nil {

@@ -3,7 +3,6 @@ package chaos
 import (
 	"fmt"
 	"reflect"
-	"slices"
 	"time"
 
 	"treeaa/internal/cli"
@@ -52,11 +51,9 @@ type Report struct {
 	Stalls       int64 `json:"stalls"`
 	Drops        int64 `json:"drops"`
 	Partitions   int64 `json:"partitions"`
-	Crashes      int64 `json:"crashes"`
 	Reconnects   int64 `json:"reconnects"`
 	FramesResent int64 `json:"frames_resent"`
 	BytesResent  int64 `json:"bytes_resent"`
-	FramesSkip   int64 `json:"frames_skipped"`
 
 	// Per-round wall-clock latency across parties.
 	P50 time.Duration `json:"p50"`
@@ -90,26 +87,14 @@ func Run(spec RunSpec) (*Report, error) {
 		return nil, err
 	}
 	inputs := sp.SpreadInputs(spec.N)
-	adv, corrupt, err := sp.BuildAdversary(spec.Adversary, spec.N, spec.T, spec.Seed)
+	_, corrupt, err := sp.BuildAdversary(spec.Adversary, spec.N, spec.T, spec.Seed)
 	if err != nil {
 		return nil, err
-	}
-	// An omission party is an honest seat and may crash; a Byzantine one
-	// lives on the adversary host.
-	for c := range plan.Crashes {
-		if adv != nil && slices.Contains(adv.Initial(), c) {
-			return nil, fmt.Errorf("chaos: crash plan names party %d, which the %s adversary corrupts", c, spec.Adversary)
-		}
-	}
-
-	machine := func(p sim.PartyID) (sim.Machine, error) {
-		m, _, err := sp.NewMachine(spec.N, spec.T, p, inputs[p])
-		return m, err
 	}
 	machines := func() ([]sim.Machine, error) {
 		ms := make([]sim.Machine, spec.N)
 		for i := range ms {
-			m, err := machine(sim.PartyID(i))
+			m, _, err := sp.NewMachine(spec.N, spec.T, sim.PartyID(i), inputs[i])
 			if err != nil {
 				return nil, err
 			}
@@ -147,9 +132,6 @@ func Run(spec RunSpec) (*Report, error) {
 		SetupTimeout: spec.SetupTimeout,
 		RoundTimeout: spec.RoundTimeout,
 	})
-	if len(plan.Crashes) > 0 {
-		opts.Restart = machine
-	}
 	chaosCfg, err := cfg()
 	if err != nil {
 		return nil, err
@@ -164,11 +146,9 @@ func Run(spec RunSpec) (*Report, error) {
 	rep.Stalls = stats.Stalls.Load()
 	rep.Drops = stats.Drops.Load()
 	rep.Partitions = stats.Partitions.Load()
-	rep.Crashes = stats.Crashes.Load()
 	rep.Reconnects = stats.Reconnects.Load()
 	rep.FramesResent = stats.FramesResent.Load()
 	rep.BytesResent = stats.BytesResent.Load()
-	rep.FramesSkip = stats.FramesSkip.Load()
 	lat := stats.RoundLatency()
 	rep.P50, rep.P99 = time.Duration(lat.P50), time.Duration(lat.P99)
 	if err != nil {
@@ -242,8 +222,8 @@ func Sweep(cfg SweepConfig) ([]*Report, error) {
 func Table(reports []*Report) *metrics.Table {
 	tab := metrics.NewTable("tree", "n", "t", "seed", "plan", "adversary",
 		"rounds", "oracle", "valid", "max_dist",
-		"delays", "stalls", "drops", "parts", "crashes",
-		"reconns", "resent", "skipped", "p50", "p99", "ok")
+		"delays", "stalls", "drops", "parts",
+		"reconns", "resent", "p50", "p99", "ok")
 	for _, r := range reports {
 		plan := r.Plan
 		if plan == "" {
@@ -258,8 +238,8 @@ func Table(reports []*Report) *metrics.Table {
 		}
 		tab.AddRow(r.Tree, r.N, r.T, r.Seed, plan, r.Adversary,
 			r.Rounds, r.OracleMatch, r.Valid, r.MaxDist,
-			r.Delays, r.Stalls, r.Drops, r.Partitions, r.Crashes,
-			r.Reconnects, r.FramesResent, r.FramesSkip, r.P50, r.P99, status)
+			r.Delays, r.Stalls, r.Drops, r.Partitions,
+			r.Reconnects, r.FramesResent, r.P50, r.P99, status)
 	}
 	return tab
 }

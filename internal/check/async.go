@@ -53,7 +53,7 @@ type AsyncCellResult struct {
 func AsyncCompatible(c *Cell) bool {
 	for _, cl := range c.Clauses {
 		switch cl.Name {
-		case "omit", "mutate", "evil":
+		case "omit", "stop", "mutate", "evil":
 			return false
 		}
 	}

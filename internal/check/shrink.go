@@ -61,7 +61,7 @@ func byzClauseIDCount(c *Cell) int {
 	hasByz, hasOmit := false, false
 	for _, cl := range c.Clauses {
 		switch {
-		case cl.Name == "omit":
+		case cl.Name == "omit" || cl.Name == "stop":
 			hasOmit = true
 		case isTamperClause(cl.Name):
 		default:

@@ -134,8 +134,8 @@ func (a *clauseArgs) int(key string, def int) int {
 	return v
 }
 
-// crashRounds is crash's schedule: rounds=R1.R2… (one per party), or drawn
-// from the seed over the run's rounds when absent.
+// crashRounds is crash's and stop's schedule: rounds=R1.R2… (one per
+// party), or drawn from the seed over the run's rounds when absent.
 func (a *clauseArgs) crashRounds() []int {
 	rounds, err := a.cl.IntList("rounds")
 	switch {
@@ -147,7 +147,7 @@ func (a *clauseArgs) crashRounds() []int {
 			rounds = append(rounds, 1+rng.Intn(core.Rounds(a.tr, a.t)+1))
 		}
 	case len(rounds) != len(a.ids):
-		a.err = fmt.Errorf("adversary clause crash: %d rounds for %d parties", len(rounds), len(a.ids))
+		a.err = fmt.Errorf("adversary clause %s: %d rounds for %d parties", a.cl.Name, len(rounds), len(a.ids))
 	}
 	return rounds
 }
@@ -182,6 +182,9 @@ var strategies = map[string]struct {
 	"omit": {omission: true, build: func(a *clauseArgs) sim.Adversary {
 		return &adversary.SendOmitter{IDs: a.ids, N: a.n, Drop: float64(a.int("drop", 500)) / 1000,
 			Halves: a.int("halves", 0) != 0, Seed: a.seed}
+	}},
+	"stop": {omission: true, build: func(a *clauseArgs) sim.Adversary {
+		return &adversary.Stop{IDs: a.ids, N: a.n, Rounds: a.crashRounds()}
 	}},
 }
 

@@ -61,11 +61,9 @@ type ChaosStats struct {
 	Stalls     atomic.Int64 // frames held by a stall clause
 	Drops      atomic.Int64 // connections torn down by a drop clause
 	Partitions atomic.Int64 // frames held across an active partition cut
-	Crashes    atomic.Int64 // honest-process crashes injected
 
 	// Recovery work (recorded by internal/transport's reconnect path).
 	Reconnects   atomic.Int64 // link generations after a party's first, each resumed by a count exchange
-	FramesSkip   atomic.Int64 // regenerated frames suppressed as already delivered
 	FramesResent atomic.Int64
 	BytesResent  atomic.Int64
 
@@ -81,11 +79,11 @@ func (c *ChaosStats) RoundLatency() Summary { return c.roundLat.summary() }
 // String renders the counters for logs and the cmd/chaos report.
 func (c *ChaosStats) String() string {
 	lat := c.RoundLatency()
-	return fmt.Sprintf("injected %d delays / %d stalls / %d drops / %d partition holds / %d crashes; "+
-		"recovered with %d reconnects, %d frames resent (%d bytes), %d suppressed; "+
+	return fmt.Sprintf("injected %d delays / %d stalls / %d drops / %d partition holds; "+
+		"recovered with %d reconnects, %d frames resent (%d bytes); "+
 		"round latency p50 %v p99 %v",
-		c.Delays.Load(), c.Stalls.Load(), c.Drops.Load(), c.Partitions.Load(), c.Crashes.Load(),
-		c.Reconnects.Load(), c.FramesResent.Load(), c.BytesResent.Load(), c.FramesSkip.Load(),
+		c.Delays.Load(), c.Stalls.Load(), c.Drops.Load(), c.Partitions.Load(),
+		c.Reconnects.Load(), c.FramesResent.Load(), c.BytesResent.Load(),
 		time.Duration(lat.P50), time.Duration(lat.P99))
 }
 

@@ -98,7 +98,6 @@ func (o Options) collect() []sample {
 		add("treeaa_chaos_faults_total", "", "", float64(c.Stalls.Load()), `kind="stall"`)
 		add("treeaa_chaos_faults_total", "", "", float64(c.Drops.Load()), `kind="drop"`)
 		add("treeaa_chaos_faults_total", "", "", float64(c.Partitions.Load()), `kind="partition"`)
-		add("treeaa_chaos_faults_total", "", "", float64(c.Crashes.Load()), `kind="crash"`)
 		add("treeaa_chaos_reconnects_total", "Link generations after a party's first, each resumed by a count exchange.", "counter", float64(c.Reconnects.Load()))
 	}
 	return out

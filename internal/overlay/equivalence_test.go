@@ -1,11 +1,13 @@
 package overlay
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"treeaa/internal/adversary"
 	"treeaa/internal/cli"
 	"treeaa/internal/core"
 	"treeaa/internal/crashaa"
@@ -42,9 +44,11 @@ func spreadInputs(tr *tree.Tree, n, seed int) []tree.VertexID {
 // factors on the paper's path:40 topology and on a block graph (TreeAA on
 // the block-cut tree plus the local decode), a relayed execution must
 // reproduce the sequential engine's Result — outputs, rounds, message and
-// byte counts, per-round trace — exactly. The branching sweep covers the
-// degenerate star (every party a sub-leader... of none), a deep skinny tree
-// and the balanced automatic shape.
+// byte counts, per-round trace — exactly, honest and under the omission
+// adversaries (omit, and the stop crash fault), whose parties drop their
+// own sends. The branching sweep covers the degenerate star (every party a
+// sub-leader... of none), a deep skinny tree and the balanced automatic
+// shape.
 func TestTreeMatchesSim(t *testing.T) {
 	const n = 7
 	for _, spec := range []string{"path:40", "graph:cliquechain:3:4"} {
@@ -63,30 +67,37 @@ func TestTreeMatchesSim(t *testing.T) {
 			return ms
 		}
 		for _, branching := range []int{0, 1, 2, 6} {
-			inputs, err := sp.ParseInputs(sp.RotateInputs(n, branching+1), n)
-			if err != nil {
-				t.Fatal(err)
-			}
+			for _, advSpec := range []string{"none", "omit(halves=1)", "stop"} {
+				inputs, err := sp.ParseInputs(sp.RotateInputs(n, branching+1), n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := func(trace *sim.Trace) sim.Config {
+					adv, _, err := sp.BuildAdversary(advSpec, n, 2, int64(branching+1))
+					if err != nil {
+						t.Fatal(err)
+					}
+					return sim.Config{N: n, MaxCorrupt: 2, MaxRounds: sp.Rounds() + 2, Adversary: adv, Trace: trace}
+				}
+				desc := fmt.Sprintf("%s branching %d adversary %s", spec, branching, advSpec)
 
-			var simTrace sim.Trace
-			simCfg := sim.Config{N: n, MaxCorrupt: 2, MaxRounds: sp.Rounds() + 2, Trace: &simTrace}
-			want, err := sim.Run(simCfg, machines(inputs))
-			if err != nil {
-				t.Fatalf("%s branching %d: sim.Run: %v", spec, branching, err)
-			}
+				var simTrace sim.Trace
+				want, err := sim.Run(cfg(&simTrace), machines(inputs))
+				if err != nil {
+					t.Fatalf("%s: sim.Run: %v", desc, err)
+				}
+				var treeTrace sim.Trace
+				got, err := Cluster(cfg(&treeTrace), machines(inputs), Options{Branching: branching})
+				if err != nil {
+					t.Fatalf("%s: Cluster: %v", desc, err)
+				}
 
-			var treeTrace sim.Trace
-			treeCfg := sim.Config{N: n, MaxCorrupt: 2, MaxRounds: sp.Rounds() + 2, Trace: &treeTrace}
-			got, err := Cluster(treeCfg, machines(inputs), Options{Branching: branching})
-			if err != nil {
-				t.Fatalf("%s branching %d: Cluster: %v", spec, branching, err)
-			}
-
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s branching %d: results diverge\ntree: %+v\n sim: %+v", spec, branching, got, want)
-			}
-			if !reflect.DeepEqual(treeTrace, simTrace) {
-				t.Errorf("%s branching %d: traces diverge\ntree: %+v\n sim: %+v", spec, branching, treeTrace, simTrace)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: results diverge\ntree: %+v\n sim: %+v", desc, got, want)
+				}
+				if !reflect.DeepEqual(treeTrace, simTrace) {
+					t.Errorf("%s: traces diverge\ntree: %+v\n sim: %+v", desc, treeTrace, simTrace)
+				}
 			}
 		}
 	}
@@ -170,6 +181,9 @@ func TestTreeRejections(t *testing.T) {
 		want string
 	}{
 		{"adversary", func(c *sim.Config) { c.Adversary = stubAdversary{} }, "rushing adversary"},
+		{"adaptive crash", func(c *sim.Config) {
+			c.Adversary = &adversary.CrashAt{IDs: []sim.PartyID{3}, Rounds: []int{2}}
+		}, "rushing adversary"},
 		{"tamper", func(c *sim.Config) {
 			c.Tamper = func(r int, m sim.Message) (sim.Message, bool) { return m, false }
 		}, "tamper"},

@@ -5,8 +5,8 @@ package overlay
 // has accepted from each origin) and the last round release it holds; the
 // parent answers with an ack carrying its own watermarks. Each side then
 // replays the retained frames the other lacks — which makes initial
-// connects, failover re-homes and crash-restart rejoins the same code path,
-// differing only in how much the watermarks say is missing.
+// connects and failover re-homes the same code path, differing only in how
+// much the watermarks say is missing.
 //
 //	hello  "TAAO" | version | uvarint(session) | u32(from) | u32(to) |
 //	       u32(n) | u32(branching) | flags | uvarint(lastDown) | watermarks

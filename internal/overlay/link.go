@@ -137,7 +137,7 @@ func (l *link) drain(budget time.Duration) {
 	l.conn.Close()
 }
 
-// close tears the link down abruptly (crash injection, error paths).
+// close tears the link down abruptly (failover, error paths).
 func (l *link) close() {
 	l.mu.Lock()
 	l.closing = true

@@ -2,7 +2,6 @@ package overlay
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"net"
 	"sort"
@@ -14,11 +13,6 @@ import (
 	"treeaa/internal/transport"
 	"treeaa/internal/wire"
 )
-
-// errCrashed is the internal signal a supervised node returns when its
-// CrashPlan round fires; the cluster supervisor catches it and restarts the
-// party.
-var errCrashed = errors.New("overlay: injected crash")
 
 // levent is one item of a node's merged event stream: a decoded payload
 // frame with its raw bytes (kept for verbatim forwarding), an inbound
@@ -56,14 +50,13 @@ type upState struct {
 
 // node runs one party over the tree overlay.
 type node struct {
-	id         sim.PartyID
-	n          int
-	lay        Layout
-	maxRounds  int
-	crashRound int
-	session    uint64
-	addrs      []string
-	opts       Options
+	id        sim.PartyID
+	n         int
+	lay       Layout
+	maxRounds int
+	session   uint64
+	addrs     []string
+	opts      Options
 
 	events    chan levent
 	quit      chan struct{}
@@ -96,8 +89,8 @@ func newNode(id sim.PartyID, lay Layout, machine sim.Machine, maxRounds int,
 		ups:      make(map[int]*upState),
 		downs:    make(map[int]bitset),
 	}
-	// Unbounded window: replay-on-connect hands a reborn party every round
-	// it missed at once.
+	// Unbounded window: replay-on-connect can hand a re-homed leaf more
+	// than one round at once.
 	nd.rd = driver.NewRound(id, lay.N, maxRounds, 0, machine, nd)
 	return nd
 }
@@ -194,13 +187,6 @@ func (nd *node) Emit(round int, to sim.PartyID, payload any) error {
 // so on every link the bit travels behind the frames it vouches for — the
 // FIFO invariant the root's release depends on.
 func (nd *node) EndRound(r int, done bool) error {
-	if r == nd.crashRound {
-		// Injected crash: die mid-round, relays out (possibly partially
-		// flushed), the barrier report never sent. The subtree re-homes;
-		// the supervisor restarts us.
-		nd.crash()
-		return fmt.Errorf("%w: party %d at round %d", errCrashed, nd.id, r)
-	}
 	u := nd.up(r)
 	u.arrived.set(nd.id)
 	if done {
@@ -335,19 +321,13 @@ func (nd *node) handle(ev levent) error {
 
 // onRelay is the flood step: accept exactly the next sequence per origin,
 // deliver when addressed, forward everywhere but the arrival link. The
-// strict watermark makes duplicates (re-homed paths, restart re-floods)
+// strict watermark makes duplicates (re-homed paths, handshake replays)
 // vanish at first contact and turns a genuine gap into a loud failure — on
 // FIFO links with handshake replay, gaps can only mean a protocol bug.
 func (nd *node) onRelay(l *link, m wire.RelayMsg, raw []byte) error {
 	o := m.Origin
 	if o < 0 || int(o) >= nd.n {
 		return fmt.Errorf("overlay: party %d: relay origin %d out of range", nd.id, o)
-	}
-	if o == nd.id {
-		// Our own envelope reflected by a handshake replay; we regenerate
-		// these deterministically, so the copy is redundant.
-		nd.opts.Stats.DedupDropped.Add(1)
-		return nil
 	}
 	switch {
 	case m.Seq <= nd.have[o]:
@@ -424,8 +404,7 @@ func (nd *node) onDown(r int, done []byte) error {
 
 // linkDown handles a failed link. A dead parent triggers the failover
 // search; a dead child is benign here — if it owed barrier bits it either
-// re-homes (its own failover), restarts (the supervisor's job), or the
-// round times out.
+// re-homes (its own failover), redials, or the round times out.
 func (nd *node) linkDown(l *link, err error) error {
 	if nd.links[l.peer] != l {
 		return nil // superseded link; its replacement owns the peer now
@@ -443,7 +422,7 @@ func (nd *node) linkDown(l *link, err error) error {
 // watermarks, replay what the child lacks (frames first, then releases —
 // bits never overtake the frames they account for), then start reading.
 // A second handshake from the same peer supersedes the old link, which
-// covers a restarted child redialing before its dead connection is noticed.
+// covers a child redialing before its dead connection is noticed.
 func (nd *node) acceptChild(hs *inbound) error {
 	h := hs.h
 	if old := nd.links[h.from]; old != nil {
@@ -461,7 +440,7 @@ func (nd *node) acceptChild(hs *inbound) error {
 
 // replayTo retransmits every retained envelope beyond the peer's watermark,
 // per origin in sequence order. The peer's own origin is skipped — it
-// regenerates those deterministically.
+// originated those.
 func (nd *node) replayTo(l *link, peerHave []uint64) {
 	for o := 0; o < nd.n; o++ {
 		if sim.PartyID(o) == l.peer {
@@ -499,17 +478,13 @@ func (nd *node) replayDowns(l *link, peerLastDown int) {
 	}
 }
 
-// connectParent dials nd.parentID, handshakes with our watermarks, replays
-// what the parent lacks, and resends our cumulative up-reports — the full
-// state transfer that makes a re-home or restart invisible to the rest of
-// the tree.
-// connectParent establishes the uplink, retrying transient handshake
-// failures until the deadline: the parent's host accepts and immediately
-// drops a connection whenever its seat holds no live node — before the
-// seat's first incarnation is registered at startup, or between crash and
-// restart — and the child must carry the join until the seat is back.
-// Each attempt is individually clamped so the loop re-checks quit often
-// enough for an aborting cluster to reclaim the goroutine promptly.
+// connectParent establishes the uplink — dial nd.parentID, handshake with
+// our watermarks, replay what the parent lacks, and resend our cumulative
+// up-reports: the state transfer that makes a re-home invisible to the rest
+// of the tree. It retries transient handshake failures until the deadline
+// (a parent process not yet listening, a candidate that refuses). Each
+// attempt is individually clamped so the loop re-checks quit often enough
+// for an aborting cluster to reclaim the goroutine promptly.
 func (nd *node) connectParent(deadline time.Time) error {
 	backoff := 10 * time.Millisecond
 	for {
@@ -599,9 +574,9 @@ func (nd *node) resendUps() {
 
 // rehome walks the failover ring until a new parent accepts: the next
 // sub-leaders in ring order, the root as last resort, cycling (with
-// backoff) within the round-timeout budget so a supervised restart can come
-// back. The handshake's bilateral replay then heals whatever the dead
-// parent stranded.
+// backoff) within the round-timeout budget so a candidate that is slow to
+// answer can still come back. The handshake's bilateral replay then heals
+// whatever the abandoned parent stranded.
 func (nd *node) rehome(cause error) error {
 	if nd.id == Root {
 		return fmt.Errorf("overlay: root lost a link it cannot replace: %w", cause)
@@ -635,12 +610,8 @@ func (nd *node) rehome(cause error) error {
 
 // prune releases history the barrier has retired: anything at least two
 // releases behind can no longer be needed by any re-homing peer (a stalled
-// peer is at most one barrier behind the fleet). A crash plan keeps
-// everything for full restart replay.
+// peer is at most one barrier behind the fleet).
 func (nd *node) prune() {
-	if len(nd.opts.CrashPlan) > 0 {
-		return
-	}
 	keep := nd.lastDown - 2
 	for o := range nd.retained {
 		frames := nd.retained[o]
@@ -664,15 +635,27 @@ func (nd *node) prune() {
 	}
 }
 
-// crash kills the node the way a process death would: connections cut
-// mid-stream, nothing flushed, no goodbye.
-func (nd *node) crash() {
-	nd.closeOnce.Do(func() {
-		close(nd.quit)
-		for _, l := range nd.links {
-			l.close()
-		}
-	})
+// accept is the AcceptHost handler of an interior node: it validates the
+// inbound hello off the main loop and hands a good one to it.
+func (nd *node) accept(conn net.Conn) { go nd.handshake(conn) }
+
+func (nd *node) handshake(conn net.Conn) {
+	conn.SetReadDeadline(time.Now().Add(nd.opts.SetupTimeout))
+	br := bufio.NewReaderSize(conn, 64<<10)
+	body, err := transport.ReadFrame(br, transport.MaxFrameSize)
+	if err != nil {
+		conn.Close()
+		return
+	}
+	nd.opts.Wire.AddRecv(len(body))
+	hel, err := parseHello(body)
+	if err != nil || hel.session != nd.session || hel.to != nd.id || hel.n != nd.n ||
+		hel.branch != nd.lay.Branching || hel.from == nd.id || hel.from < 0 || int(hel.from) >= nd.n {
+		conn.Close()
+		return
+	}
+	conn.SetReadDeadline(time.Time{})
+	nd.enqueue(levent{hs: &inbound{conn: conn, br: br, h: hel}})
 }
 
 // shutdown ends the node. When graceful, every link drains its queue first,

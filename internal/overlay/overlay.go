@@ -26,13 +26,12 @@
 // travels behind the frames it accounts for, so by the time a down frame
 // passes a link, every round-r envelope already has.
 //
-// Every link handshake — initial connect, failover re-home, crash-restart
-// rejoin — exchanges per-origin watermarks and both sides replay what the
-// other lacks. That one mechanism heals late joiners, re-homed leaves and
-// restarted interior nodes alike: a leaf whose sub-leader died re-homes to
-// the next sub-leader in the ring (root as last resort, ByzCoinX-style) and
-// pulls the frames the crash stranded, so a dead interior node degrades
-// latency, not correctness.
+// Every link handshake — initial connect, failover re-home — exchanges
+// per-origin watermarks and both sides replay what the other lacks. That one
+// mechanism heals late joiners and re-homed leaves alike: a leaf whose
+// sub-leader stalls re-homes to the next sub-leader in the ring (root as
+// last resort, ByzCoinX-style) and pulls the frames the stall stranded, so a
+// slow or unreachable interior node degrades latency, not correctness.
 package overlay
 
 import (
@@ -42,7 +41,6 @@ import (
 	"time"
 
 	"treeaa/internal/metrics"
-	"treeaa/internal/sim"
 )
 
 // Options tunes the tree overlay. The zero value gets sane defaults and an
@@ -70,19 +68,6 @@ type Options struct {
 	// accounting the mesh transport reports — the number bench/ compares
 	// across substrates (mesh-fleet vs overlay-fleet).
 	Wire *metrics.WireStats
-
-	// CrashPlan schedules honest-party crash injection: party → round. The
-	// party dies abruptly in that round — after its protocol sends, before
-	// its barrier report — and is restarted with a fresh machine from
-	// Restart. Its former children re-home; the restarted node rejoins its
-	// deterministic parent with zero watermarks, replays history, and
-	// re-steps from round 1 — so under a crash plan every node keeps every
-	// relay envelope and release frame for the whole run instead of pruning
-	// behind the barrier.
-	CrashPlan map[sim.PartyID]int
-	// Restart builds a fresh machine for a crash-restarted party; required
-	// when CrashPlan is non-empty.
-	Restart func(p sim.PartyID) (sim.Machine, error)
 }
 
 func (o Options) withDefaults() Options {

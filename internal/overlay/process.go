@@ -26,9 +26,8 @@ var (
 // (root, sub-leaders) listen on their peers-file address, leaves only dial —
 // leaf addresses are carried for uniformity but never dialed. The seat's
 // Session must cover the overlay spec, so a mixed mesh/tree fleet (or two
-// branching factors) refuses to pair at the handshake. The seat supervises
-// itself across injected crashes (opts.CrashPlan naming its ID), keeping its
-// listen address stable across incarnations just like the mesh daemon.
+// branching factors) refuses to pair at the handshake. An omission seat's
+// machine comes wrapped in sim.Omit, as on the mesh.
 func RunProcess(seat transport.Seat, opts Options) (*transport.ProcessResult, error) {
 	if err := seat.Validate(); err != nil {
 		return nil, fmt.Errorf("overlay: %w", err)
@@ -44,27 +43,21 @@ func RunProcess(seat transport.Seat, opts Options) (*transport.ProcessResult, er
 	if err != nil {
 		return nil, err
 	}
-	if _, crashes := opts.CrashPlan[seat.ID]; crashes && opts.Restart == nil {
-		return nil, fmt.Errorf("overlay: crash plan requires Options.Restart to rebuild machines")
-	}
 
-	hold := &holder{}
 	nd := newNode(seat.ID, lay, seat.Machine, seat.MaxRounds, seat.Session, seat.Addrs, opts)
-	nd.crashRound = opts.CrashPlan[seat.ID]
-	hold.set(nd)
-	stop := hold.shutdown
+	stop := func() { nd.shutdown(false) }
 	if lay.Interior(seat.ID) {
 		ln, err := net.Listen("tcp", seat.Addrs[seat.ID])
 		if err != nil {
 			return nil, fmt.Errorf("overlay: party %d listening on %s: %w", seat.ID, seat.Addrs[seat.ID], err)
 		}
-		host := transport.NewAcceptHost(ln, hold.accept)
-		stop = func() { host.Close(); hold.shutdown() }
+		host := transport.NewAcceptHost(ln, nd.accept)
+		stop = func() { host.Close(); nd.shutdown(false) }
 	}
 	defer stop()
 	defer transport.WatchCancel(seat.Ctx, stop)()
 
-	res, err := supervise(nd, hold)
+	res, err := nd.run()
 	if err != nil {
 		return nil, err
 	}

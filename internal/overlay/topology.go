@@ -10,9 +10,9 @@ import (
 // Layout is the deterministic three-level communication tree over parties
 // 0..n−1: party 0 is the root, parties 1..Subleaders are sub-leaders (all
 // children of the root), and every higher id is a leaf assigned to a
-// sub-leader round-robin. Determinism matters twice: every node derives the
-// same tree from (n, branching) alone, with no coordination, and a
-// crash-restarted node knows which parent to rejoin.
+// sub-leader round-robin. Determinism matters: every node derives the same
+// tree, and the same failover ring, from (n, branching) alone, with no
+// coordination.
 type Layout struct {
 	N          int
 	Branching  int // requested branching factor (sub-leader count)
@@ -120,9 +120,8 @@ func (l Layout) MaxDegree() int {
 // Failover returns p's parent candidates after `failed` died, in preference
 // order: for a leaf, the other sub-leaders starting after the failed one in
 // ring order, then the root as last resort; for a sub-leader (or a leaf
-// whose last resort died), just the root again — it is supervised, so
-// redialing it is the only move. The caller cycles the list until its
-// timeout budget runs out.
+// whose last resort died), just the root again — redialing it is the only
+// move. The caller cycles the list until its timeout budget runs out.
 func (l Layout) Failover(p, failed sim.PartyID) []sim.PartyID {
 	if p == Root {
 		return nil

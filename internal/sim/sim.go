@@ -133,8 +133,7 @@ type OutboxFilter interface {
 	// recipient — a broadcast arrives as its n copies, so a filter can drop
 	// any one of them — and the filter may compact it in place. The result
 	// must be a pure function of (r, p, msgs), safe to call concurrently:
-	// every seat filters its own sends from its own goroutine, and a
-	// crash-restarted seat filters its replayed rounds again.
+	// every seat filters its own sends from its own goroutine.
 	FilterOutbox(r int, p PartyID, msgs []Message) []Message
 }
 

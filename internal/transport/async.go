@@ -104,9 +104,6 @@ func AsyncLocalCluster(n int, machines []driver.EventMachine, opts Options) (*As
 			return nil, fmt.Errorf("transport: nil async machine for party %d", i)
 		}
 	}
-	if err := checkAsyncOptions(opts); err != nil {
-		return nil, err
-	}
 	opts = opts.withDefaults()
 
 	listeners, addrs, err := bindLoopback(n)
@@ -143,16 +140,4 @@ func asyncSeat(id sim.PartyID, n int, machine driver.EventMachine, ln net.Listen
 	host := NewAcceptHost(ln, ep.links[id].Accept)
 	return func() (*driver.Event, error) { return runAsyncNode(id, n, machine, ep) },
 		func() { host.Close(); ep.shutdown(false) }
-}
-
-// checkAsyncOptions rejects the one recovery path built on the lock-step
-// round structure. Reconnect is not: the count exchange resends whatever the
-// peer has not received, rounds or no rounds.
-func checkAsyncOptions(opts Options) error {
-	if len(opts.CrashPlan) > 0 || opts.Restart != nil {
-		return fmt.Errorf("transport: crash-restart recovery re-steps a fresh machine through its peers' " +
-			"replayed round history, which an event-driven seat does not have; " +
-			"crash clauses require lock-step machines")
-	}
-	return nil
 }

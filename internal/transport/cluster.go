@@ -14,8 +14,8 @@ import (
 
 // LocalCluster executes machines under cfg as a real networked system: one
 // TCP endpoint per honest party plus one adversary host co-hosting the
-// corrupted set, all on 127.0.0.1 loopback ports. An omission party is an
-// honest seat whose machine (a restarted one too) runs under sim.Omit. For
+// corrupted set, all on 127.0.0.1 loopback ports. An omission party (a
+// stopped one too) is an honest seat whose machine runs under sim.Omit. For
 // any deterministic configuration it accepts, its Result — outputs, rounds,
 // message and byte counts, trace — is byte-for-byte the Result of sim.Run on
 // the same inputs; the equivalence tests in this package pin that against
@@ -38,12 +38,10 @@ func LocalCluster(cfg sim.Config, machines []sim.Machine, opts Options) (*sim.Re
 	if err != nil {
 		return nil, err
 	}
-	// No host seat steps an adversary without corrupted parties, so step it
-	// dry over the round budget (empty views) and refuse one that would act.
-	for r := 1; cfg.Adversary != nil && len(corrupted) == 0 && r <= cfg.MaxRounds; r++ {
-		if msgs, more := cfg.Adversary.Step(r, nil, nil); len(msgs)+len(more) > 0 {
-			return nil, fmt.Errorf("transport: adversary with no initially corrupted parties acts "+
-				"at round %d; a rushing observer needs a corrupted seat — use the in-process transport", r)
+	// No host seat steps an adversary without corrupted parties.
+	if len(corrupted) == 0 {
+		if err := CheckPassive(cfg); err != nil {
+			return nil, err
 		}
 	}
 	if len(omission) > 0 {
@@ -51,26 +49,6 @@ func LocalCluster(cfg sim.Config, machines []sim.Machine, opts Options) (*sim.Re
 		machines = slices.Clone(machines)
 		for _, p := range omission {
 			machines[p] = sim.Omit(f, p, cfg.N, machines[p])
-		}
-		if restart := opts.Restart; restart != nil {
-			opts.Restart = func(p sim.PartyID) (sim.Machine, error) {
-				m, err := restart(p)
-				if err == nil && slices.Contains(omission, p) {
-					m = sim.Omit(f, p, cfg.N, m)
-				}
-				return m, err
-			}
-		}
-	}
-	for p, r := range opts.CrashPlan {
-		if p < 0 || int(p) >= cfg.N || slices.Contains(corrupted, p) {
-			return nil, fmt.Errorf("transport: crash plan names party %d, which is not an honest party", p)
-		}
-		if r <= 0 {
-			return nil, fmt.Errorf("transport: crash plan round %d for party %d, want > 0", r, p)
-		}
-		if opts.Restart == nil {
-			return nil, fmt.Errorf("transport: crash plan requires Options.Restart to rebuild machines")
 		}
 	}
 	observer := sim.PartyID(-1)
@@ -119,6 +97,20 @@ func LocalCluster(cfg sim.Config, machines []sim.Machine, opts Options) (*sim.Re
 		return nil, fmt.Errorf("transport: %w", err)
 	}
 	return res, nil
+}
+
+// CheckPassive refuses cfg.Adversary if it would act — send or corrupt — in
+// any round of cfg's budget when stepped dry, on empty views. A fabric with
+// no seat to step the adversary on can run only a passive one, such as pure
+// send-omission, which each omission seat applies itself.
+func CheckPassive(cfg sim.Config) error {
+	for r := 1; cfg.Adversary != nil && r <= cfg.MaxRounds; r++ {
+		if msgs, more := cfg.Adversary.Step(r, nil, nil); len(msgs)+len(more) > 0 {
+			return fmt.Errorf("transport: adversary with no initially corrupted parties acts "+
+				"at round %d; a rushing observer needs a corrupted seat — use the in-process transport", r)
+		}
+	}
+	return nil
 }
 
 // distributable refuses the one engine feature that needs a global arbiter
@@ -177,15 +169,13 @@ func RunAll[T any](runs []func() (T, error), stops []func()) ([]T, error) {
 
 // honestSeat prepares one honest lock-step party behind an AcceptHost on its
 // bound listener and returns the function that runs it to completion and the
-// one that tears it down. A party the crash plan names dies in that round
-// and superviseNode reseats its next incarnation at the same address.
+// one that tears it down.
 func honestSeat(nc nodeConfig, ln net.Listener, addrs []string, session uint64,
 	opts Options) (run func() (*driver.Result, error), stop func()) {
-	first := newEndpoint([]sim.PartyID{nc.id}, nc.n, addrs, session, opts)
-	host := NewAcceptHost(ln, first.links[nc.id].Accept)
-	nc.ep, nc.crashRound = first, opts.CrashPlan[nc.id]
-	return func() (*driver.Result, error) { return superviseNode(nc, host, opts) },
-		func() { host.Close(); first.shutdown(false) }
+	nc.ep = newEndpoint([]sim.PartyID{nc.id}, nc.n, addrs, session, opts)
+	host := NewAcceptHost(ln, nc.ep.links[nc.id].Accept)
+	return func() (*driver.Result, error) { return runNode(nc) },
+		func() { host.Close(); nc.ep.shutdown(false) }
 }
 
 // hostSeat prepares the adversary host: one endpoint holding every corrupted

@@ -42,30 +42,17 @@ type Options struct {
 	// from's traffic to to, whichever end dialed. internal/chaos uses it to
 	// inject latency, stalls, partitions and drops at the net.Conn boundary.
 	WrapConn func(from, to sim.PartyID, conn net.Conn) net.Conn
-	// Reconnect enables the recovery path: the lower id of a pair redials a
+	// Reconnect enables link resume: the lower id of a pair redials a
 	// failed link with backoff, and on every link generation both ends send
 	// how many data frames they have received from the other and resend
 	// everything past the other's count. Link failures become non-fatal (a
 	// genuinely dead peer surfaces as a barrier timeout). A party retains
-	// every data frame it sent for the whole run — a crash-restarted peer
-	// rejoins by receiving that full history.
+	// every data frame it sent for the whole run, which is what it resends
+	// from.
 	Reconnect bool
-	// Chaos, when non-nil, receives recovery counters (reconnects, resent
-	// and suppressed frames) and per-round latency samples.
+	// Chaos, when non-nil, receives recovery counters (reconnects and
+	// resent frames) and per-round latency samples.
 	Chaos *metrics.ChaosStats
-
-	// CrashPlan schedules honest-party crash injection: party → round. When
-	// the party reaches that round it dies abruptly in its send loop — the
-	// round's frame out to the lower half of its peers, by ascending id, and
-	// to nobody else — and the cluster supervisor restarts it with a fresh
-	// machine from Restart. The restarted party receives its peers' history
-	// to rebuild every inbox, re-steps its deterministic machine from round
-	// 1, and suppresses the regenerated frames its peers' counts say they
-	// hold. Implies Reconnect.
-	CrashPlan map[sim.PartyID]int
-	// Restart builds a fresh machine for a crash-restarted party; required
-	// when CrashPlan is non-empty.
-	Restart func(p sim.PartyID) (sim.Machine, error)
 }
 
 func (o Options) withDefaults() Options {
@@ -80,9 +67,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Dialer == nil {
 		o.Dialer = DialRetry
-	}
-	if len(o.CrashPlan) > 0 {
-		o.Reconnect = true
 	}
 	return o
 }
@@ -104,8 +88,7 @@ type event struct {
 // generation both ends send a count frame first, carrying how many data
 // frames they have received; each holds its data until the other's count
 // arrives, then stages everything past it. That one rule resends what a
-// dropped connection lost and suppresses what a crash-restarted party
-// regenerates but its peer already holds.
+// dropped connection lost.
 type pipe struct {
 	// rmu orders the receive side: the count a generation announces against
 	// the frames read on the generations before it.
@@ -118,7 +101,6 @@ type pipe struct {
 	// on this one only.
 	gen   int
 	open  bool   // the peer's count for gen has arrived: data flows
-	acked uint64 // that count: the peer holds data frames 1..acked
 	fin   bool   // this side finished: a bye follows its data on every generation
 	sent  uint64 // data frames staged, the last one's number
 	wrote uint64 // highest data frame the peer has held or been handed
@@ -152,9 +134,7 @@ type endpoint struct {
 
 // newEndpoint prepares (but does not start) an endpoint for the given local
 // parties. It owns no listener: each local party's AcceptHost feeds its
-// links' Accept, so a listen address outlives the endpoint incarnations of a
-// crash-restarted party; a closed endpoint's links refuse, and the dialer's
-// backoff retries until the next incarnation is seated.
+// links' Accept; a closed endpoint's links refuse.
 func newEndpoint(ids []sim.PartyID, n int, addrs []string, session uint64, opts Options) *endpoint {
 	e := &endpoint{
 		n:       n,
@@ -265,18 +245,10 @@ func (e *endpoint) resume(owner, peer sim.PartyID, p *pipe, acked uint64) error 
 	if p.open {
 		return fmt.Errorf("transport: a second count from party %d on one link generation", peer)
 	}
-	p.acked, p.open = acked, true
+	p.open = true
 	c := e.opts.Chaos
 	if c != nil && p.gen > 1 {
 		c.Reconnects.Add(1)
-	}
-	if held := min(acked, p.sent); held > p.wrote {
-		// Frames of ours the peer holds that this incarnation never wrote:
-		// regenerated after a crash-restart.
-		if c != nil {
-			c.FramesSkip.Add(int64(held - p.wrote))
-		}
-		p.wrote = held
 	}
 	for i, f := range p.kept {
 		seq := uint64(i) + 1
@@ -302,9 +274,8 @@ func (e *endpoint) resume(owner, peer sim.PartyID, p *pipe, acked uint64) error 
 }
 
 // send stages one data frame for peer: numbered, kept for resends, held
-// until the peer's count has arrived, suppressed when that count says the
-// peer has it already — or dropped unnumbered, when the peer said bye and
-// needs nothing more. frame must not change afterwards.
+// until the peer's count has arrived — or dropped unnumbered, when the peer
+// said bye and needs nothing more. frame must not change afterwards.
 func (e *endpoint) send(owner, peer sim.PartyID, frame []byte) {
 	p := e.pipes[owner][peer]
 	p.smu.Lock()
@@ -316,14 +287,7 @@ func (e *endpoint) send(owner, peer sim.PartyID, frame []byte) {
 	if e.opts.Reconnect || !p.open {
 		p.kept = append(p.kept, frame)
 	}
-	switch {
-	case !p.open:
-	case p.sent <= p.acked:
-		if c := e.opts.Chaos; c != nil {
-			c.FramesSkip.Add(1)
-		}
-		p.wrote = max(p.wrote, p.sent)
-	case e.stage(owner, peer, p.gen, frame, false):
+	if p.open && e.stage(owner, peer, p.gen, frame, false) {
 		p.wrote = p.sent
 	}
 }
@@ -523,7 +487,7 @@ func (e *endpoint) finish() {
 // which is how a terminating party guarantees its bye reaches every peer
 // before the FIN does. Otherwise it dies the way a process would:
 // connections cut mid-stream, nothing flushed, no goodbye. The listen
-// address is the party's AcceptHost's and outlives the endpoint either way.
+// address is the party's AcceptHost's.
 func (e *endpoint) shutdown(graceful bool) {
 	e.closeOnce.Do(func() {
 		close(e.quit) // first: a handler waiting on the event stream lets its reader go

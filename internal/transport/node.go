@@ -22,26 +22,21 @@ type nodeConfig struct {
 	observer sim.PartyID
 	machine  sim.Machine
 	ep       *endpoint
-	// crashRound, when > 0, injects a crash: the node dies abruptly in that
-	// round, its frame out to the lower half of its peers only, and returns
-	// errCrashed for superviseNode to catch.
-	crashRound int
 }
 
 // meshNode adapts a driver.Round to the full mesh. The round's frame is the
 // driver's; what is the mesh's is the mirror of every send to the rushing
-// observer, the injected crash, the write at the dry point before the
-// barrier wait, and the wait itself.
+// observer, the write at the dry point before the barrier wait, and the
+// wait itself.
 type meshNode struct {
 	nodeConfig
-	rd       *driver.Round
-	fr       *driver.Framer
-	crashing bool // the round being shipped is crashRound
+	rd *driver.Round
+	fr *driver.Framer
 }
 
 // runNode executes one honest machine in lock step with its peers. The
-// window is unbounded: a crash-restarted party is handed its peers' whole
-// frame history at once.
+// window is unbounded; the barrier already keeps every peer within a round
+// of this one.
 func runNode(cfg nodeConfig) (*driver.Result, error) {
 	e := cfg.ep
 	if err := e.start(); err != nil {
@@ -89,35 +84,10 @@ func (nd *meshNode) Emit(round int, to sim.PartyID, payload any) error {
 	return nd.fr.Emit(round, to, payload)
 }
 
-func (nd *meshNode) EndRound(round int, done bool) error {
-	nd.crashing = round == nd.crashRound
-	err := nd.fr.EndRound(round, done)
-	if nd.crashing {
-		// Injected crash: die in the send loop, the round's frame out
-		// (possibly unflushed) to some peers and not to the rest, who stall at
-		// their round-r barriers until the supervisor restarts us.
-		nd.ep.flush()
-		nd.ep.shutdown(false)
-		return fmt.Errorf("%w: party %d at round %d", errCrashed, nd.id, round)
-	}
-	return err
-}
+func (nd *meshNode) EndRound(round int, done bool) error { return nd.fr.EndRound(round, done) }
 
-// send puts a round's frame on its recipients' links — in the crash round,
-// on those of the lower half of the peers only.
-func (nd *meshNode) send(to sim.PartyID, frame []byte) {
-	var keep func(sim.PartyID) bool
-	if nd.crashing {
-		// The lower half of the peers by ascending id: those below the
-		// (n−1)/2-th, counting from 0 and skipping our own id.
-		half := sim.PartyID((nd.n - 1) / 2)
-		if half >= nd.id {
-			half++
-		}
-		keep = func(p sim.PartyID) bool { return p < half }
-	}
-	nd.ep.ship(nd.id, to, frame, keep)
-}
+// send puts a round's frame on its recipient's link, or on every link.
+func (nd *meshNode) send(to sim.PartyID, frame []byte) { nd.ep.ship(nd.id, to, frame, nil) }
 
 // handle files one event of the barrier wait: a round frame. Anything else
 // is rejected — a mirror is the adversary host's observer's.

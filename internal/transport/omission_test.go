@@ -1,12 +1,15 @@
 package transport
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
+	"treeaa/internal/adversary"
 	"treeaa/internal/cli"
-	"treeaa/internal/metrics"
+	"treeaa/internal/core"
 	"treeaa/internal/sim"
+	"treeaa/internal/tree"
 )
 
 // omissionRun builds one cell's config and machines from the adversary
@@ -32,6 +35,25 @@ func omissionRun(t *testing.T, space, spec string, n, tc int, seed int64, trace 
 	return sp, cfg, machines
 }
 
+// sameAsSim runs one cell on sim.Run and on LocalCluster, each from a fresh
+// build, and holds the cluster's Result and Trace to the engine's.
+func sameAsSim(t *testing.T, desc string, build func(trace *sim.Trace) (sim.Config, []sim.Machine)) {
+	t.Helper()
+	var simTrace, tcpTrace sim.Trace
+	want, err := sim.Run(build(&simTrace))
+	if err != nil {
+		t.Fatalf("%s: sim.Run: %v", desc, err)
+	}
+	tcpCfg, tcpMachines := build(&tcpTrace)
+	got, err := LocalCluster(tcpCfg, tcpMachines, Options{})
+	if err != nil {
+		t.Fatalf("%s: LocalCluster: %v", desc, err)
+	}
+	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(tcpTrace, simTrace) {
+		t.Errorf("%s: diverges\n tcp: %+v %+v\n sim: %+v %+v", desc, got, tcpTrace, want, simTrace)
+	}
+}
+
 // TestClusterMatchesSimUnderOmission: an omission party drops its own sends
 // in its own seat, so the loopback cluster reproduces sim.Run's Result and
 // Trace exactly — with no host seat when every faulty party omits, and
@@ -39,7 +61,7 @@ func omissionRun(t *testing.T, space, spec string, n, tc int, seed int64, trace 
 func TestClusterMatchesSimUnderOmission(t *testing.T) {
 	const n, tc = 7, 2
 	spaces := []string{"path:40", "caterpillar:8:2", "graph:cliquechain:3:4"}
-	specs := []string{"omit(drop=250)", "omit(halves=1)", "splitvote+omit(drop=500)"}
+	specs := []string{"omit(drop=250)", "omit(halves=1)", "splitvote+omit(drop=500)", "stop", "splitvote+stop(rounds=3)"}
 	seeds := int64(5)
 	if testing.Short() {
 		seeds = 2
@@ -47,60 +69,30 @@ func TestClusterMatchesSimUnderOmission(t *testing.T) {
 	for _, space := range spaces {
 		for _, spec := range specs {
 			for seed := int64(1); seed <= seeds; seed++ {
-				var simTrace, tcpTrace sim.Trace
-				_, simCfg, simMachines := omissionRun(t, space, spec, n, tc, seed, &simTrace)
-				want, err := sim.Run(simCfg, simMachines)
-				if err != nil {
-					t.Fatalf("%s %s seed %d: sim.Run: %v", space, spec, seed, err)
-				}
-				_, tcpCfg, tcpMachines := omissionRun(t, space, spec, n, tc, seed, &tcpTrace)
-				got, err := LocalCluster(tcpCfg, tcpMachines, Options{})
-				if err != nil {
-					t.Fatalf("%s %s seed %d: LocalCluster: %v", space, spec, seed, err)
-				}
-				if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(tcpTrace, simTrace) {
-					t.Errorf("%s %s seed %d: diverges\n tcp: %+v %+v\n sim: %+v %+v",
-						space, spec, seed, got, tcpTrace, want, simTrace)
-				}
+				sameAsSim(t, fmt.Sprintf("%s %s seed %d", space, spec, seed), func(trace *sim.Trace) (sim.Config, []sim.Machine) {
+					_, cfg, machines := omissionRun(t, space, spec, n, tc, seed, trace)
+					return cfg, machines
+				})
 			}
 		}
 	}
 }
 
-// TestClusterOmissionCrashRestart crashes an omission seat in its round-3
-// send loop: the restarted machine is wrapped again and re-filters its
-// replayed rounds, which must reproduce what the first incarnation sent —
-// the filter is a pure function of (round, party, outbox) — so the Result
-// is still sim.Run's.
-func TestClusterOmissionCrashRestart(t *testing.T) {
-	const n, tc, seed = 7, 2, 3
-	for _, spec := range []string{"omit(drop=500)", "splitvote+omit(drop=500)"} {
-		var simTrace, tcpTrace sim.Trace
-		_, simCfg, simMachines := omissionRun(t, "path:40", spec, n, tc, seed, &simTrace)
-		want, err := sim.Run(simCfg, simMachines)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sp, tcpCfg, tcpMachines := omissionRun(t, "path:40", spec, n, tc, seed, &tcpTrace)
-		crash := tcpCfg.Adversary.(sim.OutboxFilter).OmissionParties()[0]
-		inputs := sp.SpreadInputs(n)
-		var stats metrics.ChaosStats
-		got, err := LocalCluster(tcpCfg, tcpMachines, Options{
-			Chaos:     &stats,
-			CrashPlan: map[sim.PartyID]int{crash: 3},
-			Restart: func(p sim.PartyID) (sim.Machine, error) {
-				m, _, err := sp.NewMachine(n, tc, p, inputs[p])
-				return m, err
-			},
+// TestClusterCrashRestart: a crashed party is a crash fault — the stop
+// clause, which sends its round-2 frame to the lower half of its peers and
+// nothing after — and the loopback cluster reproduces sim.Run's Result and
+// Trace exactly. The stopped party sits in the middle beside the adversary
+// host, at the lowest id, and at the highest id, which dials nobody.
+func TestClusterCrashRestart(t *testing.T) {
+	const n, tc = 7, 2
+	tr := tree.NewPath(20)
+	inputs := spreadInputs(tr, n, 2)
+	for _, c := range []struct{ stop, byz sim.PartyID }{{3, 6}, {0, 2}, {6, 2}} {
+		sameAsSim(t, fmt.Sprintf("party %d stopping at round 2", c.stop), func(trace *sim.Trace) (sim.Config, []sim.Machine) {
+			stop := &adversary.Stop{IDs: []sim.PartyID{c.stop}, N: n, Rounds: []int{2}}
+			return sim.Config{N: n, MaxCorrupt: tc, MaxRounds: core.Rounds(tr, tc) + 2, Trace: trace,
+					Adversary: &adversary.Compose{Strategies: []sim.Adversary{stop, splitVoteAt(tr, n, tc, c.byz)}}},
+				buildMachines(t, tr, n, tc, inputs)
 		})
-		if err != nil {
-			t.Fatalf("%s: LocalCluster: %v", spec, err)
-		}
-		if c := stats.Crashes.Load(); c != 1 {
-			t.Errorf("%s: %d crashes injected, want 1", spec, c)
-		}
-		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(tcpTrace, simTrace) {
-			t.Errorf("%s: crash-restart of omission party %d diverges\n tcp: %+v\n sim: %+v", spec, crash, got, want)
-		}
 	}
 }

@@ -71,9 +71,6 @@ func RunProcess(seat Seat, opts Options) (*ProcessResult, error) {
 				"adversary needs a global view between send and delivery, which is defined against " +
 				"lock-step rounds — drop the adversary or run lock-step machines")
 		}
-		if err := checkAsyncOptions(opts); err != nil {
-			return nil, err
-		}
 		ln, err := listen(seat, seat.ID)
 		if err != nil {
 			return nil, err
@@ -99,13 +96,6 @@ func RunProcess(seat Seat, opts Options) (*ProcessResult, error) {
 				return nil, fmt.Errorf("transport: corrupted party %d is co-hosted by the adversary host "+
 					"(party %d); do not launch a separate process for it", seat.ID, observer)
 			}
-		}
-		// A crash plan naming this seat restarts it within the process: the
-		// seat dies and rejoins without giving up its listen address (real
-		// deployments would respawn the binary; the supervisor emulates that,
-		// keeping the peers-file address stable).
-		if _, supervised := opts.CrashPlan[seat.ID]; supervised && opts.Restart == nil {
-			return nil, fmt.Errorf("transport: crash plan requires Options.Restart to rebuild machines")
 		}
 		ln, err := listen(seat, seat.ID)
 		if err != nil {

@@ -62,13 +62,13 @@ func TestRunProcessRefusals(t *testing.T) {
 }
 
 // TestProcessFleetUnderOmission runs a fleet of RunProcess seats the way
-// cmd/node deploys one: each omission party is an honest Machine seat whose
-// machine drops its own sends (sim.Omit), and the adversary host sits at the
-// lowest Byzantine id. Outputs, rounds and the summed send counts must be
-// sim.Run's.
+// cmd/node deploys one: each omission party — a stopped one too — is an
+// honest Machine seat whose machine drops its own sends (sim.Omit), and the
+// adversary host sits at the lowest Byzantine id. Outputs, rounds and the
+// summed send counts must be sim.Run's.
 func TestProcessFleetUnderOmission(t *testing.T) {
 	const n, tc, seed = 7, 2, 1
-	for _, spec := range []string{"splitvote+omit(halves=1)", "omit(drop=300)"} {
+	for _, spec := range []string{"splitvote+omit(halves=1)", "omit(drop=300)", "splitvote+stop(rounds=2)"} {
 		_, cfg, machines := omissionRun(t, "path:24", spec, n, tc, seed, nil)
 		want, err := sim.Run(cfg, machines)
 		if err != nil {

@@ -79,99 +79,6 @@ func TestClusterReconnectResend(t *testing.T) {
 	}
 }
 
-// TestClusterCrashRestart kills an honest party in its round-2 send loop —
-// the round's frame goes to the lower half of its peers and to nobody else —
-// and checks the full recovery story: the supervisor restarts it with a
-// fresh machine, the party rebuilds its inboxes from the history its peers
-// resend, re-steps deterministically, suppresses what the served peers
-// already hold, and the merged Result — outputs, rounds, counts, trace — is
-// byte-identical to an execution that never crashed. The unserved half
-// receives round 2 exactly once, from the second incarnation: a duplicate
-// would fail the driver's one-mark-per-round check, a hole the oracle
-// comparison. The crashed party is a middle id beside the adversary host,
-// the lowest id, and the highest id — which dials nobody, so its restart is
-// reached only by its peers' redial loops.
-func TestClusterCrashRestart(t *testing.T) {
-	tr := tree.NewPath(20)
-	const n, tc = 5, 1
-	inputs := spreadInputs(tr, n, 2)
-	for _, c := range []struct {
-		crash     sim.PartyID
-		corrupted sim.PartyID
-	}{{3, 4}, {0, 2}, {4, 2}} {
-		mkCfg := func(trace *sim.Trace) sim.Config {
-			return sim.Config{N: n, MaxCorrupt: tc, MaxRounds: core.Rounds(tr, tc) + 2,
-				Adversary: splitVoteAt(tr, n, tc, c.corrupted), Trace: trace}
-		}
-		var simTrace sim.Trace
-		want, err := sim.Run(mkCfg(&simTrace), buildMachines(t, tr, n, tc, inputs))
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		var stats metrics.ChaosStats
-		var tcpTrace sim.Trace
-		var mu sync.Mutex
-		wraps := make(map[sim.PartyID]int) // connections the crashing party has opened, per peer
-		var served []sim.PartyID           // peers its first incarnation wrote round 2's frame to
-		got, err := LocalCluster(mkCfg(&tcpTrace), buildMachines(t, tr, n, tc, inputs), Options{
-			Chaos:     &stats,
-			CrashPlan: map[sim.PartyID]int{c.crash: 2},
-			Restart: func(p sim.PartyID) (sim.Machine, error) {
-				return core.NewMachine(core.Config{Tree: tr, N: n, T: tc, ID: p, Input: inputs[p]})
-			},
-			WrapConn: func(from, to sim.PartyID, conn net.Conn) net.Conn {
-				if from != c.crash {
-					return conn
-				}
-				mu.Lock()
-				first := wraps[to] == 0
-				wraps[to]++
-				mu.Unlock()
-				return &frameTap{conn, func(tag byte, round int) {
-					if first && tag == FrameMuxSession && round == 2 {
-						mu.Lock()
-						served = append(served, to)
-						mu.Unlock()
-					}
-				}}
-			},
-		})
-		if err != nil {
-			t.Fatalf("party %d crashing: LocalCluster with crash plan: %v", c.crash, err)
-		}
-		var peers []sim.PartyID
-		for p := sim.PartyID(0); p < n; p++ {
-			if p != c.crash {
-				peers = append(peers, p)
-			}
-		}
-		for _, p := range served {
-			if p >= peers[len(peers)/2] {
-				t.Errorf("the crashed incarnation of party %d wrote its round-2 frame to party %d, past the lower half of its peers", c.crash, p)
-			}
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("party %d crashing: results diverge after crash-restart\n tcp: %+v\n sim: %+v", c.crash, got, want)
-		}
-		if !reflect.DeepEqual(tcpTrace, simTrace) {
-			t.Errorf("party %d crashing: traces diverge after crash-restart\n tcp: %+v\n sim: %+v", c.crash, tcpTrace, simTrace)
-		}
-		if got := stats.Crashes.Load(); got != 1 {
-			t.Errorf("party %d crashing: Crashes = %d, want 1", c.crash, got)
-		}
-		if stats.Reconnects.Load() < 1 {
-			t.Errorf("party %d crashing: Reconnects = %d, want ≥ 1 (peers must relink the restarted party)", c.crash, stats.Reconnects.Load())
-		}
-		if stats.FramesResent.Load() < 1 {
-			t.Errorf("party %d crashing: FramesResent = %d, want ≥ 1 (history resent to the fresh receiver)", c.crash, stats.FramesResent.Load())
-		}
-		if stats.FramesSkip.Load() < 1 {
-			t.Errorf("party %d crashing: FramesSkip = %d, want ≥ 1 (regenerated frames the peers already hold)", c.crash, stats.FramesSkip.Load())
-		}
-	}
-}
-
 // TestClusterOneConnectionPerPair: a mesh of n parties opens one duplex
 // connection per pair — the lower id dials — so every Dialer call is one
 // connection, n(n−1)/2 of them, where simplex links took n(n−1).
@@ -274,31 +181,6 @@ func TestLinkGenerationFence(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rounds, []int{1, 2}) || e.pipes[0][1].rcvd != 2 {
 		t.Errorf("the node got rounds %v (%d counted), want [1 2] with 2 counted", rounds, e.pipes[0][1].rcvd)
-	}
-}
-
-// TestClusterCrashPlanValidation: malformed crash plans fail fast.
-func TestClusterCrashPlanValidation(t *testing.T) {
-	tr := tree.NewPath(8)
-	const n, tc = 4, 1
-	inputs := spreadInputs(tr, n, 1)
-	restart := func(p sim.PartyID) (sim.Machine, error) {
-		return core.NewMachine(core.Config{Tree: tr, N: n, T: tc, ID: p, Input: inputs[p]})
-	}
-	base := sim.Config{N: n, MaxCorrupt: tc, MaxRounds: core.Rounds(tr, tc) + 2,
-		Adversary: splitVote(tr, n, tc)}
-
-	// splitVote corrupts the last tc parties, so party 3 is the corrupted one.
-	cases := map[string]Options{
-		"corrupted party": {CrashPlan: map[sim.PartyID]int{3: 2}, Restart: restart},
-		"out of range":    {CrashPlan: map[sim.PartyID]int{9: 2}, Restart: restart},
-		"round zero":      {CrashPlan: map[sim.PartyID]int{1: 0}, Restart: restart},
-		"no restart":      {CrashPlan: map[sim.PartyID]int{1: 2}},
-	}
-	for name, opts := range cases {
-		if _, err := LocalCluster(base, buildMachines(t, tr, n, tc, inputs), opts); err == nil {
-			t.Errorf("%s: LocalCluster accepted the plan", name)
-		}
 	}
 }
 

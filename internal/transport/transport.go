@@ -17,10 +17,10 @@
 // connection per pair of parties, its hello, generations and the lower-id
 // redial, writes made where input runs dry), which the serving daemons of
 // internal/session run on too — and, for the one-shot mesh, the barrier
-// wait, the round / idle timers, the count-exchange resume and crash-restart
-// recovery on top of that link, the mirror frames that grant the rushing
-// adversary its view, and the adversary host, which co-hosts the corrupted
-// seats on one driver.Mailbox each.
+// wait, the round / idle timers, the count-exchange resume on top of that
+// link, the mirror frames that grant the rushing adversary its view, and the
+// adversary host, which co-hosts the corrupted seats on one driver.Mailbox
+// each.
 package transport
 
 import (
