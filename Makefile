@@ -80,12 +80,14 @@ bench-module:
 
 # Multi-process smoke: spawn real cmd/node processes on loopback ports (an
 # honest 3-node path cluster, then a 7-party splitvote deployment with the
-# adversary host seat, then a block-graph deployment running TreeAA on the
-# block-cut tree) and assert validity + agreement of the outputs.
+# adversary host seat, the same host sending byte-mutated traffic, then a
+# block-graph deployment running TreeAA on the block-cut tree) and assert
+# validity + agreement of the outputs.
 node-smoke:
 	$(GO) run ./cmd/node -cluster 3 -tree path:16
 	$(GO) run ./cmd/node -cluster 7 -t 2 -tree path:40 -adversary splitvote
 	$(GO) run ./cmd/node -cluster 7 -t 2 -tree path:40 -adversary 'replay(delay=3)'
+	$(GO) run ./cmd/node -cluster 7 -t 2 -tree path:40 -adversary 'splitvote+mutate(rate=300)'
 	$(GO) run ./cmd/node -cluster 4 -t 1 -tree graph:cliquechain:3:4 -adversary splitvote
 	$(GO) run ./cmd/node -cluster 7 -t 2 -tree path:40 -adversary 'splitvote+omit(halves=1)'
 	$(GO) run ./cmd/node -cluster 4 -t 1 -tree path:16 -adversary 'omit(drop=300)'

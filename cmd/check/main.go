@@ -14,7 +14,7 @@
 //	check -json -budget 50                 # one JSON object per cell
 //	check -async-every 1 -async-budget 0   # async battery on every compatible cell
 //
-// Async-compatible cells (no omission filtering, no delivery-seam tamperers)
+// Async-compatible cells (no omission filtering, no mutate, no planted evil)
 // additionally run through the event-driven internal/async runtime under
 // every adversarial scheduler, asserting validity, 1-agreement, Lemma-4 path
 // agreement, per-phase epsilon-agreement and hull non-expansion — the
@@ -64,11 +64,11 @@ func main() {
 	os.Exit(code)
 }
 
-// knownBad is the deliberately broken adversary for the -inject-bad demo: a
-// delivery-seam tamperer that rewrites every gradecast value consistently, so
-// no equivocation is ever observed and the burn rule stays silent, while the
-// concentrated input placement puts the tampered output outside the honest
-// hull.
+// knownBad is the deliberately broken cell for the -inject-bad demo: the
+// planted evil machine bug makes every honest party gradecast one fixed
+// value, consistently, so no equivocation is ever observed and the burn
+// rule stays silent, while the concentrated input placement puts the
+// resulting output outside the honest hull.
 const knownBad = "s=1;tree=star:6;n=9;t=2;in=1.1.1.1.1.1.1.1.1;adv=splitvote(per=1)+evil(val=1000000)"
 
 func run(seeds string, budget int, cells, repro, spaceKind string, injectBad bool, shrinkB, tcpEvery, asyncEvery, asyncBudget int, jsonOut bool) (int, error) {

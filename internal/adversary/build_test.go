@@ -13,17 +13,24 @@ import (
 
 // TestBuildCoversEveryName pins that the adversary language's table builds
 // every strategy it names, that only the omission clauses (omit, stop) name
-// omission parties, and that every name round-trips through Clause.String
-// and ParseAdversary.
+// omission parties, that the modifier (mutate) claims no party, and that
+// every name round-trips through Clause.String and ParseAdversary.
 func TestBuildCoversEveryName(t *testing.T) {
 	sp := &cli.Space{Tree: tree.NewPath(9)}
 	for _, name := range cli.AdversaryNames() {
-		adv, corrupt, err := sp.BuildAdversary(name, 7, 2, 1)
+		spec := name
+		if name == "mutate" {
+			if adv, corrupt, err := sp.BuildAdversary(name, 7, 2, 1); err != nil || adv != nil || len(corrupt) != 0 {
+				t.Fatalf("BuildAdversary(%q) = (%v, %v, %v), want nothing to modify", name, adv, corrupt, err)
+			}
+			spec = "silent+" + name
+		}
+		adv, corrupt, err := sp.BuildAdversary(spec, 7, 2, 1)
 		if err != nil {
-			t.Fatalf("BuildAdversary(%q): %v", name, err)
+			t.Fatalf("BuildAdversary(%q): %v", spec, err)
 		}
 		if adv == nil || len(corrupt) != 2 {
-			t.Fatalf("BuildAdversary(%q) = (%v, %v)", name, adv, corrupt)
+			t.Fatalf("BuildAdversary(%q) = (%v, %v)", spec, adv, corrupt)
 		}
 		wantOmits := name == "omit" || name == "stop"
 		if omits := len(adv.(sim.OutboxFilter).OmissionParties()) > 0; omits != wantOmits {
@@ -109,5 +116,20 @@ func TestBuildMatchesLiterals(t *testing.T) {
 	}
 	if len(corrupt) != 2 || !corrupt[ids[0]] || !corrupt[ids[1]] {
 		t.Errorf("omit+none+noise corrupts %v, want %v", corrupt, ids)
+	}
+
+	// The modifier wraps what the other clauses compose, whatever its
+	// position, and takes no share of the corrupted set.
+	for spec, rate := range map[string]int{"mutate(rate=300)+omit+silent": 300, "omit+silent+mutate": 200} {
+		got, corrupt, err := (&cli.Space{Tree: tr}).BuildAdversary(spec, n, tc, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := &adversary.Mutate{OutboxFilter: &adversary.Compose{Strategies: []sim.Adversary{
+			&adversary.SendOmitter{IDs: ids[:1], N: n, Drop: 0.5, Seed: seed}, &adversary.Silent{IDs: ids[1:]},
+		}}, N: n, Rate: rate, Seed: seed}
+		if !reflect.DeepEqual(got, want) || len(corrupt) != 2 {
+			t.Errorf("%s = %#v corrupting %v, want %#v", spec, got, corrupt, want)
+		}
 	}
 }

@@ -1,10 +1,11 @@
-package baseline
+package baseline_test
 
 import (
 	"math/rand"
 	"testing"
 
 	"treeaa/internal/adversary"
+	"treeaa/internal/baseline"
 	"treeaa/internal/sim"
 	"treeaa/internal/tree"
 )
@@ -46,7 +47,7 @@ func TestIterationsBudget(t *testing.T) {
 		{0, 0}, {1, 0}, {2, 3}, {4, 4}, {16, 6}, {100, 9},
 	}
 	for _, tc := range tests {
-		if got := Iterations(tc.d); got != tc.want {
+		if got := baseline.Iterations(tc.d); got != tc.want {
 			t.Errorf("Iterations(%d) = %d, want %d", tc.d, got, tc.want)
 		}
 	}
@@ -56,7 +57,7 @@ func TestBaselineHonest(t *testing.T) {
 	tr := tree.NewPath(33)
 	n := 5
 	inputs := []tree.VertexID{0, 32, 16, 8, 24}
-	outputs, _, err := Run(tr, n, 1, inputs, nil)
+	outputs, _, err := baseline.Run(tr, n, 1, inputs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,18 +71,18 @@ func TestBaselineHonestExactAgreementAfterOneIteration(t *testing.T) {
 	inputs := []tree.VertexID{0, 7, 14, 21}
 	machines := make([]sim.Machine, n)
 	for i := 0; i < n; i++ {
-		m, err := NewMachine(Config{Tree: tr, N: n, T: 1, ID: sim.PartyID(i), Input: inputs[i]})
+		m, err := baseline.NewMachine(baseline.Config{Tree: tr, N: n, T: 1, ID: sim.PartyID(i), Input: inputs[i]})
 		if err != nil {
 			t.Fatal(err)
 		}
 		machines[i] = m
 	}
-	if _, err := sim.Run(sim.Config{N: n, MaxCorrupt: 1, MaxRounds: Rounds(tr) + 2}, machines); err != nil {
+	if _, err := sim.Run(sim.Config{N: n, MaxCorrupt: 1, MaxRounds: baseline.Rounds(tr) + 2}, machines); err != nil {
 		t.Fatal(err)
 	}
 	var first tree.VertexID
 	for i, mach := range machines {
-		h := mach.(*Machine).History()
+		h := mach.(*baseline.Machine).History()
 		if i == 0 {
 			first = h[0]
 		}
@@ -114,7 +115,7 @@ func (a *vertexSplitter) Step(r int, _ []sim.Message, _ map[sim.PartyID][]sim.Me
 			if to >= a.n/2 {
 				v = a.hi
 			}
-			msgs = append(msgs, sim.Message{From: from, To: sim.PartyID(to), Payload: VertexMsg{Tag: a.tag, Iter: r, V: v}})
+			msgs = append(msgs, sim.Message{From: from, To: sim.PartyID(to), Payload: baseline.VertexMsg{Tag: a.tag, Iter: r, V: v}})
 		}
 	}
 	return msgs, nil
@@ -127,7 +128,7 @@ func TestBaselineUnderSplitter(t *testing.T) {
 	ids := adversary.FirstParties(n, tc)
 	corrupt := map[sim.PartyID]bool{ids[0]: true, ids[1]: true}
 	adv := &vertexSplitter{ids: ids, n: n, tag: "baseline", lo: 0, hi: 64}
-	outputs, _, err := Run(tr, n, tc, inputs, adv)
+	outputs, _, err := baseline.Run(tr, n, tc, inputs, adv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestBaselineUnderSplitterManyTrees(t *testing.T) {
 		}
 		_, a, b := tr.Diameter()
 		adv := &vertexSplitter{ids: ids, n: n, tag: "baseline", lo: a, hi: b}
-		outputs, _, err := Run(tr, n, tc, inputs, adv)
+		outputs, _, err := baseline.Run(tr, n, tc, inputs, adv)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -165,7 +166,7 @@ func TestBaselineCrash(t *testing.T) {
 	inputs := []tree.VertexID{0, 10, 20, 29}
 	adv := &adversary.Silent{IDs: []sim.PartyID{3}}
 	corrupt := map[sim.PartyID]bool{3: true}
-	outputs, _, err := Run(tr, n, tc, inputs, adv)
+	outputs, _, err := baseline.Run(tr, n, tc, inputs, adv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestBaselineCrash(t *testing.T) {
 func TestBaselineTrivial(t *testing.T) {
 	tr := tree.NewPath(2)
 	inputs := []tree.VertexID{0, 1, 0, 1}
-	outputs, res, err := Run(tr, 4, 1, inputs, nil)
+	outputs, res, err := baseline.Run(tr, 4, 1, inputs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,8 +188,8 @@ func TestBaselineTrivial(t *testing.T) {
 
 func TestBaselineRoundsLogarithmic(t *testing.T) {
 	// Rounds must grow like log2(D).
-	r100 := Rounds(tree.NewPath(101))   // D = 100
-	r1000 := Rounds(tree.NewPath(1025)) // D = 1024
+	r100 := baseline.Rounds(tree.NewPath(101))   // D = 100
+	r1000 := baseline.Rounds(tree.NewPath(1025)) // D = 1024
 	if r100 < 5 || r100 > 12 {
 		t.Errorf("Rounds(D=100) = %d, want ~log2", r100)
 	}
@@ -199,21 +200,21 @@ func TestBaselineRoundsLogarithmic(t *testing.T) {
 
 func TestNewMachineErrors(t *testing.T) {
 	tr := tree.Figure3Tree()
-	base := Config{Tree: tr, N: 4, T: 1, ID: 0, Input: 0}
-	if _, err := NewMachine(base); err != nil {
+	base := baseline.Config{Tree: tr, N: 4, T: 1, ID: 0, Input: 0}
+	if _, err := baseline.NewMachine(base); err != nil {
 		t.Fatalf("base: %v", err)
 	}
-	bad := []func(c *Config){
-		func(c *Config) { c.Tree = nil },
-		func(c *Config) { c.Input = 99 },
-		func(c *Config) { c.N = 0 },
-		func(c *Config) { c.T = 2 },
-		func(c *Config) { c.ID = 9 },
+	bad := []func(c *baseline.Config){
+		func(c *baseline.Config) { c.Tree = nil },
+		func(c *baseline.Config) { c.Input = 99 },
+		func(c *baseline.Config) { c.N = 0 },
+		func(c *baseline.Config) { c.T = 2 },
+		func(c *baseline.Config) { c.ID = 9 },
 	}
 	for i, mutate := range bad {
 		c := base
 		mutate(&c)
-		if _, err := NewMachine(c); err == nil {
+		if _, err := baseline.NewMachine(c); err == nil {
 			t.Errorf("mutation %d: want error", i)
 		}
 	}
@@ -239,7 +240,7 @@ func TestSubtreeCenter(t *testing.T) {
 
 func TestRunInputMismatch(t *testing.T) {
 	tr := tree.Figure3Tree()
-	if _, _, err := Run(tr, 3, 0, []tree.VertexID{0}, nil); err == nil {
+	if _, _, err := baseline.Run(tr, 3, 0, []tree.VertexID{0}, nil); err == nil {
 		t.Error("want error for input count mismatch")
 	}
 }

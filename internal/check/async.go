@@ -46,8 +46,8 @@ type AsyncCellResult struct {
 }
 
 // AsyncCompatible reports whether the cell translates to the asynchronous
-// model. Omission filtering and the delivery-seam tamperers (mutate, evil)
-// are round-seam constructions with no async counterpart; every Byzantine
+// model. Omission filtering, mutate and the planted evil bug are
+// round-indexed constructions with no async counterpart; every Byzantine
 // clause maps — silent and crash to machines that stop participating,
 // everything else to a well-formed RBC flood.
 func AsyncCompatible(c *Cell) bool {
@@ -89,7 +89,7 @@ func RunAsyncCell(c *Cell, opt AsyncOptions) (*AsyncCellResult, error) {
 		return nil, err
 	}
 	if !AsyncCompatible(c) {
-		return nil, fmt.Errorf("check: cell %s has no async counterpart (omit/mutate/evil are round-seam constructions)", c)
+		return nil, fmt.Errorf("check: cell %s has no async counterpart (omit/stop/mutate/evil are round-indexed constructions)", c)
 	}
 	out := &AsyncCellResult{Spec: c.String()}
 	for _, sched := range asyncSchedulers(c) {

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -116,8 +117,8 @@ func TestGeneratedCellsAreClean(t *testing.T) {
 }
 
 // TestDifferentialCells pins the sequential/concurrent differential on a
-// fixed matrix of cells covering every clause family, including the
-// delivery-seam tamperers. make prop runs this test under -race.
+// fixed matrix of cells covering every clause family, including mutate.
+// make prop runs this test under -race.
 func TestDifferentialCells(t *testing.T) {
 	for _, spec := range []string{
 		"s=1;tree=path:8;n=7;t=2;in=spread;adv=splitvote(per=1)",
@@ -139,8 +140,39 @@ func TestDifferentialCells(t *testing.T) {
 	}
 }
 
+// TestMutateLeavesCrashAlone: mutate rewrites only what the Byzantine share
+// sends. A crashing party's sends before its crash round are honest, and it
+// sends nothing after, so a crash cell runs the same with or without
+// mutate.
+func TestMutateLeavesCrashAlone(t *testing.T) {
+	run := func(spec string) viewRun {
+		cr, err := compile(MustParse(spec))
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		cfg, err := cr.config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms, _, _, err := cr.machines(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return runViewForm(t, cfg, ms, false)
+	}
+	for _, space := range []string{"spider:3:3", "figure3", "graph:cliquechain:3:4"} {
+		for seed := int64(1); seed <= 3; seed++ {
+			crash := fmt.Sprintf("s=%d;tree=%s;n=7;t=2;in=spread;adv=crash(rounds=%d.%d)", seed, space, 2+seed, 7+seed)
+			if got, want := run(crash+"+mutate(rate=400)"), run(crash); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: mutate changed a crash-only execution:\n got %+v\nwant %+v", crash, got, want)
+			}
+		}
+	}
+}
+
 // TestTCPDifferential runs the TCP comparison on compatible cells: a
-// Byzantine one, and omission beside a Byzantine clause (the omission seat
+// Byzantine one, the same under mutate (the adversary host sends the
+// mutated bytes), and omission beside a Byzantine clause (the omission seat
 // filters its own sends, beside the adversary host).
 func TestTCPDifferential(t *testing.T) {
 	if testing.Short() {
@@ -148,6 +180,7 @@ func TestTCPDifferential(t *testing.T) {
 	}
 	for _, spec := range []string{
 		"s=1;tree=path:8;n=4;t=1;in=spread;adv=splitvote(per=1)",
+		"s=1;tree=path:8;n=4;t=1;in=spread;adv=splitvote(per=1)+mutate(rate=300)",
 		"s=1;tree=path:16;n=7;t=2;in=spread;adv=omit(halves=1)+splitvote",
 	} {
 		res, err := RunCell(MustParse(spec), Options{TCP: true})
@@ -163,13 +196,14 @@ func TestTCPDifferential(t *testing.T) {
 	}
 }
 
-// evilSpec is the known-bad injection: the delivery-seam tamperer rewrites
-// every value gradecast consistently (so the burn rule never fires) to a
-// position far outside the tree, dragging honest outputs out of the honest
-// hull. Inputs are concentrated on one leaf so the hull is a single vertex.
+// evilSpec is the known-bad injection: the planted evil machine bug sets
+// every honest gradecast value consistently (so the burn rule never fires)
+// to a position far outside the tree, dragging honest outputs out of the
+// honest hull. Inputs are concentrated on one leaf so the hull is a single
+// vertex.
 const evilSpec = "s=1;tree=star:6;n=9;t=2;in=1.1.1.1.1.1.1.1.1;adv=splitvote(per=1)+evil(val=1000000)"
 
-// TestEvilIsCaught: the checker must detect the out-of-model tamperer as a
+// TestEvilIsCaught: the checker must detect the out-of-model evil bug as a
 // validity violation, deterministically across repeated runs.
 func TestEvilIsCaught(t *testing.T) {
 	c := MustParse(evilSpec)

@@ -12,9 +12,9 @@ import (
 )
 
 // byzPool is the model-sound Byzantine clause pool the generator draws from.
-// The out-of-model "evil" tamperer is deliberately absent: it exists only to
-// exercise the checker's own violation-and-shrink machinery via explicit
-// injection (cmd/check -inject-bad).
+// The out-of-model "evil" machine bug is deliberately absent: it exists
+// only to exercise the checker's own violation-and-shrink machinery via
+// explicit injection (cmd/check -inject-bad).
 var byzPool = []string{"silent", "crash", "equivocator", "splitvote", "halfburn", "noise", "replay", "frame"}
 
 // Generate draws one random cell: a small input space (a tree, or — one in

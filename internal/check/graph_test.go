@@ -3,7 +3,7 @@ package check
 // Graph-cell checker tests: tree=graph:… specs parse and round-trip, graph
 // cells run clean across every clause family (with the sequential/concurrent
 // and TCP differentials), the generator's graph arm compiles, the
-// out-of-model evil tamperer is caught on graph spaces, and the shrinker
+// out-of-model evil machine bug is caught on graph spaces, and the shrinker
 // prunes blocks and shortens cycles through the Tree field.
 
 import (
@@ -156,11 +156,11 @@ func TestGeneratedGraphCellsAreClean(t *testing.T) {
 }
 
 // graphEvilSpec concentrates every input on one vertex of a clique chain and
-// lets the out-of-model evil tamperer drag the agreed value away: the decoded
-// outputs land outside the one-vertex honest hull, deterministically.
+// lets the out-of-model evil machine bug drag the agreed value away: the
+// decoded outputs land outside the one-vertex honest hull, deterministically.
 const graphEvilSpec = "s=1;tree=graph:cliquechain:3:4;n=9;t=2;in=1.1.1.1.1.1.1.1.1;adv=splitvote(per=1)+evil(val=1000000)"
 
-// TestGraphEvilIsCaught: the checker detects the evil tamperer on graph
+// TestGraphEvilIsCaught: the checker detects the evil machine bug on graph
 // spaces as a validity violation against the geodesic hull.
 func TestGraphEvilIsCaught(t *testing.T) {
 	c := MustParse(graphEvilSpec)

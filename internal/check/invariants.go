@@ -260,8 +260,8 @@ func (cr *compiled) checkHull(honest []sim.PartyID, cores []*core.Machine) []Vio
 // probe snapshots: suspicion and exclusion sets grow monotonically ("once
 // burned, always burned"), and no honest party is ever globally excluded
 // (an exclusion needs t+1 suspicion sets, hence an honest witness).
-// The exclusion half is skipped under the out-of-model evil tamperer, which
-// may corrupt honest traffic arbitrarily.
+// The exclusion half is skipped under the out-of-model evil machine bug,
+// which rewrites honest traffic.
 func (cr *compiled) checkDetection(honest []sim.PartyID, probes []*probeMachine) []Violation {
 	if probes == nil {
 		return nil

@@ -2,6 +2,7 @@ package check
 
 import (
 	"treeaa/internal/core"
+	"treeaa/internal/gradecast"
 	"treeaa/internal/realaa"
 	"treeaa/internal/sim"
 )
@@ -67,3 +68,38 @@ func (p *probeMachine) Step(r int, inbox []sim.Message) []sim.Message {
 
 // Output implements sim.Machine.
 func (p *probeMachine) Output() (any, bool) { return p.m.Output() }
+
+// evilMachine is the checker's planted bug, deliberately out of model: it
+// wraps an honest machine and sets the value of each of its gradecast sends
+// to val. The rewrite is the same for every recipient, so no equivocation
+// is ever observed and the burn rule stays silent — exactly the violation
+// the shrinker demo (cmd/check -inject-bad) needs. Suspicion-mask instances
+// are left alone, so the violation is purely a value-level one.
+type evilMachine struct {
+	sim.Machine
+	val float64
+	out []sim.Message // the rewritten outbox, reused across rounds
+}
+
+// Step implements sim.Machine: the inner outbox, copied and rewritten (the
+// inner machine may reuse its own buffer, so it is never written in place).
+func (e *evilMachine) Step(r int, inbox []sim.Message) []sim.Message {
+	e.out = append(e.out[:0], e.Machine.Step(r, inbox)...)
+	for i, m := range e.out {
+		if s, ok := m.Payload.(gradecast.SendMsg); ok && !isSuspicionTag(s.Tag) {
+			s.Val = e.val
+			e.out[i].Payload = s
+		}
+	}
+	return e.out
+}
+
+// isSuspicionTag reports whether tag is a RealAA suspicion-mask instance
+// ("<tag>/acc" or "<tag>/accN").
+func isSuspicionTag(tag string) bool {
+	i := len(tag) - 1
+	for i >= 0 && tag[i] >= '0' && tag[i] <= '9' {
+		i--
+	}
+	return i >= 3 && tag[i-3:i+1] == "/acc"
+}

@@ -63,7 +63,7 @@ func byzClauseIDCount(c *Cell) int {
 		switch {
 		case cl.Name == "omit" || cl.Name == "stop":
 			hasOmit = true
-		case isTamperClause(cl.Name):
+		case cl.Name == "mutate" || cl.Name == "evil":
 		default:
 			hasByz = true
 		}

@@ -14,13 +14,13 @@
 // graph whose machines run TreeAA on the block-cut tree and decode locally),
 // the party count n, the fault budget t, the input placement ("spread" or
 // dot-separated vertex ids, one per party) and the adversary adv= in the
-// adversary language of internal/cli, plus two delivery-seam clauses of the
-// checker's own: "mutate" (byte-level payload mutation of the Byzantine
-// parties' traffic — model-sound) and "evil" (rewrites every party's
-// gradecast sends to a fixed value, honest senders included — deliberately
-// out of model; never generated, only injected to exercise the checker
-// itself). Everything randomized in a cell derives from the seed, so a spec
-// reproduces its execution exactly.
+// adversary language of internal/cli — its "mutate" modifier byte-mutates
+// the Byzantine parties' sends, which is model-sound — plus one clause of
+// the checker's own: "evil", a planted machine bug that makes every honest
+// party gradecast a fixed value (deliberately out of model; never
+// generated, only injected to exercise the checker itself). Everything
+// randomized in a cell derives from the seed, so a spec reproduces its
+// execution exactly.
 package check
 
 import (
@@ -45,8 +45,8 @@ type Cell struct {
 	// Inputs is the explicit input placement (one vertex per party);
 	// nil means cli.SpreadInputs.
 	Inputs []tree.VertexID
-	// Clauses compose the adversary and the delivery-seam tamperers; empty
-	// means neither.
+	// Clauses compose the adversary and the planted evil bug; empty means
+	// neither.
 	Clauses []cli.Clause
 }
 

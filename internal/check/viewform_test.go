@@ -28,40 +28,44 @@ func expandView(n int, view []sim.Message) []sim.Message {
 	return out
 }
 
-// expandedView hands the adversary it wraps the expanded form of every view.
-type expandedView struct {
+// viewForm hands the adversary it wraps each view as sent or, with expand
+// set, in the expanded form, and records what the adversary sends on each
+// (sender, recipient) link in order, a broadcast on all n of them.
+type viewForm struct {
 	sim.Adversary
-	n int
+	n      int
+	expand bool
+	links  map[[2]sim.PartyID][]sim.Message
 }
 
-func (a expandedView) Step(r int, honestOut []sim.Message, inbox map[sim.PartyID][]sim.Message) ([]sim.Message, []sim.PartyID) {
-	return a.Adversary.Step(r, expandView(a.n, honestOut), inbox)
+func (a viewForm) Step(r int, honestOut []sim.Message, inbox map[sim.PartyID][]sim.Message) ([]sim.Message, []sim.PartyID) {
+	if a.expand {
+		honestOut = expandView(a.n, honestOut)
+	}
+	out, more := a.Adversary.Step(r, honestOut, inbox)
+	for _, m := range expandView(a.n, out) {
+		link := [2]sim.PartyID{m.From, m.To}
+		a.links[link] = append(a.links[link], m)
+	}
+	return out, more
 }
 
-// expandedFilter is expandedView for an adversary with omission parties,
-// whose filter it forwards.
-type expandedFilter struct {
-	expandedView
+// viewFormFilter is viewForm for an adversary with omission parties, whose
+// filter it forwards.
+type viewFormFilter struct {
+	viewForm
 	f sim.OutboxFilter
 }
 
-func (a expandedFilter) OmissionParties() []sim.PartyID { return a.f.OmissionParties() }
-func (a expandedFilter) FilterOutbox(r int, p sim.PartyID, msgs []sim.Message) []sim.Message {
+func (a viewFormFilter) OmissionParties() []sim.PartyID { return a.f.OmissionParties() }
+func (a viewFormFilter) FilterOutbox(r int, p sim.PartyID, msgs []sim.Message) []sim.Message {
 	return a.f.FilterOutbox(r, p, msgs)
 }
 
-func withExpandedView(adv sim.Adversary, n int) sim.Adversary {
-	v := expandedView{adv, n}
-	if f, ok := adv.(sim.OutboxFilter); ok {
-		return expandedFilter{v, f}
-	}
-	return v
-}
-
 // viewRun is what one run shows of the adversary's effect: Result, Trace and
-// the tamper hook's calls on each (sender, recipient) link in call order.
-// The links are what delivery depends on: the mutate hook keys every draw on
-// the message itself, so the interleaving of calls across links is free.
+// the adversary's sends on each (sender, recipient) link in order. The links
+// are what delivery depends on: mutate keys every draw on the message
+// itself, so the order of sends across links is free.
 type viewRun struct {
 	Res   *sim.Result
 	Trace sim.Trace
@@ -72,14 +76,11 @@ func runViewForm(t *testing.T, cfg sim.Config, machines []sim.Machine, expand bo
 	t.Helper()
 	out := viewRun{Links: map[[2]sim.PartyID][]sim.Message{}}
 	cfg.Trace = &out.Trace
-	if expand && cfg.Adversary != nil {
-		cfg.Adversary = withExpandedView(cfg.Adversary, cfg.N)
-	}
-	if hook := cfg.Tamper; hook != nil {
-		cfg.Tamper = func(r int, m sim.Message) (sim.Message, bool) {
-			link := [2]sim.PartyID{m.From, m.To}
-			out.Links[link] = append(out.Links[link], m)
-			return hook(r, m)
+	if cfg.Adversary != nil {
+		v := viewForm{cfg.Adversary, cfg.N, expand, out.Links}
+		cfg.Adversary = v
+		if f, ok := v.Adversary.(sim.OutboxFilter); ok {
+			cfg.Adversary = viewFormFilter{v, f}
 		}
 	}
 	res, err := sim.Run(cfg, machines)
@@ -93,14 +94,14 @@ func runViewForm(t *testing.T, cfg sim.Config, machines []sim.Machine, expand bo
 // TestStrategiesIgnoreViewForm: every strategy of the adversary language,
 // and crashaa's PartialCrash, produces the same execution whether honestOut
 // holds a broadcast once or expanded per recipient — with and without a
-// mutate clause on the delivery seam, on a tree and a graph cell.
+// mutate clause on its sends, on a tree and a graph cell.
 func TestStrategiesIgnoreViewForm(t *testing.T) {
 	runs := 0
 	for _, space := range []string{"spider:3:3", "graph:cliquechain:3:4"} {
 		for _, name := range cli.AdversaryNames() {
-			for _, tamper := range []string{"", "+mutate(rate=300)"} {
+			for _, mutate := range []string{"", "+mutate(rate=300)"} {
 				for seed := int64(1); seed <= 3; seed++ {
-					spec := fmt.Sprintf("s=%d;tree=%s;n=7;t=2;in=spread;adv=%s%s", seed, space, name, tamper)
+					spec := fmt.Sprintf("s=%d;tree=%s;n=7;t=2;in=spread;adv=%s%s", seed, space, name, mutate)
 					c, err := Parse(spec)
 					if err != nil {
 						t.Fatalf("%s: %v", spec, err)

@@ -152,11 +152,13 @@ func (a *clauseArgs) crashRounds() []int {
 	return rounds
 }
 
-// strategies is the one table from clause name to strategy.
+// strategies is the one table from clause name to strategy. A modifier
+// (wrap set, build nil) claims no parties: it wraps the composed adversary.
 var strategies = map[string]struct {
 	phased   bool // one instance per TreeAA phase, composed
 	omission bool // takes the omission share of the corrupted set
 	build    func(a *clauseArgs) sim.Adversary
+	wrap     func(a *clauseArgs, inner sim.OutboxFilter) sim.OutboxFilter
 }{
 	"silent": {build: func(a *clauseArgs) sim.Adversary { return &adversary.Silent{IDs: a.ids} }},
 	"crash":  {build: func(a *clauseArgs) sim.Adversary { return &adversary.CrashAt{IDs: a.ids, Rounds: a.crashRounds()} }},
@@ -186,6 +188,9 @@ var strategies = map[string]struct {
 	"stop": {omission: true, build: func(a *clauseArgs) sim.Adversary {
 		return &adversary.Stop{IDs: a.ids, N: a.n, Rounds: a.crashRounds()}
 	}},
+	"mutate": {wrap: func(a *clauseArgs, inner sim.OutboxFilter) sim.OutboxFilter {
+		return &adversary.Mutate{OutboxFilter: inner, N: a.n, Rate: a.int("rate", 200), Seed: a.seed}
+	}},
 }
 
 // AdversaryNames lists the clause names the table knows, sorted.
@@ -204,8 +209,9 @@ func AdversaryNames() []string {
 // faulty party, Byzantine and omission alike. The faulty parties are the
 // canonical tail FirstParties(n, t): all Byzantine, or all omission, or —
 // with both kinds of clause — the lower t/2 omission and the rest
-// Byzantine. Every Byzantine clause acts for the whole Byzantine share, and
-// a "none" clause keeps a position (which seeds noise) but adds nothing.
+// Byzantine. Every Byzantine clause acts for the whole Byzantine share, a
+// modifier (mutate) wraps what the other clauses compose, and a "none"
+// clause keeps a position (which seeds noise) but adds nothing.
 func (s *Space) BuildAdversary(spec string, n, t int, seed int64) (sim.Adversary, map[sim.PartyID]bool, error) {
 	corrupt := map[sim.PartyID]bool{}
 	if t == 0 {
@@ -219,7 +225,7 @@ func (s *Space) BuildAdversary(spec string, n, t int, seed int64) (sim.Adversary
 	for _, cl := range clauses {
 		st, ok := strategies[cl.Name]
 		switch {
-		case cl.Name == "none":
+		case cl.Name == "none" || st.wrap != nil:
 		case !ok:
 			return nil, nil, fmt.Errorf("unknown adversary %q", cl.Name)
 		case st.omission:
@@ -238,12 +244,17 @@ func (s *Space) BuildAdversary(spec string, n, t int, seed int64) (sim.Adversary
 	}
 	tr := s.ProtocolTree()
 	var parts []sim.Adversary
+	var mods []*clauseArgs
 	for pos, cl := range clauses {
 		st, ok := strategies[cl.Name]
 		if !ok {
 			continue
 		}
 		a := &clauseArgs{cl: cl, ids: byzIDs, n: n, t: t, seed: seed, tr: tr, pos: pos}
+		if st.wrap != nil {
+			mods = append(mods, a)
+			continue
+		}
 		if st.omission {
 			a.ids = omitIDs
 		}
@@ -262,8 +273,14 @@ func (s *Space) BuildAdversary(spec string, n, t int, seed int64) (sim.Adversary
 			corrupt[id] = true
 		}
 	}
+	var adv sim.OutboxFilter = &adversary.Compose{Strategies: parts}
+	for _, a := range mods {
+		if adv = strategies[a.cl.Name].wrap(a, adv); a.err != nil {
+			return nil, nil, a.err
+		}
+	}
 	if len(parts) == 0 {
 		return nil, corrupt, nil
 	}
-	return &adversary.Compose{Strategies: parts}, corrupt, nil
+	return adv, corrupt, nil
 }

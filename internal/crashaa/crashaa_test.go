@@ -1,10 +1,11 @@
-package crashaa
+package crashaa_test
 
 import (
 	"math"
 	"testing"
 
 	"treeaa/internal/adversary"
+	"treeaa/internal/crashaa"
 	"treeaa/internal/realaa"
 	"treeaa/internal/sim"
 )
@@ -23,7 +24,7 @@ func honestStats(outputs map[sim.PartyID]float64, crashed map[sim.PartyID]bool) 
 
 func TestCrashFreeExactAgreementInOneRound(t *testing.T) {
 	inputs := []float64{0, 100, 50, 25}
-	outputs, _, err := Run(4, inputs, 3, nil)
+	outputs, _, err := crashaa.Run(4, inputs, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,13 +40,13 @@ func TestCrashFreeExactAgreementInOneRound(t *testing.T) {
 func TestValidityUnderPartialCrashes(t *testing.T) {
 	n := 6
 	inputs := []float64{0, 100, 50, 25, 75, 10}
-	adv := &PartialCrash{
+	adv := &crashaa.PartialCrash{
 		IDs:     []sim.PartyID{4, 5},
 		Rounds:  []int{1, 2},
 		Cutoffs: []int{3, 2},
 	}
 	crashed := map[sim.PartyID]bool{4: true, 5: true}
-	outputs, _, err := Run(n, inputs, 6, adv)
+	outputs, _, err := crashaa.Run(n, inputs, 6, adv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,12 +66,12 @@ func TestValidityUnderPartialCrashes(t *testing.T) {
 func TestDivergencePerPartialCrash(t *testing.T) {
 	n := 6
 	inputs := []float64{0, 100, 40, 60, 20, 80}
-	adv := &PartialCrash{
+	adv := &crashaa.PartialCrash{
 		IDs:     []sim.PartyID{4, 5},
 		Rounds:  []int{1, 2}, // one partial crash in each of the first two rounds
 		Cutoffs: []int{2, 2},
 	}
-	_, histories, err := Run(n, inputs, 5, adv)
+	_, histories, err := crashaa.Run(n, inputs, 5, adv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +95,8 @@ func TestCrashNeverFabricatesValues(t *testing.T) {
 	// All inputs equal: no partial-crash schedule can move anyone.
 	n := 5
 	inputs := []float64{42, 42, 42, 42, 42}
-	adv := &PartialCrash{IDs: []sim.PartyID{3, 4}, Rounds: []int{1, 1}, Cutoffs: []int{1, 4}}
-	outputs, _, err := Run(n, inputs, 4, adv)
+	adv := &crashaa.PartialCrash{IDs: []sim.PartyID{3, 4}, Rounds: []int{1, 1}, Cutoffs: []int{1, 4}}
+	outputs, _, err := crashaa.Run(n, inputs, 4, adv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,26 +108,26 @@ func TestCrashNeverFabricatesValues(t *testing.T) {
 }
 
 func TestNewMachineErrors(t *testing.T) {
-	bad := []Config{
+	bad := []crashaa.Config{
 		{N: 0, ID: 0},
 		{N: 3, ID: 5},
 		{N: 3, ID: 0, Iterations: -1},
 	}
 	for i, cfg := range bad {
-		if _, err := NewMachine(cfg); err == nil {
+		if _, err := crashaa.NewMachine(cfg); err == nil {
 			t.Errorf("config %d: want error", i)
 		}
 	}
 }
 
 func TestRunInputMismatch(t *testing.T) {
-	if _, _, err := Run(3, []float64{1}, 2, nil); err == nil {
+	if _, _, err := crashaa.Run(3, []float64{1}, 2, nil); err == nil {
 		t.Error("want error for input mismatch")
 	}
 }
 
 func TestZeroIterationsOutputsInput(t *testing.T) {
-	outputs, _, err := Run(3, []float64{1, 2, 3}, 0, nil)
+	outputs, _, err := crashaa.Run(3, []float64{1, 2, 3}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestOmissionModel(t *testing.T) {
 	inputs := []float64{0, 100, 40, 60, 20, 80, 50, 30}
 	faulty := map[sim.PartyID]bool{6: true, 7: true}
 	adv := &adversary.SendOmitter{IDs: []sim.PartyID{6, 7}, N: n, Halves: true}
-	outputs, histories, err := Run(n, inputs, 12, adv)
+	outputs, histories, err := crashaa.Run(n, inputs, 12, adv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestOmissionRandomDrops(t *testing.T) {
 	faulty := map[sim.PartyID]bool{6: true, 7: true}
 	for seed := int64(0); seed < 10; seed++ {
 		adv := &adversary.SendOmitter{IDs: []sim.PartyID{6, 7}, N: n, Drop: 0.5, Seed: seed}
-		outputs, _, err := Run(n, inputs, 14, adv)
+		outputs, _, err := crashaa.Run(n, inputs, 14, adv)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -357,8 +357,8 @@ func TestComputeGradesThresholds(t *testing.T) {
 }
 
 // TestDuplicateLeaderCountsOnce: a vote vector naming one leader n times —
-// wire.Decode rejects it, but sim.Config.Tamper and the in-process
-// adversaries can hand one over — is one vote for that leader, not n, so t
+// wire.Decode rejects it, but the in-process adversaries can hand one
+// over — is one vote for that leader, not n, so t
 // such voters cannot lift a value nobody honest voted for to grade 1.
 func TestDuplicateLeaderCountsOnce(t *testing.T) {
 	n, tc := 7, 2

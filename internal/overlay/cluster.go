@@ -21,9 +21,7 @@ import (
 //
 // An omission party (a stopped one too) is a node whose machine runs under
 // sim.Omit, as on the mesh. Every other adversary is rejected
-// (errAdversary): a Byzantine party, or one that would act without one. The
-// tamper hook needs a global arbiter and is rejected for the same reason as
-// in the tcp transport.
+// (errAdversary): a Byzantine party, or one that would act without one.
 func Cluster(cfg sim.Config, machines []sim.Machine, opts Options) (*sim.Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -38,10 +36,6 @@ func Cluster(cfg sim.Config, machines []sim.Machine, opts Options) (*sim.Result,
 	// No node steps the adversary.
 	if len(corrupted) > 0 || transport.CheckPassive(cfg) != nil {
 		return nil, errAdversary
-	}
-	if cfg.Tamper != nil {
-		return nil, fmt.Errorf("overlay: the delivery-seam tamper hook requires a global arbiter " +
-			"between send and delivery; the tree overlay has none — use the in-process transport")
 	}
 	opts = opts.withDefaults()
 	lay, err := NewLayout(cfg.N, opts.Branching)

@@ -184,9 +184,6 @@ func TestTreeRejections(t *testing.T) {
 		{"adaptive crash", func(c *sim.Config) {
 			c.Adversary = &adversary.CrashAt{IDs: []sim.PartyID{3}, Rounds: []int{2}}
 		}, "rushing adversary"},
-		{"tamper", func(c *sim.Config) {
-			c.Tamper = func(r int, m sim.Message) (sim.Message, bool) { return m, false }
-		}, "tamper"},
 	}
 	for _, c := range cases {
 		cfg := base

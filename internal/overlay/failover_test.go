@@ -9,6 +9,7 @@ import (
 	"treeaa/internal/metrics"
 	"treeaa/internal/sim"
 	"treeaa/internal/tree"
+	"treeaa/internal/wire"
 )
 
 // stalled is a machine that sleeps for d inside its round-r step: a party
@@ -68,4 +69,31 @@ func TestSubleaderStallFailover(t *testing.T) {
 		t.Errorf("Replayed = %d, want ≥ 1 (a re-homed leaf must pull history)", rp)
 	}
 	t.Logf("sub-leader stall: %s", stats.String())
+}
+
+// TestAbandonedParentFrameIgnored: when a leaf fails over, frames its
+// abandoned parent's link had already queued are still on the event queue
+// behind the new parent's link. A release among them is stale, not an
+// offense — the new parent's handshake replay re-sends what it carried — so
+// the leaf drops it, and records the release only from the new parent.
+func TestAbandonedParentFrameIgnored(t *testing.T) {
+	lay, err := NewLayout(12, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd := newNode(5, lay, nil, 10, 1, make([]string, 12), Options{}.withDefaults())
+	abandoned, adopted := &link{peer: lay.Parent(5), nd: nd}, &link{peer: 3, nd: nd}
+	// What awaitDown's failover leaves behind: the stalled parent's link is
+	// forgotten and the next sub-leader's is the parent.
+	nd.links[3], nd.parent, nd.parentID = adopted, adopted, 3
+	release := wire.OverlayEOR{Round: 1, Down: true}
+	if err := nd.handle(levent{l: abandoned, pay: release}); err != nil {
+		t.Fatalf("release queued by the abandoned parent: %v", err)
+	}
+	if nd.hasDown(1) {
+		t.Fatal("recorded a release from the abandoned parent")
+	}
+	if err := nd.handle(levent{l: adopted, pay: release}); err != nil || !nd.hasDown(1) {
+		t.Fatalf("release from the new parent: err %v, recorded %v", err, nd.hasDown(1))
+	}
 }

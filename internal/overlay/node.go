@@ -302,10 +302,16 @@ func (nd *node) awaitDown(r int) error {
 	return nil
 }
 
+// handle applies one event. A frame or failure from a link that no longer
+// owns its peer — superseded by a redial, or a parent abandoned by failover
+// — is dropped: the replacement's handshake replay re-sends whatever such a
+// frame carried.
 func (nd *node) handle(ev levent) error {
 	switch {
 	case ev.hs != nil:
 		return nd.acceptChild(ev.hs)
+	case nd.links[ev.l.peer] != ev.l:
+		return nil
 	case ev.err != nil:
 		return nd.linkDown(ev.l, ev.err)
 	}
@@ -406,9 +412,6 @@ func (nd *node) onDown(r int, done []byte) error {
 // search; a dead child is benign here — if it owed barrier bits it either
 // re-homes (its own failover), redials, or the round times out.
 func (nd *node) linkDown(l *link, err error) error {
-	if nd.links[l.peer] != l {
-		return nil // superseded link; its replacement owns the peer now
-	}
 	delete(nd.links, l.peer)
 	l.close()
 	if l == nd.parent {

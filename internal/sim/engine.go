@@ -12,8 +12,7 @@ import "fmt"
 // is made the first time it reads a merge, at that round's lane plus
 // mailbox, rather than doubled up from nil.
 type engine struct {
-	n      int
-	tamper func(int, Message) (Message, bool) // Config.Tamper
+	n int
 
 	// lane and cur hold the traffic delivered this round (sent last round):
 	// the broadcasts, To still Broadcast, and each party's unicasts.
@@ -43,7 +42,6 @@ func newEngine(cfg Config) *engine {
 	n := cfg.N
 	return &engine{
 		n:       n,
-		tamper:  cfg.Tamper,
 		cur:     make([][]Message, n),
 		next:    make([][]Message, n),
 		inboxes: make([][]Message, n),
@@ -98,10 +96,9 @@ func (e *engine) view(r int) error {
 
 // route sends one stamped message: a unicast is delivered; a broadcast
 // joins the shared lane, counted as its n copies, unless that would change
-// what some party reads or what the seam is promised — then it is expanded
-// per recipient, exactly as before the lane existed. The two cases: the
-// tamper hook sees every expanded message; and a sender with unicast mail
-// already out this round must keep its emission order, which the
+// what some party reads — then it is expanded per recipient, exactly as
+// before the lane existed. That is the case of a sender with unicast mail
+// already out this round: it must keep its emission order, which the
 // lane-before-unicast merge would break.
 func (e *engine) route(m Message) error {
 	if m.To != Broadcast {
@@ -111,7 +108,7 @@ func (e *engine) route(m Message) error {
 		e.deliver(m)
 		return nil
 	}
-	if e.tamper == nil && !e.direct[m.From] {
+	if !e.direct[m.From] {
 		e.nextLane = append(e.nextLane, m)
 		e.msgs += e.n
 		e.bytes += e.n * payloadSize(m.Payload)
@@ -124,18 +121,9 @@ func (e *engine) route(m Message) error {
 	return nil
 }
 
-// deliver appends m to its recipient's next-round mailbox, after the
-// optional delivery-seam hook (only the tampered payload is honored: the
-// seam cannot re-address traffic or forge origins). m must be expanded,
-// stamped and address-validated.
+// deliver appends m to its recipient's next-round mailbox. m must be
+// expanded, stamped and address-validated.
 func (e *engine) deliver(m Message) {
-	if e.tamper != nil {
-		tm, keep := e.tamper(m.Round, m)
-		if !keep {
-			return
-		}
-		m.Payload = tm.Payload
-	}
 	e.direct[m.From] = true
 	e.next[m.To] = append(e.next[m.To], m)
 	e.msgs++

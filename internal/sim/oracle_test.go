@@ -21,7 +21,6 @@ import (
 
 type oracleEngine struct {
 	n         int
-	tamper    func(int, Message) (Message, bool)
 	cur, next [][]Message
 	corrupted []bool
 	omission  []bool
@@ -62,16 +61,8 @@ func (e *oracleEngine) expand(dst []Message, m Message) ([]Message, error) {
 	return append(dst, m), nil
 }
 
-// deliver is tamperDeliver + deliver of the parent engine: the seam first,
-// then the recipient's mailbox.
-func (e *oracleEngine) deliver(r int, m Message) {
-	if e.tamper != nil {
-		tm, keep := e.tamper(r, m)
-		if !keep {
-			return
-		}
-		m.Payload = tm.Payload
-	}
+// deliver appends m to its recipient's mailbox.
+func (e *oracleEngine) deliver(m Message) {
 	e.next[m.To] = append(e.next[m.To], m)
 	e.msgs++
 	e.bytes += payloadSize(m.Payload)
@@ -86,7 +77,7 @@ func oracleRun(cfg Config, machines []Machine) (*Result, error) {
 	}
 	n := cfg.N
 	e := &oracleEngine{
-		n: n, tamper: cfg.Tamper,
+		n:   n,
 		cur: make([][]Message, n), next: make([][]Message, n),
 		corrupted: make([]bool, n), omission: make([]bool, n),
 	}
@@ -200,10 +191,10 @@ func oracleRun(cfg Config, machines []Machine) (*Result, error) {
 			}
 		}
 		for _, m := range honestOut {
-			e.deliver(r, m)
+			e.deliver(m)
 		}
 		for _, m := range advOut {
-			e.deliver(r, m)
+			e.deliver(m)
 		}
 		res.Messages += e.msgs
 		res.Bytes += e.bytes
@@ -379,23 +370,6 @@ func expandView(n int, view []Message) []Message {
 	return out
 }
 
-// tamperLog is a seeded stateful delivery seam: it records every call,
-// drops every fifth message and rewrites every third payload.
-type tamperLog struct {
-	calls []Message
-}
-
-func (t *tamperLog) hook(r int, m Message) (Message, bool) {
-	t.calls = append(t.calls, m)
-	switch len(t.calls) % 15 {
-	case 0, 5, 10:
-		return m, false
-	case 3, 6, 9, 12:
-		m.Payload = intPayload(-len(t.calls))
-	}
-	return m, true
-}
-
 // execution is everything observable about one run.
 type execution struct {
 	Res      *Result
@@ -403,14 +377,12 @@ type execution struct {
 	Machines [][][]seen
 	Views    [][]Message
 	Inboxes  []map[PartyID][]seen
-	Tampered []Message
 }
 
 type diffCase struct {
 	seed      int64
 	n         int
 	adversary int // 0 none, 1 Byzantine + adaptive, 2 with an omission party it later promotes
-	tamper    bool
 }
 
 func (c diffCase) run(t *testing.T, drive func(Config, []Machine) (*Result, error)) execution {
@@ -439,15 +411,11 @@ func (c diffCase) run(t *testing.T, drive func(Config, []Machine) (*Result, erro
 		}
 		cfg.Adversary = adv
 	}
-	var tl tamperLog
-	if c.tamper {
-		cfg.Tamper = tl.hook
-	}
 	res, err := drive(cfg, machines)
 	if err != nil {
 		t.Fatalf("%+v: %v", c, err)
 	}
-	ex.Res, ex.Tampered = res, tl.calls
+	ex.Res = res
 	for _, m := range scripts {
 		ex.Machines = append(ex.Machines, m.log)
 	}
@@ -461,24 +429,22 @@ func (c diffCase) run(t *testing.T, drive func(Config, []Machine) (*Result, erro
 // drivers, and the oracle with the same seeded scripts and requires
 // identical executions: what every machine reads every round, both adversary
 // views (honestOut after expandView, since the engine hands a broadcast over
-// once), the tamper hook's call sequence, Result and Trace.
+// once), Result and Trace.
 func TestRunMatchesExpandEverythingOracle(t *testing.T) {
 	cases := 0
 	for _, n := range []int{4, 7} {
 		for adversary := 0; adversary <= 2; adversary++ {
-			for _, tamper := range []bool{false, true} {
-				for seed := int64(1); seed <= 24; seed++ {
-					c := diffCase{seed: seed, n: n, adversary: adversary, tamper: tamper}
-					want := c.run(t, oracleRun)
-					for name, drive := range map[string]func(Config, []Machine) (*Result, error){
-						"Run": Run, "RunConcurrent": RunConcurrent,
-					} {
-						if got := c.run(t, drive); !reflect.DeepEqual(got, want) {
-							t.Fatalf("%s diverges from the oracle on %+v:\n got %+v\nwant %+v", name, c, got, want)
-						}
+			for seed := int64(1); seed <= 24; seed++ {
+				c := diffCase{seed: seed, n: n, adversary: adversary}
+				want := c.run(t, oracleRun)
+				for name, drive := range map[string]func(Config, []Machine) (*Result, error){
+					"Run": Run, "RunConcurrent": RunConcurrent,
+				} {
+					if got := c.run(t, drive); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s diverges from the oracle on %+v:\n got %+v\nwant %+v", name, c, got, want)
 					}
-					cases++
 				}
+				cases++
 			}
 		}
 	}

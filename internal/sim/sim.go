@@ -149,24 +149,6 @@ type Config struct {
 	// MaxRounds stops a runaway execution; required (protocols under test
 	// must know their round budgets).
 	MaxRounds int
-	// Tamper, when non-nil, is the engine's delivery seam: it observes
-	// every expanded, stamped message immediately before it is placed in
-	// its recipient's mailbox and may rewrite its payload (only the
-	// returned message's Payload is honored — From, To and Round are fixed
-	// by the network) or drop it by returning false. Dropped messages are
-	// not counted in Result.Messages.
-	//
-	// The hook is a testing power that exceeds the paper's model: it can
-	// corrupt traffic of honest senders, which authenticated channels
-	// forbid. The property checker (internal/check) uses it for byte-level
-	// payload mutation of corrupted senders' traffic (model-sound — a
-	// Byzantine party may send any bytes) and, deliberately out of model,
-	// for its known-bad validity-breaking adversary that exercises the
-	// checker's shrinker. It is invoked from the single driver goroutine in
-	// deterministic message order under both Run and RunConcurrent, so a
-	// seeded stateful tamperer reproduces executions exactly. The TCP
-	// transport has no such seam and rejects configs that set it.
-	Tamper func(r int, m Message) (Message, bool)
 	// Trace, when non-nil, receives one entry per round.
 	Trace *Trace
 }

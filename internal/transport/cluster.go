@@ -20,17 +20,14 @@ import (
 // message and byte counts, trace — is byte-for-byte the Result of sim.Run on
 // the same inputs; the equivalence tests in this package pin that against
 // seeds and adversaries. Adaptive corruption (messages on the wire cannot be
-// retracted) and the tamper hook (distributable) are refused up front; so is
-// an adversary with no corrupted party to host it that would act.
+// retracted) is refused; so is an adversary with no corrupted party to host
+// it that would act.
 func LocalCluster(cfg sim.Config, machines []sim.Machine, opts Options) (*sim.Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if len(machines) != cfg.N {
 		return nil, fmt.Errorf("sim: %d machines for N = %d", len(machines), cfg.N)
-	}
-	if err := distributable(cfg); err != nil {
-		return nil, err
 	}
 	opts = opts.withDefaults()
 
@@ -109,18 +106,6 @@ func CheckPassive(cfg sim.Config) error {
 			return fmt.Errorf("transport: adversary with no initially corrupted parties acts "+
 				"at round %d; a rushing observer needs a corrupted seat — use the in-process transport", r)
 		}
-	}
-	return nil
-}
-
-// distributable refuses the one engine feature that needs a global arbiter
-// between send and delivery, which no TCP fabric has: the delivery-seam
-// tamper hook, which sees every expanded message in one global order.
-// (Send-omission needs none: each omission seat filters its own sends.)
-func distributable(cfg sim.Config) error {
-	if cfg.Tamper != nil {
-		return fmt.Errorf("transport: the delivery-seam tamper hook requires a global arbiter " +
-			"between send and delivery; the tcp transport has none — use the in-process transport")
 	}
 	return nil
 }

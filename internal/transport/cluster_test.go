@@ -276,9 +276,9 @@ func TestClusterMatchesSimNoAdversary(t *testing.T) {
 	}
 }
 
-// TestClusterRejectsUndistributableFeatures: the two engine features with
-// no distributed counterpart — adaptive corruption and the tamper hook —
-// and malformed fault sets fail fast with explanatory errors. Without an
+// TestClusterRejectsUndistributableFeatures: adaptive corruption, the one
+// engine feature with no distributed counterpart, and malformed fault sets
+// fail fast with explanatory errors. Without an
 // initially corrupted party there is no host seat to step the adversary, so
 // crash is refused alone and beside omit.
 func TestClusterRejectsUndistributableFeatures(t *testing.T) {
@@ -311,11 +311,5 @@ func TestClusterRejectsUndistributableFeatures(t *testing.T) {
 	budget.Adversary = &adversary.Silent{IDs: []sim.PartyID{2, 3}}
 	if _, err := LocalCluster(budget, buildMachines(t, tr, n, 1, inputs), Options{}); !errors.Is(err, sim.ErrBudgetExceeded) {
 		t.Errorf("budget overrun: got %v, want ErrBudgetExceeded", err)
-	}
-
-	tampered := base
-	tampered.Tamper = func(r int, m sim.Message) (sim.Message, bool) { return m, true }
-	if _, err := LocalCluster(tampered, buildMachines(t, tr, n, 1, inputs), Options{}); err == nil {
-		t.Error("accepted a delivery-seam tamper hook")
 	}
 }

@@ -58,10 +58,12 @@ func sameAsSim(t *testing.T, desc string, build func(trace *sim.Trace) (sim.Conf
 // in its own seat, so the loopback cluster reproduces sim.Run's Result and
 // Trace exactly — with no host seat when every faulty party omits, and
 // beside the adversary host when omission is mixed with a Byzantine clause.
+// The mutate cells hold the host to the same: it sends the mutated bytes.
 func TestClusterMatchesSimUnderOmission(t *testing.T) {
 	const n, tc = 7, 2
 	spaces := []string{"path:40", "caterpillar:8:2", "graph:cliquechain:3:4"}
-	specs := []string{"omit(drop=250)", "omit(halves=1)", "splitvote+omit(drop=500)", "stop", "splitvote+stop(rounds=3)"}
+	specs := []string{"omit(drop=250)", "omit(halves=1)", "splitvote+omit(drop=500)", "stop", "splitvote+stop(rounds=3)",
+		"splitvote+mutate(rate=300)", "splitvote+omit(drop=500)+mutate(rate=300)"}
 	seeds := int64(5)
 	if testing.Short() {
 		seeds = 2
