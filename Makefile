@@ -203,11 +203,11 @@ bench-serve-smoke:
 bench-kernel-smoke:
 	bash bench/run.sh --workload kernel-batch --seed 1 --seconds 2 --trace 0
 
-# One iteration of every Go sizing benchmark (the kernel cells, the tally,
-# the sim engine, the async pipeline, vector decoding): nothing else runs
-# them, so this keeps them building and running.
+# One iteration of every Go sizing benchmark (the kernel cells, the space
+# builds, the tally, the sim engine, the async pipeline, vector decoding):
+# nothing else runs them, so this keeps them building and running.
 bench-go-smoke:
-	$(GO) test -run '^$$' -bench 'KernelCells|Tally|RunBroadcast|PipelineRun|DecodeVector' -benchtime 1x ./...
+	$(GO) test -run '^$$' -bench 'KernelCells|ParseSpaces|Tally|RunBroadcast|PipelineRun|DecodeVector' -benchtime 1x ./...
 
 # One short async-sim pass as a smoke: async.Run of n=16 pipelines on path:64
 # under the seeded random scheduler, every output checked for hull validity

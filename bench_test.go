@@ -582,3 +582,33 @@ func BenchmarkKernelCells(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkParseSpaces sizes the space-construction layer every cold spec
+// pays: `cli.ParseSpaceSpec` on the four `kernel-batch` specs, the
+// `serve-closed` hot spec and `serve-open`'s cold `random:64`. The
+// `/compiled` variant adds the first query, which compiles the protocol
+// tree's rooted tables (`session.spaces` keeps both out of a warm daemon).
+func BenchmarkParseSpaces(b *testing.B) {
+	for _, spec := range []string{
+		"path:1024", "random:4096", "path:2048", "graph:cliquechain:8:6", "spider:3:3", "random:64",
+	} {
+		for _, compile := range []bool{false, true} {
+			name := spec
+			if compile {
+				name += "/compiled"
+			}
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					sp, err := cli.ParseSpaceSpec(spec, 1)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if compile {
+						sp.ProtocolTree().Diameter()
+					}
+				}
+			})
+		}
+	}
+}

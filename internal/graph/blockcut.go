@@ -18,131 +18,105 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"treeaa/internal/tree"
 )
 
-// decomposition is the precomputed block-cut structure of a Graph.
+// decomposition is the precomputed block-cut structure of a Graph. The
+// block-cut tree numbers its nodes as its labels sort: block i is node i,
+// and the k-th cut vertex in ascending order is node len(blocks)+k.
 type decomposition struct {
 	blocks       []Block
 	vertexBlocks [][]int // graph vertex -> indices of blocks containing it
-	isCut        []bool  // graph vertex -> is a cut vertex
 
-	bc        *tree.Tree      // the block-cut tree
-	eta       []tree.VertexID // graph vertex -> its block-cut tree node
-	nodeBlock []int           // bc node -> block index, or -1 for cut nodes
-	nodeCut   []tree.VertexID // bc node -> cut vertex, or tree.None for block nodes
-	blockNode []tree.VertexID // block index -> bc node
+	bc   *tree.Tree      // the block-cut tree
+	eta  []tree.VertexID // graph vertex -> its block-cut tree node
+	cuts []tree.VertexID // cut vertices, ascending: node len(blocks)+k is cuts[k]
 }
 
 // decompose fills g.dc. The graph is already validated as connected and
 // non-empty.
 func (g *Graph) decompose() error {
-	raw := g.biconnected()
+	n := g.NumVertices()
+	blocks := g.biconnected()
 	// Canonical order: sort each block's vertices, then the blocks by their
 	// vertex lists (blocks are distinct as sets, so the order is total).
-	blocks := make([]Block, len(raw))
-	for i, vs := range raw {
-		sort.Slice(vs, func(a, b int) bool { return vs[a] < vs[b] })
-		blocks[i] = Block{Vertices: vs, Kind: g.classify(vs)}
+	for _, b := range blocks {
+		slices.Sort(b.Vertices)
 	}
-	sort.Slice(blocks, func(i, j int) bool {
-		a, b := blocks[i].Vertices, blocks[j].Vertices
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return len(a) < len(b)
-	})
+	slices.SortFunc(blocks, func(a, b Block) int { return slices.Compare(a.Vertices, b.Vertices) })
+	mark := make([]int, n)
+	for i := range blocks {
+		blocks[i].Kind = g.classify(blocks[i].Vertices, mark, i+1)
+	}
 
-	n := g.NumVertices()
+	// vertexBlocks rows are cut from one slab; each is ascending because
+	// blocks are visited in order.
+	at := make([]int, n+1)
+	for _, b := range blocks {
+		for _, v := range b.Vertices {
+			at[v+1]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		at[v+1] += at[v]
+	}
+	slab := make([]int, at[n])
 	vertexBlocks := make([][]int, n)
+	for v := range vertexBlocks {
+		vertexBlocks[v] = slab[at[v]:at[v]:at[v+1]]
+	}
 	for i, b := range blocks {
 		for _, v := range b.Vertices {
 			vertexBlocks[v] = append(vertexBlocks[v], i)
 		}
 	}
-	isCut := make([]bool, n)
-	for v := 0; v < n; v++ {
-		isCut[v] = len(vertexBlocks[v]) >= 2
-	}
 
-	bLabel := func(i int) string { return fmt.Sprintf("b%0*d", digits(len(blocks)), i) }
-	cLabel := func(v tree.VertexID) string { return fmt.Sprintf("c%0*d", digits(n), int(v)) }
-
-	var tb tree.Builder
-	if len(blocks) == 1 {
-		tb.AddVertex(bLabel(0))
+	nb, ncut := len(blocks), 0
+	for _, in := range vertexBlocks {
+		if len(in) >= 2 {
+			ncut++
+		}
 	}
+	eta := make([]tree.VertexID, n)
+	cuts := make([]tree.VertexID, 0, ncut)
+	for v, in := range vertexBlocks {
+		if len(in) >= 2 {
+			eta[v] = tree.VertexID(nb + len(cuts))
+			cuts = append(cuts, tree.VertexID(v))
+		} else {
+			eta[v] = tree.VertexID(in[0])
+		}
+	}
+	// Labels "b<block>" and "c<vertex>", zero-padded, sort blocks first and
+	// then cut vertices in ascending order: the node numbering above.
+	labels := tree.NumberedLabels(make([]string, 0, nb+len(cuts)), "b", tree.LabelWidth(nb-1), nb, func(i int) int { return i })
+	labels = tree.NumberedLabels(labels, "c", tree.LabelWidth(n-1), len(cuts), func(k int) int { return int(cuts[k]) })
+	edges := make([][2]tree.VertexID, 0, len(labels)-1)
 	for i, b := range blocks {
 		for _, v := range b.Vertices {
-			if isCut[v] {
-				tb.AddEdge(bLabel(i), cLabel(v))
+			if len(vertexBlocks[v]) >= 2 {
+				edges = append(edges, [2]tree.VertexID{tree.VertexID(i), eta[v]})
 			}
 		}
 	}
-	bc, err := tb.Build()
+	bc, err := tree.FromEdges(labels, edges)
 	if err != nil {
 		return fmt.Errorf("graph: block-cut tree: %w", err)
 	}
-
-	dc := decomposition{
-		blocks:       blocks,
-		vertexBlocks: vertexBlocks,
-		isCut:        isCut,
-		bc:           bc,
-		eta:          make([]tree.VertexID, n),
-		nodeBlock:    make([]int, bc.NumVertices()),
-		nodeCut:      make([]tree.VertexID, bc.NumVertices()),
-		blockNode:    make([]tree.VertexID, len(blocks)),
-	}
-	for i := range dc.nodeBlock {
-		dc.nodeBlock[i] = -1
-		dc.nodeCut[i] = tree.None
-	}
-	for i := range blocks {
-		node, err := bc.VertexByLabel(bLabel(i))
-		if err != nil {
-			return fmt.Errorf("graph: block-cut tree: %w", err)
-		}
-		dc.blockNode[i] = node
-		dc.nodeBlock[node] = i
-	}
-	for v := tree.VertexID(0); int(v) < n; v++ {
-		if isCut[v] {
-			node, err := bc.VertexByLabel(cLabel(v))
-			if err != nil {
-				return fmt.Errorf("graph: block-cut tree: %w", err)
-			}
-			dc.eta[v] = node
-			dc.nodeCut[node] = v
-		} else {
-			dc.eta[v] = dc.blockNode[vertexBlocks[v][0]]
-		}
-	}
-	g.dc = dc
+	g.dc = decomposition{blocks: blocks, vertexBlocks: vertexBlocks, bc: bc, eta: eta, cuts: cuts}
 	return nil
 }
 
-// digits returns the zero-pad width for count distinct indices.
-func digits(count int) int {
-	w := 1
-	for count > 10 {
-		count = (count + 9) / 10
-		w++
-	}
-	return w
-}
-
-// biconnected returns the vertex sets of g's biconnected components via the
-// classic lowpoint DFS with an edge stack. A single-vertex graph is one
-// block. Deterministic: DFS from vertex 0, neighbors ascending.
-func (g *Graph) biconnected() [][]tree.VertexID {
+// biconnected returns g's biconnected components via the classic lowpoint
+// DFS with an edge stack, each block's vertices cut from one slab. A
+// single-vertex graph is one block. Deterministic: DFS from vertex 0,
+// neighbors ascending.
+func (g *Graph) biconnected() []Block {
 	n := g.NumVertices()
 	if n == 1 {
-		return [][]tree.VertexID{{0}}
+		return []Block{{Vertices: []tree.VertexID{0}}}
 	}
 	disc := make([]int, n)
 	low := make([]int, n)
@@ -152,26 +126,30 @@ func (g *Graph) biconnected() [][]tree.VertexID {
 	}
 	timer := 0
 	type edge struct{ u, v tree.VertexID }
-	var stack []edge
-	var out [][]tree.VertexID
+	stack := make([]edge, 0, g.NumEdges())
+	// A connected graph on n >= 2 vertices has at most n-1 blocks, and its
+	// blocks hold n + blocks - 1 < 2n vertices between them (one extra
+	// membership per block a cut vertex joins), so neither slice regrows.
+	out := make([]Block, 0, n-1)
+	slab := make([]tree.VertexID, 0, 2*n)
+	mark := make([]int, n) // mark[w] == len(out)+1: w is in the block being popped
 
 	pop := func(u, v tree.VertexID) {
-		seen := map[tree.VertexID]bool{}
-		var vs []tree.VertexID
+		start, stamp := len(slab), len(out)+1
 		for len(stack) > 0 {
 			e := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for _, w := range []tree.VertexID{e.u, e.v} {
-				if !seen[w] {
-					seen[w] = true
-					vs = append(vs, w)
+			for _, w := range [2]tree.VertexID{e.u, e.v} {
+				if mark[w] != stamp {
+					mark[w] = stamp
+					slab = append(slab, w)
 				}
 			}
 			if e.u == u && e.v == v {
 				break
 			}
 		}
-		out = append(out, vs)
+		out = append(out, Block{Vertices: slab[start:len(slab):len(slab)]})
 	}
 
 	var dfs func(u tree.VertexID)
@@ -203,22 +181,23 @@ func (g *Graph) biconnected() [][]tree.VertexID {
 	return out
 }
 
-// classify determines a block's kind from its induced subgraph.
-func (g *Graph) classify(vs []tree.VertexID) BlockKind {
+// classify determines a block's kind from its induced subgraph. mark is
+// scratch shared across calls: it sets mark[v] = stamp for the block's
+// vertices, and stamp must differ from every earlier call's.
+func (g *Graph) classify(vs []tree.VertexID, mark []int, stamp int) BlockKind {
 	k := len(vs)
 	if k == 2 {
 		return BlockEdge
 	}
-	in := make(map[tree.VertexID]bool, k)
 	for _, v := range vs {
-		in[v] = true
+		mark[v] = stamp
 	}
 	edges := 0
 	allDegree2 := true
 	for _, v := range vs {
 		deg := 0
 		for _, w := range g.adj[v] {
-			if in[w] {
+			if mark[w] == stamp {
 				deg++
 			}
 		}
@@ -245,7 +224,7 @@ func (g *Graph) classify(vs []tree.VertexID) BlockKind {
 func (g *Graph) Blocks() []Block { return g.dc.blocks }
 
 // IsCut reports whether v is a cut (articulation) vertex.
-func (g *Graph) IsCut(v tree.VertexID) bool { return g.dc.isCut[v] }
+func (g *Graph) IsCut(v tree.VertexID) bool { return len(g.dc.vertexBlocks[v]) >= 2 }
 
 // IsBlockGraph reports whether every block is an edge or a clique — the
 // class the journal algorithm achieves exact validity and 1-agreement on.
@@ -270,19 +249,23 @@ func (g *Graph) Eta(v tree.VertexID) tree.VertexID { return g.dc.eta[v] }
 // NodeBlock resolves a block-cut tree node to its block index; ok is false
 // for cut nodes.
 func (g *Graph) NodeBlock(node tree.VertexID) (int, bool) {
-	i := g.dc.nodeBlock[node]
-	return i, i >= 0
+	if int(node) < len(g.dc.blocks) {
+		return int(node), true
+	}
+	return -1, false
 }
 
 // NodeCut resolves a block-cut tree node to its cut vertex; ok is false for
 // block nodes.
 func (g *Graph) NodeCut(node tree.VertexID) (tree.VertexID, bool) {
-	v := g.dc.nodeCut[node]
-	return v, v != tree.None
+	if k := int(node) - len(g.dc.blocks); k >= 0 {
+		return g.dc.cuts[k], true
+	}
+	return tree.None, false
 }
 
-// BlockNode returns the block-cut tree node of block index i.
-func (g *Graph) BlockNode(i int) tree.VertexID { return g.dc.blockNode[i] }
+// BlockNode returns the block-cut tree node of block index i, which is i.
+func (g *Graph) BlockNode(i int) tree.VertexID { return tree.VertexID(i) }
 
 // BlocksOf returns the indices of the blocks containing v (two or more
 // exactly when v is a cut vertex). The slice is shared; do not mutate.

@@ -8,13 +8,9 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+
+	"treeaa/internal/tree"
 )
-
-// numLabel formats i zero-padded to width ("v007").
-func numLabel(i, width int) string { return fmt.Sprintf("v%0*d", width, i) }
-
-// labelWidth is the pad width for n vertices numbered from 1.
-func labelWidth(n int) int { return len(fmt.Sprint(n)) }
 
 // NewCycle returns the cycle C_n (n >= 3): the canonical non-block-graph
 // space, where 1-agreement is impossible (Alistarh–Ellen–Rybicki) and the
@@ -23,13 +19,12 @@ func NewCycle(n int) *Graph {
 	if n < 3 {
 		panic(fmt.Sprintf("graph: cycle of %d vertices", n))
 	}
-	w := labelWidth(n)
-	var b Builder
-	for i := 2; i <= n; i++ {
-		b.AddEdge(numLabel(i-1, w), numLabel(i, w))
+	edges := make([][2]tree.VertexID, 0, n)
+	for i := 1; i < n; i++ {
+		edges = append(edges, [2]tree.VertexID{tree.VertexID(i - 1), tree.VertexID(i)})
 	}
-	b.AddEdge(numLabel(n, w), numLabel(1, w))
-	return mustBuild(&b)
+	edges = append(edges, [2]tree.VertexID{tree.VertexID(n - 1), 0})
+	return generated(n, tree.LabelWidth(n), edges)
 }
 
 // NewClique returns the complete graph K_n (n >= 1): a single clique block.
@@ -37,15 +32,9 @@ func NewClique(n int) *Graph {
 	if n < 1 {
 		panic(fmt.Sprintf("graph: clique of %d vertices", n))
 	}
-	w := labelWidth(n)
-	var b Builder
-	b.AddVertex(numLabel(1, w))
-	for i := 2; i <= n; i++ {
-		for j := 1; j < i; j++ {
-			b.AddEdge(numLabel(j, w), numLabel(i, w))
-		}
-	}
-	return mustBuild(&b)
+	edges := make([][2]tree.VertexID, 0, n*(n-1)/2)
+	edges = appendClique(edges, 0, tree.VertexID(n))
+	return generated(n, tree.LabelWidth(n), edges)
 }
 
 // NewCliqueChain returns a chain of `blocks` cliques of `size` vertices
@@ -56,24 +45,12 @@ func NewCliqueChain(blocks, size int) *Graph {
 		panic(fmt.Sprintf("graph: clique chain %d x %d", blocks, size))
 	}
 	n := blocks*(size-1) + 1
-	w := labelWidth(n)
-	var b Builder
-	next := 1
-	b.AddVertex(numLabel(next, w))
+	edges := make([][2]tree.VertexID, 0, blocks*size*(size-1)/2)
 	for bl := 0; bl < blocks; bl++ {
-		start := next // shared cut vertex with the previous block
-		members := []int{start}
-		for k := 1; k < size; k++ {
-			next++
-			members = append(members, next)
-		}
-		for i := 0; i < len(members); i++ {
-			for j := i + 1; j < len(members); j++ {
-				b.AddEdge(numLabel(members[i], w), numLabel(members[j], w))
-			}
-		}
+		start := tree.VertexID(bl * (size - 1)) // the cut vertex shared with the previous block
+		edges = appendClique(edges, start, start+tree.VertexID(size))
 	}
-	return mustBuild(&b)
+	return generated(n, tree.LabelWidth(n), edges)
 }
 
 // NewCactusChain returns a cactus-like chain of `blocks` cycles of length
@@ -86,21 +63,17 @@ func NewCactusChain(blocks, cycleLen int) *Graph {
 		panic(fmt.Sprintf("graph: cactus chain %d x %d", blocks, cycleLen))
 	}
 	n := blocks*(cycleLen-1) + 1
-	w := labelWidth(n)
-	var b Builder
-	next := 1
-	b.AddVertex(numLabel(next, w))
+	edges := make([][2]tree.VertexID, 0, blocks*cycleLen)
 	for bl := 0; bl < blocks; bl++ {
-		start := next
+		start := tree.VertexID(bl * (cycleLen - 1))
 		prev := start
 		for k := 1; k < cycleLen; k++ {
-			next++
-			b.AddEdge(numLabel(prev, w), numLabel(next, w))
-			prev = next
+			edges = append(edges, [2]tree.VertexID{prev, start + tree.VertexID(k)})
+			prev = start + tree.VertexID(k)
 		}
-		b.AddEdge(numLabel(prev, w), numLabel(start, w))
+		edges = append(edges, [2]tree.VertexID{prev, start})
 	}
-	return mustBuild(&b)
+	return generated(n, tree.LabelWidth(n), edges)
 }
 
 // NewRandomBlock returns a random block graph on at least n vertices: a
@@ -111,30 +84,39 @@ func NewRandomBlock(n int, rng *rand.Rand) *Graph {
 	if n < 1 {
 		panic(fmt.Sprintf("graph: random block graph of %d vertices", n))
 	}
-	// Upper-bound the label width: each attachment adds at most 3 vertices.
-	w := labelWidth(n + 3)
-	var b Builder
-	b.AddVertex(numLabel(1, w))
+	// A block of s vertices adds s-1 vertices and at most 2(s-1) edges, and
+	// the last one overshoots n by at most 2.
+	edges := make([][2]tree.VertexID, 0, 2*(n+1))
 	count := 1
 	for count < n {
-		at := 1 + rng.Intn(count)
+		at := tree.VertexID(rng.Intn(count))
 		size := 2 + rng.Intn(3)
-		members := []int{at}
-		for k := 1; k < size; k++ {
-			count++
-			members = append(members, count)
+		first := tree.VertexID(count)
+		count += size - 1
+		for v := first; v < tree.VertexID(count); v++ {
+			edges = append(edges, [2]tree.VertexID{at, v})
 		}
-		for i := 0; i < len(members); i++ {
-			for j := i + 1; j < len(members); j++ {
-				b.AddEdge(numLabel(members[i], w), numLabel(members[j], w))
-			}
-		}
+		edges = appendClique(edges, first, tree.VertexID(count))
 	}
-	return mustBuild(&b)
+	// Upper-bound the label width: each attachment adds at most 3 vertices.
+	return generated(count, tree.LabelWidth(n+3), edges)
 }
 
-func mustBuild(b *Builder) *Graph {
-	g, err := b.Build()
+// appendClique appends every edge {a, b}, lo <= a < b < hi, to edges.
+func appendClique(edges [][2]tree.VertexID, lo, hi tree.VertexID) [][2]tree.VertexID {
+	for a := lo; a < hi; a++ {
+		for b := a + 1; b < hi; b++ {
+			edges = append(edges, [2]tree.VertexID{a, b})
+		}
+	}
+	return edges
+}
+
+// generated builds the graph labeled v1, …, vn at the given zero-pad width
+// (so label v<i> is VertexID(i-1)) from edges given as VertexIDs.
+func generated(n, width int, edges [][2]tree.VertexID) *Graph {
+	labels := tree.NumberedLabels(nil, "v", width, n, func(k int) int { return k + 1 })
+	g, err := build(labels, edges)
 	if err != nil {
 		panic(err)
 	}

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"treeaa/internal/tree"
@@ -83,85 +84,49 @@ type Block struct {
 // decomposition precomputed. The zero value is not useful; construct graphs
 // with a Builder, a generator, or a parser.
 type Graph struct {
-	labels []string
-	index  map[string]tree.VertexID
-	adj    [][]tree.VertexID // sorted ascending
+	labels []string          // ascending: tree.VertexID i is labels[i]
+	adj    [][]tree.VertexID // sorted ascending, one slab
 
 	dc decomposition
 }
 
 // Builder accumulates vertices and edges and validates them into a Graph.
-// The zero value is ready to use.
-type Builder struct {
-	labels []string
-	seen   map[string]bool
-	edges  [][2]string
-}
+// The zero value is ready to use. It collects them as the tree Builder
+// does, and a label added twice is reported by Build as a self-loop.
+type Builder struct{ tb tree.Builder }
 
-// AddVertex registers a vertex label. Adding the same label twice is an
-// error reported by Build (via the shared self-loop diagnosis, like the
-// tree Builder).
-func (b *Builder) AddVertex(label string) {
-	if b.seen == nil {
-		b.seen = make(map[string]bool)
-	}
-	if b.seen[label] {
-		b.edges = append(b.edges, [2]string{label, label}) // force duplicate error in Build
-		return
-	}
-	b.seen[label] = true
-	b.labels = append(b.labels, label)
-}
+// AddVertex registers a vertex label.
+func (b *Builder) AddVertex(label string) { b.tb.AddVertex(label) }
 
 // AddEdge registers an undirected edge, registering new labels as vertices.
-func (b *Builder) AddEdge(a, c string) {
-	if b.seen == nil {
-		b.seen = make(map[string]bool)
-	}
-	for _, l := range []string{a, c} {
-		if !b.seen[l] {
-			b.seen[l] = true
-			b.labels = append(b.labels, l)
-		}
-	}
-	b.edges = append(b.edges, [2]string{a, c})
-}
+func (b *Builder) AddEdge(a, c string) { b.tb.AddEdge(a, c) }
 
 // Build validates the accumulated vertices and edges and returns the Graph:
-// non-empty, valid labels, no self-loops or duplicate edges (the validation
-// path shared with internal/tree), connected. The block-cut decomposition
-// is computed here, so every accessor on the returned Graph is read-only.
+// non-empty, valid labels, no self-loops or duplicate edges (tree.Adjacency,
+// the check trees pass too), connected. The block-cut decomposition is
+// computed here, so every accessor on the returned Graph is read-only.
 func (b *Builder) Build() (*Graph, error) {
-	n := len(b.labels)
-	if n == 0 {
+	labels, edges := b.tb.Resolve()
+	if len(labels) == 0 {
 		return nil, ErrEmpty
 	}
-	labels := make([]string, n)
-	copy(labels, b.labels)
-	sort.Strings(labels)
 	for _, l := range labels {
 		if !tree.ValidLabel(l) {
 			return nil, fmt.Errorf("%w: %q", ErrBadLabel, l)
 		}
 	}
-	if err := tree.ValidateEdges(b.edges); err != nil {
+	return build(labels, edges)
+}
+
+// build is the one constructor of a Graph: labels valid and ascending
+// (tree.VertexID i is labels[i]), edges as VertexID pairs into them.
+func build(labels []string, edges [][2]tree.VertexID) (*Graph, error) {
+	adj, err := tree.Adjacency(labels, edges)
+	if err != nil {
 		return nil, fmt.Errorf("graph: %w", err)
 	}
-	index := make(map[string]tree.VertexID, n)
-	for i, l := range labels {
-		index[l] = tree.VertexID(i)
-	}
-	adj := make([][]tree.VertexID, n)
-	for _, e := range b.edges {
-		u, v := index[e[0]], index[e[1]]
-		adj[u] = append(adj[u], v)
-		adj[v] = append(adj[v], u)
-	}
-	g := &Graph{labels: labels, index: index, adj: adj}
-	for _, ns := range g.adj {
-		sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-	}
-	if reached := len(g.bfsOrder(0)); reached != n {
+	g := &Graph{labels: labels, adj: adj}
+	if reached, n := len(g.bfsOrder(0)), len(labels); reached != n {
 		return nil, fmt.Errorf("%w: reached %d of %d vertices", ErrNotConnected, reached, n)
 	}
 	if err := g.decompose(); err != nil {
@@ -202,13 +167,14 @@ func (g *Graph) Labels(vs []tree.VertexID) []string {
 // Valid reports whether v is a vertex of g.
 func (g *Graph) Valid(v tree.VertexID) bool { return v >= 0 && int(v) < len(g.labels) }
 
-// VertexByLabel returns the vertex with the given label.
+// VertexByLabel returns the vertex with the given label: a binary search
+// of the labels, which VertexID order keeps sorted.
 func (g *Graph) VertexByLabel(label string) (tree.VertexID, error) {
-	v, ok := g.index[label]
+	v, ok := slices.BinarySearch(g.labels, label)
 	if !ok {
 		return tree.None, fmt.Errorf("%w: %q", ErrUnknownVertex, label)
 	}
-	return v, nil
+	return tree.VertexID(v), nil
 }
 
 // Neighbors returns the neighbors of v in ascending order. The slice is
@@ -263,14 +229,14 @@ func (g *Graph) DistancesFrom(src tree.VertexID) []int {
 		dist[i] = -1
 	}
 	dist[src] = 0
-	queue := []tree.VertexID{src}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
+	order := make([]tree.VertexID, 1, len(dist))
+	order[0] = src
+	for i := 0; i < len(order); i++ {
+		v := order[i]
 		for _, w := range g.adj[v] {
 			if dist[w] < 0 {
 				dist[w] = dist[v] + 1
-				queue = append(queue, w)
+				order = append(order, w)
 			}
 		}
 	}

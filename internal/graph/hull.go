@@ -9,9 +9,10 @@ package graph
 // the divergence the hull tests pin.
 //
 // The computation is the direct fixpoint: close S under pairwise intervals
-// until nothing is added. Each round is O(|S|² · |V|) on top of all-pairs
-// BFS; input-space graphs are small (tens of vertices), and hulls are only
-// computed by checkers and smoke drivers, never on the protocol hot path.
+// until nothing is added. Each round is O(|S|² · |V|) on top of one BFS per
+// member; input-space graphs are small (tens of vertices), and hulls are
+// only computed by checkers and smoke drivers, never on the protocol hot
+// path.
 
 import (
 	"sort"
@@ -51,6 +52,15 @@ func (g *Graph) ConvexHull(s []tree.VertexID) []tree.VertexID {
 	for _, v := range s {
 		add(v)
 	}
+	// Each member's distance row is computed once per call, so the call
+	// runs O(|hull|) BFS however many rounds the fixpoint takes.
+	rows := make([][]int, n)
+	row := func(v tree.VertexID) []int {
+		if rows[v] == nil {
+			rows[v] = g.DistancesFrom(v)
+		}
+		return rows[v]
+	}
 	// Fixpoint: new members pair against everything already in the set.
 	// done marks the prefix of members whose pairwise intervals are closed.
 	done := 0
@@ -58,13 +68,13 @@ func (g *Graph) ConvexHull(s []tree.VertexID) []tree.VertexID {
 		fresh := members[done:]
 		done = len(members)
 		for _, u := range fresh {
-			du := g.DistancesFrom(u)
+			du := row(u)
 			for i := 0; i < done; i++ {
 				v := members[i]
 				if u == v {
 					continue
 				}
-				dv := g.DistancesFrom(v)
+				dv := row(v)
 				for w := tree.VertexID(0); int(w) < n; w++ {
 					if !in[w] && du[w]+dv[w] == du[v] {
 						add(w)

@@ -2,6 +2,9 @@ package graph_test
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -148,5 +151,79 @@ func TestDecompositionDeterminism(t *testing.T) {
 		if build() != first {
 			t.Fatal("block-cut tree not deterministic across builds")
 		}
+	}
+}
+
+// TestGeneratorsMatchLabelBuilder: generators build from VertexIDs, and the
+// label Builder is their reference. Every generated graph, rebuilt from its
+// labeled edge list, must have the same labels, neighbor lists and blocks,
+// and its block-cut tree must parse back from its own edge list unchanged,
+// with fmt's zero-padded "b…" and "c…" labels.
+func TestGeneratorsMatchLabelBuilder(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for name, g := range map[string]*graph.Graph{
+		"cycle12":         graph.NewCycle(12),
+		"clique1":         graph.NewClique(1),
+		"clique11":        graph.NewClique(11),
+		"cliquechain8x6":  graph.NewCliqueChain(8, 6),
+		"cliquechain12x2": graph.NewCliqueChain(12, 2),
+		"cactus6x4":       graph.NewCactusChain(6, 4),
+		"randomblock40":   graph.NewRandomBlock(40, rng),
+		"randomblock8":    graph.NewRandomBlock(8, rng),
+	} {
+		var b graph.Builder
+		if g.NumVertices() == 1 {
+			b.AddVertex(g.Label(0))
+		}
+		for _, e := range g.Edges() {
+			b.AddEdge(g.Label(e[0]), g.Label(e[1]))
+		}
+		ref, err := b.Build()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if ref.NumVertices() != g.NumVertices() {
+			t.Fatalf("%s: %d vertices, rebuilt %d", name, g.NumVertices(), ref.NumVertices())
+		}
+		for v := tree.VertexID(0); int(v) < g.NumVertices(); v++ {
+			if g.Label(v) != ref.Label(v) || !slices.Equal(g.Neighbors(v), ref.Neighbors(v)) {
+				t.Fatalf("%s: vertex %d: %s %v, rebuilt %s %v", name, v, g.Label(v), g.Neighbors(v), ref.Label(v), ref.Neighbors(v))
+			}
+		}
+		if !slices.EqualFunc(g.Blocks(), ref.Blocks(), func(a, b graph.Block) bool {
+			return a.Kind == b.Kind && slices.Equal(a.Vertices, b.Vertices)
+		}) {
+			t.Fatalf("%s: blocks %v, rebuilt %v", name, g.Blocks(), ref.Blocks())
+		}
+
+		bc := g.BlockCutTree()
+		back, err := tree.ParseString(bc.String())
+		if err != nil || !back.Equal(bc) || !ref.BlockCutTree().Equal(bc) {
+			t.Fatalf("%s: block-cut tree does not round-trip (%v):\n%s", name, err, bc)
+		}
+		nb := len(g.Blocks())
+		for node := tree.VertexID(0); int(node) < bc.NumVertices(); node++ {
+			want := fmt.Sprintf("b%0*d", len(fmt.Sprint(nb-1)), node)
+			if v, ok := g.NodeCut(node); ok {
+				want = fmt.Sprintf("c%0*d", len(fmt.Sprint(g.NumVertices()-1)), v)
+			}
+			if bc.Label(node) != want || back.Label(node) != want || !slices.Equal(bc.Neighbors(node), back.Neighbors(node)) {
+				t.Fatalf("%s: node %d: %s %v, parsed %s %v, want label %s", name, node,
+					bc.Label(node), bc.Neighbors(node), back.Label(node), back.Neighbors(node), want)
+			}
+		}
+	}
+}
+
+// TestGeneratorAllocatesNothingPerVertex pins a generated graph, block-cut
+// tree included, to a fixed number of allocations, the same at 41 vertices
+// as at 321. The label-keyed builders this replaced spent about twenty per
+// vertex.
+func TestGeneratorAllocatesNothingPerVertex(t *testing.T) {
+	const maxAllocs = 48
+	small := testing.AllocsPerRun(5, func() { graph.NewCliqueChain(8, 6) })
+	large := testing.AllocsPerRun(5, func() { graph.NewCliqueChain(64, 6) })
+	if small > maxAllocs || large > small {
+		t.Errorf("NewCliqueChain: %.0f allocations at 8x6 and %.0f at 64x6, want <= %d and no growth", small, large, maxAllocs)
 	}
 }

@@ -4,11 +4,15 @@ import (
 	"container/heap"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strconv"
+	"strings"
 )
 
-// labelWidth returns the number of digits needed so that zero-padded numeric
-// labels sort lexicographically in numeric order.
-func labelWidth(n int) int {
+// LabelWidth returns the number of decimal digits of n (1 for n < 10): the
+// zero-pad width at which the numbers up to n, after a common prefix, sort
+// as labels in numeric order.
+func LabelWidth(n int) int {
 	w := 1
 	for p := 10; p <= n; p *= 10 {
 		w++
@@ -16,14 +20,41 @@ func labelWidth(n int) int {
 	return w
 }
 
-// numLabel formats i as a zero-padded label ("v007") so that lexicographic
-// label order matches numeric order, keeping generated trees intuitive.
-func numLabel(i, width int) string {
-	return fmt.Sprintf("v%0*d", width, i)
+// NumberedLabels appends to dst the count labels prefix+num(k), k = 0, 1,
+// …, count-1, each num(k) >= 0 zero-padded to width digits: the label
+// convention of every generated space ("v007", and the "b…"/"c…" nodes of a
+// block-cut tree). All of them are cut from one string. Labels sharing a
+// prefix and a width sort as their numbers do, so a generator that labels
+// vertex i as v<i+1> knows that label is VertexID(i) without sorting.
+func NumberedLabels(dst []string, prefix string, width, count int, num func(k int) int) []string {
+	var sb strings.Builder
+	sb.Grow(count * (len(prefix) + width))
+	var digits [20]byte
+	for k := 0; k < count; k++ {
+		d := strconv.AppendInt(digits[:0], int64(num(k)), 10)
+		sb.WriteString(prefix)
+		for i := len(d); i < width; i++ {
+			sb.WriteByte('0')
+		}
+		sb.Write(d)
+	}
+	s := sb.String()
+	dst = slices.Grow(dst, count)
+	for k, at := 0, 0; k < count; k++ {
+		end := at + len(prefix) + max(width, LabelWidth(num(k)))
+		dst = append(dst, s[at:end])
+		at = end
+	}
+	return dst
 }
 
-func mustBuild(b *Builder) *Tree {
-	t, err := b.Build()
+// generated builds the tree labeled v1, …, vn (zero-padded, so label v<i>
+// is VertexID(i-1)) from edges given as VertexIDs. n < 1 yields the
+// one-vertex tree v1.
+func generated(n int, edges [][2]VertexID) *Tree {
+	n = max(n, 1)
+	labels := NumberedLabels(nil, "v", LabelWidth(n), n, func(k int) int { return k + 1 })
+	t, err := build(labels, edges)
 	if err != nil {
 		panic(fmt.Sprintf("tree: generator produced invalid tree: %v", err))
 	}
@@ -33,69 +64,63 @@ func mustBuild(b *Builder) *Tree {
 // NewPath returns the labeled path with n >= 1 vertices v1-v2-...-vn
 // (zero-padded labels). Its diameter is n-1.
 func NewPath(n int) *Tree {
-	var b Builder
-	w := labelWidth(n)
-	b.AddVertex(numLabel(1, w))
-	for i := 2; i <= n; i++ {
-		b.AddEdge(numLabel(i-1, w), numLabel(i, w))
+	edges := make([][2]VertexID, 0, max(n-1, 0))
+	for i := 1; i < n; i++ {
+		edges = append(edges, [2]VertexID{VertexID(i - 1), VertexID(i)})
 	}
-	return mustBuild(&b)
+	return generated(n, edges)
 }
 
 // NewStar returns the star with one center and n-1 leaves (n >= 1 vertices).
 // Its diameter is min(2, n-1).
 func NewStar(n int) *Tree {
-	var b Builder
-	w := labelWidth(n)
-	b.AddVertex(numLabel(1, w))
-	for i := 2; i <= n; i++ {
-		b.AddEdge(numLabel(1, w), numLabel(i, w))
+	edges := make([][2]VertexID, 0, max(n-1, 0))
+	for i := 1; i < n; i++ {
+		edges = append(edges, [2]VertexID{0, VertexID(i)})
 	}
-	return mustBuild(&b)
+	return generated(n, edges)
 }
 
 // NewSpider returns a spider: legs paths of length legLen joined at a hub.
 // It has legs*legLen + 1 vertices and diameter 2*legLen (for legs >= 2).
 func NewSpider(legs, legLen int) *Tree {
-	var b Builder
 	n := legs*legLen + 1
-	w := labelWidth(n)
-	b.AddVertex(numLabel(1, w))
-	next := 2
+	edges := make([][2]VertexID, 0, max(n-1, 0))
+	next := VertexID(1)
 	for leg := 0; leg < legs; leg++ {
-		prev := 1
+		prev := VertexID(0)
 		for j := 0; j < legLen; j++ {
-			b.AddEdge(numLabel(prev, w), numLabel(next, w))
+			edges = append(edges, [2]VertexID{prev, next})
 			prev = next
 			next++
 		}
 	}
-	return mustBuild(&b)
+	return generated(n, edges)
 }
 
 // NewCaterpillar returns a caterpillar: a spine path of spineLen vertices
 // with legsPer leaf legs attached to each spine vertex.
 func NewCaterpillar(spineLen, legsPer int) *Tree {
-	var b Builder
 	n := spineLen * (1 + legsPer)
-	w := labelWidth(n)
-	b.AddVertex(numLabel(1, w))
-	next := spineLen + 1
-	for i := 2; i <= spineLen; i++ {
-		b.AddEdge(numLabel(i-1, w), numLabel(i, w))
+	edges := make([][2]VertexID, 0, max(n-1, 0))
+	for i := 1; i < spineLen; i++ {
+		edges = append(edges, [2]VertexID{VertexID(i - 1), VertexID(i)})
 	}
-	for i := 1; i <= spineLen; i++ {
+	next := VertexID(spineLen)
+	for i := 0; i < spineLen; i++ {
 		for j := 0; j < legsPer; j++ {
-			b.AddEdge(numLabel(i, w), numLabel(next, w))
+			edges = append(edges, [2]VertexID{VertexID(i), next})
 			next++
 		}
 	}
-	return mustBuild(&b)
+	return generated(n, edges)
 }
 
 // NewCompleteKAry returns the complete k-ary tree of the given depth
 // (depth 0 is a single root). For k >= 2 its diameter is 2*depth while
 // |V| = (k^(depth+1)-1)/(k-1), making it the canonical low-diameter family.
+// Vertices are numbered level by level, so the parent of vertex i > 0 is
+// (i-1)/k.
 func NewCompleteKAry(k, depth int) *Tree {
 	if k < 1 {
 		panic("tree: NewCompleteKAry requires k >= 1")
@@ -106,37 +131,22 @@ func NewCompleteKAry(k, depth int) *Tree {
 		width *= k
 		n += width
 	}
-	var b Builder
-	w := labelWidth(n)
-	b.AddVertex(numLabel(1, w))
-	next := 2
-	frontier := []int{1}
-	for d := 0; d < depth; d++ {
-		var newFrontier []int
-		for _, p := range frontier {
-			for c := 0; c < k; c++ {
-				b.AddEdge(numLabel(p, w), numLabel(next, w))
-				newFrontier = append(newFrontier, next)
-				next++
-			}
-		}
-		frontier = newFrontier
+	edges := make([][2]VertexID, 0, n-1)
+	for i := 1; i < n; i++ {
+		edges = append(edges, [2]VertexID{VertexID((i - 1) / k), VertexID(i)})
 	}
-	return mustBuild(&b)
+	return generated(n, edges)
 }
 
 // NewRandom returns a random tree on n vertices drawn by uniform random
 // attachment: vertex i attaches to a uniformly random earlier vertex. The
 // rng makes generation reproducible.
 func NewRandom(n int, rng *rand.Rand) *Tree {
-	var b Builder
-	w := labelWidth(n)
-	b.AddVertex(numLabel(1, w))
-	for i := 2; i <= n; i++ {
-		p := rng.Intn(i-1) + 1
-		b.AddEdge(numLabel(p, w), numLabel(i, w))
+	edges := make([][2]VertexID, 0, max(n-1, 0))
+	for i := 1; i < n; i++ {
+		edges = append(edges, [2]VertexID{VertexID(rng.Intn(i)), VertexID(i)})
 	}
-	return mustBuild(&b)
+	return generated(n, edges)
 }
 
 // FromPruefer decodes a Prüfer sequence into the unique labeled tree on
@@ -155,8 +165,7 @@ func FromPruefer(seq []int) (*Tree, error) {
 		}
 		degree[s]++
 	}
-	var b Builder
-	w := labelWidth(n)
+	edges := make([][2]VertexID, 0, n-1)
 	// ptr/leaf scan gives O(n) decoding.
 	ptr := 1
 	for degree[ptr] != 1 {
@@ -164,7 +173,7 @@ func FromPruefer(seq []int) (*Tree, error) {
 	}
 	leaf := ptr
 	for _, s := range seq {
-		b.AddEdge(numLabel(leaf, w), numLabel(s, w))
+		edges = append(edges, [2]VertexID{VertexID(leaf - 1), VertexID(s - 1)})
 		degree[s]--
 		if degree[s] == 1 && s < ptr {
 			leaf = s
@@ -177,16 +186,14 @@ func FromPruefer(seq []int) (*Tree, error) {
 		}
 	}
 	// Two leaves remain; the larger is n.
-	b.AddEdge(numLabel(leaf, w), numLabel(n, w))
-	return b.Build()
+	edges = append(edges, [2]VertexID{VertexID(leaf - 1), VertexID(n - 1)})
+	return generated(n, edges), nil
 }
 
 // RandomPruefer returns a uniformly random labeled tree on n >= 2 vertices.
 func RandomPruefer(n int, rng *rand.Rand) *Tree {
 	if n == 1 {
-		var b Builder
-		b.AddVertex("v1")
-		return mustBuild(&b)
+		return generated(1, nil)
 	}
 	seq := make([]int, n-2)
 	for i := range seq {
@@ -263,5 +270,9 @@ func Figure3Tree() *Tree {
 	} {
 		b.AddEdge(e[0], e[1])
 	}
-	return mustBuild(&b)
+	t, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return t
 }

@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -134,6 +135,84 @@ func TestRandomPrueferValid(t *testing.T) {
 		if tr.NumVertices() != n {
 			t.Fatalf("trial %d: vertices = %d, want %d", trial, tr.NumVertices(), n)
 		}
+	}
+}
+
+// namedTree is one input of the generator tables below.
+type namedTree struct {
+	name string
+	tr   *Tree
+}
+
+// generatedTrees is one tree from every generator, at sizes where the label
+// width changes inside the tree (v1..v9, then v01..).
+func generatedTrees() []namedTree {
+	rng := rand.New(rand.NewSource(5))
+	pruefer, err := FromPruefer([]int{4, 4, 4, 5})
+	if err != nil {
+		panic(err)
+	}
+	return []namedTree{
+		{"path1", NewPath(1)},
+		{"path2", NewPath(2)},
+		{"path1000", NewPath(1000)},
+		{"star11", NewStar(11)},
+		{"spider3x3", NewSpider(3, 3)},
+		{"spider4x30", NewSpider(4, 30)},
+		{"caterpillar5x2", NewCaterpillar(5, 2)},
+		{"ternary depth4", NewCompleteKAry(3, 4)},
+		{"unary depth12", NewCompleteKAry(1, 12)},
+		{"random300", NewRandom(300, rng)},
+		{"pruefer6", pruefer},
+		{"randompruefer1", RandomPruefer(1, rng)},
+		{"randompruefer1234", RandomPruefer(1234, rng)},
+	}
+}
+
+// TestGeneratedLabels holds the labels generators cut from one string to
+// fmt's zero-padded form, and FromPruefer to the inverse of Pruefer on
+// every generated tree.
+func TestGeneratedLabels(t *testing.T) {
+	for _, tc := range generatedTrees() {
+		n := tc.tr.NumVertices()
+		for v := 0; v < n; v++ {
+			if got, want := tc.tr.Label(VertexID(v)), fmt.Sprintf("v%0*d", len(fmt.Sprint(n)), v+1); got != want {
+				t.Fatalf("%s: Label(%d) = %q, want %q", tc.name, v, got, want)
+			}
+		}
+		if n < 2 {
+			continue
+		}
+		back, err := FromPruefer(tc.tr.Pruefer())
+		if err != nil || !back.Equal(tc.tr) {
+			t.Errorf("%s: FromPruefer(Pruefer()) = %v, %v", tc.name, back, err)
+		}
+	}
+}
+
+// TestGeneratorsAllocateNothingPerVertex pins a generated tree, and the
+// first query that compiles it, to a fixed number of allocations: labels
+// are cut from one string and the neighbor lists from one slab. The
+// label-keyed builder this replaced spent about nine per vertex (18,000
+// for NewPath(2048)). The compiled tables add a fixed set of arrays plus
+// one sparse-table row per level, log |V| of them.
+func TestGeneratorsAllocateNothingPerVertex(t *testing.T) {
+	const maxBuild, maxCompiled = 16, 48
+	rng := rand.New(rand.NewSource(1))
+	for _, c := range []struct {
+		name  string
+		build func() *Tree
+	}{
+		{"NewPath(2048)", func() *Tree { return NewPath(2048) }},
+		{"RandomPruefer(4096)", func() *Tree { return RandomPruefer(4096, rng) }},
+		{"NewSpider(3,3)", func() *Tree { return NewSpider(3, 3) }},
+	} {
+		if got := testing.AllocsPerRun(5, func() { c.build() }); got > maxBuild {
+			t.Errorf("%s: %.0f allocations, want <= %d", c.name, got, maxBuild)
+		}
+	}
+	if got := testing.AllocsPerRun(5, func() { NewPath(2048).compiled() }); got > maxCompiled {
+		t.Errorf("NewPath(2048) built and compiled: %.0f allocations, want <= %d", got, maxCompiled)
 	}
 }
 

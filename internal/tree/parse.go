@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -106,10 +106,12 @@ func (t *Tree) UnmarshalJSON(data []byte) error {
 		b.AddVertex(v)
 	}
 	for _, e := range doc.Edges {
-		if !b.seen[e[0]] || !b.seen[e[1]] {
+		u, okU := b.seen[e[0]]
+		v, okV := b.seen[e[1]]
+		if !okU || !okV {
 			return fmt.Errorf("%w: edge %q-%q references undeclared vertex", ErrUnknownVertex, e[0], e[1])
 		}
-		b.edges = append(b.edges, e)
+		b.edges = append(b.edges, [2]VertexID{u, v})
 	}
 	built, err := b.Build()
 	if err != nil {
@@ -143,9 +145,4 @@ func (t *Tree) Equal(o *Tree) bool {
 }
 
 // SortedLabels returns all labels in lexicographic order (a copy).
-func (t *Tree) SortedLabels() []string {
-	out := make([]string, len(t.labels))
-	copy(out, t.labels)
-	sort.Strings(out) // already sorted by construction; kept for safety
-	return out
-}
+func (t *Tree) SortedLabels() []string { return slices.Clone(t.labels) }

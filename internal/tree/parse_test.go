@@ -3,19 +3,32 @@ package tree
 import (
 	"encoding/json"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 )
 
+// TestParseRoundTrip parses every tree back from its edge list. For the
+// generated trees, which are built from VertexIDs, the label Builder that
+// Parse runs is the reference: same labels, same neighbor lists.
 func TestParseRoundTrip(t *testing.T) {
-	orig := Figure3Tree()
-	text := orig.String()
-	back, err := ParseString(text)
-	if err != nil {
-		t.Fatalf("ParseString: %v\ninput:\n%s", err, text)
-	}
-	if !orig.Equal(back) {
-		t.Errorf("round trip mismatch:\norig:\n%s\nback:\n%s", orig, back)
+	for _, tc := range append([]namedTree{{"figure3", Figure3Tree()}}, generatedTrees()...) {
+		t.Run(tc.name, func(t *testing.T) {
+			orig := tc.tr
+			text := orig.String()
+			back, err := ParseString(text)
+			if err != nil {
+				t.Fatalf("ParseString: %v\ninput:\n%s", err, text)
+			}
+			if !orig.Equal(back) {
+				t.Fatalf("round trip mismatch:\norig:\n%s\nback:\n%s", orig, back)
+			}
+			for v := VertexID(0); int(v) < orig.NumVertices(); v++ {
+				if orig.Label(v) != back.Label(v) || !slices.Equal(orig.Neighbors(v), back.Neighbors(v)) {
+					t.Fatalf("vertex %d: %s %v, parsed %s %v", v, orig.Label(v), orig.Neighbors(v), back.Label(v), back.Neighbors(v))
+				}
+			}
+		})
 	}
 }
 

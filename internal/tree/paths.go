@@ -14,14 +14,14 @@ func (t *Tree) DistancesFrom(src VertexID) []int {
 		dist[i] = -1
 	}
 	dist[src] = 0
-	queue := []VertexID{src}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
+	order := make([]VertexID, 1, len(dist))
+	order[0] = src
+	for i := 0; i < len(order); i++ {
+		v := order[i]
 		for _, w := range t.adj[v] {
 			if dist[w] < 0 {
 				dist[w] = dist[v] + 1
-				queue = append(queue, w)
+				order = append(order, w)
 			}
 		}
 	}

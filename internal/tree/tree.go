@@ -11,8 +11,12 @@
 // Euler list of ListConstruction(T, Root()), its LCA index, D(T), "is T a
 // path", root paths and projections — is a function of the public tree and
 // never of the party, so a Tree compiles it once (see Tree) and answers
-// from it:
+// from it. Building the tree is the cost every cold spec pays; generators
+// emit VertexID edges (label v<i> is VertexID(i-1)) and skip the label sort:
 //
+//	generators, FromEdges                                  O(|V|), a fixed dozen allocations
+//	Builder.Build, Parse, UnmarshalJSON                    O(|V| log |V|)
+//	first query: compile the rooted form                   O(|V| log |V|)
 //	Diameter, DiameterPath, CanonicalDiameterPath, IsPath,
 //	Dist, ProjectOntoPath, ListConstruction(t, t.Root())   O(1), no allocation
 //	Path, EulerList.PathFromRoot, Center                   O(|path|)
@@ -20,12 +24,17 @@
 //	ValidatePath(p)                                        O(|p|)
 //	ConvexHull, SafeArea, DistancesFrom, Eccentricity      O(|V|)
 //	ListConstruction at any other root                     O(|V| log |V|)
+//
+// Per vertex on a 2-vCPU Xeon, a generated tree costs about 0.15 µs
+// (NewPath(2048) 0.27 ms, RandomPruefer(4096) 0.7 ms) and its first
+// compile about 0.35 µs on a path, 0.6 µs on a random tree.
 package tree
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // VertexID identifies a vertex of a Tree. IDs are dense indices in
@@ -52,9 +61,8 @@ const None VertexID = -1
 // (UnmarshalJSON does) shares it. Compare trees with Equal, never
 // reflect.DeepEqual, which would see one tree queried and the other not.
 type Tree struct {
-	labels []string
-	index  map[string]VertexID
-	adj    [][]VertexID // sorted by VertexID (== label order)
+	labels []string     // ascending: VertexID i is labels[i]
+	adj    [][]VertexID // sorted by VertexID (== label order), one slab
 	rooted *rooted      // allocated by Build, filled on first use
 }
 
@@ -98,27 +106,80 @@ func validLabel(l string) bool {
 }
 
 // ValidateEdges rejects self-loops and duplicate undirected edges in a
-// label-pair edge list — the input validation shared by the tree Builder and
-// the block-graph builder in internal/graph. Edge direction is ignored:
-// "a-b" and "b-a" are the same edge. Errors wrap ErrDuplicate and name the
-// offending edge, so a bad edge list fails with the real cause instead of
-// surfacing later as a misleading cycle or connectivity error.
+// label-pair edge list. It is the label-level entry to Adjacency's edge
+// check, the one every tree and block graph passes: it numbers the labels
+// by first appearance and runs that check on the numbers. Edge direction is
+// ignored: "a-b" and "b-a" are the same edge. Errors wrap ErrDuplicate and
+// name the offending edge, so a bad edge list fails with the real cause
+// instead of surfacing later as a misleading cycle or connectivity error.
 func ValidateEdges(edges [][2]string) error {
-	type edgeKey struct{ a, b string }
-	seen := make(map[edgeKey]bool, len(edges))
+	var b Builder
+	for _, e := range edges {
+		b.AddEdge(e[0], e[1])
+	}
+	_, err := Adjacency(b.labels, b.edges)
+	return err
+}
+
+// Adjacency returns the neighbor lists of the graph on len(labels)
+// vertices with the given edges, each list ascending and all of them cut
+// from one slab. It is the one self-loop and duplicate-edge check of every
+// tree and block graph: such an error wraps ErrDuplicate and names, by its
+// labels, the first offending edge in input order (direction ignored, so
+// "a-b" and "b-a" are one edge). An endpoint outside [0, len(labels)) wraps
+// ErrUnknownVertex. The labels name vertices in errors only; their order
+// does not matter here.
+func Adjacency(labels []string, edges [][2]VertexID) ([][]VertexID, error) {
+	n := len(labels)
+	deg := make([]int, n)
+	for _, e := range edges {
+		if e[0] < 0 || int(e[0]) >= n || e[1] < 0 || int(e[1]) >= n {
+			return nil, fmt.Errorf("%w: edge %d-%d on %d vertices", ErrUnknownVertex, e[0], e[1], n)
+		}
+		deg[e[0]]++
+		deg[e[1]]++
+	}
+	slab := make([]VertexID, 2*len(edges))
+	adj := make([][]VertexID, n)
+	off := 0
+	for v, d := range deg {
+		adj[v] = slab[off : off : off+d]
+		off += d
+	}
+	for _, e := range edges {
+		adj[e[0]] = append(adj[e[0]], e[1])
+		adj[e[1]] = append(adj[e[1]], e[0])
+	}
+	// A self-loop lists its vertex twice in its own row, so after sorting
+	// both mistakes show as equal neighbors; only then is the input order
+	// searched for the edge to name.
+	for _, ns := range adj {
+		slices.Sort(ns)
+		for i := 1; i < len(ns); i++ {
+			if ns[i] == ns[i-1] {
+				return nil, firstBadEdge(labels, edges)
+			}
+		}
+	}
+	return adj, nil
+}
+
+// firstBadEdge names the first self-loop or repeated edge of edges in input
+// order. Adjacency calls it only once it knows there is one.
+func firstBadEdge(labels []string, edges [][2]VertexID) error {
+	seen := make(map[[2]VertexID]bool, len(edges))
 	for _, e := range edges {
 		a, b := e[0], e[1]
 		if a == b {
-			return fmt.Errorf("%w: self-loop or duplicate vertex %q", ErrDuplicate, a)
+			return fmt.Errorf("%w: self-loop or duplicate vertex %q", ErrDuplicate, labels[a])
 		}
 		if a > b {
 			a, b = b, a
 		}
-		k := edgeKey{a, b}
-		if seen[k] {
-			return fmt.Errorf("%w: edge %q-%q", ErrDuplicate, e[0], e[1])
+		if seen[[2]VertexID{a, b}] {
+			return fmt.Errorf("%w: edge %q-%q", ErrDuplicate, labels[e[0]], labels[e[1]])
 		}
-		seen[k] = true
+		seen[[2]VertexID{a, b}] = true
 	}
 	return nil
 }
@@ -126,9 +187,23 @@ func ValidateEdges(edges [][2]string) error {
 // Builder accumulates vertices and edges and validates them into a Tree.
 // The zero value is ready to use.
 type Builder struct {
-	labels []string
-	seen   map[string]bool
-	edges  [][2]string
+	labels []string            // in insertion order
+	seen   map[string]VertexID // label -> its index in labels
+	edges  [][2]VertexID       // endpoints as indices into labels
+}
+
+// add registers a label if it is new and returns its insertion index.
+func (b *Builder) add(label string) VertexID {
+	if i, ok := b.seen[label]; ok {
+		return i
+	}
+	if b.seen == nil {
+		b.seen = make(map[string]VertexID)
+	}
+	i := VertexID(len(b.labels))
+	b.seen[label] = i
+	b.labels = append(b.labels, label)
+	return i
 }
 
 // AddVertex registers a vertex label. Adding the same label twice is an
@@ -136,74 +211,94 @@ type Builder struct {
 // implicitly, so calling AddVertex is only required for isolated
 // single-vertex trees.
 func (b *Builder) AddVertex(label string) {
-	if b.seen == nil {
-		b.seen = make(map[string]bool)
-	}
-	if b.seen[label] {
-		b.edges = append(b.edges, [2]string{label, label}) // force duplicate error in Build
+	if i, ok := b.seen[label]; ok {
+		b.edges = append(b.edges, [2]VertexID{i, i}) // force duplicate error in Build
 		return
 	}
-	b.seen[label] = true
-	b.labels = append(b.labels, label)
+	b.add(label)
 }
 
 // AddEdge registers an undirected edge between two labels, registering the
 // labels as vertices if they are new.
 func (b *Builder) AddEdge(a, c string) {
-	if b.seen == nil {
-		b.seen = make(map[string]bool)
+	b.edges = append(b.edges, [2]VertexID{b.add(a), b.add(c)})
+}
+
+// Resolve returns the accumulated labels in ascending order, so that
+// VertexID i is labels[i], and the edges in insertion order as VertexID
+// pairs. It checks nothing: Build does, and so does the block-graph builder
+// in internal/graph.
+func (b *Builder) Resolve() (labels []string, edges [][2]VertexID) {
+	n := len(b.labels)
+	order := make([]VertexID, n) // ascending label order -> insertion index
+	for i := range order {
+		order[i] = VertexID(i)
 	}
-	for _, l := range []string{a, c} {
-		if !b.seen[l] {
-			b.seen[l] = true
-			b.labels = append(b.labels, l)
-		}
+	slices.SortFunc(order, func(x, y VertexID) int { return strings.Compare(b.labels[x], b.labels[y]) })
+	labels = make([]string, n)
+	rank := make([]VertexID, n) // insertion index -> VertexID
+	for id, i := range order {
+		labels[id] = b.labels[i]
+		rank[i] = VertexID(id)
 	}
-	b.edges = append(b.edges, [2]string{a, c})
+	edges = make([][2]VertexID, len(b.edges))
+	for k, e := range b.edges {
+		edges[k] = [2]VertexID{rank[e[0]], rank[e[1]]}
+	}
+	return labels, edges
 }
 
 // Build validates the accumulated vertices and edges and returns the Tree.
-// It checks non-emptiness, |E| = |V|-1, acyclicity and connectivity.
+// It checks non-emptiness, labels, self-loops and duplicate edges,
+// |E| = |V|-1, acyclicity and connectivity, in that order.
 func (b *Builder) Build() (*Tree, error) {
-	n := len(b.labels)
-	if n == 0 {
+	if len(b.labels) == 0 {
 		return nil, ErrEmpty
 	}
-	labels := make([]string, n)
-	copy(labels, b.labels)
-	sort.Strings(labels)
-	for _, l := range labels {
+	return FromEdges(b.Resolve())
+}
+
+// FromEdges builds a Tree on labels, which must be valid and strictly
+// ascending (VertexID i is labels[i]), from edges given as VertexID pairs.
+// It runs Build's checks in Build's order. The block-cut tree in
+// internal/graph builds through it and this package's generators through
+// the core behind it, so a tree they emit is never formatted, hashed or
+// sorted label by label.
+func FromEdges(labels []string, edges [][2]VertexID) (*Tree, error) {
+	for i, l := range labels {
 		if !validLabel(l) {
 			return nil, fmt.Errorf("%w: %q", ErrBadLabel, l)
 		}
+		if i > 0 && labels[i-1] >= l {
+			return nil, fmt.Errorf("%w: %q after %q: labels must be strictly ascending", ErrBadLabel, l, labels[i-1])
+		}
 	}
-	index := make(map[string]VertexID, n)
-	for i, l := range labels {
-		index[l] = VertexID(i)
+	return build(labels, edges)
+}
+
+// build is the one constructor of a Tree, behind FromEdges without its label
+// checks: the package's generators emit valid ascending labels by
+// construction.
+func build(labels []string, edges [][2]VertexID) (*Tree, error) {
+	n := len(labels)
+	if n == 0 {
+		return nil, ErrEmpty
 	}
 	// Self-loops and duplicate edges are diagnosed before the |E| = |V|-1
 	// count check: a duplicated edge would otherwise surface as a bogus
 	// "contains a cycle" (and a duplicate plus a missing edge as "not
 	// connected"), hiding the actual input mistake.
-	if err := ValidateEdges(b.edges); err != nil {
+	adj, err := Adjacency(labels, edges)
+	if err != nil {
 		return nil, err
 	}
-	if len(b.edges) != n-1 {
-		if len(b.edges) > n-1 {
-			return nil, fmt.Errorf("%w: %d vertices but %d edges", ErrCycle, n, len(b.edges))
+	if len(edges) != n-1 {
+		if len(edges) > n-1 {
+			return nil, fmt.Errorf("%w: %d vertices but %d edges", ErrCycle, n, len(edges))
 		}
-		return nil, fmt.Errorf("%w: %d vertices but %d edges", ErrNotConnected, n, len(b.edges))
+		return nil, fmt.Errorf("%w: %d vertices but %d edges", ErrNotConnected, n, len(edges))
 	}
-	adj := make([][]VertexID, n)
-	for _, e := range b.edges {
-		u, v := index[e[0]], index[e[1]]
-		adj[u] = append(adj[u], v)
-		adj[v] = append(adj[v], u)
-	}
-	t := &Tree{labels: labels, index: index, adj: adj, rooted: new(rooted)}
-	for _, ns := range t.adj {
-		sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-	}
+	t := &Tree{labels: labels, adj: adj, rooted: new(rooted)}
 	// |E| == |V|-1 plus connectivity implies acyclicity.
 	if reached := len(t.bfsOrder(0)); reached != n {
 		return nil, fmt.Errorf("%w: reached %d of %d vertices", ErrNotConnected, reached, n)
@@ -234,13 +329,14 @@ func (t *Tree) Labels(vs []VertexID) []string {
 // Valid reports whether v is a vertex of t.
 func (t *Tree) Valid(v VertexID) bool { return v >= 0 && int(v) < len(t.labels) }
 
-// VertexByLabel returns the vertex with the given label.
+// VertexByLabel returns the vertex with the given label: a binary search
+// of the labels, which VertexID order keeps sorted.
 func (t *Tree) VertexByLabel(label string) (VertexID, error) {
-	v, ok := t.index[label]
+	v, ok := slices.BinarySearch(t.labels, label)
 	if !ok {
 		return None, fmt.Errorf("%w: %q", ErrUnknownVertex, label)
 	}
-	return v, nil
+	return VertexID(v), nil
 }
 
 // MustVertex is VertexByLabel for known-good labels; it panics on unknown
@@ -282,17 +378,14 @@ func (t *Tree) Edges() [][2]VertexID {
 // bfsOrder returns vertices reachable from src in BFS order.
 func (t *Tree) bfsOrder(src VertexID) []VertexID {
 	visited := make([]bool, t.NumVertices())
-	order := make([]VertexID, 0, t.NumVertices())
-	queue := []VertexID{src}
+	order := make([]VertexID, 1, t.NumVertices())
+	order[0] = src
 	visited[src] = true
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		order = append(order, v)
-		for _, w := range t.adj[v] {
+	for i := 0; i < len(order); i++ {
+		for _, w := range t.adj[order[i]] {
 			if !visited[w] {
 				visited[w] = true
-				queue = append(queue, w)
+				order = append(order, w)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package tree
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -365,7 +366,7 @@ func TestFigure2Projection(t *testing.T) {
 	}
 	var path []VertexID
 	for i := 1; i <= 8; i++ {
-		path = append(path, tr.MustVertex(numLabel(i, 1)))
+		path = append(path, tr.MustVertex(fmt.Sprintf("v%d", i)))
 	}
 	tests := []struct{ in, want string }{
 		{"u1", "v3"}, {"u2", "v4"}, {"u3", "v6"},
