@@ -204,10 +204,12 @@ bench-kernel-smoke:
 	bash bench/run.sh --workload kernel-batch --seed 1 --seconds 2 --trace 0
 
 # One iteration of every Go sizing benchmark (the kernel cells, the space
-# builds, the tally, the sim engine, the async pipeline, vector decoding):
-# nothing else runs them, so this keeps them building and running.
+# builds, the tally, the sim engine, the async pipeline, vector decoding)
+# and of the four experiment timing gauges EXPERIMENTS.md cites by ns/op
+# (RealAA rounds and batch, Dolev–Strong cost, ed25519 signing): nothing
+# else runs them, so this keeps them building and running.
 bench-go-smoke:
-	$(GO) test -run '^$$' -bench 'KernelCells|ParseSpaces|Tally|RunBroadcast|PipelineRun|DecodeVector' -benchtime 1x ./...
+	$(GO) test -run '^$$' -bench 'KernelCells|ParseSpaces|Tally|RunBroadcast|PipelineRun|DecodeVector|E1RealAARounds|E1RealAABatch|E5bExactAgreementCost|E7ExactAASigning' -benchtime 1x ./...
 
 # One short async-sim pass as a smoke: async.Run of n=16 pipelines on path:64
 # under the seeded random scheduler, every output checked for hull validity
@@ -284,11 +286,12 @@ examples:
 	$(GO) run ./examples/oracle
 	$(GO) run ./examples/asynctree
 
-# Regenerate the EXPERIMENTS.md measurements.
+# Print every paper table of the experiment catalog (internal/experiments).
+# The same text is pinned in testdata/experiments/ and in EXPERIMENTS.md's
+# marked blocks; after a change that moves a number, rewrite both with
+# `go test -run TestExperiment -update .` and review the diff.
 experiments:
-	$(GO) run ./cmd/bench-rounds -sizes 64,256,1024,4096 -async -exact
-	$(GO) run ./cmd/lowerbound
-	$(GO) run ./cmd/adversary-eval
+	$(GO) run ./cmd/experiments
 
 clean:
 	rm -f cover.out test_output.txt bench_output.txt

@@ -1,8 +1,8 @@
 package treeaa
 
 // Runtime smoke tests for the cmd/ binaries (skipped with -short): every
-// tool must run its default experiment to completion and print its key
-// sections. The doc-rot test keeps the prose pointing at binaries and make
+// tool must run a small case to completion and print its key lines, and
+// misuse must fail loudly. The doc-rot test keeps the prose pointing at binaries and make
 // targets that exist.
 
 import (
@@ -21,6 +21,7 @@ func TestCommandsRun(t *testing.T) {
 	cases := []struct {
 		name  string
 		args  []string
+		fails bool // the command must exit non-zero
 		wants []string
 	}{
 		{
@@ -102,31 +103,22 @@ func TestCommandsRun(t *testing.T) {
 			wants: []string{"chaos plan", "seed 7", "drop p0->p1 at round 2"},
 		},
 		{
-			name:  "bench-rounds",
-			args:  []string{"run", "./cmd/bench-rounds", "-sizes", "64,256", "-family", "caterpillar"},
-			wants: []string{"treeaa_norm", "caterpillar"},
+			name:  "experiments E3",
+			args:  []string{"run", "./cmd/experiments", "E3"},
+			wants: []string{"minimal rounds forced", "chain-of-views", "force outputs 500.0 apart"},
 		},
 		{
-			name:  "bench-rounds csv",
-			args:  []string{"run", "./cmd/bench-rounds", "-sizes", "64", "-family", "path", "-csv"},
-			wants: []string{"family,V,D"},
-		},
-		{
-			name:  "lowerbound",
-			args:  []string{"run", "./cmd/lowerbound", "-n", "7", "-t", "2"},
-			wants: []string{"minimal rounds forced", "chain-of-views"},
-		},
-		{
-			name:  "adversary-eval",
-			args:  []string{"run", "./cmd/adversary-eval", "-n", "7", "-t", "2", "-d", "1000", "-tree", "spider:3:8"},
-			wants: []string{"halfburn", "splitvote", "correctness matrix"},
+			name:  "experiments unknown id",
+			args:  []string{"run", "./cmd/experiments", "E99"},
+			fails: true,
+			wants: []string{`unknown experiment "E99"`, "E1 E1b E2 E3 E4 E5b E5c E6 E8 E9 F-B"},
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			out, err := exec.Command("go", tc.args...).CombinedOutput()
-			if err != nil {
-				t.Fatalf("%v failed: %v\n%s", tc.args, err, out)
+			if failed := err != nil; failed != tc.fails {
+				t.Fatalf("%v: exit error %v, want failure %v\n%s", tc.args, err, tc.fails, out)
 			}
 			for _, want := range tc.wants {
 				if !strings.Contains(string(out), want) {

@@ -1,21 +1,29 @@
-// Package experiments is the tested experiment library behind the cmd/
-// binaries and EXPERIMENTS.md: each function regenerates one experiment
-// from DESIGN.md's index (E1–E6) as metrics tables/series. Keeping the
-// generation here — instead of inside main packages — lets the test suite
-// assert the experimental *shapes* (normalized curves flat, divergence
-// equal to the attack budget, bounds ordered) on every run.
+// Package experiments is the catalog of the paper's tables: one entry per
+// experiment ID of DESIGN.md §4 (E1–E9) and per open finding (F-B), each
+// rendered deterministically at fixed parameters. cmd/experiments prints
+// the entries; the root tests pin every entry's text under
+// testdata/experiments/ and hold EXPERIMENTS.md's marked blocks to those
+// goldens, so a protocol change that moves a paper number shows up as a
+// golden diff. The in-package tests assert the experimental *shapes*
+// (normalized curves flat, divergence equal to the attack budget, bounds
+// ordered) on the same helpers.
 package experiments
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
+	"strings"
 
 	"treeaa/internal/adversary"
 	"treeaa/internal/async"
 	"treeaa/internal/baseline"
 	"treeaa/internal/cli"
 	"treeaa/internal/core"
+	"treeaa/internal/crashaa"
 	"treeaa/internal/exactaa"
 	"treeaa/internal/lowerbound"
 	"treeaa/internal/metrics"
@@ -23,6 +31,53 @@ import (
 	"treeaa/internal/sim"
 	"treeaa/internal/tree"
 )
+
+// Experiment is one catalog entry: its EXPERIMENTS.md ID, a title, the
+// fixed parameters it runs at, and the tables it prints.
+type Experiment struct {
+	ID, Title, Params string
+	body              func(b *strings.Builder) error
+}
+
+// Render writes the entry: a heading with its ID, title and parameters,
+// then its tables.
+func (e Experiment) Render(w io.Writer) error {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s — %s\n%s\n\n", e.ID, e.Title, e.Params)
+	if err := e.body(&b); err != nil {
+		return fmt.Errorf("experiments: %s: %w", e.ID, err)
+	}
+	_, err := io.WriteString(w, b.String())
+	return err
+}
+
+// Catalog returns every entry in EXPERIMENTS.md order.
+func Catalog() []Experiment { return slices.Clone(catalog) }
+
+var catalog = []Experiment{
+	{"E1", "RealAA fixed schedule vs the Theorem 3 formula, and the SplitVote budget",
+		"n=10 t=3 eps=1 at D = 10, 1e3, 1e6; SplitVote at D=100 for (n,t) = (7,2), (10,3), (16,5)", renderE1},
+	{"E1b", "RealAA schedule rounds by fault budget t (t <= 1: one-fault collapse; t >= 2: Theorem 3 + margin)",
+		"t = 0, 1, 2, 5; D/eps = 10, 1e2, 1e4, 1e6", renderE1b},
+	{"E2", "TreeAA and the O(log D) baseline by tree family and size (E2/E5)",
+		"n=7 t=2; five families at |V| = 64, 256, 1024, 4096", renderE2},
+	{"E3", "Fekete bound adapted to trees (Theorems 1–2, Corollary 1)",
+		"n=10 t=3; D = 1e2, 1e4, 1e6, 1e9, 1e12", renderE3},
+	{"E4", "detection ablation on real values",
+		"n=10 t=3 D=1e6 eps=1", renderE4},
+	{"E5b", "exact agreement via Dolev–Strong vs TreeAA",
+		"path:64; n = 4, 7, 13 at t = (n-1)/3", renderE5b},
+	{"E5c", "asynchronous NR-style protocol depth (async rounds)",
+		"n=7 t=2; paths of diameter 16, 64, 256", renderE5c},
+	{"E6", "TreeAA correctness matrix under every strategy",
+		"path:256 n=10 t=3 seed=1", renderE6},
+	{"E8", "TreeAA message complexity",
+		"path:64; n = 4, 7, 13 at t = (n-1)/3", renderE8},
+	{"E9", "partial crashes in the mean-update crash protocol",
+		"n=8, 5 iterations; p6 and p7 crash partially in rounds 1 and 2", renderE9},
+	{"F-B", "ExclusionSplit against RealAA (Finding F-B, open)",
+		"n=7 t=2 eps=1, X=p5 S=p6; D = 1e4, 1e6, 1e9", renderFB},
+}
 
 // pseudoSpread returns a deterministic non-symmetric spread of n values in
 // [0, d] (symmetric inputs can coincidentally neutralize splitters).
@@ -34,15 +89,25 @@ func pseudoSpread(n int, d float64) []float64 {
 	return inputs
 }
 
-// Family is a named tree generator for sweeps.
-type Family struct {
-	Name string
-	Make func(size int) *tree.Tree
+// bounds returns the smallest and the largest of the values.
+func bounds(values map[sim.PartyID]float64) (lo, hi float64) {
+	lo, hi = math.Inf(1), math.Inf(-1)
+	for _, v := range values {
+		lo = math.Min(lo, v)
+		hi = math.Max(hi, v)
+	}
+	return lo, hi
 }
 
-// DefaultFamilies returns the five standard families used by E2/E5.
-func DefaultFamilies() []Family {
-	return []Family{
+// family is a named tree generator for sweeps.
+type family struct {
+	name string
+	make func(size int) *tree.Tree
+}
+
+// defaultFamilies returns the five families of the E2/E5 sweep.
+func defaultFamilies() []family {
+	return []family{
 		{"path", tree.NewPath},
 		{"caterpillar", func(s int) *tree.Tree { return tree.NewCaterpillar((s+2)/3, 2) }},
 		{"spider", func(s int) *tree.Tree { return tree.NewSpider(4, (s+3)/4) }},
@@ -57,62 +122,89 @@ func DefaultFamilies() []Family {
 	}
 }
 
-// E1Row is one measurement of the Theorem 3 round-formula sweep.
-type E1Row struct {
-	D              float64
-	ScheduleRounds int // 3·Iterations + 1 (incl. final processing)
-	FormulaRounds  int // realaa.Rounds(t, D, 1): t+1 iterations for t <= 1, else Theorem 3 + margin
-	FinalRange     float64
-	Valid          bool
+// e1Row is one measurement of the Theorem 3 round-formula sweep.
+type e1Row struct {
+	d              float64
+	scheduleRounds int // 3·Iterations + 1 (incl. final processing)
+	formulaRounds  int // realaa.Rounds(t, D, 1): t+1 iterations for t <= 1, else Theorem 3 + margin
+	finalRange     float64
+	valid          bool
 }
 
-// E1RoundsSweep measures RealAA's fixed schedule and final spread across
-// input diameters (experiment E1), with no adversary: validity must yield a
-// final range of 0. The diameters run in parallel (each execution is an
-// independent deterministic protocol run); row order follows the input.
-func E1RoundsSweep(n, t int, diameters []float64) ([]E1Row, error) {
-	rows := make([]E1Row, len(diameters))
+// e1RoundsSweep measures RealAA's fixed schedule and final spread across
+// input diameters, with no adversary: validity must yield a final range of
+// 0. The diameters run in parallel; row order follows the input.
+func e1RoundsSweep(n, t int, diameters []float64) ([]e1Row, error) {
+	rows := make([]e1Row, len(diameters))
 	err := sim.ForEach(len(diameters), func(i int) error {
 		d := diameters[i]
-		inputs := pseudoSpread(n, d)
-		outputs, _, err := realaa.RunReal(n, t, inputs, d, 1, true, nil)
+		outputs, _, err := realaa.RunReal(n, t, pseudoSpread(n, d), d, 1, true, nil)
 		if err != nil {
-			return fmt.Errorf("experiments: E1 D=%g: %w", d, err)
+			return fmt.Errorf("D=%g: %w", d, err)
 		}
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, v := range outputs {
-			lo = math.Min(lo, v)
-			hi = math.Max(hi, v)
-		}
-		rows[i] = E1Row{
-			D:              d,
-			ScheduleRounds: 3*realaa.Iterations(t, d, 1) + 1,
-			FormulaRounds:  realaa.Rounds(t, d, 1),
-			FinalRange:     hi - lo,
-			Valid:          lo >= -1e-9 && hi <= d+1e-9,
+		lo, hi := bounds(outputs)
+		rows[i] = e1Row{
+			d:              d,
+			scheduleRounds: 3*realaa.Iterations(t, d, 1) + 1,
+			formulaRounds:  realaa.Rounds(t, d, 1),
+			finalRange:     hi - lo,
+			valid:          lo >= -1e-9 && hi <= d+1e-9,
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
+	return rows, err
 }
 
-// E1Table renders the sweep.
-func E1Table(rows []E1Row) *metrics.Table {
+// e1Table renders the sweep.
+func e1Table(rows []e1Row) *metrics.Table {
 	tab := metrics.NewTable("D", "schedule_rounds", "formula_rounds", "final_range", "valid")
 	for _, r := range rows {
-		tab.AddRow(r.D, r.ScheduleRounds, r.FormulaRounds, r.FinalRange, r.Valid)
+		tab.AddRow(r.d, r.scheduleRounds, r.formulaRounds, r.finalRange, r.valid)
 	}
 	return tab
 }
 
-// E1bRoundsByT renders RealAA's communication-round schedule against the
-// fault budget (experiment E1b): rows are t, columns D/eps. t <= 1 is the
-// one-fault collapse (3(t+1) rounds whatever the diameter); every t >= 2
-// shares the Theorem 3 schedule.
-func E1bRoundsByT(ts []int, ratios []float64) *metrics.Table {
+// e1SplitVoteDivergence counts the iterations honest values stay apart
+// under SplitVote spending one leader per iteration — Theorem 1's budget
+// says at most t.
+func e1SplitVoteDivergence(nts [][2]int) (*metrics.Table, error) {
+	tab := metrics.NewTable("n", "t", "divergent_iters")
+	for _, nt := range nts {
+		n, t := nt[0], nt[1]
+		inputs := make([]float64, n)
+		for i := range inputs {
+			inputs[i] = float64((i*37 + 13) % 101)
+		}
+		adv := &adversary.SplitVote{IDs: adversary.FirstParties(n, t), N: n, T: t, Tag: "real", PerIteration: 1}
+		_, histories, err := realaa.RunReal(n, t, inputs, 100, 1, true, adv)
+		if err != nil {
+			return nil, fmt.Errorf("splitvote n=%d: %w", n, err)
+		}
+		tab.AddRow(n, t, realaa.DivergentIterations(histories, 1e-12))
+	}
+	return tab, nil
+}
+
+func renderE1(b *strings.Builder) error {
+	rows, err := e1RoundsSweep(10, 3, []float64{10, 1e3, 1e6})
+	if err != nil {
+		return err
+	}
+	b.WriteString(e1Table(rows).String())
+	tab, err := e1SplitVoteDivergence([][2]int{{7, 2}, {10, 3}, {16, 5}})
+	if err != nil {
+		return err
+	}
+	b.WriteString("\ndivergent iterations under SplitVote (one leader per iteration, D = 100):\n")
+	b.WriteString(tab.String())
+	return nil
+}
+
+// e1bRoundsByT renders RealAA's communication-round schedule against the
+// fault budget: rows are t, columns D/eps. t <= 1 is the one-fault
+// collapse (3(t+1) rounds whatever the diameter); every t >= 2 shares the
+// Theorem 3 schedule.
+func e1bRoundsByT(ts []int, ratios []float64) *metrics.Table {
 	header := []string{"t"}
 	for _, r := range ratios {
 		header = append(header, fmt.Sprintf("D/eps=%g", r))
@@ -128,23 +220,29 @@ func E1bRoundsByT(ts []int, ratios []float64) *metrics.Table {
 	return tab
 }
 
-// E2Row is one measurement of the E2/E5 sweep.
-type E2Row struct {
-	Family       string
-	V, D         int
-	TreeAARounds int
-	BaseRounds   int
-	LowerBound   int
-	Theory       float64 // log2 V / log2 log2 V
+func renderE1b(b *strings.Builder) error {
+	b.WriteString(e1bRoundsByT([]int{0, 1, 2, 5}, []float64{10, 1e2, 1e4, 1e6}).String())
+	return nil
 }
 
-// E2RoundsSweep measures TreeAA and the baseline across families and sizes
+// e2Row is one measurement of the E2/E5 sweep.
+type e2Row struct {
+	family       string
+	v, d         int
+	treeAARounds int
+	baseRounds   int
+	lowerBound   int
+	theory       float64 // log2 V / log2 log2 V
+}
+
+// e2RoundsSweep measures TreeAA and the baseline across families and sizes
 // (experiments E2 and E5). The (family, size) cells run in parallel —
 // every cell builds its own tree and trees are immutable once built — and
-// the rows keep the sequential family-major order.
-func E2RoundsSweep(families []Family, sizes []int, n, t int) ([]E2Row, error) {
+// the rows keep the sequential family-major order. Trees of diameter <= 1
+// are skipped.
+func e2RoundsSweep(families []family, sizes []int, n, t int) ([]e2Row, error) {
 	type cell struct {
-		f    Family
+		f    family
 		size int
 	}
 	var cells []cell
@@ -153,76 +251,82 @@ func E2RoundsSweep(families []Family, sizes []int, n, t int) ([]E2Row, error) {
 			cells = append(cells, cell{f, size})
 		}
 	}
-	rows := make([]E2Row, len(cells))
-	skip := make([]bool, len(cells))
+	rows := make([]e2Row, len(cells))
 	err := sim.ForEach(len(cells), func(i int) error {
 		f, size := cells[i].f, cells[i].size
-		tr := f.Make(size)
+		tr := f.make(size)
 		d, _, _ := tr.Diameter()
 		if d <= 1 {
-			skip[i] = true
 			return nil
 		}
 		inputs := (&cli.Space{Tree: tr}).SpreadInputs(n)
 		res, err := core.Run(tr, n, t, inputs, nil)
 		if err != nil {
-			return fmt.Errorf("experiments: %s V=%d: %w", f.Name, size, err)
+			return fmt.Errorf("%s V=%d: %w", f.name, size, err)
 		}
 		_, bres, err := baseline.Run(tr, n, t, inputs, nil)
 		if err != nil {
-			return fmt.Errorf("experiments: %s V=%d baseline: %w", f.Name, size, err)
+			return fmt.Errorf("%s V=%d baseline: %w", f.name, size, err)
 		}
 		v := float64(tr.NumVertices())
-		rows[i] = E2Row{
-			Family: f.Name, V: tr.NumVertices(), D: d,
-			TreeAARounds: res.Rounds, BaseRounds: bres.Rounds,
-			LowerBound: lowerbound.MinRounds(float64(d), n, t),
-			Theory:     math.Log2(v) / math.Log2(math.Log2(v)),
+		rows[i] = e2Row{
+			family: f.name, v: tr.NumVertices(), d: d,
+			treeAARounds: res.Rounds, baseRounds: bres.Rounds,
+			lowerBound: lowerbound.MinRounds(float64(d), n, t),
+			theory:     math.Log2(v) / math.Log2(math.Log2(v)),
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	kept := rows[:0]
-	for i, r := range rows {
-		if !skip[i] {
-			kept = append(kept, r)
-		}
-	}
-	return kept, nil
+	return slices.DeleteFunc(rows, func(r e2Row) bool { return r.family == "" }), nil
 }
 
-// E2Table renders the sweep with the normalized columns EXPERIMENTS.md
+// e2Table renders the sweep with the normalized columns EXPERIMENTS.md
 // discusses.
-func E2Table(rows []E2Row) *metrics.Table {
+func e2Table(rows []e2Row) *metrics.Table {
 	tab := metrics.NewTable("family", "V", "D",
 		"treeaa_rounds", "baseline_rounds", "lowerbound", "logV_loglogV", "treeaa_norm", "baseline_norm")
 	for _, r := range rows {
-		tab.AddRow(r.Family, r.V, r.D, r.TreeAARounds, r.BaseRounds, r.LowerBound,
-			r.Theory, float64(r.TreeAARounds)/r.Theory, float64(r.BaseRounds)/math.Log2(float64(r.D)))
+		tab.AddRow(r.family, r.v, r.d, r.treeAARounds, r.baseRounds, r.lowerBound,
+			r.theory, float64(r.treeAARounds)/r.theory, float64(r.baseRounds)/math.Log2(float64(r.d)))
 	}
 	return tab
 }
 
-// E2Series extracts (log2 V, rounds) series for one family.
-func E2Series(rows []E2Row, family string) (treeAA, base metrics.Series) {
+// e2Series extracts (log2 V, rounds) series for one family.
+func e2Series(rows []e2Row, family string) (treeAA, base metrics.Series) {
 	treeAA.Name = "treeaa"
 	base.Name = "baseline(logD)"
 	for _, r := range rows {
-		if r.Family != family {
+		if r.family != family {
 			continue
 		}
-		x := math.Log2(float64(r.V))
-		treeAA.Add(x, float64(r.TreeAARounds))
-		base.Add(x, float64(r.BaseRounds))
+		x := math.Log2(float64(r.v))
+		treeAA.Add(x, float64(r.treeAARounds))
+		base.Add(x, float64(r.baseRounds))
 	}
 	return treeAA, base
 }
 
-// E3KTable renders log2 K(R, D) for R = 1..t+2 across diameters, with the
-// exact partition supremum (experiment E3, Theorem 1/Corollary 1).
-func E3KTable(n, t int, diameters []float64) *metrics.Table {
+func renderE2(b *strings.Builder) error {
+	rows, err := e2RoundsSweep(defaultFamilies(), []int{64, 256, 1024, 4096}, 7, 2)
+	if err != nil {
+		return err
+	}
+	b.WriteString("treeaa_norm = rounds/(log2V/loglog2V) should be ~flat (Theorem 4);\n")
+	b.WriteString("baseline_norm = rounds/log2(D) should be ~flat ([33]); lowerbound = Theorem 2 minimal rounds\n\n")
+	b.WriteString(e2Table(rows).String())
+	a, base := e2Series(rows, "path")
+	b.WriteString("\nrounds vs log2|V| (path family):\n")
+	b.WriteString(metrics.RenderASCII(60, 14, a, base))
+	return nil
+}
+
+// e3KTable renders log2 K(R, D) for R = 1..t+2 across diameters, with the
+// exact partition supremum (Theorem 1/Corollary 1).
+func e3KTable(n, t int, diameters []float64) *metrics.Table {
 	headers := []string{"R", "sup(t1..tR)"}
 	for _, d := range diameters {
 		headers = append(headers, fmt.Sprintf("log2K_D%g", d))
@@ -238,9 +342,9 @@ func E3KTable(n, t int, diameters []float64) *metrics.Table {
 	return tab
 }
 
-// E3MinRoundsTable renders the exact minimal rounds against the Theorem 2
+// e3MinRoundsTable renders the exact minimal rounds against the Theorem 2
 // closed form.
-func E3MinRoundsTable(n, t int, diameters []float64) *metrics.Table {
+func e3MinRoundsTable(n, t int, diameters []float64) *metrics.Table {
 	tab := metrics.NewTable("D", "minRounds_exact", "thm2_formula")
 	for _, d := range diameters {
 		tab.AddRow(d, lowerbound.MinRounds(d, n, t), lowerbound.Theorem2Formula(d, n, t))
@@ -248,18 +352,43 @@ func E3MinRoundsTable(n, t int, diameters []float64) *metrics.Table {
 	return tab
 }
 
-// E4Row is one protocol/adversary cell of the detection ablation.
-type E4Row struct {
-	Protocol, Adversary string
-	BudgetRounds        int
-	MeasuredRounds      int
-	FinalRange          float64
-	Valid               bool
+func renderE3(b *strings.Builder) error {
+	n, t := 10, 3
+	diameters := []float64{1e2, 1e4, 1e6, 1e9, 1e12}
+	b.WriteString("K(R,D) = D·sup/(n+t)^R; 1-Agreement forces log2 K <= 0 (K <= 1)\n\n")
+	b.WriteString(e3KTable(n, t, diameters).String())
+	b.WriteString("\nminimal rounds forced by the bound vs the Theorem 2 closed form:\n")
+	b.WriteString(e3MinRoundsTable(n, t, diameters).String())
+
+	// The executable chain argument for one round.
+	trimmedMidpoint := func(view []float64) float64 {
+		vals := append([]float64(nil), view...)
+		sort.Float64s(vals)
+		vals = vals[1 : len(vals)-1]
+		return (vals[0] + vals[len(vals)-1]) / 2
+	}
+	gap, at, err := lowerbound.DemonstrateOneRound(trimmedMidpoint, n, 0, 1000)
+	if err != nil {
+		return err
+	}
+	b.WriteString("\none-round chain-of-views demonstration (trimmed-midpoint rule, D = 1000):\n")
+	fmt.Fprintf(b, "  adjacent views %d/%d are honest-indistinguishable yet force outputs %.1f apart\n", at, at+1, gap)
+	fmt.Fprintf(b, "  (>= D/n = %.1f: no one-round protocol can 1-agree on spreads beyond n)\n", 1000.0/float64(n))
+	return nil
 }
 
-// E4DetectAblation runs RealAA and DLPSW under their strongest implemented
-// attacks (experiment E4).
-func E4DetectAblation(n, t int, d float64) ([]E4Row, error) {
+// e4Row is one protocol/adversary cell of the detection ablation.
+type e4Row struct {
+	protocol, adversary string
+	budgetRounds        int
+	measuredRounds      int
+	finalRange          float64
+	valid               bool
+}
+
+// e4DetectAblation runs RealAA and DLPSW under their strongest implemented
+// attacks.
+func e4DetectAblation(n, t int, d float64) ([]e4Row, error) {
 	inputs := pseudoSpread(n, d)
 	ids := adversary.FirstParties(n, t)
 	type variant struct {
@@ -275,49 +404,81 @@ func E4DetectAblation(n, t int, d float64) ([]E4Row, error) {
 		{"DLPSW", "none", false, nil},
 		{"DLPSW", "splitter", false, &adversary.DLPSWSplitter{IDs: ids, N: n, Tag: "real"}},
 	}
-	rows := make([]E4Row, len(variants))
+	rows := make([]e4Row, len(variants))
 	err := sim.ForEach(len(variants), func(i int) error {
 		v := variants[i]
 		outputs, histories, err := realaa.RunReal(n, t, inputs, d, 1, v.detect, v.adv)
 		if err != nil {
-			return fmt.Errorf("experiments: %s/%s: %w", v.protocol, v.advName, err)
+			return fmt.Errorf("%s/%s: %w", v.protocol, v.advName, err)
 		}
 		roundsPerIter, budget := 1, realaa.DLPSWIterations(d, 1)+1
 		if v.detect {
 			roundsPerIter, budget = 3, 3*realaa.Iterations(t, d, 1)+1
 		}
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, out := range outputs {
-			lo = math.Min(lo, out)
-			hi = math.Max(hi, out)
-		}
-		rows[i] = E4Row{
-			Protocol: v.protocol, Adversary: v.advName,
-			BudgetRounds:   budget,
-			MeasuredRounds: realaa.ConvergenceRound(histories, 1, roundsPerIter),
-			FinalRange:     hi - lo,
-			Valid:          lo >= -1e-9 && hi <= d+1e-9 && hi-lo <= 1+1e-9,
+		lo, hi := bounds(outputs)
+		rows[i] = e4Row{
+			protocol: v.protocol, adversary: v.advName,
+			budgetRounds:   budget,
+			measuredRounds: realaa.ConvergenceRound(histories, 1, roundsPerIter),
+			finalRange:     hi - lo,
+			valid:          lo >= -1e-9 && hi <= d+1e-9 && hi-lo <= 1+1e-9,
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
+	return rows, err
 }
 
-// E4Table renders the ablation.
-func E4Table(rows []E4Row) *metrics.Table {
+// e4Table renders the ablation.
+func e4Table(rows []e4Row) *metrics.Table {
 	tab := metrics.NewTable("protocol", "adversary", "budget_rounds", "measured_rounds", "final_range", "valid")
 	for _, r := range rows {
-		tab.AddRow(r.Protocol, r.Adversary, r.BudgetRounds, r.MeasuredRounds, r.FinalRange, r.Valid)
+		tab.AddRow(r.protocol, r.adversary, r.budgetRounds, r.measuredRounds, r.finalRange, r.valid)
 	}
 	return tab
 }
 
-// E5cAsyncDepth measures the asynchronous NR-style protocol's causal depth
-// across diameters (experiment E5c).
-func E5cAsyncDepth(n, t int, diameters []int) (*metrics.Table, error) {
+func renderE4(b *strings.Builder) error {
+	rows, err := e4DetectAblation(10, 3, 1e6)
+	if err != nil {
+		return err
+	}
+	b.WriteString("(budget = fixed worst-case rounds; measured = rounds until honest range <= eps under attack)\n\n")
+	b.WriteString(e4Table(rows).String())
+	return nil
+}
+
+// e5bExactCost measures the Dolev–Strong exact-agreement comparator's
+// round growth in n against TreeAA's flat rounds.
+func e5bExactCost(tr *tree.Tree, ns []int) (*metrics.Table, error) {
+	tab := metrics.NewTable("n", "t", "dolevstrong_rounds", "treeaa_rounds")
+	for _, n := range ns {
+		t := (n - 1) / 3
+		inputs := (&cli.Space{Tree: tr}).SpreadInputs(n)
+		_, eres, err := exactaa.Run(tr, n, t, inputs, nil)
+		if err != nil {
+			return nil, fmt.Errorf("exactaa n=%d: %w", n, err)
+		}
+		res, err := core.Run(tr, n, t, inputs, nil)
+		if err != nil {
+			return nil, fmt.Errorf("treeaa n=%d: %w", n, err)
+		}
+		tab.AddRow(n, t, eres.Rounds, res.Rounds)
+	}
+	return tab, nil
+}
+
+func renderE5b(b *strings.Builder) error {
+	tab, err := e5bExactCost(tree.NewPath(64), []int{4, 7, 13})
+	if err != nil {
+		return err
+	}
+	b.WriteString(tab.String())
+	return nil
+}
+
+// e5cAsyncDepth measures the asynchronous NR-style protocol's causal depth
+// across diameters.
+func e5cAsyncDepth(n, t int, diameters []int) (*metrics.Table, error) {
 	tab := metrics.NewTable("D", "iterations", "async_depth", "deliveries")
 	for _, d := range diameters {
 		tr := tree.NewPath(d + 1)
@@ -329,47 +490,36 @@ func E5cAsyncDepth(n, t int, diameters []int) (*metrics.Table, error) {
 		}
 		res, err := async.Run(async.Config{N: n, MaxDeliveries: 5_000_000}, machines)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: async D=%d: %w", d, err)
+			return nil, fmt.Errorf("async D=%d: %w", d, err)
 		}
 		tab.AddRow(d, iters, res.Depth, res.Deliveries)
 	}
 	return tab, nil
 }
 
-// E5bExactCost measures the Dolev–Strong exact-agreement comparator's round
-// growth in n against TreeAA's flat rounds (experiment E5b).
-func E5bExactCost(tr *tree.Tree, ns []int) (*metrics.Table, error) {
-	tab := metrics.NewTable("n", "t", "dolevstrong_rounds", "treeaa_rounds")
-	for _, n := range ns {
-		t := (n - 1) / 3
-		inputs := (&cli.Space{Tree: tr}).SpreadInputs(n)
-		_, eres, err := exactaa.Run(tr, n, t, inputs, nil)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: exactaa n=%d: %w", n, err)
-		}
-		res, err := core.Run(tr, n, t, inputs, nil)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: treeaa n=%d: %w", n, err)
-		}
-		tab.AddRow(n, t, eres.Rounds, res.Rounds)
+func renderE5c(b *strings.Builder) error {
+	tab, err := e5cAsyncDepth(7, 2, []int{16, 64, 256})
+	if err != nil {
+		return err
 	}
-	return tab, nil
+	b.WriteString(tab.String())
+	return nil
 }
 
-// E6Row is one adversary cell of the TreeAA correctness matrix.
-type E6Row struct {
-	Adversary string
-	Rounds    int
-	Messages  int
-	Bytes     int
-	MaxDist   int
-	Valid     bool
+// e6Row is one adversary cell of the TreeAA correctness matrix.
+type e6Row struct {
+	adversary string
+	rounds    int
+	messages  int
+	bytes     int
+	maxDist   int
+	valid     bool
 }
 
-// E6Matrix runs TreeAA under every strategy at the given corruption level
-// (experiments E1/E6). Every row, the honest one included, is judged over
-// the same honest parties: all but FirstParties(n, t).
-func E6Matrix(tr *tree.Tree, n, t int, seed int64) ([]E6Row, error) {
+// e6Matrix runs TreeAA under every strategy at the given corruption level.
+// Every row, the honest one included, is judged over the same honest
+// parties: all but FirstParties(n, t).
+func e6Matrix(tr *tree.Tree, n, t int, seed int64) ([]e6Row, error) {
 	sp := &cli.Space{Tree: tr}
 	inputs := sp.SpreadInputs(n)
 	corrupt := make(map[sim.PartyID]bool, t)
@@ -379,7 +529,7 @@ func E6Matrix(tr *tree.Tree, n, t int, seed int64) ([]E6Row, error) {
 	names := []string{"none", "silent", "equivocator", "splitvote", "halfburn", "replay", "noise"}
 	// The strategies run in parallel: each adversary value is used by
 	// exactly one execution, and the shared tree is immutable.
-	rows := make([]E6Row, len(names))
+	rows := make([]e6Row, len(names))
 	err := sim.ForEach(len(names), func(i int) error {
 		adv, _, err := sp.BuildAdversary(names[i], n, t, seed)
 		if err != nil {
@@ -387,47 +537,104 @@ func E6Matrix(tr *tree.Tree, n, t int, seed int64) ([]E6Row, error) {
 		}
 		res, err := core.Run(tr, n, t, inputs, adv)
 		if err != nil {
-			return fmt.Errorf("experiments: %s: %w", names[i], err)
+			return fmt.Errorf("%s: %w", names[i], err)
 		}
 		maxDist, validity, _ := sp.Judge(inputs, corrupt, res.Outputs)
-		rows[i] = E6Row{
-			Adversary: names[i], Rounds: res.Rounds, Messages: res.Messages,
-			Bytes: res.Bytes, MaxDist: maxDist, Valid: len(validity) == 0,
+		rows[i] = e6Row{
+			adversary: names[i], rounds: res.Rounds, messages: res.Messages,
+			bytes: res.Bytes, maxDist: maxDist, valid: len(validity) == 0,
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
+	return rows, err
 }
 
-// E6Table renders the matrix.
-func E6Table(rows []E6Row) *metrics.Table {
+// e6Table renders the matrix.
+func e6Table(rows []e6Row) *metrics.Table {
 	tab := metrics.NewTable("adversary", "rounds", "messages", "kbytes", "max_out_dist", "valid", "ok")
 	for _, r := range rows {
-		tab.AddRow(r.Adversary, r.Rounds, r.Messages, float64(r.Bytes)/1024, r.MaxDist, r.Valid, r.Valid && r.MaxDist <= 1)
+		tab.AddRow(r.adversary, r.rounds, r.messages, float64(r.bytes)/1024, r.maxDist, r.valid, r.valid && r.maxDist <= 1)
 	}
 	return tab
 }
 
-// E8MessageComplexity measures TreeAA's traffic growth in n on a fixed
-// tree (experiment E8): the batched gradecast implementation sends two
-// vector messages per party per round (the value instance plus the
-// suspicion-set instance), so totals grow as Θ(R·n²) point-to-point
-// messages of O(n)-sized payloads — an improvement in message count over
-// the O(R·n³) bookkeeping bound quoted for [6], paid for in message size.
-func E8MessageComplexity(tr *tree.Tree, ns []int) (*metrics.Table, error) {
+func renderE6(b *strings.Builder) error {
+	rows, err := e6Matrix(tree.NewPath(256), 10, 3, 1)
+	if err != nil {
+		return err
+	}
+	b.WriteString(e6Table(rows).String())
+	return nil
+}
+
+// e8MessageComplexity measures TreeAA's traffic growth in n on a fixed
+// tree: the batched gradecast implementation sends two vector messages per
+// party per round (the value instance plus the suspicion-set instance), so
+// totals grow as Θ(R·n²) point-to-point messages of O(n)-sized payloads —
+// an improvement in message count over the O(R·n³) bookkeeping bound quoted
+// for [6], paid for in message size.
+func e8MessageComplexity(tr *tree.Tree, ns []int) (*metrics.Table, error) {
 	tab := metrics.NewTable("n", "t", "rounds", "messages", "bytes", "msgs_per_round_n2")
 	for _, n := range ns {
 		t := (n - 1) / 3
 		inputs := (&cli.Space{Tree: tr}).SpreadInputs(n)
 		res, err := core.Run(tr, n, t, inputs, nil)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: n=%d: %w", n, err)
+			return nil, fmt.Errorf("n=%d: %w", n, err)
 		}
 		tab.AddRow(n, t, res.Rounds, res.Messages, res.Bytes,
 			float64(res.Messages)/float64(res.Rounds)/float64(n*n))
 	}
 	return tab, nil
+}
+
+func renderE8(b *strings.Builder) error {
+	tab, err := e8MessageComplexity(tree.NewPath(64), []int{4, 7, 13})
+	if err != nil {
+		return err
+	}
+	b.WriteString(tab.String())
+	return nil
+}
+
+// renderE9 runs the crash-fault model of Fekete's papers [18, 19]: each
+// partial crash splits the survivors' views once, so divergent iterations
+// equal the number of partial-crash rounds, and one clean round restores
+// exact agreement.
+func renderE9(b *strings.Builder) error {
+	inputs := []float64{0, 100, 40, 60, 20, 80, 50, 30}
+	adv := &crashaa.PartialCrash{IDs: []sim.PartyID{6, 7}, Rounds: []int{1, 2}, Cutoffs: []int{3, 3}}
+	outputs, histories, err := crashaa.Run(len(inputs), inputs, 5, adv)
+	if err != nil {
+		return err
+	}
+	lo, hi := bounds(outputs)
+	tab := metrics.NewTable("partial_crash_rounds", "divergent_iters", "final_range")
+	tab.AddRow(len(adv.Rounds), realaa.DivergentIterations(histories, 1e-12), hi-lo)
+	b.WriteString(tab.String())
+	return nil
+}
+
+// renderFB runs the script behind Finding F-B: ExclusionSplit leaves the
+// honest parties with different exclusion sets for good, so the honest
+// range halves per iteration and outlives the Theorem 3 + 2 schedule. The
+// final spread exceeds eps = 1 until the exclusion rule is repaired.
+func renderFB(b *strings.Builder) error {
+	n, t := 7, 2
+	tab := metrics.NewTable("D", "iterations", "final_spread")
+	for _, d := range []float64{1e4, 1e6, 1e9} {
+		inputs := make([]float64, n)
+		for i := range inputs {
+			inputs[i] = d * float64(i%5) / 4 // honest inputs evenly spread over [0, D]
+		}
+		adv := &adversary.ExclusionSplit{X: 5, S: 6, N: n, T: t, Tag: "real"}
+		outputs, _, err := realaa.RunReal(n, t, inputs, d, 1, true, adv)
+		if err != nil {
+			return fmt.Errorf("D=%g: %w", d, err)
+		}
+		lo, hi := bounds(outputs)
+		tab.AddRow(d, realaa.Iterations(t, d, 1), hi-lo)
+	}
+	b.WriteString(tab.String())
+	return nil
 }

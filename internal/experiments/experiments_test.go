@@ -16,7 +16,7 @@ import (
 // (n=7, t=2): with t <= 1 the schedule is constant in |V| (the one-fault
 // collapse), so there is no Theorem 4 shape to test.
 func TestE2NormalizedCurvesFlat(t *testing.T) {
-	rows, err := E2RoundsSweep(DefaultFamilies(), []int{64, 256, 1024}, 7, 2)
+	rows, err := e2RoundsSweep(defaultFamilies(), []int{64, 256, 1024}, 7, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,29 +24,29 @@ func TestE2NormalizedCurvesFlat(t *testing.T) {
 		t.Fatalf("only %d rows", len(rows))
 	}
 	for _, r := range rows {
-		treeNorm := float64(r.TreeAARounds) / r.Theory
-		baseNorm := float64(r.BaseRounds) / math.Log2(float64(r.D))
+		treeNorm := float64(r.treeAARounds) / r.theory
+		baseNorm := float64(r.baseRounds) / math.Log2(float64(r.d))
 		// Path input spaces take the Section 4 shortcut (one RealAA phase),
 		// roughly halving the normalized constant.
 		lo, hi := 12.0, 26.0
-		if r.Family == "path" {
+		if r.family == "path" {
 			lo, hi = 6.0, 14.0
 		}
 		if treeNorm < lo || treeNorm > hi {
-			t.Errorf("%s V=%d: treeaa_norm = %.2f outside [%g,%g]", r.Family, r.V, treeNorm, lo, hi)
+			t.Errorf("%s V=%d: treeaa_norm = %.2f outside [%g,%g]", r.family, r.v, treeNorm, lo, hi)
 		}
 		if baseNorm < 0.8 || baseNorm > 3 {
-			t.Errorf("%s V=%d: baseline_norm = %.2f outside [0.8,3]", r.Family, r.V, baseNorm)
+			t.Errorf("%s V=%d: baseline_norm = %.2f outside [0.8,3]", r.family, r.v, baseNorm)
 		}
-		if r.LowerBound > r.TreeAARounds {
-			t.Errorf("%s V=%d: lower bound %d exceeds protocol rounds %d", r.Family, r.V, r.LowerBound, r.TreeAARounds)
+		if r.lowerBound > r.treeAARounds {
+			t.Errorf("%s V=%d: lower bound %d exceeds protocol rounds %d", r.family, r.v, r.lowerBound, r.treeAARounds)
 		}
 	}
-	tab := E2Table(rows)
+	tab := e2Table(rows)
 	if tab.Len() != len(rows) {
 		t.Errorf("table rows = %d, want %d", tab.Len(), len(rows))
 	}
-	a, b := E2Series(rows, "path")
+	a, b := e2Series(rows, "path")
 	if len(a.Points) != 3 || len(b.Points) != 3 {
 		t.Errorf("series points = %d/%d, want 3/3", len(a.Points), len(b.Points))
 	}
@@ -54,11 +54,11 @@ func TestE2NormalizedCurvesFlat(t *testing.T) {
 
 func TestE3Tables(t *testing.T) {
 	diams := []float64{1e2, 1e6}
-	k := E3KTable(10, 3, diams)
+	k := e3KTable(10, 3, diams)
 	if k.Len() != 5 { // R = 1..t+2
 		t.Errorf("K table rows = %d, want 5", k.Len())
 	}
-	m := E3MinRoundsTable(10, 3, diams)
+	m := e3MinRoundsTable(10, 3, diams)
 	if m.Len() != 2 {
 		t.Errorf("minRounds table rows = %d", m.Len())
 	}
@@ -71,30 +71,30 @@ func TestE3Tables(t *testing.T) {
 // measured convergence beats DLPSW's whenever t << log2(D) — at D=1e6,
 // t=3 the paper-predicted regime.
 func TestE4ShapeDetectionWins(t *testing.T) {
-	rows, err := E4DetectAblation(10, 3, 1e6)
+	rows, err := e4DetectAblation(10, 3, 1e6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byKey := map[string]E4Row{}
+	byKey := map[string]e4Row{}
 	for _, r := range rows {
-		byKey[r.Protocol+"/"+r.Adversary] = r
-		if !r.Valid {
-			t.Errorf("%s/%s: AA violated (range %v)", r.Protocol, r.Adversary, r.FinalRange)
+		byKey[r.protocol+"/"+r.adversary] = r
+		if !r.valid {
+			t.Errorf("%s/%s: AA violated (range %v)", r.protocol, r.adversary, r.finalRange)
 		}
 	}
 	real := byKey["RealAA/splitvote"]
 	classic := byKey["DLPSW/splitter"]
-	if real.MeasuredRounds >= classic.MeasuredRounds {
+	if real.measuredRounds >= classic.measuredRounds {
 		t.Errorf("detection advantage missing: RealAA %d rounds vs DLPSW %d",
-			real.MeasuredRounds, classic.MeasuredRounds)
+			real.measuredRounds, classic.measuredRounds)
 	}
-	if E4Table(rows).Len() != len(rows) {
+	if e4Table(rows).Len() != len(rows) {
 		t.Error("table size mismatch")
 	}
 }
 
 func TestE5cAsyncDepthGrowsWithD(t *testing.T) {
-	tab, err := E5cAsyncDepth(4, 1, []int{16, 64})
+	tab, err := e5cAsyncDepth(4, 1, []int{16, 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestE5cAsyncDepthGrowsWithD(t *testing.T) {
 }
 
 func TestE5bExactCostGrowsWithN(t *testing.T) {
-	tab, err := E5bExactCost(tree.NewPath(32), []int{4, 7})
+	tab, err := e5bExactCost(tree.NewPath(32), []int{4, 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestE5bExactCostGrowsWithN(t *testing.T) {
 // TestE6MatrixAllOK is the resilience regression: every strategy row must
 // report valid outputs within distance 1.
 func TestE6MatrixAllOK(t *testing.T) {
-	rows, err := E6Matrix(tree.NewPath(64), 7, 2, 1)
+	rows, err := e6Matrix(tree.NewPath(64), 7, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +124,11 @@ func TestE6MatrixAllOK(t *testing.T) {
 		t.Fatalf("rows = %d, want 7 strategies", len(rows))
 	}
 	for _, r := range rows {
-		if !r.Valid || r.MaxDist > 1 {
-			t.Errorf("%s: valid=%v maxDist=%d", r.Adversary, r.Valid, r.MaxDist)
+		if !r.valid || r.maxDist > 1 {
+			t.Errorf("%s: valid=%v maxDist=%d", r.adversary, r.valid, r.maxDist)
 		}
 	}
-	if E6Table(rows).Len() != 7 {
+	if e6Table(rows).Len() != 7 {
 		t.Error("table size mismatch")
 	}
 }
@@ -136,7 +136,7 @@ func TestE6MatrixAllOK(t *testing.T) {
 // TestE8QuadraticMessages asserts the Θ(R·n²) message shape: messages per
 // round per n² stays within a tight constant band as n grows.
 func TestE8QuadraticMessages(t *testing.T) {
-	tab, err := E8MessageComplexity(tree.NewPath(64), []int{4, 7, 13})
+	tab, err := e8MessageComplexity(tree.NewPath(64), []int{4, 7, 13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,19 +162,19 @@ func coreRun(tr *tree.Tree, n, tc int, inputs []tree.VertexID) (*core.Result, er
 }
 
 func TestE1SweepMatchesFormula(t *testing.T) {
-	rows, err := E1RoundsSweep(7, 2, []float64{10, 1e3, 1e6})
+	rows, err := e1RoundsSweep(7, 2, []float64{10, 1e3, 1e6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range rows {
-		if !r.Valid || r.FinalRange != 0 {
-			t.Errorf("D=%g: final range %v valid=%v", r.D, r.FinalRange, r.Valid)
+		if !r.valid || r.finalRange != 0 {
+			t.Errorf("D=%g: final range %v valid=%v", r.d, r.finalRange, r.valid)
 		}
-		if diff := r.ScheduleRounds - r.FormulaRounds; diff < 0 || diff > 1 {
-			t.Errorf("D=%g: schedule %d vs formula %d", r.D, r.ScheduleRounds, r.FormulaRounds)
+		if diff := r.scheduleRounds - r.formulaRounds; diff < 0 || diff > 1 {
+			t.Errorf("D=%g: schedule %d vs formula %d", r.d, r.scheduleRounds, r.formulaRounds)
 		}
 	}
-	if E1Table(rows).Len() != 3 {
+	if e1Table(rows).Len() != 3 {
 		t.Error("table size mismatch")
 	}
 }
@@ -182,7 +182,7 @@ func TestE1SweepMatchesFormula(t *testing.T) {
 // TestE1bRoundsByT: the schedule table is constant in D/eps for t <= 1
 // (3(t+1) rounds) and identical across every t >= 2.
 func TestE1bRoundsByT(t *testing.T) {
-	out := E1bRoundsByT([]int{0, 1, 2, 5}, []float64{10, 1e2, 1e4, 1e6}).String()
+	out := e1bRoundsByT([]int{0, 1, 2, 5}, []float64{10, 1e2, 1e4, 1e6}).String()
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 6 {
 		t.Fatalf("table has %d lines, want header, rule and 4 rows:\n%s", len(lines), out)

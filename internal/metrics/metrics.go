@@ -1,7 +1,8 @@
 // Package metrics provides the result plumbing shared by the benchmark
-// harness, the cmd/ tools and EXPERIMENTS.md: small statistics helpers,
-// labeled series, and fixed-width table / CSV rendering. It exists so that
-// every experiment prints its rows the same way the paper's tables would.
+// harness, the cmd/ tools and the experiment catalog: traffic and chaos
+// counters, small statistics helpers, labeled series with ASCII figures,
+// and fixed-width table rendering. It exists so that every experiment
+// prints its rows the same way the paper's tables would.
 package metrics
 
 import (
@@ -179,8 +180,7 @@ func quantile(sorted []float64, q float64) float64 {
 	return sorted[idx]
 }
 
-// Table accumulates rows and renders them with aligned columns (for
-// terminals) or as CSV (for plotting).
+// Table accumulates rows and renders them with aligned columns.
 type Table struct {
 	headers []string
 	rows    [][]string
@@ -276,20 +276,6 @@ func (t *Table) String() string {
 		return fmt.Sprintf("<table: %v>", err)
 	}
 	return sb.String()
-}
-
-// WriteCSV renders the table as CSV (no quoting; experiment cells never
-// contain commas).
-func (t *Table) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, strings.Join(t.headers, ",")); err != nil {
-		return err
-	}
-	for _, row := range t.rows {
-		if _, err := fmt.Fprintln(w, strings.Join(row, ",")); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Series is a labeled (x, y) sequence for figure-style outputs.

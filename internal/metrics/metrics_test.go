@@ -82,19 +82,6 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestTableCSV(t *testing.T) {
-	tab := NewTable("a", "b")
-	tab.AddRow(1, 2.5)
-	var sb strings.Builder
-	if err := tab.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	want := "a,b\n1,2.500\n"
-	if sb.String() != want {
-		t.Errorf("CSV = %q, want %q", sb.String(), want)
-	}
-}
-
 func TestFormatFloat(t *testing.T) {
 	tests := []struct {
 		in   float64
