@@ -107,12 +107,15 @@ overlay-smoke:
 # Serving-layer smoke: a 3-daemon loopback deployment hosting 100 concurrent
 # sessions multiplexed over the shared links; exits non-zero if any session
 # fails to decide or any Result diverges from the sequential sim.Run oracle.
+# The 7-daemon t = 2 run does the same for sessions that stop at the
+# ε-witness, before their schedule's end.
 # The second run turns on the journal and the observability endpoint and
 # asserts /healthz and /metrics from the outside with curl while the
 # cluster lingers — among the families the two that say who did the work:
 # writes and engine turns, inline against deferred.
 serve-smoke:
 	$(GO) run ./cmd/serve -cluster 3 -sessions 100 -tree spider:3:3
+	$(GO) run ./cmd/serve -cluster 7 -t 2 -sessions 100
 	@set -e; \
 	$(GO) run ./cmd/serve -cluster 3 -sessions 100 -tree spider:3:3 \
 		-journal-dir "$$(mktemp -d)" -metrics 127.0.0.1:9309 -linger 8s & pid=$$!; \
@@ -253,11 +256,12 @@ fuzz-short:
 # under every adversarial scheduler (-async-every). Any violation prints a
 # shrunk one-line repro spec and fails the target. Every generated cell with
 # t <= 1 is also held to the one-fault collapse (all honest decisions equal);
-# the second line runs that lemma's exactness tests, the open Finding F-B
+# the second line runs that lemma's exactness tests, Finding F-B at the
+# Theorem 3 count and at the shipped schedule, the ε-witness's property test
 # and the schedule pinned by t under the race detector.
 prop:
 	$(GO) test -race -count=1 -run 'Differential|Async' ./internal/check/
-	$(GO) test -race -count=1 -run 'OneFault|FindingFB|ScheduleByT' ./internal/realaa ./internal/adversary ./internal/core
+	$(GO) test -race -count=1 -run 'OneFault|FindingFB|ScheduleByT|Witness' ./internal/realaa ./internal/adversary ./internal/core
 	$(GO) run ./cmd/check -budget 100 -seeds 1-3 -async-every 4
 
 # Block-graph property gate: the graph machine/decomposition suites under the

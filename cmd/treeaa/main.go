@@ -17,10 +17,11 @@
 //
 // -adversary takes the adversary language of internal/cli (DESIGN §9):
 // none, or clauses name(key=value,...) joined by '+' — silent, crash,
-// equivocator, splitvote, halfburn, noise, replay, frame, omit, stop. A bare
-// name takes every default. The corrupted set is the highest t ids; omit or
-// stop beside a Byzantine clause takes the lower t/2 of them. Only mem runs
-// crash (adaptive); stop, the crash fault, runs on every transport.
+// equivocator, splitvote, halfburn, exclusionsplit, noise, replay, frame,
+// omit, stop. A bare name takes every default. The corrupted set is the
+// highest t ids; omit or stop beside a Byzantine clause takes the lower t/2
+// of them. Only mem runs crash (adaptive); stop, the crash fault, runs on
+// every transport.
 //
 // Tree specs: path:K, star:K, spider:LEGS:LEN, caterpillar:SPINE:LEGS,
 // kary:K:DEPTH, random:K, figure3, or @FILE with "a - b" edge lines.

@@ -88,9 +88,9 @@ func TestGoldenExecution(t *testing.T) {
 	}
 }
 
-// TestGoldenExecutionManyFaults pins executions at t >= 2, where RealAA
-// runs the Theorem 3 schedule and most of its iterations re-gradecast
-// values that have already settled: a splitvote run at n = 7, t = 2 and an
+// TestGoldenExecutionManyFaults pins executions at t >= 2, where the
+// output phase stops at its ε-witness instead of re-gradecasting settled
+// values to the schedule's end: a splitvote run at n = 7, t = 2 and an
 // honest run at n = 16, t = 5 on a random tree. Regenerate with
 //
 //	go test -run TestGoldenExecutionManyFaults -update .

@@ -18,8 +18,8 @@
 //     — the attack that defeated naive local blacklisting and motivated the
 //     global-exclusion repair (EXPERIMENTS.md, Finding F-A).
 //   - ExclusionSplit: splits a suspicion mask so that the exclusion set
-//     itself diverges — the open Finding F-B against that repair for t >= 2.
-//     Not in the adversary language (internal/cli).
+//     itself diverges — Finding F-B against that repair for t >= 2, which
+//     outlives the Theorem 3 count but not the shipped schedule.
 //
 // Specs name strategies through internal/cli's adversary language, whose
 // one table maps each clause name to a literal of a type here.

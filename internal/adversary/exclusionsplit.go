@@ -33,21 +33,26 @@ import (
 //
 // For t >= 2 the honest range then halves per iteration and never collapses:
 // the "two divergent iterations per Byzantine party" budget does not hold,
-// which is why realaa.Iterations is not capped there. With X == S and t = 1
+// so the Theorem 3 count alone is not a sound schedule and realaa.Iterations
+// takes the DLPSW halving count wherever it is longer. With X == S and t = 1
 // the same script is the self-accusing stress case of the one-fault collapse
 // (S's split wins wherever both roles use one gradecast instance): every
 // honest mask names the party in iteration 2 and it is excluded everywhere.
 //
-// X and S must be exactly the t corrupted parties (t = 2, or t = 1 with
-// X == S): they are also the echo/vote boosters that lift the staged counts
-// to the n-t and t+1 thresholds. The strategy is deliberately not in the
-// strategy table of internal/cli (the adversary language's one compiler),
-// so no generated or flag-selected adversary reaches it.
+// IDs is the Byzantine share. Every member boosts the staged echo and vote
+// counts to the n-t and t+1 thresholds, so the script runs only when IDs is
+// the whole corrupted set (len(IDs) == T); X and S are members of it. The
+// script lands as described for t = 2 (and t = 1 with X == S); a larger
+// share only boosts, and the mask split then tips no count. Its iteration 1
+// is protocol iteration StartIteration (default 1), so a later start plays
+// the split against values that have already moved.
 type ExclusionSplit struct {
-	X, S       sim.PartyID
-	N, T       int
-	Tag        string
-	StartRound int
+	IDs            []sim.PartyID
+	X, S           sim.PartyID
+	N, T           int
+	Tag            string
+	StartRound     int
+	StartIteration int
 
 	x         float64       // iteration-1 staged value (the honest minimum)
 	receivers []sim.PartyID // n-2t lowest-valued honest parties: send/echo targets
@@ -60,8 +65,8 @@ type ExclusionSplit struct {
 
 var _ sim.Adversary = (*ExclusionSplit)(nil)
 
-// ids returns the controlled parties: {X, S}, or {X} when they coincide.
-func (a *ExclusionSplit) ids() []sim.PartyID {
+// roles returns the staging leaders: {X, S}, or {X} when they coincide.
+func (a *ExclusionSplit) roles() []sim.PartyID {
 	if a.X == a.S {
 		return []sim.PartyID{a.X}
 	}
@@ -69,7 +74,7 @@ func (a *ExclusionSplit) ids() []sim.PartyID {
 }
 
 // Initial implements sim.Adversary.
-func (a *ExclusionSplit) Initial() []sim.PartyID { return a.ids() }
+func (a *ExclusionSplit) Initial() []sim.PartyID { return a.IDs }
 
 // Step implements sim.Adversary.
 func (a *ExclusionSplit) Step(r int, honestOut []sim.Message, _ map[sim.PartyID][]sim.Message) ([]sim.Message, []sim.PartyID) {
@@ -77,22 +82,25 @@ func (a *ExclusionSplit) Step(r int, honestOut []sim.Message, _ map[sim.PartyID]
 	if start == 0 {
 		start = 1
 	}
-	rr := r - start + 1
-	if rr < 1 || a.T != len(a.ids()) {
+	skip := max(a.StartIteration, 1) - 1 // protocol iterations before the script's first
+	rr := r - start + 1 - 3*skip
+	if rr < 1 || a.T != len(a.IDs) || !slices.Contains(a.IDs, a.X) || !slices.Contains(a.IDs, a.S) {
 		return nil, nil
 	}
+	// iter is the script's iteration; messages carry the protocol's.
 	iter, phase := (rr-1)/3+1, (rr-1)%3
+	abs := iter + skip
 	acc := a.Tag + "/acc"
 	maskX := float64(uint64(1) << uint(a.X))
 	switch {
 	case iter == 1 && phase == 0:
-		return a.stage(honestOut), nil
+		return a.stage(honestOut, abs), nil
 	case !a.staged:
 		return nil, nil
 	case iter == 1 && phase == 1:
 		// The booster (receivers[0]) alone is lifted to vote S's value; all
 		// receivers are lifted to vote X's.
-		return a.boost(a.Tag, iter, false, func(to sim.PartyID, vals map[sim.PartyID]float64) {
+		return a.boost(a.Tag, abs, false, func(to sim.PartyID, vals map[sim.PartyID]float64) {
 			if to == a.receivers[0] {
 				vals[a.S] = a.x
 			}
@@ -103,7 +111,7 @@ func (a *ExclusionSplit) Step(r int, honestOut []sim.Message, _ map[sim.PartyID]
 	case iter == 1 && phase == 2:
 		// Group A reaches t+1 votes for S (grade 1, grade 0 elsewhere);
 		// everyone but the accuser reaches n-t for X (grade 2, grade 1 there).
-		return a.boost(a.Tag, iter, true, func(to sim.PartyID, vals map[sim.PartyID]float64) {
+		return a.boost(a.Tag, abs, true, func(to sim.PartyID, vals map[sim.PartyID]float64) {
 			if slices.Contains(a.groupA, to) {
 				vals[a.S] = a.x
 			}
@@ -112,28 +120,28 @@ func (a *ExclusionSplit) Step(r int, honestOut []sim.Message, _ map[sim.PartyID]
 			}
 		}), nil
 	case phase == 0:
-		lo, ok := a.liveValues(honestOut, iter)
+		lo, ok := a.liveValues(honestOut, iter, abs)
 		if !ok {
 			return nil, nil
 		}
-		msgs := []sim.Message{{From: a.X, To: sim.Broadcast, Payload: gradecast.SendMsg{Tag: a.Tag, Iter: iter, Val: lo}}}
+		msgs := []sim.Message{{From: a.X, To: sim.Broadcast, Payload: gradecast.SendMsg{Tag: a.Tag, Iter: abs, Val: lo}}}
 		if iter > 2 || a.X != a.S {
-			msgs = append(msgs, sim.Message{From: a.X, To: sim.Broadcast, Payload: gradecast.SendMsg{Tag: acc, Iter: iter, Val: maskX}})
+			msgs = append(msgs, sim.Message{From: a.X, To: sim.Broadcast, Payload: gradecast.SendMsg{Tag: acc, Iter: abs, Val: maskX}})
 		}
 		if iter == 2 {
 			for _, to := range a.receivers {
-				msgs = append(msgs, sim.Message{From: a.S, To: to, Payload: gradecast.SendMsg{Tag: acc, Iter: iter, Val: maskX}})
+				msgs = append(msgs, sim.Message{From: a.S, To: to, Payload: gradecast.SendMsg{Tag: acc, Iter: abs, Val: maskX}})
 			}
 		}
 		return msgs, nil
 	case iter == 2 && phase == 1:
-		return a.boost(acc, iter, false, func(to sim.PartyID, vals map[sim.PartyID]float64) {
+		return a.boost(acc, abs, false, func(to sim.PartyID, vals map[sim.PartyID]float64) {
 			if to == a.receivers[0] {
 				vals[a.S] = maskX
 			}
 		}), nil
 	case iter == 2 && phase == 2:
-		return a.boost(acc, iter, true, func(to sim.PartyID, vals map[sim.PartyID]float64) {
+		return a.boost(acc, abs, true, func(to sim.PartyID, vals map[sim.PartyID]float64) {
 			if slices.Contains(a.high, to) {
 				vals[a.S] = maskX
 			}
@@ -144,12 +152,12 @@ func (a *ExclusionSplit) Step(r int, honestOut []sim.Message, _ map[sim.PartyID]
 }
 
 // boost emits the staged echo (or, with vote set, vote) support: from every
-// controlled party to every honest party that support names a leader for,
+// member of the share to every honest party that support names a leader for,
 // one vector message under tag (receivers keep a sender's first vector per
 // tag, so a recipient's support for both leaders travels merged).
 func (a *ExclusionSplit) boost(tag string, iter int, vote bool, support func(to sim.PartyID, vals map[sim.PartyID]float64)) []sim.Message {
 	var msgs []sim.Message
-	for _, from := range a.ids() {
+	for _, from := range a.IDs {
 		for _, to := range a.honest {
 			vals := make(map[sim.PartyID]float64, 2)
 			support(to, vals)
@@ -167,11 +175,12 @@ func (a *ExclusionSplit) boost(tag string, iter int, vote bool, support func(to 
 	return msgs
 }
 
-// liveValues reads iter's honest send-phase values (rushing): it returns
-// their minimum and, in iteration 2, fixes the high group — all but the t
-// lowest-valued honest parties.
-func (a *ExclusionSplit) liveValues(honestOut []sim.Message, iter int) (float64, bool) {
-	vals := honestSends(honestOut, a.Tag, iter)
+// liveValues reads the honest send-phase values of the script's iteration
+// iter, protocol iteration abs (rushing): it returns their minimum and, in
+// iteration 2, fixes the high group — all but the t lowest-valued honest
+// parties.
+func (a *ExclusionSplit) liveValues(honestOut []sim.Message, iter, abs int) (float64, bool) {
+	vals := honestSends(honestOut, a.Tag, abs)
 	if len(vals) == 0 {
 		return 0, false
 	}
@@ -182,10 +191,10 @@ func (a *ExclusionSplit) liveValues(honestOut []sim.Message, iter int) (float64,
 	return vals[byVal[0]], true
 }
 
-// stage fixes the groups from the live iteration-1 traffic and emits the
-// sends of both value splits plus the consistent empty masks.
-func (a *ExclusionSplit) stage(honestOut []sim.Message) []sim.Message {
-	vals := honestSends(honestOut, a.Tag, 1)
+// stage fixes the groups from the live traffic of protocol iteration abs
+// and emits the sends of both value splits plus the consistent empty masks.
+func (a *ExclusionSplit) stage(honestOut []sim.Message, abs int) []sim.Message {
+	vals := honestSends(honestOut, a.Tag, abs)
 	if len(vals) == 0 {
 		return nil
 	}
@@ -200,11 +209,11 @@ func (a *ExclusionSplit) stage(honestOut []sim.Message) []sim.Message {
 	a.staged = true
 
 	var msgs []sim.Message
-	for _, id := range a.ids() {
+	for _, id := range a.roles() {
 		for _, to := range a.receivers {
-			msgs = append(msgs, sim.Message{From: id, To: to, Payload: gradecast.SendMsg{Tag: a.Tag, Iter: 1, Val: a.x}})
+			msgs = append(msgs, sim.Message{From: id, To: to, Payload: gradecast.SendMsg{Tag: a.Tag, Iter: abs, Val: a.x}})
 		}
-		msgs = append(msgs, sim.Message{From: id, To: sim.Broadcast, Payload: gradecast.SendMsg{Tag: a.Tag + "/acc", Iter: 1, Val: 0}})
+		msgs = append(msgs, sim.Message{From: id, To: sim.Broadcast, Payload: gradecast.SendMsg{Tag: a.Tag + "/acc", Iter: abs, Val: 0}})
 	}
 	return msgs
 }

@@ -29,7 +29,8 @@ import (
 // every subsequent iteration.
 //
 // The package test measures the protocol's convergence under this attack
-// against the Theorem 3 budget: the paper's guarantee must survive it.
+// against the shipped schedule (realaa.Iterations): the paper's guarantee
+// must survive it.
 type HalfBurn struct {
 	IDs        []sim.PartyID // IDs[0] seeds divergence; IDs[1:] are half-burnt
 	N, T       int

@@ -12,8 +12,8 @@ import (
 // probe: HalfBurn keeps t leaders accepted at group A and blacklisted
 // elsewhere from iteration 2 on, the strongest sustained inconsistency
 // gradecast permits. The protocol must still reach eps-agreement within the
-// fixed Theorem 3 budget — trimming caps the window asymmetry — even though
-// divergence lasts far longer than under the one-shot attacks.
+// fixed schedule (realaa.Iterations) — trimming caps the window asymmetry —
+// even though divergence lasts far longer than under the one-shot attacks.
 func TestHalfBurnSustainsDivergenceButConverges(t *testing.T) {
 	for _, cfg := range []struct {
 		n, t int
@@ -42,7 +42,7 @@ func TestHalfBurnSustainsDivergenceButConverges(t *testing.T) {
 			final := realaa.RangeAtIteration(histories, iters-1)
 			t.Logf("%s: divergent %d/%d iterations, final range %.6g", name, divergent, iters, final)
 			if final > 1 {
-				t.Errorf("eps-agreement violated within the Theorem 3 budget: final range %v > 1 "+
+				t.Errorf("eps-agreement violated within the schedule: final range %v > 1 "+
 					"(HalfBurn defeats the implementation)", final)
 			}
 			// Validity must hold regardless.

@@ -15,7 +15,7 @@ import (
 // The out-of-model "evil" machine bug is deliberately absent: it exists
 // only to exercise the checker's own violation-and-shrink machinery via
 // explicit injection (cmd/check -inject-bad).
-var byzPool = []string{"silent", "crash", "equivocator", "splitvote", "halfburn", "noise", "replay", "frame"}
+var byzPool = []string{"silent", "crash", "equivocator", "splitvote", "halfburn", "noise", "replay", "frame", "exclusionsplit"}
 
 // Generate draws one random cell: a small input space (a tree, or — one in
 // four — a block graph), party parameters, an input placement and a composed
@@ -151,6 +151,10 @@ func genByzClause(rng *rand.Rand, name string, tr *tree.Tree, t, byzIDCount int)
 		cl.Args["delay"] = strconv.Itoa(1 + rng.Intn(5))
 	case "frame":
 		cl.Args["fake"] = strconv.Itoa(rng.Intn(2 * tr.NumVertices()))
+	case "exclusionsplit":
+		cl.Args["x"] = strconv.Itoa(rng.Intn(byzIDCount))
+		cl.Args["s"] = strconv.Itoa(rng.Intn(byzIDCount))
+		cl.Args["iter"] = strconv.Itoa(1 + rng.Intn(3))
 	}
 	if len(cl.Args) == 0 {
 		cl.Args = nil

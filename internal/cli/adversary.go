@@ -134,6 +134,19 @@ func (a *clauseArgs) int(key string, def int) int {
 	return v
 }
 
+// role is the member of the clause's share at the index the named argument
+// gives (def when absent).
+func (a *clauseArgs) role(key string, def int) sim.PartyID {
+	i := a.int(key, def)
+	if i < 0 || i >= len(a.ids) {
+		if a.err == nil {
+			a.err = fmt.Errorf("adversary clause %s: %s=%d outside the %d-party share", a.cl.Name, key, i, len(a.ids))
+		}
+		return a.ids[0]
+	}
+	return a.ids[i]
+}
+
 // crashRounds is crash's and stop's schedule: rounds=R1.R2… (one per
 // party), or drawn from the seed over the run's rounds when absent.
 func (a *clauseArgs) crashRounds() []int {
@@ -176,6 +189,10 @@ var strategies = map[string]struct {
 	"noise": {phased: true, build: func(a *clauseArgs) sim.Adversary {
 		return &adversary.RandomNoise{IDs: a.ids, N: a.n, Tag: a.phase.Tag, StartRound: a.phase.StartRound,
 			Seed: a.seed + int64(1000*a.k+37*a.pos), MaxVal: a.int("maxval", 2*a.tr.NumVertices())}
+	}},
+	"exclusionsplit": {phased: true, build: func(a *clauseArgs) sim.Adversary {
+		return &adversary.ExclusionSplit{IDs: a.ids, X: a.role("x", 0), S: a.role("s", len(a.ids)-1),
+			N: a.n, T: a.t, Tag: a.phase.Tag, StartRound: a.phase.StartRound, StartIteration: a.int("iter", 1)}
 	}},
 	"replay": {build: func(a *clauseArgs) sim.Adversary { return &adversary.Replay{IDs: a.ids, Delay: a.int("delay", 3)} }},
 	"frame": {phased: true, build: func(a *clauseArgs) sim.Adversary {

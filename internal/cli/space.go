@@ -193,7 +193,7 @@ func (s *Space) Judge(inputs []tree.VertexID, corrupted map[sim.PartyID]bool,
 	return maxDist, validity, agreement
 }
 
-// uncappedT is a fault budget on the Theorem 3 schedule: core.Rounds is the
+// uncappedT is a fault budget on the t >= 2 schedule: core.Rounds is the
 // same for every t >= 2 and never longer below.
 const uncappedT = 2
 

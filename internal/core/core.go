@@ -17,12 +17,18 @@
 //     {v_k*, v_k*+1}, preserving 1-Agreement and Validity even though that
 //     party cannot tell which neighbor extends the longer path (Figure 5).
 //
-// Total round complexity: R_RealAA(2|V|, 1) + R_RealAA(D(T), 1) =
+// Theorem 4's round complexity: R_RealAA(2|V|, 1) + R_RealAA(D(T), 1) =
 // O(log|V(T)| / log log|V(T)|), which Section 3's adaptation of Fekete's
 // bound shows is asymptotically optimal for D(T) ∈ |V(T)|^Θ(1), t ∈ Θ(n).
-// That is the schedule for t >= 2. With a fault budget t <= 1 each RealAA
-// phase ends in exact agreement after t+1 iterations (realaa.Iterations), so
-// TreeAA runs 6(t+1) rounds on any tree and all honest outputs are equal.
+// The schedule shipped for t >= 2 gives each RealAA phase the longer of
+// Theorem 3's count and the DLPSW halving count ⌈log2 D⌉ (realaa.Iterations:
+// Finding F-B outlives the first), so Rounds is O(log |V(T)|) there. It is a
+// budget, not a cost: the phase that produces the output (the projection
+// phase, or the path shortcut) decides at its ε-witness (realaa.Config.Eps),
+// and an execution stops in the round its last honest party decides. With a
+// fault budget t <= 1 each RealAA phase ends in exact agreement after t+1
+// iterations (realaa.Iterations), so TreeAA runs 6(t+1) rounds on any tree
+// and all honest outputs are equal.
 package core
 
 import (
@@ -118,7 +124,8 @@ func ProjectionRounds(tr *tree.Tree, t int) int {
 
 // Rounds returns TreeAA's total communication-round budget for the tree
 // under fault budget t (see realaa.Iterations for how t enters: t+1
-// iterations per phase when t <= 1, the Theorem 3 schedule otherwise). Path
+// iterations per phase when t <= 1, the longer of Theorem 3's and DLPSW's
+// count otherwise); with t >= 2 an execution may stop before it. Path
 // input spaces use the Section 4 shortcut (a single RealAA(1) on positions);
 // all other trees pay both phases.
 func Rounds(tr *tree.Tree, t int) int {
@@ -225,17 +232,19 @@ func (m *Machine) ShortcutMachine() *pathaa.Machine { return m.shortcut }
 // nothing (driver.FinalRounder).
 func (m *Machine) FinalRound() int { return Rounds(m.cfg.Tree, m.cfg.T) + 1 }
 
-// Step implements sim.Machine.
+// Step implements sim.Machine. A machine that has decided keeps stepping
+// its RealAA phase to the schedule's end: a decision taken at an ε-witness
+// (realaa.Config.Eps) must not silence the party while others still wait.
 func (m *Machine) Step(r int, inbox []sim.Message) []sim.Message {
-	if m.done {
-		return nil
-	}
 	if m.shortcut != nil {
 		out := m.shortcut.Step(r, inbox)
-		if v, ok := m.shortcut.Output(); ok {
+		if v, ok := m.shortcut.Output(); ok && !m.done {
 			m.out, m.done = v.(tree.VertexID), true
 		}
 		return out
+	}
+	if m.pf == nil {
+		return nil // trivial tree: decided at construction
 	}
 	// Each phase's machine reuses its own outbox buffer, so its slice is
 	// returned as it is; only the hand-off round, in which both phases may
@@ -259,9 +268,9 @@ func (m *Machine) Step(r int, inbox []sim.Message) []sim.Message {
 			m.proj = proj
 		}
 	}
-	if m.proj != nil && !m.done {
+	if m.proj != nil {
 		projOut := m.proj.Step(r, inbox)
-		if j, ok := m.proj.Output(); ok {
+		if j, ok := m.proj.Output(); ok && !m.done {
 			m.decide(j.(float64))
 		}
 		if len(out) == 0 {
@@ -282,6 +291,7 @@ func (m *Machine) newProjection() (*realaa.Machine, error) {
 		Iterations: realaa.Iterations(m.cfg.T, float64(d), 1),
 		StartRound: m.pfRounds + 1,
 		Input:      float64(idx + 1), // 1-based position on the path
+		Eps:        1,
 	})
 }
 

@@ -29,8 +29,9 @@ func ExampleRun() {
 }
 
 // ExampleRounds shows the protocol's fixed round budget: constant in |V|
-// while the fault budget is at most 1 (the one-fault collapse), growing
-// sublogarithmically in |V| from t = 2 on (Theorem 4).
+// while the fault budget is at most 1 (the one-fault collapse), growing in
+// |V| from t = 2 on — sublogarithmically while Theorem 4's count is the
+// longer, as log2 D once the DLPSW halving count is.
 func ExampleRounds() {
 	for _, size := range []int{64, 1024} {
 		tr := tree.NewPath(size)
@@ -39,5 +40,5 @@ func ExampleRounds() {
 	}
 	// Output:
 	// |V|=64: 3 / 6 / 24 rounds at t = 0 / 1 / 2
-	// |V|=1024: 3 / 6 / 27 rounds at t = 0 / 1 / 2
+	// |V|=1024: 3 / 6 / 30 rounds at t = 0 / 1 / 2
 }

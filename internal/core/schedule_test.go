@@ -36,21 +36,25 @@ func runSpace(t *testing.T, spec, adversary string, n, tc int) *sim.Result {
 	return res
 }
 
-// TestScheduleByT pins the round schedule as a function of the fault budget.
-// With t <= 1 each RealAA phase is t+1 iterations (the one-fault collapse),
-// so the served spider:3:3 session runs 13 rounds; from t = 2 on nothing
-// moved: the four kernel-batch cells of the layered benchmark (t = 5 and 10)
-// reproduce the rounds, messages and bytes of the t-free schedule they ran
-// before (sums 136 / 92,412 / 15,857,410, the benchmark's traced counts):
-// those executions are unchanged.
+// TestScheduleByT pins the round schedule as a function of the fault budget,
+// and the round the execution actually stops in. With t <= 1 each RealAA
+// phase is t+1 iterations (the one-fault collapse), so the served
+// spider:3:3 session runs 13 rounds, all of them. From t = 2 on the schedule
+// is the longer of Theorem 3 (+2) and the DLPSW halving count, and the
+// RealAA phase the output comes from stops at its ε-witness: the four
+// kernel-batch cells of the layered benchmark (t = 5 and 10) stop in 22, 46,
+// 10 and 7 rounds of schedules of 31, 64, 34 and 22 (sums 85 / 51,228 /
+// 8,061,090 rounds, messages and bytes; the Theorem 3 schedule ran 136 /
+// 92,412 / 15,857,410 to its end).
 func TestScheduleByT(t *testing.T) {
 	for _, c := range []struct {
 		space  string
 		n, t   int
-		rounds int // including the final processing step
+		rounds int // the schedule, including the final processing step
+		ran    int // the round sim.Run stops in
 	}{
-		{"spider:3:3", 4, 0, 7}, {"spider:3:3", 4, 1, 13}, {"spider:3:3", 7, 2, 43},
-		{"path:40", 4, 0, 4}, {"path:40", 4, 1, 7},
+		{"spider:3:3", 4, 0, 7, 7}, {"spider:3:3", 4, 1, 13, 13}, {"spider:3:3", 7, 2, 43, 25},
+		{"path:40", 4, 0, 4, 4}, {"path:40", 4, 1, 7, 7},
 	} {
 		sp, err := cli.ParseSpaceSpec(c.space, 1)
 		if err != nil {
@@ -59,7 +63,7 @@ func TestScheduleByT(t *testing.T) {
 		if got := core.Rounds(sp.Tree, c.t) + 1; got != c.rounds {
 			t.Errorf("%s t=%d: core.Rounds+1 = %d, want %d", c.space, c.t, got, c.rounds)
 		}
-		// The round a machine advertises as its last is the one sim.Run stops in.
+		// The round a machine advertises as its last is the schedule's end.
 		m, _, err := sp.NewMachine(c.n, c.t, 0, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -68,8 +72,8 @@ func TestScheduleByT(t *testing.T) {
 			t.Errorf("%s t=%d: FinalRound = %d, want %d", c.space, c.t, got, c.rounds)
 		}
 		for _, adversary := range []string{"", "splitvote"} {
-			if got := runSpace(t, c.space, adversary, c.n, c.t).Rounds; got != c.rounds {
-				t.Errorf("%s n=%d t=%d %q: ran %d rounds, want %d", c.space, c.n, c.t, adversary, got, c.rounds)
+			if got := runSpace(t, c.space, adversary, c.n, c.t).Rounds; got != c.ran {
+				t.Errorf("%s n=%d t=%d %q: ran %d rounds, want %d", c.space, c.n, c.t, adversary, got, c.ran)
 			}
 		}
 		if ceiling := sp.Rounds(); core.Rounds(sp.Tree, c.t) > ceiling {
@@ -80,12 +84,13 @@ func TestScheduleByT(t *testing.T) {
 	for _, c := range []struct {
 		space, adversary      string
 		n, t                  int
+		schedule              int
 		rounds, msgs, payload int
 	}{
-		{"path:1024", "splitvote", 16, 5, 28, 10324, 1226810},
-		{"random:4096", "", 16, 5, 55, 27648, 4070400},
-		{"path:2048", "splitvote", 32, 10, 31, 43688, 8965320},
-		{"graph:cliquechain:8:6", "", 16, 5, 22, 10752, 1594880},
+		{"path:1024", "splitvote", 16, 5, 31, 22, 8564, 1006810},
+		{"random:4096", "", 16, 5, 64, 46, 23552, 3390464},
+		{"path:2048", "splitvote", 32, 10, 34, 10, 15528, 3195336},
+		{"graph:cliquechain:8:6", "", 16, 5, 22, 7, 3584, 468480},
 	} {
 		sp, err := cli.ParseSpaceSpec(c.space, 1)
 		if err != nil {
@@ -93,13 +98,85 @@ func TestScheduleByT(t *testing.T) {
 		}
 		if m, _, err := sp.NewMachine(c.n, c.t, 0, 0); err != nil {
 			t.Fatal(err)
-		} else if got := m.(interface{ FinalRound() int }).FinalRound(); got != c.rounds {
-			t.Errorf("%s t=%d: FinalRound = %d, want %d", c.space, c.t, got, c.rounds)
+		} else if got := m.(interface{ FinalRound() int }).FinalRound(); got != c.schedule {
+			t.Errorf("%s t=%d: FinalRound = %d, want %d", c.space, c.t, got, c.schedule)
 		}
 		res := runSpace(t, c.space, c.adversary, c.n, c.t)
 		if got := [3]int{res.Rounds, res.Messages, res.Bytes}; got != [3]int{c.rounds, c.msgs, c.payload} {
-			t.Errorf("%s n=%d t=%d %q: rounds/messages/bytes = %v, want %v (what the t-free schedule ran)",
+			t.Errorf("%s n=%d t=%d %q: rounds/messages/bytes = %v, want %v",
 				c.space, c.n, c.t, c.adversary, got, [3]int{c.rounds, c.msgs, c.payload})
+		}
+	}
+}
+
+// holdOutput hides a machine's output until its schedule's last round, so
+// that sim.Run drives every round of the schedule; it records the round
+// the machine first offered an output, that output, and whether it still
+// sent messages after it.
+type holdOutput struct {
+	sim.Machine
+	final, round int
+	decided      int
+	out          any
+	changed      bool
+	sentAfter    bool
+}
+
+func (h *holdOutput) Step(r int, inbox []sim.Message) []sim.Message {
+	h.round = r
+	msgs := h.Machine.Step(r, inbox)
+	v, ok := h.Machine.Output()
+	switch {
+	case ok && h.decided == 0:
+		h.decided, h.out = r, v
+	case ok && v != h.out:
+		h.changed = true
+	}
+	if h.decided > 0 && r > h.decided && len(msgs) > 0 {
+		h.sentAfter = true
+	}
+	return msgs
+}
+
+func (h *holdOutput) Output() (any, bool) {
+	if h.round < h.final {
+		return nil, false
+	}
+	return h.Machine.Output()
+}
+
+// TestDecidedMachineKeepsStepping: a t >= 2 machine that decided at its
+// ε-witness keeps its output and keeps sending to the schedule's end, on a
+// path space (the shortcut phase) and a non-path tree (the projection
+// phase), so a party that has not decided yet hears every round.
+func TestDecidedMachineKeepsStepping(t *testing.T) {
+	const n, tc = 7, 2
+	for _, spec := range []string{"path:40", "spider:3:3"} {
+		sp, err := cli.ParseSpaceSpec(spec, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		final := core.Rounds(sp.Tree, tc) + 1
+		machines := make([]sim.Machine, n)
+		held := make([]*holdOutput, n)
+		for p, in := range sp.SpreadInputs(n) {
+			m, _, err := sp.NewMachine(n, tc, sim.PartyID(p), in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			held[p] = &holdOutput{Machine: m, final: final}
+			machines[p] = held[p]
+		}
+		if _, err := sim.Run(sim.Config{N: n, MaxCorrupt: tc, MaxRounds: final + 1}, machines); err != nil {
+			t.Fatal(err)
+		}
+		for p, h := range held {
+			if h.decided == 0 || h.decided >= final-3 {
+				t.Errorf("%s party %d: decided in round %d of %d, want an early witness", spec, p, h.decided, final)
+			}
+			if h.changed || !h.sentAfter {
+				t.Errorf("%s party %d: output changed %v, sent after deciding %v", spec, p, h.changed, h.sentAfter)
+			}
 		}
 	}
 }

@@ -57,8 +57,8 @@ func Catalog() []Experiment { return slices.Clone(catalog) }
 var catalog = []Experiment{
 	{"E1", "RealAA fixed schedule vs the Theorem 3 formula, and the SplitVote budget",
 		"n=10 t=3 eps=1 at D = 10, 1e3, 1e6; SplitVote at D=100 for (n,t) = (7,2), (10,3), (16,5)", renderE1},
-	{"E1b", "RealAA schedule rounds by fault budget t (t <= 1: one-fault collapse; t >= 2: Theorem 3 + margin)",
-		"t = 0, 1, 2, 5; D/eps = 10, 1e2, 1e4, 1e6", renderE1b},
+	{"E1b", "RealAA rounds by fault budget t: the Theorem 3 count, the schedule, and where the ε-witness decides",
+		"t = 0, 1, 2, 5 at n = max(4, 3t+1); D/eps = 10, 1e2, 1e4, 1e6; SplitVote one leader per iteration", renderE1b},
 	{"E2", "TreeAA and the O(log D) baseline by tree family and size (E2/E5)",
 		"n=7 t=2; five families at |V| = 64, 256, 1024, 4096", renderE2},
 	{"E3", "Fekete bound adapted to trees (Theorems 1–2, Corollary 1)",
@@ -75,7 +75,7 @@ var catalog = []Experiment{
 		"path:64; n = 4, 7, 13 at t = (n-1)/3", renderE8},
 	{"E9", "partial crashes in the mean-update crash protocol",
 		"n=8, 5 iterations; p6 and p7 crash partially in rounds 1 and 2", renderE9},
-	{"F-B", "ExclusionSplit against RealAA (Finding F-B, open)",
+	{"F-B", "ExclusionSplit against RealAA (Finding F-B: outlives the Theorem 3 count, not the schedule)",
 		"n=7 t=2 eps=1, X=p5 S=p6; D = 1e4, 1e6, 1e9", renderFB},
 }
 
@@ -200,39 +200,77 @@ func renderE1(b *strings.Builder) error {
 	return nil
 }
 
-// e1bRoundsByT renders RealAA's communication-round schedule against the
-// fault budget: rows are t, columns D/eps. t <= 1 is the one-fault
-// collapse (3(t+1) rounds whatever the diameter); every t >= 2 shares the
-// Theorem 3 schedule.
-func e1bRoundsByT(ts []int, ratios []float64) *metrics.Table {
-	header := []string{"t"}
-	for _, r := range ratios {
-		header = append(header, fmt.Sprintf("D/eps=%g", r))
-	}
-	tab := metrics.NewTable(header...)
+// e1bRoundsByT renders RealAA's communication rounds against the fault
+// budget, one row per (t, D/eps): the paper's Theorem 3 count (+2), the
+// shipped schedule (t <= 1: the one-fault collapse, 3(t+1) rounds whatever
+// the diameter; t >= 2: the longer of Theorem 3 and DLPSW) and the rounds
+// an execution with the ε-witness on runs until its last honest party has
+// decided, under SplitVote spending one leader per iteration.
+func e1bRoundsByT(ts []int, ratios []float64) (*metrics.Table, error) {
+	tab := metrics.NewTable("t", "D/eps", "theorem3_rounds", "schedule_rounds", "decided_rounds")
 	for _, t := range ts {
-		row := []any{t}
 		for _, r := range ratios {
-			row = append(row, realaa.Rounds(t, r, 1))
+			decided, err := witnessRounds(t, r)
+			if err != nil {
+				return nil, fmt.Errorf("t=%d D/eps=%g: %w", t, r, err)
+			}
+			tab.AddRow(t, r, 3*realaa.Theorem3Iterations(r, 1), realaa.Rounds(t, r, 1), decided)
 		}
-		tab.AddRow(row...)
 	}
-	return tab
+	return tab, nil
+}
+
+// witnessRounds runs RealAA(1) with the ε-witness on at n = max(4, 3t+1)
+// on inputs spread over [0, d], under SplitVote spending one leader per
+// iteration, and returns the communication rounds until the last honest
+// party decided (the execution's rounds less its processing step).
+func witnessRounds(t int, d float64) (int, error) {
+	n := max(4, 3*t+1)
+	var adv sim.Adversary
+	if t > 0 {
+		adv = &adversary.SplitVote{IDs: adversary.FirstParties(n, t), N: n, T: t, Tag: "real", PerIteration: 1}
+	}
+	res, err := runRealAA(n, t, pseudoSpread(n, d), realaa.Iterations(t, d, 1), 1, adv)
+	if err != nil {
+		return 0, err
+	}
+	return res.Rounds - 1, nil
+}
+
+// runRealAA runs RealAA machines tagged "real" for the given number of
+// iterations, with Config.Eps = eps (0: no ε-witness), under adv.
+func runRealAA(n, t int, inputs []float64, iters int, eps float64, adv sim.Adversary) (*sim.Result, error) {
+	machines := make([]sim.Machine, n)
+	for i := range machines {
+		m, err := realaa.NewMachine(realaa.Config{N: n, T: t, ID: sim.PartyID(i), Tag: "real",
+			Iterations: iters, StartRound: 1, Input: inputs[i], Eps: eps})
+		if err != nil {
+			return nil, err
+		}
+		machines[i] = m
+	}
+	return sim.Run(sim.Config{N: n, MaxCorrupt: t, MaxRounds: 3*iters + 2, Adversary: adv}, machines)
 }
 
 func renderE1b(b *strings.Builder) error {
-	b.WriteString(e1bRoundsByT([]int{0, 1, 2, 5}, []float64{10, 1e2, 1e4, 1e6}).String())
+	tab, err := e1bRoundsByT([]int{0, 1, 2, 5}, []float64{10, 1e2, 1e4, 1e6})
+	if err != nil {
+		return err
+	}
+	b.WriteString("communication rounds, the processing step excluded\n\n")
+	b.WriteString(tab.String())
 	return nil
 }
 
 // e2Row is one measurement of the E2/E5 sweep.
 type e2Row struct {
-	family       string
-	v, d         int
-	treeAARounds int
-	baseRounds   int
-	lowerBound   int
-	theory       float64 // log2 V / log2 log2 V
+	family        string
+	v, d          int
+	treeAARounds  int // the schedule, core.Rounds+1: the paper's round claim
+	decidedRounds int // the round the execution stopped in
+	baseRounds    int
+	lowerBound    int
+	theory        float64 // log2 V / log2 log2 V
 }
 
 // e2RoundsSweep measures TreeAA and the baseline across families and sizes
@@ -271,7 +309,7 @@ func e2RoundsSweep(families []family, sizes []int, n, t int) ([]e2Row, error) {
 		v := float64(tr.NumVertices())
 		rows[i] = e2Row{
 			family: f.name, v: tr.NumVertices(), d: d,
-			treeAARounds: res.Rounds, baseRounds: bres.Rounds,
+			treeAARounds: core.Rounds(tr, t) + 1, decidedRounds: res.Rounds, baseRounds: bres.Rounds,
 			lowerBound: lowerbound.MinRounds(float64(d), n, t),
 			theory:     math.Log2(v) / math.Log2(math.Log2(v)),
 		}
@@ -286,10 +324,10 @@ func e2RoundsSweep(families []family, sizes []int, n, t int) ([]e2Row, error) {
 // e2Table renders the sweep with the normalized columns EXPERIMENTS.md
 // discusses.
 func e2Table(rows []e2Row) *metrics.Table {
-	tab := metrics.NewTable("family", "V", "D",
-		"treeaa_rounds", "baseline_rounds", "lowerbound", "logV_loglogV", "treeaa_norm", "baseline_norm")
+	tab := metrics.NewTable("family", "V", "D", "treeaa_rounds", "decided_rounds",
+		"baseline_rounds", "lowerbound", "logV_loglogV", "treeaa_norm", "baseline_norm")
 	for _, r := range rows {
-		tab.AddRow(r.family, r.v, r.d, r.treeAARounds, r.baseRounds, r.lowerBound,
+		tab.AddRow(r.family, r.v, r.d, r.treeAARounds, r.decidedRounds, r.baseRounds, r.lowerBound,
 			r.theory, float64(r.treeAARounds)/r.theory, float64(r.baseRounds)/math.Log2(float64(r.d)))
 	}
 	return tab
@@ -315,7 +353,8 @@ func renderE2(b *strings.Builder) error {
 	if err != nil {
 		return err
 	}
-	b.WriteString("treeaa_norm = rounds/(log2V/loglog2V) should be ~flat (Theorem 4);\n")
+	b.WriteString("treeaa_rounds = the schedule (core.Rounds+1); decided_rounds = the round the execution stopped in\n")
+	b.WriteString("treeaa_norm = treeaa_rounds/(log2V/loglog2V) should be ~flat (Theorem 4);\n")
 	b.WriteString("baseline_norm = rounds/log2(D) should be ~flat ([33]); lowerbound = Theorem 2 minimal rounds\n\n")
 	b.WriteString(e2Table(rows).String())
 	a, base := e2Series(rows, "path")
@@ -448,9 +487,10 @@ func renderE4(b *strings.Builder) error {
 }
 
 // e5bExactCost measures the Dolev–Strong exact-agreement comparator's
-// round growth in n against TreeAA's flat rounds.
+// round growth in n against TreeAA's flat schedule (core.Rounds+1) and the
+// round its execution stopped in.
 func e5bExactCost(tr *tree.Tree, ns []int) (*metrics.Table, error) {
-	tab := metrics.NewTable("n", "t", "dolevstrong_rounds", "treeaa_rounds")
+	tab := metrics.NewTable("n", "t", "dolevstrong_rounds", "treeaa_rounds", "decided_rounds")
 	for _, n := range ns {
 		t := (n - 1) / 3
 		inputs := (&cli.Space{Tree: tr}).SpreadInputs(n)
@@ -462,7 +502,7 @@ func e5bExactCost(tr *tree.Tree, ns []int) (*metrics.Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("treeaa n=%d: %w", n, err)
 		}
-		tab.AddRow(n, t, eres.Rounds, res.Rounds)
+		tab.AddRow(n, t, eres.Rounds, core.Rounds(tr, t)+1, res.Rounds)
 	}
 	return tab, nil
 }
@@ -617,23 +657,41 @@ func renderE9(b *strings.Builder) error {
 
 // renderFB runs the script behind Finding F-B: ExclusionSplit leaves the
 // honest parties with different exclusion sets for good, so the honest
-// range halves per iteration and outlives the Theorem 3 + 2 schedule. The
-// final spread exceeds eps = 1 until the exclusion rule is repaired.
+// range halves per iteration and outlives the Theorem 3 + 2 count — the
+// final spread there exceeds eps = 1 until the exclusion rule is repaired.
+// The shipped schedule is at least the DLPSW halving count and ends inside
+// eps.
 func renderFB(b *strings.Builder) error {
 	n, t := 7, 2
-	tab := metrics.NewTable("D", "iterations", "final_spread")
+	tab := metrics.NewTable("D", "theorem3_iters", "theorem3_spread", "schedule_iters", "final_spread")
 	for _, d := range []float64{1e4, 1e6, 1e9} {
 		inputs := make([]float64, n)
 		for i := range inputs {
 			inputs[i] = d * float64(i%5) / 4 // honest inputs evenly spread over [0, D]
 		}
-		adv := &adversary.ExclusionSplit{X: 5, S: 6, N: n, T: t, Tag: "real"}
-		outputs, _, err := realaa.RunReal(n, t, inputs, d, 1, true, adv)
-		if err != nil {
-			return fmt.Errorf("D=%g: %w", d, err)
+		spread := func(iters int) (float64, error) {
+			adv := &adversary.ExclusionSplit{IDs: adversary.FirstParties(n, t), X: 5, S: 6, N: n, T: t, Tag: "real"}
+			res, err := runRealAA(n, t, inputs, iters, 0, adv)
+			if err != nil {
+				return 0, fmt.Errorf("D=%g: %w", d, err)
+			}
+			outputs := make(map[sim.PartyID]float64, len(res.Outputs))
+			for p, v := range res.Outputs {
+				outputs[p] = v.(float64)
+			}
+			lo, hi := bounds(outputs)
+			return hi - lo, nil
 		}
-		lo, hi := bounds(outputs)
-		tab.AddRow(d, realaa.Iterations(t, d, 1), hi-lo)
+		paper, shipped := realaa.Theorem3Iterations(d, 1), realaa.Iterations(t, d, 1)
+		paperSpread, err := spread(paper)
+		if err != nil {
+			return err
+		}
+		shippedSpread, err := spread(shipped)
+		if err != nil {
+			return err
+		}
+		tab.AddRow(d, paper, paperSpread, shipped, shippedSpread)
 	}
 	b.WriteString(tab.String())
 	return nil

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -179,25 +180,47 @@ func TestE1SweepMatchesFormula(t *testing.T) {
 	}
 }
 
-// TestE1bRoundsByT: the schedule table is constant in D/eps for t <= 1
-// (3(t+1) rounds) and identical across every t >= 2.
+// TestE1bRoundsByT: the schedule is constant in D/eps for t <= 1
+// (3(t+1) rounds) and an execution runs all of it; every t >= 2 shares one
+// schedule, at least the Theorem 3 count, and the ε-witness decides inside
+// it.
 func TestE1bRoundsByT(t *testing.T) {
-	out := e1bRoundsByT([]int{0, 1, 2, 5}, []float64{10, 1e2, 1e4, 1e6}).String()
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 6 {
-		t.Fatalf("table has %d lines, want header, rule and 4 rows:\n%s", len(lines), out)
+	ratios := []float64{10, 1e2, 1e4, 1e6}
+	tab, err := e1bRoundsByT([]int{0, 1, 2, 5}, ratios)
+	if err != nil {
+		t.Fatal(err)
 	}
-	rows := make([][]string, 4)
-	for i := range rows {
-		rows[i] = strings.Fields(lines[2+i])
+	lines := strings.Split(strings.TrimSpace(tab.String()), "\n")
+	if len(lines) != 2+4*len(ratios) {
+		t.Fatalf("table has %d lines, want header, rule and %d rows:\n%s", len(lines), 4*len(ratios), tab)
 	}
-	if got := strings.Join(rows[0], " "); got != "0 3 3 3 3" {
-		t.Errorf("t=0 row = %q", got)
+	schedule := map[string]string{} // D/eps -> the t = 2 schedule
+	for _, line := range lines[2:] {
+		f := strings.Fields(line)
+		tc, ratio := f[0], f[1]
+		theorem3, sched, decided := atoi(t, f[2]), atoi(t, f[3]), atoi(t, f[4])
+		switch tc {
+		case "0", "1":
+			if want := 3 * (atoi(t, tc) + 1); sched != want || decided != want {
+				t.Errorf("t=%s D/eps=%s: schedule %d, decided %d, want both %d", tc, ratio, sched, decided, want)
+			}
+		default:
+			if sched < theorem3 || decided > sched {
+				t.Errorf("t=%s D/eps=%s: theorem3 %d, schedule %d, decided %d", tc, ratio, theorem3, sched, decided)
+			}
+			if prev, ok := schedule[ratio]; ok && prev != f[3] {
+				t.Errorf("t=%s D/eps=%s: schedule %s differs from t=2's %s", tc, ratio, f[3], prev)
+			}
+			schedule[ratio] = f[3]
+		}
 	}
-	if got := strings.Join(rows[1], " "); got != "1 6 6 6 6" {
-		t.Errorf("t=1 row = %q", got)
+}
+
+func atoi(t *testing.T, s string) int {
+	t.Helper()
+	v, err := strconv.Atoi(s)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got, want := strings.Join(rows[3][1:], " "), strings.Join(rows[2][1:], " "); got != want || rows[2][1] == "6" {
-		t.Errorf("t=5 row %q differs from t=2 row %q (or t=2 collapsed)", got, want)
-	}
+	return v
 }

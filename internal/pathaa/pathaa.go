@@ -120,6 +120,7 @@ func newMachine(cfg Config) (*Machine, error) {
 		Iterations: realaa.Iterations(cfg.T, float64(len(cfg.Path)-1), 1),
 		StartRound: cfg.StartRound,
 		Input:      float64(idx + 1), // paper's 1-based position
+		Eps:        1,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("pathaa: %w", err)
@@ -148,13 +149,12 @@ func VertexAt(path []tree.VertexID, j float64) tree.VertexID {
 func (m *Machine) RealAA() *realaa.Machine { return m.real }
 
 // Step implements sim.Machine by delegating to the inner RealAA execution
-// and decoding its real-valued output to a vertex.
+// and decoding its real-valued output to a vertex. The inner machine keeps
+// stepping after the decision: one taken at an ε-witness leaves the
+// schedule running for the parties still waiting.
 func (m *Machine) Step(r int, inbox []sim.Message) []sim.Message {
-	if m.done {
-		return nil
-	}
 	out := m.real.Step(r, inbox)
-	if j, ok := m.real.Output(); ok {
+	if j, ok := m.real.Output(); ok && !m.done {
 		m.out = VertexAt(m.cfg.Path, j.(float64))
 		m.done = true
 	}

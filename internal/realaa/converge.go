@@ -38,10 +38,8 @@ func maxIterations(histories map[sim.PartyID][]float64) int {
 // ConvergenceRound returns the first communication round by whose end the
 // honest values were within eps of each other, given roundsPerIter (3 for
 // RealAA, 1 for DLPSW). If the histories never reach eps it returns the
-// last recorded round. This is the oracle's view of convergence — the
-// protocols themselves run their fixed schedules (the paper's TreeAA
-// composition requires fixed budgets; Section 4 notes that observation-
-// based termination happens in consecutive, not simultaneous, iterations).
+// last recorded round. This is the oracle's view of convergence; a party
+// can only decide on what it sees itself, at its ε-witness (Config.Eps).
 func ConvergenceRound(histories map[sim.PartyID][]float64, eps float64, roundsPerIter int) int {
 	iters := maxIterations(histories)
 	for it := 0; it < iters; it++ {

@@ -10,9 +10,9 @@ import (
 	"treeaa/internal/sim"
 )
 
-// theorem3Iterations is realaa.Iterations as it stood before the schedule
-// learned about t: ceil((20/9)·log2(δ)/log2log2(δ)) + 2. Every t >= 2 must
-// still get exactly this.
+// theorem3Iterations is the paper's count, ceil((20/9)·log2(δ)/log2log2(δ))
+// + 2: realaa.Iterations for t >= 2 before Finding F-B, and
+// realaa.Theorem3Iterations now.
 func theorem3Iterations(d, eps float64) int {
 	ratio := d / eps
 	if ratio <= 1 {
@@ -31,13 +31,19 @@ func theorem3Iterations(d, eps float64) int {
 }
 
 // TestScheduleByTIterations pins the schedule as a function of t: t+1 for
-// t <= 1, the parent's count for every t >= 2, 0 whenever D/eps <= 1.
+// t <= 1, for every t >= 2 the longer of the Theorem 3 count and the DLPSW
+// halving count ceil(log2(D/eps)), 0 whenever D/eps <= 1.
 func TestScheduleByTIterations(t *testing.T) {
 	ratios := []float64{2, 3, 10, 100, 1e3, 1e4, 1e6, 1e9, 1e12}
 	for _, ratio := range ratios {
+		if got, want := realaa.Theorem3Iterations(ratio, 1), theorem3Iterations(ratio, 1); got != want {
+			t.Errorf("Theorem3Iterations(%g, 1) = %d, want %d", ratio, got, want)
+		}
+		halvings := int(math.Ceil(math.Log2(ratio)))
 		for _, tc := range []int{2, 3, 5, 10, 33} {
-			if got, want := realaa.Iterations(tc, ratio, 1), theorem3Iterations(ratio, 1); got != want {
-				t.Errorf("Iterations(t=%d, %g, 1) = %d, want the Theorem 3 count %d", tc, ratio, got, want)
+			if got, want := realaa.Iterations(tc, ratio, 1), max(theorem3Iterations(ratio, 1), halvings); got != want {
+				t.Errorf("Iterations(t=%d, %g, 1) = %d, want max(Theorem 3 %d, log2 %d)",
+					tc, ratio, got, theorem3Iterations(ratio, 1), halvings)
 			}
 		}
 		for tc := 0; tc <= 1; tc++ {
@@ -77,7 +83,7 @@ func oneFaultStrategies(n int, c sim.PartyID, d float64) map[string]func() sim.A
 		"replay": func() sim.Adversary { return &adversary.Replay{IDs: ids, Delay: 3} },
 		"frame":  func() sim.Adversary { return &adversary.FrameHonest{IDs: ids, N: n, Tag: "real", Fake: d / 3} },
 		"exclusionsplit-self": func() sim.Adversary {
-			return &adversary.ExclusionSplit{X: c, S: c, N: n, T: 1, Tag: "real"}
+			return &adversary.ExclusionSplit{IDs: []sim.PartyID{c}, X: c, S: c, N: n, T: 1, Tag: "real"}
 		},
 	}
 	// Rounds 1-3 corrupt the party in the middle of iteration 1, 4-6 in

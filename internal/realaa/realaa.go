@@ -19,7 +19,13 @@
 // terminates within R_RealAA(D, eps) = ceil(7·log2(D/eps)/log2log2(D/eps))
 // rounds; Iterations and Rounds compute the fixed schedules used here, as a
 // function of the fault budget: with t <= 1 the protocol collapses to exact
-// agreement in t+1 iterations, whatever D/eps.
+// agreement in t+1 iterations, whatever D/eps. For t >= 2 the shipped
+// schedule is the longer of Theorem 3's count (+2) and DLPSW's
+// ceil(log2(D/eps)) — the only bound proven for this exclusion rule
+// (Finding F-B, DESIGN §3) — and a machine given Config.Eps stops waiting
+// for it as soon as it can prove eps-agreement locally: its Output is
+// available at the end of the first iteration whose whole accepted multiset
+// spans at most Eps (the ε-witness, DESIGN §3).
 package realaa
 
 import (
@@ -47,23 +53,35 @@ import (
 // honest party. If iteration 1 was symmetric the values are already equal,
 // and equal honest values stay equal under trim-t.
 //
-// t ≥ 2: the smallest R of the form ceil((20/9)·log2(δ)/log2log2(δ)),
-// following the proof of Theorem 3 (which shows R^R >= δ suffices since the
-// per-iteration product factor is at most 1/R^R), plus a +2 margin for the
-// one-iteration lag of the threshold-based global exclusion (see Machine).
-// The margin is empirical, not proven: Finding F-B (EXPERIMENTS) is a
-// two-party strategy that keeps the honest range halving — and no faster —
-// for the whole schedule, so this count is deliberately not capped by t.
+// t ≥ 2: the longer of Theorem3Iterations(d, eps) and DLPSWIterations(d,
+// eps). The trimmed midpoint halves the honest range at least once per
+// iteration whatever the exclusion sets do — every honest party accepts
+// every honest value and at most t others — so the DLPSW count is a proven
+// ceiling; the Theorem 3 count alone is not (Finding F-B, DESIGN §3).
 func Iterations(t int, d, eps float64) int {
 	if eps <= 0 {
 		panic("realaa: eps must be positive")
 	}
-	ratio := d / eps
-	if ratio <= 1 {
+	if d/eps <= 1 {
 		return 0
 	}
 	if t <= 1 {
 		return t + 1
+	}
+	return max(Theorem3Iterations(d, eps), DLPSWIterations(d, eps))
+}
+
+// Theorem3Iterations is the paper's count: the smallest R of the form
+// ceil((20/9)·log2(δ)/log2log2(δ)) for δ = D/eps, following the proof of
+// Theorem 3 (which shows R^R >= δ suffices since the per-iteration product
+// factor is at most 1/R^R), plus a +2 margin for the one-iteration lag of
+// the threshold-based global exclusion (see Machine). It was the t ≥ 2
+// schedule until Finding F-B showed an exclusion split outliving it;
+// Iterations now takes it only where it is the longer count.
+func Theorem3Iterations(d, eps float64) int {
+	ratio := d / eps
+	if ratio <= 1 {
+		return 0
 	}
 	l := math.Log2(ratio)
 	ll := math.Log2(l)
@@ -78,8 +96,7 @@ func Iterations(t int, d, eps float64) int {
 }
 
 // Rounds returns the communication-round budget of RealAA(eps) on D-close
-// inputs under fault budget t: three rounds per iteration (for t ≥ 2,
-// Theorem 3's R_RealAA(D, eps) plus the exclusion-lag margin).
+// inputs under fault budget t: three rounds per iteration of Iterations.
 func Rounds(t int, d, eps float64) int { return 3 * Iterations(t, d, eps) }
 
 // ClosestInt is the paper's closestInt: for z <= j < z+1 it returns z when
@@ -102,13 +119,14 @@ type Config struct {
 	StartRound int
 	// Input is the party's input value.
 	Input float64
-	// Eps, when positive, enables the paper's termination observation: a
-	// party marks itself decided in the first iteration whose trimmed
-	// accepted multiset has spread <= Eps (Section 4: "parties may observe
-	// this termination condition in consecutive iterations"). The fixed
-	// schedule still runs to completion — TreeAA's composition requires
-	// simultaneous phase switches — but DecidedIteration exposes when each
-	// party could have stopped.
+	// Eps, when positive and T >= 2, lets the party decide early: at the
+	// end of the first iteration whose whole accepted multiset (grade >= 1,
+	// leader not excluded, untrimmed) spans at most Eps, Output becomes
+	// available with the value just computed. That multiset holds every
+	// honest value, so the witness is sound (DESIGN §3); the machine keeps
+	// stepping to the schedule's end so that parties still waiting hear it.
+	// With T <= 1 the schedule is already t+1 iterations and exact, and Eps
+	// is ignored.
 	Eps float64
 }
 
@@ -135,7 +153,8 @@ func (c *Config) Validate() error {
 // Machine is one party's RealAA execution, implementing sim.Machine.
 // Relative round 3k+1 processes iteration k's votes and sends iteration
 // k+1's values; the output is available after relative round
-// 3*Iterations + 1 (the processing step following the last vote round).
+// 3*Iterations + 1 (the processing step following the last vote round), or
+// after relative round 3k+1 when iteration k was an ε-witness (Config.Eps).
 //
 // # Detection design (and why local blacklists are not enough)
 //
@@ -177,8 +196,9 @@ func (c *Config) Validate() error {
 // iterations" is false — a split of a *suspicion mask* can leave a second
 // Byzantine leader excluded at some honest parties and included at the rest
 // for good, with no further split to detect (adversary.ExclusionSplit,
-// Finding F-B in EXPERIMENTS, open). Against every strategy the generator of
-// internal/check draws, the Theorem 3 schedule still ends inside eps.
+// Finding F-B in EXPERIMENTS, open). The asymmetry cannot stop the honest
+// range from halving per iteration, which is why Iterations ships the
+// DLPSW count wherever it is longer than Theorem 3's.
 type Machine struct {
 	cfg Config
 	val float64
@@ -193,7 +213,8 @@ type Machine struct {
 	// instance, then one suspicion-mask instance per word.
 	tags    []string
 	history []float64 // value after each completed iteration
-	decided int       // first iteration with trimmed spread <= Eps; 0 = not yet
+	decided int       // iteration of the ε-witness; 0 = none yet
+	output  float64   // the value decided at the witness
 	done    bool
 
 	// Per-round scratch, allocated once by NewMachine at its final size —
@@ -273,7 +294,8 @@ func (m *Machine) suspicionMask(w int) float64 {
 	return float64(mask)
 }
 
-// Value returns the party's current value (its eventual output once done).
+// Value returns the party's current value: the one it gradecasts next, and
+// its output at the schedule's end unless an ε-witness decided it earlier.
 func (m *Machine) Value() float64 { return m.val }
 
 // History returns the value held after each completed iteration (a copy).
@@ -428,23 +450,27 @@ func (m *Machine) finishIteration(iter int, inbox []sim.Message) {
 		sort.Float64s(accepted)
 		trimmed := accepted[m.cfg.T : len(accepted)-m.cfg.T]
 		m.val = (trimmed[0] + trimmed[len(trimmed)-1]) / 2
-		if m.cfg.Eps > 0 && m.decided == 0 && trimmed[len(trimmed)-1]-trimmed[0] <= m.cfg.Eps {
-			m.decided = iter
+		if m.cfg.T >= 2 && m.cfg.Eps > 0 && m.decided == 0 && accepted[len(accepted)-1]-accepted[0] <= m.cfg.Eps {
+			m.decided, m.output = iter, m.val
 		}
 	}
 	m.history = append(m.history, m.val)
 }
 
-// DecidedIteration returns the first iteration in which this party observed
-// the paper's termination condition (trimmed spread <= Eps), or 0 if the
-// condition was never observed or Eps was unset. Honest observations land
-// in consecutive iterations (Section 4), which the tests assert.
+// DecidedIteration returns the iteration of this party's ε-witness — the
+// first whose whole accepted multiset spanned at most Eps — or 0 if it saw
+// none (always 0 when Eps is unset or T <= 1).
 func (m *Machine) DecidedIteration() int { return m.decided }
 
 // Output implements sim.Machine; the value is the party's float64 output.
+// It is available from the ε-witness on, holding the value decided there,
+// and otherwise once the schedule has run out.
 func (m *Machine) Output() (any, bool) {
-	if !m.done {
-		return nil, false
+	switch {
+	case m.decided > 0:
+		return m.output, true
+	case m.done:
+		return m.val, true
 	}
-	return m.val, true
+	return nil, false
 }

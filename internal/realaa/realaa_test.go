@@ -421,73 +421,32 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// TestDecidedIterationsConsecutive checks the paper's Section 4 remark:
-// honest parties observe the eps-termination condition in consecutive
-// iterations (never further than one iteration apart), under both no
-// adversary and the equivocation attack.
-func TestDecidedIterationsConsecutive(t *testing.T) {
-	n, tc := 7, 2
-	inputs := []float64{0, 100, 50, 25, 75, 0, 0}
-	iters := Iterations(tc, 100, 1)
-	advs := map[string]sim.Adversary{
-		"none":        nil,
-		"equivocator": &equivocator{ids: []sim.PartyID{5, 6}, n: n, tag: "real", lo: -1000, hi: 1000},
-	}
-	for name, adv := range advs {
-		machines := make([]sim.Machine, n)
-		typed := make([]*Machine, n)
-		for i := 0; i < n; i++ {
-			m, err := NewMachine(Config{
-				N: n, T: tc, ID: sim.PartyID(i), Tag: "real",
-				Iterations: iters, StartRound: 1, Input: inputs[i], Eps: 1,
-			})
+// TestDecidedIterationDisabledWithoutEps: no ε-witness without Eps, and
+// none with t <= 1, whose t+1-iteration schedule is already exact — in both
+// the output waits for the schedule's end.
+func TestDecidedIterationDisabledWithoutEps(t *testing.T) {
+	for _, c := range []struct {
+		n, t, iters int
+		eps         float64
+	}{{7, 2, 4, 0}, {4, 1, 2, 1}} {
+		machines := make([]sim.Machine, c.n)
+		typed := make([]*Machine, c.n)
+		for i := range machines {
+			m, err := NewMachine(Config{N: c.n, T: c.t, ID: sim.PartyID(i), Tag: "real",
+				Iterations: c.iters, StartRound: 1, Input: float64(i), Eps: c.eps})
 			if err != nil {
 				t.Fatal(err)
 			}
-			machines[i] = m
-			typed[i] = m
+			machines[i], typed[i] = m, m
 		}
-		if _, err := sim.Run(sim.Config{N: n, MaxCorrupt: tc, MaxRounds: 3*iters + 2, Adversary: adv}, machines); err != nil {
-			t.Fatal(err)
-		}
-		lo, hi := iters+1, 0
-		for i := 0; i < 5; i++ { // honest parties
-			d := typed[i].DecidedIteration()
-			if d == 0 {
-				t.Fatalf("%s: party %d never observed the termination condition", name, i)
-			}
-			if d < lo {
-				lo = d
-			}
-			if d > hi {
-				hi = d
-			}
-		}
-		if hi-lo > 1 {
-			t.Errorf("%s: decided iterations span [%d,%d], want consecutive", name, lo, hi)
-		}
-	}
-}
-
-func TestDecidedIterationDisabledWithoutEps(t *testing.T) {
-	n, tc := 4, 1
-	machines := make([]sim.Machine, n)
-	var m0 *Machine
-	for i := 0; i < n; i++ {
-		m, err := NewMachine(Config{N: n, T: tc, ID: sim.PartyID(i), Tag: "real", Iterations: 2, StartRound: 1, Input: float64(i)})
+		res, err := sim.Run(sim.Config{N: c.n, MaxCorrupt: c.t, MaxRounds: 3*c.iters + 2}, machines)
 		if err != nil {
 			t.Fatal(err)
 		}
-		machines[i] = m
-		if i == 0 {
-			m0 = m
+		if d := typed[0].DecidedIteration(); d != 0 || res.Rounds != 3*c.iters+1 {
+			t.Errorf("n=%d t=%d eps=%g: DecidedIteration = %d, stopped in round %d; want 0 and %d",
+				c.n, c.t, c.eps, d, res.Rounds, 3*c.iters+1)
 		}
-	}
-	if _, err := sim.Run(sim.Config{N: n, MaxCorrupt: tc, MaxRounds: 8}, machines); err != nil {
-		t.Fatal(err)
-	}
-	if m0.DecidedIteration() != 0 {
-		t.Errorf("DecidedIteration = %d without Eps, want 0", m0.DecidedIteration())
 	}
 }
 

@@ -69,6 +69,34 @@ func TestSessionRoundFrameCount(t *testing.T) {
 	}
 }
 
+// TestSessionStopsAtWitness is TestSessionRoundFrameCount's t >= 2 row: a
+// served spider:3:3 session at n = 7, t = 2 stops in the round the oracle
+// stops in — the one its last seat's ε-witness decides in, well before the
+// schedule's end — and its Result is the oracle's.
+func TestSessionStopsAtWitness(t *testing.T) {
+	const n, tc, rounds = 7, 2, 25
+	spec := Spec{Tree: "spider:3:3", T: tc, TTL: time.Minute}
+	ps, err := parseSpec(spec, n, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if schedule := core.Rounds(ps.space.Tree, tc) + 1; schedule <= rounds {
+		t.Fatalf("schedule ends in round %d, not after the witnessed round %d", schedule, rounds)
+	}
+	want, err := Oracle(n, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := startTestCluster(t, n, Options{})
+	got, err := submitAndWait(t, cl, 3, spec).SimResult()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) || got.Rounds != rounds {
+		t.Errorf("served %+v, oracle %+v, want both to stop in round %d", got, want, rounds)
+	}
+}
+
 // frameTally is a WrapConn that records the wire type of every session
 // frame written to the links it wraps. Wrapped links are written by their
 // flushers alone, one whole batch per Write.
