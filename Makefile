@@ -257,11 +257,12 @@ fuzz-short:
 # shrunk one-line repro spec and fails the target. Every generated cell with
 # t <= 1 is also held to the one-fault collapse (all honest decisions equal);
 # the second line runs that lemma's exactness tests, Finding F-B at the
-# Theorem 3 count and at the shipped schedule, the ε-witness's property test
-# and the schedule pinned by t under the race detector.
+# Theorem 3 count and at the shipped schedule, the ε-witness's and the
+# iteration-1 rules' property tests (with the tally's unanimity pin) and the
+# schedule pinned by t under the race detector.
 prop:
 	$(GO) test -race -count=1 -run 'Differential|Async' ./internal/check/
-	$(GO) test -race -count=1 -run 'OneFault|FindingFB|ScheduleByT|Witness' ./internal/realaa ./internal/adversary ./internal/core
+	$(GO) test -race -count=1 -run 'OneFault|FindingFB|ScheduleByT|Witness|IterationOneRules|Unanimous' ./internal/realaa ./internal/adversary ./internal/core ./internal/gradecast
 	$(GO) run ./cmd/check -budget 100 -seeds 1-3 -async-every 4
 
 # Block-graph property gate: the graph machine/decomposition suites under the

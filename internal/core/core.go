@@ -22,13 +22,17 @@
 // bound shows is asymptotically optimal for D(T) ∈ |V(T)|^Θ(1), t ∈ Θ(n).
 // The schedule shipped for t >= 2 gives each RealAA phase the longer of
 // Theorem 3's count and the DLPSW halving count ⌈log2 D⌉ (realaa.Iterations:
-// Finding F-B outlives the first), so Rounds is O(log |V(T)|) there. It is a
-// budget, not a cost: the phase that produces the output (the projection
-// phase, or the path shortcut) decides at its ε-witness (realaa.Config.Eps),
-// and an execution stops in the round its last honest party decides. With a
+// Finding F-B outlives the first), so Rounds is O(log |V(T)|) there. With a
 // fault budget t <= 1 each RealAA phase ends in exact agreement after t+1
-// iterations (realaa.Iterations), so TreeAA runs 6(t+1) rounds on any tree
-// and all honest outputs are equal.
+// iterations (realaa.Iterations), so the schedule is 6(t+1) rounds on any
+// tree and all honest outputs are equal. Either schedule is a budget, not a
+// cost: the phase that produces the output (the projection phase, or the
+// path shortcut) decides early wherever a realaa.Config.Eps rule holds —
+// in iteration 1 on unanimous echoes or grades at any t, at its ε-witness
+// for t >= 2 — and an execution stops in the round its last honest party
+// decides. An honest spider:3:3 run at n = 4, t = 1 thus stops in round 9
+// of a 13-round schedule (PathsFinder keeps its whole budget: its output
+// times the simultaneous phase switch).
 package core
 
 import (
@@ -125,7 +129,7 @@ func ProjectionRounds(tr *tree.Tree, t int) int {
 // Rounds returns TreeAA's total communication-round budget for the tree
 // under fault budget t (see realaa.Iterations for how t enters: t+1
 // iterations per phase when t <= 1, the longer of Theorem 3's and DLPSW's
-// count otherwise); with t >= 2 an execution may stop before it. Path
+// count otherwise); an execution may stop before it (realaa.Config.Eps). Path
 // input spaces use the Section 4 shortcut (a single RealAA(1) on positions);
 // all other trees pay both phases.
 func Rounds(tr *tree.Tree, t int) int {
@@ -227,13 +231,8 @@ func (m *Machine) ProjectionMachine() *realaa.Machine { return m.proj }
 // treat it as read-only.
 func (m *Machine) ShortcutMachine() *pathaa.Machine { return m.shortcut }
 
-// FinalRound returns the round of the machine's processing step, one past
-// its last communication round: the step that produces the output and sends
-// nothing (driver.FinalRounder).
-func (m *Machine) FinalRound() int { return Rounds(m.cfg.Tree, m.cfg.T) + 1 }
-
 // Step implements sim.Machine. A machine that has decided keeps stepping
-// its RealAA phase to the schedule's end: a decision taken at an ε-witness
+// its RealAA phase to the schedule's end: an early decision
 // (realaa.Config.Eps) must not silence the party while others still wait.
 func (m *Machine) Step(r int, inbox []sim.Message) []sim.Message {
 	if m.shortcut != nil {

@@ -36,47 +36,42 @@ func runSpace(t *testing.T, spec, adversary string, n, tc int) *sim.Result {
 	return res
 }
 
-// TestScheduleByT pins the round schedule as a function of the fault budget,
-// and the round the execution actually stops in. With t <= 1 each RealAA
-// phase is t+1 iterations (the one-fault collapse), so the served
-// spider:3:3 session runs 13 rounds, all of them. From t = 2 on the schedule
-// is the longer of Theorem 3 (+2) and the DLPSW halving count, and the
-// RealAA phase the output comes from stops at its ε-witness: the four
-// kernel-batch cells of the layered benchmark (t = 5 and 10) stop in 22, 46,
-// 10 and 7 rounds of schedules of 31, 64, 34 and 22 (sums 85 / 51,228 /
-// 8,061,090 rounds, messages and bytes; the Theorem 3 schedule ran 136 /
-// 92,412 / 15,857,410 to its end).
+// TestScheduleByT pins the round schedule as a function of the fault budget
+// (core.Rounds+1: the communication rounds and the final processing step),
+// and the round the execution actually stops in, honest and under
+// splitvote. With t <= 1 each RealAA phase is t+1 iterations (the one-fault
+// collapse), so the spider:3:3 schedule is 13 rounds at n = 4, t = 1; an
+// honest run stops in round 9, where the projection phase's iteration-1
+// echoes are unanimous (the echo rule), and splitvote, which defeats both
+// iteration-1 rules, still runs all 13. From t = 2 on the schedule is the
+// longer of Theorem 3 (+2) and the DLPSW halving count, and the RealAA
+// phase the output comes from also stops at its ε-witness: the four
+// kernel-batch cells of the layered benchmark (t = 5 and 10) stop in 22, 42,
+// 10 and 3 rounds of schedules of 31, 64, 34 and 22.
 func TestScheduleByT(t *testing.T) {
 	for _, c := range []struct {
 		space  string
 		n, t   int
-		rounds int // the schedule, including the final processing step
-		ran    int // the round sim.Run stops in
+		rounds int    // the schedule, including the final processing step
+		ran    [2]int // the round sim.Run stops in: honest, and under splitvote
 	}{
-		{"spider:3:3", 4, 0, 7, 7}, {"spider:3:3", 4, 1, 13, 13}, {"spider:3:3", 7, 2, 43, 25},
-		{"path:40", 4, 0, 4, 4}, {"path:40", 4, 1, 7, 7},
+		{"spider:3:3", 4, 0, 7, [2]int{6, 6}}, {"spider:3:3", 4, 1, 13, [2]int{9, 13}},
+		{"spider:3:3", 7, 2, 43, [2]int{24, 25}},
+		{"path:40", 4, 0, 4, [2]int{3, 3}}, {"path:40", 4, 1, 7, [2]int{3, 7}},
 	} {
 		sp, err := cli.ParseSpaceSpec(c.space, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := core.Rounds(sp.Tree, c.t) + 1; got != c.rounds {
+		if got := core.Rounds(sp.ProtocolTree(), c.t) + 1; got != c.rounds {
 			t.Errorf("%s t=%d: core.Rounds+1 = %d, want %d", c.space, c.t, got, c.rounds)
 		}
-		// The round a machine advertises as its last is the schedule's end.
-		m, _, err := sp.NewMachine(c.n, c.t, 0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := m.(interface{ FinalRound() int }).FinalRound(); got != c.rounds {
-			t.Errorf("%s t=%d: FinalRound = %d, want %d", c.space, c.t, got, c.rounds)
-		}
-		for _, adversary := range []string{"", "splitvote"} {
-			if got := runSpace(t, c.space, adversary, c.n, c.t).Rounds; got != c.ran {
-				t.Errorf("%s n=%d t=%d %q: ran %d rounds, want %d", c.space, c.n, c.t, adversary, got, c.ran)
+		for i, adversary := range []string{"", "splitvote"} {
+			if got := runSpace(t, c.space, adversary, c.n, c.t).Rounds; got != c.ran[i] {
+				t.Errorf("%s n=%d t=%d %q: ran %d rounds, want %d", c.space, c.n, c.t, adversary, got, c.ran[i])
 			}
 		}
-		if ceiling := sp.Rounds(); core.Rounds(sp.Tree, c.t) > ceiling {
+		if ceiling := sp.Rounds(); core.Rounds(sp.ProtocolTree(), c.t) > ceiling {
 			t.Errorf("%s t=%d: schedule above Space.Rounds() = %d", c.space, c.t, ceiling)
 		}
 	}
@@ -88,18 +83,16 @@ func TestScheduleByT(t *testing.T) {
 		rounds, msgs, payload int
 	}{
 		{"path:1024", "splitvote", 16, 5, 31, 22, 8564, 1006810},
-		{"random:4096", "", 16, 5, 64, 46, 23552, 3390464},
+		{"random:4096", "", 16, 5, 64, 42, 21504, 3149824},
 		{"path:2048", "splitvote", 32, 10, 34, 10, 15528, 3195336},
-		{"graph:cliquechain:8:6", "", 16, 5, 22, 7, 3584, 468480},
+		{"graph:cliquechain:8:6", "", 16, 5, 22, 3, 1536, 227840},
 	} {
 		sp, err := cli.ParseSpaceSpec(c.space, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m, _, err := sp.NewMachine(c.n, c.t, 0, 0); err != nil {
-			t.Fatal(err)
-		} else if got := m.(interface{ FinalRound() int }).FinalRound(); got != c.schedule {
-			t.Errorf("%s t=%d: FinalRound = %d, want %d", c.space, c.t, got, c.schedule)
+		if got := core.Rounds(sp.ProtocolTree(), c.t) + 1; got != c.schedule {
+			t.Errorf("%s t=%d: core.Rounds+1 = %d, want %d", c.space, c.t, got, c.schedule)
 		}
 		res := runSpace(t, c.space, c.adversary, c.n, c.t)
 		if got := [3]int{res.Rounds, res.Messages, res.Bytes}; got != [3]int{c.rounds, c.msgs, c.payload} {
@@ -145,10 +138,11 @@ func (h *holdOutput) Output() (any, bool) {
 	return h.Machine.Output()
 }
 
-// TestDecidedMachineKeepsStepping: a t >= 2 machine that decided at its
-// ε-witness keeps its output and keeps sending to the schedule's end, on a
-// path space (the shortcut phase) and a non-path tree (the projection
-// phase), so a party that has not decided yet hears every round.
+// TestDecidedMachineKeepsStepping: a t >= 2 machine that decided early
+// (here at the echo rule) keeps its output and keeps sending to the
+// schedule's end, on a path space (the shortcut phase) and a non-path tree
+// (the projection phase), so a party that has not decided yet hears every
+// round.
 func TestDecidedMachineKeepsStepping(t *testing.T) {
 	const n, tc = 7, 2
 	for _, spec := range []string{"path:40", "spider:3:3"} {
@@ -172,7 +166,7 @@ func TestDecidedMachineKeepsStepping(t *testing.T) {
 		}
 		for p, h := range held {
 			if h.decided == 0 || h.decided >= final-3 {
-				t.Errorf("%s party %d: decided in round %d of %d, want an early witness", spec, p, h.decided, final)
+				t.Errorf("%s party %d: decided in round %d of %d, want an early decision", spec, p, h.decided, final)
 			}
 			if h.changed || !h.sentAfter {
 				t.Errorf("%s party %d: output changed %v, sent after deciding %v", spec, p, h.changed, h.sentAfter)

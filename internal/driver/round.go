@@ -20,13 +20,6 @@ type Sink interface {
 	EndRound(round int, done bool) error
 }
 
-// FinalRounder is the optional interface of a machine on a fixed schedule:
-// FinalRound is the round of its processing step, in which it produces its
-// output and sends nothing. core.Machine and graph.Machine implement it.
-type FinalRounder interface {
-	FinalRound() int
-}
-
 // Result is one party's share of a sim.Result.
 type Result struct {
 	ID        sim.PartyID
@@ -59,9 +52,9 @@ func (r *Result) Total() Tally {
 // party done, the rule that reduces to sim's "all honest machines produced
 // output"; a machine still running after maxRounds fails with sim.ErrNotDone.
 //
-// An adapter whose parties are all honest may ElideFinalBarrier: the
-// schedule's last round then ends at its step instead of at a barrier that
-// could only confirm what the schedule already settles.
+// An adapter whose parties are all honest may ElideFinalBarrier: the round
+// in which the machine decides then ends at its step instead of at a barrier
+// that could only confirm what every party already knows.
 type Round struct {
 	id        sim.PartyID
 	n         int
@@ -73,7 +66,7 @@ type Round struct {
 
 	cur                    int // last stepped round; its barrier is awaited
 	released, releasedDone bool
-	final                  int // the machine's FinalRound once ElideFinalBarrier opted in; else 0
+	elide                  bool // ElideFinalBarrier opted in
 	res                    Result
 }
 
@@ -85,17 +78,14 @@ func NewRound(id sim.PartyID, n, maxRounds, window int, machine sim.Machine, sin
 		box: Mailbox{n: n, window: window, base: 1}, res: Result{ID: id}}
 }
 
-// ElideFinalBarrier lets the party finish at the step of its machine's
-// FinalRound, without EndRound and without awaiting marks, provided that
-// step leaves it done and sends nothing. Sound only where every party runs
-// the same schedule honestly — each then finishes that round on its own, and
-// TermRound is the round sim.Run stops in — so it is the adapter's choice,
-// made in its code; a machine that is no FinalRounder is unaffected.
-func (r *Round) ElideFinalBarrier() {
-	if f, ok := r.machine.(FinalRounder); ok {
-		r.final = f.FinalRound()
-	}
-}
+// ElideFinalBarrier lets the party finish at the step that leaves its
+// machine done: that round's sends are charged to the tally, as sim.Run
+// counts them, but neither filed nor emitted, and there is no EndRound and
+// no awaiting of marks. Sound only where every party is honest and reads the
+// same broadcasts — all machines are then done in the same round, each
+// finishes it on its own, and TermRound is the round sim.Run stops in (Merge
+// rejects unequal ones) — so it is the adapter's choice, made in its code.
+func (r *Round) ElideFinalBarrier() { r.elide = true }
 
 // File stores one arrived message; m.Round is its sending round.
 func (r *Round) File(m sim.Message) error { return r.box.File(m) }
@@ -173,10 +163,14 @@ func (r *Round) step(round int) error {
 		}
 	}
 	var t Tally
+	finish := r.elide && r.res.Done
 	for _, m := range out {
 		first, last, err := t.Charge(r.n, m.To, m.Payload)
 		if err != nil {
 			return err
+		}
+		if finish {
+			continue
 		}
 		if first <= r.id && r.id <= last {
 			if err := r.box.File(sim.Message{From: r.id, To: r.id, Round: round, Payload: m.Payload}); err != nil {
@@ -188,7 +182,7 @@ func (r *Round) step(round int) error {
 		}
 	}
 	r.res.PerRound = append(r.res.PerRound, t)
-	if round == r.final && r.res.Done && len(out) == 0 {
+	if finish {
 		r.res.TermRound = round
 		return nil
 	}

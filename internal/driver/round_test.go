@@ -280,57 +280,57 @@ func TestRoundTermination(t *testing.T) {
 	})
 }
 
-// finalMachine is a scriptMachine that advertises its schedule's last round.
-type finalMachine struct {
-	scriptMachine
-	final int
-}
-
-func (m *finalMachine) FinalRound() int { return m.final }
-
-// TestFinalRoundElision: an adapter that opted in finishes at the step of
-// the machine's FinalRound — no EndRound, no marks awaited, TermRound that
-// round — but only if that step left the machine done and silent; without
-// the opt-in, or for a machine that advertises nothing, the last round ends
-// at its barrier as ever.
+// TestFinalRoundElision: an adapter that opted in finishes at the step that
+// leaves its machine done — no EndRound, no marks awaited, TermRound that
+// round — whether or not that step sends: its sends are charged to the
+// round's tally, as sim.Run counts them, but neither emitted nor filed.
+// Without the opt-in, or while the machine is not done, a round ends at its
+// barrier as ever.
 func TestFinalRoundElision(t *testing.T) {
 	const n = 3
-	talk := map[int][]sim.Message{1: {{To: sim.Broadcast, Payload: note{"x"}}}}
+	talk := []sim.Message{{To: sim.Broadcast, Payload: note{"x"}}}
 	cases := []struct {
-		name     string
-		machine  sim.Machine
-		optIn    bool
-		wantEORs []string
-		elided   bool
+		name      string
+		script    map[int][]sim.Message
+		doneAt    int
+		optIn     bool
+		wantEORs  []string
+		wantEmits []string
+		term      int // the round the party finished in; 0 = still running after round 2
 	}{
-		{"done and silent", &finalMachine{scriptMachine{script: talk, doneAt: 2}, 2}, true, []string{"r1:open"}, true},
-		{"not opted in", &finalMachine{scriptMachine{script: talk, doneAt: 2}, 2}, false, []string{"r1:open", "r2:done"}, false},
-		{"no FinalRound", &scriptMachine{script: talk, doneAt: 2}, true, []string{"r1:open", "r2:done"}, false},
-		{"still talking", &finalMachine{scriptMachine{script: map[int][]sim.Message{2: talk[1]}, doneAt: 2}, 2}, true,
-			[]string{"r1:open", "r2:done"}, false},
-		{"not done", &finalMachine{scriptMachine{doneAt: 3}, 2}, true, []string{"r1:open", "r2:open"}, false},
-		{"done early", &finalMachine{scriptMachine{doneAt: 1}, 2}, true, []string{"r1:done"}, true},
+		{"done and silent", map[int][]sim.Message{1: talk}, 2, true, []string{"r1:open"}, []string{"r1→-1:x"}, 2},
+		{"not opted in", map[int][]sim.Message{1: talk}, 2, false, []string{"r1:open", "r2:done"}, []string{"r1→-1:x"}, 0},
+		{"still talking", map[int][]sim.Message{1: talk, 2: talk}, 2, true, []string{"r1:open"}, []string{"r1→-1:x"}, 2},
+		{"not done", map[int][]sim.Message{1: talk, 2: talk}, 3, true, []string{"r1:open", "r2:open"}, []string{"r1→-1:x", "r2→-1:x"}, 0},
+		{"done early", map[int][]sim.Message{1: talk}, 1, true, nil, nil, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sink := &recSink{}
-			rd := NewRound(0, n, 10, 2, tc.machine, sink)
+			rd := NewRound(0, n, 10, 2, &scriptMachine{script: tc.script, doneAt: tc.doneAt}, sink)
 			if tc.optIn {
 				rd.ElideFinalBarrier()
 			}
-			mustAdvance(t, rd, false)
-			rd.EOR(1, 1, false)
-			rd.EOR(1, 2, false)
-			mustAdvance(t, rd, tc.elided)
-			if !reflect.DeepEqual(sink.eors, tc.wantEORs) {
-				t.Errorf("ended rounds %v, want %v", sink.eors, tc.wantEORs)
+			mustAdvance(t, rd, tc.term == 1)
+			if tc.term != 1 {
+				rd.EOR(1, 1, false)
+				rd.EOR(1, 2, false)
+				mustAdvance(t, rd, tc.term == 2)
 			}
-			if res := rd.Result(); tc.elided && (res.TermRound != 2 || len(res.PerRound) != 2) {
-				t.Errorf("result %+v, want terminated at round 2 with two tallies", res)
+			if !reflect.DeepEqual(sink.eors, tc.wantEORs) || !reflect.DeepEqual(sink.emits, tc.wantEmits) {
+				t.Errorf("ended rounds %v, emitted %v; want %v, %v", sink.eors, sink.emits, tc.wantEORs, tc.wantEmits)
 			}
-			if tc.elided {
-				mustAdvance(t, rd, true) // and it stays finished
+			if tc.term == 0 {
+				return
 			}
+			sent := 0 // a broadcast is charged once per party, n here
+			for r := 1; r <= tc.term; r++ {
+				sent += n * len(tc.script[r])
+			}
+			if res := rd.Result(); res.TermRound != tc.term || len(res.PerRound) != tc.term || res.Total().Msgs != sent {
+				t.Errorf("result %+v, want terminated at round %d with %d sends charged", res, tc.term, sent)
+			}
+			mustAdvance(t, rd, true) // and it stays finished
 		})
 	}
 }

@@ -57,7 +57,7 @@ func Catalog() []Experiment { return slices.Clone(catalog) }
 var catalog = []Experiment{
 	{"E1", "RealAA fixed schedule vs the Theorem 3 formula, and the SplitVote budget",
 		"n=10 t=3 eps=1 at D = 10, 1e3, 1e6; SplitVote at D=100 for (n,t) = (7,2), (10,3), (16,5)", renderE1},
-	{"E1b", "RealAA rounds by fault budget t: the Theorem 3 count, the schedule, and where the ε-witness decides",
+	{"E1b", "RealAA rounds by fault budget t: the Theorem 3 count, the schedule, and where an execution decides",
 		"t = 0, 1, 2, 5 at n = max(4, 3t+1); D/eps = 10, 1e2, 1e4, 1e6; SplitVote one leader per iteration", renderE1b},
 	{"E2", "TreeAA and the O(log D) baseline by tree family and size (E2/E5)",
 		"n=7 t=2; five families at |V| = 64, 256, 1024, 4096", renderE2},
@@ -204,13 +204,13 @@ func renderE1(b *strings.Builder) error {
 // budget, one row per (t, D/eps): the paper's Theorem 3 count (+2), the
 // shipped schedule (t <= 1: the one-fault collapse, 3(t+1) rounds whatever
 // the diameter; t >= 2: the longer of Theorem 3 and DLPSW) and the rounds
-// an execution with the ε-witness on runs until its last honest party has
+// an execution with Config.Eps set runs until its last honest party has
 // decided, under SplitVote spending one leader per iteration.
 func e1bRoundsByT(ts []int, ratios []float64) (*metrics.Table, error) {
 	tab := metrics.NewTable("t", "D/eps", "theorem3_rounds", "schedule_rounds", "decided_rounds")
 	for _, t := range ts {
 		for _, r := range ratios {
-			decided, err := witnessRounds(t, r)
+			decided, err := earlyRounds(t, r)
 			if err != nil {
 				return nil, fmt.Errorf("t=%d D/eps=%g: %w", t, r, err)
 			}
@@ -220,11 +220,11 @@ func e1bRoundsByT(ts []int, ratios []float64) (*metrics.Table, error) {
 	return tab, nil
 }
 
-// witnessRounds runs RealAA(1) with the ε-witness on at n = max(4, 3t+1)
+// earlyRounds runs RealAA(1) with Config.Eps = 1 at n = max(4, 3t+1)
 // on inputs spread over [0, d], under SplitVote spending one leader per
 // iteration, and returns the communication rounds until the last honest
 // party decided (the execution's rounds less its processing step).
-func witnessRounds(t int, d float64) (int, error) {
+func earlyRounds(t int, d float64) (int, error) {
 	n := max(4, 3*t+1)
 	var adv sim.Adversary
 	if t > 0 {
@@ -238,7 +238,7 @@ func witnessRounds(t int, d float64) (int, error) {
 }
 
 // runRealAA runs RealAA machines tagged "real" for the given number of
-// iterations, with Config.Eps = eps (0: no ε-witness), under adv.
+// iterations, with Config.Eps = eps (0: no early decision), under adv.
 func runRealAA(n, t int, inputs []float64, iters int, eps float64, adv sim.Adversary) (*sim.Result, error) {
 	machines := make([]sim.Machine, n)
 	for i := range machines {

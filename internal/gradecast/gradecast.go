@@ -159,7 +159,9 @@ type Result struct {
 // The inbox handed to the Collect methods must be sorted by sender (the
 // order the sim delivers): a sender's repeat messages under one tag are then
 // consecutive and only its first counts (any fixed deterministic rule works;
-// honest parties send exactly one).
+// honest parties send exactly one). A message whose sender does not follow
+// the last one counted is dropped, so every message counted in a pass comes
+// from a distinct sender, whatever the order (see Unanimous).
 //
 // Every honest party echoes the same vector and votes the same vector, so a
 // round's inbox is mostly one vector n times over. The pass therefore counts
@@ -248,15 +250,15 @@ func (ta *Tally) reset() {
 }
 
 // admit returns the instance a message from sender under tag counts toward,
-// or nil when the tag is not one of the tally's or the sender already has a
-// message counted there.
+// or nil when the tag is not one of the tally's or the sender does not
+// follow the last one counted there (a repeat, in a sender-sorted inbox).
 func (ta *Tally) admit(from sim.PartyID, tag string) *instance {
 	for i := range ta.inst {
 		in := &ta.inst[i]
 		if in.tag != tag {
 			continue
 		}
-		if in.seen && in.last == from {
+		if in.seen && from <= in.last {
 			return nil
 		}
 		in.last, in.seen = from, true
@@ -491,6 +493,14 @@ func (ta *Tally) Votes(i int) Vec {
 	}
 	return in.voted
 }
+
+// Unanimous reports whether the last echo or vote pass of instance i
+// counted one run of n byte-equal vectors: the same vector from every one
+// of the n parties, since the senders counted in a pass are distinct. After
+// CollectEchoes that proves every honest party echoed it, so every honest
+// party votes what this party votes and grades exactly those leaders 2 and
+// the rest 0 (realaa's echo rule).
+func (ta *Tally) Unanimous(i int) bool { return int(ta.inst[i].heavyLen) == ta.n }
 
 // Grades derives the final (value, grade) per leader for instance i from the
 // votes tallied: grade 2 for ≥ n-t matching votes, grade 1 for ≥ t+1, grade

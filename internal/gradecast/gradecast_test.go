@@ -329,6 +329,44 @@ func TestComputeVotesThreshold(t *testing.T) {
 	}
 }
 
+// TestUnanimous: a pass is unanimous only when it counted n byte-equal
+// vectors from n distinct senders — not n-1 of them beside one other, not a
+// repeated sender making up the n-th (in order or out of it), and not an
+// earlier pass's verdict; equal bytes in different arrays still count.
+func TestUnanimous(t *testing.T) {
+	const n, tc = 4, 1
+	v := Vec{{ID: 0, Val: 5}, {ID: 1, Val: 7}, {ID: 3, Val: 9}}
+	other := Vec{{ID: 0, Val: 5}, {ID: 1, Val: 7}}
+	from := func(senders []sim.PartyID, vecs []Vec) []sim.Message {
+		inbox := echoInbox("a", vecs)
+		for i := range inbox {
+			inbox[i].From = senders[i]
+		}
+		return inbox
+	}
+	for _, c := range []struct {
+		name  string
+		inbox []sim.Message
+		want  bool
+	}{
+		{"n equal", echoInbox("a", []Vec{v, v, v, v}), true},
+		{"n equal bytes, distinct arrays", echoInbox("a", []Vec{v, slices.Clone(v), slices.Clone(v), slices.Clone(v)}), true},
+		{"n-1 equal and one other", echoInbox("a", []Vec{v, v, v, other}), false},
+		{"one other first", echoInbox("a", []Vec{other, v, v, v}), false},
+		{"n-1 senders", echoInbox("a", []Vec{v, v, v}), false},
+		{"repeated sender", from([]sim.PartyID{0, 1, 2, 2}, []Vec{v, v, v, v}), false},
+		{"repeated sender out of order", from([]sim.PartyID{0, 1, 2, 1}, []Vec{v, v, v, v}), false},
+		{"other tag", append(echoInbox("a", []Vec{v, v, v}), sim.Message{From: 3, Payload: EchoMsg{Tag: "b", Iter: 1, Vals: v}}), false},
+	} {
+		ta := NewTally(n, tc, "a")
+		ta.CollectEchoes(echoInbox("a", []Vec{v, v, v, v}), 1)
+		ta.CollectEchoes(c.inbox, 1)
+		if got := ta.Unanimous(0); got != c.want {
+			t.Errorf("%s: Unanimous = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
 func TestComputeGradesThresholds(t *testing.T) {
 	n, tc := 7, 2
 	mkVotes := func(count int, val float64) []Vec {

@@ -86,10 +86,6 @@ func (m *Machine) Step(r int, inbox []sim.Message) []sim.Message {
 	return m.inner.Step(r, inbox)
 }
 
-// FinalRound returns the round of the inner machine's processing step
-// (driver.FinalRounder).
-func (m *Machine) FinalRound() int { return m.inner.FinalRound() }
-
 // Output implements sim.Machine: the decoded graph vertex once the inner
 // machine has agreed on a block-cut tree node.
 func (m *Machine) Output() (any, bool) {

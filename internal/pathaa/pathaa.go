@@ -150,8 +150,8 @@ func (m *Machine) RealAA() *realaa.Machine { return m.real }
 
 // Step implements sim.Machine by delegating to the inner RealAA execution
 // and decoding its real-valued output to a vertex. The inner machine keeps
-// stepping after the decision: one taken at an ε-witness leaves the
-// schedule running for the parties still waiting.
+// stepping after the decision: one taken early (realaa.Config.Eps) leaves
+// the schedule running for the parties still waiting.
 func (m *Machine) Step(r int, inbox []sim.Message) []sim.Message {
 	out := m.real.Step(r, inbox)
 	if j, ok := m.real.Output(); ok && !m.done {

@@ -39,7 +39,7 @@ func maxIterations(histories map[sim.PartyID][]float64) int {
 // honest values were within eps of each other, given roundsPerIter (3 for
 // RealAA, 1 for DLPSW). If the histories never reach eps it returns the
 // last recorded round. This is the oracle's view of convergence; a party
-// can only decide on what it sees itself, at its ε-witness (Config.Eps).
+// can only decide on what it sees itself (the Config.Eps rules).
 func ConvergenceRound(histories map[sim.PartyID][]float64, eps float64, roundsPerIter int) int {
 	iters := maxIterations(histories)
 	for it := 0; it < iters; it++ {

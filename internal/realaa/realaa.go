@@ -22,10 +22,13 @@
 // agreement in t+1 iterations, whatever D/eps. For t >= 2 the shipped
 // schedule is the longer of Theorem 3's count (+2) and DLPSW's
 // ceil(log2(D/eps)) — the only bound proven for this exclusion rule
-// (Finding F-B, DESIGN §3) — and a machine given Config.Eps stops waiting
-// for it as soon as it can prove eps-agreement locally: its Output is
-// available at the end of the first iteration whose whole accepted multiset
-// spans at most Eps (the ε-witness, DESIGN §3).
+// (Finding F-B, DESIGN §3). Either schedule is a budget: a machine given
+// Config.Eps outputs as soon as it can prove agreement locally. At any t,
+// an iteration 1 whose value echoes were unanimous (the echo rule) or whose
+// leaders all graded 2 (the grade rule) leaves every honest party the same
+// value, so the party outputs it then; for t >= 2 it also outputs at the
+// end of the first iteration whose whole accepted multiset spans at most
+// Eps (the ε-witness). DESIGN §3 proves all three.
 package realaa
 
 import (
@@ -119,14 +122,19 @@ type Config struct {
 	StartRound int
 	// Input is the party's input value.
 	Input float64
-	// Eps, when positive and T >= 2, lets the party decide early: at the
-	// end of the first iteration whose whole accepted multiset (grade >= 1,
-	// leader not excluded, untrimmed) spans at most Eps, Output becomes
-	// available with the value just computed. That multiset holds every
-	// honest value, so the witness is sound (DESIGN §3); the machine keeps
-	// stepping to the schedule's end so that parties still waiting hear it.
-	// With T <= 1 the schedule is already t+1 iterations and exact, and Eps
-	// is ignored.
+	// Eps, when positive, says the consumer accepts an output before the
+	// schedule's end, and the party decides at the first of three rules
+	// that holds (DESIGN §3). In iteration 1, at any T: the echo rule, when
+	// all n value echoes it counted were one vector (Output is then the
+	// trimmed midpoint of its own vote, from relative round 3), and the
+	// grade rule, when it graded all n leaders 2 (the value just computed,
+	// from relative round 4); both leave every honest value equal, so the
+	// early output is exactly the value every honest party ends with. For
+	// T >= 2, the ε-witness: at the end of the first iteration whose whole
+	// accepted multiset (grade >= 1, leader not excluded, untrimmed) spans
+	// at most Eps, the value just computed, which is within Eps of every
+	// honest output. The machine keeps stepping to the schedule's end so
+	// that parties still waiting hear it.
 	Eps float64
 }
 
@@ -154,7 +162,8 @@ func (c *Config) Validate() error {
 // Relative round 3k+1 processes iteration k's votes and sends iteration
 // k+1's values; the output is available after relative round
 // 3*Iterations + 1 (the processing step following the last vote round), or
-// after relative round 3k+1 when iteration k was an ε-witness (Config.Eps).
+// earlier when Config.Eps lets a rule decide: after relative round 3 (echo
+// rule) or 4 (grade rule), or after 3k+1 when iteration k was an ε-witness.
 //
 // # Detection design (and why local blacklists are not enough)
 //
@@ -213,8 +222,9 @@ type Machine struct {
 	// instance, then one suspicion-mask instance per word.
 	tags    []string
 	history []float64 // value after each completed iteration
-	decided int       // iteration of the ε-witness; 0 = none yet
-	output  float64   // the value decided at the witness
+	decided int       // iteration of the early decision; 0 = none yet
+	rule    string    // the rule that took it: ruleEcho, ruleGrade or ruleWitness
+	output  float64   // the value decided early
 	done    bool
 
 	// Per-round scratch, allocated once by NewMachine at its final size —
@@ -295,7 +305,7 @@ func (m *Machine) suspicionMask(w int) float64 {
 }
 
 // Value returns the party's current value: the one it gradecasts next, and
-// its output at the schedule's end unless an ε-witness decided it earlier.
+// its output at the schedule's end unless a rule decided earlier (Config.Eps).
 func (m *Machine) Value() float64 { return m.val }
 
 // History returns the value held after each completed iteration (a copy).
@@ -372,8 +382,45 @@ func (m *Machine) Step(r int, inbox []sim.Message) []sim.Message {
 			out = append(out, sim.Message{To: sim.Broadcast, Payload: gradecast.VoteMsg{Tag: tag, Iter: iter, Vals: m.tally.Votes(i)}})
 		}
 		m.out = out
+		if iter == 1 && m.cfg.Eps > 0 && m.tally.Unanimous(0) {
+			// The echo rule (DESIGN §3): every party echoed one vector, so
+			// every honest party votes this party's vote, grades exactly
+			// its leaders 2 and the rest 0, and — nobody being excluded in
+			// iteration 1 — accepts exactly its values.
+			acc := m.accepted[:0]
+			for _, e := range out[0].Payload.(gradecast.VoteMsg).Vals {
+				acc = append(acc, e.Val)
+			}
+			if v, ok := m.trimmedMid(acc); ok {
+				m.decide(iter, v, ruleEcho)
+			}
+		}
 		return out
 	}
+}
+
+// The rules that decide before the schedule's end (Config.Eps, DESIGN §3).
+const (
+	ruleEcho    = "echo"    // iteration 1's value echoes were unanimous
+	ruleGrade   = "grade"   // iteration 1 graded every leader 2
+	ruleWitness = "witness" // an accepted multiset spanned at most Eps (T >= 2)
+)
+
+// decide makes v the output from iteration iter on.
+func (m *Machine) decide(iter int, v float64, rule string) {
+	m.decided, m.output, m.rule = iter, v, rule
+}
+
+// trimmedMid returns the midpoint of the extremes of vals after discarding
+// its T lowest and T highest (vals is sorted in place); ok is false when
+// vals holds no more than 2T values.
+func (m *Machine) trimmedMid(vals []float64) (mid float64, ok bool) {
+	if len(vals) <= 2*m.cfg.T {
+		return 0, false
+	}
+	sort.Float64s(vals)
+	trimmed := vals[m.cfg.T : len(vals)-m.cfg.T]
+	return (trimmed[0] + trimmed[len(trimmed)-1]) / 2, true
 }
 
 // finishIteration computes grades for both parallel gradecast instances of
@@ -425,11 +472,13 @@ func (m *Machine) finishIteration(iter int, inbox []sim.Message) {
 	// iteration even if this party suspects the leader — local suspicion
 	// alone must not cause inclusion asymmetry (see the type comment).
 	accepted := m.accepted[:0]
+	allHigh := true
 	for leader := 0; leader < m.cfg.N; leader++ {
 		g := m.grades[leader]
 		if !m.excluded[leader] && g.Grade >= gradecast.GradeLow {
 			accepted = append(accepted, g.Val)
 		}
+		allHigh = allHigh && g.Grade == gradecast.GradeHigh
 		// Any grade < 2 on either instance marks the leader suspected.
 		suspect := g.Grade < gradecast.GradeHigh
 		for w := range m.accGrades {
@@ -444,27 +493,32 @@ func (m *Machine) finishIteration(iter int, inbox []sim.Message) {
 	}
 	m.accepted = accepted
 	// With t < n/3 and honest leaders always delivering grade 2, at least
-	// n - t > 2t values are accepted; the guard below only protects
-	// against misuse outside the resilience bound.
-	if len(accepted) > 2*m.cfg.T {
-		sort.Float64s(accepted)
-		trimmed := accepted[m.cfg.T : len(accepted)-m.cfg.T]
-		m.val = (trimmed[0] + trimmed[len(trimmed)-1]) / 2
-		if m.cfg.T >= 2 && m.cfg.Eps > 0 && m.decided == 0 && accepted[len(accepted)-1]-accepted[0] <= m.cfg.Eps {
-			m.decided, m.output = iter, m.val
+	// n - t > 2t values are accepted; the guard only protects against
+	// misuse outside the resilience bound.
+	if v, ok := m.trimmedMid(accepted); ok {
+		m.val = v
+		switch {
+		case m.cfg.Eps <= 0 || m.decided > 0:
+		case iter == 1 && allHigh:
+			// The grade rule (DESIGN §3): a grade 2 means every honest
+			// party holds that value at grade >= 1, and nobody is excluded
+			// in iteration 1, so every honest party accepted these n values.
+			m.decide(iter, m.val, ruleGrade)
+		case m.cfg.T >= 2 && accepted[len(accepted)-1]-accepted[0] <= m.cfg.Eps:
+			m.decide(iter, m.val, ruleWitness)
 		}
 	}
 	m.history = append(m.history, m.val)
 }
 
-// DecidedIteration returns the iteration of this party's ε-witness — the
-// first whose whole accepted multiset spanned at most Eps — or 0 if it saw
-// none (always 0 when Eps is unset or T <= 1).
+// DecidedIteration returns the iteration in which this party decided early
+// — 1 for the echo and grade rules, the ε-witness's iteration otherwise —
+// or 0 if no rule held (always 0 when Eps is unset).
 func (m *Machine) DecidedIteration() int { return m.decided }
 
 // Output implements sim.Machine; the value is the party's float64 output.
-// It is available from the ε-witness on, holding the value decided there,
-// and otherwise once the schedule has run out.
+// It is available from an early decision on, holding the value decided
+// there, and otherwise once the schedule has run out.
 func (m *Machine) Output() (any, bool) {
 	switch {
 	case m.decided > 0:

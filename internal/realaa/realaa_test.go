@@ -421,14 +421,16 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// TestDecidedIterationDisabledWithoutEps: no ε-witness without Eps, and
-// none with t <= 1, whose t+1-iteration schedule is already exact — in both
-// the output waits for the schedule's end.
+// TestDecidedIterationDisabledWithoutEps: no early decision without Eps, at
+// t = 2 or t = 1 — the output waits for the schedule's end — while with Eps
+// set a t = 1 execution decides in iteration 1 (its honest echoes are
+// unanimous) and stops in round 3 of its 7.
 func TestDecidedIterationDisabledWithoutEps(t *testing.T) {
 	for _, c := range []struct {
-		n, t, iters int
-		eps         float64
-	}{{7, 2, 4, 0}, {4, 1, 2, 1}} {
+		n, t, iters     int
+		eps             float64
+		decided, rounds int
+	}{{7, 2, 4, 0, 0, 13}, {4, 1, 2, 0, 0, 7}, {4, 1, 2, 1, 1, 3}} {
 		machines := make([]sim.Machine, c.n)
 		typed := make([]*Machine, c.n)
 		for i := range machines {
@@ -443,9 +445,9 @@ func TestDecidedIterationDisabledWithoutEps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := typed[0].DecidedIteration(); d != 0 || res.Rounds != 3*c.iters+1 {
-			t.Errorf("n=%d t=%d eps=%g: DecidedIteration = %d, stopped in round %d; want 0 and %d",
-				c.n, c.t, c.eps, d, res.Rounds, 3*c.iters+1)
+		if d := typed[0].DecidedIteration(); d != c.decided || res.Rounds != c.rounds {
+			t.Errorf("n=%d t=%d eps=%g: DecidedIteration = %d, stopped in round %d; want %d and %d",
+				c.n, c.t, c.eps, d, res.Rounds, c.decided, c.rounds)
 		}
 	}
 }

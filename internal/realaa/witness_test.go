@@ -38,19 +38,7 @@ func TestWitnessSound(t *testing.T) {
 			inputs[i] = math.Round(d * rng.Float64())
 		}
 		for _, name := range strategies {
-			ids := adversary.FirstParties(n, tc)
-			var adv sim.Adversary
-			switch name {
-			case "splitvote":
-				adv = &adversary.SplitVote{IDs: ids, N: n, T: tc, Tag: "real", PerIteration: 1 + rng.Intn(2)}
-			case "halfburn":
-				adv = &adversary.HalfBurn{IDs: ids, N: n, T: tc, Tag: "real"}
-			case "exclusionsplit":
-				adv = &adversary.ExclusionSplit{IDs: ids, X: ids[rng.Intn(tc)], S: ids[rng.Intn(tc)],
-					N: n, T: tc, Tag: "real", StartIteration: 1 + rng.Intn(3)}
-			case "noise":
-				adv = &adversary.RandomNoise{IDs: ids, N: n, Tag: "real", Seed: seed, MaxVal: int(2 * d)}
-			}
+			adv := strategy(name, rng, seed, n, tc, d)
 			t.Run(fmt.Sprintf("seed=%d/%s", seed, name), func(t *testing.T) {
 				if checkWitness(t, n, tc, inputs, d, eps, adv) {
 					witnessed[name]++
@@ -66,9 +54,37 @@ func TestWitnessSound(t *testing.T) {
 	}
 }
 
-// checkWitness runs one execution and checks every honest witness in it;
-// it reports whether any honest party decided before the schedule's end.
-func checkWitness(t *testing.T, n, tc int, inputs []float64, d, eps float64, adv sim.Adversary) bool {
+// strategy builds the named strategy of the property tests' pool over the
+// first tc parties, drawing its free parameters from rng.
+func strategy(name string, rng *rand.Rand, seed int64, n, tc int, d float64) sim.Adversary {
+	ids := adversary.FirstParties(n, tc)
+	switch name {
+	case "splitvote":
+		return &adversary.SplitVote{IDs: ids, N: n, T: tc, Tag: "real", PerIteration: 1 + rng.Intn(2)}
+	case "halfburn":
+		return &adversary.HalfBurn{IDs: ids, N: n, T: tc, Tag: "real"}
+	case "exclusionsplit":
+		return &adversary.ExclusionSplit{IDs: ids, X: ids[rng.Intn(tc)], S: ids[rng.Intn(tc)],
+			N: n, T: tc, Tag: "real", StartIteration: 1 + rng.Intn(3)}
+	case "noise":
+		return &adversary.RandomNoise{IDs: ids, N: n, Tag: "real", Seed: seed, MaxVal: int(2 * d)}
+	case "frame":
+		return &adversary.FrameHonest{IDs: ids, N: n, Tag: "real", Fake: math.Round(d * rng.Float64())}
+	case "silent":
+		return &adversary.Silent{IDs: ids}
+	case "crash":
+		rounds := make([]int, len(ids))
+		for i := range rounds {
+			rounds[i] = 2 + rng.Intn(6)
+		}
+		return &adversary.CrashAt{IDs: ids, Rounds: rounds}
+	}
+	panic("unknown strategy " + name)
+}
+
+// runReal runs RealAA(eps) with the given inputs on D-close values under
+// adv and returns the result beside every party's machine.
+func runReal(t *testing.T, n, tc int, inputs []float64, d, eps float64, adv sim.Adversary) (*sim.Result, []*realaa.Machine) {
 	t.Helper()
 	iters := realaa.Iterations(tc, d, eps)
 	machines := make([]sim.Machine, n)
@@ -85,6 +101,15 @@ func checkWitness(t *testing.T, n, tc int, inputs []float64, d, eps float64, adv
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res, typed
+}
+
+// checkWitness runs one execution and checks every honest witness in it;
+// it reports whether any honest party decided before the schedule's end.
+func checkWitness(t *testing.T, n, tc int, inputs []float64, d, eps float64, adv sim.Adversary) bool {
+	t.Helper()
+	iters := realaa.Iterations(tc, d, eps)
+	res, typed := runReal(t, n, tc, inputs, d, eps, adv)
 	var honest []sim.PartyID
 	for p := 0; p < n; p++ {
 		if !res.Corrupted[sim.PartyID(p)] {
@@ -107,8 +132,8 @@ func checkWitness(t *testing.T, n, tc int, inputs []float64, d, eps float64, adv
 	early := false
 	for _, p := range honest {
 		k := typed[p].DecidedIteration()
-		if k == 0 {
-			continue
+		if typed[p].DecidedBy() != "witness" {
+			continue // the iteration-1 rules promise more: TestIterationOneRulesExact
 		}
 		early = early || k < iters
 		if lo, hi := entering(k); hi-lo > eps {

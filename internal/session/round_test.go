@@ -20,26 +20,29 @@ import (
 )
 
 // TestSessionRoundFrameCount pins what a served session puts on the
-// cluster's links, as a count: one frame per ordered link per communication
-// round — the schedule's last round, the processing step, sends nothing and
-// ends at its step — plus the origin's opens and the peers' decides.
+// cluster's links, as a count: one frame per ordered link per round before
+// the one its seats decide in — that round ends at its step, its sends
+// charged but never framed — plus the origin's opens and the peers'
+// decides. Both honest sessions decide at the echo rule of their output
+// phase's iteration 1 (realaa.Config.Eps), well inside the schedule.
 func TestSessionRoundFrameCount(t *testing.T) {
 	const n, tc = 4, 1
 	for _, c := range []struct {
-		tree   string
-		rounds int // the round sim.Run stops in
-		frames int64
+		tree     string
+		schedule int // core.Rounds+1
+		rounds   int // the round sim.Run stops in
+		frames   int64
 	}{
-		{"spider:3:3", 13, 150}, // 12 rounds × 12 links + 3 opens + 3 decides
-		{"path:40", 7, 78},      //  6 rounds × 12 links + 3 + 3
+		{"spider:3:3", 13, 9, 102}, // 8 rounds × 12 links + 3 opens + 3 decides
+		{"path:40", 7, 3, 30},      // 2 rounds × 12 links + 3 + 3
 	} {
 		spec := Spec{Tree: c.tree, T: tc, TTL: time.Minute}
 		ps, err := parseSpec(spec, n, time.Minute)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := core.Rounds(ps.space.Tree, tc) + 1; got != c.rounds {
-			t.Fatalf("%s: schedule ends in round %d, the pin says %d", c.tree, got, c.rounds)
+		if got := core.Rounds(ps.space.Tree, tc) + 1; got != c.schedule {
+			t.Fatalf("%s: schedule ends in round %d, the pin says %d", c.tree, got, c.schedule)
 		}
 		want, err := Oracle(n, spec)
 		if err != nil {
@@ -71,10 +74,11 @@ func TestSessionRoundFrameCount(t *testing.T) {
 
 // TestSessionStopsAtWitness is TestSessionRoundFrameCount's t >= 2 row: a
 // served spider:3:3 session at n = 7, t = 2 stops in the round the oracle
-// stops in — the one its last seat's ε-witness decides in, well before the
-// schedule's end — and its Result is the oracle's.
+// stops in — the one its seats decide in, well before the schedule's end
+// (the echo rule, one round before the ε-witness would) — and its Result is
+// the oracle's.
 func TestSessionStopsAtWitness(t *testing.T) {
-	const n, tc, rounds = 7, 2, 25
+	const n, tc, rounds = 7, 2, 24
 	spec := Spec{Tree: "spider:3:3", T: tc, TTL: time.Minute}
 	ps, err := parseSpec(spec, n, time.Minute)
 	if err != nil {
