@@ -29,7 +29,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"strconv"
 	"strings"
@@ -181,15 +180,11 @@ func run(seeds string, budget int, cells, repro, spaceKind string, injectBad boo
 		if err != nil {
 			return 0, err
 		}
-		for _, seed := range seedList {
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < budget; i++ {
-				c := check.GenerateIn(rng, spaceKind)
-				opt := check.Options{TCP: tcpEvery > 0 && explored%tcpEvery == 0}
-				if err := runOne(c, opt, true); err != nil {
-					return 0, err
-				}
-			}
+		err = check.Sweep(seedList, budget, spaceKind, func(c *check.Cell) error {
+			return runOne(c, check.Options{TCP: tcpEvery > 0 && explored%tcpEvery == 0}, true)
+		})
+		if err != nil {
+			return 0, err
 		}
 	}
 

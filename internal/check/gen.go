@@ -37,6 +37,21 @@ func GenerateIn(rng *rand.Rand, space string) *Cell {
 	}
 }
 
+// Sweep visits the cells a sweep explores, in order: for each seed, budget
+// cells drawn by GenerateIn(space) from a generator seeded with it. It stops
+// at the first error visit returns and returns it.
+func Sweep(seeds []int64, budget int, space string, visit func(*Cell) error) error {
+	for _, seed := range seeds {
+		rng := rand.New(rand.NewSource(seed))
+		for range budget {
+			if err := visit(GenerateIn(rng, space)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 func generate(rng *rand.Rand, space string) *Cell {
 	c := &Cell{Seed: rng.Int63n(1 << 31)}
 	if space == "graph" || (space == "" && rng.Intn(4) == 0) {

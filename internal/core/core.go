@@ -28,7 +28,7 @@
 // tree and all honest outputs are equal. Either schedule is a budget, not a
 // cost: the phase that produces the output (the projection phase, or the
 // path shortcut) decides early wherever a realaa.Config.Eps rule holds —
-// in iteration 1 on unanimous echoes or grades at any t, at its ε-witness
+// in iteration 1 on unanimous value echoes at any t, at its ε-witness
 // for t >= 2 — and an execution stops in the round its last honest party
 // decides. An honest spider:3:3 run at n = 4, t = 1 thus stops in round 9
 // of a 13-round schedule (PathsFinder keeps its whole budget: its output

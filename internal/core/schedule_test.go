@@ -42,8 +42,8 @@ func runSpace(t *testing.T, spec, adversary string, n, tc int) *sim.Result {
 // splitvote. With t <= 1 each RealAA phase is t+1 iterations (the one-fault
 // collapse), so the spider:3:3 schedule is 13 rounds at n = 4, t = 1; an
 // honest run stops in round 9, where the projection phase's iteration-1
-// echoes are unanimous (the echo rule), and splitvote, which defeats both
-// iteration-1 rules, still runs all 13. From t = 2 on the schedule is the
+// echoes are unanimous (the echo rule), and splitvote, which defeats that
+// rule, still runs all 13. From t = 2 on the schedule is the
 // longer of Theorem 3 (+2) and the DLPSW halving count, and the RealAA
 // phase the output comes from also stops at its ε-witness: the four
 // kernel-batch cells of the layered benchmark (t = 5 and 10) stop in 22, 42,

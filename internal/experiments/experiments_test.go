@@ -182,8 +182,8 @@ func TestE1SweepMatchesFormula(t *testing.T) {
 
 // TestE1bRoundsByT: the schedule is constant in D/eps for t <= 1
 // (3(t+1) rounds); at t = 0 an execution decides at iteration 1's echo rule,
-// after 2 communication rounds, and at t = 1 SplitVote defeats both
-// iteration-1 rules, so it runs all 6. Every t >= 2 shares one schedule, at
+// after 2 communication rounds, and at t = 1 SplitVote defeats that rule,
+// so it runs all 6. Every t >= 2 shares one schedule, at
 // least the Theorem 3 count, and decides inside it.
 func TestE1bRoundsByT(t *testing.T) {
 	ratios := []float64{10, 1e2, 1e4, 1e6}

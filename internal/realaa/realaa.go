@@ -24,11 +24,11 @@
 // ceil(log2(D/eps)) — the only bound proven for this exclusion rule
 // (Finding F-B, DESIGN §3). Either schedule is a budget: a machine given
 // Config.Eps outputs as soon as it can prove agreement locally. At any t,
-// an iteration 1 whose value echoes were unanimous (the echo rule) or whose
-// leaders all graded 2 (the grade rule) leaves every honest party the same
-// value, so the party outputs it then; for t >= 2 it also outputs at the
-// end of the first iteration whose whole accepted multiset spans at most
-// Eps (the ε-witness). DESIGN §3 proves all three.
+// an iteration 1 whose value echoes were unanimous (the echo rule) leaves
+// every honest party the same value, so the party outputs it then; for
+// t >= 2 it also outputs at the end of the first iteration whose whole
+// accepted multiset spans at most Eps (the ε-witness). DESIGN §3 proves
+// both.
 package realaa
 
 import (
@@ -123,18 +123,16 @@ type Config struct {
 	// Input is the party's input value.
 	Input float64
 	// Eps, when positive, says the consumer accepts an output before the
-	// schedule's end, and the party decides at the first of three rules
-	// that holds (DESIGN §3). In iteration 1, at any T: the echo rule, when
-	// all n value echoes it counted were one vector (Output is then the
-	// trimmed midpoint of its own vote, from relative round 3), and the
-	// grade rule, when it graded all n leaders 2 (the value just computed,
-	// from relative round 4); both leave every honest value equal, so the
-	// early output is exactly the value every honest party ends with. For
-	// T >= 2, the ε-witness: at the end of the first iteration whose whole
-	// accepted multiset (grade >= 1, leader not excluded, untrimmed) spans
-	// at most Eps, the value just computed, which is within Eps of every
-	// honest output. The machine keeps stepping to the schedule's end so
-	// that parties still waiting hear it.
+	// schedule's end, and the party decides at the first of two rules
+	// that holds (DESIGN §3). In iteration 1, at any T, the echo rule: when
+	// all n value echoes it counted were one vector, Output is the trimmed
+	// midpoint of its own vote from relative round 3; every honest value
+	// is then equal, so the early output is exactly the value every honest
+	// party ends with. For T >= 2, the ε-witness: at the end of the first
+	// iteration whose whole accepted multiset (grade >= 1, leader not
+	// excluded, untrimmed) spans at most Eps, the value just computed,
+	// which is within Eps of every honest output. The machine keeps
+	// stepping to the schedule's end so that parties still waiting hear it.
 	Eps float64
 }
 
@@ -163,7 +161,7 @@ func (c *Config) Validate() error {
 // k+1's values; the output is available after relative round
 // 3*Iterations + 1 (the processing step following the last vote round), or
 // earlier when Config.Eps lets a rule decide: after relative round 3 (echo
-// rule) or 4 (grade rule), or after 3k+1 when iteration k was an ε-witness.
+// rule), or after 3k+1 when iteration k was an ε-witness.
 //
 // # Detection design (and why local blacklists are not enough)
 //
@@ -223,7 +221,7 @@ type Machine struct {
 	tags    []string
 	history []float64 // value after each completed iteration
 	decided int       // iteration of the early decision; 0 = none yet
-	rule    string    // the rule that took it: ruleEcho, ruleGrade or ruleWitness
+	rule    string    // the rule that took it: ruleEcho or ruleWitness
 	output  float64   // the value decided early
 	done    bool
 
@@ -402,7 +400,6 @@ func (m *Machine) Step(r int, inbox []sim.Message) []sim.Message {
 // The rules that decide before the schedule's end (Config.Eps, DESIGN §3).
 const (
 	ruleEcho    = "echo"    // iteration 1's value echoes were unanimous
-	ruleGrade   = "grade"   // iteration 1 graded every leader 2
 	ruleWitness = "witness" // an accepted multiset spanned at most Eps (T >= 2)
 )
 
@@ -472,13 +469,11 @@ func (m *Machine) finishIteration(iter int, inbox []sim.Message) {
 	// iteration even if this party suspects the leader — local suspicion
 	// alone must not cause inclusion asymmetry (see the type comment).
 	accepted := m.accepted[:0]
-	allHigh := true
 	for leader := 0; leader < m.cfg.N; leader++ {
 		g := m.grades[leader]
 		if !m.excluded[leader] && g.Grade >= gradecast.GradeLow {
 			accepted = append(accepted, g.Val)
 		}
-		allHigh = allHigh && g.Grade == gradecast.GradeHigh
 		// Any grade < 2 on either instance marks the leader suspected.
 		suspect := g.Grade < gradecast.GradeHigh
 		for w := range m.accGrades {
@@ -497,14 +492,7 @@ func (m *Machine) finishIteration(iter int, inbox []sim.Message) {
 	// misuse outside the resilience bound.
 	if v, ok := m.trimmedMid(accepted); ok {
 		m.val = v
-		switch {
-		case m.cfg.Eps <= 0 || m.decided > 0:
-		case iter == 1 && allHigh:
-			// The grade rule (DESIGN §3): a grade 2 means every honest
-			// party holds that value at grade >= 1, and nobody is excluded
-			// in iteration 1, so every honest party accepted these n values.
-			m.decide(iter, m.val, ruleGrade)
-		case m.cfg.T >= 2 && accepted[len(accepted)-1]-accepted[0] <= m.cfg.Eps:
+		if m.cfg.T >= 2 && m.cfg.Eps > 0 && m.decided == 0 && accepted[len(accepted)-1]-accepted[0] <= m.cfg.Eps {
 			m.decide(iter, m.val, ruleWitness)
 		}
 	}
@@ -512,8 +500,8 @@ func (m *Machine) finishIteration(iter int, inbox []sim.Message) {
 }
 
 // DecidedIteration returns the iteration in which this party decided early
-// — 1 for the echo and grade rules, the ε-witness's iteration otherwise —
-// or 0 if no rule held (always 0 when Eps is unset).
+// — 1 for the echo rule, the ε-witness's iteration otherwise — or 0 if no
+// rule held (always 0 when Eps is unset).
 func (m *Machine) DecidedIteration() int { return m.decided }
 
 // Output implements sim.Machine; the value is the party's float64 output.

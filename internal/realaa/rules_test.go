@@ -11,14 +11,14 @@ import (
 	"treeaa/internal/sim"
 )
 
-// TestIterationOneRulesExact is the property test of the two iteration-1
-// rules (DESIGN §3). Over many seeds — random inputs and diameters, (n, t)
+// TestIterationOneRulesExact is the property test of the iteration-1 echo
+// rule (DESIGN §3). Over many seeds — random inputs and diameters, (n, t)
 // from (4, 1) to (16, 5) — it runs RealAA(1) with Config.Eps = 1 under
 // SplitVote, HalfBurn, ExclusionSplit (every role choice and start
 // iteration the seed draws), random noise, FrameHonest, Silent and CrashAt
 // (crashes in rounds 2–7), and wherever an honest party decided by the echo
-// or the grade rule it asserts
-// the lemma's conclusion: every honest output equals that party's, exactly.
+// rule it asserts the lemma's conclusion: every honest output equals that
+// party's, exactly.
 // The execution stops when the last honest party has decided, so every
 // output compared is one an early decision produced or waited for.
 func TestIterationOneRulesExact(t *testing.T) {
@@ -28,6 +28,7 @@ func TestIterationOneRulesExact(t *testing.T) {
 	}
 	strategies := []string{"splitvote", "halfburn", "exclusionsplit", "noise", "frame", "silent", "crash"}
 	fired := map[string]int{}
+	total := 0
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		nt := [][2]int{{4, 1}, {5, 1}, {7, 2}, {8, 2}, {10, 3}, {16, 5}}[rng.Intn(6)]
@@ -40,55 +41,45 @@ func TestIterationOneRulesExact(t *testing.T) {
 		for _, name := range strategies {
 			adv := strategy(name, rng, seed, n, tc, d)
 			t.Run(fmt.Sprintf("seed=%d/%s", seed, name), func(t *testing.T) {
-				for _, rule := range checkRules(t, n, tc, inputs, d, adv) {
-					fired[name+"/"+rule]++
+				if checkEchoRule(t, n, tc, inputs, d, adv) {
+					fired[name]++
+					total++
 				}
 			})
 		}
 	}
-	t.Logf("executions where an iteration-1 rule decided, per strategy and rule: %v", fired)
-	for _, rule := range []string{"echo", "grade"} {
-		total := 0
-		for _, name := range strategies {
-			total += fired[name+"/"+rule]
-		}
-		if total == 0 {
-			t.Errorf("the %s rule never decided under attack — the property was never exercised", rule)
-		}
+	t.Logf("executions where the echo rule decided, per strategy: %v", fired)
+	if total == 0 {
+		t.Error("the echo rule never decided under attack — the property was never exercised")
 	}
 }
 
-// checkRules runs one execution and checks every honest decision taken by
-// an iteration-1 rule; it returns the rules that took one.
-func checkRules(t *testing.T, n, tc int, inputs []float64, d float64, adv sim.Adversary) []string {
+// checkEchoRule runs one execution and checks every honest decision the
+// echo rule took; it reports whether it took one.
+func checkEchoRule(t *testing.T, n, tc int, inputs []float64, d float64, adv sim.Adversary) bool {
 	t.Helper()
 	res, typed := runReal(t, n, tc, inputs, d, 1, adv)
-	seen := map[string]bool{}
-	var rules []string
+	fired := false
 	for p := range typed {
-		rule := typed[p].DecidedBy()
-		if res.Corrupted[sim.PartyID(p)] || (rule != "echo" && rule != "grade") {
+		if res.Corrupted[sim.PartyID(p)] || typed[p].DecidedBy() != "echo" {
 			continue
 		}
-		if !seen[rule] {
-			seen[rule] = true
-			rules = append(rules, rule)
-		}
+		fired = true
 		mine := res.Outputs[sim.PartyID(p)].(float64)
 		for q, out := range res.Outputs {
 			if v := out.(float64); v != mine {
-				t.Errorf("party %d decided %g by the %s rule in iteration %d; party %d output %g",
-					p, mine, rule, typed[p].DecidedIteration(), q, v)
+				t.Errorf("party %d decided %g by the echo rule in iteration %d; party %d output %g",
+					p, mine, typed[p].DecidedIteration(), q, v)
 			}
 		}
 	}
-	return rules
+	return fired
 }
 
 // TestIterationOneRulesTargeted runs the two scripts the pool of
-// TestIterationOneRulesExact cannot play, each aimed at one way the rules
-// could be weakened; on the shipped rules neither decides early, and the
-// property holds.
+// TestIterationOneRulesExact cannot play, each aimed at one way the echo
+// rule could be weakened; on the shipped rule neither decides early, and
+// the property holds.
 //
 //   - mimic, n = 4, t = 1: Byzantine leader 0 sends its value to parties 1
 //     and 2 only, then echoes and votes to party 1 exactly what party 1
@@ -96,11 +87,12 @@ func checkRules(t *testing.T, n, tc int, inputs []float64, d float64, adv sim.Ad
 //     unanimous only if n-t of n were enough — and alone grades the leader
 //     1, so its value leaves the other parties' and the one-fault collapse
 //     ends elsewhere.
-//   - exclusionsplit+steady, n = 7, t = 2: Finding F-B's split leaves X
-//     excluded at the high honest parties only, and S, excluded everywhere,
-//     gradecasts a constant from iteration 3 on, so every leader is graded
-//     2 there while the honest accepted multisets still differ — an
-//     iteration-3 decision would be wrong if the rules held past iteration 1.
+//   - exclusionsplit+chorus, n = 7, t = 2: Finding F-B's split leaves X
+//     excluded at the high honest parties only; from iteration 3 on, X and
+//     S echo a copy of the honest value echo to party 2, a low party, alone.
+//     Party 2 counts n equal echoes while the honest accepted multisets
+//     still differ — an iteration-3 decision would be wrong if the rule
+//     held past iteration 1.
 func TestIterationOneRulesTargeted(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -109,14 +101,14 @@ func TestIterationOneRulesTargeted(t *testing.T) {
 		adv    sim.Adversary
 	}{
 		{"mimic", 4, 1, []float64{0, 0, 10, 20}, &mimic{leader: 0, to: []sim.PartyID{1, 2}, copyOf: 1, val: 100}},
-		{"exclusionsplit+steady", 7, 2, []float64{0, 0, 0, 200, 400, 600, 1000}, &adversary.Compose{Strategies: []sim.Adversary{
+		{"exclusionsplit+chorus", 7, 2, []float64{0, 0, 0, 200, 400, 600, 1000}, &adversary.Compose{Strategies: []sim.Adversary{
 			&adversary.ExclusionSplit{IDs: []sim.PartyID{0, 1}, X: 0, S: 1, N: 7, T: 2, Tag: "real"},
-			&steady{id: 1, from: 3, val: 500},
+			&chorus{ids: []sim.PartyID{0, 1}, copyOf: 3, to: []sim.PartyID{2}, from: 3},
 		}}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			if rules := checkRules(t, c.n, c.t, c.inputs, 1000, c.adv); len(rules) > 0 {
-				t.Errorf("%v decided early; the script should leave both rules silent", rules)
+			if checkEchoRule(t, c.n, c.t, c.inputs, 1000, c.adv) {
+				t.Error("the echo rule decided; the script should leave it silent")
 			}
 		})
 	}
@@ -161,20 +153,31 @@ func (a *mimic) Step(r int, honestOut []sim.Message, _ map[sim.PartyID][]sim.Mes
 	return out, nil
 }
 
-// steady gradecasts val as party id's value, consistently, in every
-// iteration from from on; the honest parties echo and vote it, so it is
-// graded 2 everywhere.
-type steady struct {
-	id   sim.PartyID
-	from int
-	val  float64
+// chorus has the corrupted parties ids echo, in every iteration from from
+// on, a copy of honest party copyOf's value echo to the parties in to
+// (rushing): those parties count n equal echoes, the rest only n-t.
+type chorus struct {
+	ids    []sim.PartyID
+	copyOf sim.PartyID
+	to     []sim.PartyID
+	from   int
 }
 
-func (a *steady) Initial() []sim.PartyID { return nil }
+func (a *chorus) Initial() []sim.PartyID { return nil }
 
-func (a *steady) Step(r int, _ []sim.Message, _ map[sim.PartyID][]sim.Message) ([]sim.Message, []sim.PartyID) {
-	if iter := (r-1)/3 + 1; (r-1)%3 == 0 && iter >= a.from {
-		return []sim.Message{{From: a.id, To: sim.Broadcast, Payload: gradecast.SendMsg{Tag: "real", Iter: iter, Val: a.val}}}, nil
+func (a *chorus) Step(r int, honestOut []sim.Message, _ map[sim.PartyID][]sim.Message) ([]sim.Message, []sim.PartyID) {
+	if iter := (r-1)/3 + 1; (r-1)%3 != 1 || iter < a.from {
+		return nil, nil
 	}
-	return nil, nil
+	var out []sim.Message
+	for _, m := range honestOut {
+		if p, ok := m.Payload.(gradecast.EchoMsg); ok && m.From == a.copyOf && p.Tag == "real" {
+			for _, from := range a.ids {
+				for _, to := range a.to {
+					out = append(out, sim.Message{From: from, To: to, Payload: p})
+				}
+			}
+		}
+	}
+	return out, nil
 }

@@ -133,7 +133,7 @@ func checkWitness(t *testing.T, n, tc int, inputs []float64, d, eps float64, adv
 	for _, p := range honest {
 		k := typed[p].DecidedIteration()
 		if typed[p].DecidedBy() != "witness" {
-			continue // the iteration-1 rules promise more: TestIterationOneRulesExact
+			continue // the echo rule promises more: TestIterationOneRulesExact
 		}
 		early = early || k < iters
 		if lo, hi := entering(k); hi-lo > eps {

@@ -175,8 +175,9 @@ func (e *engine) begin() bool {
 		return false
 	}
 	e.rd = driver.NewRound(d.id, d.n, ps.maxRounds, roundWindow, machine, fr)
-	// Every seat of a served session is honest and on the same schedule, so
-	// its last, message-free round needs no barrier to end on.
+	// Every seat of a served session is honest and reads the same
+	// broadcasts, so all seats finish together at the step that leaves their
+	// machines done; that step's sends are charged but never framed.
 	e.rd.ElideFinalBarrier()
 	return true // run's Advance steps round 1
 }

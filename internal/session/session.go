@@ -45,8 +45,9 @@
 // session's Result is byte-identical to sim.Run on the same spec. The mux's
 // per-link FIFO lets a peer lead by at most one round, so the engine fixes
 // the driver's window at 2 and anything outside fails the session; and
-// because every seat is honest and on one schedule, the schedule's last,
-// message-free round ends at its step rather than at a barrier. The origin
+// because every seat is honest and reads the same broadcasts, all seats
+// finish together at the step that leaves their machines done, rather than at
+// a barrier: that step's sends are charged but never framed. The origin
 // daemon (where the session was submitted) assembles the Result from its own
 // record plus each peer's SessionDecide.
 //

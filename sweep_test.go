@@ -6,9 +6,13 @@ package treeaa
 //	go run ./cmd/check -json -seeds 1-5 -budget 400 -tcp-every 0 -async-every 0
 //
 // prints it (spec, rounds, messages, violations), and the same sweep run
-// here must reproduce each line. A change to the protocol or its schedule
-// shows as a diff keyed by spec — how many cells were added, removed and
-// changed, then the first of each — and the golden is rewritten with
+// here — check.Sweep, the loop cmd/check runs, with the options those flags
+// give — must reproduce each line. The sweep must also stay clean: cmd/check
+// follows a violating cell with its shrunk repro, which no golden line
+// records, so a violation fails the test outright. A change to the protocol
+// or its schedule shows as a diff keyed by spec — how many cells were added,
+// removed and changed, then the first of each — and the golden is rewritten
+// with
 //
 //	go test -run TestCheckSweep -update .
 //
@@ -17,7 +21,6 @@ package treeaa
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -38,21 +41,26 @@ const sweepBudget = 400
 
 // runSweep returns the sweep's JSON lines in cmd/check's order.
 func runSweep(t *testing.T) []string {
-	var lines []string
-	for _, seed := range sweepSeeds {
-		rng := rand.New(rand.NewSource(seed))
-		for range sweepBudget {
-			c := check.GenerateIn(rng, "")
-			res, err := check.RunCell(c, check.Options{})
-			if err != nil {
-				t.Fatalf("cell %s: %v", c, err)
-			}
-			b, err := json.Marshal(res)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lines = append(lines, string(b))
+	var lines, violations []string
+	violated := 0
+	err := check.Sweep(sweepSeeds, sweepBudget, "", func(c *check.Cell) error {
+		res, err := check.RunCell(c, check.Options{}) // -tcp-every 0
+		if err != nil {
+			return fmt.Errorf("cell %s: %w", c, err)
 		}
+		if len(res.Violations) > 0 {
+			violated++
+			violations = append(violations, res.Violations[0].String())
+		}
+		b, err := json.Marshal(res)
+		lines = append(lines, string(b))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if violated > 0 {
+		t.Errorf("%d sweep cells violated, the first:\n%s", violated, strings.Join(violations[:min(5, violated)], "\n"))
 	}
 	return lines
 }
@@ -68,12 +76,16 @@ func specOf(t *testing.T, line string) string {
 
 // sweepDiff compares two sweeps keyed by spec and describes the difference
 // ("" when there is none): the added, removed and changed counts, then up
-// to five cells of each kind.
+// to five cells of each kind. A spec drawn more than once is keyed by its
+// occurrence too, so repeats pair up in order instead of collapsing.
 func sweepDiff(t *testing.T, got, want []string) string {
 	index := func(lines []string) map[string]string {
 		m := make(map[string]string, len(lines))
+		seen := make(map[string]int, len(lines))
 		for _, l := range lines {
-			m[specOf(t, l)] = l
+			spec := specOf(t, l)
+			m[fmt.Sprintf("%s#%d", spec, seen[spec])] = l
+			seen[spec]++
 		}
 		return m
 	}
@@ -131,5 +143,28 @@ func TestCheckSweep(t *testing.T) {
 	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
 	if d := sweepDiff(t, got, want); d != "" {
 		t.Errorf("check sweep changed (regenerate with -update if intentional):\n%s", d)
+	}
+}
+
+// TestSweepDiffRepeatedSpec: a spec drawn twice pairs up by occurrence, so
+// a change to either copy counts as one changed cell and a dropped copy as
+// one removed, instead of collapsing into a single key.
+func TestSweepDiffRepeatedSpec(t *testing.T) {
+	a := `{"spec":"s=1","rounds":3}`
+	b := `{"spec":"s=1","rounds":4}`
+	c := `{"spec":"s=2","rounds":5}`
+	for _, tc := range []struct {
+		got, want []string
+		head      string
+	}{
+		{[]string{a, a, c}, []string{a, a, c}, ""},
+		{[]string{a, b, c}, []string{a, a, c}, "0 added, 0 removed, 1 changed of 3 cells"},
+		{[]string{a, c}, []string{a, a, c}, "0 added, 1 removed, 0 changed of 3 cells"},
+		{[]string{a, a, a, c}, []string{a, a, c}, "1 added, 0 removed, 0 changed of 3 cells"},
+	} {
+		d := sweepDiff(t, tc.got, tc.want)
+		if head, _, _ := strings.Cut(d, "\n"); head != tc.head {
+			t.Errorf("sweepDiff(%q, %q) = %q, want %q first", tc.got, tc.want, d, tc.head)
+		}
 	}
 }
