@@ -1,13 +1,17 @@
 package treeaa
 
-// The checker's sweep is pinned cell by cell: every line of
+// The checker's sweeps are pinned cell by cell: every line of
 // testdata/check/tree.jsonl is one cell's result as
 //
 //	go run ./cmd/check -json -seeds 1-5 -budget 400 -tcp-every 0 -async-every 0
 //
-// prints it (spec, rounds, messages, violations), and the same sweep run
-// here — check.Sweep, the loop cmd/check runs, with the options those flags
-// give — must reproduce each line. The sweep must also stay clean: cmd/check
+// prints it (spec, rounds, messages, violations), every line of
+// testdata/check/graph.jsonl one cell of
+//
+//	go run ./cmd/check -json -space graph -seeds 1-3 -budget 175 -tcp-every 0 -async-every 0
+//
+// and the same sweeps run here — check.Sweep, the loop cmd/check runs, with
+// the options those flags give — must reproduce each line. The sweep must also stay clean: cmd/check
 // follows a violating cell with its shrunk repro, which no golden line
 // records, so a violation fails the test outright. A change to the protocol
 // or its schedule shows as a diff keyed by spec — how many cells were added,
@@ -16,7 +20,7 @@ package treeaa
 //
 //	go test -run TestCheckSweep -update .
 //
-// so that the file's diff is the change's record, cell by cell.
+// so that the files' diff is the change's record, cell by cell.
 
 import (
 	"encoding/json"
@@ -30,20 +34,23 @@ import (
 	"treeaa/internal/check"
 )
 
-// sweepGolden is the pinned sweep; sweepSeeds and sweepBudget are its
-// cmd/check -seeds and -budget.
-var (
-	sweepGolden = filepath.Join("testdata", "check", "tree.jsonl")
-	sweepSeeds  = []int64{1, 2, 3, 4, 5}
-)
+// sweeps are the pinned sweeps: each golden under testdata/check is named
+// for its cmd/check -space filter ("tree" is the unfiltered mix), with the
+// -seeds and -budget it was drawn with.
+var sweeps = []struct {
+	name, space string
+	seeds       []int64
+	budget      int
+}{
+	{"tree", "", []int64{1, 2, 3, 4, 5}, 400},
+	{"graph", "graph", []int64{1, 2, 3}, 175},
+}
 
-const sweepBudget = 400
-
-// runSweep returns the sweep's JSON lines in cmd/check's order.
-func runSweep(t *testing.T) []string {
+// runSweep returns a sweep's JSON lines in cmd/check's order.
+func runSweep(t *testing.T, seeds []int64, budget int, space string) []string {
 	var lines, violations []string
 	violated := 0
-	err := check.Sweep(sweepSeeds, sweepBudget, "", func(c *check.Cell) error {
+	err := check.Sweep(seeds, budget, space, func(c *check.Cell) error {
 		res, err := check.RunCell(c, check.Options{}) // -tcp-every 0
 		if err != nil {
 			return fmt.Errorf("cell %s: %w", c, err)
@@ -123,26 +130,31 @@ func sweepDiff(t *testing.T, got, want []string) string {
 
 func TestCheckSweep(t *testing.T) {
 	if testing.Short() {
-		t.Skip("the sweep runs 2000 cells")
+		t.Skip("the sweeps run 2525 cells")
 	}
-	got := runSweep(t)
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(sweepGolden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(sweepGolden, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("sweep golden updated (%d cells)", len(got))
-		return
-	}
-	raw, err := os.ReadFile(sweepGolden)
-	if err != nil {
-		t.Fatalf("missing sweep golden (regenerate with -update): %v", err)
-	}
-	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
-	if d := sweepDiff(t, got, want); d != "" {
-		t.Errorf("check sweep changed (regenerate with -update if intentional):\n%s", d)
+	for _, sw := range sweeps {
+		t.Run(sw.name, func(t *testing.T) {
+			golden := filepath.Join("testdata", "check", sw.name+".jsonl")
+			got := runSweep(t, sw.seeds, sw.budget, sw.space)
+			if *update {
+				if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(golden, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				t.Logf("sweep golden %s updated (%d cells)", golden, len(got))
+				return
+			}
+			raw, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("missing sweep golden (regenerate with -update): %v", err)
+			}
+			want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+			if d := sweepDiff(t, got, want); d != "" {
+				t.Errorf("check sweep %s changed (regenerate with -update if intentional):\n%s", sw.name, d)
+			}
+		})
 	}
 }
 
