@@ -207,12 +207,13 @@ bench-kernel-smoke:
 	bash bench/run.sh --workload kernel-batch --seed 1 --seconds 2 --trace 0
 
 # One iteration of every Go sizing benchmark (the kernel cells, the space
-# builds, the tally, the sim engine, the async pipeline, vector decoding)
+# builds, the tally, a lane round, the sim engine, the async pipeline,
+# vector decoding)
 # and of the four experiment timing gauges EXPERIMENTS.md cites by ns/op
 # (RealAA rounds and batch, Dolev–Strong cost, ed25519 signing): nothing
 # else runs them, so this keeps them building and running.
 bench-go-smoke:
-	$(GO) test -run '^$$' -bench 'KernelCells|ParseSpaces|Tally|RunBroadcast|PipelineRun|DecodeVector|E1RealAARounds|E1RealAABatch|E5bExactAgreementCost|E7ExactAASigning' -benchtime 1x ./...
+	$(GO) test -run '^$$' -bench 'KernelCells|ParseSpaces|Tally|LaneRound|RunBroadcast|PipelineRun|DecodeVector|E1RealAARounds|E1RealAABatch|E5bExactAgreementCost|E7ExactAASigning' -benchtime 1x ./...
 
 # One short async-sim pass as a smoke: async.Run of n=16 pipelines on path:64
 # under the seeded random scheduler, every output checked for hull validity

@@ -43,11 +43,17 @@ type probeMachine struct {
 	recs  []probeRec
 }
 
-var _ sim.Machine = (*probeMachine)(nil)
+var _ sim.LaneReader = (*probeMachine)(nil)
 
 // Step implements sim.Machine: advance the wrapped machine, then snapshot.
-func (p *probeMachine) Step(r int, inbox []sim.Message) []sim.Message {
-	out := p.m.Step(r, inbox)
+func (p *probeMachine) Step(r int, inbox []sim.Message) []sim.Message { return p.StepLane(r, inbox, nil) }
+
+// StepLane implements sim.LaneReader: Step, with the lane forwarded to the
+// wrapped machine, so that the sequential oracle run reads lanes as a bare
+// sim.Run does and the concurrent differential, which never gets a lane,
+// checks the shared pass against private ones.
+func (p *probeMachine) StepLane(r int, inbox []sim.Message, lane *sim.Lane) []sim.Message {
+	out := sim.StepLane(p.m, r, inbox, lane)
 	rec := probeRec{round: r, sets: map[string]probeSets{}}
 	snapshot := func(key string, m *realaa.Machine) {
 		if m == nil {

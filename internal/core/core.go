@@ -172,7 +172,7 @@ type Machine struct {
 	done     bool
 }
 
-var _ sim.Machine = (*Machine)(nil)
+var _ sim.LaneReader = (*Machine)(nil)
 
 // NewMachine builds a TreeAA machine for one party.
 func NewMachine(cfg Config) (*Machine, error) {
@@ -234,9 +234,13 @@ func (m *Machine) ShortcutMachine() *pathaa.Machine { return m.shortcut }
 // Step implements sim.Machine. A machine that has decided keeps stepping
 // its RealAA phase to the schedule's end: an early decision
 // (realaa.Config.Eps) must not silence the party while others still wait.
-func (m *Machine) Step(r int, inbox []sim.Message) []sim.Message {
+func (m *Machine) Step(r int, inbox []sim.Message) []sim.Message { return m.StepLane(r, inbox, nil) }
+
+// StepLane implements sim.LaneReader: Step, with the lane forwarded to the
+// RealAA phases (in the hand-off round both read it, as distinct tag sets).
+func (m *Machine) StepLane(r int, inbox []sim.Message, lane *sim.Lane) []sim.Message {
 	if m.shortcut != nil {
-		out := m.shortcut.Step(r, inbox)
+		out := m.shortcut.StepLane(r, inbox, lane)
 		if v, ok := m.shortcut.Output(); ok && !m.done {
 			m.out, m.done = v.(tree.VertexID), true
 		}
@@ -250,7 +254,7 @@ func (m *Machine) Step(r int, inbox []sim.Message) []sim.Message {
 	// speak, concatenates — into a capped copy that aliases neither buffer.
 	var out []sim.Message
 	if m.path == nil {
-		out = m.pf.Step(r, inbox)
+		out = m.pf.StepLane(r, inbox, lane)
 		if v, ok := m.pf.Output(); ok {
 			// PathsFinder guarantees this happens by the end of round
 			// pfRounds; the projection phase starts at pfRounds+1 at every
@@ -268,7 +272,7 @@ func (m *Machine) Step(r int, inbox []sim.Message) []sim.Message {
 		}
 	}
 	if m.proj != nil {
-		projOut := m.proj.Step(r, inbox)
+		projOut := m.proj.StepLane(r, inbox, lane)
 		if j, ok := m.proj.Output(); ok && !m.done {
 			m.decide(j.(float64))
 		}

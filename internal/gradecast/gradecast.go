@@ -29,12 +29,14 @@
 // its own beyond the current round's, which keeps the soundness properties
 // directly property-testable; the realaa package composes it into a
 // sim.Machine. It counts a run of equal vectors once, weighted, and votes
-// with a received vector when the bytes match, so an honest round costs a
-// party O(n) per instance and allocates no vote vector (see Tally, Votes).
-// The one thing it keeps across rounds is a memo, not state: the vector it
-// last voted, which it echoes again when the next iteration's values carry
-// the same bytes, so a settled iteration allocates no echo vector either
-// (see SendVec).
+// with a received vector when the bytes match, so an honest pass costs
+// O(n) per instance and allocates no vote vector (see Tally, Votes). A
+// round's broadcast lane is read once, not once per party: under sim.Run
+// the first tally to read it publishes its counts and the other readers
+// adopt them (see Tally). The one thing a tally keeps across rounds is a
+// memo, not state: the vector it last voted, which it echoes again when the
+// next iteration's values carry the same bytes, so a settled iteration
+// allocates no echo vector either (see SendVec).
 package gradecast
 
 import (
@@ -151,10 +153,21 @@ type Result struct {
 // Tally is one party's reusable state for the parallel gradecast instances
 // of one execution, told apart by tag: a RealAA machine runs its value
 // instance and its suspicion-mask instances side by side and tallies all of
-// them from one pass over each round's inbox. Every party tallies n vectors
-// of n entries per instance twice per iteration, so this is the protocol's
-// inner loop; the buffers live as long as the execution. A Tally must not be
+// them from one pass over each round's inbox. A pass reads n vectors of n
+// entries per instance, twice per iteration, so this is the protocol's inner
+// loop; the buffers live as long as the execution. A Tally must not be
 // shared between machines or used concurrently.
+//
+// Under sim.Run most parties read one inbox, the round's broadcast lane, and
+// a pass is a function of that inbox, the tag set, the phase and the
+// iteration alone. So the Collect methods take the lane's digest store
+// (nil outside sim.Run's lane): the first tally to make a pass over the lane
+// publishes itself under (first tag, phase, iteration), and every later
+// tally with the same tag set adopts those counts instead of reading the
+// lane — its read-offs then read the first tally's counts, which stay
+// untouched until that tally's next pass, a round later. Either way the
+// read-offs return the same bytes (see sim.Lane for the rule). A tally given
+// a lane makes one pass in the round, and reads its results off in it.
 //
 // The inbox handed to the Collect methods must be sorted by sender (the
 // order the sim delivers): a sender's repeat messages under one tag are then
@@ -181,6 +194,9 @@ type Result struct {
 type Tally struct {
 	n, t int
 	inst []instance
+	// counted is the tally whose counts this round's read-offs use: this
+	// one after its own pass, the lane's first reader after an adoption.
+	counted *Tally
 }
 
 // instance is the tally of one tag.
@@ -223,6 +239,7 @@ type valCount struct {
 // cell) moves to its own array instead of into a neighbour's.
 func NewTally(n, t int, tags ...string) *Tally {
 	ta := &Tally{n: n, t: t, inst: make([]instance, len(tags))}
+	ta.counted = ta
 	cells := make([]valCount, n*len(tags))
 	entries := make(Vec, 2*n*len(tags))
 	for i, tag := range tags {
@@ -238,6 +255,7 @@ func NewTally(n, t int, tags ...string) *Tally {
 
 // reset empties every instance ahead of a round's pass.
 func (ta *Tally) reset() {
+	ta.counted = ta
 	for i := range ta.inst {
 		in := &ta.inst[i]
 		in.seen = false
@@ -247,6 +265,55 @@ func (ta *Tally) reset() {
 		in.run, in.runLen = nil, 0
 		in.heavy, in.heavyLen = nil, 0
 	}
+}
+
+// The passes of a round, as lane digest keys.
+const (
+	passSends = iota
+	passEchoes
+	passVotes
+)
+
+// adopt makes the counts of the lane's first pass keyed (pass, iter) this
+// tally's own and reports whether there was one to adopt: a tally of the
+// same n and tag set must have published it. A pass of a different tally
+// under the same first tag is not adopted.
+func (ta *Tally) adopt(lane *sim.Lane, pass, iter int) bool {
+	if lane == nil {
+		return false
+	}
+	d, ok := lane.Digest(ta.laneKey(pass, iter))
+	if !ok {
+		return false
+	}
+	first, ok := d.(*Tally)
+	if !ok || first.n != ta.n || len(first.inst) != len(ta.inst) {
+		return false
+	}
+	for i := range ta.inst {
+		if first.inst[i].tag != ta.inst[i].tag {
+			return false
+		}
+	}
+	ta.counted = first
+	return true
+}
+
+// publish offers this tally's fresh pass to the lane's later readers.
+func (ta *Tally) publish(lane *sim.Lane, pass, iter int) {
+	if lane != nil {
+		lane.Publish(ta.laneKey(pass, iter), ta)
+	}
+}
+
+// laneKey is the digest key of a pass: the first tag names the tally's tag
+// set (adopt checks the rest).
+func (ta *Tally) laneKey(pass, iter int) sim.LaneKey {
+	kind := ""
+	if len(ta.inst) > 0 {
+		kind = ta.inst[0].tag
+	}
+	return sim.LaneKey{Kind: kind, Pass: pass, Iter: iter}
 }
 
 // admit returns the instance a message from sender under tag counts toward,
@@ -267,9 +334,13 @@ func (ta *Tally) admit(from sim.PartyID, tag string) *instance {
 	return nil
 }
 
-// CollectSends reads the phase-1 values of iteration iter out of the inbox;
-// SendVec then returns each instance's echo payload.
-func (ta *Tally) CollectSends(inbox []sim.Message, iter int) {
+// CollectSends reads the phase-1 values of iteration iter out of the inbox,
+// or adopts them from lane (see Tally); SendVec then returns each
+// instance's echo payload.
+func (ta *Tally) CollectSends(lane *sim.Lane, inbox []sim.Message, iter int) {
+	if ta.adopt(lane, passSends, iter) {
+		return
+	}
 	ta.reset()
 	for _, m := range inbox {
 		if p, ok := m.Payload.(SendMsg); ok && p.Iter == iter {
@@ -278,6 +349,7 @@ func (ta *Tally) CollectSends(inbox []sim.Message, iter int) {
 			}
 		}
 	}
+	ta.publish(lane, passSends, iter)
 }
 
 // SendVec returns the values collected for instance i as the echo payload
@@ -287,19 +359,23 @@ func (ta *Tally) CollectSends(inbox []sim.Message, iter int) {
 // immutable), so every honest party reading one lane echoes one pointer and
 // the echo tally's run check is a pointer compare; otherwise a fresh copy.
 func (ta *Tally) SendVec(i int) Vec {
-	in := &ta.inst[i]
+	sends, voted := ta.counted.inst[i].sends, ta.inst[i].voted
 	switch {
-	case len(in.sends) == 0:
+	case len(sends) == 0:
 		return nil
-	case sameVec(in.sends, in.voted):
-		return in.voted
+	case sameVec(sends, voted):
+		return voted
 	}
-	return slices.Clone(in.sends)
+	return slices.Clone(sends)
 }
 
-// CollectEchoes tallies the phase-2 echo vectors of iteration iter; Votes
-// then reads each instance's vote vector off the counts.
-func (ta *Tally) CollectEchoes(inbox []sim.Message, iter int) {
+// CollectEchoes tallies the phase-2 echo vectors of iteration iter, or
+// adopts the tally from lane (see Tally); Votes then reads each instance's
+// vote vector off the counts.
+func (ta *Tally) CollectEchoes(lane *sim.Lane, inbox []sim.Message, iter int) {
+	if ta.adopt(lane, passEchoes, iter) {
+		return
+	}
 	ta.reset()
 	for _, m := range inbox {
 		if p, ok := m.Payload.(EchoMsg); ok && p.Iter == iter {
@@ -309,11 +385,16 @@ func (ta *Tally) CollectEchoes(inbox []sim.Message, iter int) {
 		}
 	}
 	ta.flush()
+	ta.publish(lane, passEchoes, iter)
 }
 
-// CollectVotes tallies the phase-3 vote vectors of iteration iter; Grades
-// then reads each instance's results off the counts.
-func (ta *Tally) CollectVotes(inbox []sim.Message, iter int) {
+// CollectVotes tallies the phase-3 vote vectors of iteration iter, or
+// adopts the tally from lane (see Tally); Grades then reads each instance's
+// results off the counts.
+func (ta *Tally) CollectVotes(lane *sim.Lane, inbox []sim.Message, iter int) {
+	if ta.adopt(lane, passVotes, iter) {
+		return
+	}
 	ta.reset()
 	for _, m := range inbox {
 		if p, ok := m.Payload.(VoteMsg); ok && p.Iter == iter {
@@ -323,6 +404,7 @@ func (ta *Tally) CollectVotes(inbox []sim.Message, iter int) {
 		}
 	}
 	ta.flush()
+	ta.publish(lane, passVotes, iter)
 }
 
 // flush counts every instance's pending run at the end of a pass.
@@ -475,10 +557,10 @@ func sameEntry(a, b VecEntry) bool {
 // returns a fresh copy, and nil when there is no vote. SendVec(i) echoes
 // the result again while the values it was built from do not change.
 func (ta *Tally) Votes(i int) Vec {
-	in := &ta.inst[i]
+	in, counted := &ta.inst[i], &ta.counted.inst[i]
 	votes := in.votes[:0]
 	for leader := 0; leader < ta.n; leader++ {
-		if v, c := argmax(in.cells, leader); c >= ta.n-ta.t {
+		if v, c := argmax(counted.cells, leader); c >= ta.n-ta.t {
 			votes = append(votes, VecEntry{ID: sim.PartyID(leader), Val: v})
 		}
 	}
@@ -486,8 +568,8 @@ func (ta *Tally) Votes(i int) Vec {
 	switch {
 	case len(votes) == 0:
 		in.voted = nil
-	case sameVec(votes, in.heavy):
-		in.voted = in.heavy
+	case sameVec(votes, counted.heavy):
+		in.voted = counted.heavy
 	default:
 		in.voted = slices.Clone(votes)
 	}
@@ -500,7 +582,7 @@ func (ta *Tally) Votes(i int) Vec {
 // CollectEchoes that proves every honest party echoed it, so every honest
 // party votes what this party votes and grades exactly those leaders 2 and
 // the rest 0 (realaa's echo rule).
-func (ta *Tally) Unanimous(i int) bool { return int(ta.inst[i].heavyLen) == ta.n }
+func (ta *Tally) Unanimous(i int) bool { return int(ta.counted.inst[i].heavyLen) == ta.n }
 
 // Grades derives the final (value, grade) per leader for instance i from the
 // votes tallied: grade 2 for ≥ n-t matching votes, grade 1 for ≥ t+1, grade
@@ -511,7 +593,7 @@ func (ta *Tally) Grades(i int, dst []Result) []Result {
 		dst = make([]Result, ta.n)
 	}
 	dst = dst[:ta.n]
-	cells := ta.inst[i].cells
+	cells := ta.counted.inst[i].cells
 	for leader := range dst {
 		v, c := argmax(cells, leader)
 		switch {

@@ -236,13 +236,13 @@ func voteInbox(tag string, vecs []Vec) []sim.Message {
 // tallyVotes and tallyGrades run one single-instance tally over vecs.
 func tallyVotes(n, t int, vecs []Vec) Vec {
 	ta := NewTally(n, t, "a")
-	ta.CollectEchoes(echoInbox("a", vecs), 1)
+	ta.CollectEchoes(nil, echoInbox("a", vecs), 1)
 	return ta.Votes(0)
 }
 
 func tallyGrades(n, t int, vecs []Vec) []Result {
 	ta := NewTally(n, t, "a")
-	ta.CollectVotes(voteInbox("a", vecs), 1)
+	ta.CollectVotes(nil, voteInbox("a", vecs), 1)
 	return ta.Grades(0, nil)
 }
 
@@ -258,15 +258,15 @@ func TestCollectHelpersFilterTagAndIter(t *testing.T) {
 		{From: 3, Payload: EchoMsg{Tag: "b", Iter: 1, Vals: Vec{{ID: 3, Val: 5}}}}, // wrong tag
 	}
 	ta := NewTally(4, 1, "a")
-	ta.CollectSends(inbox, 1)
+	ta.CollectSends(nil, inbox, 1)
 	if got := ta.SendVec(0); !slices.Equal(got, Vec{{ID: 0, Val: 5}}) {
 		t.Errorf("SendVec = %v, want {0:5}", got)
 	}
-	ta.CollectEchoes(inbox, 1)
+	ta.CollectEchoes(nil, inbox, 1)
 	if got, want := ta.inst[0].cells, []valCount{{val: 5, count: 1}, {}, {}, {}}; !slices.Equal(got, want) {
 		t.Errorf("echo cells = %v, want %v", got, want)
 	}
-	ta.CollectVotes(inbox, 1)
+	ta.CollectVotes(nil, inbox, 1)
 	if got := ta.inst[0].cells; !slices.Equal(got, make([]valCount, 4)) {
 		t.Errorf("vote cells = %v, want all empty", got)
 	}
@@ -294,7 +294,7 @@ func TestCollectSendVecMatchesMapPath(t *testing.T) {
 				inbox = append(inbox, sim.Message{From: sim.PartyID(from), Payload: EchoMsg{Tag: "a", Iter: 1}})
 			}
 		}
-		ta.CollectSends(inbox, 1)
+		ta.CollectSends(nil, inbox, 1)
 		for i, tag := range tags {
 			first := map[sim.PartyID]float64{}
 			for _, m := range inbox {
@@ -359,8 +359,8 @@ func TestUnanimous(t *testing.T) {
 		{"other tag", append(echoInbox("a", []Vec{v, v, v}), sim.Message{From: 3, Payload: EchoMsg{Tag: "b", Iter: 1, Vals: v}}), false},
 	} {
 		ta := NewTally(n, tc, "a")
-		ta.CollectEchoes(echoInbox("a", []Vec{v, v, v, v}), 1)
-		ta.CollectEchoes(c.inbox, 1)
+		ta.CollectEchoes(nil, echoInbox("a", []Vec{v, v, v, v}), 1)
+		ta.CollectEchoes(nil, c.inbox, 1)
 		if got := ta.Unanimous(0); got != c.want {
 			t.Errorf("%s: Unanimous = %v, want %v", c.name, got, c.want)
 		}
@@ -412,7 +412,7 @@ func TestDuplicateLeaderCountsOnce(t *testing.T) {
 		t.Errorf("leader 3 graded (%v, %v) on %d stuffed vectors, want grade 0", g.Val, g.Grade, tc)
 	}
 	ta := NewTally(n, tc, "a")
-	ta.CollectVotes(voteInbox("a", votes), 1)
+	ta.CollectVotes(nil, voteInbox("a", votes), 1)
 	if c := ta.inst[0].cells[3]; c.count != int32(tc) || c.next != 0 {
 		t.Errorf("leader 3 cell = %+v, want count %d: one per stuffed vector", c, tc)
 	}
@@ -423,7 +423,7 @@ func TestDuplicateLeaderCountsOnce(t *testing.T) {
 	// Out-of-order repeats and a descending tail count nothing either: only
 	// ids above every earlier id of the vector do.
 	zigzag := Vec{{ID: 3, Val: 66}, {ID: 1, Val: 66}, {ID: 3, Val: 66}, {ID: 2, Val: 66}, {ID: 5, Val: 66}, {ID: 5, Val: 66}}
-	ta.CollectVotes(voteInbox("a", []Vec{zigzag}), 1)
+	ta.CollectVotes(nil, voteInbox("a", []Vec{zigzag}), 1)
 	for leader, c := range ta.inst[0].cells {
 		want := int32(0)
 		if leader == 3 || leader == 5 {
@@ -537,7 +537,7 @@ func TestHonestVotesAllocateNothing(t *testing.T) {
 		ta := NewTally(n, tc, "a")
 		var votes Vec
 		pass := func() {
-			ta.CollectEchoes(inbox, 1)
+			ta.CollectEchoes(nil, inbox, 1)
 			votes = ta.Votes(0)
 		}
 		pass() // warm-up: the vote scratch
@@ -558,12 +558,12 @@ func TestHonestVotesAllocateNothing(t *testing.T) {
 func TestSettledEchoIsTheVote(t *testing.T) {
 	n, tc := 16, 5
 	ta := NewTally(n, tc, "a")
-	ta.CollectEchoes(echoInbox("a", benchVecs(n, tc, false)), 1)
+	ta.CollectEchoes(nil, echoInbox("a", benchVecs(n, tc, false)), 1)
 	voted := ta.Votes(0)
 	settled := slices.Clone(voted)
 	var echo Vec
 	pass := func(inbox []sim.Message) {
-		ta.CollectSends(inbox, 2)
+		ta.CollectSends(nil, inbox, 2)
 		echo = ta.SendVec(0)
 	}
 	inbox := sendInbox("a", 2, settled)
@@ -590,7 +590,7 @@ func TestSettledEchoIsTheVote(t *testing.T) {
 	// A NaN reaches a quorum only when one vector is a quorum: n = 1.
 	nan1, nan2 := math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff8000000000002)
 	ta = NewTally(1, 0, "a")
-	ta.CollectEchoes(echoInbox("a", []Vec{{{ID: 0, Val: nan1}}}), 1)
+	ta.CollectEchoes(nil, echoInbox("a", []Vec{{{ID: 0, Val: nan1}}}), 1)
 	voted = ta.Votes(0)
 	for _, tt := range []struct {
 		val   float64

@@ -17,7 +17,7 @@ type Machine struct {
 	done  bool
 }
 
-var _ sim.Machine = (*Machine)(nil)
+var _ sim.LaneReader = (*Machine)(nil)
 
 // NewMachine returns a gradecast machine for party id with the given input.
 func NewMachine(n, t int, id sim.PartyID, tag string, val float64) *Machine {
@@ -26,18 +26,21 @@ func NewMachine(n, t int, id sim.PartyID, tag string, val float64) *Machine {
 
 // Step implements sim.Machine: round 1 sends, round 2 echoes, round 3 votes,
 // round 4 grades.
-func (m *Machine) Step(r int, inbox []sim.Message) []sim.Message {
+func (m *Machine) Step(r int, inbox []sim.Message) []sim.Message { return m.StepLane(r, inbox, nil) }
+
+// StepLane implements sim.LaneReader: Step, with the tally reading lane.
+func (m *Machine) StepLane(r int, inbox []sim.Message, lane *sim.Lane) []sim.Message {
 	switch r {
 	case 1:
 		return []sim.Message{{To: sim.Broadcast, Payload: SendMsg{Tag: m.tag, Iter: 1, Val: m.val}}}
 	case 2:
-		m.tally.CollectSends(inbox, 1)
+		m.tally.CollectSends(lane, inbox, 1)
 		return []sim.Message{{To: sim.Broadcast, Payload: EchoMsg{Tag: m.tag, Iter: 1, Vals: m.tally.SendVec(0)}}}
 	case 3:
-		m.tally.CollectEchoes(inbox, 1)
+		m.tally.CollectEchoes(lane, inbox, 1)
 		return []sim.Message{{To: sim.Broadcast, Payload: VoteMsg{Tag: m.tag, Iter: 1, Vals: m.tally.Votes(0)}}}
 	case 4:
-		m.tally.CollectVotes(inbox, 1)
+		m.tally.CollectVotes(lane, inbox, 1)
 		m.out = m.tally.Grades(0, nil)
 		m.done = true
 	}

@@ -98,7 +98,7 @@ func sameFloat(a, b float64) bool {
 func checkAgainstMerge(t *testing.T, n, tc int, vecs []Vec) {
 	t.Helper()
 	ta := NewTally(n, tc, "a")
-	ta.CollectEchoes(echoInbox("a", vecs), 1)
+	ta.CollectEchoes(nil, echoInbox("a", vecs), 1)
 	got, want := ta.Votes(0), mergeVotes(n, tc, vecs)
 	if len(got) != len(want) {
 		t.Fatalf("n=%d t=%d %v:\nvotes %v\nmerge %v", n, tc, vecs, got, want)
@@ -112,7 +112,7 @@ func checkAgainstMerge(t *testing.T, n, tc int, vecs []Vec) {
 	// The next iteration's sends: the vote itself (a settled iteration),
 	// and the first vector's well-formed entries (values that moved).
 	for _, sends := range []Vec{got, wellFormed(n, vecs)} {
-		ta.CollectSends(sendInbox("a", 2, sends), 2)
+		ta.CollectSends(nil, sendInbox("a", 2, sends), 2)
 		checkSendVec(t, ta, ta.SendVec(0), got, vecs)
 	}
 	grades, wantGrades := tallyGrades(n, tc, vecs), mergeGrades(n, tc, vecs)

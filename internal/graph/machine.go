@@ -60,6 +60,8 @@ type Machine struct {
 	inner *core.Machine
 }
 
+var _ sim.LaneReader = (*Machine)(nil)
+
 // NewMachine validates the configuration and builds the machine.
 func NewMachine(cfg Config) (*Machine, error) {
 	if cfg.Graph == nil {
@@ -84,6 +86,12 @@ func NewMachine(cfg Config) (*Machine, error) {
 // Step implements sim.Machine.
 func (m *Machine) Step(r int, inbox []sim.Message) []sim.Message {
 	return m.inner.Step(r, inbox)
+}
+
+// StepLane implements sim.LaneReader, forwarding the lane to the inner
+// TreeAA machine.
+func (m *Machine) StepLane(r int, inbox []sim.Message, lane *sim.Lane) []sim.Message {
+	return m.inner.StepLane(r, inbox, lane)
 }
 
 // Output implements sim.Machine: the decoded graph vertex once the inner

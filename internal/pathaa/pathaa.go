@@ -49,7 +49,7 @@ type Machine struct {
 	done bool
 }
 
-var _ sim.Machine = (*Machine)(nil)
+var _ sim.LaneReader = (*Machine)(nil)
 
 // Rounds returns the fixed communication-round budget of the protocol for a
 // path of k vertices under fault budget t: RealAA(1) on inputs within [1, k].
@@ -152,8 +152,12 @@ func (m *Machine) RealAA() *realaa.Machine { return m.real }
 // and decoding its real-valued output to a vertex. The inner machine keeps
 // stepping after the decision: one taken early (realaa.Config.Eps) leaves
 // the schedule running for the parties still waiting.
-func (m *Machine) Step(r int, inbox []sim.Message) []sim.Message {
-	out := m.real.Step(r, inbox)
+func (m *Machine) Step(r int, inbox []sim.Message) []sim.Message { return m.StepLane(r, inbox, nil) }
+
+// StepLane implements sim.LaneReader: Step, with the lane forwarded to the
+// inner RealAA execution.
+func (m *Machine) StepLane(r int, inbox []sim.Message, lane *sim.Lane) []sim.Message {
+	out := m.real.StepLane(r, inbox, lane)
 	if j, ok := m.real.Output(); ok && !m.done {
 		m.out = VertexAt(m.cfg.Path, j.(float64))
 		m.done = true

@@ -61,7 +61,7 @@ type Machine struct {
 	done bool
 }
 
-var _ sim.Machine = (*Machine)(nil)
+var _ sim.LaneReader = (*Machine)(nil)
 
 // NewMachine validates cfg, computes the shared list representation and
 // prepares the inner RealAA(1) execution with input min L(v_IN).
@@ -117,11 +117,15 @@ func ClampIndex(list *tree.EulerList, j float64) int {
 }
 
 // Step implements sim.Machine.
-func (m *Machine) Step(r int, inbox []sim.Message) []sim.Message {
+func (m *Machine) Step(r int, inbox []sim.Message) []sim.Message { return m.StepLane(r, inbox, nil) }
+
+// StepLane implements sim.LaneReader: Step, with the lane forwarded to the
+// inner RealAA execution.
+func (m *Machine) StepLane(r int, inbox []sim.Message, lane *sim.Lane) []sim.Message {
 	if m.done {
 		return nil
 	}
-	out := m.real.Step(r, inbox)
+	out := m.real.StepLane(r, inbox, lane)
 	if j, ok := m.real.Output(); ok {
 		idx := ClampIndex(m.list, j.(float64))
 		p, err := m.list.PathFromRoot(idx)

@@ -239,7 +239,7 @@ type Machine struct {
 	accepted   []float64            // grade >= 1 values feeding the midpoint
 }
 
-var _ sim.Machine = (*Machine)(nil)
+var _ sim.LaneReader = (*Machine)(nil)
 
 // maskWordBits is how many parties one suspicion-mask word covers. Masks
 // travel as float64 gradecast values, which represent integers exactly up to
@@ -333,7 +333,10 @@ func partySet(flags []bool) map[sim.PartyID]bool {
 }
 
 // Step implements sim.Machine.
-func (m *Machine) Step(r int, inbox []sim.Message) []sim.Message {
+func (m *Machine) Step(r int, inbox []sim.Message) []sim.Message { return m.StepLane(r, inbox, nil) }
+
+// StepLane implements sim.LaneReader: Step, with the tally reading lane.
+func (m *Machine) StepLane(r int, inbox []sim.Message, lane *sim.Lane) []sim.Message {
 	rr := r - m.cfg.StartRound + 1
 	if rr < 1 || m.done {
 		return nil
@@ -347,7 +350,7 @@ func (m *Machine) Step(r int, inbox []sim.Message) []sim.Message {
 	switch phase {
 	case 0: // process previous iteration's votes, send this iteration's value
 		if iter > 1 {
-			m.finishIteration(iter-1, inbox)
+			m.finishIteration(iter-1, inbox, lane)
 		}
 		if iter > m.cfg.Iterations {
 			m.done = true
@@ -363,7 +366,7 @@ func (m *Machine) Step(r int, inbox []sim.Message) []sim.Message {
 		if iter > m.cfg.Iterations {
 			return nil
 		}
-		m.tally.CollectSends(inbox, iter)
+		m.tally.CollectSends(lane, inbox, iter)
 		out := m.out[:0]
 		for i, tag := range m.tags {
 			out = append(out, sim.Message{To: sim.Broadcast, Payload: gradecast.EchoMsg{Tag: tag, Iter: iter, Vals: m.tally.SendVec(i)}})
@@ -374,7 +377,7 @@ func (m *Machine) Step(r int, inbox []sim.Message) []sim.Message {
 		if iter > m.cfg.Iterations {
 			return nil
 		}
-		m.tally.CollectEchoes(inbox, iter)
+		m.tally.CollectEchoes(lane, inbox, iter)
 		out := m.out[:0]
 		for i, tag := range m.tags {
 			out = append(out, sim.Message{To: sim.Broadcast, Payload: gradecast.VoteMsg{Tag: tag, Iter: iter, Vals: m.tally.Votes(i)}})
@@ -424,8 +427,8 @@ func (m *Machine) trimmedMid(vals []float64) (mid float64, ok bool) {
 // the iteration whose votes arrive in this inbox, updates the global
 // exclusion set from the suspicion-set counts, and applies the trimmed
 // midpoint update.
-func (m *Machine) finishIteration(iter int, inbox []sim.Message) {
-	m.tally.CollectVotes(inbox, iter)
+func (m *Machine) finishIteration(iter int, inbox []sim.Message, lane *sim.Lane) {
+	m.tally.CollectVotes(lane, inbox, iter)
 	m.grades = m.tally.Grades(0, m.grades)
 	for w := range m.accGrades {
 		m.accGrades[w] = m.tally.Grades(1+w, m.accGrades[w])

@@ -57,15 +57,17 @@ func RunConcurrent(cfg Config, machines []Machine) (*Result, error) {
 		workers.Wait()
 	}()
 
-	step := func(r int, honest []PartyID, machines []Machine, inboxes, raw [][]Message) {
-		barrier.Add(len(honest))
-		for _, p := range honest {
-			slots[p].m, slots[p].round, slots[p].inbox = machines[p], r, inboxes[p]
+	// Every party steps in its own goroutine through plain Step: the lane's
+	// digest store is for one sequential reader after another (Lane).
+	step := func(r int, e *engine, machines []Machine) {
+		barrier.Add(len(e.honest))
+		for _, p := range e.honest {
+			slots[p].m, slots[p].round, slots[p].inbox = machines[p], r, e.inboxes[p]
 			start[p] <- struct{}{}
 		}
 		barrier.Wait() // barrier: wait for every party
-		for _, p := range honest {
-			raw[p] = slots[p].out
+		for _, p := range e.honest {
+			e.raw[p] = slots[p].out
 		}
 	}
 	return run(cfg, machines, step)

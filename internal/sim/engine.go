@@ -10,7 +10,8 @@ import "fmt"
 // lanes, mailboxes, merge buffers, outbox scratch and the counting-sort
 // scratch all retain their capacity across rounds. A party's merge buffer
 // is made the first time it reads a merge, at that round's lane plus
-// mailbox, rather than doubled up from nil.
+// mailbox, rather than doubled up from nil. The lane's digest store is the
+// engine's too: emptied every round, its capacity kept.
 type engine struct {
 	n int
 
@@ -22,6 +23,9 @@ type engine struct {
 	// inboxes[p] is what party p reads this round: the lane itself when p
 	// has no unicast mail, else the lane merged with cur[p] into merged[p].
 	inboxes, merged [][]Message
+	// digests is the store of the round's lane, for the parties reading it
+	// (readsLane).
+	digests Lane
 	// raw holds each honest party's unexpanded outbox for the current
 	// round, indexed by party (entries for corrupted parties are stale and
 	// never read).
@@ -38,20 +42,25 @@ type engine struct {
 	corrupted []bool // mirror of the Result.Corrupted map for hot-path checks
 }
 
+// newEngine allocates the engine and its per-party tables, the five
+// mailbox tables carved out of one slab and the two flag sets out of
+// another (the engine lives on the heap: readers hold its digest store).
 func newEngine(cfg Config) *engine {
 	n := cfg.N
+	boxes := make([][]Message, 5*n)
+	flags := make([]bool, 2*n)
 	return &engine{
 		n:       n,
-		cur:     make([][]Message, n),
-		next:    make([][]Message, n),
-		inboxes: make([][]Message, n),
-		merged:  make([][]Message, n),
-		raw:     make([][]Message, n),
+		cur:     boxes[:n:n],
+		next:    boxes[n : 2*n : 2*n],
+		inboxes: boxes[2*n : 3*n : 3*n],
+		merged:  boxes[3*n : 4*n : 4*n],
+		raw:     boxes[4*n:],
 
 		honest:    make([]PartyID, 0, n),
-		direct:    make([]bool, n),
+		direct:    flags[:n:n],
 		counts:    make([]int, n),
-		corrupted: make([]bool, n),
+		corrupted: flags[n:],
 	}
 }
 
@@ -137,6 +146,7 @@ func (e *engine) deliver(m Message) {
 // sender: route only ever lanes those of a sender's broadcasts that precede
 // all its unicasts.
 func (e *engine) open() {
+	e.digests.reset()
 	e.sortMailbox(e.lane)
 	for p, box := range e.cur {
 		if len(box) == 0 {
@@ -168,6 +178,12 @@ func (e *engine) open() {
 		e.merged[p] = append(buf, e.lane[i:]...)
 		e.inboxes[p] = e.merged[p]
 	}
+}
+
+// readsLane reports whether party p's inbox this round is the lane itself,
+// and one with something in it: the parties StepLane is for.
+func (e *engine) readsLane(p PartyID) bool {
+	return len(e.cur[p]) == 0 && len(e.lane) > 0
 }
 
 // rotate makes this round's collected traffic the next round's inboxes and

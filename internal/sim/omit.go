@@ -23,9 +23,13 @@ type omitter struct {
 	err error     // the first contract breach, for run to report
 }
 
-func (o *omitter) Step(r int, inbox []Message) []Message {
+func (o *omitter) Step(r int, inbox []Message) []Message { return o.StepLane(r, inbox, nil) }
+
+// StepLane implements LaneReader: the lane goes to the wrapped machine,
+// whose inbox it is; only the sends are filtered.
+func (o *omitter) StepLane(r int, inbox []Message, lane *Lane) []Message {
 	o.buf = o.buf[:0]
-	for _, m := range o.Machine.Step(r, inbox) {
+	for _, m := range StepLane(o.Machine, r, inbox, lane) {
 		m.From, m.Round = o.p, r
 		if m.To != Broadcast {
 			o.buf = append(o.buf, m)

@@ -16,13 +16,19 @@ func Run(cfg Config, machines []Machine) (*Result, error) {
 }
 
 // stepper computes one round of honest outboxes, writing machines[p]'s raw
-// outbox into raw[p] for every honest p. It exists so that the sequential
+// outbox into e.raw[p] for every honest p. It exists so that the sequential
 // and concurrent drivers share every other line of the loop.
-type stepper func(r int, honest []PartyID, machines []Machine, inboxes, raw [][]Message)
+type stepper func(r int, e *engine, machines []Machine)
 
-func stepSequential(r int, honest []PartyID, machines []Machine, inboxes, raw [][]Message) {
-	for _, p := range honest {
-		raw[p] = machines[p].Step(r, inboxes[p])
+// stepSequential steps the honest parties in ascending order, handing the
+// lane's digest store to those reading the lane (LaneReader).
+func stepSequential(r int, e *engine, machines []Machine) {
+	for _, p := range e.honest {
+		lane := &e.digests
+		if !e.readsLane(p) {
+			lane = nil
+		}
+		e.raw[p] = StepLane(machines[p], r, e.inboxes[p], lane)
 	}
 }
 
@@ -68,6 +74,7 @@ func run(cfg Config, machines []Machine, step stepper) (*Result, error) {
 		return nil, err
 	}
 	e := newEngine(cfg)
+	defer e.digests.reset() // a reader that kept the store finds it empty
 	corrupted := make(map[PartyID]bool)
 	for _, p := range byz {
 		corrupted[p], e.corrupted[p] = true, true
@@ -93,7 +100,7 @@ func run(cfg Config, machines []Machine, step stepper) (*Result, error) {
 	for r := 1; r <= cfg.MaxRounds; r++ {
 		e.open() // deliver round r-1's traffic
 		e.refreshHonest()
-		step(r, e.honest, machines, e.inboxes, e.raw)
+		step(r, e, machines)
 		for _, o := range omitters {
 			if o.err != nil {
 				return nil, o.err

@@ -10,6 +10,15 @@
 // goroutine with a round barrier (exercises real concurrency). Both produce
 // identical executions for deterministic machines; an equivalence test in
 // this package enforces that.
+//
+// A round's broadcasts are delivered once, in a lane every party's inbox
+// shares, and Run reads that lane once: a machine that implements
+// LaneReader is handed the round's digest store whenever its inbox is the
+// lane, so that the first reader's pass over it serves every later one. The
+// lane rule: a digest is written once, by its first reader, is read-only
+// after that, and lives one round of one execution (see Lane).
+// RunConcurrent, like every networked fabric, steps each party through
+// plain Step over its own view.
 package sim
 
 import (
@@ -74,7 +83,9 @@ func UvarintLen(x uint64) int {
 // machines. The driver finishes with the returned slice before the next Step
 // call, so a machine may reuse a single outbox buffer across rounds (message
 // *payloads* are shared with recipients — who may forward them as their
-// own — and must still be immutable once returned).
+// own — and must still be immutable once returned). The one thing machines
+// may share is a lane digest (LaneReader): written once by the round's
+// first reader of the lane, read-only after that, gone after the round.
 type Machine interface {
 	// Step advances the machine to round r and returns its outgoing messages.
 	Step(r int, inbox []Message) []Message
