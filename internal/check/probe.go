@@ -46,7 +46,9 @@ type probeMachine struct {
 var _ sim.LaneReader = (*probeMachine)(nil)
 
 // Step implements sim.Machine: advance the wrapped machine, then snapshot.
-func (p *probeMachine) Step(r int, inbox []sim.Message) []sim.Message { return p.StepLane(r, inbox, nil) }
+func (p *probeMachine) Step(r int, inbox []sim.Message) []sim.Message {
+	return p.StepLane(r, inbox, nil)
+}
 
 // StepLane implements sim.LaneReader: Step, with the lane forwarded to the
 // wrapped machine, so that the sequential oracle run reads lanes as a bare
