@@ -237,7 +237,7 @@ func (m *Machine) ShortcutMachine() *pathaa.Machine { return m.shortcut }
 func (m *Machine) Step(r int, inbox []sim.Message) []sim.Message { return m.StepLane(r, inbox, nil) }
 
 // StepLane implements sim.LaneReader: Step, with the lane forwarded to the
-// RealAA phases (in the hand-off round both read it, as distinct tag sets).
+// RealAA phases (both get it in the hand-off round; their tags differ).
 func (m *Machine) StepLane(r int, inbox []sim.Message, lane *sim.Lane) []sim.Message {
 	if m.shortcut != nil {
 		out := m.shortcut.StepLane(r, inbox, lane)

@@ -16,8 +16,8 @@ package sim
 type Lane struct {
 	digests []laneDigest
 	// inline backs digests from the engine's first reset on, so a round's
-	// few digests (one per kind of reader, two in a hand-off round) cost
-	// no allocation.
+	// few digests (one per kind of reader that reads the lane; the shipped
+	// protocols make one a round) cost no allocation.
 	inline [4]laneDigest
 	hits   int // lookups that found a digest this round
 }
