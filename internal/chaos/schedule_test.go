@@ -11,12 +11,52 @@ var update = flag.Bool("update", false, "rewrite golden files")
 
 const goldenSpec = "lat:2ms±1ms,stall:p1@r2-3:10ms,drop:p0-p2@r2,partition:{0-1|2-3}@r4-5:80ms"
 
+// shippedPlans is every plan the repository runs or documents — the sweep
+// matrix, the Makefile's fleets, the README's examples and the soak, async,
+// serve and conn tests — each pinned at seed 42 for n parties (7, or 8 for
+// the one plan that names party 7).
+var shippedPlans = []struct {
+	spec string
+	n    int
+}{
+	{"", 7},
+	{"lat:1ms±1ms", 7},
+	{"stall:p1@r2-3:5ms", 7},
+	{"drop:p0-p2@r2", 7},
+	{"partition:{0-1|2-3}@r2:40ms", 7},
+	{"lat:500µs±500µs,drop:p2@r3", 7},
+	{"lat:500µs±500µs,drop:p0-p2@r2", 7},
+	{"lat:20ms±15ms@p2", 7},
+	{"lat:200ms±150ms@p2", 7},
+	{"lat:5ms±3ms,stall:p3@r2-4,drop:p5@r3,partition:{0-2|3-7}@r6-7", 8},
+	{"lat:2ms±1ms", 7},
+	{"drop:p1@r2", 7},
+	{"lat:1ms±1ms,drop:p0-p2@r2", 7},
+	{"lat:200µs±200µs", 7},
+	{"lat:100µs±100µs", 7},
+	{"lat:300µs±300µs", 7},
+	{"drop:p0-p2@r1", 7},
+	{"drop:p2@r3", 7},
+	{"drop:p0-p1@r2", 7},
+	{"drop:p1@r3", 7},
+	{"lat:1ms,drop:p2@r2", 7},
+	{"lat:1ms±1ms,stall:p1@r2-3:10ms,partition:{0-1|2-3}@r4-5:20ms", 7},
+	{"lat:100µs±100µs,stall:p0@r1:100µs", 7},
+	{"partition:{0|1}@r1-2:60ms", 7},
+	{"drop:p0-p1@r3", 7},
+	{"lat:200µs±200µs,drop:p0-p2@r2", 7},
+	{"lat:1ms±1ms,drop:p0-p1@r2", 7},
+}
+
 // TestScheduleGolden pins the materialized fault schedule: identical seeds
 // and specs must reproduce identical schedules, across runs and across
 // machines (math/rand's sequence for a fixed seed is part of Go's
 // compatibility promise).
 func TestScheduleGolden(t *testing.T) {
 	got := MustParse(goldenSpec).Schedule(42, 4, 4)
+	for _, p := range shippedPlans {
+		got += MustParse(p.spec).Schedule(42, p.n, 4)
+	}
 	path := filepath.Join("testdata", "schedule.golden")
 	if *update {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
