@@ -3,13 +3,18 @@
 // evaluates per-round invariants (validity, 1-agreement, hull non-expansion,
 // burn-rule monotonicity, PathsFinder trailing-edge agreement, round budget)
 // and the sequential/concurrent/TCP differential, and on a violation shrinks
-// the cell to a minimal one-line repro spec.
+// the cell to a minimal one-line repro spec. Every generated cell the TCP
+// differential runs on gets one or two link faults (lat, stall, drop, part
+// clauses of the adversary language; see internal/chaos) injected under its
+// links, which must leave the Result byte-identical to the sequential run.
 //
 //	check                                  # default budget over seeds 1-3
 //	check -seeds 1-5 -budget 200           # 200 cells per seed
 //	check -space graph -budget 175         # block-graph cells only
 //	check -repro 's=1;tree=star:6;n=9;t=2;in=spread;adv=splitvote(per=1)'
 //	check -repro 's=1;tree=graph:cliquechain:3:4;n=7;t=2;in=spread;adv=splitvote(per=1)'
+//	check -repro 's=1;tree=path:16;n=4;t=1;in=spread;adv=lat(base=1ms,jitter=1ms)+drop(from=0,to=1,round=2)'
+//	check -tcp-every 1 -cells 's=1;tree=path:16;n=4;t=1;in=spread;adv=splitvote+stall(from=1,rounds=2.3,dur=5ms)'
 //	check -inject-bad                      # demo: catch + shrink a known-bad adversary
 //	check -json -budget 50                 # one JSON object per cell
 //	check -async-every 1 -async-budget 0   # async battery on every compatible cell
@@ -44,7 +49,7 @@ func main() {
 		repro       = flag.String("repro", "", "run exactly one cell spec (as printed by a violation) and exit")
 		injectBad   = flag.Bool("inject-bad", false, "inject a known-bad adversary (burn rule blinded) to demo the shrinker")
 		shrinkB     = flag.Int("shrink-budget", 200, "candidate runs the shrinker may spend per violation")
-		tcpEvery    = flag.Int("tcp-every", 8, "run the TCP differential on every Nth cell (0 = never)")
+		tcpEvery    = flag.Int("tcp-every", 8, "run the TCP differential, under generated link faults, on every Nth cell (0 = never)")
 		asyncEvery  = flag.Int("async-every", 4, "run the async-mode battery on every Nth compatible cell (0 = never)")
 		asyncBudget = flag.Int("async-budget", 0, "delivery budget per async execution (0 = derive from the pipelines)")
 		jsonOut     = flag.Bool("json", false, "emit one JSON object per cell instead of text")
@@ -145,6 +150,13 @@ func run(seeds string, budget int, cells, repro, spaceKind string, injectBad boo
 		if err != nil {
 			return 0, err
 		}
+		// The fault schedule the cell's link clauses materialize, four
+		// frames per link.
+		if schedule, err := check.Schedule(c, 4); err != nil {
+			return 0, err
+		} else if !jsonOut {
+			fmt.Print(schedule)
+		}
 		if err := runOne(c, check.Options{TCP: tcpEvery > 0}, false); err != nil {
 			return 0, err
 		}
@@ -181,7 +193,11 @@ func run(seeds string, budget int, cells, repro, spaceKind string, injectBad boo
 			return 0, err
 		}
 		err = check.Sweep(seedList, budget, spaceKind, func(c *check.Cell) error {
-			return runOne(c, check.Options{TCP: tcpEvery > 0 && explored%tcpEvery == 0}, true)
+			tcp := tcpEvery > 0 && explored%tcpEvery == 0
+			if tcp {
+				check.AddLinkFaults(c)
+			}
+			return runOne(c, check.Options{TCP: tcp}, true)
 		})
 		if err != nil {
 			return 0, err

@@ -29,30 +29,30 @@
 //
 //	node -cluster 7 -t 2 -tree path:40 -adversary 'splitvote+stop(rounds=2)'
 //
-// A -chaos plan (see internal/chaos) injects seeded link faults at every
-// seat: per-link latency and stalls, one-shot connection drops and healing
-// partitions. All seats must be launched with the same plan — it is part of
-// the session handshake.
+// The link clauses of -adversary (lat, stall, drop, part; see
+// internal/chaos) inject seeded link faults at every seat: per-link latency
+// and stalls, one-shot connection drops and healing partitions. They claim
+// no party and ride the session handshake with the rest of the spec.
 //
-//	node -cluster 4 -tree path:16 -chaos 'lat:1ms±1ms,drop:p0-p2@r2'
+//	node -cluster 4 -tree path:16 -adversary 'lat(base=1ms,jitter=1ms)+drop(from=0,to=2,round=2)'
 //
 // -mode async replaces the lock-step rounds with the event-driven
 // asynchronous pipeline: no EOR barriers, no round timeouts — every seat
 // dispatches on arrival and decides when its RBC/witness thresholds fill.
 // Async fleets are honest-only (Byzantine async behaviour is exercised
 // in-process by cmd/check; an omission party filters a lock-step round) and
-// take every chaos clause: a dropped connection is repaired by the same
+// take every link clause: a dropped connection is repaired by the same
 // count-exchange resume as in sync mode.
 //
-//	node -cluster 4 -tree star:6 -mode async -chaos 'lat:200ms±150ms@p2'
-//	node -cluster 4 -mode async -chaos 'drop:p0-p2@r2'
+//	node -cluster 4 -tree star:6 -mode async -adversary 'lat(base=200ms,jitter=150ms,from=2)'
+//	node -cluster 4 -mode async -adversary 'drop(from=0,to=2,round=2)'
 //
 // -overlay tree[:b] routes the same seats over a three-level communication
 // tree instead of the full mesh. Which combinations a fabric cannot host —
 // an adversary or async seats over the overlay, an adversary beside async
 // seats on the mesh — is decided, and explained, by the library function
 // that lacks the capability (transport.RunProcess, overlay.RunProcess), not
-// here; this command only gates chaos clauses. A pure omit adversary has no
+// here; this command only gates link clauses. A pure omit adversary has no
 // host seat — its omission seats are machines like any other — so it runs
 // over the overlay too.
 //
@@ -98,10 +98,9 @@ func main() {
 		inputSpec   = flag.String("inputs", "", "comma-separated input vertex labels (default: spread)")
 		advName     = flag.String("adversary", "none", "adversary spec: none, or name(key=value,...) clauses joined by '+' of "+strings.Join(cli.AdversaryNames(), "|"))
 		mode        = flag.String("mode", "sync", "execution mode: sync (lock-step rounds) or async (event-driven, honest fleets only)")
-		seed        = flag.Int64("seed", 1, "seed for random trees / noise adversaries / chaos")
+		seed        = flag.Int64("seed", 1, "seed for random trees / noise adversaries / link faults")
 		cluster     = flag.Int("cluster", 0, "spawn an n-party loopback cluster of this binary and check agreement")
-		chaosSpec   = flag.String("chaos", "", "chaos plan (see internal/chaos); must match across all seats")
-		overlaySpec = flag.String("overlay", "", "route traffic over a communication tree instead of the full mesh (tree or tree:<branching>); honest or omission fleets, no chaos")
+		overlaySpec = flag.String("overlay", "", "route traffic over a communication tree instead of the full mesh (tree or tree:<branching>); honest or omission fleets, no link faults")
 		setupTO     = flag.Duration("setup-timeout", 10*time.Second, "mesh construction budget")
 		roundTO     = flag.Duration("round-timeout", 30*time.Second, "per-round traffic budget (also the reconnect budget)")
 	)
@@ -115,9 +114,9 @@ func main() {
 	if *mode != "sync" && *mode != "async" {
 		err = fmt.Errorf("-mode %q: want sync or async", *mode)
 	} else if *cluster > 0 {
-		err = runCluster(ctx, *cluster, *tFlag, *treeSpec, *inputSpec, *advName, *mode, *seed, *chaosSpec, *overlaySpec, *setupTO, *roundTO)
+		err = runCluster(ctx, *cluster, *tFlag, *treeSpec, *inputSpec, *advName, *mode, *seed, *overlaySpec, *setupTO, *roundTO)
 	} else {
-		err = runSeat(ctx, *id, *peersFile, *tFlag, *treeSpec, *inputSpec, *advName, *mode, *seed, *chaosSpec, *overlaySpec, *setupTO, *roundTO)
+		err = runSeat(ctx, *id, *peersFile, *tFlag, *treeSpec, *inputSpec, *advName, *mode, *seed, *overlaySpec, *setupTO, *roundTO)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "node:", err)
@@ -127,7 +126,7 @@ func main() {
 
 // runSeat runs one party (or the adversary host seat) of a deployment.
 func runSeat(ctx context.Context, id int, peersFile string, t int, treeSpec, inputSpec, advName, mode string, seed int64,
-	chaosSpec, overlaySpec string, setupTO, roundTO time.Duration) error {
+	overlaySpec string, setupTO, roundTO time.Duration) error {
 	if peersFile == "" {
 		return fmt.Errorf("-peers is required (or use -cluster)")
 	}
@@ -165,11 +164,8 @@ func runSeat(ctx context.Context, id int, peersFile string, t int, treeSpec, inp
 	if err != nil {
 		return err
 	}
-	plan, err := chaos.Parse(chaosSpec)
+	plan, err := chaos.NewPlan(advName, n)
 	if err != nil {
-		return err
-	}
-	if err := plan.Validate(n); err != nil {
 		return err
 	}
 	if err := checkFlags(mode, overlaySpec, advName, omitters, plan); err != nil {
@@ -179,13 +175,14 @@ func runSeat(ctx context.Context, id int, peersFile string, t int, treeSpec, inp
 	// Everything the seats must agree on joins the session hash — mode and
 	// fabric first — so a deployment whose seats disagree on any of it (a
 	// sync seat in an async fleet, mesh beside tree, two branching factors,
-	// two fault plans) fails the handshake instead of wedging half-meshed.
+	// two adversaries or link faults) fails the handshake instead of wedging
+	// half-meshed.
 	seat := transport.Seat{
 		Ctx: ctx,
 		ID:  sim.PartyID(id), N: n, Addrs: addrs,
 		Corrupted: byz, MaxRounds: sp.Rounds() + 2,
 		Session: sessionID(mode, overlaySpec, sp.Spec, inputSpec, advName, n, t, seed,
-			chaosSpec, setupTO, roundTO, addrs),
+			setupTO, roundTO, addrs),
 	}
 	role := "party"
 	switch {
@@ -266,32 +263,32 @@ const resultLine = "RESULT id=%d role=%s output=%s rounds=%d deliveries=%d"
 // sessionID derives the deployment's session id from every flag the seats
 // must share.
 func sessionID(mode, overlaySpec, spaceSpec, inputSpec, advName string, n, t int, seed int64,
-	chaosSpec string, setupTO, roundTO time.Duration, addrs []string) uint64 {
+	setupTO, roundTO time.Duration, addrs []string) uint64 {
 	return transport.DeriveSession(append([]string{mode, overlaySpec, spaceSpec, inputSpec, advName,
 		fmt.Sprint(n), fmt.Sprint(t), fmt.Sprint(seed),
-		chaosSpec, setupTO.String(), roundTO.String()}, addrs...)...)
+		setupTO.String(), roundTO.String()}, addrs...)...)
 }
 
 // checkFlags gates what the chosen mode and fabric can run. An async seat
 // hosts no omission party, whose filter acts on a lock-step round. The
-// overlay takes no chaos plan: its connections are internal relay hops, not
-// the party-to-party links every clause names.
+// overlay takes no link clause: its connections are internal relay hops,
+// not the party-to-party links every link clause names.
 func checkFlags(mode, overlaySpec, advName string, omitters []sim.PartyID, plan *chaos.Plan) error {
 	if mode == "async" && len(omitters) > 0 {
 		return fmt.Errorf("adversary %q has omission parties, which filter a lock-step machine's sends "+
 			"per round; async seats run honest fleets only — drop -mode async", advName)
 	}
-	if overlaySpec == "" {
-		return nil
+	if overlaySpec != "" && !plan.Empty() {
+		return fmt.Errorf("-overlay cannot inject the link faults %q: the overlay's connections are internal "+
+			"relay hops, not the party-to-party links they name", plan.Spec)
 	}
-	return plan.Refuse("-overlay",
-		"the overlay's connections are internal relay hops, not the party-to-party links its clauses name")
+	return nil
 }
 
 // runCluster spawns a whole deployment of this binary on loopback ports and
 // checks the protocol's guarantees across the collected outputs.
 func runCluster(ctx context.Context, n, t int, treeSpec, inputSpec, advName, mode string, seed int64,
-	chaosSpec, overlaySpec string, setupTO, roundTO time.Duration) error {
+	overlaySpec string, setupTO, roundTO time.Duration) error {
 	if t < 0 || (t > 0 && n <= 3*t) {
 		return fmt.Errorf("need n > 3t, got n=%d t=%d", n, t)
 	}
@@ -311,11 +308,9 @@ func runCluster(ctx context.Context, n, t int, treeSpec, inputSpec, advName, mod
 	if err != nil {
 		return err
 	}
-	// Fail fast on a bad chaos plan or flag combination before spawning n
+	// Fail fast on a bad link clause or flag combination before spawning n
 	// children (each child re-validates against its own flags anyway).
-	if plan, err := chaos.Parse(chaosSpec); err != nil {
-		return err
-	} else if err := plan.Validate(n); err != nil {
+	if plan, err := chaos.NewPlan(advName, n); err != nil {
 		return err
 	} else if err := checkFlags(mode, overlaySpec, advName, omitters, plan); err != nil {
 		return err
@@ -373,7 +368,7 @@ func runCluster(ctx context.Context, n, t int, treeSpec, inputSpec, advName, mod
 			cmd := exec.CommandContext(ctx, self, "-id", fmt.Sprint(seat), "-peers", peersFile,
 				"-t", fmt.Sprint(t), "-tree", treeSpec, "-inputs", inputSpec,
 				"-adversary", advName, "-mode", mode, "-seed", fmt.Sprint(seed),
-				"-chaos", chaosSpec, "-overlay", overlaySpec,
+				"-overlay", overlaySpec,
 				"-setup-timeout", setupTO.String(), "-round-timeout", roundTO.String())
 			// On Ctrl-C, forward SIGTERM so each seat unwinds through its own
 			// signal handler (drain, shutdown) instead of being SIGKILLed.

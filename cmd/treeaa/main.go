@@ -21,7 +21,9 @@
 // omit, stop. A bare name takes every default. The corrupted set is the
 // highest t ids; omit or stop beside a Byzantine clause takes the lower t/2
 // of them. Only mem runs crash (adaptive); stop, the crash fault, runs on
-// every transport.
+// every transport. The link faults (lat, stall, drop, part) are the
+// identity here on every transport: internal/chaos injects them under
+// cmd/node's links and cmd/check's TCP cells.
 //
 // Tree specs: path:K, star:K, spider:LEGS:LEN, caterpillar:SPINE:LEGS,
 // kary:K:DEPTH, random:K, figure3, or @FILE with "a - b" edge lines.

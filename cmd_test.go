@@ -68,7 +68,7 @@ func TestCommandsRun(t *testing.T) {
 		{
 			name: "node cluster under chaos",
 			args: []string{"run", "./cmd/node", "-cluster", "7", "-t", "2", "-tree", "path:16",
-				"-adversary", "splitvote+stop(rounds=2)", "-chaos", "lat:200µs±200µs,drop:p0-p2@r2"},
+				"-adversary", "splitvote+stop(rounds=2)+lat(base=200us,jitter=200us)+drop(from=0,to=2,round=2)"},
 			wants: []string{"chaos:", "1 drops", "role=omission", "1-agreement: true"},
 		},
 		{
@@ -87,20 +87,21 @@ func TestCommandsRun(t *testing.T) {
 			wants: []string{"over 3 journaled daemons", "0 mismatches"},
 		},
 		{
-			name: "chaos soak tiny matrix",
-			args: []string{"run", "./cmd/chaos", "-seeds", "1", "-plans", "lat:200µs±200µs;drop:p0-p2@r2",
-				"-adversaries", "none", "-trees", "path:12"},
-			wants: []string{"oracle", "pass", "2 cells, 0 failed"},
+			name: "check cells under link faults",
+			args: []string{"run", "./cmd/check", "-json", "-tcp-every", "1", "-async-every", "0", "-cells",
+				"s=1;tree=path:12;n=4;t=1;in=spread;adv=lat(base=200us,jitter=200us)|s=1;tree=path:12;n=4;t=1;in=spread;adv=drop(from=0,to=2,round=2)"},
+			wants: []string{`adv=lat(base=200us,jitter=200us)","rounds":`, `"tcpChecked":true,"linkFaults":1}`},
 		},
 		{
-			name:  "chaos help exits zero",
-			args:  []string{"run", "./cmd/chaos", "-help"},
-			wants: []string{"Usage", "-plans"},
+			name:  "check repro refuses a bad link clause",
+			args:  []string{"run", "./cmd/check", "-repro", "s=1;tree=path:12;n=4;t=1;in=spread;adv=drop(from=0,to=0,round=2)"},
+			fails: true,
+			wants: []string{"link 0→0 is not a connection"},
 		},
 		{
-			name:  "chaos schedule print",
-			args:  []string{"run", "./cmd/chaos", "-schedule", "-plans", "lat:1ms±1ms,drop:p0-p1@r2", "-seeds", "7"},
-			wants: []string{"chaos plan", "seed 7", "drop p0->p1 at round 2"},
+			name:  "check repro prints the schedule",
+			args:  []string{"run", "./cmd/check", "-repro", "s=7;tree=path:12;n=4;t=0;in=spread;adv=lat(base=1ms,jitter=1ms)+drop(from=0,to=1,round=2)"},
+			wants: []string{"chaos plan", "seed 7", "drop p0->p1 at round 2", "1 cells explored", "0 violated"},
 		},
 		{
 			name:  "experiments E3",

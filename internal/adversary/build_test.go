@@ -13,13 +13,14 @@ import (
 
 // TestBuildCoversEveryName pins that the adversary language's table builds
 // every strategy it names, that only the omission clauses (omit, stop) name
-// omission parties, that the modifier (mutate) claims no party, and that
-// every name round-trips through Clause.String and ParseAdversary.
+// omission parties, that the modifier (mutate) and the link faults claim no
+// party, and that every name round-trips through Clause.String and
+// ParseAdversary.
 func TestBuildCoversEveryName(t *testing.T) {
 	sp := &cli.Space{Tree: tree.NewPath(9)}
 	for _, name := range cli.AdversaryNames() {
 		spec := name
-		if name == "mutate" {
+		if name == "mutate" || cli.IsLinkFault(name) {
 			if adv, corrupt, err := sp.BuildAdversary(name, 7, 2, 1); err != nil || adv != nil || len(corrupt) != 0 {
 				t.Fatalf("BuildAdversary(%q) = (%v, %v, %v), want nothing to modify", name, adv, corrupt, err)
 			}

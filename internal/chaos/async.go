@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"fmt"
 	"time"
 
 	"treeaa/internal/cli"
@@ -11,8 +12,8 @@ import (
 	"treeaa/internal/tree"
 )
 
-// AsyncRunSpec is one asynchronous soak cell: a TreeAA configuration, a
-// chaos plan and a seed to materialize it with. Latency, stalls and
+// AsyncRunSpec is one asynchronous soak cell: a TreeAA configuration, link
+// faults and a seed to materialize them with. Latency, stalls and
 // partition holds are sleeps on the write path — an asynchronous protocol
 // must tolerate any finite delay — and a dropped connection is repaired
 // underneath the protocol by the transport's count-exchange resume, which
@@ -23,7 +24,9 @@ type AsyncRunSpec struct {
 	Tree string // cli space spec: a tree ("path:16") or a "graph:"-prefixed block graph
 	N, T int
 	Seed int64
-	Plan string // chaos spec (Parse), "" = no chaos
+	// Adversary holds the cell's link clauses ("none" = no chaos); a clause
+	// that corrupts a party is refused, since every seat is honest.
+	Adversary string
 
 	SetupTimeout time.Duration
 	// IdleTimeout bounds the silence between consecutive arrivals at any
@@ -39,11 +42,11 @@ type AsyncRunSpec struct {
 // asserts the paper's properties — validity and 1-agreement of the decoded
 // vertices — rather than byte-identity with a reference schedule.
 type AsyncReport struct {
-	Tree string `json:"tree"`
-	N    int    `json:"n"`
-	T    int    `json:"t"`
-	Seed int64  `json:"seed"`
-	Plan string `json:"plan"`
+	Tree      string `json:"tree"`
+	N         int    `json:"n"`
+	T         int    `json:"t"`
+	Seed      int64  `json:"seed"`
+	Adversary string `json:"adversary"`
 
 	Deliveries int `json:"deliveries"`
 	Messages   int `json:"messages"`
@@ -69,21 +72,14 @@ func (r *AsyncReport) Passed() bool {
 	return r.Err == "" && r.Valid && r.MaxDist <= 1
 }
 
-// RunAsync executes one async soak cell: parse the plan, build one
+// RunAsync executes one async soak cell: build the plan, build one
 // honest pipeline per party, run them over real loopback TCP with the
 // injector on every link, then judge the decoded vertices. A configuration
 // error returns an error; a runtime failure (e.g. a plan that outlasts the
 // idle watchdog) lands in Report.Err so sweeps keep going.
 func RunAsync(spec AsyncRunSpec) (*AsyncReport, error) {
-	rep := &AsyncReport{Tree: spec.Tree, N: spec.N, T: spec.T, Seed: spec.Seed, Plan: spec.Plan}
-	plan, err := Parse(spec.Plan)
-	if err != nil {
-		return nil, err
-	}
-	if err := plan.Validate(spec.N); err != nil {
-		return nil, err
-	}
-	sp, err := cli.ParseSpaceSpec(spec.Tree, spec.Seed)
+	rep := &AsyncReport{Tree: spec.Tree, N: spec.N, T: spec.T, Seed: spec.Seed, Adversary: spec.Adversary}
+	sp, plan, err := honestCell(spec.Tree, spec.Adversary, spec.N, spec.T, spec.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -127,4 +123,24 @@ func RunAsync(spec AsyncRunSpec) (*AsyncReport, error) {
 	rep.MaxDist, validity, _ = sp.Judge(inputs, nil, outputs)
 	rep.Valid = len(validity) == 0
 	return rep, nil
+}
+
+// honestCell parses a soak cell's space and builds the plan of its link
+// clauses, refusing any clause that would corrupt a party: the async and
+// serving soaks run honest seats only.
+func honestCell(space, adversary string, n, t int, seed int64) (*cli.Space, *Plan, error) {
+	sp, err := cli.ParseSpaceSpec(space, seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	plan, err := NewPlan(adversary, n)
+	if err != nil {
+		return nil, nil, err
+	}
+	if _, corrupt, err := sp.BuildAdversary(adversary, n, t, seed); err != nil {
+		return nil, nil, err
+	} else if len(corrupt) > 0 {
+		return nil, nil, fmt.Errorf("chaos: adversary %q corrupts parties; this soak runs honest seats under link faults only", adversary)
+	}
+	return sp, plan, nil
 }

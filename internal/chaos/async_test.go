@@ -12,9 +12,9 @@ import (
 	"treeaa/internal/tree"
 )
 
-func asyncSpec(tr, plan string) AsyncRunSpec {
+func asyncSpec(tr, adversary string) AsyncRunSpec {
 	return AsyncRunSpec{
-		Tree: tr, N: 4, T: 1, Seed: 1, Plan: plan,
+		Tree: tr, N: 4, T: 1, Seed: 1, Adversary: adversary,
 		SetupTimeout: 10 * time.Second, IdleTimeout: 20 * time.Second,
 	}
 }
@@ -27,7 +27,7 @@ func mustPassAsync(t *testing.T, rep *AsyncReport) {
 }
 
 func TestAsyncSoakQuiet(t *testing.T) {
-	rep, err := RunAsync(asyncSpec("path:16", ""))
+	rep, err := RunAsync(asyncSpec("path:16", "none"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestAsyncSoakQuiet(t *testing.T) {
 }
 
 func TestAsyncSoakSmallLatency(t *testing.T) {
-	rep, err := RunAsync(asyncSpec("star:6", "lat:300µs±300µs"))
+	rep, err := RunAsync(asyncSpec("star:6", "lat(base=300us,jitter=300us)"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestAsyncSoakSmallLatency(t *testing.T) {
 // resume must count only what p0 actually numbered for it.
 func TestAsyncSoakDrop(t *testing.T) {
 	for _, space := range []string{"path:16", "graph:cliquechain:3:4"} {
-		for _, plan := range []string{"drop:p0-p2@r1", "drop:p0-p2@r2", "drop:p2@r3"} {
+		for _, plan := range []string{"drop(from=0,to=2,round=1)", "drop(from=0,to=2,round=2)", "drop(from=2,round=3)"} {
 			rep, err := RunAsync(asyncSpec(space, plan))
 			if err != nil {
 				t.Fatal(err)
@@ -139,11 +139,11 @@ func TestAsyncDecidesWhereSyncTimesOut(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second latency soak")
 	}
-	const plan = "lat:200ms±150ms@p2"
+	const plan = "lat(base=200ms,jitter=150ms,from=2)"
 	const shape = "star:3"
 
 	sync, err := Run(RunSpec{
-		Tree: shape, N: 4, T: 1, Seed: 1, Plan: plan, Adversary: "none",
+		Tree: shape, N: 4, T: 1, Seed: 1, Adversary: plan,
 		SetupTimeout: 10 * time.Second, RoundTimeout: 40 * time.Millisecond,
 	})
 	if err != nil {
@@ -154,7 +154,7 @@ func TestAsyncDecidesWhereSyncTimesOut(t *testing.T) {
 	}
 
 	as, err := RunAsync(AsyncRunSpec{
-		Tree: shape, N: 4, T: 1, Seed: 1, Plan: plan,
+		Tree: shape, N: 4, T: 1, Seed: 1, Adversary: plan,
 		SetupTimeout: 10 * time.Second, IdleTimeout: 30 * time.Second,
 	})
 	if err != nil {

@@ -38,7 +38,7 @@ func drainedPipe(t *testing.T) net.Conn {
 
 func TestConnLatencyAndStallCounters(t *testing.T) {
 	stats := &metrics.ChaosStats{}
-	in := NewInjector(MustParse("lat:100µs±100µs,stall:p0@r1:100µs"), 1, stats)
+	in := NewInjector(mustPlan("lat(base=100us,jitter=100us)+stall(from=0,rounds=1,dur=100us)", 2), 1, stats)
 	conn := in.WrapConn(0, 1, drainedPipe(t))
 
 	for _, f := range [][]byte{helloFrame(), eorFrame(1), eorFrame(2)} {
@@ -56,7 +56,7 @@ func TestConnLatencyAndStallCounters(t *testing.T) {
 
 func TestConnDropFiresOnce(t *testing.T) {
 	stats := &metrics.ChaosStats{}
-	in := NewInjector(MustParse("drop:p0-p1@r2"), 1, stats)
+	in := NewInjector(mustPlan("drop(from=0,to=1,round=2)", 2), 1, stats)
 
 	conn := in.WrapConn(0, 1, drainedPipe(t))
 	if _, err := conn.Write(eorFrame(1)); err != nil {
@@ -85,7 +85,7 @@ func TestConnDropFiresOnce(t *testing.T) {
 
 func TestConnPartitionHolds(t *testing.T) {
 	stats := &metrics.ChaosStats{}
-	in := NewInjector(MustParse("partition:{0|1}@r1-2:60ms"), 1, stats)
+	in := NewInjector(mustPlan("part(a=0,b=1,rounds=1.2,heal=60ms)", 2), 1, stats)
 
 	cut := in.WrapConn(0, 1, drainedPipe(t))
 	start := time.Now()
@@ -125,7 +125,7 @@ func TestConnPartitionHolds(t *testing.T) {
 // reporting the bytes that went out ahead of it.
 func TestConnDropWalksBatch(t *testing.T) {
 	stats := &metrics.ChaosStats{}
-	in := NewInjector(MustParse("drop:p0-p1@r3"), 1, stats)
+	in := NewInjector(mustPlan("drop(from=0,to=1,round=3)", 2), 1, stats)
 	conn := in.WrapConn(0, 1, drainedPipe(t))
 	batch := append(eorFrame(2), eorFrame(3)...)
 	n, err := conn.Write(batch)
@@ -146,8 +146,8 @@ func TestConnDropWalksBatch(t *testing.T) {
 // latency draw — the sequence Plan.Schedule renders for the link — and a
 // control frame inside the batch draws nothing.
 func TestConnLatencyPerFrame(t *testing.T) {
-	const spec, seed, frames = "lat:1ms±1ms", 7, 12
-	plan := MustParse(spec)
+	const spec, seed, frames = "lat(base=1ms,jitter=1ms)", 7, 12
+	plan := mustPlan(spec, 2)
 	in := NewInjector(plan, seed, nil)
 	var slept []string
 	in.sleep = func(d time.Duration) { slept = append(slept, d.String()) }

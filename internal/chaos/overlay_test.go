@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"treeaa/internal/adversary"
@@ -57,19 +56,5 @@ func TestOverlayInteriorCrash(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(treeTrace, simTrace) {
 		t.Errorf("results diverge from the oracle\ntree: %+v\n sim: %+v", got, want)
-	}
-}
-
-// TestOverlayRejectsLinkFaults pins the gate cmd/node -overlay applies
-// (Plan.Refuse): every clause names a party-to-party link, which the
-// overlay's relay hops are not, so only the empty plan rides it, and a
-// refusal names the plan's first clause family.
-func TestOverlayRejectsLinkFaults(t *testing.T) {
-	for spec, family := range map[string]string{"": "", "lat:1ms": "lat", "stall:p2@r1-2": "stall",
-		"drop:p0-p1@r2": "drop", "partition:{0-1|2-3}@r2": "partition", "drop:p1@r2,lat:1ms±500µs": "lat"} {
-		err := MustParse(spec).Refuse("-overlay", "relay hops are not party links")
-		if (err == nil) != (family == "") || (err != nil && !strings.Contains(err.Error(), "the "+family+" clauses")) {
-			t.Errorf("Refuse(%q) = %v, want a refusal naming %q", spec, err, family)
-		}
 	}
 }

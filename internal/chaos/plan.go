@@ -1,9 +1,9 @@
 // Package chaos is a seeded, fully deterministic fault-injection subsystem
-// for the TCP substrate: a compact plan language for network faults, a
-// net.Conn injector that materializes them at the transport's connection
-// boundary, and a soak harness that sweeps seeds × plans × adversaries over
-// transport.LocalCluster and asserts the protocol's safety properties after
-// every run.
+// for the TCP substrate: the plan of an adversary spec's link clauses (lat,
+// stall, drop, part), a net.Conn injector that materializes it at the
+// transport's connection boundary, and soak harnesses that run
+// transport.LocalCluster, the async mesh and the serving layer under it and
+// assert the protocol's safety properties after every run.
 //
 // The injectable faults are deliberately limited to what a lock-step
 // synchronous protocol survives by specification: latency, stalls and
@@ -12,18 +12,18 @@
 // produces a Result byte-identical to the sequential sim.Run oracle), and
 // drops destroy connections but the transport's reconnect-with-resume
 // restores every lost frame exactly once. Every fault here is a link fault:
-// a party that crashes is a fault of the adversary language (its stop
-// clause), not of a chaos plan. Everything randomized is drawn from PRNGs derived from
-// (seed, link), so identical seeds and specs reproduce identical fault
-// schedules.
+// a party that crashes is the adversary's stop clause. Everything
+// randomized is drawn from PRNGs derived from (seed, link), so identical
+// seeds and specs reproduce identical fault schedules.
 package chaos
 
 import (
 	"fmt"
-	"strconv"
+	"slices"
 	"strings"
 	"time"
 
+	"treeaa/internal/cli"
 	"treeaa/internal/sim"
 )
 
@@ -32,8 +32,8 @@ const AllLinks = sim.PartyID(-1)
 
 // Default fault magnitudes for clauses that omit their optional duration.
 const (
-	DefaultStall = 25 * time.Millisecond
-	DefaultHeal  = 50 * time.Millisecond
+	defaultStall = 25 * time.Millisecond
+	defaultHeal  = 50 * time.Millisecond
 )
 
 // Latency delays every protocol frame on matching links by Base ± Jitter,
@@ -75,350 +75,196 @@ type Partition struct {
 	Heal         time.Duration
 }
 
-// Plan is one parsed chaos specification.
+// Plan is the link faults of one adversary spec.
 type Plan struct {
-	Spec       string
+	Spec       string // the spec's link clauses, canonical and '+'-joined
 	Latencies  []Latency
 	Stalls     []Stall
 	Drops      []Drop
 	Partitions []Partition
 }
 
-// Parse decodes a compact chaos spec: comma-separated clauses
+// NewPlan builds the plan of an adversary spec's link clauses for n parties
+// (the other clauses are the adversary's, and BuildAdversary's to judge,
+// bar an unknown name):
 //
-//	lat:BASE[±JIT][@pP]          per-link latency with jitter ("±" or "+-"),
-//	                             optionally scoped to party P's outbound links
-//	stall:pP@rA[-B][:DUR]        party P's sends stall DUR in rounds A..B
-//	drop:pA-pB@rR                cut the A→B connection at round R
-//	drop:pA@rR                   cut every outgoing connection of A at round R
-//	partition:{A-B|C-D}@rA[-B][:HEAL]  hold cross-cut frames until healed
+//	lat(base=D,jitter=D,from=P)      per-link latency Base ± Jitter, from
+//	                                 optionally scoping it to P's outbound links
+//	stall(from=P,rounds=A.B,dur=D)   P's sends stall D (25ms) in rounds A..B
+//	drop(from=P,to=Q,round=R)        cut the P→Q connection (every one of P's
+//	                                 without to) at round R
+//	part(a=P.P,b=Q.Q,rounds=A.B,heal=D)  hold the frames crossing the cut
+//	                                 between sides a and b until D (50ms)
+//	                                 after the first one
 //
-// Durations use Go syntax (5ms, 1s). An empty spec parses to the empty
-// plan — a chaos run with nothing injected.
+// Durations take Go syntax (5ms, 500us); a one-round window is rounds=A. A
+// spec without link clauses ("none" among them) is the empty plan.
 //
-//	lat:5ms±3ms,stall:p3@r2-4,drop:p5@r3,partition:{0-2|3-7}@r6-7
-func Parse(spec string) (*Plan, error) {
-	p := &Plan{Spec: spec}
-	if strings.TrimSpace(spec) == "" {
-		p.Spec = ""
-		return p, nil
+//	splitvote+lat(base=5ms,jitter=3ms)+drop(from=2,round=3)
+func NewPlan(spec string, n int) (*Plan, error) {
+	clauses, err := cli.ParseAdversary(spec)
+	if err != nil {
+		return nil, err
 	}
-	for _, clause := range strings.Split(spec, ",") {
-		clause = strings.TrimSpace(clause)
-		name, rest, found := strings.Cut(clause, ":")
-		if !found {
-			return nil, fmt.Errorf("chaos: clause %q: want name:args", clause)
+	p := &Plan{}
+	var links []string
+	for _, cl := range clauses {
+		if !cli.IsLinkFault(cl.Name) {
+			// Unknown names are refused here too: BuildAdversary judges
+			// nothing at t = 0.
+			if cl.Name != "none" && !slices.Contains(cli.AdversaryNames(), cl.Name) {
+				return nil, fmt.Errorf("chaos: unknown clause %q", cl.Name)
+			}
+			continue
 		}
-		var err error
-		switch name {
+		a := &linkArgs{cl: cl, n: n}
+		switch cl.Name {
 		case "lat":
-			err = p.parseLatency(rest)
+			a.keys([]string{"base"}, "jitter", "from")
+			l := Latency{Base: a.dur("base", 0), Jitter: a.dur("jitter", 0), From: a.party("from")}
+			if a.err == nil && l.Jitter > l.Base {
+				a.fail("jitter %v exceeds base %v (delays must stay non-negative)", l.Jitter, l.Base)
+			}
+			for _, prev := range p.Latencies {
+				if prev.From == l.From {
+					a.fail("duplicate lat clause for the same scope")
+				}
+			}
+			p.Latencies = append(p.Latencies, l)
 		case "stall":
-			err = p.parseStall(rest)
+			a.keys([]string{"from", "rounds"}, "dur")
+			s := Stall{Party: a.party("from"), Dur: a.dur("dur", defaultStall)}
+			s.FromRound, s.ToRound = a.rounds()
+			p.Stalls = append(p.Stalls, s)
 		case "drop":
-			err = p.parseDrop(rest)
-		case "partition":
-			err = p.parsePartition(rest)
-		default:
-			err = fmt.Errorf("unknown clause %q", name)
+			a.keys([]string{"from", "round"}, "to")
+			d := Drop{From: a.party("from"), To: a.party("to"), Round: a.int("round")}
+			if a.err == nil && d.From == d.To {
+				a.fail("link %d→%d is not a connection", d.From, d.To)
+			}
+			if a.err == nil && d.Round < 1 {
+				a.fail("round=%d: rounds start at 1", d.Round)
+			}
+			p.Drops = append(p.Drops, d)
+		case "part":
+			a.keys([]string{"a", "b", "rounds"}, "heal")
+			part := Partition{SideA: a.side("a"), SideB: a.side("b"), Heal: a.dur("heal", defaultHeal)}
+			part.FromRound, part.ToRound = a.rounds()
+			for _, x := range part.SideA {
+				if slices.Contains(part.SideB, x) {
+					a.fail("party %d on both sides of the cut", x)
+				}
+			}
+			p.Partitions = append(p.Partitions, part)
 		}
-		if err != nil {
-			return nil, fmt.Errorf("chaos: clause %q: %w", clause, err)
+		if a.err != nil {
+			return nil, a.err
 		}
+		links = append(links, cl.String())
 	}
+	p.Spec = strings.Join(links, "+")
 	return p, nil
 }
 
-// MustParse is Parse for compile-time-constant specs in tests and tables.
-func MustParse(spec string) *Plan {
-	p, err := Parse(spec)
-	if err != nil {
-		panic(err)
-	}
-	return p
+// linkArgs reads one link clause's arguments for n parties, keeping the
+// first error so each clause builds in one expression.
+type linkArgs struct {
+	cl  cli.Clause
+	n   int
+	err error
 }
 
-func (p *Plan) parseLatency(rest string) error {
-	l := Latency{From: AllLinks}
-	if body, scope, scoped := strings.Cut(rest, "@"); scoped {
-		var err error
-		if l.From, err = parseParty(scope); err != nil {
-			return err
-		}
-		rest = body
+func (a *linkArgs) fail(format string, args ...any) {
+	if a.err == nil {
+		a.err = fmt.Errorf("chaos: clause %s: %s", a.cl, fmt.Sprintf(format, args...))
 	}
-	for _, prev := range p.Latencies {
-		if prev.From == l.From {
-			return fmt.Errorf("duplicate lat clause for the same scope")
-		}
-	}
-	base := rest
-	jitter := ""
-	for _, sep := range []string{"±", "+-"} {
-		if b, j, found := strings.Cut(rest, sep); found {
-			base, jitter = b, j
-			break
-		}
-	}
-	var err error
-	if l.Base, err = parseDur(base); err != nil {
-		return err
-	}
-	if jitter != "" {
-		if l.Jitter, err = parseDur(jitter); err != nil {
-			return err
-		}
-	}
-	if l.Jitter > l.Base {
-		return fmt.Errorf("jitter %v exceeds base %v (delays must stay non-negative)", l.Jitter, l.Base)
-	}
-	p.Latencies = append(p.Latencies, l)
-	return nil
 }
 
-func (p *Plan) parseStall(rest string) error {
-	rest, dur, err := optionalDur(rest, DefaultStall)
-	if err != nil {
-		return err
+// keys refuses a missing argument the clause needs and one it does not
+// take.
+func (a *linkArgs) keys(need []string, may ...string) {
+	for _, k := range need {
+		if _, ok := a.cl.Args[k]; !ok {
+			a.fail("want %s=", k)
+		}
 	}
-	target, window, found := strings.Cut(rest, "@")
-	if !found {
-		return fmt.Errorf("want pP@rA-B")
+	for k := range a.cl.Args {
+		if !slices.Contains(need, k) && !slices.Contains(may, k) {
+			a.fail("unknown argument %s", k)
+		}
 	}
-	party, err := parseParty(target)
-	if err != nil {
-		return err
-	}
-	from, to, err := parseRounds(window)
-	if err != nil {
-		return err
-	}
-	p.Stalls = append(p.Stalls, Stall{Party: party, FromRound: from, ToRound: to, Dur: dur})
-	return nil
 }
 
-func (p *Plan) parseDrop(rest string) error {
-	target, window, found := strings.Cut(rest, "@")
-	if !found {
-		return fmt.Errorf("want pA-pB@rR or pA@rR")
+func (a *linkArgs) dur(key string, def time.Duration) time.Duration {
+	d, err := a.cl.Duration(key, def)
+	if err != nil && a.err == nil {
+		a.err = err
 	}
-	from, to, err := parseRounds(window)
-	if err != nil {
-		return err
-	}
-	if from != to {
-		return fmt.Errorf("a drop is one event, not a window: want @rR")
-	}
-	d := Drop{To: AllLinks, Round: from}
-	if a, b, linked := strings.Cut(target, "-"); linked {
-		if d.From, err = parseParty(a); err != nil {
-			return err
-		}
-		if d.To, err = parseParty(b); err != nil {
-			return err
-		}
-		if d.From == d.To {
-			return fmt.Errorf("link %d→%d is not a connection", d.From, d.To)
-		}
-	} else if d.From, err = parseParty(target); err != nil {
-		return err
-	}
-	p.Drops = append(p.Drops, d)
-	return nil
+	return d
 }
 
-func (p *Plan) parsePartition(rest string) error {
-	rest, heal, err := optionalDur(rest, DefaultHeal)
-	if err != nil {
-		return err
+func (a *linkArgs) int(key string) int {
+	v, err := a.cl.Int(key, 0)
+	if err != nil && a.err == nil {
+		a.err = err
 	}
-	cut, window, found := strings.Cut(rest, "@")
-	if !found {
-		return fmt.Errorf("want {A|B}@rA-B")
-	}
-	if len(cut) < 2 || cut[0] != '{' || cut[len(cut)-1] != '}' {
-		return fmt.Errorf("cut %q: want {A|B}", cut)
-	}
-	a, b, found := strings.Cut(cut[1:len(cut)-1], "|")
-	if !found {
-		return fmt.Errorf("cut %q: want two sides split by |", cut)
-	}
-	part := Partition{Heal: heal}
-	if part.SideA, err = parseSide(a); err != nil {
-		return err
-	}
-	if part.SideB, err = parseSide(b); err != nil {
-		return err
-	}
-	for _, x := range part.SideA {
-		for _, y := range part.SideB {
-			if x == y {
-				return fmt.Errorf("party %d on both sides of the cut", x)
-			}
-		}
-	}
-	if part.FromRound, part.ToRound, err = parseRounds(window); err != nil {
-		return err
-	}
-	p.Partitions = append(p.Partitions, part)
-	return nil
+	return v
 }
 
-// Validate checks the plan against a concrete party count.
-func (p *Plan) Validate(n int) error {
-	check := func(id sim.PartyID) error {
-		if id < 0 || int(id) >= n {
-			return fmt.Errorf("chaos: party %d out of range [0, %d)", id, n)
-		}
-		return nil
+// party is a party id in [0, n), or AllLinks when the argument is absent.
+func (a *linkArgs) party(key string) sim.PartyID {
+	if _, ok := a.cl.Args[key]; !ok {
+		return AllLinks
 	}
-	for _, l := range p.Latencies {
-		if l.From != AllLinks {
-			if err := check(l.From); err != nil {
-				return err
-			}
-		}
+	id := sim.PartyID(a.int(key))
+	a.inRange(id)
+	return id
+}
+
+func (a *linkArgs) inRange(id sim.PartyID) {
+	if a.err == nil && (id < 0 || int(id) >= a.n) {
+		a.fail("party %d out of range [0, %d)", id, a.n)
 	}
-	for _, s := range p.Stalls {
-		if err := check(s.Party); err != nil {
-			return err
-		}
+}
+
+// side is one side of a cut: a dot list of party ids.
+func (a *linkArgs) side(key string) []sim.PartyID {
+	ids, err := a.cl.IntList(key)
+	if err != nil && a.err == nil {
+		a.err = err
 	}
-	for _, d := range p.Drops {
-		if err := check(d.From); err != nil {
-			return err
-		}
-		if d.To != AllLinks {
-			if err := check(d.To); err != nil {
-				return err
-			}
-		}
+	side := make([]sim.PartyID, len(ids))
+	for i, id := range ids {
+		side[i] = sim.PartyID(id)
+		a.inRange(side[i])
 	}
-	for _, part := range p.Partitions {
-		for _, id := range part.SideA {
-			if err := check(id); err != nil {
-				return err
-			}
+	return side
+}
+
+// rounds is the window rounds=A or rounds=A.B, with 1 ≤ A ≤ B.
+func (a *linkArgs) rounds() (from, to int) {
+	w, err := a.cl.IntList("rounds")
+	switch {
+	case err != nil:
+		if a.err == nil {
+			a.err = err
 		}
-		for _, id := range part.SideB {
-			if err := check(id); err != nil {
-				return err
-			}
-		}
+	case w == nil:
+	case len(w) > 2 || w[0] < 1 || w[len(w)-1] < w[0]:
+		a.fail("rounds=%s: want A or A.B with 1 ≤ A ≤ B", a.cl.Args["rounds"])
+	default:
+		return w[0], w[len(w)-1]
 	}
-	return nil
+	return 0, 0
 }
 
 // Empty reports whether the plan injects nothing.
-func (p *Plan) Empty() bool { return p.family() == "" }
+func (p *Plan) Empty() bool {
+	return len(p.Latencies)+len(p.Stalls)+len(p.Drops)+len(p.Partitions) == 0
+}
 
 // NeedsReconnect reports whether the plan destroys connections, requiring
 // the transport's recovery path.
 func (p *Plan) NeedsReconnect() bool {
 	return len(p.Drops) > 0
-}
-
-// family names the plan's first clause family in plan-language order, or ""
-// for the empty plan.
-func (p *Plan) family() string {
-	switch {
-	case len(p.Latencies) > 0:
-		return "lat"
-	case len(p.Stalls) > 0:
-		return "stall"
-	case len(p.Drops) > 0:
-		return "drop"
-	case len(p.Partitions) > 0:
-		return "partition"
-	}
-	return ""
-}
-
-// Refuse is the refusal of an execution mode that can inject none of the
-// plan's faults: nil for the empty plan, otherwise an error naming mode (the
-// flag doing the rejecting, "-overlay"), the plan's first clause family and
-// reason — a chaos spec a mode cannot honor must fail loudly, never
-// silently inject less.
-func (p *Plan) Refuse(mode, reason string) error {
-	if p.Empty() {
-		return nil
-	}
-	return fmt.Errorf("chaos: %s cannot inject the %s clauses of plan %q: %s", mode, p.family(), p.Spec, reason)
-}
-
-// parseParty decodes "p3" (the p is mandatory — it keeps parties and rounds
-// visually distinct inside a clause).
-func parseParty(s string) (sim.PartyID, error) {
-	num, found := strings.CutPrefix(s, "p")
-	if !found {
-		return 0, fmt.Errorf("party %q: want pN", s)
-	}
-	v, err := strconv.Atoi(num)
-	if err != nil || v < 0 {
-		return 0, fmt.Errorf("party %q: want pN", s)
-	}
-	return sim.PartyID(v), nil
-}
-
-// parseRounds decodes "r2-4" (window) or "r3" (single round).
-func parseRounds(s string) (from, to int, err error) {
-	num, found := strings.CutPrefix(s, "r")
-	if !found {
-		return 0, 0, fmt.Errorf("rounds %q: want rA or rA-B", s)
-	}
-	a, b, window := strings.Cut(num, "-")
-	if from, err = strconv.Atoi(a); err != nil || from < 1 {
-		return 0, 0, fmt.Errorf("rounds %q: want rA or rA-B with A ≥ 1", s)
-	}
-	to = from
-	if window {
-		if to, err = strconv.Atoi(b); err != nil || to < from {
-			return 0, 0, fmt.Errorf("rounds %q: want B ≥ A", s)
-		}
-	}
-	return from, to, nil
-}
-
-// parseSide decodes one side of a partition cut: "0-2" (id range) or "4".
-func parseSide(s string) ([]sim.PartyID, error) {
-	a, b, isRange := strings.Cut(s, "-")
-	lo, err := strconv.Atoi(a)
-	if err != nil || lo < 0 {
-		return nil, fmt.Errorf("side %q: want N or A-B", s)
-	}
-	hi := lo
-	if isRange {
-		if hi, err = strconv.Atoi(b); err != nil || hi < lo {
-			return nil, fmt.Errorf("side %q: want B ≥ A", s)
-		}
-	}
-	side := make([]sim.PartyID, 0, hi-lo+1)
-	for id := lo; id <= hi; id++ {
-		side = append(side, sim.PartyID(id))
-	}
-	return side, nil
-}
-
-// optionalDur splits a trailing ":DUR" off a clause body, if present.
-func optionalDur(s string, def time.Duration) (string, time.Duration, error) {
-	i := strings.LastIndexByte(s, ':')
-	if i < 0 {
-		return s, def, nil
-	}
-	d, err := parseDur(s[i+1:])
-	if err != nil {
-		return "", 0, err
-	}
-	return s[:i], d, nil
-}
-
-func parseDur(s string) (time.Duration, error) {
-	d, err := time.ParseDuration(strings.TrimSpace(s))
-	if err != nil {
-		return 0, fmt.Errorf("bad duration %q", s)
-	}
-	if d < 0 {
-		return 0, fmt.Errorf("negative duration %q", s)
-	}
-	return d, nil
 }

@@ -9,7 +9,7 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-const goldenSpec = "lat:2ms±1ms,stall:p1@r2-3:10ms,drop:p0-p2@r2,partition:{0-1|2-3}@r4-5:80ms"
+const goldenSpec = "lat(base=2ms,jitter=1ms)+stall(from=1,rounds=2.3,dur=10ms)+drop(from=0,to=2,round=2)+part(a=0.1,b=2.3,rounds=4.5,heal=80ms)"
 
 // shippedPlans is every plan the repository runs or documents — the sweep
 // matrix, the Makefile's fleets, the README's examples and the soak, async,
@@ -19,33 +19,33 @@ var shippedPlans = []struct {
 	spec string
 	n    int
 }{
-	{"", 7},
-	{"lat:1ms±1ms", 7},
-	{"stall:p1@r2-3:5ms", 7},
-	{"drop:p0-p2@r2", 7},
-	{"partition:{0-1|2-3}@r2:40ms", 7},
-	{"lat:500µs±500µs,drop:p2@r3", 7},
-	{"lat:500µs±500µs,drop:p0-p2@r2", 7},
-	{"lat:20ms±15ms@p2", 7},
-	{"lat:200ms±150ms@p2", 7},
-	{"lat:5ms±3ms,stall:p3@r2-4,drop:p5@r3,partition:{0-2|3-7}@r6-7", 8},
-	{"lat:2ms±1ms", 7},
-	{"drop:p1@r2", 7},
-	{"lat:1ms±1ms,drop:p0-p2@r2", 7},
-	{"lat:200µs±200µs", 7},
-	{"lat:100µs±100µs", 7},
-	{"lat:300µs±300µs", 7},
-	{"drop:p0-p2@r1", 7},
-	{"drop:p2@r3", 7},
-	{"drop:p0-p1@r2", 7},
-	{"drop:p1@r3", 7},
-	{"lat:1ms,drop:p2@r2", 7},
-	{"lat:1ms±1ms,stall:p1@r2-3:10ms,partition:{0-1|2-3}@r4-5:20ms", 7},
-	{"lat:100µs±100µs,stall:p0@r1:100µs", 7},
-	{"partition:{0|1}@r1-2:60ms", 7},
-	{"drop:p0-p1@r3", 7},
-	{"lat:200µs±200µs,drop:p0-p2@r2", 7},
-	{"lat:1ms±1ms,drop:p0-p1@r2", 7},
+	{"none", 7},
+	{"lat(base=1ms,jitter=1ms)", 7},
+	{"stall(from=1,rounds=2.3,dur=5ms)", 7},
+	{"drop(from=0,to=2,round=2)", 7},
+	{"part(a=0.1,b=2.3,rounds=2,heal=40ms)", 7},
+	{"lat(base=500us,jitter=500us)+drop(from=2,round=3)", 7},
+	{"lat(base=500us,jitter=500us)+drop(from=0,to=2,round=2)", 7},
+	{"lat(base=20ms,jitter=15ms,from=2)", 7},
+	{"lat(base=200ms,jitter=150ms,from=2)", 7},
+	{"lat(base=5ms,jitter=3ms)+stall(from=3,rounds=2.4)+drop(from=5,round=3)+part(a=0.1.2,b=3.4.5.6.7,rounds=6.7)", 8},
+	{"lat(base=2ms,jitter=1ms)", 7},
+	{"drop(from=1,round=2)", 7},
+	{"lat(base=1ms,jitter=1ms)+drop(from=0,to=2,round=2)", 7},
+	{"lat(base=200us,jitter=200us)", 7},
+	{"lat(base=100us,jitter=100us)", 7},
+	{"lat(base=300us,jitter=300us)", 7},
+	{"drop(from=0,to=2,round=1)", 7},
+	{"drop(from=2,round=3)", 7},
+	{"drop(from=0,to=1,round=2)", 7},
+	{"drop(from=1,round=3)", 7},
+	{"lat(base=1ms)+drop(from=2,round=2)", 7},
+	{"lat(base=1ms,jitter=1ms)+stall(from=1,rounds=2.3,dur=10ms)+part(a=0.1,b=2.3,rounds=4.5,heal=20ms)", 7},
+	{"lat(base=100us,jitter=100us)+stall(from=0,rounds=1,dur=100us)", 7},
+	{"part(a=0,b=1,rounds=1.2,heal=60ms)", 7},
+	{"drop(from=0,to=1,round=3)", 7},
+	{"lat(base=200us,jitter=200us)+drop(from=0,to=2,round=2)", 7},
+	{"lat(base=1ms,jitter=1ms)+drop(from=0,to=1,round=2)", 7},
 }
 
 // TestScheduleGolden pins the materialized fault schedule: identical seeds
@@ -53,9 +53,9 @@ var shippedPlans = []struct {
 // machines (math/rand's sequence for a fixed seed is part of Go's
 // compatibility promise).
 func TestScheduleGolden(t *testing.T) {
-	got := MustParse(goldenSpec).Schedule(42, 4, 4)
+	got := mustPlan(goldenSpec, 4).Schedule(42, 4, 4)
 	for _, p := range shippedPlans {
-		got += MustParse(p.spec).Schedule(42, p.n, 4)
+		got += mustPlan(p.spec, p.n).Schedule(42, p.n, 4)
 	}
 	path := filepath.Join("testdata", "schedule.golden")
 	if *update {
@@ -73,18 +73,18 @@ func TestScheduleGolden(t *testing.T) {
 }
 
 func TestScheduleDeterminism(t *testing.T) {
-	a := MustParse(goldenSpec).Schedule(7, 5, 6)
-	b := MustParse(goldenSpec).Schedule(7, 5, 6)
+	a := mustPlan(goldenSpec, 4).Schedule(7, 5, 6)
+	b := mustPlan(goldenSpec, 4).Schedule(7, 5, 6)
 	if a != b {
 		t.Error("same (spec, seed) produced different schedules")
 	}
-	if c := MustParse(goldenSpec).Schedule(8, 5, 6); a == c {
+	if c := mustPlan(goldenSpec, 4).Schedule(8, 5, 6); a == c {
 		t.Error("different seeds produced identical latency schedules")
 	}
 }
 
 func TestScheduleEmptyPlan(t *testing.T) {
-	got := MustParse("").Schedule(1, 3, 2)
+	got := mustPlan("none", 3).Schedule(1, 3, 2)
 	if got == "" {
 		t.Error("empty plan rendered nothing")
 	}

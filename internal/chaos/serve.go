@@ -4,19 +4,18 @@ import (
 	"fmt"
 	"time"
 
-	"treeaa/internal/cli"
 	"treeaa/internal/metrics"
 	"treeaa/internal/session"
 )
 
 // ServeSpec is one serving-layer soak cell: a daemon deployment, a batch of
-// concurrent sessions, and a chaos plan injected under the mux links.
+// concurrent sessions, and link faults injected under the mux links.
 type ServeSpec struct {
-	Tree     string // cli space spec shared by every session (a tree, or "graph:"-prefixed)
-	N, T     int
-	Seed     int64
-	Plan     string // chaos spec; delay-only clauses (see RunServe)
-	Sessions int    // concurrent sessions, inputs rotated per session
+	Tree      string // cli space spec shared by every session (a tree, or "graph:"-prefixed)
+	N, T      int
+	Seed      int64
+	Adversary string // link clauses only, and delay faults only (see RunServe)
+	Sessions  int    // concurrent sessions, inputs rotated per session
 
 	TTL          time.Duration // per-session deadline
 	SetupTimeout time.Duration
@@ -25,12 +24,12 @@ type ServeSpec struct {
 
 // ServeReport is one serving soak cell's outcome.
 type ServeReport struct {
-	Tree     string `json:"tree"`
-	N        int    `json:"n"`
-	T        int    `json:"t"`
-	Seed     int64  `json:"seed"`
-	Plan     string `json:"plan"`
-	Sessions int    `json:"sessions"`
+	Tree      string `json:"tree"`
+	N         int    `json:"n"`
+	T         int    `json:"t"`
+	Seed      int64  `json:"seed"`
+	Adversary string `json:"adversary"`
+	Sessions  int    `json:"sessions"`
 
 	Decided       int `json:"decided"`
 	OracleMatches int `json:"oracle_matches"`
@@ -57,9 +56,9 @@ func (r *ServeReport) Passed() bool {
 // with rotated inputs submitted through the client API round-robin across
 // daemons, and each Result asserted DeepEqual to its sequential oracle.
 //
-// Only delay faults are accepted — latency, stalls, partitions — because
-// they preserve per-link FIFO order, which is all the mux assumes. Drop
-// clauses are rejected up front: a dead link fails every in-flight
+// Only delay faults are accepted — lat, stall, part — because they
+// preserve per-link FIFO order, which is all the mux assumes. Drop clauses
+// are rejected up front: a dead link fails every in-flight
 // session on the surviving side by design (the mux redials, but sessions do
 // not resume mid-round), so an in-band plan that destroys connections tests
 // the wrong contract. Daemon death is a first-class scenario with its own
@@ -67,23 +66,16 @@ func (r *ServeReport) Passed() bool {
 // contract instead of delay-transparency.
 func RunServe(spec ServeSpec) (*ServeReport, error) {
 	rep := &ServeReport{Tree: spec.Tree, N: spec.N, T: spec.T, Seed: spec.Seed,
-		Plan: spec.Plan, Sessions: spec.Sessions}
-	plan, err := Parse(spec.Plan)
+		Adversary: spec.Adversary, Sessions: spec.Sessions}
+	sp, plan, err := honestCell(spec.Tree, spec.Adversary, spec.N, spec.T, spec.Seed)
 	if err != nil {
-		return nil, err
-	}
-	if err := plan.Validate(spec.N); err != nil {
 		return nil, err
 	}
 	if len(plan.Drops) > 0 {
-		return nil, fmt.Errorf("chaos: serve soak accepts delay faults only (lat/stall/partition); plan %q drops connections", spec.Plan)
+		return nil, fmt.Errorf("chaos: serve soak accepts delay faults only (lat/stall/part); plan %q drops connections", plan.Spec)
 	}
 	if spec.Sessions < 1 {
 		return nil, fmt.Errorf("chaos: serve soak needs at least 1 session, got %d", spec.Sessions)
-	}
-	sp, err := cli.ParseSpaceSpec(spec.Tree, spec.Seed)
-	if err != nil {
-		return nil, err
 	}
 	w, err := session.NewWorkload(sp, spec.Seed, spec.N, spec.T, spec.TTL, spec.Sessions, false)
 	if err != nil {

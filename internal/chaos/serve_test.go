@@ -10,8 +10,8 @@ import (
 // has no reconnect path, so drop clauses must be refused before any daemon
 // starts.
 func TestRunServeRejectsDestructivePlans(t *testing.T) {
-	for _, plan := range []string{"drop:p0-p1@r2", "drop:p1@r3", "lat:1ms,drop:p2@r2"} {
-		_, err := RunServe(ServeSpec{Tree: "path:8", N: 4, Sessions: 1, Plan: plan,
+	for _, plan := range []string{"drop(from=0,to=1,round=2)", "drop(from=1,round=3)", "lat(base=1ms)+drop(from=2,round=2)"} {
+		_, err := RunServe(ServeSpec{Tree: "path:8", N: 4, Sessions: 1, Adversary: plan,
 			TTL: time.Minute, SetupTimeout: 5 * time.Second, RoundTimeout: 10 * time.Second})
 		if err == nil {
 			t.Errorf("plan %q: destructive plan accepted", plan)
@@ -35,7 +35,7 @@ func TestServeSoakUnderChaos(t *testing.T) {
 			N:            4,
 			Seed:         7,
 			Sessions:     32,
-			Plan:         "lat:1ms±1ms,stall:p1@r2-3:10ms,partition:{0-1|2-3}@r4-5:20ms",
+			Adversary:    "lat(base=1ms,jitter=1ms)+stall(from=1,rounds=2.3,dur=10ms)+part(a=0.1,b=2.3,rounds=4.5,heal=20ms)",
 			TTL:          2 * time.Minute,
 			SetupTimeout: 10 * time.Second,
 			RoundTimeout: 60 * time.Second,

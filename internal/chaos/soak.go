@@ -12,14 +12,13 @@ import (
 	"treeaa/internal/tree"
 )
 
-// RunSpec is one soak cell: a protocol configuration, a chaos plan and a
-// seed to materialize it with.
+// RunSpec is one soak cell: a protocol configuration, an adversary whose
+// link clauses are the cell's chaos plan, and a seed to materialize both.
 type RunSpec struct {
 	Tree      string // cli space spec: a tree ("path:40") or a "graph:"-prefixed block graph
 	N, T      int
 	Seed      int64
-	Plan      string // chaos spec (Parse), "" = no chaos
-	Adversary string // cli adversary spec, "none" = honest run
+	Adversary string // cli adversary spec, link faults included; "none" = honest quiet run
 
 	SetupTimeout time.Duration
 	RoundTimeout time.Duration
@@ -32,7 +31,6 @@ type Report struct {
 	N         int    `json:"n"`
 	T         int    `json:"t"`
 	Seed      int64  `json:"seed"`
-	Plan      string `json:"plan"`
 	Adversary string `json:"adversary"`
 
 	Rounds   int `json:"rounds"`
@@ -73,13 +71,9 @@ func (r *Report) Passed() bool {
 // failure of the chaotic run (e.g. a plan that blows the timeout budget)
 // lands in Report.Err so sweeps keep going.
 func Run(spec RunSpec) (*Report, error) {
-	rep := &Report{Tree: spec.Tree, N: spec.N, T: spec.T, Seed: spec.Seed,
-		Plan: spec.Plan, Adversary: spec.Adversary}
-	plan, err := Parse(spec.Plan)
+	rep := &Report{Tree: spec.Tree, N: spec.N, T: spec.T, Seed: spec.Seed, Adversary: spec.Adversary}
+	plan, err := NewPlan(spec.Adversary, spec.N)
 	if err != nil {
-		return nil, err
-	}
-	if err := plan.Validate(spec.N); err != nil {
 		return nil, err
 	}
 	sp, err := cli.ParseSpaceSpec(spec.Tree, spec.Seed)
@@ -171,75 +165,4 @@ func Run(spec RunSpec) (*Report, error) {
 	rep.MaxDist, validity, _ = sp.Judge(inputs, corrupt, outputs)
 	rep.Valid = len(validity) == 0
 	return rep, nil
-}
-
-// SweepConfig spans a soak matrix: every tree × seed × plan × adversary
-// combination becomes one Run cell.
-type SweepConfig struct {
-	Trees       []string
-	N, T        int
-	Seeds       []int64
-	Plans       []string
-	Adversaries []string
-
-	SetupTimeout time.Duration
-	RoundTimeout time.Duration
-
-	// Progress, when non-nil, is called with each cell's report as the
-	// sweep proceeds.
-	Progress func(*Report)
-}
-
-// Sweep runs the matrix cell by cell — each cell already spins one
-// goroutine per party plus senders, so cells run sequentially to keep
-// wall-clock fault durations meaningful.
-func Sweep(cfg SweepConfig) ([]*Report, error) {
-	var reports []*Report
-	for _, treeSpec := range cfg.Trees {
-		for _, advName := range cfg.Adversaries {
-			for _, planSpec := range cfg.Plans {
-				for _, seed := range cfg.Seeds {
-					rep, err := Run(RunSpec{
-						Tree: treeSpec, N: cfg.N, T: cfg.T, Seed: seed,
-						Plan: planSpec, Adversary: advName,
-						SetupTimeout: cfg.SetupTimeout, RoundTimeout: cfg.RoundTimeout,
-					})
-					if err != nil {
-						return reports, err
-					}
-					reports = append(reports, rep)
-					if cfg.Progress != nil {
-						cfg.Progress(rep)
-					}
-				}
-			}
-		}
-	}
-	return reports, nil
-}
-
-// Table renders a sweep's reports as a metrics table.
-func Table(reports []*Report) *metrics.Table {
-	tab := metrics.NewTable("tree", "n", "t", "seed", "plan", "adversary",
-		"rounds", "oracle", "valid", "max_dist",
-		"delays", "stalls", "drops", "parts",
-		"reconns", "resent", "p50", "p99", "ok")
-	for _, r := range reports {
-		plan := r.Plan
-		if plan == "" {
-			plan = "-"
-		}
-		status := "pass"
-		if !r.Passed() {
-			status = "FAIL"
-			if r.Err != "" {
-				status = "ERR"
-			}
-		}
-		tab.AddRow(r.Tree, r.N, r.T, r.Seed, plan, r.Adversary,
-			r.Rounds, r.OracleMatch, r.Valid, r.MaxDist,
-			r.Delays, r.Stalls, r.Drops, r.Partitions,
-			r.Reconnects, r.FramesResent, r.P50, r.P99, status)
-	}
-	return tab
 }

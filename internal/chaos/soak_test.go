@@ -5,10 +5,9 @@ import (
 	"time"
 )
 
-func soakSpec(plan, adversary string) RunSpec {
+func soakSpec(adversary string) RunSpec {
 	return RunSpec{
-		Tree: "path:16", N: 4, T: 1, Seed: 1,
-		Plan: plan, Adversary: adversary,
+		Tree: "path:16", N: 4, T: 1, Seed: 1, Adversary: adversary,
 		SetupTimeout: 10 * time.Second, RoundTimeout: 10 * time.Second,
 	}
 }
@@ -22,7 +21,7 @@ func mustPass(t *testing.T, rep *Report) {
 }
 
 func TestSoakNoChaos(t *testing.T) {
-	rep, err := Run(soakSpec("", "none"))
+	rep, err := Run(soakSpec("none"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +39,7 @@ func TestSoakNoChaos(t *testing.T) {
 // deterministic — every protocol frame is delayed exactly once, so two runs
 // of the same cell agree on the Delays counter.
 func TestSoakLatencyOracle(t *testing.T) {
-	spec := soakSpec("lat:200µs±200µs", "splitvote")
+	spec := soakSpec("splitvote+lat(base=200us,jitter=200us)")
 	a, err := Run(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +64,7 @@ func TestSoakLatencyOracle(t *testing.T) {
 // party's silence is the engine's.
 func TestSoakDropCrash(t *testing.T) {
 	for _, space := range []string{"path:16", "graph:cliquechain:3:4"} {
-		spec := soakSpec("drop:p0-p2@r2", "splitvote+stop(rounds=2)")
+		spec := soakSpec("splitvote+stop(rounds=2)+drop(from=0,to=2,round=2)")
 		spec.Tree, spec.N, spec.T = space, 7, 2
 		rep, err := Run(spec)
 		if err != nil {
@@ -82,7 +81,7 @@ func TestSoakDropCrash(t *testing.T) {
 }
 
 func TestSoakPartition(t *testing.T) {
-	rep, err := Run(soakSpec("partition:{0-1|2-3}@r2:40ms", "none"))
+	rep, err := Run(soakSpec("part(a=0.1,b=2.3,rounds=2,heal=40ms)"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,42 +92,18 @@ func TestSoakPartition(t *testing.T) {
 }
 
 func TestSoakConfigErrors(t *testing.T) {
-	bad := soakSpec("jam:5ms", "none")
+	bad := soakSpec("jam(dur=5ms)")
 	if _, err := Run(bad); err == nil {
 		t.Error("Run accepted an unknown clause")
 	}
-	outOfRange := soakSpec("drop:p9@r2", "none")
+	outOfRange := soakSpec("drop(from=9,round=2)")
 	if _, err := Run(outOfRange); err == nil {
 		t.Error("Run accepted an out-of-range drop")
 	}
 	// A crashed party is the adversary's stop clause, which mixes with a
 	// Byzantine clause only for t ≥ 2.
-	mixed := soakSpec("", "splitvote+stop(rounds=2)")
+	mixed := soakSpec("splitvote+stop(rounds=2)")
 	if _, err := Run(mixed); err == nil {
 		t.Error("Run accepted stop beside splitvote at t = 1")
-	}
-}
-
-func TestSweep(t *testing.T) {
-	var seen int
-	reports, err := Sweep(SweepConfig{
-		Trees: []string{"path:12"}, N: 4, T: 1,
-		Seeds:        []int64{1, 2},
-		Plans:        []string{"", "lat:100µs±100µs"},
-		Adversaries:  []string{"none"},
-		SetupTimeout: 10 * time.Second, RoundTimeout: 10 * time.Second,
-		Progress: func(*Report) { seen++ },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != 4 || seen != 4 {
-		t.Fatalf("got %d reports, %d progress calls; want 4 and 4", len(reports), seen)
-	}
-	for _, rep := range reports {
-		mustPass(t, rep)
-	}
-	if tab := Table(reports); tab.Len() != 4 {
-		t.Errorf("table has %d rows, want 4", tab.Len())
 	}
 }

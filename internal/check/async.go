@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"treeaa/internal/async"
+	"treeaa/internal/cli"
 	"treeaa/internal/sim"
 	"treeaa/internal/tree"
 	"treeaa/internal/wire"
@@ -49,7 +50,8 @@ type AsyncCellResult struct {
 // model. Omission filtering, mutate and the planted evil bug are
 // round-indexed constructions with no async counterpart; every Byzantine
 // clause maps — silent and crash to machines that stop participating,
-// everything else to a well-formed RBC flood.
+// everything else to a well-formed RBC flood — and a link fault is the
+// identity off the TCP links.
 func AsyncCompatible(c *Cell) bool {
 	for _, cl := range c.Clauses {
 		switch cl.Name {
@@ -318,13 +320,15 @@ func (cr *compiled) asyncMachines() ([]async.Machine, map[sim.PartyID]*async.Pip
 	return machines, pipes, budget, nil
 }
 
-// asyncBehaviors maps the cell's Byzantine clauses to async behavior names;
-// a corrupted party with no clause to draw from is silent.
+// asyncBehaviors maps the cell's Byzantine clauses to async behavior names
+// (a link fault maps to none: the in-process run has no links); a corrupted
+// party with no clause to draw from is silent.
 func asyncBehaviors(c *Cell) []string {
 	var out []string
 	for _, cl := range c.Clauses {
-		switch cl.Name {
-		case "silent", "crash":
+		switch {
+		case cli.IsLinkFault(cl.Name):
+		case cl.Name == "silent" || cl.Name == "crash":
 			out = append(out, cl.Name)
 		default:
 			out = append(out, "flood")

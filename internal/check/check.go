@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"reflect"
 
+	"treeaa/internal/chaos"
+	"treeaa/internal/metrics"
 	"treeaa/internal/sim"
 	"treeaa/internal/transport"
 )
@@ -27,11 +29,15 @@ type CellResult struct {
 	Messages int `json:"messages"`
 	// TCPChecked reports whether the TCP differential actually ran.
 	TCPChecked bool `json:"tcpChecked,omitempty"`
+	// LinkFaults counts the faults the cell's link clauses injected under
+	// the TCP run: delays, stalls, drops and partition holds.
+	LinkFaults int64 `json:"linkFaults,omitempty"`
 }
 
 // RunCell executes one cell and evaluates every invariant: the sequential
 // probe run is the oracle; a concurrent run (and, when requested and
-// compatible, a TCP run) must reproduce its sim.Result exactly. The error
+// compatible, a TCP run under the cell's link faults) must reproduce its
+// sim.Result exactly. The error
 // return reports an unbuildable cell (bad spec), never a protocol failure —
 // those are Violations.
 func RunCell(c *Cell, opt Options) (*CellResult, error) {
@@ -77,7 +83,9 @@ func RunCell(c *Cell, opt Options) (*CellResult, error) {
 	}
 
 	// The TCP differential: every cell but an adaptive crash, whose
-	// corruption would retract sends already on the wire.
+	// corruption would retract sends already on the wire. The link clauses
+	// are delays and repaired losses, which the transport must render
+	// invisible.
 	if opt.TCP && !cr.adaptive {
 		tcfg, err := cr.config()
 		if err != nil {
@@ -87,8 +95,10 @@ func RunCell(c *Cell, opt Options) (*CellResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		tres, terr := transport.LocalCluster(tcfg, tms, transport.Options{})
+		stats := &metrics.ChaosStats{}
+		tres, terr := transport.LocalCluster(tcfg, tms, chaos.NewInjector(cr.plan, c.Seed, stats).Apply(transport.Options{}))
 		out.TCPChecked = true
+		out.LinkFaults = stats.Delays.Load() + stats.Stalls.Load() + stats.Drops.Load() + stats.Partitions.Load()
 		if terr != nil {
 			out.Violations = append(out.Violations, Violation{Cell: out.Spec, Invariant: "differential-tcp",
 				Detail: fmt.Sprintf("LocalCluster failed where Run succeeded: %v", terr)})
@@ -106,4 +116,14 @@ func RunCell(c *Cell, opt Options) (*CellResult, error) {
 func Violates(c *Cell, opt Options) bool {
 	res, err := RunCell(c, opt)
 	return err == nil && len(res.Violations) > 0
+}
+
+// Schedule renders the fault schedule the cell's link clauses materialize
+// under its TCP run, frames delays per link; "" when it has none.
+func Schedule(c *Cell, frames int) (string, error) {
+	cr, err := compile(c)
+	if err != nil || cr.plan.Empty() {
+		return "", err
+	}
+	return cr.plan.Schedule(c.Seed, c.N, frames), nil
 }

@@ -64,14 +64,16 @@ func TestParseErrors(t *testing.T) {
 
 func TestCompileErrors(t *testing.T) {
 	for _, spec := range []string{
-		"s=1;tree=path:5;n=4;t=2;in=spread",                       // 3t >= n
-		"s=1;tree=nope:5;n=4;t=1;in=spread",                       // bad tree
-		"s=1;tree=path:5;n=4;t=1;in=0.1;adv=silent",               // wrong input count
-		"s=1;tree=path:5;n=4;t=1;in=0.1.2.9;adv=silent",           // vertex outside tree
-		"s=1;tree=path:5;n=4;t=0;in=spread;adv=silent",            // clauses need t > 0
-		"s=1;tree=path:5;n=4;t=1;in=spread;adv=silent+omit",       // t too small to mix
-		"s=1;tree=path:5;n=4;t=1;in=spread;adv=bogus",             // unknown clause
-		"s=1;tree=path:5;n=4;t=1;in=spread;adv=crash(rounds=1.2)", // rounds/ids mismatch
+		"s=1;tree=path:5;n=4;t=2;in=spread",                          // 3t >= n
+		"s=1;tree=nope:5;n=4;t=1;in=spread",                          // bad tree
+		"s=1;tree=path:5;n=4;t=1;in=0.1;adv=silent",                  // wrong input count
+		"s=1;tree=path:5;n=4;t=1;in=0.1.2.9;adv=silent",              // vertex outside tree
+		"s=1;tree=path:5;n=4;t=0;in=spread;adv=silent",               // clauses need t > 0
+		"s=1;tree=path:5;n=4;t=1;in=spread;adv=silent+omit",          // t too small to mix
+		"s=1;tree=path:5;n=4;t=1;in=spread;adv=bogus",                // unknown clause
+		"s=1;tree=path:5;n=4;t=1;in=spread;adv=crash(rounds=1.2)",    // rounds/ids mismatch
+		"s=1;tree=path:5;n=4;t=0;in=spread;adv=drop(from=4,round=1)", // link fault out of range
+		"s=1;tree=path:5;n=4;t=1;in=spread;adv=lat(jitter=1ms)",      // link fault without base
 	} {
 		c, err := Parse(spec)
 		if err != nil {
@@ -193,6 +195,83 @@ func TestTCPDifferential(t *testing.T) {
 		for _, v := range res.Violations {
 			t.Errorf("%s", v)
 		}
+	}
+}
+
+// TestTCPRunsUnderLinkFaults: the TCP differential injects the cell's link
+// clauses under its links — a lat clause delays frames, a drop cuts one
+// connection the transport then repairs — and the Result still equals the
+// sequential run's; a cell without link clauses injects nothing. The test
+// fails if RunCell's TCP run leaves the link clauses out.
+func TestTCPRunsUnderLinkFaults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("tcp cluster in -short mode")
+	}
+	for spec, want := range map[string]int64{
+		"s=1;tree=path:8;n=4;t=1;in=spread;adv=splitvote(per=1)":                                    0,
+		"s=1;tree=path:8;n=4;t=1;in=spread;adv=splitvote(per=1)+lat(base=100us,jitter=100us)":       50,
+		"s=1;tree=path:8;n=4;t=0;in=spread;adv=drop(from=0,to=2,round=2)":                           1,
+		"s=1;tree=path:16;n=7;t=2;in=spread;adv=splitvote+stop(rounds=2)+drop(from=0,to=2,round=2)": 1,
+	} {
+		res, err := RunCell(MustParse(spec), Options{TCP: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.TCPChecked {
+			t.Fatalf("TCP differential did not run on %s", spec)
+		}
+		for _, v := range res.Violations {
+			t.Errorf("%s", v)
+		}
+		if (want == 0) != (res.LinkFaults == 0) || res.LinkFaults < want {
+			t.Errorf("%s: %d link faults injected, want at least %d (and none without link clauses)", spec, res.LinkFaults, want)
+		}
+	}
+}
+
+// TestAddLinkFaultsCompiles: the link clauses drawn for TCP cells always
+// build, come one or two of distinct kinds, and depend on the cell's seed
+// alone.
+func TestAddLinkFaultsCompiles(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 300; i++ {
+		c := Generate(rng)
+		before := len(c.Clauses)
+		AddLinkFaults(c)
+		added := c.Clauses[before:]
+		if len(added) < 1 || len(added) > 2 || (len(added) == 2 && added[0].Name == added[1].Name) {
+			t.Fatalf("%s: added %v, want one or two link clauses of distinct kinds", c, added)
+		}
+		if _, err := compile(c); err != nil {
+			t.Fatalf("%s: %v", c, err)
+		}
+		again := MustParse(c.String())
+		again.Clauses = again.Clauses[:before]
+		if AddLinkFaults(again); again.String() != c.String() {
+			t.Fatalf("link clauses differ across draws: %s vs %s", again, c)
+		}
+	}
+}
+
+// TestShrinkDropsLinkFaultsFirst: a violating cell's first candidates are
+// the cell without each of its link clauses, and the shrunk cell keeps none
+// of them (the planted evil bug needs no link fault to fire).
+func TestShrinkDropsLinkFaultsFirst(t *testing.T) {
+	c := MustParse(evilSpec + "+lat(base=1ms)+drop(from=0,round=2)")
+	cands := candidates(c)
+	for i, drop := range []string{"lat", "drop"} {
+		for _, cl := range cands[i].Clauses {
+			if cl.Name == drop {
+				t.Errorf("candidate %d is %s, want the cell without %s", i, cands[i], drop)
+			}
+		}
+		if len(cands[i].Clauses) != len(c.Clauses)-1 {
+			t.Errorf("candidate %d is %s, want one clause dropped", i, cands[i])
+		}
+	}
+	shrunk, _ := Shrink(c, Options{}, 300)
+	if len(shrunk.Clauses) != 1 || shrunk.Clauses[0].Name != "evil" {
+		t.Errorf("shrunk cell kept clauses %v, want only evil", shrunk.Clauses)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"treeaa/internal/chaos"
 	"treeaa/internal/cli"
 	"treeaa/internal/core"
 	"treeaa/internal/sim"
@@ -29,6 +30,7 @@ type compiled struct {
 	advSpec  string
 	corrupt  map[sim.PartyID]bool // every faulty party, Byzantine and omission
 	adaptive bool                 // a crash clause corrupts mid-run
+	plan     *chaos.Plan          // the link clauses, injected under the TCP run
 
 	hasEvil bool // every honest machine runs under evilMachine
 	evilVal float64
@@ -76,8 +78,8 @@ func compile(c *Cell) (*compiled, error) {
 			cr.evilVal = float64(val)
 		case "mutate":
 		default:
-			if c.T == 0 {
-				return nil, fmt.Errorf("check: adversary clauses with t = 0 (only evil/mutate may stand alone)")
+			if c.T == 0 && !cli.IsLinkFault(cl.Name) {
+				return nil, fmt.Errorf("check: adversary clauses with t = 0 (only evil, mutate and link faults may stand alone)")
 			}
 			cr.adaptive = cr.adaptive || cl.Name == "crash"
 		}
@@ -87,6 +89,9 @@ func compile(c *Cell) (*compiled, error) {
 		cr.advSpec = strings.Join(advs, "+")
 	}
 	if _, cr.corrupt, err = space.BuildAdversary(cr.advSpec, c.N, c.T, c.Seed); err != nil {
+		return nil, fmt.Errorf("check: %w", err)
+	}
+	if cr.plan, err = chaos.NewPlan(cr.advSpec, c.N); err != nil {
 		return nil, fmt.Errorf("check: %w", err)
 	}
 	return cr, nil

@@ -52,6 +52,62 @@ func Sweep(seeds []int64, budget int, space string, visit func(*Cell) error) err
 	return nil
 }
 
+// AddLinkFaults appends one or two link clauses (internal/chaos) to a cell
+// bound for the TCP differential. They are drawn from a generator seeded
+// with the cell's own seed, not the sweep's, so a sweep that runs no TCP
+// cell visits exactly the cells it visits without them.
+func AddLinkFaults(c *Cell) {
+	rng := rand.New(rand.NewSource(c.Seed))
+	kinds := rng.Perm(4)[:1+rng.Intn(2)]
+	for _, k := range kinds {
+		c.Clauses = append(c.Clauses, genLinkClause(rng, k, c.N))
+	}
+}
+
+// genLinkClause draws one link fault of kind k (lat, stall, drop, part) over
+// n parties, small enough that a cell stays quick: sub-millisecond latency,
+// stalls and heals of a few milliseconds, windows in the first rounds.
+func genLinkClause(rng *rand.Rand, k, n int) cli.Clause {
+	party := func() string { return strconv.Itoa(rng.Intn(n)) }
+	window := func() string {
+		a := 1 + rng.Intn(3)
+		if rng.Intn(2) == 0 {
+			return strconv.Itoa(a)
+		}
+		return fmt.Sprintf("%d.%d", a, a+rng.Intn(3))
+	}
+	ms := func(lo, hi int) string { return fmt.Sprintf("%dus", 1000*lo+rng.Intn(1000*(hi-lo)+1)) }
+	switch k {
+	case 0:
+		base := 100 + rng.Intn(900)
+		cl := cli.Clause{Name: "lat", Args: map[string]string{
+			"base": fmt.Sprintf("%dus", base), "jitter": fmt.Sprintf("%dus", rng.Intn(base+1))}}
+		if rng.Intn(2) == 0 {
+			cl.Args["from"] = party()
+		}
+		return cl
+	case 1:
+		return cli.Clause{Name: "stall", Args: map[string]string{"from": party(), "rounds": window(), "dur": ms(1, 5)}}
+	case 2:
+		cl := cli.Clause{Name: "drop", Args: map[string]string{"from": party(), "round": strconv.Itoa(1 + rng.Intn(3))}}
+		if to := rng.Intn(n); rng.Intn(2) == 0 && strconv.Itoa(to) != cl.Args["from"] {
+			cl.Args["to"] = strconv.Itoa(to)
+		}
+		return cl
+	default:
+		cut := 1 + rng.Intn(n-1)
+		side := func(lo, hi int) string {
+			ids := make([]string, 0, hi-lo)
+			for id := lo; id < hi; id++ {
+				ids = append(ids, strconv.Itoa(id))
+			}
+			return strings.Join(ids, ".")
+		}
+		return cli.Clause{Name: "part", Args: map[string]string{
+			"a": side(0, cut), "b": side(cut, n), "rounds": window(), "heal": ms(5, 20)}}
+	}
+}
+
 func generate(rng *rand.Rand, space string) *Cell {
 	c := &Cell{Seed: rng.Int63n(1 << 31)}
 	if space == "graph" || (space == "" && rng.Intn(4) == 0) {

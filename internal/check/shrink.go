@@ -9,7 +9,7 @@ import (
 )
 
 // Shrink greedily minimizes a violating cell: it tries candidate reductions
-// — dropping adversary clauses, shrinking t and n, collapsing explicit
+// — dropping link clauses, then adversary clauses, shrinking t and n, collapsing explicit
 // inputs to the spread placement, shrinking tree-spec and clause-arg
 // numbers — and keeps any candidate that still violates (any invariant; a
 // shrink may legitimately shift which one fires first). budget caps the
@@ -63,7 +63,7 @@ func byzClauseIDCount(c *Cell) int {
 		switch {
 		case cl.Name == "omit" || cl.Name == "stop":
 			hasOmit = true
-		case cl.Name == "mutate" || cl.Name == "evil":
+		case cl.Name == "mutate" || cl.Name == "evil" || cli.IsLinkFault(cl.Name):
 		default:
 			hasByz = true
 		}
@@ -82,11 +82,15 @@ func byzClauseIDCount(c *Cell) int {
 // false.
 func candidates(c *Cell) []*Cell {
 	var out []*Cell
-	// Drop one clause.
-	for i := range c.Clauses {
-		cand := c.clone()
-		cand.Clauses = append(cand.Clauses[:i], cand.Clauses[i+1:]...)
-		out = append(out, cand)
+	// Drop one clause: the link faults first, then the rest.
+	for _, link := range []bool{true, false} {
+		for i, cl := range c.Clauses {
+			if cli.IsLinkFault(cl.Name) == link {
+				cand := c.clone()
+				cand.Clauses = append(cand.Clauses[:i], cand.Clauses[i+1:]...)
+				out = append(out, cand)
+			}
+		}
 	}
 	// Collapse explicit inputs to the canonical spread.
 	if c.Inputs != nil {

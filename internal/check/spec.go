@@ -4,10 +4,11 @@
 // paper's invariants per round. Violating cells are minimized by a greedy
 // shrinker to a one-line repro spec that cmd/check replays deterministically.
 //
-// A cell spec is a single line in the spirit of the chaos plan language:
+// A cell spec is a single line:
 //
 //	s=3;tree=caterpillar:4:2;n=7;t=2;in=spread;adv=splitvote(per=1)+noise(maxval=24)
 //	s=5;tree=graph:cliquechain:3:4;n=7;t=2;in=spread;adv=equivocator(hi=1000,lo=-100)
+//	s=1;tree=path:16;n=4;t=1;in=spread;adv=splitvote+lat(base=1ms,jitter=1ms)+drop(from=0,to=2,round=2)
 //
 // Fields are semicolon-separated: the seed, the input space tree= (the
 // -tree grammar of cli.ParseSpaceSpec: a tree, or a "graph:"-prefixed block
@@ -15,7 +16,8 @@
 // the party count n, the fault budget t, the input placement ("spread" or
 // dot-separated vertex ids, one per party) and the adversary adv= in the
 // adversary language of internal/cli — its "mutate" modifier byte-mutates
-// the Byzantine parties' sends, which is model-sound — plus one clause of
+// the Byzantine parties' sends, which is model-sound, and its link faults
+// (lat, stall, drop, part) act under the TCP run only — plus one clause of
 // the checker's own: "evil", a planted machine bug that makes every honest
 // party gradecast a fixed value (deliberately out of model; never
 // generated, only injected to exercise the checker itself). Everything

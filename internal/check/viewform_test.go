@@ -99,6 +99,9 @@ func TestStrategiesIgnoreViewForm(t *testing.T) {
 	runs := 0
 	for _, space := range []string{"spider:3:3", "graph:cliquechain:3:4"} {
 		for _, name := range cli.AdversaryNames() {
+			if cli.IsLinkFault(name) {
+				continue // no view: it acts under the TCP links only
+			}
 			for _, mutate := range []string{"", "+mutate(rate=300)"} {
 				for seed := int64(1); seed <= 3; seed++ {
 					spec := fmt.Sprintf("s=%d;tree=%s;n=7;t=2;in=spread;adv=%s%s", seed, space, name, mutate)

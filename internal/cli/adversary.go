@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"treeaa/internal/adversary"
 	"treeaa/internal/core"
@@ -16,7 +17,8 @@ import (
 // The adversary language (DESIGN §9): a spec is "none" or clauses
 // name(key=value,...) joined by '+', e.g. "splitvote(per=2)+noise" or
 // "equivocator(hi=1000,lo=-100)+omit(drop=500)"; integer lists inside an
-// argument are dot-separated (crash(rounds=2.5.9)).
+// argument are dot-separated (crash(rounds=2.5.9)) and durations take Go's
+// syntax (lat(base=2ms,jitter=500us)).
 
 // Clause is one adversary component: a strategy name plus its arguments.
 type Clause struct {
@@ -54,6 +56,20 @@ func (cl Clause) IntList(key string) ([]int, error) {
 		out[i] = v
 	}
 	return out, nil
+}
+
+// Duration returns the named duration argument, or def when absent; a
+// negative duration is refused.
+func (cl Clause) Duration(key string, def time.Duration) (time.Duration, error) {
+	s, ok := cl.Args[key]
+	if !ok {
+		return def, nil
+	}
+	d, err := time.ParseDuration(s)
+	if err != nil || d < 0 {
+		return 0, fmt.Errorf("adversary clause %s: arg %s=%q: want a non-negative duration", cl.Name, key, s)
+	}
+	return d, nil
 }
 
 // String renders the clause canonically (args sorted by key).
@@ -167,9 +183,12 @@ func (a *clauseArgs) crashRounds() []int {
 
 // strategies is the one table from clause name to strategy. A modifier
 // (wrap set, build nil) claims no parties: it wraps the composed adversary.
+// A link fault (link set) claims no parties either and is the identity
+// here: internal/chaos injects it under the TCP links of a run.
 var strategies = map[string]struct {
 	phased   bool // one instance per TreeAA phase, composed
 	omission bool // takes the omission share of the corrupted set
+	link     bool // a link fault: lat, stall, drop, part
 	build    func(a *clauseArgs) sim.Adversary
 	wrap     func(a *clauseArgs, inner sim.OutboxFilter) sim.OutboxFilter
 }{
@@ -208,7 +227,15 @@ var strategies = map[string]struct {
 	"mutate": {wrap: func(a *clauseArgs, inner sim.OutboxFilter) sim.OutboxFilter {
 		return &adversary.Mutate{OutboxFilter: inner, N: a.n, Rate: a.int("rate", 200), Seed: a.seed}
 	}},
+	"lat":   {link: true},
+	"stall": {link: true},
+	"drop":  {link: true},
+	"part":  {link: true},
 }
+
+// IsLinkFault reports whether a clause name is a link fault: it claims no
+// party and counts in no budget, and only internal/chaos acts on it.
+func IsLinkFault(name string) bool { return strategies[name].link }
 
 // AdversaryNames lists the clause names the table knows, sorted.
 func AdversaryNames() []string {
@@ -228,7 +255,8 @@ func AdversaryNames() []string {
 // with both kinds of clause — the lower t/2 omission and the rest
 // Byzantine. Every Byzantine clause acts for the whole Byzantine share, a
 // modifier (mutate) wraps what the other clauses compose, and a "none"
-// clause keeps a position (which seeds noise) but adds nothing.
+// clause or a link fault keeps a position (which seeds noise) but adds
+// nothing.
 func (s *Space) BuildAdversary(spec string, n, t int, seed int64) (sim.Adversary, map[sim.PartyID]bool, error) {
 	corrupt := map[sim.PartyID]bool{}
 	if t == 0 {
@@ -242,7 +270,7 @@ func (s *Space) BuildAdversary(spec string, n, t int, seed int64) (sim.Adversary
 	for _, cl := range clauses {
 		st, ok := strategies[cl.Name]
 		switch {
-		case cl.Name == "none" || st.wrap != nil:
+		case cl.Name == "none" || st.wrap != nil || st.link:
 		case !ok:
 			return nil, nil, fmt.Errorf("unknown adversary %q", cl.Name)
 		case st.omission:
@@ -264,7 +292,7 @@ func (s *Space) BuildAdversary(spec string, n, t int, seed int64) (sim.Adversary
 	var mods []*clauseArgs
 	for pos, cl := range clauses {
 		st, ok := strategies[cl.Name]
-		if !ok {
+		if !ok || st.link {
 			continue
 		}
 		a := &clauseArgs{cl: cl, ids: byzIDs, n: n, t: t, seed: seed, tr: tr, pos: pos}
