@@ -17,13 +17,9 @@ import (
 	"path/filepath"
 	"testing"
 
-	"treeaa/internal/baseline"
 	"treeaa/internal/crashaa"
-	"treeaa/internal/exactaa"
 	"treeaa/internal/gradecast"
-	"treeaa/internal/realaa"
 	"treeaa/internal/sim"
-	"treeaa/internal/tree"
 )
 
 var update = flag.Bool("update", false, "rewrite golden wire frames")
@@ -52,13 +48,7 @@ func goldenPayloads() map[string]any {
 		"gradecast_vote": gradecast.VoteMsg{Tag: "treeaa/path", Iter: 200, Vals: gradecast.CopyVals(map[sim.PartyID]float64{
 			1: 0, 6: math.Pi,
 		})},
-		"dlpsw_value":     realaa.DLPSWMsg{Tag: "dlpsw", Iter: 4, Val: -1e9},
-		"crash_value":     crashaa.ValueMsg{Tag: "crash", Iter: 7, Val: 0.125},
-		"baseline_vertex": baseline.VertexMsg{Tag: "baseline", Iter: 5, V: tree.VertexID(39)},
-		"exact_chain": exactaa.ChainMsg{Tag: "exact", Sender: 2, V: 11,
-			Signer: []sim.PartyID{2, 0},
-			Sigs:   [][]byte{bytes.Repeat([]byte{0xAB}, 64), {0x01, 0x02}},
-		},
+		"crash_value": crashaa.ValueMsg{Tag: "crash", Iter: 7, Val: 0.125},
 		"session_msg": SessionMsg{SID: 1<<48 | 42, Round: 3,
 			Payload: gradecast.SendMsg{Tag: "treeaa/pf", Iter: 3, Val: 17.5}},
 		"session_eor": SessionEOR{SID: 1<<48 | 42, Round: 7, Done: true},

@@ -13,7 +13,7 @@ package wire
 //
 // A Relay's dest is encoded shifted by one so that sim.Broadcast (-1) has a
 // canonical representation (0). The body must be a leaf protocol frame
-// (types 0x01–0x07): relays forward the envelope bytes verbatim without
+// (types 0x01–0x03 and 0x05): relays forward the envelope bytes verbatim without
 // decoding the body, so the codec validates only the nested header here and
 // the delivering node decodes (and thereby fully validates) the body.
 // Canonicality of the envelope itself is preserved — the body bytes are
@@ -47,7 +47,7 @@ type RelayMsg struct {
 	Dest   sim.PartyID // sim.Broadcast or a concrete party
 	Seq    uint64      // per-origin, strictly increasing from 1
 	Round  int
-	Body   []byte // one canonical leaf frame (version | 0x01–0x07 | ...)
+	Body   []byte // one canonical leaf frame (version | 0x01–0x03 or 0x05 | ...)
 }
 
 // Size implements sim.Sizer with the exact encoded length.
@@ -78,10 +78,13 @@ func checkRelayBody(body []byte) error {
 	if len(body) > maxLen {
 		return fmt.Errorf("wire: relay body of %d bytes exceeds limit", len(body))
 	}
-	if len(body) < 2 || body[0] != Version || body[1] < TypeGradecastSend || body[1] > TypeExactChain {
-		return fmt.Errorf("wire: relay body is not a leaf protocol frame")
+	if len(body) >= 2 && body[0] == Version {
+		switch body[1] {
+		case TypeGradecastSend, TypeGradecastEcho, TypeGradecastVote, TypeCrashValue:
+			return nil
+		}
 	}
-	return nil
+	return fmt.Errorf("wire: relay body is not a leaf protocol frame")
 }
 
 func appendRelay(dst []byte, m RelayMsg) ([]byte, error) {

@@ -1,9 +1,9 @@
 // Package wire is the deterministic, versioned binary codec for every
 // payload the synchronous protocols put on the network: the gradecast
 // send/echo/vote messages (which carry RealAA values and suspicion masks,
-// PathsFinder list indices and TreeAA projection positions), the DLPSW and
-// crash-AA value broadcasts, the baseline vertex broadcasts and the
-// exact-agreement signature chains. The internal/transport TCP layer frames
+// PathsFinder list indices and TreeAA projection positions) and the crash-AA
+// value broadcasts, plus the frames of the session service, its client API,
+// journal and overlay. The internal/transport TCP layer frames
 // these bodies onto sockets; the in-process engine never encodes (payloads
 // cross goroutines as values) but charges exactly len(Encode(p)) bytes per
 // message because every payload's sim.Sizer implementation mirrors this
@@ -26,8 +26,7 @@
 //   - party/vertex ids: fixed big-endian u32 (ids are validated to
 //     [0, 2^31) so they fit an int everywhere);
 //   - id→float64 maps: uvarint count, then entries sorted by strictly
-//     ascending id, each id(u32) | value(f64);
-//   - byte strings: uvarint length + bytes.
+//     ascending id, each id(u32) | value(f64).
 //
 // The fixed-width map entries keep sim.Sizer implementations O(1): a vector
 // message's size is arithmetic on len(Tag) and len(Vals), never a map walk,
@@ -45,13 +44,9 @@ import (
 	"fmt"
 	"math"
 
-	"treeaa/internal/baseline"
 	"treeaa/internal/crashaa"
-	"treeaa/internal/exactaa"
 	"treeaa/internal/gradecast"
-	"treeaa/internal/realaa"
 	"treeaa/internal/sim"
-	"treeaa/internal/tree"
 )
 
 // Version is the wire-format version, the first byte of every body. Bump it
@@ -59,15 +54,13 @@ import (
 // the drift is reviewed like a protocol change.
 const Version = 1
 
-// Type tags, the second byte of every body.
+// Type tags, the second byte of every body. 0x04, 0x06 and 0x07 are
+// retired: Decode rejects them, and no new type takes them.
 const (
 	TypeGradecastSend byte = 0x01
 	TypeGradecastEcho byte = 0x02
 	TypeGradecastVote byte = 0x03
-	TypeDLPSW         byte = 0x04
 	TypeCrashValue    byte = 0x05
-	TypeBaselineVert  byte = 0x06
-	TypeExactChain    byte = 0x07
 )
 
 // Limits. Decode validates counts against the remaining buffer before
@@ -108,18 +101,8 @@ func Append(dst []byte, payload any) ([]byte, error) {
 		return appendVector(dst, TypeGradecastEcho, m.Tag, m.Iter, m.Vals)
 	case gradecast.VoteMsg:
 		return appendVector(dst, TypeGradecastVote, m.Tag, m.Iter, m.Vals)
-	case realaa.DLPSWMsg:
-		return appendScalar(dst, TypeDLPSW, m.Tag, m.Iter, m.Val)
 	case crashaa.ValueMsg:
 		return appendScalar(dst, TypeCrashValue, m.Tag, m.Iter, m.Val)
-	case baseline.VertexMsg:
-		dst, err := appendHeader(dst, TypeBaselineVert, m.Tag, m.Iter)
-		if err != nil {
-			return nil, err
-		}
-		return appendID(dst, int(m.V))
-	case exactaa.ChainMsg:
-		return appendChain(dst, m)
 	case SessionMsg:
 		return appendSessionMsg(dst, m)
 	case SessionEOR:
@@ -169,7 +152,7 @@ func EncodedSize(payload any) (int, error) {
 	}
 	switch payload.(type) {
 	case gradecast.SendMsg, gradecast.EchoMsg, gradecast.VoteMsg,
-		realaa.DLPSWMsg, crashaa.ValueMsg, baseline.VertexMsg, exactaa.ChainMsg,
+		crashaa.ValueMsg,
 		SessionMsg, SessionEOR, SessionOpen, SessionAbort, SessionDecide, SessionRound,
 		ClientSubmit, ClientWait, ClientStatus, ClientOutcome,
 		JournalOpen, JournalFrame, JournalSeal, RelayMsg, OverlayEOR,
@@ -197,18 +180,10 @@ func Decode(b []byte) (any, error) {
 		err     error
 	)
 	switch typ {
-	case TypeGradecastSend:
+	case TypeGradecastSend, TypeCrashValue:
 		payload, rest, err = decodeScalar(rest, typ)
 	case TypeGradecastEcho, TypeGradecastVote:
 		payload, rest, err = decodeVector(rest, typ)
-	case TypeDLPSW:
-		payload, rest, err = decodeScalar(rest, typ)
-	case TypeCrashValue:
-		payload, rest, err = decodeScalar(rest, typ)
-	case TypeBaselineVert:
-		payload, rest, err = decodeVertex(rest)
-	case TypeExactChain:
-		payload, rest, err = decodeChain(rest)
 	case TypeSessionMsg:
 		payload, rest, err = decodeSessionMsg(rest)
 	case TypeSessionEOR:
@@ -390,14 +365,10 @@ func decodeScalar(b []byte, typ byte) (any, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	switch typ {
-	case TypeGradecastSend:
+	if typ == TypeGradecastSend {
 		return gradecast.SendMsg{Tag: tag, Iter: iter, Val: val}, b, nil
-	case TypeDLPSW:
-		return realaa.DLPSWMsg{Tag: tag, Iter: iter, Val: val}, b, nil
-	default:
-		return crashaa.ValueMsg{Tag: tag, Iter: iter, Val: val}, b, nil
 	}
+	return crashaa.ValueMsg{Tag: tag, Iter: iter, Val: val}, b, nil
 }
 
 // appendVector writes a gradecast.Vec, which is already in canonical order:
@@ -472,110 +443,4 @@ func decodeVector(b []byte, typ byte) (any, []byte, error) {
 		return gradecast.EchoMsg{Tag: tag, Iter: iter, Vals: vals}, b, nil
 	}
 	return gradecast.VoteMsg{Tag: tag, Iter: iter, Vals: vals}, b, nil
-}
-
-func decodeVertex(b []byte) (any, []byte, error) {
-	tag, b, err := consumeString(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	iter, b, err := consumeIter(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	v, b, err := consumeID(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	return baseline.VertexMsg{Tag: tag, Iter: iter, V: tree.VertexID(v)}, b, nil
-}
-
-func appendChain(dst []byte, m exactaa.ChainMsg) ([]byte, error) {
-	dst = append(dst, Version, TypeExactChain)
-	dst, err := appendString(dst, m.Tag)
-	if err != nil {
-		return nil, err
-	}
-	if dst, err = appendID(dst, int(m.Sender)); err != nil {
-		return nil, err
-	}
-	if dst, err = appendID(dst, int(m.V)); err != nil {
-		return nil, err
-	}
-	if len(m.Signer) > maxLen || len(m.Sigs) > maxLen {
-		return nil, fmt.Errorf("wire: chain of %d/%d entries exceeds limit", len(m.Signer), len(m.Sigs))
-	}
-	dst = AppendUvarint(dst, uint64(len(m.Signer)))
-	for _, p := range m.Signer {
-		if dst, err = appendID(dst, int(p)); err != nil {
-			return nil, err
-		}
-	}
-	dst = AppendUvarint(dst, uint64(len(m.Sigs)))
-	for _, sig := range m.Sigs {
-		if len(sig) > maxLen {
-			return nil, fmt.Errorf("wire: signature of %d bytes exceeds limit", len(sig))
-		}
-		dst = AppendUvarint(dst, uint64(len(sig)))
-		dst = append(dst, sig...)
-	}
-	return dst, nil
-}
-
-func decodeChain(b []byte) (any, []byte, error) {
-	tag, b, err := consumeString(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	sender, b, err := consumeID(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	v, b, err := consumeID(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	nSigner, b, err := ConsumeUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if nSigner > maxLen || nSigner*4 > uint64(len(b)) {
-		return nil, nil, malformed("signer count %d exceeds buffer", nSigner)
-	}
-	m := exactaa.ChainMsg{Tag: tag, Sender: sim.PartyID(sender), V: tree.VertexID(v)}
-	if nSigner > 0 {
-		m.Signer = make([]sim.PartyID, 0, nSigner)
-	}
-	for i := uint64(0); i < nSigner; i++ {
-		var p int
-		p, b, err = consumeID(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		m.Signer = append(m.Signer, sim.PartyID(p))
-	}
-	nSigs, b, err := ConsumeUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Each signature costs at least its 1-byte length prefix.
-	if nSigs > maxLen || nSigs > uint64(len(b)) {
-		return nil, nil, malformed("signature count %d exceeds buffer", nSigs)
-	}
-	if nSigs > 0 {
-		m.Sigs = make([][]byte, 0, nSigs)
-	}
-	for i := uint64(0); i < nSigs; i++ {
-		var n uint64
-		n, b, err = ConsumeUvarint(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		if n > maxLen || n > uint64(len(b)) {
-			return nil, nil, malformed("signature length %d exceeds buffer", n)
-		}
-		m.Sigs = append(m.Sigs, append([]byte(nil), b[:n]...))
-		b = b[n:]
-	}
-	return m, b, nil
 }

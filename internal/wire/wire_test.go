@@ -8,13 +8,9 @@ import (
 	"strings"
 	"testing"
 
-	"treeaa/internal/baseline"
 	"treeaa/internal/crashaa"
-	"treeaa/internal/exactaa"
 	"treeaa/internal/gradecast"
-	"treeaa/internal/realaa"
 	"treeaa/internal/sim"
-	"treeaa/internal/tree"
 )
 
 // samplePayloads covers every codec type with representative values,
@@ -32,18 +28,11 @@ func samplePayloads() []any {
 		gradecast.VoteMsg{Tag: "treeaa/path", Iter: 9, Vals: gradecast.CopyVals(map[sim.PartyID]float64{
 			1: 0, 2: math.Copysign(0, -1), 130: 1e-300,
 		})},
-		realaa.DLPSWMsg{Tag: "dlpsw", Iter: 4, Val: -1e9},
 		crashaa.ValueMsg{Tag: "crash", Iter: 7, Val: 0.125},
-		baseline.VertexMsg{Tag: "baseline", Iter: 5, V: tree.VertexID(39)},
-		exactaa.ChainMsg{Tag: "exact", Sender: 2, V: 11,
-			Signer: []sim.PartyID{2, 0, 5},
-			Sigs:   [][]byte{bytes.Repeat([]byte{0xAB}, 64), {}, {0x01, 0x02}},
-		},
-		exactaa.ChainMsg{Tag: "", Sender: 0, V: 0},
 		SessionMsg{SID: 1, Round: 1,
 			Payload: gradecast.SendMsg{Tag: "treeaa/pf", Iter: 3, Val: 17.5}},
 		SessionMsg{SID: 1<<48 | 7, Round: 300,
-			Payload: baseline.VertexMsg{Tag: "baseline", Iter: 5, V: 39}},
+			Payload: crashaa.ValueMsg{Tag: "crash", Iter: 5, Val: 39}},
 		SessionEOR{SID: 0, Round: 1, Done: false},
 		SessionEOR{SID: math.MaxUint64, Round: 12, Done: true},
 		SessionRound{SID: 1, Round: 1}, // a silent round's bare mark
@@ -51,7 +40,7 @@ func samplePayloads() []any {
 		SessionRound{SID: 1<<48 | 7, Round: 300, Payloads: []any{
 			gradecast.SendMsg{Tag: "treeaa/pf", Iter: 3, Val: 17.5},
 			gradecast.EchoMsg{Tag: "treeaa/pf", Iter: 3, Vals: gradecast.Vec{{ID: 0, Val: 1}, {ID: 2, Val: -2}}},
-			baseline.VertexMsg{Tag: "baseline", Iter: 5, V: 39},
+			crashaa.ValueMsg{Tag: "crash", Iter: 5, Val: 39},
 		}},
 		SessionRound{SID: 9, Round: 2, Payloads: []any{ // an async seat's k = 1
 			AsyncValue{Phase: AsyncPhasePathsFinder, Kind: AsyncKindEcho, Iter: 3, Src: 5, Val: 17.5}}},
@@ -158,21 +147,6 @@ func normalizeEmpty(dec, orig any) any {
 			d.Vals = o.Vals
 			return d
 		}
-	case exactaa.ChainMsg:
-		if o, ok := orig.(exactaa.ChainMsg); ok {
-			if len(d.Signer) == 0 && len(o.Signer) == 0 {
-				d.Signer = o.Signer
-			}
-			if len(d.Sigs) == 0 && len(o.Sigs) == 0 {
-				d.Sigs = o.Sigs
-			}
-			for i := range d.Sigs {
-				if len(d.Sigs[i]) == 0 && i < len(o.Sigs) && len(o.Sigs[i]) == 0 {
-					d.Sigs[i] = o.Sigs[i]
-				}
-			}
-			return d
-		}
 	}
 	return dec
 }
@@ -214,17 +188,7 @@ func TestSizerMatchesEncoding(t *testing.T) {
 		check(gradecast.SendMsg{Tag: tag, Iter: iter, Val: rng.NormFloat64()})
 		check(gradecast.EchoMsg{Tag: tag, Iter: iter, Vals: vec})
 		check(gradecast.VoteMsg{Tag: tag, Iter: iter, Vals: vec})
-		check(realaa.DLPSWMsg{Tag: tag, Iter: iter, Val: rng.NormFloat64()})
 		check(crashaa.ValueMsg{Tag: tag, Iter: iter, Val: rng.NormFloat64()})
-		check(baseline.VertexMsg{Tag: tag, Iter: iter, V: tree.VertexID(rng.Intn(1 << 20))})
-		sigs := make([][]byte, rng.Intn(5))
-		signers := make([]sim.PartyID, len(sigs))
-		for j := range sigs {
-			sigs[j] = make([]byte, rng.Intn(200))
-			signers[j] = sim.PartyID(rng.Intn(1 << 10))
-		}
-		check(exactaa.ChainMsg{Tag: tag, Sender: sim.PartyID(rng.Intn(1 << 10)),
-			V: tree.VertexID(rng.Intn(1 << 10)), Signer: signers, Sigs: sigs})
 	}
 }
 
@@ -239,6 +203,9 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		"header only":       {Version},
 		"bad version":       {99, TypeGradecastSend},
 		"unknown type":      {Version, 0x7F},
+		"retired DLPSW":     {Version, 0x04, 0x00, 0x00, 0, 0, 0, 0, 0, 0, 0, 0},
+		"retired vertex":    {Version, 0x06, 0x00, 0x00, 0, 0, 0, 0},
+		"retired chain":     {Version, 0x07, 0x00, 0, 0, 0, 0, 0, 0, 0, 0, 0x00, 0x00},
 		"truncated body":    valid[:len(valid)-3],
 		"trailing bytes":    append(append([]byte{}, valid...), 0),
 		"huge string":       {Version, TypeGradecastSend, 0xFF, 0xFF, 0xFF, 0xFF, 0x07},
@@ -270,8 +237,7 @@ func TestEncodeRejectsInvalid(t *testing.T) {
 		gradecast.EchoMsg{Tag: "t", Iter: 1, Vals: gradecast.Vec{{ID: -1, Val: 0}}},
 		gradecast.EchoMsg{Tag: "t", Iter: 1, // unsorted Vec is not canonical
 			Vals: gradecast.Vec{{ID: 2, Val: 0}, {ID: 1, Val: 0}}},
-		baseline.VertexMsg{Tag: "t", Iter: 1, V: -2},
-		exactaa.ChainMsg{Tag: "t", Sender: -1},
+		RelayMsg{Origin: 1, Dest: 2, Seq: 1, Round: 1, Body: []byte{Version, 0x04, 0x00, 0x00}}, // retired leaf type
 		SessionMsg{SID: 1, Round: 0, Payload: gradecast.SendMsg{Tag: "t"}},
 		SessionMsg{SID: 1, Round: 1, Payload: SessionAbort{SID: 1}}, // no nesting
 		SessionMsg{SID: 1, Round: 1, Payload: nil},
