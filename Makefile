@@ -141,24 +141,31 @@ rolling-restart:
 
 # Chaos safety soak (~30s): the race-instrumented chaos/transport suites
 # (reconnect-resend, crash-fault byte-identity, golden fault schedules),
-# then a real fault sweep — seeds × {latency, stall, drop, partition,
-# combined} plans × adversaries over the TCP substrate, every cell checked
-# for honest-hull validity, 1-agreement, and byte-identity with the
-# sequential sim.Run oracle — and a multi-process fleet where a crashed
-# party (stop) sits beside the adversary host under link faults. Exits
-# non-zero on any violation.
+# then a real fault sweep — seeds × {quiet, latency, stall, drop, partition,
+# combined} link faults × adversaries, as check cells whose TCP run carries
+# the link clauses, on a path and a block graph, every cell checked for
+# honest-hull validity, 1-agreement, and byte-identity with the sequential
+# sim.Run oracle — and a multi-process fleet where a crashed party (stop)
+# sits beside the adversary host under link faults. Exits non-zero on any
+# violation.
+CHAOS_PLANS = none 'lat(base=1ms,jitter=1ms)' 'stall(from=1,rounds=2.3,dur=5ms)' \
+	'drop(from=0,to=2,round=2)' 'part(a=0.1,b=2.3,rounds=2,heal=40ms)' \
+	'lat(base=500us,jitter=500us)+drop(from=2,round=3)'
 chaos-soak:
 	$(GO) test -race -count=1 ./internal/chaos/... ./internal/transport/...
-	$(GO) run ./cmd/chaos -seeds 1-2 -trees path:16
-	$(GO) run ./cmd/chaos -seeds 1 -trees graph:cliquechain:3:4
-	$(GO) run ./cmd/node -cluster 7 -t 2 -tree path:16 -adversary 'splitvote+stop(rounds=2)' \
-		-chaos 'lat:500µs±500µs,drop:p0-p2@r2'
+	@cells=; for at in path:16/1 path:16/2 graph:cliquechain:3:4/1; do \
+		for adv in none splitvote; do for plan in $(CHAOS_PLANS); do \
+			cells="$$cells|s=$${at##*/};tree=$${at%/*};n=4;t=1;in=spread;adv=$$adv+$$plan"; \
+		done; done; done; \
+	$(GO) run ./cmd/check -tcp-every 1 -async-every 0 -cells "$${cells#|}"
+	$(GO) run ./cmd/node -cluster 7 -t 2 -tree path:16 \
+		-adversary 'splitvote+stop(rounds=2)+lat(base=500us,jitter=500us)+drop(from=0,to=2,round=2)'
 
 # Asynchronous-mode soak: every async suite under the race detector — RBC
 # threshold boundaries, pipeline invariants, the event-driven transport
 # driver, the serving layer's async engines, the checker's async cells, and
-# the chaos latency battery whose headline cell (lat:200ms±150ms on one
-# party's links) aborts the synchronous round barrier but decides
+# the chaos latency battery whose headline cell (200ms±150ms of latency on
+# one party's links) aborts the synchronous round barrier but decides
 # asynchronously with validity + 1-agreement — then a multi-process cmd/node
 # async fleet under a real latency plan, plus async serving smokes, each on
 # a tree and on a block graph, and one with the journal on — and a fleet whose
@@ -168,8 +175,8 @@ chaos-soak:
 async-soak:
 	$(GO) test -race -count=1 -run Async ./internal/async/... ./internal/chaos/... \
 		./internal/session/... ./internal/transport/... ./internal/check/ ./internal/wire/
-	$(GO) run ./cmd/node -cluster 4 -tree star:6 -mode async -chaos 'lat:20ms±15ms@p2'
-	$(GO) run ./cmd/node -cluster 4 -tree path:16 -mode async -chaos 'drop:p0-p2@r2'
+	$(GO) run ./cmd/node -cluster 4 -tree star:6 -mode async -adversary 'lat(base=20ms,jitter=15ms,from=2)'
+	$(GO) run ./cmd/node -cluster 4 -tree path:16 -mode async -adversary 'drop(from=0,to=2,round=2)'
 	$(GO) run ./cmd/node -cluster 4 -t 1 -tree graph:cliquechain:3:4 -mode async
 	$(GO) run ./cmd/serve -cluster 3 -mode async -sessions 50 -tree spider:3:3
 	$(GO) run ./cmd/serve -cluster 3 -mode async -sessions 50 -tree graph:cliquechain:3:4
