@@ -37,9 +37,8 @@ type CellResult struct {
 // RunCell executes one cell and evaluates every invariant: the sequential
 // probe run is the oracle; a concurrent run (and, when requested and
 // compatible, a TCP run under the cell's link faults) must reproduce its
-// sim.Result exactly. The error
-// return reports an unbuildable cell (bad spec), never a protocol failure —
-// those are Violations.
+// sim.Result exactly. The error return reports an unbuildable cell (bad
+// spec), never a protocol failure — those are Violations.
 func RunCell(c *Cell, opt Options) (*CellResult, error) {
 	cr, err := compile(c)
 	if err != nil {

@@ -65,7 +65,7 @@ func AddLinkFaults(c *Cell) {
 }
 
 // genLinkClause draws one link fault of kind k (lat, stall, drop, part) over
-// n parties, small enough that a cell stays quick: sub-millisecond latency,
+// n ≥ 2 parties, small enough that a cell stays quick: sub-millisecond latency,
 // stalls and heals of a few milliseconds, windows in the first rounds.
 func genLinkClause(rng *rand.Rand, k, n int) cli.Clause {
 	party := func() string { return strconv.Itoa(rng.Intn(n)) }
@@ -89,9 +89,10 @@ func genLinkClause(rng *rand.Rand, k, n int) cli.Clause {
 	case 1:
 		return cli.Clause{Name: "stall", Args: map[string]string{"from": party(), "rounds": window(), "dur": ms(1, 5)}}
 	case 2:
-		cl := cli.Clause{Name: "drop", Args: map[string]string{"from": party(), "round": strconv.Itoa(1 + rng.Intn(3))}}
-		if to := rng.Intn(n); rng.Intn(2) == 0 && strconv.Itoa(to) != cl.Args["from"] {
-			cl.Args["to"] = strconv.Itoa(to)
+		from := rng.Intn(n)
+		cl := cli.Clause{Name: "drop", Args: map[string]string{"from": strconv.Itoa(from), "round": strconv.Itoa(1 + rng.Intn(3))}}
+		if rng.Intn(2) == 0 { // one link, else every link of from
+			cl.Args["to"] = strconv.Itoa((from + 1 + rng.Intn(n-1)) % n)
 		}
 		return cl
 	default:

@@ -9,9 +9,9 @@ import (
 )
 
 // Shrink greedily minimizes a violating cell: it tries candidate reductions
-// — dropping link clauses, then adversary clauses, shrinking t and n, collapsing explicit
-// inputs to the spread placement, shrinking tree-spec and clause-arg
-// numbers — and keeps any candidate that still violates (any invariant; a
+// — dropping link clauses, then adversary clauses, shrinking t and n,
+// collapsing explicit inputs to the spread placement, shrinking tree-spec
+// and clause-arg numbers — and keeps any candidate that still violates (any invariant; a
 // shrink may legitimately shift which one fires first). budget caps the
 // total number of candidate runs. It returns the smallest violating cell
 // found and the number of runs spent; if c itself does not violate it is
