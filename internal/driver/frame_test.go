@@ -165,11 +165,12 @@ func TestEventApply(t *testing.T) {
 func FuzzApplyRound(f *testing.F) {
 	dir := filepath.Join("..", "..", "testdata", "wire")
 	paths, _ := filepath.Glob(filepath.Join(dir, "*.bin"))
+	retired, _ := filepath.Glob(filepath.Join(dir, "retired", "*.bin"))
 	corpus, _ := filepath.Glob(filepath.Join(dir, "corpus", "*.bin"))
-	if len(paths) == 0 || len(corpus) == 0 {
-		f.Fatalf("no golden frames or corpus under %s", dir)
+	if len(paths) == 0 || len(retired) == 0 || len(corpus) == 0 {
+		f.Fatalf("no golden frames, retired frames or corpus under %s", dir)
 	}
-	for _, path := range append(paths, corpus...) {
+	for _, path := range append(append(paths, retired...), corpus...) {
 		b, err := os.ReadFile(path)
 		if err != nil {
 			f.Fatal(err)

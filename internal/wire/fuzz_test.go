@@ -2,7 +2,8 @@ package wire
 
 // go test -fuzz=FuzzDecode ./internal/wire/ — the Makefile fuzz-wire target
 // runs it for 30s. The corpus is seeded from the committed golden frames
-// (testdata/wire/*.bin) plus systematic mutations of them; the invariants
+// (testdata/wire/*.bin) and the retired ones (testdata/wire/retired/*.bin)
+// plus systematic mutations of them; the invariants
 // are: Decode never panics, and every accepted frame is canonical
 // (Encode(Decode(b)) == b) with an exact Sizer (Size() == len(b)).
 
@@ -20,7 +21,22 @@ func FuzzDecode(f *testing.F) {
 	if err != nil || len(paths) == 0 {
 		f.Fatalf("no golden frames to seed the corpus (run TestGoldenFrames -update): %v", err)
 	}
-	for _, path := range paths {
+	// The frames of the retired leaf types (0x04, 0x06, 0x07) stay seeds, and
+	// Decode must reject them.
+	retired, err := filepath.Glob(filepath.Join(goldenDir, "retired", "*.bin"))
+	if err != nil || len(retired) == 0 {
+		f.Fatalf("no retired frames under %s/retired: %v", goldenDir, err)
+	}
+	for _, path := range retired {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if _, err := Decode(b); err == nil {
+			f.Fatalf("%s: Decode accepted a retired frame", path)
+		}
+	}
+	for _, path := range append(paths, retired...) {
 		b, err := os.ReadFile(path)
 		if err != nil {
 			f.Fatal(err)
