@@ -139,7 +139,7 @@ rolling-restart:
 	$(GO) run ./cmd/serve -cluster 4 -rolling -sessions 16 -tree spider:3:3
 	$(GO) run ./cmd/serve -cluster 4 -rolling -mode async -sessions 16
 
-# Chaos safety soak (~30s): the race-instrumented chaos/transport suites
+# Chaos safety soak (~15s): the race-instrumented chaos/transport suites
 # (reconnect-resend, crash-fault byte-identity, golden fault schedules),
 # then a real fault sweep — seeds × {quiet, latency, stall, drop, partition,
 # combined} link faults × adversaries, as check cells whose TCP run carries

@@ -77,7 +77,7 @@ func (c *ChaosStats) AddRoundLatency(d time.Duration) { c.roundLat.add(d) }
 // RoundLatency summarizes the recorded per-round durations (nanoseconds).
 func (c *ChaosStats) RoundLatency() Summary { return c.roundLat.summary() }
 
-// String renders the counters for logs and the cmd/chaos report.
+// String renders the counters for logs and cmd/node's chaos line.
 func (c *ChaosStats) String() string {
 	lat := c.RoundLatency()
 	return fmt.Sprintf("injected %d delays / %d stalls / %d drops / %d partition holds; "+
