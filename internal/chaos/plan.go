@@ -174,10 +174,14 @@ type linkArgs struct {
 	err error
 }
 
-func (a *linkArgs) fail(format string, args ...any) {
+func (a *linkArgs) keep(err error) {
 	if a.err == nil {
-		a.err = fmt.Errorf("chaos: clause %s: %s", a.cl, fmt.Sprintf(format, args...))
+		a.err = err
 	}
+}
+
+func (a *linkArgs) fail(format string, args ...any) {
+	a.keep(fmt.Errorf("chaos: clause %s: %s", a.cl, fmt.Sprintf(format, args...)))
 }
 
 // keys refuses a missing argument the clause needs and one it does not
@@ -197,17 +201,13 @@ func (a *linkArgs) keys(need []string, may ...string) {
 
 func (a *linkArgs) dur(key string, def time.Duration) time.Duration {
 	d, err := a.cl.Duration(key, def)
-	if err != nil && a.err == nil {
-		a.err = err
-	}
+	a.keep(err)
 	return d
 }
 
 func (a *linkArgs) int(key string) int {
 	v, err := a.cl.Int(key, 0)
-	if err != nil && a.err == nil {
-		a.err = err
-	}
+	a.keep(err)
 	return v
 }
 
@@ -230,9 +230,7 @@ func (a *linkArgs) inRange(id sim.PartyID) {
 // side is one side of a cut: a dot list of party ids.
 func (a *linkArgs) side(key string) []sim.PartyID {
 	ids, err := a.cl.IntList(key)
-	if err != nil && a.err == nil {
-		a.err = err
-	}
+	a.keep(err)
 	side := make([]sim.PartyID, len(ids))
 	for i, id := range ids {
 		side[i] = sim.PartyID(id)
@@ -246,9 +244,7 @@ func (a *linkArgs) rounds() (from, to int) {
 	w, err := a.cl.IntList("rounds")
 	switch {
 	case err != nil:
-		if a.err == nil {
-			a.err = err
-		}
+		a.keep(err)
 	case w == nil:
 	case len(w) > 2 || w[0] < 1 || w[len(w)-1] < w[0]:
 		a.fail("rounds=%s: want A or A.B with 1 ≤ A ≤ B", a.cl.Args["rounds"])
