@@ -68,7 +68,7 @@ race-sim:
 # one read-only vote vector per lane.
 race-cpu:
 	$(GO) test -count=1 -cpu 1,2,4 -run 'Async|Serve' ./internal/session ./internal/transport
-	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Restart|CrashPoints|Recover|ObserverMirrors' ./internal/session ./internal/chaos ./internal/transport
+	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Restart|CrashPoints|Recover|ObserverMirrors' ./internal/session ./internal/transport
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Drainer|Timekeeper|Background|TryWrite|SlowPeer|SessionRound|FinalRound|SpaceCache|MuxTracks|MeshTracks|GenerationFence|OneConnectionPerPair|AsyncWriteFailure|DiscardKeeps|DropAfterDiscard|ClientRequestBounded|RoundFrame|Framer|EventApply|FuzzApplyRound|Omission' \
 		./internal/session ./internal/transport ./internal/driver ./internal/wire
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'SequentialConcurrent' ./internal/core
@@ -140,19 +140,23 @@ rolling-restart:
 	$(GO) run ./cmd/serve -cluster 4 -rolling -mode async -sessions 16
 
 # Chaos safety soak (~15s): the race-instrumented chaos/transport suites
-# (reconnect-resend, crash-fault byte-identity, golden fault schedules),
-# then a real fault sweep — seeds × {quiet, latency, stall, drop, partition,
-# combined} link faults × adversaries, as check cells whose TCP run carries
-# the link clauses, on a path and a block graph, every cell checked for
-# honest-hull validity, 1-agreement, and byte-identity with the sequential
-# sim.Run oracle — and a multi-process fleet where a crashed party (stop)
-# sits beside the adversary host under link faults. Exits non-zero on any
-# violation.
+# (the plan, the injector and its golden fault schedules, the async cells
+# under the injector; reconnect-resend, crash-fault byte-identity), the
+# harnesses that run the injector elsewhere (check's TCP differential under
+# link faults, the serving soak under delay faults) and the overlay's
+# crashed sub-leader, then a real fault sweep — seeds × {quiet, latency,
+# stall, drop, partition, combined} link faults × adversaries, as check
+# cells whose TCP run carries the link clauses, on a path and a block graph,
+# every cell checked for honest-hull validity, 1-agreement, and
+# byte-identity with the sequential sim.Run oracle — and a multi-process
+# fleet where a crashed party (stop) sits beside the adversary host under
+# link faults. Exits non-zero on any violation.
 CHAOS_PLANS = none 'lat(base=1ms,jitter=1ms)' 'stall(from=1,rounds=2.3,dur=5ms)' \
 	'drop(from=0,to=2,round=2)' 'part(a=0.1,b=2.3,rounds=2,heal=40ms)' \
 	'lat(base=500us,jitter=500us)+drop(from=2,round=3)'
 chaos-soak:
 	$(GO) test -race -count=1 ./internal/chaos/... ./internal/transport/...
+	$(GO) test -race -count=1 -run 'LinkFaults|SoakUnderChaos|OverlayInteriorCrash' ./internal/check/ ./internal/session/ ./internal/overlay/
 	@cells=; for at in path:16/1 path:16/2 graph:cliquechain:3:4/1; do \
 		for adv in none splitvote; do for plan in $(CHAOS_PLANS); do \
 			cells="$$cells|s=$${at##*/};tree=$${at%/*};n=4;t=1;in=spread;adv=$$adv+$$plan"; \
@@ -164,17 +168,17 @@ chaos-soak:
 # Asynchronous-mode soak: every async suite under the race detector — RBC
 # threshold boundaries, pipeline invariants, the event-driven transport
 # driver, the serving layer's async engines, the checker's async cells, and
-# the chaos latency battery whose headline cell (200ms±150ms of latency on
-# one party's links) aborts the synchronous round barrier but decides
-# asynchronously with validity + 1-agreement — then a multi-process cmd/node
-# async fleet under a real latency plan, plus async serving smokes, each on
-# a tree and on a block graph, and one with the journal on — and a fleet whose
-# dropped connection the count-exchange resume repairs underneath the event
-# loop.
+# the chaos package's async cells (AsyncLocalCluster under the injector),
+# whose headline cell (200ms±150ms of latency on one party's links) aborts
+# the synchronous round barrier but decides asynchronously with validity +
+# 1-agreement — then a multi-process cmd/node async fleet under a real
+# latency plan, plus async serving smokes, each on a tree and on a block
+# graph, and one with the journal on — and a fleet whose dropped connection
+# the count-exchange resume repairs underneath the event loop.
 # Exits non-zero on any validity/epsilon-agreement violation.
 async-soak:
 	$(GO) test -race -count=1 -run Async ./internal/async/... ./internal/chaos/... \
-		./internal/session/... ./internal/transport/... ./internal/check/ ./internal/wire/
+		./internal/session/... ./internal/transport/... ./internal/check/
 	$(GO) run ./cmd/node -cluster 4 -tree star:6 -mode async -adversary 'lat(base=20ms,jitter=15ms,from=2)'
 	$(GO) run ./cmd/node -cluster 4 -tree path:16 -mode async -adversary 'drop(from=0,to=2,round=2)'
 	$(GO) run ./cmd/node -cluster 4 -t 1 -tree graph:cliquechain:3:4 -mode async

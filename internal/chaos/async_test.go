@@ -7,46 +7,65 @@ import (
 	"treeaa/internal/async"
 	"treeaa/internal/cli"
 	"treeaa/internal/driver"
+	"treeaa/internal/metrics"
 	"treeaa/internal/sim"
 	"treeaa/internal/transport"
 	"treeaa/internal/tree"
 )
 
-func asyncSpec(tr, adversary string) AsyncRunSpec {
-	return AsyncRunSpec{
-		Tree: tr, N: 4, T: 1, Seed: 1, Adversary: adversary,
-		SetupTimeout: 10 * time.Second, IdleTimeout: 20 * time.Second,
-	}
-}
-
-func mustPassAsync(t *testing.T, rep *AsyncReport) {
+// runAsync runs one honest async cell — n = 4, t = 1, seed 1, spread
+// inputs — over loopback TCP with the adversary spec's link clauses
+// injected under every link, and judges the decided vertices for validity
+// and 1-agreement. idle bounds the silence between arrivals at any seat (it
+// rides transport.Options.RoundTimeout): a liveness watchdog for wedged
+// runs, never a per-round barrier.
+func runAsync(t *testing.T, space, adv string, idle time.Duration) (*transport.AsyncResult, *metrics.ChaosStats) {
 	t.Helper()
-	if !rep.Passed() {
-		t.Fatalf("async cell failed: valid=%v maxDist=%d err=%q", rep.Valid, rep.MaxDist, rep.Err)
-	}
-}
-
-func TestAsyncSoakQuiet(t *testing.T) {
-	rep, err := RunAsync(asyncSpec("path:16", "none"))
+	const n, tc, seed = 4, 1, 1
+	sp, err := cli.ParseSpaceSpec(space, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustPassAsync(t, rep)
-	if rep.Delays+rep.Stalls+rep.Partitions != 0 {
-		t.Errorf("empty plan injected faults: %+v", rep)
+	inputs := sp.SpreadInputs(n)
+	machines := make([]driver.EventMachine, n)
+	for i := range machines {
+		if machines[i], _, err = sp.NewAsyncMachine(n, tc, sim.PartyID(i), inputs[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if rep.Deliveries == 0 || rep.Messages == 0 || rep.Bytes == 0 {
-		t.Errorf("no traffic recorded: %+v", rep)
+	stats := &metrics.ChaosStats{}
+	res, err := transport.AsyncLocalCluster(n, machines, NewInjector(mustPlan(adv, n), seed, stats).Apply(transport.Options{
+		SetupTimeout: 10 * time.Second, RoundTimeout: idle,
+	}))
+	if err != nil {
+		t.Fatalf("%s under %s: %v", space, adv, err)
+	}
+	outputs := make(map[sim.PartyID]tree.VertexID, n)
+	for p, out := range res.Outputs {
+		v, ok := out.(tree.VertexID)
+		if !ok {
+			t.Fatalf("%s under %s: party %d output %T, want tree.VertexID", space, adv, p, out)
+		}
+		outputs[p] = v
+	}
+	if maxDist, validity, _ := sp.Judge(inputs, nil, outputs); len(validity) > 0 || maxDist > 1 {
+		t.Fatalf("%s under %s: validity %v, max distance %d", space, adv, validity, maxDist)
+	}
+	return res, stats
+}
+
+func TestAsyncSoakQuiet(t *testing.T) {
+	res, stats := runAsync(t, "path:16", "none", 20*time.Second)
+	if stats.Delays.Load()+stats.Stalls.Load()+stats.Partitions.Load() != 0 {
+		t.Errorf("empty plan injected faults: %+v", stats)
+	}
+	if res.Deliveries == 0 || res.Messages == 0 || res.Bytes == 0 {
+		t.Errorf("no traffic recorded: %+v", res)
 	}
 }
 
 func TestAsyncSoakSmallLatency(t *testing.T) {
-	rep, err := RunAsync(asyncSpec("star:6", "lat(base=300us,jitter=300us)"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustPassAsync(t, rep)
-	if rep.Delays == 0 {
+	if _, stats := runAsync(t, "star:6", "lat(base=300us,jitter=300us)", 20*time.Second); stats.Delays.Load() == 0 {
 		t.Error("latency plan delayed nothing")
 	}
 }
@@ -61,13 +80,9 @@ func TestAsyncSoakSmallLatency(t *testing.T) {
 func TestAsyncSoakDrop(t *testing.T) {
 	for _, space := range []string{"path:16", "graph:cliquechain:3:4"} {
 		for _, plan := range []string{"drop(from=0,to=2,round=1)", "drop(from=0,to=2,round=2)", "drop(from=2,round=3)"} {
-			rep, err := RunAsync(asyncSpec(space, plan))
-			if err != nil {
-				t.Fatal(err)
-			}
-			mustPassAsync(t, rep)
-			if rep.Drops < 1 || rep.Reconnects < 1 {
-				t.Errorf("%s under %s: %d drops, %d reconnects, want ≥ 1 of each", space, plan, rep.Drops, rep.Reconnects)
+			_, stats := runAsync(t, space, plan, 20*time.Second)
+			if stats.Drops.Load() < 1 || stats.Reconnects.Load() < 1 {
+				t.Errorf("%s under %s: %d drops, %d reconnects, want ≥ 1 of each", space, plan, stats.Drops.Load(), stats.Reconnects.Load())
 			}
 		}
 	}
@@ -142,28 +157,30 @@ func TestAsyncDecidesWhereSyncTimesOut(t *testing.T) {
 	const plan = "lat(base=200ms,jitter=150ms,from=2)"
 	const shape = "star:3"
 
-	sync, err := Run(RunSpec{
-		Tree: shape, N: 4, T: 1, Seed: 1, Adversary: plan,
-		SetupTimeout: 10 * time.Second, RoundTimeout: 40 * time.Millisecond,
-	})
+	sp, err := cli.ParseSpaceSpec(shape, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sync.Err == "" {
-		t.Fatalf("sync run survived %s under a 40ms round budget: %+v", plan, sync)
+	const n, tc = 4, 1
+	inputs := sp.SpreadInputs(n)
+	machines := make([]sim.Machine, n)
+	for i := range machines {
+		if machines[i], _, err = sp.NewMachine(n, tc, sim.PartyID(i), inputs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, syncErr := transport.LocalCluster(sim.Config{N: n, MaxCorrupt: tc, MaxRounds: sp.Rounds() + 2}, machines,
+		NewInjector(mustPlan(plan, n), 1, nil).Apply(transport.Options{
+			SetupTimeout: 10 * time.Second, RoundTimeout: 40 * time.Millisecond,
+		}))
+	if syncErr == nil {
+		t.Fatalf("sync run survived %s under a 40ms round budget", plan)
 	}
 
-	as, err := RunAsync(AsyncRunSpec{
-		Tree: shape, N: 4, T: 1, Seed: 1, Adversary: plan,
-		SetupTimeout: 10 * time.Second, IdleTimeout: 30 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustPassAsync(t, as)
-	if as.Delays == 0 {
+	res, stats := runAsync(t, shape, plan, 30*time.Second)
+	if stats.Delays.Load() == 0 {
 		t.Error("latency plan delayed nothing in the async run")
 	}
-	t.Logf("sync aborted (%s); async decided: %d deliveries, %d delayed frames, maxDist %d",
-		sync.Err, as.Deliveries, as.Delays, as.MaxDist)
+	t.Logf("sync aborted (%v); async decided: %d deliveries, %d delayed frames",
+		syncErr, res.Deliveries, stats.Delays.Load())
 }

@@ -1,9 +1,11 @@
 // Package chaos is a seeded, fully deterministic fault-injection subsystem
 // for the TCP substrate: the plan of an adversary spec's link clauses (lat,
 // stall, drop, part), a net.Conn injector that materializes it at the
-// transport's connection boundary, and soak harnesses that run
-// transport.LocalCluster, the async mesh and the serving layer under it and
-// assert the protocol's safety properties after every run.
+// transport's connection boundary, and a printer of the schedule a plan
+// materializes for one seed. The harnesses that run under the injector
+// live with the code they check: check.RunCell's TCP differential, the
+// async mesh cells in this package's tests, and the serving soak in
+// internal/session's.
 //
 // The injectable faults are deliberately limited to what a lock-step
 // synchronous protocol survives by specification: latency, stalls and

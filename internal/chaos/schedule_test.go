@@ -12,8 +12,10 @@ var update = flag.Bool("update", false, "rewrite golden files")
 const goldenSpec = "lat(base=2ms,jitter=1ms)+stall(from=1,rounds=2.3,dur=10ms)+drop(from=0,to=2,round=2)+part(a=0.1,b=2.3,rounds=4.5,heal=80ms)"
 
 // shippedPlans is every plan the repository runs or documents — the sweep
-// matrix, the Makefile's fleets, the README's examples and the soak, async,
-// serve and conn tests — each pinned at seed 42 for n parties (7, or 8 for
+// matrix, the Makefile's fleets, the README's examples and the tests that
+// run the injector (check's TCP cells, the async cells here, the serving
+// soak, the conn tests) — plus a few no test runs any more, kept so the
+// golden stays put; each is pinned at seed 42 for n parties (7, or 8 for
 // the one plan that names party 7).
 var shippedPlans = []struct {
 	spec string

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"treeaa/internal/chaos"
 	"treeaa/internal/cli"
 	"treeaa/internal/metrics"
 	"treeaa/internal/sim"
@@ -174,6 +175,49 @@ func TestManySessionsConcurrent(t *testing.T) {
 	}
 	if stats.RejectedCapacity.Load() != 0 {
 		t.Errorf("unexpected capacity rejections: %d", stats.RejectedCapacity.Load())
+	}
+}
+
+// TestServeSoakUnderChaos: 32 concurrent muxed sessions on a 4-daemon
+// cluster with latency, a stall and a partition injected under the shared
+// links by the chaos injector; every session must decide with a Result
+// DeepEqual to its sequential oracle. Only delay faults ride here: they keep
+// each link's FIFO order, which is all the mux assumes, while a dropped link
+// fails the sessions in flight on it by design.
+func TestServeSoakUnderChaos(t *testing.T) {
+	if testing.Short() {
+		t.Skip("soak")
+	}
+	const (
+		n        = 4
+		seed     = 7
+		sessions = 32
+		adv      = "lat(base=1ms,jitter=1ms)+stall(from=1,rounds=2.3,dur=10ms)+part(a=0.1,b=2.3,rounds=4.5,heal=20ms)"
+	)
+	plan, err := chaos.NewPlan(adv, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, space := range []string{"spider:3:3", "graph:cliquechain:3:4"} {
+		sp, err := cli.ParseSpaceSpec(space, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := NewWorkload(sp, seed, n, 0, 2*time.Minute, sessions, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats := &metrics.ChaosStats{}
+		c := startTestCluster(t, n, Options{MaxSessions: sessions + n, SetupTimeout: 10 * time.Second,
+			RoundTimeout: time.Minute, DefaultTTL: 2 * time.Minute,
+			WrapConn: chaos.NewInjector(plan, seed, stats).WrapConn})
+		decided, failures := w.Drive(func(i int) string { return c.ClientAddr(i % n) }, sessions, 10*time.Second)
+		if decided != sessions || len(failures) > 0 {
+			t.Fatalf("%s: decided %d/%d, failures %q", space, decided, sessions, failures)
+		}
+		if stats.Delays.Load() == 0 {
+			t.Errorf("%s: latency plan injected no delays — chaos not reaching the mux links", space)
+		}
 	}
 }
 
