@@ -68,7 +68,7 @@ race-sim:
 # one read-only vote vector per lane.
 race-cpu:
 	$(GO) test -count=1 -cpu 1,2,4 -run 'Async|Serve' ./internal/session ./internal/transport
-	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Restart|CrashPoints|Recover|ObserverMirrors' ./internal/session ./internal/transport
+	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Restart|CrashPoints|Recover|ObserverMirrors' ./internal/session ./internal/chaos ./internal/transport
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Drainer|Timekeeper|Background|TryWrite|SlowPeer|SessionRound|FinalRound|SpaceCache|MuxTracks|MeshTracks|GenerationFence|OneConnectionPerPair|AsyncWriteFailure|DiscardKeeps|DropAfterDiscard|ClientRequestBounded|RoundFrame|Framer|EventApply|FuzzApplyRound|Omission' \
 		./internal/session ./internal/transport ./internal/driver ./internal/wire
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'SequentialConcurrent' ./internal/core
@@ -140,17 +140,18 @@ rolling-restart:
 	$(GO) run ./cmd/serve -cluster 4 -rolling -mode async -sessions 16
 
 # Chaos safety soak (~15s): the race-instrumented chaos/transport suites
-# (the plan, the injector and its golden fault schedules, the async cells
-# under the injector; reconnect-resend, crash-fault byte-identity), the
-# harnesses that run the injector elsewhere (check's TCP differential under
-# link faults, the serving soak under delay faults) and the overlay's
-# crashed sub-leader, then a real fault sweep — seeds × {quiet, latency,
-# stall, drop, partition, combined} link faults × adversaries, as check
-# cells whose TCP run carries the link clauses, on a path and a block graph,
-# every cell checked for honest-hull validity, 1-agreement, and
-# byte-identity with the sequential sim.Run oracle — and a multi-process
-# fleet where a crashed party (stop) sits beside the adversary host under
-# link faults. Exits non-zero on any violation.
+# (the plan, the injector and its golden fault schedules, the sync soak
+# cells, the restart drills and the async cells under the injector;
+# reconnect-resend, crash-fault byte-identity), the harnesses that run the
+# injector elsewhere (check's TCP differential under link faults, the
+# serving soak under delay faults) and the overlay's crashed sub-leader,
+# then a real fault sweep — seeds × {quiet, latency, stall, drop,
+# partition, combined} link faults × adversaries, as check cells whose TCP
+# run carries the link clauses, on a path and a block graph, every cell
+# checked for honest-hull validity, 1-agreement, and byte-identity with the
+# sequential sim.Run oracle — and a multi-process fleet where a crashed
+# party (stop) sits beside the adversary host under link faults. Exits
+# non-zero on any violation.
 CHAOS_PLANS = none 'lat(base=1ms,jitter=1ms)' 'stall(from=1,rounds=2.3,dur=5ms)' \
 	'drop(from=0,to=2,round=2)' 'part(a=0.1,b=2.3,rounds=2,heal=40ms)' \
 	'lat(base=500us,jitter=500us)+drop(from=2,round=3)'

@@ -327,23 +327,25 @@ func (w *Writer) sync() error {
 	if err == nil && (len(batch) > 0 || len(tickets) > 0) {
 		err = datasync(w.f)
 	}
-	for _, t := range tickets {
-		close(t)
-	}
 	w.spare, w.spareEnd = batch[:0], ends[:0]
 	if err != nil {
 		w.stats.SyncErrors.Add(1)
 		w.mu.Lock()
 		err = w.setErrLocked(err)
 		w.mu.Unlock()
-		return err
+	} else {
+		if len(batch) > 0 || len(tickets) > 0 {
+			w.stats.Syncs.Add(1)
+			w.stats.LastSyncNS.Store(time.Since(start).Nanoseconds())
+		}
+		w.stats.Depth.Add(int64(-len(ends)))
 	}
-	if len(batch) > 0 || len(tickets) > 0 {
-		w.stats.Syncs.Add(1)
-		w.stats.LastSyncNS.Store(time.Since(start).Nanoseconds())
+	// Tickets close last: a holder that wakes on one finds the pass
+	// already in Stats and its verdict already in Err.
+	for _, t := range tickets {
+		close(t)
 	}
-	w.stats.Depth.Add(int64(-len(ends)))
-	return nil
+	return err
 }
 
 // writeBatch appends the batch to the current segment, rotating at record
