@@ -142,22 +142,21 @@ rolling-restart:
 # Chaos safety soak (~15s): the race-instrumented chaos/transport suites
 # (the plan, the injector and its golden fault schedules, the sync soak
 # cells, the restart drills and the async cells under the injector;
-# reconnect-resend, crash-fault byte-identity), the harnesses that run the
-# injector elsewhere (check's TCP differential under link faults, the
-# serving soak under delay faults) and the overlay's crashed sub-leader,
-# then a real fault sweep — seeds × {quiet, latency, stall, drop,
-# partition, combined} link faults × adversaries, as check cells whose TCP
-# run carries the link clauses, on a path and a block graph, every cell
-# checked for honest-hull validity, 1-agreement, and byte-identity with the
-# sequential sim.Run oracle — and a multi-process fleet where a crashed
-# party (stop) sits beside the adversary host under link faults. Exits
-# non-zero on any violation.
+# reconnect-resend, crash-fault byte-identity), the serving soak under
+# delay faults and the overlay's crashed sub-leader, then a real fault
+# sweep — seeds × {quiet, latency, stall, drop, partition, combined} link
+# faults × adversaries, as check cells whose TCP run carries the link
+# clauses, on a path and a block graph, every cell checked for honest-hull
+# validity, 1-agreement, and byte-identity with the sequential sim.Run
+# oracle — and a multi-process fleet where a crashed party (stop) sits
+# beside the adversary host under link faults. Exits non-zero on any
+# violation.
 CHAOS_PLANS = none 'lat(base=1ms,jitter=1ms)' 'stall(from=1,rounds=2.3,dur=5ms)' \
 	'drop(from=0,to=2,round=2)' 'part(a=0.1,b=2.3,rounds=2,heal=40ms)' \
 	'lat(base=500us,jitter=500us)+drop(from=2,round=3)'
 chaos-soak:
 	$(GO) test -race -count=1 ./internal/chaos/... ./internal/transport/...
-	$(GO) test -race -count=1 -run 'LinkFaults|SoakUnderChaos|OverlayInteriorCrash' ./internal/check/ ./internal/session/ ./internal/overlay/
+	$(GO) test -race -count=1 -run 'SoakUnderChaos|OverlayInteriorCrash' ./internal/session/ ./internal/overlay/
 	@cells=; for at in path:16/1 path:16/2 graph:cliquechain:3:4/1; do \
 		for adv in none splitvote; do for plan in $(CHAOS_PLANS); do \
 			cells="$$cells|s=$${at##*/};tree=$${at%/*};n=4;t=1;in=spread;adv=$$adv+$$plan"; \

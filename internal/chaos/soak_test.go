@@ -1,109 +1,92 @@
-package chaos
+package chaos_test
 
 import (
 	"testing"
-	"time"
+
+	"treeaa/internal/check"
 )
 
-func soakSpec(adversary string) RunSpec {
-	return RunSpec{
-		Tree: "path:16", N: 4, T: 1, Seed: 1, Adversary: adversary,
-		SetupTimeout: 10 * time.Second, RoundTimeout: 10 * time.Second,
-	}
-}
-
-func mustPass(t *testing.T, rep *Report) {
+// soakCell runs one sync soak cell through check.RunCell's TCP
+// differential: the cell's link clauses go under every loopback link and
+// the TCP Result must equal the sequential oracle's.
+func soakCell(t *testing.T, spec string) *check.CellResult {
 	t.Helper()
-	if !rep.Passed() {
-		t.Fatalf("soak cell failed: oracle=%v valid=%v maxDist=%d err=%q",
-			rep.OracleMatch, rep.Valid, rep.MaxDist, rep.Err)
-	}
-}
-
-func TestSoakNoChaos(t *testing.T) {
-	rep, err := Run(soakSpec("none"))
+	res, err := check.RunCell(check.MustParse(spec), check.Options{TCP: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustPass(t, rep)
-	if rep.Delays+rep.Stalls+rep.Drops+rep.Partitions != 0 {
-		t.Errorf("empty plan injected faults: %+v", rep)
+	if !res.TCPChecked {
+		t.Fatalf("%s: TCP differential did not run", spec)
 	}
-	if rep.Rounds == 0 || rep.P99 == 0 {
-		t.Errorf("rounds = %d, p99 = %v; want non-zero", rep.Rounds, rep.P99)
+	for _, v := range res.Violations {
+		t.Errorf("%s", v)
+	}
+	return res
+}
+
+// TestSoakNoChaos: a cell without link clauses injects nothing and still
+// equals the oracle. The p99 round latency a seat records under the
+// injector's stats is transport's TestClusterMatchesSimNoAdversary.
+func TestSoakNoChaos(t *testing.T) {
+	res := soakCell(t, "s=1;tree=path:16;n=4;t=1;in=spread")
+	if res.LinkFaults != 0 {
+		t.Errorf("cell without link clauses injected %d faults", res.LinkFaults)
+	}
+	if res.Rounds == 0 || res.Messages == 0 {
+		t.Errorf("rounds = %d, messages = %d; want non-zero", res.Rounds, res.Messages)
 	}
 }
 
 // TestSoakLatencyOracle: pure delay keeps the run byte-identical to the
 // sequential oracle, and the injected-fault counts are themselves
 // deterministic — every protocol frame is delayed exactly once, so two runs
-// of the same cell agree on the Delays counter.
+// of the same cell agree on the count.
 func TestSoakLatencyOracle(t *testing.T) {
-	spec := soakSpec("splitvote+lat(base=200us,jitter=200us)")
-	a, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
+	const spec = "s=1;tree=path:16;n=4;t=1;in=spread;adv=splitvote+lat(base=200us,jitter=200us)"
+	a := soakCell(t, spec)
+	if a.LinkFaults == 0 {
+		t.Error("latency clause delayed nothing")
 	}
-	mustPass(t, a)
-	if a.Delays == 0 {
-		t.Error("latency plan delayed nothing")
-	}
-	b, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustPass(t, b)
-	if a.Delays != b.Delays {
-		t.Errorf("Delays diverged across identical cells: %d vs %d", a.Delays, b.Delays)
+	if b := soakCell(t, spec); a.LinkFaults != b.LinkFaults {
+		t.Errorf("delays diverged across identical cells: %d vs %d", a.LinkFaults, b.LinkFaults)
 	}
 }
 
 // TestSoakDropCrash: a dropped connection beside a crashed party — the
 // adversary's stop clause, next to a Byzantine host — still yields the
 // oracle's Result: the transport resends the lost frames, and the stopped
-// party's silence is the engine's.
+// party's silence is the engine's. The drop is the cell's only link clause,
+// so it is the one fault counted. The reconnect and resend counters the
+// repair moves are transport's TestClusterReconnectResend.
 func TestSoakDropCrash(t *testing.T) {
 	for _, space := range []string{"path:16", "graph:cliquechain:3:4"} {
-		spec := soakSpec("splitvote+stop(rounds=2)+drop(from=0,to=2,round=2)")
-		spec.Tree, spec.N, spec.T = space, 7, 2
-		rep, err := Run(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustPass(t, rep)
-		if rep.Drops != 1 {
-			t.Errorf("%s: Drops = %d, want 1", space, rep.Drops)
-		}
-		if rep.Reconnects < 1 || rep.FramesResent == 0 {
-			t.Errorf("%s: Reconnects = %d, FramesResent = %d; want ≥ 1 and > 0", space, rep.Reconnects, rep.FramesResent)
+		res := soakCell(t, "s=1;tree="+space+";n=7;t=2;in=spread;adv=splitvote+stop(rounds=2)+drop(from=0,to=2,round=2)")
+		if res.LinkFaults != 1 {
+			t.Errorf("%s: %d link faults, want the 1 drop", space, res.LinkFaults)
 		}
 	}
 }
 
 func TestSoakPartition(t *testing.T) {
-	rep, err := Run(soakSpec("part(a=0.1,b=2.3,rounds=2,heal=40ms)"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustPass(t, rep)
-	if rep.Partitions == 0 {
-		t.Error("partition plan held nothing")
+	if res := soakCell(t, "s=1;tree=path:16;n=4;t=1;in=spread;adv=part(a=0.1,b=2.3,rounds=2,heal=40ms)"); res.LinkFaults == 0 {
+		t.Error("partition clause held nothing")
 	}
 }
 
+// TestSoakConfigErrors: a cell the adversary language cannot build is
+// refused before any cluster starts.
 func TestSoakConfigErrors(t *testing.T) {
-	bad := soakSpec("jam(dur=5ms)")
-	if _, err := Run(bad); err == nil {
-		t.Error("Run accepted an unknown clause")
-	}
-	outOfRange := soakSpec("drop(from=9,round=2)")
-	if _, err := Run(outOfRange); err == nil {
-		t.Error("Run accepted an out-of-range drop")
-	}
-	// A crashed party is the adversary's stop clause, which mixes with a
-	// Byzantine clause only for t ≥ 2.
-	mixed := soakSpec("splitvote+stop(rounds=2)")
-	if _, err := Run(mixed); err == nil {
-		t.Error("Run accepted stop beside splitvote at t = 1")
+	for spec, why := range map[string]string{
+		"s=1;tree=path:16;n=4;t=1;in=spread;adv=jam(dur=5ms)":             "an unknown clause",
+		"s=1;tree=path:16;n=4;t=1;in=spread;adv=drop(from=9,round=2)":     "an out-of-range drop",
+		"s=1;tree=path:16;n=4;t=1;in=spread;adv=splitvote+stop(rounds=2)": "stop beside splitvote at t = 1",
+	} {
+		c, err := check.Parse(spec)
+		if err == nil {
+			_, err = check.RunCell(c, check.Options{TCP: true})
+		}
+		if err == nil {
+			t.Errorf("RunCell accepted %s", why)
+		}
 	}
 }

@@ -64,17 +64,16 @@ func TestParseErrors(t *testing.T) {
 
 func TestCompileErrors(t *testing.T) {
 	for _, spec := range []string{
-		"s=1;tree=path:5;n=4;t=2;in=spread",                              // 3t >= n
-		"s=1;tree=nope:5;n=4;t=1;in=spread",                              // bad tree
-		"s=1;tree=path:5;n=4;t=1;in=0.1;adv=silent",                      // wrong input count
-		"s=1;tree=path:5;n=4;t=1;in=0.1.2.9;adv=silent",                  // vertex outside tree
-		"s=1;tree=path:5;n=4;t=0;in=spread;adv=silent",                   // clauses need t > 0
-		"s=1;tree=path:5;n=4;t=1;in=spread;adv=silent+omit",              // t too small to mix
-		"s=1;tree=path:5;n=4;t=1;in=spread;adv=splitvote+stop(rounds=2)", // stop beside a Byzantine clause at t = 1
-		"s=1;tree=path:5;n=4;t=1;in=spread;adv=bogus",                    // unknown clause
-		"s=1;tree=path:5;n=4;t=1;in=spread;adv=crash(rounds=1.2)",        // rounds/ids mismatch
-		"s=1;tree=path:5;n=4;t=0;in=spread;adv=drop(from=4,round=1)",     // link fault out of range
-		"s=1;tree=path:5;n=4;t=1;in=spread;adv=lat(jitter=1ms)",          // link fault without base
+		"s=1;tree=path:5;n=4;t=2;in=spread",                          // 3t >= n
+		"s=1;tree=nope:5;n=4;t=1;in=spread",                          // bad tree
+		"s=1;tree=path:5;n=4;t=1;in=0.1;adv=silent",                  // wrong input count
+		"s=1;tree=path:5;n=4;t=1;in=0.1.2.9;adv=silent",              // vertex outside tree
+		"s=1;tree=path:5;n=4;t=0;in=spread;adv=silent",               // clauses need t > 0
+		"s=1;tree=path:5;n=4;t=1;in=spread;adv=silent+omit",          // t too small to mix
+		"s=1;tree=path:5;n=4;t=1;in=spread;adv=bogus",                // unknown clause
+		"s=1;tree=path:5;n=4;t=1;in=spread;adv=crash(rounds=1.2)",    // rounds/ids mismatch
+		"s=1;tree=path:5;n=4;t=0;in=spread;adv=drop(from=4,round=1)", // link fault out of range
+		"s=1;tree=path:5;n=4;t=1;in=spread;adv=lat(jitter=1ms)",      // link fault without base
 	} {
 		c, err := Parse(spec)
 		if err != nil {
@@ -201,31 +200,19 @@ func TestTCPDifferential(t *testing.T) {
 
 // TestTCPRunsUnderLinkFaults: the TCP differential injects the cell's link
 // clauses under its links — a lat clause delays frames, a drop cuts one
-// connection the transport then repairs (beside a stopped party and a
-// Byzantine host, on a tree and a block graph), a partition holds the
-// frames crossing its cut — and the Result still equals the sequential
-// run's; a cell without link clauses injects nothing. The lat cell runs
-// twice: every frame is delayed exactly once, so both runs count the same
-// faults. The test fails if RunCell's TCP run leaves the link clauses out.
+// connection the transport then repairs — and the Result still equals the
+// sequential run's; a cell without link clauses injects nothing. The test
+// fails if RunCell's TCP run leaves the link clauses out.
 func TestTCPRunsUnderLinkFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tcp cluster in -short mode")
 	}
-	const latSpec = "s=1;tree=path:8;n=4;t=1;in=spread;adv=splitvote(per=1)+lat(base=100us,jitter=100us)"
-	faults := make(map[string]int64)
-	for _, tc := range []struct {
-		spec string
-		want int64
-	}{
-		{"s=1;tree=path:8;n=4;t=1;in=spread;adv=splitvote(per=1)", 0},
-		{latSpec, 50},
-		{latSpec, 50},
-		{"s=1;tree=path:8;n=4;t=0;in=spread;adv=drop(from=0,to=2,round=2)", 1},
-		{"s=1;tree=path:16;n=7;t=2;in=spread;adv=splitvote+stop(rounds=2)+drop(from=0,to=2,round=2)", 1},
-		{"s=1;tree=graph:cliquechain:3:4;n=7;t=2;in=spread;adv=splitvote+stop(rounds=2)+drop(from=0,to=2,round=2)", 1},
-		{"s=1;tree=path:16;n=4;t=1;in=spread;adv=part(a=0.1,b=2.3,rounds=2,heal=40ms)", 1},
+	for spec, want := range map[string]int64{
+		"s=1;tree=path:8;n=4;t=1;in=spread;adv=splitvote(per=1)":                                    0,
+		"s=1;tree=path:8;n=4;t=1;in=spread;adv=splitvote(per=1)+lat(base=100us,jitter=100us)":       50,
+		"s=1;tree=path:8;n=4;t=0;in=spread;adv=drop(from=0,to=2,round=2)":                           1,
+		"s=1;tree=path:16;n=7;t=2;in=spread;adv=splitvote+stop(rounds=2)+drop(from=0,to=2,round=2)": 1,
 	} {
-		spec, want := tc.spec, tc.want
 		res, err := RunCell(MustParse(spec), Options{TCP: true})
 		if err != nil {
 			t.Fatal(err)
@@ -239,10 +226,6 @@ func TestTCPRunsUnderLinkFaults(t *testing.T) {
 		if (want == 0) != (res.LinkFaults == 0) || res.LinkFaults < want {
 			t.Errorf("%s: %d link faults injected, want at least %d (and none without link clauses)", spec, res.LinkFaults, want)
 		}
-		if prev, ok := faults[spec]; ok && prev != res.LinkFaults {
-			t.Errorf("%s: %d link faults, then %d on the same cell", spec, prev, res.LinkFaults)
-		}
-		faults[spec] = res.LinkFaults
 	}
 }
 

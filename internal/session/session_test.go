@@ -198,26 +198,29 @@ func TestServeSoakUnderChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// One subtest a space, so each cluster stops when its space is done.
 	for _, space := range []string{"spider:3:3", "graph:cliquechain:3:4"} {
-		sp, err := cli.ParseSpaceSpec(space, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, err := NewWorkload(sp, seed, n, 0, 2*time.Minute, sessions, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stats := &metrics.ChaosStats{}
-		c := startTestCluster(t, n, Options{MaxSessions: sessions + n, SetupTimeout: 10 * time.Second,
-			RoundTimeout: time.Minute, DefaultTTL: 2 * time.Minute,
-			WrapConn: chaos.NewInjector(plan, seed, stats).WrapConn})
-		decided, failures := w.Drive(func(i int) string { return c.ClientAddr(i % n) }, sessions, 10*time.Second)
-		if decided != sessions || len(failures) > 0 {
-			t.Fatalf("%s: decided %d/%d, failures %q", space, decided, sessions, failures)
-		}
-		if stats.Delays.Load() == 0 {
-			t.Errorf("%s: latency plan injected no delays — chaos not reaching the mux links", space)
-		}
+		t.Run(space, func(t *testing.T) {
+			sp, err := cli.ParseSpaceSpec(space, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := NewWorkload(sp, seed, n, 0, 2*time.Minute, sessions, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stats := &metrics.ChaosStats{}
+			c := startTestCluster(t, n, Options{MaxSessions: sessions + n, SetupTimeout: 10 * time.Second,
+				RoundTimeout: time.Minute, DefaultTTL: 2 * time.Minute,
+				WrapConn: chaos.NewInjector(plan, seed, stats).WrapConn})
+			decided, failures := w.Drive(func(i int) string { return c.ClientAddr(i % n) }, sessions, 10*time.Second)
+			if decided != sessions || len(failures) > 0 {
+				t.Fatalf("decided %d/%d, failures %q", decided, sessions, failures)
+			}
+			if stats.Delays.Load() == 0 {
+				t.Error("latency plan injected no delays — chaos not reaching the mux links")
+			}
+		})
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"treeaa/internal/adversary"
 	"treeaa/internal/cli"
 	"treeaa/internal/core"
+	"treeaa/internal/metrics"
 	"treeaa/internal/sim"
 	"treeaa/internal/tree"
 	"treeaa/internal/wire"
@@ -249,7 +250,9 @@ func TestAdversaryViewSameOnBothFabrics(t *testing.T) {
 }
 
 // TestClusterMatchesSimNoAdversary covers the honest-only path (no mirrors,
-// no adversary host) on a non-path topology.
+// no adversary host) on a non-path topology, and the per-round latency each
+// seat records into Options.Chaos (the transport.round_ms figures the bench
+// reports).
 func TestClusterMatchesSimNoAdversary(t *testing.T) {
 	tr := tree.NewSpider(3, 5)
 	const n = 5
@@ -264,7 +267,8 @@ func TestClusterMatchesSimNoAdversary(t *testing.T) {
 
 	var tcpTrace sim.Trace
 	tcpCfg := sim.Config{N: n, MaxCorrupt: 1, MaxRounds: core.Rounds(tr, 1) + 2, Trace: &tcpTrace}
-	got, err := LocalCluster(tcpCfg, buildMachines(t, tr, n, 1, inputs), Options{})
+	stats := &metrics.ChaosStats{}
+	got, err := LocalCluster(tcpCfg, buildMachines(t, tr, n, 1, inputs), Options{Chaos: stats})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,6 +277,9 @@ func TestClusterMatchesSimNoAdversary(t *testing.T) {
 	}
 	if !reflect.DeepEqual(tcpTrace, simTrace) {
 		t.Errorf("traces diverge\n tcp: %+v\n sim: %+v", tcpTrace, simTrace)
+	}
+	if lat := stats.RoundLatency(); lat.N == 0 || lat.P99 == 0 {
+		t.Errorf("round latency: %d samples, p99 %v ns; want non-zero", lat.N, lat.P99)
 	}
 }
 
