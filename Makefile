@@ -18,10 +18,12 @@ test:
 	$(GO) test ./...
 
 # The headline number of every simplicity PR: non-test Go lines outside
-# bench/, then the same count per package directory.
+# bench/, then the _test.go lines beside them (code moved into a test is not
+# code removed), then the non-test count per package directory.
 LOC_FILES = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*'
 loc:
 	@printf '%7d total\n' "$$($(LOC_FILES) | xargs cat | wc -l)"
+	@printf '%7d _test.go total\n' "$$(find . -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
 	@$(LOC_FILES) -exec dirname {} \; | sort -u | while read d; do \
 		printf '%7d %s\n' "$$(find $$d -maxdepth 1 -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)" "$$d"; done
 
@@ -63,13 +65,13 @@ race-sim:
 # barrier's elision — with the round frame they carry (the driver's framer,
 # its Apply and the cross-fabric identity), the shared link's connection set
 # on both fabrics, its generation fence, one connection per pair and the
-# read-ordered link failure an async seat judges, the client request bound
-# and the space cache; and TreeAA machines stepped concurrently, which share
+# read-ordered link failure an async seat judges, and the client request
+# bound; and TreeAA machines stepped concurrently, which share
 # one read-only vote vector per lane.
 race-cpu:
 	$(GO) test -count=1 -cpu 1,2,4 -run 'Async|Serve' ./internal/session ./internal/transport
-	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Restart|CrashPoints|Recover|ObserverMirrors' ./internal/session ./internal/chaos ./internal/transport
-	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Drainer|Timekeeper|Background|TryWrite|SlowPeer|SessionRound|FinalRound|SpaceCache|MuxTracks|MeshTracks|GenerationFence|OneConnectionPerPair|AsyncWriteFailure|DiscardKeeps|DropAfterDiscard|ClientRequestBounded|RoundFrame|Framer|EventApply|FuzzApplyRound|Omission' \
+	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Restart|CrashPoints|Recover|ObserverMirrors' ./internal/session ./internal/transport
+	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Drainer|Timekeeper|Background|TryWrite|SlowPeer|SessionRound|FinalRound|MuxTracks|MeshTracks|GenerationFence|OneConnectionPerPair|AsyncWriteFailure|DiscardKeeps|DropAfterDiscard|ClientRequestBounded|RoundFrame|Framer|EventApply|FuzzApplyRound|Omission' \
 		./internal/session ./internal/transport ./internal/driver ./internal/wire
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'SequentialConcurrent' ./internal/core
 
@@ -141,9 +143,10 @@ rolling-restart:
 
 # Chaos safety soak (~15s): the race-instrumented chaos/transport suites
 # (the plan, the injector and its golden fault schedules, the sync soak
-# cells, the restart drills and the async cells under the injector;
-# reconnect-resend, crash-fault byte-identity), the serving soak under
-# delay faults and the overlay's crashed sub-leader, then a real fault
+# cells and the async cells under the injector; reconnect-resend,
+# crash-fault byte-identity), the serving soak under delay faults, the
+# session recovery drills on links under the injector's latency clause and
+# the overlay's crashed sub-leader, then a real fault
 # sweep — seeds × {quiet, latency, stall, drop, partition, combined} link
 # faults × adversaries, as check cells whose TCP run carries the link
 # clauses, on a path and a block graph, every cell checked for honest-hull
@@ -156,7 +159,7 @@ CHAOS_PLANS = none 'lat(base=1ms,jitter=1ms)' 'stall(from=1,rounds=2.3,dur=5ms)'
 	'lat(base=500us,jitter=500us)+drop(from=2,round=3)'
 chaos-soak:
 	$(GO) test -race -count=1 ./internal/chaos/... ./internal/transport/...
-	$(GO) test -race -count=1 -run 'SoakUnderChaos|OverlayInteriorCrash' ./internal/session/ ./internal/overlay/
+	$(GO) test -race -count=1 -run 'SoakUnderChaos|KillRestartDecided|GracefulRestart|OverlayInteriorCrash' ./internal/session/ ./internal/overlay/
 	@cells=; for at in path:16/1 path:16/2 graph:cliquechain:3:4/1; do \
 		for adv in none splitvote; do for plan in $(CHAOS_PLANS); do \
 			cells="$$cells|s=$${at##*/};tree=$${at%/*};n=4;t=1;in=spread;adv=$$adv+$$plan"; \

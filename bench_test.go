@@ -309,7 +309,7 @@ func BenchmarkKernelCells(b *testing.B) {
 // pays: `cli.ParseSpaceSpec` on the four `kernel-batch` specs, the
 // `serve-closed` hot spec and `serve-open`'s cold `random:64`. The
 // `/compiled` variant adds the first query, which compiles the protocol
-// tree's rooted tables (`session.spaces` keeps both out of a warm daemon).
+// tree's rooted tables (a daemon pays both for every session it serves).
 func BenchmarkParseSpaces(b *testing.B) {
 	for _, spec := range []string{
 		"path:1024", "random:4096", "path:2048", "graph:cliquechain:8:6", "spider:3:3", "random:64",

@@ -13,7 +13,7 @@ import (
 	"strconv"
 	"strings"
 
-	"treeaa/internal/core"
+	"treeaa/internal/pathaa"
 	"treeaa/internal/pathsfinder"
 	"treeaa/internal/tree"
 )
@@ -481,7 +481,7 @@ func (p *oraclePipeline) Deliver(m Message) []Message {
 	}
 	if !p.done && p.phase2 != nil {
 		if j, decided := p.phase2.Output(); decided {
-			p.out, _ = core.DecideVertex(p.path, j.(float64))
+			p.out, _ = pathaa.VertexAt(p.path, j.(float64))
 			p.done = true
 		}
 	}

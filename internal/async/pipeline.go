@@ -12,7 +12,7 @@ package async
 // paths are equal up to one trailing edge — exactly PathsFinder's Lemma 4
 // guarantee, carried by AA validity + epsilon-agreement alone. Phase 2 runs
 // AAMachine on the 1-based projected position of the input onto the party's
-// own path; core.DecideVertex decodes, with its shorter-path fallback
+// own path; pathaa.VertexAt decodes, with its shorter-path fallback
 // covering the trailing-edge case (the paper's Figure 5).
 //
 // Unlike the synchronous machine there is no global round at which phase 2
@@ -29,7 +29,7 @@ package async
 import (
 	"fmt"
 
-	"treeaa/internal/core"
+	"treeaa/internal/pathaa"
 	"treeaa/internal/pathsfinder"
 	"treeaa/internal/tree"
 	"treeaa/internal/wire"
@@ -171,7 +171,7 @@ func (p *Pipeline) Deliver(m Message) []Message {
 	}
 	if !p.done && p.phase2 != nil {
 		if j, decided := p.phase2.Output(); decided {
-			p.out, _ = core.DecideVertex(p.path, j.(float64))
+			p.out, _ = pathaa.VertexAt(p.path, j.(float64))
 			p.done = true
 		}
 	}

@@ -192,14 +192,11 @@ func (cr *compiled) checkPaths(honest []sim.PartyID, cores []*core.Machine) []Vi
 // phase.
 func realInstances(m *core.Machine) map[string]*realaa.Machine {
 	out := map[string]*realaa.Machine{}
-	if sc := m.ShortcutMachine(); sc != nil {
-		out[phaseShortcut] = sc.RealAA()
-	}
 	if pf := m.PathsFinderMachine(); pf != nil {
 		out[phasePathsFind] = pf.RealAA()
 	}
-	if proj := m.ProjectionMachine(); proj != nil {
-		out[phaseProjection] = proj
+	if known := m.PathAAMachine(); known != nil {
+		out[phasePathAA] = known.RealAA()
 	}
 	return out
 }
@@ -217,7 +214,7 @@ func (cr *compiled) checkHull(honest []sim.PartyID, cores []*core.Machine) []Vio
 	}
 	spec := cr.cell.String()
 	var out []Violation
-	for _, key := range []string{phaseShortcut, phasePathsFind, phaseProjection} {
+	for _, key := range []string{phasePathsFind, phasePathAA} {
 		var hists [][]float64
 		minLen := math.MaxInt
 		for _, p := range honest {

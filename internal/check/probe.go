@@ -10,9 +10,8 @@ import (
 // Phase keys for probe snapshots: one per RealAA instance a TreeAA machine
 // may run.
 const (
-	phaseShortcut   = "short" // Section 4 path shortcut
-	phasePathsFind  = "pf"    // PathsFinder's inner RealAA
-	phaseProjection = "proj"  // projection-phase RealAA
+	phasePathsFind = "pf"     // PathsFinder's inner RealAA
+	phasePathAA    = "pathaa" // the Section 5 phase's RealAA
 )
 
 // probeSets is one RealAA instance's detection state at the end of a round.
@@ -63,13 +62,12 @@ func (p *probeMachine) StepLane(r int, inbox []sim.Message, lane *sim.Lane) []si
 		}
 		rec.sets[key] = probeSets{suspected: m.Suspected(), ignored: m.Ignored()}
 	}
-	if sc := p.inner.ShortcutMachine(); sc != nil {
-		snapshot(phaseShortcut, sc.RealAA())
-	}
 	if pf := p.inner.PathsFinderMachine(); pf != nil {
 		snapshot(phasePathsFind, pf.RealAA())
 	}
-	snapshot(phaseProjection, p.inner.ProjectionMachine())
+	if known := p.inner.PathAAMachine(); known != nil {
+		snapshot(phasePathAA, known.RealAA())
+	}
 	p.recs = append(p.recs, rec)
 	return out
 }

@@ -9,13 +9,14 @@
 //     equal up to one trailing edge. It costs R_PathsFinder =
 //     R_RealAA(2|V(T)|, 1) rounds, and all parties wait until that round so
 //     the next phase starts simultaneously (line 4 of the paper's TreeAA).
-//  2. Each party projects its input onto its path (Section 5, Lemma 1) and
-//     joins a second RealAA(1) on the projected positions. The output is the
-//     vertex at position closestInt(j) on its own path, except that a party
-//     holding the shorter path that sees closestInt(j) > k outputs its last
-//     vertex v_k: Theorem 4 shows all honest outputs then land on
-//     {v_k*, v_k*+1}, preserving 1-Agreement and Validity even though that
-//     party cannot tell which neighbor extends the longer path (Figure 5).
+//  2. Each party runs the Section 5 known-path protocol (pathaa.Machine) on
+//     its own path: it projects its input onto the path (Lemma 1), joins a
+//     second RealAA(1) on the projected positions, and outputs the vertex at
+//     position closestInt(j), except that a party holding the shorter path
+//     that sees closestInt(j) > k outputs its last vertex v_k: Theorem 4
+//     shows all honest outputs then land on {v_k*, v_k*+1}, preserving
+//     1-Agreement and Validity even though that party cannot tell which
+//     neighbor extends the longer path (Figure 5).
 //
 // Theorem 4's round complexity: R_RealAA(2|V|, 1) + R_RealAA(D(T), 1) =
 // O(log|V(T)| / log log|V(T)|), which Section 3's adaptation of Fekete's
@@ -26,8 +27,8 @@
 // fault budget t <= 1 each RealAA phase ends in exact agreement after t+1
 // iterations (realaa.Iterations), so the schedule is 6(t+1) rounds on any
 // tree and all honest outputs are equal. Either schedule is a budget, not a
-// cost: the phase that produces the output (the projection phase, or the
-// path shortcut) decides early wherever a realaa.Config.Eps rule holds —
+// cost: the phase that produces the output (the Section 5 phase) decides
+// early wherever a realaa.Config.Eps rule holds —
 // in iteration 1 on unanimous value echoes at any t, at its ε-witness
 // for t >= 2 — and an execution stops in the round its last honest party
 // decides. An honest spider:3:3 run at n = 4, t = 1 thus stops in round 9
@@ -52,8 +53,8 @@ const (
 	TagPathsFinder = "treeaa/pf"
 	// TagProjection tags the projection phase RealAA(1).
 	TagProjection = "treeaa/proj"
-	// TagPathShortcut tags the single-phase Section 4 protocol used when
-	// the input space is itself a path (see Machine).
+	// TagPathShortcut tags the Section 5 phase when the input space is
+	// itself a path and it runs alone from round 1 (see Machine).
 	TagPathShortcut = "treeaa/path"
 )
 
@@ -66,7 +67,7 @@ type PhaseTag struct {
 }
 
 // PhaseTags returns the phases TreeAA actually runs on tr under fault
-// budget t, for adversary targeting: the Section 4 shortcut phase for path
+// budget t, for adversary targeting: the Section 5 phase alone for path
 // input spaces, or PathsFinder followed by the projection phase otherwise.
 // Trivial trees (D <= 1) have no phases.
 func PhaseTags(tr *tree.Tree, t int) []PhaseTag {
@@ -130,14 +131,14 @@ func ProjectionRounds(tr *tree.Tree, t int) int {
 // under fault budget t (see realaa.Iterations for how t enters: t+1
 // iterations per phase when t <= 1, the longer of Theorem 3's and DLPSW's
 // count otherwise); an execution may stop before it (realaa.Config.Eps). Path
-// input spaces use the Section 4 shortcut (a single RealAA(1) on positions);
-// all other trees pay both phases.
+// input spaces run only the Section 5 phase, on the whole path; all other
+// trees pay PathsFinder first.
 func Rounds(tr *tree.Tree, t int) int {
 	if trivial(tr) {
 		return 0
 	}
 	if tr.IsPath() {
-		return pathaa.Rounds(tr.NumVertices(), t)
+		return ProjectionRounds(tr, t)
 	}
 	return PathsFinderRounds(tr, t) + ProjectionRounds(tr, t)
 }
@@ -151,25 +152,17 @@ func trivial(t *tree.Tree) bool {
 
 // Machine is one party's TreeAA execution; its output is a tree.VertexID.
 //
-// When the input space is itself a path, the machine applies the paper's
-// Section 4 protocol directly (one RealAA(1) on canonical positions) —
-// PathsFinder would only rediscover the path everyone already knows, so
-// the shortcut halves the round budget without touching any guarantee.
+// When the input space is itself a path, the machine runs the Section 5
+// phase on the whole path from round 1 — PathsFinder would only rediscover
+// the path everyone already knows, so skipping it halves the round budget
+// without touching any guarantee.
 type Machine struct {
-	cfg Config
-
-	pf       *pathsfinder.Machine
-	pfRounds int
-
-	// shortcut is non-nil for path input spaces (Section 4 direct mode).
-	shortcut *pathaa.Machine
-
+	cfg  Config
+	pf   *pathsfinder.Machine
 	path []tree.VertexID // the path P obtained from PathsFinder
-	proj *realaa.Machine // projection-phase RealAA(1), created lazily
-
-	out      tree.VertexID
-	fellBack bool // decide() hit the closestInt(j) > k fallback (Figure 5)
-	done     bool
+	// known is the Section 5 phase: built at construction on a path space,
+	// at the PathsFinder hand-off otherwise; nil on a trivial tree.
+	known *pathaa.Machine
 }
 
 var _ sim.LaneReader = (*Machine)(nil)
@@ -179,33 +172,33 @@ func NewMachine(cfg Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Machine{cfg: cfg, pfRounds: PathsFinderRounds(cfg.Tree, cfg.T)}
+	m := &Machine{cfg: cfg}
 	if trivial(cfg.Tree) {
-		// Line 0, Section 2: output the input immediately.
-		m.out, m.done = cfg.Input, true
-		return m, nil
+		return m, nil // line 0, Section 2: Output is the input
 	}
+	var err error
 	if cfg.Tree.IsPath() {
-		sc, err := pathaa.NewSpanning(pathaa.Config{
-			Tree: cfg.Tree, N: cfg.N, T: cfg.T, ID: cfg.ID,
-			Input: cfg.Input, Tag: TagPathShortcut,
+		m.known, err = m.newKnownPath(nil, TagPathShortcut, 1)
+	} else {
+		m.pf, err = pathsfinder.NewMachine(pathsfinder.Config{
+			Tree: cfg.Tree, Root: cfg.Tree.Root(),
+			N: cfg.N, T: cfg.T, ID: cfg.ID,
+			Input: cfg.Input, Tag: TagPathsFinder,
 		})
-		if err != nil {
-			return nil, err
-		}
-		m.shortcut = sc
-		return m, nil
 	}
-	pf, err := pathsfinder.NewMachine(pathsfinder.Config{
-		Tree: cfg.Tree, Root: cfg.Tree.Root(),
-		N: cfg.N, T: cfg.T, ID: cfg.ID,
-		Input: cfg.Input, Tag: TagPathsFinder,
-	})
 	if err != nil {
 		return nil, err
 	}
-	m.pf = pf
 	return m, nil
+}
+
+// newKnownPath builds the Section 5 phase on path (nil: the whole path
+// space) with this party's input (the paper's line 5).
+func (m *Machine) newKnownPath(path []tree.VertexID, tag string, start int) (*pathaa.Machine, error) {
+	return pathaa.NewMachine(pathaa.Config{
+		Tree: m.cfg.Tree, Path: path, N: m.cfg.N, T: m.cfg.T, ID: m.cfg.ID,
+		Input: m.cfg.Input, Tag: tag, StartRound: start,
+	})
 }
 
 // Path returns the path obtained from PathsFinder (nil until round
@@ -221,15 +214,10 @@ func (m *Machine) Path() []tree.VertexID {
 // read-only.
 func (m *Machine) PathsFinderMachine() *pathsfinder.Machine { return m.pf }
 
-// ProjectionMachine exposes the projection-phase RealAA(1) (nil until
-// PathsFinder completes, and always nil in shortcut or trivial mode) for
-// invariant probes; treat it as read-only.
-func (m *Machine) ProjectionMachine() *realaa.Machine { return m.proj }
-
-// ShortcutMachine exposes the Section 4 path-shortcut sub-execution (non-nil
-// exactly when the input space is a nontrivial path) for invariant probes;
+// PathAAMachine exposes the Section 5 phase (nil on a trivial tree, and
+// until PathsFinder completes on a non-path tree) for invariant probes;
 // treat it as read-only.
-func (m *Machine) ShortcutMachine() *pathaa.Machine { return m.shortcut }
+func (m *Machine) PathAAMachine() *pathaa.Machine { return m.known }
 
 // Step implements sim.Machine. A machine that has decided keeps stepping
 // its RealAA phase to the schedule's end: an early decision
@@ -239,103 +227,41 @@ func (m *Machine) Step(r int, inbox []sim.Message) []sim.Message { return m.Step
 // StepLane implements sim.LaneReader: Step, with the lane forwarded to the
 // RealAA phases (both get it in the hand-off round; their tags differ).
 func (m *Machine) StepLane(r int, inbox []sim.Message, lane *sim.Lane) []sim.Message {
-	if m.shortcut != nil {
-		out := m.shortcut.StepLane(r, inbox, lane)
-		if v, ok := m.shortcut.Output(); ok && !m.done {
-			m.out, m.done = v.(tree.VertexID), true
-		}
-		return out
-	}
-	if m.pf == nil {
-		return nil // trivial tree: decided at construction
-	}
 	// Each phase's machine reuses its own outbox buffer, so its slice is
 	// returned as it is; only the hand-off round, in which both phases may
 	// speak, concatenates — into a capped copy that aliases neither buffer.
 	var out []sim.Message
-	if m.path == nil {
+	if m.pf != nil && m.known == nil {
 		out = m.pf.StepLane(r, inbox, lane)
 		if v, ok := m.pf.Output(); ok {
 			// PathsFinder guarantees this happens by the end of round
-			// pfRounds; the projection phase starts at pfRounds+1 at every
-			// honest party simultaneously (the paper's line 4 wait).
+			// R_PathsFinder; the Section 5 phase starts in the next round at
+			// every honest party simultaneously (the paper's line 4 wait).
+			// Construction cannot fail on a configuration Validate passed.
 			m.path = v.([]tree.VertexID)
-			proj, err := m.newProjection()
-			if err != nil {
-				// Construction can only fail on invalid configuration,
-				// which Validate has excluded; terminate defensively at the
-				// path end rather than panic in a library path.
-				m.out, m.done = m.path[len(m.path)-1], true
-				return out
-			}
-			m.proj = proj
+			m.known, _ = m.newKnownPath(m.path, TagProjection, PathsFinderRounds(m.cfg.Tree, m.cfg.T)+1)
 		}
 	}
-	if m.proj != nil {
-		projOut := m.proj.StepLane(r, inbox, lane)
-		if j, ok := m.proj.Output(); ok && !m.done {
-			m.decide(j.(float64))
-		}
-		if len(out) == 0 {
-			return projOut
-		}
-		out = append(out[:len(out):len(out)], projOut...)
+	if m.known == nil {
+		return out
 	}
-	return out
-}
-
-// newProjection builds the projection-phase RealAA(1) with this party's
-// projected position as input (the paper's line 5).
-func (m *Machine) newProjection() (*realaa.Machine, error) {
-	idx, _ := m.cfg.Tree.ProjectOntoPath(m.path, m.cfg.Input)
-	d, _, _ := m.cfg.Tree.Diameter()
-	return realaa.NewMachine(realaa.Config{
-		N: m.cfg.N, T: m.cfg.T, ID: m.cfg.ID, Tag: TagProjection,
-		Iterations: realaa.Iterations(m.cfg.T, float64(d), 1),
-		StartRound: m.pfRounds + 1,
-		Input:      float64(idx + 1), // 1-based position on the path
-		Eps:        1,
-	})
-}
-
-// DecideVertex applies the paper's line 6 to a RealAA output j on a path of
-// k vertices: output v_closestInt(j), falling back to the path's last vertex
-// when closestInt(j) > k — the party holds the shorter of the two honest
-// paths (Figure 5) and cannot tell which neighbor extends the longer one.
-// fellBack reports that case. Exported so tests can drive the fallback and
-// the defensive pos < 1 clamp directly with out-of-range positions.
-func DecideVertex(path []tree.VertexID, j float64) (out tree.VertexID, fellBack bool) {
-	k := len(path)
-	pos := realaa.ClosestInt(j)
-	switch {
-	case pos > k:
-		return path[k-1], true
-	case pos < 1:
-		// Remark 1 rules this out against <= t faults; defensive only.
-		return path[0], false
-	default:
-		return path[pos-1], false
+	knownOut := m.known.StepLane(r, inbox, lane)
+	if len(out) == 0 {
+		return knownOut
 	}
-}
-
-// decide applies DecideVertex to this party's own path and terminates.
-func (m *Machine) decide(j float64) {
-	m.out, m.fellBack = DecideVertex(m.path, j)
-	m.done = true
+	return append(out[:len(out):len(out)], knownOut...)
 }
 
 // Output implements sim.Machine; the value is a tree.VertexID.
 func (m *Machine) Output() (any, bool) {
-	if !m.done {
-		return nil, false
+	if m.known != nil {
+		return m.known.Output()
 	}
-	return m.out, true
+	if m.pf == nil {
+		return m.cfg.Input, true // trivial tree
+	}
+	return nil, false
 }
-
-// FellBack reports whether this party hit the paper's Figure 5 corner case:
-// it held the shorter path and saw closestInt(j) > k, outputting its path
-// end instead of guessing which neighbor extends the longer path.
-func (m *Machine) FellBack() bool { return m.fellBack }
 
 // Result carries the outcome of a convenience Run.
 type Result struct {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"treeaa/internal/adversary"
+	"treeaa/internal/pathaa"
 	"treeaa/internal/sim"
 	"treeaa/internal/tree"
 )
@@ -210,36 +211,27 @@ func TestFigure5ForkFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMachine(Config{Tree: tr, N: 4, T: 1, ID: 0, Input: tr.MustVertex("v3")})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Party holds the shorter path (v1..v6), k = 6.
 	var short []tree.VertexID
 	for _, l := range []string{"v1", "v2", "v3", "v4", "v5", "v6"} {
 		short = append(short, tr.MustVertex(l))
 	}
-	m.path = short
 
 	tests := []struct {
-		j    float64
-		want string
+		j        float64
+		want     string
+		fellBack bool
 	}{
-		{6.6, "v6"}, // closestInt = 7 > k: fall back to v_k, do NOT guess v7 vs x1
-		{7.4, "v6"}, // same
-		{6.4, "v6"}, // closestInt = 6 <= k: normal output
-		{3.0, "v3"},
-		{1.2, "v1"},
+		{6.6, "v6", true},  // closestInt = 7 > k: fall back to v_k, do NOT guess v7 vs x1
+		{7.4, "v6", true},  // same
+		{6.4, "v6", false}, // closestInt = 6 <= k: normal output
+		{3.0, "v3", false},
+		{1.2, "v1", false},
 	}
 	for _, tc := range tests {
-		m.done = false
-		m.decide(tc.j)
-		v, ok := m.Output()
-		if !ok {
-			t.Fatalf("decide(%v): not done", tc.j)
-		}
-		if got := tr.Label(v.(tree.VertexID)); got != tc.want {
-			t.Errorf("decide(%v) = %s, want %s", tc.j, got, tc.want)
+		v, fellBack := pathaa.VertexAt(short, tc.j)
+		if got := tr.Label(v); got != tc.want || fellBack != tc.fellBack {
+			t.Errorf("VertexAt(short, %v) = (%s, %v), want (%s, %v)", tc.j, got, fellBack, tc.want, tc.fellBack)
 		}
 	}
 }
@@ -368,14 +360,20 @@ func TestRoundsBudgets(t *testing.T) {
 			t.Errorf("t=%d: Rounds = %d, want sum of phases", tc, got)
 		}
 	}
-	// Path input spaces use the Section 4 shortcut: cheaper than the
-	// two-phase budget.
+	// Path input spaces run the Section 5 phase alone: cheaper than the
+	// two-phase budget, and 3(t+1) rounds on a 100-vertex path at t <= 1.
 	p := tree.NewPath(100)
+	if Rounds(p, 0) != 3 || Rounds(p, 1) != 6 {
+		t.Errorf("path:100: Rounds = %d, %d at t = 0, 1; want 3, 6", Rounds(p, 0), Rounds(p, 1))
+	}
+	if Rounds(p, 2) <= 6 {
+		t.Errorf("path:100: Rounds = %d at t = 2, want the Theorem 3 schedule (> 6)", Rounds(p, 2))
+	}
 	for _, tc := range []int{0, 1, 2} {
 		if got := Rounds(p, tc); got >= PathsFinderRounds(p, tc)+ProjectionRounds(p, tc) {
 			t.Errorf("t=%d: path shortcut not applied: %d rounds", tc, got)
 		}
-		if Rounds(tree.NewPath(2), tc) != 0 {
+		if Rounds(tree.NewPath(1), tc) != 0 || Rounds(tree.NewPath(2), tc) != 0 {
 			t.Errorf("t=%d: trivial tree should need 0 rounds", tc)
 		}
 		if got := len(PhaseTags(p, tc)); got != 1 {
@@ -512,7 +510,8 @@ func TestFigure5FallbackIsDefensiveInDepth(t *testing.T) {
 					t.Fatalf("seed %d: honest paths differ at position %d", seed, k)
 				}
 			}
-			if typed[i].FellBack() {
+			j, _ := typed[i].PathAAMachine().RealAA().Output()
+			if _, fellBack := pathaa.VertexAt(p, j.(float64)); fellBack {
 				t.Fatalf("seed %d: fallback fired despite identical paths", seed)
 			}
 		}

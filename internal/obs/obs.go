@@ -5,7 +5,7 @@
 // the session manager emits.
 //
 // The exporter reads the same atomic counters the hot path writes
-// (metrics.ServeStats, journal.Stats, metrics.ChaosStats), so scraping
+// (metrics.ServeStats, journal.Stats), so scraping
 // costs a handful of atomic loads and no locks beyond the latency samples.
 package obs
 
@@ -34,9 +34,6 @@ type Options struct {
 	// Journal is the write-ahead journal's counters (nil when durability is
 	// off — the journal families are then absent, not zero).
 	Journal *journal.Stats
-	// Chaos, when the process runs under fault injection, exports the
-	// injected-fault counters alongside the serving ones.
-	Chaos *metrics.ChaosStats
 	// Ready is the /healthz probe: nil error = 200 ok. A nil func reports
 	// ready unconditionally.
 	Ready func() error
@@ -92,13 +89,6 @@ func (o Options) collect() []sample {
 		add("treeaa_journal_last_sync_seconds", "Duration of the most recent fsync batch.", "gauge", float64(j.LastSyncNS.Load())/1e9)
 		add("treeaa_journal_replayed_records", "Records replayed at the last recovery.", "gauge", float64(j.Replayed.Load()))
 		add("treeaa_journal_replay_skips", "Torn-tail records dropped at the last recovery.", "gauge", float64(j.ReplaySkips.Load()))
-	}
-	if c := o.Chaos; c != nil {
-		add("treeaa_chaos_faults_total", "Injected faults by kind.", "counter", float64(c.Delays.Load()), `kind="delay"`)
-		add("treeaa_chaos_faults_total", "", "", float64(c.Stalls.Load()), `kind="stall"`)
-		add("treeaa_chaos_faults_total", "", "", float64(c.Drops.Load()), `kind="drop"`)
-		add("treeaa_chaos_faults_total", "", "", float64(c.Partitions.Load()), `kind="partition"`)
-		add("treeaa_chaos_reconnects_total", "Link generations after a party's first, each resumed by a count exchange.", "counter", float64(c.Reconnects.Load()))
 	}
 	return out
 }

@@ -30,10 +30,8 @@ func TestMetricsExposition(t *testing.T) {
 	jstats := &journal.Stats{}
 	jstats.Appends.Add(42)
 	jstats.Depth.Add(4)
-	chaos := &metrics.ChaosStats{}
-	chaos.Delays.Add(9)
 
-	h := Handler(Options{DaemonID: 3, Serve: serve, Journal: jstats, Chaos: chaos})
+	h := Handler(Options{DaemonID: 3, Serve: serve, Journal: jstats})
 	code, body := scrape(t, h, "/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("/metrics: %d", code)
@@ -45,7 +43,6 @@ func TestMetricsExposition(t *testing.T) {
 		`treeaa_sessions_restored_total{daemon="3",kind="sealed"} 3`,
 		`treeaa_journal_appends_total{daemon="3"} 42`,
 		`treeaa_journal_depth{daemon="3"} 4`,
-		`treeaa_chaos_faults_total{daemon="3",kind="delay"} 9`,
 		`treeaa_session_latency_seconds{daemon="3",quantile="0.5"} 0.01`,
 		"# TYPE treeaa_sessions_decided_total counter",
 		"# HELP treeaa_journal_depth Records appended but not yet durable.",
@@ -65,9 +62,6 @@ func TestMetricsOmitsUnwiredFamilies(t *testing.T) {
 	_, body := scrape(t, h, "/metrics")
 	if strings.Contains(body, "treeaa_journal_") {
 		t.Error("journal family exported without a journal")
-	}
-	if strings.Contains(body, "treeaa_chaos_") {
-		t.Error("chaos family exported without chaos stats")
 	}
 }
 

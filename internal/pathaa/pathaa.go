@@ -1,16 +1,21 @@
-// Package pathaa implements the paper's warm-up protocols.
+// Package pathaa implements the paper's known-path protocol, the one
+// Section 5 step every TreeAA execution ends in.
 //
 // Section 4: AA when the input space is a labeled path P — each party maps
 // its input vertex v_i to its position i, joins RealAA(1) with input i, and
 // outputs v_closestInt(j). Remark 1 makes the output valid, Remark 2 makes
 // the outputs 1-close.
 //
-// Section 5: AA on a tree T when all parties know a path P intersecting the
-// honest inputs' convex hull — each party first projects its input onto P
-// (Lemma 1 keeps projections in the hull) and then proceeds as on a path.
+// Section 5: AA on a tree T when every party holds a path P intersecting
+// the honest inputs' convex hull — each party first projects its input onto
+// P (Lemma 1 keeps projections in the hull) and then proceeds as on a path.
+// TreeAA's projection phase is this protocol on PathsFinder's output, where
+// the honest paths agree up to one trailing edge: a party holding the
+// shorter one that sees closestInt(j) > k outputs its last vertex v_k
+// (Theorem 4, Figure 5).
 //
-// Both are thin, deterministic reductions to realaa.Machine; the only
-// protocol state beyond RealAA is the public vertex numbering of P.
+// Machine is a thin, deterministic reduction to realaa.Machine; the only
+// protocol state beyond RealAA is the party's path.
 package pathaa
 
 import (
@@ -25,8 +30,9 @@ import (
 type Config struct {
 	// Tree is the input space (known to all parties).
 	Tree *tree.Tree
-	// Path is the commonly known path, as a vertex sequence. For the pure
-	// path protocol of Section 4 it spans the whole input space.
+	// Path is the party's path, as a vertex sequence, used as given: it is
+	// neither validated nor copied. Nil means Tree.CanonicalDiameterPath(),
+	// the whole input space numbered per Section 4 when Tree is a path.
 	Path []tree.VertexID
 	// N, T, ID are the party parameters (T < N/3).
 	N, T int
@@ -43,7 +49,7 @@ type Config struct {
 // Machine runs the Section 5 protocol (which subsumes Section 4 when Path
 // spans the whole tree). Its output is a tree.VertexID on Path.
 type Machine struct {
-	cfg  Config
+	path []tree.VertexID
 	real *realaa.Machine
 	out  tree.VertexID
 	done bool
@@ -51,62 +57,18 @@ type Machine struct {
 
 var _ sim.LaneReader = (*Machine)(nil)
 
-// Rounds returns the fixed communication-round budget of the protocol for a
-// path of k vertices under fault budget t: RealAA(1) on inputs within [1, k].
-func Rounds(k, t int) int { return realaa.Rounds(t, float64(k-1), 1) }
-
-// CanonicalOrient returns the path oriented per the paper's Section 4
-// convention: v_1 is the endpoint with the lexicographically lower label.
-// Parties that derive the same path independently (rather than receiving it
-// as shared input) must orient it this way so that their position numbering
-// agrees. The input slice is not modified.
-func CanonicalOrient(t *tree.Tree, p []tree.VertexID) []tree.VertexID {
-	out := make([]tree.VertexID, len(p))
-	copy(out, p)
-	if len(out) > 1 && t.Label(out[0]) > t.Label(out[len(out)-1]) {
-		for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-			out[i], out[j] = out[j], out[i]
-		}
-	}
-	return out
-}
-
-// NewMachine validates cfg and builds the machine. The party's RealAA input
-// is the 1-based position of proj_P(Input) on Path.
+// NewMachine builds the machine. The party's RealAA input is the 1-based
+// position of proj_P(Input) on Path, and RealAA(1) runs on the public range
+// D(T), so parties whose paths differ by a trailing edge share one schedule.
 func NewMachine(cfg Config) (*Machine, error) {
 	if cfg.Tree == nil {
 		return nil, fmt.Errorf("pathaa: nil tree")
 	}
-	if err := cfg.Tree.ValidatePath(cfg.Path); err != nil {
-		return nil, fmt.Errorf("pathaa: invalid path: %w", err)
-	}
-	// Section 4's convention: all parties number positions from the
-	// lexicographically lower endpoint, so independently derived paths
-	// agree regardless of traversal direction.
-	cfg.Path = CanonicalOrient(cfg.Tree, cfg.Path)
-	return newMachine(cfg)
-}
-
-// NewSpanning builds the pure Section 4 machine for an input space that is
-// itself a path: cfg.Path is not consulted, the machine numbers positions
-// along Tree.CanonicalDiameterPath() — the Tree's own slice, shared
-// read-only by all n parties, so a machine costs nothing per vertex.
-func NewSpanning(cfg Config) (*Machine, error) {
-	if cfg.Tree == nil {
-		return nil, fmt.Errorf("pathaa: nil tree")
-	}
-	if !cfg.Tree.IsPath() {
-		return nil, fmt.Errorf("pathaa: input space is not a path")
-	}
-	cfg.Path = cfg.Tree.CanonicalDiameterPath()
-	return newMachine(cfg)
-}
-
-// newMachine builds the machine on a valid, canonically oriented cfg.Path,
-// which it keeps without copying.
-func newMachine(cfg Config) (*Machine, error) {
 	if !cfg.Tree.Valid(cfg.Input) {
 		return nil, fmt.Errorf("pathaa: invalid input vertex %d", int(cfg.Input))
+	}
+	if cfg.Path == nil {
+		cfg.Path = cfg.Tree.CanonicalDiameterPath()
 	}
 	if cfg.Tag == "" {
 		cfg.Tag = "pathaa"
@@ -115,9 +77,10 @@ func newMachine(cfg Config) (*Machine, error) {
 		cfg.StartRound = 1
 	}
 	idx, _ := cfg.Tree.ProjectOntoPath(cfg.Path, cfg.Input)
+	d, _, _ := cfg.Tree.Diameter()
 	real, err := realaa.NewMachine(realaa.Config{
 		N: cfg.N, T: cfg.T, ID: cfg.ID, Tag: cfg.Tag,
-		Iterations: realaa.Iterations(cfg.T, float64(len(cfg.Path)-1), 1),
+		Iterations: realaa.Iterations(cfg.T, float64(d), 1),
 		StartRound: cfg.StartRound,
 		Input:      float64(idx + 1), // paper's 1-based position
 		Eps:        1,
@@ -125,23 +88,25 @@ func newMachine(cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pathaa: %w", err)
 	}
-	return &Machine{cfg: cfg, real: real}, nil
+	return &Machine{path: cfg.Path, real: real}, nil
 }
 
-// VertexAt decodes a RealAA output j to the vertex v_closestInt(j) of the
-// (canonically oriented) path. Remark 1 keeps closestInt(j) within the
-// honest positions' range, which is within [1, len(path)]; the clamping to
-// the path ends is defensive only, and exported so that tests can exercise
-// the out-of-range decode directly.
-func VertexAt(path []tree.VertexID, j float64) tree.VertexID {
+// VertexAt applies the paper's line 6 to a RealAA output j on a path of k
+// vertices: it returns v_closestInt(j), falling back to the path's last
+// vertex when closestInt(j) > k — the party holds the shorter of the two
+// honest paths (Figure 5) and cannot tell which neighbor extends the longer
+// one. fellBack reports that case. Remark 1 rules out closestInt(j) < 1
+// against <= t faults; that clamp to v_1 is defensive only.
+func VertexAt(path []tree.VertexID, j float64) (v tree.VertexID, fellBack bool) {
 	pos := realaa.ClosestInt(j)
-	if pos < 1 {
-		pos = 1
+	switch {
+	case pos > len(path):
+		return path[len(path)-1], true
+	case pos < 1:
+		return path[0], false
+	default:
+		return path[pos-1], false
 	}
-	if pos > len(path) {
-		pos = len(path)
-	}
-	return path[pos-1]
 }
 
 // RealAA exposes the inner RealAA execution for invariant probes (history,
@@ -159,7 +124,7 @@ func (m *Machine) Step(r int, inbox []sim.Message) []sim.Message { return m.Step
 func (m *Machine) StepLane(r int, inbox []sim.Message, lane *sim.Lane) []sim.Message {
 	out := m.real.StepLane(r, inbox, lane)
 	if j, ok := m.real.Output(); ok && !m.done {
-		m.out = VertexAt(m.cfg.Path, j.(float64))
+		m.out, _ = VertexAt(m.path, j.(float64))
 		m.done = true
 	}
 	return out
@@ -190,7 +155,8 @@ func Run(t *tree.Tree, path []tree.VertexID, n, tc int, inputs []tree.VertexID, 
 		}
 		machines[i] = m
 	}
-	res, err := sim.Run(sim.Config{N: n, MaxCorrupt: tc, MaxRounds: Rounds(len(path), tc) + 2, Adversary: adv}, machines)
+	d, _, _ := t.Diameter()
+	res, err := sim.Run(sim.Config{N: n, MaxCorrupt: tc, MaxRounds: realaa.Rounds(tc, float64(d), 1) + 2, Adversary: adv}, machines)
 	if err != nil {
 		return nil, err
 	}

@@ -203,8 +203,6 @@ func TestNewMachineErrors(t *testing.T) {
 	}
 	bad := []func(c *Config){
 		func(c *Config) { c.Tree = nil },
-		func(c *Config) { c.Path = nil },
-		func(c *Config) { c.Path = []tree.VertexID{0, 2} }, // not adjacent
 		func(c *Config) { c.Input = 99 },
 		func(c *Config) { c.N = 0 },
 		func(c *Config) { c.T = 2 },
@@ -225,99 +223,34 @@ func TestRunInputMismatch(t *testing.T) {
 	}
 }
 
-func TestRoundsBudget(t *testing.T) {
-	for _, tc := range []int{0, 1, 2} {
-		if Rounds(1, tc) != 0 {
-			t.Errorf("Rounds(1, %d) = %d, want 0", tc, Rounds(1, tc))
-		}
-	}
-	if Rounds(100, 0) != 3 || Rounds(100, 1) != 6 {
-		t.Errorf("Rounds(100, t) = %d, %d at t = 0, 1; want 3, 6", Rounds(100, 0), Rounds(100, 1))
-	}
-	if Rounds(100, 2) <= 6 {
-		t.Errorf("Rounds(100, 2) = %d, want the Theorem 3 schedule (> 6)", Rounds(100, 2))
-	}
-}
-
-func TestCanonicalOrient(t *testing.T) {
-	tr := tree.NewPath(6)
-	p := tr.Path(tree.VertexID(5), tree.VertexID(0)) // v6 ... v1 (reversed)
-	oriented := CanonicalOrient(tr, p)
-	if tr.Label(oriented[0]) != "v1" || tr.Label(oriented[5]) != "v6" {
-		t.Errorf("oriented = %v", tr.Labels(oriented))
-	}
-	// Already canonical: unchanged.
-	again := CanonicalOrient(tr, oriented)
-	for i := range again {
-		if again[i] != oriented[i] {
-			t.Errorf("re-orientation changed the path")
-		}
-	}
-	// Input slice untouched.
-	if tr.Label(p[0]) != "v6" {
-		t.Error("CanonicalOrient mutated its input")
-	}
-	// Single vertex path.
-	if got := CanonicalOrient(tr, []tree.VertexID{3}); len(got) != 1 || got[0] != 3 {
-		t.Errorf("single-vertex orientation = %v", got)
-	}
-}
-
-// TestCanonicalOrientMakesIndependentPartiesAgree: two parties deriving the
-// same diameter path from opposite endpoints number positions identically
-// after orientation.
-func TestCanonicalOrientMakesIndependentPartiesAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	for trial := 0; trial < 20; trial++ {
-		tr := tree.RandomPruefer(3+rng.Intn(30), rng)
-		_, a, b := tr.Diameter()
-		p1 := CanonicalOrient(tr, tr.Path(a, b))
-		p2 := CanonicalOrient(tr, tr.Path(b, a))
-		if len(p1) != len(p2) {
-			t.Fatalf("trial %d: lengths differ", trial)
-		}
-		for i := range p1 {
-			if p1[i] != p2[i] {
-				t.Fatalf("trial %d: orientations disagree at %d", trial, i)
-			}
-		}
-	}
-}
-
-// TestNewSpanningMatchesNewMachine: on a path-shaped tree the shared
-// canonical diameter path is the path NewMachine derives from either
-// traversal of it — same numbering, same RealAA input — and the machine
-// holds the Tree's slice itself rather than a copy.
-func TestNewSpanningMatchesNewMachine(t *testing.T) {
+// TestNilPathIsCanonicalDiameterPath: a nil Path numbers positions along
+// the Tree's own canonical diameter path — the Tree's slice itself, shared
+// read-only by all n parties, so a machine costs nothing per vertex — and
+// any other path is held as given, not copied.
+func TestNilPathIsCanonicalDiameterPath(t *testing.T) {
 	for _, k := range []int{2, 5, 12, 33} { // "v10" < "v2": endpoint ids vary with k
 		tr := tree.NewPath(k)
 		for _, in := range []tree.VertexID{0, tree.VertexID(k / 2), tree.VertexID(k - 1)} {
 			cfg := Config{Tree: tr, N: 4, T: 1, ID: 1, Input: in}
-			got, err := NewSpanning(cfg)
+			got, err := NewMachine(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.Path = tr.DiameterPath()
+			cfg.Path = slices.Clone(tr.CanonicalDiameterPath())
 			want, err := NewMachine(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !slices.Equal(got.cfg.Path, want.cfg.Path) || got.real.Value() != want.real.Value() {
-				t.Errorf("k=%d input %d: spanning (%v, %v), explicit (%v, %v)", k, in,
-					got.cfg.Path, got.real.Value(), want.cfg.Path, want.real.Value())
+			if !slices.Equal(got.path, want.path) || got.real.Value() != want.real.Value() {
+				t.Errorf("k=%d input %d: nil path (%v, %v), explicit (%v, %v)", k, in,
+					got.path, got.real.Value(), want.path, want.real.Value())
 			}
-			if &got.cfg.Path[0] != &tr.CanonicalDiameterPath()[0] {
-				t.Errorf("k=%d: NewSpanning copied the path", k)
+			if &got.path[0] != &tr.CanonicalDiameterPath()[0] {
+				t.Errorf("k=%d: a nil Path copied the Tree's path", k)
+			}
+			if &want.path[0] != &cfg.Path[0] {
+				t.Errorf("k=%d: an explicit Path was copied", k)
 			}
 		}
-	}
-	if _, err := NewSpanning(Config{N: 4, T: 1}); err == nil {
-		t.Error("nil tree: want error")
-	}
-	if _, err := NewSpanning(Config{Tree: tree.NewSpider(3, 2), N: 4, T: 1}); err == nil {
-		t.Error("spider: want error, the input space is not a path")
-	}
-	if _, err := NewSpanning(Config{Tree: tree.NewPath(5), N: 4, T: 1, Input: 99}); err == nil {
-		t.Error("invalid input vertex: want error")
 	}
 }

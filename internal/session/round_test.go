@@ -3,8 +3,6 @@ package session
 import (
 	"encoding/binary"
 	"net"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -230,92 +228,6 @@ func TestSessionRoundPerPeerFrames(t *testing.T) {
 			if !reflect.DeepEqual(got, wantFrame) {
 				t.Errorf("round %d to peer %d:\n got %+v\nwant %+v", round, peer, got, wantFrame)
 			}
-		}
-	}
-}
-
-// resetSpaceCache empties the process's cache, so the next parse of any spec
-// is a fresh one.
-func resetSpaceCache() {
-	spaces.mu.Lock()
-	spaces.byID, spaces.next = nil, 0
-	spaces.mu.Unlock()
-}
-
-// TestSpaceCacheMatchesFreshParse: a session on a cached space computes
-// what it computes on a freshly parsed one, over tree and graph spaces; the
-// cache holds no more than its ring; and a spec that names a file is read
-// again for every session.
-func TestSpaceCacheMatchesFreshParse(t *testing.T) {
-	const n = 4
-	for _, spec := range []Spec{
-		{Tree: "spider:3:3", T: 1},
-		{Tree: "random:24", Seed: 11, T: 1},
-		{Tree: "graph:cliquechain:3:4", T: 1},
-		{Tree: "graph:cycle:9"},
-	} {
-		resetSpaceCache()
-		fresh, err := Oracle(n, spec)
-		if err != nil {
-			t.Fatalf("%s: %v", spec.Tree, err)
-		}
-		ps1, _ := parseSpec(spec, n, time.Minute)
-		cached, err := Oracle(n, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ps2, _ := parseSpec(spec, n, time.Minute)
-		if ps1.space != ps2.space {
-			t.Errorf("%s: two parses built two spaces", spec.Tree)
-		}
-		if !reflect.DeepEqual(fresh, cached) {
-			t.Errorf("%s: cached space diverges\n fresh %+v\ncached %+v", spec.Tree, fresh, cached)
-		}
-	}
-	if a, _ := parseSpec(Spec{Tree: "random:24", Seed: 1}, n, time.Minute); a.space != nil {
-		if b, _ := parseSpec(Spec{Tree: "random:24", Seed: 2}, n, time.Minute); a.space == b.space {
-			t.Error("two seeds of one spec share a space")
-		}
-	}
-
-	// A stream of never-repeating specs cannot grow it.
-	resetSpaceCache()
-	hot, _ := parseSpec(Spec{Tree: "spider:3:3"}, n, time.Minute)
-	for seed := int64(1); seed <= 3*spaceCacheSize; seed++ {
-		if _, err := parseSpec(Spec{Tree: "random:8", Seed: seed}, n, time.Minute); err != nil {
-			t.Fatal(err)
-		}
-	}
-	spaces.mu.Lock()
-	size := len(spaces.byID)
-	spaces.mu.Unlock()
-	if size != spaceCacheSize {
-		t.Errorf("cache holds %d spaces, want its ring of %d", size, spaceCacheSize)
-	}
-	if again, err := parseSpec(Spec{Tree: "spider:3:3"}, n, time.Minute); err != nil || again.space == hot.space {
-		t.Errorf("the evicted space was not parsed again (%v)", err)
-	}
-	if _, err := parseSpec(Spec{Tree: "nosuchshape:3"}, n, time.Minute); err == nil {
-		t.Error("a bad spec parsed")
-	}
-
-	// "@file" specs bypass the cache: the file edited between two sessions
-	// is the second session's space.
-	file := filepath.Join(t.TempDir(), "space.txt")
-	for _, prefix := range []string{"", "graph:"} {
-		var sizes []int
-		for _, edges := range []string{"a - b\nb - c\nc - d\n", "a - b\nb - c\nc - d\nd - e\ne - f\n"} {
-			if err := os.WriteFile(file, []byte(edges), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			ps, err := parseSpec(Spec{Tree: prefix + "@" + file}, n, time.Minute)
-			if err != nil {
-				t.Fatalf("%s@file: %v", prefix, err)
-			}
-			sizes = append(sizes, ps.space.NumVertices())
-		}
-		if !reflect.DeepEqual(sizes, []int{4, 6}) {
-			t.Errorf("%s@file parsed to %v vertices across the edit, want [4 6]", prefix, sizes)
 		}
 	}
 }

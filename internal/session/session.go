@@ -144,7 +144,7 @@ func parseSpec(spec Spec, n int, defaultTTL time.Duration) (parsedSpec, error) {
 	if spec.TTL < 0 {
 		return parsedSpec{}, fmt.Errorf("session: negative ttl %v", spec.TTL)
 	}
-	space, err := spaces.parse(spec.Tree, spec.Seed)
+	space, err := cli.ParseSpaceSpec(spec.Tree, spec.Seed)
 	if err != nil {
 		return parsedSpec{}, fmt.Errorf("session: space spec: %w", err)
 	}
