@@ -70,7 +70,7 @@ race-sim:
 # one read-only vote vector per lane.
 race-cpu:
 	$(GO) test -count=1 -cpu 1,2,4 -run 'Async|Serve' ./internal/session ./internal/transport
-	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Restart|CrashPoints|Recover|ObserverMirrors' ./internal/session ./internal/transport
+	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Restart|CrashPoints|Recover|ObserverMirrors' ./internal/session ./internal/chaos ./internal/transport
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Drainer|Timekeeper|Background|TryWrite|SlowPeer|SessionRound|FinalRound|MuxTracks|MeshTracks|GenerationFence|OneConnectionPerPair|AsyncWriteFailure|DiscardKeeps|DropAfterDiscard|ClientRequestBounded|RoundFrame|Framer|EventApply|FuzzApplyRound|Omission' \
 		./internal/session ./internal/transport ./internal/driver ./internal/wire
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'SequentialConcurrent' ./internal/core
@@ -143,10 +143,9 @@ rolling-restart:
 
 # Chaos safety soak (~15s): the race-instrumented chaos/transport suites
 # (the plan, the injector and its golden fault schedules, the sync soak
-# cells and the async cells under the injector; reconnect-resend,
-# crash-fault byte-identity), the serving soak under delay faults, the
-# session recovery drills on links under the injector's latency clause and
-# the overlay's crashed sub-leader, then a real fault
+# cells, the restart drills and the async cells under the injector;
+# reconnect-resend, crash-fault byte-identity), the serving soak under
+# delay faults and the overlay's crashed sub-leader, then a real fault
 # sweep — seeds × {quiet, latency, stall, drop, partition, combined} link
 # faults × adversaries, as check cells whose TCP run carries the link
 # clauses, on a path and a block graph, every cell checked for honest-hull
@@ -159,7 +158,7 @@ CHAOS_PLANS = none 'lat(base=1ms,jitter=1ms)' 'stall(from=1,rounds=2.3,dur=5ms)'
 	'lat(base=500us,jitter=500us)+drop(from=2,round=3)'
 chaos-soak:
 	$(GO) test -race -count=1 ./internal/chaos/... ./internal/transport/...
-	$(GO) test -race -count=1 -run 'SoakUnderChaos|KillRestartDecided|GracefulRestart|OverlayInteriorCrash' ./internal/session/ ./internal/overlay/
+	$(GO) test -race -count=1 -run 'SoakUnderChaos|OverlayInteriorCrash' ./internal/session/ ./internal/overlay/
 	@cells=; for at in path:16/1 path:16/2 graph:cliquechain:3:4/1; do \
 		for adv in none splitvote; do for plan in $(CHAOS_PLANS); do \
 			cells="$$cells|s=$${at##*/};tree=$${at%/*};n=4;t=1;in=spread;adv=$$adv+$$plan"; \

@@ -3,13 +3,15 @@ package core
 import (
 	"testing"
 
+	"treeaa/internal/pathaa"
 	"treeaa/internal/tree"
 )
 
-// TestDecideVertexEdges drives the paper's line-6 decode directly with
-// out-of-range RealAA outputs, pinning the Figure 5 path-end fallback
-// (closestInt(j) > k) and the defensive pos < 1 clamp without needing an
-// adversary strong enough to push j outside the honest range.
+// TestDecideVertexEdges drives TreeAA's line-6 decode — pathaa.VertexAt on
+// the party's path — directly with out-of-range RealAA outputs, pinning the
+// Figure 5 path-end fallback (closestInt(j) > k) and the defensive pos < 1
+// clamp without needing an adversary strong enough to push j outside the
+// honest range.
 func TestDecideVertexEdges(t *testing.T) {
 	path := []tree.VertexID{10, 11, 12, 13, 14} // k = 5
 	for _, tc := range []struct {
@@ -28,9 +30,9 @@ func TestDecideVertexEdges(t *testing.T) {
 		{"below the range", 0.49, 10, false},
 		{"far below the range", -7, 10, false},
 	} {
-		got, fellBack := DecideVertex(path, tc.j)
+		got, fellBack := pathaa.VertexAt(path, tc.j)
 		if got != tc.want || fellBack != tc.fellBack {
-			t.Errorf("%s: DecideVertex(path, %v) = (%d, %v), want (%d, %v)",
+			t.Errorf("%s: VertexAt(path, %v) = (%d, %v), want (%d, %v)",
 				tc.name, tc.j, got, fellBack, tc.want, tc.fellBack)
 		}
 	}
@@ -44,9 +46,9 @@ func TestDecideVertexSingleVertexPath(t *testing.T) {
 		j        float64
 		fellBack bool
 	}{{1.0, false}, {1.5, true}, {42, true}, {0.2, false}, {-1, false}} {
-		got, fellBack := DecideVertex(path, tc.j)
+		got, fellBack := pathaa.VertexAt(path, tc.j)
 		if got != 7 || fellBack != tc.fellBack {
-			t.Errorf("DecideVertex([v7], %v) = (%d, %v), want (7, %v)", tc.j, got, fellBack, tc.fellBack)
+			t.Errorf("VertexAt([v7], %v) = (%d, %v), want (7, %v)", tc.j, got, fellBack, tc.fellBack)
 		}
 	}
 }

@@ -6,56 +6,42 @@ import (
 	"treeaa/internal/tree"
 )
 
-// TestVertexAtEdges drives the paper's line-6 decode directly with
-// out-of-range RealAA outputs, pinning the Figure 5 path-end fallback
-// (closestInt(j) > k) and the defensive pos < 1 clamp without needing an
-// adversary strong enough to push j outside the honest range.
+// TestVertexAtEdges drives the position decode directly with out-of-range
+// RealAA outputs: values past either path end clamp to that end instead of
+// indexing out of bounds, and only an overrun past v_k reports the Figure 5
+// fallback.
 func TestVertexAtEdges(t *testing.T) {
-	k4 := []tree.VertexID{20, 21, 22, 23}
-	k5 := []tree.VertexID{10, 11, 12, 13, 14}
+	path := []tree.VertexID{20, 21, 22, 23} // k = 4
 	for _, tc := range []struct {
 		name     string
-		path     []tree.VertexID
 		j        float64
 		want     tree.VertexID
 		fellBack bool
 	}{
-		{"interior", k4, 2.0, 21, false},
-		{"rounds up", k4, 2.5, 22, false},
-		{"rounds down", k4, 2.49, 21, false},
-		{"last in range", k4, 4.49, 23, false},
-		{"past the end", k4, 4.5, 23, true},
-		{"far past the end", k4, 1e9, 23, true},
-		{"below the range", k4, 0.49, 20, false},
-		{"far below the range", k4, -3, 20, false},
-		{"interior", k5, 3.0, 12, false},
-		{"rounds down", k5, 3.49, 12, false},
-		{"rounds up", k5, 3.5, 13, false},
-		{"last in range", k5, 5.49, 14, false},
-		{"just past the end", k5, 5.5, 14, true},
-		{"far past the end", k5, 100, 14, true},
-		{"first in range", k5, 1.0, 10, false},
-		{"below the range", k5, 0.49, 10, false},
-		{"far below the range", k5, -7, 10, false},
+		{"interior", 2.0, 21, false},
+		{"rounds up", 2.5, 22, false},
+		{"rounds down", 2.49, 21, false},
+		{"last in range", 4.49, 23, false},
+		{"past the end", 4.5, 23, true},
+		{"far past the end", 1e9, 23, true},
+		{"below the range", 0.49, 20, false},
+		{"far below the range", -3, 20, false},
 	} {
-		got, fellBack := VertexAt(tc.path, tc.j)
+		got, fellBack := VertexAt(path, tc.j)
 		if got != tc.want || fellBack != tc.fellBack {
-			t.Errorf("%s: VertexAt(k=%d, %v) = (%d, %v), want (%d, %v)",
-				tc.name, len(tc.path), tc.j, got, fellBack, tc.want, tc.fellBack)
+			t.Errorf("%s: VertexAt(path, %v) = (%d, %v), want (%d, %v)",
+				tc.name, tc.j, got, fellBack, tc.want, tc.fellBack)
 		}
 	}
 }
 
-// TestVertexAtSingleVertexPath: on a one-vertex path every decode — in
-// range, above, below — lands on that vertex and only overruns fall back.
+// TestVertexAtSingleVertexPath: a one-vertex path absorbs every decode, and
+// only overruns fall back.
 func TestVertexAtSingleVertexPath(t *testing.T) {
 	for _, tc := range []struct {
 		j        float64
 		fellBack bool
-	}{
-		{1, false}, {0, false}, {-5, false}, {2, true}, {100, true},
-		{1.5, true}, {42, true}, {0.2, false}, {-1, false},
-	} {
+	}{{1, false}, {0, false}, {-5, false}, {2, true}, {100, true}} {
 		got, fellBack := VertexAt([]tree.VertexID{3}, tc.j)
 		if got != 3 || fellBack != tc.fellBack {
 			t.Errorf("VertexAt([v4], %v) = (%d, %v), want (3, %v)", tc.j, got, fellBack, tc.fellBack)

@@ -223,6 +223,57 @@ func TestRunInputMismatch(t *testing.T) {
 	}
 }
 
+// TestRoundsBudget pins the round budget the machine keeps: RealAA(1) on
+// D(T), so no round on a single vertex, 3(t+1) rounds on a 100-vertex path
+// at t <= 1 and the Theorem 3 schedule (> 6) at t = 2. Honest parties step
+// to the schedule's end even after an early decision, so the budget is the
+// last round in which any of them sends.
+func TestRoundsBudget(t *testing.T) {
+	for _, tc := range []int{0, 1, 2} {
+		if got := lastSendRound(t, tree.NewPath(1), 7, tc); got != 0 {
+			t.Errorf("path:1: budget %d at t = %d, want 0", got, tc)
+		}
+	}
+	p := tree.NewPath(100)
+	if r0, r1 := lastSendRound(t, p, 4, 0), lastSendRound(t, p, 4, 1); r0 != 3 || r1 != 6 {
+		t.Errorf("path:100: budget %d, %d at t = 0, 1; want 3, 6", r0, r1)
+	}
+	if got := lastSendRound(t, p, 7, 2); got <= 6 {
+		t.Errorf("path:100: budget %d at t = 2, want the Theorem 3 schedule (> 6)", got)
+	}
+}
+
+// lastSendRound steps n honest machines on tr's whole path, inputs spread
+// over it, for 200 rounds of full delivery, and returns the last round in
+// which any of them sent (0: none did).
+func lastSendRound(t *testing.T, tr *tree.Tree, n, tc int) int {
+	t.Helper()
+	ms := make([]*Machine, n)
+	for i := range ms {
+		m, err := NewMachine(Config{Tree: tr, N: n, T: tc, ID: sim.PartyID(i), Input: tree.VertexID(i * (tr.NumVertices() - 1) / (n - 1))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms[i] = m
+	}
+	last, inbox := 0, make([][]sim.Message, n)
+	for r := 1; r <= 200; r++ {
+		next := make([][]sim.Message, n)
+		for i, m := range ms {
+			for _, msg := range m.Step(r, inbox[i]) {
+				last, msg.From, msg.Round = r, sim.PartyID(i), r
+				for to := range next {
+					if msg.To == sim.Broadcast || msg.To == sim.PartyID(to) {
+						next[to] = append(next[to], msg)
+					}
+				}
+			}
+		}
+		inbox = next
+	}
+	return last
+}
+
 // TestNilPathIsCanonicalDiameterPath: a nil Path numbers positions along
 // the Tree's own canonical diameter path — the Tree's slice itself, shared
 // read-only by all n parties, so a machine costs nothing per vertex — and

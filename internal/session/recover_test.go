@@ -2,15 +2,12 @@ package session
 
 import (
 	"fmt"
-	"net"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
-	"treeaa/internal/chaos"
 	"treeaa/internal/journal"
-	"treeaa/internal/metrics"
 	"treeaa/internal/sim"
 )
 
@@ -40,35 +37,19 @@ func pollUntil(t *testing.T, d time.Duration, what string, fn func() error) {
 	t.Fatalf("%s: not satisfied within %v: %v", what, d, last)
 }
 
-// latLinks runs every peer link of a 4-daemon cluster under the chaos
-// injector's latency clause, so a recovery drill crosses a delayed mesh;
-// faults counts what it injected.
-func latLinks(t *testing.T, faults *metrics.ChaosStats) func(_, _ sim.PartyID, conn net.Conn) net.Conn {
-	t.Helper()
-	plan, err := chaos.NewPlan("lat(base=200us,jitter=200us)", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return chaos.NewInjector(plan, 7, faults).WrapConn
-}
-
 // TestKillRestartDecidedSurvive pins the journal's hard durability line: a
 // session whose decide was acked to a client survives kill -9 with a
 // byte-identical Result after restart, and the restarted daemon keeps
-// admitting fresh sessions without id collisions. Sessions still in flight
-// at the kill may fail or vanish (an open can sit in the unsynced tail) but
-// must not wedge. The links run under a latency clause. The contract is the
-// same in both modes; an async outcome has no oracle — it depends on
-// delivery order — so there the seal is the only record of what was
-// decided, and the acked Result itself is what must come back.
+// admitting fresh sessions without id collisions. The contract is the same
+// in both modes; an async outcome has no oracle — it depends on delivery
+// order — so there the seal is the only record of what was decided, and the
+// acked Result itself is what must come back.
 func TestKillRestartDecidedSurvive(t *testing.T) {
 	for name, async := range map[string]bool{"sync": false, "async": true} {
 		t.Run(name, func(t *testing.T) {
 			const victim = 1
-			faults := &metrics.ChaosStats{}
 			opts := durableOpts(t)
 			opts.Async = async
-			opts.WrapConn = latLinks(t, faults)
 			c := startTestCluster(t, 4, opts)
 
 			specs := []Spec{
@@ -100,7 +81,6 @@ func TestKillRestartDecidedSurvive(t *testing.T) {
 				}
 				acked = append(acked, decided{sid: resp.SID, want: got})
 			}
-			inFlight := submitInFlight(t, c, victim, Spec{Tree: "graph:cliquechain:3:4"}, 4)
 
 			if err := c.Kill(victim); err != nil {
 				t.Fatalf("kill: %v", err)
@@ -133,8 +113,6 @@ func TestKillRestartDecidedSurvive(t *testing.T) {
 				}
 			}
 
-			awaitNoWedge(t, cl, inFlight)
-
 			// The restored id range must not collide with fresh admissions.
 			pollUntil(t, 10*time.Second, "post-restart admission", func() error {
 				return allHealthy(c)
@@ -148,46 +126,6 @@ func TestKillRestartDecidedSurvive(t *testing.T) {
 					t.Fatalf("fresh session %d after restart: state %s (%s)", i, resp.State, resp.Err)
 				}
 			}
-			if faults.Delays.Load() == 0 {
-				t.Error("latency clause delayed nothing")
-			}
-		})
-	}
-}
-
-// submitInFlight submits k sessions on spec to daemon origin without
-// waiting for them and returns their ids.
-func submitInFlight(t *testing.T, c *Cluster, origin int, spec Spec, k int) []uint64 {
-	t.Helper()
-	cl, err := DialClient(c.ClientAddr(origin), 5*time.Second)
-	if err != nil {
-		t.Fatalf("dial daemon %d: %v", origin, err)
-	}
-	defer cl.Close()
-	var sids []uint64
-	for i := 0; i < k; i++ {
-		resp, err := cl.Submit(spec, 0, false)
-		if err != nil {
-			t.Fatalf("in-flight submit %d: %v", i, err)
-		}
-		sids = append(sids, resp.SID)
-	}
-	return sids
-}
-
-// awaitNoWedge waits until every session in sids is terminal or unknown (its
-// open rode the unsynced tail of a killed journal), within the default TTL
-// and a minute.
-func awaitNoWedge(t *testing.T, cl *Client, sids []uint64) {
-	t.Helper()
-	for _, sid := range sids {
-		pollUntil(t, 30*time.Second+time.Minute, "in-flight session terminal", func() error {
-			resp, err := cl.Status(sid)
-			if err != nil || resp.State == StateDecided.String() ||
-				resp.State == StateFailed.String() || resp.State == StateExpired.String() {
-				return nil
-			}
-			return fmt.Errorf("session %#x wedged in state %s", sid, resp.State)
 		})
 	}
 }
@@ -244,15 +182,11 @@ func TestDegradedRefusesAdmission(t *testing.T) {
 }
 
 // TestGracefulRestartKeepsDecided exercises the rolling-restart building
-// block on links under a latency clause: a drained shutdown syncs every
-// seal, and the restarted seat serves both the old outcomes and new
-// sessions on every daemon.
+// block: a drained shutdown syncs every seal, and the restarted seat serves
+// both the old outcomes and new sessions.
 func TestGracefulRestartKeepsDecided(t *testing.T) {
 	const victim = 3
-	faults := &metrics.ChaosStats{}
-	opts := durableOpts(t)
-	opts.WrapConn = latLinks(t, faults)
-	c := startTestCluster(t, 4, opts)
+	c := startTestCluster(t, 4, durableOpts(t))
 
 	var sids []uint64
 	want, err := Oracle(4, Spec{Tree: "spider:3:4"})
@@ -286,13 +220,12 @@ func TestGracefulRestartKeepsDecided(t *testing.T) {
 		}
 	}
 	pollUntil(t, 10*time.Second, "post-restart admission", func() error { return allHealthy(c) })
-	for origin := 0; origin < 4; origin++ {
-		if resp := submitAndWait(t, c, origin, Spec{Tree: "path:8"}); !resp.Decided() {
-			t.Fatalf("fresh session at daemon %d after graceful restart: state %s (%s)", origin, resp.State, resp.Err)
-		}
+	resp, err := cl.Submit(Spec{Tree: "path:8"}, 0, true)
+	if err != nil {
+		t.Fatalf("fresh submit: %v", err)
 	}
-	if faults.Delays.Load() == 0 {
-		t.Error("latency clause delayed nothing")
+	if !resp.Decided() {
+		t.Fatalf("fresh session after graceful restart: state %s (%s)", resp.State, resp.Err)
 	}
 }
 
@@ -308,7 +241,19 @@ func TestKillRestartMidFlight(t *testing.T) {
 	opts.WrapConn = slowLinks(20 * time.Millisecond)
 	c := startTestCluster(t, 4, opts)
 
-	sids := submitInFlight(t, c, victim, Spec{Tree: "path:16", TTL: time.Minute}, 4)
+	cl, err := DialClient(c.ClientAddr(victim), 5*time.Second)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	var sids []uint64
+	for i := 0; i < 4; i++ {
+		resp, err := cl.Submit(Spec{Tree: "path:16", TTL: time.Minute}, 0, false)
+		if err != nil {
+			t.Fatalf("async submit: %v", err)
+		}
+		sids = append(sids, resp.SID)
+	}
+	cl.Close()
 	// Let the opens reach the disk (the sessions themselves need seconds on
 	// these links), so the kill finds them admitted, durable and unsealed.
 	pollUntil(t, 5*time.Second, "opens synced", func() error {
@@ -324,7 +269,7 @@ func TestKillRestartMidFlight(t *testing.T) {
 	if err := c.Start(victim); err != nil {
 		t.Fatalf("restart: %v", err)
 	}
-	cl, err := DialClient(c.ClientAddr(victim), 5*time.Second)
+	cl, err = DialClient(c.ClientAddr(victim), 5*time.Second)
 	if err != nil {
 		t.Fatalf("redial: %v", err)
 	}
