@@ -350,6 +350,9 @@ func (m *Mux) register(peer sim.PartyID, conn net.Conn, br *bufio.Reader, replac
 	// the link go down and owns what becomes of them. Carrying them over
 	// would interleave two incarnations' traffic.
 	l.pending, l.frames = l.pending[:0], 0
+	// A redial ends here, not when its loop returns: OnUp below may see the
+	// new generation fail, and that failure must be free to redial again.
+	l.redialing = false
 	gen, genQuit := l.gen, l.genQuit
 	l.mu.Unlock()
 	go m.readLoop(l, gen, br)
@@ -403,12 +406,8 @@ func (m *Mux) linkFailed(l *peerLink, gen int, err error) {
 // redialLoop restores a link to a higher-id peer with capped exponential
 // backoff, giving up only when the mux closes. A restarting peer rebinds
 // its listener late in recovery, so early attempts failing is the norm.
+// The successful dial's register clears l.redialing.
 func (m *Mux) redialLoop(l *peerLink) {
-	defer func() {
-		l.mu.Lock()
-		l.redialing = false
-		l.mu.Unlock()
-	}()
 	backoff := 25 * time.Millisecond
 	for {
 		select {

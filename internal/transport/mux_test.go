@@ -150,3 +150,33 @@ func TestMuxTracksOnlyLiveConns(t *testing.T) {
 	low.Enqueue(n-1, muxFrame(t, wire.SessionRound{SID: 1, Round: 1}))
 	awaitTrue(t, "a frame over the replaced link", func() bool { return delivered.Load() == 1 })
 }
+
+// TestRedialSurvivesFailureInOnUp: a redialed link that fails while its
+// OnUp still runs is redialed again. The failure lands before the redial
+// loop has returned, so the loop's own bookkeeping must already say that
+// no redial is running, or the link stays down for good.
+func TestRedialSurvivesFailureInOnUp(t *testing.T) {
+	var low atomic.Pointer[Mux]
+	muxes := startTestMeshes(t, 2, MuxConfig{
+		Redial: true,
+		OnDown: func(sim.PartyID, error) {},
+		OnUp: func(peer sim.PartyID, gen int) {
+			if peer != 1 || gen != 2 {
+				return // only the dialing side's first redial fails
+			}
+			l := low.Load().peers[1]
+			l.mu.Lock()
+			conn := l.conn
+			l.mu.Unlock()
+			conn.Close()
+			awaitTrue(t, "the redialed generation to fail", func() bool { _, up := l.state(); return !up })
+		},
+	}, func(sim.PartyID, sim.PartyID, []byte) {})
+	low.Store(muxes[0])
+	l := muxes[0].peers[1]
+	l.mu.Lock()
+	conn := l.conn
+	l.mu.Unlock()
+	conn.Close()
+	awaitTrue(t, "a third generation of the link", func() bool { g, up := l.state(); return g >= 3 && up })
+}
