@@ -464,8 +464,19 @@ func (c *Cluster) Daemon(i int) *Daemon {
 	return c.Daemons[i]
 }
 
-// ClientAddr returns daemon i's current client API address.
-func (c *Cluster) ClientAddr(i int) string { return c.Daemon(i).ClientAddr() }
+// ClientAddr returns daemon i's current client API address, or "" while
+// the daemon at that seat is not ready yet (a restart in progress has
+// published it before its listener is bound): a dial to "" fails at once
+// and the caller retries.
+func (c *Cluster) ClientAddr(i int) string {
+	d := c.Daemon(i)
+	select {
+	case <-d.Ready():
+		return d.ClientAddr()
+	default:
+		return ""
+	}
+}
 
 // Stop cancels every daemon and waits for all of them to exit, returning
 // the first error. Idempotent: later calls return the first call's result.
