@@ -224,9 +224,11 @@ bench-kernel-smoke:
 # vector decoding)
 # and of the four experiment timing gauges EXPERIMENTS.md cites by ns/op
 # (RealAA rounds and batch, Dolev–Strong cost, ed25519 signing): nothing
-# else runs them, so this keeps them building and running.
+# else runs them, so this keeps them building and running. -benchmem prints
+# each one's B/op and allocs/op (KernelCells: the kernel's allocations per
+# cell, which TestKernelCellsAllocations bounds for sim.Run alone).
 bench-go-smoke:
-	$(GO) test -run '^$$' -bench 'KernelCells|ParseSpaces|Tally|LaneRound|RunBroadcast|PipelineRun|DecodeVector|E1RealAARounds|E1RealAABatch|E5bExactAgreementCost|E7ExactAASigning' -benchtime 1x ./...
+	$(GO) test -run '^$$' -bench 'KernelCells|ParseSpaces|Tally|LaneRound|RunBroadcast|PipelineRun|DecodeVector|E1RealAARounds|E1RealAABatch|E5bExactAgreementCost|E7ExactAASigning' -benchmem -benchtime 1x ./...
 
 # One short async-sim pass as a smoke: async.Run of n=16 pipelines on path:64
 # under the seeded random scheduler, every output checked for hull validity

@@ -245,22 +245,24 @@ func BenchmarkTreeAAEndToEnd(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelCells runs the four cells of the layered benchmark's
-// `kernel-batch` workload (bench/kernel.go) one sub-benchmark each — spaces
+// kernelCells are the four cells of the layered benchmark's `kernel-batch`
+// workload (bench/kernel.go).
+var kernelCells = []struct {
+	space, adversary string
+	n, t             int
+}{
+	{"path:1024", "splitvote", 16, 5},
+	{"random:4096", "", 16, 5},
+	{"path:2048", "splitvote", 32, 10},
+	{"graph:cliquechain:8:6", "", 16, 5},
+}
+
+// BenchmarkKernelCells runs the kernelCells one sub-benchmark each — spaces
 // parsed once, inputs rotated through a fixed pool — so a kernel change can
 // be sized per cell with `go test -bench KernelCells -cpuprofile`.
 func BenchmarkKernelCells(b *testing.B) {
-	cells := []struct {
-		space, adversary string
-		n, t             int
-	}{
-		{"path:1024", "splitvote", 16, 5},
-		{"random:4096", "", 16, 5},
-		{"path:2048", "splitvote", 32, 10},
-		{"graph:cliquechain:8:6", "", 16, 5},
-	}
 	const pool = 64
-	for _, c := range cells {
+	for _, c := range kernelCells {
 		name := fmt.Sprintf("%s/n=%d", c.space, c.n)
 		if c.adversary != "" {
 			name += "/" + c.adversary

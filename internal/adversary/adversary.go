@@ -114,17 +114,16 @@ func (a *GradecastEquivocator) Step(r int, _ []sim.Message, _ map[sim.PartyID][]
 		return nil, nil
 	}
 	iter := (rr-1)/3 + 1
+	lo := &gradecast.SendMsg{Tag: a.Tag, Iter: iter, Val: a.Lo}
+	hi := &gradecast.SendMsg{Tag: a.Tag, Iter: iter, Val: a.Hi}
 	var msgs []sim.Message
 	for _, from := range a.IDs {
 		for to := 0; to < a.N; to++ {
-			v := a.Lo
+			p := lo
 			if to >= a.N/2 {
-				v = a.Hi
+				p = hi
 			}
-			msgs = append(msgs, sim.Message{
-				From: from, To: sim.PartyID(to),
-				Payload: gradecast.SendMsg{Tag: a.Tag, Iter: iter, Val: v},
-			})
+			msgs = append(msgs, sim.Message{From: from, To: sim.PartyID(to), Payload: p})
 		}
 	}
 	return msgs, nil
@@ -237,11 +236,11 @@ func (a *RandomNoise) Step(r int, _ []sim.Message, _ map[sim.PartyID][]sim.Messa
 			var payload any
 			switch phase {
 			case 0:
-				payload = gradecast.SendMsg{Tag: a.Tag, Iter: iter, Val: float64(a.rng.Intn(2*maxVal) - maxVal/2)}
+				payload = &gradecast.SendMsg{Tag: a.Tag, Iter: iter, Val: float64(a.rng.Intn(2*maxVal) - maxVal/2)}
 			case 1:
-				payload = gradecast.EchoMsg{Tag: a.Tag, Iter: iter, Vals: randVec()}
+				payload = &gradecast.EchoMsg{Tag: a.Tag, Iter: iter, Vals: randVec()}
 			default:
-				payload = gradecast.VoteMsg{Tag: a.Tag, Iter: iter, Vals: randVec()}
+				payload = &gradecast.VoteMsg{Tag: a.Tag, Iter: iter, Vals: randVec()}
 			}
 			msgs = append(msgs, sim.Message{From: from, To: sim.PartyID(to), Payload: payload})
 		}

@@ -124,13 +124,14 @@ func (a *ExclusionSplit) Step(r int, honestOut []sim.Message, _ map[sim.PartyID]
 		if !ok {
 			return nil, nil
 		}
-		msgs := []sim.Message{{From: a.X, To: sim.Broadcast, Payload: gradecast.SendMsg{Tag: a.Tag, Iter: abs, Val: lo}}}
+		msgs := []sim.Message{{From: a.X, To: sim.Broadcast, Payload: &gradecast.SendMsg{Tag: a.Tag, Iter: abs, Val: lo}}}
+		accuse := &gradecast.SendMsg{Tag: acc, Iter: abs, Val: maskX}
 		if iter > 2 || a.X != a.S {
-			msgs = append(msgs, sim.Message{From: a.X, To: sim.Broadcast, Payload: gradecast.SendMsg{Tag: acc, Iter: abs, Val: maskX}})
+			msgs = append(msgs, sim.Message{From: a.X, To: sim.Broadcast, Payload: accuse})
 		}
 		if iter == 2 {
 			for _, to := range a.receivers {
-				msgs = append(msgs, sim.Message{From: a.S, To: to, Payload: gradecast.SendMsg{Tag: acc, Iter: abs, Val: maskX}})
+				msgs = append(msgs, sim.Message{From: a.S, To: to, Payload: accuse})
 			}
 		}
 		return msgs, nil
@@ -165,9 +166,9 @@ func (a *ExclusionSplit) boost(tag string, iter int, vote bool, support func(to 
 				continue
 			}
 			vec := gradecast.CopyVals(vals)
-			var payload any = gradecast.EchoMsg{Tag: tag, Iter: iter, Vals: vec}
+			var payload any = &gradecast.EchoMsg{Tag: tag, Iter: iter, Vals: vec}
 			if vote {
-				payload = gradecast.VoteMsg{Tag: tag, Iter: iter, Vals: vec}
+				payload = &gradecast.VoteMsg{Tag: tag, Iter: iter, Vals: vec}
 			}
 			msgs = append(msgs, sim.Message{From: from, To: to, Payload: payload})
 		}
@@ -208,12 +209,14 @@ func (a *ExclusionSplit) stage(honestOut []sim.Message, abs int) []sim.Message {
 	a.accuser = a.honest[len(a.honest)-1]
 	a.staged = true
 
+	send := &gradecast.SendMsg{Tag: a.Tag, Iter: abs, Val: a.x}
+	mask := &gradecast.SendMsg{Tag: a.Tag + "/acc", Iter: abs, Val: 0}
 	var msgs []sim.Message
 	for _, id := range a.roles() {
 		for _, to := range a.receivers {
-			msgs = append(msgs, sim.Message{From: id, To: to, Payload: gradecast.SendMsg{Tag: a.Tag, Iter: abs, Val: a.x}})
+			msgs = append(msgs, sim.Message{From: id, To: to, Payload: send})
 		}
-		msgs = append(msgs, sim.Message{From: id, To: sim.Broadcast, Payload: gradecast.SendMsg{Tag: a.Tag + "/acc", Iter: abs, Val: 0}})
+		msgs = append(msgs, sim.Message{From: id, To: sim.Broadcast, Payload: mask})
 	}
 	return msgs
 }
@@ -223,7 +226,7 @@ func (a *ExclusionSplit) stage(honestOut []sim.Message, abs int) []sim.Message {
 func honestSends(honestOut []sim.Message, tag string, iter int) map[sim.PartyID]float64 {
 	vals := make(map[sim.PartyID]float64)
 	for _, m := range honestOut {
-		if p, ok := m.Payload.(gradecast.SendMsg); ok && p.Tag == tag && p.Iter == iter {
+		if p, ok := m.Payload.(*gradecast.SendMsg); ok && p.Tag == tag && p.Iter == iter {
 			if _, seen := vals[m.From]; !seen {
 				vals[m.From] = p.Val
 			}

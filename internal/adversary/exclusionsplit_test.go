@@ -105,7 +105,7 @@ func TestExclusionSplitStartIteration(t *testing.T) {
 		var out []sim.Message
 		for p := 0; p < n-tc; p++ {
 			out = append(out, sim.Message{From: sim.PartyID(p), To: sim.Broadcast,
-				Payload: gradecast.SendMsg{Tag: "real", Iter: iter, Val: float64(10 * p)}})
+				Payload: &gradecast.SendMsg{Tag: "real", Iter: iter, Val: float64(10 * p)}})
 		}
 		return out
 	}
@@ -119,7 +119,7 @@ func TestExclusionSplitStartIteration(t *testing.T) {
 		t.Fatal("no staging at the start iteration")
 	}
 	for _, m := range msgs {
-		if p := m.Payload.(gradecast.SendMsg); p.Iter != k {
+		if p := m.Payload.(*gradecast.SendMsg); p.Iter != k {
 			t.Errorf("staged %+v, want protocol iteration %d", p, k)
 		}
 	}

@@ -65,10 +65,10 @@ func (a *HalfBurn) Step(r int, honestOut []sim.Message, _ map[sim.PartyID][]sim.
 	accMsgs := func() []sim.Message {
 		// Stay alive on the accusation instance: a consistent empty mask
 		// from every leader (silence is a grade-0 event that convicts).
+		mask := &gradecast.SendMsg{Tag: a.Tag + "/acc", Iter: iter, Val: 0}
 		var msgs []sim.Message
 		for _, id := range a.IDs {
-			msgs = append(msgs, sim.Message{From: id, To: sim.Broadcast,
-				Payload: gradecast.SendMsg{Tag: a.Tag + "/acc", Iter: iter, Val: 0}})
+			msgs = append(msgs, sim.Message{From: id, To: sim.Broadcast, Payload: mask})
 		}
 		return msgs
 	}
@@ -88,9 +88,9 @@ func (a *HalfBurn) Step(r int, honestOut []sim.Message, _ map[sim.PartyID][]sim.
 			return nil, nil
 		}
 		msgs := accMsgs()
+		pin := &gradecast.SendMsg{Tag: a.Tag, Iter: iter, Val: lo}
 		for _, id := range a.IDs[1:] {
-			msgs = append(msgs, sim.Message{From: id, To: sim.Broadcast,
-				Payload: gradecast.SendMsg{Tag: a.Tag, Iter: iter, Val: lo}})
+			msgs = append(msgs, sim.Message{From: id, To: sim.Broadcast, Payload: pin})
 		}
 		return msgs, nil
 	default:
@@ -129,18 +129,14 @@ func (a *HalfBurn) stage(honestOut []sim.Message) []sim.Message {
 	a.groupA = append([]sim.PartyID(nil), honest[:len(honest)/2]...)
 	a.staged = true
 
-	var msgs []sim.Message
 	// Divergence seed: IDs[0] sends x to the receivers (its grade-1/0 split
 	// uses the booster in the echo phase and group A in the vote phase).
-	for _, to := range a.receivers {
-		msgs = append(msgs, sim.Message{From: a.IDs[0], To: to,
-			Payload: gradecast.SendMsg{Tag: a.Tag, Iter: 1, Val: a.x}})
-	}
 	// Half-burn staging: IDs[1:] send x to the receivers too.
-	for _, id := range a.IDs[1:] {
+	send := &gradecast.SendMsg{Tag: a.Tag, Iter: 1, Val: a.x}
+	var msgs []sim.Message
+	for _, id := range a.IDs {
 		for _, to := range a.receivers {
-			msgs = append(msgs, sim.Message{From: id, To: to,
-				Payload: gradecast.SendMsg{Tag: a.Tag, Iter: 1, Val: a.x}})
+			msgs = append(msgs, sim.Message{From: id, To: to, Payload: send})
 		}
 	}
 	return msgs
@@ -169,11 +165,15 @@ func (a *HalfBurn) echoBoost(iter int) []sim.Message {
 		tos = append(tos, to)
 	}
 	sort.Slice(tos, func(i, j int) bool { return tos[i] < tos[j] })
+	// One payload per recipient, sent by every corrupted party.
+	payloads := make([]*gradecast.EchoMsg, len(tos))
+	for i, to := range tos {
+		payloads[i] = &gradecast.EchoMsg{Tag: a.Tag, Iter: iter, Vals: gradecast.CopyVals(perTo[to])}
+	}
 	var msgs []sim.Message
 	for _, from := range a.IDs {
-		for _, to := range tos {
-			msgs = append(msgs, sim.Message{From: from, To: to,
-				Payload: gradecast.EchoMsg{Tag: a.Tag, Iter: iter, Vals: gradecast.CopyVals(perTo[to])}})
+		for i, to := range tos {
+			msgs = append(msgs, sim.Message{From: from, To: to, Payload: payloads[i]})
 		}
 	}
 	return msgs
@@ -187,11 +187,12 @@ func (a *HalfBurn) voteBoost(iter int) []sim.Message {
 	for _, leader := range a.IDs {
 		vec[leader] = a.x
 	}
+	// Every member of group A gets the same vector: one payload for all.
+	vote := &gradecast.VoteMsg{Tag: a.Tag, Iter: iter, Vals: gradecast.CopyVals(vec)}
 	var msgs []sim.Message
 	for _, from := range a.IDs {
 		for _, to := range a.groupA {
-			msgs = append(msgs, sim.Message{From: from, To: to,
-				Payload: gradecast.VoteMsg{Tag: a.Tag, Iter: iter, Vals: gradecast.CopyVals(vec)}})
+			msgs = append(msgs, sim.Message{From: from, To: to, Payload: vote})
 		}
 	}
 	return msgs

@@ -33,12 +33,12 @@ func mutateTraffic() []sim.Message {
 	var msgs []sim.Message
 	for i, from := range []sim.PartyID{5, 6} {
 		msgs = append(msgs, sim.Message{From: from, To: sim.Broadcast,
-			Payload: gradecast.SendMsg{Tag: "pf", Iter: 1, Val: float64(10*i) + 0.5}})
+			Payload: &gradecast.SendMsg{Tag: "pf", Iter: 1, Val: float64(10*i) + 0.5}})
 		for to := sim.PartyID(0); to < 7; to++ {
 			vals := gradecast.Vec{{ID: 1, Val: float64(to)}, {ID: 4, Val: -7}}
 			msgs = append(msgs,
-				sim.Message{From: from, To: to, Payload: gradecast.EchoMsg{Tag: "pf", Iter: 2, Vals: vals}},
-				sim.Message{From: from, To: to, Payload: gradecast.VoteMsg{Tag: "proj", Iter: 3, Vals: vals}})
+				sim.Message{From: from, To: to, Payload: &gradecast.EchoMsg{Tag: "pf", Iter: 2, Vals: vals}},
+				sim.Message{From: from, To: to, Payload: &gradecast.VoteMsg{Tag: "proj", Iter: 3, Vals: vals}})
 		}
 	}
 	return msgs

@@ -11,7 +11,8 @@ import (
 // (tag, iteration) — and by authenticated sender, which the network
 // enforces: replayed payloads arrive attributed to the corrupted parties,
 // never to the original senders. This strategy exists to regression-test
-// that filtering.
+// that filtering. It keeps the honest payloads' pointers, which is safe
+// because a sent payload is never written again (see gradecast).
 type Replay struct {
 	IDs []sim.PartyID
 	// Delay is how many rounds later captured traffic is replayed
@@ -39,7 +40,7 @@ func (a *Replay) Step(r int, honestOut []sim.Message, _ map[sim.PartyID][]sim.Me
 	var batch []sim.Message
 	for _, m := range honestOut {
 		switch m.Payload.(type) {
-		case gradecast.SendMsg, gradecast.EchoMsg, gradecast.VoteMsg:
+		case *gradecast.SendMsg, *gradecast.EchoMsg, *gradecast.VoteMsg:
 			batch = append(batch, m)
 		}
 	}
@@ -95,22 +96,25 @@ func (a *FrameHonest) Step(r int, _ []sim.Message, _ map[sim.PartyID][]sim.Messa
 			honestMask += float64(uint64(1) << uint(l))
 		}
 	}
+	// Every framing party sends the same payloads: build them once.
+	var mask, payload any
+	switch phase {
+	case 0:
+		// Behave like an honest leader so the framing parties are not
+		// themselves blacklisted before the frame can land — and frame
+		// every honest party on the accusation instance too (t consistent
+		// accusers stay below the t+1 conviction threshold).
+		mask = &gradecast.SendMsg{Tag: a.Tag + "/acc", Iter: iter, Val: honestMask}
+		payload = &gradecast.SendMsg{Tag: a.Tag, Iter: iter, Val: a.Fake}
+	case 1:
+		payload = &gradecast.EchoMsg{Tag: a.Tag, Iter: iter, Vals: gradecast.CopyVals(frame)}
+	default:
+		payload = &gradecast.VoteMsg{Tag: a.Tag, Iter: iter, Vals: gradecast.CopyVals(frame)}
+	}
 	var msgs []sim.Message
 	for _, from := range a.IDs {
-		var payload any
-		switch phase {
-		case 0:
-			// Behave like an honest leader so the framing parties are not
-			// themselves blacklisted before the frame can land — and frame
-			// every honest party on the accusation instance too (t
-			// consistent accusers stay below the t+1 conviction threshold).
-			msgs = append(msgs, sim.Message{From: from, To: sim.Broadcast,
-				Payload: gradecast.SendMsg{Tag: a.Tag + "/acc", Iter: iter, Val: honestMask}})
-			payload = gradecast.SendMsg{Tag: a.Tag, Iter: iter, Val: a.Fake}
-		case 1:
-			payload = gradecast.EchoMsg{Tag: a.Tag, Iter: iter, Vals: gradecast.CopyVals(frame)}
-		default:
-			payload = gradecast.VoteMsg{Tag: a.Tag, Iter: iter, Vals: gradecast.CopyVals(frame)}
+		if mask != nil {
+			msgs = append(msgs, sim.Message{From: from, To: sim.Broadcast, Payload: mask})
 		}
 		msgs = append(msgs, sim.Message{From: from, To: sim.Broadcast, Payload: payload})
 	}

@@ -151,11 +151,9 @@ func (a *SplitVote) sendPhase(iter int, honestOut []sim.Message) []sim.Message {
 		if recv > len(honest) {
 			recv = len(honest)
 		}
+		send := &gradecast.SendMsg{Tag: a.Tag, Iter: iter, Val: x}
 		for _, to := range honest[:recv] {
-			msgs = append(msgs, sim.Message{
-				From: leader, To: to,
-				Payload: gradecast.SendMsg{Tag: a.Tag, Iter: iter, Val: x},
-			})
+			msgs = append(msgs, sim.Message{From: leader, To: to, Payload: send})
 		}
 	}
 	// Leaders not yet spent must look honest (consistent broadcast, grade 2
@@ -163,27 +161,24 @@ func (a *SplitVote) sendPhase(iter int, honestOut []sim.Message) []sim.Message {
 	// first iteration and could never stage a split later. Broadcasting hi
 	// additionally keeps the low-valued minority trimmable on the pinned
 	// side.
+	benign := &gradecast.SendMsg{Tag: a.Tag, Iter: iter, Val: hi}
 	for _, leader := range a.IDs[a.spent:] {
-		msgs = append(msgs, sim.Message{
-			From: leader, To: sim.Broadcast,
-			Payload: gradecast.SendMsg{Tag: a.Tag, Iter: iter, Val: hi},
-		})
+		msgs = append(msgs, sim.Message{From: leader, To: sim.Broadcast, Payload: benign})
 	}
 	// Every still-useful leader (including this iteration's fresh splitters)
 	// must also gradecast a consistent suspicion mask: silence on the
 	// accusation instance is itself a grade-0 event that gets a party
 	// convicted within one iteration.
+	mask := &gradecast.SendMsg{Tag: a.Tag + "/acc", Iter: iter, Val: 0}
 	for _, leader := range a.IDs {
-		msgs = append(msgs, sim.Message{
-			From: leader, To: sim.Broadcast,
-			Payload: gradecast.SendMsg{Tag: a.Tag + "/acc", Iter: iter, Val: 0},
-		})
+		msgs = append(msgs, sim.Message{From: leader, To: sim.Broadcast, Payload: mask})
 	}
 	return msgs
 }
 
 // Receivers keep only the first echo/vote vector per sender, so all staged
-// splits aimed at the same recipient must share a single merged message.
+// splits aimed at the same recipient must share a single merged message:
+// one payload per recipient, sent by every corrupted party.
 
 func (a *SplitVote) echoPhase(iter int) []sim.Message {
 	perTo := make(map[sim.PartyID]map[sim.PartyID]float64)
@@ -193,13 +188,19 @@ func (a *SplitVote) echoPhase(iter int) []sim.Message {
 		}
 		perTo[split.booster][split.leader] = split.x
 	}
+	payloads := make(map[sim.PartyID]any, len(perTo))
+	for to, vals := range perTo {
+		payloads[to] = &gradecast.EchoMsg{Tag: a.Tag, Iter: iter, Vals: gradecast.CopyVals(vals)}
+	}
+	return a.fanOut(payloads)
+}
+
+// fanOut sends each recipient's payload from every corrupted party.
+func (a *SplitVote) fanOut(payloads map[sim.PartyID]any) []sim.Message {
 	var msgs []sim.Message
 	for _, from := range a.IDs {
-		for to, vals := range perTo {
-			msgs = append(msgs, sim.Message{
-				From: from, To: to,
-				Payload: gradecast.EchoMsg{Tag: a.Tag, Iter: iter, Vals: gradecast.CopyVals(vals)},
-			})
+		for to, p := range payloads {
+			msgs = append(msgs, sim.Message{From: from, To: to, Payload: p})
 		}
 	}
 	return msgs
@@ -215,16 +216,11 @@ func (a *SplitVote) votePhase(iter int) []sim.Message {
 			perTo[to][split.leader] = split.x
 		}
 	}
-	var msgs []sim.Message
-	for _, from := range a.IDs {
-		for to, vals := range perTo {
-			msgs = append(msgs, sim.Message{
-				From: from, To: to,
-				Payload: gradecast.VoteMsg{Tag: a.Tag, Iter: iter, Vals: gradecast.CopyVals(vals)},
-			})
-		}
+	payloads := make(map[sim.PartyID]any, len(perTo))
+	for to, vals := range perTo {
+		payloads[to] = &gradecast.VoteMsg{Tag: a.Tag, Iter: iter, Vals: gradecast.CopyVals(vals)}
 	}
-	return msgs
+	return a.fanOut(payloads)
 }
 
 // Spent reports how many corrupted leaders have been burned so far.

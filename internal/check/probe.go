@@ -92,9 +92,10 @@ type evilMachine struct {
 func (e *evilMachine) Step(r int, inbox []sim.Message) []sim.Message {
 	e.out = append(e.out[:0], e.Machine.Step(r, inbox)...)
 	for i, m := range e.out {
-		if s, ok := m.Payload.(gradecast.SendMsg); ok && !isSuspicionTag(s.Tag) {
-			s.Val = e.val
-			e.out[i].Payload = s
+		if s, ok := m.Payload.(*gradecast.SendMsg); ok && !isSuspicionTag(s.Tag) {
+			evil := *s // a sent payload is never written: rewrite a copy
+			evil.Val = e.val
+			e.out[i].Payload = &evil
 		}
 	}
 	return e.out

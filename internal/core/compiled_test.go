@@ -125,3 +125,25 @@ func TestRunBatchSharesOneTree(t *testing.T) {
 		}
 	}
 }
+
+// TestNewMachineAllocations: building one party's machine on a compiled
+// tree costs at most 12 allocations, on a path space (the Section 5 phase
+// alone) and on any other tree (PathsFinder). The RealAA machine inside
+// embeds its tally and shares its tag set with every machine of the same
+// tag, so neither is allocated per machine.
+func TestNewMachineAllocations(t *testing.T) {
+	const n, tc, limit = 16, 5, 12
+	for _, tr := range []*tree.Tree{tree.NewRandom(4096, rand.New(rand.NewSource(1))), tree.NewPath(1024)} {
+		Rounds(tr, tc) // first use compiles the tree
+		cfg := Config{Tree: tr, N: n, T: tc, ID: 3, Input: 7}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := NewMachine(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > limit {
+			t.Errorf("path space %v: NewMachine allocates %v times, want at most %d", tr.IsPath(), allocs, limit)
+		}
+		t.Logf("path space %v: %v allocations", tr.IsPath(), allocs)
+	}
+}

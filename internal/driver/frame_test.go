@@ -149,7 +149,7 @@ func TestEventApply(t *testing.T) {
 	for name, fr := range map[string]wire.SessionRound{
 		"empty open frame":    {Round: 1},
 		"second announcement": {Round: 1, Done: true},
-		"lock-step payload":   {Round: 1, Payloads: []any{gradecast.SendMsg{Tag: "t", Iter: 1}}},
+		"lock-step payload":   {Round: 1, Payloads: []any{&gradecast.SendMsg{Tag: "t", Iter: 1}}},
 	} {
 		if err := ev.Apply(1, body(fr)); err == nil {
 			t.Errorf("%s: applied", name)
@@ -190,7 +190,7 @@ func FuzzApplyRound(f *testing.F) {
 	for _, fr := range []wire.SessionRound{
 		{Round: 1},
 		{SID: 1 << 40, Round: 2, Done: true},
-		{Round: 2, Payloads: []any{gradecast.SendMsg{Tag: "t", Iter: 1, Val: 2}, wire.AsyncValue{Phase: 1, Kind: 1, Iter: 1}}},
+		{Round: 2, Payloads: []any{&gradecast.SendMsg{Tag: "t", Iter: 1, Val: 2}, wire.AsyncValue{Phase: 1, Kind: 1, Iter: 1}}},
 		{Round: 3}, // past the window
 	} {
 		b, err := wire.Encode(fr)

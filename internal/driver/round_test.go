@@ -482,7 +482,7 @@ func (nopSink) EndRound(int, bool) error         { return nil }
 // zero-allocation stepping rests on.
 func TestRoundSteadyStateAllocFree(t *testing.T) {
 	const n = 4
-	payload := any(gradecast.SendMsg{Tag: "treeaa/pf", Iter: 1, Val: 3})
+	payload := any(&gradecast.SendMsg{Tag: "treeaa/pf", Iter: 1, Val: 3})
 	frames := 0
 	framed := NewFramer(0, n, 7, func(sim.PartyID, []byte) { frames++ })
 	for _, tc := range []struct {

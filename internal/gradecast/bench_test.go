@@ -98,13 +98,13 @@ func (a *splitLeaders) Step(r int, _ []sim.Message, _ map[sim.PartyID][]sim.Mess
 		case 1:
 			for to := 0; to < a.n; to++ {
 				a.out = append(a.out, sim.Message{From: from, To: sim.PartyID(to),
-					Payload: SendMsg{Tag: "b", Iter: 1, Val: float64(min(to/half, 1))}})
+					Payload: &SendMsg{Tag: "b", Iter: 1, Val: float64(min(to/half, 1))}})
 			}
 		case 2:
-			a.out = append(a.out, sim.Message{From: from, To: sim.Broadcast, Payload: EchoMsg{Tag: "b", Iter: 1, Vals: a.vec}})
+			a.out = append(a.out, sim.Message{From: from, To: sim.Broadcast, Payload: &EchoMsg{Tag: "b", Iter: 1, Vals: a.vec}})
 		case 3:
 			for to := 0; to < half; to++ {
-				a.out = append(a.out, sim.Message{From: from, To: sim.PartyID(to), Payload: VoteMsg{Tag: "b", Iter: 1, Vals: a.vec}})
+				a.out = append(a.out, sim.Message{From: from, To: sim.PartyID(to), Payload: &VoteMsg{Tag: "b", Iter: 1, Vals: a.vec}})
 			}
 		}
 	}

@@ -24,6 +24,12 @@
 // 3k+3 (vote); grades are computed from the vote messages delivered in the
 // following round.
 //
+// Payloads are pointer-shaped: *SendMsg, *EchoMsg and *VoteMsg are the only
+// forms a party sends, the codec decodes and a tally counts. A payload is
+// immutable once sent, so a sender may write a whole iteration's payloads
+// into one block and a receiver, recorder or replaying adversary may keep
+// the pointer.
+//
 // A Tally holds the per-round transitions — collect a round's inbox, read
 // the echo, vote or grade vectors off the counts — with no protocol state of
 // its own beyond the current round's, which keeps the soundness properties
@@ -33,10 +39,11 @@
 // O(n) per instance and allocates no vote vector (see Tally, Votes). A
 // round's broadcast lane is read once, not once per party: under sim.Run
 // the first tally to read it publishes its counts and the other readers
-// adopt them (see Tally). The one thing a tally keeps across rounds is a
-// memo, not state: the vector it last voted, which it echoes again when the
-// next iteration's values carry the same bytes, so a settled iteration
-// allocates no echo vector either (see SendVec).
+// adopt them, read-offs included: an adopter echoes and votes the very
+// Vec the first reader did (see Tally). The one thing a tally keeps across
+// rounds is a memo, not state: the vector it last voted, which it echoes
+// again when the next iteration's values carry the same bytes, so a
+// settled iteration allocates no echo vector either (see SendVec).
 package gradecast
 
 import (
@@ -64,7 +71,7 @@ const (
 )
 
 // SendMsg is the phase-1 message: the leader's value, tagged with the
-// execution tag and iteration it belongs to.
+// execution tag and iteration it belongs to. It travels as *SendMsg.
 type SendMsg struct {
 	Tag  string
 	Iter int
@@ -73,7 +80,7 @@ type SendMsg struct {
 
 // Size implements sim.Sizer with the exact internal/wire encoded length:
 // header (version + type tag), length-prefixed Tag, varint Iter, f64 value.
-func (m SendMsg) Size() int {
+func (m *SendMsg) Size() int {
 	return 2 + sim.UvarintLen(uint64(len(m.Tag))) + len(m.Tag) + sim.UvarintLen(uint64(m.Iter)) + 8
 }
 
@@ -92,8 +99,9 @@ type VecEntry struct {
 // ascending id order); never mutate a Vec after it has been sent. A sent
 // Vec may be forwarded: Tally.Votes returns a received vector — possibly
 // one a corrupted party sent — as the honest party's own vote when the
-// bytes are equal, so whoever hands a Vec to the network, adversary
-// included, must leave it untouched after Step returns.
+// bytes are equal, and the parties reading one lane share the first
+// reader's echo and vote Vecs, so whoever hands a Vec to the network,
+// adversary included, must leave it untouched after Step returns.
 type Vec []VecEntry
 
 // Get returns the value attributed to leader id, if any, by binary search
@@ -115,7 +123,8 @@ func (v Vec) Get(id sim.PartyID) (float64, bool) {
 }
 
 // EchoMsg is the phase-2 message: for each leader the sender received a
-// phase-1 value from, the value it received. Missing leaders mean ⊥.
+// phase-1 value from, the value it received. Missing leaders mean ⊥. It
+// travels as *EchoMsg.
 type EchoMsg struct {
 	Tag  string
 	Iter int
@@ -125,10 +134,11 @@ type EchoMsg struct {
 // Size implements sim.Sizer with the exact internal/wire encoded length;
 // each map entry costs a fixed 12 bytes (u32 leader + f64 value) so sizing
 // a vector message stays O(1).
-func (m EchoMsg) Size() int { return vectorSize(m.Tag, m.Iter, len(m.Vals)) }
+func (m *EchoMsg) Size() int { return vectorSize(m.Tag, m.Iter, len(m.Vals)) }
 
 // VoteMsg is the phase-3 message: for each leader for which the sender saw
-// n-t matching echoes, the echoed value. Missing leaders mean a ⊥ vote.
+// n-t matching echoes, the echoed value. Missing leaders mean a ⊥ vote. It
+// travels as *VoteMsg.
 type VoteMsg struct {
 	Tag  string
 	Iter int
@@ -136,7 +146,7 @@ type VoteMsg struct {
 }
 
 // Size implements sim.Sizer (see EchoMsg.Size).
-func (m VoteMsg) Size() int { return vectorSize(m.Tag, m.Iter, len(m.Vals)) }
+func (m *VoteMsg) Size() int { return vectorSize(m.Tag, m.Iter, len(m.Vals)) }
 
 // vectorSize is the shared wire size of the echo/vote vector messages.
 func vectorSize(tag string, iter, vals int) int {
@@ -163,11 +173,14 @@ type Result struct {
 // iteration alone. So the Collect methods take the lane's digest store
 // (nil outside sim.Run's lane): the first tally to make a pass over the lane
 // publishes itself under (first tag, phase, iteration), and every later
-// tally with the same tag set adopts those counts instead of reading the
-// lane — its read-offs then read the first tally's counts, which stay
-// untouched until that tally's next pass, a round later. Either way the
-// read-offs return the same bytes (see sim.Lane for the rule). A tally given
-// a lane makes one pass in the round, and reads its results off in it.
+// tally with the same n, t and tag set adopts those counts instead of
+// reading the lane — its read-offs then read the first tally's counts,
+// which stay untouched until that tally's next pass, a round later. The
+// first tally also keeps what its SendVec and Votes returned, and an
+// adopter returns those very Vecs, with no clone and no read-off of its
+// own. Either way the read-offs return the same bytes (see sim.Lane for the
+// rule). A tally given a lane makes one pass in the round, and reads its
+// results off in it.
 //
 // The inbox handed to the Collect methods must be sorted by sender (the
 // order the sim delivers): a sender's repeat messages under one tag are then
@@ -191,6 +204,9 @@ type Result struct {
 // over again, so SendVec returns the vector Votes last returned when the
 // bytes match. That memo outlives the round but is not protocol state:
 // dropping it changes which array carries the echo, never its bytes.
+//
+// The zero Tally is not ready: make one with NewTally, or Init one that is
+// embedded in a larger struct.
 type Tally struct {
 	n, t int
 	inst []instance
@@ -222,6 +238,11 @@ type instance struct {
 	// voted is the vector Votes last returned; unlike the fields above it
 	// survives reset, for SendVec to echo (see Tally).
 	voted Vec
+	// echo is what SendVec returned since this tally's pass, when echoed
+	// is set, and voted is this pass's vote when votedNow is set: the
+	// read-offs an adopter of the pass returns as they are.
+	echo             Vec
+	echoed, votedNow bool
 }
 
 // valCount is one distinct-value frequency for one leader. next is the index
@@ -234,11 +255,19 @@ type valCount struct {
 }
 
 // NewTally returns the tally for n parties, fault budget t and the given
-// instance tags. Every instance's cells, sends and vote scratch are carved
+// instance tags.
+func NewTally(n, t int, tags ...string) *Tally {
+	ta := new(Tally)
+	ta.Init(n, t, tags...)
+	return ta
+}
+
+// Init readies ta, which must not move afterwards, as NewTally(n, t,
+// tags...) would. Every instance's cells, sends and vote scratch are carved
 // out of two slabs, each capped at n so that an append past it (a spilled
 // cell) moves to its own array instead of into a neighbour's.
-func NewTally(n, t int, tags ...string) *Tally {
-	ta := &Tally{n: n, t: t, inst: make([]instance, len(tags))}
+func (ta *Tally) Init(n, t int, tags ...string) {
+	*ta = Tally{n: n, t: t, inst: make([]instance, len(tags))}
 	ta.counted = ta
 	cells := make([]valCount, n*len(tags))
 	entries := make(Vec, 2*n*len(tags))
@@ -250,7 +279,6 @@ func NewTally(n, t int, tags ...string) *Tally {
 			votes: entries[(2*i+1)*n : (2*i+1)*n : (2*i+2)*n],
 		}
 	}
-	return ta
 }
 
 // reset empties every instance ahead of a round's pass.
@@ -264,6 +292,7 @@ func (ta *Tally) reset() {
 		clear(in.cells)
 		in.run, in.runLen = nil, 0
 		in.heavy, in.heavyLen = nil, 0
+		in.echo, in.echoed, in.votedNow = nil, false, false
 	}
 }
 
@@ -276,8 +305,9 @@ const (
 
 // adopt makes the counts of the lane's first pass keyed (pass, iter) this
 // tally's own and reports whether there was one to adopt: a tally of the
-// same n and tag set must have published it. A pass of a different tally
-// under the same first tag is not adopted.
+// same n, t and tag set must have published it (the vote threshold is
+// n−t). A pass of a different tally under the same first tag is not
+// adopted.
 func (ta *Tally) adopt(lane *sim.Lane, pass, iter int) bool {
 	if lane == nil {
 		return false
@@ -287,7 +317,7 @@ func (ta *Tally) adopt(lane *sim.Lane, pass, iter int) bool {
 		return false
 	}
 	first, ok := d.(*Tally)
-	if !ok || first.n != ta.n || len(first.inst) != len(ta.inst) {
+	if !ok || first.n != ta.n || first.t != ta.t || len(first.inst) != len(ta.inst) {
 		return false
 	}
 	for i := range ta.inst {
@@ -343,7 +373,7 @@ func (ta *Tally) CollectSends(lane *sim.Lane, inbox []sim.Message, iter int) {
 	}
 	ta.reset()
 	for _, m := range inbox {
-		if p, ok := m.Payload.(SendMsg); ok && p.Iter == iter {
+		if p, ok := m.Payload.(*SendMsg); ok && p.Iter == iter {
 			if in := ta.admit(m.From, p.Tag); in != nil {
 				in.sends = append(in.sends, VecEntry{ID: m.From, Val: p.Val})
 			}
@@ -358,15 +388,24 @@ func (ta *Tally) CollectSends(lane *sim.Lane, inbox []sim.Message, iter int) {
 // whose values settled — it returns that Vec itself (payloads are
 // immutable), so every honest party reading one lane echoes one pointer and
 // the echo tally's run check is a pointer compare; otherwise a fresh copy.
+// After an adoption it returns what the first reader's SendVec(i) did.
 func (ta *Tally) SendVec(i int) Vec {
-	sends, voted := ta.counted.inst[i].sends, ta.inst[i].voted
-	switch {
-	case len(sends) == 0:
-		return nil
-	case sameVec(sends, voted):
-		return voted
+	in, counted := &ta.inst[i], &ta.counted.inst[i]
+	if counted.echoed {
+		return counted.echo
 	}
-	return slices.Clone(sends)
+	var echo Vec
+	switch sends := counted.sends; {
+	case len(sends) == 0:
+	case sameVec(sends, in.voted):
+		echo = in.voted
+	default:
+		echo = slices.Clone(sends)
+	}
+	if ta.counted == ta {
+		in.echo, in.echoed = echo, true
+	}
+	return echo
 }
 
 // CollectEchoes tallies the phase-2 echo vectors of iteration iter, or
@@ -378,7 +417,7 @@ func (ta *Tally) CollectEchoes(lane *sim.Lane, inbox []sim.Message, iter int) {
 	}
 	ta.reset()
 	for _, m := range inbox {
-		if p, ok := m.Payload.(EchoMsg); ok && p.Iter == iter {
+		if p, ok := m.Payload.(*EchoMsg); ok && p.Iter == iter {
 			if in := ta.admit(m.From, p.Tag); in != nil {
 				in.add(p.Vals, ta.n)
 			}
@@ -397,7 +436,7 @@ func (ta *Tally) CollectVotes(lane *sim.Lane, inbox []sim.Message, iter int) {
 	}
 	ta.reset()
 	for _, m := range inbox {
-		if p, ok := m.Payload.(VoteMsg); ok && p.Iter == iter {
+		if p, ok := m.Payload.(*VoteMsg); ok && p.Iter == iter {
 			if in := ta.admit(m.From, p.Tag); in != nil {
 				in.add(p.Vals, ta.n)
 			}
@@ -554,10 +593,15 @@ func sameEntry(a, b VecEntry) bool {
 // run counted, Votes returns that received Vec itself (payloads are
 // immutable), so every party reading one broadcast lane votes with one
 // pointer and the next round's run check is a pointer compare. Otherwise it
-// returns a fresh copy, and nil when there is no vote. SendVec(i) echoes
-// the result again while the values it was built from do not change.
+// returns a fresh copy, and nil when there is no vote. After an adoption it
+// returns what the first reader's Votes(i) did. SendVec(i) echoes the
+// result again while the values it was built from do not change.
 func (ta *Tally) Votes(i int) Vec {
 	in, counted := &ta.inst[i], &ta.counted.inst[i]
+	if counted.votedNow {
+		in.voted = counted.voted
+		return in.voted
+	}
 	votes := in.votes[:0]
 	for leader := 0; leader < ta.n; leader++ {
 		if v, c := argmax(counted.cells, leader); c >= ta.n-ta.t {
@@ -573,6 +617,7 @@ func (ta *Tally) Votes(i int) Vec {
 	default:
 		in.voted = slices.Clone(votes)
 	}
+	in.votedNow = ta.counted == ta
 	return in.voted
 }
 

@@ -78,7 +78,7 @@ func TestEquivocatingLeaderDetected(t *testing.T) {
 					if to >= 3 {
 						v = 1.0
 					}
-					msgs = append(msgs, sim.Message{From: badLeader, To: sim.PartyID(to), Payload: SendMsg{Tag: "gc", Iter: 1, Val: v}})
+					msgs = append(msgs, sim.Message{From: badLeader, To: sim.PartyID(to), Payload: &SendMsg{Tag: "gc", Iter: 1, Val: v}})
 				}
 				return msgs
 			default:
@@ -163,7 +163,7 @@ func TestRandomizedAdversaryPreservesProperties(t *testing.T) {
 						var payload any
 						switch r {
 						case 1:
-							payload = SendMsg{Tag: "gc", Iter: 1, Val: float64(advRng.Intn(5))}
+							payload = &SendMsg{Tag: "gc", Iter: 1, Val: float64(advRng.Intn(5))}
 						case 2:
 							vals := map[sim.PartyID]float64{}
 							for l := 0; l < n; l++ {
@@ -171,7 +171,7 @@ func TestRandomizedAdversaryPreservesProperties(t *testing.T) {
 									vals[sim.PartyID(l)] = float64(advRng.Intn(5))
 								}
 							}
-							payload = EchoMsg{Tag: "gc", Iter: 1, Vals: CopyVals(vals)}
+							payload = &EchoMsg{Tag: "gc", Iter: 1, Vals: CopyVals(vals)}
 						case 3:
 							vals := map[sim.PartyID]float64{}
 							for l := 0; l < n; l++ {
@@ -179,7 +179,7 @@ func TestRandomizedAdversaryPreservesProperties(t *testing.T) {
 									vals[sim.PartyID(l)] = float64(advRng.Intn(5))
 								}
 							}
-							payload = VoteMsg{Tag: "gc", Iter: 1, Vals: CopyVals(vals)}
+							payload = &VoteMsg{Tag: "gc", Iter: 1, Vals: CopyVals(vals)}
 						default:
 							continue
 						}
@@ -210,7 +210,7 @@ func TestRandomizedAdversaryPreservesProperties(t *testing.T) {
 func echoInbox(tag string, vecs []Vec) []sim.Message {
 	inbox := make([]sim.Message, len(vecs))
 	for i, vec := range vecs {
-		inbox[i] = sim.Message{From: sim.PartyID(i), Payload: EchoMsg{Tag: tag, Iter: 1, Vals: vec}}
+		inbox[i] = sim.Message{From: sim.PartyID(i), Payload: &EchoMsg{Tag: tag, Iter: 1, Vals: vec}}
 	}
 	return inbox
 }
@@ -220,7 +220,7 @@ func echoInbox(tag string, vecs []Vec) []sim.Message {
 func sendInbox(tag string, iter int, vals Vec) []sim.Message {
 	inbox := make([]sim.Message, len(vals))
 	for i, e := range vals {
-		inbox[i] = sim.Message{From: e.ID, Payload: SendMsg{Tag: tag, Iter: iter, Val: e.Val}}
+		inbox[i] = sim.Message{From: e.ID, Payload: &SendMsg{Tag: tag, Iter: iter, Val: e.Val}}
 	}
 	return inbox
 }
@@ -228,7 +228,7 @@ func sendInbox(tag string, iter int, vals Vec) []sim.Message {
 func voteInbox(tag string, vecs []Vec) []sim.Message {
 	inbox := make([]sim.Message, len(vecs))
 	for i, vec := range vecs {
-		inbox[i] = sim.Message{From: sim.PartyID(i), Payload: VoteMsg{Tag: tag, Iter: 1, Vals: vec}}
+		inbox[i] = sim.Message{From: sim.PartyID(i), Payload: &VoteMsg{Tag: tag, Iter: 1, Vals: vec}}
 	}
 	return inbox
 }
@@ -248,14 +248,14 @@ func tallyGrades(n, t int, vecs []Vec) []Result {
 
 func TestCollectHelpersFilterTagAndIter(t *testing.T) {
 	inbox := []sim.Message{
-		{From: 0, Payload: SendMsg{Tag: "a", Iter: 1, Val: 5}},
-		{From: 0, Payload: SendMsg{Tag: "a", Iter: 1, Val: 99}}, // duplicate: first wins
-		{From: 1, Payload: SendMsg{Tag: "b", Iter: 1, Val: 6}},  // wrong tag
-		{From: 2, Payload: SendMsg{Tag: "a", Iter: 2, Val: 7}},  // wrong iter
-		{From: 3, Payload: EchoMsg{Tag: "a", Iter: 1, Vals: Vec{{ID: 0, Val: 5}}}},
-		{From: 3, Payload: EchoMsg{Tag: "a", Iter: 1, Vals: Vec{{ID: 1, Val: 5}}}}, // duplicate
-		{From: 3, Payload: EchoMsg{Tag: "a", Iter: 2, Vals: Vec{{ID: 2, Val: 5}}}}, // wrong iter
-		{From: 3, Payload: EchoMsg{Tag: "b", Iter: 1, Vals: Vec{{ID: 3, Val: 5}}}}, // wrong tag
+		{From: 0, Payload: &SendMsg{Tag: "a", Iter: 1, Val: 5}},
+		{From: 0, Payload: &SendMsg{Tag: "a", Iter: 1, Val: 99}}, // duplicate: first wins
+		{From: 1, Payload: &SendMsg{Tag: "b", Iter: 1, Val: 6}},  // wrong tag
+		{From: 2, Payload: &SendMsg{Tag: "a", Iter: 2, Val: 7}},  // wrong iter
+		{From: 3, Payload: &EchoMsg{Tag: "a", Iter: 1, Vals: Vec{{ID: 0, Val: 5}}}},
+		{From: 3, Payload: &EchoMsg{Tag: "a", Iter: 1, Vals: Vec{{ID: 1, Val: 5}}}}, // duplicate
+		{From: 3, Payload: &EchoMsg{Tag: "a", Iter: 2, Vals: Vec{{ID: 2, Val: 5}}}}, // wrong iter
+		{From: 3, Payload: &EchoMsg{Tag: "b", Iter: 1, Vals: Vec{{ID: 3, Val: 5}}}}, // wrong tag
 	}
 	ta := NewTally(4, 1, "a")
 	ta.CollectSends(nil, inbox, 1)
@@ -288,17 +288,17 @@ func TestCollectSendVecMatchesMapPath(t *testing.T) {
 		for from := 0; from < 8; from++ {
 			for k := rng.Intn(3); k > 0; k-- { // 0, 1 or 2 sends per sender
 				inbox = append(inbox, sim.Message{From: sim.PartyID(from),
-					Payload: SendMsg{Tag: tags[rng.Intn(2)], Iter: 1 + rng.Intn(2), Val: float64(rng.Intn(5))}})
+					Payload: &SendMsg{Tag: tags[rng.Intn(2)], Iter: 1 + rng.Intn(2), Val: float64(rng.Intn(5))}})
 			}
 			if rng.Intn(4) == 0 {
-				inbox = append(inbox, sim.Message{From: sim.PartyID(from), Payload: EchoMsg{Tag: "a", Iter: 1}})
+				inbox = append(inbox, sim.Message{From: sim.PartyID(from), Payload: &EchoMsg{Tag: "a", Iter: 1}})
 			}
 		}
 		ta.CollectSends(nil, inbox, 1)
 		for i, tag := range tags {
 			first := map[sim.PartyID]float64{}
 			for _, m := range inbox {
-				if p, ok := m.Payload.(SendMsg); ok && p.Tag == tag && p.Iter == 1 {
+				if p, ok := m.Payload.(*SendMsg); ok && p.Tag == tag && p.Iter == 1 {
 					if _, dup := first[m.From]; !dup {
 						first[m.From] = p.Val
 					}
@@ -356,7 +356,7 @@ func TestUnanimous(t *testing.T) {
 		{"n-1 senders", echoInbox("a", []Vec{v, v, v}), false},
 		{"repeated sender", from([]sim.PartyID{0, 1, 2, 2}, []Vec{v, v, v, v}), false},
 		{"repeated sender out of order", from([]sim.PartyID{0, 1, 2, 1}, []Vec{v, v, v, v}), false},
-		{"other tag", append(echoInbox("a", []Vec{v, v, v}), sim.Message{From: 3, Payload: EchoMsg{Tag: "b", Iter: 1, Vals: v}}), false},
+		{"other tag", append(echoInbox("a", []Vec{v, v, v}), sim.Message{From: 3, Payload: &EchoMsg{Tag: "b", Iter: 1, Vals: v}}), false},
 	} {
 		ta := NewTally(n, tc, "a")
 		ta.CollectEchoes(nil, echoInbox("a", []Vec{v, v, v, v}), 1)
@@ -451,11 +451,11 @@ func TestArgmaxDeterministicTieBreak(t *testing.T) {
 }
 
 func TestSizes(t *testing.T) {
-	if s := (SendMsg{Tag: "ab"}).Size(); s != 14 {
+	if s := (&SendMsg{Tag: "ab"}).Size(); s != 14 {
 		t.Errorf("SendMsg size = %d", s)
 	}
 	// header(2) + tag len prefix(1) + tag(2) + iter(1) + count(1) + 2*12.
-	e := EchoMsg{Tag: "ab", Vals: Vec{{ID: 0, Val: 1}, {ID: 1, Val: 2}}}
+	e := &EchoMsg{Tag: "ab", Vals: Vec{{ID: 0, Val: 1}, {ID: 1, Val: 2}}}
 	if s := e.Size(); s != 2+1+2+1+1+24 {
 		t.Errorf("EchoMsg size = %d", s)
 	}

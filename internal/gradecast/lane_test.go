@@ -160,10 +160,10 @@ func TestLaneAdoptionMatchesFreshPass(t *testing.T) {
 				return nil
 			}
 
-			sends := c.laneInbox(func(tag string, i, from int) any { return SendMsg{Tag: tag, Iter: 1, Val: c.val(i, from)} })
+			sends := c.laneInbox(func(tag string, i, from int) any { return &SendMsg{Tag: tag, Iter: 1, Val: c.val(i, from)} })
 			step("sends", func(ta *Tally, lane *sim.Lane) { ta.CollectSends(lane, sends, 1) }, sendVecs)
 
-			echoes := c.laneInbox(func(tag string, i, from int) any { return EchoMsg{Tag: tag, Iter: 1, Vals: c.vec(i, from)} })
+			echoes := c.laneInbox(func(tag string, i, from int) any { return &EchoMsg{Tag: tag, Iter: 1, Vals: c.vec(i, from)} })
 			voted := make([]Vec, len(c.tags))
 			step("echoes", func(ta *Tally, lane *sim.Lane) { ta.CollectEchoes(lane, echoes, 1) }, func(i int) error {
 				a, b := later.Votes(i), fresh.Votes(i)
@@ -177,7 +177,7 @@ func TestLaneAdoptionMatchesFreshPass(t *testing.T) {
 				return nil
 			})
 
-			votes := c.laneInbox(func(tag string, i, from int) any { return VoteMsg{Tag: tag, Iter: 1, Vals: c.vec(i, from)} })
+			votes := c.laneInbox(func(tag string, i, from int) any { return &VoteMsg{Tag: tag, Iter: 1, Vals: c.vec(i, from)} })
 			step("votes", func(ta *Tally, lane *sim.Lane) { ta.CollectVotes(lane, votes, 1) }, func(i int) error {
 				a, b := later.Grades(i, nil), fresh.Grades(i, nil)
 				if !sameResults(a, b) || !sameResults(a, first.Grades(i, nil)) {
@@ -192,9 +192,9 @@ func TestLaneAdoptionMatchesFreshPass(t *testing.T) {
 			// Iteration 2 sends what was voted: SendVec echoes the memo.
 			settled := c.laneInbox(func(tag string, i, from int) any {
 				if v, ok := voted[i].Get(sim.PartyID(from)); ok {
-					return SendMsg{Tag: tag, Iter: 2, Val: v}
+					return &SendMsg{Tag: tag, Iter: 2, Val: v}
 				}
-				return VoteMsg{Tag: tag, Iter: 2}
+				return &VoteMsg{Tag: tag, Iter: 2}
 			})
 			step("settled sends", func(ta *Tally, lane *sim.Lane) { ta.CollectSends(lane, settled, 2) }, sendVecs)
 		})
@@ -202,8 +202,8 @@ func TestLaneAdoptionMatchesFreshPass(t *testing.T) {
 }
 
 // TestLaneAdoptsOnlyItsTagSet: a digest is keyed by the first tag, but a
-// tally whose tag set differs beyond it, or whose n does, makes its own
-// pass; so does a tally whose pass or iteration differs from the digest's.
+// tally whose tag set differs beyond it, or whose n or t does (the vote
+// threshold is n−t), makes its own pass; so does a tally whose pass or iteration differs from the digest's.
 func TestLaneAdoptsOnlyItsTagSet(t *testing.T) {
 	vecs := benchVecs(7, 2, true)
 	inbox := echoInbox("a", vecs)
@@ -220,6 +220,7 @@ func TestLaneAdoptsOnlyItsTagSet(t *testing.T) {
 		{"more tags", NewTally(7, 2, "a", "b"), func(ta *Tally) { ta.CollectEchoes(lane, inbox, 1) }, false},
 		{"other tag", NewTally(7, 2, "b"), func(ta *Tally) { ta.CollectEchoes(lane, inbox, 1) }, false},
 		{"other n", NewTally(8, 2, "a"), func(ta *Tally) { ta.CollectEchoes(lane, inbox, 1) }, false},
+		{"other t", NewTally(7, 1, "a"), func(ta *Tally) { ta.CollectEchoes(lane, inbox, 1) }, false},
 		{"other iteration", NewTally(7, 2, "a"), func(ta *Tally) { ta.CollectEchoes(lane, inbox, 2) }, false},
 		{"other pass", NewTally(7, 2, "a"), func(ta *Tally) { ta.CollectVotes(lane, inbox, 1) }, false},
 	} {
@@ -230,5 +231,49 @@ func TestLaneAdoptsOnlyItsTagSet(t *testing.T) {
 	}
 	if got, want := tallyVotes(7, 2, vecs), first.Votes(0); !sameVec(got, want) {
 		t.Errorf("first reader's votes %v, a fresh tally's %v", want, got)
+	}
+}
+
+// TestLaneAdoptersShareReadOffs: once the first reader of a lane has read
+// its echo and vote vectors off, a tally that adopts its pass returns those
+// very Vecs — the same backing array, not a copy — and the adoption, pass
+// and read-offs together allocate nothing.
+func TestLaneAdoptersShareReadOffs(t *testing.T) {
+	for _, c := range laneCases() {
+		t.Run(c.name, func(t *testing.T) {
+			first, later := NewTally(c.n, c.t, c.tags...), NewTally(c.n, c.t, c.tags...)
+			sends := c.laneInbox(func(tag string, i, from int) any { return &SendMsg{Tag: tag, Iter: 1, Val: c.val(i, from)} })
+			echoes := c.laneInbox(func(tag string, i, from int) any { return &EchoMsg{Tag: tag, Iter: 1, Vals: c.vec(i, from)} })
+			for _, round := range []struct {
+				name    string
+				collect func(ta *Tally, lane *sim.Lane)
+				readOff func(ta *Tally, i int) Vec
+			}{
+				{"sends", func(ta *Tally, lane *sim.Lane) { ta.CollectSends(lane, sends, 1) }, (*Tally).SendVec},
+				{"echoes", func(ta *Tally, lane *sim.Lane) { ta.CollectEchoes(lane, echoes, 1) }, (*Tally).Votes},
+			} {
+				lane := &sim.Lane{}
+				round.collect(first, lane)
+				want := make([]Vec, len(c.tags))
+				for i := range c.tags {
+					want[i] = round.readOff(first, i)
+				}
+				got := make([]Vec, len(c.tags))
+				allocs := testing.AllocsPerRun(10, func() {
+					round.collect(later, lane)
+					for i := range c.tags {
+						got[i] = round.readOff(later, i)
+					}
+				})
+				if allocs != 0 {
+					t.Errorf("%s: an adopter's pass and read-offs allocate %v times", round.name, allocs)
+				}
+				for i, w := range want {
+					if len(w) == 0 || len(got[i]) != len(w) || &got[i][0] != &w[0] {
+						t.Errorf("%s, instance %s: adopter read off %v, not the first reader's %v", round.name, c.tags[i], got[i], w)
+					}
+				}
+			}
+		})
 	}
 }

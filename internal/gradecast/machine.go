@@ -32,13 +32,13 @@ func (m *Machine) Step(r int, inbox []sim.Message) []sim.Message { return m.Step
 func (m *Machine) StepLane(r int, inbox []sim.Message, lane *sim.Lane) []sim.Message {
 	switch r {
 	case 1:
-		return []sim.Message{{To: sim.Broadcast, Payload: SendMsg{Tag: m.tag, Iter: 1, Val: m.val}}}
+		return []sim.Message{{To: sim.Broadcast, Payload: &SendMsg{Tag: m.tag, Iter: 1, Val: m.val}}}
 	case 2:
 		m.tally.CollectSends(lane, inbox, 1)
-		return []sim.Message{{To: sim.Broadcast, Payload: EchoMsg{Tag: m.tag, Iter: 1, Vals: m.tally.SendVec(0)}}}
+		return []sim.Message{{To: sim.Broadcast, Payload: &EchoMsg{Tag: m.tag, Iter: 1, Vals: m.tally.SendVec(0)}}}
 	case 3:
 		m.tally.CollectEchoes(lane, inbox, 1)
-		return []sim.Message{{To: sim.Broadcast, Payload: VoteMsg{Tag: m.tag, Iter: 1, Vals: m.tally.Votes(0)}}}
+		return []sim.Message{{To: sim.Broadcast, Payload: &VoteMsg{Tag: m.tag, Iter: 1, Vals: m.tally.Votes(0)}}}
 	case 4:
 		m.tally.CollectVotes(lane, inbox, 1)
 		m.out = m.tally.Grades(0, nil)

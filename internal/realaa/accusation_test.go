@@ -103,8 +103,8 @@ func (a *maskForger) Step(r int, _ []sim.Message, _ map[sim.PartyID][]sim.Messag
 	var msgs []sim.Message
 	for _, id := range a.ids {
 		msgs = append(msgs,
-			sim.Message{From: id, To: sim.Broadcast, Payload: gradecast.SendMsg{Tag: a.tag, Iter: iter, Val: 50}},
-			sim.Message{From: id, To: sim.Broadcast, Payload: gradecast.SendMsg{Tag: a.tag + "/acc", Iter: iter, Val: mask}},
+			sim.Message{From: id, To: sim.Broadcast, Payload: &gradecast.SendMsg{Tag: a.tag, Iter: iter, Val: 50}},
+			sim.Message{From: id, To: sim.Broadcast, Payload: &gradecast.SendMsg{Tag: a.tag + "/acc", Iter: iter, Val: mask}},
 		)
 	}
 	return msgs, nil
@@ -206,8 +206,8 @@ func (a *wordForger) Step(r int, honestOut []sim.Message, inboxes map[sim.PartyI
 	if msgs != nil {
 		iter := (r-1)/3 + 1
 		msgs = append(msgs,
-			sim.Message{From: a.ids[0], To: sim.Broadcast, Payload: gradecast.SendMsg{Tag: a.tag + "/acc", Iter: iter, Val: 0}},
-			sim.Message{From: a.ids[0], To: sim.Broadcast, Payload: gradecast.SendMsg{Tag: a.tag + "/acc1", Iter: iter, Val: maskLimit - 1}})
+			sim.Message{From: a.ids[0], To: sim.Broadcast, Payload: &gradecast.SendMsg{Tag: a.tag + "/acc", Iter: iter, Val: 0}},
+			sim.Message{From: a.ids[0], To: sim.Broadcast, Payload: &gradecast.SendMsg{Tag: a.tag + "/acc1", Iter: iter, Val: maskLimit - 1}})
 	}
 	return msgs, nil
 }
@@ -228,7 +228,7 @@ func (a *valueOnlyAdversary) Step(r int, _ []sim.Message, _ map[sim.PartyID][]si
 	var msgs []sim.Message
 	for _, id := range a.ids {
 		msgs = append(msgs, sim.Message{From: id, To: sim.Broadcast,
-			Payload: gradecast.SendMsg{Tag: a.tag, Iter: iter, Val: 50}})
+			Payload: &gradecast.SendMsg{Tag: a.tag, Iter: iter, Val: 50}})
 	}
 	return msgs, nil
 }

@@ -36,6 +36,7 @@ import (
 	"math"
 	"math/bits"
 	"sort"
+	"sync"
 
 	"treeaa/internal/gradecast"
 	"treeaa/internal/sim"
@@ -228,15 +229,22 @@ type Machine struct {
 	// Per-round scratch, allocated once by NewMachine at its final size —
 	// the flag sets share one slab, the grade vectors another, history
 	// holds every iteration — and reused across the whole execution, so
-	// that a round costs only the allocations the wire demands: the boxed
-	// payloads, plus an echo or vote vector only in an iteration whose
-	// values moved or were equivocated (see gradecast.Tally).
-	tally      *gradecast.Tally
-	out        []sim.Message
-	grades     []gradecast.Result   // value-instance grades, indexed by leader
-	accGrades  [][]gradecast.Result // suspicion-instance grades, per word
-	suspCounts []int                // per-leader suspicion-set tally
-	accepted   []float64            // grade >= 1 values feeding the midpoint
+	// that an iteration costs only the allocations the wire demands: one
+	// payload block, plus an echo or vote vector only in an iteration
+	// whose values moved or were equivocated and only at the first party
+	// to read the lane (see gradecast.Tally).
+	tally gradecast.Tally
+	// block holds the current iteration's payloads, one entry per tag; it
+	// is made at the iteration's send step, each payload in it is written
+	// once, and it is never reused, so receivers may keep the pointers.
+	block []payloads
+	out   []sim.Message
+	// grades holds every instance's grades in tally order, n per
+	// instance indexed by leader: the value instance's, then each mask
+	// word's (see instGrades).
+	grades     []gradecast.Result
+	suspCounts []int     // per-leader suspicion-set tally
+	accepted   []float64 // grade >= 1 values feeding the midpoint
 }
 
 var _ sim.LaneReader = (*Machine)(nil)
@@ -254,6 +262,48 @@ const maskLimit = 1 << maskWordBits
 // maskWords returns the number of suspicion-mask words for n parties.
 func maskWords(n int) int { return (n + maskWordBits - 1) / maskWordBits }
 
+// payloads is one gradecast instance's messages of one iteration, the
+// entry of a Machine's payload block.
+type payloads struct {
+	send gradecast.SendMsg
+	echo gradecast.EchoMsg
+	vote gradecast.VoteMsg
+}
+
+// tagSets holds the instance tags of every (tag, mask words) pair a machine
+// was built for, shared read-only by all machines of that pair: the value
+// tag, then one suspicion-mask tag per word. Word 0 keeps the historical
+// "/acc" tag so single-word executions (N <= 52) are wire-compatible with
+// earlier traffic and tests.
+var tagSets struct {
+	sync.Mutex
+	m map[tagSetKey][]string
+}
+
+type tagSetKey struct {
+	tag   string
+	words int
+}
+
+// instanceTags returns the shared tag set of tag with the given mask words.
+func instanceTags(tag string, words int) []string {
+	key := tagSetKey{tag, words}
+	tagSets.Lock()
+	defer tagSets.Unlock()
+	if tags, ok := tagSets.m[key]; ok {
+		return tags
+	}
+	tags := append(make([]string, 0, 1+words), tag, tag+"/acc")
+	for w := 1; w < words; w++ {
+		tags = append(tags, fmt.Sprintf("%s/acc%d", tag, w))
+	}
+	if tagSets.m == nil {
+		tagSets.m = make(map[tagSetKey][]string)
+	}
+	tagSets.m[key] = tags
+	return tags
+}
+
 // NewMachine returns a RealAA machine. It panics on invalid configuration
 // only via Validate at Run* call sites; prefer checking cfg.Validate first.
 func NewMachine(cfg Config) (*Machine, error) {
@@ -261,32 +311,22 @@ func NewMachine(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	words := maskWords(cfg.N)
-	// Word 0 keeps the historical "/acc" tag so single-word executions
-	// (N <= 52) are wire-compatible with earlier traffic and tests.
-	tags := append(make([]string, 0, 1+words), cfg.Tag, cfg.Tag+"/acc")
-	for w := 1; w < words; w++ {
-		tags = append(tags, fmt.Sprintf("%s/acc%d", cfg.Tag, w))
-	}
+	tags := instanceTags(cfg.Tag, words)
 	n := cfg.N
 	flags := make([]bool, 2*n)
-	results := make([]gradecast.Result, (1+words)*n)
-	accGrades := make([][]gradecast.Result, words)
-	for w := range accGrades {
-		accGrades[w] = results[(1+w)*n : (2+w)*n]
-	}
-	return &Machine{
+	m := &Machine{
 		cfg: cfg, val: cfg.Input,
 		suspected:  flags[:n],
 		excluded:   flags[n:],
 		tags:       tags,
 		history:    make([]float64, 0, cfg.Iterations),
-		tally:      gradecast.NewTally(n, cfg.T, tags...),
 		out:        make([]sim.Message, 0, len(tags)),
-		grades:     results[:n],
-		accGrades:  accGrades,
+		grades:     make([]gradecast.Result, len(tags)*n),
 		suspCounts: make([]int, n),
 		accepted:   make([]float64, 0, n),
-	}, nil
+	}
+	m.tally.Init(n, cfg.T, tags...)
+	return m, nil
 }
 
 // suspicionMask encodes word w of the cumulative suspicion set (parties
@@ -356,9 +396,16 @@ func (m *Machine) StepLane(r int, inbox []sim.Message, lane *sim.Lane) []sim.Mes
 			m.done = true
 			return nil
 		}
-		out := append(m.out[:0], sim.Message{To: sim.Broadcast, Payload: gradecast.SendMsg{Tag: m.cfg.Tag, Iter: iter, Val: m.val}})
-		for w, tag := range m.tags[1:] {
-			out = append(out, sim.Message{To: sim.Broadcast, Payload: gradecast.SendMsg{Tag: tag, Iter: iter, Val: m.suspicionMask(w)}})
+		m.block = make([]payloads, len(m.tags))
+		out := m.out[:0]
+		for i, tag := range m.tags {
+			val := m.val
+			if i > 0 {
+				val = m.suspicionMask(i - 1)
+			}
+			p := &m.block[i].send
+			*p = gradecast.SendMsg{Tag: tag, Iter: iter, Val: val}
+			out = append(out, sim.Message{To: sim.Broadcast, Payload: p})
 		}
 		m.out = out
 		return out
@@ -369,7 +416,9 @@ func (m *Machine) StepLane(r int, inbox []sim.Message, lane *sim.Lane) []sim.Mes
 		m.tally.CollectSends(lane, inbox, iter)
 		out := m.out[:0]
 		for i, tag := range m.tags {
-			out = append(out, sim.Message{To: sim.Broadcast, Payload: gradecast.EchoMsg{Tag: tag, Iter: iter, Vals: m.tally.SendVec(i)}})
+			p := &m.block[i].echo
+			*p = gradecast.EchoMsg{Tag: tag, Iter: iter, Vals: m.tally.SendVec(i)}
+			out = append(out, sim.Message{To: sim.Broadcast, Payload: p})
 		}
 		m.out = out
 		return out
@@ -380,7 +429,9 @@ func (m *Machine) StepLane(r int, inbox []sim.Message, lane *sim.Lane) []sim.Mes
 		m.tally.CollectEchoes(lane, inbox, iter)
 		out := m.out[:0]
 		for i, tag := range m.tags {
-			out = append(out, sim.Message{To: sim.Broadcast, Payload: gradecast.VoteMsg{Tag: tag, Iter: iter, Vals: m.tally.Votes(i)}})
+			p := &m.block[i].vote
+			*p = gradecast.VoteMsg{Tag: tag, Iter: iter, Vals: m.tally.Votes(i)}
+			out = append(out, sim.Message{To: sim.Broadcast, Payload: p})
 		}
 		m.out = out
 		if iter == 1 && m.cfg.Eps > 0 && m.tally.Unanimous(0) {
@@ -389,7 +440,7 @@ func (m *Machine) StepLane(r int, inbox []sim.Message, lane *sim.Lane) []sim.Mes
 			// its leaders 2 and the rest 0, and — nobody being excluded in
 			// iteration 1 — accepts exactly its values.
 			acc := m.accepted[:0]
-			for _, e := range out[0].Payload.(gradecast.VoteMsg).Vals {
+			for _, e := range m.block[0].vote.Vals {
 				acc = append(acc, e.Val)
 			}
 			if v, ok := m.trimmedMid(acc); ok {
@@ -423,16 +474,23 @@ func (m *Machine) trimmedMid(vals []float64) (mid float64, ok bool) {
 	return (trimmed[0] + trimmed[len(trimmed)-1]) / 2, true
 }
 
+// instGrades returns the grades of tally instance i: 0 is the value
+// instance, 1+w mask word w.
+func (m *Machine) instGrades(i int) []gradecast.Result {
+	n := m.cfg.N
+	return m.grades[i*n : (i+1)*n]
+}
+
 // finishIteration computes grades for both parallel gradecast instances of
 // the iteration whose votes arrive in this inbox, updates the global
 // exclusion set from the suspicion-set counts, and applies the trimmed
 // midpoint update.
 func (m *Machine) finishIteration(iter int, inbox []sim.Message, lane *sim.Lane) {
 	m.tally.CollectVotes(lane, inbox, iter)
-	m.grades = m.tally.Grades(0, m.grades)
-	for w := range m.accGrades {
-		m.accGrades[w] = m.tally.Grades(1+w, m.accGrades[w])
+	for i := range m.tags {
+		m.tally.Grades(i, m.instGrades(i))
 	}
+	words := len(m.tags) - 1
 
 	// Count, over the currently included suspicion sets, how many distinct
 	// parties name each leader. Only mask words with grade >= 1 from
@@ -443,13 +501,13 @@ func (m *Machine) finishIteration(iter int, inbox []sim.Message, lane *sim.Lane)
 	for i := range counts {
 		counts[i] = 0
 	}
-	for w := range m.accGrades {
-		base := w * maskWordBits
+	for w := range words {
+		base, grades := w*maskWordBits, m.instGrades(1+w)
 		for sender := 0; sender < m.cfg.N; sender++ {
 			if m.excluded[sender] {
 				continue
 			}
-			g := m.accGrades[w][sender]
+			g := grades[sender]
 			if g.Grade < gradecast.GradeLow || g.Val < 0 || g.Val != math.Trunc(g.Val) || g.Val >= maskLimit {
 				continue
 			}
@@ -471,19 +529,16 @@ func (m *Machine) finishIteration(iter int, inbox []sim.Message, lane *sim.Lane)
 	// Values with grade >= 1 from non-excluded leaders are used this
 	// iteration even if this party suspects the leader — local suspicion
 	// alone must not cause inclusion asymmetry (see the type comment).
-	accepted := m.accepted[:0]
+	accepted, values := m.accepted[:0], m.instGrades(0)
 	for leader := 0; leader < m.cfg.N; leader++ {
-		g := m.grades[leader]
+		g := values[leader]
 		if !m.excluded[leader] && g.Grade >= gradecast.GradeLow {
 			accepted = append(accepted, g.Val)
 		}
 		// Any grade < 2 on either instance marks the leader suspected.
 		suspect := g.Grade < gradecast.GradeHigh
-		for w := range m.accGrades {
-			if suspect {
-				break
-			}
-			suspect = m.accGrades[w][leader].Grade < gradecast.GradeHigh
+		for w := 0; w < words && !suspect; w++ {
+			suspect = m.instGrades(1 + w)[leader].Grade < gradecast.GradeHigh
 		}
 		if suspect {
 			m.suspected[leader] = true

@@ -1,6 +1,7 @@
 package realaa
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,15 +13,15 @@ import (
 
 // Payload constructors shared by the scripted adversaries below.
 func gradecastSend(tag string, iter int, v float64) any {
-	return gradecast.SendMsg{Tag: tag, Iter: iter, Val: v}
+	return &gradecast.SendMsg{Tag: tag, Iter: iter, Val: v}
 }
 
 func gradecastEcho(tag string, iter int, vals map[sim.PartyID]float64) any {
-	return gradecast.EchoMsg{Tag: tag, Iter: iter, Vals: gradecast.CopyVals(vals)}
+	return &gradecast.EchoMsg{Tag: tag, Iter: iter, Vals: gradecast.CopyVals(vals)}
 }
 
 func gradecastVote(tag string, iter int, vals map[sim.PartyID]float64) any {
-	return gradecast.VoteMsg{Tag: tag, Iter: iter, Vals: gradecast.CopyVals(vals)}
+	return &gradecast.VoteMsg{Tag: tag, Iter: iter, Vals: gradecast.CopyVals(vals)}
 }
 
 func honestRange(inputs []float64, corrupt map[sim.PartyID]bool) (lo, hi float64) {
@@ -453,8 +454,8 @@ func TestDecidedIterationDisabledWithoutEps(t *testing.T) {
 }
 
 // TestSettledIterationAllocatesOnlyEnvelopes: once the honest values are
-// equal, an iteration costs each party the boxing of its send, echo and
-// vote payload per gradecast instance — 3 × (1 + mask words) — and nothing
+// equal, an iteration costs each party one payload block, which holds its
+// send, echo and vote payload of every gradecast instance, and nothing
 // else: the echo is the vector voted the iteration before, the vote the
 // echo every party read off the lane, and every buffer was made at its
 // final size. Whole executions at two schedule lengths are measured, the
@@ -480,8 +481,72 @@ func TestSettledIterationAllocatesOnlyEnvelopes(t *testing.T) {
 	allocsShort := testing.AllocsPerRun(10, run(short))
 	allocsLong := testing.AllocsPerRun(10, run(long))
 	perIteration := (allocsLong - allocsShort) / float64((long-short)*n)
-	if want := float64(3 * (1 + maskWords(n))); perIteration != want {
+	if want := 1.0; perIteration != want {
 		t.Errorf("%v allocations per party per settled iteration (short=%v, long=%v), want %v",
 			perIteration, allocsShort, allocsLong, want)
 	}
+}
+
+// TestPayloadsAreNeverRewritten: a receiver may keep a payload pointer
+// (adversary.Replay does), so a machine must never write a payload it has
+// sent again. Every payload party 0 sends is recorded with a copy of its
+// bytes; at the end of a run in which the values move, each still holds
+// them, and the last iteration's sends, echoes and votes are the slots of
+// one block.
+func TestPayloadsAreNeverRewritten(t *testing.T) {
+	const n, tc, iters = 7, 2, 5
+	type sent struct {
+		p    any
+		want string
+	}
+	var log []sent
+	record := func(out []sim.Message) {
+		for _, m := range out {
+			log = append(log, sent{m.Payload, fmt.Sprintf("%+v", m.Payload)})
+		}
+	}
+	machines := make([]sim.Machine, n)
+	var zero *Machine
+	for i := range machines {
+		m, err := NewMachine(Config{N: n, T: tc, ID: sim.PartyID(i), Tag: "real",
+			Iterations: iters, StartRound: 1, Input: float64(100 * i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		machines[i] = m
+		if i == 0 {
+			zero = m
+			machines[i] = stepHook{m, record}
+		}
+	}
+	if _, err := sim.Run(sim.Config{N: n, MaxCorrupt: tc, MaxRounds: 3*iters + 2}, machines); err != nil {
+		t.Fatal(err)
+	}
+	if len(log) != 3*iters*len(zero.tags) {
+		t.Fatalf("party 0 sent %d payloads, want %d", len(log), 3*iters*len(zero.tags))
+	}
+	for i, s := range log {
+		if got := fmt.Sprintf("%+v", s.p); got != s.want {
+			t.Errorf("payload %d was rewritten after it was sent: %s, sent as %s", i, got, s.want)
+		}
+	}
+	last := log[len(log)-3*len(zero.tags):]
+	for i := range zero.tags {
+		b := &zero.block[i]
+		if last[i].p != any(&b.send) || last[len(zero.tags)+i].p != any(&b.echo) || last[2*len(zero.tags)+i].p != any(&b.vote) {
+			t.Errorf("instance %d: the last iteration's payloads are not its payload block's", i)
+		}
+	}
+}
+
+// stepHook hands every outbox of the machine it wraps to f.
+type stepHook struct {
+	sim.Machine
+	f func([]sim.Message)
+}
+
+func (h stepHook) Step(r int, inbox []sim.Message) []sim.Message {
+	out := h.Machine.Step(r, inbox)
+	h.f(out)
+	return out
 }

@@ -131,7 +131,7 @@ func (a *mimic) Step(r int, honestOut []sim.Message, _ map[sim.PartyID][]sim.Mes
 	switch r {
 	case 1:
 		for _, to := range a.to {
-			out = append(out, sim.Message{From: a.leader, To: to, Payload: gradecast.SendMsg{Tag: "real", Iter: 1, Val: a.val}})
+			out = append(out, sim.Message{From: a.leader, To: to, Payload: &gradecast.SendMsg{Tag: "real", Iter: 1, Val: a.val}})
 		}
 	case 2, 3:
 		for _, m := range honestOut {
@@ -139,11 +139,11 @@ func (a *mimic) Step(r int, honestOut []sim.Message, _ map[sim.PartyID][]sim.Mes
 				continue
 			}
 			switch p := m.Payload.(type) {
-			case gradecast.EchoMsg:
+			case *gradecast.EchoMsg:
 				if p.Tag == "real" {
 					out = append(out, sim.Message{From: a.leader, To: a.copyOf, Payload: p})
 				}
-			case gradecast.VoteMsg:
+			case *gradecast.VoteMsg:
 				if p.Tag == "real" {
 					out = append(out, sim.Message{From: a.leader, To: a.copyOf, Payload: p})
 				}
@@ -171,7 +171,7 @@ func (a *chorus) Step(r int, honestOut []sim.Message, _ map[sim.PartyID][]sim.Me
 	}
 	var out []sim.Message
 	for _, m := range honestOut {
-		if p, ok := m.Payload.(gradecast.EchoMsg); ok && m.From == a.copyOf && p.Tag == "real" {
+		if p, ok := m.Payload.(*gradecast.EchoMsg); ok && m.From == a.copyOf && p.Tag == "real" {
 			for _, from := range a.ids {
 				for _, to := range a.to {
 					out = append(out, sim.Message{From: from, To: to, Payload: p})

@@ -346,8 +346,8 @@ func TestBinaryFrameMatchesTransportFraming(t *testing.T) {
 	payloads := []any{
 		wire.SessionRound{SID: 1<<48 | 9, Round: 3, Done: true},
 		wire.SessionRound{SID: 7, Round: 300, Payloads: []any{
-			gradecast.SendMsg{Tag: "treeaa/pf", Iter: 3, Val: 17.5},
-			gradecast.EchoMsg{Tag: "treeaa/pf", Iter: 3, Vals: gradecast.Vec{{ID: 0, Val: 1}, {ID: 2, Val: -2}}},
+			&gradecast.SendMsg{Tag: "treeaa/pf", Iter: 3, Val: 17.5},
+			&gradecast.EchoMsg{Tag: "treeaa/pf", Iter: 3, Vals: gradecast.Vec{{ID: 0, Val: 1}, {ID: 2, Val: -2}}},
 		}},
 		wire.SessionAbort{SID: 42, Reason: "x"},
 		wire.SessionDecide{SID: 7, Party: 2, V: 5, DoneRound: 3, TermRound: 4, Msgs: 12, Bytes: 96},

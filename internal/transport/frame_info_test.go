@@ -23,7 +23,7 @@ func muxFrame(t *testing.T, payload any) []byte {
 // frame family — the transport's own envelopes and the session mux's — so
 // fault windows key on the right rounds and control traffic stays exempt.
 func TestFrameInfoClassifiesFrames(t *testing.T) {
-	payload := gradecast.SendMsg{Tag: "treeaa/pf", Iter: 1, Val: 3}
+	payload := &gradecast.SendMsg{Tag: "treeaa/pf", Iter: 1, Val: 3}
 	body, err := wire.Encode(payload)
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestFrameInfoClassifiesFrames(t *testing.T) {
 // several frames is classified by its head frame, whose size is where the
 // next frame starts — which is how the chaos injector walks a batch.
 func TestFrameInfoBatchUsesHead(t *testing.T) {
-	payload := gradecast.SendMsg{Tag: "treeaa/pf", Iter: 1, Val: 3}
+	payload := &gradecast.SendMsg{Tag: "treeaa/pf", Iter: 1, Val: 3}
 	frames := [][]byte{
 		muxFrame(t, wire.SessionRound{SID: 1, Round: 3, Payloads: []any{payload}}),
 		muxFrame(t, wire.SessionRound{SID: 1, Round: 8}),

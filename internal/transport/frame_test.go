@@ -100,7 +100,7 @@ func TestHelloAckRejections(t *testing.T) {
 // frame's alone, for a unicast and for a broadcast, which is mirrored once
 // under the reserved recipient marker.
 func TestMsgFrameRoundTrip(t *testing.T) {
-	payload := gradecast.EchoMsg{Tag: "treeaa/pf", Iter: 3,
+	payload := &gradecast.EchoMsg{Tag: "treeaa/pf", Iter: 3,
 		Vals: gradecast.Vec{{ID: 0, Val: 1.5}, {ID: 4, Val: -2}}}
 	body, err := wire.Encode(payload)
 	if err != nil {
@@ -122,7 +122,7 @@ func TestMsgFrameRoundTrip(t *testing.T) {
 // (the host) a mirror — a second hello, a stray count, an unknown tag or
 // one of the frames a round frame replaced.
 func TestParseFrameRejections(t *testing.T) {
-	body, err := wire.Encode(gradecast.SendMsg{Tag: "t", Iter: 1, Val: 2})
+	body, err := wire.Encode(&gradecast.SendMsg{Tag: "t", Iter: 1, Val: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

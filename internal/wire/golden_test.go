@@ -41,21 +41,21 @@ const goldenDir = "../../testdata/wire"
 // are chosen to exercise multi-byte varints and non-trivial float bits.
 func goldenPayloads() map[string]any {
 	return map[string]any{
-		"gradecast_send": gradecast.SendMsg{Tag: "treeaa/pf", Iter: 3, Val: 17.5},
-		"gradecast_echo": gradecast.EchoMsg{Tag: "treeaa/proj", Iter: 2, Vals: gradecast.CopyVals(map[sim.PartyID]float64{
+		"gradecast_send": &gradecast.SendMsg{Tag: "treeaa/pf", Iter: 3, Val: 17.5},
+		"gradecast_echo": &gradecast.EchoMsg{Tag: "treeaa/proj", Iter: 2, Vals: gradecast.CopyVals(map[sim.PartyID]float64{
 			0: 1.5, 3: -2.25, 7: 4096, 51: float64(1 << 52),
 		})},
-		"gradecast_vote": gradecast.VoteMsg{Tag: "treeaa/path", Iter: 200, Vals: gradecast.CopyVals(map[sim.PartyID]float64{
+		"gradecast_vote": &gradecast.VoteMsg{Tag: "treeaa/path", Iter: 200, Vals: gradecast.CopyVals(map[sim.PartyID]float64{
 			1: 0, 6: math.Pi,
 		})},
 		"crash_value": crashaa.ValueMsg{Tag: "crash", Iter: 7, Val: 0.125},
 		"session_msg": SessionMsg{SID: 1<<48 | 42, Round: 3,
-			Payload: gradecast.SendMsg{Tag: "treeaa/pf", Iter: 3, Val: 17.5}},
+			Payload: &gradecast.SendMsg{Tag: "treeaa/pf", Iter: 3, Val: 17.5}},
 		"session_eor": SessionEOR{SID: 1<<48 | 42, Round: 7, Done: true},
 		// One lock-step round to one peer: a send, a vote and the mark.
 		"session_round": SessionRound{SID: 1<<48 | 42, Round: 300, Done: true, Payloads: []any{
-			gradecast.SendMsg{Tag: "treeaa/pf", Iter: 3, Val: 17.5},
-			gradecast.VoteMsg{Tag: "treeaa/pf", Iter: 2, Vals: gradecast.Vec{{ID: 1, Val: 0}, {ID: 6, Val: math.Pi}}},
+			&gradecast.SendMsg{Tag: "treeaa/pf", Iter: 3, Val: 17.5},
+			&gradecast.VoteMsg{Tag: "treeaa/pf", Iter: 2, Vals: gradecast.Vec{{ID: 1, Val: 0}, {ID: 6, Val: math.Pi}}},
 		}},
 		"session_open": SessionOpen{SID: 2<<48 | 1, Tree: "path:16", Seed: -7,
 			T: 2, Inputs: "0,5,10,15", TTLMillis: 30_000},
@@ -82,7 +82,7 @@ func goldenPayloads() map[string]any {
 			LatencyNS: 93_000_000, HasResult: true, Rounds: 6, Msgs: 1234, Bytes: 1 << 17,
 			Outputs: []OutputPair{{Party: 0, V: 4}, {Party: 2, V: 7}}},
 		"relay": RelayMsg{Origin: 5, Dest: sim.Broadcast, Seq: 300, Round: 3,
-			Body: mustEncode(gradecast.SendMsg{Tag: "treeaa/pf", Iter: 3, Val: 17.5})},
+			Body: mustEncode(&gradecast.SendMsg{Tag: "treeaa/pf", Iter: 3, Val: 17.5})},
 		"overlay_eor": OverlayEOR{Round: 7, Down: false,
 			Arrived: []byte{0xFF, 0x03}, Done: []byte{0x01}},
 		"async_value": AsyncValue{Phase: AsyncPhasePathsFinder, Kind: AsyncKindEcho,

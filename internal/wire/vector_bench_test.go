@@ -15,7 +15,7 @@ func bigEchoFrame(tb testing.TB, n int) []byte {
 	for i := 0; i < n; i++ {
 		vals[sim.PartyID(i)] = float64(i) * 1.5
 	}
-	enc, err := Encode(gradecast.EchoMsg{Tag: "treeaa/pf", Iter: 3, Vals: gradecast.CopyVals(vals)})
+	enc, err := Encode(&gradecast.EchoMsg{Tag: "treeaa/pf", Iter: 3, Vals: gradecast.CopyVals(vals)})
 	if err != nil {
 		tb.Fatal(err)
 	}

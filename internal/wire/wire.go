@@ -5,9 +5,11 @@
 // value broadcasts, plus the frames of the session service, its client API,
 // journal and overlay. The internal/transport TCP layer frames
 // these bodies onto sockets; the in-process engine never encodes (payloads
-// cross goroutines as values) but charges exactly len(Encode(p)) bytes per
-// message because every payload's sim.Sizer implementation mirrors this
-// codec — TestSizerMatchesEncoding pins that equality.
+// cross goroutines as Go values) but charges exactly len(Encode(p)) bytes
+// per message because every payload's sim.Sizer implementation mirrors this
+// codec — TestSizerMatchesEncoding pins that equality. The gradecast
+// messages are pointer-shaped: Encode takes only *SendMsg, *EchoMsg and
+// *VoteMsg (a value form is an unknown payload) and Decode returns them.
 //
 // # Format
 //
@@ -95,11 +97,11 @@ func Encode(payload any) ([]byte, error) {
 // extended slice.
 func Append(dst []byte, payload any) ([]byte, error) {
 	switch m := payload.(type) {
-	case gradecast.SendMsg:
+	case *gradecast.SendMsg:
 		return appendScalar(dst, TypeGradecastSend, m.Tag, m.Iter, m.Val)
-	case gradecast.EchoMsg:
+	case *gradecast.EchoMsg:
 		return appendVector(dst, TypeGradecastEcho, m.Tag, m.Iter, m.Vals)
-	case gradecast.VoteMsg:
+	case *gradecast.VoteMsg:
 		return appendVector(dst, TypeGradecastVote, m.Tag, m.Iter, m.Vals)
 	case crashaa.ValueMsg:
 		return appendScalar(dst, TypeCrashValue, m.Tag, m.Iter, m.Val)
@@ -151,7 +153,7 @@ func EncodedSize(payload any) (int, error) {
 		return 0, fmt.Errorf("%w: %T", ErrUnknownPayload, payload)
 	}
 	switch payload.(type) {
-	case gradecast.SendMsg, gradecast.EchoMsg, gradecast.VoteMsg,
+	case *gradecast.SendMsg, *gradecast.EchoMsg, *gradecast.VoteMsg,
 		crashaa.ValueMsg,
 		SessionMsg, SessionEOR, SessionOpen, SessionAbort, SessionDecide, SessionRound,
 		ClientSubmit, ClientWait, ClientStatus, ClientOutcome,
@@ -366,7 +368,7 @@ func decodeScalar(b []byte, typ byte) (any, []byte, error) {
 		return nil, nil, err
 	}
 	if typ == TypeGradecastSend {
-		return gradecast.SendMsg{Tag: tag, Iter: iter, Val: val}, b, nil
+		return &gradecast.SendMsg{Tag: tag, Iter: iter, Val: val}, b, nil
 	}
 	return crashaa.ValueMsg{Tag: tag, Iter: iter, Val: val}, b, nil
 }
@@ -440,7 +442,7 @@ func decodeVector(b []byte, typ byte) (any, []byte, error) {
 		vals = append(vals, gradecast.VecEntry{ID: sim.PartyID(id), Val: v})
 	}
 	if typ == TypeGradecastEcho {
-		return gradecast.EchoMsg{Tag: tag, Iter: iter, Vals: vals}, b, nil
+		return &gradecast.EchoMsg{Tag: tag, Iter: iter, Vals: vals}, b, nil
 	}
-	return gradecast.VoteMsg{Tag: tag, Iter: iter, Vals: vals}, b, nil
+	return &gradecast.VoteMsg{Tag: tag, Iter: iter, Vals: vals}, b, nil
 }

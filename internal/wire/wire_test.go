@@ -2,8 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -18,19 +21,19 @@ import (
 // zero-length signatures).
 func samplePayloads() []any {
 	return []any{
-		gradecast.SendMsg{Tag: "treeaa/pf", Iter: 3, Val: 17.5},
-		gradecast.SendMsg{Tag: "", Iter: 0, Val: math.Inf(-1)},
-		gradecast.SendMsg{Tag: "treeaa/pf/acc", Iter: 300, Val: float64(1 << 52)},
-		gradecast.EchoMsg{Tag: "treeaa/proj", Iter: 2, Vals: gradecast.CopyVals(map[sim.PartyID]float64{
+		&gradecast.SendMsg{Tag: "treeaa/pf", Iter: 3, Val: 17.5},
+		&gradecast.SendMsg{Tag: "", Iter: 0, Val: math.Inf(-1)},
+		&gradecast.SendMsg{Tag: "treeaa/pf/acc", Iter: 300, Val: float64(1 << 52)},
+		&gradecast.EchoMsg{Tag: "treeaa/proj", Iter: 2, Vals: gradecast.CopyVals(map[sim.PartyID]float64{
 			0: 1.5, 3: -2.25, 7: 4096, 51: math.NaN(),
 		})},
-		gradecast.EchoMsg{Tag: "x", Iter: 1, Vals: gradecast.Vec{}},
-		gradecast.VoteMsg{Tag: "treeaa/path", Iter: 9, Vals: gradecast.CopyVals(map[sim.PartyID]float64{
+		&gradecast.EchoMsg{Tag: "x", Iter: 1, Vals: gradecast.Vec{}},
+		&gradecast.VoteMsg{Tag: "treeaa/path", Iter: 9, Vals: gradecast.CopyVals(map[sim.PartyID]float64{
 			1: 0, 2: math.Copysign(0, -1), 130: 1e-300,
 		})},
 		crashaa.ValueMsg{Tag: "crash", Iter: 7, Val: 0.125},
 		SessionMsg{SID: 1, Round: 1,
-			Payload: gradecast.SendMsg{Tag: "treeaa/pf", Iter: 3, Val: 17.5}},
+			Payload: &gradecast.SendMsg{Tag: "treeaa/pf", Iter: 3, Val: 17.5}},
 		SessionMsg{SID: 1<<48 | 7, Round: 300,
 			Payload: crashaa.ValueMsg{Tag: "crash", Iter: 5, Val: 39}},
 		SessionEOR{SID: 0, Round: 1, Done: false},
@@ -38,8 +41,8 @@ func samplePayloads() []any {
 		SessionRound{SID: 1, Round: 1}, // a silent round's bare mark
 		SessionRound{SID: math.MaxUint64, Round: 12, Done: true},
 		SessionRound{SID: 1<<48 | 7, Round: 300, Payloads: []any{
-			gradecast.SendMsg{Tag: "treeaa/pf", Iter: 3, Val: 17.5},
-			gradecast.EchoMsg{Tag: "treeaa/pf", Iter: 3, Vals: gradecast.Vec{{ID: 0, Val: 1}, {ID: 2, Val: -2}}},
+			&gradecast.SendMsg{Tag: "treeaa/pf", Iter: 3, Val: 17.5},
+			&gradecast.EchoMsg{Tag: "treeaa/pf", Iter: 3, Vals: gradecast.Vec{{ID: 0, Val: 1}, {ID: 2, Val: -2}}},
 			crashaa.ValueMsg{Tag: "crash", Iter: 5, Val: 39},
 		}},
 		SessionRound{SID: 9, Round: 2, Payloads: []any{ // an async seat's k = 1
@@ -69,7 +72,7 @@ func samplePayloads() []any {
 			Inputs: "", TTLMillis: 0, DeadlineUnixNano: -1},
 		JournalFrame{From: 2, Body: mustEncode(SessionEOR{SID: 2<<48 | 77, Round: 4, Done: true})},
 		JournalFrame{From: 0, Body: mustEncode(SessionMsg{SID: 9, Round: 1,
-			Payload: gradecast.SendMsg{Tag: "treeaa/pf", Iter: 3, Val: 17.5}})},
+			Payload: &gradecast.SendMsg{Tag: "treeaa/pf", Iter: 3, Val: 17.5}})},
 		JournalFrame{From: 1, Body: mustEncode(SessionDecide{SID: 5, Party: 1, V: 12,
 			DoneRound: 4, TermRound: 5, Msgs: 1234, Bytes: 1 << 20})},
 		JournalSeal{SID: 2<<48 | 77, State: 2, LatencyNS: 93_000_000, HasResult: true,
@@ -78,9 +81,9 @@ func samplePayloads() []any {
 		JournalSeal{SID: 3, State: 3, Reason: "deadline exceeded", LatencyNS: 0},
 		JournalSeal{SID: 4, State: 4, Reason: "daemon shutting down", LatencyNS: 1},
 		RelayMsg{Origin: 5, Dest: sim.Broadcast, Seq: 300, Round: 3,
-			Body: mustEncode(gradecast.SendMsg{Tag: "treeaa/pf", Iter: 3, Val: 17.5})},
+			Body: mustEncode(&gradecast.SendMsg{Tag: "treeaa/pf", Iter: 3, Val: 17.5})},
 		RelayMsg{Origin: 0, Dest: 511, Seq: 1, Round: 1,
-			Body: mustEncode(gradecast.EchoMsg{Tag: "t", Iter: 1,
+			Body: mustEncode(&gradecast.EchoMsg{Tag: "t", Iter: 1,
 				Vals: gradecast.Vec{{ID: 2, Val: -0.5}}})},
 		OverlayEOR{Round: 7, Down: false, Arrived: []byte{0xFF, 0x03}, Done: []byte{0x01}},
 		OverlayEOR{Round: 1, Down: true, Done: []byte{0x0F}},
@@ -92,11 +95,11 @@ func samplePayloads() []any {
 // their bit patterns match (reflect.DeepEqual treats NaN != NaN).
 func equalPayload(a, b any) bool {
 	switch av := a.(type) {
-	case gradecast.EchoMsg:
-		bv, ok := b.(gradecast.EchoMsg)
+	case *gradecast.EchoMsg:
+		bv, ok := b.(*gradecast.EchoMsg)
 		return ok && av.Tag == bv.Tag && av.Iter == bv.Iter && equalVals(av.Vals, bv.Vals)
-	case gradecast.VoteMsg:
-		bv, ok := b.(gradecast.VoteMsg)
+	case *gradecast.VoteMsg:
+		bv, ok := b.(*gradecast.VoteMsg)
 		return ok && av.Tag == bv.Tag && av.Iter == bv.Iter && equalVals(av.Vals, bv.Vals)
 	default:
 		return reflect.DeepEqual(a, b)
@@ -142,10 +145,9 @@ func TestRoundTrip(t *testing.T) {
 // empty form: the codec cannot (and need not) distinguish nil from empty.
 func normalizeEmpty(dec, orig any) any {
 	switch d := dec.(type) {
-	case gradecast.EchoMsg:
-		if o, ok := orig.(gradecast.EchoMsg); ok && len(d.Vals) == 0 && len(o.Vals) == 0 {
-			d.Vals = o.Vals
-			return d
+	case *gradecast.EchoMsg:
+		if o, ok := orig.(*gradecast.EchoMsg); ok && len(d.Vals) == 0 && len(o.Vals) == 0 {
+			return &gradecast.EchoMsg{Tag: d.Tag, Iter: d.Iter, Vals: o.Vals}
 		}
 	}
 	return dec
@@ -185,15 +187,15 @@ func TestSizerMatchesEncoding(t *testing.T) {
 			vals[sim.PartyID(rng.Intn(1<<20))] = rng.NormFloat64()
 		}
 		vec := gradecast.CopyVals(vals)
-		check(gradecast.SendMsg{Tag: tag, Iter: iter, Val: rng.NormFloat64()})
-		check(gradecast.EchoMsg{Tag: tag, Iter: iter, Vals: vec})
-		check(gradecast.VoteMsg{Tag: tag, Iter: iter, Vals: vec})
+		check(&gradecast.SendMsg{Tag: tag, Iter: iter, Val: rng.NormFloat64()})
+		check(&gradecast.EchoMsg{Tag: tag, Iter: iter, Vals: vec})
+		check(&gradecast.VoteMsg{Tag: tag, Iter: iter, Vals: vec})
 		check(crashaa.ValueMsg{Tag: tag, Iter: iter, Val: rng.NormFloat64()})
 	}
 }
 
 func TestDecodeRejectsMalformed(t *testing.T) {
-	valid, err := Encode(gradecast.EchoMsg{Tag: "t", Iter: 1,
+	valid, err := Encode(&gradecast.EchoMsg{Tag: "t", Iter: 1,
 		Vals: gradecast.Vec{{ID: 1, Val: 1}, {ID: 2, Val: 2}}})
 	if err != nil {
 		t.Fatal(err)
@@ -233,24 +235,24 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 func TestEncodeRejectsInvalid(t *testing.T) {
 	cases := []any{
 		struct{ X int }{1}, // unknown type
-		gradecast.SendMsg{Tag: "t", Iter: -1},
-		gradecast.EchoMsg{Tag: "t", Iter: 1, Vals: gradecast.Vec{{ID: -1, Val: 0}}},
-		gradecast.EchoMsg{Tag: "t", Iter: 1, // unsorted Vec is not canonical
+		&gradecast.SendMsg{Tag: "t", Iter: -1},
+		&gradecast.EchoMsg{Tag: "t", Iter: 1, Vals: gradecast.Vec{{ID: -1, Val: 0}}},
+		&gradecast.EchoMsg{Tag: "t", Iter: 1, // unsorted Vec is not canonical
 			Vals: gradecast.Vec{{ID: 2, Val: 0}, {ID: 1, Val: 0}}},
 		RelayMsg{Origin: 1, Dest: 2, Seq: 1, Round: 1, Body: []byte{Version, 0x04, 0x00, 0x00}}, // retired leaf type
-		SessionMsg{SID: 1, Round: 0, Payload: gradecast.SendMsg{Tag: "t"}},
+		SessionMsg{SID: 1, Round: 0, Payload: &gradecast.SendMsg{Tag: "t"}},
 		SessionMsg{SID: 1, Round: 1, Payload: SessionAbort{SID: 1}}, // no nesting
 		SessionMsg{SID: 1, Round: 1, Payload: nil},
 		SessionEOR{SID: 1, Round: -1},
 		SessionRound{SID: 1, Round: 0},
 		SessionRound{SID: 1, Round: 1, Payloads: []any{nil}},
-		SessionRound{SID: 1, Round: 1, Payloads: []any{SessionRound{SID: 1, Round: 1}}},        // no nesting
-		SessionRound{SID: 1, Round: 1, Payloads: []any{SessionEOR{SID: 1, Round: 1}}},          // no nesting
-		SessionRound{SID: 1, Round: 1, Payloads: []any{ClientWait{SID: 1}}},                    // no client nesting
-		SessionRound{SID: 1, Round: 1, Payloads: []any{JournalSeal{SID: 1, State: 2}}},         // no journal nesting
-		SessionRound{SID: 1, Round: 1, Payloads: []any{OverlayEOR{Round: 1}}},                  // no overlay nesting
-		SessionRound{SID: 1, Round: 1, Payloads: []any{gradecast.SendMsg{Tag: "t", Iter: -1}}}, // bad leaf
-		SessionMsg{SID: 1, Round: 1, Payload: SessionRound{SID: 1, Round: 1}},                  // no nesting
+		SessionRound{SID: 1, Round: 1, Payloads: []any{SessionRound{SID: 1, Round: 1}}},         // no nesting
+		SessionRound{SID: 1, Round: 1, Payloads: []any{SessionEOR{SID: 1, Round: 1}}},           // no nesting
+		SessionRound{SID: 1, Round: 1, Payloads: []any{ClientWait{SID: 1}}},                     // no client nesting
+		SessionRound{SID: 1, Round: 1, Payloads: []any{JournalSeal{SID: 1, State: 2}}},          // no journal nesting
+		SessionRound{SID: 1, Round: 1, Payloads: []any{OverlayEOR{Round: 1}}},                   // no overlay nesting
+		SessionRound{SID: 1, Round: 1, Payloads: []any{&gradecast.SendMsg{Tag: "t", Iter: -1}}}, // bad leaf
+		SessionMsg{SID: 1, Round: 1, Payload: SessionRound{SID: 1, Round: 1}},                   // no nesting
 		SessionOpen{SID: 1, Tree: "path:4", T: -1},
 		SessionDecide{SID: 1, Party: -1, DoneRound: 1, TermRound: 1},
 		SessionDecide{SID: 1, Party: 0, DoneRound: 0, TermRound: 1},
@@ -267,23 +269,23 @@ func TestEncodeRejectsInvalid(t *testing.T) {
 			Outputs: []OutputPair{{Party: -1, V: 1}}},
 		JournalOpen{SID: 1, Origin: -1, Tree: "path:4"},
 		JournalOpen{SID: 1, Origin: 0, Tree: "path:4", T: -1},
-		JournalFrame{From: 0, Body: nil},                                     // empty body is not a session frame
-		JournalFrame{From: 0, Body: mustEncode(gradecast.SendMsg{Tag: "t"})}, // leaf, not session-plane
-		JournalFrame{From: 0, Body: mustEncode(ClientWait{SID: 1})},          // client plane barred
-		SessionMsg{SID: 1, Round: 1, Payload: JournalSeal{SID: 1, State: 2}}, // no journal nesting
-		JournalSeal{SID: 1, State: 0},                                        // not terminal
-		JournalSeal{SID: 1, State: 5},                                        // out of range
+		JournalFrame{From: 0, Body: nil},                                      // empty body is not a session frame
+		JournalFrame{From: 0, Body: mustEncode(&gradecast.SendMsg{Tag: "t"})}, // leaf, not session-plane
+		JournalFrame{From: 0, Body: mustEncode(ClientWait{SID: 1})},           // client plane barred
+		SessionMsg{SID: 1, Round: 1, Payload: JournalSeal{SID: 1, State: 2}},  // no journal nesting
+		JournalSeal{SID: 1, State: 0},                                         // not terminal
+		JournalSeal{SID: 1, State: 5},                                         // out of range
 		JournalSeal{SID: 1, State: 2, LatencyNS: -1},
 		JournalSeal{SID: 1, State: 2, HasResult: true, Rounds: -1},
 		JournalSeal{SID: 1, State: 2, HasResult: true, Msgs: -1},
 		JournalSeal{SID: 1, State: 2, HasResult: true,
 			Outputs: []OutputPair{{Party: 2, V: 1}, {Party: 2, V: 1}}}, // not ascending
 		RelayMsg{Origin: 0, Dest: 1, Seq: 0, Round: 1, // seq must be positive
-			Body: mustEncode(gradecast.SendMsg{Tag: "t"})},
+			Body: mustEncode(&gradecast.SendMsg{Tag: "t"})},
 		RelayMsg{Origin: 0, Dest: -2, Seq: 1, Round: 1, // dest below Broadcast
-			Body: mustEncode(gradecast.SendMsg{Tag: "t"})},
+			Body: mustEncode(&gradecast.SendMsg{Tag: "t"})},
 		RelayMsg{Origin: 0, Dest: 1, Seq: 1, Round: 0, // round must be positive
-			Body: mustEncode(gradecast.SendMsg{Tag: "t"})},
+			Body: mustEncode(&gradecast.SendMsg{Tag: "t"})},
 		RelayMsg{Origin: 0, Dest: 1, Seq: 1, Round: 1, Body: nil}, // empty body
 		RelayMsg{Origin: 0, Dest: 1, Seq: 1, Round: 1, // non-leaf body barred
 			Body: mustEncode(SessionEOR{SID: 1, Round: 1})},
@@ -297,6 +299,48 @@ func TestEncodeRejectsInvalid(t *testing.T) {
 	for _, p := range cases {
 		if enc, err := Encode(p); err == nil {
 			t.Errorf("Encode(%#v) accepted: %x", p, enc)
+		}
+	}
+}
+
+// TestGradecastPayloadsArePointers: the gradecast messages have one wire
+// form, the pointer. A value-form payload is an unknown payload to Encode,
+// Append and EncodedSize, and inside a session round; each committed
+// gradecast frame decodes to its pointer form.
+func TestGradecastPayloadsArePointers(t *testing.T) {
+	for _, p := range []any{
+		gradecast.SendMsg{Tag: "treeaa/pf", Iter: 3, Val: 17.5},
+		gradecast.EchoMsg{Tag: "treeaa/pf", Iter: 3, Vals: gradecast.Vec{{ID: 0, Val: 1}}},
+		gradecast.VoteMsg{Tag: "treeaa/pf", Iter: 3},
+	} {
+		if _, err := Encode(p); !errors.Is(err, ErrUnknownPayload) {
+			t.Errorf("Encode(%T) = %v, want ErrUnknownPayload", p, err)
+		}
+		if _, err := Append(nil, p); !errors.Is(err, ErrUnknownPayload) {
+			t.Errorf("Append(%T) = %v, want ErrUnknownPayload", p, err)
+		}
+		if _, err := EncodedSize(p); !errors.Is(err, ErrUnknownPayload) {
+			t.Errorf("EncodedSize(%T) = %v, want ErrUnknownPayload", p, err)
+		}
+		if _, err := Encode(SessionRound{SID: 1, Round: 1, Payloads: []any{p}}); !errors.Is(err, ErrUnknownPayload) {
+			t.Errorf("a session round carrying a %T: %v, want ErrUnknownPayload", p, err)
+		}
+	}
+	for name, want := range map[string]any{
+		"gradecast_send": (*gradecast.SendMsg)(nil),
+		"gradecast_echo": (*gradecast.EchoMsg)(nil),
+		"gradecast_vote": (*gradecast.VoteMsg)(nil),
+	} {
+		b, err := os.ReadFile(filepath.Join(goldenDir, name+".bin"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Decode(b)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if reflect.TypeOf(got) != reflect.TypeOf(want) {
+			t.Errorf("%s decodes to a %T, want %T", name, got, want)
 		}
 	}
 }
@@ -332,7 +376,7 @@ func sessionRoundBody(flags byte, count uint64, leaves ...[]byte) []byte {
 // TestSessionRoundRejectsMalformed: the frame-level violations a
 // SessionRound can carry beyond those of its leaves.
 func TestSessionRoundRejectsMalformed(t *testing.T) {
-	leaf := mustEncode(gradecast.SendMsg{Tag: "t", Iter: 1, Val: 2})
+	leaf := mustEncode(&gradecast.SendMsg{Tag: "t", Iter: 1, Val: 2})
 	if _, err := Decode(sessionRoundBody(0x01, 2, leaf, leaf)); err != nil {
 		t.Fatalf("the well-formed template is rejected: %v", err)
 	}
