@@ -29,13 +29,15 @@ loc:
 
 # The other numbers simplicity PRs quote: flags per binary (lines of -h
 # output naming a flag), exported identifiers per package (go doc -short:
-# consts, vars, funcs, types — not methods), and the field counts of the
+# consts, vars, funcs, types — not methods), exported methods per package
+# (go doc -all: the func lines with a receiver), and the field counts of the
 # three option structs.
 surface:
 	@for d in cmd/*/; do \
 		printf '%7d flags  %s\n' "$$($(GO) run ./$$d -h 2>&1 | grep -c '^  -')" "$$d"; done
 	@$(GO) list ./... | grep -v /cmd/ | grep -v /examples/ | while read p; do \
-		printf '%7d exported  %s\n' "$$($(GO) doc -short $$p 2>/dev/null | grep -c .)" "$$p"; done
+		printf '%7d exported  %s\n' "$$($(GO) doc -short $$p 2>/dev/null | grep -c .)" "$$p"; \
+		printf '%7d methods  %s\n' "$$($(GO) doc -all $$p 2>/dev/null | grep -cE '^func \([^)]*\) [A-Z]')" "$$p"; done
 	@for t in session.Options transport.Options overlay.Options; do \
 		printf '%7d fields  %s\n' "$$($(GO) doc ./internal/$${t%%.*} $${t#*.} | grep -cE '^	[A-Z][A-Za-z]* ')" "$$t"; done
 

@@ -56,6 +56,26 @@ func ParseSpaceSpec(spec string, seed int64) (*Space, error) {
 // IsGraph reports whether this is a graph space.
 func (s *Space) IsGraph() bool { return s.Graph != nil }
 
+// metric is what *tree.Tree and *graph.Graph answer alike about their
+// vertices, labels, distances and hulls.
+type metric interface {
+	NumVertices() int
+	Valid(v tree.VertexID) bool
+	Label(v tree.VertexID) string
+	VertexByLabel(label string) (tree.VertexID, error)
+	Dist(u, v tree.VertexID) int
+	ConvexHull(vs []tree.VertexID) []tree.VertexID
+	InHull(vs []tree.VertexID, v tree.VertexID) bool
+}
+
+// metric returns the one input space that is set.
+func (s *Space) metric() metric {
+	if s.IsGraph() {
+		return s.Graph
+	}
+	return s.Tree
+}
+
 // ProtocolTree returns the tree the TreeAA protocol actually runs on: the
 // space itself for trees, the block-cut tree for graphs. Round budgets,
 // adversary phase schedules, wire vertex payloads and every core probe
@@ -68,28 +88,13 @@ func (s *Space) ProtocolTree() *tree.Tree {
 }
 
 // NumVertices returns the number of input-space vertices.
-func (s *Space) NumVertices() int {
-	if s.IsGraph() {
-		return s.Graph.NumVertices()
-	}
-	return s.Tree.NumVertices()
-}
+func (s *Space) NumVertices() int { return s.metric().NumVertices() }
 
 // Valid reports whether v is an input-space vertex.
-func (s *Space) Valid(v tree.VertexID) bool {
-	if s.IsGraph() {
-		return s.Graph.Valid(v)
-	}
-	return s.Tree.Valid(v)
-}
+func (s *Space) Valid(v tree.VertexID) bool { return s.metric().Valid(v) }
 
 // Label returns the label of input-space vertex v.
-func (s *Space) Label(v tree.VertexID) string {
-	if s.IsGraph() {
-		return s.Graph.Label(v)
-	}
-	return s.Tree.Label(v)
-}
+func (s *Space) Label(v tree.VertexID) string { return s.metric().Label(v) }
 
 // Labels returns the labels of vs, in order.
 func (s *Space) Labels(vs []tree.VertexID) []string {
@@ -102,34 +107,20 @@ func (s *Space) Labels(vs []tree.VertexID) []string {
 
 // VertexByLabel resolves an input-space label.
 func (s *Space) VertexByLabel(label string) (tree.VertexID, error) {
-	if s.IsGraph() {
-		return s.Graph.VertexByLabel(label)
-	}
-	return s.Tree.VertexByLabel(label)
+	return s.metric().VertexByLabel(label)
 }
 
 // Dist returns the input-space distance (geodesic for graphs).
-func (s *Space) Dist(u, v tree.VertexID) int {
-	if s.IsGraph() {
-		return s.Graph.Dist(u, v)
-	}
-	return s.Tree.Dist(u, v)
-}
+func (s *Space) Dist(u, v tree.VertexID) int { return s.metric().Dist(u, v) }
 
 // ConvexHull returns the input-space convex hull of vs, ascending.
 func (s *Space) ConvexHull(vs []tree.VertexID) []tree.VertexID {
-	if s.IsGraph() {
-		return s.Graph.ConvexHull(vs)
-	}
-	return s.Tree.ConvexHull(vs)
+	return s.metric().ConvexHull(vs)
 }
 
 // InHull reports whether v lies in the input-space hull of vs.
 func (s *Space) InHull(vs []tree.VertexID, v tree.VertexID) bool {
-	if s.IsGraph() {
-		return s.Graph.InHull(vs, v)
-	}
-	return s.Tree.InHull(vs, v)
+	return s.metric().InHull(vs, v)
 }
 
 // AgreementOK reports the pairwise output guarantee of the space's

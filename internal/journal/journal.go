@@ -259,28 +259,21 @@ func (w *Writer) appendLocked(payload any) error {
 	if w.err != nil {
 		return w.err
 	}
-	sz, err := wire.EncodedSize(payload)
+	body, err := wire.Append(w.scratch[:0], payload)
 	if err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
-	if sz > maxRecordBytes {
-		return fmt.Errorf("journal: record of %d bytes exceeds limit", sz)
+	w.scratch = body
+	if len(body) > maxRecordBytes {
+		return fmt.Errorf("journal: record of %d bytes exceeds limit", len(body))
 	}
-	b := w.scratch[:0]
-	b = binary.AppendUvarint(b, uint64(sz))
-	crcAt := len(b)
-	b = append(b, 0, 0, 0, 0)
-	bodyAt := len(b)
-	b, err = wire.Append(b, payload)
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	binary.BigEndian.PutUint32(b[crcAt:], crc32.Checksum(b[bodyAt:], castagnoli))
-	w.scratch = b
-	w.buf = append(w.buf, b...)
+	start := len(w.buf)
+	w.buf = binary.AppendUvarint(w.buf, uint64(len(body)))
+	w.buf = binary.BigEndian.AppendUint32(w.buf, crc32.Checksum(body, castagnoli))
+	w.buf = append(w.buf, body...)
 	w.ends = append(w.ends, len(w.buf))
 	w.stats.Appends.Add(1)
-	w.stats.AppendBytes.Add(int64(len(b)))
+	w.stats.AppendBytes.Add(int64(len(w.buf) - start))
 	w.stats.Depth.Add(1)
 	return nil
 }

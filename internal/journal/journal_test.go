@@ -546,6 +546,43 @@ func TestGoldenCorpus(t *testing.T) {
 	}
 }
 
+// TestWriterReproducesGoldenCorpus: the writer's own bytes are the corpus's.
+// Writing testRecords(9) with 192-byte segments reproduces the first
+// committed segment exactly and the second up to the 5-byte torn tail
+// TestGoldenCorpus's -update appends to it.
+func TestWriterReproducesGoldenCorpus(t *testing.T) {
+	const corpusDir = "../../testdata/journal"
+	dir := t.TempDir()
+	w, err := Open(Options{Dir: dir, SegmentBytes: 192})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range testRecords(9) {
+		if err := w.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if segs, err := segments(dir); err != nil || len(segs) != 2 {
+		t.Fatalf("the writer left %d segments (%v), the corpus holds 2", len(segs), err)
+	}
+	for name, tail := range map[string]int{"seg-00000001.waj": 0, "seg-00000002.waj": 5} {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join(corpusDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) < tail || !bytes.Equal(got, want[:len(want)-tail]) {
+			t.Errorf("%s: the writer wrote %x, the corpus holds %x (%d-byte torn tail)", name, got, want, tail)
+		}
+	}
+}
+
 // TestTornTailSurvivesSecondRestart: a crash mid-append leaves a broken
 // record at the end of the final segment. The restart that tolerates it
 // opens a new segment, which makes the torn one non-final — where a broken

@@ -340,8 +340,7 @@ func TestSlowPeerDoesNotStallEngineTurns(t *testing.T) {
 }
 
 // TestBinaryFrameMatchesTransportFraming pins sessionFrame to the
-// byte format transport.AppendFrame produces — the zero-allocation path
-// must not drift from the generic one.
+// byte format transport.AppendFrame produces over the encoded body.
 func TestBinaryFrameMatchesTransportFraming(t *testing.T) {
 	payloads := []any{
 		wire.SessionRound{SID: 1<<48 | 9, Round: 3, Done: true},

@@ -729,16 +729,14 @@ func (m *Manager) stop() {
 
 func (m *Manager) stats() *metrics.ServeStats { return m.d.opts.Stats }
 
-// sessionFrame builds one session frame — the length-prefixed
-// FrameMuxSession envelope around the payload's wire encoding,
-// byte-identical to transport.AppendFrame over the assembled body — ready
-// for Enqueue. The returned slice is immutable by convention: broadcasts
-// share it across links. (A round's frame is the driver's, not built here.)
+// sessionFrame builds one session frame — transport.AppendFrame over the
+// FrameMuxSession tag and the payload's wire encoding — ready for Enqueue.
+// The returned slice is immutable by convention: broadcasts share it across
+// links. (A round's frame is the driver's, not built here.)
 func sessionFrame(payload any) ([]byte, error) {
-	sz, err := wire.EncodedSize(payload)
+	body, err := wire.Append([]byte{transport.FrameMuxSession}, payload)
 	if err != nil {
 		return nil, err
 	}
-	dst := wire.AppendUvarint(make([]byte, 0, sz+4), uint64(sz+1))
-	return wire.Append(append(dst, transport.FrameMuxSession), payload)
+	return transport.AppendFrame(nil, body), nil
 }

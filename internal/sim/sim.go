@@ -44,10 +44,12 @@ type Message struct {
 }
 
 // Sizer lets payloads report their wire size for bandwidth accounting.
-// Every in-tree protocol payload implements Sizer with its *exact*
-// internal/wire encoded length (a cross-check test in internal/wire
-// enforces Size() == len(wire.Encode(p)) for each type); payloads that do
-// not implement Sizer are charged DefaultPayloadSize bytes.
+// Every payload a round charges — each in-tree protocol payload, and the
+// wire.SessionRound frame that carries them — implements Sizer with its
+// *exact* internal/wire encoded length (a cross-check test in internal/wire
+// enforces Size() == len(wire.Encode(p)) for each type). The wire frames no
+// round charges (client, journal, session control, overlay) have no Sizer;
+// payloads that do not implement Sizer are charged DefaultPayloadSize bytes.
 type Sizer interface {
 	Size() int
 }
@@ -55,9 +57,9 @@ type Sizer interface {
 // DefaultPayloadSize is the byte charge for payloads without a Sizer.
 const DefaultPayloadSize = 16
 
-// PayloadSize returns the byte charge for a payload: its Sizer size, or
-// DefaultPayloadSize. It is the accounting rule both drivers (in-process
-// and TCP transport) share, so their Result.Bytes agree.
+// PayloadSize returns the byte charge for a payload a round carries: its
+// Sizer size, or DefaultPayloadSize. It is the accounting rule both drivers
+// (in-process and TCP transport) share, so their Result.Bytes agree.
 func PayloadSize(p any) int { return payloadSize(p) }
 
 // UvarintLen returns the encoded length of x as a canonical LEB128

@@ -18,9 +18,9 @@ package wire
 //	                    (u32 party | u32 vertex)* parties strictly ascending
 //
 // All four keep the package's canonicality contract — Encode(Decode(b)) ==
-// b and an exact Sizer — so the golden-frame and fuzz harnesses cover them
-// unchanged. On the socket each frame travels uvarint-length-prefixed
-// (transport.AppendFrame / ReadFrame), exactly like the peer mux.
+// b — so the golden-frame and fuzz harnesses cover them unchanged. On the
+// socket each frame travels uvarint-length-prefixed (transport.AppendFrame /
+// ReadFrame), exactly like the peer mux.
 
 import (
 	"encoding/binary"
@@ -59,27 +59,15 @@ type ClientSubmit struct {
 	Wait      bool
 }
 
-func (m ClientSubmit) Size() int {
-	return 2 + sim.UvarintLen(m.SID) +
-		sim.UvarintLen(uint64(len(m.Tree))) + len(m.Tree) + 8 +
-		sim.UvarintLen(uint64(m.T)) +
-		sim.UvarintLen(uint64(len(m.Inputs))) + len(m.Inputs) +
-		sim.UvarintLen(m.TTLMillis) + 1
-}
-
 // ClientWait blocks until the session reaches a terminal state.
 type ClientWait struct {
 	SID uint64
 }
 
-func (m ClientWait) Size() int { return 2 + sim.UvarintLen(m.SID) }
-
 // ClientStatus asks for a session's current lifecycle view.
 type ClientStatus struct {
 	SID uint64
 }
-
-func (m ClientStatus) Size() int { return 2 + sim.UvarintLen(m.SID) }
 
 // OutputPair is one party's decided vertex inside a ClientOutcome; pairs
 // are encoded with strictly ascending parties, which Decode enforces.
@@ -102,15 +90,6 @@ type ClientOutcome struct {
 	Msgs      int
 	Bytes     int
 	Outputs   []OutputPair
-}
-
-func (m ClientOutcome) Size() int {
-	return 2 + 1 + sim.UvarintLen(m.SID) + 1 +
-		sim.UvarintLen(uint64(len(m.Err))) + len(m.Err) +
-		sim.UvarintLen(uint64(m.LatencyNS)) +
-		sim.UvarintLen(uint64(m.Rounds)) +
-		sim.UvarintLen(uint64(m.Msgs)) + sim.UvarintLen(uint64(m.Bytes)) +
-		sim.UvarintLen(uint64(len(m.Outputs))) + 8*len(m.Outputs)
 }
 
 // ---- encoders

@@ -5,7 +5,8 @@ package wire
 // (testdata/wire/*.bin) and the retired ones (testdata/wire/retired/*.bin)
 // plus systematic mutations of them; the invariants
 // are: Decode never panics, and every accepted frame is canonical
-// (Encode(Decode(b)) == b) with an exact Sizer (Size() == len(b)).
+// (Encode(Decode(b)) == b), with an exact Sizer (Size() == len(b)) when a
+// round charges it.
 
 import (
 	"bytes"
@@ -92,8 +93,8 @@ func FuzzDecode(f *testing.F) {
 		if !bytes.Equal(re, b) {
 			t.Fatalf("accepted non-canonical frame:\n  in %x\n out %x", b, re)
 		}
-		if s, ok := p.(sim.Sizer); !ok || s.Size() != len(b) {
-			t.Fatalf("%T: Size() = %d, frame length = %d", p, p.(sim.Sizer).Size(), len(b))
+		if s, ok := p.(sim.Sizer); charged(p) && (!ok || s.Size() != len(b)) {
+			t.Fatalf("%T: not an exact sim.Sizer of its %d-byte frame", p, len(b))
 		}
 	})
 }

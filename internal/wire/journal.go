@@ -25,10 +25,10 @@ package wire
 // (0x08–0x0C); Append and Decode both validate the nested body, and journal
 // types are themselves barred from SessionMsg nesting like every other
 // non-leaf payload. All three types keep the package's canonicality
-// contract — Encode(Decode(b)) == b and an exact Sizer — so the
-// golden-frame and fuzz harnesses cover them unchanged. Journal records
-// never travel on peer or client links; they live inside CRC-framed journal
-// segments (see internal/journal for the on-disk record framing).
+// contract — Encode(Decode(b)) == b — so the golden-frame and fuzz
+// harnesses cover them unchanged. Journal records never travel on peer or
+// client links; they live inside CRC-framed journal segments (see
+// internal/journal for the on-disk record framing).
 
 import (
 	"encoding/binary"
@@ -62,14 +62,6 @@ type JournalOpen struct {
 	DeadlineUnixNano int64
 }
 
-func (m JournalOpen) Size() int {
-	return 2 + sim.UvarintLen(m.SID) + 4 +
-		sim.UvarintLen(uint64(len(m.Tree))) + len(m.Tree) + 8 +
-		sim.UvarintLen(uint64(m.T)) +
-		sim.UvarintLen(uint64(len(m.Inputs))) + len(m.Inputs) +
-		sim.UvarintLen(m.TTLMillis) + 8
-}
-
 // JournalFrame records one inbound session-plane frame verbatim: the wire
 // body exactly as the link reader received it, attributed to its
 // authenticated peer. The serving layer no longer writes or consumes it;
@@ -78,10 +70,6 @@ func (m JournalOpen) Size() int {
 type JournalFrame struct {
 	From sim.PartyID
 	Body []byte // a complete encoded session-plane frame (0x08–0x0C)
-}
-
-func (m JournalFrame) Size() int {
-	return 2 + 4 + sim.UvarintLen(uint64(len(m.Body))) + len(m.Body)
 }
 
 // JournalSeal records a session's terminal transition. Decided sessions on
@@ -97,18 +85,6 @@ type JournalSeal struct {
 	Msgs      int
 	Bytes     int
 	Outputs   []OutputPair
-}
-
-func (m JournalSeal) Size() int {
-	sz := 2 + sim.UvarintLen(m.SID) + 1 +
-		sim.UvarintLen(uint64(len(m.Reason))) + len(m.Reason) +
-		sim.UvarintLen(uint64(m.LatencyNS)) + 1
-	if m.HasResult {
-		sz += sim.UvarintLen(uint64(m.Rounds)) +
-			sim.UvarintLen(uint64(m.Msgs)) + sim.UvarintLen(uint64(m.Bytes)) +
-			sim.UvarintLen(uint64(len(m.Outputs))) + 8*len(m.Outputs)
-	}
-	return sz
 }
 
 // minSealState is the smallest terminal session.State (StateDecided).

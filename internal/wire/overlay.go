@@ -50,25 +50,12 @@ type RelayMsg struct {
 	Body   []byte // one canonical leaf frame (version | 0x01–0x03 or 0x05 | ...)
 }
 
-// Size implements sim.Sizer with the exact encoded length.
-func (m RelayMsg) Size() int {
-	return 2 + 4 + sim.UvarintLen(uint64(int64(m.Dest)+1)) + sim.UvarintLen(m.Seq) +
-		sim.UvarintLen(uint64(m.Round)) + sim.UvarintLen(uint64(len(m.Body))) + len(m.Body)
-}
-
 // OverlayEOR is the aggregated round barrier of the tree overlay.
 type OverlayEOR struct {
 	Round   int
 	Down    bool   // root's release (true) vs child's cumulative report
 	Arrived []byte // parties whose round traffic is accounted for (up only)
 	Done    []byte // parties whose machines have terminated
-}
-
-// Size implements sim.Sizer with the exact encoded length.
-func (m OverlayEOR) Size() int {
-	return 2 + sim.UvarintLen(uint64(m.Round)) + 1 +
-		sim.UvarintLen(uint64(len(m.Arrived))) + len(m.Arrived) +
-		sim.UvarintLen(uint64(len(m.Done))) + len(m.Done)
 }
 
 // checkRelayBody validates the nested frame header of a relay body: a leaf

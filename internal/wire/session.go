@@ -30,11 +30,12 @@ package wire
 // (k = 1) and one empty done-marked frame as its decision announcement.
 // SessionMsg and SessionEOR, which it replaced on the mux, stay exported for
 // the benchmark's frozen wire replay alone: no daemon emits or accepts them.
-// A leaf is one of the protocol payloads (the seven synchronous types, the
+// A leaf is one of the protocol payloads (the four synchronous types, the
 // two async ones): session, client, journal and overlay payloads never nest,
 // and both Append and Decode reject the attempt. All types keep the package's
-// canonicality contract — Encode(Decode(b)) == b and an exact Sizer — so the
-// golden-frame and fuzz harnesses cover them unchanged.
+// canonicality contract — Encode(Decode(b)) == b — so the golden-frame and
+// fuzz harnesses cover them unchanged; SessionRound alone of them is a
+// sim.Sizer, because driver.Framer writes its exact length ahead of it.
 
 import (
 	"encoding/binary"
@@ -68,22 +69,12 @@ type SessionMsg struct {
 	Payload any
 }
 
-// Size implements sim.Sizer exactly: the nested payload contributes its own
-// wire size, so a session frame costs its header over the leaf encoding.
-func (m SessionMsg) Size() int {
-	return 2 + sim.UvarintLen(m.SID) + sim.UvarintLen(uint64(m.Round)) + sim.PayloadSize(m.Payload)
-}
-
 // SessionEOR is the per-session round barrier: the last frame a seat emits
 // for (sid, round), with Done marking its machine as terminated.
 type SessionEOR struct {
 	SID   uint64
 	Round int
 	Done  bool
-}
-
-func (m SessionEOR) Size() int {
-	return 2 + sim.UvarintLen(m.SID) + sim.UvarintLen(uint64(m.Round)) + 1
 }
 
 // SessionRound carries everything a seat sends one peer in one engine turn
@@ -97,6 +88,8 @@ type SessionRound struct {
 	Payloads []any
 }
 
+// Size implements sim.Sizer exactly: each leaf contributes its own wire size
+// and its length prefix.
 func (m SessionRound) Size() int {
 	sz := 2 + sim.UvarintLen(m.SID) + sim.UvarintLen(uint64(m.Round)) + 1 +
 		sim.UvarintLen(uint64(len(m.Payloads)))
@@ -118,22 +111,10 @@ type SessionOpen struct {
 	TTLMillis uint64 // session deadline; 0 means the server default
 }
 
-func (m SessionOpen) Size() int {
-	return 2 + sim.UvarintLen(m.SID) +
-		sim.UvarintLen(uint64(len(m.Tree))) + len(m.Tree) + 8 +
-		sim.UvarintLen(uint64(m.T)) +
-		sim.UvarintLen(uint64(len(m.Inputs))) + len(m.Inputs) +
-		sim.UvarintLen(m.TTLMillis)
-}
-
 // SessionAbort broadcasts a terminal failure for a session.
 type SessionAbort struct {
 	SID    uint64
 	Reason string
-}
-
-func (m SessionAbort) Size() int {
-	return 2 + sim.UvarintLen(m.SID) + sim.UvarintLen(uint64(len(m.Reason))) + len(m.Reason)
 }
 
 // SessionDecide is a seat's terminal record, sent to the session's origin,
@@ -148,12 +129,6 @@ type SessionDecide struct {
 	Bytes     int // payload bytes this seat sent in rounds 1..TermRound
 }
 
-func (m SessionDecide) Size() int {
-	return 2 + sim.UvarintLen(m.SID) + 8 +
-		sim.UvarintLen(uint64(m.DoneRound)) + sim.UvarintLen(uint64(m.TermRound)) +
-		sim.UvarintLen(uint64(m.Msgs)) + sim.UvarintLen(uint64(m.Bytes))
-}
-
 // ---- encoders
 
 func appendSessionHeader(dst []byte, typ byte, sid uint64, round int) ([]byte, error) {
@@ -165,18 +140,17 @@ func appendSessionHeader(dst []byte, typ byte, sid uint64, round int) ([]byte, e
 	return AppendUvarint(dst, uint64(round)), nil
 }
 
-// checkLeaf rejects the payloads that may not ride inside a session frame.
-func checkLeaf(payload any) error {
-	switch payload.(type) {
-	case SessionMsg, SessionEOR, SessionOpen, SessionAbort, SessionDecide, SessionRound,
-		ClientSubmit, ClientWait, ClientStatus, ClientOutcome,
-		JournalOpen, JournalFrame, JournalSeal, RelayMsg, OverlayEOR:
-		return fmt.Errorf("wire: session payloads do not nest (%T)", payload)
+// leafSize is encodedSize for a payload inside a session frame: a
+// SessionRound does not nest, and encodedSize refuses every other non-leaf
+// (ErrUnknownPayload).
+func leafSize(payload any) (int, error) {
+	if _, ok := payload.(SessionRound); ok {
+		return 0, fmt.Errorf("wire: session payloads do not nest (%T)", payload)
 	}
-	return nil
+	return encodedSize(payload)
 }
 
-// leafTag is checkLeaf on an encoded body's type tag. Client-plane frames
+// leafTag is leafSize on an encoded body's type tag. Client-plane frames
 // (0x0D–0x10), journal records (0x11–0x13) and overlay envelopes
 // (0x14–0x15) are barred from peer links like the session types themselves;
 // the async leaves 0x16–0x17 may nest.
@@ -200,10 +174,7 @@ func AppendSessionRound(dst []byte, m SessionRound) ([]byte, error) {
 	dst = append(dst, flags)
 	dst = AppendUvarint(dst, uint64(len(m.Payloads)))
 	for _, p := range m.Payloads {
-		if err := checkLeaf(p); err != nil {
-			return nil, err
-		}
-		sz, err := EncodedSize(p)
+		sz, err := leafSize(p)
 		if err != nil {
 			return nil, err
 		}
@@ -216,7 +187,7 @@ func AppendSessionRound(dst []byte, m SessionRound) ([]byte, error) {
 }
 
 func appendSessionMsg(dst []byte, m SessionMsg) ([]byte, error) {
-	if err := checkLeaf(m.Payload); err != nil {
+	if _, err := leafSize(m.Payload); err != nil {
 		return nil, err
 	}
 	dst, err := appendSessionHeader(dst, TypeSessionMsg, m.SID, m.Round)

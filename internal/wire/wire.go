@@ -6,10 +6,13 @@
 // journal and overlay. The internal/transport TCP layer frames
 // these bodies onto sockets; the in-process engine never encodes (payloads
 // cross goroutines as Go values) but charges exactly len(Encode(p)) bytes
-// per message because every payload's sim.Sizer implementation mirrors this
-// codec — TestSizerMatchesEncoding pins that equality. The gradecast
-// messages are pointer-shaped: Encode takes only *SendMsg, *EchoMsg and
-// *VoteMsg (a value form is an unknown payload) and Decode returns them.
+// per message because the sim.Sizer of every payload a round charges — the
+// leaves and SessionRound — mirrors this codec; TestSizerMatchesEncoding
+// pins that equality. The other frames (client, journal, session control,
+// overlay) are never charged, so they have no Sizer: their length is their
+// encoding. The gradecast messages are pointer-shaped: Encode takes only
+// *SendMsg, *EchoMsg and *VoteMsg (a value form is an unknown payload) and
+// Decode returns them.
 //
 // # Format
 //
@@ -76,20 +79,20 @@ const (
 	maxLen = 1 << 20
 )
 
-// ErrUnknownPayload reports an Encode/EncodedSize call with a payload type
-// the codec does not know.
+// ErrUnknownPayload reports an Encode or Append call with a payload type the
+// codec does not know, and a session frame carrying a payload that is not a
+// leaf.
 var ErrUnknownPayload = errors.New("wire: unknown payload type")
 
 // ErrMalformed reports a Decode rejection; the wrapped detail says why.
 var ErrMalformed = errors.New("wire: malformed frame")
 
 // Encode returns the canonical encoding of payload, which must be one of
-// the protocol payload types listed in the package comment.
+// the protocol payload types listed in the package comment. A payload a
+// round charges is encoded into a buffer of its exact size; the rest grow
+// theirs as they append.
 func Encode(payload any) ([]byte, error) {
-	sz, err := EncodedSize(payload)
-	if err != nil {
-		return nil, err
-	}
+	sz, _ := encodedSize(payload)
 	return Append(make([]byte, 0, sz), payload)
 }
 
@@ -144,22 +147,15 @@ func Append(dst []byte, payload any) ([]byte, error) {
 	}
 }
 
-// EncodedSize returns len(Encode(payload)) without encoding. For every
-// payload type it equals the type's sim.Sizer Size(); the codec tests pin
-// all three quantities to each other.
-func EncodedSize(payload any) (int, error) {
-	s, ok := payload.(sim.Sizer)
-	if !ok {
-		return 0, fmt.Errorf("%w: %T", ErrUnknownPayload, payload)
-	}
+// encodedSize returns len(Encode(payload)) without encoding, for the
+// payloads a round charges: the leaves and SessionRound, each of which
+// equals its sim.Sizer Size(). Every other payload is ErrUnknownPayload
+// here, which is how a session frame refuses to carry one.
+func encodedSize(payload any) (int, error) {
 	switch payload.(type) {
 	case *gradecast.SendMsg, *gradecast.EchoMsg, *gradecast.VoteMsg,
-		crashaa.ValueMsg,
-		SessionMsg, SessionEOR, SessionOpen, SessionAbort, SessionDecide, SessionRound,
-		ClientSubmit, ClientWait, ClientStatus, ClientOutcome,
-		JournalOpen, JournalFrame, JournalSeal, RelayMsg, OverlayEOR,
-		AsyncValue, AsyncReport:
-		return s.Size(), nil
+		crashaa.ValueMsg, AsyncValue, AsyncReport, SessionRound:
+		return payload.(sim.Sizer).Size(), nil
 	}
 	return 0, fmt.Errorf("%w: %T", ErrUnknownPayload, payload)
 }

@@ -32,6 +32,9 @@ func samplePayloads() []any {
 			1: 0, 2: math.Copysign(0, -1), 130: 1e-300,
 		})},
 		crashaa.ValueMsg{Tag: "crash", Iter: 7, Val: 0.125},
+		AsyncValue{Phase: AsyncPhaseProjection, Kind: AsyncKindReady, Iter: 300, Src: 6, Val: -0.5},
+		AsyncReport{Phase: AsyncPhasePathsFinder, Kind: AsyncKindInit, Iter: 1, Src: 0,
+			Senders: []sim.PartyID{0, 2, 3}},
 		SessionMsg{SID: 1, Round: 1,
 			Payload: &gradecast.SendMsg{Tag: "treeaa/pf", Iter: 3, Val: 17.5}},
 		SessionMsg{SID: 1<<48 | 7, Round: 300,
@@ -153,11 +156,38 @@ func normalizeEmpty(dec, orig any) any {
 	return dec
 }
 
+// charged reports whether a round charges payload p: a leaf that sim and
+// driver.Tally size, or the SessionRound whose length driver.Framer writes.
+func charged(p any) bool {
+	switch p.(type) {
+	case *gradecast.SendMsg, *gradecast.EchoMsg, *gradecast.VoteMsg,
+		crashaa.ValueMsg, AsyncValue, AsyncReport, SessionRound:
+		return true
+	}
+	return false
+}
+
+// TestOnlyRoundPayloadsAreSizers: a codec payload is a sim.Sizer, and
+// encodedSize knows it, if and only if a round charges it. Every other frame
+// is measured by encoding it.
+func TestOnlyRoundPayloadsAreSizers(t *testing.T) {
+	for _, p := range samplePayloads() {
+		_, sizer := p.(sim.Sizer)
+		_, err := encodedSize(p)
+		if sizer != charged(p) {
+			t.Errorf("%T: sim.Sizer %v, charged by a round %v", p, sizer, charged(p))
+		}
+		if (err == nil) != charged(p) {
+			t.Errorf("%T: encodedSize error %v, charged by a round %v", p, err, charged(p))
+		}
+	}
+}
+
 // TestSizerMatchesEncoding pins the three size quantities to each other for
-// every payload type: the type's sim.Sizer arithmetic, EncodedSize, and the
-// actual encoded length. The protocol packages cannot import wire (wire
-// imports them), so their Size() methods mirror the codec by hand — this
-// test is what keeps the mirrors honest.
+// every payload a round charges: the type's sim.Sizer arithmetic,
+// encodedSize, and the actual encoded length. The protocol packages cannot
+// import wire (wire imports them), so their Size() methods mirror the codec
+// by hand — this test is what keeps the mirrors honest.
 func TestSizerMatchesEncoding(t *testing.T) {
 	check := func(p any) {
 		t.Helper()
@@ -169,12 +199,14 @@ func TestSizerMatchesEncoding(t *testing.T) {
 		if len(enc) != want {
 			t.Errorf("%T: Size() = %d, encoded length = %d", p, want, len(enc))
 		}
-		if sz, err := EncodedSize(p); err != nil || sz != len(enc) {
-			t.Errorf("%T: EncodedSize = %d (%v), encoded length = %d", p, sz, err, len(enc))
+		if sz, err := encodedSize(p); err != nil || sz != len(enc) {
+			t.Errorf("%T: encodedSize = %d (%v), encoded length = %d", p, sz, err, len(enc))
 		}
 	}
 	for _, p := range samplePayloads() {
-		check(p)
+		if charged(p) {
+			check(p)
+		}
 	}
 	// Randomized shapes: long tags (multi-byte length prefix), large
 	// iteration counts and map sizes.
@@ -305,7 +337,7 @@ func TestEncodeRejectsInvalid(t *testing.T) {
 
 // TestGradecastPayloadsArePointers: the gradecast messages have one wire
 // form, the pointer. A value-form payload is an unknown payload to Encode,
-// Append and EncodedSize, and inside a session round; each committed
+// Append and encodedSize, and inside a session round; each committed
 // gradecast frame decodes to its pointer form.
 func TestGradecastPayloadsArePointers(t *testing.T) {
 	for _, p := range []any{
@@ -319,8 +351,8 @@ func TestGradecastPayloadsArePointers(t *testing.T) {
 		if _, err := Append(nil, p); !errors.Is(err, ErrUnknownPayload) {
 			t.Errorf("Append(%T) = %v, want ErrUnknownPayload", p, err)
 		}
-		if _, err := EncodedSize(p); !errors.Is(err, ErrUnknownPayload) {
-			t.Errorf("EncodedSize(%T) = %v, want ErrUnknownPayload", p, err)
+		if _, err := encodedSize(p); !errors.Is(err, ErrUnknownPayload) {
+			t.Errorf("encodedSize(%T) = %v, want ErrUnknownPayload", p, err)
 		}
 		if _, err := Encode(SessionRound{SID: 1, Round: 1, Payloads: []any{p}}); !errors.Is(err, ErrUnknownPayload) {
 			t.Errorf("a session round carrying a %T: %v, want ErrUnknownPayload", p, err)
@@ -346,10 +378,13 @@ func TestGradecastPayloadsArePointers(t *testing.T) {
 }
 
 // TestPayloadSizeAgreement: the sim accounting helper charges exactly the
-// encoded length for codec payloads, so in-process Result.Bytes equals the
-// bytes a TCP execution puts on the wire.
+// encoded length for the payloads a round charges, so in-process
+// Result.Bytes equals the bytes a TCP execution puts on the wire.
 func TestPayloadSizeAgreement(t *testing.T) {
 	for _, p := range samplePayloads() {
+		if !charged(p) {
+			continue
+		}
 		enc, err := Encode(p)
 		if err != nil {
 			t.Fatal(err)
