@@ -27,6 +27,7 @@ package wire
 // empty and the done bitmap naming the parties whose machines terminated.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -38,6 +39,11 @@ const (
 	TypeRelay      byte = 0x14
 	TypeOverlayEOR byte = 0x15
 )
+
+// relayHeaderMax and eorHeaderMax bound what an envelope adds around its
+// body or bitmaps (longest uvarints), so Encode allocates one buffer for it.
+const relayHeaderMax = 2 + 4 + 3*binary.MaxVarintLen32 + binary.MaxVarintLen64
+const eorHeaderMax = 2 + 3*binary.MaxVarintLen32 + 1
 
 // RelayMsg is the flooded overlay envelope: origin's seq'th protocol
 // message of the run, addressed to Dest (sim.Broadcast for everyone),

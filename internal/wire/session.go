@@ -140,20 +140,10 @@ func appendSessionHeader(dst []byte, typ byte, sid uint64, round int) ([]byte, e
 	return AppendUvarint(dst, uint64(round)), nil
 }
 
-// leafSize is encodedSize for a payload inside a session frame: a
-// SessionRound does not nest, and encodedSize refuses every other non-leaf
-// (ErrUnknownPayload).
-func leafSize(payload any) (int, error) {
-	if _, ok := payload.(SessionRound); ok {
-		return 0, fmt.Errorf("wire: session payloads do not nest (%T)", payload)
-	}
-	return encodedSize(payload)
-}
-
-// leafTag is leafSize on an encoded body's type tag. Client-plane frames
-// (0x0D–0x10), journal records (0x11–0x13) and overlay envelopes
-// (0x14–0x15) are barred from peer links like the session types themselves;
-// the async leaves 0x16–0x17 may nest.
+// leafTag is encodedSize's leaf test on an encoded body's type tag.
+// Client-plane frames (0x0D–0x10), journal records (0x11–0x13) and overlay
+// envelopes (0x14–0x15) are barred from peer links like the session types
+// themselves; the async leaves 0x16–0x17 may nest.
 func leafTag(typ byte) bool {
 	return (typ < TypeSessionMsg || typ > TypeOverlayEOR) && typ != TypeSessionRound
 }
@@ -174,7 +164,7 @@ func AppendSessionRound(dst []byte, m SessionRound) ([]byte, error) {
 	dst = append(dst, flags)
 	dst = AppendUvarint(dst, uint64(len(m.Payloads)))
 	for _, p := range m.Payloads {
-		sz, err := leafSize(p)
+		sz, err := encodedSize(p)
 		if err != nil {
 			return nil, err
 		}
@@ -187,7 +177,7 @@ func AppendSessionRound(dst []byte, m SessionRound) ([]byte, error) {
 }
 
 func appendSessionMsg(dst []byte, m SessionMsg) ([]byte, error) {
-	if _, err := leafSize(m.Payload); err != nil {
+	if _, err := encodedSize(m.Payload); err != nil {
 		return nil, err
 	}
 	dst, err := appendSessionHeader(dst, TypeSessionMsg, m.SID, m.Round)

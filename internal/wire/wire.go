@@ -88,12 +88,21 @@ var ErrUnknownPayload = errors.New("wire: unknown payload type")
 var ErrMalformed = errors.New("wire: malformed frame")
 
 // Encode returns the canonical encoding of payload, which must be one of
-// the protocol payload types listed in the package comment. A payload a
-// round charges is encoded into a buffer of its exact size; the rest grow
-// theirs as they append.
+// the protocol payload types listed in the package comment. A leaf is
+// encoded into a buffer of its exact size and an overlay envelope into one
+// bounded by its body or bitmaps, so each costs one allocation; the other
+// frames grow theirs as they append.
 func Encode(payload any) ([]byte, error) {
-	sz, _ := encodedSize(payload)
-	return Append(make([]byte, 0, sz), payload)
+	var c int
+	switch m := payload.(type) {
+	case RelayMsg:
+		c = relayHeaderMax + len(m.Body)
+	case OverlayEOR:
+		c = eorHeaderMax + len(m.Arrived) + len(m.Done)
+	default:
+		c, _ = encodedSize(payload)
+	}
+	return Append(make([]byte, 0, c), payload)
 }
 
 // Append appends the canonical encoding of payload to dst and returns the
@@ -148,13 +157,13 @@ func Append(dst []byte, payload any) ([]byte, error) {
 }
 
 // encodedSize returns len(Encode(payload)) without encoding, for the
-// payloads a round charges: the leaves and SessionRound, each of which
-// equals its sim.Sizer Size(). Every other payload is ErrUnknownPayload
-// here, which is how a session frame refuses to carry one.
+// leaves a round charges: each equals its sim.Sizer Size(). Every other
+// payload is ErrUnknownPayload here, which is how a session frame refuses
+// to carry one.
 func encodedSize(payload any) (int, error) {
 	switch payload.(type) {
 	case *gradecast.SendMsg, *gradecast.EchoMsg, *gradecast.VoteMsg,
-		crashaa.ValueMsg, AsyncValue, AsyncReport, SessionRound:
+		crashaa.ValueMsg, AsyncValue, AsyncReport:
 		return payload.(sim.Sizer).Size(), nil
 	}
 	return 0, fmt.Errorf("%w: %T", ErrUnknownPayload, payload)

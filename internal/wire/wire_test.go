@@ -156,20 +156,26 @@ func normalizeEmpty(dec, orig any) any {
 	return dec
 }
 
-// charged reports whether a round charges payload p: a leaf that sim and
-// driver.Tally size, or the SessionRound whose length driver.Framer writes.
-func charged(p any) bool {
+// leaf reports whether p is a leaf a round charges, sized by sim and
+// driver.Tally; charged adds the SessionRound whose length driver.Framer
+// writes.
+func leaf(p any) bool {
 	switch p.(type) {
 	case *gradecast.SendMsg, *gradecast.EchoMsg, *gradecast.VoteMsg,
-		crashaa.ValueMsg, AsyncValue, AsyncReport, SessionRound:
+		crashaa.ValueMsg, AsyncValue, AsyncReport:
 		return true
 	}
 	return false
 }
 
-// TestOnlyRoundPayloadsAreSizers: a codec payload is a sim.Sizer, and
-// encodedSize knows it, if and only if a round charges it. Every other frame
-// is measured by encoding it.
+func charged(p any) bool {
+	_, round := p.(SessionRound)
+	return round || leaf(p)
+}
+
+// TestOnlyRoundPayloadsAreSizers: a codec payload is a sim.Sizer if and
+// only if a round charges it, and encodedSize knows it if and only if it is
+// a leaf. Every other frame is measured by encoding it.
 func TestOnlyRoundPayloadsAreSizers(t *testing.T) {
 	for _, p := range samplePayloads() {
 		_, sizer := p.(sim.Sizer)
@@ -177,15 +183,15 @@ func TestOnlyRoundPayloadsAreSizers(t *testing.T) {
 		if sizer != charged(p) {
 			t.Errorf("%T: sim.Sizer %v, charged by a round %v", p, sizer, charged(p))
 		}
-		if (err == nil) != charged(p) {
-			t.Errorf("%T: encodedSize error %v, charged by a round %v", p, err, charged(p))
+		if (err == nil) != leaf(p) {
+			t.Errorf("%T: encodedSize error %v, a leaf %v", p, err, leaf(p))
 		}
 	}
 }
 
-// TestSizerMatchesEncoding pins the three size quantities to each other for
-// every payload a round charges: the type's sim.Sizer arithmetic,
-// encodedSize, and the actual encoded length. The protocol packages cannot
+// TestSizerMatchesEncoding pins the size quantities to each other for every
+// payload a round charges: the type's sim.Sizer arithmetic, the actual
+// encoded length and, for a leaf, encodedSize. The protocol packages cannot
 // import wire (wire imports them), so their Size() methods mirror the codec
 // by hand — this test is what keeps the mirrors honest.
 func TestSizerMatchesEncoding(t *testing.T) {
@@ -199,7 +205,7 @@ func TestSizerMatchesEncoding(t *testing.T) {
 		if len(enc) != want {
 			t.Errorf("%T: Size() = %d, encoded length = %d", p, want, len(enc))
 		}
-		if sz, err := encodedSize(p); err != nil || sz != len(enc) {
+		if sz, err := encodedSize(p); leaf(p) && (err != nil || sz != len(enc)) {
 			t.Errorf("%T: encodedSize = %d (%v), encoded length = %d", p, sz, err, len(enc))
 		}
 	}
@@ -373,6 +379,29 @@ func TestGradecastPayloadsArePointers(t *testing.T) {
 		}
 		if reflect.TypeOf(got) != reflect.TypeOf(want) {
 			t.Errorf("%s decodes to a %T, want %T", name, got, want)
+		}
+	}
+}
+
+// TestEnvelopeEncodeAllocatesOnce: Encode builds an overlay envelope —
+// one per relayed message and per barrier — in a single allocation, its
+// largest field values included.
+func TestEnvelopeEncodeAllocatesOnce(t *testing.T) {
+	body := mustEncode(&gradecast.EchoMsg{Tag: "treeaa/pf", Iter: 3,
+		Vals: gradecast.Vec{{ID: 0, Val: 1}, {ID: 5, Val: 2}}})
+	long := append([]byte{Version, TypeCrashValue}, make([]byte, 300)...)
+	for _, p := range []any{
+		RelayMsg{Origin: 3, Dest: sim.Broadcast, Seq: 1, Round: 1, Body: body},
+		RelayMsg{Origin: MaxIDValue, Dest: MaxIDValue, Seq: math.MaxUint64,
+			Round: math.MaxInt32, Body: long},
+		OverlayEOR{Round: 1, Arrived: []byte{0xff, 0x01}, Done: []byte{0x01}},
+		OverlayEOR{Round: math.MaxInt32, Down: true, Done: append(make([]byte, 200), 1)},
+	} {
+		if _, err := Encode(p); err != nil {
+			t.Fatalf("Encode(%T): %v", p, err)
+		}
+		if n := testing.AllocsPerRun(20, func() { Encode(p) }); n != 1 {
+			t.Errorf("Encode(%T) allocates %v times, want 1", p, n)
 		}
 	}
 }
