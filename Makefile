@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: all build test loc surface race race-sim race-cpu bench-module node-smoke overlay-smoke serve-smoke rolling-restart chaos-soak async-soak cover bench bench-compare bench-serve-smoke bench-kernel-smoke bench-go-smoke bench-async-smoke bench-mesh-smoke fuzz fuzz-short prop graph-prop check examples experiments clean
+.PHONY: all build test loc surface race race-sim race-cpu bench-module node-smoke serve-smoke rolling-restart chaos-soak async-soak cover bench bench-compare bench-serve-smoke bench-kernel-smoke bench-go-smoke bench-async-smoke bench-mesh-smoke fuzz fuzz-short prop graph-prop check examples experiments clean
 
-all: build test race-sim node-smoke overlay-smoke serve-smoke chaos-soak rolling-restart
+all: build test race-sim node-smoke serve-smoke chaos-soak rolling-restart
 
 build:
 	$(GO) build ./...
@@ -30,8 +30,9 @@ loc:
 # The other numbers simplicity PRs quote: flags per binary (lines of -h
 # output naming a flag), exported identifiers per package (go doc -short:
 # consts, vars, funcs, types — not methods), exported methods per package
-# (go doc -all: the func lines with a receiver), and the field counts of the
-# three option structs.
+# (go doc -all: the func lines with a receiver), the field counts of the
+# three option structs, and what each binary links of internal/ (go list
+# -deps), which shows a package leaving the daemons.
 surface:
 	@for d in cmd/*/; do \
 		printf '%7d flags  %s\n' "$$($(GO) run ./$$d -h 2>&1 | grep -c '^  -')" "$$d"; done
@@ -40,6 +41,9 @@ surface:
 		printf '%7d methods  %s\n' "$$($(GO) doc -all $$p 2>/dev/null | grep -cE '^func \([^)]*\) [A-Z]')" "$$p"; done
 	@for t in session.Options transport.Options overlay.Options; do \
 		printf '%7d fields  %s\n' "$$($(GO) doc ./internal/$${t%%.*} $${t#*.} | grep -cE '^	[A-Z][A-Za-z]* ')" "$$t"; done
+	@for d in cmd/*/; do \
+		deps=$$($(GO) list -deps ./$$d | sed -n 's|^treeaa/internal/||p' | sort); \
+		printf '%7d links  %s %s\n' "$$(echo $$deps | wc -w)" "$$d" "$$(echo $$deps)"; done
 
 race:
 	$(GO) test -race ./...
@@ -95,18 +99,6 @@ node-smoke:
 	$(GO) run ./cmd/node -cluster 4 -t 1 -tree graph:cliquechain:3:4 -adversary splitvote
 	$(GO) run ./cmd/node -cluster 7 -t 2 -tree path:40 -adversary 'splitvote+omit(halves=1)'
 	$(GO) run ./cmd/node -cluster 4 -t 1 -tree path:16 -adversary 'omit(drop=300)'
-
-# Tree-overlay smoke: the same multi-process cmd/node deployments routed
-# over a communication tree instead of the full mesh (leaves hold one
-# connection), then a run where two parties crash mid-protocol (stop, each
-# filtering its own sends) and the rest must still agree, then a
-# block-graph fleet (TreeAA on the block-cut tree) over the same relay
-# fabric.
-overlay-smoke:
-	$(GO) run ./cmd/node -cluster 7 -tree path:16 -overlay tree:2
-	$(GO) run ./cmd/node -cluster 9 -t 2 -tree spider:3:3 -overlay tree:3 \
-		-adversary 'stop(rounds=2.3)'
-	$(GO) run ./cmd/node -cluster 4 -t 1 -tree graph:cliquechain:3:4 -overlay tree:2
 
 # Serving-layer smoke: a 3-daemon loopback deployment hosting 100 concurrent
 # sessions multiplexed over the shared links; exits non-zero if any session

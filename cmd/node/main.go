@@ -47,22 +47,17 @@
 //	node -cluster 4 -tree star:6 -mode async -adversary 'lat(base=200ms,jitter=150ms,from=2)'
 //	node -cluster 4 -mode async -adversary 'drop(from=0,to=2,round=2)'
 //
-// -overlay tree[:b] routes the same seats over a three-level communication
-// tree instead of the full mesh. Which combinations a fabric cannot host —
-// an adversary or async seats over the overlay, an adversary beside async
-// seats on the mesh — is decided, and explained, by the library function
-// that lacks the capability (transport.RunProcess, overlay.RunProcess), not
-// here; this command only gates link clauses. A pure omit adversary has no
-// host seat — its omission seats are machines like any other — so it runs
-// over the overlay too.
+// What the mesh cannot host — an adversary beside async seats — is decided,
+// and explained, by transport.RunProcess, not here; this command only gates
+// omission parties under -mode async.
 //
 // -tree graph:<spec> swaps the input space for a block graph (see
 // internal/graph): the seats run TreeAA on the graph's block-cut tree and
 // decode locally, and the cluster checks geodesic-hull validity plus the
-// graph's agreement guarantee. Every mode and fabric takes either space.
+// graph's agreement guarantee. Every mode takes either space.
 //
 //	node -cluster 4 -t 1 -tree graph:cliquechain:3:4 -adversary splitvote
-//	node -cluster 4 -t 1 -tree graph:cliquechain:3:4 -overlay tree:2
+//	node -cluster 4 -t 1 -tree graph:cliquechain:3:4 -mode async
 package main
 
 import (
@@ -83,7 +78,6 @@ import (
 	"treeaa/internal/chaos"
 	"treeaa/internal/cli"
 	"treeaa/internal/metrics"
-	"treeaa/internal/overlay"
 	"treeaa/internal/sim"
 	"treeaa/internal/transport"
 	"treeaa/internal/tree"
@@ -91,18 +85,17 @@ import (
 
 func main() {
 	var (
-		id          = flag.Int("id", -1, "this process's party id (line number in -peers)")
-		peersFile   = flag.String("peers", "", "peers file: one host:port per line, line i = party i")
-		tFlag       = flag.Int("t", 0, "Byzantine budget (corrupted set is the highest t ids)")
-		treeSpec    = flag.String("tree", "path:40", `input space spec (as in cmd/treeaa): a tree, or a "graph:"-prefixed block graph`)
-		inputSpec   = flag.String("inputs", "", "comma-separated input vertex labels (default: spread)")
-		advName     = flag.String("adversary", "none", "adversary spec: none, or name(key=value,...) clauses joined by '+' of "+strings.Join(cli.AdversaryNames(), "|"))
-		mode        = flag.String("mode", "sync", "execution mode: sync (lock-step rounds) or async (event-driven, honest fleets only)")
-		seed        = flag.Int64("seed", 1, "seed for random trees / noise adversaries / link faults")
-		cluster     = flag.Int("cluster", 0, "spawn an n-party loopback cluster of this binary and check agreement")
-		overlaySpec = flag.String("overlay", "", "route traffic over a communication tree instead of the full mesh (tree or tree:<branching>); honest or omission fleets, no link faults")
-		setupTO     = flag.Duration("setup-timeout", 10*time.Second, "mesh construction budget")
-		roundTO     = flag.Duration("round-timeout", 30*time.Second, "per-round traffic budget (also the reconnect budget)")
+		id        = flag.Int("id", -1, "this process's party id (line number in -peers)")
+		peersFile = flag.String("peers", "", "peers file: one host:port per line, line i = party i")
+		tFlag     = flag.Int("t", 0, "Byzantine budget (corrupted set is the highest t ids)")
+		treeSpec  = flag.String("tree", "path:40", `input space spec (as in cmd/treeaa): a tree, or a "graph:"-prefixed block graph`)
+		inputSpec = flag.String("inputs", "", "comma-separated input vertex labels (default: spread)")
+		advName   = flag.String("adversary", "none", "adversary spec: none, or name(key=value,...) clauses joined by '+' of "+strings.Join(cli.AdversaryNames(), "|"))
+		mode      = flag.String("mode", "sync", "execution mode: sync (lock-step rounds) or async (event-driven, honest fleets only)")
+		seed      = flag.Int64("seed", 1, "seed for random trees / noise adversaries / link faults")
+		cluster   = flag.Int("cluster", 0, "spawn an n-party loopback cluster of this binary and check agreement")
+		setupTO   = flag.Duration("setup-timeout", 10*time.Second, "mesh construction budget")
+		roundTO   = flag.Duration("round-timeout", 30*time.Second, "per-round traffic budget (also the reconnect budget)")
 	)
 	flag.Parse()
 	// SIGINT/SIGTERM cancel the context, which unwinds the endpoint's
@@ -114,9 +107,9 @@ func main() {
 	if *mode != "sync" && *mode != "async" {
 		err = fmt.Errorf("-mode %q: want sync or async", *mode)
 	} else if *cluster > 0 {
-		err = runCluster(ctx, *cluster, *tFlag, *treeSpec, *inputSpec, *advName, *mode, *seed, *overlaySpec, *setupTO, *roundTO)
+		err = runCluster(ctx, *cluster, *tFlag, *treeSpec, *inputSpec, *advName, *mode, *seed, *setupTO, *roundTO)
 	} else {
-		err = runSeat(ctx, *id, *peersFile, *tFlag, *treeSpec, *inputSpec, *advName, *mode, *seed, *overlaySpec, *setupTO, *roundTO)
+		err = runSeat(ctx, *id, *peersFile, *tFlag, *treeSpec, *inputSpec, *advName, *mode, *seed, *setupTO, *roundTO)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "node:", err)
@@ -126,7 +119,7 @@ func main() {
 
 // runSeat runs one party (or the adversary host seat) of a deployment.
 func runSeat(ctx context.Context, id int, peersFile string, t int, treeSpec, inputSpec, advName, mode string, seed int64,
-	overlaySpec string, setupTO, roundTO time.Duration) error {
+	setupTO, roundTO time.Duration) error {
 	if peersFile == "" {
 		return fmt.Errorf("-peers is required (or use -cluster)")
 	}
@@ -168,20 +161,19 @@ func runSeat(ctx context.Context, id int, peersFile string, t int, treeSpec, inp
 	if err != nil {
 		return err
 	}
-	if err := checkFlags(mode, overlaySpec, advName, omitters, plan); err != nil {
+	if err := checkFlags(mode, advName, omitters); err != nil {
 		return err
 	}
 
-	// Everything the seats must agree on joins the session hash — mode and
-	// fabric first — so a deployment whose seats disagree on any of it (a
-	// sync seat in an async fleet, mesh beside tree, two branching factors,
-	// two adversaries or link faults) fails the handshake instead of wedging
-	// half-meshed.
+	// Everything the seats must agree on joins the session hash — the mode
+	// first — so a deployment whose seats disagree on any of it (a sync seat
+	// in an async fleet, two adversaries or link faults) fails the handshake
+	// instead of wedging half-meshed.
 	seat := transport.Seat{
 		Ctx: ctx,
 		ID:  sim.PartyID(id), N: n, Addrs: addrs,
 		Corrupted: byz, MaxRounds: sp.Rounds() + 2,
-		Session: sessionID(mode, overlaySpec, sp.Spec, inputSpec, advName, n, t, seed,
+		Session: sessionID(mode, sp.Spec, inputSpec, advName, n, t, seed,
 			setupTO, roundTO, addrs),
 	}
 	role := "party"
@@ -203,39 +195,13 @@ func runSeat(ctx context.Context, id int, peersFile string, t int, treeSpec, inp
 		return err
 	}
 
-	fabric := "mesh"
-	if overlaySpec != "" {
-		fabric = overlaySpec + " overlay"
-	}
-	fmt.Printf("node %d: %s (%s) over the %s, n=%d t=%d space=%s adversary=%s, listening on %s\n",
-		id, role, mode, fabric, n, t, sp.Spec, advName, addrs[id])
-	// The library refuses what a fabric cannot host (an adversary or an
-	// event machine over the overlay, an event machine beside an adversary
-	// on the mesh); nothing here second-guesses it.
-	wires := &metrics.WireStats{}
-	var (
-		res         *transport.ProcessResult
-		fabricStats fmt.Stringer
-	)
-	if overlaySpec != "" {
-		branching, perr := overlay.ParseSpec(overlaySpec)
-		if perr != nil {
-			return perr
-		}
-		ostats := &metrics.OverlayStats{}
-		fabricStats = ostats
-		// Interior seats (root, sub-leaders) listen and relay; leaves only
-		// dial their parent.
-		res, err = overlay.RunProcess(seat, overlay.Options{
-			Branching: branching, SetupTimeout: setupTO, RoundTimeout: roundTO,
-			Stats: ostats, Wire: wires,
-		})
-	} else {
-		chaosStats := &metrics.ChaosStats{}
-		fabricStats = chaosStats
-		res, err = transport.RunProcess(seat, chaos.NewInjector(plan, seed, chaosStats).Apply(transport.Options{
-			Stats: wires, SetupTimeout: setupTO, RoundTimeout: roundTO}))
-	}
+	fmt.Printf("node %d: %s (%s) over the mesh, n=%d t=%d space=%s adversary=%s, listening on %s\n",
+		id, role, mode, n, t, sp.Spec, advName, addrs[id])
+	// The library refuses what the mesh cannot host (an event machine
+	// beside an adversary); nothing here second-guesses it.
+	wires, chaosStats := &metrics.WireStats{}, &metrics.ChaosStats{}
+	res, err := transport.RunProcess(seat, chaos.NewInjector(plan, seed, chaosStats).Apply(transport.Options{
+		Stats: wires, SetupTimeout: setupTO, RoundTimeout: roundTO}))
 	if err != nil {
 		return err
 	}
@@ -243,10 +209,8 @@ func runSeat(ctx context.Context, id int, peersFile string, t int, treeSpec, inp
 	fmt.Printf("node %d: execution %d rounds / %d deliveries, sent %d protocol msgs / %d bytes\n",
 		id, res.Rounds, res.Deliveries, res.Messages, res.Bytes)
 	fmt.Printf("node %d: wire: %s\n", id, wires)
-	if overlaySpec != "" {
-		fmt.Printf("node %d: overlay: %s\n", id, fabricStats)
-	} else if !plan.Empty() {
-		fmt.Printf("node %d: chaos: %s\n", id, fabricStats)
+	if !plan.Empty() {
+		fmt.Printf("node %d: chaos: %s\n", id, chaosStats)
 	}
 	output := "-"
 	if v, ok := res.Output.(tree.VertexID); ok {
@@ -262,25 +226,19 @@ const resultLine = "RESULT id=%d role=%s output=%s rounds=%d deliveries=%d"
 
 // sessionID derives the deployment's session id from every flag the seats
 // must share.
-func sessionID(mode, overlaySpec, spaceSpec, inputSpec, advName string, n, t int, seed int64,
+func sessionID(mode, spaceSpec, inputSpec, advName string, n, t int, seed int64,
 	setupTO, roundTO time.Duration, addrs []string) uint64 {
-	return transport.DeriveSession(append([]string{mode, overlaySpec, spaceSpec, inputSpec, advName,
+	return transport.DeriveSession(append([]string{mode, spaceSpec, inputSpec, advName,
 		fmt.Sprint(n), fmt.Sprint(t), fmt.Sprint(seed),
 		setupTO.String(), roundTO.String()}, addrs...)...)
 }
 
-// checkFlags gates what the chosen mode and fabric can run. An async seat
-// hosts no omission party, whose filter acts on a lock-step round. The
-// overlay takes no link clause: its connections are internal relay hops,
-// not the party-to-party links every link clause names.
-func checkFlags(mode, overlaySpec, advName string, omitters []sim.PartyID, plan *chaos.Plan) error {
+// checkFlags gates what the chosen mode can run: an async seat hosts no
+// omission party, whose filter acts on a lock-step round.
+func checkFlags(mode, advName string, omitters []sim.PartyID) error {
 	if mode == "async" && len(omitters) > 0 {
 		return fmt.Errorf("adversary %q has omission parties, which filter a lock-step machine's sends "+
 			"per round; async seats run honest fleets only — drop -mode async", advName)
-	}
-	if overlaySpec != "" && !plan.Empty() {
-		return fmt.Errorf("-overlay cannot inject the link faults %q: the overlay's connections are internal "+
-			"relay hops, not the party-to-party links they name", plan.Spec)
 	}
 	return nil
 }
@@ -288,7 +246,7 @@ func checkFlags(mode, overlaySpec, advName string, omitters []sim.PartyID, plan 
 // runCluster spawns a whole deployment of this binary on loopback ports and
 // checks the protocol's guarantees across the collected outputs.
 func runCluster(ctx context.Context, n, t int, treeSpec, inputSpec, advName, mode string, seed int64,
-	overlaySpec string, setupTO, roundTO time.Duration) error {
+	setupTO, roundTO time.Duration) error {
 	if t < 0 || (t > 0 && n <= 3*t) {
 		return fmt.Errorf("need n > 3t, got n=%d t=%d", n, t)
 	}
@@ -310,9 +268,10 @@ func runCluster(ctx context.Context, n, t int, treeSpec, inputSpec, advName, mod
 	}
 	// Fail fast on a bad link clause or flag combination before spawning n
 	// children (each child re-validates against its own flags anyway).
-	if plan, err := chaos.NewPlan(advName, n); err != nil {
+	if _, err := chaos.NewPlan(advName, n); err != nil {
 		return err
-	} else if err := checkFlags(mode, overlaySpec, advName, omitters, plan); err != nil {
+	}
+	if err := checkFlags(mode, advName, omitters); err != nil {
 		return err
 	}
 
@@ -368,7 +327,6 @@ func runCluster(ctx context.Context, n, t int, treeSpec, inputSpec, advName, mod
 			cmd := exec.CommandContext(ctx, self, "-id", fmt.Sprint(seat), "-peers", peersFile,
 				"-t", fmt.Sprint(t), "-tree", treeSpec, "-inputs", inputSpec,
 				"-adversary", advName, "-mode", mode, "-seed", fmt.Sprint(seed),
-				"-overlay", overlaySpec,
 				"-setup-timeout", setupTO.String(), "-round-timeout", roundTO.String())
 			// On Ctrl-C, forward SIGTERM so each seat unwinds through its own
 			// signal handler (drain, shutdown) instead of being SIGKILLed.

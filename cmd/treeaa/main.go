@@ -9,11 +9,10 @@
 //	treeaa -n 7 -t 2 -tree path:40 -adversary 'equivocator(hi=500)+omit(drop=250)'
 //	treeaa -tree @map.txt -inputs v3,v6,v5,v8 -n 4 -t 1
 //	treeaa -n 4 -t 1 -tree graph:cliquechain:3:4
-//	treeaa -n 4 -t 0 -tree path:8 -transport tree:2
+//	treeaa -n 4 -t 1 -tree path:8 -transport tcp
 //
-// -transport picks where the messages travel: mem (sim.Run, in process),
-// tcp (transport.LocalCluster, a loopback mesh) or tree[:b]
-// (overlay.Cluster, a loopback relay tree with b sub-leaders).
+// -transport picks where the messages travel: mem (sim.Run, in process) or
+// tcp (transport.LocalCluster, a loopback mesh).
 //
 // -adversary takes the adversary language of internal/cli (DESIGN §9):
 // none, or clauses name(key=value,...) joined by '+' — silent, crash,
@@ -40,7 +39,6 @@ import (
 
 	"treeaa/internal/cli"
 	"treeaa/internal/core"
-	"treeaa/internal/overlay"
 	"treeaa/internal/sim"
 	"treeaa/internal/transport"
 	"treeaa/internal/tree"
@@ -55,7 +53,7 @@ func main() {
 		advName   = flag.String("adversary", "none", "adversary spec: none, or name(key=value,...) clauses joined by '+' of "+strings.Join(cli.AdversaryNames(), "|"))
 		seed      = flag.Int64("seed", 1, "seed for random trees/graphs / noise adversaries")
 		quiet     = flag.Bool("q", false, "suppress the space drawing and round trace")
-		transName = flag.String("transport", "mem", "mem|tcp|tree[:branching]")
+		transName = flag.String("transport", "mem", "mem|tcp")
 		dotFile   = flag.String("dot", "", "write a Graphviz DOT visualization of the execution to this file")
 	)
 	flag.Parse()
@@ -79,23 +77,15 @@ func run(n, t int, treeSpec, inputSpec, advName string, seed int64, quiet bool, 
 		return err
 	}
 	var runOn func(sim.Config, []sim.Machine) (*sim.Result, error)
-	switch {
-	case transName == "mem":
+	switch transName {
+	case "mem":
 		runOn = sim.Run
-	case transName == "tcp":
+	case "tcp":
 		runOn = func(cfg sim.Config, ms []sim.Machine) (*sim.Result, error) {
 			return transport.LocalCluster(cfg, ms, transport.Options{})
 		}
-	case strings.HasPrefix(transName, "tree"):
-		branching, err := overlay.ParseSpec(transName)
-		if err != nil {
-			return err
-		}
-		runOn = func(cfg sim.Config, ms []sim.Machine) (*sim.Result, error) {
-			return overlay.Cluster(cfg, ms, overlay.Options{Branching: branching})
-		}
 	default:
-		return fmt.Errorf("unknown transport %q (have mem, tcp, tree[:branching])", transName)
+		return fmt.Errorf("unknown transport %q (have mem, tcp)", transName)
 	}
 
 	budget := core.Rounds(sp.ProtocolTree(), t)

@@ -10,6 +10,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -45,11 +46,6 @@ func TestCommandsRun(t *testing.T) {
 			wants: []string{"1-agreement: true"},
 		},
 		{
-			name:  "treeaa over the tree overlay",
-			args:  []string{"run", "./cmd/treeaa", "-tree", "path:24", "-n", "7", "-t", "2", "-transport", "tree:2", "-q"},
-			wants: []string{"1-agreement: true"},
-		},
-		{
 			name:  "node loopback cluster",
 			args:  []string{"run", "./cmd/node", "-cluster", "3", "-tree", "path:16"},
 			wants: []string{"1-agreement: true"},
@@ -70,11 +66,6 @@ func TestCommandsRun(t *testing.T) {
 			args: []string{"run", "./cmd/node", "-cluster", "7", "-t", "2", "-tree", "path:16",
 				"-adversary", "splitvote+stop(rounds=2)+lat(base=200us,jitter=200us)+drop(from=0,to=2,round=2)"},
 			wants: []string{"chaos:", "1 drops", "role=omission", "1-agreement: true"},
-		},
-		{
-			name:  "node graph fleet over the tree overlay",
-			args:  []string{"run", "./cmd/node", "-cluster", "4", "-t", "1", "-tree", "graph:cliquechain:3:4", "-overlay", "tree:2"},
-			wants: []string{"overlay:", "1-agreement: true"},
 		},
 		{
 			name:  "node async graph fleet",
@@ -127,6 +118,29 @@ func TestCommandsRun(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBinariesLinkNoOverlay: no shipped binary deploys the tree overlay. Its
+// interior relays are trusted completely, which puts it outside the paper's
+// model; internal/overlay is a substrate only the benchmark runs, in process.
+func TestBinariesLinkNoOverlay(t *testing.T) {
+	if testing.Short() {
+		t.Skip("go list spawns a subprocess; skipped with -short")
+	}
+	out, err := exec.Command("go", "list", "-f", `{{.ImportPath}} {{join .Deps " "}}`, "./cmd/...").Output()
+	if err != nil {
+		t.Fatalf("go list ./cmd/...: %v", err)
+	}
+	bins := strings.Split(strings.TrimSpace(string(out)), "\n")
+	if mains, _ := filepath.Glob("cmd/*/main.go"); len(bins) != len(mains) {
+		t.Fatalf("go list ./cmd/... named %d binaries, want %d:\n%s", len(bins), len(mains), out)
+	}
+	for _, line := range bins {
+		bin, deps, _ := strings.Cut(line, " ")
+		if slices.Contains(strings.Fields(deps), "treeaa/internal/overlay") {
+			t.Errorf("%s links treeaa/internal/overlay", bin)
+		}
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // end-of-round mark in the flags. An event-driven seat has no rounds to
 // gather by: it ships k = 1 per message, and one empty done-marked frame as
 // its decision announcement. Framer writes that form and Apply reads it; a
-// fabric is left with moving frames between authenticated peers.
+// fabric is left with moving frames between identified peers.
 
 // frameTag is the stream-envelope tag a round frame travels under. It is
 // transport.FrameMuxSession, spelled out because transport imports this
@@ -154,8 +154,8 @@ func stream(from sim.PartyID, body []byte, leaf func(round int, payload any) err
 // Apply files one round frame from a peer: its messages, addressed to party
 // to, under the frame's round, then the peer's mark. A frame that fails part
 // way leaves its round without the mark, so no barrier completes on it.
-// Window violations, duplicate marks and foreign payloads are errors: links
-// are authenticated, so they are bugs, not noise.
+// Window violations, duplicate marks and foreign payloads are errors: the
+// fabrics trust their links (DESIGN §7), so they are bugs, not noise.
 func (b *Mailbox) Apply(from, to sim.PartyID, body []byte) error {
 	fr, _, err := stream(from, body, func(round int, payload any) error {
 		return b.File(sim.Message{From: from, To: to, Round: round, Payload: payload})

@@ -48,7 +48,8 @@ func (o *OverlayStats) AddRoundLatency(d time.Duration) { o.roundLat.add(d) }
 // RoundLatency summarizes the recorded per-round durations (nanoseconds).
 func (o *OverlayStats) RoundLatency() Summary { return o.roundLat.summary() }
 
-// String renders the counters for logs and the cmd/node summary line.
+// String renders the counters for the overlay tests' logs; the benchmark
+// reads the counters themselves.
 func (o *OverlayStats) String() string {
 	lat := o.RoundLatency()
 	return fmt.Sprintf("relayed %d envelopes (%d bytes, %d batches), delivered %d, dropped %d dups, replayed %d; "+

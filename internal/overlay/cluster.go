@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"slices"
@@ -9,6 +10,12 @@ import (
 	"treeaa/internal/sim"
 	"treeaa/internal/transport"
 )
+
+// errAdversary refuses every adversary but omission: a rushing observer must
+// see every honest round-r message before choosing its own, and a tree would
+// have to route all traffic through the observer's position.
+var errAdversary = errors.New("overlay: a rushing adversary observes all honest traffic before sending; " +
+	"only the full mesh grants that view — use the tcp transport or the in-process engine")
 
 // Cluster executes machines over the communication tree: one TCP node per
 // party on 127.0.0.1 loopback, connected along the Layout's edges instead

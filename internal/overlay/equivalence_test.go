@@ -13,7 +13,6 @@ import (
 	"treeaa/internal/crashaa"
 	"treeaa/internal/metrics"
 	"treeaa/internal/sim"
-	"treeaa/internal/transport"
 	"treeaa/internal/tree"
 )
 
@@ -250,71 +249,4 @@ type stubAdversary struct{}
 func (stubAdversary) Initial() []sim.PartyID { return []sim.PartyID{0} }
 func (stubAdversary) Step(int, []sim.Message, map[sim.PartyID][]sim.Message) ([]sim.Message, []sim.PartyID) {
 	return nil, nil
-}
-
-// TestParseSpec pins the -overlay / -transport tree[:b] spec grammar.
-func TestParseSpec(t *testing.T) {
-	if b, err := ParseSpec("tree"); err != nil || b != 0 {
-		t.Errorf("ParseSpec(tree) = %d, %v", b, err)
-	}
-	if b, err := ParseSpec("tree:16"); err != nil || b != 16 {
-		t.Errorf("ParseSpec(tree:16) = %d, %v", b, err)
-	}
-	for _, bad := range []string{"", "mesh", "tree:", "tree:0", "tree:-2", "tree:x"} {
-		if _, err := ParseSpec(bad); err == nil {
-			t.Errorf("ParseSpec(%q) accepted", bad)
-		}
-	}
-}
-
-// TestRunProcessRefusals: the two roles the relay fabric cannot host — an
-// adversary (the host seat, or an honest seat of a fleet that has one) and
-// an event machine — are refused by RunProcess itself, with the same error
-// Cluster gives, and a seat without exactly one role by Seat.Validate. Every
-// case fails before anything listens: the addresses are not bindable.
-func TestRunProcessRefusals(t *testing.T) {
-	const n = 4
-	sp, err := cli.ParseSpaceSpec("path:8", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	machine, _, err := sp.NewMachine(n, 1, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	event, _, err := sp.NewAsyncMachine(n, 1, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adv, _, err := sp.BuildAdversary("splitvote", n, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := transport.Seat{ID: 0, N: n, Addrs: []string{"!", "!", "!", "!"}, MaxRounds: 5}
-	for _, tc := range []struct {
-		name string
-		edit func(*transport.Seat)
-		want string
-	}{
-		{"adversary host", func(s *transport.Seat) {
-			s.ID, s.Adversary, s.Corrupted = 3, adv, []sim.PartyID{3}
-		}, errAdversary.Error()},
-		{"honest seat beside an adversary", func(s *transport.Seat) {
-			s.Machine, s.Corrupted = machine, []sim.PartyID{3}
-		}, errAdversary.Error()},
-		{"event machine", func(s *transport.Seat) { s.Event = event }, errEventMachine.Error()},
-		{"no role", func(s *transport.Seat) {}, "0 roles set"},
-		{"two roles", func(s *transport.Seat) { s.Machine, s.Event = machine, event }, "2 roles set"},
-	} {
-		seat := base
-		tc.edit(&seat)
-		_, err := RunProcess(seat, Options{})
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
-		}
-	}
-	cfg := sim.Config{N: n, MaxCorrupt: 1, MaxRounds: 5, Adversary: adv}
-	if _, err := Cluster(cfg, make([]sim.Machine, n), Options{}); err != errAdversary {
-		t.Errorf("Cluster with an adversary: err = %v, want errAdversary", err)
-	}
 }

@@ -69,7 +69,7 @@ func (l *link) writeLoop() {
 		l.mu.Unlock()
 
 		if len(batch) > 0 && !l.failed {
-			l.conn.SetWriteDeadline(time.Now().Add(l.nd.opts.RoundTimeout))
+			l.conn.SetWriteDeadline(time.Now().Add(roundTimeout))
 			for _, body := range batch {
 				scratch = transport.AppendFrame(scratch[:0], body)
 				if _, err := l.bw.Write(scratch); err != nil {
@@ -106,7 +106,7 @@ func (l *link) fail(err error) {
 func (l *link) startReader() {
 	go func() {
 		for {
-			l.conn.SetReadDeadline(time.Now().Add(l.nd.opts.RoundTimeout))
+			l.conn.SetReadDeadline(time.Now().Add(roundTimeout))
 			body, err := transport.ReadFrame(l.br, transport.MaxFrameSize)
 			if err != nil {
 				l.nd.enqueue(levent{l: l, err: fmt.Errorf("overlay: link %d↔%d read: %w", l.nd.id, l.peer, err)})

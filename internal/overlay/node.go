@@ -262,7 +262,7 @@ func (nd *node) checkRelease(r int) {
 // root, is produced). A leaf whose sub-leader goes silent for
 // FailoverTimeout abandons it mid-wait.
 func (nd *node) awaitDown(r int) error {
-	deadline := time.NewTimer(nd.opts.RoundTimeout)
+	deadline := time.NewTimer(roundTimeout)
 	defer deadline.Stop()
 	fo := time.NewTimer(nd.opts.FailoverTimeout)
 	defer fo.Stop()
@@ -294,7 +294,7 @@ func (nd *node) awaitDown(r int) error {
 				fo.Reset(nd.opts.FailoverTimeout)
 			}
 		case <-deadline.C:
-			return fmt.Errorf("overlay: party %d: round %d barrier timed out after %v", nd.id, r, nd.opts.RoundTimeout)
+			return fmt.Errorf("overlay: party %d: round %d barrier timed out after %v", nd.id, r, roundTimeout)
 		case <-nd.quit:
 			return fmt.Errorf("overlay: party %d: node closed while waiting on round %d", nd.id, r)
 		}
@@ -586,7 +586,7 @@ func (nd *node) rehome(cause error) error {
 	}
 	failed := nd.parentID
 	candidates := nd.lay.Failover(nd.id, failed)
-	deadline := time.Now().Add(nd.opts.RoundTimeout)
+	deadline := time.Now().Add(roundTimeout)
 	backoff := 10 * time.Millisecond
 	for time.Now().Before(deadline) {
 		if nd.closed() {
@@ -666,7 +666,7 @@ func (nd *node) handshake(conn net.Conn) {
 func (nd *node) shutdown(graceful bool) {
 	if graceful {
 		for _, l := range nd.links {
-			l.drain(nd.opts.RoundTimeout)
+			l.drain(roundTimeout)
 		}
 	}
 	nd.closeOnce.Do(func() {

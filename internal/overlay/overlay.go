@@ -1,10 +1,16 @@
 // Package overlay routes protocol traffic over a deterministic three-level
 // communication tree — root, sub-leaders, leaves — instead of the transport
-// package's full mesh. The mesh needs a duplex connection per party pair —
-// n(n−1)/2 in all, n−1 at every party — so past n ≈ 256 the
-// file-descriptor budget, not the protocol, is the wall;
-// the tree keeps every node at O(branching) connections and replaces the
-// n·(n−1) per-round end-of-round barrier frames with ~2n aggregated ones.
+// package's full mesh. It is an in-process substrate that the benchmark's
+// overlay-fleet workload runs (Cluster on loopback); no binary deploys it.
+// Every message crosses interior relays that the overlay trusts completely,
+// which is outside the paper's model of authenticated point-to-point links,
+// so Cluster refuses every adversary but omission.
+//
+// The mesh needs a duplex connection per party pair — n(n−1)/2 in all, n−1
+// at every party — so past n ≈ 256 the file-descriptor budget, not the
+// protocol, is the wall; the tree keeps every node at O(branching)
+// connections and replaces the n·(n−1) per-round end-of-round barrier
+// frames with ~2n aggregated ones.
 //
 // The overlay is a delivery substrate, not a protocol change: every logical
 // message a machine emits is wrapped in a wire.RelayMsg envelope stamped
@@ -35,13 +41,14 @@
 package overlay
 
 import (
-	"fmt"
-	"strconv"
-	"strings"
 	"time"
 
 	"treeaa/internal/metrics"
 )
+
+// roundTimeout bounds one round's traffic: barrier waits, reads, writes,
+// and a full failover search.
+const roundTimeout = 60 * time.Second
 
 // Options tunes the tree overlay. The zero value gets sane defaults and an
 // automatic branching factor (≈ √(n−1), which balances root and sub-leader
@@ -52,9 +59,6 @@ type Options struct {
 	Branching int
 	// SetupTimeout bounds the initial parent dial and handshake. Default 10s.
 	SetupTimeout time.Duration
-	// RoundTimeout bounds one round's traffic: barrier waits, reads, writes,
-	// and a full failover search. Default 60s.
-	RoundTimeout time.Duration
 	// FailoverTimeout is how long a leaf lets its sub-leader stall a barrier
 	// (no parent-link traffic at all) before abandoning it for the next
 	// candidate; it is also the per-candidate dial budget during a failover
@@ -74,9 +78,6 @@ func (o Options) withDefaults() Options {
 	if o.SetupTimeout <= 0 {
 		o.SetupTimeout = 10 * time.Second
 	}
-	if o.RoundTimeout <= 0 {
-		o.RoundTimeout = 60 * time.Second
-	}
 	if o.FailoverTimeout <= 0 {
 		o.FailoverTimeout = 5 * time.Second
 	}
@@ -87,21 +88,4 @@ func (o Options) withDefaults() Options {
 		o.Wire = &metrics.WireStats{}
 	}
 	return o
-}
-
-// ParseSpec parses an -overlay flag value: "tree" (automatic branching) or
-// "tree:<branching>". The empty string means no overlay (the full mesh).
-func ParseSpec(spec string) (branching int, err error) {
-	if spec == "tree" {
-		return 0, nil
-	}
-	rest, ok := strings.CutPrefix(spec, "tree:")
-	if !ok {
-		return 0, fmt.Errorf("overlay: unknown spec %q (want tree or tree:<branching>)", spec)
-	}
-	b, err := strconv.Atoi(rest)
-	if err != nil || b < 1 {
-		return 0, fmt.Errorf("overlay: bad branching in %q (want a positive integer)", spec)
-	}
-	return b, nil
 }

@@ -208,10 +208,10 @@ func (m *Manager) logSession(s *session, msg string) {
 }
 
 // handleRaw is the mux handler: every inbound wire body, still encoded,
-// attributed to its authenticated peer. The data-plane frame, SessionRound,
-// goes to the owning shard on the session id peeked from the header — no
-// global lock — and the shard steps the engine on this goroutine if the
-// frame gave it work. Control frames are rare; they decode here and take
+// attributed to the peer its link's hello named. The data-plane frame,
+// SessionRound, goes to the owning shard on the session id peeked from the
+// header — no global lock — and the shard steps the engine on this
+// goroutine if the frame gave it work. Control frames are rare; they decode here and take
 // Manager.mu. A non-nil error fails the link (the mesh is trusted; garbage
 // is fatal), and the frames SessionRound replaced are garbage.
 func (m *Manager) handleRaw(from sim.PartyID, body []byte) error {

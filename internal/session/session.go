@@ -3,7 +3,7 @@
 // peer links — one duplex TCP connection per daemon pair, shared by every
 // session — instead of the one-shot, dedicated-mesh execution of
 // internal/transport. BKR-style ACS stacks amortize link cost exactly this
-// way: the links and their authentication are per-deployment, the protocol
+// way: the links and their handshakes are per-deployment, the protocol
 // instances are cheap tenants on top.
 //
 // # Architecture

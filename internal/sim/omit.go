@@ -8,8 +8,8 @@ import "fmt"
 // fabric runs an omission party this way, in its own seat, so what it
 // delivers and what the adversary sees of it are those filtered unicasts. A
 // filter that forges the sender or names no party fails a Run or
-// RunConcurrent execution; on a TCP link the sender is authenticated and the
-// driver refuses the recipient.
+// RunConcurrent execution; on a TCP link the sender is the one the link's
+// hello named and the driver refuses the recipient.
 func Omit(f OutboxFilter, p PartyID, n int, m Machine) Machine {
 	return &omitter{Machine: m, f: f, p: p, n: n}
 }

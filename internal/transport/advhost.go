@@ -30,8 +30,8 @@ type hostConfig struct {
 // corrupted inbox for round r-1 is complete, rebuild honestOut — each honest
 // send once, a broadcast with To == Broadcast — and corruptInbox exactly as
 // the engine lays them out, run one Adversary.Step,
-// and route the returned messages through the corrupted parties'
-// authenticated links, a round frame per link like anybody's. Corrupted
+// and route the returned messages through the corrupted parties' own
+// links, a round frame per link like anybody's. Corrupted
 // parties always flag done in their frames, so honest termination is
 // untouched by the adversary's presence.
 func runAdversaryHost(cfg hostConfig) (*driver.Result, error) {

@@ -73,11 +73,12 @@ func (o Options) withDefaults() Options {
 
 // event is one item of an endpoint's merged receive stream: a data frame,
 // still encoded (the node loop hands a round to its driver as it came),
-// attributed to its authenticated sender; a link failure its reader met
-// behind every frame the peer sent; or, with neither, the peer's bye.
+// attributed to the sender its link's hello named; a link failure its
+// reader met behind every frame the peer sent; or, with neither, the peer's
+// bye.
 type event struct {
 	owner sim.PartyID // local party the frame was addressed to
-	from  sim.PartyID // authenticated sender (fixed by the hello)
+	from  sim.PartyID // sender the hello named (identified, not authenticated)
 	body  []byte      // the frame: type tag, then its fields
 	err   error
 }

@@ -17,9 +17,9 @@ import (
 //	uvarint(length) | type(1) | fields...
 //
 // and the first frame of every connection is the mux hello (mux.go), which
-// authenticates the link: the receiver attributes every later frame on it
-// to the party that dialed, and the dialer every frame to the party it
-// dialed. After it, a mesh link carries
+// identifies the link without authenticating it: the receiver attributes
+// every later frame on it to the party the hello claims, and the dialer
+// every frame to the party it dialed. After it, a mesh link carries
 //
 //	round:  wire.SessionRound body (FrameMuxSession envelope)
 //	mirror: uvarint(round) | u32(recipient, or mirrorBroadcast) | wire body

@@ -66,14 +66,15 @@ type MuxConfig struct {
 	ReadOrdered bool
 
 	// Handler receives every inbound frame body (type tag first), still
-	// encoded, attributed to its authenticated peer and stamped with the link
-	// generation it was read on. It runs on the link's reader goroutine and
-	// may do everything the frame causes short of blocking on a socket:
-	// decode it, step what it completes, stage the resulting frames. The
-	// reader calls FlushDry once its buffered input is used up, so what
-	// several frames of one read staged goes out together. The handler may
-	// retain body (the read arena hands out a fresh slice per frame). A
-	// non-nil error fails the link.
+	// encoded, attributed to the peer its link's hello named (identified,
+	// not authenticated; DESIGN §7) and stamped with the link generation it
+	// was read on. It runs on the link's reader goroutine and may do
+	// everything the frame causes short of blocking on a socket: decode it,
+	// step what it completes, stage the resulting frames. The reader calls
+	// FlushDry once its buffered input is used up, so what several frames of
+	// one read staged goes out together. The handler may retain body (the
+	// read arena hands out a fresh slice per frame). A non-nil error fails
+	// the link.
 	Handler func(from sim.PartyID, gen int, body []byte) error
 	// OnDown reports a dead link (read or write failure after setup).
 	OnDown func(peer sim.PartyID, err error)
@@ -84,8 +85,8 @@ type MuxConfig struct {
 // Mux owns a party's peer links: the mesh handshake, one reader per link
 // (handing frames to the handler), one flusher per link, and the redial
 // loop that restores links the peer's restart tore down. It is the one peer
-// link of both fabrics outside the overlay: the serving daemon's and the
-// one-shot mesh's.
+// link of both deployed fabrics: the serving daemon's and the one-shot
+// mesh's.
 //
 // Outbound frames collect in per-link outboxes and leave in batched writes.
 // The common write is made by whoever ran the handlers or engines that filled

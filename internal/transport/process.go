@@ -28,14 +28,6 @@ type ProcessResult struct {
 	Bytes    int
 }
 
-// NewProcessResult reports one seat's driver result (the host seat's has no
-// output) in the exported per-process form.
-func NewProcessResult(res *driver.Result) *ProcessResult {
-	total := res.Total()
-	return &ProcessResult{Output: res.Output, DoneRound: res.DoneRound,
-		Rounds: res.TermRound, Messages: total.Msgs, Bytes: total.Bytes}
-}
-
 // DeriveSession hashes deployment parameters into a session id, so
 // processes launched with the same peers file and flags agree on it without
 // coordination, and anything else is rejected at the handshake.
@@ -77,7 +69,7 @@ func RunProcess(seat Seat, opts Options) (*ProcessResult, error) {
 		}
 		run, stop := asyncSeat(seat.ID, seat.N, seat.Event, ln, seat.Addrs, seat.Session, opts)
 		defer stop()
-		defer WatchCancel(seat.Ctx, stop)()
+		defer watchCancel(seat.Ctx, stop)()
 		ev, err := run()
 		if err != nil {
 			return nil, err
@@ -123,12 +115,15 @@ func RunProcess(seat Seat, opts Options) (*ProcessResult, error) {
 			adv: seat.Adversary}, lns, seat.Addrs, seat.Session, opts)
 	}
 	defer stop()
-	defer WatchCancel(seat.Ctx, stop)()
+	defer watchCancel(seat.Ctx, stop)()
 	res, err := run()
 	if err != nil {
 		return nil, err
 	}
-	return NewProcessResult(res), nil
+	// The host seat's result has no output.
+	total := res.Total()
+	return &ProcessResult{Output: res.Output, DoneRound: res.DoneRound,
+		Rounds: res.TermRound, Messages: total.Msgs, Bytes: total.Bytes}, nil
 }
 
 // listen binds party p's peers-file address for this seat.
@@ -140,9 +135,9 @@ func listen(seat Seat, p sim.PartyID) (net.Listener, error) {
 	return ln, nil
 }
 
-// WatchCancel runs stop when ctx is cancelled; the returned release func
+// watchCancel runs stop when ctx is cancelled; the returned release func
 // retires the watcher when the seat finishes first. A nil ctx is a no-op.
-func WatchCancel(ctx context.Context, stop func()) func() {
+func watchCancel(ctx context.Context, stop func()) func() {
 	if ctx == nil {
 		return func() {}
 	}

@@ -13,10 +13,10 @@
 // internal/driver's Round and Event, which write and read one round frame
 // per link per round — the wire.SessionRound the serving mux carries too —
 // through driver.Framer and Apply. This package owns how frames travel — the
-// stream framing and the one peer link outside the overlay (Mux: one duplex
-// connection per pair of parties, its hello, generations and the lower-id
-// redial, writes made where input runs dry), which the serving daemons of
-// internal/session run on too — and, for the one-shot mesh, the barrier
+// stream framing and the one peer link every deployed fabric runs on (Mux:
+// one duplex connection per pair of parties, its hello, generations and the
+// lower-id redial, writes made where input runs dry), which the serving
+// daemons of internal/session share — and, for the one-shot mesh, the barrier
 // wait, the round / idle timers, the count-exchange resume on top of that
 // link, the mirror frames that grant the rushing adversary its view, and the
 // adversary host, which co-hosts the corrupted seats on one driver.Mailbox
@@ -33,9 +33,7 @@ import (
 
 // Seat describes one process's seat in a one-shot multi-process deployment
 // (the cmd/node daemon): who it is, and the one thing it runs. It is the
-// input of RunProcess here (full mesh) and of overlay.RunProcess (tree
-// fabric); each fabric refuses, in its RunProcess, the roles it cannot
-// host.
+// input of RunProcess, which refuses the roles the mesh cannot host.
 type Seat struct {
 	// Ctx, when non-nil, cancels the seat: on Done the seat's connections
 	// and listeners shut down, which unblocks barrier waits and read loops,
