@@ -31,7 +31,7 @@ loc:
 # output naming a flag), exported identifiers per package (go doc -short:
 # consts, vars, funcs, types — not methods), exported methods per package
 # (go doc -all: the func lines with a receiver), the field counts of the
-# three option structs, and what each binary links of internal/ (go list
+# three option structs and of transport.Seat, and what each binary links of internal/ (go list
 # -deps), which shows a package leaving the daemons.
 surface:
 	@for d in cmd/*/; do \
@@ -39,7 +39,7 @@ surface:
 	@$(GO) list ./... | grep -v /cmd/ | grep -v /examples/ | while read p; do \
 		printf '%7d exported  %s\n' "$$($(GO) doc -short $$p 2>/dev/null | grep -c .)" "$$p"; \
 		printf '%7d methods  %s\n' "$$($(GO) doc -all $$p 2>/dev/null | grep -cE '^func \([^)]*\) [A-Z]')" "$$p"; done
-	@for t in session.Options transport.Options overlay.Options; do \
+	@for t in session.Options transport.Options transport.Seat overlay.Options; do \
 		printf '%7d fields  %s\n' "$$($(GO) doc ./internal/$${t%%.*} $${t#*.} | grep -cE '^	[A-Z][A-Za-z]* ')" "$$t"; done
 	@for d in cmd/*/; do \
 		deps=$$($(GO) list -deps ./$$d | sed -n 's|^treeaa/internal/||p' | sort); \

@@ -47,9 +47,12 @@
 //	node -cluster 4 -tree star:6 -mode async -adversary 'lat(base=200ms,jitter=150ms,from=2)'
 //	node -cluster 4 -mode async -adversary 'drop(from=0,to=2,round=2)'
 //
-// What the mesh cannot host — an adversary beside async seats — is decided,
-// and explained, by transport.RunProcess, not here; this command only gates
-// omission parties under -mode async.
+// Every seat's role — party, omission, adversary host, or a corrupted party
+// the host co-hosts — and everything the mesh cannot host (a faulty party
+// beside async seats, an acting adversary with no corrupted party) are
+// decided, and explained, by transport's Seat.Role alone. This command
+// refuses only the crash clause, and -cluster asks Role about every seat
+// before it spawns any.
 //
 // -tree graph:<spec> swaps the input space for a block graph (see
 // internal/graph): the seats run TreeAA on the graph's block-cut tree and
@@ -69,7 +72,6 @@ import (
 	"os/exec"
 	"os/signal"
 	"path/filepath"
-	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -103,13 +105,15 @@ func main() {
 	// deployment to ride out its round timeout (or leak goroutines).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	d := &deployment{t: *tFlag, treeSpec: *treeSpec, inputSpec: *inputSpec, advName: *advName, mode: *mode,
+		seed: *seed, setupTO: *setupTO, roundTO: *roundTO}
 	var err error
 	if *mode != "sync" && *mode != "async" {
 		err = fmt.Errorf("-mode %q: want sync or async", *mode)
 	} else if *cluster > 0 {
-		err = runCluster(ctx, *cluster, *tFlag, *treeSpec, *inputSpec, *advName, *mode, *seed, *setupTO, *roundTO)
+		err = runCluster(ctx, *cluster, d)
 	} else {
-		err = runSeat(ctx, *id, *peersFile, *tFlag, *treeSpec, *inputSpec, *advName, *mode, *seed, *setupTO, *roundTO)
+		err = runSeat(ctx, *id, *peersFile, d)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "node:", err)
@@ -117,21 +121,24 @@ func main() {
 	}
 }
 
-// runSeat runs one party (or the adversary host seat) of a deployment.
-func runSeat(ctx context.Context, id int, peersFile string, t int, treeSpec, inputSpec, advName, mode string, seed int64,
-	setupTO, roundTO time.Duration) error {
-	if peersFile == "" {
-		return fmt.Errorf("-peers is required (or use -cluster)")
-	}
-	addrs, err := cli.ReadPeers(peersFile)
-	if err != nil {
-		return err
-	}
-	n := len(addrs)
-	if id < 0 || id >= n {
-		return fmt.Errorf("-id %d out of range for %d peers", id, n)
-	}
-	clauses, err := cli.ParseAdversary(advName)
+// deployment is what every seat of a deployment is launched with — the
+// flags runCluster passes each child — and what parse makes of them.
+type deployment struct {
+	t                                  int
+	treeSpec, inputSpec, advName, mode string
+	seed                               int64
+	setupTO, roundTO                   time.Duration
+
+	sp     *cli.Space
+	inputs []tree.VertexID
+	plan   *chaos.Plan
+}
+
+// parse reads the flags of an n-party deployment. It refuses the crash
+// clause, which is input validation here: no mesh seat can run an adaptive
+// corruption, since messages on the wire cannot be retracted.
+func (d *deployment) parse(n int) error {
+	clauses, err := cli.ParseAdversary(d.advName)
 	if err != nil {
 		return err
 	}
@@ -141,82 +148,89 @@ func runSeat(ctx context.Context, id int, peersFile string, t int, treeSpec, inp
 				"be retracted — use cmd/treeaa's in-process transport for it, or stop for a crash fault")
 		}
 	}
-	sp, err := cli.ParseSpaceSpec(treeSpec, seed)
-	if err != nil {
+	if d.sp, err = cli.ParseSpaceSpec(d.treeSpec, d.seed); err != nil {
 		return err
 	}
-	inputs, err := sp.ParseInputs(inputSpec, n)
-	if err != nil {
+	if d.inputs, err = d.sp.ParseInputs(d.inputSpec, n); err != nil {
 		return err
 	}
-	adv, _, err := sp.BuildAdversary(advName, n, t, seed)
-	if err != nil {
-		return err
-	}
-	byz, omitters, err := sim.Faults(sim.Config{N: n, MaxCorrupt: t, Adversary: adv})
-	if err != nil {
-		return err
-	}
-	plan, err := chaos.NewPlan(advName, n)
-	if err != nil {
-		return err
-	}
-	if err := checkFlags(mode, advName, omitters); err != nil {
-		return err
-	}
+	d.plan, err = chaos.NewPlan(d.advName, n)
+	return err
+}
 
-	// Everything the seats must agree on joins the session hash — the mode
-	// first — so a deployment whose seats disagree on any of it (a sync seat
-	// in an async fleet, two adversaries or link faults) fails the handshake
-	// instead of wedging half-meshed.
-	seat := transport.Seat{
-		Ctx: ctx,
-		ID:  sim.PartyID(id), N: n, Addrs: addrs,
-		Corrupted: byz, MaxRounds: sp.Rounds() + 2,
-		Session: sessionID(mode, sp.Spec, inputSpec, advName, n, t, seed,
-			setupTO, roundTO, addrs),
+// seat builds party id's seat, the one seat builder of runSeat and
+// runCluster: the execution every seat shares, with an adversary of its own
+// as each process builds one, and the party's honest machine. Everything the
+// seats must agree on joins the session hash — the mode first — so a
+// deployment whose seats disagree on any of it (a sync seat in an async
+// fleet, two adversaries or link faults) fails the handshake instead of
+// wedging half-meshed.
+func (d *deployment) seat(ctx context.Context, id int, addrs []string) (transport.Seat, error) {
+	n := len(addrs)
+	adv, _, err := d.sp.BuildAdversary(d.advName, n, d.t, d.seed)
+	if err != nil {
+		return transport.Seat{}, err
 	}
-	role := "party"
-	switch {
-	case mode == "async":
+	seat := transport.Seat{
+		Ctx: ctx, ID: sim.PartyID(id), Addrs: addrs,
+		Session: sessionID(d.mode, d.sp.Spec, d.inputSpec, d.advName, n, d.t, d.seed, d.setupTO, d.roundTO, addrs),
+		Config:  sim.Config{N: n, MaxCorrupt: d.t, MaxRounds: d.sp.Rounds() + 2, Adversary: adv},
+	}
+	if d.mode == "async" {
 		// No rounds, no barriers: the seat dispatches whatever arrives,
 		// announces its decision, and exits once every peer has too.
-		seat.Event, _, err = sp.NewAsyncMachine(n, t, seat.ID, inputs[id])
-	case slices.Contains(byz, seat.ID):
-		role, seat.Adversary = "adversary", adv
-	default:
-		seat.Machine, _, err = sp.NewMachine(n, t, seat.ID, inputs[id])
-		if slices.Contains(omitters, seat.ID) {
-			// An omission seat's machine drops its own sends.
-			role, seat.Machine = "omission", sim.Omit(adv.(sim.OutboxFilter), seat.ID, n, seat.Machine)
-		}
+		seat.Event, _, err = d.sp.NewAsyncMachine(n, d.t, seat.ID, d.inputs[id])
+	} else {
+		seat.Machine, _, err = d.sp.NewMachine(n, d.t, seat.ID, d.inputs[id])
 	}
+	return seat, err
+}
+
+// runSeat runs one seat of a deployment: a party, or the adversary host.
+func runSeat(ctx context.Context, id int, peersFile string, d *deployment) error {
+	if peersFile == "" {
+		return fmt.Errorf("-peers is required (or use -cluster)")
+	}
+	addrs, err := cli.ReadPeers(peersFile)
+	if err != nil {
+		return err
+	}
+	if id < 0 || id >= len(addrs) {
+		return fmt.Errorf("-id %d out of range for %d peers", id, len(addrs))
+	}
+	if err := d.parse(len(addrs)); err != nil {
+		return err
+	}
+	seat, err := d.seat(ctx, id, addrs)
+	if err != nil {
+		return err
+	}
+	role, err := seat.Role()
 	if err != nil {
 		return err
 	}
 
 	fmt.Printf("node %d: %s (%s) over the mesh, n=%d t=%d space=%s adversary=%s, listening on %s\n",
-		id, role, mode, n, t, sp.Spec, advName, addrs[id])
-	// The library refuses what the mesh cannot host (an event machine
-	// beside an adversary); nothing here second-guesses it.
+		id, role, d.mode, len(addrs), d.t, d.sp.Spec, d.advName, addrs[id])
 	wires, chaosStats := &metrics.WireStats{}, &metrics.ChaosStats{}
-	res, err := transport.RunProcess(seat, chaos.NewInjector(plan, seed, chaosStats).Apply(transport.Options{
-		Stats: wires, SetupTimeout: setupTO, RoundTimeout: roundTO}))
+	res, err := transport.RunProcess(seat, chaos.NewInjector(d.plan, d.seed, chaosStats).Apply(transport.Options{
+		Stats: wires, SetupTimeout: d.setupTO, RoundTimeout: d.roundTO}))
 	if err != nil {
 		return err
 	}
 
+	sent := res.Total()
 	fmt.Printf("node %d: execution %d rounds / %d deliveries, sent %d protocol msgs / %d bytes\n",
-		id, res.Rounds, res.Deliveries, res.Messages, res.Bytes)
+		id, res.TermRound, res.Deliveries, sent.Msgs, sent.Bytes)
 	fmt.Printf("node %d: wire: %s\n", id, wires)
-	if !plan.Empty() {
+	if !d.plan.Empty() {
 		fmt.Printf("node %d: chaos: %s\n", id, chaosStats)
 	}
 	output := "-"
 	if v, ok := res.Output.(tree.VertexID); ok {
-		output = sp.Label(v)
+		output = d.sp.Label(v)
 	}
-	fmt.Printf(resultLine+"\n", id, role, output, res.Rounds, res.Deliveries)
+	fmt.Printf(resultLine+"\n", id, role, output, res.TermRound, res.Deliveries)
 	return nil
 }
 
@@ -233,46 +247,26 @@ func sessionID(mode, spaceSpec, inputSpec, advName string, n, t int, seed int64,
 		setupTO.String(), roundTO.String()}, addrs...)...)
 }
 
-// checkFlags gates what the chosen mode can run: an async seat hosts no
-// omission party, whose filter acts on a lock-step round.
-func checkFlags(mode, advName string, omitters []sim.PartyID) error {
-	if mode == "async" && len(omitters) > 0 {
-		return fmt.Errorf("adversary %q has omission parties, which filter a lock-step machine's sends "+
-			"per round; async seats run honest fleets only — drop -mode async", advName)
-	}
-	return nil
-}
-
 // runCluster spawns a whole deployment of this binary on loopback ports and
 // checks the protocol's guarantees across the collected outputs.
-func runCluster(ctx context.Context, n, t int, treeSpec, inputSpec, advName, mode string, seed int64,
-	setupTO, roundTO time.Duration) error {
-	if t < 0 || (t > 0 && n <= 3*t) {
-		return fmt.Errorf("need n > 3t, got n=%d t=%d", n, t)
+func runCluster(ctx context.Context, n int, d *deployment) error {
+	if d.t < 0 || (d.t > 0 && n <= 3*d.t) {
+		return fmt.Errorf("need n > 3t, got n=%d t=%d", n, d.t)
 	}
-	sp, err := cli.ParseSpaceSpec(treeSpec, seed)
-	if err != nil {
-		return err
+	if err := d.parse(n); err != nil {
+		return fmt.Errorf("nothing spawned: %w", err)
 	}
-	inputs, err := sp.ParseInputs(inputSpec, n)
-	if err != nil {
-		return err
-	}
-	adv, corruptSet, err := sp.BuildAdversary(advName, n, t, seed)
-	if err != nil {
-		return err
-	}
-	byz, omitters, err := sim.Faults(sim.Config{N: n, MaxCorrupt: t, Adversary: adv})
-	if err != nil {
-		return err
-	}
-	// Fail fast on a bad link clause or flag combination before spawning n
-	// children (each child re-validates against its own flags anyway).
-	if _, err := chaos.NewPlan(advName, n); err != nil {
-		return err
-	}
-	if err := checkFlags(mode, advName, omitters); err != nil {
-		return err
+	// Every seat's role, and every refusal, before a port is reserved or a
+	// child spawned; a role depends on the execution, not on addresses.
+	roles := make([]string, n)
+	for i := range roles {
+		seat, err := d.seat(nil, i, make([]string, n))
+		if err == nil {
+			roles[i], err = seat.Role()
+		}
+		if err != nil {
+			return fmt.Errorf("nothing spawned: party %d: %w", i, err)
+		}
 	}
 
 	// Reserve one loopback port per party, then release them for the
@@ -306,11 +300,10 @@ func runCluster(ctx context.Context, n, t int, treeSpec, inputSpec, advName, mod
 		ln.Close()
 	}
 
-	// One child per party outside the Byzantine set (omission parties
-	// included), plus the adversary host seat at the lowest Byzantine id.
+	// One child per seat that runs: all but the co-hosted parties.
 	var seats []int
-	for i := 0; i < n; i++ {
-		if p := sim.PartyID(i); !slices.Contains(byz, p) || p == byz[0] {
+	for i, role := range roles {
+		if role != "co-hosted" {
 			seats = append(seats, i)
 		}
 	}
@@ -325,9 +318,9 @@ func runCluster(ctx context.Context, n, t int, treeSpec, inputSpec, advName, mod
 		go func(seat int) {
 			defer wg.Done()
 			cmd := exec.CommandContext(ctx, self, "-id", fmt.Sprint(seat), "-peers", peersFile,
-				"-t", fmt.Sprint(t), "-tree", treeSpec, "-inputs", inputSpec,
-				"-adversary", advName, "-mode", mode, "-seed", fmt.Sprint(seed),
-				"-setup-timeout", setupTO.String(), "-round-timeout", roundTO.String())
+				"-t", fmt.Sprint(d.t), "-tree", d.treeSpec, "-inputs", d.inputSpec,
+				"-adversary", d.advName, "-mode", d.mode, "-seed", fmt.Sprint(d.seed),
+				"-setup-timeout", d.setupTO.String(), "-round-timeout", d.roundTO.String())
 			// On Ctrl-C, forward SIGTERM so each seat unwinds through its own
 			// signal handler (drain, shutdown) instead of being SIGKILLed.
 			cmd.Cancel = func() error { return cmd.Process.Signal(syscall.SIGTERM) }
@@ -356,10 +349,13 @@ func runCluster(ctx context.Context, n, t int, treeSpec, inputSpec, advName, mod
 	// Validity: outputs lie in the input-space hull of honest inputs.
 	// Agreement: distance <= 1 on trees and block graphs, a shared block on
 	// graphs with cycle blocks.
+	// Every seat but an honest party's is faulty, and judged by nobody.
 	vertices := make(map[sim.PartyID]tree.VertexID, len(outputs))
+	faulty := make(map[sim.PartyID]bool)
 	ok := true
-	for i := 0; i < n; i++ {
-		if corruptSet[sim.PartyID(i)] {
+	for i, role := range roles {
+		if role != "party" {
+			faulty[sim.PartyID(i)] = true
 			continue
 		}
 		label, have := outputs[i]
@@ -368,22 +364,22 @@ func runCluster(ctx context.Context, n, t int, treeSpec, inputSpec, advName, mod
 			ok = false
 			continue
 		}
-		v, err := sp.VertexByLabel(label)
+		v, err := d.sp.VertexByLabel(label)
 		if err != nil {
 			return fmt.Errorf("party %d reported unknown vertex %q", i, label)
 		}
 		vertices[sim.PartyID(i)] = v
 	}
-	maxDist, validity, agreement := sp.Judge(inputs, corruptSet, vertices)
+	maxDist, validity, agreement := d.sp.Judge(d.inputs, faulty, vertices)
 	for _, v := range append(validity, agreement...) {
 		fmt.Println("cluster:", v)
 	}
 	guarantee := "1-agreement"
-	if sp.IsGraph() && !sp.Graph.IsBlockGraph() {
+	if d.sp.IsGraph() && !d.sp.Graph.IsBlockGraph() {
 		guarantee = "per-block agreement"
 	}
 	fmt.Printf("cluster: n=%d t=%d adversary=%s, max pairwise output distance %d (%s: %v)\n",
-		n, t, advName, maxDist, guarantee, len(agreement) == 0)
+		n, d.t, d.advName, maxDist, guarantee, len(agreement) == 0)
 	if !ok || len(validity)+len(agreement) > 0 {
 		return fmt.Errorf("AA properties violated")
 	}

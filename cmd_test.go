@@ -73,6 +73,18 @@ func TestCommandsRun(t *testing.T) {
 			wants: []string{"party (async)", "1-agreement: true"},
 		},
 		{
+			name:  "node cluster refuses crash before spawning",
+			args:  []string{"run", "./cmd/node", "-cluster", "4", "-t", "1", "-tree", "path:16", "-adversary", "crash"},
+			fails: true,
+			wants: []string{"node: nothing spawned: the crash adversary corrupts adaptively"},
+		},
+		{
+			name:  "node cluster refuses an async adversary before spawning",
+			args:  []string{"run", "./cmd/node", "-cluster", "4", "-t", "1", "-tree", "path:16", "-mode", "async", "-adversary", "splitvote"},
+			fails: true,
+			wants: []string{"node: nothing spawned: party 0: transport: event-driven seats run honest fleets only"},
+		},
+		{
 			name:  "serve async rolling restart",
 			args:  []string{"run", "./cmd/serve", "-cluster", "3", "-rolling", "-mode", "async", "-sessions", "4", "-tree", "star:6"},
 			wants: []string{"over 3 journaled daemons", "0 mismatches"},

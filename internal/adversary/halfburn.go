@@ -197,6 +197,3 @@ func (a *HalfBurn) voteBoost(iter int) []sim.Message {
 	}
 	return msgs
 }
-
-// GroupA exposes the pinned group for tests.
-func (a *HalfBurn) GroupA() []sim.PartyID { return append([]sim.PartyID(nil), a.groupA...) }

@@ -267,10 +267,6 @@ func (g *Graph) NodeCut(node tree.VertexID) (tree.VertexID, bool) {
 // BlockNode returns the block-cut tree node of block index i, which is i.
 func (g *Graph) BlockNode(i int) tree.VertexID { return tree.VertexID(i) }
 
-// BlocksOf returns the indices of the blocks containing v (two or more
-// exactly when v is a cut vertex). The slice is shared; do not mutate.
-func (g *Graph) BlocksOf(v tree.VertexID) []int { return g.dc.vertexBlocks[v] }
-
 // InSameBlock reports whether u and v belong to a common block. Vertices of
 // a common block are at geodesic distance at most the block diameter, and
 // at most 1 when the block is an edge or a clique.

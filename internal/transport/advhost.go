@@ -7,24 +7,17 @@ import (
 	"treeaa/internal/sim"
 )
 
-// hostConfig drives all corrupted parties — and the adversary controlling
-// them — inside one process. The simulator's adversary is a *global*
-// entity: rushing (it sees every honest round-r message before sending its
-// own) and coordinated (one Step speaks for all corrupted parties). Neither
-// power distributes, so the TCP substrate hosts the whole corrupted set on
-// one endpoint — a link set per corrupted party, linked to the honest
-// parties only — and reconstructs the global view from two sources: mirror
-// frames (honest traffic, granted by the honest nodes to the observer) and
-// the corrupted parties' own inboxes.
-type hostConfig struct {
-	corrupted []sim.PartyID // ascending, deduplicated
-	n         int
-	maxRounds int
-	adv       sim.Adversary
-	ep        *endpoint
-}
-
-// runAdversaryHost mirrors the engine's adversary path round by round:
+// runAdversaryHost drives all corrupted parties — and the adversary
+// controlling them — inside one process. The simulator's adversary is a
+// *global* entity: rushing (it sees every honest round-r message before
+// sending its own) and coordinated (one Step speaks for all corrupted
+// parties). Neither power distributes, so the TCP substrate hosts the whole
+// corrupted set on one endpoint — a link set per corrupted party, linked to
+// the honest parties only — and reconstructs the global view from two
+// sources: mirror frames (honest traffic, granted by the honest nodes to the
+// observer) and the corrupted parties' own inboxes.
+//
+// It mirrors the engine's adversary path round by round:
 // wait until the observer holds all honest round-r traffic (mirrors are
 // complete once each honest party's round-r frame arrives) and every
 // corrupted inbox for round r-1 is complete, rebuild honestOut — each honest
@@ -34,46 +27,42 @@ type hostConfig struct {
 // links, a round frame per link like anybody's. Corrupted
 // parties always flag done in their frames, so honest termination is
 // untouched by the adversary's presence.
-func runAdversaryHost(cfg hostConfig) (*driver.Result, error) {
-	e := cfg.ep
+func runAdversaryHost(s seated, e *endpoint) (*ProcessResult, error) {
 	if err := e.start(); err != nil {
 		return nil, err
 	}
 	defer e.shutdown(false)
 
-	observer := cfg.corrupted[0]
-	isCorrupted := make(map[sim.PartyID]bool, len(cfg.corrupted))
-	for _, c := range cfg.corrupted {
+	n, corrupted, observer := s.Config.N, s.corrupted, s.corrupted[0]
+	isCorrupted := make(map[sim.PartyID]bool, len(corrupted))
+	for _, c := range corrupted {
 		isCorrupted[c] = true
 	}
-	honest := make([]sim.PartyID, 0, cfg.n-len(cfg.corrupted))
-	for p := sim.PartyID(0); int(p) < cfg.n; p++ {
+	honest := make([]sim.PartyID, 0, n-len(corrupted))
+	for p := sim.PartyID(0); int(p) < n; p++ {
 		if !isCorrupted[p] {
 			honest = append(honest, p)
 		}
 	}
-	if len(honest) == 0 {
-		return nil, fmt.Errorf("transport: no honest parties to host an adversary against")
-	}
 
 	h := &hostState{
-		cfg:      cfg,
-		observer: observer,
-		honest:   honest,
-		states:   make(map[sim.PartyID]*driver.Mailbox, len(cfg.corrupted)),
-		mirrors:  make(map[int]map[sim.PartyID][]sim.Message),
+		corrupted: corrupted,
+		observer:  observer,
+		honest:    honest,
+		states:    make(map[sim.PartyID]*driver.Mailbox, len(corrupted)),
+		mirrors:   make(map[int]map[sim.PartyID][]sim.Message),
 	}
-	framers := make(map[sim.PartyID]*driver.Framer, len(cfg.corrupted))
-	for _, c := range cfg.corrupted {
-		h.states[c] = driver.NewMailbox(cfg.n, 0)
-		framers[c] = driver.NewFramer(c, cfg.n, 0, func(to sim.PartyID, frame []byte) {
+	framers := make(map[sim.PartyID]*driver.Framer, len(corrupted))
+	for _, c := range corrupted {
+		h.states[c] = driver.NewMailbox(n, 0)
+		framers[c] = driver.NewFramer(c, n, 0, func(to sim.PartyID, frame []byte) {
 			e.ship(c, to, frame, nil) // honest recipients only: the rest are local
 		})
 	}
-	res := &driver.Result{ID: observer}
-	corruptInbox := make(map[sim.PartyID][]sim.Message, len(cfg.corrupted))
+	res := &ProcessResult{Result: driver.Result{ID: observer}}
+	corruptInbox := make(map[sim.PartyID][]sim.Message, len(corrupted))
 
-	for r := 1; r <= cfg.maxRounds; r++ {
+	for r := 1; r <= s.Config.MaxRounds; r++ {
 		// Only a failed peer that still owes the observer round r stalls us.
 		err := e.wait(fmt.Sprintf("adversary host waiting on round %d", r), false, func() bool { return h.ready(r) },
 			h.handle, func(p sim.PartyID) bool { return !h.states[observer].HasEOR(r, p) })
@@ -88,11 +77,11 @@ func runAdversaryHost(cfg hostConfig) (*driver.Result, error) {
 		for _, p := range honest {
 			honestOut = append(honestOut, h.mirrors[r][p]...)
 		}
-		for _, c := range cfg.corrupted {
+		for _, c := range corrupted {
 			corruptInbox[c] = h.states[c].Inbox(r-1, corruptInbox[c][:0])
 		}
 
-		msgs, more := cfg.adv.Step(r, honestOut, corruptInbox)
+		msgs, more := s.Config.Adversary.Step(r, honestOut, corruptInbox)
 		if len(more) > 0 {
 			return nil, fmt.Errorf("transport: adversary corrupted %v adaptively at round %d; "+
 				"adaptive corruption cannot retract messages already on the wire — use the in-process transport", more, r)
@@ -103,7 +92,7 @@ func runAdversaryHost(cfg hostConfig) (*driver.Result, error) {
 			if !isCorrupted[raw.From] {
 				return nil, fmt.Errorf("%w: message from party %d at round %d", sim.ErrForgedSender, raw.From, r)
 			}
-			first, last, err := sent.Charge(cfg.n, raw.To, raw.Payload)
+			first, last, err := sent.Charge(n, raw.To, raw.Payload)
 			if err != nil {
 				return nil, fmt.Errorf("transport: adversary %w", err)
 			}
@@ -123,7 +112,7 @@ func runAdversaryHost(cfg hostConfig) (*driver.Result, error) {
 		}
 		res.PerRound = append(res.PerRound, sent)
 
-		for _, c := range cfg.corrupted {
+		for _, c := range corrupted {
 			if err := framers[c].EndRound(r, true); err != nil {
 				return nil, fmt.Errorf("transport: adversary round %d: %w", r, err)
 			}
@@ -133,7 +122,7 @@ func runAdversaryHost(cfg hostConfig) (*driver.Result, error) {
 				delete(h.mirrors, r2)
 			}
 		}
-		for _, c := range cfg.corrupted {
+		for _, c := range corrupted {
 			h.states[c].Retire(r - 1)
 		}
 
@@ -143,16 +132,16 @@ func runAdversaryHost(cfg hostConfig) (*driver.Result, error) {
 			return res, nil
 		}
 	}
-	return nil, fmt.Errorf("%w: adversary host after %d rounds", sim.ErrNotDone, cfg.maxRounds)
+	return nil, fmt.Errorf("%w: adversary host after %d rounds", sim.ErrNotDone, s.Config.MaxRounds)
 }
 
 // hostState is the event-filing side of the adversary host.
 type hostState struct {
-	cfg      hostConfig
-	observer sim.PartyID
-	honest   []sim.PartyID
-	states   map[sim.PartyID]*driver.Mailbox       // per corrupted party
-	mirrors  map[int]map[sim.PartyID][]sim.Message // round → honest sender → its sends, as sent
+	corrupted []sim.PartyID
+	observer  sim.PartyID
+	honest    []sim.PartyID
+	states    map[sim.PartyID]*driver.Mailbox       // per corrupted party
+	mirrors   map[int]map[sim.PartyID][]sim.Message // round → honest sender → its sends, as sent
 }
 
 // ready reports whether the adversary can step round r: the observer holds
@@ -162,7 +151,7 @@ type hostState struct {
 // senders of frames a co-hosted party has; intra-host deliveries are
 // synchronous and need no barrier).
 func (h *hostState) ready(r int) bool {
-	for _, c := range h.cfg.corrupted {
+	for _, c := range h.corrupted {
 		if eors, _ := h.states[c].Barrier(r - 1); r > 1 && eors != len(h.honest) {
 			return false
 		}

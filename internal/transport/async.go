@@ -31,7 +31,6 @@ package transport
 
 import (
 	"fmt"
-	"net"
 
 	"treeaa/internal/driver"
 	"treeaa/internal/sim"
@@ -45,20 +44,21 @@ type AsyncResult struct {
 	Bytes      int
 }
 
-// runAsyncNode executes one party event-wise: deliver whatever arrives,
-// send whatever the machine emits, announce the decision, keep amplifying
-// until every peer has announced too. It adapts a driver.Event to the full
-// mesh with an idle timer in place of the round timeout, and with nothing but
+// runAsyncNode executes one event seat: deliver whatever arrives, send
+// whatever the machine emits, announce the decision, keep amplifying until
+// every peer has announced too. It adapts a driver.Event to the full mesh
+// with an idle timer in place of the round timeout, and with nothing but
 // the announcement toward peers that have announced (they discard protocol
-// traffic anyway).
-func runAsyncNode(id sim.PartyID, n int, machine driver.EventMachine, e *endpoint) (*driver.Event, error) {
+// traffic anyway). Having no rounds, it reports its sends as one tally.
+func runAsyncNode(s seated, e *endpoint) (*ProcessResult, error) {
 	if err := e.start(); err != nil {
 		return nil, err
 	}
 	defer e.shutdown(false)
 
+	id, n := s.ID, s.Config.N
 	var drv *driver.Event
-	drv = driver.NewEvent(id, n, machine, driver.NewFramer(id, n, 0, func(to sim.PartyID, frame []byte) {
+	drv = driver.NewEvent(id, n, s.Event, driver.NewFramer(id, n, 0, func(to sim.PartyID, frame []byte) {
 		_, announce, _ := FrameInfo(frame)
 		e.ship(id, to, frame, func(p sim.PartyID) bool { return announce || !drv.IsPeerDone(p) })
 	}))
@@ -87,57 +87,35 @@ func runAsyncNode(id sim.PartyID, n int, machine driver.EventMachine, e *endpoin
 		return nil, fmt.Errorf("%w (%d/%d peers done)", err, drv.PeersDone(), n-1)
 	}
 	e.finish() // write the staged announcements before the FIN
-	return drv, nil
+	return &ProcessResult{Result: driver.Result{ID: id, Output: drv.Output(), PerRound: []driver.Tally{drv.Tally()}},
+		Deliveries: drv.Deliveries()}, nil
 }
 
 // AsyncLocalCluster executes one async machine per party as a real
 // networked system on loopback TCP — the asynchronous counterpart of
-// LocalCluster. All parties are honest (see the package comment on why the
-// driver hosts no adversary); faults come from the chaos injector in opts
-// and from real scheduling nondeterminism.
+// LocalCluster, started the same way, one Seat per party. All parties are
+// honest (see the package comment on why the driver hosts no adversary);
+// faults come from the chaos injector in opts and from real scheduling
+// nondeterminism.
 func AsyncLocalCluster(n int, machines []driver.EventMachine, opts Options) (*AsyncResult, error) {
-	if n <= 0 || len(machines) != n {
+	if len(machines) != n {
 		return nil, fmt.Errorf("transport: %d async machines for n = %d", len(machines), n)
 	}
-	for i, m := range machines {
-		if m == nil {
-			return nil, fmt.Errorf("transport: nil async machine for party %d", i)
-		}
+	seats := make([]Seat, n)
+	for p := range seats {
+		seats[p] = Seat{ID: sim.PartyID(p), Config: sim.Config{N: n}, Event: machines[p]}
 	}
-	opts = opts.withDefaults()
-
-	listeners, addrs, err := bindLoopback(n)
-	if err != nil {
-		return nil, err
-	}
-	session := NewSession()
-
-	runs := make([]func() (*driver.Event, error), n)
-	stops := make([]func(), n)
-	for p := sim.PartyID(0); int(p) < n; p++ {
-		runs[p], stops[p] = asyncSeat(p, n, machines[p], listeners[p], addrs, session, opts)
-	}
-	events, err := RunAll(runs, stops)
+	_, results, err := runLoopback(seats, opts)
 	if err != nil {
 		return nil, err
 	}
 	out := &AsyncResult{Outputs: make(map[sim.PartyID]any, n)}
-	for p, ev := range events {
-		out.Outputs[sim.PartyID(p)] = ev.Output()
-		out.Deliveries += ev.Deliveries()
-		out.Messages += ev.Tally().Msgs
-		out.Bytes += ev.Tally().Bytes
+	for p, res := range results {
+		sent := res.Total()
+		out.Outputs[sim.PartyID(p)] = res.Output
+		out.Deliveries += res.Deliveries
+		out.Messages += sent.Msgs
+		out.Bytes += sent.Bytes
 	}
 	return out, nil
-}
-
-// asyncSeat prepares one event-driven party behind an AcceptHost on its
-// bound listener and returns the function that runs it to completion and the
-// one that tears it down.
-func asyncSeat(id sim.PartyID, n int, machine driver.EventMachine, ln net.Listener, addrs []string,
-	session uint64, opts Options) (run func() (*driver.Event, error), stop func()) {
-	ep := newEndpoint([]sim.PartyID{id}, n, addrs, session, opts)
-	host := NewAcceptHost(ln, ep.links[id].Accept)
-	return func() (*driver.Event, error) { return runAsyncNode(id, n, machine, ep) },
-		func() { host.Close(); ep.shutdown(false) }
 }

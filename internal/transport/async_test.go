@@ -68,7 +68,8 @@ func TestAsyncWriteFailureBeforeDoneIsNotFatal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			run, stop := asyncSeat(sim.PartyID(i), n, driver.EventMachine(p), listeners[i], addrs, session, opts)
+			seat := seated{Seat: Seat{ID: sim.PartyID(i), Addrs: addrs, Session: session, Config: sim.Config{N: n}, Event: p}}
+			run, stop, _ := seat.start(func(sim.PartyID) (net.Listener, error) { return listeners[i], nil }, opts)
 			defer stop()
 			go func(i int) { _, errs[i] = run(); done <- i }(i)
 		}

@@ -6,94 +6,82 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"slices"
 
 	"treeaa/internal/driver"
 	"treeaa/internal/sim"
 )
 
 // LocalCluster executes machines under cfg as a real networked system: one
-// TCP endpoint per honest party plus one adversary host co-hosting the
-// corrupted set, all on 127.0.0.1 loopback ports. An omission party (a
-// stopped one too) is an honest seat whose machine runs under sim.Omit. For
-// any deterministic configuration it accepts, its Result — outputs, rounds,
-// message and byte counts, trace — is byte-for-byte the Result of sim.Run on
-// the same inputs; the equivalence tests in this package pin that against
-// seeds and adversaries. Adaptive corruption (messages on the wire cannot be
-// retracted) is refused; so is an adversary with no corrupted party to host
-// it that would act.
+// Seat per party on 127.0.0.1 loopback ports, each in the role Seat.Role
+// gives it — an honest party, an omission party (its machine under
+// sim.Omit; a stopped one too), or the adversary host co-hosting the
+// corrupted set. For any deterministic configuration it accepts, its Result
+// — outputs, rounds, message and byte counts, trace — is byte-for-byte the
+// Result of sim.Run on the same inputs; the equivalence tests in this
+// package pin that against seeds and adversaries. Adaptive corruption
+// (messages on the wire cannot be retracted) is refused; so is an adversary
+// with no corrupted party to host it that would act.
 func LocalCluster(cfg sim.Config, machines []sim.Machine, opts Options) (*sim.Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	if len(machines) != cfg.N {
 		return nil, fmt.Errorf("sim: %d machines for N = %d", len(machines), cfg.N)
 	}
-	opts = opts.withDefaults()
-
-	corrupted, omission, err := sim.Faults(cfg)
+	seats := make([]Seat, cfg.N)
+	for p := range seats {
+		seats[p] = Seat{ID: sim.PartyID(p), Config: cfg, Machine: machines[p]}
+	}
+	placed, results, err := runLoopback(seats, opts)
 	if err != nil {
 		return nil, err
 	}
-	// No host seat steps an adversary without corrupted parties.
-	if len(corrupted) == 0 {
-		if err := CheckPassive(cfg); err != nil {
-			return nil, err
-		}
-	}
-	if len(omission) > 0 {
-		f := cfg.Adversary.(sim.OutboxFilter)
-		machines = slices.Clone(machines)
-		for _, p := range omission {
-			machines[p] = sim.Omit(f, p, cfg.N, machines[p])
-		}
-	}
-	observer := sim.PartyID(-1)
-	if len(corrupted) > 0 {
-		observer = corrupted[0]
-	}
-
-	listeners, addrs, err := bindLoopback(cfg.N)
-	if err != nil {
-		return nil, err
-	}
-	session := NewSession()
-
 	var (
-		runs  []func() (*driver.Result, error)
-		stops []func()
+		parties []*driver.Result
+		host    *driver.Result
 	)
-	for p := sim.PartyID(0); int(p) < cfg.N; p++ {
-		if slices.Contains(corrupted, p) {
-			continue
+	for i, s := range placed {
+		switch s.role {
+		case roleAdversary:
+			host = &results[i].Result
+		case roleParty, roleOmission:
+			parties = append(parties, &results[i].Result)
 		}
-		run, stop := honestSeat(nodeConfig{id: p, n: cfg.N, maxRounds: cfg.MaxRounds,
-			observer: observer, machine: machines[p]}, listeners[p], addrs, session, opts)
-		runs, stops = append(runs, run), append(stops, stop)
 	}
-	honest := len(runs)
-	if len(corrupted) > 0 {
-		hostLns := make([]net.Listener, len(corrupted))
-		for i, c := range corrupted {
-			hostLns[i] = listeners[c]
-		}
-		run, stop := hostSeat(hostConfig{corrupted: corrupted, n: cfg.N, maxRounds: cfg.MaxRounds,
-			adv: cfg.Adversary}, hostLns, addrs, session, opts)
-		runs, stops = append(runs, run), append(stops, stop)
-	}
-	results, err := RunAll(runs, stops)
-	if err != nil {
-		return nil, err
-	}
-	var host *driver.Result
-	if len(corrupted) > 0 {
-		host = results[honest]
-	}
-	res, err := driver.Merge(cfg.Trace, corrupted, results[:honest], host)
+	res, err := driver.Merge(cfg.Trace, placed[0].corrupted, parties, host)
 	if err != nil {
 		return nil, fmt.Errorf("transport: %w", err)
 	}
 	return res, nil
+}
+
+// runLoopback starts one deployment's seats in this process, each on a
+// loopback listener, and runs them to completion through RunAll. It returns
+// the seats with their roles and, in the same order, their results — nil
+// for a co-hosted seat, which its host runs.
+func runLoopback(seats []Seat, opts Options) ([]seated, []*ProcessResult, error) {
+	listeners, addrs, err := bindLoopback(len(seats))
+	if err != nil {
+		return nil, nil, err
+	}
+	defer func() { // what a refusal left unused: RunAll's stops closed the rest
+		for _, ln := range listeners {
+			ln.Close()
+		}
+	}()
+	session := NewSession()
+	for i := range seats {
+		seats[i].Addrs, seats[i].Session = addrs, session
+	}
+	placed, err := roles(seats, false)
+	if err != nil {
+		return nil, nil, err
+	}
+	runs := make([]func() (*ProcessResult, error), len(placed))
+	stops := make([]func(), len(placed))
+	for i, s := range placed {
+		// Every listener is bound already: start cannot fail.
+		runs[i], stops[i], _ = s.start(func(p sim.PartyID) (net.Listener, error) { return listeners[p], nil }, opts)
+	}
+	results, err := RunAll(runs, stops)
+	return placed, results, err
 }
 
 // CheckPassive refuses cfg.Adversary if it would act — send or corrupt — in
@@ -150,36 +138,6 @@ func RunAll[T any](runs []func() (T, error), stops []func()) ([]T, error) {
 		return nil, errors.Join(errs...)
 	}
 	return results, nil
-}
-
-// honestSeat prepares one honest lock-step party behind an AcceptHost on its
-// bound listener and returns the function that runs it to completion and the
-// one that tears it down.
-func honestSeat(nc nodeConfig, ln net.Listener, addrs []string, session uint64,
-	opts Options) (run func() (*driver.Result, error), stop func()) {
-	nc.ep = newEndpoint([]sim.PartyID{nc.id}, nc.n, addrs, session, opts)
-	host := NewAcceptHost(ln, nc.ep.links[nc.id].Accept)
-	return func() (*driver.Result, error) { return runNode(nc) },
-		func() { host.Close(); nc.ep.shutdown(false) }
-}
-
-// hostSeat prepares the adversary host: one endpoint holding every corrupted
-// party, each behind an AcceptHost on its own listener (lns[i] is
-// hc.corrupted[i]'s).
-func hostSeat(hc hostConfig, lns []net.Listener, addrs []string, session uint64,
-	opts Options) (run func() (*driver.Result, error), stop func()) {
-	hc.ep = newEndpoint(hc.corrupted, hc.n, addrs, session, opts)
-	hosts := make([]*AcceptHost, len(lns))
-	for i, ln := range lns {
-		hosts[i] = NewAcceptHost(ln, hc.ep.links[hc.corrupted[i]].Accept)
-	}
-	return func() (*driver.Result, error) { return runAdversaryHost(hc) },
-		func() {
-			for _, h := range hosts {
-				h.Close()
-			}
-			hc.ep.shutdown(false)
-		}
 }
 
 // bindLoopback binds one loopback listener per party. Every listener is bound

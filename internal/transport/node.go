@@ -9,45 +9,40 @@ import (
 	"treeaa/internal/wire"
 )
 
-// nodeConfig drives one honest party over an endpoint.
-type nodeConfig struct {
-	id        sim.PartyID
-	n         int
-	maxRounds int
+// meshNode adapts a driver.Round to the full mesh. The round's frame is the
+// driver's; what is the mesh's is the mirror of every send to the rushing
+// observer, the write at the dry point before the barrier wait, and the
+// wait itself.
+type meshNode struct {
+	id sim.PartyID
 	// observer, when ≥ 0, is the corrupted party every send is mirrored
 	// to. It emulates the model's *rushing* adversary, which sees
 	// all honest round-r traffic before choosing its own: on a real network
 	// nobody gets that view for free, so the honest nodes grant it
 	// explicitly to the adversary host's observer party.
 	observer sim.PartyID
-	machine  sim.Machine
 	ep       *endpoint
+	rd       *driver.Round
+	fr       *driver.Framer
 }
 
-// meshNode adapts a driver.Round to the full mesh. The round's frame is the
-// driver's; what is the mesh's is the mirror of every send to the rushing
-// observer, the write at the dry point before the barrier wait, and the
-// wait itself.
-type meshNode struct {
-	nodeConfig
-	rd *driver.Round
-	fr *driver.Framer
-}
-
-// runNode executes one honest machine in lock step with its peers. The
-// window is unbounded; the barrier already keeps every peer within a round
-// of this one.
-func runNode(cfg nodeConfig) (*driver.Result, error) {
-	e := cfg.ep
+// runNode executes one honest lock-step seat in lock step with its peers.
+// The window is unbounded; the barrier already keeps every peer within a
+// round of this one.
+func runNode(s seated, e *endpoint) (*ProcessResult, error) {
 	if err := e.start(); err != nil {
 		return nil, err
 	}
 	defer e.shutdown(false)
 
-	nd := &meshNode{nodeConfig: cfg}
+	n := s.Config.N
+	nd := &meshNode{id: s.ID, observer: -1, ep: e}
+	if len(s.corrupted) > 0 {
+		nd.observer = s.corrupted[0]
+	}
 	// Session id 0: the hello scoped every link to this one execution.
-	nd.fr = driver.NewFramer(cfg.id, cfg.n, 0, nd.send)
-	nd.rd = driver.NewRound(cfg.id, cfg.n, cfg.maxRounds, 0, cfg.machine, nd)
+	nd.fr = driver.NewFramer(s.ID, n, 0, nd.send)
+	nd.rd = driver.NewRound(s.ID, n, s.Config.MaxRounds, 0, s.machine, nd)
 	for {
 		roundStart := time.Now()
 		finished, err := nd.rd.Advance()
@@ -56,9 +51,9 @@ func runNode(cfg nodeConfig) (*driver.Result, error) {
 		}
 		if finished {
 			e.finish()
-			return nd.rd.Result(), nil
+			return &ProcessResult{Result: *nd.rd.Result()}, nil
 		}
-		err = e.wait(fmt.Sprintf("party %d waiting on round %d", cfg.id, nd.rd.Round()), false,
+		err = e.wait(fmt.Sprintf("party %d waiting on round %d", s.ID, nd.rd.Round()), false,
 			nd.rd.Ready, nd.handle, func(p sim.PartyID) bool { return !nd.rd.HasEOR(p) })
 		if err != nil {
 			return nil, err

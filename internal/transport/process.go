@@ -5,27 +5,19 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net"
-	"sort"
 
 	"treeaa/internal/driver"
 	"treeaa/internal/sim"
 )
 
-// ProcessResult is one process's share of the execution.
+// ProcessResult is one seat's share of the execution: its driver.Result —
+// the adversary host's has no output, and an event seat's, which has no
+// rounds, one tally of all its sends — and the messages delivered to an
+// event seat's machine, self-deliveries included. Summing the tallies
+// across seats gives the engine's Result.Messages and Result.Bytes.
 type ProcessResult struct {
-	// Output is set for honest seats only, DoneRound for lock-step ones.
-	Output    any
-	DoneRound int
-	// Rounds is a lock-step execution's termination round (identical across
-	// seats); Deliveries is what an event seat has instead — the messages
-	// delivered to its machine, self-deliveries included.
-	Rounds     int
+	driver.Result
 	Deliveries int
-	// Messages and Bytes count this seat's sends (all corrupted parties'
-	// sends, for the host seat); summing across seats gives the engine's
-	// Result.Messages and Result.Bytes.
-	Messages int
-	Bytes    int
 }
 
 // DeriveSession hashes deployment parameters into a session id, so
@@ -40,99 +32,69 @@ func DeriveSession(parts ...string) uint64 {
 	return h.Sum64()
 }
 
-// RunProcess executes this process's seat over the full mesh and blocks
-// until the deployment terminates or fails. The role the mesh cannot host is
-// an event machine in a deployment with an adversary (the rushing adversary
-// is defined against lock-step rounds). An omission party is a Machine seat
-// whose machine the caller wraps in sim.Omit.
+// RunProcess starts this process's seat on its peers-file address — every
+// corrupted party's, for the adversary host — and blocks until the
+// deployment terminates or fails. Seat.Role decides what the seat runs and
+// what is refused; a co-hosted party is refused too, as the host runs it.
 func RunProcess(seat Seat, opts Options) (*ProcessResult, error) {
-	if err := seat.Validate(); err != nil {
-		return nil, fmt.Errorf("transport: %w", err)
-	}
-	corrupted := append([]sim.PartyID(nil), seat.Corrupted...)
-	sort.Slice(corrupted, func(i, j int) bool { return corrupted[i] < corrupted[j] })
-	observer := sim.PartyID(-1)
-	if len(corrupted) > 0 {
-		observer = corrupted[0]
-	}
-	opts = opts.withDefaults()
-
-	if seat.Event != nil {
-		if len(corrupted) > 0 {
-			return nil, fmt.Errorf("transport: event-driven seats run honest fleets only: the rushing " +
-				"adversary needs a global view between send and delivery, which is defined against " +
-				"lock-step rounds — drop the adversary or run lock-step machines")
-		}
-		ln, err := listen(seat, seat.ID)
-		if err != nil {
-			return nil, err
-		}
-		run, stop := asyncSeat(seat.ID, seat.N, seat.Event, ln, seat.Addrs, seat.Session, opts)
-		defer stop()
-		defer watchCancel(seat.Ctx, stop)()
-		ev, err := run()
-		if err != nil {
-			return nil, err
-		}
-		return &ProcessResult{Output: ev.Output(), Deliveries: ev.Deliveries(),
-			Messages: ev.Tally().Msgs, Bytes: ev.Tally().Bytes}, nil
-	}
-
-	var (
-		run  func() (*driver.Result, error)
-		stop func()
-	)
-	if seat.Machine != nil {
-		for _, c := range corrupted {
-			if c == seat.ID {
-				return nil, fmt.Errorf("transport: corrupted party %d is co-hosted by the adversary host "+
-					"(party %d); do not launch a separate process for it", seat.ID, observer)
-			}
-		}
-		ln, err := listen(seat, seat.ID)
-		if err != nil {
-			return nil, err
-		}
-		run, stop = honestSeat(nodeConfig{id: seat.ID, n: seat.N, maxRounds: seat.MaxRounds,
-			observer: observer, machine: seat.Machine}, ln, seat.Addrs, seat.Session, opts)
-	} else {
-		if seat.ID != observer {
-			return nil, fmt.Errorf("transport: the adversary host sits at the lowest corrupted id "+
-				"(party %d), not at party %d", observer, seat.ID)
-		}
-		lns := make([]net.Listener, len(corrupted))
-		for i, c := range corrupted {
-			ln, err := listen(seat, c)
-			if err != nil {
-				for _, l := range lns[:i] {
-					l.Close()
-				}
-				return nil, err
-			}
-			lns[i] = ln
-		}
-		run, stop = hostSeat(hostConfig{corrupted: corrupted, n: seat.N, maxRounds: seat.MaxRounds,
-			adv: seat.Adversary}, lns, seat.Addrs, seat.Session, opts)
-	}
-	defer stop()
-	defer watchCancel(seat.Ctx, stop)()
-	res, err := run()
+	placed, err := roles([]Seat{seat}, true)
 	if err != nil {
 		return nil, err
 	}
-	// The host seat's result has no output.
-	total := res.Total()
-	return &ProcessResult{Output: res.Output, DoneRound: res.DoneRound,
-		Rounds: res.TermRound, Messages: total.Msgs, Bytes: total.Bytes}, nil
+	run, stop, err := placed[0].start(func(p sim.PartyID) (net.Listener, error) {
+		ln, err := net.Listen("tcp", seat.Addrs[p])
+		if err != nil {
+			return nil, fmt.Errorf("transport: seat %d listening for party %d on %s: %w", seat.ID, p, seat.Addrs[p], err)
+		}
+		return ln, nil
+	}, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer stop()
+	defer watchCancel(seat.Ctx, stop)()
+	return run()
 }
 
-// listen binds party p's peers-file address for this seat.
-func listen(seat Seat, p sim.PartyID) (net.Listener, error) {
-	ln, err := net.Listen("tcp", seat.Addrs[p])
-	if err != nil {
-		return nil, fmt.Errorf("transport: seat %d listening for party %d on %s: %w", seat.ID, p, seat.Addrs[p], err)
+// start binds the listeners of the seat's role through listen — its own
+// party's, or every corrupted party's for the adversary host, each behind
+// an AcceptHost — and returns the function that runs the seat to completion
+// and the one that tears it down. A co-hosted seat runs nothing: its host
+// runs it.
+func (s seated) start(listen func(sim.PartyID) (net.Listener, error),
+	opts Options) (run func() (*ProcessResult, error), stop func(), err error) {
+	if s.role == roleCoHosted {
+		return func() (*ProcessResult, error) { return nil, nil }, func() {}, nil
 	}
-	return ln, nil
+	ids := []sim.PartyID{s.ID}
+	if s.role == roleAdversary {
+		ids = s.corrupted
+	}
+	ep := newEndpoint(ids, s.Config.N, s.Addrs, s.Session, opts)
+	var hosts []*AcceptHost
+	stop = func() {
+		for _, h := range hosts {
+			h.Close()
+		}
+		ep.shutdown(false)
+	}
+	for _, p := range ids {
+		ln, err := listen(p)
+		if err != nil {
+			stop()
+			return nil, nil, err
+		}
+		hosts = append(hosts, NewAcceptHost(ln, ep.links[p].Accept))
+	}
+
+	runner := runNode
+	switch {
+	case s.role == roleAdversary:
+		runner = runAdversaryHost
+	case s.Event != nil:
+		runner = runAsyncNode
+	}
+	return func() (*ProcessResult, error) { return runner(s, ep) }, stop, nil
 }
 
 // watchCancel runs stop when ctx is cancelled; the returned release func

@@ -3,24 +3,25 @@ package transport
 import (
 	"context"
 	"errors"
-	"net"
 	"reflect"
-	"slices"
 	"strings"
-	"sync"
 	"syscall"
 	"testing"
 
+	"treeaa/internal/adversary"
 	"treeaa/internal/async"
+	"treeaa/internal/driver"
 	"treeaa/internal/sim"
 	"treeaa/internal/tree"
 )
 
-// TestRunProcessRefusals pins where a seat is refused: a seat that carries
-// no role or two is malformed for every fabric (Seat.Validate), and the
-// role the mesh cannot host — an event machine in a deployment with an
-// adversary — is refused by RunProcess itself. Every case fails before anything listens:
-// the addresses are not bindable.
+// TestRunProcessRefusals pins that every refusal of a mesh seat comes from
+// the execution the seat carries (Seat.Role): a seat with no machine or two,
+// a lock-step seat with no round budget, an event machine beside any faulty
+// party — a Byzantine one or an omission one — an adversary that would act
+// with no corrupted seat to host it, and a co-hosted party launched as a
+// process of its own. Every case fails before anything listens: the
+// addresses are not bindable.
 func TestRunProcessRefusals(t *testing.T) {
 	tr := tree.NewPath(8)
 	const n = 4
@@ -29,9 +30,10 @@ func TestRunProcessRefusals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adv := splitVote(tr, n, 1)
+	silent, omit := &adversary.Silent{IDs: []sim.PartyID{3}}, &adversary.SendOmitter{IDs: []sim.PartyID{2}, N: n}
+	const oneMachine, honestOnly = "want exactly one of Machine and Event", "event-driven seats run honest fleets only"
 	seat := func(edit func(*Seat)) Seat {
-		s := Seat{ID: 0, N: n, Addrs: []string{"!", "!", "!", "!"}, MaxRounds: 5}
+		s := Seat{ID: 0, Addrs: []string{"!", "!", "!", "!"}, Config: sim.Config{N: n, MaxCorrupt: 1, MaxRounds: 5}}
 		edit(&s)
 		return s
 	}
@@ -40,19 +42,19 @@ func TestRunProcessRefusals(t *testing.T) {
 		seat Seat
 		want string
 	}{
-		{"no role", seat(func(s *Seat) {}), "0 roles set"},
-		{"two roles", seat(func(s *Seat) { s.Machine, s.Event = machine, event }), "2 roles set"},
-		{"machine and adversary", seat(func(s *Seat) { s.Machine, s.Adversary = machine, adv }), "2 roles set"},
-		{"event machine with an adversary", seat(func(s *Seat) {
-			s.Event, s.Corrupted = event, []sim.PartyID{3}
-		}), "event-driven seats run honest fleets only"},
-		{"lock-step seat without a round budget", seat(func(s *Seat) { s.Machine, s.MaxRounds = machine, 0 }), "MaxRounds"},
+		{"no role", seat(func(s *Seat) {}), oneMachine},
+		{"two roles", seat(func(s *Seat) { s.Machine, s.Event = machine, event }), oneMachine},
+		{"machine and adversary", seat(func(s *Seat) { s.ID, s.Config.Adversary = 3, silent }), oneMachine},
+		{"event machine with an adversary", seat(func(s *Seat) { s.Event, s.Config.Adversary = event, silent }), honestOnly},
+		{"event machine beside an omission party", seat(func(s *Seat) { s.Event, s.Config.Adversary = event, omit }), honestOnly},
+		{"lock-step seat without a round budget", seat(func(s *Seat) { s.Machine, s.Config.MaxRounds = machine, 0 }), "MaxRounds"},
 		{"corrupted seat launched separately", seat(func(s *Seat) {
-			s.Machine, s.ID, s.Corrupted = machine, 3, []sim.PartyID{2, 3}
+			s.Machine, s.ID, s.Config.MaxCorrupt = machine, 3, 2
+			s.Config.Adversary = &adversary.Silent{IDs: []sim.PartyID{2, 3}}
 		}), "co-hosted by the adversary host"},
-		{"adversary host off the observer seat", seat(func(s *Seat) {
-			s.Adversary, s.ID, s.Corrupted = adv, 3, []sim.PartyID{2, 3}
-		}), "lowest corrupted id"},
+		{"acting adversary with no corrupted seat", seat(func(s *Seat) {
+			s.Machine, s.Config.Adversary = machine, &adversary.CrashAt{IDs: []sim.PartyID{3}, Rounds: []int{2}}
+		}), "no initially corrupted parties"},
 	} {
 		_, err := RunProcess(tc.seat, Options{})
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -90,64 +92,49 @@ func TestProcessFleetUnderOmission(t *testing.T) {
 	}
 }
 
-// runOmissionFleet runs one RunProcess seat per party outside the Byzantine
-// set, plus the adversary host, and folds their results into a sim.Result.
-// The first failing seat cancels the rest.
+// runOmissionFleet runs one RunProcess seat per party the way cmd/node does:
+// every party's seat carries the execution and the party's plain machine,
+// and the parties whose Role is co-hosted get no process. The seats'
+// results fold into a sim.Result the way LocalCluster folds them. The
+// first failing seat cancels the rest.
 func runOmissionFleet(cfg sim.Config, machines []sim.Machine) (*sim.Result, error) {
-	n, filter := cfg.N, cfg.Adversary.(sim.OutboxFilter)
-	byz := cfg.Adversary.Initial()
-	addrs := make([]string, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		addrs[i] = ln.Addr().String()
+	lns, addrs, err := bindLoopback(cfg.N)
+	if err != nil {
+		return nil, err
+	}
+	for _, ln := range lns {
 		ln.Close()
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var seats []Seat
-	for p := sim.PartyID(0); int(p) < n; p++ {
-		seat := Seat{Ctx: ctx, ID: p, N: n, Addrs: addrs, Session: 7, Corrupted: byz, MaxRounds: cfg.MaxRounds}
-		switch {
-		case slices.Contains(byz, p):
-			if p != slices.Min(byz) {
-				continue
-			}
-			seat.Adversary = cfg.Adversary
-		case slices.Contains(filter.OmissionParties(), p):
-			seat.Machine = sim.Omit(filter, p, n, machines[p])
-		default:
-			seat.Machine = machines[p]
+	var runs []func() (*ProcessResult, error)
+	var stops []func()
+	host := -1
+	for p, m := range machines {
+		seat := Seat{Ctx: ctx, ID: sim.PartyID(p), Addrs: addrs, Session: 7, Config: cfg, Machine: m}
+		switch role, err := seat.Role(); {
+		case err != nil:
+			return nil, err
+		case role == roleCoHosted:
+			continue
+		case role == roleAdversary:
+			host = len(runs)
 		}
-		seats = append(seats, seat)
+		runs = append(runs, func() (*ProcessResult, error) { return RunProcess(seat, Options{}) })
+		stops = append(stops, cancel)
 	}
-	results := make([]*ProcessResult, len(seats))
-	errs := make([]error, len(seats))
-	var wg sync.WaitGroup
-	for i, seat := range seats {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if results[i], errs[i] = RunProcess(seat, Options{}); errs[i] != nil {
-				cancel()
-			}
-		}()
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+	results, err := RunAll(runs, stops)
+	if err != nil {
 		return nil, err
 	}
-	res := &sim.Result{Outputs: map[sim.PartyID]any{}, Corrupted: map[sim.PartyID]bool{}}
+	var parties []*driver.Result
+	var hostRes *driver.Result
 	for i, r := range results {
-		res.Rounds, res.Messages, res.Bytes = r.Rounds, res.Messages+r.Messages, res.Bytes+r.Bytes
-		if seats[i].Machine != nil {
-			res.Outputs[seats[i].ID] = r.Output
+		if i == host {
+			hostRes = &r.Result
+		} else {
+			parties = append(parties, &r.Result)
 		}
 	}
-	for _, p := range byz {
-		res.Corrupted[p] = true
-	}
-	return res, nil
+	return driver.Merge(nil, cfg.Adversary.Initial(), parties, hostRes)
 }
