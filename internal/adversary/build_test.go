@@ -15,16 +15,23 @@ import (
 // every strategy it names, that only the omission clauses (omit, stop) name
 // omission parties, that the modifier (mutate) and the link faults claim no
 // party, and that every name round-trips through Clause.String and
-// ParseAdversary.
+// ParseAdversary (FuzzParseAdversary round-trips clauses with arguments).
 func TestBuildCoversEveryName(t *testing.T) {
 	sp := &cli.Space{Tree: tree.NewPath(9)}
+	// A link fault needs the arguments that name its link.
+	links := map[string]string{"lat": "lat(base=1ms)", "stall": "stall(from=0,rounds=1)",
+		"drop": "drop(from=0,round=1)", "part": "part(a=0,b=1,rounds=1)"}
 	for _, name := range cli.AdversaryNames() {
-		spec := name
+		clause := name
+		if link, ok := links[name]; ok {
+			clause = link
+		}
+		spec := clause
 		if name == "mutate" || cli.IsLinkFault(name) {
-			if adv, corrupt, err := sp.BuildAdversary(name, 7, 2, 1); err != nil || adv != nil || len(corrupt) != 0 {
-				t.Fatalf("BuildAdversary(%q) = (%v, %v, %v), want nothing to modify", name, adv, corrupt, err)
+			if adv, corrupt, err := sp.BuildAdversary(spec, 7, 2, 1); err != nil || adv != nil || len(corrupt) != 0 {
+				t.Fatalf("BuildAdversary(%q) = (%v, %v, %v), want nothing to modify", spec, adv, corrupt, err)
 			}
-			spec = "silent+" + name
+			spec = "silent+" + spec
 		}
 		adv, corrupt, err := sp.BuildAdversary(spec, 7, 2, 1)
 		if err != nil {
@@ -37,10 +44,12 @@ func TestBuildCoversEveryName(t *testing.T) {
 		if omits := len(adv.(sim.OutboxFilter).OmissionParties()) > 0; omits != wantOmits {
 			t.Errorf("BuildAdversary(%q): omission parties = %v, want %v", name, omits, wantOmits)
 		}
-		cl := cli.Clause{Name: name, Args: map[string]string{"x": "1"}}
-		got, err := cli.ParseAdversary(cl.String())
-		if err != nil || len(got) != 1 || !reflect.DeepEqual(got[0], cl) {
-			t.Errorf("ParseAdversary(%q) = %v, %v; want [%v]", cl.String(), got, err, cl)
+		want, err := cli.ParseAdversary(clause)
+		if err != nil {
+			t.Fatalf("ParseAdversary(%q): %v", clause, err)
+		}
+		if got, err := cli.ParseAdversary(want[0].String()); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("ParseAdversary(%q) = %v, %v; want %v", want[0].String(), got, err, want)
 		}
 	}
 	for _, spec := range []string{"crash(rounds=1)", "stop(rounds=1)"} {

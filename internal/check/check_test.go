@@ -53,6 +53,9 @@ func TestParseErrors(t *testing.T) {
 		"s=1;tree=path:5;n=4;t=1;in=0.x", // bad vertex
 		"s=1;tree=path:5;n=4;t=1;in=spread;adv=splitvote(per)",  // malformed arg
 		"s=1;tree=path:5;n=4;t=1;in=spread;adv=splitvote(per=1", // unbalanced
+		"s=1;tree=path:5;n=4;t=1;in=spread;adv=bogus",           // unknown clause
+		"s=1;tree=path:5;n=4;t=1;in=spread;adv=lat(jitter=1ms)", // link fault without base
+		"s=1;tree=path:5;n=4;t=1;in=spread;adv=evil(value=3)",   // unknown argument
 		"s=1;tree=path:5;n=4;t=1;in=spread;bogus=3",             // unknown field
 		"nonsense",
 	} {
@@ -70,10 +73,8 @@ func TestCompileErrors(t *testing.T) {
 		"s=1;tree=path:5;n=4;t=1;in=0.1.2.9;adv=silent",              // vertex outside tree
 		"s=1;tree=path:5;n=4;t=0;in=spread;adv=silent",               // clauses need t > 0
 		"s=1;tree=path:5;n=4;t=1;in=spread;adv=silent+omit",          // t too small to mix
-		"s=1;tree=path:5;n=4;t=1;in=spread;adv=bogus",                // unknown clause
 		"s=1;tree=path:5;n=4;t=1;in=spread;adv=crash(rounds=1.2)",    // rounds/ids mismatch
 		"s=1;tree=path:5;n=4;t=0;in=spread;adv=drop(from=4,round=1)", // link fault out of range
-		"s=1;tree=path:5;n=4;t=1;in=spread;adv=lat(jitter=1ms)",      // link fault without base
 	} {
 		c, err := Parse(spec)
 		if err != nil {

@@ -3,6 +3,7 @@ package cli
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -89,8 +90,9 @@ func (cl Clause) String() string {
 	return cl.Name + "(" + strings.Join(args, ",") + ")"
 }
 
-// ParseAdversary splits an adversary spec into its clauses. Names are not
-// checked here; BuildAdversary rejects the ones the table lacks.
+// ParseAdversary splits an adversary spec into its clauses and checks each
+// against the table: a known name, no argument it does not take and every
+// argument it needs. The values are read where the clause is built.
 func ParseAdversary(spec string) ([]Clause, error) {
 	var out []Clause
 	for _, s := range strings.Split(spec, "+") {
@@ -106,23 +108,34 @@ func ParseAdversary(spec string) ([]Clause, error) {
 func parseClause(s string) (Clause, error) {
 	name, rest, hasArgs := strings.Cut(s, "(")
 	cl := Clause{Name: name}
-	if !hasArgs {
-		return cl, nil
+	st, ok := strategies[name]
+	if !ok {
+		return cl, fmt.Errorf("unknown adversary %q", name)
 	}
 	body, ok := strings.CutSuffix(rest, ")")
-	if !ok {
+	if hasArgs && !ok {
 		return cl, fmt.Errorf("adversary clause %q: unbalanced parentheses", s)
 	}
-	cl.Args = map[string]string{}
-	if body == "" {
-		return cl, nil
-	}
 	for _, arg := range strings.Split(body, ",") {
+		if body == "" {
+			break
+		}
 		k, v, found := strings.Cut(arg, "=")
 		if !found || k == "" || v == "" {
 			return cl, fmt.Errorf("adversary clause %q: arg %q: want key=value", s, arg)
 		}
+		if !slices.Contains(st.need, k) && !slices.Contains(st.may, k) {
+			return cl, fmt.Errorf("adversary clause %s: unknown argument %s", s, k)
+		}
+		if cl.Args == nil {
+			cl.Args = map[string]string{}
+		}
 		cl.Args[k] = v
+	}
+	for _, k := range st.need {
+		if _, ok := cl.Args[k]; !ok {
+			return cl, fmt.Errorf("adversary clause %s: want %s=", s, k)
+		}
 	}
 	return cl, nil
 }
@@ -181,67 +194,81 @@ func (a *clauseArgs) crashRounds() []int {
 	return rounds
 }
 
-// strategies is the one table from clause name to strategy. A modifier
+// strategies is the one table of the adversary language: every clause name,
+// the argument keys it needs and may take, and what it builds. A modifier
 // (wrap set, build nil) claims no parties: it wraps the composed adversary.
 // A link fault (link set) claims no parties either and is the identity
-// here: internal/chaos injects it under the TCP links of a run.
+// here: internal/chaos injects it under the TCP links of a run. "none" builds
+// nothing, and "evil" is the property checker's planted machine bug, which
+// internal/check replaces with none before it builds (DESIGN §9).
 var strategies = map[string]struct {
-	phased   bool // one instance per TreeAA phase, composed
-	omission bool // takes the omission share of the corrupted set
-	link     bool // a link fault: lat, stall, drop, part
-	build    func(a *clauseArgs) sim.Adversary
-	wrap     func(a *clauseArgs, inner sim.OutboxFilter) sim.OutboxFilter
+	need, may []string // argument keys: required, optional
+	phased    bool     // one instance per TreeAA phase, composed
+	omission  bool     // takes the omission share of the corrupted set
+	link      bool     // a link fault: lat, stall, drop, part
+	planted   bool     // evil: not an adversary, BuildAdversary refuses it
+	build     func(a *clauseArgs) sim.Adversary
+	wrap      func(a *clauseArgs, inner sim.OutboxFilter) sim.OutboxFilter
 }{
+	"none":   {},
+	"evil":   {may: []string{"val"}, planted: true},
 	"silent": {build: func(a *clauseArgs) sim.Adversary { return &adversary.Silent{IDs: a.ids} }},
-	"crash":  {build: func(a *clauseArgs) sim.Adversary { return &adversary.CrashAt{IDs: a.ids, Rounds: a.crashRounds()} }},
-	"equivocator": {phased: true, build: func(a *clauseArgs) sim.Adversary {
+	"crash": {may: []string{"rounds"}, build: func(a *clauseArgs) sim.Adversary {
+		return &adversary.CrashAt{IDs: a.ids, Rounds: a.crashRounds()}
+	}},
+	"equivocator": {may: []string{"lo", "hi"}, phased: true, build: func(a *clauseArgs) sim.Adversary {
 		return &adversary.GradecastEquivocator{IDs: a.ids, N: a.n, Tag: a.phase.Tag, StartRound: a.phase.StartRound,
 			Lo: float64(a.int("lo", -100)), Hi: float64(a.int("hi", 1e6))}
 	}},
-	"splitvote": {phased: true, build: func(a *clauseArgs) sim.Adversary {
+	"splitvote": {may: []string{"per"}, phased: true, build: func(a *clauseArgs) sim.Adversary {
 		return &adversary.SplitVote{IDs: a.ids, N: a.n, T: a.t, Tag: a.phase.Tag, StartRound: a.phase.StartRound,
 			PerIteration: a.int("per", 1)}
 	}},
 	"halfburn": {phased: true, build: func(a *clauseArgs) sim.Adversary {
 		return &adversary.HalfBurn{IDs: a.ids, N: a.n, T: a.t, Tag: a.phase.Tag, StartRound: a.phase.StartRound}
 	}},
-	"noise": {phased: true, build: func(a *clauseArgs) sim.Adversary {
+	"noise": {may: []string{"maxval"}, phased: true, build: func(a *clauseArgs) sim.Adversary {
 		return &adversary.RandomNoise{IDs: a.ids, N: a.n, Tag: a.phase.Tag, StartRound: a.phase.StartRound,
 			Seed: a.seed + int64(1000*a.k+37*a.pos), MaxVal: a.int("maxval", 2*a.tr.NumVertices())}
 	}},
-	"exclusionsplit": {phased: true, build: func(a *clauseArgs) sim.Adversary {
+	"exclusionsplit": {may: []string{"x", "s", "iter"}, phased: true, build: func(a *clauseArgs) sim.Adversary {
 		return &adversary.ExclusionSplit{IDs: a.ids, X: a.role("x", 0), S: a.role("s", len(a.ids)-1),
 			N: a.n, T: a.t, Tag: a.phase.Tag, StartRound: a.phase.StartRound, StartIteration: a.int("iter", 1)}
 	}},
-	"replay": {build: func(a *clauseArgs) sim.Adversary { return &adversary.Replay{IDs: a.ids, Delay: a.int("delay", 3)} }},
-	"frame": {phased: true, build: func(a *clauseArgs) sim.Adversary {
+	"replay": {may: []string{"delay"}, build: func(a *clauseArgs) sim.Adversary {
+		return &adversary.Replay{IDs: a.ids, Delay: a.int("delay", 3)}
+	}},
+	"frame": {may: []string{"fake"}, phased: true, build: func(a *clauseArgs) sim.Adversary {
 		return &adversary.FrameHonest{IDs: a.ids, N: a.n, Tag: a.phase.Tag, Fake: float64(a.int("fake", 7))}
 	}},
-	"omit": {omission: true, build: func(a *clauseArgs) sim.Adversary {
+	"omit": {may: []string{"drop", "halves"}, omission: true, build: func(a *clauseArgs) sim.Adversary {
 		return &adversary.SendOmitter{IDs: a.ids, N: a.n, Drop: float64(a.int("drop", 500)) / 1000,
 			Halves: a.int("halves", 0) != 0, Seed: a.seed}
 	}},
-	"stop": {omission: true, build: func(a *clauseArgs) sim.Adversary {
+	"stop": {may: []string{"rounds"}, omission: true, build: func(a *clauseArgs) sim.Adversary {
 		return &adversary.Stop{IDs: a.ids, N: a.n, Rounds: a.crashRounds()}
 	}},
-	"mutate": {wrap: func(a *clauseArgs, inner sim.OutboxFilter) sim.OutboxFilter {
+	"mutate": {may: []string{"rate"}, wrap: func(a *clauseArgs, inner sim.OutboxFilter) sim.OutboxFilter {
 		return &adversary.Mutate{OutboxFilter: inner, N: a.n, Rate: a.int("rate", 200), Seed: a.seed}
 	}},
-	"lat":   {link: true},
-	"stall": {link: true},
-	"drop":  {link: true},
-	"part":  {link: true},
+	"lat":   {link: true, need: []string{"base"}, may: []string{"jitter", "from"}},
+	"stall": {link: true, need: []string{"from", "rounds"}, may: []string{"dur"}},
+	"drop":  {link: true, need: []string{"from", "round"}, may: []string{"to"}},
+	"part":  {link: true, need: []string{"a", "b", "rounds"}, may: []string{"heal"}},
 }
 
 // IsLinkFault reports whether a clause name is a link fault: it claims no
 // party and counts in no budget, and only internal/chaos acts on it.
 func IsLinkFault(name string) bool { return strategies[name].link }
 
-// AdversaryNames lists the clause names the table knows, sorted.
+// AdversaryNames lists the clause names that attack a run, sorted: the
+// table less none and evil.
 func AdversaryNames() []string {
 	names := make([]string, 0, len(strategies))
-	for name := range strategies {
-		names = append(names, name)
+	for name, st := range strategies {
+		if st.build != nil || st.wrap != nil || st.link {
+			names = append(names, name)
+		}
 	}
 	sort.Strings(names)
 	return names
@@ -268,11 +295,10 @@ func (s *Space) BuildAdversary(spec string, n, t int, seed int64) (sim.Adversary
 	}
 	hasByz, hasOmit := false, false
 	for _, cl := range clauses {
-		st, ok := strategies[cl.Name]
-		switch {
-		case cl.Name == "none" || st.wrap != nil || st.link:
-		case !ok:
-			return nil, nil, fmt.Errorf("unknown adversary %q", cl.Name)
+		switch st := strategies[cl.Name]; {
+		case st.planted:
+			return nil, nil, fmt.Errorf("adversary clause %s: the property checker's planted bug, not an adversary", cl.Name)
+		case st.build == nil:
 		case st.omission:
 			hasOmit = true
 		default:
@@ -291,8 +317,8 @@ func (s *Space) BuildAdversary(spec string, n, t int, seed int64) (sim.Adversary
 	var parts []sim.Adversary
 	var mods []*clauseArgs
 	for pos, cl := range clauses {
-		st, ok := strategies[cl.Name]
-		if !ok || st.link {
+		st := strategies[cl.Name]
+		if st.build == nil && st.wrap == nil {
 			continue
 		}
 		a := &clauseArgs{cl: cl, ids: byzIDs, n: n, t: t, seed: seed, tr: tr, pos: pos}

@@ -58,6 +58,11 @@ func TestParseInputsErrors(t *testing.T) {
 	})
 }
 
+// linkClauses gives each link fault the arguments it needs: a bare link
+// name names no link.
+var linkClauses = map[string]string{"lat": "lat(base=1ms)", "stall": "stall(from=0,rounds=1)",
+	"drop": "drop(from=0,round=1)", "part": "part(a=0,b=1,rounds=1)"}
+
 func TestBuildAdversaryErrors(t *testing.T) {
 	sp, err := ParseSpaceSpec("path:5", 1)
 	if err != nil {
@@ -71,6 +76,9 @@ func TestBuildAdversaryErrors(t *testing.T) {
 		{"unknown name", "bogus", `unknown adversary "bogus"`},
 		{"typo", "equivocater", `unknown adversary "equivocater"`},
 		{"empty name", "", `unknown adversary ""`},
+		{"party clause argument typo", "splitvote(pre=2)", "adversary clause splitvote(pre=2): unknown argument pre"},
+		{"crash takes rounds", "crash(round=2)", "adversary clause crash(round=2): unknown argument round"},
+		{"modifier argument typo", "mutate(rates=1)", "adversary clause mutate(rates=1): unknown argument rates"},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -100,6 +108,9 @@ func TestBuildAdversaryErrors(t *testing.T) {
 
 	t.Run("every advertised name builds", func(t *testing.T) {
 		for _, name := range append(AdversaryNames(), "none") {
+			if link, ok := linkClauses[name]; ok {
+				name = link
+			}
 			if _, _, err := sp.BuildAdversary(name, 7, 2, 1); err != nil {
 				t.Errorf("BuildAdversary(%q): %v", name, err)
 			}

@@ -135,6 +135,9 @@ func TestMachineHonest(t *testing.T) {
 func TestMachineByzantine(t *testing.T) {
 	for spec, g := range testSpecs(t) {
 		for _, advName := range cli.AdversaryNames() {
+			if cli.IsLinkFault(advName) {
+				continue // it names a link, and acts under the TCP links only
+			}
 			for seed := int64(1); seed <= 3; seed++ {
 				n, tt := 4, 1
 				adv, _, err := (&cli.Space{Graph: g}).BuildAdversary(advName, n, tt, seed)
