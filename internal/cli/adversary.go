@@ -276,7 +276,8 @@ func AdversaryNames() []string {
 
 // BuildAdversary compiles an adversary spec against this space's protocol
 // tree (phase tags and round budgets follow the block-cut tree for graph
-// spaces). It returns the adversary — nil for "none" or t = 0 — and every
+// spaces). It returns the adversary — nil for "none" or t = 0, where the
+// spec is still parsed and checked against the table — and every
 // faulty party, Byzantine and omission alike. The faulty parties are the
 // canonical tail FirstParties(n, t): all Byzantine, or all omission, or —
 // with both kinds of clause — the lower t/2 omission and the rest
@@ -285,14 +286,11 @@ func AdversaryNames() []string {
 // clause or a link fault keeps a position (which seeds noise) but adds
 // nothing.
 func (s *Space) BuildAdversary(spec string, n, t int, seed int64) (sim.Adversary, map[sim.PartyID]bool, error) {
-	corrupt := map[sim.PartyID]bool{}
-	if t == 0 {
-		return nil, corrupt, nil
-	}
 	clauses, err := ParseAdversary(spec)
 	if err != nil {
 		return nil, nil, err
 	}
+	corrupt := map[sim.PartyID]bool{}
 	hasByz, hasOmit := false, false
 	for _, cl := range clauses {
 		switch st := strategies[cl.Name]; {
@@ -304,6 +302,9 @@ func (s *Space) BuildAdversary(spec string, n, t int, seed int64) (sim.Adversary
 		default:
 			hasByz = true
 		}
+	}
+	if t == 0 {
+		return nil, corrupt, nil
 	}
 	ids := adversary.FirstParties(n, t)
 	byzIDs, omitIDs := ids, ids

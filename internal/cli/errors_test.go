@@ -99,10 +99,28 @@ func TestBuildAdversaryErrors(t *testing.T) {
 		}
 	})
 
-	t.Run("t=0 short-circuits before name check", func(t *testing.T) {
-		adv, corrupt, err := sp.BuildAdversary("bogus", 4, 0, 1)
+	t.Run("t=0 builds nothing but checks the spec", func(t *testing.T) {
+		adv, corrupt, err := sp.BuildAdversary("splitvote(per=2)+omit", 4, 0, 1)
 		if err != nil || adv != nil || len(corrupt) != 0 {
-			t.Errorf("BuildAdversary(bogus, t=0) = (%v, %v, %v), want (nil, empty, nil)", adv, corrupt, err)
+			t.Errorf("BuildAdversary(splitvote(per=2)+omit, t=0) = (%v, %v, %v), want (nil, empty, nil)", adv, corrupt, err)
+		}
+		for spec, want := range map[string]string{"bogus": `unknown adversary "bogus"`, "zzz(": `unknown adversary "zzz"`,
+			"splitvote(per=1": `adversary clause "splitvote(per=1": unbalanced parentheses`} {
+			if _, _, err := sp.BuildAdversary(spec, 4, 0, 1); err == nil || err.Error() != want {
+				t.Errorf("BuildAdversary(%q, t=0) error = %v, want %q", spec, err, want)
+			}
+		}
+	})
+
+	t.Run("every advertised name refuses an unknown argument", func(t *testing.T) {
+		for _, name := range AdversaryNames() {
+			for tc := 0; tc <= 2; tc++ {
+				spec := name + "(bogus=1)"
+				want := "adversary clause " + spec + ": unknown argument bogus"
+				if _, _, err := sp.BuildAdversary(spec, 7, tc, 1); err == nil || err.Error() != want {
+					t.Errorf("BuildAdversary(%q, t=%d) error = %v, want %q", spec, tc, err, want)
+				}
+			}
 		}
 	})
 
