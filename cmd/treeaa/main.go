@@ -20,9 +20,11 @@
 // omit, stop. A bare name takes every default. The corrupted set is the
 // highest t ids; omit or stop beside a Byzantine clause takes the lower t/2
 // of them. Only mem runs crash (adaptive); stop, the crash fault, runs on
-// every transport. The link faults (lat, stall, drop, part) are the
-// identity here on every transport: internal/chaos injects them under
-// cmd/node's links and cmd/check's TCP cells.
+// every transport. The link faults (lat, stall, drop, part; see
+// internal/chaos) must name parties of the run: tcp injects them under its
+// loopback links, and mem, which has no links, runs them as the identity.
+//
+//	treeaa -n 4 -t 1 -tree path:8 -transport tcp -adversary 'splitvote+drop(from=0,to=2,round=2)'
 //
 // Tree specs: path:K, star:K, spider:LEGS:LEN, caterpillar:SPINE:LEGS,
 // kary:K:DEPTH, random:K, figure3, or @FILE with "a - b" edge lines.
@@ -37,8 +39,10 @@ import (
 	"os"
 	"strings"
 
+	"treeaa/internal/chaos"
 	"treeaa/internal/cli"
 	"treeaa/internal/core"
+	"treeaa/internal/metrics"
 	"treeaa/internal/sim"
 	"treeaa/internal/transport"
 	"treeaa/internal/tree"
@@ -76,13 +80,18 @@ func run(n, t int, treeSpec, inputSpec, advName string, seed int64, quiet bool, 
 	if err != nil {
 		return err
 	}
+	plan, err := chaos.NewPlan(advName, n)
+	if err != nil {
+		return err
+	}
+	chaosStats := &metrics.ChaosStats{}
 	var runOn func(sim.Config, []sim.Machine) (*sim.Result, error)
 	switch transName {
 	case "mem":
 		runOn = sim.Run
 	case "tcp":
 		runOn = func(cfg sim.Config, ms []sim.Machine) (*sim.Result, error) {
-			return transport.LocalCluster(cfg, ms, transport.Options{})
+			return transport.LocalCluster(cfg, ms, chaos.NewInjector(plan, seed, chaosStats).Apply(transport.Options{}))
 		}
 	default:
 		return fmt.Errorf("unknown transport %q (have mem, tcp)", transName)
@@ -161,6 +170,9 @@ func run(n, t int, treeSpec, inputSpec, advName string, seed int64, quiet bool, 
 	}
 
 	fmt.Printf("execution: %d rounds, %d messages, %d bytes\n", res.Rounds, res.Messages, res.Bytes)
+	if transName == "tcp" && !plan.Empty() {
+		fmt.Printf("chaos: %s\n", chaosStats)
+	}
 	var honestIn []tree.VertexID
 	for i, v := range inputs {
 		if !corrupt[sim.PartyID(i)] {

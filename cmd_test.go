@@ -46,6 +46,18 @@ func TestCommandsRun(t *testing.T) {
 			wants: []string{"1-agreement: true"},
 		},
 		{
+			name: "treeaa over tcp transport under a link fault",
+			args: []string{"run", "./cmd/treeaa", "-tree", "path:24", "-n", "4", "-t", "1",
+				"-adversary", "splitvote+drop(from=0,to=2,round=2)", "-transport", "tcp", "-q"},
+			wants: []string{"chaos: injected 0 delays / 0 stalls / 1 drops", "1-agreement: true"},
+		},
+		{
+			name:  "treeaa refuses a link clause outside the run",
+			args:  []string{"run", "./cmd/treeaa", "-n", "4", "-t", "1", "-transport", "tcp", "-adversary", "drop(from=9,round=1)"},
+			fails: true,
+			wants: []string{"treeaa: chaos: clause drop(from=9,round=1): party 9 out of range [0, 4)"},
+		},
+		{
 			name:  "node loopback cluster",
 			args:  []string{"run", "./cmd/node", "-cluster", "3", "-tree", "path:16"},
 			wants: []string{"1-agreement: true"},
