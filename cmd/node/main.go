@@ -134,18 +134,19 @@ type deployment struct {
 	plan   *chaos.Plan
 }
 
-// parse reads the flags of an n-party deployment. It refuses the crash
-// clause, which is input validation here: no mesh seat can run an adaptive
-// corruption, since messages on the wire cannot be retracted.
+// parse reads the flags of an n-party deployment. It refuses an adaptive
+// clause (crash; cli.IsAdaptive), which is input validation here: no mesh
+// seat can run an adaptive corruption, since messages on the wire cannot be
+// retracted.
 func (d *deployment) parse(n int) error {
 	clauses, err := cli.ParseAdversary(d.advName)
 	if err != nil {
 		return err
 	}
 	for _, cl := range clauses {
-		if cl.Name == "crash" {
-			return fmt.Errorf("the crash adversary corrupts adaptively; messages on the wire cannot " +
-				"be retracted — use cmd/treeaa's in-process transport for it, or stop for a crash fault")
+		if cli.IsAdaptive(cl.Name) {
+			return fmt.Errorf("the %s adversary corrupts adaptively; messages on the wire cannot "+
+				"be retracted — use cmd/treeaa's in-process transport for it, or stop for a crash fault", cl.Name)
 		}
 	}
 	if d.sp, err = cli.ParseSpaceSpec(d.treeSpec, d.seed); err != nil {

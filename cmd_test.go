@@ -55,7 +55,7 @@ func TestCommandsRun(t *testing.T) {
 			name:  "treeaa refuses a link clause outside the run",
 			args:  []string{"run", "./cmd/treeaa", "-n", "4", "-t", "1", "-transport", "tcp", "-adversary", "drop(from=9,round=1)"},
 			fails: true,
-			wants: []string{"treeaa: chaos: clause drop(from=9,round=1): party 9 out of range [0, 4)"},
+			wants: []string{"treeaa: adversary clause drop(from=9,round=1): party 9 out of range [0, 4)"},
 		},
 		{
 			name:  "node loopback cluster",

@@ -3,6 +3,7 @@ package chaos
 import (
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -140,10 +141,7 @@ func (l *linkChaos) hold(round int) (drop bool) {
 		}
 	}
 	for i, d := range in.plan.Drops {
-		if l.dropped[i] || d.From != l.from || d.Round != round {
-			continue
-		}
-		if d.To != AllLinks && d.To != l.to {
+		if l.dropped[i] || d.From != l.from || d.Round != round || d.To != AllLinks && d.To != l.to {
 			continue
 		}
 		l.dropped[i] = true
@@ -177,8 +175,8 @@ func (l *linkChaos) hold(round int) (drop bool) {
 
 // cuts reports whether the ordered link crosses the partition's cut.
 func (g *partitionGate) cuts(from, to sim.PartyID) bool {
-	return (contains(g.p.SideA, from) && contains(g.p.SideB, to)) ||
-		(contains(g.p.SideB, from) && contains(g.p.SideA, to))
+	return (slices.Contains(g.p.SideA, from) && slices.Contains(g.p.SideB, to)) ||
+		(slices.Contains(g.p.SideB, from) && slices.Contains(g.p.SideA, to))
 }
 
 // trigger arms the heal deadline on first contact and returns how long the
@@ -191,13 +189,4 @@ func (g *partitionGate) trigger() time.Duration {
 	hold := time.Until(g.at)
 	g.mu.Unlock()
 	return hold
-}
-
-func contains(side []sim.PartyID, id sim.PartyID) bool {
-	for _, x := range side {
-		if x == id {
-			return true
-		}
-	}
-	return false
 }

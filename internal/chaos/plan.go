@@ -20,7 +20,6 @@
 package chaos
 
 import (
-	"fmt"
 	"slices"
 	"strings"
 	"time"
@@ -86,9 +85,9 @@ type Plan struct {
 	Partitions []Partition
 }
 
-// NewPlan builds the plan of an adversary spec's link clauses for n parties
-// (the other clauses are the adversary's, and BuildAdversary's to judge,
-// bar an unknown name):
+// NewPlan builds the plan of an adversary spec's link clauses for n parties.
+// cli's table declares every clause's arguments and ParseAdversary checks
+// them; the other clauses are the adversary's, BuildAdversary's to build:
 //
 //	lat(base=D,jitter=D,from=P)      per-link latency Base ± Jitter, from
 //	                                 optionally scoping it to P's outbound links
@@ -112,148 +111,51 @@ func NewPlan(spec string, n int) (*Plan, error) {
 	var links []string
 	for _, cl := range clauses {
 		if !cli.IsLinkFault(cl.Name) {
-			// Unknown names are refused here too: BuildAdversary judges
-			// nothing at t = 0.
-			if cl.Name != "none" && !slices.Contains(cli.AdversaryNames(), cl.Name) {
-				return nil, fmt.Errorf("chaos: unknown clause %q", cl.Name)
-			}
 			continue
 		}
-		a := &linkArgs{cl: cl, n: n}
+		a := &cli.Reader{Clause: cl, N: n}
 		switch cl.Name {
 		case "lat":
-			a.keys([]string{"base"}, "jitter", "from")
-			l := Latency{Base: a.dur("base", 0), Jitter: a.dur("jitter", 0), From: a.party("from")}
-			if a.err == nil && l.Jitter > l.Base {
-				a.fail("jitter %v exceeds base %v (delays must stay non-negative)", l.Jitter, l.Base)
+			l := Latency{Base: a.Duration("base", 0), Jitter: a.Duration("jitter", 0), From: a.Party("from", AllLinks)}
+			if l.Jitter > l.Base {
+				a.Fail("jitter %v exceeds base %v (delays must stay non-negative)", l.Jitter, l.Base)
 			}
 			for _, prev := range p.Latencies {
 				if prev.From == l.From {
-					a.fail("duplicate lat clause for the same scope")
+					a.Fail("duplicate lat clause for the same scope")
 				}
 			}
 			p.Latencies = append(p.Latencies, l)
 		case "stall":
-			a.keys([]string{"from", "rounds"}, "dur")
-			s := Stall{Party: a.party("from"), Dur: a.dur("dur", defaultStall)}
-			s.FromRound, s.ToRound = a.rounds()
+			s := Stall{Party: a.Party("from", AllLinks), Dur: a.Duration("dur", defaultStall)}
+			s.FromRound, s.ToRound = a.Window("rounds")
 			p.Stalls = append(p.Stalls, s)
 		case "drop":
-			a.keys([]string{"from", "round"}, "to")
-			d := Drop{From: a.party("from"), To: a.party("to"), Round: a.int("round")}
-			if a.err == nil && d.From == d.To {
-				a.fail("link %d→%d is not a connection", d.From, d.To)
+			d := Drop{From: a.Party("from", AllLinks), To: a.Party("to", AllLinks), Round: a.Int("round", 0)}
+			if d.From == d.To {
+				a.Fail("link %d→%d is not a connection", d.From, d.To)
 			}
-			if a.err == nil && d.Round < 1 {
-				a.fail("round=%d: rounds start at 1", d.Round)
+			if d.Round < 1 {
+				a.Fail("round=%d: rounds start at 1", d.Round)
 			}
 			p.Drops = append(p.Drops, d)
 		case "part":
-			a.keys([]string{"a", "b", "rounds"}, "heal")
-			part := Partition{SideA: a.side("a"), SideB: a.side("b"), Heal: a.dur("heal", defaultHeal)}
-			part.FromRound, part.ToRound = a.rounds()
+			part := Partition{SideA: a.Parties("a"), SideB: a.Parties("b"), Heal: a.Duration("heal", defaultHeal)}
+			part.FromRound, part.ToRound = a.Window("rounds")
 			for _, x := range part.SideA {
 				if slices.Contains(part.SideB, x) {
-					a.fail("party %d on both sides of the cut", x)
+					a.Fail("party %d on both sides of the cut", x)
 				}
 			}
 			p.Partitions = append(p.Partitions, part)
 		}
-		if a.err != nil {
-			return nil, a.err
+		if a.Err != nil {
+			return nil, a.Err
 		}
 		links = append(links, cl.String())
 	}
 	p.Spec = strings.Join(links, "+")
 	return p, nil
-}
-
-// linkArgs reads one link clause's arguments for n parties, keeping the
-// first error so each clause builds in one expression.
-type linkArgs struct {
-	cl  cli.Clause
-	n   int
-	err error
-}
-
-func (a *linkArgs) keep(err error) {
-	if a.err == nil {
-		a.err = err
-	}
-}
-
-func (a *linkArgs) fail(format string, args ...any) {
-	a.keep(fmt.Errorf("chaos: clause %s: %s", a.cl, fmt.Sprintf(format, args...)))
-}
-
-// keys refuses a missing argument the clause needs and one it does not
-// take.
-func (a *linkArgs) keys(need []string, may ...string) {
-	for _, k := range need {
-		if _, ok := a.cl.Args[k]; !ok {
-			a.fail("want %s=", k)
-		}
-	}
-	for k := range a.cl.Args {
-		if !slices.Contains(need, k) && !slices.Contains(may, k) {
-			a.fail("unknown argument %s", k)
-		}
-	}
-}
-
-func (a *linkArgs) dur(key string, def time.Duration) time.Duration {
-	d, err := a.cl.Duration(key, def)
-	a.keep(err)
-	return d
-}
-
-func (a *linkArgs) int(key string) int {
-	v, err := a.cl.Int(key, 0)
-	a.keep(err)
-	return v
-}
-
-// party is a party id in [0, n), or AllLinks when the argument is absent.
-func (a *linkArgs) party(key string) sim.PartyID {
-	if _, ok := a.cl.Args[key]; !ok {
-		return AllLinks
-	}
-	id := sim.PartyID(a.int(key))
-	a.inRange(id)
-	return id
-}
-
-func (a *linkArgs) inRange(id sim.PartyID) {
-	if a.err == nil && (id < 0 || int(id) >= a.n) {
-		a.fail("party %d out of range [0, %d)", id, a.n)
-	}
-}
-
-// side is one side of a cut: a dot list of party ids.
-func (a *linkArgs) side(key string) []sim.PartyID {
-	ids, err := a.cl.IntList(key)
-	a.keep(err)
-	side := make([]sim.PartyID, len(ids))
-	for i, id := range ids {
-		side[i] = sim.PartyID(id)
-		a.inRange(side[i])
-	}
-	return side
-}
-
-// rounds is the window rounds=A or rounds=A.B, with 1 ≤ A ≤ B.
-func (a *linkArgs) rounds() (from, to int) {
-	w, err := a.cl.IntList("rounds")
-	switch {
-	case err != nil:
-		a.keep(err)
-	case w == nil:
-	case len(w) > 2 || w[0] < 1 || w[len(w)-1] < w[0]:
-		a.fail("rounds=%s: want A or A.B with 1 ≤ A ≤ B", a.cl.Args["rounds"])
-	default:
-		return w[0], w[len(w)-1]
-	}
-	return 0, 0
 }
 
 // Empty reports whether the plan injects nothing.

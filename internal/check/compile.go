@@ -29,7 +29,7 @@ type compiled struct {
 	// evil replaced by "none", so each keeps its position.
 	advSpec  string
 	corrupt  map[sim.PartyID]bool // every faulty party, Byzantine and omission
-	adaptive bool                 // a crash clause corrupts mid-run
+	adaptive bool                 // a clause corrupts mid-run (crash)
 	plan     *chaos.Plan          // the link clauses, injected under the TCP run
 
 	hasEvil bool // every honest machine runs under evilMachine
@@ -71,17 +71,16 @@ func compile(c *Cell) (*compiled, error) {
 		case "evil":
 			advs[i] = "none"
 			cr.hasEvil = true
-			val, err := cl.Int("val", 1000000)
-			if err != nil {
-				return nil, err
+			a := &cli.Reader{Clause: cl}
+			if cr.evilVal = float64(a.Int("val", 1000000)); a.Err != nil {
+				return nil, a.Err
 			}
-			cr.evilVal = float64(val)
 		case "mutate":
 		default:
 			if c.T == 0 && !cli.IsLinkFault(cl.Name) {
 				return nil, fmt.Errorf("check: adversary clauses with t = 0 (only evil, mutate and link faults may stand alone)")
 			}
-			cr.adaptive = cr.adaptive || cl.Name == "crash"
+			cr.adaptive = cr.adaptive || cli.IsAdaptive(cl.Name)
 		}
 	}
 	cr.advSpec = "none"

@@ -105,10 +105,8 @@ func candidates(c *Cell) []*Cell {
 		cand.T--
 		nByz := byzClauseIDCount(cand)
 		for i, cl := range cand.Clauses {
-			if cl.Name == "crash" {
-				if rounds, err := cl.IntList("rounds"); err == nil && len(rounds) > nByz {
-					cand.Clauses[i].Args["rounds"] = joinInts(rounds[:nByz])
-				}
+			if rounds := (&cli.Reader{Clause: cl}).Ints("rounds"); cl.Name == "crash" && len(rounds) > nByz {
+				cand.Clauses[i].Args["rounds"] = joinInts(rounds[:nByz])
 			}
 		}
 		out = append(out, cand)

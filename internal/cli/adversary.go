@@ -27,52 +27,6 @@ type Clause struct {
 	Args map[string]string
 }
 
-// Int returns the named integer argument, or def when absent.
-func (cl Clause) Int(key string, def int) (int, error) {
-	s, ok := cl.Args[key]
-	if !ok {
-		return def, nil
-	}
-	v, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, fmt.Errorf("adversary clause %s: arg %s=%q: want integer", cl.Name, key, s)
-	}
-	return v, nil
-}
-
-// IntList returns the named dot-separated integer list argument, or nil
-// when absent.
-func (cl Clause) IntList(key string) ([]int, error) {
-	s, ok := cl.Args[key]
-	if !ok {
-		return nil, nil
-	}
-	parts := strings.Split(s, ".")
-	out := make([]int, len(parts))
-	for i, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil {
-			return nil, fmt.Errorf("adversary clause %s: arg %s=%q: want dot-separated integers", cl.Name, key, s)
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-// Duration returns the named duration argument, or def when absent; a
-// negative duration is refused.
-func (cl Clause) Duration(key string, def time.Duration) (time.Duration, error) {
-	s, ok := cl.Args[key]
-	if !ok {
-		return def, nil
-	}
-	d, err := time.ParseDuration(s)
-	if err != nil || d < 0 {
-		return 0, fmt.Errorf("adversary clause %s: arg %s=%q: want a non-negative duration", cl.Name, key, s)
-	}
-	return d, nil
-}
-
 // String renders the clause canonically (args sorted by key).
 func (cl Clause) String() string {
 	if len(cl.Args) == 0 {
@@ -140,37 +94,118 @@ func parseClause(s string) (Clause, error) {
 	return cl, nil
 }
 
-// clauseArgs is what one strategy instance is built from: the clause, its
-// share of the corrupted set and the execution it attacks. The first bad
-// argument is kept in err, so the table's builders stay one expression.
-type clauseArgs struct {
-	cl    Clause
-	ids   []sim.PartyID
-	n, t  int
+// Reader reads one clause's arguments, keeping the first bad one in Err
+// so a clause builds in one expression. ParseAdversary has checked the keys
+// against the table; Reader checks the values. The unexported fields are
+// what BuildAdversary builds a party clause against.
+type Reader struct {
+	Clause Clause
+	N      int   // party ids are read in [0, N)
+	Err    error // the first bad argument
+
+	ids   []sim.PartyID // the clause's share of the corrupted set
+	t     int
 	seed  int64
 	tr    *tree.Tree
 	phase core.PhaseTag // the attacked phase of a phased strategy
 	k     int           // phase index
 	pos   int           // clause position in the spec
-	err   error
 }
 
-func (a *clauseArgs) int(key string, def int) int {
-	v, err := a.cl.Int(key, def)
-	if a.err == nil {
-		a.err = err
+// Fail keeps the first error: the clause, then what is wrong with it.
+func (a *Reader) Fail(format string, args ...any) {
+	if a.Err == nil {
+		a.Err = fmt.Errorf("adversary clause %s: %s", a.Clause, fmt.Sprintf(format, args...))
+	}
+}
+
+// Int reads an integer argument, def when absent.
+func (a *Reader) Int(key string, def int) int {
+	s, ok := a.Clause.Args[key]
+	if !ok {
+		return def
+	}
+	v, err := strconv.Atoi(s)
+	if err != nil {
+		a.Fail("%s=%s: want an integer", key, s)
 	}
 	return v
 }
 
+// Ints reads a dot-separated integer list, nil when absent.
+func (a *Reader) Ints(key string) []int {
+	s, ok := a.Clause.Args[key]
+	if !ok {
+		return nil
+	}
+	var out []int
+	for _, p := range strings.Split(s, ".") {
+		v, err := strconv.Atoi(p)
+		if err != nil {
+			a.Fail("%s=%s: want dot-separated integers", key, s)
+			return nil
+		}
+		out = append(out, v)
+	}
+	return out
+}
+
+// Duration reads a non-negative duration in Go's syntax, def when absent.
+func (a *Reader) Duration(key string, def time.Duration) time.Duration {
+	s, ok := a.Clause.Args[key]
+	if !ok {
+		return def
+	}
+	d, err := time.ParseDuration(s)
+	if err != nil || d < 0 {
+		a.Fail("%s=%s: want a non-negative duration", key, s)
+	}
+	return d
+}
+
+// Party reads a party id in [0, N), def when absent.
+func (a *Reader) Party(key string, def sim.PartyID) sim.PartyID {
+	if _, ok := a.Clause.Args[key]; !ok {
+		return def
+	}
+	return a.party(a.Int(key, 0))
+}
+
+// Parties reads a dot list of party ids in [0, N).
+func (a *Reader) Parties(key string) []sim.PartyID {
+	var ids []sim.PartyID
+	for _, v := range a.Ints(key) {
+		ids = append(ids, a.party(v))
+	}
+	return ids
+}
+
+func (a *Reader) party(v int) sim.PartyID {
+	if v < 0 || v >= a.N {
+		a.Fail("party %d out of range [0, %d)", v, a.N)
+	}
+	return sim.PartyID(v)
+}
+
+// Window reads a round window A or A.B with 1 ≤ A ≤ B, (0, 0) when absent.
+func (a *Reader) Window(key string) (from, to int) {
+	w := a.Ints(key)
+	if len(w) == 0 {
+		return 0, 0
+	}
+	if len(w) > 2 || w[0] < 1 || w[len(w)-1] < w[0] {
+		a.Fail("%s=%s: want A or A.B with 1 ≤ A ≤ B", key, a.Clause.Args[key])
+		return 0, 0
+	}
+	return w[0], w[len(w)-1]
+}
+
 // role is the member of the clause's share at the index the named argument
 // gives (def when absent).
-func (a *clauseArgs) role(key string, def int) sim.PartyID {
-	i := a.int(key, def)
+func (a *Reader) role(key string, def int) sim.PartyID {
+	i := a.Int(key, def)
 	if i < 0 || i >= len(a.ids) {
-		if a.err == nil {
-			a.err = fmt.Errorf("adversary clause %s: %s=%d outside the %d-party share", a.cl.Name, key, i, len(a.ids))
-		}
+		a.Fail("%s=%d outside the %d-party share", key, i, len(a.ids))
 		return a.ids[0]
 	}
 	return a.ids[i]
@@ -178,18 +213,15 @@ func (a *clauseArgs) role(key string, def int) sim.PartyID {
 
 // crashRounds is crash's and stop's schedule: rounds=R1.R2… (one per
 // party), or drawn from the seed over the run's rounds when absent.
-func (a *clauseArgs) crashRounds() []int {
-	rounds, err := a.cl.IntList("rounds")
-	switch {
-	case err != nil:
-		a.err = err
-	case rounds == nil:
+func (a *Reader) crashRounds() []int {
+	rounds := a.Ints("rounds")
+	if _, ok := a.Clause.Args["rounds"]; !ok {
 		rng := rand.New(rand.NewSource(a.seed))
 		for range a.ids {
 			rounds = append(rounds, 1+rng.Intn(core.Rounds(a.tr, a.t)+1))
 		}
-	case len(rounds) != len(a.ids):
-		a.err = fmt.Errorf("adversary clause %s: %d rounds for %d parties", a.cl.Name, len(rounds), len(a.ids))
+	} else if len(rounds) != len(a.ids) {
+		a.Fail("%d rounds for %d parties", len(rounds), len(a.ids))
 	}
 	return rounds
 }
@@ -206,50 +238,51 @@ var strategies = map[string]struct {
 	phased    bool     // one instance per TreeAA phase, composed
 	omission  bool     // takes the omission share of the corrupted set
 	link      bool     // a link fault: lat, stall, drop, part
+	adaptive  bool     // corrupts mid-run (crash): no TCP fabric hosts it
 	planted   bool     // evil: not an adversary, BuildAdversary refuses it
-	build     func(a *clauseArgs) sim.Adversary
-	wrap      func(a *clauseArgs, inner sim.OutboxFilter) sim.OutboxFilter
+	build     func(a *Reader) sim.Adversary
+	wrap      func(a *Reader, inner sim.OutboxFilter) sim.OutboxFilter
 }{
 	"none":   {},
 	"evil":   {may: []string{"val"}, planted: true},
-	"silent": {build: func(a *clauseArgs) sim.Adversary { return &adversary.Silent{IDs: a.ids} }},
-	"crash": {may: []string{"rounds"}, build: func(a *clauseArgs) sim.Adversary {
+	"silent": {build: func(a *Reader) sim.Adversary { return &adversary.Silent{IDs: a.ids} }},
+	"crash": {may: []string{"rounds"}, adaptive: true, build: func(a *Reader) sim.Adversary {
 		return &adversary.CrashAt{IDs: a.ids, Rounds: a.crashRounds()}
 	}},
-	"equivocator": {may: []string{"lo", "hi"}, phased: true, build: func(a *clauseArgs) sim.Adversary {
-		return &adversary.GradecastEquivocator{IDs: a.ids, N: a.n, Tag: a.phase.Tag, StartRound: a.phase.StartRound,
-			Lo: float64(a.int("lo", -100)), Hi: float64(a.int("hi", 1e6))}
+	"equivocator": {may: []string{"lo", "hi"}, phased: true, build: func(a *Reader) sim.Adversary {
+		return &adversary.GradecastEquivocator{IDs: a.ids, N: a.N, Tag: a.phase.Tag, StartRound: a.phase.StartRound,
+			Lo: float64(a.Int("lo", -100)), Hi: float64(a.Int("hi", 1e6))}
 	}},
-	"splitvote": {may: []string{"per"}, phased: true, build: func(a *clauseArgs) sim.Adversary {
-		return &adversary.SplitVote{IDs: a.ids, N: a.n, T: a.t, Tag: a.phase.Tag, StartRound: a.phase.StartRound,
-			PerIteration: a.int("per", 1)}
+	"splitvote": {may: []string{"per"}, phased: true, build: func(a *Reader) sim.Adversary {
+		return &adversary.SplitVote{IDs: a.ids, N: a.N, T: a.t, Tag: a.phase.Tag, StartRound: a.phase.StartRound,
+			PerIteration: a.Int("per", 1)}
 	}},
-	"halfburn": {phased: true, build: func(a *clauseArgs) sim.Adversary {
-		return &adversary.HalfBurn{IDs: a.ids, N: a.n, T: a.t, Tag: a.phase.Tag, StartRound: a.phase.StartRound}
+	"halfburn": {phased: true, build: func(a *Reader) sim.Adversary {
+		return &adversary.HalfBurn{IDs: a.ids, N: a.N, T: a.t, Tag: a.phase.Tag, StartRound: a.phase.StartRound}
 	}},
-	"noise": {may: []string{"maxval"}, phased: true, build: func(a *clauseArgs) sim.Adversary {
-		return &adversary.RandomNoise{IDs: a.ids, N: a.n, Tag: a.phase.Tag, StartRound: a.phase.StartRound,
-			Seed: a.seed + int64(1000*a.k+37*a.pos), MaxVal: a.int("maxval", 2*a.tr.NumVertices())}
+	"noise": {may: []string{"maxval"}, phased: true, build: func(a *Reader) sim.Adversary {
+		return &adversary.RandomNoise{IDs: a.ids, N: a.N, Tag: a.phase.Tag, StartRound: a.phase.StartRound,
+			Seed: a.seed + int64(1000*a.k+37*a.pos), MaxVal: a.Int("maxval", 2*a.tr.NumVertices())}
 	}},
-	"exclusionsplit": {may: []string{"x", "s", "iter"}, phased: true, build: func(a *clauseArgs) sim.Adversary {
+	"exclusionsplit": {may: []string{"x", "s", "iter"}, phased: true, build: func(a *Reader) sim.Adversary {
 		return &adversary.ExclusionSplit{IDs: a.ids, X: a.role("x", 0), S: a.role("s", len(a.ids)-1),
-			N: a.n, T: a.t, Tag: a.phase.Tag, StartRound: a.phase.StartRound, StartIteration: a.int("iter", 1)}
+			N: a.N, T: a.t, Tag: a.phase.Tag, StartRound: a.phase.StartRound, StartIteration: a.Int("iter", 1)}
 	}},
-	"replay": {may: []string{"delay"}, build: func(a *clauseArgs) sim.Adversary {
-		return &adversary.Replay{IDs: a.ids, Delay: a.int("delay", 3)}
+	"replay": {may: []string{"delay"}, build: func(a *Reader) sim.Adversary {
+		return &adversary.Replay{IDs: a.ids, Delay: a.Int("delay", 3)}
 	}},
-	"frame": {may: []string{"fake"}, phased: true, build: func(a *clauseArgs) sim.Adversary {
-		return &adversary.FrameHonest{IDs: a.ids, N: a.n, Tag: a.phase.Tag, Fake: float64(a.int("fake", 7))}
+	"frame": {may: []string{"fake"}, phased: true, build: func(a *Reader) sim.Adversary {
+		return &adversary.FrameHonest{IDs: a.ids, N: a.N, Tag: a.phase.Tag, Fake: float64(a.Int("fake", 7))}
 	}},
-	"omit": {may: []string{"drop", "halves"}, omission: true, build: func(a *clauseArgs) sim.Adversary {
-		return &adversary.SendOmitter{IDs: a.ids, N: a.n, Drop: float64(a.int("drop", 500)) / 1000,
-			Halves: a.int("halves", 0) != 0, Seed: a.seed}
+	"omit": {may: []string{"drop", "halves"}, omission: true, build: func(a *Reader) sim.Adversary {
+		return &adversary.SendOmitter{IDs: a.ids, N: a.N, Drop: float64(a.Int("drop", 500)) / 1000,
+			Halves: a.Int("halves", 0) != 0, Seed: a.seed}
 	}},
-	"stop": {may: []string{"rounds"}, omission: true, build: func(a *clauseArgs) sim.Adversary {
-		return &adversary.Stop{IDs: a.ids, N: a.n, Rounds: a.crashRounds()}
+	"stop": {may: []string{"rounds"}, omission: true, build: func(a *Reader) sim.Adversary {
+		return &adversary.Stop{IDs: a.ids, N: a.N, Rounds: a.crashRounds()}
 	}},
-	"mutate": {may: []string{"rate"}, wrap: func(a *clauseArgs, inner sim.OutboxFilter) sim.OutboxFilter {
-		return &adversary.Mutate{OutboxFilter: inner, N: a.n, Rate: a.int("rate", 200), Seed: a.seed}
+	"mutate": {may: []string{"rate"}, wrap: func(a *Reader, inner sim.OutboxFilter) sim.OutboxFilter {
+		return &adversary.Mutate{OutboxFilter: inner, N: a.N, Rate: a.Int("rate", 200), Seed: a.seed}
 	}},
 	"lat":   {link: true, need: []string{"base"}, may: []string{"jitter", "from"}},
 	"stall": {link: true, need: []string{"from", "rounds"}, may: []string{"dur"}},
@@ -260,6 +293,10 @@ var strategies = map[string]struct {
 // IsLinkFault reports whether a clause name is a link fault: it claims no
 // party and counts in no budget, and only internal/chaos acts on it.
 func IsLinkFault(name string) bool { return strategies[name].link }
+
+// IsAdaptive reports whether a clause corrupts mid-run (crash), which no
+// TCP fabric hosts: a message on the wire cannot be retracted.
+func IsAdaptive(name string) bool { return strategies[name].adaptive }
 
 // AdversaryNames lists the clause names that attack a run, sorted: the
 // table less none and evil.
@@ -316,13 +353,13 @@ func (s *Space) BuildAdversary(spec string, n, t int, seed int64) (sim.Adversary
 	}
 	tr := s.ProtocolTree()
 	var parts []sim.Adversary
-	var mods []*clauseArgs
+	var mods []*Reader
 	for pos, cl := range clauses {
 		st := strategies[cl.Name]
 		if st.build == nil && st.wrap == nil {
 			continue
 		}
-		a := &clauseArgs{cl: cl, ids: byzIDs, n: n, t: t, seed: seed, tr: tr, pos: pos}
+		a := &Reader{Clause: cl, N: n, ids: byzIDs, t: t, seed: seed, tr: tr, pos: pos}
 		if st.wrap != nil {
 			mods = append(mods, a)
 			continue
@@ -338,8 +375,8 @@ func (s *Space) BuildAdversary(spec string, n, t int, seed int64) (sim.Adversary
 			a.phase, a.k = phase, k
 			parts = append(parts, st.build(a))
 		}
-		if a.err != nil {
-			return nil, nil, a.err
+		if a.Err != nil {
+			return nil, nil, a.Err
 		}
 		for _, id := range a.ids {
 			corrupt[id] = true
@@ -347,8 +384,8 @@ func (s *Space) BuildAdversary(spec string, n, t int, seed int64) (sim.Adversary
 	}
 	var adv sim.OutboxFilter = &adversary.Compose{Strategies: parts}
 	for _, a := range mods {
-		if adv = strategies[a.cl.Name].wrap(a, adv); a.err != nil {
-			return nil, nil, a.err
+		if adv = strategies[a.Clause.Name].wrap(a, adv); a.Err != nil {
+			return nil, nil, a.Err
 		}
 	}
 	if len(parts) == 0 {
