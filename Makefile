@@ -238,7 +238,7 @@ bench-mesh-smoke:
 
 # Short fuzz pass over every fuzz target (tree parsing, Prüfer codec,
 # Euler-list invariants, hull/safe-area cross-checks, wire decoding, the
-# gradecast tally against its merge oracle).
+# gradecast tally against its merge oracle, the adversary language's parser).
 fuzz:
 	$(GO) test -run FuzzDecode -fuzz FuzzDecode -fuzztime 30s ./internal/wire/
 	$(GO) test -run FuzzParse -fuzz FuzzParse -fuzztime 30s ./internal/tree/
@@ -246,6 +246,7 @@ fuzz:
 	$(GO) test -run FuzzEulerList -fuzz FuzzEulerList -fuzztime 30s ./internal/tree/
 	$(GO) test -run FuzzConvexHullSafeArea -fuzz FuzzConvexHullSafeArea -fuzztime 30s ./internal/tree/
 	$(GO) test -run FuzzTally -fuzz FuzzTally -fuzztime 30s ./internal/gradecast/
+	$(GO) test -run FuzzParseAdversary -fuzz FuzzParseAdversary -fuzztime 30s ./internal/cli/
 
 # Quick fuzz pass: the same targets as `fuzz` at 10s each, for use as a
 # pre-commit gate. FuzzDecode starts from the committed corpus under
@@ -258,6 +259,7 @@ fuzz-short:
 	$(GO) test -run FuzzEulerList -fuzz FuzzEulerList -fuzztime 10s ./internal/tree/
 	$(GO) test -run FuzzConvexHullSafeArea -fuzz FuzzConvexHullSafeArea -fuzztime 10s ./internal/tree/
 	$(GO) test -run FuzzTally -fuzz FuzzTally -fuzztime 10s ./internal/gradecast/
+	$(GO) test -run FuzzParseAdversary -fuzz FuzzParseAdversary -fuzztime 10s ./internal/cli/
 
 # Property-based protocol checking (deterministic): a bounded random
 # exploration of (tree, inputs, adversary) cells with per-round invariant
