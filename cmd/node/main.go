@@ -23,9 +23,10 @@
 //	node -cluster 7 -t 2 -tree path:40 -adversary 'splitvote+omit(halves=1)'
 //
 // -adversary takes the adversary language of cmd/treeaa (DESIGN §9), minus
-// crash: it corrupts adaptively, and messages on the wire cannot be
-// retracted. A party that crashes is the stop clause, an omission party
-// whose seat stops sending partway through its round:
+// its adaptive clause, crash (cli.IsAdaptive): it corrupts mid-run, and
+// messages on the wire cannot be retracted. A party that crashes is the
+// stop clause, an omission party whose seat stops sending partway through
+// its round:
 //
 //	node -cluster 7 -t 2 -tree path:40 -adversary 'splitvote+stop(rounds=2)'
 //
@@ -51,7 +52,7 @@
 // the host co-hosts — and everything the mesh cannot host (a faulty party
 // beside async seats, an acting adversary with no corrupted party) are
 // decided, and explained, by transport's Seat.Role alone. This command
-// refuses only the crash clause, and -cluster asks Role about every seat
+// refuses only the adaptive clause, and -cluster asks Role about every seat
 // before it spawns any.
 //
 // -tree graph:<spec> swaps the input space for a block graph (see

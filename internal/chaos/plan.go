@@ -2,10 +2,13 @@
 // for the TCP substrate: the plan of an adversary spec's link clauses (lat,
 // stall, drop, part), a net.Conn injector that materializes it at the
 // transport's connection boundary, and a printer of the schedule a plan
-// materializes for one seed. The harnesses that run under the injector
-// live with the code they check: check.RunCell's TCP differential, the
-// async mesh cells in this package's tests, and the serving soak in
-// internal/session's.
+// materializes for one seed. The link clauses are rows of internal/cli's
+// adversary table, which declares their arguments; cli.ParseAdversary
+// checks the keys and cli.Reader reads the values, so this package holds
+// only what a plan means. The harnesses that run under the injector live
+// with the code they check: cmd/treeaa's and check.RunCell's loopback
+// runs, the async mesh cells in this package's tests, and the serving soak
+// in internal/session's.
 //
 // The injectable faults are deliberately limited to what a lock-step
 // synchronous protocol survives by specification: latency, stalls and

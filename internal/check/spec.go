@@ -20,7 +20,8 @@
 // (lat, stall, drop, part) act under the TCP run only — plus one clause of
 // the checker's own: "evil", a planted machine bug that makes every honest
 // party gradecast a fixed value (deliberately out of model; never
-// generated, only injected to exercise the checker itself). Everything
+// generated, only injected to exercise the checker itself). cli's table
+// declares evil's argument, and BuildAdversary refuses it. Everything
 // randomized in a cell derives from the seed, so a spec reproduces its
 // execution exactly.
 package check

@@ -1,6 +1,7 @@
 // Package cli holds the spec languages shared by the cmd/ binaries and the
 // property checker: the tree and input-space grammar, input spreading and
-// parsing, the adversary language and its one compiler, and the peers file.
+// parsing, the adversary language (its one table, argument reader and
+// party-clause compiler), and the peers file.
 package cli
 
 import (
