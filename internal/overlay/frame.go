@@ -58,32 +58,33 @@ func appendWatermarks(dst []byte, have []uint64) []byte {
 	return dst
 }
 
-func consumeWatermarks(b []byte, n int) ([]uint64, []byte, error) {
-	count, b, err := wire.ConsumeUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
+// readWatermarks reads the watermarks of an n-party overlay.
+func readWatermarks(r *wire.Reader, n int) []uint64 {
+	count := r.Uvarint()
 	if count > uint64(n) {
-		return nil, nil, fmt.Errorf("overlay: %d watermarks for n = %d", count, n)
+		r.Fail("%d watermarks for n = %d", count, n)
+		return nil
 	}
 	have := make([]uint64, n)
-	for i := uint64(0); i < count; i++ {
-		var o uint32
-		o, b, err = wire.ConsumeU32(b)
-		if err != nil {
-			return nil, nil, err
-		}
+	for i := uint64(0); i < count && r.Err() == nil; i++ {
+		o := r.U32()
 		if int(o) >= n {
-			return nil, nil, fmt.Errorf("overlay: watermark origin %d out of range", o)
+			r.Fail("watermark origin %d out of range", o)
+			return nil
 		}
-		var w uint64
-		w, b, err = wire.ConsumeUvarint(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		have[o] = w
+		have[o] = r.Uvarint()
 	}
-	return have, b, nil
+	return have
+}
+
+// readHead reads a handshake frame's magic and version.
+func readHead(r *wire.Reader, magic [4]byte) {
+	if string(r.Bytes(4)) != string(magic[:]) {
+		r.Fail("bad magic, want %q", magic[:])
+	}
+	if v := r.Byte(); v != overlayVersion {
+		r.Fail("version %d, want %d", v, overlayVersion)
+	}
 }
 
 func encodeHello(h hello) []byte {
@@ -100,51 +101,24 @@ func encodeHello(h hello) []byte {
 	return appendWatermarks(body, h.have)
 }
 
-func parseHello(body []byte) (hello, error) {
-	var h hello
-	if len(body) < 5 || string(body[:4]) != string(helloMagic[:]) {
-		return h, fmt.Errorf("overlay: not an overlay hello")
+// parseHello decodes a hello sent to a party of an n-party overlay. A hello
+// naming another n is refused before its watermarks are read, so what it
+// claims never sizes an allocation.
+func parseHello(body []byte, n int) (hello, error) {
+	r := wire.NewReader(body)
+	readHead(&r, helloMagic)
+	h := hello{session: r.Uvarint(), from: sim.PartyID(r.ID()), to: sim.PartyID(r.ID()),
+		n: r.ID(), branch: int(r.U32())}
+	if r.Byte() != 0 {
+		r.Fail("bad hello flags")
 	}
-	if body[4] != overlayVersion {
-		return h, fmt.Errorf("overlay: hello version %d, want %d", body[4], overlayVersion)
+	h.lastDown = int(r.Uvarint())
+	if h.n != n {
+		r.Fail("hello n = %d, want %d", h.n, n)
 	}
-	b := body[5:]
-	var err error
-	h.session, b, err = wire.ConsumeUvarint(b)
-	if err != nil {
-		return h, err
-	}
-	var from, to, n, branch uint32
-	if from, b, err = wire.ConsumeU32(b); err != nil {
-		return h, err
-	}
-	if to, b, err = wire.ConsumeU32(b); err != nil {
-		return h, err
-	}
-	if n, b, err = wire.ConsumeU32(b); err != nil {
-		return h, err
-	}
-	if branch, b, err = wire.ConsumeU32(b); err != nil {
-		return h, err
-	}
-	if len(b) < 1 || b[0] != 0 {
-		return h, fmt.Errorf("overlay: bad hello flags")
-	}
-	b = b[1:]
-	down, b, err := wire.ConsumeUvarint(b)
-	if err != nil {
-		return h, err
-	}
-	h.from, h.to = sim.PartyID(from), sim.PartyID(to)
-	h.n, h.branch, h.lastDown = int(n), int(branch), int(down)
-	if h.n < 1 || h.n > wire.MaxIDValue {
-		return h, fmt.Errorf("overlay: hello n = %d out of range", h.n)
-	}
-	if h.have, b, err = consumeWatermarks(b, h.n); err != nil {
-		return h, err
-	}
-	if len(b) != 0 {
-		return h, fmt.Errorf("overlay: %d trailing bytes after hello", len(b))
+	h.have = readWatermarks(&r, n)
+	if err := r.End(); err != nil {
+		return hello{}, fmt.Errorf("overlay: hello: %w", err)
 	}
 	return h, nil
 }
@@ -157,18 +131,11 @@ func encodeAck(have []uint64) []byte {
 }
 
 func parseAck(body []byte, n int) ([]uint64, error) {
-	if len(body) < 5 || string(body[:4]) != string(ackMagic[:]) {
-		return nil, fmt.Errorf("overlay: not an overlay hello-ack")
-	}
-	if body[4] != overlayVersion {
-		return nil, fmt.Errorf("overlay: ack version %d, want %d", body[4], overlayVersion)
-	}
-	have, rest, err := consumeWatermarks(body[5:], n)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("overlay: %d trailing bytes after ack", len(rest))
+	r := wire.NewReader(body)
+	readHead(&r, ackMagic)
+	have := readWatermarks(&r, n)
+	if err := r.End(); err != nil {
+		return nil, fmt.Errorf("overlay: hello-ack: %w", err)
 	}
 	return have, nil
 }

@@ -10,7 +10,7 @@ import (
 func TestHelloRoundtrip(t *testing.T) {
 	h := hello{session: 0xdeadbeefcafe, from: 7, to: 1, n: 12, branch: 3,
 		lastDown: 41, have: []uint64{9, 0, 0, 3, 0, 0, 0, 120, 0, 0, 0, 1}}
-	got, err := parseHello(encodeHello(h))
+	got, err := parseHello(encodeHello(h), h.n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,7 +19,7 @@ func TestHelloRoundtrip(t *testing.T) {
 	}
 
 	empty := hello{session: 1, from: 4, to: 0, n: 5, branch: 2, have: make([]uint64, 5)}
-	got, err = parseHello(encodeHello(empty))
+	got, err = parseHello(encodeHello(empty), empty.n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,19 +38,28 @@ func TestHelloRejects(t *testing.T) {
 		"truncated":      good[:len(good)-1],
 	}
 	for name, b := range cases {
-		if _, err := parseHello(b); err == nil {
+		if _, err := parseHello(b, 4); err == nil {
 			t.Errorf("%s: parsed", name)
 		}
+	}
+
+	// A hello for another n is refused before its watermarks are read, so a
+	// peer's n never sizes an allocation.
+	if _, err := parseHello(good, 5); err == nil {
+		t.Error("hello for n = 4 parsed by a party of n = 5")
+	}
+	if _, err := parseHello(encodeHello(hello{session: 1, from: 2, to: 0, n: 1 << 30, branch: 2}), 4); err == nil {
+		t.Error("hello claiming n = 2^30 parsed by a party of n = 4")
 	}
 
 	// Nonzero flags and out-of-range watermark origins are rejected.
 	flagged := append([]byte{}, good...)
 	flagged[len(flagged)-3] = 1 // flags byte sits before lastDown|count (both 0)
-	if _, err := parseHello(flagged); err == nil {
+	if _, err := parseHello(flagged, 4); err == nil {
 		t.Error("nonzero flags parsed")
 	}
 	if _, err := parseHello(encodeHello(hello{session: 1, from: 2, to: 0, n: 4, branch: 2,
-		have: []uint64{0, 0, 0, 0, 7}})); err == nil {
+		have: []uint64{0, 0, 0, 0, 7}}), 4); err == nil {
 		t.Error("watermark beyond n parsed")
 	}
 }

@@ -651,8 +651,8 @@ func (nd *node) handshake(conn net.Conn) {
 		return
 	}
 	nd.opts.Wire.AddRecv(len(body))
-	hel, err := parseHello(body)
-	if err != nil || hel.session != nd.session || hel.to != nd.id || hel.n != nd.n ||
+	hel, err := parseHello(body, nd.n)
+	if err != nil || hel.session != nd.session || hel.to != nd.id ||
 		hel.branch != nd.lay.Branching || hel.from == nd.id || hel.from < 0 || int(hel.from) >= nd.n {
 		conn.Close()
 		return

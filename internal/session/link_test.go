@@ -97,7 +97,9 @@ func (c linkTap) Write(b []byte) (int, error) {
 		if size == 0 {
 			break
 		}
-		if _, body, _ := wire.ConsumeUvarint(rest[:size]); body[0] == transport.FrameMuxSession {
+		r := wire.NewReader(rest[:size])
+		r.Uvarint()
+		if body := r.Rest(); body[0] == transport.FrameMuxSession {
 			*c.frames = append(*c.frames, append([]byte(nil), body[1:]...))
 		}
 		rest = rest[size:]
@@ -194,8 +196,9 @@ func TestRoundFrameIdenticalAcrossFabrics(t *testing.T) {
 					t.Fatalf("link %d→%d round %d: engine staged %d frames, mesh wrote %d in all",
 						self, to, round, frames, len(mesh[self][to]))
 				}
-				_, rest, _ := wire.ConsumeUvarint(batch)
-				got, err := wire.Decode(rest[1:])
+				r := wire.NewReader(batch)
+				r.Uvarint()
+				got, err := wire.Decode(r.Rest()[1:])
 				if err != nil {
 					t.Fatal(err)
 				}

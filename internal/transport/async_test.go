@@ -32,7 +32,7 @@ func (c *announceConn) Write(b []byte) (int, error) {
 		if size == 0 {
 			break
 		}
-		if _, body, _ := wire.ConsumeUvarint(rest); body[0] == FrameMuxSession {
+		if headBody(rest)[0] == FrameMuxSession {
 			rounds, announce = true, announce || control
 		}
 		rest = rest[size:]
@@ -140,8 +140,7 @@ func TestDiscardKeepsCountExact(t *testing.T) {
 		l.mu.Unlock()
 		for len(batch) > 0 {
 			round, control, size := FrameInfo(batch)
-			_, body, _ := wire.ConsumeUvarint(batch)
-			tags = append(tags, fmt.Sprintf("%#x/r%d/%v", body[0], round, control))
+			tags = append(tags, fmt.Sprintf("%#x/r%d/%v", headBody(batch)[0], round, control))
 			batch = batch[size:]
 		}
 		return tags

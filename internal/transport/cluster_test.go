@@ -109,7 +109,7 @@ func (c *frameTap) Write(b []byte) (int, error) {
 		if size == 0 {
 			break
 		}
-		if _, body, _ := wire.ConsumeUvarint(rest); !control || body[0] == FrameMuxSession {
+		if body := headBody(rest); !control || body[0] == FrameMuxSession {
 			c.seen(body[0], round)
 		}
 		rest = rest[size:]

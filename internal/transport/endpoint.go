@@ -11,7 +11,6 @@ import (
 	"treeaa/internal/driver"
 	"treeaa/internal/metrics"
 	"treeaa/internal/sim"
-	"treeaa/internal/wire"
 )
 
 // Options tunes the TCP substrate. The zero value gets sane defaults.
@@ -424,7 +423,7 @@ func (e *endpoint) discard(owner, peer sim.PartyID) {
 	out, frames := l.pending[:0], 0
 	for rest := l.pending; len(rest) > 0; {
 		_, control, size := FrameInfo(rest)
-		if _, body, _ := wire.ConsumeUvarint(rest); body[0] != frameCount && body[0] != frameBye {
+		if typ := headBody(rest)[0]; typ != frameCount && typ != frameBye {
 			keep = append(keep, control)
 		}
 		if control {

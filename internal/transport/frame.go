@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -129,12 +130,13 @@ var byeFrame = AppendFrame(nil, []byte{frameBye})
 
 // parseCount decodes a count frame body.
 func parseCount(body []byte) (uint64, error) {
-	if len(body) == 0 || body[0] != frameCount {
-		return 0, fmt.Errorf("transport: not a count frame")
+	r := wire.NewReader(body)
+	if r.Byte() != frameCount {
+		r.Fail("not a count frame")
 	}
-	rcvd, rest, err := wire.ConsumeUvarint(body[1:])
-	if err != nil || len(rest) != 0 {
-		return 0, fmt.Errorf("transport: malformed count frame")
+	rcvd := r.Uvarint()
+	if err := r.End(); err != nil {
+		return 0, fmt.Errorf("transport: count frame: %w", err)
 	}
 	return rcvd, nil
 }
@@ -158,21 +160,21 @@ func encodeMirror(round int, to sim.PartyID, body []byte) []byte {
 // message it mirrors: what from sent in that round, to one recipient or to
 // sim.Broadcast.
 func parseMirror(from sim.PartyID, body []byte) (sim.Message, error) {
-	round, rest, err := consumeRound(body[1:])
-	if err != nil {
-		return sim.Message{}, err
+	r := wire.NewReader(body)
+	if r.Byte() != frameMirror {
+		r.Fail("not a mirror frame")
 	}
-	rcpt, rest, err := wire.ConsumeU32(rest)
-	if err != nil || (rcpt > wire.MaxIDValue && rcpt != mirrorBroadcast) {
-		return sim.Message{}, fmt.Errorf("transport: bad mirror recipient")
-	}
+	round, rcpt := r.Round(), r.U32()
 	to := sim.PartyID(rcpt)
-	if rcpt == mirrorBroadcast {
+	switch {
+	case rcpt == mirrorBroadcast:
 		to = sim.Broadcast
+	case rcpt > wire.MaxIDValue:
+		r.Fail("mirror recipient %d out of range", rcpt)
 	}
-	payload, err := wire.Decode(rest)
-	if err != nil {
-		return sim.Message{}, fmt.Errorf("transport: bad payload body: %w", err)
+	payload, err := wire.Decode(r.Rest())
+	if err = cmp.Or(r.Err(), err); err != nil {
+		return sim.Message{}, fmt.Errorf("transport: mirror frame: %w", err)
 	}
 	return sim.Message{From: from, To: to, Round: round, Payload: payload}, nil
 }
@@ -190,18 +192,18 @@ func parseMirror(from sim.PartyID, body []byte) (sim.Message, error) {
 // re-implementing the framing. A link writes batches, so a write is walked
 // frame by frame: b[size:] starts the next one.
 func FrameInfo(b []byte) (round int, control bool, size int) {
-	n, rest, err := wire.ConsumeUvarint(b)
-	if err != nil || uint64(len(rest)) < n || n == 0 {
+	body := headBody(b)
+	if len(body) == 0 {
 		return 0, false, 0
 	}
-	size = len(b) - len(rest) + int(n)
+	size = sim.UvarintLen(uint64(len(body))) + len(body)
 	ok := true
-	switch body := rest[:n]; body[0] {
+	switch body[0] {
 	case FrameMuxHello, frameCount, frameBye:
 		control = true
 	case frameMirror:
-		round, _, err = consumeRound(body[1:])
-		ok = err == nil
+		br := wire.NewReader(body[1:])
+		round, ok = br.Round(), br.Err() == nil
 	case FrameMuxSession:
 		round, control, ok = muxSessionInfo(body[1:])
 	default:
@@ -211,6 +213,13 @@ func FrameInfo(b []byte) (round int, control bool, size int) {
 		return 0, false, 0
 	}
 	return round, control, size
+}
+
+// headBody returns the body of the frame b starts with: nil when b starts
+// with no well-formed length prefix.
+func headBody(b []byte) []byte {
+	r := wire.NewReader(b)
+	return r.Bytes(r.Uvarint())
 }
 
 // muxSessionInfo classifies one wire session body: a SessionRound carries a
@@ -228,15 +237,4 @@ func muxSessionInfo(b []byte) (round int, control bool, ok bool) {
 	default:
 		return 0, false, false
 	}
-}
-
-func consumeRound(b []byte) (int, []byte, error) {
-	r, rest, err := wire.ConsumeUvarint(b)
-	if err != nil {
-		return 0, nil, fmt.Errorf("transport: bad round: %w", err)
-	}
-	if r == 0 || r > math.MaxInt32 {
-		return 0, nil, fmt.Errorf("transport: round %d out of range", r)
-	}
-	return int(r), rest, nil
 }

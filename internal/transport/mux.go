@@ -762,31 +762,19 @@ func encodeMuxHello(from, to sim.PartyID, n int, hash uint64) []byte {
 }
 
 func parseMuxHello(body []byte) (from, to sim.PartyID, n int, hash uint64, err error) {
-	fail := func(msg string) (sim.PartyID, sim.PartyID, int, uint64, error) {
-		return 0, 0, 0, 0, fmt.Errorf("transport: bad mux hello: %s", msg)
+	r := wire.NewReader(body)
+	if r.Byte() != FrameMuxHello {
+		r.Fail("not a mux hello")
 	}
-	if len(body) < 1 || body[0] != FrameMuxHello {
-		return fail("not a mux hello")
+	if string(r.Bytes(4)) != string(muxMagic[:]) {
+		r.Fail("bad magic")
 	}
-	b := body[1:]
-	if len(b) != 4+1+4+4+4+8 {
-		return fail("wrong length")
+	if v := r.Byte(); v != muxVersion {
+		r.Fail("mux version %d, want %d", v, muxVersion)
 	}
-	if [4]byte(b[:4]) != muxMagic {
-		return fail("bad magic")
+	from, to, n, hash = sim.PartyID(r.ID()), sim.PartyID(r.ID()), r.ID(), r.U64()
+	if err := r.End(); err != nil {
+		return 0, 0, 0, 0, fmt.Errorf("transport: bad mux hello: %w", err)
 	}
-	if b[4] != muxVersion {
-		return fail(fmt.Sprintf("mux version %d, want %d", b[4], muxVersion))
-	}
-	b = b[5:]
-	f, b, _ := wire.ConsumeU32(b)
-	t, b, _ := wire.ConsumeU32(b)
-	nv, b, _ := wire.ConsumeU32(b)
-	if f > wire.MaxIDValue || t > wire.MaxIDValue || nv > wire.MaxIDValue {
-		return fail("id out of range")
-	}
-	for _, x := range b {
-		hash = hash<<8 | uint64(x)
-	}
-	return sim.PartyID(f), sim.PartyID(t), int(nv), hash, nil
+	return from, to, n, hash, nil
 }

@@ -117,90 +117,21 @@ func appendAsyncReport(dst []byte, m AsyncReport) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(m.Senders) > maxLen {
-		return nil, fmt.Errorf("wire: report of %d senders exceeds limit", len(m.Senders))
-	}
-	dst = AppendUvarint(dst, uint64(len(m.Senders)))
-	prev := -1
-	for _, p := range m.Senders {
-		if int(p) <= prev {
-			return nil, fmt.Errorf("wire: report senders not strictly ascending at %d", p)
-		}
-		prev = int(p)
-		if dst, err = appendID(dst, int(p)); err != nil {
-			return nil, err
-		}
-	}
-	return dst, nil
+	return appendIDs(dst, m.Senders, func(p sim.PartyID) int { return int(p) }, nil)
 }
 
 // ---- decoders
 
-func consumeAsyncHeader(b []byte) (phase, kind byte, iter int, src sim.PartyID, rest []byte, err error) {
-	if len(b) < 2 {
-		return 0, 0, 0, 0, nil, malformed("truncated async header")
-	}
-	phase, kind, b = b[0], b[1], b[2:]
+func (r *Reader) asyncHeader() (phase, kind byte, iter int, src sim.PartyID) {
+	phase, kind = r.Byte(), r.Byte()
 	if phase != AsyncPhasePathsFinder && phase != AsyncPhaseProjection {
-		return 0, 0, 0, 0, nil, malformed("async phase %d out of range", phase)
+		r.Fail("async phase %d out of range", phase)
 	}
 	if kind < AsyncKindInit || kind > AsyncKindReady {
-		return 0, 0, 0, 0, nil, malformed("async kind %d out of range", kind)
+		r.Fail("async kind %d out of range", kind)
 	}
-	iter, b, err = consumeIter(b)
-	if err != nil {
-		return 0, 0, 0, 0, nil, err
+	if iter = r.Iter(); iter < 1 {
+		r.Fail("async iteration %d out of range", iter)
 	}
-	if iter < 1 {
-		return 0, 0, 0, 0, nil, malformed("async iteration %d out of range", iter)
-	}
-	id, b, err := consumeID(b)
-	if err != nil {
-		return 0, 0, 0, 0, nil, err
-	}
-	return phase, kind, iter, sim.PartyID(id), b, nil
-}
-
-func decodeAsyncValue(b []byte) (any, []byte, error) {
-	phase, kind, iter, src, b, err := consumeAsyncHeader(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	val, b, err := consumeFloat(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	return AsyncValue{Phase: phase, Kind: kind, Iter: iter, Src: src, Val: val}, b, nil
-}
-
-func decodeAsyncReport(b []byte) (any, []byte, error) {
-	phase, kind, iter, src, b, err := consumeAsyncHeader(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	count, b, err := ConsumeUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if count > maxLen || count*4 > uint64(len(b)) {
-		return nil, nil, malformed("report sender count %d exceeds buffer", count)
-	}
-	m := AsyncReport{Phase: phase, Kind: kind, Iter: iter, Src: src}
-	if count > 0 {
-		m.Senders = make([]sim.PartyID, 0, count)
-	}
-	prev := -1
-	for i := uint64(0); i < count; i++ {
-		var id int
-		id, b, err = consumeID(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		if id <= prev {
-			return nil, nil, malformed("report senders not strictly ascending")
-		}
-		prev = id
-		m.Senders = append(m.Senders, sim.PartyID(id))
-	}
-	return m, b, nil
+	return phase, kind, iter, sim.PartyID(r.ID())
 }

@@ -23,9 +23,7 @@ package wire
 // ReadFrame), exactly like the peer mux.
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"treeaa/internal/sim"
 	"treeaa/internal/tree"
@@ -95,26 +93,12 @@ type ClientOutcome struct {
 // ---- encoders
 
 func appendClientSubmit(dst []byte, m ClientSubmit) ([]byte, error) {
-	if m.T < 0 || m.T > math.MaxInt32 {
-		return nil, fmt.Errorf("wire: submit t %d out of range", m.T)
-	}
-	dst = append(dst, Version, TypeClientSubmit)
-	dst = AppendUvarint(dst, m.SID)
-	dst, err := appendString(dst, m.Tree)
+	dst = AppendUvarint(append(dst, Version, TypeClientSubmit), m.SID)
+	dst, err := appendSpec(dst, spec{m.Tree, m.Seed, m.T, m.Inputs, m.TTLMillis})
 	if err != nil {
 		return nil, err
 	}
-	dst = binary.BigEndian.AppendUint64(dst, uint64(m.Seed))
-	dst = AppendUvarint(dst, uint64(m.T))
-	if dst, err = appendString(dst, m.Inputs); err != nil {
-		return nil, err
-	}
-	dst = AppendUvarint(dst, m.TTLMillis)
-	var flags byte
-	if m.Wait {
-		flags |= 0x01
-	}
-	return append(dst, flags), nil
+	return appendFlag(dst, m.Wait), nil
 }
 
 func appendClientQuery(dst []byte, typ byte, sid uint64) []byte {
@@ -129,185 +113,24 @@ func appendClientOutcome(dst []byte, m ClientOutcome) ([]byte, error) {
 	if m.LatencyNS < 0 {
 		return nil, fmt.Errorf("wire: negative latency %d", m.LatencyNS)
 	}
-	if m.Rounds < 0 || m.Rounds > math.MaxInt32 {
-		return nil, fmt.Errorf("wire: outcome rounds %d out of range", m.Rounds)
-	}
-	if m.Msgs < 0 || uint64(m.Msgs) > maxCount || m.Bytes < 0 || uint64(m.Bytes) > maxCount {
-		return nil, fmt.Errorf("wire: outcome counters %d/%d out of range", m.Msgs, m.Bytes)
-	}
-	dst = append(dst, Version, TypeClientOutcome)
-	var flags byte
-	if m.OK {
-		flags |= 0x01
-	}
-	dst = append(dst, flags)
-	dst = AppendUvarint(dst, m.SID)
-	dst = append(dst, m.State)
+	dst = appendFlag(append(dst, Version, TypeClientOutcome), m.OK)
+	dst = append(AppendUvarint(dst, m.SID), m.State)
 	dst, err := appendString(dst, m.Err)
 	if err != nil {
 		return nil, err
 	}
 	dst = AppendUvarint(dst, uint64(m.LatencyNS))
-	dst = AppendUvarint(dst, uint64(m.Rounds))
-	dst = AppendUvarint(dst, uint64(m.Msgs))
-	dst = AppendUvarint(dst, uint64(m.Bytes))
-	dst = AppendUvarint(dst, uint64(len(m.Outputs)))
-	prev := -1
-	for _, pair := range m.Outputs {
-		if int(pair.Party) <= prev {
-			return nil, fmt.Errorf("wire: outcome outputs not strictly ascending at party %d", pair.Party)
-		}
-		prev = int(pair.Party)
-		if dst, err = appendID(dst, int(pair.Party)); err != nil {
-			return nil, err
-		}
-		if dst, err = appendID(dst, int(pair.V)); err != nil {
-			return nil, err
-		}
-	}
-	return dst, nil
+	return appendResult(dst, result{m.Rounds, m.Msgs, m.Bytes, m.Outputs})
 }
 
 // ---- decoders
 
-func decodeClientSubmit(b []byte) (any, []byte, error) {
-	sid, b, err := ConsumeUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	treeSpec, b, err := consumeString(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(b) < 8 {
-		return nil, nil, malformed("truncated submit seed")
-	}
-	seed := binary.BigEndian.Uint64(b[:8])
-	b = b[8:]
-	t, b, err := consumeIter(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	inputs, b, err := consumeString(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	ttl, b, err := ConsumeUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(b) < 1 {
-		return nil, nil, malformed("truncated submit flags")
-	}
-	flags := b[0]
-	if flags&^byte(0x01) != 0 {
-		return nil, nil, malformed("unknown submit flags %#x", flags)
-	}
-	return ClientSubmit{SID: sid, Tree: treeSpec, Seed: int64(seed), T: t,
-		Inputs: inputs, TTLMillis: ttl, Wait: flags&0x01 != 0}, b[1:], nil
-}
-
-func decodeClientQuery(b []byte, typ byte) (any, []byte, error) {
-	sid, b, err := ConsumeUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if typ == TypeClientWait {
-		return ClientWait{SID: sid}, b, nil
-	}
-	return ClientStatus{SID: sid}, b, nil
-}
-
-func decodeClientOutcome(b []byte) (any, []byte, error) {
-	if len(b) < 1 {
-		return nil, nil, malformed("truncated outcome flags")
-	}
-	flags := b[0]
-	if flags&^byte(0x01) != 0 {
-		return nil, nil, malformed("unknown outcome flags %#x", flags)
-	}
-	b = b[1:]
-	sid, b, err := ConsumeUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(b) < 1 {
-		return nil, nil, malformed("truncated outcome state")
-	}
-	state := b[0]
+func decodeClientOutcome(r *Reader) any {
+	ok, sid, state := r.Flag(), r.Uvarint(), r.Byte()
 	if state > maxClientState && state != ClientStateNone {
-		return nil, nil, malformed("outcome state %d out of range", state)
+		r.Fail("outcome state %d out of range", state)
 	}
-	b = b[1:]
-	errStr, b, err := consumeString(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	lat, b, err := ConsumeUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if lat > uint64(math.MaxInt64) {
-		return nil, nil, malformed("latency %d out of range", lat)
-	}
-	rounds, b, err := consumeIter(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	msgs, b, err := consumeCount(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	bytesSum, b, err := consumeCount(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	count, b, err := ConsumeUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if count > uint64(MaxIDValue)+1 || 8*count > uint64(len(b)) {
-		return nil, nil, malformed("output count %d exceeds buffer", count)
-	}
-	var outputs []OutputPair
-	prev := -1
-	for i := uint64(0); i < count; i++ {
-		var party, v int
-		if party, b, err = consumeID(b); err != nil {
-			return nil, nil, err
-		}
-		if v, b, err = consumeID(b); err != nil {
-			return nil, nil, err
-		}
-		if party <= prev {
-			return nil, nil, malformed("outcome outputs not strictly ascending at party %d", party)
-		}
-		prev = party
-		outputs = append(outputs, OutputPair{Party: sim.PartyID(party), V: tree.VertexID(v)})
-	}
-	return ClientOutcome{OK: flags&0x01 != 0, SID: sid, State: state, Err: errStr,
-		LatencyNS: int64(lat), Rounds: rounds, Msgs: msgs, Bytes: bytesSum,
-		Outputs: outputs}, b, nil
-}
-
-// PeekSession reads the type tag and session id of an encoded session-plane
-// frame (0x08–0x0C, 0x18) without decoding its payload — the serving mux's
-// routing primitive: a data frame goes to the owning engine's shard as raw
-// bytes and is decoded there, once, by whoever steps the engine.
-func PeekSession(b []byte) (typ byte, sid uint64, err error) {
-	if len(b) < 3 {
-		return 0, 0, malformed("body shorter than session header")
-	}
-	if b[0] != Version {
-		return 0, 0, malformed("version %d, want %d", b[0], Version)
-	}
-	typ = b[1]
-	if (typ < TypeSessionMsg || typ > TypeSessionDecide) && typ != TypeSessionRound {
-		return 0, 0, malformed("unknown session type 0x%02x", typ)
-	}
-	sid, _, err = ConsumeUvarint(b[2:])
-	if err != nil {
-		return 0, 0, err
-	}
-	return typ, sid, nil
+	errStr, lat, res := r.Str(), r.latency(), r.result()
+	return ClientOutcome{OK: ok, SID: sid, State: state, Err: errStr, LatencyNS: lat,
+		Rounds: res.rounds, Msgs: res.msgs, Bytes: res.bytes, Outputs: res.outputs}
 }

@@ -1,7 +1,7 @@
 package wire
 
-// go test -fuzz=FuzzDecode ./internal/wire/ — the Makefile fuzz-wire target
-// runs it for 30s. The corpus is seeded from the committed golden frames
+// go test -fuzz=FuzzDecode ./internal/wire/ — make fuzz (30s) and make
+// fuzz-short (10s) run it. The corpus is seeded from the committed golden frames
 // (testdata/wire/*.bin) and the retired ones (testdata/wire/retired/*.bin)
 // plus systematic mutations of them; the invariants
 // are: Decode never panics, and every accepted frame is canonical

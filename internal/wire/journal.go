@@ -36,7 +36,6 @@ import (
 	"math"
 
 	"treeaa/internal/sim"
-	"treeaa/internal/tree"
 )
 
 // Journal type tags (continuing the client tags 0x0D–0x10).
@@ -93,36 +92,28 @@ const minSealState byte = 2
 // ---- encoders
 
 func appendJournalOpen(dst []byte, m JournalOpen) ([]byte, error) {
-	if m.T < 0 || m.T > math.MaxInt32 {
-		return nil, fmt.Errorf("wire: journal open t %d out of range", m.T)
-	}
-	dst = append(dst, Version, TypeJournalOpen)
-	dst = AppendUvarint(dst, m.SID)
+	dst = AppendUvarint(append(dst, Version, TypeJournalOpen), m.SID)
 	dst, err := appendID(dst, int(m.Origin))
 	if err != nil {
 		return nil, err
 	}
-	if dst, err = appendString(dst, m.Tree); err != nil {
+	if dst, err = appendSpec(dst, spec{m.Tree, m.Seed, m.T, m.Inputs, m.TTLMillis}); err != nil {
 		return nil, err
 	}
-	dst = binary.BigEndian.AppendUint64(dst, uint64(m.Seed))
-	dst = AppendUvarint(dst, uint64(m.T))
-	if dst, err = appendString(dst, m.Inputs); err != nil {
-		return nil, err
-	}
-	dst = AppendUvarint(dst, m.TTLMillis)
 	return binary.BigEndian.AppendUint64(dst, uint64(m.DeadlineUnixNano)), nil
 }
 
+// sessionPlane reports whether body is a session-plane frame (0x08–0x0C),
+// the only kind a JournalFrame holds.
+func sessionPlane(body []byte) bool {
+	return len(body) >= 2 && body[1] >= TypeSessionMsg && body[1] <= TypeSessionDecide
+}
+
 func appendJournalFrame(dst []byte, m JournalFrame) ([]byte, error) {
-	if len(m.Body) > maxLen {
-		return nil, fmt.Errorf("wire: journal frame body of %d bytes exceeds limit", len(m.Body))
+	if len(m.Body) > maxLen || !sessionPlane(m.Body) {
+		return nil, fmt.Errorf("wire: journal frame body must be a session-plane frame within the limit")
 	}
-	if len(m.Body) < 2 || m.Body[1] < TypeSessionMsg || m.Body[1] > TypeSessionDecide {
-		return nil, fmt.Errorf("wire: journal frame body must be a session-plane frame")
-	}
-	dst = append(dst, Version, TypeJournalFrame)
-	dst, err := appendID(dst, int(m.From))
+	dst, err := appendID(append(dst, Version, TypeJournalFrame), int(m.From))
 	if err != nil {
 		return nil, err
 	}
@@ -137,179 +128,54 @@ func appendJournalSeal(dst []byte, m JournalSeal) ([]byte, error) {
 	if m.LatencyNS < 0 {
 		return nil, fmt.Errorf("wire: negative journal seal latency %d", m.LatencyNS)
 	}
-	dst = append(dst, Version, TypeJournalSeal)
-	dst = AppendUvarint(dst, m.SID)
-	dst = append(dst, m.State)
+	dst = append(AppendUvarint(append(dst, Version, TypeJournalSeal), m.SID), m.State)
 	dst, err := appendString(dst, m.Reason)
 	if err != nil {
 		return nil, err
 	}
-	dst = AppendUvarint(dst, uint64(m.LatencyNS))
+	dst = appendFlag(AppendUvarint(dst, uint64(m.LatencyNS)), m.HasResult)
 	if !m.HasResult {
-		return append(dst, 0), nil
+		return dst, nil
 	}
-	if m.Rounds < 0 || m.Rounds > math.MaxInt32 {
-		return nil, fmt.Errorf("wire: journal seal rounds %d out of range", m.Rounds)
-	}
-	if m.Msgs < 0 || uint64(m.Msgs) > maxCount || m.Bytes < 0 || uint64(m.Bytes) > maxCount {
-		return nil, fmt.Errorf("wire: journal seal counters %d/%d out of range", m.Msgs, m.Bytes)
-	}
-	dst = append(dst, 1)
-	dst = AppendUvarint(dst, uint64(m.Rounds))
-	dst = AppendUvarint(dst, uint64(m.Msgs))
-	dst = AppendUvarint(dst, uint64(m.Bytes))
-	dst = AppendUvarint(dst, uint64(len(m.Outputs)))
-	prev := -1
-	for _, pair := range m.Outputs {
-		if int(pair.Party) <= prev {
-			return nil, fmt.Errorf("wire: journal seal outputs not strictly ascending at party %d", pair.Party)
-		}
-		prev = int(pair.Party)
-		if dst, err = appendID(dst, int(pair.Party)); err != nil {
-			return nil, err
-		}
-		if dst, err = appendID(dst, int(pair.V)); err != nil {
-			return nil, err
-		}
-	}
-	return dst, nil
+	return appendResult(dst, result{m.Rounds, m.Msgs, m.Bytes, m.Outputs})
 }
 
 // ---- decoders
 
-func decodeJournalOpen(b []byte) (any, []byte, error) {
-	sid, b, err := ConsumeUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	origin, b, err := consumeID(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	treeSpec, b, err := consumeString(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(b) < 8 {
-		return nil, nil, malformed("truncated journal open seed")
-	}
-	seed := int64(binary.BigEndian.Uint64(b))
-	b = b[8:]
-	t, b, err := consumeIter(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	inputs, b, err := consumeString(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	ttl, b, err := ConsumeUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(b) < 8 {
-		return nil, nil, malformed("truncated journal open deadline")
-	}
-	deadline := int64(binary.BigEndian.Uint64(b))
-	b = b[8:]
-	return JournalOpen{SID: sid, Origin: sim.PartyID(origin), Tree: treeSpec,
-		Seed: seed, T: t, Inputs: inputs, TTLMillis: ttl,
-		DeadlineUnixNano: deadline}, b, nil
-}
-
-func decodeJournalFrame(b []byte) (any, []byte, error) {
-	from, b, err := consumeID(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	n, b, err := ConsumeUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n > maxLen || n > uint64(len(b)) {
-		return nil, nil, malformed("journal frame body length %d exceeds buffer", n)
-	}
-	body := append([]byte(nil), b[:n]...)
-	b = b[n:]
+func decodeJournalFrame(r *Reader) any {
+	from, body := r.ID(), r.prefixed()
 	// The nested body must itself be a canonical session-plane frame: a
 	// journaled frame that would not have survived the link reader must not
 	// survive replay either.
-	if len(body) < 2 || body[1] < TypeSessionMsg || body[1] > TypeSessionDecide {
-		return nil, nil, malformed("journal frame body is not a session-plane frame")
+	if !sessionPlane(body) {
+		r.Fail("journal frame body is not a session-plane frame")
 	}
-	if _, err := Decode(body); err != nil {
-		return nil, nil, fmt.Errorf("%w (nested journal frame body)", err)
+	if r.Err() == nil {
+		_, err := Decode(body)
+		r.keep(err)
 	}
-	return JournalFrame{From: sim.PartyID(from), Body: body}, b, nil
+	return JournalFrame{From: sim.PartyID(from), Body: append([]byte(nil), body...)}
 }
 
-func decodeJournalSeal(b []byte) (any, []byte, error) {
-	sid, b, err := ConsumeUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(b) < 1 {
-		return nil, nil, malformed("truncated journal seal state")
-	}
-	state := b[0]
+func decodeJournalSeal(r *Reader) any {
+	sid, state := r.Uvarint(), r.Byte()
 	if state < minSealState || state > maxClientState {
-		return nil, nil, malformed("journal seal state %d is not terminal", state)
+		r.Fail("journal seal state %d is not terminal", state)
 	}
-	b = b[1:]
-	reason, b, err := consumeString(b)
-	if err != nil {
-		return nil, nil, err
+	m := JournalSeal{SID: sid, State: state, Reason: r.Str(), LatencyNS: r.latency(), HasResult: r.Flag()}
+	if m.HasResult {
+		res := r.result()
+		m.Rounds, m.Msgs, m.Bytes, m.Outputs = res.rounds, res.msgs, res.bytes, res.outputs
 	}
-	lat, b, err := ConsumeUvarint(b)
-	if err != nil {
-		return nil, nil, err
+	return m
+}
+
+// latency reads a latency in nanoseconds: a uvarint that fits an int64.
+func (r *Reader) latency() int64 {
+	x := r.Uvarint()
+	if x > math.MaxInt64 {
+		r.Fail("latency %d out of range", x)
+		return 0
 	}
-	if lat > uint64(math.MaxInt64) {
-		return nil, nil, malformed("journal seal latency %d out of range", lat)
-	}
-	if len(b) < 1 {
-		return nil, nil, malformed("truncated journal seal flags")
-	}
-	flags := b[0]
-	if flags&^byte(0x01) != 0 {
-		return nil, nil, malformed("unknown journal seal flags %#x", flags)
-	}
-	b = b[1:]
-	m := JournalSeal{SID: sid, State: state, Reason: reason, LatencyNS: int64(lat)}
-	if flags&0x01 == 0 {
-		return m, b, nil
-	}
-	m.HasResult = true
-	if m.Rounds, b, err = consumeIter(b); err != nil {
-		return nil, nil, err
-	}
-	if m.Msgs, b, err = consumeCount(b); err != nil {
-		return nil, nil, err
-	}
-	if m.Bytes, b, err = consumeCount(b); err != nil {
-		return nil, nil, err
-	}
-	count, b, err := ConsumeUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if count > uint64(MaxIDValue)+1 || 8*count > uint64(len(b)) {
-		return nil, nil, malformed("journal seal output count %d exceeds buffer", count)
-	}
-	prev := -1
-	for i := uint64(0); i < count; i++ {
-		var party, v int
-		if party, b, err = consumeID(b); err != nil {
-			return nil, nil, err
-		}
-		if v, b, err = consumeID(b); err != nil {
-			return nil, nil, err
-		}
-		if party <= prev {
-			return nil, nil, malformed("journal seal outputs not strictly ascending at party %d", party)
-		}
-		prev = party
-		m.Outputs = append(m.Outputs, OutputPair{Party: sim.PartyID(party), V: tree.VertexID(v)})
-	}
-	return m, b, nil
+	return int64(x)
 }

@@ -64,25 +64,22 @@ type OverlayEOR struct {
 	Done    []byte // parties whose machines have terminated
 }
 
-// checkRelayBody validates the nested frame header of a relay body: a leaf
-// protocol frame of this codec's version. Full structural validation is the
+// leafBody reports whether body is a leaf protocol frame of this codec's
+// version, the only thing a relay carries. Full structural validation is the
 // delivering node's Decode of the body; relays never pay it.
-func checkRelayBody(body []byte) error {
-	if len(body) > maxLen {
-		return fmt.Errorf("wire: relay body of %d bytes exceeds limit", len(body))
-	}
+func leafBody(body []byte) bool {
 	if len(body) >= 2 && body[0] == Version {
 		switch body[1] {
 		case TypeGradecastSend, TypeGradecastEcho, TypeGradecastVote, TypeCrashValue:
-			return nil
+			return true
 		}
 	}
-	return fmt.Errorf("wire: relay body is not a leaf protocol frame")
+	return false
 }
 
 func appendRelay(dst []byte, m RelayMsg) ([]byte, error) {
-	if err := checkRelayBody(m.Body); err != nil {
-		return nil, err
+	if len(m.Body) > maxLen || !leafBody(m.Body) {
+		return nil, fmt.Errorf("wire: relay body is not a leaf protocol frame within the limit")
 	}
 	if m.Dest < sim.Broadcast || int(m.Dest) > MaxIDValue {
 		return nil, fmt.Errorf("wire: relay dest %d out of range", m.Dest)
@@ -93,8 +90,7 @@ func appendRelay(dst []byte, m RelayMsg) ([]byte, error) {
 	if m.Round < 1 || m.Round > math.MaxInt32 {
 		return nil, fmt.Errorf("wire: relay round %d out of range", m.Round)
 	}
-	dst = append(dst, Version, TypeRelay)
-	dst, err := appendID(dst, int(m.Origin))
+	dst, err := appendID(append(dst, Version, TypeRelay), int(m.Origin))
 	if err != nil {
 		return nil, err
 	}
@@ -105,123 +101,59 @@ func appendRelay(dst []byte, m RelayMsg) ([]byte, error) {
 	return append(dst, m.Body...), nil
 }
 
-func decodeRelay(b []byte) (any, []byte, error) {
-	origin, b, err := consumeID(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	destPlus, b, err := ConsumeUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
+func decodeRelay(r *Reader) any {
+	origin, destPlus, seq := r.ID(), r.Uvarint(), r.Uvarint()
 	if destPlus > MaxIDValue+1 {
-		return nil, nil, malformed("relay dest %d out of range", destPlus)
-	}
-	seq, b, err := ConsumeUvarint(b)
-	if err != nil {
-		return nil, nil, err
+		r.Fail("relay dest %d out of range", destPlus)
 	}
 	if seq == 0 {
-		return nil, nil, malformed("relay seq must be positive")
+		r.Fail("relay seq must be positive")
 	}
-	round, b, err := consumeSessionRound(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	blen, b, err := ConsumeUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if blen > maxLen || blen > uint64(len(b)) {
-		return nil, nil, malformed("relay body length %d exceeds buffer", blen)
-	}
-	body := append([]byte(nil), b[:blen]...)
-	if err := checkRelayBody(body); err != nil {
-		return nil, nil, malformed("%v", err)
+	round, body := r.Round(), r.prefixed()
+	if !leafBody(body) {
+		r.Fail("relay body is not a leaf protocol frame")
 	}
 	return RelayMsg{Origin: sim.PartyID(origin), Dest: sim.PartyID(int64(destPlus) - 1),
-		Seq: seq, Round: round, Body: body}, b[blen:], nil
+		Seq: seq, Round: round, Body: append([]byte(nil), body...)}
 }
 
-// checkBitmap enforces the canonical minimal bitmap form.
-func checkBitmap(name string, bm []byte) error {
-	if len(bm) > maxLen {
-		return fmt.Errorf("wire: %s bitmap of %d bytes exceeds limit", name, len(bm))
-	}
-	if n := len(bm); n > 0 && bm[n-1] == 0 {
-		return fmt.Errorf("wire: %s bitmap has trailing zero byte", name)
-	}
-	return nil
+// canonicalBitmap reports whether bm has the canonical minimal form.
+func canonicalBitmap(bm []byte) bool {
+	return len(bm) <= maxLen && (len(bm) == 0 || bm[len(bm)-1] != 0)
 }
 
 func appendOverlayEOR(dst []byte, m OverlayEOR) ([]byte, error) {
 	if m.Round < 1 || m.Round > math.MaxInt32 {
 		return nil, fmt.Errorf("wire: overlay eor round %d out of range", m.Round)
 	}
-	if err := checkBitmap("arrived", m.Arrived); err != nil {
-		return nil, err
-	}
-	if err := checkBitmap("done", m.Done); err != nil {
-		return nil, err
+	if !canonicalBitmap(m.Arrived) || !canonicalBitmap(m.Done) {
+		return nil, fmt.Errorf("wire: overlay eor bitmap not in canonical minimal form")
 	}
 	if m.Down && len(m.Arrived) != 0 {
 		return nil, fmt.Errorf("wire: down eor carries no arrived bitmap")
 	}
-	dst = append(dst, Version, TypeOverlayEOR)
-	dst = AppendUvarint(dst, uint64(m.Round))
-	var flags byte
-	if m.Down {
-		flags |= 0x01
-	}
-	dst = append(dst, flags)
+	dst = appendFlag(AppendUvarint(append(dst, Version, TypeOverlayEOR), uint64(m.Round)), m.Down)
 	dst = AppendUvarint(dst, uint64(len(m.Arrived)))
 	dst = append(dst, m.Arrived...)
 	dst = AppendUvarint(dst, uint64(len(m.Done)))
 	return append(dst, m.Done...), nil
 }
 
-func decodeOverlayEOR(b []byte) (any, []byte, error) {
-	round, b, err := consumeSessionRound(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(b) < 1 {
-		return nil, nil, malformed("truncated overlay eor")
-	}
-	flags := b[0]
-	if flags&^byte(0x01) != 0 {
-		return nil, nil, malformed("unknown overlay eor flags %#x", flags)
-	}
-	b = b[1:]
-	arrived, b, err := consumeBitmap(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	done, b, err := consumeBitmap(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	m := OverlayEOR{Round: round, Down: flags&0x01 != 0, Arrived: arrived, Done: done}
+func decodeOverlayEOR(r *Reader) any {
+	m := OverlayEOR{Round: r.Round(), Down: r.Flag(), Arrived: r.bitmap(), Done: r.bitmap()}
 	if m.Down && len(m.Arrived) != 0 {
-		return nil, nil, malformed("down eor carries an arrived bitmap")
+		r.Fail("down eor carries an arrived bitmap")
 	}
-	return m, b, nil
+	return m
 }
 
-func consumeBitmap(b []byte) ([]byte, []byte, error) {
-	n, b, err := ConsumeUvarint(b)
-	if err != nil {
-		return nil, nil, err
+func (r *Reader) bitmap() []byte {
+	bm := r.prefixed()
+	if !canonicalBitmap(bm) {
+		r.Fail("bitmap has trailing zero byte")
 	}
-	if n > maxLen || n > uint64(len(b)) {
-		return nil, nil, malformed("bitmap length %d exceeds buffer", n)
+	if len(bm) == 0 {
+		return nil
 	}
-	if n == 0 {
-		return nil, b, nil
-	}
-	bm := append([]byte(nil), b[:n]...)
-	if bm[n-1] == 0 {
-		return nil, nil, malformed("bitmap has trailing zero byte")
-	}
-	return bm, b[n:], nil
+	return append([]byte(nil), bm...)
 }

@@ -38,7 +38,6 @@ package wire
 // sim.Sizer, because driver.Framer writes its exact length ahead of it.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -57,8 +56,8 @@ const (
 	TypeSessionRound byte = 0x18
 )
 
-// maxCount bounds the message/byte counters in a SessionDecide: they must
-// fit an int64 with room to sum across seats.
+// maxCount bounds the message/byte counters of a SessionDecide and of the
+// result tail: they must fit an int64 with room to sum across seats.
 const maxCount = uint64(1) << 62
 
 // SessionMsg wraps one leaf protocol payload with the session id and round
@@ -157,19 +156,14 @@ func AppendSessionRound(dst []byte, m SessionRound) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var flags byte
-	if m.Done {
-		flags |= 0x01
-	}
-	dst = append(dst, flags)
+	dst = appendFlag(dst, m.Done)
 	dst = AppendUvarint(dst, uint64(len(m.Payloads)))
 	for _, p := range m.Payloads {
 		sz, err := encodedSize(p)
 		if err != nil {
 			return nil, err
 		}
-		dst = AppendUvarint(dst, uint64(sz))
-		if dst, err = Append(dst, p); err != nil {
+		if dst, err = Append(AppendUvarint(dst, uint64(sz)), p); err != nil {
 			return nil, err
 		}
 	}
@@ -192,29 +186,12 @@ func appendSessionEOR(dst []byte, m SessionEOR) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var flags byte
-	if m.Done {
-		flags |= 0x01
-	}
-	return append(dst, flags), nil
+	return appendFlag(dst, m.Done), nil
 }
 
 func appendSessionOpen(dst []byte, m SessionOpen) ([]byte, error) {
-	if m.T < 0 || m.T > math.MaxInt32 {
-		return nil, fmt.Errorf("wire: session t %d out of range", m.T)
-	}
-	dst = append(dst, Version, TypeSessionOpen)
-	dst = AppendUvarint(dst, m.SID)
-	dst, err := appendString(dst, m.Tree)
-	if err != nil {
-		return nil, err
-	}
-	dst = binary.BigEndian.AppendUint64(dst, uint64(m.Seed))
-	dst = AppendUvarint(dst, uint64(m.T))
-	if dst, err = appendString(dst, m.Inputs); err != nil {
-		return nil, err
-	}
-	return AppendUvarint(dst, m.TTLMillis), nil
+	dst = AppendUvarint(append(dst, Version, TypeSessionOpen), m.SID)
+	return appendSpec(dst, spec{m.Tree, m.Seed, m.T, m.Inputs, m.TTLMillis})
 }
 
 func appendSessionAbort(dst []byte, m SessionAbort) ([]byte, error) {
@@ -231,8 +208,7 @@ func appendSessionDecide(dst []byte, m SessionDecide) ([]byte, error) {
 	if m.Msgs < 0 || uint64(m.Msgs) > maxCount || m.Bytes < 0 || uint64(m.Bytes) > maxCount {
 		return nil, fmt.Errorf("wire: decide counters %d/%d out of range", m.Msgs, m.Bytes)
 	}
-	dst = append(dst, Version, TypeSessionDecide)
-	dst = AppendUvarint(dst, m.SID)
+	dst = AppendUvarint(append(dst, Version, TypeSessionDecide), m.SID)
 	dst, err := appendID(dst, int(m.Party))
 	if err != nil {
 		return nil, err
@@ -248,17 +224,6 @@ func appendSessionDecide(dst []byte, m SessionDecide) ([]byte, error) {
 
 // ---- decoders
 
-func consumeSessionRound(b []byte) (int, []byte, error) {
-	r, rest, err := ConsumeUvarint(b)
-	if err != nil {
-		return 0, nil, err
-	}
-	if r == 0 || r > math.MaxInt32 {
-		return 0, nil, malformed("session round %d out of range", r)
-	}
-	return int(r), rest, nil
-}
-
 // SessionRoundReader streams one encoded SessionRound: the header fields are
 // read by ReadSessionRound, the leaves come one Next at a time, so a receiver
 // files k messages and the mark in one pass without a []any in between.
@@ -268,218 +233,88 @@ type SessionRoundReader struct {
 	Done  bool
 
 	left int    // leaves not yet read
-	rest []byte // their encodings
+	r    Reader // over their encodings
 }
 
 // ReadSessionRound parses the header of a complete SessionRound body
 // (version and type bytes included) and returns the reader over its leaves.
 func ReadSessionRound(b []byte) (SessionRoundReader, error) {
-	if len(b) < 2 || b[0] != Version || b[1] != TypeSessionRound {
-		return SessionRoundReader{}, malformed("not a session round")
+	s := SessionRoundReader{r: NewReader(b)}
+	if s.r.header() != TypeSessionRound {
+		s.r.Fail("not a session round")
 	}
-	return readSessionRound(b[2:])
+	s.head()
+	return s, s.r.Err()
 }
 
-func readSessionRound(b []byte) (r SessionRoundReader, err error) {
-	if r.SID, b, err = ConsumeUvarint(b); err != nil {
-		return r, err
-	}
-	if r.Round, b, err = consumeSessionRound(b); err != nil {
-		return r, err
-	}
-	if len(b) < 1 {
-		return r, malformed("truncated session round")
-	}
-	flags := b[0]
-	if flags&^byte(0x01) != 0 {
-		return r, malformed("unknown session round flags %#x", flags)
-	}
-	r.Done = flags&0x01 != 0
-	k, b, err := ConsumeUvarint(b[1:])
-	if err != nil {
-		return r, err
-	}
+// head reads the fields after the type byte.
+func (s *SessionRoundReader) head() {
+	s.SID, s.Round, s.Done = s.r.Uvarint(), s.r.Round(), s.r.Flag()
 	// A leaf costs at least its length byte and a two-byte header.
-	if k > maxLen || k*3 > uint64(len(b)) {
-		return r, malformed("session round count %d exceeds buffer", k)
-	}
-	r.left, r.rest = int(k), b
-	return r, nil
+	s.left = s.r.count(3)
 }
 
 // Len returns how many leaves Next has yet to return.
-func (r *SessionRoundReader) Len() int { return r.left }
+func (s *SessionRoundReader) Len() int { return s.left }
 
 // Next decodes the next leaf. ok is false once all k have been returned and
 // the frame ended with them; bytes past the last leaf are an error.
-func (r *SessionRoundReader) Next() (payload any, ok bool, err error) {
-	if r.left == 0 {
-		if len(r.rest) != 0 {
-			return nil, false, malformed("%d trailing bytes", len(r.rest))
-		}
-		return nil, false, nil
+func (s *SessionRoundReader) Next() (payload any, ok bool, err error) {
+	if s.left == 0 {
+		return nil, false, s.r.End()
 	}
-	n, b, err := ConsumeUvarint(r.rest)
-	if err != nil {
+	payload = s.r.leaf(s.r.Bytes(s.r.Uvarint()))
+	if err := s.r.Err(); err != nil {
 		return nil, false, err
 	}
-	if n > uint64(len(b)) {
-		return nil, false, malformed("leaf length %d exceeds buffer", n)
-	}
-	if n >= 2 && !leafTag(b[1]) {
-		return nil, false, malformed("session payloads do not nest")
-	}
-	if payload, err = Decode(b[:n]); err != nil {
-		return nil, false, err
-	}
-	r.left, r.rest = r.left-1, b[n:]
+	s.left--
 	return payload, true, nil
 }
 
-func decodeSessionRound(b []byte) (any, []byte, error) {
-	r, err := readSessionRound(b)
-	if err != nil {
-		return nil, nil, err
+// leaf decodes b, a complete leaf body nested in the one r reads.
+func (r *Reader) leaf(b []byte) any {
+	if len(b) >= 2 && !leafTag(b[1]) {
+		r.Fail("session payloads do not nest")
 	}
-	m := SessionRound{SID: r.SID, Round: r.Round, Done: r.Done}
-	if r.left > 0 {
-		m.Payloads = make([]any, 0, r.left)
+	if r.err != nil {
+		return nil
+	}
+	p, err := Decode(b)
+	r.keep(err)
+	return p
+}
+
+func decodeSessionRound(r *Reader) any {
+	s := SessionRoundReader{r: *r}
+	s.head()
+	m := SessionRound{SID: s.SID, Round: s.Round, Done: s.Done}
+	if s.left > 0 {
+		m.Payloads = make([]any, 0, s.left)
 	}
 	for {
-		p, ok, err := r.Next()
-		if err != nil {
-			return nil, nil, err
-		}
+		p, ok, _ := s.Next()
 		if !ok {
-			return m, nil, nil
+			*r = s.r
+			return m
 		}
 		m.Payloads = append(m.Payloads, p)
 	}
 }
 
-func decodeSessionMsg(b []byte) (any, []byte, error) {
-	sid, b, err := ConsumeUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	round, b, err := consumeSessionRound(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	// The nested body must be a complete leaf frame: Decode consumes the
-	// whole remaining buffer and rejects nested session types itself (they
-	// would re-enter this switch; the explicit check keeps the error crisp).
-	if len(b) >= 2 && !leafTag(b[1]) {
-		return nil, nil, malformed("session payloads do not nest")
-	}
-	payload, err := Decode(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	return SessionMsg{SID: sid, Round: round, Payload: payload}, nil, nil
+func decodeSessionMsg(r *Reader) any {
+	// The nested body is the rest of the frame, a complete leaf frame.
+	return SessionMsg{SID: r.Uvarint(), Round: r.Round(), Payload: r.leaf(r.Rest())}
 }
 
-func decodeSessionEOR(b []byte) (any, []byte, error) {
-	sid, b, err := ConsumeUvarint(b)
-	if err != nil {
-		return nil, nil, err
+// PeekSession reads the type tag and session id of an encoded session-plane
+// frame (0x08–0x0C, 0x18) without decoding its payload — the serving mux's
+// routing primitive: a data frame goes to the owning engine's shard as raw
+// bytes and is decoded there, once, by whoever steps the engine.
+func PeekSession(b []byte) (typ byte, sid uint64, err error) {
+	r := NewReader(b)
+	if typ = r.header(); (typ < TypeSessionMsg || typ > TypeSessionDecide) && typ != TypeSessionRound {
+		r.Fail("unknown session type 0x%02x", typ)
 	}
-	round, b, err := consumeSessionRound(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(b) < 1 {
-		return nil, nil, malformed("truncated session eor")
-	}
-	flags := b[0]
-	if flags&^byte(0x01) != 0 {
-		return nil, nil, malformed("unknown session eor flags %#x", flags)
-	}
-	return SessionEOR{SID: sid, Round: round, Done: flags&0x01 != 0}, b[1:], nil
-}
-
-func decodeSessionOpen(b []byte) (any, []byte, error) {
-	sid, b, err := ConsumeUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	treeSpec, b, err := consumeString(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(b) < 8 {
-		return nil, nil, malformed("truncated session seed")
-	}
-	seed := int64(binary.BigEndian.Uint64(b))
-	b = b[8:]
-	t, b, err := consumeIter(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	inputs, b, err := consumeString(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	ttl, b, err := ConsumeUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	return SessionOpen{SID: sid, Tree: treeSpec, Seed: seed, T: t,
-		Inputs: inputs, TTLMillis: ttl}, b, nil
-}
-
-func decodeSessionAbort(b []byte) (any, []byte, error) {
-	sid, b, err := ConsumeUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	reason, b, err := consumeString(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	return SessionAbort{SID: sid, Reason: reason}, b, nil
-}
-
-func decodeSessionDecide(b []byte) (any, []byte, error) {
-	sid, b, err := ConsumeUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	party, b, err := consumeID(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	v, b, err := consumeID(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	doneRound, b, err := consumeSessionRound(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	termRound, b, err := consumeSessionRound(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	msgs, b, err := consumeCount(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	bytesSent, b, err := consumeCount(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	return SessionDecide{SID: sid, Party: sim.PartyID(party), V: tree.VertexID(v),
-		DoneRound: doneRound, TermRound: termRound, Msgs: msgs, Bytes: bytesSent}, b, nil
-}
-
-func consumeCount(b []byte) (int, []byte, error) {
-	x, rest, err := ConsumeUvarint(b)
-	if err != nil {
-		return 0, nil, err
-	}
-	if x > maxCount {
-		return 0, nil, malformed("counter %d out of range", x)
-	}
-	return int(x), rest, nil
+	sid = r.Uvarint()
+	return typ, sid, r.Err()
 }

@@ -30,12 +30,31 @@
 //     payloads, survive round trips untouched);
 //   - party/vertex ids: fixed big-endian u32 (ids are validated to
 //     [0, 2^31) so they fit an int everywhere);
-//   - id→float64 maps: uvarint count, then entries sorted by strictly
-//     ascending id, each id(u32) | value(f64).
+//   - flags: one byte, bit 0 the flag, every other bit clear.
 //
-// The fixed-width map entries keep sim.Sizer implementations O(1): a vector
+// Three field groups recur across types. Each has one append function and
+// one read function, and every type that carries the group uses them:
+//
+//   - the id list (appendIDs, readIDs): uvarint count, then entries of a
+//     fixed width whose leading u32 ids are strictly ascending — the
+//     gradecast vectors (id | value(f64)), AsyncReport's senders (id) and
+//     both output lists (party | vertex);
+//   - the spec group (appendSpec, Reader.spec): tree spec | seed(8,
+//     big-endian two's complement) | uvarint(t) | input spec |
+//     uvarint(ttl ms) — SessionOpen, JournalOpen and ClientSubmit;
+//   - the result tail (appendResult, Reader.result): uvarint(rounds) |
+//     uvarint(msgs) | uvarint(bytes) | output list — ClientOutcome and a
+//     JournalSeal with a result.
+//
+// The fixed-width list entries keep sim.Sizer implementations O(1): a vector
 // message's size is arithmetic on len(Tag) and len(Vals), never a map walk,
 // so exact byte accounting costs the hot simulation path nothing.
+//
+// Every decoder reads through one cursor, Reader (reader.go): it reads each
+// field kind above, keeps the first error — always wrapping ErrMalformed —
+// and reads nothing after it, so a decoder reads all its fields and checks
+// one error at its end. internal/transport and internal/overlay read their
+// own frame headers through it too.
 //
 // The asynchronous mode's RBC and witness-report payloads (async.go in this
 // package, types 0x16–0x17) ride the same codec: they are the payloads
@@ -52,6 +71,7 @@ import (
 	"treeaa/internal/crashaa"
 	"treeaa/internal/gradecast"
 	"treeaa/internal/sim"
+	"treeaa/internal/tree"
 )
 
 // Version is the wire-format version, the first byte of every body. Bump it
@@ -175,64 +195,70 @@ func encodedSize(payload any) (int, error) {
 // unsorted or duplicate map keys, oversized lengths) yields an error
 // wrapping ErrMalformed, never a panic.
 func Decode(b []byte) (any, error) {
-	if len(b) < 2 {
-		return nil, malformed("body shorter than header")
-	}
-	if b[0] != Version {
-		return nil, malformed("version %d, want %d", b[0], Version)
-	}
-	typ, rest := b[1], b[2:]
-	var (
-		payload any
-		err     error
-	)
-	switch typ {
-	case TypeGradecastSend, TypeCrashValue:
-		payload, rest, err = decodeScalar(rest, typ)
-	case TypeGradecastEcho, TypeGradecastVote:
-		payload, rest, err = decodeVector(rest, typ)
-	case TypeSessionMsg:
-		payload, rest, err = decodeSessionMsg(rest)
-	case TypeSessionEOR:
-		payload, rest, err = decodeSessionEOR(rest)
-	case TypeSessionOpen:
-		payload, rest, err = decodeSessionOpen(rest)
-	case TypeSessionAbort:
-		payload, rest, err = decodeSessionAbort(rest)
-	case TypeSessionDecide:
-		payload, rest, err = decodeSessionDecide(rest)
-	case TypeSessionRound:
-		payload, rest, err = decodeSessionRound(rest)
-	case TypeClientSubmit:
-		payload, rest, err = decodeClientSubmit(rest)
-	case TypeClientWait, TypeClientStatus:
-		payload, rest, err = decodeClientQuery(rest, typ)
-	case TypeClientOutcome:
-		payload, rest, err = decodeClientOutcome(rest)
-	case TypeJournalOpen:
-		payload, rest, err = decodeJournalOpen(rest)
-	case TypeJournalFrame:
-		payload, rest, err = decodeJournalFrame(rest)
-	case TypeJournalSeal:
-		payload, rest, err = decodeJournalSeal(rest)
-	case TypeRelay:
-		payload, rest, err = decodeRelay(rest)
-	case TypeOverlayEOR:
-		payload, rest, err = decodeOverlayEOR(rest)
-	case TypeAsyncValue:
-		payload, rest, err = decodeAsyncValue(rest)
-	case TypeAsyncReport:
-		payload, rest, err = decodeAsyncReport(rest)
-	default:
-		return nil, malformed("unknown type 0x%02x", typ)
-	}
-	if err != nil {
+	r := NewReader(b)
+	p := r.payload()
+	if err := r.End(); err != nil {
 		return nil, err
 	}
-	if len(rest) != 0 {
-		return nil, malformed("%d trailing bytes", len(rest))
+	return p, nil
+}
+
+// payload reads one body's header and fields. A composite literal's reads
+// run in the order they are written (Go evaluates an expression's calls left
+// to right), so each literal below lists its fields in wire order.
+func (r *Reader) payload() any {
+	switch typ := r.header(); typ {
+	case TypeGradecastSend, TypeCrashValue:
+		return decodeScalar(r, typ)
+	case TypeGradecastEcho, TypeGradecastVote:
+		return decodeVector(r, typ)
+	case TypeSessionMsg:
+		return decodeSessionMsg(r)
+	case TypeSessionEOR:
+		return SessionEOR{SID: r.Uvarint(), Round: r.Round(), Done: r.Flag()}
+	case TypeSessionOpen:
+		sid, s := r.Uvarint(), r.spec()
+		return SessionOpen{SID: sid, Tree: s.tree, Seed: s.seed, T: s.t, Inputs: s.inputs, TTLMillis: s.ttl}
+	case TypeSessionAbort:
+		return SessionAbort{SID: r.Uvarint(), Reason: r.Str()}
+	case TypeSessionDecide:
+		return SessionDecide{SID: r.Uvarint(), Party: sim.PartyID(r.ID()), V: tree.VertexID(r.ID()),
+			DoneRound: r.Round(), TermRound: r.Round(), Msgs: r.Count(), Bytes: r.Count()}
+	case TypeSessionRound:
+		return decodeSessionRound(r)
+	case TypeClientSubmit:
+		sid, s := r.Uvarint(), r.spec()
+		return ClientSubmit{SID: sid, Tree: s.tree, Seed: s.seed, T: s.t, Inputs: s.inputs,
+			TTLMillis: s.ttl, Wait: r.Flag()}
+	case TypeClientWait:
+		return ClientWait{SID: r.Uvarint()}
+	case TypeClientStatus:
+		return ClientStatus{SID: r.Uvarint()}
+	case TypeClientOutcome:
+		return decodeClientOutcome(r)
+	case TypeJournalOpen:
+		sid, origin, s := r.Uvarint(), r.ID(), r.spec()
+		return JournalOpen{SID: sid, Origin: sim.PartyID(origin), Tree: s.tree, Seed: s.seed, T: s.t,
+			Inputs: s.inputs, TTLMillis: s.ttl, DeadlineUnixNano: int64(r.U64())}
+	case TypeJournalFrame:
+		return decodeJournalFrame(r)
+	case TypeJournalSeal:
+		return decodeJournalSeal(r)
+	case TypeRelay:
+		return decodeRelay(r)
+	case TypeOverlayEOR:
+		return decodeOverlayEOR(r)
+	case TypeAsyncValue:
+		phase, kind, iter, src := r.asyncHeader()
+		return AsyncValue{Phase: phase, Kind: kind, Iter: iter, Src: src, Val: r.Float()}
+	case TypeAsyncReport:
+		phase, kind, iter, src := r.asyncHeader()
+		return AsyncReport{Phase: phase, Kind: kind, Iter: iter, Src: src,
+			Senders: readIDs(r, 4, func(id int) sim.PartyID { return sim.PartyID(id) })}
+	default:
+		r.Fail("unknown type 0x%02x", typ)
+		return nil
 	}
-	return payload, nil
 }
 
 func malformed(format string, args ...any) error {
@@ -246,30 +272,9 @@ func AppendUvarint(dst []byte, x uint64) []byte {
 	return binary.AppendUvarint(dst, x)
 }
 
-// ConsumeUvarint reads a canonical uvarint, rejecting non-minimal
-// encodings, and returns the value and the remaining bytes.
-func ConsumeUvarint(b []byte) (uint64, []byte, error) {
-	x, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, malformed("bad uvarint")
-	}
-	if n != sim.UvarintLen(x) {
-		return 0, nil, malformed("non-minimal uvarint")
-	}
-	return x, b[n:], nil
-}
-
 // AppendU32 appends x as a fixed big-endian u32.
 func AppendU32(dst []byte, x uint32) []byte {
 	return binary.BigEndian.AppendUint32(dst, x)
-}
-
-// ConsumeU32 reads a fixed big-endian u32.
-func ConsumeU32(b []byte) (uint32, []byte, error) {
-	if len(b) < 4 {
-		return 0, nil, malformed("truncated u32")
-	}
-	return binary.BigEndian.Uint32(b), b[4:], nil
 }
 
 func appendID(dst []byte, id int) ([]byte, error) {
@@ -279,26 +284,8 @@ func appendID(dst []byte, id int) ([]byte, error) {
 	return AppendU32(dst, uint32(id)), nil
 }
 
-func consumeID(b []byte) (int, []byte, error) {
-	x, rest, err := ConsumeU32(b)
-	if err != nil {
-		return 0, nil, err
-	}
-	if x > MaxIDValue {
-		return 0, nil, malformed("id %d out of range", x)
-	}
-	return int(x), rest, nil
-}
-
 func appendFloat(dst []byte, v float64) []byte {
 	return binary.BigEndian.AppendUint64(dst, math.Float64bits(v))
-}
-
-func consumeFloat(b []byte) (float64, []byte, error) {
-	if len(b) < 8 {
-		return 0, nil, malformed("truncated float64")
-	}
-	return math.Float64frombits(binary.BigEndian.Uint64(b)), b[8:], nil
 }
 
 func appendString(dst []byte, s string) ([]byte, error) {
@@ -309,46 +296,139 @@ func appendString(dst []byte, s string) ([]byte, error) {
 	return append(dst, s...), nil
 }
 
-func consumeString(b []byte) (string, []byte, error) {
-	n, rest, err := ConsumeUvarint(b)
-	if err != nil {
-		return "", nil, err
+// appendFlag appends a flag byte: bit 0 set when on, every other bit clear.
+func appendFlag(dst []byte, on bool) []byte {
+	if on {
+		return append(dst, 0x01)
 	}
-	if n > maxLen || n > uint64(len(rest)) {
-		return "", nil, malformed("string length %d exceeds buffer", n)
-	}
-	return string(rest[:n]), rest[n:], nil
-}
-
-func appendIter(dst []byte, iter int) ([]byte, error) {
-	if iter < 0 {
-		return nil, fmt.Errorf("wire: negative iteration %d", iter)
-	}
-	return AppendUvarint(dst, uint64(iter)), nil
-}
-
-func consumeIter(b []byte) (int, []byte, error) {
-	x, rest, err := ConsumeUvarint(b)
-	if err != nil {
-		return 0, nil, err
-	}
-	if x > math.MaxInt32 {
-		return 0, nil, malformed("iteration %d out of range", x)
-	}
-	return int(x), rest, nil
+	return append(dst, 0x00)
 }
 
 // ---- shared field groups
 
 // appendHeader writes version | type | tag-string | iter, the prefix every
-// payload shares.
+// gradecast and crash-AA payload shares.
 func appendHeader(dst []byte, typ byte, tag string, iter int) ([]byte, error) {
-	dst = append(dst, Version, typ)
-	dst, err := appendString(dst, tag)
+	if iter < 0 {
+		return nil, fmt.Errorf("wire: negative iteration %d", iter)
+	}
+	dst, err := appendString(append(dst, Version, typ), tag)
 	if err != nil {
 		return nil, err
 	}
-	return appendIter(dst, iter)
+	return AppendUvarint(dst, uint64(iter)), nil
+}
+
+// appendIDs writes an id list — uvarint(count), then each entry as its id
+// (u32) followed by what tail appends — and holds it to the list rule: ids
+// strictly ascending, the one canonical order of a set. Vectors, AsyncReport
+// senders and both output lists are id lists; readIDs is the decoder.
+func appendIDs[E any](dst []byte, list []E, id func(E) int, tail func([]byte, E) ([]byte, error)) ([]byte, error) {
+	if len(list) > maxLen {
+		return nil, fmt.Errorf("wire: list of %d entries exceeds limit", len(list))
+	}
+	dst = AppendUvarint(dst, uint64(len(list)))
+	prev := -1
+	for _, e := range list {
+		x := id(e)
+		if x <= prev || x > MaxIDValue {
+			return nil, fmt.Errorf("wire: id %d after %d: not strictly ascending in [0, %d]", x, prev, MaxIDValue)
+		}
+		prev = x
+		if dst = AppendU32(dst, uint32(x)); tail == nil {
+			continue
+		}
+		var err error
+		if dst, err = tail(dst, e); err != nil {
+			return nil, err
+		}
+	}
+	return dst, nil
+}
+
+// readIDs reads an id list of entries size bytes long each; entry reads
+// what follows an entry's id. The count is checked against the buffer before
+// anything count-sized is allocated, and an empty list is nil.
+func readIDs[E any](r *Reader, size uint64, entry func(id int) E) []E {
+	count := r.count(size)
+	if count == 0 {
+		return nil
+	}
+	list := make([]E, 0, count)
+	prev := -1
+	for i := 0; i < count && r.err == nil; i++ {
+		id := r.ID()
+		if id <= prev {
+			r.Fail("ids not strictly ascending at %d", id)
+		}
+		prev = id
+		list = append(list, entry(id))
+	}
+	return list
+}
+
+// spec is the session spec group — SessionOpen, JournalOpen and
+// ClientSubmit carry it:
+//
+//	tree spec | seed(8, big-endian two's complement) | uvarint(t) |
+//	input spec | uvarint(ttl ms)
+type spec struct {
+	tree   string
+	seed   int64
+	t      int
+	inputs string
+	ttl    uint64
+}
+
+func appendSpec(dst []byte, s spec) ([]byte, error) {
+	if s.t < 0 || s.t > math.MaxInt32 {
+		return nil, fmt.Errorf("wire: session t %d out of range", s.t)
+	}
+	dst, err := appendString(dst, s.tree)
+	if err != nil {
+		return nil, err
+	}
+	dst = binary.BigEndian.AppendUint64(dst, uint64(s.seed))
+	dst = AppendUvarint(dst, uint64(s.t))
+	if dst, err = appendString(dst, s.inputs); err != nil {
+		return nil, err
+	}
+	return AppendUvarint(dst, s.ttl), nil
+}
+
+func (r *Reader) spec() spec {
+	return spec{tree: r.Str(), seed: int64(r.U64()), t: r.Iter(), inputs: r.Str(), ttl: r.Uvarint()}
+}
+
+// result is the result tail of a decided session — JournalSeal (when it has
+// one) and ClientOutcome carry it:
+//
+//	uvarint(rounds) | uvarint(msgs) | uvarint(bytes) |
+//	id list of (u32 party | u32 vertex)
+type result struct {
+	rounds, msgs, bytes int
+	outputs             []OutputPair
+}
+
+func appendResult(dst []byte, res result) ([]byte, error) {
+	if res.rounds < 0 || res.rounds > math.MaxInt32 {
+		return nil, fmt.Errorf("wire: result rounds %d out of range", res.rounds)
+	}
+	if res.msgs < 0 || uint64(res.msgs) > maxCount || res.bytes < 0 || uint64(res.bytes) > maxCount {
+		return nil, fmt.Errorf("wire: result counters %d/%d out of range", res.msgs, res.bytes)
+	}
+	dst = AppendUvarint(dst, uint64(res.rounds))
+	dst = AppendUvarint(dst, uint64(res.msgs))
+	dst = AppendUvarint(dst, uint64(res.bytes))
+	return appendIDs(dst, res.outputs, func(p OutputPair) int { return int(p.Party) },
+		func(dst []byte, p OutputPair) ([]byte, error) { return appendID(dst, int(p.V)) })
+}
+
+func (r *Reader) result() result {
+	return result{rounds: r.Iter(), msgs: r.Count(), bytes: r.Count(),
+		outputs: readIDs(r, 8, func(party int) OutputPair {
+			return OutputPair{Party: sim.PartyID(party), V: tree.VertexID(r.ID())}
+		})}
 }
 
 func appendScalar(dst []byte, typ byte, tag string, iter int, val float64) ([]byte, error) {
@@ -359,23 +439,12 @@ func appendScalar(dst []byte, typ byte, tag string, iter int, val float64) ([]by
 	return appendFloat(dst, val), nil
 }
 
-func decodeScalar(b []byte, typ byte) (any, []byte, error) {
-	tag, b, err := consumeString(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	iter, b, err := consumeIter(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	val, b, err := consumeFloat(b)
-	if err != nil {
-		return nil, nil, err
-	}
+func decodeScalar(r *Reader, typ byte) any {
+	tag, iter, val := r.Str(), r.Iter(), r.Float()
 	if typ == TypeGradecastSend {
-		return &gradecast.SendMsg{Tag: tag, Iter: iter, Val: val}, b, nil
+		return &gradecast.SendMsg{Tag: tag, Iter: iter, Val: val}
 	}
-	return crashaa.ValueMsg{Tag: tag, Iter: iter, Val: val}, b, nil
+	return crashaa.ValueMsg{Tag: tag, Iter: iter, Val: val}
 }
 
 // appendVector writes a gradecast.Vec, which is already in canonical order:
@@ -386,68 +455,20 @@ func appendVector(dst []byte, typ byte, tag string, iter int, vals gradecast.Vec
 	if err != nil {
 		return nil, err
 	}
-	if len(vals) > maxLen {
-		return nil, fmt.Errorf("wire: vector of %d entries exceeds limit", len(vals))
-	}
-	dst = AppendUvarint(dst, uint64(len(vals)))
-	prev := -1
-	for _, e := range vals {
-		if int(e.ID) <= prev {
-			return nil, fmt.Errorf("wire: vector ids not strictly ascending at %d", e.ID)
-		}
-		prev = int(e.ID)
-		dst, err = appendID(dst, int(e.ID))
-		if err != nil {
-			return nil, err
-		}
-		dst = appendFloat(dst, e.Val)
-	}
-	return dst, nil
+	return appendIDs(dst, vals, func(e gradecast.VecEntry) int { return int(e.ID) },
+		func(dst []byte, e gradecast.VecEntry) ([]byte, error) { return appendFloat(dst, e.Val), nil })
 }
 
-func decodeVector(b []byte, typ byte) (any, []byte, error) {
-	tag, b, err := consumeString(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	iter, b, err := consumeIter(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	count, b, err := ConsumeUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	// 12 bytes per entry: reject before allocating anything count-sized.
-	if count > maxLen || count*12 > uint64(len(b)) {
-		return nil, nil, malformed("vector count %d exceeds buffer", count)
-	}
-	// One exact-size flat allocation; the wire order is already the Vec
-	// invariant, so entries land in place with no sorting and no map.
-	var vals gradecast.Vec
-	if count > 0 {
-		vals = make(gradecast.Vec, 0, count)
-	}
-	prev := -1
-	for i := uint64(0); i < count; i++ {
-		var id int
-		id, b, err = consumeID(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		if id <= prev {
-			return nil, nil, malformed("vector keys not strictly ascending")
-		}
-		prev = id
-		var v float64
-		v, b, err = consumeFloat(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		vals = append(vals, gradecast.VecEntry{ID: sim.PartyID(id), Val: v})
-	}
+// decodeVector reads the entries into one exact-size flat Vec: the wire
+// order is already the Vec invariant, so they land in place with no sorting
+// and no map.
+func decodeVector(r *Reader, typ byte) any {
+	tag, iter := r.Str(), r.Iter()
+	vals := gradecast.Vec(readIDs(r, 12, func(id int) gradecast.VecEntry {
+		return gradecast.VecEntry{ID: sim.PartyID(id), Val: r.Float()}
+	}))
 	if typ == TypeGradecastEcho {
-		return &gradecast.EchoMsg{Tag: tag, Iter: iter, Vals: vals}, b, nil
+		return &gradecast.EchoMsg{Tag: tag, Iter: iter, Vals: vals}
 	}
-	return &gradecast.VoteMsg{Tag: tag, Iter: iter, Vals: vals}, b, nil
+	return &gradecast.VoteMsg{Tag: tag, Iter: iter, Vals: vals}
 }
