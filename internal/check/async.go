@@ -54,8 +54,8 @@ type AsyncCellResult struct {
 // identity off the TCP links.
 func AsyncCompatible(c *Cell) bool {
 	for _, cl := range c.Clauses {
-		switch cl.Name {
-		case "omit", "stop", "mutate", "evil":
+		switch cli.KindOf(cl.Name) {
+		case cli.KindOmission, cli.KindModifier, cli.KindPlanted:
 			return false
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"treeaa/internal/cli"
 )
 
 // TestAsyncCellsClean: a matrix of honest and Byzantine cells across tree
@@ -120,5 +122,37 @@ func TestAsyncGeneratedCells(t *testing.T) {
 	}
 	if ran < 5 {
 		t.Fatalf("only %d of 40 generated cells were async-compatible", ran)
+	}
+}
+
+// TestClauseKindsFollowTheTable walks every row of cli's strategies table
+// and holds the checker's two clause partitions to the row's declared kind:
+// byzClauseIDCount counts the Byzantine share for a Byzantine row only
+// (all t ids alone, the upper half beside an omission clause), and
+// AsyncCompatible refuses exactly the omission, modifier and planted rows.
+func TestClauseKindsFollowTheTable(t *testing.T) {
+	const budget = 3
+	names := cli.ClauseNames()
+	if len(names) < len(cli.AdversaryNames())+2 {
+		t.Fatalf("ClauseNames() = %v: want every adversary name plus none and evil", names)
+	}
+	for _, name := range names {
+		kind := cli.KindOf(name)
+		alone := &Cell{T: budget, Clauses: []cli.Clause{{Name: name}}}
+		mixed := &Cell{T: budget, Clauses: []cli.Clause{{Name: name}, {Name: "omit"}}}
+		wantAlone, wantMixed := 0, 0
+		if kind == cli.KindByzantine {
+			wantAlone, wantMixed = budget, budget-budget/2
+		}
+		if got := byzClauseIDCount(alone); got != wantAlone {
+			t.Errorf("%s (kind %d): byzClauseIDCount alone = %d, want %d", name, kind, got, wantAlone)
+		}
+		if got := byzClauseIDCount(mixed); got != wantMixed {
+			t.Errorf("%s (kind %d): byzClauseIDCount beside omit = %d, want %d", name, kind, got, wantMixed)
+		}
+		wantAsync := kind != cli.KindOmission && kind != cli.KindModifier && kind != cli.KindPlanted
+		if got := AsyncCompatible(alone); got != wantAsync {
+			t.Errorf("%s (kind %d): AsyncCompatible = %v, want %v", name, kind, got, wantAsync)
+		}
 	}
 }

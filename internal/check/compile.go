@@ -67,15 +67,15 @@ func compile(c *Cell) (*compiled, error) {
 	advs := make([]string, len(c.Clauses))
 	for i, cl := range c.Clauses {
 		advs[i] = cl.String()
-		switch cl.Name {
-		case "evil":
+		switch cli.KindOf(cl.Name) {
+		case cli.KindPlanted:
 			advs[i] = "none"
 			cr.hasEvil = true
 			a := &cli.Reader{Clause: cl}
 			if cr.evilVal = float64(a.Int("val", 1000000)); a.Err != nil {
 				return nil, a.Err
 			}
-		case "mutate":
+		case cli.KindModifier:
 		default:
 			if c.T == 0 && !cli.IsLinkFault(cl.Name) {
 				return nil, fmt.Errorf("check: adversary clauses with t = 0 (only evil, mutate and link faults may stand alone)")

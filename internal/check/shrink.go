@@ -56,15 +56,15 @@ func (c *Cell) clone() *Cell {
 }
 
 // byzClauseIDCount mirrors compile's corrupted-set partition: how many ids
-// the Byzantine clauses share for a given t.
+// the Byzantine clauses share for a given t. cli's table declares each
+// clause's kind.
 func byzClauseIDCount(c *Cell) int {
 	hasByz, hasOmit := false, false
 	for _, cl := range c.Clauses {
-		switch {
-		case cl.Name == "omit" || cl.Name == "stop":
+		switch cli.KindOf(cl.Name) {
+		case cli.KindOmission:
 			hasOmit = true
-		case cl.Name == "mutate" || cl.Name == "evil" || cli.IsLinkFault(cl.Name):
-		default:
+		case cli.KindByzantine:
 			hasByz = true
 		}
 	}

@@ -226,25 +226,43 @@ func (a *Reader) crashRounds() []int {
 	return rounds
 }
 
+// Kind is what a clause adds to a run. The strategies table declares it per
+// row; a row that declares none is Byzantine.
+type Kind int
+
+const (
+	// KindByzantine builds a strategy for the Byzantine share of the
+	// corrupted set.
+	KindByzantine Kind = iota
+	// KindNone adds nothing: "none".
+	KindNone
+	// KindOmission builds a strategy for the omission share: omit, stop.
+	KindOmission
+	// KindModifier claims no parties and wraps the composed adversary:
+	// mutate.
+	KindModifier
+	// KindLink claims no parties and is the identity here: internal/chaos
+	// injects it under the TCP links of a run (lat, stall, drop, part).
+	KindLink
+	// KindPlanted is "evil", the property checker's planted machine bug:
+	// internal/check replaces it with none before it builds, and
+	// BuildAdversary refuses it (DESIGN §9).
+	KindPlanted
+)
+
 // strategies is the one table of the adversary language: every clause name,
-// the argument keys it needs and may take, and what it builds. A modifier
-// (wrap set, build nil) claims no parties: it wraps the composed adversary.
-// A link fault (link set) claims no parties either and is the identity
-// here: internal/chaos injects it under the TCP links of a run. "none" builds
-// nothing, and "evil" is the property checker's planted machine bug, which
-// internal/check replaces with none before it builds (DESIGN §9).
+// its kind, the argument keys it needs and may take, and what it builds (a
+// Byzantine or omission row) or wraps (a modifier).
 var strategies = map[string]struct {
+	kind      Kind
 	need, may []string // argument keys: required, optional
 	phased    bool     // one instance per TreeAA phase, composed
-	omission  bool     // takes the omission share of the corrupted set
-	link      bool     // a link fault: lat, stall, drop, part
 	adaptive  bool     // corrupts mid-run (crash): no TCP fabric hosts it
-	planted   bool     // evil: not an adversary, BuildAdversary refuses it
 	build     func(a *Reader) sim.Adversary
 	wrap      func(a *Reader, inner sim.OutboxFilter) sim.OutboxFilter
 }{
-	"none":   {},
-	"evil":   {may: []string{"val"}, planted: true},
+	"none":   {kind: KindNone},
+	"evil":   {kind: KindPlanted, may: []string{"val"}},
 	"silent": {build: func(a *Reader) sim.Adversary { return &adversary.Silent{IDs: a.ids} }},
 	"crash": {may: []string{"rounds"}, adaptive: true, build: func(a *Reader) sim.Adversary {
 		return &adversary.CrashAt{IDs: a.ids, Rounds: a.crashRounds()}
@@ -274,25 +292,44 @@ var strategies = map[string]struct {
 	"frame": {may: []string{"fake"}, phased: true, build: func(a *Reader) sim.Adversary {
 		return &adversary.FrameHonest{IDs: a.ids, N: a.N, Tag: a.phase.Tag, Fake: float64(a.Int("fake", 7))}
 	}},
-	"omit": {may: []string{"drop", "halves"}, omission: true, build: func(a *Reader) sim.Adversary {
+	"omit": {kind: KindOmission, may: []string{"drop", "halves"}, build: func(a *Reader) sim.Adversary {
 		return &adversary.SendOmitter{IDs: a.ids, N: a.N, Drop: float64(a.Int("drop", 500)) / 1000,
 			Halves: a.Int("halves", 0) != 0, Seed: a.seed}
 	}},
-	"stop": {may: []string{"rounds"}, omission: true, build: func(a *Reader) sim.Adversary {
+	"stop": {kind: KindOmission, may: []string{"rounds"}, build: func(a *Reader) sim.Adversary {
 		return &adversary.Stop{IDs: a.ids, N: a.N, Rounds: a.crashRounds()}
 	}},
-	"mutate": {may: []string{"rate"}, wrap: func(a *Reader, inner sim.OutboxFilter) sim.OutboxFilter {
+	"mutate": {kind: KindModifier, may: []string{"rate"}, wrap: func(a *Reader, inner sim.OutboxFilter) sim.OutboxFilter {
 		return &adversary.Mutate{OutboxFilter: inner, N: a.N, Rate: a.Int("rate", 200), Seed: a.seed}
 	}},
-	"lat":   {link: true, need: []string{"base"}, may: []string{"jitter", "from"}},
-	"stall": {link: true, need: []string{"from", "rounds"}, may: []string{"dur"}},
-	"drop":  {link: true, need: []string{"from", "round"}, may: []string{"to"}},
-	"part":  {link: true, need: []string{"a", "b", "rounds"}, may: []string{"heal"}},
+	"lat":   {kind: KindLink, need: []string{"base"}, may: []string{"jitter", "from"}},
+	"stall": {kind: KindLink, need: []string{"from", "rounds"}, may: []string{"dur"}},
+	"drop":  {kind: KindLink, need: []string{"from", "round"}, may: []string{"to"}},
+	"part":  {kind: KindLink, need: []string{"a", "b", "rounds"}, may: []string{"heal"}},
+}
+
+// KindOf returns the kind the table declares for a clause name; an unknown
+// name adds nothing.
+func KindOf(name string) Kind {
+	if st, ok := strategies[name]; ok {
+		return st.kind
+	}
+	return KindNone
+}
+
+// ClauseNames lists every clause name of the table, sorted.
+func ClauseNames() []string {
+	names := make([]string, 0, len(strategies))
+	for name := range strategies {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // IsLinkFault reports whether a clause name is a link fault: it claims no
 // party and counts in no budget, and only internal/chaos acts on it.
-func IsLinkFault(name string) bool { return strategies[name].link }
+func IsLinkFault(name string) bool { return KindOf(name) == KindLink }
 
 // IsAdaptive reports whether a clause corrupts mid-run (crash), which no
 // TCP fabric hosts: a message on the wire cannot be retracted.
@@ -301,14 +338,10 @@ func IsAdaptive(name string) bool { return strategies[name].adaptive }
 // AdversaryNames lists the clause names that attack a run, sorted: the
 // table less none and evil.
 func AdversaryNames() []string {
-	names := make([]string, 0, len(strategies))
-	for name, st := range strategies {
-		if st.build != nil || st.wrap != nil || st.link {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	return names
+	return slices.DeleteFunc(ClauseNames(), func(name string) bool {
+		k := KindOf(name)
+		return k == KindNone || k == KindPlanted
+	})
 }
 
 // BuildAdversary compiles an adversary spec against this space's protocol
@@ -330,13 +363,12 @@ func (s *Space) BuildAdversary(spec string, n, t int, seed int64) (sim.Adversary
 	corrupt := map[sim.PartyID]bool{}
 	hasByz, hasOmit := false, false
 	for _, cl := range clauses {
-		switch st := strategies[cl.Name]; {
-		case st.planted:
+		switch KindOf(cl.Name) {
+		case KindPlanted:
 			return nil, nil, fmt.Errorf("adversary clause %s: the property checker's planted bug, not an adversary", cl.Name)
-		case st.build == nil:
-		case st.omission:
+		case KindOmission:
 			hasOmit = true
-		default:
+		case KindByzantine:
 			hasByz = true
 		}
 	}
@@ -364,7 +396,7 @@ func (s *Space) BuildAdversary(spec string, n, t int, seed int64) (sim.Adversary
 			mods = append(mods, a)
 			continue
 		}
-		if st.omission {
+		if st.kind == KindOmission {
 			a.ids = omitIDs
 		}
 		phases := []core.PhaseTag{{}}
