@@ -48,7 +48,8 @@ type linkChaos struct {
 
 	mu      sync.Mutex
 	rng     *rand.Rand
-	dropped []bool // per plan.Drops clause: already fired on this link
+	dropped []bool       // per plan.Drops clause: already fired on this link
+	faulted map[int]bool // rounds some clause acted on, counted in FaultedRounds
 }
 
 // partitionGate is the runtime state of one partition clause: the heal
@@ -83,7 +84,8 @@ func (in *Injector) WrapConn(from, to sim.PartyID, conn net.Conn) net.Conn {
 	if l == nil {
 		l = &linkChaos{in: in, from: from, to: to,
 			rng:     linkRNG(in.seed, from, to),
-			dropped: make([]bool, len(in.plan.Drops))}
+			dropped: make([]bool, len(in.plan.Drops)),
+			faulted: make(map[int]bool)}
 		in.links[key] = l
 	}
 	return &chaosConn{Conn: conn, link: l}
@@ -130,14 +132,17 @@ func (c *chaosConn) Write(b []byte) (int, error) {
 
 // hold applies one frame's faults: its latency draw, then every stall
 // window and healing partition its round falls in, as sleeps; and reports
-// whether a drop clause fires on it.
+// whether a drop clause fires on it. The frame's round counts in
+// FaultedRounds the first time a clause acts on it on this link.
 func (l *linkChaos) hold(round int) (drop bool) {
 	in := l.in
 	l.mu.Lock()
 	var delay time.Duration
+	acted := false
 	for i := range in.plan.Latencies {
 		if lat := &in.plan.Latencies[i]; lat.From == AllLinks || lat.From == l.from {
 			delay += delayFor(lat, l.rng)
+			acted = true
 		}
 	}
 	for i, d := range in.plan.Drops {
@@ -155,12 +160,14 @@ func (l *linkChaos) hold(round int) (drop bool) {
 	}
 	for _, s := range in.plan.Stalls {
 		if s.Party == l.from && s.FromRound <= round && round <= s.ToRound {
+			acted = true
 			in.stats.Stalls.Add(1)
 			in.sleep(s.Dur)
 		}
 	}
 	for _, g := range in.parts {
 		if g.p.FromRound <= round && round <= g.p.ToRound && g.cuts(l.from, l.to) {
+			acted = true
 			if hold := g.trigger(); hold > 0 {
 				in.stats.Partitions.Add(1)
 				in.sleep(hold)
@@ -169,6 +176,15 @@ func (l *linkChaos) hold(round int) (drop bool) {
 	}
 	if drop {
 		in.stats.Drops.Add(1)
+	}
+	if acted || drop {
+		l.mu.Lock()
+		first := !l.faulted[round]
+		l.faulted[round] = true
+		l.mu.Unlock()
+		if first {
+			in.stats.FaultedRounds.Add(1)
+		}
 	}
 	return drop
 }

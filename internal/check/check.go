@@ -29,8 +29,11 @@ type CellResult struct {
 	Messages int `json:"messages"`
 	// TCPChecked reports whether the TCP differential actually ran.
 	TCPChecked bool `json:"tcpChecked,omitempty"`
-	// LinkFaults counts the faults the cell's link clauses injected under
-	// the TCP run: delays, stalls, drops and partition holds.
+	// LinkFaults counts the (ordered link, round) pairs the cell's link
+	// clauses acted on under the TCP run (metrics.ChaosStats.FaultedRounds).
+	// The per-frame counts are left out: how many frames a drop makes the
+	// transport resend depends on timing, and a resent frame's round is
+	// already counted here, so two runs of a cell print the same line.
 	LinkFaults int64 `json:"linkFaults,omitempty"`
 }
 
@@ -97,7 +100,7 @@ func RunCell(c *Cell, opt Options) (*CellResult, error) {
 		stats := &metrics.ChaosStats{}
 		tres, terr := transport.LocalCluster(tcfg, tms, chaos.NewInjector(cr.plan, c.Seed, stats).Apply(transport.Options{}))
 		out.TCPChecked = true
-		out.LinkFaults = stats.Delays.Load() + stats.Stalls.Load() + stats.Drops.Load() + stats.Partitions.Load()
+		out.LinkFaults = stats.FaultedRounds.Load()
 		if terr != nil {
 			out.Violations = append(out.Violations, Violation{Cell: out.Spec, Invariant: "differential-tcp",
 				Detail: fmt.Sprintf("LocalCluster failed where Run succeeded: %v", terr)})

@@ -62,6 +62,11 @@ type ChaosStats struct {
 	Stalls     atomic.Int64 // frames held by a stall clause
 	Drops      atomic.Int64 // connections torn down by a drop clause
 	Partitions atomic.Int64 // frames held across an active partition cut
+	// FaultedRounds counts the (ordered link, round) pairs some clause
+	// acted on. A frame resent after a drop repeats a pair already counted,
+	// so unlike the per-frame counts above it is fixed by the plan and the
+	// rounds the run sends, not by timing.
+	FaultedRounds atomic.Int64
 
 	// Recovery work (recorded by internal/transport's reconnect path).
 	Reconnects   atomic.Int64 // link generations after a party's first, each resumed by a count exchange
