@@ -520,3 +520,29 @@ func TestSessionRoundReaderMatchesDecode(t *testing.T) {
 		t.Error("ReadSessionRound accepted a SessionEOR body")
 	}
 }
+
+// TestReaderKeepsFirstError: the cursor internal/transport and
+// internal/overlay read their headers through keeps the first error, wraps
+// ErrMalformed in it, and reads zero values after it without consuming.
+func TestReaderKeepsFirstError(t *testing.T) {
+	r := NewReader([]byte{0x05, 0x80, 0x00, 0xAA})
+	if x := r.Uvarint(); x != 5 || r.Err() != nil {
+		t.Fatalf("Uvarint = %d, %v; want 5, nil", x, r.Err())
+	}
+	if x := r.Uvarint(); x != 0 || !errors.Is(r.Err(), ErrMalformed) {
+		t.Fatalf("non-minimal uvarint: got %d, %v; want 0 and ErrMalformed", x, r.Err())
+	}
+	first := r.Err()
+	if r.Byte() != 0 || r.U32() != 0 || r.Str() != "" || r.Rest() != nil {
+		t.Error("a read after the first error returned data")
+	}
+	r.Fail("later")
+	if r.Err() != first || r.End() != first {
+		t.Errorf("error after more reads = %v, want the first, %v", r.Err(), first)
+	}
+	trailing := NewReader([]byte{0x01, 0x02})
+	trailing.Byte()
+	if err := trailing.End(); !errors.Is(err, ErrMalformed) {
+		t.Errorf("End with a byte unread = %v, want ErrMalformed", err)
+	}
+}
