@@ -53,6 +53,13 @@ func ParseSpaceSpec(spec string, seed int64) (*Space, error) {
 	return &Space{Spec: spec, Tree: tr}, nil
 }
 
+// ReadsFile reports whether a space spec reads a local edge-list file
+// (@FILE or graph:@FILE). Such specs are input for the local tools only: a
+// served session refuses them before anything is opened.
+func ReadsFile(spec string) bool {
+	return strings.HasPrefix(strings.TrimPrefix(spec, GraphPrefix), "@")
+}
+
 // IsGraph reports whether this is a graph space.
 func (s *Space) IsGraph() bool { return s.Graph != nil }
 

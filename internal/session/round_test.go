@@ -100,12 +100,14 @@ func TestSessionStopsAtWitness(t *testing.T) {
 }
 
 // frameTally is a WrapConn that records the wire type of every session
-// frame written to the links it wraps. Wrapped links are written by their
-// flushers alone, one whole batch per Write.
+// frame written to the links it wraps, and the reason of every abort.
+// Wrapped links are written by their flushers alone, one whole batch per
+// Write.
 type frameTally struct {
-	mu    sync.Mutex
-	types map[byte]int
-	bad   []string
+	mu     sync.Mutex
+	types  map[byte]int
+	aborts map[uint64]string // by session id
+	bad    []string
 }
 
 type tallyConn struct {
@@ -132,6 +134,12 @@ func (c tallyConn) Write(b []byte) (int, error) {
 			break
 		}
 		c.t.types[typ]++
+		if typ == wire.TypeSessionAbort {
+			if p, err := wire.Decode(body[1:]); err == nil && c.t.aborts != nil {
+				ab := p.(wire.SessionAbort)
+				c.t.aborts[ab.SID] = ab.Reason
+			}
+		}
 	}
 	c.t.mu.Unlock()
 	return c.Conn.Write(b)

@@ -62,6 +62,7 @@
 package session
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -75,7 +76,7 @@ import (
 // deterministically. It is what a client submits and what SessionOpen
 // carries to the peers.
 type Spec struct {
-	Tree   string        // cli.ParseSpaceSpec spec: a tree spec ("path:16") or "graph:"-prefixed graph spec
+	Tree   string        // cli.ParseSpaceSpec spec: a tree spec ("path:16") or "graph:"-prefixed graph spec, never a file
 	Seed   int64         // tree/graph-spec seed (random shapes)
 	T      int           // corruption budget the machines tolerate
 	Inputs string        // cli.ParseInputs spec; "" spreads inputs
@@ -138,11 +139,19 @@ type parsedSpec struct {
 	deadline  time.Duration // resolved TTL
 }
 
+// errFileSpec refuses a spec that names a file: a daemon opens no path a
+// client or a peer hands it, and the refusal echoes neither the path's
+// existence nor a byte of its content.
+var errFileSpec = errors.New("session: space spec: file specs (@FILE) are local-tool input only")
+
 // parseSpec validates a spec for an n-party deployment. Rejections here
 // happen before admission, so a malformed spec never occupies a slot.
 func parseSpec(spec Spec, n int, defaultTTL time.Duration) (parsedSpec, error) {
 	if spec.TTL < 0 {
 		return parsedSpec{}, fmt.Errorf("session: negative ttl %v", spec.TTL)
+	}
+	if cli.ReadsFile(spec.Tree) {
+		return parsedSpec{}, errFileSpec
 	}
 	space, err := cli.ParseSpaceSpec(spec.Tree, spec.Seed)
 	if err != nil {

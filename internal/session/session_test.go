@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -14,6 +16,7 @@ import (
 	"treeaa/internal/cli"
 	"treeaa/internal/metrics"
 	"treeaa/internal/sim"
+	"treeaa/internal/wire"
 )
 
 func startTestCluster(t *testing.T, n int, opts Options) *Cluster {
@@ -262,6 +265,65 @@ func TestAdmissionRejectsAtCapacity(t *testing.T) {
 		}
 		if !resp.Decided() {
 			t.Fatalf("session %#x ended %s: %s", sid, resp.State, resp.Err)
+		}
+	}
+}
+
+// TestServedSpecOpensNoFile: a file spec is local-tool input only. A client
+// submit naming a file (tree or graph), a missing path or a directory, and a
+// peer open naming a file, are each refused with the one reason errFileSpec
+// before anything is opened, so no refusal tells whether the path exists or
+// echoes a byte of it, and no daemon admits a session on a file's content.
+func TestServedSpecOpensNoFile(t *testing.T) {
+	const secret = "api-key-MARKER-do-not-share"
+	dir := t.TempDir()
+	marker := filepath.Join(dir, "marker") // not an edge list: a parse error would quote it
+	edges := filepath.Join(dir, "edges")   // a valid tree: a daemon that read it would run the session
+	if err := os.WriteFile(marker, []byte(secret+"\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(edges, []byte("# "+secret+"\na - b\nb - c\nc - d\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	tally := &frameTally{types: make(map[byte]int), aborts: make(map[uint64]string)}
+	c := startTestCluster(t, 4, Options{
+		WrapConn: func(_, _ sim.PartyID, conn net.Conn) net.Conn { return tallyConn{conn, tally} },
+	})
+	cl, err := DialClient(c.ClientAddr(0), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for _, path := range []string{marker, edges, filepath.Join(dir, "missing"), dir} {
+		for _, prefix := range []string{"", cli.GraphPrefix} {
+			spec := prefix + "@" + path
+			resp, err := cl.Submit(Spec{Tree: spec, TTL: 10 * time.Second}, 0, true)
+			if err == nil || !strings.HasSuffix(err.Error(), errFileSpec.Error()) || strings.Contains(err.Error(), secret) {
+				t.Errorf("submit %s: %+v, %v; want the refusal %q", spec, resp, err, errFileSpec)
+			}
+		}
+	}
+
+	// A peer open: daemon 1 hears one from daemon 0 as if daemon 0 had
+	// admitted it, and answers with an abort to daemon 0.
+	const sid = 0x5e55
+	c.Daemons[1].mgr.openRemote(0, wire.SessionOpen{SID: sid, Tree: "@" + edges, TTLMillis: 10_000})
+	if out, ok := c.Daemons[1].Manager().Status(sid); ok {
+		t.Errorf("peer admitted a session on a file spec: %+v", out)
+	}
+	want := fmt.Sprintf("daemon 1: %v", errFileSpec)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		tally.mu.Lock()
+		reason, ok := tally.aborts[sid]
+		tally.mu.Unlock()
+		if ok {
+			if reason != want {
+				t.Errorf("peer refusal %q, want %q", reason, want)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("peer sent no abort for session %#x", sid)
 		}
 	}
 }
