@@ -36,12 +36,13 @@ func ParseTreeSpec(spec string, seed int64) (*tree.Tree, error) {
 		return tree.Parse(f)
 	}
 	parts := strings.Split(spec, ":")
+	arity := map[string]int{"path": 1, "star": 1, "spider": 2, "caterpillar": 2, "kary": 2, "random": 1, "figure3": 0}
+	if k, ok := arity[parts[0]]; ok && len(parts) != k+1 {
+		return nil, fmt.Errorf("tree spec %q: %s takes %d arguments", spec, parts[0], k)
+	}
 	argInt := func(i int) (int, error) {
-		if i >= len(parts) {
-			return 0, fmt.Errorf("tree spec %q: missing argument %d", spec, i)
-		}
 		v, err := strconv.Atoi(parts[i])
-		if err != nil || v < 1 {
+		if err != nil || v < 1 || strconv.Itoa(v) != parts[i] {
 			return 0, fmt.Errorf("tree spec %q: bad argument %q", spec, parts[i])
 		}
 		return v, nil

@@ -56,6 +56,8 @@ func TestParseTreeSpecErrors(t *testing.T) {
 	for _, spec := range []string{
 		"", "bogus", "path", "path:x", "path:0", "spider:3", "kary:2",
 		"@/nonexistent/file",
+		// arguments a shape cannot use, and a second name for one spec
+		"path:8:9", "star:4:", "figure3:5", "figure3:", "path:08", "path:+8", "path:",
 	} {
 		if _, err := ParseTreeSpec(spec, 1); err == nil {
 			t.Errorf("ParseTreeSpec(%q) succeeded, want error", spec)

@@ -36,12 +36,13 @@ func ParseSpec(spec string, seed int64) (*Graph, error) {
 		return Parse(f)
 	}
 	parts := strings.Split(spec, ":")
+	arity := map[string]int{"cycle": 1, "clique": 1, "cliquechain": 2, "cactus": 2, "randomblock": 1}
+	if k, ok := arity[parts[0]]; ok && len(parts) != k+1 {
+		return nil, fmt.Errorf("graph spec %q: %s takes %d arguments", spec, parts[0], k)
+	}
 	argInt := func(i, minVal int) (int, error) {
-		if i >= len(parts) {
-			return 0, fmt.Errorf("graph spec %q: missing argument %d", spec, i)
-		}
 		v, err := strconv.Atoi(parts[i])
-		if err != nil || v < minVal {
+		if err != nil || v < minVal || strconv.Itoa(v) != parts[i] {
 			return 0, fmt.Errorf("graph spec %q: bad argument %q", spec, parts[i])
 		}
 		return v, nil

@@ -40,6 +40,8 @@ func TestParseSpecErrors(t *testing.T) {
 		"", "cycle", "cycle:2", "cycle:x", "clique:0", "cliquechain:3",
 		"cliquechain:0:3", "cliquechain:3:1", "cactus:1:2", "randomblock:0",
 		"path:8", // tree specs are not graph specs
+		// arguments a shape cannot use, and a second name for one spec
+		"clique:4:x", "cycle:5:", "cactus:2:5:1", "cycle:05", "cycle:+5",
 	} {
 		if _, err := graph.ParseSpec(spec, 1); err == nil {
 			t.Errorf("spec %q accepted", spec)
