@@ -91,7 +91,7 @@ func main() {
 		id        = flag.Int("id", -1, "this process's party id (line number in -peers)")
 		peersFile = flag.String("peers", "", "peers file: one host:port per line, line i = party i")
 		tFlag     = flag.Int("t", 0, "Byzantine budget (corrupted set is the highest t ids)")
-		treeSpec  = flag.String("tree", "path:40", `input space spec (as in cmd/treeaa): a tree, or a "graph:"-prefixed block graph`)
+		treeSpec  = flag.String("tree", "path:40", "input space spec, one of "+strings.Join(cli.SpaceShapes(), " "))
 		inputSpec = flag.String("inputs", "", "comma-separated input vertex labels (default: spread)")
 		advName   = flag.String("adversary", "none", "adversary spec: none, or name(key=value,...) clauses joined by '+' of "+strings.Join(cli.AdversaryNames(), "|"))
 		mode      = flag.String("mode", "sync", "execution mode: sync (lock-step rounds) or async (event-driven, honest fleets only)")

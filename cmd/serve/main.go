@@ -57,6 +57,8 @@ import (
 	"math"
 	"os"
 	"os/signal"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -76,7 +78,8 @@ func main() {
 		clientAddr = flag.String("client", "127.0.0.1:0", "client API listen address")
 		cluster    = flag.Int("cluster", 0, "run an n-daemon loopback deployment in-process (smoke mode)")
 		sessions   = flag.Int("sessions", 100, "cluster mode: concurrent sessions to drive")
-		treeSpec   = flag.String("tree", "spider:3:3", `cluster mode: space spec of the driven sessions, a tree or a "graph:"-prefixed block graph`)
+		treeSpec   = flag.String("tree", "spider:3:3", "cluster mode: space spec of the driven sessions, one of "+
+			strings.Join(slices.DeleteFunc(cli.SpaceShapes(), cli.ReadsFile), " ")+" (a served session reads no file)")
 		tFlag      = flag.Int("t", 0, "cluster mode: corruption budget of the driven sessions")
 		seed       = flag.Int64("seed", 1, "cluster mode: tree-spec seed")
 		maxSess    = flag.Int("max-sessions", 1024, "admission control: max in-flight sessions per daemon")
@@ -230,11 +233,7 @@ func runSmoke(ctx context.Context, n, sessions int, treeSpec string, t int, seed
 	if sessions < 1 {
 		return fmt.Errorf("-sessions must be ≥ 1")
 	}
-	sp, err := cli.ParseSpaceSpec(treeSpec, seed)
-	if err != nil {
-		return err
-	}
-	w, err := session.NewWorkload(sp, seed, n, t, sessionTTL, sessions, opts.Async)
+	w, err := session.NewWorkload(treeSpec, seed, n, t, sessionTTL, sessions, opts.Async)
 	if err != nil {
 		return err
 	}
@@ -257,7 +256,7 @@ func runSmoke(ctx context.Context, n, sessions int, treeSpec string, t int, seed
 		clusterMode, check = "async", "valid and 1-agreeing"
 	}
 	fmt.Printf("serve: %d-daemon %s loopback cluster up, driving %d concurrent sessions of %s\n",
-		n, clusterMode, sessions, sp.Spec)
+		n, clusterMode, sessions, treeSpec)
 
 	start := time.Now()
 	var failures []string
@@ -320,11 +319,7 @@ func runRolling(ctx context.Context, n, workers int, treeSpec string, t int, see
 		defer os.RemoveAll(dir)
 		opts.JournalDir = dir
 	}
-	sp, err := cli.ParseSpaceSpec(treeSpec, seed)
-	if err != nil {
-		return err
-	}
-	w, err := session.NewWorkload(sp, seed, n, t, sessionTTL, math.MaxInt, opts.Async)
+	w, err := session.NewWorkload(treeSpec, seed, n, t, sessionTTL, math.MaxInt, opts.Async)
 	if err != nil {
 		return err
 	}

@@ -26,10 +26,11 @@
 //
 //	treeaa -n 4 -t 1 -tree path:8 -transport tcp -adversary 'splitvote+drop(from=0,to=2,round=2)'
 //
-// Tree specs: path:K, star:K, spider:LEGS:LEN, caterpillar:SPINE:LEGS,
-// kary:K:DEPTH, random:K, figure3, or @FILE with "a - b" edge lines.
-// Graph specs: graph:cycle:K, graph:clique:K, graph:cliquechain:B:S,
-// graph:cactus:B:L, graph:randomblock:K, graph:@FILE.
+// -tree takes the space language of internal/cli, one table of shapes: the
+// trees path:K, star:K, spider:LEGS:LEN, caterpillar:SPINE:LEGS, kary:K:DEPTH,
+// random:K, figure3 and @FILE ("a - b" edge lines); the block graphs
+// graph:cycle:K (K >= 3), graph:clique:K, graph:cliquechain:B:S (S >= 2),
+// graph:cactus:B:L (L >= 3), graph:randomblock:K and graph:@FILE.
 package main
 
 import (
@@ -52,7 +53,7 @@ func main() {
 	var (
 		nFlag     = flag.Int("n", 7, "number of parties")
 		tFlag     = flag.Int("t", 2, "Byzantine budget (t < n/3)")
-		treeSpec  = flag.String("tree", "path:40", `input space spec: a tree, or a "graph:"-prefixed block graph (see the package doc)`)
+		treeSpec  = flag.String("tree", "path:40", "input space spec, one of "+strings.Join(cli.SpaceShapes(), " "))
 		inputSpec = flag.String("inputs", "", "comma-separated input vertex labels (default: spread across the space)")
 		advName   = flag.String("adversary", "none", "adversary spec: none, or name(key=value,...) clauses joined by '+' of "+strings.Join(cli.AdversaryNames(), "|"))
 		seed      = flag.Int64("seed", 1, "seed for random trees/graphs / noise adversaries")

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"treeaa/internal/chaos"
-	"treeaa/internal/cli"
 	"treeaa/internal/metrics"
 	"treeaa/internal/session"
 )
@@ -37,11 +36,7 @@ func (rc restartCell) run(t *testing.T) {
 		n   = 4
 		ttl = 30 * time.Second
 	)
-	sp, err := cli.ParseSpaceSpec(rc.space, rc.seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := session.NewWorkload(sp, rc.seed, n, 0, ttl, max(rc.decided, rc.fresh), false)
+	w, err := session.NewWorkload(rc.space, rc.seed, n, 0, ttl, max(rc.decided, rc.fresh), false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,12 +5,13 @@ package cli
 // graph (the journal version's extension, run as TreeAA on the block-cut
 // tree plus a local decode). Exactly one of Tree/Graph is set.
 //
-// The canonical spec string for a graph space is "graph:" + the graph spec
-// grammar of internal/graph ("graph:cycle:9", "graph:cliquechain:3:4",
-// "graph:@FILE"); anything without the prefix is a tree spec. The prefixed
-// form flows through every existing string-shaped seam unchanged — Spec.Tree
-// in the serving layer, JournalOpen.Tree in the WAL, the cluster session
-// hash — so graph sessions replay and rendezvous exactly like tree sessions.
+// The spec string of a graph space carries the "graph:" prefix
+// ("graph:cycle:9", "graph:cliquechain:3:4", "graph:@FILE"); anything
+// without it is a tree spec, and one table (shapes, cli.go) reads both. The
+// prefixed form flows through every existing string-shaped seam unchanged —
+// Spec.Tree in the serving layer, JournalOpen.Tree in the WAL, the cluster
+// session hash — so graph sessions replay and rendezvous exactly like tree
+// sessions.
 
 import (
 	"fmt"
@@ -34,30 +35,6 @@ type Space struct {
 	Spec  string
 	Tree  *tree.Tree
 	Graph *graph.Graph
-}
-
-// ParseSpaceSpec parses a canonical space spec: a "graph:"-prefixed graph
-// spec, or a tree spec.
-func ParseSpaceSpec(spec string, seed int64) (*Space, error) {
-	if gspec, ok := strings.CutPrefix(spec, GraphPrefix); ok {
-		g, err := graph.ParseSpec(gspec, seed)
-		if err != nil {
-			return nil, err
-		}
-		return &Space{Spec: spec, Graph: g}, nil
-	}
-	tr, err := ParseTreeSpec(spec, seed)
-	if err != nil {
-		return nil, err
-	}
-	return &Space{Spec: spec, Tree: tr}, nil
-}
-
-// ReadsFile reports whether a space spec reads a local edge-list file
-// (@FILE or graph:@FILE). Such specs are input for the local tools only: a
-// served session refuses them before anything is opened.
-func ReadsFile(spec string) bool {
-	return strings.HasPrefix(strings.TrimPrefix(spec, GraphPrefix), "@")
 }
 
 // IsGraph reports whether this is a graph space.

@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"treeaa/internal/graph"
@@ -291,7 +292,7 @@ func TestBlockKinds(t *testing.T) {
 		}
 	}
 	// K4 minus one edge: biconnected but neither clique nor cycle.
-	g, err := graph.ParseString("a - b\nb - c\nc - d\nd - a\na - c\n")
+	g, err := graph.Parse(strings.NewReader("a - b\nb - c\nc - d\nd - a\na - c\n"))
 	if err != nil {
 		t.Fatal(err)
 	}

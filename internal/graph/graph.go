@@ -118,6 +118,16 @@ func (b *Builder) Build() (*Graph, error) {
 	return build(labels, edges)
 }
 
+// Parse reads the edge-list format of internal/tree (tree.Builder.ReadEdges),
+// so a tree's edge list parses as a graph of edge blocks.
+func Parse(r io.Reader) (*Graph, error) {
+	var b Builder
+	if err := b.tb.ReadEdges(r); err != nil {
+		return nil, err
+	}
+	return b.Build()
+}
+
 // build is the one constructor of a Graph: labels valid and ascending
 // (tree.VertexID i is labels[i]), edges as VertexID pairs into them.
 func build(labels []string, edges [][2]tree.VertexID) (*Graph, error) {

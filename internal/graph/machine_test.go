@@ -105,11 +105,11 @@ func testSpecs(t *testing.T) map[string]*graph.Graph {
 		"clique:5", "cycle:4", "cycle:9", "cliquechain:3:4",
 		"cliquechain:5:2", "cactus:3:4", "cactus:2:5", "randomblock:12",
 	} {
-		g, err := graph.ParseSpec(s, 11)
+		sp, err := cli.ParseSpaceSpec(cli.GraphPrefix+s, 11)
 		if err != nil {
 			t.Fatal(err)
 		}
-		specs[s] = g
+		specs[s] = sp.Graph
 	}
 	return specs
 }

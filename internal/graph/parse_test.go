@@ -8,80 +8,13 @@ import (
 	"strings"
 	"testing"
 
+	"treeaa/internal/cli"
 	"treeaa/internal/graph"
 	"treeaa/internal/tree"
 )
 
-func TestParseSpec(t *testing.T) {
-	for _, tc := range []struct {
-		spec     string
-		vertices int
-		edges    int
-	}{
-		{"cycle:6", 6, 6},
-		{"clique:4", 4, 6},
-		{"cliquechain:3:3", 7, 9},
-		{"cliquechain:4:2", 5, 4}, // path
-		{"cactus:2:5", 9, 10},
-	} {
-		g, err := graph.ParseSpec(tc.spec, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.spec, err)
-		}
-		if g.NumVertices() != tc.vertices || g.NumEdges() != tc.edges {
-			t.Fatalf("%s: %d vertices / %d edges, want %d / %d",
-				tc.spec, g.NumVertices(), g.NumEdges(), tc.vertices, tc.edges)
-		}
-	}
-}
-
-func TestParseSpecErrors(t *testing.T) {
-	for _, spec := range []string{
-		"", "cycle", "cycle:2", "cycle:x", "clique:0", "cliquechain:3",
-		"cliquechain:0:3", "cliquechain:3:1", "cactus:1:2", "randomblock:0",
-		"path:8", // tree specs are not graph specs
-		// arguments a shape cannot use, and a second name for one spec
-		"clique:4:x", "cycle:5:", "cactus:2:5:1", "cycle:05", "cycle:+5",
-	} {
-		if _, err := graph.ParseSpec(spec, 1); err == nil {
-			t.Errorf("spec %q accepted", spec)
-		}
-	}
-}
-
-func TestParseSpecSeedDeterminism(t *testing.T) {
-	a, err := graph.ParseSpec("randomblock:15", 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := graph.ParseSpec("randomblock:15", 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := graph.ParseSpec("randomblock:15", 43)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bufA, bufB, bufC strings.Builder
-	if err := a.WriteDOT(&bufA, "g", nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.WriteDOT(&bufB, "g", nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.WriteDOT(&bufC, "g", nil); err != nil {
-		t.Fatal(err)
-	}
-	if bufA.String() != bufB.String() {
-		t.Fatal("same seed produced different random block graphs")
-	}
-	if bufA.String() == bufC.String() {
-		t.Fatal("different seeds produced identical random block graphs")
-	}
-}
-
 func TestParseEdgeList(t *testing.T) {
-	g, err := graph.ParseString("# a triangle with a tail\na - b\nb - c\nc - a\nc - d\n")
+	g, err := graph.Parse(strings.NewReader("# a triangle with a tail\na - b\nb - c\nc - a\nc - d\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +25,7 @@ func TestParseEdgeList(t *testing.T) {
 		t.Fatal("c is not a cut vertex")
 	}
 	// Single vertex graph.
-	one, err := graph.ParseString("solo\n")
+	one, err := graph.Parse(strings.NewReader("solo\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,12 +56,12 @@ func TestParseErrors(t *testing.T) {
 		{"bad label", "a - #b\n", graph.ErrBadLabel},
 		{"isolated extra vertex", "a - b\nc\n", graph.ErrNotConnected},
 	} {
-		_, err := graph.ParseString(tc.in)
+		_, err := graph.Parse(strings.NewReader(tc.in))
 		if !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
 	}
-	if _, err := graph.ParseString("a - b - c\n"); err == nil {
+	if _, err := graph.Parse(strings.NewReader("a - b - c\n")); err == nil {
 		t.Error("three-field line accepted")
 	}
 }
@@ -138,12 +71,12 @@ func TestParseErrors(t *testing.T) {
 // protocol tree without communication.
 func TestDecompositionDeterminism(t *testing.T) {
 	build := func() string {
-		g, err := graph.ParseSpec("cactus:3:4", 1)
+		sp, err := cli.ParseSpaceSpec("graph:cactus:3:4", 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var buf strings.Builder
-		if err := g.BlockCutTree().WriteDOT(&buf, "bc", nil); err != nil {
+		if err := sp.Graph.BlockCutTree().WriteDOT(&buf, "bc", nil); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()

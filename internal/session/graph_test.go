@@ -12,7 +12,7 @@ import (
 	"testing"
 	"time"
 
-	"treeaa/internal/graph"
+	"treeaa/internal/cli"
 	"treeaa/internal/tree"
 )
 
@@ -49,10 +49,11 @@ func TestServeGraphMatchesSim(t *testing.T) {
 			}
 			// The outputs must satisfy the graph guarantees, not just match
 			// the oracle: validity on the geodesic hull plus agreement.
-			g, err := graph.ParseSpec(strings.TrimPrefix(tc.spec.Tree, "graph:"), tc.spec.Seed)
+			sp, err := cli.ParseSpaceSpec(tc.spec.Tree, tc.spec.Seed)
 			if err != nil {
 				t.Fatal(err)
 			}
+			g := sp.Graph
 			var outs []tree.VertexID
 			for _, raw := range got.Outputs {
 				outs = append(outs, raw.(tree.VertexID))

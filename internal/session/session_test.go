@@ -204,11 +204,7 @@ func TestServeSoakUnderChaos(t *testing.T) {
 	// One subtest a space, so each cluster stops when its space is done.
 	for _, space := range []string{"spider:3:3", "graph:cliquechain:3:4"} {
 		t.Run(space, func(t *testing.T) {
-			sp, err := cli.ParseSpaceSpec(space, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w, err := NewWorkload(sp, seed, n, 0, 2*time.Minute, sessions, false)
+			w, err := NewWorkload(space, seed, n, 0, 2*time.Minute, sessions, false)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -27,16 +27,22 @@ type Workload struct {
 	oracles map[string]*sim.Result // sync only: the oracle per rotation, keyed by Inputs
 }
 
-// NewWorkload prepares the mix for an n-daemon cluster and, unless async,
-// computes the oracle of each of the first rotations input rotations (they
-// repeat after NumVertices) before any daemon spins up.
-func NewWorkload(sp *cli.Space, seed int64, n, t int, ttl time.Duration, rotations int, async bool) (*Workload, error) {
-	w := &Workload{sp: sp, n: n, t: t, seed: seed, ttl: ttl}
+// NewWorkload prepares the mix of one space spec for an n-daemon cluster
+// and, unless async, computes the oracle of each of the first rotations
+// input rotations (they repeat after NumVertices) before any daemon spins
+// up. The spec is read as a served session reads it, so a file spec is
+// refused before anything is opened.
+func NewWorkload(spec string, seed int64, n, t int, ttl time.Duration, rotations int, async bool) (*Workload, error) {
+	ps, err := parseSpec(Spec{Tree: spec, Seed: seed, T: t}, n, ttl)
+	if err != nil {
+		return nil, err
+	}
+	w := &Workload{sp: ps.space, n: n, t: t, seed: seed, ttl: ttl}
 	if async {
 		return w, nil
 	}
 	w.oracles = make(map[string]*sim.Result)
-	for i := 0; i < sp.NumVertices() && i < rotations; i++ {
+	for i := 0; i < w.sp.NumVertices() && i < rotations; i++ {
 		s := w.Spec(i)
 		want, err := Oracle(n, s)
 		if err != nil {

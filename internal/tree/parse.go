@@ -9,17 +9,27 @@ import (
 	"strings"
 )
 
-// Parse reads a tree from the plain-text edge-list format:
+// Parse reads a tree from the plain-text edge-list format (see
+// Builder.ReadEdges).
+func Parse(r io.Reader) (*Tree, error) {
+	var b Builder
+	if err := b.ReadEdges(r); err != nil {
+		return nil, err
+	}
+	return b.Build()
+}
+
+// ReadEdges adds the vertices and edges of the plain-text edge-list format
+// to b, the one reader of that format for trees and graphs alike:
 //
 //	# comment lines and blank lines are ignored
 //	a - b
 //	b - c
 //
-// A single-vertex tree is written as one line holding just the label.
+// A single-vertex space is written as one line holding just the label.
 // Whitespace around labels is trimmed; labels may not contain '-' or
 // whitespace.
-func Parse(r io.Reader) (*Tree, error) {
-	var b Builder
+func (b *Builder) ReadEdges(r io.Reader) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	lineNo := 0
@@ -36,17 +46,17 @@ func Parse(r io.Reader) (*Tree, error) {
 		case 2:
 			u, v := strings.TrimSpace(parts[0]), strings.TrimSpace(parts[1])
 			if u == "" || v == "" {
-				return nil, fmt.Errorf("tree: line %d: empty label in edge %q", lineNo, line)
+				return fmt.Errorf("edge list: line %d: empty label in edge %q", lineNo, line)
 			}
 			b.AddEdge(u, v)
 		default:
-			return nil, fmt.Errorf("tree: line %d: expected \"a - b\", got %q", lineNo, line)
+			return fmt.Errorf("edge list: line %d: expected \"a - b\", got %q", lineNo, line)
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("tree: reading input: %w", err)
+		return fmt.Errorf("edge list: reading input: %w", err)
 	}
-	return b.Build()
+	return nil
 }
 
 // ParseString is Parse over an in-memory string.
