@@ -236,11 +236,11 @@ bench-async-smoke:
 bench-mesh-smoke:
 	bash bench/run.sh --workload mesh-fleet --seed 1 --seconds 2 --trace 0
 
-# Fuzz pass over all ten fuzz targets, 30s each: tree parsing, the Prüfer
+# Fuzz pass over all eleven fuzz targets, 30s each: tree parsing, the Prüfer
 # codec, Euler-list invariants, hull/safe-area cross-checks, wire decoding,
 # journal replay, a round frame applied to a driver, the transport link's
-# frame parsers, the gradecast tally against its merge oracle and the
-# adversary language's parser.
+# frame parsers, the gradecast tally against its merge oracle, the
+# adversary language's parser and the space language's parser.
 fuzz:
 	$(GO) test -run FuzzDecode -fuzz FuzzDecode -fuzztime 30s ./internal/wire/
 	$(GO) test -run FuzzParse -fuzz FuzzParse -fuzztime 30s ./internal/tree/
@@ -249,11 +249,12 @@ fuzz:
 	$(GO) test -run FuzzConvexHullSafeArea -fuzz FuzzConvexHullSafeArea -fuzztime 30s ./internal/tree/
 	$(GO) test -run FuzzTally -fuzz FuzzTally -fuzztime 30s ./internal/gradecast/
 	$(GO) test -run FuzzParseAdversary -fuzz FuzzParseAdversary -fuzztime 30s ./internal/cli/
+	$(GO) test -run FuzzParseSpaceSpec -fuzz FuzzParseSpaceSpec -fuzztime 30s ./internal/cli/
 	$(GO) test -run FuzzReplay -fuzz FuzzReplay -fuzztime 30s ./internal/journal/
 	$(GO) test -run FuzzApplyRound -fuzz FuzzApplyRound -fuzztime 30s ./internal/driver/
 	$(GO) test -run FuzzLinkFrames -fuzz FuzzLinkFrames -fuzztime 30s ./internal/transport/
 
-# Quick fuzz pass: the same ten targets as `fuzz` at 10s each, for use as a
+# Quick fuzz pass: the same eleven targets as `fuzz` at 10s each, for use as a
 # pre-commit gate. FuzzDecode starts from the committed corpus under
 # testdata/wire/corpus/ so even the short budget begins at deep decoder
 # states.
@@ -265,6 +266,7 @@ fuzz-short:
 	$(GO) test -run FuzzConvexHullSafeArea -fuzz FuzzConvexHullSafeArea -fuzztime 10s ./internal/tree/
 	$(GO) test -run FuzzTally -fuzz FuzzTally -fuzztime 10s ./internal/gradecast/
 	$(GO) test -run FuzzParseAdversary -fuzz FuzzParseAdversary -fuzztime 10s ./internal/cli/
+	$(GO) test -run FuzzParseSpaceSpec -fuzz FuzzParseSpaceSpec -fuzztime 10s ./internal/cli/
 	$(GO) test -run FuzzReplay -fuzz FuzzReplay -fuzztime 10s ./internal/journal/
 	$(GO) test -run FuzzApplyRound -fuzz FuzzApplyRound -fuzztime 10s ./internal/driver/
 	$(GO) test -run FuzzLinkFrames -fuzz FuzzLinkFrames -fuzztime 10s ./internal/transport/

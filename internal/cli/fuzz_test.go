@@ -47,3 +47,75 @@ func FuzzParseAdversary(f *testing.F) {
 		sp.BuildAdversary(spec, 7, 2, 1)
 	})
 }
+
+// FuzzParseSpaceSpec checks that the space language's parser never panics,
+// and that every spec it accepts is the canonical string of its row and
+// arguments and re-parses to an equal space. File specs are refused through
+// ReadsFile, the predicate the served path asks, so no path is opened; a
+// shape too large to build in a fuzz iteration is skipped before it is built.
+func FuzzParseSpaceSpec(f *testing.F) {
+	for i := range shapes {
+		row := &shapes[i]
+		a := make([]int, len(row.args))
+		for k, arg := range row.args {
+			a[k] = arg.min
+		}
+		f.Add(specOf(row, a), int64(1))
+	}
+	for _, spec := range []string{
+		// README, DESIGN and the cmd/ package docs
+		"path:16", "path:40", "spider:3:3", "caterpillar:4:2", "kary:2:3", "random:20", "figure3", "@map.txt",
+		"graph:cliquechain:3:4", "graph:cycle:9", "graph:cactus:3:4", "graph:randomblock:12", "graph:clique:5",
+		"graph:@FILE",
+		// refused
+		"path:8:9", "star:4:", "figure3:5", "path:08", "path:+8", "graph:clique:4:x", "graph:", "cycle:6",
+	} {
+		f.Add(spec, int64(7))
+	}
+	f.Fuzz(func(t *testing.T, spec string, seed int64) {
+		if ReadsFile(spec) {
+			return
+		}
+		row, rest, err := lookupShape(spec)
+		if err != nil {
+			if _, err := ParseSpaceSpec(spec, seed); err == nil {
+				t.Fatalf("%q accepted with no row", spec)
+			}
+			return
+		}
+		a, err := row.readArgs(spec, rest)
+		if err == nil && tooBig(row, a) {
+			return
+		}
+		sp, err := ParseSpaceSpec(spec, seed)
+		if err != nil {
+			return
+		}
+		if canon := specOf(row, a); canon != spec {
+			t.Fatalf("%q accepted, canonical string %q", spec, canon)
+		}
+		again, err := ParseSpaceSpec(spec, seed)
+		if err != nil || !sameSpace(sp, again) {
+			t.Fatalf("%q re-parsed to a different space: %v", spec, err)
+		}
+	})
+}
+
+// tooBig bounds a shape before it is built: no argument above 32, and a
+// kary tree of at most 4,096 leaves.
+func tooBig(row *shape, a []int) bool {
+	for _, v := range a {
+		if v > 32 {
+			return true
+		}
+	}
+	if row.name == "kary" {
+		leaves := 1
+		for d := 0; d < a[1]; d++ {
+			if leaves *= a[0]; leaves > 4096 {
+				return true
+			}
+		}
+	}
+	return false
+}
