@@ -64,6 +64,42 @@ func sameSpace(a, b *Space) bool {
 	return true
 }
 
+// TestParseTreeSpec pins the size and diameter of each tree shape a spec
+// names, which TestSpaceSpecTable does not: it compares the parser with the
+// constructors, not the constructors with the shapes.
+func TestParseTreeSpec(t *testing.T) {
+	tests := []struct {
+		spec     string
+		vertices int
+		diameter int
+	}{
+		{"path:10", 10, 9},
+		{"star:8", 8, 2},
+		{"spider:3:4", 13, 8},
+		{"caterpillar:4:2", 12, 5},
+		{"kary:2:3", 15, 6},
+		{"random:20", 20, -1}, // diameter varies
+		{"figure3", 8, 4},
+	}
+	for _, tc := range tests {
+		t.Run(tc.spec, func(t *testing.T) {
+			sp, err := ParseSpaceSpec(tc.spec, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := sp.Tree
+			if tr.NumVertices() != tc.vertices {
+				t.Errorf("vertices = %d, want %d", tr.NumVertices(), tc.vertices)
+			}
+			if tc.diameter >= 0 {
+				if d, _, _ := tr.Diameter(); d != tc.diameter {
+					t.Errorf("diameter = %d, want %d", d, tc.diameter)
+				}
+			}
+		})
+	}
+}
+
 // TestSpaceSpecTable walks every row of the space language: at its minimum
 // arguments, with each argument one below its minimum, and over a range of
 // arguments, where the parsed space must equal the row's constructor called

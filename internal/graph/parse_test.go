@@ -13,6 +13,32 @@ import (
 	"treeaa/internal/tree"
 )
 
+// TestParseSpec pins the size of each graph shape a spec names, which the
+// table test in internal/cli does not: it compares the parser with the
+// constructors, not the constructors with the shapes.
+func TestParseSpec(t *testing.T) {
+	for _, tc := range []struct {
+		spec     string
+		vertices int
+		edges    int
+	}{
+		{"cycle:6", 6, 6},
+		{"clique:4", 4, 6},
+		{"cliquechain:3:3", 7, 9},
+		{"cliquechain:4:2", 5, 4}, // path
+		{"cactus:2:5", 9, 10},
+	} {
+		sp, err := cli.ParseSpaceSpec(cli.GraphPrefix+tc.spec, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.spec, err)
+		}
+		if g := sp.Graph; g.NumVertices() != tc.vertices || g.NumEdges() != tc.edges {
+			t.Fatalf("%s: %d vertices / %d edges, want %d / %d",
+				tc.spec, g.NumVertices(), g.NumEdges(), tc.vertices, tc.edges)
+		}
+	}
+}
+
 func TestParseEdgeList(t *testing.T) {
 	g, err := graph.Parse(strings.NewReader("# a triangle with a tail\na - b\nb - c\nc - a\nc - d\n"))
 	if err != nil {
