@@ -156,7 +156,7 @@ func TestSpaceSpecTable(t *testing.T) {
 
 	for _, spec := range []string{
 		"", "bogus", "graph", "graph:", "path", "path:x", "path:0", "path:-1", "path: 8", "spider:3", "kary:2",
-		"cycle:6", "graph:path:8", "graph:nope:4", "graph:graph:cycle:3", "graph:cliquechain:3",
+		"cycle:6", "graph:path:8", "graph:nope:4", "graph:graph:cycle:3", "graph:cycle", "graph:cycle:x", "graph:cliquechain:3",
 		// arguments a shape cannot use
 		"path:8:9", "star:4:", "figure3:5", "figure3:", "path:", "graph:clique:4:x", "graph:cactus:2:5:1",
 		// a second string for one spec
