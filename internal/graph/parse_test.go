@@ -39,6 +39,48 @@ func TestParseSpec(t *testing.T) {
 	}
 }
 
+// TestParseSpecErrors: graph specs that no graph row reads are refused.
+func TestParseSpecErrors(t *testing.T) {
+	for _, spec := range []string{
+		"graph:", "graph:cycle", "graph:cycle:2", "graph:cycle:x", "graph:clique:0", "graph:cliquechain:3",
+		"graph:cliquechain:0:3", "graph:cliquechain:3:1", "graph:cactus:1:2", "graph:randomblock:0",
+		"graph:nope:4", "graph:graph:cycle:3", "graph:@/nonexistent/file",
+		"graph:path:8", // tree specs are not graph specs
+		"cycle:6",      // nor are graph shapes without the prefix
+		// arguments a shape cannot use
+		"graph:clique:4:x", "graph:cycle:5:", "graph:cactus:2:5:1",
+		// a second string for one spec
+		"graph:cycle:05", "graph:cycle:+5",
+	} {
+		if sp, err := cli.ParseSpaceSpec(spec, 1); err == nil {
+			t.Errorf("%q accepted as %+v", spec, sp)
+		}
+	}
+}
+
+// TestParseSpecSeedDeterminism: a random block graph is a function of its
+// seed: the same seed builds an equal graph, the next seed a different one.
+func TestParseSpecSeedDeterminism(t *testing.T) {
+	dot := func(seed int64) string {
+		sp, err := cli.ParseSpaceSpec(cli.GraphPrefix+"randomblock:15", seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		if err := sp.Graph.WriteDOT(&b, "g", nil); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	a, b, c := dot(42), dot(42), dot(43)
+	if a != b {
+		t.Fatal("same seed produced different random block graphs")
+	}
+	if a == c {
+		t.Fatal("different seeds produced identical random block graphs")
+	}
+}
+
 func TestParseEdgeList(t *testing.T) {
 	g, err := graph.Parse(strings.NewReader("# a triangle with a tail\na - b\nb - c\nc - a\nc - d\n"))
 	if err != nil {
